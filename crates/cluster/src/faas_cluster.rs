@@ -91,7 +91,7 @@ impl ClusterFaas {
             let frames = wire::dec_n(&env.body, 2)?;
             let function = wire::as_str(&frames[0])?;
             let res = platform
-                .invoke_traced(&function, frames[1].clone(), env.ctx)
+                .invoke_traced(function, frames[1].clone(), env.ctx)
                 .map_err(|e| ClusterError::Remote(e.to_string()))?;
             Ok(vec![res.output])
         })();

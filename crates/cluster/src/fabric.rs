@@ -10,8 +10,11 @@
 //! 2. the net advances, delivering due envelopes,
 //! 3. delivered envelopes are routed — heartbeats into the receiving
 //!    agent, everything else into the node's service mailbox,
-//! 4. the observer's membership view feeds the [`ControlPlane`], bumping
-//!    the cluster epoch on change.
+//! 4. every live agent expires peers whose silence outlasted the failure
+//!    timeout — one comparison each until a deadline actually passes,
+//! 5. only if some live agent's belief moved (or a node was added, killed
+//!    or revived since the last tick) is the authoritative view rebuilt
+//!    and fed to the [`ControlPlane`], bumping the cluster epoch on change.
 //!
 //! Killing a node stops its heartbeats and discards its mail (crashed
 //! processes do not drain sockets); the rest of the cluster finds out the
@@ -53,6 +56,8 @@ struct NodeInfo {
     role: NodeRole,
     alive: bool,
     agent: MemberAgent,
+    /// `agent.generation()` as of the last authoritative-view rebuild.
+    seen_generation: u64,
     mail: VecDeque<Envelope>,
 }
 
@@ -65,6 +70,11 @@ pub struct ClusterFabric {
     nodes: Vec<NodeInfo>,
     control: Arc<Mutex<ControlPlane>>,
     tracer: Tracer,
+    /// A node was added, killed or revived since the authoritative view
+    /// was last rebuilt.
+    roster_changed: bool,
+    /// Delivery buffer reused across ticks.
+    delivered: Vec<Envelope>,
 }
 
 impl ClusterFabric {
@@ -85,6 +95,8 @@ impl ClusterFabric {
             nodes: Vec::new(),
             control: Arc::new(Mutex::new(ControlPlane::new())),
             tracer,
+            roster_changed: false,
+            delivered: Vec::new(),
         }
     }
 
@@ -120,15 +132,14 @@ impl ClusterFabric {
     pub fn add_node(&mut self, role: NodeRole) -> NodeId {
         let id = NodeId(self.nodes.len() as u64);
         let now = self.now();
-        let mut agent = MemberAgent::new(id, self.mcfg);
-        let peers: Vec<NodeId> = (0..self.nodes.len() as u64).map(NodeId).collect();
-        agent.set_peers(peers, now);
         self.nodes.push(NodeInfo {
             role,
             alive: true,
-            agent,
+            agent: MemberAgent::new(id, self.mcfg),
+            seen_generation: 0,
             mail: VecDeque::new(),
         });
+        self.roster_changed = true;
         let all: Vec<NodeId> = (0..self.nodes.len() as u64).map(NodeId).collect();
         for (i, n) in self.nodes.iter_mut().enumerate() {
             let peers: Vec<NodeId> = all
@@ -169,8 +180,8 @@ impl ClusterFabric {
         if let Some(n) = self.nodes.get_mut(node.raw() as usize) {
             n.alive = false;
             n.mail.clear();
+            self.roster_changed = true;
         }
-        self.net.clear_inbox(node);
     }
 
     /// Bring a crashed node back (a replacement process on the same
@@ -178,6 +189,7 @@ impl ClusterFabric {
     pub fn revive(&mut self, node: NodeId) {
         if let Some(n) = self.nodes.get_mut(node.raw() as usize) {
             n.alive = true;
+            self.roster_changed = true;
         }
     }
 
@@ -189,7 +201,7 @@ impl ClusterFabric {
         from: NodeId,
         to: NodeId,
         req: u64,
-        kind: impl Into<String>,
+        kind: &'static str,
         body: Bytes,
         ctx: Option<SpanContext>,
     ) -> bool {
@@ -199,27 +211,31 @@ impl ClusterFabric {
         self.net.send(from, to, req, kind, body, ctx).is_some()
     }
 
-    /// Each live node's current *local* membership view — the peers it
-    /// believes alive right now, from its own heartbeat evidence. This is
-    /// per-node belief, not the authoritative control-plane view: the
-    /// observability agents diff it tick to tick to report membership
-    /// transitions as each node sees them.
-    pub fn member_views(&self) -> Vec<(NodeId, BTreeSet<NodeId>)> {
+    /// A live node's *local* membership belief — the peers it believes
+    /// alive right now, from its own heartbeat evidence — and the
+    /// generation that moves whenever that set does. "Right now" is the
+    /// shared clock, which a service sleeping on it (a FaaS cold start)
+    /// moves between ticks, and which stood still for a node that was
+    /// down: the belief is expired to the present before it is lent out.
+    /// This is per-node belief, not the authoritative control-plane view:
+    /// the observability agents diff it, when the generation moved, to
+    /// report membership transitions as each node sees them. `None` for a
+    /// dead or unknown node.
+    pub fn belief(&mut self, node: NodeId) -> Option<(u64, &BTreeSet<NodeId>)> {
         let now = self.now();
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.alive)
-            .map(|(i, n)| (NodeId(i as u64), n.agent.view(now)))
-            .collect()
+        let n = self
+            .nodes
+            .get_mut(node.raw() as usize)
+            .filter(|n| n.alive)?;
+        n.agent.expire(now);
+        Some((n.agent.generation(), n.agent.alive()))
     }
 
-    /// Drain a node's service mailbox (dead nodes yield nothing).
-    pub fn mail(&mut self, node: NodeId) -> Vec<Envelope> {
-        match self.nodes.get_mut(node.raw() as usize) {
-            Some(n) if n.alive => n.mail.drain(..).collect(),
-            _ => Vec::new(),
-        }
+    /// Take the next envelope from a node's service mailbox (dead nodes
+    /// yield nothing).
+    pub fn pop_mail(&mut self, node: NodeId) -> Option<Envelope> {
+        let n = self.nodes.get_mut(node.raw() as usize)?;
+        n.alive.then(|| n.mail.pop_front())?
     }
 
     /// Advance the cluster by `dt`: heartbeats, network delivery, mail
@@ -233,55 +249,45 @@ impl ClusterFabric {
             }
         }
         self.clock.advance(dt);
-        self.net.advance(dt);
+        let mut delivered = std::mem::take(&mut self.delivered);
+        self.net.advance_into(dt, &mut delivered);
         let now = self.now();
-        for i in 0..self.nodes.len() {
-            let id = NodeId(i as u64);
-            let delivered = self.net.drain(id);
-            let n = &mut self.nodes[i];
-            if !n.alive {
-                continue; // a dead node's NIC drops everything on the floor
-            }
-            for env in delivered {
-                // Any traffic proves the sender was alive when it sent.
-                n.agent.observe(env.from, now);
-                if env.kind != HEARTBEAT_KIND {
-                    n.mail.push_back(env);
-                }
-            }
-        }
-        // The authoritative view is the union of what live nodes see of
-        // each other: node X is in the view iff some live node heard from
-        // it recently (X's own vote does not keep it alive — a partitioned
-        // node always believes in itself).
-        let mut view: BTreeSet<NodeId> = BTreeSet::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            if !n.alive {
+        for env in delivered.drain(..) {
+            // A dead node's NIC drops everything on the floor.
+            let Some(n) = self
+                .nodes
+                .get_mut(env.to.raw() as usize)
+                .filter(|n| n.alive)
+            else {
                 continue;
+            };
+            // Any traffic proves the sender was alive when it sent.
+            n.agent.observe(env.from, now);
+            if env.kind != HEARTBEAT_KIND {
+                n.mail.push_back(env);
             }
-            let id = NodeId(i as u64);
-            for p in n.agent.view(now) {
-                if p != id {
-                    view.insert(p);
-                }
-            }
-            view.insert(id); // live nodes are candidates for others to confirm
         }
-        // Intersect with "someone else heard from it" for clusters > 1.
-        if self.nodes.iter().filter(|n| n.alive).count() > 1 {
-            let mut confirmed: BTreeSet<NodeId> = BTreeSet::new();
-            for (i, n) in self.nodes.iter().enumerate() {
-                if !n.alive {
-                    continue;
-                }
-                let id = NodeId(i as u64);
-                for p in n.agent.view(now) {
-                    if p != id {
-                        confirmed.insert(p);
-                    }
-                }
-            }
-            view = confirmed;
+        self.delivered = delivered;
+        let mut stale = std::mem::take(&mut self.roster_changed);
+        for n in self.nodes.iter_mut().filter(|n| n.alive) {
+            n.agent.expire(now);
+            stale |= n.seen_generation != n.agent.generation();
+            n.seen_generation = n.agent.generation();
+        }
+        // The authoritative view is a function of the roster and the live
+        // agents' beliefs: neither moved, so neither did it.
+        if !stale {
+            return false;
+        }
+        // Node X is in the view iff some *other* live node heard from it
+        // recently (X's own vote does not keep it alive — a partitioned
+        // node always believes in itself), except that a node with nobody
+        // left to confirm it stands for itself.
+        let alone = self.nodes.iter().filter(|n| n.alive).count() <= 1;
+        let mut view: BTreeSet<NodeId> = BTreeSet::new();
+        for (i, n) in self.nodes.iter().enumerate().filter(|(_, n)| n.alive) {
+            let id = NodeId(i as u64);
+            view.extend(n.agent.alive().iter().filter(|&&p| alone || p != id));
         }
         self.control.lock().update_view(view)
     }
@@ -299,9 +305,16 @@ impl ClusterFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::LinkFaults;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)
+    }
+
+    fn mail(f: &mut ClusterFabric, node: NodeId) -> Vec<Envelope> {
+        std::iter::from_fn(|| f.pop_mail(node)).collect()
     }
 
     #[test]
@@ -341,15 +354,15 @@ mod tests {
         let b = f.add_node(NodeRole::Broker);
         assert!(f.send(a, b, 7, "pub", Bytes::from_static(b"x"), None));
         f.run_for(ms(10), ms(1));
-        let mail = f.mail(b);
-        assert_eq!(mail.len(), 1);
-        assert_eq!(mail[0].req, 7);
-        assert_eq!(mail[0].kind, "pub");
+        let got = mail(&mut f, b);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].req, 7);
+        assert_eq!(got[0].kind, "pub");
         // Mail sent to a node killed before delivery is lost.
         assert!(f.send(a, b, 8, "pub", Bytes::new(), None));
         f.kill(b);
         f.run_for(ms(10), ms(1));
-        assert!(f.mail(b).is_empty());
+        assert!(mail(&mut f, b).is_empty());
         // Dead nodes cannot send.
         assert!(!f.send(b, a, 9, "resp", Bytes::new(), None));
     }
@@ -362,5 +375,245 @@ mod tests {
         f.tick(ms(25));
         assert_eq!(f.now(), before + ms(25));
         assert_eq!(f.net().now(), f.now());
+    }
+
+    // -- incremental membership == the from-scratch definition -------------
+
+    /// A fabric driven side by side with the definition it must equal:
+    /// every live agent's belief recomputed from scratch
+    /// ([`MemberAgent::view`]), the authoritative view rebuilt from those on
+    /// *every* tick, and a second control plane fed that view every tick —
+    /// so its epoch counts exactly the ticks on which the view moved.
+    struct Checked {
+        fabric: ClusterFabric,
+        oracle: ControlPlane,
+    }
+
+    impl Checked {
+        fn new(seed: u64, nodes: usize) -> Self {
+            let mcfg = MembershipConfig {
+                heartbeat_every: ms(10),
+                failure_timeout: ms(60),
+            };
+            let mut fabric = ClusterFabric::with_membership(seed, mcfg);
+            for _ in 0..nodes {
+                fabric.add_node(NodeRole::Broker);
+            }
+            Self {
+                fabric,
+                oracle: ControlPlane::new(),
+            }
+        }
+
+        /// Every live node's belief, as lent out, equals the from-scratch
+        /// view at the fabric's current time.
+        fn check_beliefs(&mut self) -> Result<(), String> {
+            let now = self.fabric.now();
+            for i in 0..self.fabric.nodes.len() {
+                let lent = self.fabric.belief(NodeId(i as u64)).map(|(_, b)| b.clone());
+                let n = &self.fabric.nodes[i];
+                let expect = n.alive.then(|| n.agent.view(now));
+                prop_assert_eq!(&lent, &expect, "n{} at {:?}", i, now);
+            }
+            Ok(())
+        }
+
+        fn tick(&mut self, dt: Duration) -> Result<(), String> {
+            let changed = self.fabric.tick(dt);
+            let now = self.fabric.now();
+            // The tick itself — not a later `belief` call — must have
+            // brought every live agent up to date.
+            for n in self.fabric.nodes.iter().filter(|n| n.alive) {
+                prop_assert_eq!(n.agent.alive(), &n.agent.view(now), "at {:?}", now);
+            }
+            let live: Vec<(NodeId, BTreeSet<NodeId>)> = self
+                .fabric
+                .nodes
+                .iter()
+                .enumerate()
+                .filter(|(_, n)| n.alive)
+                .map(|(i, n)| (NodeId(i as u64), n.agent.view(now)))
+                .collect();
+            let mut view = BTreeSet::new();
+            for (id, belief) in &live {
+                view.extend(belief.iter().filter(|&p| p != id));
+                if live.len() <= 1 {
+                    view.insert(*id);
+                }
+            }
+            let oracle_changed = self.oracle.update_view(view);
+            let control = self.fabric.control.lock();
+            prop_assert_eq!(control.view(), self.oracle.view(), "view at {:?}", now);
+            prop_assert_eq!(control.epoch(), self.oracle.epoch(), "epoch at {:?}", now);
+            prop_assert_eq!(changed, oracle_changed, "tick's return at {:?}", now);
+            Ok(())
+        }
+
+        fn run(&mut self, total: Duration, step: Duration) -> Result<(), String> {
+            let end = self.fabric.now() + total;
+            while self.fabric.now() < end {
+                self.tick(step)?;
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn revived_node_believes_everyone_dead_until_heartbeats_land() {
+        let mut c = Checked::new(11, 4);
+        c.run(ms(100), ms(1)).unwrap();
+        c.fabric.kill(NodeId(2));
+        c.run(ms(200), ms(1)).unwrap();
+        c.fabric.revive(NodeId(2));
+        // Its `last_heard` is 200 ms stale: read before any tick it already
+        // stands alone, exactly as recomputing from scratch would say.
+        c.check_beliefs().unwrap();
+        assert_eq!(
+            c.fabric.belief(NodeId(2)).expect("live").1,
+            &BTreeSet::from([NodeId(2)])
+        );
+        c.run(ms(100), ms(1)).unwrap();
+        assert_eq!(c.fabric.belief(NodeId(2)).expect("live").1.len(), 4);
+        assert_eq!(c.fabric.control().lock().view().len(), 4);
+    }
+
+    #[test]
+    fn last_node_standing_vouches_for_itself() {
+        let mut c = Checked::new(12, 3);
+        c.run(ms(100), ms(1)).unwrap();
+        c.fabric.kill(NodeId(0));
+        c.fabric.kill(NodeId(1));
+        // Alone at once, but its peers' silence has not timed out yet:
+        // the view is its whole belief, corpses included.
+        c.tick(ms(1)).unwrap();
+        assert_eq!(c.fabric.control().lock().view().len(), 3);
+        c.run(ms(200), ms(1)).unwrap();
+        assert_eq!(
+            c.fabric.control().lock().view(),
+            &BTreeSet::from([NodeId(2)])
+        );
+        c.fabric.kill(NodeId(2));
+        c.tick(ms(1)).unwrap();
+        assert!(c.fabric.control().lock().view().is_empty());
+    }
+
+    #[test]
+    fn steady_state_ticks_leave_every_generation_alone() {
+        let mut c = Checked::new(13, 6);
+        c.run(ms(100), ms(1)).unwrap();
+        let settled: Vec<u64> = c
+            .fabric
+            .nodes
+            .iter()
+            .map(|n| n.agent.generation())
+            .collect();
+        let epoch = c.fabric.control().lock().epoch();
+        c.run(ms(500), ms(1)).unwrap();
+        let after: Vec<u64> = c
+            .fabric
+            .nodes
+            .iter()
+            .map(|n| n.agent.generation())
+            .collect();
+        assert_eq!(settled, after);
+        assert_eq!(c.fabric.control().lock().epoch(), epoch);
+    }
+
+    /// One step of an arbitrary membership schedule.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Tick this many times, this many milliseconds each.
+        Run {
+            ticks: u8,
+            dt_ms: u8,
+        },
+        /// One tick longer than the failure timeout (a stalled driver, or
+        /// a service sleeping on the shared clock).
+        Stall,
+        Kill(u8),
+        Revive(u8),
+        AddNode,
+        /// A service sleeps on the shared clock between ticks (a FaaS
+        /// cold start): time passes for every detector at once.
+        Sleep(u8),
+        /// Service traffic (proves liveness like a heartbeat does).
+        Send(u8, u8),
+        /// Silence: links start losing this share of everything.
+        Lossy(u8),
+        /// Cut nodes below the index off from the rest.
+        Partition(u8),
+        Heal,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            // Listed twice: time passing is twice as likely as any one fault.
+            (1u8..40, 1u8..12).prop_map(|(ticks, dt_ms)| Step::Run { ticks, dt_ms }),
+            (1u8..40, 1u8..12).prop_map(|(ticks, dt_ms)| Step::Run { ticks, dt_ms }),
+            Just(Step::Stall),
+            (1u8..250).prop_map(Step::Sleep),
+            (0u8..8).prop_map(Step::Kill),
+            (0u8..8).prop_map(Step::Revive),
+            Just(Step::AddNode),
+            (0u8..8, 0u8..8).prop_map(|(a, b)| Step::Send(a, b)),
+            (0u8..100).prop_map(Step::Lossy),
+            (1u8..4).prop_map(Step::Partition),
+            Just(Step::Heal),
+        ]
+    }
+
+    proptest! {
+        /// Under any schedule of heartbeat arrival, silence, kills,
+        /// revivals, joins, partitions and heals, after every tick each
+        /// live agent's incremental belief, the authoritative view and the
+        /// control-plane epoch equal what recomputing everything from
+        /// scratch on every tick yields.
+        #[test]
+        fn incremental_membership_equals_from_scratch_recompute(
+            seed in any::<u64>(),
+            start in 1usize..6,
+            steps in vec(step(), 1..60),
+        ) {
+            let mut c = Checked::new(seed, start);
+            for step in steps {
+                let n = c.fabric.nodes.len() as u64;
+                match step {
+                    Step::Run { ticks, dt_ms } => {
+                        for _ in 0..ticks {
+                            c.tick(ms(dt_ms as u64))?;
+                        }
+                    }
+                    Step::Stall => c.tick(ms(150))?,
+                    Step::Sleep(d) => c.fabric.clock().advance(ms(d as u64)),
+                    Step::Kill(i) => c.fabric.kill(NodeId(i as u64 % n)),
+                    Step::Revive(i) => c.fabric.revive(NodeId(i as u64 % n)),
+                    Step::AddNode if n < 8 => {
+                        c.fabric.add_node(NodeRole::Broker);
+                    }
+                    Step::AddNode => {}
+                    Step::Send(a, b) => {
+                        let (a, b) = (NodeId(a as u64 % n), NodeId(b as u64 % n));
+                        c.fabric.send(a, b, 0, "m", Bytes::new(), None);
+                    }
+                    Step::Lossy(pct) => c.fabric.net().set_default_faults(LinkFaults {
+                        drop_p: pct as f64 / 100.0,
+                        ..LinkFaults::default()
+                    }),
+                    Step::Partition(cut) => {
+                        let (left, right): (Vec<NodeId>, Vec<NodeId>) =
+                            (0..n).map(NodeId).partition(|id| id.raw() < cut as u64);
+                        c.fabric.net().partition(&[&left, &right]);
+                    }
+                    Step::Heal => c.fabric.net().heal(),
+                }
+                // Beliefs read between ticks are current too: the telemetry
+                // plane reads them right after a kill, revive, join or sleep.
+                c.check_beliefs()?;
+            }
+            // Quiet finish: everything still alive converges again.
+            c.fabric.net().heal();
+            c.fabric.net().set_default_faults(LinkFaults::default());
+            c.run(ms(200), ms(5))?;
+        }
     }
 }

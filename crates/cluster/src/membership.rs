@@ -48,6 +48,13 @@ impl Default for MembershipConfig {
 }
 
 /// One node's view of the cluster, driven by heartbeats it receives.
+///
+/// The believed-alive set is *state*, not a function of `now`: it changes
+/// only when a silent peer is heard again ([`Self::observe`]) or when the
+/// earliest possible timeout has passed ([`Self::expire`]). Readers borrow
+/// it ([`Self::alive`]) and watch [`Self::generation`] to learn whether it
+/// moved, so a steady-state tick costs one comparison per agent and builds
+/// no set.
 #[derive(Debug)]
 pub struct MemberAgent {
     node: NodeId,
@@ -55,6 +62,14 @@ pub struct MemberAgent {
     peers: Vec<NodeId>,
     last_heard: HashMap<NodeId, Duration>,
     last_beat: Option<Duration>,
+    /// Peers heard within `failure_timeout` as of the last `expire`, plus
+    /// this node.
+    alive: BTreeSet<NodeId>,
+    /// No believed-alive peer can time out at or before this instant (a
+    /// lower bound: hearing a peer again only moves its deadline later).
+    next_expiry: Duration,
+    /// Bumped every time `alive` may have changed.
+    generation: u64,
 }
 
 impl MemberAgent {
@@ -66,6 +81,9 @@ impl MemberAgent {
             peers: Vec::new(),
             last_heard: HashMap::new(),
             last_beat: None,
+            alive: BTreeSet::from([node]),
+            next_expiry: Duration::MAX,
+            generation: 0,
         }
     }
 
@@ -82,6 +100,10 @@ impl MemberAgent {
             self.last_heard.entry(p).or_insert(now);
         }
         self.peers = peers;
+        self.alive.clear();
+        self.alive.insert(self.node);
+        self.generation += 1;
+        self.rescan(now);
     }
 
     /// Send a round of heartbeats if one is due.
@@ -100,13 +122,65 @@ impl MemberAgent {
     }
 
     /// Record a heartbeat (or any traffic — all traffic proves liveness)
-    /// from a peer.
+    /// from a peer, re-admitting it if it was believed dead.
     pub fn observe(&mut self, from: NodeId, now: Duration) {
         self.last_heard.insert(from, now);
+        if !self.alive.contains(&from) && self.peers.contains(&from) {
+            self.alive.insert(from);
+            self.next_expiry = self.next_expiry.min(self.deadline(now));
+            self.generation += 1;
+        }
     }
 
-    /// Peers this node currently believes are alive, plus itself.
-    pub fn view(&self, now: Duration) -> BTreeSet<NodeId> {
+    /// Drop every peer silent for longer than the failure timeout as of
+    /// `now`. A single comparison until the earliest deadline has passed.
+    pub fn expire(&mut self, now: Duration) {
+        if now > self.next_expiry {
+            self.rescan(now);
+        }
+    }
+
+    /// Peers this node currently believes are alive, plus itself — as of
+    /// the last [`Self::expire`].
+    pub fn alive(&self) -> &BTreeSet<NodeId> {
+        &self.alive
+    }
+
+    /// Changes whenever [`Self::alive`] may have: equal generations mean
+    /// an equal set.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The last instant at which a peer heard at `heard` still counts as
+    /// alive: `now - heard <= failure_timeout` iff `now <= deadline(heard)`.
+    fn deadline(&self, heard: Duration) -> Duration {
+        heard.saturating_add(self.cfg.failure_timeout)
+    }
+
+    /// Evaluate the liveness predicate for every peer at `now`, updating
+    /// the believed-alive set in place and recomputing the earliest
+    /// deadline among the survivors.
+    fn rescan(&mut self, now: Duration) {
+        let mut next = Duration::MAX;
+        let mut changed = false;
+        for &p in &self.peers {
+            match self.last_heard.get(&p).map(|&t| self.deadline(t)) {
+                Some(d) if now <= d => {
+                    next = next.min(d);
+                    changed |= self.alive.insert(p);
+                }
+                _ => changed |= self.alive.remove(&p),
+            }
+        }
+        self.next_expiry = next;
+        self.generation += u64::from(changed);
+    }
+
+    /// The definition the incremental state must always equal: the
+    /// believed-alive set computed from scratch at `now`.
+    #[cfg(test)]
+    pub(crate) fn view(&self, now: Duration) -> BTreeSet<NodeId> {
         let mut v: BTreeSet<NodeId> = self
             .peers
             .iter()
@@ -332,14 +406,50 @@ mod tests {
         a.set_peers(vec![n(1), n(2)], ms(0));
         a.observe(n(1), ms(0));
         a.observe(n(2), ms(0));
-        assert_eq!(a.view(ms(50)).len(), 3);
+        a.expire(ms(50));
+        assert_eq!(a.alive().len(), 3);
+        let settled = a.generation();
         // Only node 1 keeps talking.
         a.observe(n(1), ms(120));
-        let v = a.view(ms(150));
-        assert!(v.contains(&n(0)) && v.contains(&n(1)) && !v.contains(&n(2)));
+        a.expire(ms(150));
+        assert_eq!(a.alive(), &a.view(ms(150)));
+        assert_eq!(a.alive(), &BTreeSet::from([n(0), n(1)]));
+        assert_ne!(a.generation(), settled, "a death must move the generation");
         // Node 2 comes back.
+        let shrunk = a.generation();
         a.observe(n(2), ms(200));
-        assert_eq!(a.view(ms(210)).len(), 3);
+        a.expire(ms(210));
+        assert_eq!(a.alive().len(), 3);
+        assert_ne!(a.generation(), shrunk, "a re-admission must move it too");
+    }
+
+    #[test]
+    fn steady_heartbeats_leave_the_generation_alone() {
+        let cfg = MembershipConfig::default();
+        let mut a = MemberAgent::new(n(0), cfg);
+        a.set_peers(vec![n(1), n(2)], ms(0));
+        let settled = a.generation();
+        // 20 ms heartbeats for a second, expiry checked every millisecond:
+        // deadlines pass (forcing rescans) but nobody is ever late.
+        for t in 1..=1000u64 {
+            if t % 20 == 0 {
+                a.observe(n(1), ms(t));
+                a.observe(n(2), ms(t));
+            }
+            a.expire(ms(t));
+            assert_eq!(a.alive(), &a.view(ms(t)), "at {t} ms");
+        }
+        assert_eq!(a.generation(), settled);
+    }
+
+    #[test]
+    fn strangers_are_heard_but_never_admitted() {
+        let mut a = MemberAgent::new(n(0), MembershipConfig::default());
+        a.set_peers(vec![n(1)], ms(0));
+        a.observe(n(9), ms(5));
+        a.expire(ms(5));
+        assert_eq!(a.alive(), &BTreeSet::from([n(0), n(1)]));
+        assert_eq!(a.alive(), &a.view(ms(5)));
     }
 
     #[test]

@@ -467,7 +467,9 @@ pub struct TelemetryAgent {
     events_sent: u64,
     batches_sent: u64,
     pending_lost: u64,
-    last_view: Option<BTreeSet<NodeId>>,
+    /// The node's membership belief as last diffed, with the generation
+    /// it had then.
+    last_view: Option<(u64, BTreeSet<NodeId>)>,
 }
 
 impl TelemetryAgent {
@@ -524,21 +526,25 @@ impl TelemetryAgent {
     }
 
     /// Diff the node's membership view against the last one, recording
-    /// up/down transitions. The first view is the baseline (no events).
-    fn observe_view(&mut self, now: Duration, view: &BTreeSet<NodeId>) {
-        if let Some(prev) = &self.last_view {
-            let mut transitions = Vec::new();
-            for &peer in view.difference(prev) {
-                transitions.push((peer.raw(), true));
+    /// up/down transitions. The first view is the baseline (no events);
+    /// an unchanged generation means an unchanged view and costs nothing.
+    fn observe_view(&mut self, now: Duration, generation: u64, view: &BTreeSet<NodeId>) {
+        let Some((seen, mut prev)) = self.last_view.take() else {
+            self.last_view = Some((generation, view.clone()));
+            return;
+        };
+        if seen != generation {
+            for &peer in view.difference(&prev) {
+                let peer = peer.raw();
+                self.record(now, ObsEvent::Membership { peer, up: true });
             }
             for &peer in prev.difference(view) {
-                transitions.push((peer.raw(), false));
+                let peer = peer.raw();
+                self.record(now, ObsEvent::Membership { peer, up: false });
             }
-            for (peer, up) in transitions {
-                self.record(now, ObsEvent::Membership { peer, up });
-            }
+            prev.clone_from(view);
         }
-        self.last_view = Some(view.clone());
+        self.last_view = Some((generation, prev));
     }
 
     /// Crash side effect: buffered events die with the process.
@@ -1402,7 +1408,7 @@ impl ClusterObs {
     /// One plane tick, run after the stack routes service mail: drains
     /// the tracer sink to the owning nodes' agents, drains control-plane
     /// events, diffs membership views, and flushes due batches.
-    pub fn step(&mut self, fabric: &ClusterFabric, pulsar: &mut ClusterPulsar) {
+    pub fn step(&mut self, fabric: &mut ClusterFabric, pulsar: &mut ClusterPulsar) {
         let now = fabric.now();
         // 1. Locally-traced spans/metrics → the node that recorded them
         // (cluster spans carry a `node` attr; unattributed spans are the
@@ -1479,9 +1485,9 @@ impl ClusterObs {
         }
         // 3. Membership transitions, as each node's own detector sees
         // them (the collector keeps the *first* report — min detection).
-        for (node, view) in fabric.member_views() {
-            if let Some(agent) = self.agents.get_mut(&node) {
-                agent.observe_view(now, &view);
+        for agent in self.agents.values_mut() {
+            if let Some((generation, view)) = fabric.belief(agent.node) {
+                agent.observe_view(now, generation, view);
             }
         }
         // 4. Ship what's due.
@@ -1778,7 +1784,7 @@ mod tests {
                 to: NodeId(9),
                 seq,
                 req: 0,
-                kind: TELEMETRY_KIND.to_string(),
+                kind: TELEMETRY_KIND,
                 body,
                 ctx: None,
             };
@@ -1829,7 +1835,7 @@ mod tests {
                 to: NodeId(9),
                 seq,
                 req: 0,
-                kind: TELEMETRY_KIND.to_string(),
+                kind: TELEMETRY_KIND,
                 body: encode_batch(header, &events),
                 ctx: None,
             };

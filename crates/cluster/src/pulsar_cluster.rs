@@ -136,8 +136,10 @@ pub struct ClusterPulsar {
     /// Ledgers repaired per maintenance round (the "background" knob:
     /// repair bandwidth, not repair-all-at-once).
     pub repair_chunk: usize,
-    /// Broker-side consumer handles, rebuilt lazily after failover.
-    consumers: HashMap<(NodeId, String, String), Consumer>,
+    /// Broker-side consumer handles, broker → topic → subscription,
+    /// rebuilt lazily after failover. Nested so the per-request probe
+    /// borrows the names it decoded instead of building an owned key.
+    consumers: HashMap<NodeId, HashMap<String, HashMap<String, Consumer>>>,
     /// Pending observability events (drained by the telemetry plane).
     obs_events: Vec<PulsarObsEvent>,
 }
@@ -291,16 +293,16 @@ impl ClusterPulsar {
         let Some(broker) = self.brokers.get(&node) else {
             return;
         };
-        let tracer = broker.tracer();
-        let name = format!("cluster.{}", env.kind);
-        let mut span = tracer.span_child_of(TRACE_SYSTEM, &name, env.ctx);
-        span.attr("node", node.raw());
-        let reply = match env.kind.as_str() {
-            "pub" => Self::handle_publish(broker, &env.body),
-            "recv" => self.handle_receive(node, &env.body),
-            "ack" => self.handle_ack(node, &env.body),
+        type Handler = fn(&mut ClusterPulsar, NodeId, &Bytes) -> Result<Vec<Bytes>>;
+        let (name, handler): (_, Handler) = match env.kind {
+            "pub" => ("cluster.pub", Self::handle_publish),
+            "recv" => ("cluster.recv", Self::handle_receive),
+            "ack" => ("cluster.ack", Self::handle_ack),
             _ => return,
         };
+        let mut span = broker.tracer().span_child_of(TRACE_SYSTEM, name, env.ctx);
+        span.attr("node", node.raw());
+        let reply = handler(self, node, &env.body);
         let body = match reply {
             Ok(frames) => {
                 let mut all: Vec<Bytes> = vec![Bytes::from_static(b"ok")];
@@ -317,7 +319,7 @@ impl ClusterPulsar {
                     if let Some(topic) = wire::dec(&env.body)
                         .ok()
                         .and_then(|f| f.into_iter().next())
-                        .and_then(|f| wire::as_str(&f).ok())
+                        .and_then(|f| wire::as_str(&f).ok().map(str::to_string))
                     {
                         self.obs_events.push(PulsarObsEvent::Fenced { topic, node });
                     }
@@ -328,29 +330,35 @@ impl ClusterPulsar {
         fabric.send(node, env.from, env.req, "resp", body, span.context());
     }
 
-    fn handle_publish(broker: &PulsarCluster, body: &Bytes) -> Result<Vec<Bytes>> {
+    fn handle_publish(&mut self, node: NodeId, body: &Bytes) -> Result<Vec<Bytes>> {
         let frames = wire::dec_n(body, 2)?;
         let topic = wire::as_str(&frames[0])?;
-        let id = broker
-            .producer(&topic)
+        let id = self.brokers[&node]
+            .producer(topic)
             .and_then(|p| p.send(&frames[1]))
             .map_err(|e| ClusterError::Remote(e.to_string()))?;
         Ok(vec![Bytes::copy_from_slice(&wire::enc_msg_id(&id))])
     }
 
     fn consumer(&mut self, node: NodeId, topic: &str, sub: &str) -> Result<&mut Consumer> {
-        let key = (node, topic.to_string(), sub.to_string());
-        if !self.consumers.contains_key(&key) {
+        let topics = self.consumers.entry(node).or_default();
+        if !topics.get(topic).is_some_and(|s| s.contains_key(sub)) {
             let c = self.brokers[&node]
                 .subscribe(topic, sub, SubscriptionMode::Shared)
                 .map_err(|e| ClusterError::Remote(e.to_string()))?;
-            self.consumers.insert(key.clone(), c);
+            topics
+                .entry(topic.to_string())
+                .or_default()
+                .insert(sub.to_string(), c);
             self.obs_events.push(PulsarObsEvent::ConsumerRebuilt {
                 topic: topic.to_string(),
                 node,
             });
         }
-        Ok(self.consumers.get_mut(&key).expect("just inserted"))
+        Ok(topics
+            .get_mut(topic)
+            .and_then(|s| s.get_mut(sub))
+            .expect("just inserted"))
     }
 
     fn handle_receive(&mut self, node: NodeId, body: &Bytes) -> Result<Vec<Bytes>> {
@@ -358,7 +366,7 @@ impl ClusterPulsar {
         let topic = wire::as_str(&frames[0])?;
         let sub = wire::as_str(&frames[1])?;
         let max = wire::as_u64(&frames[2])? as usize;
-        let consumer = self.consumer(node, &topic, &sub)?;
+        let consumer = self.consumer(node, topic, sub)?;
         // Whole-entry views: framing parsed once per ledger entry, each
         // payload frame below is a refcount-only slice of the entry
         // buffer (no per-message decode or copy on the serving broker).
@@ -367,7 +375,13 @@ impl ClusterPulsar {
             Err(e) => {
                 // A fenced consumer handle is useless; drop it so a
                 // post-failover retry rebuilds from metadata.
-                self.consumers.remove(&(node, topic, sub));
+                if let Some(subs) = self
+                    .consumers
+                    .get_mut(&node)
+                    .and_then(|topics| topics.get_mut(topic))
+                {
+                    subs.remove(sub);
+                }
                 return Err(ClusterError::Remote(e.to_string()));
             }
         };
@@ -393,7 +407,7 @@ impl ClusterPulsar {
         let topic = wire::as_str(&frames[0])?;
         let sub = wire::as_str(&frames[1])?;
         let id = wire::dec_msg_id(&frames[2])?;
-        let consumer = self.consumer(node, &topic, &sub)?;
+        let consumer = self.consumer(node, topic, sub)?;
         consumer
             .ack(id)
             .map_err(|e| ClusterError::Remote(e.to_string()))?;
@@ -443,8 +457,9 @@ impl ClusterPulsar {
                     broker.unload_topic(&topic);
                 }
             }
-            self.consumers
-                .retain(|(node, t, _), _| !(*t == topic && *node != new_owner));
+            for (_, topics) in self.consumers.iter_mut().filter(|(&n, _)| n != new_owner) {
+                topics.remove(&topic);
+            }
         }
 
         // 2. Bookie replacement: pair each newly-dead active bookie with

@@ -4,7 +4,9 @@
 //! Every inter-node interaction in the cluster rides on [`SimNet`]. The
 //! network is a discrete-event simulation over virtual time: `send`
 //! schedules an [`Envelope`] for future delivery, `advance` moves the
-//! clock and moves due envelopes into per-node inboxes. Faults are
+//! clock and moves due envelopes into per-node inboxes (or, for a driver
+//! that routes deliveries itself, straight into its buffer —
+//! [`SimNet::advance_into`]). Faults are
 //! injected per directed link ([`LinkFaults`]): base latency, uniform
 //! jitter, Bernoulli drops, Bernoulli duplication — plus whole-network
 //! partitions ([`SimNet::partition`]). All randomness comes from one
@@ -45,7 +47,8 @@ pub struct Envelope {
     /// Request correlation id (echoed in responses by services).
     pub req: u64,
     /// Message kind tag, dispatched on by services (`"hb"`, `"pub"`, …).
-    pub kind: String,
+    /// Every sender passes a literal, so the tag costs no allocation.
+    pub kind: &'static str,
     /// Opaque body; services frame it with [`crate::wire`].
     pub body: Bytes,
     /// Causal trace context. Carrying it in the envelope (not the body)
@@ -83,7 +86,7 @@ impl Default for LinkFaults {
 pub struct NetStats {
     /// Envelopes accepted by `send`.
     pub sent: u64,
-    /// Envelopes placed into an inbox.
+    /// Envelopes that reached their destination (inbox or driver).
     pub delivered: u64,
     /// Envelopes dropped by link fault injection.
     pub dropped: u64,
@@ -149,6 +152,15 @@ impl NetState {
             None => true,
             Some(groups) => groups.iter().any(|g| g.contains(&a) && g.contains(&b)),
         }
+    }
+
+    /// The next envelope due by `now`, in (delivery time, send order).
+    fn pop_due(&mut self) -> Option<Envelope> {
+        if self.inflight.peek()?.0.deliver_at > self.now {
+            return None;
+        }
+        self.stats.delivered += 1;
+        Some(self.inflight.pop()?.0.env)
     }
 }
 
@@ -222,7 +234,7 @@ impl SimNet {
         from: NodeId,
         to: NodeId,
         req: u64,
-        kind: impl Into<String>,
+        kind: &'static str,
         body: Bytes,
         ctx: Option<SpanContext>,
     ) -> Option<u64> {
@@ -261,7 +273,7 @@ impl SimNet {
             to,
             seq,
             req,
-            kind: kind.into(),
+            kind,
             body,
             ctx,
         };
@@ -289,18 +301,19 @@ impl SimNet {
     pub fn advance(&self, d: Duration) {
         let mut st = self.state.lock();
         st.now += d;
-        let now = st.now;
-        while let Some(Reverse(head)) = st.inflight.peek() {
-            if head.deliver_at > now {
-                break;
-            }
-            let flight = st.inflight.pop().expect("peeked").0;
-            st.stats.delivered += 1;
-            st.inboxes
-                .entry(flight.env.to)
-                .or_default()
-                .push_back(flight.env);
+        while let Some(env) = st.pop_due() {
+            st.inboxes.entry(env.to).or_default().push_back(env);
         }
+    }
+
+    /// [`Self::advance`], but everything due is appended to `out` instead
+    /// of the per-node inboxes: one lock acquisition and no intermediate
+    /// queue for a driver that routes every delivery itself (the fabric
+    /// tick).
+    pub fn advance_into(&self, d: Duration, out: &mut Vec<Envelope>) {
+        let mut st = self.state.lock();
+        st.now += d;
+        out.extend(std::iter::from_fn(|| st.pop_due()));
     }
 
     /// Pop the next delivered envelope for a node.
@@ -313,14 +326,6 @@ impl SimNet {
         match self.state.lock().inboxes.get_mut(&node) {
             Some(q) => q.drain(..).collect(),
             None => Vec::new(),
-        }
-    }
-
-    /// Discard a node's delivered-but-unread envelopes (a crashed node's
-    /// socket buffers die with it).
-    pub fn clear_inbox(&self, node: NodeId) {
-        if let Some(q) = self.state.lock().inboxes.get_mut(&node) {
-            q.clear();
         }
     }
 

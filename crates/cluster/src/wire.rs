@@ -55,11 +55,9 @@ pub fn dec_n(body: &Bytes, n: usize) -> Result<Vec<Bytes>> {
     Ok(frames)
 }
 
-/// Decode a frame as UTF-8.
-pub fn as_str(frame: &Bytes) -> Result<String> {
-    std::str::from_utf8(frame)
-        .map(|s| s.to_string())
-        .map_err(|_| ClusterError::Wire("frame is not utf-8".into()))
+/// Decode a frame as UTF-8 (borrowed from the frame).
+pub fn as_str(frame: &Bytes) -> Result<&str> {
+    std::str::from_utf8(frame).map_err(|_| ClusterError::Wire("frame is not utf-8".into()))
 }
 
 /// Decode a frame as a little-endian `u64`.

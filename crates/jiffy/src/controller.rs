@@ -1048,8 +1048,16 @@ impl FileHandle {
     }
 
     /// Full contents (zero-copy for files written in a single append).
+    /// A read like any other: same counter, same span as [`Self::read`].
     pub fn contents(&self) -> Result<Bytes> {
-        self.jiffy.with_file(&self.path, |f, _| Ok(f.contents()))
+        let tracer = self.jiffy.inner.tracer.load();
+        let mut span = tracer.span(TRACE_SYSTEM, "jiffy.file_read");
+        span.attr("path", &self.path);
+        span.attr("offset", 0u64);
+        self.jiffy.inner.hot.file_reads.inc();
+        let data = self.jiffy.with_file(&self.path, |f, _| Ok(f.contents()))?;
+        span.attr("bytes", data.len());
+        Ok(data)
     }
 
     /// File length.
@@ -1193,6 +1201,18 @@ mod tests {
         assert!(j.blocks_held_by("app") >= 4);
         j.remove_namespace("/app/video").unwrap();
         assert_eq!(j.blocks_held_by("app"), 0);
+    }
+
+    #[test]
+    fn every_way_of_reading_a_file_counts_as_a_read() {
+        let (j, _) = deployment();
+        let f = j.create_file("/app/spill").unwrap();
+        f.append(b"intermediate").unwrap();
+        let reads = j.metrics().counter("file_reads");
+        assert_eq!(&f.read(0, 5).unwrap()[..], b"inter");
+        assert_eq!(reads.get(), 1);
+        assert_eq!(&f.contents().unwrap()[..], b"intermediate");
+        assert_eq!(reads.get(), 2, "contents() is a read too");
     }
 
     #[test]
