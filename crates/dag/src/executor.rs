@@ -282,39 +282,43 @@ impl DagExecutor {
             if pending.is_empty() {
                 continue;
             }
-            // Fan the frontier out across worker threads pulling node
-            // indices from a shared cursor. Dependencies all live in
-            // earlier frontiers, so `outputs` is read-only here.
+            // Fan the frontier out across workers pulling node indices
+            // from a shared cursor. Dependencies all live in earlier
+            // frontiers, so `outputs` is read-only here.
             let slots: Mutex<Vec<Option<NodeResult>>> = {
                 let mut v = Vec::with_capacity(pending.len());
                 v.resize_with(pending.len(), || None);
                 Mutex::new(v)
             };
             let cursor = AtomicUsize::new(0);
-            let workers = self.cfg.max_parallelism.min(pending.len());
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        if k >= pending.len() {
-                            break;
-                        }
-                        let i = pending[k];
-                        let r = self.run_node(
-                            dag,
-                            i,
-                            job,
-                            &input,
-                            &outputs,
-                            root_ctx,
-                            ckpt.as_ref(),
-                            &invocations,
-                            &retries,
-                            &spilled_bytes,
-                        );
-                        slots.lock()[k] = Some(r);
-                    });
+            let worker = || loop {
+                let k = cursor.fetch_add(1, Ordering::Relaxed);
+                if k >= pending.len() {
+                    break;
                 }
+                let i = pending[k];
+                let r = self.run_node(
+                    dag,
+                    i,
+                    job,
+                    &input,
+                    &outputs,
+                    root_ctx,
+                    ckpt.as_ref(),
+                    &invocations,
+                    &retries,
+                    &spilled_bytes,
+                );
+                slots.lock()[k] = Some(r);
+            };
+            // The calling thread is worker 0: a one-node frontier runs
+            // inline and a wide one spawns only the helpers it needs.
+            let helpers = self.cfg.max_parallelism.min(pending.len()) - 1;
+            std::thread::scope(|scope| {
+                for _ in 0..helpers {
+                    scope.spawn(worker);
+                }
+                worker();
             });
             for (k, slot) in slots.into_inner().into_iter().enumerate() {
                 let (stored, outcome) = slot.expect("every frontier slot is filled")?;
@@ -543,7 +547,14 @@ fn encode_checkpoint(stored: &Stored, ctx: Option<SpanContext>) -> Vec<u8> {
         Stored::Inline(_) => (CKPT_INLINE, CKPT_INLINE_CTX),
         Stored::Spilled { .. } => (CKPT_FILE, CKPT_FILE_CTX),
     };
-    let mut v = Vec::with_capacity(1 + SpanContext::WIRE_LEN + 9 + stored.len());
+    // Reserve what is written: a spilled record is a length and a path,
+    // however large the output it points at.
+    let header = 1 + ctx.map_or(0, |_| SpanContext::WIRE_LEN);
+    let body = match stored {
+        Stored::Inline(b) => b.len(),
+        Stored::Spilled { path, .. } => 8 + path.len(),
+    };
+    let mut v = Vec::with_capacity(header + body);
     match ctx {
         Some(ctx) => {
             v.push(ctx_tag);
@@ -799,6 +810,28 @@ mod tests {
         assert!(decode_checkpoint(b"").is_none());
         assert!(decode_checkpoint(&[CKPT_INLINE_CTX, 1, 2]).is_none());
         assert!(decode_checkpoint(&[b'?', 0]).is_none());
+    }
+
+    #[test]
+    fn checkpoint_frame_reserves_what_it_writes() {
+        use taureau_core::trace::{SpanId, TraceId};
+        let ctx = SpanContext {
+            trace_id: TraceId(1),
+            span_id: SpanId(2),
+        };
+        // A spilled record must not size itself by the output it points at.
+        let spilled = Stored::Spilled {
+            path: "/dag-j/intermediate/map-3".into(),
+            len: 64 * 1024,
+        };
+        let inline = Stored::Inline(Bytes::from(vec![7u8; 300]));
+        for stored in [&spilled, &inline] {
+            for ctx in [None, Some(ctx)] {
+                let frame = encode_checkpoint(stored, ctx);
+                assert_eq!(frame.capacity(), frame.len());
+            }
+        }
+        assert!(encode_checkpoint(&spilled, Some(ctx)).capacity() < 64);
     }
 
     #[test]

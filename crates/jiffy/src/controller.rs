@@ -377,6 +377,7 @@ impl Jiffy {
             if path.depth() == 1 {
                 st.leases.release(&path);
                 shard.remove(&app);
+                self.inner.pool.forget_app(&app);
             }
             Ok(())
         })?;
@@ -427,6 +428,7 @@ impl Jiffy {
                 reclaimed.inc();
                 if path.depth() == 1 {
                     keep = false;
+                    self.inner.pool.forget_app(app);
                 }
                 expired_all.push(path);
             }
@@ -900,6 +902,68 @@ impl KvHandle {
         Ok(value)
     }
 
+    /// Atomic read-modify-write: replace `key`'s value with `f(current)`
+    /// (`None` when the key is absent) under ONE hold of the object lock —
+    /// concurrent updaters through any handle to this object never lose
+    /// an update, which a [`get`](Self::get) followed by a
+    /// [`put`](Self::put) cannot promise. `f` runs under that lock: keep
+    /// it short and do not call back into Jiffy from it. Counted,
+    /// notified and auto-scaled as the `get` + `put` it replaces
+    /// (`kv_gets` and `kv_puts` both move, one `KvPut` event).
+    pub fn update(&self, key: &[u8], f: impl FnOnce(Option<&Bytes>) -> Bytes) -> Result<()> {
+        let inner = &self.jiffy.inner;
+        let now = inner.clock.now();
+        let now_nanos = now.as_nanos() as u64;
+        inner.hot.kv_gets.inc();
+        inner.hot.kv_puts.inc();
+        // Direct path first, as in `put_bytes`: the bound object's own
+        // lock unless tracing is on or the binding died.
+        let bind = self.bind.load();
+        let live = Option::as_ref(&bind)
+            .filter(|_| !inner.tracer_on.load(Ordering::Relaxed))
+            .map(|b| (b, b.obj.lock()))
+            .filter(|(_, kv)| kv.is_alive());
+        let moved = if let Some((b, mut kv)) = live {
+            let moved = kv.update(&inner.pool, key, f)?;
+            drop(kv);
+            b.cache.touch(now_nanos);
+            moved
+        } else {
+            // Control plane: resolve through the namespace tree (renewing
+            // the lease), record the span, capture the binding.
+            let tracer = inner.tracer.load();
+            let mut span = tracer.span(TRACE_SYSTEM, "jiffy.kv_update");
+            span.attr("path", &self.path);
+            let (moved, bind) = self.jiffy.with_kv_arc_at(now, &self.path, |arc, pool| {
+                let mut kv = arc.lock();
+                let moved = kv.update(pool, key, f)?;
+                let cache = kv.read_cache();
+                Ok((
+                    moved,
+                    KvBinding {
+                        obj: Arc::clone(arc),
+                        cache,
+                    },
+                ))
+            })?;
+            if moved > 0 {
+                span.attr("repartitioned_bytes", moved);
+            }
+            bind.cache.touch(now_nanos);
+            self.bind.store(Some(bind));
+            moved
+        };
+        if moved > 0 {
+            self.jiffy
+                .metrics()
+                .counter("kv_repartitioned_bytes")
+                .add(moved);
+        }
+        self.jiffy
+            .publish(&self.path, || EventKind::KvPut { key: key.to_vec() });
+        Ok(())
+    }
+
     /// Remove a key, returning its value.
     pub fn remove(&self, key: &[u8]) -> Result<Option<Bytes>> {
         self.jiffy.with_kv(&self.path, |kv, _| Ok(kv.remove(key)))
@@ -1201,6 +1265,92 @@ mod tests {
         assert!(j.blocks_held_by("app") >= 4);
         j.remove_namespace("/app/video").unwrap();
         assert_eq!(j.blocks_held_by("app"), 0);
+    }
+
+    #[test]
+    fn removed_apps_leave_no_pool_holdings_behind() {
+        let (j, _) = deployment();
+        let f = j.create_file("/keep/blob").unwrap();
+        f.append(&vec![0u8; 2048]).unwrap(); // 2 blocks, held throughout
+        let tracked = j.inner.pool.tracked_apps();
+        for i in 0..10_000u32 {
+            let f = j.create_file(format!("/job-{i}/spill").as_str()).unwrap();
+            f.append(&vec![0u8; 3000]).unwrap(); // 3 blocks of 1 KiB
+            j.remove_namespace(format!("/job-{i}").as_str()).unwrap();
+        }
+        assert_eq!(j.inner.pool.tracked_apps(), tracked);
+        // The E5 pair still counts every job that ever ran:
+        // (most blocks in flight, sum over apps of their peaks).
+        assert_eq!(j.multiplexing_report(), (2 + 3, 2 + 3 * 10_000));
+        // Lease expiry drops the entry the same way.
+        let (j, clock) = deployment();
+        j.create_kv("/app/state", 2).unwrap();
+        clock.advance(Duration::from_secs(11));
+        assert_eq!(j.reap_expired().len(), 1);
+        assert_eq!(j.inner.pool.tracked_apps(), 0);
+        assert_eq!(j.multiplexing_report(), (2, 2));
+    }
+
+    #[test]
+    fn update_is_counted_notified_and_traced_as_a_get_then_put() {
+        let (j, _) = deployment();
+        let sub = j.subscribe("/app");
+        let kv = j.create_kv("/app/state", 1).unwrap();
+        sub.drain();
+        let append = |old: Option<&Bytes>| {
+            let mut v = old.map_or(Vec::new(), |o| o.to_vec());
+            v.push(b'x');
+            Bytes::from(v)
+        };
+        // First op resolves through the tree, the second is direct.
+        kv.update(b"k", append).unwrap();
+        kv.update(b"k", append).unwrap();
+        assert_eq!(kv.get(b"k").unwrap().as_deref(), Some(&b"xx"[..]));
+        assert_eq!(j.metrics().counter("kv_gets").get(), 2 + 1);
+        assert_eq!(j.metrics().counter("kv_puts").get(), 2);
+        let puts = sub.drain();
+        assert_eq!(puts.len(), 2);
+        assert!(puts
+            .iter()
+            .all(|e| matches!(&e.kind, EventKind::KvPut { key } if key == b"k")));
+        // Oversized results are refused and leave the value alone.
+        assert!(matches!(
+            kv.update(b"k", |_| Bytes::from(vec![0u8; 2048])),
+            Err(JiffyError::ValueTooLarge { .. })
+        ));
+        assert_eq!(kv.get(b"k").unwrap().as_deref(), Some(&b"xx"[..]));
+        // Under a tracer the op takes the control-plane route: one span.
+        let tracer = Tracer::new(j.inner.clock.clone());
+        j.set_tracer(tracer.clone());
+        kv.update(b"k", append).unwrap();
+        let spans = tracer.spans();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].name, "jiffy.kv_update");
+    }
+
+    #[test]
+    fn update_through_a_dead_binding_re_resolves() {
+        let (j, clock) = deployment();
+        let kv = j.create_kv("/app/state", 1).unwrap();
+        let one = |_: Option<&Bytes>| Bytes::from_static(b"1");
+        kv.update(b"k", one).unwrap(); // binds
+        j.remove_namespace("/app").unwrap();
+        assert!(matches!(kv.update(b"k", one), Err(JiffyError::NotFound(_))));
+        // The path lives again as a new object: the old handle reaches it
+        // through the tree, and `f` sees that object's (absent) value.
+        j.create_kv("/app/state", 1).unwrap();
+        kv.update(b"k", |old| {
+            assert!(old.is_none());
+            Bytes::from_static(b"fresh")
+        })
+        .unwrap();
+        assert_eq!(kv.get(b"k").unwrap().as_deref(), Some(&b"fresh"[..]));
+        // Updates renew the lease like any other access.
+        for _ in 0..3 {
+            clock.advance(Duration::from_secs(8));
+            kv.update(b"k", one).unwrap();
+            assert!(j.reap_expired().is_empty());
+        }
     }
 
     #[test]

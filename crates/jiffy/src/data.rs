@@ -388,6 +388,36 @@ impl KvObject {
         }
     }
 
+    /// Read-modify-write: replace `key`'s value with `f(current)` under
+    /// one lookup (`None` when the key is absent). On a hit whose new
+    /// value still fits its partition the slot is overwritten in place;
+    /// every other case (insert, full partition, oversized value) is
+    /// [`put_bytes`](Self::put_bytes) of the computed value, so capacity
+    /// accounting, auto-scaling and errors match a `get` then `put`.
+    /// Returns the bytes moved by any re-partitioning.
+    pub fn update(
+        &mut self,
+        pool: &MemoryPool,
+        key: &[u8],
+        f: impl FnOnce(Option<&Bytes>) -> Bytes,
+    ) -> Result<u64> {
+        let block_size = pool.block_size().as_u64();
+        let idx = self.index_of(key);
+        let part = &mut self.partitions[idx];
+        let Some(slot) = part.map.get_mut(key) else {
+            return self.put_bytes(pool, key, f(None));
+        };
+        let value = f(Some(slot));
+        let used = part.used - entry_size(key, slot) + entry_size(key, &value);
+        if used > block_size {
+            return self.put_bytes(pool, key, value);
+        }
+        *slot = value;
+        part.used = used;
+        self.bump_version();
+        Ok(0)
+    }
+
     /// Look up a key. The returned [`Bytes`] is a refcounted view of the
     /// stored value — no copy — and stays valid (snapshot semantics) even
     /// if the key is overwritten or removed afterwards.
@@ -712,6 +742,43 @@ mod tests {
         kv.put(&p, b"k", b"s").unwrap();
         assert!(kv.used_bytes() < used1);
         assert_eq!(kv.len(), 1);
+    }
+
+    proptest::proptest! {
+        /// `update` is the `get` + `put` it replaces in everything a
+        /// caller or the accountant can see: stored value, `used` bytes,
+        /// partition count (auto-scale at a full partition), mutation
+        /// version, and the `ValueTooLarge` refusal — for values that
+        /// grow, shrink, fill a 256-byte block and overflow it.
+        #[test]
+        fn kv_update_matches_get_then_put(
+            ops in proptest::collection::vec((0u8..6, 0usize..300, proptest::arbitrary::any::<bool>()), 1..80),
+        ) {
+            let (pa, pb) = (pool(), pool());
+            let mut a = KvObject::create(&pa, "app", 1).unwrap();
+            let mut b = KvObject::create(&pb, "app", 1).unwrap();
+            for (k, len, append) in ops {
+                let key = [b'k', k];
+                // New value: `len` bytes, after the old value or instead of it.
+                let f = |old: Option<&Bytes>| {
+                    let mut v = old.filter(|_| append).map_or(Vec::new(), |o| o.to_vec());
+                    v.resize(v.len() + len, k);
+                    Bytes::from(v)
+                };
+                let got = a.update(&pa, &key, f);
+                let old = b.get(&key);
+                let want = b.put_bytes(&pb, &key, f(old.as_ref()));
+                proptest::prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                proptest::prop_assert_eq!(a.get(&key), b.get(&key));
+                proptest::prop_assert_eq!(a.used_bytes(), b.used_bytes());
+                proptest::prop_assert_eq!(a.partitions(), b.partitions());
+                proptest::prop_assert_eq!(
+                    a.cache.version.load(Ordering::Acquire),
+                    b.cache.version.load(Ordering::Acquire)
+                );
+                proptest::prop_assert_eq!(pa.free_blocks(), pb.free_blocks());
+            }
+        }
     }
 
     #[test]

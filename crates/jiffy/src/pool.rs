@@ -98,6 +98,10 @@ pub struct MemoryPool {
     allocated: AtomicU64,
     peak_allocated: AtomicU64,
     apps: ShardedMap<String, AppHold>,
+    /// Sum of the peaks of applications since forgotten
+    /// ([`MemoryPool::forget_app`]): keeps [`MemoryPool::sum_of_app_peaks`]
+    /// whole without one `apps` entry per app name that ever existed.
+    retired_peaks: AtomicU64,
     quota: Option<u64>,
 }
 
@@ -135,6 +139,7 @@ impl MemoryPool {
             allocated: AtomicU64::new(0),
             peak_allocated: AtomicU64::new(0),
             apps: ShardedMap::new(),
+            retired_peaks: AtomicU64::new(0),
             quota: None,
         }
     }
@@ -206,9 +211,28 @@ impl MemoryPool {
     /// Sum over applications of their individual peaks — what static
     /// per-application provisioning would have had to reserve.
     pub fn sum_of_app_peaks(&self) -> u64 {
-        let mut sum = 0;
+        let mut sum = self.retired_peaks.load(Ordering::Relaxed);
         self.apps.for_each(|_, h| sum += h.peak);
         sum
+    }
+
+    /// Drop `app`'s holdings entry once it holds nothing — its namespace
+    /// is gone — folding its peak into the retired sum. An app that still
+    /// holds blocks is left alone. Every job is an app, so without this
+    /// the map grows by one dead entry per job for the pool's lifetime.
+    pub fn forget_app(&self, app: &str) {
+        self.apps.with(app, |shard| {
+            if let Some(peak) = shard.get(app).filter(|h| h.held == 0).map(|h| h.peak) {
+                shard.remove(app);
+                self.retired_peaks.fetch_add(peak, Ordering::Relaxed);
+            }
+        });
+    }
+
+    /// Applications with a holdings entry.
+    #[cfg(test)]
+    pub(crate) fn tracked_apps(&self) -> usize {
+        self.apps.len()
     }
 
     /// Allocate `n` blocks for `app`, spread across memory nodes.
@@ -590,6 +614,22 @@ mod tests {
         // own peak is 12 while static provisioning would need 24.
         assert_eq!(p.stats().peak_allocated_blocks, 12);
         assert_eq!(p.sum_of_app_peaks(), 24);
+    }
+
+    #[test]
+    fn forgetting_an_app_keeps_its_peak_in_the_sum() {
+        let p = pool();
+        let a = p.allocate("a", 12).unwrap();
+        p.forget_app("a"); // still holds blocks: left alone
+        assert_eq!(p.tracked_apps(), 1);
+        p.free("a", &a);
+        p.forget_app("a");
+        p.forget_app("a"); // idempotent
+        assert_eq!(p.tracked_apps(), 0);
+        assert_eq!(p.peak_held_by("a"), 0);
+        let b = p.allocate("b", 5).unwrap();
+        assert_eq!(p.sum_of_app_peaks(), 17);
+        p.free("b", &b);
     }
 
     #[test]

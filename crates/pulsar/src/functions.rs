@@ -22,7 +22,11 @@ use taureau_jiffy::{Jiffy, KvHandle};
 
 use crate::broker::{Consumer, Producer, PulsarCluster, SubscriptionMode};
 use crate::error::{PulsarError, Result};
-use crate::message::Message;
+use crate::message::{EntryView, Message, MessageId};
+
+/// Messages one dispatch scan may pull from an input — and so the most a
+/// function holds delivered-but-unacked per input while its body runs.
+const SCAN_BUDGET: usize = 256;
 
 /// User function body: called once per input message; returning
 /// `Some(bytes)` publishes them to the configured output topic.
@@ -74,14 +78,21 @@ impl Context<'_> {
     }
 
     /// Atomically add `delta` to a counter stored in state; returns the new
-    /// value. (Mirrors Pulsar's `context.incrCounter`.)
+    /// value. (Mirrors Pulsar's `context.incrCounter`.) One Jiffy
+    /// read-modify-write under the state object's lock, so instances of a
+    /// function sharing one state object never lose an update. A missing
+    /// or non-8-byte value counts as 0.
     pub fn increment(&self, key: &[u8], delta: i64) -> i64 {
-        let cur = self
-            .state_get(key)
-            .and_then(|v| v[..].try_into().ok().map(i64::from_le_bytes))
-            .unwrap_or(0);
-        let next = cur + delta;
-        self.state_put(key, &next.to_le_bytes());
+        let mut next = 0;
+        self.state
+            .update(key, |old| {
+                let cur = old
+                    .and_then(|v| v[..].try_into().ok().map(i64::from_le_bytes))
+                    .unwrap_or(0);
+                next = cur + delta;
+                Bytes::copy_from_slice(&next.to_le_bytes())
+            })
+            .expect("function state write failed");
         next
     }
 
@@ -106,6 +117,9 @@ struct FunctionInstance {
     state: KvHandle,
     body: FnBody,
     processed: u64,
+    /// The current scan's entry views; reused so a steady-state loop
+    /// allocates nothing for dispatch.
+    scan: Vec<EntryView>,
 }
 
 /// The function runtime: registers functions and pumps messages through
@@ -165,6 +179,7 @@ impl FunctionRuntime {
                 state,
                 body,
                 processed: 0,
+                scan: Vec::new(),
             },
         );
         Ok(())
@@ -191,31 +206,72 @@ impl FunctionRuntime {
 
     /// Run one function until its inputs are drained; returns messages
     /// processed.
+    ///
+    /// Inputs are visited round-robin, one scan of up to [`SCAN_BUDGET`]
+    /// messages at a time: the scan arrives as whole-entry views (one
+    /// broker lock, framing parsed once per entry), the body runs over
+    /// every message in it, and one `ack_entries` commits the scan. If an
+    /// output `send` fails mid-scan, exactly the messages already
+    /// processed are acked and the error is returned; the rest of the
+    /// scan stays pending and comes back after
+    /// [`Consumer::redeliver_unacked`] (at-least-once).
     pub fn run_available(&self, name: &str) -> Result<usize> {
         let mut fns = self.functions.lock();
-        let inst = fns
+        let FunctionInstance {
+            cfg,
+            consumers,
+            producer,
+            state,
+            body,
+            processed,
+            scan,
+        } = fns
             .get_mut(name)
             .ok_or_else(|| PulsarError::FunctionNotFound(name.to_string()))?;
+        let mut ctx = Context {
+            function: &cfg.name,
+            state,
+            producer: producer.as_ref(),
+            cluster: &self.cluster,
+            extra_published: 0,
+        };
         let mut n = 0;
         loop {
             let mut progressed = false;
-            for ci in 0..inst.consumers.len() {
-                if let Some(msg) = inst.consumers[ci].receive()? {
-                    let mut ctx = Context {
-                        function: &inst.cfg.name,
-                        state: &inst.state,
-                        producer: inst.producer.as_ref(),
-                        cluster: &self.cluster,
-                        extra_published: 0,
-                    };
-                    let out = (inst.body)(&msg, &mut ctx);
-                    if let (Some(bytes), Some(prod)) = (out, &inst.producer) {
-                        prod.send(&bytes)?;
+            for consumer in consumers.iter_mut() {
+                if consumer.receive_entries_into(SCAN_BUDGET, scan)? == 0 {
+                    continue;
+                }
+                progressed = true;
+                let mut done = 0usize;
+                let mut failed = None;
+                'scan: for view in scan.iter() {
+                    for mv in view.messages() {
+                        let out = body(&mv.to_message(), &mut ctx);
+                        if let (Some(bytes), Some(prod)) = (out, ctx.producer) {
+                            if let Err(e) = prod.send(&bytes) {
+                                failed = Some(e);
+                                break 'scan;
+                            }
+                        }
+                        done += 1;
                     }
-                    inst.consumers[ci].ack(msg.id)?;
-                    inst.processed += 1;
-                    n += 1;
-                    progressed = true;
+                }
+                let acked = match failed {
+                    None => consumer.ack_entries(scan),
+                    Some(_) => {
+                        let ids: Vec<MessageId> =
+                            scan.iter().flat_map(EntryView::ids).take(done).collect();
+                        consumer.ack_batch(&ids)
+                    }
+                };
+                // Drop the entry-buffer refcounts; the capacity stays.
+                scan.clear();
+                acked?;
+                *processed += done as u64;
+                n += done;
+                if let Some(e) = failed {
+                    return Err(e);
                 }
             }
             if !progressed {
@@ -439,6 +495,208 @@ mod tests {
             .collect();
         // Seven estimates for "popular" rise 1..=7; "rare" estimates 1.
         assert_eq!(counts, vec![1, 2, 3, 4, 5, 6, 7, 1]);
+    }
+
+    /// Payload sequence numbers the body has seen, shared with the test.
+    type Seen = std::sync::Arc<Mutex<Vec<u64>>>;
+
+    fn seq(msg: &Message) -> u64 {
+        u64::from_le_bytes(msg.payload[..].try_into().unwrap())
+    }
+
+    fn send_range(p: &Producer, range: std::ops::Range<u64>) {
+        let batch: Vec<[u8; 8]> = range.map(u64::to_le_bytes).collect();
+        p.send_batch(&batch).unwrap();
+    }
+
+    /// Nothing delivered-but-unacked and nothing undelivered is left on
+    /// the function's subscription to `topic`.
+    fn assert_fully_committed(cluster: &PulsarCluster, topic: &str, function: &str) {
+        let mut probe = cluster
+            .subscribe(topic, &format!("fn-{function}"), SubscriptionMode::Shared)
+            .unwrap();
+        assert_eq!(probe.redeliver_unacked().unwrap(), 0);
+        assert!(probe.receive().unwrap().is_none());
+    }
+
+    #[test]
+    fn output_failure_mid_scan_acks_exactly_the_processed_prefix() {
+        let (cluster, rt) = setup();
+        cluster.create_topic("in", 1).unwrap();
+        cluster.create_topic("capped/out", 1).unwrap();
+        // The output tenant may retain five entries: the sixth output
+        // `send` of the scan is refused.
+        cluster.set_tenant_quota("capped", 5);
+        let seen = Seen::default();
+        let body_seen = seen.clone();
+        rt.register(
+            FunctionConfig {
+                name: "copy".into(),
+                inputs: vec!["in".into()],
+                output: Some("capped/out".into()),
+            },
+            Box::new(move |msg, _| {
+                body_seen.lock().push(seq(msg));
+                Some(msg.payload.to_vec())
+            }),
+        )
+        .unwrap();
+        let p = cluster.producer("in").unwrap();
+        send_range(&p, 0..8);
+        send_range(&p, 8..16);
+        assert!(matches!(
+            rt.run_available("copy"),
+            Err(PulsarError::TenantQuotaExceeded { .. })
+        ));
+        assert_eq!(rt.processed("copy").unwrap(), 5);
+        assert_eq!(*seen.lock(), (0..6).collect::<Vec<_>>());
+        // The other eleven are pending, not lost and not acked: with the
+        // quota lifted they come back exactly once, the refused one first.
+        cluster.set_tenant_quota("capped", u64::MAX);
+        {
+            let probe = cluster
+                .subscribe("in", "fn-copy", SubscriptionMode::Shared)
+                .unwrap();
+            assert_eq!(probe.redeliver_unacked().unwrap(), 11);
+        }
+        assert_eq!(rt.run_available("copy").unwrap(), 11);
+        assert_eq!(rt.processed("copy").unwrap(), 16);
+        assert_eq!(seen.lock()[6..], (5..16).collect::<Vec<_>>());
+        let mut out = cluster
+            .subscribe("capped/out", "check", SubscriptionMode::Exclusive)
+            .unwrap();
+        let copied: Vec<u64> = out.drain().unwrap().iter().map(seq).collect();
+        assert_eq!(copied, (0..16).collect::<Vec<_>>());
+        assert_fully_committed(&cluster, "in", "copy");
+    }
+
+    #[test]
+    fn scan_budget_may_cut_an_entry_mid_way() {
+        let (cluster, rt) = setup();
+        cluster.create_topic("in", 1).unwrap();
+        let seen = Seen::default();
+        let body_seen = seen.clone();
+        rt.register(
+            FunctionConfig {
+                name: "count".into(),
+                inputs: vec!["in".into()],
+                output: None,
+            },
+            Box::new(move |msg, ctx| {
+                body_seen.lock().push(seq(msg));
+                ctx.increment(b"n", 1);
+                None
+            }),
+        )
+        .unwrap();
+        // The second entry straddles the first scan's budget: ten of its
+        // messages are acked with scan one, the other ten with scan two.
+        let cut = SCAN_BUDGET as u64 - 10;
+        let p = cluster.producer("in").unwrap();
+        send_range(&p, 0..cut);
+        send_range(&p, cut..cut + 20);
+        assert_eq!(rt.run_available("count").unwrap() as u64, cut + 20);
+        assert_eq!(*seen.lock(), (0..cut + 20).collect::<Vec<_>>());
+        assert_eq!(rt.processed("count").unwrap(), cut + 20);
+        assert_fully_committed(&cluster, "in", "count");
+    }
+
+    #[test]
+    fn traced_broker_links_the_function_hop_to_the_publish_span() {
+        use taureau_core::trace::Tracer;
+        let (cluster, rt) = setup();
+        let tracer = Tracer::new(WallClock::shared());
+        cluster.set_tracer(tracer.clone());
+        cluster.create_topic("in", 1).unwrap();
+        let ctxs = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let body_ctxs = ctxs.clone();
+        rt.register(
+            FunctionConfig {
+                name: "hop".into(),
+                inputs: vec!["in".into()],
+                output: None,
+            },
+            Box::new(move |msg, _| {
+                body_ctxs
+                    .lock()
+                    .push(msg.ctx.expect("traced broker stamps ctx"));
+                None
+            }),
+        )
+        .unwrap();
+        let p = cluster.producer("in").unwrap();
+        send_range(&p, 0..4);
+        send_range(&p, 4..6);
+        assert_eq!(rt.run_available("hop").unwrap(), 6);
+        let spans = tracer.spans();
+        let dispatches: Vec<_> = spans
+            .iter()
+            .filter(|s| s.name == "pulsar.dispatch_entry")
+            .collect();
+        assert_eq!(dispatches.len(), 2, "one dispatch span per entry");
+        assert!(spans.iter().all(|s| s.name != "pulsar.dispatch_msg"));
+        // Each message carries its entry's dispatch span, itself a child
+        // of that entry's publish span.
+        let ctxs = ctxs.lock();
+        for (ctx, entry) in ctxs.iter().zip([0, 0, 0, 0, 1, 1]) {
+            assert_eq!(ctx.span_id, dispatches[entry].span_id);
+            let publish = spans
+                .iter()
+                .find(|s| Some(s.span_id) == dispatches[entry].parent)
+                .expect("dispatch span has a recorded parent");
+            assert_eq!(publish.name, "pulsar.publish_batch");
+            assert_eq!(publish.trace_id, ctx.trace_id);
+        }
+    }
+
+    #[test]
+    fn increments_from_two_runtimes_never_lose_an_update() {
+        const N: u64 = 20_000;
+        let cluster = PulsarCluster::new(PulsarConfig::default(), WallClock::shared());
+        let jiffy = Jiffy::new(JiffyConfig::default(), WallClock::shared());
+        cluster.create_topic("a", 1).unwrap();
+        cluster.create_topic("b", 1).unwrap();
+        // Two instances of one function: same name, so one state object.
+        let runtimes: Vec<FunctionRuntime> = ["a", "b"]
+            .iter()
+            .map(|input| {
+                let rt = FunctionRuntime::new(cluster.clone(), jiffy.clone());
+                rt.register(
+                    FunctionConfig {
+                        name: "tally".into(),
+                        inputs: vec![input.to_string()],
+                        output: None,
+                    },
+                    Box::new(|_, ctx| {
+                        ctx.increment(b"n", 1);
+                        None
+                    }),
+                )
+                .unwrap();
+                let p = cluster.producer(input).unwrap();
+                for at in (0..N).step_by(64) {
+                    send_range(&p, at..(at + 64).min(N));
+                }
+                rt
+            })
+            .collect();
+        // Both start together, so the 2 N read-modify-writes overlap.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for rt in &runtimes {
+                s.spawn(|| {
+                    start.wait();
+                    assert_eq!(rt.run_available("tally").unwrap() as u64, N);
+                });
+            }
+        });
+        let n = jiffy
+            .open_kv("/pulsar-functions/tally/state")
+            .unwrap()
+            .get(b"n")
+            .unwrap()
+            .map(|v| i64::from_le_bytes(v[..].try_into().unwrap()));
+        assert_eq!(n, Some(2 * N as i64));
     }
 
     #[test]

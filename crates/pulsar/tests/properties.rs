@@ -267,6 +267,110 @@ proptest! {
         prop_assert!(by_entry.receive().unwrap().is_none());
     }
 
+    /// The Functions runtime (entry-view scans, one ack per scan) is
+    /// observationally a sequential per-message loop: for arbitrary
+    /// interleavings of `send`, `send_batch(1..=64)` and `run_available`
+    /// over 1-3 input topics of 1-4 partitions, the body sees every
+    /// message exactly once and in per-partition publish order, the output
+    /// topic holds `f(input)` for exactly the inputs that produce one (in
+    /// processing order), `processed` and the state counter equal the
+    /// number sent, and nothing is left unacked.
+    #[test]
+    fn function_runtime_equals_per_message_model(
+        parts in vec(1u32..5, 1..4),
+        ops in vec((0usize..3, 0usize..66), 1..40),
+    ) {
+        use std::collections::BTreeMap;
+        use parking_lot::Mutex;
+        use taureau_jiffy::Jiffy;
+        use taureau_pulsar::{FunctionConfig, FunctionRuntime};
+
+        let c = PulsarCluster::new(
+            PulsarConfig { max_entries_per_ledger: 9, ..Default::default() },
+            WallClock::shared(),
+        );
+        let inputs: Vec<String> = (0..parts.len()).map(|t| format!("in-{t}")).collect();
+        for (name, &n) in inputs.iter().zip(&parts) {
+            c.create_topic(name, n).unwrap();
+        }
+        c.create_topic("out", 1).unwrap();
+        let mut out = c.subscribe("out", "check", SubscriptionMode::Exclusive).unwrap();
+        let rt = FunctionRuntime::new(c.clone(), Jiffy::with_defaults());
+        // Payload = [topic, seq as u32 LE]; every third message is filtered.
+        let emits = |payload: &[u8]| !payload[1].is_multiple_of(3);
+        let seen = Arc::new(Mutex::new(Vec::<(u32, Vec<u8>)>::new()));
+        let body_seen = Arc::clone(&seen);
+        rt.register(
+            FunctionConfig { name: "f".into(), inputs: inputs.clone(), output: Some("out".into()) },
+            Box::new(move |msg, ctx| {
+                body_seen.lock().push((msg.id.partition, msg.payload.to_vec()));
+                ctx.increment(b"n", 1);
+                emits(&msg.payload).then(|| [&msg.payload[..], &[0xAA]].concat())
+            }),
+        )
+        .unwrap();
+        let producers: Vec<_> = inputs.iter().map(|t| c.producer(t).unwrap()).collect();
+
+        // Model: publish order per (topic, partition), from the returned ids.
+        let mut published: BTreeMap<(u8, u32), Vec<Vec<u8>>> = BTreeMap::new();
+        let mut sent = 0u32;
+        let mut ran = 0usize;
+        for &(topic, n) in &ops {
+            let t = topic % inputs.len();
+            if n == 0 {
+                ran += rt.run_available("f").unwrap();
+                continue;
+            }
+            let batch: Vec<Vec<u8>> = (0..n.max(2) - 1)
+                .map(|_| {
+                    sent += 1;
+                    [&[t as u8][..], &sent.to_le_bytes()].concat()
+                })
+                .collect();
+            let ids = if n == 1 {
+                vec![producers[t].send(&batch[0]).unwrap()]
+            } else {
+                producers[t].send_batch(&batch).unwrap()
+            };
+            for (id, payload) in ids.iter().zip(batch) {
+                published.entry((t as u8, id.partition)).or_default().push(payload);
+            }
+        }
+        ran += rt.run_available("f").unwrap();
+
+        prop_assert_eq!(ran, sent as usize);
+        prop_assert_eq!(rt.processed("f").unwrap(), sent as u64);
+        let seen = seen.lock();
+        let mut got: BTreeMap<(u8, u32), Vec<Vec<u8>>> = BTreeMap::new();
+        for (partition, payload) in seen.iter() {
+            got.entry((payload[0], *partition)).or_default().push(payload.clone());
+        }
+        prop_assert_eq!(&got, &published);
+        let want_out: Vec<Vec<u8>> = seen
+            .iter()
+            .filter(|(_, p)| emits(p))
+            .map(|(_, p)| [&p[..], &[0xAA]].concat())
+            .collect();
+        let got_out: Vec<Vec<u8>> =
+            out.drain().unwrap().into_iter().map(|m| m.payload.to_vec()).collect();
+        prop_assert_eq!(got_out, want_out);
+        let counter = rt
+            .jiffy()
+            .open_kv("/pulsar-functions/f/state")
+            .unwrap()
+            .get(b"n")
+            .unwrap()
+            .map(|v| i64::from_le_bytes(v[..].try_into().unwrap()));
+        prop_assert_eq!(counter.unwrap_or(0), sent as i64);
+        // Every scan was committed: the function's shared subscription has
+        // nothing pending and nothing left to deliver on any input.
+        for t in &inputs {
+            let mut probe = c.subscribe(t, "fn-f", SubscriptionMode::Shared).unwrap();
+            prop_assert_eq!(probe.redeliver_unacked().unwrap(), 0);
+            prop_assert!(probe.receive().unwrap().is_none());
+        }
+    }
+
     /// Broker restart at any point preserves exactly the unconsumed suffix.
     #[test]
     fn restart_preserves_unconsumed_suffix(
