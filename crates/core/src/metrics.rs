@@ -149,8 +149,15 @@ impl Histogram {
         self.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
+        // The bounds settle after a few samples: read them, and write
+        // (a read-modify-write on a line every recorder shares) only when
+        // this value moves one.
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
+        if value < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(value, Ordering::Relaxed);
+        }
     }
 
     /// Record a duration in microseconds, saturating at `u64::MAX` for
@@ -596,6 +603,53 @@ mod tests {
         assert!(s.contains("max="));
         let empty = Histogram::new();
         assert_eq!(empty.summary(), "count=0 p50=0 p90=0 p99=0 max=0");
+    }
+
+    /// `record` as it was before it learned to skip the bound updates:
+    /// every field written unconditionally. The oracle for the proptest.
+    fn record_unconditionally(h: &Histogram, value: u64) {
+        h.buckets[Histogram::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        h.count.fetch_add(1, Ordering::Relaxed);
+        h.sum.fetch_add(value, Ordering::Relaxed);
+        h.max.fetch_max(value, Ordering::Relaxed);
+        h.min.fetch_min(value, Ordering::Relaxed);
+    }
+
+    fn everything(h: &Histogram) -> (u64, u64, u64, u64, Vec<u64>) {
+        let quantiles = (0..=100).map(|q| h.value_at_quantile(f64::from(q) / 100.0));
+        (h.count(), h.sum(), h.min(), h.max(), quantiles.collect())
+    }
+
+    proptest::proptest! {
+        /// Skipping `fetch_max`/`fetch_min` when the value moves no bound
+        /// changes nothing a reader can see: count, sum, min, max and
+        /// every quantile match the unconditional writes, recorded on one
+        /// thread or split across four.
+        #[test]
+        fn histogram_record_matches_unconditional_writes(
+            values in proptest::collection::vec(
+                proptest::prop_oneof![0u64..64, 0u64..100_000, proptest::arbitrary::any::<u64>()],
+                0..400,
+            ),
+        ) {
+            let want = Histogram::new();
+            for &v in &values {
+                // Sums may wrap on arbitrary u64s; both sides wrap alike.
+                record_unconditionally(&want, v);
+            }
+            let one = Histogram::new();
+            values.iter().for_each(|&v| one.record(v));
+            proptest::prop_assert_eq!(everything(&one), everything(&want));
+
+            let four = Histogram::new();
+            std::thread::scope(|s| {
+                for chunk in values.chunks(values.len().div_ceil(4).max(1)) {
+                    let four = &four;
+                    s.spawn(move || chunk.iter().for_each(|&v| four.record(v)));
+                }
+            });
+            proptest::prop_assert_eq!(everything(&four), everything(&want));
+        }
     }
 
     #[test]

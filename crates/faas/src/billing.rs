@@ -3,20 +3,61 @@
 //! §2: "the key economic incentive for the users stems from the
 //! cost-savings due to fine-grained billing … users only pay for the
 //! resources they actually use, and for the duration that they use it."
-//! Every invocation lands here as a line item under the tenant's bill.
+//! Every invocation lands here as a charge against its tenant's account:
+//! a running total and an invocation count, not a line item kept forever.
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use taureau_core::bytesize::ByteSize;
-use taureau_core::cost::{Bill, Dollars, FaasPricing};
+use taureau_core::cost::{Dollars, FaasPricing};
+use taureau_core::ratelimit::TokenBucket;
+
+/// One tenant's standing with the platform: what it has been billed and,
+/// where the platform rate-limits tenants, its admission budget. Every
+/// function of the tenant holds the same account, so an invocation charges
+/// and throttles through a pointer it already has.
+#[derive(Default)]
+pub(crate) struct TenantAccount {
+    /// (total billed, invocations billed). The total is the left-to-right
+    /// f64 sum of the charges, in charge order.
+    billed: Mutex<(Dollars, usize)>,
+    /// Set when the tenant's first function registers, if the platform
+    /// rate-limits tenants.
+    pub(crate) limiter: OnceLock<TokenBucket>,
+}
+
+impl TenantAccount {
+    /// Record one billed execution; returns its cost.
+    pub(crate) fn charge(
+        &self,
+        pricing: &FaasPricing,
+        memory: ByteSize,
+        duration: Duration,
+    ) -> Dollars {
+        let cost = pricing.invocation_cost(memory, duration);
+        let mut billed = self.billed.lock();
+        billed.0 += cost;
+        billed.1 += 1;
+        cost
+    }
+}
 
 /// Thread-safe per-tenant billing.
-#[derive(Debug)]
 pub struct BillingMeter {
     pricing: FaasPricing,
-    bills: Mutex<HashMap<String, Bill>>,
+    accounts: RwLock<HashMap<String, Arc<TenantAccount>>>,
+}
+
+impl std::fmt::Debug for BillingMeter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BillingMeter")
+            .field("pricing", &self.pricing)
+            .field("tenants", &self.accounts.read().len())
+            .finish()
+    }
 }
 
 impl BillingMeter {
@@ -24,7 +65,7 @@ impl BillingMeter {
     pub fn new(pricing: FaasPricing) -> Self {
         Self {
             pricing,
-            bills: Mutex::new(HashMap::new()),
+            accounts: RwLock::new(HashMap::new()),
         }
     }
 
@@ -33,32 +74,43 @@ impl BillingMeter {
         &self.pricing
     }
 
-    /// Record one billed execution.
+    /// The tenant's account, opened on first use.
+    pub(crate) fn account(&self, tenant: &str) -> Arc<TenantAccount> {
+        if let Some(account) = self.accounts.read().get(tenant) {
+            return Arc::clone(account);
+        }
+        Arc::clone(self.accounts.write().entry(tenant.to_string()).or_default())
+    }
+
+    /// Record one billed execution; returns its cost.
     pub fn charge(&self, tenant: &str, memory: ByteSize, duration: Duration) -> Dollars {
-        let mut bills = self.bills.lock();
-        let bill = bills.entry(tenant.to_string()).or_default();
-        bill.charge(&self.pricing, memory, duration);
-        bill.items().last().expect("just charged").cost
+        self.account(tenant).charge(&self.pricing, memory, duration)
+    }
+
+    fn billed(&self, tenant: &str) -> (Dollars, usize) {
+        self.accounts
+            .read()
+            .get(tenant)
+            .map_or((0.0, 0), |a| *a.billed.lock())
     }
 
     /// A tenant's total to date.
     pub fn total(&self, tenant: &str) -> Dollars {
-        self.bills.lock().get(tenant).map_or(0.0, Bill::total)
+        self.billed(tenant).0
     }
 
     /// A tenant's invocation count.
     pub fn invocations(&self, tenant: &str) -> usize {
-        self.bills.lock().get(tenant).map_or(0, Bill::len)
+        self.billed(tenant).1
     }
 
     /// Grand total across tenants.
     pub fn grand_total(&self) -> Dollars {
-        self.bills.lock().values().map(Bill::total).sum()
-    }
-
-    /// Snapshot of a tenant's bill.
-    pub fn bill(&self, tenant: &str) -> Option<Bill> {
-        self.bills.lock().get(tenant).cloned()
+        self.accounts
+            .read()
+            .values()
+            .map(|a| a.billed.lock().0)
+            .sum()
     }
 }
 
@@ -89,5 +141,28 @@ mod tests {
         // 101 ms bills twice the duration component.
         let c = m.charge("t", ByteSize::gb(1), Duration::from_millis(101));
         assert!(c > a);
+    }
+
+    /// The running totals are what a line-item `Bill` would add up to,
+    /// bit for bit: same charges, same left-to-right f64 sum.
+    #[test]
+    fn totals_equal_a_line_item_bill_bit_for_bit() {
+        use rand::Rng;
+        use taureau_core::cost::Bill;
+        let pricing = FaasPricing::default();
+        let m = BillingMeter::new(pricing);
+        let mut bill = Bill::new();
+        let mut rng = taureau_core::rng::det_rng(0xB111);
+        for _ in 0..10_000 {
+            let memory = ByteSize::mb(rng.gen_range(64..=4096));
+            let duration = Duration::from_micros(rng.gen_range(0..5_000_000));
+            let cost = m.charge("t", memory, duration);
+            bill.charge(&pricing, memory, duration);
+            let item = bill.items().last().expect("just charged");
+            assert_eq!(cost.to_bits(), item.cost.to_bits());
+        }
+        assert_eq!(m.total("t").to_bits(), bill.total().to_bits());
+        assert_eq!(m.invocations("t"), bill.len());
+        assert_eq!(m.grand_total().to_bits(), bill.total().to_bits());
     }
 }

@@ -1,23 +1,26 @@
 //! The FaaS platform facade: registration, admission, invocation, billing.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
+use rand_chacha::ChaCha8Rng;
 use taureau_core::clock::{SharedClock, WallClock};
 use taureau_core::cost::{Dollars, FaasPricing};
 use taureau_core::id::{IdGen, InvocationId};
 use taureau_core::latency::{profiles, LatencyModel};
-use taureau_core::metrics::MetricsRegistry;
+use taureau_core::metrics::{Counter, Histogram, MetricsRegistry};
 use taureau_core::ratelimit::TokenBucket;
-use taureau_core::sync::ShardedMap;
+use taureau_core::rng::det_rng;
+use taureau_core::sync::Snapshot;
 use taureau_core::trace::{SpanContext, Tracer};
 
-use crate::billing::BillingMeter;
+use crate::billing::{BillingMeter, TenantAccount};
 use crate::error::{FaasError, Result};
-use crate::pool::{ContainerPool, StartKind};
+use crate::pool::{SandboxPool, StartKind};
 use crate::types::{FunctionSpec, InvocationCtx};
 
 /// Platform configuration.
@@ -117,19 +120,126 @@ impl BatchRequest {
     }
 }
 
+/// A metric resolved by name on first use and by pointer afterwards. The
+/// name still first appears in the registry on its first update (a fresh
+/// platform exposes no metrics), and the invocation path stops paying a
+/// shard lock and an `Arc` clone per lookup.
+struct Lazy<M> {
+    registry: MetricsRegistry,
+    name: &'static str,
+    resolve: fn(&MetricsRegistry, &str) -> Arc<M>,
+    cell: OnceLock<Arc<M>>,
+}
+
+impl<M> Lazy<M> {
+    fn new(
+        registry: &MetricsRegistry,
+        name: &'static str,
+        resolve: fn(&MetricsRegistry, &str) -> Arc<M>,
+    ) -> Self {
+        Self {
+            registry: registry.clone(),
+            name,
+            resolve,
+            cell: OnceLock::new(),
+        }
+    }
+
+    fn get(&self) -> &M {
+        self.cell
+            .get_or_init(|| (self.resolve)(&self.registry, self.name))
+    }
+}
+
+/// The metrics the invocation path updates.
+struct HotMetrics {
+    cold_starts: Lazy<Counter>,
+    warm_starts: Lazy<Counter>,
+    invocations_ok: Lazy<Counter>,
+    invocations_failed: Lazy<Counter>,
+    throttled: Lazy<Counter>,
+    concurrency_rejections: Lazy<Counter>,
+    timeouts: Lazy<Counter>,
+    retries: Lazy<Counter>,
+    exec_duration_us: Lazy<Histogram>,
+    invoke_latency_us: Lazy<Histogram>,
+}
+
+impl HotMetrics {
+    fn new(registry: &MetricsRegistry) -> Self {
+        let counter = |name| Lazy::new(registry, name, MetricsRegistry::counter);
+        let histogram = |name| Lazy::new(registry, name, MetricsRegistry::histogram);
+        Self {
+            cold_starts: counter("cold_starts"),
+            warm_starts: counter("warm_starts"),
+            invocations_ok: counter("invocations_ok"),
+            invocations_failed: counter("invocations_failed"),
+            throttled: counter("throttled"),
+            concurrency_rejections: counter("concurrency_rejections"),
+            timeouts: counter("timeouts"),
+            retries: counter("retries"),
+            exec_duration_us: histogram("exec_duration_us"),
+            invoke_latency_us: histogram("invoke_latency_us"),
+        }
+    }
+}
+
+/// A registered function, resolved once at `register`: everything an
+/// invocation touches hangs off the one `Arc` it clones out of the
+/// registry. Deregistering drops the registry's reference; invocations in
+/// flight finish on the entry they hold.
+struct FnEntry {
+    spec: FunctionSpec,
+    /// Executions admitted and not yet finished (≤ `spec.max_concurrency`).
+    inflight: AtomicU32,
+    /// The function's warm containers; functions of one application share
+    /// one pool (SAND).
+    sandbox: Arc<SandboxPool>,
+    /// The tenant's bill and admission limiter, shared by its functions.
+    account: Arc<TenantAccount>,
+}
+
+impl FnEntry {
+    /// Take a concurrency slot, or `None` at the cap.
+    fn admit(&self) -> Option<Slot<'_>> {
+        self.inflight
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < self.spec.max_concurrency).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| Slot(&self.inflight))
+    }
+}
+
+/// An admitted execution's concurrency slot, given back on drop — also
+/// when the handler panics, so a crashing function cannot wedge itself at
+/// its cap.
+struct Slot<'a>(&'a AtomicU32);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 struct Inner {
     clock: SharedClock,
     cfg: PlatformConfig,
-    registry: RwLock<HashMap<String, FunctionSpec>>,
-    /// Warm-container pool; internally sharded, no outer lock needed.
-    pool: ContainerPool,
-    /// Per-function in-flight counts, sharded by function name.
-    inflight: ShardedMap<String, u32>,
-    /// Per-tenant admission limiters, sharded by tenant name.
-    limiters: ShardedMap<String, Arc<TokenBucket>>,
+    /// An invocation takes the read lock, clones the entry out and lets
+    /// go; everything after is per-entry state. Lock order: registry, then
+    /// (at `register` only) the billing meter's account table.
+    registry: RwLock<HashMap<String, Arc<FnEntry>>>,
+    /// The one stream sampled start-up latencies draw from: a shared
+    /// stream keeps the single-threaded draw order — and with it every
+    /// experiment table — exactly reproducible. `Constant` models never
+    /// take it.
+    rng: Mutex<ChaCha8Rng>,
     billing: BillingMeter,
     metrics: MetricsRegistry,
-    tracer: Mutex<Tracer>,
+    hot: HotMetrics,
+    /// Epoch-published: an invocation borrows it without a lock, and
+    /// cloning the disabled tracer touches no shared line.
+    tracer: Snapshot<Tracer>,
     invocation_ids: IdGen,
 }
 
@@ -145,24 +255,18 @@ pub struct FaasPlatform {
 impl FaasPlatform {
     /// Create a platform on the given clock.
     pub fn new(cfg: PlatformConfig, clock: SharedClock) -> Self {
-        let pool = ContainerPool::new(
-            cfg.keep_alive,
-            cfg.cold_start.clone(),
-            cfg.warm_start.clone(),
-        );
-        let pricing = cfg.pricing;
+        let metrics = MetricsRegistry::new();
         Self {
             inner: Arc::new(Inner {
                 clock,
-                cfg,
                 registry: RwLock::new(HashMap::new()),
-                pool,
-                inflight: ShardedMap::new(),
-                limiters: ShardedMap::new(),
-                billing: BillingMeter::new(pricing),
-                metrics: MetricsRegistry::new(),
-                tracer: Mutex::new(Tracer::disabled()),
+                rng: Mutex::new(det_rng(0xC01D)),
+                billing: BillingMeter::new(cfg.pricing),
+                hot: HotMetrics::new(&metrics),
+                metrics,
+                tracer: Snapshot::new(Tracer::disabled()),
                 invocation_ids: IdGen::new(),
+                cfg,
             }),
         }
     }
@@ -189,25 +293,44 @@ impl FaasPlatform {
 
     /// Attach a tracer; every subsequent invocation records spans into it.
     pub fn set_tracer(&self, tracer: Tracer) {
-        *self.inner.tracer.lock() = tracer;
+        self.inner.tracer.store(tracer);
     }
 
     /// The currently attached tracer (disabled by default).
     pub fn tracer(&self) -> Tracer {
-        self.inner.tracer.lock().clone()
+        self.inner.tracer.read().clone()
     }
 
     /// Register a function.
     pub fn register(&self, spec: FunctionSpec) -> Result<()> {
-        let mut reg = self.inner.registry.write();
+        let inner = &*self.inner;
+        let mut reg = inner.registry.write();
         if reg.contains_key(&spec.name) {
             return Err(FaasError::FunctionExists(spec.name));
         }
-        reg.insert(spec.name.clone(), spec);
+        let shared = spec.app.as_ref().and_then(|app| {
+            reg.values()
+                .find(|e| e.spec.app.as_ref() == Some(app))
+                .map(|e| Arc::clone(&e.sandbox))
+        });
+        let account = inner.billing.account(&spec.tenant);
+        if let Some((rate, burst)) = inner.cfg.tenant_rate_limit {
+            account
+                .limiter
+                .get_or_init(|| TokenBucket::new(inner.clock.clone(), rate, burst));
+        }
+        let entry = FnEntry {
+            inflight: AtomicU32::new(0),
+            sandbox: shared.unwrap_or_else(|| Arc::new(SandboxPool::new(inner.cfg.keep_alive))),
+            account,
+            spec,
+        };
+        reg.insert(entry.spec.name.clone(), Arc::new(entry));
         Ok(())
     }
 
-    /// Remove a function.
+    /// Remove a function. Its warm containers go with it, unless other
+    /// functions of its application still share them.
     pub fn deregister(&self, name: &str) -> Result<()> {
         self.inner
             .registry
@@ -224,43 +347,45 @@ impl FaasPlatform {
         v
     }
 
+    fn entry(&self, function: &str) -> Result<Arc<FnEntry>> {
+        self.inner
+            .registry
+            .read()
+            .get(function)
+            .cloned()
+            .ok_or_else(|| FaasError::FunctionNotFound(function.to_string()))
+    }
+
     /// Pin `n` pre-warmed containers for a function (for app-grouped
     /// functions, the shared application sandbox is provisioned).
     pub fn provision(&self, function: &str, n: u32) -> Result<()> {
-        let key = {
-            let reg = self.inner.registry.read();
-            let spec = reg
-                .get(function)
-                .ok_or_else(|| FaasError::FunctionNotFound(function.to_string()))?;
-            spec.sandbox_key().to_string()
-        };
-        let now = self.inner.clock.now();
-        self.inner.pool.provision(&key, n, now);
+        let entry = self.entry(function)?;
+        entry.sandbox.provision(n, self.inner.clock.now());
         Ok(())
     }
 
     /// Reap idle containers past keep-alive.
     pub fn reap_idle(&self) {
         let now = self.inner.clock.now();
-        self.inner.pool.reap_all(now);
+        for entry in self.inner.registry.read().values() {
+            entry.sandbox.reap(now);
+        }
     }
 
     /// (cold, warm) start counts so far.
     pub fn start_counts(&self) -> (u64, u64) {
-        self.inner.pool.start_counts()
+        let count = |c: &Lazy<Counter>| c.cell.get().map_or(0, |c| c.get());
+        (
+            count(&self.inner.hot.cold_starts),
+            count(&self.inner.hot.warm_starts),
+        )
     }
 
     /// Idle warm containers for a function's sandbox (shared across the
-    /// app for app-grouped functions).
+    /// app for app-grouped functions); 0 for an unregistered function.
     pub fn warm_count(&self, function: &str) -> usize {
-        let key = self
-            .inner
-            .registry
-            .read()
-            .get(function)
-            .map(|s| s.sandbox_key().to_string())
-            .unwrap_or_else(|| function.to_string());
-        self.inner.pool.warm_count(&key)
+        self.entry(function)
+            .map_or(0, |entry| entry.sandbox.warm_count())
     }
 
     /// Invoke a function synchronously.
@@ -301,7 +426,7 @@ impl FaasPlatform {
             match self.invoke_inner(function, payload.clone(), attempt, None) {
                 Ok(r) => return Ok(r),
                 Err(e @ (FaasError::ExecutionFailed { .. } | FaasError::Timeout { .. })) => {
-                    self.inner.metrics.counter("retries").inc();
+                    self.inner.hot.retries.get().inc();
                     last_err = Some(e);
                 }
                 Err(e) => return Err(e), // admission errors are not retried
@@ -330,41 +455,34 @@ impl FaasPlatform {
         let workers = parallelism
             .min(self.inner.cfg.max_parallelism.max(1))
             .min(n.max(1));
-        let mut slots: Vec<Option<Result<InvocationResult>>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let slots = Mutex::new(slots);
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let req = &requests[i];
-                    let r = self.invoke_with_retries(
-                        &req.function,
-                        req.payload.clone(),
-                        req.max_attempts,
-                    );
-                    slots.lock()[i] = Some(r);
-                });
+        // One slot per request, written once by whichever worker drew its
+        // index: no lock shared across the batch.
+        let slots: Vec<OnceLock<Result<InvocationResult>>> =
+            (0..n).map(|_| OnceLock::new()).collect();
+        let cursor = AtomicUsize::new(0);
+        let worker = || loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
             }
+            let req = &requests[i];
+            let r = self.invoke_with_retries(&req.function, req.payload.clone(), req.max_attempts);
+            if slots[i].set(r).is_err() {
+                unreachable!("the cursor hands out each index once");
+            }
+        };
+        // The calling thread is worker 0: one request (or parallelism 1)
+        // runs inline and a wide batch spawns only the helpers it needs.
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(worker);
+            }
+            worker();
         });
         slots
-            .into_inner()
             .into_iter()
-            .map(|s| s.expect("every batch slot is filled"))
+            .map(|s| s.into_inner().expect("every batch slot is filled"))
             .collect()
-    }
-
-    fn limiter_for(&self, tenant: &str) -> Option<Arc<TokenBucket>> {
-        let (rate, burst) = self.inner.cfg.tenant_rate_limit?;
-        Some(self.inner.limiters.with(tenant, |shard| {
-            Arc::clone(shard.entry(tenant.to_string()).or_insert_with(|| {
-                Arc::new(TokenBucket::new(self.inner.clock.clone(), rate, burst))
-            }))
-        }))
     }
 
     fn invoke_inner(
@@ -374,100 +492,93 @@ impl FaasPlatform {
         attempt: u32,
         parent: Option<SpanContext>,
     ) -> Result<InvocationResult> {
+        let hot = &self.inner.hot;
         let tracer = self.tracer();
         let mut span = tracer.span_child_of(TRACE_SYSTEM, "faas.invoke", parent);
         span.attr("function", function);
         span.attr("attempt", attempt);
 
-        let spec = self
-            .inner
-            .registry
-            .read()
-            .get(function)
-            .cloned()
-            .ok_or_else(|| FaasError::FunctionNotFound(function.to_string()))?;
+        let entry = self.entry(function)?;
+        let spec = &entry.spec;
         span.attr("tenant", &spec.tenant);
 
         // Admission: tenant rate limit + per-function concurrency cap
         // (the request's time "in the front door" before a container is
         // committed to it).
-        {
+        let _slot = {
             let mut admission = tracer.span(TRACE_SYSTEM, "faas.admission");
-            if let Some(limiter) = self.limiter_for(&spec.tenant) {
-                if !limiter.try_acquire(1) {
-                    self.inner.metrics.counter("throttled").inc();
-                    admission.attr("outcome", "throttled");
-                    return Err(FaasError::Throttled {
-                        tenant: spec.tenant.clone(),
-                    });
-                }
+            if entry
+                .account
+                .limiter
+                .get()
+                .is_some_and(|l| !l.try_acquire(1))
+            {
+                hot.throttled.get().inc();
+                admission.attr("outcome", "throttled");
+                return Err(FaasError::Throttled {
+                    tenant: spec.tenant.clone(),
+                });
             }
-            let admitted = self.inner.inflight.with(&spec.name, |shard| {
-                let n = shard.entry(spec.name.clone()).or_insert(0);
-                if *n >= spec.max_concurrency {
-                    false
-                } else {
-                    *n += 1;
-                    true
-                }
-            });
-            if !admitted {
-                self.inner.metrics.counter("concurrency_rejections").inc();
+            let Some(slot) = entry.admit() else {
+                hot.concurrency_rejections.get().inc();
                 admission.attr("outcome", "concurrency_limit");
                 return Err(FaasError::ConcurrencyLimit {
                     function: spec.name.clone(),
                     limit: spec.max_concurrency,
                 });
-            }
+            };
             admission.attr("outcome", "admitted");
-        }
+            slot
+        };
 
-        let result = self.execute(&tracer, &spec, payload, attempt);
+        let result = self.execute(&tracer, &entry, payload, attempt);
         span.attr("outcome", if result.is_ok() { "ok" } else { "error" });
-
-        // Always decrement in-flight.
-        self.inner.inflight.with(&spec.name, |shard| {
-            if let Some(n) = shard.get_mut(&spec.name) {
-                *n = n.saturating_sub(1);
-            }
-        });
         result
+    }
+
+    /// Start-up delay to inject for a `kind` start.
+    fn startup_latency(&self, kind: StartKind) -> Duration {
+        let model = match kind {
+            StartKind::Cold => &self.inner.cfg.cold_start,
+            StartKind::Warm => &self.inner.cfg.warm_start,
+        };
+        match model {
+            LatencyModel::Constant(d) => *d,
+            sampled => sampled.sample(&mut *self.inner.rng.lock()),
+        }
     }
 
     fn execute(
         &self,
         tracer: &Tracer,
-        spec: &FunctionSpec,
+        entry: &FnEntry,
         payload: Bytes,
         attempt: u32,
     ) -> Result<InvocationResult> {
         let clock = &self.inner.clock;
+        let hot = &self.inner.hot;
+        let spec = &entry.spec;
         // Fetched once per invocation: metric deltas ride the telemetry
         // stream alongside spans whenever a sink-bearing tracer is
         // attached; `None` (the default) costs nothing on the hot path.
         let sink = tracer.telemetry();
-        let now = clock.now();
         let (start, startup_latency) = {
             let mut startup = tracer.span(TRACE_SYSTEM, "faas.startup");
-            let (start, startup_latency) = self.inner.pool.acquire(spec.sandbox_key(), now);
-            match start {
-                StartKind::Cold => {
-                    self.inner.metrics.counter("cold_starts").inc();
-                    if let Some(sink) = &sink {
-                        sink.metric("faas.cold_starts", 1);
-                    }
-                    startup.attr("kind", "cold");
-                }
-                StartKind::Warm => {
-                    self.inner.metrics.counter("warm_starts").inc();
-                    if let Some(sink) = &sink {
-                        sink.metric("faas.warm_starts", 1);
-                    }
-                    startup.attr("kind", "warm");
-                }
+            let start = entry.sandbox.acquire(clock.now());
+            let startup_latency = self.startup_latency(start);
+            let (counter, metric, kind) = match start {
+                StartKind::Cold => (&hot.cold_starts, "faas.cold_starts", "cold"),
+                StartKind::Warm => (&hot.warm_starts, "faas.warm_starts", "warm"),
+            };
+            counter.get().inc();
+            if let Some(sink) = &sink {
+                sink.metric(metric, 1);
             }
+            startup.attr("kind", kind);
             startup.attr("latency_us", startup_latency.as_micros());
-            clock.sleep(startup_latency);
+            if !startup_latency.is_zero() {
+                clock.sleep(startup_latency);
+            }
             (start, startup_latency)
         };
 
@@ -478,22 +589,22 @@ impl FaasPlatform {
         let exec_span = tracer.span(TRACE_SYSTEM, "faas.execute");
         let t0 = clock.now();
         let output = (spec.handler)(&ctx);
-        let exec_duration = clock.now() - t0;
+        let finished = clock.now();
+        let exec_duration = finished - t0;
         drop(exec_span);
 
         // Timeout enforcement (post-hoc: handlers are cooperative in this
         // in-process platform; the billed duration is capped at the limit,
         // as providers cap billing at the configured timeout).
+        let pricing = self.inner.billing.pricing();
         if exec_duration > spec.timeout {
-            self.inner.metrics.counter("timeouts").inc();
+            hot.timeouts.get().inc();
             if let Some(sink) = &sink {
                 sink.metric("faas.timeouts", 1);
             }
             let mut billing = tracer.span(TRACE_SYSTEM, "faas.billing");
             billing.attr("billed", "timeout_cap");
-            self.inner
-                .billing
-                .charge(&spec.tenant, spec.memory, spec.timeout);
+            entry.account.charge(pricing, spec.memory, spec.timeout);
             drop(billing);
             // The container is destroyed, not returned warm.
             return Err(FaasError::Timeout {
@@ -504,21 +615,16 @@ impl FaasPlatform {
 
         let cost = {
             let mut billing = tracer.span(TRACE_SYSTEM, "faas.billing");
-            let cost = self
-                .inner
-                .billing
-                .charge(&spec.tenant, spec.memory, exec_duration);
-            billing.attr("cost_usd", format!("{cost:.9}"));
+            let cost = entry.account.charge(pricing, spec.memory, exec_duration);
+            billing.attr("cost_usd", format_args!("{cost:.9}"));
             cost
         };
-        self.inner
-            .metrics
-            .histogram("exec_duration_us")
+        hot.exec_duration_us
+            .get()
             .record(exec_duration.as_micros() as u64);
         let total_duration = startup_latency + exec_duration;
-        self.inner
-            .metrics
-            .histogram("invoke_latency_us")
+        hot.invoke_latency_us
+            .get()
             .record(total_duration.as_micros() as u64);
         if let Some(sink) = &sink {
             sink.metric("faas.invoke_latency_us", total_duration.as_micros() as u64);
@@ -532,11 +638,12 @@ impl FaasPlatform {
             );
         }
 
+        // The container returns to the warm pool either way: a handler
+        // error leaves the process alive, as on Lambda.
+        entry.sandbox.release(finished);
         match output {
             Ok(bytes) => {
-                // Healthy container returns to the warm pool.
-                self.inner.pool.release(spec.sandbox_key(), clock.now());
-                self.inner.metrics.counter("invocations_ok").inc();
+                hot.invocations_ok.get().inc();
                 Ok(InvocationResult {
                     id: InvocationId(self.inner.invocation_ids.next()),
                     output: Bytes::from(bytes),
@@ -549,10 +656,7 @@ impl FaasPlatform {
                 })
             }
             Err(reason) => {
-                // Handler errors keep the container warm (the process
-                // survived), as Lambda does.
-                self.inner.pool.release(spec.sandbox_key(), clock.now());
-                self.inner.metrics.counter("invocations_failed").inc();
+                hot.invocations_failed.get().inc();
                 Err(FaasError::ExecutionFailed {
                     function: spec.name.clone(),
                     reason,
@@ -575,6 +679,16 @@ mod tests {
             FaasPlatform::new(PlatformConfig::deterministic(), clock.clone()),
             clock,
         )
+    }
+
+    /// Wall clock, no injected start-up delay: for tests that race threads.
+    fn unpaced_wall_platform() -> FaasPlatform {
+        let cfg = PlatformConfig {
+            cold_start: LatencyModel::zero(),
+            warm_start: LatencyModel::zero(),
+            ..PlatformConfig::default()
+        };
+        FaasPlatform::new(cfg, WallClock::shared())
     }
 
     #[test]
@@ -756,6 +870,223 @@ mod tests {
         .unwrap();
         let r = p.invoke("outer", &[][..]).unwrap();
         assert_eq!(r.output, b"capped");
+    }
+
+    #[test]
+    fn panicking_handler_gives_its_slot_back() {
+        let (p, _) = platform();
+        let left = AtomicU32::new(1);
+        p.register(
+            FunctionSpec::new("crashy", "t", move |_| {
+                if left
+                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                    .is_ok()
+                {
+                    panic!("handler crashed");
+                }
+                Ok(vec![])
+            })
+            .with_max_concurrency(1),
+        )
+        .unwrap();
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = p.invoke("crashy", &[][..]);
+        }));
+        assert!(crashed.is_err());
+        // The slot came back; the container did not (it died with the
+        // handler), so this start is cold again.
+        let r = p.invoke("crashy", &[][..]).expect("slot was released");
+        assert_eq!(r.start, StartKind::Cold);
+        assert_eq!(p.warm_count("crashy"), 1);
+    }
+
+    #[test]
+    fn shared_function_respects_its_cap_and_accounts_every_attempt() {
+        const THREADS: usize = 8;
+        const INVOKES: usize = 2_000;
+        const CAP: u32 = 3;
+        let p = unpaced_wall_platform();
+        let i = AtomicU32::new(0);
+        let peak = Arc::new(AtomicU32::new(0));
+        let pk = peak.clone();
+        p.register(
+            FunctionSpec::new("shared", "t", move |_| {
+                let now = i.fetch_add(1, Ordering::SeqCst) + 1;
+                pk.fetch_max(now, Ordering::SeqCst);
+                std::thread::yield_now();
+                i.fetch_sub(1, Ordering::SeqCst);
+                Ok(vec![])
+            })
+            .with_max_concurrency(CAP),
+        )
+        .unwrap();
+        let barrier = std::sync::Barrier::new(THREADS);
+        let (ok, rejected): (usize, usize) = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        let (mut ok, mut rejected) = (0, 0);
+                        for _ in 0..INVOKES {
+                            match p.invoke("shared", &[][..]) {
+                                Ok(_) => ok += 1,
+                                Err(FaasError::ConcurrencyLimit { limit: CAP, .. }) => {
+                                    rejected += 1;
+                                    std::thread::yield_now();
+                                }
+                                Err(e) => panic!("unexpected {e:?}"),
+                            }
+                        }
+                        (ok, rejected)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap())
+                .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+        });
+        assert!(peak.load(Ordering::SeqCst) <= CAP, "cap exceeded");
+        assert_eq!(ok + rejected, THREADS * INVOKES);
+        assert!(ok > 0);
+        let entry = p.entry("shared").unwrap();
+        assert_eq!(entry.inflight.load(Ordering::SeqCst), 0);
+        assert_eq!(p.billing().invocations("t"), ok);
+        let (cold, warm) = p.start_counts();
+        assert_eq!((cold + warm) as usize, ok);
+        assert!(
+            cold <= u64::from(CAP),
+            "{cold} containers for a cap of {CAP}"
+        );
+        assert_eq!(
+            p.metrics().counter("concurrency_rejections").get() as usize,
+            rejected
+        );
+    }
+
+    #[test]
+    fn reregistering_a_name_leaves_inflight_invocations_on_the_old_entry() {
+        let p = unpaced_wall_platform();
+        let (entered_tx, entered_rx) = crossbeam_channel::unbounded::<()>();
+        let (resume_tx, resume_rx) = crossbeam_channel::unbounded::<()>();
+        p.register(
+            FunctionSpec::new("f", "t", move |_| {
+                entered_tx.send(()).unwrap();
+                resume_rx.recv().unwrap();
+                Ok(b"old".to_vec())
+            })
+            .with_max_concurrency(1),
+        )
+        .unwrap();
+        std::thread::scope(|s| {
+            let old = s.spawn(|| p.invoke("f", &[][..]));
+            entered_rx.recv().unwrap();
+            // The old version is mid-flight and at its cap of 1.
+            let old_entry = p.entry("f").unwrap();
+            assert_eq!(old_entry.inflight.load(Ordering::SeqCst), 1);
+            p.deregister("f").unwrap();
+            p.register(
+                FunctionSpec::new("f", "t", |_| Ok(b"new".to_vec())).with_max_concurrency(1),
+            )
+            .unwrap();
+            // The new entry starts from zero: not capped by the old one,
+            // and cold, because the old version's containers went with it.
+            assert_eq!(p.entry("f").unwrap().inflight.load(Ordering::SeqCst), 0);
+            let new = p.invoke("f", &[][..]).unwrap();
+            assert_eq!(new.output, b"new");
+            assert_eq!(new.start, StartKind::Cold);
+            resume_tx.send(()).unwrap();
+            assert_eq!(old.join().unwrap().unwrap().output, b"old");
+            assert_eq!(old_entry.inflight.load(Ordering::SeqCst), 0);
+        });
+        assert_eq!(p.entry("f").unwrap().inflight.load(Ordering::SeqCst), 0);
+        assert_eq!(p.billing().invocations("t"), 2);
+    }
+
+    #[test]
+    fn metric_names_appear_on_first_update_not_before() {
+        let (p, _) = platform();
+        p.register(FunctionSpec::new("f", "t", |_| Ok(vec![])))
+            .unwrap();
+        assert_eq!(p.start_counts(), (0, 0));
+        assert!(p.metrics().counter_values().is_empty());
+        assert_eq!(p.metrics().render_prometheus(), "");
+        p.invoke("f", &[][..]).unwrap();
+        let names = |v: Vec<(String, u64)>| v.into_iter().map(|(n, _)| n).collect::<Vec<_>>();
+        assert_eq!(
+            names(p.metrics().counter_values()),
+            ["cold_starts", "invocations_ok"]
+        );
+        let histograms: Vec<String> = p
+            .metrics()
+            .histogram_snapshots()
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
+        assert_eq!(histograms, ["exec_duration_us", "invoke_latency_us"]);
+        p.invoke("f", &[][..]).unwrap();
+        assert_eq!(
+            names(p.metrics().counter_values()),
+            ["cold_starts", "invocations_ok", "warm_starts"]
+        );
+        assert_eq!(p.start_counts(), (1, 1));
+    }
+
+    /// Sampled start-up models draw from the platform's one RNG stream in
+    /// invocation order; the values are the ones the pool-wide RNG gave
+    /// before the pool moved into the registry entries.
+    #[test]
+    fn sampled_startup_latencies_keep_their_draw_order() {
+        let clock = VirtualClock::shared();
+        let p = FaasPlatform::new(PlatformConfig::default(), clock.clone());
+        for f in ["a", "b"] {
+            p.register(FunctionSpec::new(f, "t", |_| Ok(vec![])))
+                .unwrap();
+        }
+        let mut nanos = Vec::new();
+        for i in 0..100u64 {
+            let f = if i % 3 == 0 { "b" } else { "a" };
+            nanos.push(p.invoke(f, &[][..]).unwrap().startup_latency.as_nanos() as u64);
+            if i % 10 == 9 {
+                clock.advance(Duration::from_secs(601));
+            }
+        }
+        assert_eq!(
+            nanos[..8],
+            [
+                191_732_000,
+                309_040_000,
+                3_614_000,
+                2_999_000,
+                2_002_000,
+                2_951_000,
+                2_968_000,
+                3_382_000
+            ]
+        );
+        assert_eq!(nanos.iter().sum::<u64>(), 4_472_753_000);
+        assert_eq!(p.start_counts(), (20, 80));
+    }
+
+    #[test]
+    fn reap_idle_reaps_every_function() {
+        let clock = VirtualClock::shared();
+        let cfg = PlatformConfig {
+            keep_alive: Duration::from_secs(1),
+            ..PlatformConfig::deterministic()
+        };
+        let p = FaasPlatform::new(cfg, clock.clone());
+        for f in ["a", "b", "c"] {
+            p.register(FunctionSpec::new(f, "t", |_| Ok(vec![])))
+                .unwrap();
+            p.invoke(f, &[][..]).unwrap();
+            assert_eq!(p.warm_count(f), 1);
+        }
+        clock.advance(Duration::from_secs(100));
+        p.reap_idle();
+        for f in ["a", "b", "c"] {
+            assert_eq!(p.warm_count(f), 0);
+        }
     }
 
     #[test]

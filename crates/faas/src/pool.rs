@@ -10,21 +10,14 @@
 //! starts add significant overhead" — experiment E2 reproduces that gap and
 //! ablates the keep-alive window.
 //!
-//! The pool is internally sharded by function (sandbox) name, so
-//! invocations of different functions acquire and release containers
-//! without contending on one pool-wide lock. The latency-sampling RNG is a
-//! single mutex: samples are cheap, and a shared stream keeps the
-//! single-threaded draw order — and with it every experiment table —
-//! exactly reproducible.
+//! There is one [`SandboxPool`] per sandbox — a function, or an application
+//! whose functions share sandboxes — held by the platform's registry entry
+//! for it, so an invocation reaches its pool through the entry it already
+//! resolved and contends only with invocations of the same sandbox.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use rand_chacha::ChaCha8Rng;
-use taureau_core::latency::LatencyModel;
-use taureau_core::rng::det_rng;
-use taureau_core::sync::ShardedMap;
 
 /// Whether an invocation found a warm container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,9 +33,8 @@ struct WarmContainer {
     idle_since: Duration,
 }
 
-/// Per-function pool state; lives inside one shard of the sharded map.
 #[derive(Debug, Default)]
-struct FnPool {
+struct PoolState {
     /// Idle warm containers.
     warm: Vec<WarmContainer>,
     /// Containers pinned warm regardless of keep-alive (provisioned
@@ -50,120 +42,77 @@ struct FnPool {
     provisioned: u32,
 }
 
-/// The warm-container pool, shared by all invocation threads.
-#[derive(Debug)]
-pub struct ContainerPool {
-    keep_alive: Duration,
-    cold_model: LatencyModel,
-    warm_model: LatencyModel,
-    rng: Mutex<ChaCha8Rng>,
-    /// function (sandbox) name -> per-function pool, sharded by name hash.
-    pools: ShardedMap<String, FnPool>,
-    cold_starts: AtomicU64,
-    warm_starts: AtomicU64,
-}
-
-impl ContainerPool {
-    /// Pool with the given keep-alive window and latency models.
-    pub fn new(keep_alive: Duration, cold_model: LatencyModel, warm_model: LatencyModel) -> Self {
-        Self {
-            keep_alive,
-            cold_model,
-            warm_model,
-            rng: Mutex::new(det_rng(0xC01D)),
-            pools: ShardedMap::new(),
-            cold_starts: AtomicU64::new(0),
-            warm_starts: AtomicU64::new(0),
-        }
-    }
-
-    /// Keep-alive window.
-    pub fn keep_alive(&self) -> Duration {
-        self.keep_alive
-    }
-
-    /// Pin `n` containers warm for a function (provisioned concurrency).
-    /// Takes effect from the next release/reap cycle; pre-warms immediately
-    /// by inserting idle containers.
-    pub fn provision(&self, function: &str, n: u32, now: Duration) {
-        self.pools.with(function, |shard| {
-            let pool = shard.entry(function.to_string()).or_default();
-            pool.provisioned = n;
-            while (pool.warm.len() as u32) < n {
-                pool.warm.push(WarmContainer { idle_since: now });
-            }
-        });
-    }
-
-    /// Acquire a container for an invocation at time `now`. Returns the
-    /// start kind and the startup latency to inject.
-    pub fn acquire(&self, function: &str, now: Duration) -> (StartKind, Duration) {
-        let warm_hit = self.pools.with(function, |shard| {
-            let pool = shard.entry(function.to_string()).or_default();
-            Self::reap_pool(pool, self.keep_alive, now);
-            pool.warm.pop().is_some()
-        });
-        if warm_hit {
-            self.warm_starts.fetch_add(1, Ordering::Relaxed);
-            (
-                StartKind::Warm,
-                self.warm_model.sample(&mut *self.rng.lock()),
-            )
-        } else {
-            self.cold_starts.fetch_add(1, Ordering::Relaxed);
-            (
-                StartKind::Cold,
-                self.cold_model.sample(&mut *self.rng.lock()),
-            )
-        }
-    }
-
-    /// Return a container to the warm pool after an execution finished at
-    /// `now`.
-    pub fn release(&self, function: &str, now: Duration) {
-        self.pools.with(function, |shard| {
-            shard
-                .entry(function.to_string())
-                .or_default()
-                .warm
-                .push(WarmContainer { idle_since: now });
-        });
-    }
-
-    fn reap_pool(pool: &mut FnPool, keep: Duration, now: Duration) {
-        let floor = pool.provisioned as usize;
+impl PoolState {
+    fn reap(&mut self, keep: Duration, now: Duration) {
+        let floor = self.provisioned as usize;
         // Oldest first; keep at least the provisioned floor.
-        pool.warm.sort_by_key(|c| c.idle_since);
-        while pool.warm.len() > floor {
-            let oldest = pool.warm[0];
+        self.warm.sort_by_key(|c| c.idle_since);
+        while self.warm.len() > floor {
+            let oldest = self.warm[0];
             if now.saturating_sub(oldest.idle_since) > keep {
-                pool.warm.remove(0);
+                self.warm.remove(0);
             } else {
                 break;
             }
         }
     }
+}
 
-    /// Reap idle containers across all functions.
-    pub fn reap_all(&self, now: Duration) {
-        let keep = self.keep_alive;
-        self.pools
-            .for_each_mut(|_, pool| Self::reap_pool(pool, keep, now));
+/// The warm containers of one sandbox, shared by its invocation threads.
+#[derive(Debug)]
+pub struct SandboxPool {
+    keep_alive: Duration,
+    state: Mutex<PoolState>,
+}
+
+impl SandboxPool {
+    /// Empty pool with the given keep-alive window.
+    pub fn new(keep_alive: Duration) -> Self {
+        Self {
+            keep_alive,
+            state: Mutex::new(PoolState::default()),
+        }
     }
 
-    /// Idle warm containers for a function.
-    pub fn warm_count(&self, function: &str) -> usize {
-        self.pools.with(function, |shard| {
-            shard.get(function).map_or(0, |p| p.warm.len())
-        })
+    /// Pin `n` containers warm (provisioned concurrency). Takes effect from
+    /// the next release/reap cycle; pre-warms immediately by inserting idle
+    /// containers.
+    pub fn provision(&self, n: u32, now: Duration) {
+        let mut pool = self.state.lock();
+        pool.provisioned = n;
+        while (pool.warm.len() as u32) < n {
+            pool.warm.push(WarmContainer { idle_since: now });
+        }
     }
 
-    /// (cold, warm) start counts.
-    pub fn start_counts(&self) -> (u64, u64) {
-        (
-            self.cold_starts.load(Ordering::Relaxed),
-            self.warm_starts.load(Ordering::Relaxed),
-        )
+    /// Acquire a container for an invocation at time `now`: warm if an
+    /// idle one survived keep-alive, cold otherwise.
+    pub fn acquire(&self, now: Duration) -> StartKind {
+        let mut pool = self.state.lock();
+        pool.reap(self.keep_alive, now);
+        match pool.warm.pop() {
+            Some(_) => StartKind::Warm,
+            None => StartKind::Cold,
+        }
+    }
+
+    /// Return a container to the warm pool after an execution finished at
+    /// `now`.
+    pub fn release(&self, now: Duration) {
+        self.state
+            .lock()
+            .warm
+            .push(WarmContainer { idle_since: now });
+    }
+
+    /// Reap idle containers past keep-alive.
+    pub fn reap(&self, now: Duration) {
+        self.state.lock().reap(self.keep_alive, now);
+    }
+
+    /// Idle warm containers.
+    pub fn warm_count(&self) -> usize {
+        self.state.lock().warm.len()
     }
 }
 
@@ -171,12 +120,8 @@ impl ContainerPool {
 mod tests {
     use super::*;
 
-    fn pool(keep_alive_secs: u64) -> ContainerPool {
-        ContainerPool::new(
-            Duration::from_secs(keep_alive_secs),
-            LatencyModel::Constant(Duration::from_millis(200)),
-            LatencyModel::Constant(Duration::from_millis(2)),
-        )
+    fn pool(keep_alive_secs: u64) -> SandboxPool {
+        SandboxPool::new(Duration::from_secs(keep_alive_secs))
     }
 
     fn secs(s: u64) -> Duration {
@@ -186,28 +131,22 @@ mod tests {
     #[test]
     fn first_start_is_cold_second_is_warm() {
         let p = pool(60);
-        let (kind, delay) = p.acquire("f", secs(0));
-        assert_eq!(kind, StartKind::Cold);
-        assert_eq!(delay, Duration::from_millis(200));
-        p.release("f", secs(1));
-        let (kind, delay) = p.acquire("f", secs(2));
-        assert_eq!(kind, StartKind::Warm);
-        assert_eq!(delay, Duration::from_millis(2));
-        assert_eq!(p.start_counts(), (1, 1));
+        assert_eq!(p.acquire(secs(0)), StartKind::Cold);
+        p.release(secs(1));
+        assert_eq!(p.acquire(secs(2)), StartKind::Warm);
+        assert_eq!(p.warm_count(), 0);
     }
 
     #[test]
     fn keep_alive_expiry_forces_cold() {
         let p = pool(10);
-        p.acquire("f", secs(0));
-        p.release("f", secs(1));
+        p.acquire(secs(0));
+        p.release(secs(1));
         // Within keep-alive: warm.
-        let (kind, _) = p.acquire("f", secs(5));
-        assert_eq!(kind, StartKind::Warm);
-        p.release("f", secs(6));
+        assert_eq!(p.acquire(secs(5)), StartKind::Warm);
+        p.release(secs(6));
         // Past keep-alive: container reaped, cold again.
-        let (kind, _) = p.acquire("f", secs(30));
-        assert_eq!(kind, StartKind::Cold);
+        assert_eq!(p.acquire(secs(30)), StartKind::Cold);
     }
 
     #[test]
@@ -215,83 +154,65 @@ mod tests {
         let p = pool(60);
         // Three invocations before any release: three cold starts.
         for _ in 0..3 {
-            let (kind, _) = p.acquire("f", secs(0));
-            assert_eq!(kind, StartKind::Cold);
+            assert_eq!(p.acquire(secs(0)), StartKind::Cold);
         }
         for _ in 0..3 {
-            p.release("f", secs(1));
+            p.release(secs(1));
         }
-        assert_eq!(p.warm_count("f"), 3);
+        assert_eq!(p.warm_count(), 3);
         // Next three are all warm.
         for _ in 0..3 {
-            let (kind, _) = p.acquire("f", secs(2));
-            assert_eq!(kind, StartKind::Warm);
+            assert_eq!(p.acquire(secs(2)), StartKind::Warm);
         }
     }
 
     #[test]
     fn provisioned_concurrency_never_reaps_below_floor() {
         let p = pool(5);
-        p.provision("f", 2, secs(0));
-        assert_eq!(p.warm_count("f"), 2);
+        p.provision(2, secs(0));
+        assert_eq!(p.warm_count(), 2);
         // Far past keep-alive, the floor remains.
-        p.reap_all(secs(1000));
-        assert_eq!(p.warm_count("f"), 2);
-        let (kind, _) = p.acquire("f", secs(1001));
-        assert_eq!(kind, StartKind::Warm);
+        p.reap(secs(1000));
+        assert_eq!(p.warm_count(), 2);
+        assert_eq!(p.acquire(secs(1001)), StartKind::Warm);
     }
 
     #[test]
-    fn pools_are_per_function() {
-        let p = pool(60);
-        p.acquire("f", secs(0));
-        p.release("f", secs(1));
-        // A different function cannot reuse f's container.
-        let (kind, _) = p.acquire("g", secs(2));
-        assert_eq!(kind, StartKind::Cold);
-        assert_eq!(p.warm_count("f"), 1);
-    }
-
-    #[test]
-    fn reap_all_cleans_every_function() {
+    fn reap_drops_everything_past_keep_alive() {
         let p = pool(1);
-        for f in ["a", "b", "c"] {
-            p.acquire(f, secs(0));
-            p.release(f, secs(0));
+        for _ in 0..3 {
+            p.acquire(secs(0));
         }
-        p.reap_all(secs(100));
-        for f in ["a", "b", "c"] {
-            assert_eq!(p.warm_count(f), 0);
+        for t in 0..3 {
+            p.release(secs(t));
         }
+        p.reap(secs(2));
+        assert_eq!(p.warm_count(), 2, "only the container idle > 1 s goes");
+        p.reap(secs(100));
+        assert_eq!(p.warm_count(), 0);
     }
 
     #[test]
-    fn concurrent_acquire_release_across_functions() {
-        let p = std::sync::Arc::new(pool(60));
+    fn concurrent_acquire_release_conserves_containers() {
+        let p = pool(60);
+        let cold = std::sync::atomic::AtomicUsize::new(0);
         std::thread::scope(|s| {
-            for t in 0..8usize {
-                let p = std::sync::Arc::clone(&p);
-                s.spawn(move || {
-                    let f = format!("fn-{}", t % 4);
-                    for i in 0..100u64 {
-                        p.acquire(&f, secs(i));
-                        p.release(&f, secs(i));
+            for _ in 0..4 {
+                s.spawn(|| {
+                    // One instant throughout: nothing ages out.
+                    for _ in 0..200 {
+                        if p.acquire(secs(0)) == StartKind::Cold {
+                            cold.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        }
+                        p.release(secs(0));
                     }
                 });
             }
         });
-        let (cold, warm) = p.start_counts();
-        assert_eq!(cold + warm, 800, "every acquire is counted exactly once");
-        // Each of the 4 sandboxes ends with its containers back in the pool.
-        let total_warm: usize = (0..4).map(|t| p.warm_count(&format!("fn-{t}"))).sum();
-        let max_live = 2 * 4; // at most 2 threads share each sandbox
-        assert!(
-            total_warm <= max_live,
-            "released {total_warm} > live {max_live}"
-        );
-        assert!(
-            total_warm >= 4,
-            "each sandbox retains at least one container"
-        );
+        // Every container ever created is back in the pool, and no more
+        // were created than threads could hold at once.
+        let cold = cold.into_inner();
+        assert_eq!(p.warm_count(), cold);
+        assert!((1..=4).contains(&cold), "{cold} cold starts for 4 threads");
     }
 }

@@ -83,12 +83,6 @@ impl FunctionSpec {
         self.app = Some(app.into());
         self
     }
-
-    /// The warm-pool key: the app for SAND-style grouping, else the
-    /// function's own name.
-    pub fn sandbox_key(&self) -> &str {
-        self.app.as_deref().unwrap_or(&self.name)
-    }
 }
 
 impl std::fmt::Debug for FunctionSpec {

@@ -141,11 +141,9 @@ struct Partition {
     used: u64,
 }
 
-/// Consecutive stale (snapshot-missing) locked gets before the object
-/// republishes its read snapshot. Mutations reset the streak, so a mixed
-/// put/get workload never pays the O(n) clone; a read-dominated phase pays
-/// it once and then serves lock-free.
-const REPUBLISH_AFTER_STALE_READS: u32 = 8;
+/// Floor on the consecutive stale (snapshot-missing) locked gets before the
+/// object republishes its read snapshot; see [`KvObject::get_tracked`].
+const REPUBLISH_AFTER_STALE_READS: usize = 8;
 
 /// The immutable view a [`KvReadCache`] publishes: every partition's map
 /// cloned at one mutation version. `Bytes` values are refcounted, so the
@@ -249,7 +247,7 @@ pub struct KvObject {
     /// Shared with handles for the lock-free read path.
     cache: Arc<KvReadCache>,
     /// Consecutive locked gets that found the published snapshot stale.
-    stale_streak: u32,
+    stale_streak: usize,
 }
 
 impl KvObject {
@@ -297,15 +295,18 @@ impl KvObject {
         self.stale_streak = 0;
     }
 
-    /// A locked `get` that also drives snapshot publication: after
-    /// [`REPUBLISH_AFTER_STALE_READS`] consecutive gets against a stale
-    /// snapshot, clone the partitions and publish, flipping subsequent
-    /// reads onto the zero-lock path.
+    /// A locked `get` that also drives snapshot publication. Publishing
+    /// clones every entry, so it must pay for itself (rent-or-buy): the
+    /// object republishes only after as many consecutive gets against a
+    /// stale snapshot as the clone has entries (at least
+    /// [`REPUBLISH_AFTER_STALE_READS`]). Mutations reset the streak, so a
+    /// mixed put/get workload never pays the O(n) clone; a read-only phase
+    /// pays it after one pass and then serves lock-free.
     pub(crate) fn get_tracked(&mut self, key: &[u8]) -> Option<Bytes> {
         let version = self.cache.version.load(Ordering::Acquire);
-        if self.cache.snap.read().version != version {
+        if self.cache.snap_version.load(Ordering::Acquire) != version {
             self.stale_streak += 1;
-            if self.stale_streak >= REPUBLISH_AFTER_STALE_READS {
+            if self.stale_streak >= self.len().max(REPUBLISH_AFTER_STALE_READS) {
                 self.cache.snap.store(KvSnap {
                     version,
                     parts: self.partitions.iter().map(|p| p.map.clone()).collect(),
@@ -777,6 +778,98 @@ mod tests {
                     b.cache.version.load(Ordering::Acquire)
                 );
                 proptest::prop_assert_eq!(pa.free_blocks(), pb.free_blocks());
+            }
+        }
+    }
+
+    /// `KvHandle::get` without the handle: the zero-lock path when it
+    /// answers, the tracked locked path when it does not.
+    fn read(kv: &mut KvObject, key: &[u8]) -> Option<Bytes> {
+        kv.cache.touch(1);
+        match kv.cache.try_get(key, 1, u64::MAX) {
+            Some(hit) => hit,
+            None => kv.get_tracked(key),
+        }
+    }
+
+    fn hot_keys(p: &MemoryPool, n: u32) -> KvObject {
+        let mut kv = KvObject::create(p, "app", 1).unwrap();
+        for k in 0..n {
+            kv.put(p, &k.to_le_bytes(), &[0u8; 8]).unwrap();
+        }
+        kv
+    }
+
+    #[test]
+    fn mixed_gets_and_puts_never_publish_a_snapshot() {
+        let p = pool();
+        let mut kv = hot_keys(&p, 64);
+        let epoch0 = kv.cache.snap.epoch();
+        for i in 0..10_000u32 {
+            let key = (i.wrapping_mul(2_654_435_761) % 64).to_le_bytes();
+            if i % 10 == 9 {
+                kv.put(&p, &key, &i.to_le_bytes()).unwrap();
+            } else {
+                assert!(read(&mut kv, &key).is_some());
+            }
+        }
+        // 9 reads between writes can never repay cloning 64 entries.
+        assert_eq!(kv.cache.snap.epoch(), epoch0);
+    }
+
+    #[test]
+    fn read_only_phase_publishes_once_after_one_pass() {
+        let p = pool();
+        let mut kv = hot_keys(&p, 64);
+        let (epoch0, fresh) = (kv.cache.snap.epoch(), u64::MAX);
+        kv.cache.touch(1);
+        for i in 0..64u32 {
+            let key = i.to_le_bytes();
+            assert_eq!(kv.cache.snap.epoch(), epoch0, "published after {i} reads");
+            assert_eq!(kv.cache.try_get(&key, 1, fresh), None);
+            assert!(read(&mut kv, &key).is_some());
+        }
+        // The `len()`-th stale read bought the snapshot; from here on
+        // every read is a zero-lock hit and nothing is published again.
+        assert_eq!(kv.cache.snap.epoch(), epoch0 + 1);
+        for i in 0..1_000u32 {
+            let key = (i % 80).to_le_bytes();
+            assert_eq!(kv.cache.try_get(&key, 1, fresh), Some(kv.get(&key)));
+            assert_eq!(read(&mut kv, &key), kv.get(&key));
+        }
+        assert_eq!(kv.cache.snap.epoch(), epoch0 + 1);
+    }
+
+    proptest::proptest! {
+        /// Whatever mutations and reads interleave, the zero-lock path is
+        /// either silent or right: when `try_get` answers, it answers what
+        /// the locked `get` does, for every key.
+        #[test]
+        fn kv_try_get_agrees_with_locked_get(
+            ops in proptest::collection::vec((0u8..12, 0u8..6, 0usize..40), 1..200),
+        ) {
+            let p = pool();
+            let mut kv = KvObject::create(&p, "app", 1).unwrap();
+            for (op, k, len) in ops {
+                let key = [b'k', k];
+                match op {
+                    0 => { kv.put(&p, &key, &vec![k; len]).unwrap(); }
+                    1 => { kv.remove(&key); }
+                    2 => { kv.scale_to(&p, 1 + len % 4).unwrap(); }
+                    3 => {
+                        kv.update(&p, &key, |old| {
+                            Bytes::from(vec![k; old.map_or(0, |o| o.len() % 7) + len])
+                        })
+                        .unwrap();
+                    }
+                    _ => proptest::prop_assert_eq!(read(&mut kv, &key), kv.get(&key)),
+                }
+                for k in 0..6u8 {
+                    let key = [b'k', k];
+                    if let Some(hit) = kv.cache.try_get(&key, 1, u64::MAX) {
+                        proptest::prop_assert_eq!(hit, kv.get(&key));
+                    }
+                }
             }
         }
     }

@@ -6,6 +6,8 @@
 //! purpose: `Vec<u8> -> Bytes` then reuses the vector's heap buffer (one
 //! small `Arc` header allocation, no byte copy), which is what makes the
 //! handler-output -> `Bytes` conversion at the FaaS `Ok` boundary free.
+//! An empty buffer has no backing store at all: as in the real crate,
+//! `Bytes::new()` and `Bytes::from(Vec::new())` do not allocate.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -15,7 +17,8 @@ use std::sync::Arc;
 /// A cheaply cloneable, immutable slice of bytes.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<Vec<u8>>,
+    /// `None` for a buffer created empty.
+    data: Option<Arc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
@@ -23,7 +26,7 @@ pub struct Bytes {
 impl Bytes {
     /// The empty buffer.
     pub fn new() -> Self {
-        Self::from(Vec::new())
+        Self { data: None, start: 0, end: 0 }
     }
 
     /// Buffer over a static slice (copied; the shim has no zero-copy
@@ -64,7 +67,7 @@ impl Bytes {
         };
         assert!(lo <= hi && hi <= self.len(), "slice {lo}..{hi} out of bounds of {}", self.len());
         Self {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + lo,
             end: self.start + hi,
         }
@@ -72,7 +75,10 @@ impl Bytes {
 
     /// The contents as a plain slice.
     pub fn as_ref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(data) => &data[self.start..self.end],
+            None => &[],
+        }
     }
 
     /// Copy the contents into a fresh `Vec`.
@@ -103,8 +109,11 @@ impl AsRef<[u8]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         // Takes ownership of the vector's buffer: no byte copy.
+        if v.is_empty() {
+            return Self::new();
+        }
         let end = v.len();
-        Self { data: Arc::new(v), start: 0, end }
+        Self { data: Some(Arc::new(v)), start: 0, end }
     }
 }
 
