@@ -15,7 +15,6 @@
 
 use std::collections::HashMap;
 
-use bytes::Bytes;
 use taureau_core::id::NodeId;
 use taureau_faas::{FaasPlatform, FunctionSpec, PlatformConfig};
 
@@ -87,22 +86,15 @@ impl ClusterFaas {
         if env.kind != "invoke" {
             return;
         }
-        let reply = (|| -> Result<Vec<Bytes>> {
+        let (body, _) = wire::reply(|out| {
             let frames = wire::dec_n(&env.body, 2)?;
             let function = wire::as_str(&frames[0])?;
             let res = platform
                 .invoke_traced(function, frames[1].clone(), env.ctx)
                 .map_err(|e| ClusterError::Remote(e.to_string()))?;
-            Ok(vec![res.output])
-        })();
-        let body = match reply {
-            Ok(frames) => {
-                let mut all: Vec<Bytes> = vec![Bytes::from_static(b"ok")];
-                all.extend(frames);
-                wire::enc(&all)
-            }
-            Err(e) => wire::enc(&[Bytes::from_static(b"err"), Bytes::from(e.to_string())]),
-        };
+            wire::put_frame(out, &res.output);
+            Ok(())
+        });
         fabric.send(node, env.from, env.req, "resp", body, env.ctx);
     }
 }

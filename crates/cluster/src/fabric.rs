@@ -75,6 +75,9 @@ pub struct ClusterFabric {
     roster_changed: bool,
     /// Delivery buffer reused across ticks.
     delivered: Vec<Envelope>,
+    /// Nodes whose service mailbox went from empty to non-empty since
+    /// [`Self::take_mailed`] was last called.
+    mailed: Vec<NodeId>,
 }
 
 impl ClusterFabric {
@@ -97,6 +100,7 @@ impl ClusterFabric {
             tracer,
             roster_changed: false,
             delivered: Vec::new(),
+            mailed: Vec::new(),
         }
     }
 
@@ -238,6 +242,16 @@ impl ClusterFabric {
         n.alive.then(|| n.mail.pop_front())?
     }
 
+    /// Fill `out` with the nodes handed service mail since the last call,
+    /// ascending, each once: what a walk over every node would have found
+    /// non-empty, in the same order (plus, harmlessly, nodes killed since).
+    pub fn take_mailed(&mut self, out: &mut Vec<NodeId>) {
+        out.clear();
+        std::mem::swap(&mut self.mailed, out);
+        out.sort_unstable();
+        out.dedup();
+    }
+
     /// Advance the cluster by `dt`: heartbeats, network delivery, mail
     /// routing, membership + epoch maintenance. Returns `true` when the
     /// authoritative view changed this tick.
@@ -264,6 +278,9 @@ impl ClusterFabric {
             // Any traffic proves the sender was alive when it sent.
             n.agent.observe(env.from, now);
             if env.kind != HEARTBEAT_KIND {
+                if n.mail.is_empty() {
+                    self.mailed.push(env.to);
+                }
                 n.mail.push_back(env);
             }
         }

@@ -54,6 +54,6 @@ pub use obs::{
     ClusterObs, Collector, FailureTimeline, GreyVerdict, Incident, IncidentKind, IncidentSpec,
     LossAccounting, ObsConfig, ObsEvent, OutagePhase, StampedEvent, TelemetryAgent,
 };
-pub use pulsar_cluster::{ClusterPulsar, MaintenanceReport, PulsarObsEvent};
+pub use pulsar_cluster::{ClusterPulsar, MaintenanceReport};
 pub use stack::{ClusterMessage, ClusterStack, ClusterStackConfig};
 pub use transport::{Envelope, LinkFaults, NetStats, SimNet};

@@ -19,7 +19,6 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use taureau_core::hash::fnv;
 use taureau_core::id::NodeId;
 use taureau_core::sync::Snapshot;
@@ -60,7 +59,9 @@ pub struct MemberAgent {
     node: NodeId,
     cfg: MembershipConfig,
     peers: Vec<NodeId>,
-    last_heard: HashMap<NodeId, Duration>,
+    /// When each node was last heard from, indexed by node id (the
+    /// fabric hands ids out densely); `None` for a node never heard.
+    last_heard: Vec<Option<Duration>>,
     last_beat: Option<Duration>,
     /// Peers heard within `failure_timeout` as of the last `expire`, plus
     /// this node.
@@ -79,7 +80,7 @@ impl MemberAgent {
             node,
             cfg,
             peers: Vec::new(),
-            last_heard: HashMap::new(),
+            last_heard: Vec::new(),
             last_beat: None,
             alive: BTreeSet::from([node]),
             next_expiry: Duration::MAX,
@@ -97,7 +98,7 @@ impl MemberAgent {
     /// join does not instantly read as a death.
     pub fn set_peers(&mut self, peers: Vec<NodeId>, now: Duration) {
         for &p in &peers {
-            self.last_heard.entry(p).or_insert(now);
+            self.heard_slot(p).get_or_insert(now);
         }
         self.peers = peers;
         self.alive.clear();
@@ -116,15 +117,13 @@ impl MemberAgent {
             return;
         }
         self.last_beat = Some(now);
-        for &p in &self.peers {
-            net.send(self.node, p, 0, HEARTBEAT_KIND, Bytes::new(), None);
-        }
+        net.broadcast(self.node, &self.peers, HEARTBEAT_KIND);
     }
 
     /// Record a heartbeat (or any traffic — all traffic proves liveness)
     /// from a peer, re-admitting it if it was believed dead.
     pub fn observe(&mut self, from: NodeId, now: Duration) {
-        self.last_heard.insert(from, now);
+        *self.heard_slot(from) = Some(now);
         if !self.alive.contains(&from) && self.peers.contains(&from) {
             self.alive.insert(from);
             self.next_expiry = self.next_expiry.min(self.deadline(now));
@@ -152,6 +151,18 @@ impl MemberAgent {
         self.generation
     }
 
+    fn heard_slot(&mut self, node: NodeId) -> &mut Option<Duration> {
+        let i = node.raw() as usize;
+        if self.last_heard.len() <= i {
+            self.last_heard.resize(i + 1, None);
+        }
+        &mut self.last_heard[i]
+    }
+
+    fn last_heard(&self, node: NodeId) -> Option<Duration> {
+        self.last_heard.get(node.raw() as usize).copied().flatten()
+    }
+
     /// The last instant at which a peer heard at `heard` still counts as
     /// alive: `now - heard <= failure_timeout` iff `now <= deadline(heard)`.
     fn deadline(&self, heard: Duration) -> Duration {
@@ -165,7 +176,7 @@ impl MemberAgent {
         let mut next = Duration::MAX;
         let mut changed = false;
         for &p in &self.peers {
-            match self.last_heard.get(&p).map(|&t| self.deadline(t)) {
+            match self.last_heard(p).map(|t| self.deadline(t)) {
                 Some(d) if now <= d => {
                     next = next.min(d);
                     changed |= self.alive.insert(p);
@@ -186,9 +197,8 @@ impl MemberAgent {
             .iter()
             .copied()
             .filter(|p| {
-                self.last_heard
-                    .get(p)
-                    .is_some_and(|&t| now.saturating_sub(t) <= self.cfg.failure_timeout)
+                self.last_heard(*p)
+                    .is_some_and(|t| now.saturating_sub(t) <= self.cfg.failure_timeout)
             })
             .collect();
         v.insert(self.node);
@@ -338,7 +348,7 @@ impl ControlPlane {
     /// the fleet but every caller computes the same owner.
     pub fn ensure_lease(&mut self, resource: &str, candidates: &[NodeId]) -> Option<Lease> {
         if let Some(l) = self.leases.get(resource) {
-            if self.view.contains(&l.owner) && candidates.contains(&l.owner) {
+            if self.is_settled(l, candidates) {
                 return Some(*l);
             }
         }
@@ -365,6 +375,32 @@ impl ControlPlane {
         Some(lease)
     }
 
+    /// Whether `lease`'s owner is in the view and among `candidates` —
+    /// the leases [`Self::ensure_lease`] hands back untouched.
+    fn is_settled(&self, lease: &Lease, candidates: &[NodeId]) -> bool {
+        self.view.contains(&lease.owner) && candidates.contains(&lease.owner)
+    }
+
+    /// `topic`'s lease when [`Self::ensure_lease`] would hand it back
+    /// untouched, found without building the resource key.
+    pub fn settled_topic_lease(&self, topic: &str, candidates: &[NodeId]) -> Option<Lease> {
+        let lease = *self.published.read().by_topic.get(topic)?;
+        self.is_settled(&lease, candidates).then_some(lease)
+    }
+
+    /// [`Self::ensure_lease`] every leased resource under `prefix`, in
+    /// name order; the new leases of the ones that moved. A lease that
+    /// sits with a live candidate is not touched.
+    pub fn ensure_leases(&mut self, prefix: &str, candidates: &[NodeId]) -> Vec<(Lease, String)> {
+        let stale = |(r, l): (&String, &Lease)| {
+            (r.starts_with(prefix) && !self.is_settled(l, candidates)).then(|| r.clone())
+        };
+        let mut stale: Vec<String> = self.leases.iter().filter_map(stale).collect();
+        stale.sort();
+        let ensure = |r: String| Some((self.ensure_lease(&r, candidates)?, r));
+        stale.into_iter().filter_map(ensure).collect()
+    }
+
     /// The current lease for a resource, if any.
     pub fn lease(&self, resource: &str) -> Option<Lease> {
         self.leases.get(resource).copied()
@@ -377,13 +413,6 @@ impl ControlPlane {
         self.leases
             .get(resource)
             .is_some_and(|l| l.owner == node && self.view.contains(&node))
-    }
-
-    /// Resources currently leased, sorted (for deterministic iteration).
-    pub fn resources(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.leases.keys().cloned().collect();
-        v.sort();
-        v
     }
 }
 

@@ -33,6 +33,7 @@ use taureau_pulsar::metadata::MetadataStore;
 use crate::error::{ClusterError, Result};
 use crate::fabric::{ClusterFabric, NodeRole};
 use crate::membership::ControlPlane;
+use crate::obs::ObsEvent;
 use crate::transport::Envelope;
 use crate::wire;
 
@@ -57,56 +58,6 @@ pub struct MaintenanceReport {
     pub entries_recopied: u64,
     /// Ledgers still queued for repair after this round.
     pub repair_backlog: u64,
-}
-
-/// Control/data-plane happenings the observability plane ships to the
-/// collector: lease moves, consumer rebuilds, fence rejections, bookie
-/// replacement, and re-replication progress. [`ClusterPulsar`] appends
-/// them as they happen; [`ClusterPulsar::drain_obs_events`] hands them to
-/// the telemetry agents, which stamp and batch them like any other event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PulsarObsEvent {
-    /// A lease was (re)assigned: `resource` now owned by `owner` at
-    /// `epoch` (the fence token).
-    LeaseMoved {
-        /// Lease-table key, e.g. `topic/jobs`.
-        resource: String,
-        /// New owner broker.
-        owner: NodeId,
-        /// Fencing epoch of the new lease.
-        epoch: u64,
-    },
-    /// A broker (re)built a consumer handle for a subscription — after
-    /// failover this is the subscription-rebuild phase completing.
-    ConsumerRebuilt {
-        /// Topic subscribed.
-        topic: String,
-        /// Broker that built the handle.
-        node: NodeId,
-    },
-    /// A broker's request was rejected by the lease fence.
-    Fenced {
-        /// Topic the stale broker tried to serve.
-        topic: String,
-        /// The fenced (stale) broker.
-        node: NodeId,
-    },
-    /// A dead bookie was swapped for a spare.
-    BookieReplaced {
-        /// Fabric node of the dead bookie.
-        dead: NodeId,
-        /// Fabric node of the activated spare.
-        target: NodeId,
-    },
-    /// One maintenance round of background re-replication.
-    RepairProgress {
-        /// Ledgers re-replicated this round.
-        ledgers: u64,
-        /// Entries copied this round.
-        entries: u64,
-        /// Ledgers still queued after this round.
-        backlog: u64,
-    },
 }
 
 /// An in-progress bookie replacement.
@@ -140,8 +91,10 @@ pub struct ClusterPulsar {
     /// rebuilt lazily after failover. Nested so the per-request probe
     /// borrows the names it decoded instead of building an owned key.
     consumers: HashMap<NodeId, HashMap<String, HashMap<String, Consumer>>>,
-    /// Pending observability events (drained by the telemetry plane).
-    obs_events: Vec<PulsarObsEvent>,
+    /// Lease moves, consumer rebuilds, fence rejections, bookie
+    /// replacements and repair progress, as they happen (drained by the
+    /// telemetry plane, which stamps and ships them like any other event).
+    obs_events: Vec<ObsEvent>,
 }
 
 impl ClusterPulsar {
@@ -213,8 +166,8 @@ impl ClusterPulsar {
     }
 
     /// Take the observability events accumulated since the last drain.
-    pub fn drain_obs_events(&mut self) -> Vec<PulsarObsEvent> {
-        std::mem::take(&mut self.obs_events)
+    pub fn drain_obs_events(&mut self) -> std::vec::Drain<'_, ObsEvent> {
+        self.obs_events.drain(..)
     }
 
     /// Broker fabric nodes, in creation order.
@@ -269,9 +222,9 @@ impl ClusterPulsar {
 
     /// The broker currently leasing a topic, acquiring a lease if none.
     pub fn owner(&self, topic: &str) -> Result<NodeId> {
-        self.control
-            .lock()
-            .ensure_lease(&topic_resource(topic), &self.broker_order)
+        let mut cp = self.control.lock();
+        cp.settled_topic_lease(topic, &self.broker_order)
+            .or_else(|| cp.ensure_lease(&topic_resource(topic), &self.broker_order))
             .map(|l| l.owner)
             .ok_or_else(|| ClusterError::NoCandidates(topic_resource(topic)))
     }
@@ -293,7 +246,7 @@ impl ClusterPulsar {
         let Some(broker) = self.brokers.get(&node) else {
             return;
         };
-        type Handler = fn(&mut ClusterPulsar, NodeId, &Bytes) -> Result<Vec<Bytes>>;
+        type Handler = fn(&mut ClusterPulsar, NodeId, &Bytes, &mut Vec<u8>) -> Result<()>;
         let (name, handler): (_, Handler) = match env.kind {
             "pub" => ("cluster.pub", Self::handle_publish),
             "recv" => ("cluster.recv", Self::handle_receive),
@@ -302,42 +255,35 @@ impl ClusterPulsar {
         };
         let mut span = broker.tracer().span_child_of(TRACE_SYSTEM, name, env.ctx);
         span.attr("node", node.raw());
-        let reply = handler(self, node, &env.body);
-        let body = match reply {
-            Ok(frames) => {
-                let mut all: Vec<Bytes> = vec![Bytes::from_static(b"ok")];
-                all.extend(frames);
-                wire::enc(&all)
-            }
-            Err(e) => {
-                span.attr("outcome", "error");
-                let msg = e.to_string();
-                // A fence rejection is a first-class incident signal: the
-                // topic (first request frame) was served by a deposed
-                // broker. Stale-lease windows show up on the timeline.
-                if msg.to_ascii_lowercase().contains("fenced") {
-                    if let Some(topic) = wire::dec(&env.body)
-                        .ok()
-                        .and_then(|f| f.into_iter().next())
-                        .and_then(|f| wire::as_str(&f).ok().map(str::to_string))
-                    {
-                        self.obs_events.push(PulsarObsEvent::Fenced { topic, node });
-                    }
+        let (body, err) = wire::reply(|out| handler(self, node, &env.body, out));
+        if let Some(msg) = err {
+            span.attr("outcome", "error");
+            // A fence rejection is a first-class incident signal: the
+            // topic (first request frame) was served by a deposed
+            // broker. Stale-lease windows show up on the timeline.
+            if msg.to_ascii_lowercase().contains("fenced") {
+                if let Some(topic) = wire::dec(&env.body)
+                    .ok()
+                    .and_then(|f| f.into_iter().next())
+                    .and_then(|f| wire::as_str(&f).ok().map(str::to_string))
+                {
+                    let node = node.raw();
+                    self.obs_events.push(ObsEvent::Fence { topic, node });
                 }
-                wire::enc(&[Bytes::from_static(b"err"), Bytes::from(msg)])
             }
-        };
+        }
         fabric.send(node, env.from, env.req, "resp", body, span.context());
     }
 
-    fn handle_publish(&mut self, node: NodeId, body: &Bytes) -> Result<Vec<Bytes>> {
+    fn handle_publish(&mut self, node: NodeId, body: &Bytes, out: &mut Vec<u8>) -> Result<()> {
         let frames = wire::dec_n(body, 2)?;
         let topic = wire::as_str(&frames[0])?;
         let id = self.brokers[&node]
             .producer(topic)
             .and_then(|p| p.send(&frames[1]))
             .map_err(|e| ClusterError::Remote(e.to_string()))?;
-        Ok(vec![Bytes::copy_from_slice(&wire::enc_msg_id(&id))])
+        wire::put_frame(out, &wire::enc_msg_id(&id));
+        Ok(())
     }
 
     fn consumer(&mut self, node: NodeId, topic: &str, sub: &str) -> Result<&mut Consumer> {
@@ -350,9 +296,9 @@ impl ClusterPulsar {
                 .entry(topic.to_string())
                 .or_default()
                 .insert(sub.to_string(), c);
-            self.obs_events.push(PulsarObsEvent::ConsumerRebuilt {
+            self.obs_events.push(ObsEvent::Rebuild {
                 topic: topic.to_string(),
-                node,
+                node: node.raw(),
             });
         }
         Ok(topics
@@ -361,7 +307,7 @@ impl ClusterPulsar {
             .expect("just inserted"))
     }
 
-    fn handle_receive(&mut self, node: NodeId, body: &Bytes) -> Result<Vec<Bytes>> {
+    fn handle_receive(&mut self, node: NodeId, body: &Bytes, out: &mut Vec<u8>) -> Result<()> {
         let frames = wire::dec_n(body, 3)?;
         let topic = wire::as_str(&frames[0])?;
         let sub = wire::as_str(&frames[1])?;
@@ -387,22 +333,18 @@ impl ClusterPulsar {
         };
         // Per message: id, payload, ctx (empty frame when untraced). The
         // dispatch context is per entry, shared by its messages.
-        let mut out = Vec::with_capacity(views.iter().map(|v| v.len() * 3).sum());
         for view in &views {
-            let ctx_frame = match view.ctx() {
-                Some(c) => Bytes::copy_from_slice(&c.to_bytes()),
-                None => Bytes::new(),
-            };
+            let ctx = view.ctx().map(|c| c.to_bytes());
             for mv in view.messages() {
-                out.push(Bytes::copy_from_slice(&wire::enc_msg_id(&mv.id())));
-                out.push(mv.payload());
-                out.push(ctx_frame.clone());
+                wire::put_frame(out, &wire::enc_msg_id(&mv.id()));
+                wire::put_frame(out, &mv.payload());
+                wire::put_frame(out, ctx.as_ref().map_or(&[], |c| &c[..]));
             }
         }
-        Ok(out)
+        Ok(())
     }
 
-    fn handle_ack(&mut self, node: NodeId, body: &Bytes) -> Result<Vec<Bytes>> {
+    fn handle_ack(&mut self, node: NodeId, body: &Bytes, _out: &mut Vec<u8>) -> Result<()> {
         let frames = wire::dec_n(body, 3)?;
         let topic = wire::as_str(&frames[0])?;
         let sub = wire::as_str(&frames[1])?;
@@ -410,8 +352,7 @@ impl ClusterPulsar {
         let consumer = self.consumer(node, topic, sub)?;
         consumer
             .ack(id)
-            .map_err(|e| ClusterError::Remote(e.to_string()))?;
-        Ok(Vec::new())
+            .map_err(|e| ClusterError::Remote(e.to_string()))
     }
 
     /// One maintenance round: fail over topics off dead brokers, replace
@@ -424,32 +365,17 @@ impl ClusterPulsar {
         // gets a new owner (epoch bump — the fence). The old owner's
         // cached topic state is stale by construction; drop every
         // non-owner's cache so a bounced broker reloads from metadata.
-        let moved: Vec<(String, NodeId, u64)> = {
-            let mut cp = self.control.lock();
-            let resources: Vec<String> = cp
-                .resources()
-                .into_iter()
-                .filter(|r| r.starts_with("topic/"))
-                .collect();
-            resources
-                .into_iter()
-                .filter_map(|res| {
-                    let prev = cp.lease(&res);
-                    let next = cp.ensure_lease(&res, &self.broker_order);
-                    match (prev, next) {
-                        (Some(p), Some(n)) if p != n => Some((res, n.owner, n.epoch)),
-                        (None, Some(n)) => Some((res, n.owner, n.epoch)),
-                        _ => None,
-                    }
-                })
-                .collect()
-        };
-        for (res, new_owner, epoch) in moved {
+        let moved = self
+            .control
+            .lock()
+            .ensure_leases("topic/", &self.broker_order);
+        for (lease, res) in moved {
+            let (new_owner, epoch) = (lease.owner, lease.epoch);
             let topic = res.trim_start_matches("topic/").to_string();
             report.topics_failed_over += 1;
-            self.obs_events.push(PulsarObsEvent::LeaseMoved {
+            self.obs_events.push(ObsEvent::Lease {
                 resource: res.clone(),
-                owner: new_owner,
+                owner: new_owner.raw(),
                 epoch,
             });
             for (&node, broker) in &self.brokers {
@@ -480,9 +406,9 @@ impl ClusterPulsar {
                     self.retired.insert(dead_idx);
                     self.active.insert(target);
                     report.bookies_replaced += 1;
-                    self.obs_events.push(PulsarObsEvent::BookieReplaced {
-                        dead: self.bookie_nodes[dead_idx],
-                        target: target_node,
+                    self.obs_events.push(ObsEvent::BookieReplaced {
+                        dead: self.bookie_nodes[dead_idx].raw(),
+                        target: target_node.raw(),
                     });
                     self.repair = Some(RepairJob {
                         dead: dead_idx,
@@ -516,7 +442,7 @@ impl ClusterPulsar {
             if job.queue.is_empty() {
                 self.repair = None;
             }
-            self.obs_events.push(PulsarObsEvent::RepairProgress {
+            self.obs_events.push(ObsEvent::Repair {
                 ledgers: report.ledgers_repaired,
                 entries: report.entries_recopied,
                 backlog: report.repair_backlog,

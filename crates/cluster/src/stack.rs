@@ -69,7 +69,9 @@ pub struct ClusterStackConfig {
     pub rpc_attempts: u32,
     /// Deploy the observability plane ([`crate::obs::ClusterObs`]): a
     /// collector node plus per-node telemetry agents. Off by default —
-    /// it adds a node to membership and telemetry traffic to the wire.
+    /// it adds a node to membership and telemetry traffic to the wire,
+    /// and about 0.7× the rest of a four-RPC request to its wall time
+    /// (DESIGN.md §15; 1.5× before the plane encoded once and read in place).
     pub observability: bool,
     /// Observability plane tuning (used when `observability` is set).
     pub obs: ObsConfig,
@@ -123,6 +125,8 @@ pub struct ClusterStack {
     response: Option<Envelope>,
     stale_responses: u64,
     worker_rr: usize,
+    /// The nodes the pump visits this tick (buffer reused across ticks).
+    mailed: Vec<NodeId>,
 }
 
 impl ClusterStack {
@@ -158,6 +162,7 @@ impl ClusterStack {
             response: None,
             stale_responses: 0,
             worker_rr: 0,
+            mailed: Vec::new(),
         }
     }
 
@@ -303,14 +308,16 @@ impl ClusterStack {
     }
 
     /// Advance one tick: fabric time + network, then let every service
-    /// node drain its mailbox, in node order. The response the client is
-    /// waiting for is kept; any other is counted and dropped.
+    /// node that has mail drain its mailbox, in node order. The response
+    /// the client is waiting for is kept; any other is counted and dropped.
     pub fn step(&mut self) {
         self.fabric.tick(self.cfg.tick);
         let now = self.fabric.now();
-        for node in (0..).map(NodeId) {
+        let mut mailed = std::mem::take(&mut self.mailed);
+        self.fabric.take_mailed(&mut mailed);
+        for &node in &mailed {
             let Some(role) = self.fabric.role(node) else {
-                break;
+                continue;
             };
             while let Some(env) = self.fabric.pop_mail(node) {
                 match role {
@@ -337,6 +344,7 @@ impl ClusterStack {
                 }
             }
         }
+        self.mailed = mailed;
         // The plane ticks after service mail: route freshly-recorded
         // spans/control events to agents and flush due batches.
         if let Some(obs) = &mut self.obs {
@@ -365,7 +373,7 @@ impl ClusterStack {
         &mut self,
         to: NodeId,
         kind: &'static str,
-        frames: &[Bytes],
+        frames: &[&[u8]],
         ctx: Option<SpanContext>,
     ) -> Result<Vec<Bytes>> {
         let role = self.fabric.role(to);
@@ -382,7 +390,7 @@ impl ClusterStack {
         &mut self,
         to: NodeId,
         kind: &'static str,
-        frames: &[Bytes],
+        frames: &[&[u8]],
         ctx: Option<SpanContext>,
     ) -> Result<Vec<Bytes>> {
         let req = self.next_req;
@@ -437,13 +445,13 @@ impl ClusterStack {
         topic: &str,
         mut op: impl FnMut(&mut Self, NodeId) -> Result<T>,
     ) -> Result<T> {
-        let mut last = ClusterError::NoCandidates(topic.to_string());
+        let mut last = None;
         for _ in 0..self.cfg.rpc_attempts.max(1) {
             self.maintain();
             let owner = match self.pulsar.owner(topic) {
                 Ok(o) => o,
                 Err(e) => {
-                    last = e;
+                    last = Some(e);
                     self.run_for(self.cfg.membership.failure_timeout);
                     continue;
                 }
@@ -451,14 +459,14 @@ impl ClusterStack {
             match op(self, owner) {
                 Ok(v) => return Ok(v),
                 Err(e) if Self::is_failover_error(&e) => {
-                    last = e;
+                    last = Some(e);
                     // Give detection time to catch up before re-leasing.
                     self.run_for(self.cfg.membership.failure_timeout);
                 }
                 Err(e) => return Err(e),
             }
         }
-        Err(last)
+        Err(last.unwrap_or_else(|| ClusterError::NoCandidates(topic.to_string())))
     }
 
     // -- client operations ---------------------------------------------------
@@ -481,10 +489,8 @@ impl ClusterStack {
         payload: &[u8],
         ctx: Option<SpanContext>,
     ) -> Result<MessageId> {
-        let topic_f = Bytes::copy_from_slice(topic.as_bytes());
-        let payload = Bytes::copy_from_slice(payload);
         self.with_owner_retry(topic, |this, owner| {
-            let frames = this.rpc(owner, "pub", &[topic_f.clone(), payload.clone()], ctx)?;
+            let frames = this.rpc(owner, "pub", &[topic.as_bytes(), payload], ctx)?;
             wire::dec_msg_id(
                 frames
                     .first()
@@ -502,17 +508,12 @@ impl ClusterStack {
         max: usize,
         ctx: Option<SpanContext>,
     ) -> Result<Vec<ClusterMessage>> {
-        let topic_f = Bytes::copy_from_slice(topic.as_bytes());
-        let sub_f = Bytes::copy_from_slice(sub.as_bytes());
+        let max = wire::u64_frame(max as u64);
         let frames = self.with_owner_retry(topic, |this, owner| {
             this.rpc(
                 owner,
                 "recv",
-                &[
-                    topic_f.clone(),
-                    sub_f.clone(),
-                    Bytes::copy_from_slice(&wire::u64_frame(max as u64)),
-                ],
+                &[topic.as_bytes(), sub.as_bytes(), &max],
                 ctx,
             )
         })?;
@@ -539,17 +540,10 @@ impl ClusterStack {
         id: MessageId,
         ctx: Option<SpanContext>,
     ) -> Result<()> {
-        let topic_f = Bytes::copy_from_slice(topic.as_bytes());
-        let sub_f = Bytes::copy_from_slice(sub.as_bytes());
-        let id_f = Bytes::copy_from_slice(&wire::enc_msg_id(&id));
+        let id = wire::enc_msg_id(&id);
         self.with_owner_retry(topic, |this, owner| {
-            this.rpc(
-                owner,
-                "ack",
-                &[topic_f.clone(), sub_f.clone(), id_f.clone()],
-                ctx,
-            )
-            .map(|_| ())
+            this.rpc(owner, "ack", &[topic.as_bytes(), sub.as_bytes(), &id], ctx)
+                .map(|_| ())
         })
     }
 
@@ -561,24 +555,18 @@ impl ClusterStack {
         payload: &[u8],
         ctx: Option<SpanContext>,
     ) -> Result<Bytes> {
-        let fn_f = Bytes::copy_from_slice(function.as_bytes());
-        let payload = Bytes::copy_from_slice(payload);
         self.worker_rr = self.worker_rr.wrapping_add(1);
-        let route = self.faas.route(&self.fabric, self.worker_rr);
-        if route.is_empty() {
-            return Err(ClusterError::NoCandidates(format!("fn/{function}")));
-        }
-        let mut last = ClusterError::NoCandidates(format!("fn/{function}"));
-        for worker in route {
-            match self.rpc(worker, "invoke", &[fn_f.clone(), payload.clone()], ctx) {
+        let mut last = None;
+        for worker in self.faas.route(&self.fabric, self.worker_rr) {
+            match self.rpc(worker, "invoke", &[function.as_bytes(), payload], ctx) {
                 Ok(frames) => {
                     return Ok(frames.into_iter().next().unwrap_or_default());
                 }
-                Err(e) if Self::is_failover_error(&e) => last = e,
+                Err(e) if Self::is_failover_error(&e) => last = Some(e),
                 Err(e) => return Err(e),
             }
         }
-        Err(last)
+        Err(last.unwrap_or_else(|| ClusterError::NoCandidates(format!("fn/{function}"))))
     }
 
     /// Gracefully remove a memory node (controller migration + modeled

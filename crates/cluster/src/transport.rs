@@ -97,40 +97,29 @@ pub struct NetStats {
     pub partitioned: u64,
 }
 
-/// An in-flight envelope ordered by delivery time (then send order).
-struct Flight {
-    deliver_at: Duration,
-    tie: u64,
-    env: Envelope,
-}
-
-impl PartialEq for Flight {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.tie == other.tie
-    }
-}
-impl Eq for Flight {}
-impl PartialOrd for Flight {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Flight {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deliver_at, self.tie).cmp(&(other.deliver_at, other.tie))
-    }
+/// Everything the network keeps per directed link.
+#[derive(Clone, Copy, Default)]
+struct Link {
+    /// Fault model override; `None` uses the network default.
+    faults: Option<LinkFaults>,
+    /// Last scheduled delivery time — the FIFO clamp.
+    last_sched: Option<Duration>,
+    /// Next per-link sequence number.
+    next_seq: u64,
 }
 
 struct NetState {
     now: Duration,
     rng: ChaCha8Rng,
     default_faults: LinkFaults,
-    link_faults: HashMap<(NodeId, NodeId), LinkFaults>,
-    /// Last scheduled delivery time per link — the FIFO clamp.
-    last_sched: HashMap<(NodeId, NodeId), Duration>,
-    /// Next per-link sequence number.
-    next_seq: HashMap<(NodeId, NodeId), u64>,
-    inflight: BinaryHeap<Reverse<Flight>>,
+    /// `links[from][to]`, dense in node id (the fabric hands ids out
+    /// contiguously), grown on first use; indexed, never iterated.
+    links: Vec<Vec<Link>>,
+    /// `(deliver_at, tie, slot)`, earliest first, `tie` the global send
+    /// order: the heap sifts small keys, envelopes sit still in `slab`.
+    inflight: BinaryHeap<Reverse<(Duration, u64, usize)>>,
+    slab: Vec<Option<Envelope>>,
+    free_slots: Vec<usize>,
     inboxes: HashMap<NodeId, VecDeque<Envelope>>,
     /// Partition groups; `None` means fully connected. A node absent from
     /// every group can talk to no one.
@@ -140,11 +129,16 @@ struct NetState {
 }
 
 impl NetState {
-    fn faults(&self, from: NodeId, to: NodeId) -> LinkFaults {
-        self.link_faults
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(self.default_faults)
+    fn link(&mut self, from: NodeId, to: NodeId) -> &mut Link {
+        let (from, to) = (from.raw() as usize, to.raw() as usize);
+        if self.links.len() <= from {
+            self.links.resize_with(from + 1, Vec::new);
+        }
+        let row = &mut self.links[from];
+        if row.len() <= to {
+            row.resize(to + 1, Link::default());
+        }
+        &mut row[to]
     }
 
     fn connected(&self, a: NodeId, b: NodeId) -> bool {
@@ -154,13 +148,86 @@ impl NetState {
         }
     }
 
-    /// The next envelope due by `now`, in (delivery time, send order).
-    fn pop_due(&mut self) -> Option<Envelope> {
-        if self.inflight.peek()?.0.deliver_at > self.now {
+    fn schedule(&mut self, deliver_at: Duration, tie: u64, env: Envelope) {
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some(env);
+                slot
+            }
+            None => {
+                self.slab.push(Some(env));
+                self.slab.len() - 1
+            }
+        };
+        self.inflight.push(Reverse((deliver_at, tie, slot)));
+    }
+
+    /// [`SimNet::send`] with the lock held.
+    fn send(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        req: u64,
+        kind: &'static str,
+        body: Bytes,
+        ctx: Option<SpanContext>,
+    ) -> Option<u64> {
+        self.stats.sent += 1;
+        if !self.connected(from, to) {
+            self.stats.partitioned += 1;
             return None;
         }
+        let default_faults = self.default_faults;
+        let link = self.link(from, to);
+        let seq = link.next_seq;
+        link.next_seq += 1;
+        let faults = link.faults.unwrap_or(default_faults);
+        let last_sched = link.last_sched;
+        if faults.drop_p > 0.0 && self.rng.gen_bool(faults.drop_p) {
+            self.stats.dropped += 1;
+            return Some(seq); // the link consumed it; the sender saw a successful send
+        }
+        let jitter = if faults.jitter.is_zero() {
+            Duration::ZERO
+        } else {
+            let ns = self.rng.gen_range(0..=faults.jitter.as_nanos() as u64);
+            Duration::from_nanos(ns)
+        };
+        // FIFO clamp: never schedule behind the link's previous delivery.
+        let mut deliver_at = self.now + faults.latency + jitter;
+        if let Some(prev) = last_sched {
+            deliver_at = deliver_at.max(prev);
+        }
+        self.link(from, to).last_sched = Some(deliver_at);
+        let env = Envelope {
+            from,
+            to,
+            seq,
+            req,
+            kind,
+            body,
+            ctx,
+        };
+        let duplicate = faults.dup_p > 0.0 && self.rng.gen_bool(faults.dup_p);
+        let tie = self.tie;
+        self.tie += if duplicate { 2 } else { 1 };
+        if duplicate {
+            self.stats.duplicated += 1;
+            self.schedule(deliver_at, tie + 1, env.clone());
+        }
+        self.schedule(deliver_at, tie, env);
+        Some(seq)
+    }
+
+    /// The next envelope due by `now`, in (delivery time, send order).
+    fn pop_due(&mut self) -> Option<Envelope> {
+        if self.inflight.peek()?.0 .0 > self.now {
+            return None;
+        }
+        let Reverse((_, _, slot)) = self.inflight.pop()?;
         self.stats.delivered += 1;
-        Some(self.inflight.pop()?.0.env)
+        self.free_slots.push(slot);
+        self.slab[slot].take()
     }
 }
 
@@ -180,10 +247,10 @@ impl SimNet {
                 now: Duration::ZERO,
                 rng: det_rng(seed),
                 default_faults: LinkFaults::default(),
-                link_faults: HashMap::new(),
-                last_sched: HashMap::new(),
-                next_seq: HashMap::new(),
+                links: Vec::new(),
                 inflight: BinaryHeap::new(),
+                slab: Vec::new(),
+                free_slots: Vec::new(),
                 inboxes: HashMap::new(),
                 partition: None,
                 tie: 0,
@@ -205,7 +272,7 @@ impl SimNet {
 
     /// Override the fault model for one directed link.
     pub fn set_link_faults(&self, from: NodeId, to: NodeId, faults: LinkFaults) {
-        self.state.lock().link_faults.insert((from, to), faults);
+        self.state.lock().link(from, to).faults = Some(faults);
     }
 
     /// Split the network into groups: traffic crosses a group boundary
@@ -238,62 +305,17 @@ impl SimNet {
         body: Bytes,
         ctx: Option<SpanContext>,
     ) -> Option<u64> {
+        self.state.lock().send(from, to, req, kind, body, ctx)
+    }
+
+    /// An empty, uncorrelated `kind` message to each of `to`, in order —
+    /// a heartbeat round under one lock acquisition. Each is an independent
+    /// [`Self::send`]: own sequence number, own fault draws.
+    pub fn broadcast(&self, from: NodeId, to: &[NodeId], kind: &'static str) {
         let mut st = self.state.lock();
-        st.stats.sent += 1;
-        if !st.connected(from, to) {
-            st.stats.partitioned += 1;
-            return None;
+        for &to in to {
+            st.send(from, to, 0, kind, Bytes::new(), None);
         }
-        let link = (from, to);
-        let seq = {
-            let c = st.next_seq.entry(link).or_insert(0);
-            let s = *c;
-            *c += 1;
-            s
-        };
-        let faults = st.faults(from, to);
-        if faults.drop_p > 0.0 && st.rng.gen_bool(faults.drop_p) {
-            st.stats.dropped += 1;
-            return Some(seq); // the link consumed it; the sender saw a successful send
-        }
-        let jitter = if faults.jitter.is_zero() {
-            Duration::ZERO
-        } else {
-            let ns = st.rng.gen_range(0..=faults.jitter.as_nanos() as u64);
-            Duration::from_nanos(ns)
-        };
-        // FIFO clamp: never schedule behind the link's previous delivery.
-        let mut deliver_at = st.now + faults.latency + jitter;
-        if let Some(&prev) = st.last_sched.get(&link) {
-            deliver_at = deliver_at.max(prev);
-        }
-        st.last_sched.insert(link, deliver_at);
-        let env = Envelope {
-            from,
-            to,
-            seq,
-            req,
-            kind,
-            body,
-            ctx,
-        };
-        let duplicate = faults.dup_p > 0.0 && st.rng.gen_bool(faults.dup_p);
-        let tie = st.tie;
-        st.tie += if duplicate { 2 } else { 1 };
-        if duplicate {
-            st.stats.duplicated += 1;
-            st.inflight.push(Reverse(Flight {
-                deliver_at,
-                tie: tie + 1,
-                env: env.clone(),
-            }));
-        }
-        st.inflight.push(Reverse(Flight {
-            deliver_at,
-            tie,
-            env,
-        }));
-        Some(seq)
     }
 
     /// Advance virtual time by `d`, delivering everything due into

@@ -11,16 +11,34 @@ use bytes::Bytes;
 
 use crate::error::{ClusterError, Result};
 
+/// Append one frame to a body under construction.
+pub fn put_frame(out: &mut Vec<u8>, frame: &[u8]) {
+    out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+    out.extend_from_slice(frame);
+}
+
 /// Encode frames into one body.
 pub fn enc<T: AsRef<[u8]>>(frames: &[T]) -> Bytes {
     let total: usize = frames.iter().map(|f| 4 + f.as_ref().len()).sum();
     let mut out = Vec::with_capacity(total);
     for f in frames {
-        let f = f.as_ref();
-        out.extend_from_slice(&(f.len() as u32).to_le_bytes());
-        out.extend_from_slice(f);
+        put_frame(&mut out, f.as_ref());
     }
     Bytes::from(out)
+}
+
+/// A service response built in place: `ok` then the frames `fill` appends,
+/// or, when it fails, `err` and the message (also handed back).
+pub fn reply(fill: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> (Bytes, Option<String>) {
+    let mut body = Vec::with_capacity(128);
+    put_frame(&mut body, b"ok");
+    let err = fill(&mut body).err().map(|e| e.to_string());
+    if let Some(msg) = &err {
+        body.clear();
+        put_frame(&mut body, b"err");
+        put_frame(&mut body, msg.as_bytes());
+    }
+    (Bytes::from(body), err)
 }
 
 /// Decode a body into its frames (zero-copy slices).

@@ -6,12 +6,14 @@
 //! detector reported — and none of it
 //! may move when the *wall* cost of running the fabric changes. The
 //! constants were captured on the commit before membership became
-//! incremental state (PR 12); a PR that shifts any of them has changed
-//! behaviour, not just speed.
+//! incremental state (PR 12) — and, for the telemetry plane's own traffic,
+//! on the commit before agents encoded events at record time and the
+//! collector read batches in place (PR 16); a PR that shifts any of them
+//! has changed behaviour, not just speed.
 
 use std::time::Duration;
 
-use taureau_cluster::{ClusterStack, ClusterStackConfig, LinkFaults, ObsEvent};
+use taureau_cluster::{ClusterStack, ClusterStackConfig, LinkFaults, LossAccounting, ObsEvent};
 use taureau_core::hash::fnv;
 use taureau_faas::FunctionSpec;
 
@@ -121,6 +123,31 @@ fn scripted_failover_has_a_fixed_virtual_time_fingerprint() {
     // The first transition is the echo function's cold start moving the
     // shared virtual clock past every deadline at once; the last is the
     // revived broker re-admitting its final peer.
+    // When agents flush and what the network does to their batches: the
+    // telemetry plane sends on the same links and draws from the same
+    // random stream as everything else, so its cadence is pinned too.
+    let obs = s.obs().expect("plane");
+    assert_eq!(
+        (
+            obs.collector().batches_received(),
+            obs.collector().events_received(),
+            obs.loss_accounting(),
+        ),
+        (
+            1_431,
+            3_251,
+            LossAccounting {
+                sent: 3_304,
+                received: 3_251,
+                dropped: 53,
+                pending: 0,
+                pending_lost: 0,
+                batches_sent: 1_443,
+                batches_received: 1_431,
+            }
+        ),
+        "(batches received, events received, loss accounting)"
+    );
     assert_eq!(membership[0], "1693000us n0 down n1");
     assert_eq!(membership[membership.len() - 1], "4060000us n0 up n14");
 }

@@ -369,9 +369,17 @@ impl TelemetrySink {
 
     /// Dequeue up to `max` events in arrival order.
     pub fn drain(&self, max: usize) -> Vec<TelemetryEvent> {
+        let mut out = Vec::new();
+        self.drain_into(max, &mut out);
+        out
+    }
+
+    /// [`Self::drain`], appending to a buffer the caller reuses: a plane
+    /// that drains every tick pays no allocation for an empty queue.
+    pub fn drain_into(&self, max: usize, out: &mut Vec<TelemetryEvent>) {
         let mut queue = self.inner.queue.lock();
         let n = max.min(queue.len());
-        queue.drain(..n).collect()
+        out.extend(queue.drain(..n));
     }
 
     /// Undrained events currently queued.

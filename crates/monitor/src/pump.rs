@@ -80,6 +80,7 @@ impl TelemetryPump {
         }
         suppress_telemetry(|| {
             let mut shipped = 0;
+            let mut frame = Vec::new();
             loop {
                 let batch = self.sink.drain(256);
                 if batch.is_empty() {
@@ -87,9 +88,11 @@ impl TelemetryPump {
                 }
                 for event in batch {
                     let result = match &event {
-                        TelemetryEvent::Span(record) => self
-                            .spans
-                            .send(&wire::encode_span(&wire::SpanEvent::from_record(record))),
+                        TelemetryEvent::Span(record) => {
+                            frame.clear();
+                            wire::encode_record(record, &mut frame);
+                            self.spans.send(&frame)
+                        }
                         TelemetryEvent::Metric { name, delta } => {
                             self.metrics.send(&wire::encode_metric(name, *delta))
                         }
