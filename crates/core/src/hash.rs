@@ -11,6 +11,11 @@
 /// Not cryptographic; chosen for speed, full 64-bit avalanche, and
 /// reproducibility across runs (no per-process randomness, so sketches built
 /// in different function instances with the same seed are mergeable).
+///
+/// `#[inline]` because every caller sits in another crate and most pass a
+/// key of constant length (`u32`/`u64` keys, `&payload[..4]`): inlined, the
+/// chunk loop and the tail collapse to one or two loads.
+#[inline]
 pub fn hash64(seed: u64, bytes: &[u8]) -> u64 {
     const P0: u64 = 0xa076_1d64_78bd_642f;
     const P1: u64 = 0xe703_7ed1_a0b4_28db;
@@ -24,11 +29,31 @@ pub fn hash64(seed: u64, bytes: &[u8]) -> u64 {
     }
     let rem = chunks.remainder();
     if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        acc = mix(acc ^ u64::from_le_bytes(tail), P2);
+        acc = mix(acc ^ tail_le(rem), P2);
     }
     mix(acc ^ (bytes.len() as u64), P1)
+}
+
+/// The 1–7 trailing bytes as a zero-extended little-endian integer.
+///
+/// Built from fixed-width reads (the wyhash 4+4 / 3-byte trick) rather than
+/// a copy into a zeroed `[u8; 8]`: a copy of run-time length compiles to a
+/// call to libc `memcpy`, which cost more than the rest of the hash.
+#[inline]
+fn tail_le(rem: &[u8]) -> u64 {
+    let n = rem.len();
+    debug_assert!((1..8).contains(&n));
+    if n >= 4 {
+        // Two 4-byte reads that overlap in the middle; overlapping bytes
+        // land on the same bit positions, so `|` is exact.
+        let lo = u32::from_le_bytes(rem[..4].try_into().expect("4 bytes"));
+        let hi = u32::from_le_bytes(rem[n - 4..].try_into().expect("4 bytes"));
+        lo as u64 | (hi as u64) << ((n - 4) * 8)
+    } else {
+        // First, middle and last byte: for n = 1 all three are byte 0, for
+        // n = 2 middle and last are byte 1.
+        rem[0] as u64 | (rem[n / 2] as u64) << (n / 2 * 8) | (rem[n - 1] as u64) << ((n - 1) * 8)
+    }
 }
 
 /// 128-bit multiply folding (the wyhash "mum" primitive).
@@ -149,6 +174,57 @@ mod tests {
         assert_eq!(hash64(1, b"hello"), hash64(1, b"hello"));
         assert_ne!(hash64(1, b"hello"), hash64(2, b"hello"));
         assert_ne!(hash64(1, b"hello"), hash64(1, b"hellp"));
+    }
+
+    /// The implementation this module shipped until the tail stopped
+    /// going through `copy_from_slice`; kept as the oracle.
+    fn hash64_reference(seed: u64, bytes: &[u8]) -> u64 {
+        const P0: u64 = 0xa076_1d64_78bd_642f;
+        const P1: u64 = 0xe703_7ed1_a0b4_28db;
+        const P2: u64 = 0x8ebc_6af0_9c88_c6e3;
+        let mut acc = seed ^ P0;
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            acc = mix(acc ^ u64::from_le_bytes(c.try_into().unwrap()), P1);
+        }
+        let rem = chunks.remainder();
+        if !rem.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rem.len()].copy_from_slice(rem);
+            acc = mix(acc ^ u64::from_le_bytes(tail), P2);
+        }
+        mix(acc ^ (bytes.len() as u64), P1)
+    }
+
+    /// Every stored sketch cell, Jiffy partition pick and Pulsar key route
+    /// is one of these values: they must never move.
+    #[test]
+    fn known_answers_for_every_tail_length() {
+        const SEEDS: [u64; 3] = [0, 7, 0x9e37_79b9_7f4a_7c15];
+        #[rustfmt::skip]
+        const WANT: [[u64; 18]; 3] = [
+            [0x1ff5c2923a788d2c, 0xf9cbd107522d9304, 0xa3187dee7db10b0c, 0xf52fda7819f505ba, 0x0d6d5d40f566e35f, 0xf2d4a4550d5d5971, 0x36d68a408a1ab63f, 0x3a868f876da4f513, 0x8fe6d7e9aac42b95, 0x976129becd06fb58, 0x20ccd6b4e205fb2c, 0x0cc112837ebcc410, 0xf531d0d4be9042e1, 0x345330eab850bc8a, 0x4de3c855edbedea5, 0xca8fef196e8ce441, 0xde793ec2bff0df75, 0xdd141e75476be765],
+            [0xaeec5559c50a6f2b, 0xa28a3b69796bf9c4, 0x573389fd0508e431, 0x56e03cf63d6f6568, 0x931eb73c9f254524, 0x1abd7f8149c8f6b3, 0x2e5de27ac3ac7bfe, 0x784469c9137c10ad, 0x2978b65b4887e096, 0xd4fa2d8193500fdd, 0xf9511199c0314c57, 0x038ed929ae51f181, 0xb0c020f18a696723, 0x35d693ca1375f83a, 0xca5a87bcbaa33135, 0x8ff00a43efbb71e9, 0xe70f19b0b4cd7e42, 0x7a1326174e3d4abc],
+            [0x7f40f5117e11298b, 0xa53bdc074a11756c, 0xe589c54e346e76e7, 0x40f995bbbbd40358, 0xde6c3eeb11b2fac3, 0xc8fa250c218731cd, 0xed0d87cee0be1bec, 0x46d9a47d6dfc9ac6, 0xa0e30ed6fdef55df, 0x4d237721d5706a53, 0x17da0098c92d11e6, 0x990b41a06b0c02be, 0x455ffc27a33372ca, 0x328b41e8bb742167, 0x86b16dcf92d838b4, 0xccb622fc7d5a75ea, 0xca7d34fde346d237, 0x5c400d4596bf9e2a],
+        ];
+        for (seed, want) in SEEDS.iter().zip(&WANT) {
+            for (n, want) in want.iter().enumerate() {
+                let bytes: Vec<u8> = (0..n as u8)
+                    .map(|i| i.wrapping_mul(37).wrapping_add(11))
+                    .collect();
+                assert_eq!(hash64(*seed, &bytes), *want, "seed {seed:#x} len {n}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn hash64_equals_the_reference(
+            seed in proptest::arbitrary::any::<u64>(),
+            bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..65),
+        ) {
+            proptest::prop_assert_eq!(hash64(seed, &bytes), hash64_reference(seed, &bytes));
+        }
     }
 
     #[test]

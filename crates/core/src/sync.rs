@@ -7,7 +7,7 @@
 //! topic Z, and a KV put in one application's namespace waited on every
 //! other tenant.
 //!
-//! Four primitives fix that:
+//! Three primitives fix that:
 //!
 //! - [`ShardedMap`]: a striped-lock hash map. Keys pick one of N
 //!   power-of-two shards by [`fnv`](crate::hash::fnv) of their bytes;
@@ -25,9 +25,6 @@
 //!   the current `Arc` with no lock and no allocation. This is the read
 //!   path for closed ledger segments, topic metadata, lease tables, and
 //!   warm Jiffy KV gets.
-//! - [`SeqLock`]: an even/odd-sequence cell for small `Copy` metadata
-//!   (cursors, counters-with-meaning). Readers optimistically copy and
-//!   retry on a torn read; writers never block readers.
 //!
 //! Shard count defaults to [`DEFAULT_SHARDS`] (16): enough stripes that 8
 //! threads on disjoint keys collide with probability < ½ per op, small
@@ -35,10 +32,10 @@
 //! can override via [`ShardedMap::with_shards`].
 
 use std::borrow::Borrow;
-use std::cell::{Cell, UnsafeCell};
+use std::cell::Cell;
 use std::fmt;
 use std::hash::Hash;
-use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -532,8 +529,8 @@ impl LockSite {
     }
 
     /// Count one uncontended acquisition with no timing. Used by the
-    /// inline read fast paths ([`ShardedMap::read`], [`Snapshot::load`],
-    /// [`SeqLock::read`]) which skip hold sampling entirely.
+    /// inline read fast paths ([`ShardedMap::read`], [`Snapshot::load`])
+    /// which skip hold sampling entirely.
     #[inline]
     pub fn count_acquisition(&self) {
         self.acquisitions.inc();
@@ -1059,128 +1056,6 @@ impl<T: fmt::Debug> fmt::Debug for SnapshotRef<'_, T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// SeqLock: optimistic-read cell for small Copy metadata.
-// ---------------------------------------------------------------------------
-
-/// A sequence-lock cell for small `Copy` metadata (a cursor position, a
-/// fence epoch, a couple of counters): readers copy the value out with no
-/// lock and no write to shared state, retrying iff a writer raced them;
-/// writers bump an even/odd sequence around the store and never wait for
-/// readers.
-///
-/// Retry rules: a read is valid only if the sequence was *even* before
-/// the copy and *unchanged* after it. An odd sequence means a writer is
-/// mid-store; a changed sequence means one completed mid-copy. Either way
-/// the (possibly torn) copy is discarded — `T: Copy` guarantees the
-/// discard has no effect — and the read retries. Retries are surfaced to
-/// an attached [`LockSite`] as `contended`.
-///
-/// Prefer [`Snapshot`] for anything that is not a small plain-data value;
-/// a `SeqLock` read spins while a writer is in its critical section,
-/// which is only acceptable because the store of a `Copy` value is a few
-/// instructions.
-pub struct SeqLock<T> {
-    /// Even = stable; odd = a writer is mid-store.
-    seq: AtomicU64,
-    val: UnsafeCell<T>,
-    /// Serializes writers (readers never touch it).
-    writer: Mutex<()>,
-    /// Optional contention telemetry (reads = acquisitions, retries =
-    /// contended).
-    prof: OnceLock<Arc<LockSite>>,
-}
-
-// Readers copy T out under the sequence protocol; writers are serialized.
-unsafe impl<T: Copy + Send> Send for SeqLock<T> {}
-unsafe impl<T: Copy + Send> Sync for SeqLock<T> {}
-
-impl<T: Copy + fmt::Debug> fmt::Debug for SeqLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SeqLock")
-            .field("value", &self.read())
-            .finish()
-    }
-}
-
-impl<T: Copy + Default> Default for SeqLock<T> {
-    fn default() -> Self {
-        Self::new(T::default())
-    }
-}
-
-impl<T: Copy> SeqLock<T> {
-    /// New cell holding `value`.
-    pub fn new(value: T) -> Self {
-        Self {
-            seq: AtomicU64::new(0),
-            val: UnsafeCell::new(value),
-            writer: Mutex::new(()),
-            prof: OnceLock::new(),
-        }
-    }
-
-    /// Attach a contention [`LockSite`] (attach-once).
-    pub fn attach_profiler(&self, site: Arc<LockSite>) -> bool {
-        self.prof.set(site).is_ok()
-    }
-
-    /// Copy the current value out, retrying torn reads.
-    #[inline]
-    pub fn read(&self) -> T {
-        let mut retries = 0u64;
-        loop {
-            let s1 = self.seq.load(Ordering::Acquire);
-            if s1 & 1 == 0 {
-                // Volatile: the compiler must not fold or widen this read
-                // across the fence; a torn value is discarded below.
-                let v = unsafe { std::ptr::read_volatile(self.val.get()) };
-                fence(Ordering::Acquire);
-                if self.seq.load(Ordering::Relaxed) == s1 {
-                    if let Some(site) = self.prof.get() {
-                        site.count_acquisition();
-                        for _ in 0..retries {
-                            site.count_contended(Duration::ZERO);
-                        }
-                    }
-                    return v;
-                }
-            }
-            retries += 1;
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Store a new value (writers serialize; readers retry around the
-    /// odd-sequence window).
-    pub fn write(&self, value: T) {
-        let _guard = self.writer.lock();
-        let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s.wrapping_add(1), Ordering::Relaxed);
-        fence(Ordering::Release);
-        unsafe { std::ptr::write_volatile(self.val.get(), value) };
-        self.seq.store(s.wrapping_add(2), Ordering::Release);
-        if let Some(site) = self.prof.get() {
-            site.count_acquisition();
-        }
-    }
-
-    /// Read-modify-write under the writer mutex (readers still never
-    /// block).
-    pub fn rmw(&self, f: impl FnOnce(T) -> T) -> T {
-        let _guard = self.writer.lock();
-        // Stable under the writer lock: no concurrent writer exists.
-        let cur = unsafe { std::ptr::read_volatile(self.val.get()) };
-        let next = f(cur);
-        let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s.wrapping_add(1), Ordering::Relaxed);
-        fence(Ordering::Release);
-        unsafe { std::ptr::write_volatile(self.val.get(), next) };
-        self.seq.store(s.wrapping_add(2), Ordering::Release);
-        next
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1503,46 +1378,6 @@ mod tests {
         let snap = &prof.snapshots()[0];
         assert_eq!(snap.name, "snap.cell");
         assert_eq!(snap.acquisitions, 5);
-    }
-
-    #[test]
-    fn seqlock_read_write_and_rmw() {
-        let c: SeqLock<[u64; 2]> = SeqLock::new([0, 0]);
-        assert_eq!(c.read(), [0, 0]);
-        c.write([3, 4]);
-        assert_eq!(c.read(), [3, 4]);
-        assert_eq!(c.rmw(|[a, b]| [a + 1, b + 1]), [4, 5]);
-        assert_eq!(c.read(), [4, 5]);
-    }
-
-    #[test]
-    fn seqlock_readers_never_tear_under_concurrent_writers() {
-        let c: Arc<SeqLock<(u64, u64)>> = Arc::new(SeqLock::new((0, 0)));
-        let stop = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                let c = Arc::clone(&c);
-                let stop = Arc::clone(&stop);
-                scope.spawn(move || {
-                    let mut i = 0u64;
-                    while stop.load(Ordering::Relaxed) == 0 {
-                        i += 1;
-                        c.write((i, i.wrapping_mul(3)));
-                    }
-                });
-            }
-            for _ in 0..4 {
-                let c = Arc::clone(&c);
-                scope.spawn(move || {
-                    for _ in 0..50_000 {
-                        let (a, b) = c.read();
-                        assert_eq!(b, a.wrapping_mul(3), "torn seqlock read");
-                    }
-                });
-            }
-            std::thread::sleep(Duration::from_millis(30));
-            stop.store(1, Ordering::Relaxed);
-        });
     }
 
     #[test]

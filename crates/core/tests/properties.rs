@@ -226,35 +226,4 @@ proptest! {
         prop_assert_eq!(snap.load().0, n_writes);
         prop_assert_eq!(snap.epoch(), n_writes);
     }
-
-    /// `SeqLock` reads never tear: concurrent readers always see a pair
-    /// satisfying the writer's invariant, and the cursor half never goes
-    /// backwards.
-    #[test]
-    fn seqlock_reads_never_torn(n_writes in 1u64..64) {
-        use taureau_core::sync::SeqLock;
-
-        let cell = SeqLock::new((0u64, 1u64));
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                let cell = &cell;
-                s.spawn(move || {
-                    let mut last = 0u64;
-                    for _ in 0..n_writes * 8 {
-                        let (cursor, check) = cell.read();
-                        assert_eq!(check, cursor * 2 + 1, "torn seqlock read");
-                        assert!(cursor >= last, "seqlock cursor went backwards");
-                        last = cursor;
-                    }
-                });
-            }
-            let cell = &cell;
-            s.spawn(move || {
-                for i in 1..=n_writes {
-                    cell.write((i, i * 2 + 1));
-                }
-            });
-        });
-        prop_assert_eq!(cell.read(), (n_writes, n_writes * 2 + 1));
-    }
 }

@@ -748,6 +748,17 @@ struct KvBinding {
     cache: Arc<KvReadCache>,
 }
 
+/// How [`KvHandle::mutate`] counts and traces a write.
+#[derive(Clone, Copy)]
+enum Mutation {
+    /// A plain write of `bytes` key + value bytes: `kv_puts`, span
+    /// `jiffy.kv_put`.
+    Put { bytes: usize },
+    /// A read-modify-write: `kv_gets` and `kv_puts`, span
+    /// `jiffy.kv_update`.
+    Update,
+}
+
 /// Handle to a KV object.
 #[derive(Clone)]
 pub struct KvHandle {
@@ -766,77 +777,94 @@ impl KvHandle {
         &self.path
     }
 
-    /// Insert or update a key from a borrowed slice (one copy into a
-    /// refcounted buffer; see [`put_bytes`](Self::put_bytes) to avoid it).
-    /// Auto-scales the object if its partition is full; re-partitioned
-    /// bytes are recorded in the `kv_repartitioned_bytes` metric.
+    /// Insert or update a key from a borrowed slice: one copy, made over
+    /// the old value when that has the same length and no reader still
+    /// holds it, else into a fresh refcounted buffer (see
+    /// [`put_bytes`](Self::put_bytes) to avoid the copy). Auto-scales the
+    /// object if its partition is full; re-partitioned bytes are recorded
+    /// in the `kv_repartitioned_bytes` metric.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.put_bytes(key, Bytes::copy_from_slice(value))
+        let bytes = key.len() + value.len();
+        self.mutate(key, Mutation::Put { bytes }, |kv, pool| {
+            Ok(((), kv.put(pool, key, value)?))
+        })
     }
 
     /// Insert or update a key, taking ownership of an already-refcounted
     /// value — no byte copy anywhere on the path.
     pub fn put_bytes(&self, key: &[u8], value: Bytes) -> Result<()> {
-        let now = self.jiffy.inner.clock.now();
-        let now_nanos = now.as_nanos() as u64;
-        // Direct path: the bound object's own lock, no control-plane
-        // traversal. Tracing forces the control-plane route so spans keep
-        // their fidelity; a dead binding falls through and re-resolves.
-        if !self.jiffy.inner.tracer_on.load(Ordering::Relaxed) {
-            let bind = self.bind.load();
-            if let Some(b) = bind.as_ref() {
-                let mut kv = b.obj.lock();
-                if kv.is_alive() {
-                    self.jiffy.inner.hot.kv_puts.inc();
-                    let moved = kv.put_bytes(&self.jiffy.inner.pool, key, value)?;
-                    drop(kv);
-                    b.cache.touch(now_nanos);
-                    if moved > 0 {
-                        self.jiffy
-                            .metrics()
-                            .counter("kv_repartitioned_bytes")
-                            .add(moved);
-                    }
-                    self.jiffy
-                        .publish(&self.path, || EventKind::KvPut { key: key.to_vec() });
-                    return Ok(());
-                }
-            }
-        }
-        self.put_bytes_via_tree(key, value, now, now_nanos)
+        let bytes = key.len() + value.len();
+        self.mutate(key, Mutation::Put { bytes }, |kv, pool| {
+            Ok(((), kv.put_bytes(pool, key, value)?))
+        })
     }
 
-    /// Control-plane put: resolves the object through the namespace tree
-    /// (renewing the lease), records spans, and captures the direct binding
-    /// for subsequent ops.
-    fn put_bytes_via_tree(
+    /// The one write path: run `op` under ONE hold of the object lock and
+    /// account for it. `op` returns its result and the bytes any
+    /// re-partitioning moved.
+    ///
+    /// Direct path first: the bound object's own lock, no control-plane
+    /// traversal. Tracing forces the control-plane route so spans keep
+    /// their fidelity, and a dead binding falls through to it: resolve
+    /// the object through the namespace tree (renewing the lease), record
+    /// the span, capture the binding for subsequent ops.
+    fn mutate<T>(
         &self,
         key: &[u8],
-        value: Bytes,
-        now: Duration,
-        now_nanos: u64,
-    ) -> Result<()> {
-        let tracer = self.jiffy.inner.tracer.load();
-        let mut span = tracer.span(TRACE_SYSTEM, "jiffy.kv_put");
-        span.attr("path", &self.path);
-        span.attr("bytes", key.len() + value.len());
-        self.jiffy.inner.hot.kv_puts.inc();
-        let (moved, bind) = self.jiffy.with_kv_arc_at(now, &self.path, |arc, pool| {
-            let mut kv = arc.lock();
-            let moved = kv.put_bytes(pool, key, value)?;
-            let cache = kv.read_cache();
-            Ok((
-                moved,
-                KvBinding {
-                    obj: Arc::clone(arc),
-                    cache,
+        what: Mutation,
+        op: impl FnOnce(&mut KvObject, &MemoryPool) -> Result<(T, u64)>,
+    ) -> Result<T> {
+        let inner = &self.jiffy.inner;
+        let now = inner.clock.now();
+        let now_nanos = now.as_nanos() as u64;
+        if matches!(what, Mutation::Update) {
+            inner.hot.kv_gets.inc();
+        }
+        inner.hot.kv_puts.inc();
+        let bind = self.bind.load();
+        let live = Option::as_ref(&bind)
+            .filter(|_| !inner.tracer_on.load(Ordering::Relaxed))
+            .map(|b| (b, b.obj.lock()))
+            .filter(|(_, kv)| kv.is_alive());
+        let (out, moved) = if let Some((b, mut kv)) = live {
+            let done = op(&mut kv, &inner.pool)?;
+            drop(kv);
+            b.cache.touch(now_nanos);
+            done
+        } else {
+            let tracer = inner.tracer.load();
+            let mut span = tracer.span(
+                TRACE_SYSTEM,
+                match what {
+                    Mutation::Put { .. } => "jiffy.kv_put",
+                    Mutation::Update => "jiffy.kv_update",
                 },
-            ))
-        })?;
-        bind.cache.touch(now_nanos);
-        self.bind.store(Some(bind));
+            );
+            span.attr("path", &self.path);
+            if let Mutation::Put { bytes } = what {
+                span.attr("bytes", bytes);
+            }
+            let ((out, moved), bind) =
+                self.jiffy.with_kv_arc_at(now, &self.path, |arc, pool| {
+                    let mut kv = arc.lock();
+                    let done = op(&mut kv, pool)?;
+                    let cache = kv.read_cache();
+                    Ok((
+                        done,
+                        KvBinding {
+                            obj: Arc::clone(arc),
+                            cache,
+                        },
+                    ))
+                })?;
+            if moved > 0 {
+                span.attr("repartitioned_bytes", moved);
+            }
+            bind.cache.touch(now_nanos);
+            self.bind.store(Some(bind));
+            (out, moved)
+        };
         if moved > 0 {
-            span.attr("repartitioned_bytes", moved);
             self.jiffy
                 .metrics()
                 .counter("kv_repartitioned_bytes")
@@ -844,7 +872,7 @@ impl KvHandle {
         }
         self.jiffy
             .publish(&self.path, || EventKind::KvPut { key: key.to_vec() });
-        Ok(())
+        Ok(out)
     }
 
     /// Read a key. The returned [`Bytes`] is a refcounted view of the
@@ -911,57 +939,21 @@ impl KvHandle {
     /// notified and auto-scaled as the `get` + `put` it replaces
     /// (`kv_gets` and `kv_puts` both move, one `KvPut` event).
     pub fn update(&self, key: &[u8], f: impl FnOnce(Option<&Bytes>) -> Bytes) -> Result<()> {
-        let inner = &self.jiffy.inner;
-        let now = inner.clock.now();
-        let now_nanos = now.as_nanos() as u64;
-        inner.hot.kv_gets.inc();
-        inner.hot.kv_puts.inc();
-        // Direct path first, as in `put_bytes`: the bound object's own
-        // lock unless tracing is on or the binding died.
-        let bind = self.bind.load();
-        let live = Option::as_ref(&bind)
-            .filter(|_| !inner.tracer_on.load(Ordering::Relaxed))
-            .map(|b| (b, b.obj.lock()))
-            .filter(|(_, kv)| kv.is_alive());
-        let moved = if let Some((b, mut kv)) = live {
-            let moved = kv.update(&inner.pool, key, f)?;
-            drop(kv);
-            b.cache.touch(now_nanos);
-            moved
-        } else {
-            // Control plane: resolve through the namespace tree (renewing
-            // the lease), record the span, capture the binding.
-            let tracer = inner.tracer.load();
-            let mut span = tracer.span(TRACE_SYSTEM, "jiffy.kv_update");
-            span.attr("path", &self.path);
-            let (moved, bind) = self.jiffy.with_kv_arc_at(now, &self.path, |arc, pool| {
-                let mut kv = arc.lock();
-                let moved = kv.update(pool, key, f)?;
-                let cache = kv.read_cache();
-                Ok((
-                    moved,
-                    KvBinding {
-                        obj: Arc::clone(arc),
-                        cache,
-                    },
-                ))
-            })?;
-            if moved > 0 {
-                span.attr("repartitioned_bytes", moved);
-            }
-            bind.cache.touch(now_nanos);
-            self.bind.store(Some(bind));
-            moved
-        };
-        if moved > 0 {
-            self.jiffy
-                .metrics()
-                .counter("kv_repartitioned_bytes")
-                .add(moved);
-        }
-        self.jiffy
-            .publish(&self.path, || EventKind::KvPut { key: key.to_vec() });
-        Ok(())
+        self.mutate(key, Mutation::Update, |kv, pool| {
+            Ok(((), kv.update(pool, key, f)?))
+        })
+    }
+
+    /// Atomically add `delta` (wrapping) to the little-endian `i64`
+    /// counter at `key` and return the new value; a missing or non-8-byte
+    /// value counts as 0. An [`update`](Self::update) in everything a
+    /// caller, a subscriber or the metrics can see — but a counter no
+    /// reader currently holds a view of is bumped where it lies, with no
+    /// allocation.
+    pub fn add_i64(&self, key: &[u8], delta: i64) -> Result<i64> {
+        self.mutate(key, Mutation::Update, |kv, pool| {
+            kv.add_i64(pool, key, delta)
+        })
     }
 
     /// Remove a key, returning its value.
@@ -1351,6 +1343,33 @@ mod tests {
             kv.update(b"k", one).unwrap();
             assert!(j.reap_expired().is_empty());
         }
+    }
+
+    #[test]
+    fn add_i64_is_an_update_to_every_observer() {
+        let (j, _) = deployment();
+        let sub = j.subscribe("/app");
+        let kv = j.create_kv("/app/state", 1).unwrap();
+        sub.drain();
+        // Through the tree and absent, direct into a fresh buffer, direct
+        // and in place: the same accounting each time.
+        assert_eq!(kv.add_i64(b"n", 2).unwrap(), 2);
+        assert_eq!(kv.add_i64(b"n", 3).unwrap(), 5);
+        assert_eq!(kv.add_i64(b"n", -6).unwrap(), -1);
+        assert_eq!(j.metrics().counter("kv_gets").get(), 3);
+        assert_eq!(j.metrics().counter("kv_puts").get(), 3);
+        let puts = sub.drain();
+        assert_eq!(puts.len(), 3);
+        assert!(puts
+            .iter()
+            .all(|e| matches!(&e.kind, EventKind::KvPut { key } if key == b"n")));
+        let tracer = Tracer::new(j.inner.clock.clone());
+        j.set_tracer(tracer.clone());
+        assert_eq!(kv.add_i64(b"n", 1).unwrap(), 0);
+        assert_eq!(tracer.spans().len(), 1);
+        assert_eq!(tracer.spans()[0].name, "jiffy.kv_update");
+        j.remove_namespace("/app").unwrap();
+        assert!(matches!(kv.add_i64(b"n", 1), Err(JiffyError::NotFound(_))));
     }
 
     #[test]

@@ -37,6 +37,17 @@ const ENTRY_OVERHEAD: u64 = 16;
 /// across handles).
 const PARTITION_SEED: u64 = 0x4a49_4646_5921; // "JIFFY!"
 
+/// The partition `key` lives in, of `n`. With one partition — every
+/// function-state object, every `create_kv(_, 1)` that never filled a
+/// block — the answer needs neither the hash nor a 64-bit divide.
+#[inline]
+fn partition_of(key: &[u8], n: usize) -> usize {
+    if n == 1 {
+        return 0;
+    }
+    (hash64(PARTITION_SEED, key) % n as u64) as usize
+}
+
 /// A data object living at a namespace.
 #[derive(Debug)]
 pub enum ObjectState {
@@ -136,7 +147,8 @@ struct Partition {
     /// Values are refcounted: `get` hands out a view of the stored
     /// allocation instead of copying it, and an overwrite swaps the
     /// refcounted pointer — outstanding views keep seeing the value they
-    /// read (snapshot semantics).
+    /// read (snapshot semantics). Only a buffer with no view outstanding
+    /// is ever written in place ([`KvObject::exclusive_value`]).
     map: FnvHashMap<Vec<u8>, Bytes>,
     used: u64,
 }
@@ -234,7 +246,7 @@ impl KvReadCache {
         if snap.parts.is_empty() || snap.version != self.version.load(Ordering::Acquire) {
             return None;
         }
-        let idx = (hash64(PARTITION_SEED, key) % snap.parts.len() as u64) as usize;
+        let idx = partition_of(key, snap.parts.len());
         Some(snap.parts[idx].get(key).cloned())
     }
 }
@@ -339,13 +351,30 @@ impl KvObject {
     }
 
     fn index_of(&self, key: &[u8]) -> usize {
-        (hash64(PARTITION_SEED, key) % self.partitions.len() as u64) as usize
+        partition_of(key, self.partitions.len())
     }
 
-    /// Insert or update from a borrowed slice (copies the value once, into
-    /// a fresh refcounted buffer). See [`put_bytes`](Self::put_bytes) for
-    /// the zero-copy variant.
+    /// The stored value's own buffer, when it is `len` bytes long and no
+    /// view handed out by `get` and no published [`KvSnap`] shares it.
+    /// Writing there is invisible to everyone but the next reader, so
+    /// snapshot semantics hold, and the entry's size — hence every
+    /// capacity check — is unchanged.
+    fn exclusive_value(&mut self, key: &[u8], len: usize) -> Option<&mut [u8]> {
+        let idx = self.index_of(key);
+        let buf = self.partitions[idx].map.get_mut(key)?.unique_mut()?;
+        (buf.len() == len).then_some(buf)
+    }
+
+    /// Insert or update from a borrowed slice (copies the value once: over
+    /// the old value when that has the same length and no other owner,
+    /// else into a fresh refcounted buffer). See
+    /// [`put_bytes`](Self::put_bytes) for the zero-copy variant.
     pub fn put(&mut self, pool: &MemoryPool, key: &[u8], value: &[u8]) -> Result<u64> {
+        if let Some(buf) = self.exclusive_value(key, value.len()) {
+            buf.copy_from_slice(value);
+            self.bump_version();
+            return Ok(0);
+        }
         self.put_bytes(pool, key, Bytes::copy_from_slice(value))
     }
 
@@ -419,6 +448,31 @@ impl KvObject {
         Ok(0)
     }
 
+    /// Add `delta` (wrapping) to the little-endian `i64` counter at `key`;
+    /// a missing or non-8-byte value counts as 0. Returns the new value
+    /// and the bytes moved by any re-partitioning. An 8-byte value nobody
+    /// else holds is overwritten where it lies; every other case is
+    /// [`update`](Self::update) with a fresh 8-byte buffer, so a caller
+    /// sees exactly what that `update` would have done.
+    pub fn add_i64(&mut self, pool: &MemoryPool, key: &[u8], delta: i64) -> Result<(i64, u64)> {
+        if let Some(buf) = self.exclusive_value(key, 8) {
+            let cell: &mut [u8; 8] = buf.try_into().expect("8 bytes");
+            let next = i64::from_le_bytes(*cell).wrapping_add(delta);
+            *cell = next.to_le_bytes();
+            self.bump_version();
+            return Ok((next, 0));
+        }
+        let mut next = 0;
+        let moved = self.update(pool, key, |old| {
+            let cur = old
+                .and_then(|v| v[..].try_into().ok())
+                .map_or(0, i64::from_le_bytes);
+            next = cur.wrapping_add(delta);
+            Bytes::copy_from_slice(&next.to_le_bytes())
+        })?;
+        Ok((next, moved))
+    }
+
     /// Look up a key. The returned [`Bytes`] is a refcounted view of the
     /// stored value — no copy — and stays valid (snapshot semantics) even
     /// if the key is overwritten or removed afterwards.
@@ -471,7 +525,7 @@ impl KvObject {
         for (old_idx, part) in old_parts.into_iter().enumerate() {
             old_blocks.push(part.block);
             for (k, v) in part.map {
-                let new_idx = (hash64(PARTITION_SEED, &k) % target as u64) as usize;
+                let new_idx = partition_of(&k, target);
                 if new_idx != old_idx {
                     moved += entry_size(&k, &v);
                 }
@@ -862,6 +916,7 @@ mod tests {
                         })
                         .unwrap();
                     }
+                    4 => { kv.add_i64(&p, &key, len as i64).unwrap(); }
                     _ => proptest::prop_assert_eq!(read(&mut kv, &key), kv.get(&key)),
                 }
                 for k in 0..6u8 {

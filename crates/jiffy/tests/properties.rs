@@ -9,20 +9,46 @@ use taureau_core::bytesize::ByteSize;
 use taureau_jiffy::pool::MemoryPool;
 use taureau_jiffy::Jiffy;
 
-/// An arbitrary KV workload step.
+/// An arbitrary KV workload step. Keys come from a small domain so that
+/// overwrites, counters under odd-width values and held views collide.
 #[derive(Debug, Clone)]
 enum KvOp {
     Put(u8, Vec<u8>),
+    /// `add_i64`: any delta, so sums wrap.
+    Add(u8, i64),
+    /// `update` appending a suffix to the old value.
+    Append(u8, Vec<u8>),
     Remove(u8),
     Get(u8),
+    /// `get`, and keep the view: the stored buffer now has a second owner.
+    Hold(u8),
+    /// Drop every held view.
+    Release,
+    Scale(usize),
 }
 
 fn kv_op() -> impl Strategy<Value = KvOp> {
+    let key = || 0u8..6;
+    // 0..12 bytes: 7-, 8- and 9-byte values all land under counter keys.
+    let value = || vec(any::<u8>(), 0..12);
     prop_oneof![
-        (any::<u8>(), vec(any::<u8>(), 0..64)).prop_map(|(k, v)| KvOp::Put(k, v)),
-        any::<u8>().prop_map(KvOp::Remove),
-        any::<u8>().prop_map(KvOp::Get),
+        (key(), value()).prop_map(|(k, v)| KvOp::Put(k, v)),
+        (key(), any::<i64>()).prop_map(|(k, d)| KvOp::Add(k, d)),
+        (key(), Just(i64::MAX)).prop_map(|(k, d)| KvOp::Add(k, d)),
+        (key(), value()).prop_map(|(k, v)| KvOp::Append(k, v)),
+        key().prop_map(KvOp::Remove),
+        key().prop_map(KvOp::Get),
+        key().prop_map(KvOp::Hold),
+        Just(KvOp::Release),
+        (1usize..5).prop_map(KvOp::Scale),
     ]
+}
+
+/// The counter a stored value denotes: little-endian `i64` when it is
+/// exactly eight bytes, else 0.
+fn counter(v: Option<&Vec<u8>>) -> i64 {
+    v.and_then(|v| v[..].try_into().ok())
+        .map_or(0, i64::from_le_bytes)
 }
 
 proptest! {
@@ -52,18 +78,36 @@ proptest! {
         }
     }
 
-    /// The Jiffy KV behaves exactly like a HashMap for any op sequence,
-    /// regardless of how many partition scalings the workload triggers.
+    /// The Jiffy KV behaves exactly like a HashMap for any op sequence —
+    /// whichever writes land in place and whichever in a fresh buffer,
+    /// however many partition scalings happen — and a view, once handed
+    /// out, reads the same bytes until it is dropped.
     #[test]
     fn kv_matches_model(ops in vec(kv_op(), 1..200)) {
         let j = Jiffy::with_defaults();
         let kv = j.create_kv("/prop/state", 1).unwrap();
         let mut model = std::collections::HashMap::new();
+        let mut held = Vec::new();
         for op in ops {
             match op {
                 KvOp::Put(k, v) => {
                     kv.put(&[k], &v).unwrap();
                     model.insert(vec![k], v);
+                }
+                KvOp::Add(k, delta) => {
+                    let next = counter(model.get(&vec![k])).wrapping_add(delta);
+                    prop_assert_eq!(kv.add_i64(&[k], delta).unwrap(), next);
+                    model.insert(vec![k], next.to_le_bytes().to_vec());
+                }
+                KvOp::Append(k, suffix) => {
+                    let v = model.entry(vec![k]).or_default();
+                    v.extend_from_slice(&suffix);
+                    kv.update(&[k], |old| {
+                        let mut next = old.map_or(Vec::new(), |o| o.to_vec());
+                        next.extend_from_slice(&suffix);
+                        next.into()
+                    })
+                    .unwrap();
                 }
                 KvOp::Remove(k) => {
                     let got = kv.remove(&[k]).unwrap();
@@ -75,7 +119,23 @@ proptest! {
                     let expect = model.get(&vec![k]).cloned();
                     prop_assert_eq!(got.map(|b| b.to_vec()), expect);
                 }
+                KvOp::Hold(k) => {
+                    if let Some(view) = kv.get(&[k]).unwrap() {
+                        held.push((view, model[&vec![k]].clone()));
+                    }
+                }
+                KvOp::Release => held.clear(),
+                KvOp::Scale(target) => {
+                    kv.scale_to(target).unwrap();
+                }
             }
+            for (view, at_read) in &held {
+                prop_assert_eq!(&view[..], &at_read[..]);
+            }
+        }
+        for k in 0u8..6 {
+            let got = kv.get(&[k]).unwrap();
+            prop_assert_eq!(got.map(|b| b.to_vec()), model.get(&vec![k]).cloned());
         }
         prop_assert_eq!(kv.len().unwrap(), model.len());
     }
@@ -127,4 +187,45 @@ proptest! {
         }
         prop_assert_eq!(f.contents().unwrap(), expect);
     }
+}
+
+/// Where `key`'s stored value lies (the probing view is dropped on return).
+fn stored_at(kv: &taureau_jiffy::KvHandle, key: &[u8]) -> *const u8 {
+    kv.get(key).unwrap().expect("stored").as_ref().as_ptr()
+}
+
+/// A counter nobody is looking at is bumped where it lies; one a reader
+/// holds a view of gets a fresh buffer, and the reader keeps its bytes.
+#[test]
+fn writes_go_in_place_only_while_no_view_is_held() {
+    let j = Jiffy::with_defaults();
+    let kv = j.create_kv("/inplace/state", 1).unwrap();
+    kv.put(b"n", &5i64.to_le_bytes()).unwrap();
+
+    let view = kv.get(b"n").unwrap().unwrap();
+    assert_eq!(kv.add_i64(b"n", 1).unwrap(), 6);
+    assert_eq!(view, 5i64.to_le_bytes());
+    let fresh = stored_at(&kv, b"n");
+    assert_ne!(fresh, view.as_ref().as_ptr(), "wrote under a held view");
+    drop(view);
+    assert_eq!(kv.add_i64(b"n", 1).unwrap(), 7);
+    assert_eq!(stored_at(&kv, b"n"), fresh, "sole-owner add reallocated");
+
+    // `put` of a same-length value follows the same rule.
+    let view = kv.get(b"n").unwrap().unwrap();
+    kv.put(b"n", &[9u8; 8]).unwrap();
+    assert_eq!(view, 7i64.to_le_bytes());
+    let fresh = stored_at(&kv, b"n");
+    assert_ne!(fresh, view.as_ref().as_ptr(), "wrote under a held view");
+    drop(view);
+    kv.put(b"n", &[3u8; 8]).unwrap();
+    assert_eq!(stored_at(&kv, b"n"), fresh, "sole-owner put reallocated");
+    assert_eq!(kv.get(b"n").unwrap().unwrap(), [3u8; 8]);
+
+    // A published read snapshot is a view like any other.
+    for _ in 0..16 {
+        kv.get(b"n").unwrap();
+    }
+    kv.put(b"n", &[4u8; 8]).unwrap();
+    assert_ne!(stored_at(&kv, b"n"), fresh, "wrote under the read snapshot");
 }

@@ -182,17 +182,24 @@ fn decode_entry(bytes: &Bytes) -> Option<(Option<Bytes>, u64, Bytes)> {
     Some((key, ts, payload))
 }
 
-fn encode_batch_entry<T: AsRef<[u8]>>(publish_nanos: u64, payloads: &[T]) -> Bytes {
-    let total: usize = payloads.iter().map(|p| p.as_ref().len()).sum();
-    let mut buf = BytesMut::with_capacity(16 + 4 * payloads.len() + total);
+/// Frame `payloads` as one batched entry; refused — before any buffer is
+/// sized for it — when the payloads pass the 4 GiB a `u32` end offset can
+/// address.
+fn encode_batch_entry<T: AsRef<[u8]>>(publish_nanos: u64, payloads: &[T]) -> Result<Bytes> {
+    let lens = || payloads.iter().map(|p| p.as_ref().len());
+    let too_large = || PulsarError::BatchTooLarge {
+        messages: payloads.len(),
+    };
+    let total = crate::framing::packed_len(lens()).ok_or_else(too_large)?;
+    let mut buf = BytesMut::with_capacity(16 + 4 * payloads.len() + total as usize);
     buf.put_u32_le(BATCH_MARKER);
     buf.put_u32_le(payloads.len() as u32);
     buf.put_u64_le(publish_nanos);
-    crate::framing::put_ends(&mut buf, payloads.iter().map(|p| p.as_ref().len()));
+    crate::framing::put_ends(&mut buf, lens()).ok_or_else(too_large)?;
     for p in payloads {
         buf.put_slice(p.as_ref());
     }
-    buf.freeze()
+    Ok(buf.freeze())
 }
 
 fn is_batch_entry(bytes: &Bytes) -> bool {
@@ -1149,7 +1156,7 @@ impl PulsarCluster {
             span.attr("partition", p);
             let entry_bytes = with_ctx_header(
                 span.context(),
-                encode_batch_entry(now.as_nanos() as u64, payloads),
+                encode_batch_entry(now.as_nanos() as u64, payloads)?,
             );
             span.attr("bytes", entry_bytes.len());
             let (lid, entry) = Self::append_with_rollover(
@@ -2345,7 +2352,7 @@ mod tests {
     #[test]
     fn batch_codec_roundtrip() {
         let payloads: Vec<&[u8]> = vec![b"alpha", b"", b"gamma-longer-payload", b"d"];
-        let enc = encode_batch_entry(99, &payloads);
+        let enc = encode_batch_entry(99, &payloads).unwrap();
         assert!(is_batch_entry(&enc));
         // The framing parses ONCE into a cached offset-table index; every
         // per-message access afterwards is O(1) against it.
@@ -2399,7 +2406,7 @@ mod tests {
         );
         // A batched entry keeps its own marker inside the ctx header, and
         // the peeled slice is still zero-copy into the wrapped buffer.
-        let batch = encode_batch_entry(7, &[b"a".as_slice(), b"bb"]);
+        let batch = encode_batch_entry(7, &[b"a".as_slice(), b"bb"]).unwrap();
         let (got, inner) = split_ctx(&with_ctx_header(Some(ctx), batch.clone()));
         assert_eq!(got, Some(ctx));
         assert_eq!(parse_batch_entry(&inner).map(|(_, t)| t.count()), Some(2));
@@ -2567,6 +2574,22 @@ mod tests {
             assert_eq!(&m.payload[..], want);
         }
         assert!(consumer.receive().unwrap().is_none());
+    }
+
+    #[test]
+    fn a_batch_past_4_gib_is_refused_before_anything_is_written() {
+        let c = small_cluster();
+        c.create_topic("t", 1).unwrap();
+        let p = c.producer("t").unwrap();
+        // Seventeen views of one zeroed 256 MiB buffer (never touched, so
+        // never resident): 4.25 GiB of payload to whoever sums the lengths.
+        let big = vec![0u8; 256 << 20];
+        assert_eq!(
+            p.send_batch(&[big.as_slice(); 17]),
+            Err(PulsarError::BatchTooLarge { messages: 17 })
+        );
+        assert_eq!(c.retained_entries("t").unwrap(), 0);
+        assert_eq!(p.send_batch(&[b"a", b"b"]).unwrap().len(), 2);
     }
 
     #[test]

@@ -45,6 +45,12 @@ pub enum PulsarError {
         /// The configured cap.
         quota: u64,
     },
+    /// A batch whose payloads together pass the 4 GiB one entry's offset
+    /// table can address.
+    BatchTooLarge {
+        /// Messages in the refused batch.
+        messages: usize,
+    },
     /// A function with this name is already registered.
     FunctionExists(String),
     /// Function not found.
@@ -81,6 +87,9 @@ impl std::fmt::Display for PulsarError {
                     f,
                     "tenant {tenant} backlog quota of {quota} entries is full"
                 )
+            }
+            PulsarError::BatchTooLarge { messages } => {
+                write!(f, "batch of {messages} messages exceeds 4 GiB of payload")
             }
             PulsarError::FunctionExists(n) => write!(f, "function already registered: {n}"),
             PulsarError::FunctionNotFound(n) => write!(f, "function not found: {n}"),

@@ -16,16 +16,27 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
+/// Bytes the items occupy packed back to back — the last end offset —
+/// or `None` when that passes what a `u32` offset can address. Callers
+/// check this before sizing a buffer for the frame.
+pub(crate) fn packed_len(mut lens: impl Iterator<Item = usize>) -> Option<u32> {
+    lens.try_fold(0u32, |end, len| end.checked_add(u32::try_from(len).ok()?))
+}
+
 /// Append the end-offset table for the given item lengths.
 ///
 /// The caller writes its own header (count, timestamps, markers) first,
-/// calls this, then appends the item bytes back to back.
-pub(crate) fn put_ends<I: Iterator<Item = usize>>(buf: &mut BytesMut, lens: I) {
+/// calls this, then appends the item bytes back to back. `None` (with a
+/// partial table left in `buf`) when an end offset would pass `u32::MAX`:
+/// a wrapped table is one [`OffsetTable::parse`] refuses, after the
+/// entry is already in a ledger.
+pub(crate) fn put_ends(buf: &mut BytesMut, lens: impl Iterator<Item = usize>) -> Option<()> {
     let mut end = 0u32;
     for len in lens {
-        end += len as u32;
+        end = end.checked_add(u32::try_from(len).ok()?)?;
         buf.put_u32_le(end);
     }
+    Some(())
 }
 
 /// A parsed-and-validated offset table: the per-buffer cached index.
@@ -105,7 +116,7 @@ mod tests {
     fn frame(items: &[&[u8]]) -> Bytes {
         let mut buf = BytesMut::new();
         buf.put_u32_le(items.len() as u32);
-        put_ends(&mut buf, items.iter().map(|i| i.len()));
+        put_ends(&mut buf, items.iter().map(|i| i.len())).expect("small items");
         for i in items {
             buf.put_slice(i);
         }
@@ -140,6 +151,21 @@ mod tests {
         assert!(OffsetTable::parse(&swapped, 2, 4).is_none());
         // Count overflowing the buffer.
         assert!(OffsetTable::parse(&bytes, u32::MAX, 4).is_none());
+    }
+
+    #[test]
+    fn offsets_past_u32_are_refused_not_wrapped() {
+        // Lengths only: nobody has to own 4 GiB to ask.
+        let max = u32::MAX as usize;
+        for lens in [vec![max, 1], vec![max + 1], vec![1 << 31, 1 << 31, 5]] {
+            assert_eq!(packed_len(lens.iter().copied()), None, "{lens:?}");
+            let mut buf = BytesMut::new();
+            assert_eq!(put_ends(&mut buf, lens.iter().copied()), None, "{lens:?}");
+        }
+        let mut buf = BytesMut::new();
+        assert_eq!(packed_len([max - 1, 1, 0].into_iter()), Some(u32::MAX));
+        assert_eq!(put_ends(&mut buf, [max - 1, 1, 0].into_iter()), Some(()));
+        assert_eq!(buf[8..], u32::MAX.to_le_bytes());
     }
 
     #[test]

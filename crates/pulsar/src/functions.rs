@@ -81,19 +81,11 @@ impl Context<'_> {
     /// value. (Mirrors Pulsar's `context.incrCounter`.) One Jiffy
     /// read-modify-write under the state object's lock, so instances of a
     /// function sharing one state object never lose an update. A missing
-    /// or non-8-byte value counts as 0.
+    /// or non-8-byte value counts as 0; the sum wraps.
     pub fn increment(&self, key: &[u8], delta: i64) -> i64 {
-        let mut next = 0;
         self.state
-            .update(key, |old| {
-                let cur = old
-                    .and_then(|v| v[..].try_into().ok().map(i64::from_le_bytes))
-                    .unwrap_or(0);
-                next = cur + delta;
-                Bytes::copy_from_slice(&next.to_le_bytes())
-            })
-            .expect("function state write failed");
-        next
+            .add_i64(key, delta)
+            .expect("function state write failed")
     }
 
     /// Publish to an arbitrary topic (beyond the configured output).
@@ -680,15 +672,37 @@ mod tests {
                 rt
             })
             .collect();
-        // Both start together, so the 2 N read-modify-writes overlap.
-        let start = std::sync::Barrier::new(2);
+        // Both start together, so the 2 N read-modify-writes overlap — and
+        // a reader keeps taking the views `state_get` hands out, so some
+        // increments find the counter's buffer shared and some find it
+        // theirs alone. A view must read the same count for as long as it
+        // is held, and successive views never go backwards.
+        let start = std::sync::Barrier::new(3);
+        let running = std::sync::atomic::AtomicUsize::new(2);
+        let state = jiffy.open_kv("/pulsar-functions/tally/state").unwrap();
+        let count = |v: &Bytes| i64::from_le_bytes(v[..].try_into().unwrap());
         std::thread::scope(|s| {
             for rt in &runtimes {
                 s.spawn(|| {
                     start.wait();
                     assert_eq!(rt.run_available("tally").unwrap() as u64, N);
+                    running.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
                 });
             }
+            s.spawn(|| {
+                start.wait();
+                let mut last = 0;
+                while running.load(std::sync::atomic::Ordering::SeqCst) > 0 {
+                    let Some(view) = state.get(b"n").unwrap() else {
+                        continue;
+                    };
+                    let at_read = count(&view);
+                    assert!(at_read >= last, "{at_read} after {last}");
+                    std::thread::yield_now();
+                    assert_eq!(count(&view), at_read, "a held view changed");
+                    last = at_read;
+                }
+            });
         });
         let n = jiffy
             .open_kv("/pulsar-functions/tally/state")
@@ -697,6 +711,36 @@ mod tests {
             .unwrap()
             .map(|v| i64::from_le_bytes(v[..].try_into().unwrap()));
         assert_eq!(n, Some(2 * N as i64));
+    }
+
+    #[test]
+    fn increment_wraps_and_counts_an_odd_width_value_as_zero() {
+        let (cluster, rt) = setup();
+        cluster.create_topic("in", 1).unwrap();
+        let got = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let body_got = got.clone();
+        rt.register(
+            FunctionConfig {
+                name: "edge".into(),
+                inputs: vec!["in".into()],
+                output: None,
+            },
+            Box::new(move |_, ctx| {
+                let mut got = body_got.lock();
+                ctx.state_put(b"n", &i64::MAX.to_le_bytes());
+                got.push(ctx.increment(b"n", 1));
+                got.push(ctx.increment(b"n", -1));
+                for odd in [&[1u8; 7][..], &[1u8; 9]] {
+                    ctx.state_put(b"n", odd);
+                    got.push(ctx.increment(b"n", 5));
+                }
+                None
+            }),
+        )
+        .unwrap();
+        cluster.producer("in").unwrap().send(b"go").unwrap();
+        assert_eq!(rt.run_available("edge").unwrap(), 1);
+        assert_eq!(*got.lock(), [i64::MIN, i64::MAX, 5, 5]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use taureau_baas::BlobStore;
 use taureau_core::id::LedgerId;
 
-use crate::framing::{put_ends, OffsetTable};
+use crate::framing::{packed_len, put_ends, OffsetTable};
 use crate::metadata::MetadataStore;
 
 /// The cold-tier backend configured on a cluster.
@@ -40,10 +40,11 @@ fn object_key(id: LedgerId) -> Vec<u8> {
 /// one table parse plus an O(1) slice per entry instead of a linear walk
 /// over length prefixes.
 pub(crate) fn encode_segment(entries: &[Bytes]) -> Vec<u8> {
-    let total: usize = entries.iter().map(Bytes::len).sum();
-    let mut buf = BytesMut::with_capacity(4 + 4 * entries.len() + total);
+    // A ledger rolls over long before it holds 4 GiB of entries.
+    let total = packed_len(entries.iter().map(Bytes::len)).expect("sealed segment under 4 GiB");
+    let mut buf = BytesMut::with_capacity(4 + 4 * entries.len() + total as usize);
     buf.put_u32_le(entries.len() as u32);
-    put_ends(&mut buf, entries.iter().map(Bytes::len));
+    put_ends(&mut buf, entries.iter().map(Bytes::len)).expect("sealed segment under 4 GiB");
     for e in entries {
         buf.put_slice(e);
     }

@@ -8,6 +8,11 @@
 //! handler-output -> `Bytes` conversion at the FaaS `Ok` boundary free.
 //! An empty buffer has no backing store at all: as in the real crate,
 //! `Bytes::new()` and `Bytes::from(Vec::new())` do not allocate.
+//!
+//! The leaf accessors are `#[inline]`: they are non-generic one-liners, and
+//! a build without LTO (the benchmark's default release profile) otherwise
+//! pays a real call for every `payload[..]`, `len()` and `put_u32_le` in
+//! every codec of every crate.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -25,6 +30,7 @@ pub struct Bytes {
 
 impl Bytes {
     /// The empty buffer.
+    #[inline]
     pub fn new() -> Self {
         Self { data: None, start: 0, end: 0 }
     }
@@ -36,16 +42,19 @@ impl Bytes {
     }
 
     /// Copy a slice into a new buffer.
+    #[inline]
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Self::from(data.to_vec())
     }
 
     /// Length in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.end - self.start
     }
 
     /// Whether the buffer is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
@@ -54,6 +63,7 @@ impl Bytes {
     ///
     /// # Panics
     /// Panics if the range is out of bounds or inverted.
+    #[inline]
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Self {
         let lo = match range.start_bound() {
             Bound::Included(&n) => n,
@@ -74,11 +84,23 @@ impl Bytes {
     }
 
     /// The contents as a plain slice.
+    #[inline]
     pub fn as_ref(&self) -> &[u8] {
         match &self.data {
             Some(data) => &data[self.start..self.end],
             None => &[],
         }
+    }
+
+    /// The contents for writing, when this handle is the buffer's only
+    /// owner: no clone, no slice of it, nothing else can observe the
+    /// write. `None` when the storage is shared (or the buffer is empty) —
+    /// the caller then builds a fresh buffer, and every view handed out
+    /// earlier keeps reading what it read.
+    #[inline]
+    pub fn unique_mut(&mut self) -> Option<&mut [u8]> {
+        let (start, end) = (self.start, self.end);
+        Arc::get_mut(self.data.as_mut()?).map(|v| &mut v[start..end])
     }
 
     /// Copy the contents into a fresh `Vec`.
@@ -95,18 +117,21 @@ impl Default for Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_ref()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         Bytes::as_ref(self)
     }
 }
 
 impl From<Vec<u8>> for Bytes {
+    #[inline]
     fn from(v: Vec<u8>) -> Self {
         // Takes ownership of the vector's buffer: no byte copy.
         if v.is_empty() {
@@ -238,11 +263,13 @@ impl BytesMut {
     }
 
     /// New empty buffer with reserved capacity.
+    #[inline]
     pub fn with_capacity(cap: usize) -> Self {
         Self { vec: Vec::with_capacity(cap) }
     }
 
     /// Length in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.vec.len()
     }
@@ -253,6 +280,7 @@ impl BytesMut {
     }
 
     /// Convert into an immutable [`Bytes`].
+    #[inline]
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.vec)
     }
@@ -260,12 +288,14 @@ impl BytesMut {
 
 impl Deref for BytesMut {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.vec
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         &self.vec
     }
@@ -278,33 +308,39 @@ pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 
     /// Append one byte.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
 
     /// Append a `u16`, little-endian.
+    #[inline]
     fn put_u16_le(&mut self, v: u16) {
         self.put_slice(&v.to_le_bytes());
     }
 
     /// Append a `u32`, little-endian.
+    #[inline]
     fn put_u32_le(&mut self, v: u32) {
         self.put_slice(&v.to_le_bytes());
     }
 
     /// Append a `u64`, little-endian.
+    #[inline]
     fn put_u64_le(&mut self, v: u64) {
         self.put_slice(&v.to_le_bytes());
     }
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.vec.extend_from_slice(src);
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }
@@ -322,6 +358,23 @@ mod tests {
         let tail = b.slice(3..);
         assert_eq!(&tail[..], &[4, 5]);
         assert_eq!(b.slice(..).len(), 5);
+    }
+
+    #[test]
+    fn unique_mut_writes_only_what_nobody_else_can_see() {
+        let mut b = Bytes::from(vec![1, 2, 3, 4]);
+        let at = b.as_ref().as_ptr();
+        b.unique_mut().expect("sole owner")[0] = 9;
+        assert_eq!((&b[..], b.as_ref().as_ptr()), (&[9, 2, 3, 4][..], at));
+        // A clone or a slice shares the storage: no writer until it is gone.
+        let view = b.slice(1..3);
+        assert!(b.unique_mut().is_none());
+        drop(view);
+        let mut tail = b.slice(2..);
+        drop(b);
+        tail.unique_mut().expect("sole owner again").fill(0);
+        assert_eq!(&tail[..], &[0, 0]);
+        assert!(Bytes::new().unique_mut().is_none());
     }
 
     #[test]
