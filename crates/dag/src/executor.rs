@@ -1,14 +1,23 @@
-//! The DAG executor: frontier-parallel scheduling of FaaS invocations with
-//! retry, size-based data passing through Jiffy, Pulsar completion events,
-//! and checkpointed resume.
+//! The DAG executor: dependency-counted scheduling of FaaS invocations
+//! with retry, size-based data passing through Jiffy, Pulsar completion
+//! events, and checkpointed resume.
 //!
-//! Execution proceeds frontier by frontier (see
-//! [`Dag::frontiers`](crate::graph::Dag::frontiers)): every node in a
-//! frontier is independent, so the executor fans them out across up to
-//! [`ExecutorConfig::max_parallelism`] worker threads sharing the
-//! platform's container pool. A node's input is assembled from its
-//! dependencies' outputs — the workflow input for roots, the single
-//! parent's output verbatim, or a
+//! A run counts every node's unfinished dependencies down and starts a
+//! node the moment its count reaches zero; ready nodes are taken in
+//! (level, declaration index) order, so one worker walks the graph
+//! [frontier](crate::graph::Dag::frontiers) by frontier. The thread that
+//! calls [`DagExecutor::run`] is always a worker: it runs ready nodes
+//! until the run is complete and only ever *waits* when none is ready, so
+//! a chain never leaves it. A node that makes several others ready keeps
+//! one for its own worker and hands the rest to the caller, if it is
+//! waiting, and to the executor's helper threads — up to
+//! [`ExecutorConfig::max_parallelism`] workers on one run, sharing the
+//! platform's container pool. Helpers are started on first need, parked
+//! between runs, shared by the executor's clones and joined when the last
+//! clone drops.
+//!
+//! A node's input is assembled from its dependencies' outputs — the
+//! workflow input for roots, the single parent's output verbatim, or a
 //! [`frame`](taureau_orchestration::frame)-packed list for fan-in nodes
 //! (parents in declared dependency order).
 //!
@@ -16,19 +25,27 @@
 //! *within* a run, transient invocation failures retry with exponential
 //! backoff ([`RetryPolicy`]); *across* runs, every completed node is
 //! checkpointed to a Jiffy KV under `/dag-<job>/checkpoint`, so re-running
-//! the same job after a crash skips every node already done and resumes
-//! from the last completed frontier.
+//! the same job after a crash skips every node already done. Once a node
+//! has failed, no node of a deeper level is started; nodes of its own or a
+//! shallower level still run and checkpoint, and the run reports the
+//! failed node that comes first in (level, declaration) order.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::any::Any;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+use std::fmt::Write as _;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use taureau_core::cost::Dollars;
-use taureau_core::metrics::MetricsRegistry;
+use taureau_core::metrics::{Counter, MetricsRegistry};
 use taureau_core::trace::{SpanContext, SpanGuard};
 use taureau_faas::{FaasError, FaasPlatform};
-use taureau_jiffy::Jiffy;
+use taureau_jiffy::{FileHandle, JPath, Jiffy, JiffyError, KvHandle};
 use taureau_orchestration::frame;
 use taureau_pulsar::Producer;
 
@@ -51,18 +68,19 @@ const CKPT_INLINE_CTX: u8 = b'i';
 /// Ctx-carrying spilled-file variant; see [`CKPT_INLINE_CTX`].
 const CKPT_FILE_CTX: u8 = b'f';
 
-/// What a worker thread hands back for one node.
+/// What a worker hands back for one node.
 type NodeResult = Result<(Stored, NodeOutcome), DagError>;
 
 /// Where a completed node's output lives.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 enum Stored {
     /// In executor memory (refcounted; cloning a fetch is a pointer bump).
     Inline(Bytes),
     /// Spilled to a Jiffy file.
     Spilled {
-        /// Jiffy file path holding the bytes.
-        path: String,
+        /// The file the bytes were written through; consumers read
+        /// through it too, without resolving its path again.
+        file: FileHandle,
         /// Output size in bytes.
         len: u64,
     },
@@ -75,15 +93,26 @@ impl Stored {
             Stored::Spilled { len, .. } => *len as usize,
         }
     }
+
+    /// Materialise the output. Inline outputs come back as a refcount
+    /// bump on the handler's buffer; spilled outputs come back as whatever
+    /// the Jiffy file rope yields (zero-copy when the spill was a single
+    /// append, which it always is on this path).
+    fn fetch(&self) -> Result<Bytes, DagError> {
+        match self {
+            Stored::Inline(b) => Ok(b.clone()),
+            Stored::Spilled { file, .. } => Ok(file.contents()?),
+        }
+    }
 }
 
 /// Outcome of one node within a [`WorkflowReport`].
 #[derive(Debug, Clone)]
 pub struct NodeOutcome {
-    /// Node name.
-    pub name: String,
-    /// Function the node invoked.
-    pub function: String,
+    /// Node name (shared with the [`Dag`]).
+    pub name: Arc<str>,
+    /// Function the node invoked (shared with the [`Dag`]).
+    pub function: Arc<str>,
     /// Invocation attempts this run (0 when restored from a checkpoint).
     pub attempts: u32,
     /// Execution time of the successful attempt.
@@ -112,7 +141,7 @@ pub struct WorkflowReport {
     pub nodes: Vec<NodeOutcome>,
     /// Clock time from run start to workflow output.
     pub makespan: Duration,
-    /// Number of topological frontiers executed.
+    /// Number of topological frontiers of the DAG (its depth).
     pub frontiers: usize,
     /// Invocation attempts across all nodes this run (retries included,
     /// checkpointed nodes excluded).
@@ -138,27 +167,58 @@ impl WorkflowReport {
     }
 }
 
-/// Executes [`Dag`]s against a FaaS platform. Construction is cheap; one
-/// executor can run many workflows.
+/// The executor's counters, resolved from the registry once.
 #[derive(Clone)]
-pub struct DagExecutor {
+struct HotCounters {
+    nodes_completed: Arc<Counter>,
+    retries: Arc<Counter>,
+    checkpoint_hits: Arc<Counter>,
+    spills: Arc<Counter>,
+    event_errors: Arc<Counter>,
+}
+
+/// What a run needs of its executor. Behind an `Arc`: helper threads
+/// reach it through the run they work on.
+#[derive(Clone)]
+struct Core {
     platform: FaasPlatform,
     state: Option<Jiffy>,
     events: Option<Producer>,
     cfg: ExecutorConfig,
     metrics: MetricsRegistry,
+    hot: HotCounters,
+}
+
+/// Executes [`Dag`]s against a FaaS platform. Construction is cheap; one
+/// executor can run many workflows, also from several threads at once.
+/// Clones share the helper threads.
+#[derive(Clone)]
+pub struct DagExecutor {
+    core: Arc<Core>,
+    helpers: Arc<Helpers>,
 }
 
 impl DagExecutor {
     /// An executor over `platform` with default [`ExecutorConfig`], no
     /// state store, and no event topic.
     pub fn new(platform: &FaasPlatform) -> Self {
+        let metrics = MetricsRegistry::new();
         Self {
-            platform: platform.clone(),
-            state: None,
-            events: None,
-            cfg: ExecutorConfig::default(),
-            metrics: MetricsRegistry::new(),
+            core: Arc::new(Core {
+                platform: platform.clone(),
+                state: None,
+                events: None,
+                cfg: ExecutorConfig::default(),
+                hot: HotCounters {
+                    nodes_completed: metrics.counter("nodes_completed"),
+                    retries: metrics.counter("retries"),
+                    checkpoint_hits: metrics.counter("checkpoint_hits"),
+                    spills: metrics.counter("spills"),
+                    event_errors: metrics.counter("event_errors"),
+                },
+                metrics,
+            }),
+            helpers: Arc::new(Helpers::default()),
         }
     }
 
@@ -166,7 +226,7 @@ impl DagExecutor {
     /// checkpointing. Without one, all data passes inline and checkpoints
     /// are disabled regardless of [`ExecutorConfig::checkpoint`].
     pub fn with_state(mut self, jiffy: &Jiffy) -> Self {
-        self.state = Some(jiffy.clone());
+        Arc::make_mut(&mut self.core).state = Some(jiffy.clone());
         self
     }
 
@@ -174,7 +234,7 @@ impl DagExecutor {
     /// are keyed by node name with payload `<job>:<node>:<attempts>`, so
     /// per-node ordering is preserved across runs.
     pub fn with_events(mut self, producer: Producer) -> Self {
-        self.events = Some(producer);
+        Arc::make_mut(&mut self.core).events = Some(producer);
         self
     }
 
@@ -182,79 +242,79 @@ impl DagExecutor {
     pub fn with_config(mut self, cfg: ExecutorConfig) -> Self {
         assert!(cfg.max_parallelism >= 1);
         assert!(cfg.retry.max_attempts >= 1);
-        self.cfg = cfg;
+        Arc::make_mut(&mut self.core).cfg = cfg;
         self
     }
 
     /// Executor metrics: `nodes_completed`, `retries`, `checkpoint_hits`,
     /// `spills`, `event_errors`.
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        &self.core.metrics
     }
 
     /// The executor's policy.
     pub fn config(&self) -> &ExecutorConfig {
-        &self.cfg
+        &self.core.cfg
     }
 
     /// Run `dag` as job `job` with `input` fed to every root node.
     ///
     /// `job` identifies the workflow instance for checkpointing: re-running
-    /// a failed job with the same id resumes from its last completed
-    /// frontier; a successful run clears the job's namespace, so the next
-    /// run with that id starts fresh.
+    /// a failed job with the same id skips the nodes it had completed; a
+    /// successful run clears the job's namespace, so the next run with
+    /// that id starts fresh.
     pub fn run(&self, dag: &Dag, job: &str, input: &[u8]) -> Result<WorkflowReport, DagError> {
-        // One copy at the workflow boundary; every root thereafter shares it.
-        let input = Bytes::copy_from_slice(input);
-        let tracer = self.platform.tracer();
-        let clock = self.platform.clock().clone();
+        let core = &self.core;
+        let tracer = core.platform.tracer();
+        let clock = core.platform.clock().clone();
         let started = clock.now();
         let mut root_span = tracer.span(TRACE_SYSTEM, "dag.run");
         root_span.attr("job", job);
         root_span.attr("nodes", dag.len());
-        let root_ctx = root_span.context();
 
         let n = dag.len();
-        let mut outputs: Vec<Option<Stored>> = vec![None; n];
+        let namespace = format!("/dag-{job}");
+        let outputs: Vec<OnceLock<Stored>> = (0..n).map(|_| OnceLock::new()).collect();
         let mut outcomes: Vec<Option<NodeOutcome>> = vec![None; n];
 
-        // Open (or create) the checkpoint and restore completed nodes.
-        let checkpointing = self.cfg.checkpoint && self.state.is_some();
-        let ckpt = if checkpointing {
-            let store = self.state.as_ref().expect("state store attached");
-            let path = format!("/dag-{job}/checkpoint");
-            Some(
-                store
-                    .open_kv(path.as_str())
-                    .or_else(|_| store.create_kv(path.as_str(), 2))?,
-            )
-        } else {
-            None
+        // Create (or, for a job that ran before, open) the checkpoint and
+        // restore completed nodes. A checkpoint made here has nothing to
+        // restore.
+        let ckpt = match &core.state {
+            Some(store) if core.cfg.checkpoint => {
+                let path = JPath::parse(&format!("{namespace}/checkpoint"));
+                Some(match store.create_kv(path.clone(), 2) {
+                    Ok(kv) => (kv, true),
+                    Err(JiffyError::AlreadyExists(_)) => (store.open_kv(path)?, false),
+                    Err(e) => return Err(e.into()),
+                })
+            }
+            _ => None,
         };
         let mut resumed = 0usize;
-        if let Some(ckpt) = &ckpt {
+        if let (Some((ckpt, false)), Some(store)) = (&ckpt, &core.state) {
             for i in 0..n {
-                let node = dag.node(i);
-                let Ok(Some(value)) = ckpt.get(node.name.as_bytes()) else {
+                let (name, function) = dag.labels(i);
+                let Ok(Some(value)) = ckpt.get(name.as_bytes()) else {
                     continue;
                 };
-                let Some((stored, origin)) = decode_checkpoint(&value) else {
+                let Some((stored, origin)) = decode_checkpoint(&value, store) else {
                     continue;
                 };
-                self.metrics.counter("checkpoint_hits").inc();
+                core.hot.checkpoint_hits.inc();
                 // Restoring under a tracer links this run back into the
                 // trace of the run that produced the checkpoint: the
                 // `dag.restore` span is a child of the original `dag.node`
                 // span recovered from the frame header.
                 if origin.is_some() {
                     let mut restore = tracer.span_child_of(TRACE_SYSTEM, "dag.restore", origin);
-                    restore.attr("node", &node.name);
+                    restore.attr("node", name);
                     restore.attr("job", job);
                     restore.attr("bytes", stored.len());
                 }
                 outcomes[i] = Some(NodeOutcome {
-                    name: node.name.clone(),
-                    function: node.function.clone(),
+                    name: name.clone(),
+                    function: function.clone(),
                     attempts: 0,
                     exec: Duration::ZERO,
                     cost: 0.0,
@@ -262,88 +322,58 @@ impl DagExecutor {
                     spilled: matches!(stored, Stored::Spilled { .. }),
                     from_checkpoint: true,
                 });
-                outputs[i] = Some(stored);
+                let _ = outputs[i].set(stored);
                 resumed += 1;
             }
         }
         root_span.attr("resumed", resumed);
 
-        let invocations = AtomicU32::new(0);
-        let retries = AtomicU32::new(0);
-        let spilled_bytes = AtomicU64::new(0);
+        let run = Arc::new(Run {
+            sched: Mutex::new(Sched::new(dag, &outputs, outcomes)),
+            caller_wake: Condvar::new(),
+            core: Arc::clone(core),
+            dag: dag.clone(),
+            namespace,
+            // One copy at the workflow boundary; every root shares it.
+            input: Bytes::copy_from_slice(input),
+            root_ctx: root_span.context(),
+            ckpt: ckpt.map(|(kv, _)| kv),
+            outputs,
+            invocations: AtomicU32::new(0),
+            retries: AtomicU32::new(0),
+            spilled_bytes: AtomicU64::new(0),
+        });
+        run.work(&self.helpers.pool, true);
 
-        let frontiers = dag.frontiers();
-        for frontier in &frontiers {
-            let pending: Vec<usize> = frontier
-                .iter()
-                .copied()
-                .filter(|&i| outputs[i].is_none())
-                .collect();
-            if pending.is_empty() {
-                continue;
-            }
-            // Fan the frontier out across workers pulling node indices
-            // from a shared cursor. Dependencies all live in earlier
-            // frontiers, so `outputs` is read-only here.
-            let slots: Mutex<Vec<Option<NodeResult>>> = {
-                let mut v = Vec::with_capacity(pending.len());
-                v.resize_with(pending.len(), || None);
-                Mutex::new(v)
-            };
-            let cursor = AtomicUsize::new(0);
-            let worker = || loop {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                if k >= pending.len() {
-                    break;
-                }
-                let i = pending[k];
-                let r = self.run_node(
-                    dag,
-                    i,
-                    job,
-                    &input,
-                    &outputs,
-                    root_ctx,
-                    ckpt.as_ref(),
-                    &invocations,
-                    &retries,
-                    &spilled_bytes,
-                );
-                slots.lock()[k] = Some(r);
-            };
-            // The calling thread is worker 0: a one-node frontier runs
-            // inline and a wide one spawns only the helpers it needs.
-            let helpers = self.cfg.max_parallelism.min(pending.len()) - 1;
-            std::thread::scope(|scope| {
-                for _ in 0..helpers {
-                    scope.spawn(worker);
-                }
-                worker();
-            });
-            for (k, slot) in slots.into_inner().into_iter().enumerate() {
-                let (stored, outcome) = slot.expect("every frontier slot is filled")?;
-                let i = pending[k];
-                outputs[i] = Some(stored);
-                outcomes[i] = Some(outcome);
-            }
+        let (failed, panic, outcomes) = {
+            let mut sched = run.lock();
+            let outcomes = std::mem::take(&mut sched.outcomes);
+            (sched.failed.take(), sched.panic.take(), outcomes)
+        };
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+        if let Some((_, e)) = failed {
+            return Err(e);
         }
 
         // Assemble the workflow output from the sinks.
-        let sinks = dag.sinks();
-        let output = if sinks.len() == 1 {
-            self.fetch(outputs[sinks[0]].as_ref().expect("sink completed"))?
-        } else {
-            let mut items = Vec::with_capacity(sinks.len());
-            for &s in &sinks {
-                items.push(self.fetch(outputs[s].as_ref().expect("sink completed"))?);
+        let output_of = |i: usize| run.outputs[i].get().expect("sink completed").fetch();
+        let output = match dag.sinks() {
+            [sink] => output_of(*sink)?,
+            sinks => {
+                let mut items = Vec::with_capacity(sinks.len());
+                for &s in sinks {
+                    items.push(output_of(s)?);
+                }
+                Bytes::from(frame::pack(&items))
             }
-            Bytes::from(frame::pack(&items))
         };
 
         // The job finished: its ephemeral state (checkpoint + spilled
         // intermediates) has served its purpose.
-        if let Some(store) = &self.state {
-            let _ = store.remove_namespace(format!("/dag-{job}").as_str());
+        if let Some(store) = &core.state {
+            let _ = store.remove_namespace(run.namespace.as_str());
         }
 
         root_span.attr("output_bytes", output.len());
@@ -354,60 +384,232 @@ impl DagExecutor {
                 .map(|o| o.expect("every node completed"))
                 .collect(),
             makespan: clock.now().saturating_sub(started),
-            frontiers: frontiers.len(),
-            invocations: invocations.load(Ordering::Relaxed),
-            retries: retries.load(Ordering::Relaxed),
+            frontiers: dag.frontiers().len(),
+            invocations: run.invocations.load(Ordering::Relaxed),
+            retries: run.retries.load(Ordering::Relaxed),
             resumed,
-            spilled_bytes: spilled_bytes.load(Ordering::Relaxed),
+            spilled_bytes: run.spilled_bytes.load(Ordering::Relaxed),
         })
+    }
+}
+
+/// A run's scheduling state, under [`Run::sched`].
+struct Sched {
+    /// Per node: dependencies not yet completed.
+    remaining: Vec<u32>,
+    /// Nodes whose dependencies are all complete and that no worker has
+    /// taken yet, smallest (level, declaration index) first.
+    ready: BinaryHeap<Reverse<(usize, usize)>>,
+    /// Nodes being run right now.
+    running: usize,
+    /// Workers on this run, the caller included.
+    workers: usize,
+    /// The caller found nothing ready and sleeps on [`Run::caller_wake`].
+    caller_waiting: bool,
+    /// Per-node outcomes, written once each, in declaration order.
+    outcomes: Vec<Option<NodeOutcome>>,
+    /// The failure that is first in (level, declaration index) order.
+    failed: Option<((usize, usize), DagError)>,
+    /// A worker's panic, re-raised on the caller.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Sched {
+    /// The state at the start of a run: nodes with an output already
+    /// (restored from the checkpoint) count as complete.
+    fn new(dag: &Dag, outputs: &[OnceLock<Stored>], outcomes: Vec<Option<NodeOutcome>>) -> Self {
+        let done = |i: usize| outputs[i].get().is_some();
+        let remaining: Vec<u32> = (0..dag.len())
+            .map(|i| dag.deps_of(i).iter().filter(|&&d| !done(d)).count() as u32)
+            .collect();
+        let mut ready = BinaryHeap::with_capacity(dag.len());
+        ready.extend(
+            (0..dag.len())
+                .filter(|&i| remaining[i] == 0 && !done(i))
+                .map(|i| Reverse((dag.level_of(i), i))),
+        );
+        Self {
+            remaining,
+            ready,
+            running: 0,
+            workers: 1,
+            caller_waiting: false,
+            outcomes,
+            failed: None,
+            panic: None,
+        }
+    }
+
+    /// Take the next node to start, if one may start: after a failure at
+    /// level `L` nothing deeper than `L` does, after a panic nothing.
+    fn take_ready(&mut self) -> Option<usize> {
+        let &Reverse((level, i)) = self.ready.peek()?;
+        let halted = self.panic.is_some()
+            || matches!(&self.failed, Some(((failed_level, _), _)) if level > *failed_level);
+        if halted {
+            // Everything else that is ready is at least as deep.
+            self.ready.clear();
+            return None;
+        }
+        self.ready.pop();
+        Some(i)
+    }
+
+    /// Record node `i`'s result; returns how many nodes it made ready.
+    fn complete(&mut self, run: &Run, i: usize, result: NodeResult) -> usize {
+        let dag = &run.dag;
+        let (stored, outcome) = match result {
+            Ok(done) => done,
+            Err(e) => {
+                let at = (dag.level_of(i), i);
+                if self.failed.as_ref().is_none_or(|(first, _)| at < *first) {
+                    self.failed = Some((at, e));
+                }
+                return 0;
+            }
+        };
+        self.outcomes[i] = Some(outcome);
+        if run.outputs[i].set(stored).is_err() {
+            unreachable!("a node runs once");
+        }
+        let mut newly = 0;
+        for &j in dag.dependents_of(i) {
+            self.remaining[j] -= 1;
+            if self.remaining[j] == 0 && run.outputs[j].get().is_none() {
+                self.ready.push(Reverse((dag.level_of(j), j)));
+                newly += 1;
+            }
+        }
+        newly
+    }
+}
+
+/// One `DagExecutor::run` in flight, shared by the workers on it.
+struct Run {
+    core: Arc<Core>,
+    dag: Dag,
+    /// `/dag-<job>`: the job's Jiffy namespace.
+    namespace: String,
+    input: Bytes,
+    root_ctx: Option<SpanContext>,
+    ckpt: Option<KvHandle>,
+    /// Per-node outputs, written once each (by the restore, or by the
+    /// worker that ran the node before it counts the dependents down).
+    outputs: Vec<OnceLock<Stored>>,
+    sched: Mutex<Sched>,
+    /// Where the caller sleeps while nothing is ready.
+    caller_wake: Condvar,
+    invocations: AtomicU32,
+    retries: AtomicU32,
+    spilled_bytes: AtomicU64,
+}
+
+impl Run {
+    fn lock(&self) -> MutexGuard<'_, Sched> {
+        // A worker's panic is caught around the node, outside this lock.
+        self.sched.lock().expect("no panic under the run lock")
+    }
+
+    /// Work on this run: start ready nodes, one after another, in (level,
+    /// declaration) order. The caller stays until the run is over and
+    /// sleeps while nothing is ready; a helper joins if the run has room
+    /// for another worker and leaves as soon as nothing is ready.
+    fn work(self: &Arc<Self>, pool: &Arc<Pool>, caller: bool) {
+        let max_workers = self.core.cfg.max_parallelism;
+        let mut sched = self.lock();
+        if !caller {
+            if sched.workers >= max_workers {
+                return;
+            }
+            sched.workers += 1;
+        }
+        // Ready nodes nobody has been told of: at first, all there are.
+        let mut fresh = if caller { sched.ready.len() } else { 0 };
+        loop {
+            let Some(i) = sched.take_ready() else {
+                // Nothing to start. With nothing running either, the run
+                // is over; otherwise a helper leaves and the caller waits
+                // for what the running nodes make ready.
+                if !caller || sched.running == 0 {
+                    break;
+                }
+                sched.caller_waiting = true;
+                sched = self
+                    .caller_wake
+                    .wait(sched)
+                    .expect("no panic under the run lock");
+                sched.caller_waiting = false;
+                continue;
+            };
+            // This worker keeps one of the fresh nodes. A sleeping caller
+            // is the cheapest taker of the next; helpers are asked for the
+            // rest, as far as the run has room for them.
+            let mut spare = fresh.saturating_sub(1);
+            let wake_caller = spare > 0 && std::mem::take(&mut sched.caller_waiting);
+            spare -= usize::from(wake_caller);
+            let invite = spare.min(max_workers - sched.workers);
+            sched.running += 1;
+            drop(sched);
+            if wake_caller {
+                self.caller_wake.notify_one();
+            }
+            if invite > 0 {
+                pool.invite(self, invite);
+            }
+            let result = catch_unwind(AssertUnwindSafe(|| self.run_node(i)));
+            sched = self.lock();
+            sched.running -= 1;
+            fresh = match result {
+                Ok(result) => sched.complete(self, i, result),
+                Err(payload) => {
+                    // Nothing more starts; the caller re-raises it.
+                    sched.panic.get_or_insert(payload);
+                    0
+                }
+            };
+        }
+        if !caller {
+            sched.workers -= 1;
+            // The last node of the run may have ended on this helper.
+            let over = sched.running == 0 && std::mem::take(&mut sched.caller_waiting);
+            drop(sched);
+            if over {
+                self.caller_wake.notify_one();
+            }
+        }
     }
 
     /// Run one node to completion on the calling worker thread.
-    #[allow(clippy::too_many_arguments)]
-    fn run_node(
-        &self,
-        dag: &Dag,
-        i: usize,
-        job: &str,
-        input: &Bytes,
-        outputs: &[Option<Stored>],
-        root_ctx: Option<SpanContext>,
-        ckpt: Option<&taureau_jiffy::KvHandle>,
-        invocations: &AtomicU32,
-        retries: &AtomicU32,
-        spilled_bytes: &AtomicU64,
-    ) -> Result<(Stored, NodeOutcome), DagError> {
-        let tracer = self.platform.tracer();
-        let node = dag.node(i);
-        let mut span = tracer.span_child_of(TRACE_SYSTEM, "dag.node", root_ctx);
-        span.attr("node", &node.name);
-        span.attr("function", &node.function);
+    fn run_node(&self, i: usize) -> NodeResult {
+        let core = &*self.core;
+        let tracer = core.platform.tracer();
+        let (name, function) = self.dag.labels(i);
+        let mut span = tracer.span_child_of(TRACE_SYSTEM, "dag.node", self.root_ctx);
+        span.attr("node", name);
+        span.attr("function", function);
 
         // Assemble the input: workflow input for roots, the sole parent's
         // output verbatim (a refcount bump, not a copy), or a framed list
         // for fan-in — `frame::pack` is the one copy point on this path.
-        let deps = dag.deps_of(i);
-        let payload: Bytes = match deps {
-            [] => input.clone(),
-            [d] => self.fetch(outputs[*d].as_ref().expect("dependency completed"))?,
+        let output_of = |d: usize| self.outputs[d].get().expect("dependency completed").fetch();
+        let payload: Bytes = match self.dag.deps_of(i) {
+            [] => self.input.clone(),
+            [d] => output_of(*d)?,
             many => {
                 let mut items = Vec::with_capacity(many.len());
                 for &d in many {
-                    items.push(self.fetch(outputs[d].as_ref().expect("dependency completed"))?);
+                    items.push(output_of(d)?);
                 }
                 Bytes::from(frame::pack(&items))
             }
         };
 
-        let retry = self.cfg.retry;
-        let result =
-            self.invoke_with_backoff(&node.function, &payload, retry, &span, retries, invocations);
-        let (r, attempts) = match result {
+        let (r, attempts) = match self.invoke_with_backoff(function, &payload, &span) {
             Ok(ok) => ok,
             Err((attempts, source)) => {
                 span.attr("failed_after", attempts);
                 return Err(DagError::NodeFailed {
-                    node: node.name.clone(),
+                    node: name.to_string(),
                     attempts,
                     source,
                 });
@@ -417,68 +619,78 @@ impl DagExecutor {
 
         // Store the output: spill to Jiffy past the inline threshold, and
         // checkpoint so a re-run of this job skips the node.
-        let spill = self.state.is_some()
-            && matches!(self.cfg.data_passing,
-                DataPassing::SizeBased { inline_max } if r.output.len() > inline_max);
-        let stored = if spill {
+        let spill_to = core.state.as_ref().filter(|_| {
+            matches!(core.cfg.data_passing,
+                DataPassing::SizeBased { inline_max } if r.output.len() > inline_max)
+        });
+        let stored = if let Some(store) = spill_to {
             let mut spill_span = tracer.span_child_of(TRACE_SYSTEM, "dag.spill", span.context());
-            let store = self.state.as_ref().expect("state store attached");
-            let path = format!("/dag-{job}/intermediate/{}", node.name);
-            spill_span.attr("node", &node.name);
+            spill_span.attr("node", name);
             spill_span.attr("bytes", r.output.len());
-            let file = store
-                .open_file(path.as_str())
-                .or_else(|_| store.create_file(path.as_str()))?;
+            let mut path = String::with_capacity(self.namespace.len() + 14 + name.len());
+            path.push_str(&self.namespace);
+            path.push_str("/intermediate/");
+            path.push_str(name);
+            let path = JPath::parse(&path);
+            // Create-or-replace: a file an earlier attempt of this job
+            // left behind (the node ran, its checkpoint did not land) must
+            // not be appended to.
+            let file = match store.create_file(path.clone()) {
+                Err(JiffyError::AlreadyExists(_)) => {
+                    store.remove_namespace(path.clone())?;
+                    store.create_file(path)?
+                }
+                created => created?,
+            };
             file.append_bytes(r.output.clone())?;
-            spilled_bytes.fetch_add(r.output.len() as u64, Ordering::Relaxed);
-            self.metrics.counter("spills").inc();
+            self.spilled_bytes
+                .fetch_add(r.output.len() as u64, Ordering::Relaxed);
+            core.hot.spills.inc();
             Stored::Spilled {
-                path,
+                file,
                 len: r.output.len() as u64,
             }
         } else {
             Stored::Inline(r.output.clone())
         };
-        if let Some(ckpt) = ckpt {
+        if let Some(ckpt) = &self.ckpt {
             let mut ckpt_span =
                 tracer.span_child_of(TRACE_SYSTEM, "dag.checkpoint", span.context());
-            ckpt_span.attr("node", &node.name);
+            ckpt_span.attr("node", name);
             ckpt_span.attr("bytes", stored.len());
-            ckpt.put(
-                node.name.as_bytes(),
-                &encode_checkpoint(&stored, span.context()),
-            )?;
+            let frame = encode_checkpoint(&stored, span.context());
+            ckpt.put_bytes(name.as_bytes(), Bytes::from(frame))?;
         }
 
         // Completion event — observability, not correctness: failures are
         // counted but never fail the node.
-        if let Some(events) = &self.events {
-            let payload = format!("{job}:{}:{attempts}", node.name);
+        if let Some(events) = &core.events {
+            let job = &self.namespace["/dag-".len()..];
+            let mut payload = String::with_capacity(job.len() + name.len() + 12);
+            let _ = write!(payload, "{job}:{name}:{attempts}");
             if events
-                .send_keyed(node.name.as_bytes(), payload.as_bytes())
+                .send_keyed(name.as_bytes(), payload.as_bytes())
                 .is_err()
             {
-                self.metrics.counter("event_errors").inc();
+                core.hot.event_errors.inc();
             }
         }
 
-        self.metrics.counter("nodes_completed").inc();
+        core.hot.nodes_completed.inc();
         if let Some(sink) = tracer.telemetry() {
             sink.metric("dag.nodes_completed", 1);
         }
-        Ok((
-            stored,
-            NodeOutcome {
-                name: node.name.clone(),
-                function: node.function.clone(),
-                attempts,
-                exec: r.exec_duration,
-                cost: r.cost,
-                output_bytes: r.output.len(),
-                spilled: spill,
-                from_checkpoint: false,
-            },
-        ))
+        let outcome = NodeOutcome {
+            name: name.clone(),
+            function: function.clone(),
+            attempts,
+            exec: r.exec_duration,
+            cost: r.cost,
+            output_bytes: r.output.len(),
+            spilled: spill_to.is_some(),
+            from_checkpoint: false,
+        };
+        Ok((stored, outcome))
     }
 
     /// Invoke with per-attempt backoff, recording a `dag.retry` span per
@@ -488,21 +700,20 @@ impl DagExecutor {
         &self,
         function: &str,
         payload: &Bytes,
-        retry: RetryPolicy,
         node_span: &SpanGuard,
-        retries: &AtomicU32,
-        invocations: &AtomicU32,
     ) -> Result<(taureau_faas::InvocationResult, u32), (u32, FaasError)> {
-        let tracer = self.platform.tracer();
+        let core = &*self.core;
+        let retry: RetryPolicy = core.cfg.retry;
+        let tracer = core.platform.tracer();
         for attempt in 1..=retry.max_attempts {
-            invocations.fetch_add(1, Ordering::Relaxed);
-            match self.platform.invoke(function, payload.clone()) {
+            self.invocations.fetch_add(1, Ordering::Relaxed);
+            match core.platform.invoke(function, payload.clone()) {
                 Ok(r) => return Ok((r, attempt)),
                 Err(e @ (FaasError::ExecutionFailed { .. } | FaasError::Timeout { .. }))
                     if attempt < retry.max_attempts =>
                 {
-                    retries.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.counter("retries").inc();
+                    self.retries.fetch_add(1, Ordering::Relaxed);
+                    core.hot.retries.inc();
                     if let Some(sink) = tracer.telemetry() {
                         sink.metric("dag.retries", 1);
                     }
@@ -513,27 +724,109 @@ impl DagExecutor {
                     retry_span.attr("attempt", attempt);
                     retry_span.attr("backoff_us", backoff.as_micros());
                     retry_span.attr("error", &e);
-                    self.platform.clock().sleep(backoff);
+                    core.platform.clock().sleep(backoff);
                 }
                 Err(e) => return Err((attempt, e)),
             }
         }
         unreachable!("loop returns on the final attempt")
     }
+}
 
-    /// Materialise a stored output. Inline outputs come back as a
-    /// refcount bump on the handler's buffer; spilled outputs come back as
-    /// whatever the Jiffy file rope yields (zero-copy when the spill was a
-    /// single append, which it always is on this path).
-    fn fetch(&self, stored: &Stored) -> Result<Bytes, DagError> {
-        match stored {
-            Stored::Inline(b) => Ok(b.clone()),
-            Stored::Spilled { path, .. } => {
-                let store = self
-                    .state
-                    .as_ref()
-                    .expect("spilled outputs require a state store");
-                Ok(store.open_file(path.as_str())?.contents()?)
+/// The executor's helper threads: started on first need, parked on a
+/// condition variable between nodes, joined when the last executor clone
+/// drops this.
+#[derive(Default)]
+struct Helpers {
+    pool: Arc<Pool>,
+}
+
+/// What the helper threads themselves hold of [`Helpers`].
+#[derive(Default)]
+struct Pool {
+    state: Mutex<PoolState>,
+    /// Where idle helpers sleep.
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct PoolState {
+    /// One entry per helper a run has asked for.
+    invites: VecDeque<Arc<Run>>,
+    /// Helpers asleep on [`Pool::wake`].
+    idle: usize,
+    threads: Vec<JoinHandle<()>>,
+    shutdown: bool,
+}
+
+impl Pool {
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().expect("no panic under the pool lock")
+    }
+
+    /// Ask for `n` helpers on `run`, starting threads if fewer than that
+    /// are idle — never more in all than the run may have beside its
+    /// caller. An invitation is a hint: a helper that finds the run
+    /// finished, full or with nothing ready just drops it.
+    fn invite(self: &Arc<Self>, run: &Arc<Run>, n: usize) {
+        let most = run.core.cfg.max_parallelism - 1;
+        let mut state = self.lock();
+        state.invites.extend((0..n).map(|_| Arc::clone(run)));
+        let mut takers = state.idle;
+        while takers < state.invites.len() && state.threads.len() < most {
+            let pool = Arc::clone(self);
+            let spawned = thread::Builder::new()
+                .name("dag-helper".into())
+                .spawn(move || pool.help());
+            // Out of threads: the invitations wait for the helpers there
+            // are, and the run's caller works on regardless.
+            let Ok(handle) = spawned else { break };
+            state.threads.push(handle);
+            takers += 1;
+        }
+        drop(state);
+        for _ in 0..n {
+            self.wake.notify_one();
+        }
+    }
+
+    /// A helper thread's life: take an invitation, work on that run while
+    /// it has ready nodes, sleep when there is none.
+    fn help(self: Arc<Self>) {
+        let mut state = self.lock();
+        while !state.shutdown {
+            if let Some(run) = state.invites.pop_front() {
+                drop(state);
+                run.work(&self, false);
+                drop(run);
+                state = self.lock();
+            } else {
+                state.idle += 1;
+                state = self.wake.wait(state).expect("no panic under the pool lock");
+                state.idle -= 1;
+            }
+        }
+    }
+}
+
+impl Drop for Helpers {
+    fn drop(&mut self) {
+        let threads = {
+            // Runs borrow their executor, so none is in flight; what is
+            // left in the queue are stale invitations.
+            let Ok(mut state) = self.pool.state.lock() else {
+                return;
+            };
+            state.shutdown = true;
+            state.invites.clear();
+            std::mem::take(&mut state.threads)
+        };
+        self.pool.wake.notify_all();
+        for handle in threads {
+            // The last clone can die on a helper (a handler owned it): that
+            // thread ends by itself once it returns to `help`.
+            if handle.thread().id() != thread::current().id() {
+                let _ = handle.join();
             }
         }
     }
@@ -552,7 +845,7 @@ fn encode_checkpoint(stored: &Stored, ctx: Option<SpanContext>) -> Vec<u8> {
     let header = 1 + ctx.map_or(0, |_| SpanContext::WIRE_LEN);
     let body = match stored {
         Stored::Inline(b) => b.len(),
-        Stored::Spilled { path, .. } => 8 + path.len(),
+        Stored::Spilled { file, .. } => 8 + file.path().as_str().len(),
     };
     let mut v = Vec::with_capacity(header + body);
     match ctx {
@@ -564,18 +857,19 @@ fn encode_checkpoint(stored: &Stored, ctx: Option<SpanContext>) -> Vec<u8> {
     }
     match stored {
         Stored::Inline(b) => v.extend_from_slice(b),
-        Stored::Spilled { path, len } => {
+        Stored::Spilled { file, len } => {
             v.extend_from_slice(&len.to_le_bytes());
-            v.extend_from_slice(path.as_bytes());
+            v.extend_from_slice(file.path().as_str().as_bytes());
         }
     }
     v
 }
 
 /// Decode a checkpoint KV value into the stored output and the context of
-/// the span that produced it (absent for classic frames); `None` if
-/// malformed.
-fn decode_checkpoint(value: &[u8]) -> Option<(Stored, Option<SpanContext>)> {
+/// the span that produced it (absent for classic frames). A spilled
+/// record's file is opened in `store`, once, here. `None` if the frame is
+/// malformed or the file is gone — the node then runs again.
+fn decode_checkpoint(value: &[u8], store: &Jiffy) -> Option<(Stored, Option<SpanContext>)> {
     let (tag, mut rest) = value.split_first()?;
     let ctx = match *tag {
         CKPT_INLINE_CTX | CKPT_FILE_CTX => {
@@ -589,8 +883,9 @@ fn decode_checkpoint(value: &[u8]) -> Option<(Stored, Option<SpanContext>)> {
         CKPT_INLINE | CKPT_INLINE_CTX => Stored::Inline(Bytes::copy_from_slice(rest)),
         CKPT_FILE | CKPT_FILE_CTX => {
             let len = u64::from_le_bytes(rest.get(..8)?.try_into().ok()?);
-            let path = String::from_utf8(rest.get(8..)?.to_vec()).ok()?;
-            Stored::Spilled { path, len }
+            let path = std::str::from_utf8(rest.get(8..)?).ok()?;
+            let file = store.open_file(path).ok()?;
+            Stored::Spilled { file, len }
         }
         _ => return None,
     };
@@ -786,30 +1081,39 @@ mod tests {
             trace_id: TraceId(11),
             span_id: SpanId(22),
         };
+        let jiffy = Jiffy::new(JiffyConfig::default(), VirtualClock::shared());
         let inline = Stored::Inline(Bytes::from_static(b"out"));
         let spilled = Stored::Spilled {
-            path: "/dag-j/intermediate/n".into(),
+            file: jiffy.create_file("/dag-j/intermediate/n").unwrap(),
             len: 7,
         };
+        // The wire format of a spilled record: tag, length, path text.
+        let mut wire = vec![CKPT_FILE];
+        wire.extend_from_slice(&7u64.to_le_bytes());
+        wire.extend_from_slice(b"/dag-j/intermediate/n");
+        assert_eq!(encode_checkpoint(&spilled, None), wire);
         for stored in [&inline, &spilled] {
             // Untraced: classic tag, and the frame decodes with no origin.
             let classic = encode_checkpoint(stored, None);
             assert!(classic[0] == CKPT_INLINE || classic[0] == CKPT_FILE);
-            let (got, origin) = decode_checkpoint(&classic).unwrap();
+            let (got, origin) = decode_checkpoint(&classic, &jiffy).unwrap();
             assert_eq!(origin, None);
             assert_eq!(got.len(), stored.len());
             // Traced: ctx rides in the header, body unchanged after it.
             let traced = encode_checkpoint(stored, Some(ctx));
             assert!(traced[0] == CKPT_INLINE_CTX || traced[0] == CKPT_FILE_CTX);
             assert_eq!(&traced[1 + SpanContext::WIRE_LEN..], &classic[1..]);
-            let (got, origin) = decode_checkpoint(&traced).unwrap();
+            let (got, origin) = decode_checkpoint(&traced, &jiffy).unwrap();
             assert_eq!(origin, Some(ctx));
             assert_eq!(got.len(), stored.len());
         }
-        // Malformed frames are rejected, not misread.
-        assert!(decode_checkpoint(b"").is_none());
-        assert!(decode_checkpoint(&[CKPT_INLINE_CTX, 1, 2]).is_none());
-        assert!(decode_checkpoint(&[b'?', 0]).is_none());
+        // Malformed frames are rejected, not misread; so is a record whose
+        // file is gone.
+        assert!(decode_checkpoint(b"", &jiffy).is_none());
+        assert!(decode_checkpoint(&[CKPT_INLINE_CTX, 1, 2], &jiffy).is_none());
+        assert!(decode_checkpoint(&[b'?', 0], &jiffy).is_none());
+        jiffy.remove_namespace("/dag-j").unwrap();
+        assert!(decode_checkpoint(&wire, &jiffy).is_none());
     }
 
     #[test]
@@ -820,8 +1124,9 @@ mod tests {
             span_id: SpanId(2),
         };
         // A spilled record must not size itself by the output it points at.
+        let jiffy = Jiffy::new(JiffyConfig::default(), VirtualClock::shared());
         let spilled = Stored::Spilled {
-            path: "/dag-j/intermediate/map-3".into(),
+            file: jiffy.create_file("/dag-j/intermediate/map-3").unwrap(),
             len: 64 * 1024,
         };
         let inline = Stored::Inline(Bytes::from(vec![7u8; 300]));
@@ -885,16 +1190,7 @@ mod tests {
     fn large_outputs_spill_to_jiffy_and_round_trip() {
         let p = platform();
         let jiffy = Jiffy::new(JiffyConfig::default(), p.clock().clone());
-        p.register(FunctionSpec::new("inflate", "t", |ctx| {
-            // 100 KB — larger than the 32 KB inline threshold and the
-            // 64 KB Jiffy block.
-            Ok(ctx.payload.repeat(50_000))
-        }))
-        .unwrap();
-        p.register(FunctionSpec::new("measure", "t", |ctx| {
-            Ok(ctx.payload.len().to_le_bytes().to_vec())
-        }))
-        .unwrap();
+        register_inflate_and_measure(&p);
         let dag = Dag::chain(&[("big", "inflate"), ("len", "measure")]).unwrap();
         let exec = DagExecutor::new(&p).with_state(&jiffy);
         let report = exec.run(&dag, "sp", b"ab").unwrap();
@@ -903,6 +1199,68 @@ mod tests {
         assert!(report.nodes[0].spilled);
         assert!(!report.nodes[1].spilled);
         assert_eq!(exec.metrics().counter("spills").get(), 1);
+    }
+
+    /// A 100 KB producer and a consumer that reports how many bytes it
+    /// was handed.
+    fn register_inflate_and_measure(p: &FaasPlatform) {
+        p.register(FunctionSpec::new("inflate", "t", |ctx| {
+            // Larger than the 32 KB inline threshold and the 64 KB block.
+            Ok(ctx.payload.repeat(50_000))
+        }))
+        .unwrap();
+        p.register(FunctionSpec::new("measure", "t", |ctx| {
+            Ok(ctx.payload.len().to_le_bytes().to_vec())
+        }))
+        .unwrap();
+    }
+
+    #[test]
+    fn reexecuted_node_replaces_its_spill() {
+        // Checkpoints off: the second run of the job runs `big` again, and
+        // must not append to the file its first attempt left behind.
+        let p = platform();
+        let jiffy = Jiffy::new(JiffyConfig::default(), p.clock().clone());
+        register_inflate_and_measure(&p);
+        let down = Arc::new(AtomicU32::new(1));
+        let d = down.clone();
+        p.register(FunctionSpec::new("fragile-measure", "t", move |ctx| {
+            if d.load(Ordering::SeqCst) == 1 {
+                return Err("crashed".into());
+            }
+            Ok(ctx.payload.len().to_le_bytes().to_vec())
+        }))
+        .unwrap();
+        let dag = Dag::chain(&[("big", "inflate"), ("len", "fragile-measure")]).unwrap();
+        let exec = DagExecutor::new(&p)
+            .with_state(&jiffy)
+            .with_config(ExecutorConfig {
+                retry: RetryPolicy::none(),
+                checkpoint: false,
+                ..ExecutorConfig::default()
+            });
+        assert!(exec.run(&dag, "re", b"ab").is_err());
+        assert!(jiffy.exists("/dag-re/intermediate/big"));
+        down.store(0, Ordering::SeqCst);
+        let report = exec.run(&dag, "re", b"ab").unwrap();
+        assert_eq!(report.resumed, 0);
+        assert_eq!(report.output, 100_000usize.to_le_bytes().to_vec());
+    }
+
+    #[test]
+    fn spill_left_by_a_crash_before_the_checkpoint_is_replaced() {
+        // A crash between the append and the checkpoint `put` leaves the
+        // file but no record of the node: the re-run spills over it.
+        let p = platform();
+        let jiffy = Jiffy::new(JiffyConfig::default(), p.clock().clone());
+        register_inflate_and_measure(&p);
+        let stale = jiffy.create_file("/dag-sp/intermediate/big").unwrap();
+        stale.append(&vec![0u8; 100_000]).unwrap();
+        let dag = Dag::chain(&[("big", "inflate"), ("len", "measure")]).unwrap();
+        let exec = DagExecutor::new(&p).with_state(&jiffy);
+        let report = exec.run(&dag, "sp", b"ab").unwrap();
+        assert_eq!(report.output, 100_000usize.to_le_bytes().to_vec());
+        assert_eq!(report.spilled_bytes, 100_000);
     }
 
     #[test]

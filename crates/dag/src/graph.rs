@@ -3,11 +3,14 @@
 //!
 //! A workflow is a set of named nodes, each invoking one FaaS function and
 //! depending on zero or more other nodes. Validation happens once at
-//! [`DagBuilder::build`]; a constructed [`Dag`] is immutable and
-//! guaranteed acyclic, so the executor can schedule
-//! [frontier-by-frontier](Dag::frontiers) without re-checking anything.
+//! [`DagBuilder::build`], which also derives everything a run reads —
+//! levels, [roots](Dag::roots), [sinks](Dag::sinks),
+//! [frontiers](Dag::frontiers); a constructed [`Dag`] is immutable and
+//! guaranteed acyclic, so the executor can count dependencies down
+//! without re-checking or re-deriving anything.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use taureau_orchestration::statemachine::StateMachine;
 
@@ -88,133 +91,139 @@ impl DagBuilder {
             }
         }
         // Kahn's algorithm: peel zero-in-degree nodes; anything left over
-        // sits on (or behind) a cycle.
+        // sits on (or behind) a cycle. A node is peeled after all of its
+        // dependencies, so its level — one more than the deepest of them —
+        // is final by then.
+        let n = self.nodes.len();
         let mut indegree: Vec<usize> = deps.iter().map(Vec::len).collect();
-        let mut ready: Vec<usize> = (0..self.nodes.len())
-            .filter(|&i| indegree[i] == 0)
-            .collect();
+        let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+        let mut level = vec![0usize; n];
         let mut ordered = 0usize;
         while let Some(i) = ready.pop() {
             ordered += 1;
             for &j in &dependents[i] {
+                level[j] = level[j].max(level[i] + 1);
                 indegree[j] -= 1;
                 if indegree[j] == 0 {
                     ready.push(j);
                 }
             }
         }
-        if ordered < self.nodes.len() {
-            let stuck = (0..self.nodes.len())
+        if ordered < n {
+            let stuck = (0..n)
                 .filter(|&i| indegree[i] > 0)
                 .map(|i| self.nodes[i].name.clone())
                 .collect();
             return Err(DagError::Cycle(stuck));
         }
-        Ok(Dag {
-            nodes: self.nodes,
-            index,
-            deps,
-            dependents,
-        })
-    }
-}
-
-/// A validated, immutable, acyclic workflow graph.
-#[derive(Debug, Clone)]
-pub struct Dag {
-    nodes: Vec<DagNode>,
-    index: HashMap<String, usize>,
-    deps: Vec<Vec<usize>>,
-    dependents: Vec<Vec<usize>>,
-}
-
-impl Dag {
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the DAG has no nodes (never true for a built DAG).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// All nodes, in declaration order (node indices index this slice).
-    pub fn nodes(&self) -> &[DagNode] {
-        &self.nodes
-    }
-
-    /// The node at `i`.
-    pub fn node(&self, i: usize) -> &DagNode {
-        &self.nodes[i]
-    }
-
-    /// Index of the named node.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.index.get(name).copied()
-    }
-
-    /// Dependency indices of node `i`, in declared order.
-    pub fn deps_of(&self, i: usize) -> &[usize] {
-        &self.deps[i]
-    }
-
-    /// Indices of nodes that depend on node `i`.
-    pub fn dependents_of(&self, i: usize) -> &[usize] {
-        &self.dependents[i]
-    }
-
-    /// Nodes with no dependencies (they receive the workflow input).
-    pub fn roots(&self) -> Vec<usize> {
-        (0..self.nodes.len())
-            .filter(|&i| self.deps[i].is_empty())
-            .collect()
-    }
-
-    /// Nodes nothing depends on (their outputs form the workflow output).
-    pub fn sinks(&self) -> Vec<usize> {
-        (0..self.nodes.len())
-            .filter(|&i| self.dependents[i].is_empty())
-            .collect()
-    }
-
-    /// Earliest-start level of each node: 0 for roots, otherwise one more
-    /// than the deepest dependency.
-    fn levels(&self) -> Vec<usize> {
-        // Declaration order is not topological, so iterate to a fixed
-        // point level-by-level via repeated relaxation over edges. The
-        // graph is acyclic with ≤ n levels, so n passes suffice; in
-        // practice this loop exits after (depth + 1) passes.
-        let n = self.nodes.len();
-        let mut level = vec![0usize; n];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in 0..n {
-                for &d in &self.deps[i] {
-                    if level[i] < level[d] + 1 {
-                        level[i] = level[d] + 1;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        level
-    }
-
-    /// Topological frontiers: frontier `k` holds every node whose longest
-    /// dependency chain has length `k`. All nodes in one frontier are
-    /// mutually independent and runnable in parallel once the previous
-    /// frontier completed; together the frontiers cover every node exactly
-    /// once.
-    pub fn frontiers(&self) -> Vec<Vec<usize>> {
-        let level = self.levels();
         let depth = level.iter().copied().max().map_or(0, |m| m + 1);
         let mut frontiers = vec![Vec::new(); depth];
         for (i, &l) in level.iter().enumerate() {
             frontiers[l].push(i);
         }
-        frontiers
+        let labels = self
+            .nodes
+            .iter()
+            .map(|node| (node.name.as_str().into(), node.function.as_str().into()))
+            .collect();
+        Ok(Dag(Arc::new(Graph {
+            roots: (0..n).filter(|&i| deps[i].is_empty()).collect(),
+            sinks: (0..n).filter(|&i| dependents[i].is_empty()).collect(),
+            nodes: self.nodes,
+            labels,
+            index,
+            deps,
+            dependents,
+            level,
+            frontiers,
+        })))
+    }
+}
+
+/// A validated, immutable, acyclic workflow graph. A handle: cloning it
+/// shares the graph.
+#[derive(Debug, Clone)]
+pub struct Dag(Arc<Graph>);
+
+/// What [`DagBuilder::build`] validated and derived, once.
+#[derive(Debug)]
+struct Graph {
+    nodes: Vec<DagNode>,
+    /// Each node's (name, function) as shared strings: a run's outcomes
+    /// carry them without copying.
+    labels: Vec<(Arc<str>, Arc<str>)>,
+    index: HashMap<String, usize>,
+    deps: Vec<Vec<usize>>,
+    dependents: Vec<Vec<usize>>,
+    /// Earliest-start level of each node: 0 for roots, otherwise one more
+    /// than the deepest dependency.
+    level: Vec<usize>,
+    roots: Vec<usize>,
+    sinks: Vec<usize>,
+    frontiers: Vec<Vec<usize>>,
+}
+
+impl Dag {
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.0.nodes.len()
+    }
+
+    /// Whether the DAG has no nodes (never true for a built DAG).
+    pub fn is_empty(&self) -> bool {
+        self.0.nodes.is_empty()
+    }
+
+    /// All nodes, in declaration order (node indices index this slice).
+    pub fn nodes(&self) -> &[DagNode] {
+        &self.0.nodes
+    }
+
+    /// The node at `i`.
+    pub fn node(&self, i: usize) -> &DagNode {
+        &self.0.nodes[i]
+    }
+
+    /// Node `i`'s (name, function), shared.
+    pub(crate) fn labels(&self, i: usize) -> &(Arc<str>, Arc<str>) {
+        &self.0.labels[i]
+    }
+
+    /// Index of the named node.
+    pub fn index_of(&self, name: &str) -> Option<usize> {
+        self.0.index.get(name).copied()
+    }
+
+    /// Dependency indices of node `i`, in declared order.
+    pub fn deps_of(&self, i: usize) -> &[usize] {
+        &self.0.deps[i]
+    }
+
+    /// Indices of nodes that depend on node `i`.
+    pub fn dependents_of(&self, i: usize) -> &[usize] {
+        &self.0.dependents[i]
+    }
+
+    /// Nodes with no dependencies (they receive the workflow input).
+    pub fn roots(&self) -> &[usize] {
+        &self.0.roots
+    }
+
+    /// Nodes nothing depends on (their outputs form the workflow output).
+    pub fn sinks(&self) -> &[usize] {
+        &self.0.sinks
+    }
+
+    /// Node `i`'s level: the length of its longest dependency chain.
+    pub(crate) fn level_of(&self, i: usize) -> usize {
+        self.0.level[i]
+    }
+
+    /// Topological frontiers: frontier `k` holds every node of level `k`,
+    /// in declaration order. All nodes in one frontier are mutually
+    /// independent; together the frontiers cover every node exactly once.
+    pub fn frontiers(&self) -> &[Vec<usize>] {
+        &self.0.frontiers
     }
 
     /// One longest dependency chain (root → … → sink), as node indices.
@@ -222,14 +231,14 @@ impl Dag {
     /// parallelism can remove — the denominator of critical-path
     /// efficiency.
     pub fn critical_path(&self) -> Vec<usize> {
-        let level = self.levels();
-        let Some(end) = (0..self.nodes.len()).max_by_key(|&i| level[i]) else {
+        let level = &self.0.level;
+        let Some(end) = (0..self.len()).max_by_key(|&i| level[i]) else {
             return Vec::new();
         };
         let mut path = vec![end];
         let mut cur = end;
         while level[cur] > 0 {
-            let &prev = self.deps[cur]
+            let &prev = self.0.deps[cur]
                 .iter()
                 .find(|&&d| level[d] + 1 == level[cur])
                 .expect("a node above level 0 has a deepest dependency");

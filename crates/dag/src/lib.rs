@@ -20,11 +20,11 @@
 //! - [`policy`]: retry backoff, size-based intermediate-data passing
 //!   (Wukong's locality argument: small values inline, large values
 //!   through Jiffy), and the executor configuration.
-//! - [`executor`]: frontier-parallel scheduling against the
-//!   `taureau-faas` container pool, per-node retry with exponential
-//!   backoff, output spill to Jiffy, node-completion events on Pulsar,
-//!   and workflow-level checkpointing so a crashed job resumes from its
-//!   last completed frontier.
+//! - [`executor`]: dependency-counted scheduling on the caller plus
+//!   parked helper threads against the `taureau-faas` container pool,
+//!   per-node retry with exponential backoff, output spill to Jiffy,
+//!   node-completion events on Pulsar, and workflow-level checkpointing
+//!   so a crashed job resumes with every completed node skipped.
 //!
 //! Every run emits a causally-linked span tree (`dag.run` → `dag.node` →
 //! `dag.retry`/`dag.checkpoint` plus the subsystems' own spans) through

@@ -76,16 +76,20 @@ impl Default for DataPassing {
 /// Knobs for one executor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutorConfig {
-    /// Worker threads invoking ready nodes concurrently (≥ 1; 1 yields
-    /// sequential execution — the baseline E23 compares against).
+    /// Most workers on one run at a time, the thread that called `run`
+    /// included (≥ 1; 1 yields sequential execution in (level,
+    /// declaration) order — the baseline E23 compares against). The
+    /// executor keeps up to `max_parallelism − 1` helper threads for it,
+    /// started by the first fan-out that needs them. Deliberately not
+    /// capped by the CPU count: workers mostly wait on their functions.
     pub max_parallelism: usize,
     /// Per-node retry policy.
     pub retry: RetryPolicy,
     /// Intermediate-data passing policy.
     pub data_passing: DataPassing,
-    /// Checkpoint completed nodes to Jiffy so a re-run of the same job
-    /// resumes from the last completed frontier. Requires a state store
-    /// to be attached; silently off without one.
+    /// Checkpoint every completed node to Jiffy so a re-run of the same
+    /// job skips the nodes already done. Requires a state store to be
+    /// attached; silently off without one.
     pub checkpoint: bool,
 }
 

@@ -363,21 +363,21 @@ impl Jiffy {
         if path.is_root() {
             return Err(JiffyError::NotFound(path));
         }
-        let app = path.app().expect("non-root path has an app").to_string();
-        self.inner.apps.with(&app, |shard| -> Result<()> {
+        let app = path.app().expect("non-root path has an app");
+        self.inner.apps.with(app, |shard| -> Result<()> {
             let st = shard
-                .get_mut(&app)
+                .get_mut(app)
                 .ok_or_else(|| JiffyError::NotFound(path.clone()))?;
             let objs = st.tree.remove(&path)?;
             for obj in objs {
                 obj.retire();
                 let blocks = obj.blocks();
-                self.inner.pool.free(&app, &blocks);
+                self.inner.pool.free(app, &blocks);
             }
             if path.depth() == 1 {
                 st.leases.release(&path);
-                shard.remove(&app);
-                self.inner.pool.forget_app(&app);
+                shard.remove(app);
+                self.inner.pool.forget_app(app);
             }
             Ok(())
         })?;
@@ -452,23 +452,40 @@ impl Jiffy {
 
     // -- object creation ----------------------------------------------------
 
-    fn ensure_namespace(st: &mut AppState, path: &JPath, ttl: Duration, now: Duration) {
-        if !st.tree.exists(path) {
-            let _ = st.tree.create(path);
+    /// The object slot at `path` for a `create_*`: the namespace is made
+    /// if missing (granting the application lease with the first one), and
+    /// a slot that already holds an object is refused.
+    fn vacant_slot<'a>(
+        &self,
+        st: &'a mut AppState,
+        path: &JPath,
+        now: Duration,
+    ) -> Result<&'a mut Option<ObjectState>> {
+        let (node, created) = st.tree.get_or_create(path);
+        // An app's lease table holds the one lease on the app's root, or
+        // nothing.
+        if created && st.leases.is_empty() {
             if let Some(app_path) = Self::app_lease_path(path) {
-                if st.leases.get(&app_path).is_none() {
-                    st.leases.grant(app_path, ttl, now);
-                }
+                st.leases
+                    .grant(app_path, self.inner.cfg.default_lease_ttl, now);
             }
         }
+        if node.object.is_some() {
+            return Err(JiffyError::AlreadyExists(path.clone()));
+        }
+        Ok(&mut node.object)
     }
 
     /// Run `f` against the app's state, creating the [`AppState`] on first
     /// use. Only the app's shard is locked.
     fn with_app<T>(&self, app: &str, f: impl FnOnce(&mut AppState) -> T) -> T {
-        self.inner
-            .apps
-            .with(app, |shard| f(shard.entry(app.to_string()).or_default()))
+        self.inner.apps.with(app, |shard| {
+            // The name is copied only for an app that is really new.
+            if !shard.contains_key(app) {
+                shard.insert(app.to_string(), AppState::default());
+            }
+            f(shard.get_mut(app).expect("present or just inserted"))
+        })
     }
 
     /// Create a KV object at `path` with `partitions` initial partitions.
@@ -482,20 +499,16 @@ impl Jiffy {
         let now = self.inner.clock.now();
         let app = path
             .app()
-            .ok_or(JiffyError::NotADirectory(path.clone()))?
-            .to_string();
-        self.with_app(&app, |st| -> Result<()> {
-            Self::ensure_namespace(st, &path, self.inner.cfg.default_lease_ttl, now);
-            let node = st.tree.get(&path)?;
-            if node.object.is_some() {
-                return Err(JiffyError::AlreadyExists(path.clone()));
-            }
+            .ok_or_else(|| JiffyError::NotADirectory(path.clone()))?;
+        self.with_app(app, |st| -> Result<()> {
+            let slot = self.vacant_slot(st, &path, now)?;
             let mut alloc_span = tracer.span(TRACE_SYSTEM, "jiffy.block_alloc");
             alloc_span.attr("blocks", partitions);
-            let kv = KvObject::create(&self.inner.pool, &app, partitions)?;
+            let kv = KvObject::create(&self.inner.pool, app, partitions)?;
             drop(alloc_span);
-            st.kv_caches.push(kv.read_cache());
-            st.tree.get_mut(&path)?.object = Some(ObjectState::Kv(Arc::new(Mutex::new(kv))));
+            let cache = kv.read_cache();
+            *slot = Some(ObjectState::Kv(Arc::new(Mutex::new(kv))));
+            st.kv_caches.push(cache);
             Ok(())
         })?;
         Ok(self.kv_handle(path))
@@ -528,15 +541,9 @@ impl Jiffy {
         let now = self.inner.clock.now();
         let app = path
             .app()
-            .ok_or(JiffyError::NotADirectory(path.clone()))?
-            .to_string();
-        self.with_app(&app, |st| -> Result<()> {
-            Self::ensure_namespace(st, &path, self.inner.cfg.default_lease_ttl, now);
-            let node = st.tree.get(&path)?;
-            if node.object.is_some() {
-                return Err(JiffyError::AlreadyExists(path.clone()));
-            }
-            st.tree.get_mut(&path)?.object = Some(ObjectState::Queue(QueueObject::create(&app)));
+            .ok_or_else(|| JiffyError::NotADirectory(path.clone()))?;
+        self.with_app(app, |st| -> Result<()> {
+            *self.vacant_slot(st, &path, now)? = Some(ObjectState::Queue(QueueObject::create(app)));
             Ok(())
         })?;
         Ok(QueueHandle {
@@ -563,15 +570,9 @@ impl Jiffy {
         let now = self.inner.clock.now();
         let app = path
             .app()
-            .ok_or(JiffyError::NotADirectory(path.clone()))?
-            .to_string();
-        self.with_app(&app, |st| -> Result<()> {
-            Self::ensure_namespace(st, &path, self.inner.cfg.default_lease_ttl, now);
-            let node = st.tree.get(&path)?;
-            if node.object.is_some() {
-                return Err(JiffyError::AlreadyExists(path.clone()));
-            }
-            st.tree.get_mut(&path)?.object = Some(ObjectState::File(FileObject::create(&app)));
+            .ok_or_else(|| JiffyError::NotADirectory(path.clone()))?;
+        self.with_app(app, |st| -> Result<()> {
+            *self.vacant_slot(st, &path, now)? = Some(ObjectState::File(FileObject::create(app)));
             Ok(())
         })?;
         Ok(FileHandle {

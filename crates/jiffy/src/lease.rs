@@ -64,9 +64,7 @@ impl LeaseManager {
         // KV/queue/file data-path call.
         if self.leases.len() == 1 {
             let (p, l) = self.leases.iter_mut().next().expect("len checked");
-            let s = p.segments();
-            let want = path.segments();
-            if s.len() <= want.len() && s == &want[..s.len()] {
+            if p.is_prefix_of(path) {
                 l.renewed_at = now;
                 return true;
             }
@@ -79,14 +77,10 @@ impl LeaseManager {
             l.renewed_at = now;
             return true;
         }
-        let want = path.segments();
         if let Some((_, l)) = self
             .leases
             .iter_mut()
-            .filter(|(p, _)| {
-                let s = p.segments();
-                s.len() < want.len() && s == &want[..s.len()]
-            })
+            .filter(|(p, _)| p.is_prefix_of(path))
             .max_by_key(|(p, _)| p.depth())
         {
             l.renewed_at = now;

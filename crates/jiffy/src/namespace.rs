@@ -108,35 +108,38 @@ impl NamespaceTree {
     /// # Errors
     /// [`JiffyError::AlreadyExists`] if the exact path already exists.
     pub fn create(&mut self, path: &JPath) -> Result<()> {
-        if path.is_root() {
-            return Err(JiffyError::AlreadyExists(path.clone()));
+        match self.get_or_create(path) {
+            (_, true) => Ok(()),
+            (_, false) => Err(JiffyError::AlreadyExists(path.clone())),
         }
+    }
+
+    /// The node at `path`, made (with its missing ancestors) if absent,
+    /// and whether this call made it — one walk. The root always exists.
+    pub fn get_or_create(&mut self, path: &JPath) -> (&mut NsNode, bool) {
         let mut cur = &mut self.root;
-        let n = path.depth();
-        for (i, seg) in path.segments().iter().enumerate() {
-            let last = i + 1 == n;
-            let existed = cur.children.contains_key(seg);
-            if last && existed {
-                return Err(JiffyError::AlreadyExists(path.clone()));
+        let mut created = false;
+        for seg in path.segments() {
+            // A name is copied only for a node that is really new.
+            if !cur.children.contains_key(seg) {
+                cur.children.insert(seg.to_string(), NsNode::default());
+                created = true;
             }
-            cur = cur.children.entry(seg.clone()).or_default();
+            cur = cur.children.get_mut(seg).expect("present or just inserted");
         }
-        Ok(())
+        (cur, created)
     }
 
     /// Remove a namespace sub-tree, returning all objects it contained so
     /// the caller can free their blocks.
     pub fn remove(&mut self, path: &JPath) -> Result<Vec<ObjectState>> {
-        let name = path
-            .name()
-            .ok_or_else(|| JiffyError::NotFound(path.clone()))?
-            .to_string();
-        let parent_path = path.parent().expect("non-root has a parent");
-        let parent = self.get_mut(&parent_path)?;
-        let mut node = parent
-            .children
-            .remove(&name)
-            .ok_or_else(|| JiffyError::NotFound(path.clone()))?;
+        let not_found = || JiffyError::NotFound(path.clone());
+        let name = path.name().ok_or_else(not_found)?;
+        let mut parent = &mut self.root;
+        for seg in path.segments().take(path.depth() - 1) {
+            parent = parent.children.get_mut(seg).ok_or_else(not_found)?;
+        }
+        let mut node = parent.children.remove(name).ok_or_else(not_found)?;
         let mut objs = Vec::new();
         node.drain_objects(&mut objs);
         Ok(objs)

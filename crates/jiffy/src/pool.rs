@@ -248,7 +248,11 @@ impl MemoryPool {
         // Quota reservation under the app's own stripe — apps only
         // serialize against themselves.
         self.apps.with(app, |shard| {
-            let hold = shard.entry(app.to_string()).or_default();
+            // The name is copied only for an app's first allocation.
+            if !shard.contains_key(app) {
+                shard.insert(app.to_string(), AppHold::default());
+            }
+            let hold = shard.get_mut(app).expect("present or just inserted");
             if let Some(q) = self.quota {
                 if hold.held + n > q {
                     return Err(JiffyError::QuotaExceeded {

@@ -206,3 +206,131 @@ fn one_trace_spans_compute_state_and_workflow_layers() {
         assert_eq!(span.trace_id, root.trace_id, "span {name} left the trace");
     }
 }
+
+/// `split → 4 × tag → join` with 40 KB intermediates: spills, checkpoints
+/// and events all on. `tag-i` stamps its index on the first byte.
+fn fan_dag_stack() -> (FaasPlatform, Jiffy, PulsarCluster, Dag) {
+    let (platform, jiffy, pulsar) = stack();
+    platform
+        .register(Spec::new("widen", "fan", |ctx| {
+            Ok(ctx.payload.repeat(40_000 / ctx.payload.len().max(1)))
+        }))
+        .unwrap();
+    let mut b = DagBuilder::new().node("split", "widen", &[]);
+    let tags: Vec<String> = (0..4).map(|i| format!("tag-{i}")).collect();
+    for (i, tag) in tags.iter().enumerate() {
+        platform
+            .register(Spec::new(tag.as_str(), "fan", move |ctx| {
+                let mut out = ctx.payload.to_vec();
+                out[0] = i as u8;
+                Ok(out)
+            }))
+            .unwrap();
+        b = b.node(tag.as_str(), tag.as_str(), &["split"]);
+    }
+    platform
+        .register(Spec::new("digest", "fan", |ctx| {
+            let parts = frame::unpack(&ctx.payload).ok_or("malformed frame")?;
+            Ok(parts.iter().flat_map(|p| [p[0], p[1]]).collect())
+        }))
+        .unwrap();
+    let deps: Vec<&str> = tags.iter().map(String::as_str).collect();
+    let dag = b.node("join", "digest", &deps).build().unwrap();
+    pulsar.create_topic("fan-events", 1).unwrap();
+    (platform, jiffy, pulsar, dag)
+}
+
+#[test]
+fn four_threads_run_on_clones_of_one_executor_at_once() {
+    let (platform, jiffy, pulsar, dag) = fan_dag_stack();
+    let exec = DagExecutor::new(&platform)
+        .with_state(&jiffy)
+        .with_events(pulsar.producer("fan-events").unwrap())
+        .with_config(ExecutorConfig {
+            max_parallelism: 3,
+            ..ExecutorConfig::default()
+        });
+    const RUNS: usize = 25;
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|s| {
+        for t in 0..4u8 {
+            let (exec, dag, start) = (exec.clone(), &dag, &start);
+            s.spawn(move || {
+                start.wait();
+                for r in 0..RUNS {
+                    let input = [b'a' + t, r as u8];
+                    let report = exec.run(dag, &format!("t{t}-r{r}"), &input).unwrap();
+                    let expected: Vec<u8> = (0..4).flat_map(|i| [i, r as u8]).collect();
+                    assert_eq!(report.output, expected);
+                    assert_eq!((report.invocations, report.resumed), (6, 0));
+                    assert_eq!(report.spilled_bytes, 5 * 40_000);
+                }
+            });
+        }
+    });
+    assert_eq!(
+        exec.metrics().counter("nodes_completed").get(),
+        4 * 6 * RUNS as u64
+    );
+    assert_eq!(exec.metrics().counter("spills").get(), 4 * 5 * RUNS as u64);
+    assert_eq!(exec.metrics().counter("event_errors").get(), 0);
+    // Every run cleaned up after itself; nothing of any job is left.
+    assert_eq!(jiffy.list("/").unwrap(), Vec::<String>::new());
+    assert_eq!(jiffy.pool_stats().allocated_blocks, 0);
+}
+
+#[test]
+fn failed_nodes_siblings_are_checkpointed_and_nothing_deeper_is_invoked() {
+    let (platform, jiffy, _) = stack();
+    let invoked = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let down = Arc::new(AtomicU32::new(1));
+    for name in ["root", "bad", "sib1", "sib2", "deep", "deeper"] {
+        let (invoked, down) = (invoked.clone(), down.clone());
+        platform
+            .register(Spec::new(name, "gate", move |ctx| {
+                invoked.lock().unwrap().push(name);
+                if name == "bad" && down.load(Ordering::SeqCst) == 1 {
+                    return Err("injected".into());
+                }
+                Ok(ctx.payload.to_vec())
+            }))
+            .unwrap();
+    }
+    // `deep` hangs off a healthy sibling only: no dependency of its own
+    // failed, its *level* is what keeps it from starting.
+    let dag = DagBuilder::new()
+        .node("root", "root", &[])
+        .node("bad", "bad", &["root"])
+        .node("sib1", "sib1", &["root"])
+        .node("sib2", "sib2", &["root"])
+        .node("deep", "deep", &["sib1"])
+        .node("deeper", "deeper", &["deep", "bad"])
+        .build()
+        .unwrap();
+    let exec = DagExecutor::new(&platform)
+        .with_state(&jiffy)
+        .with_config(ExecutorConfig {
+            max_parallelism: 1,
+            retry: RetryPolicy::none(),
+            ..ExecutorConfig::default()
+        });
+    match exec.run(&dag, "gate", b"x") {
+        Err(DagError::NodeFailed { node, .. }) => assert_eq!(node, "bad"),
+        other => panic!("expected bad to fail, got {:?}", other.map(|r| r.output)),
+    }
+    assert_eq!(*invoked.lock().unwrap(), ["root", "bad", "sib1", "sib2"]);
+
+    // The retry of the job finds root and both siblings done.
+    down.store(0, Ordering::SeqCst);
+    invoked.lock().unwrap().clear();
+    let report = exec.run(&dag, "gate", b"x").unwrap();
+    assert_eq!(report.resumed, 3);
+    assert_eq!(*invoked.lock().unwrap(), ["bad", "deep", "deeper"]);
+    let restored: Vec<&str> = report
+        .nodes
+        .iter()
+        .filter(|n| n.from_checkpoint)
+        .map(|n| &*n.name)
+        .collect();
+    assert_eq!(restored, ["root", "sib1", "sib2"]);
+}
