@@ -562,9 +562,10 @@ impl FaasPlatform {
         // stream alongside spans whenever a sink-bearing tracer is
         // attached; `None` (the default) costs nothing on the hot path.
         let sink = tracer.telemetry();
+        let acquired_at = clock.now();
         let (start, startup_latency) = {
             let mut startup = tracer.span(TRACE_SYSTEM, "faas.startup");
-            let start = entry.sandbox.acquire(clock.now());
+            let start = entry.sandbox.acquire(acquired_at);
             let startup_latency = self.startup_latency(start);
             let (counter, metric, kind) = match start {
                 StartKind::Cold => (&hot.cold_starts, "faas.cold_starts", "cold"),
@@ -587,7 +588,14 @@ impl FaasPlatform {
             clock: clock.clone(),
         };
         let exec_span = tracer.span(TRACE_SYSTEM, "faas.execute");
-        let t0 = clock.now();
+        // With no start-up delay injected, the reading taken for the pool
+        // is the start of execution: the same instant on a virtual clock,
+        // a counter bump earlier on a wall clock.
+        let t0 = if startup_latency.is_zero() {
+            acquired_at
+        } else {
+            clock.now()
+        };
         let output = (spec.handler)(&ctx);
         let finished = clock.now();
         let exec_duration = finished - t0;

@@ -45,8 +45,11 @@ struct PoolState {
 impl PoolState {
     fn reap(&mut self, keep: Duration, now: Duration) {
         let floor = self.provisioned as usize;
-        // Oldest first; keep at least the provisioned floor.
-        self.warm.sort_by_key(|c| c.idle_since);
+        // Oldest first; keep at least the provisioned floor. Releases
+        // arrive in time order, so the list is almost always sorted already.
+        if !self.warm.is_sorted_by_key(|c| c.idle_since) {
+            self.warm.sort_by_key(|c| c.idle_since);
+        }
         while self.warm.len() > floor {
             let oldest = self.warm[0];
             if now.saturating_sub(oldest.idle_since) > keep {
@@ -189,6 +192,25 @@ mod tests {
         p.reap(secs(2));
         assert_eq!(p.warm_count(), 2, "only the container idle > 1 s goes");
         p.reap(secs(100));
+        assert_eq!(p.warm_count(), 0);
+    }
+
+    #[test]
+    fn releases_out_of_time_order_still_reap_oldest_and_pop_newest() {
+        let p = pool(1);
+        for _ in 0..3 {
+            p.acquire(secs(0));
+        }
+        for t in [5, 1, 3] {
+            p.release(secs(t));
+        }
+        // Idle since 1 s is past keep-alive at 3 s; 3 s and 5 s are not.
+        p.reap(secs(3));
+        assert_eq!(p.warm_count(), 2);
+        // The most recently idle container (5 s) is the one handed out…
+        assert_eq!(p.acquire(secs(3)), StartKind::Warm);
+        // …so the one left is idle since 3 s and gone by 5 s.
+        p.reap(secs(5));
         assert_eq!(p.warm_count(), 0);
     }
 

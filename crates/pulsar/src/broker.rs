@@ -281,6 +281,40 @@ struct SubState {
     partial: BTreeMap<MessageId, BTreeSet<u32>>,
     /// Attached consumers (by id); order matters for failover.
     consumers: Vec<u64>,
+    /// Metadata key of each partition's persisted cursor, built once so an
+    /// ack that moves the cursor formats nothing.
+    cursor_keys: Vec<String>,
+}
+
+impl SubState {
+    /// A subscription of `topic` with nothing delivered or individually
+    /// acked yet, positioned at `read` / `mark_delete` (one per partition).
+    fn new(
+        topic: &str,
+        name: &str,
+        mode: SubscriptionMode,
+        read: Vec<ReadPos>,
+        mark_delete: Vec<Option<MessageId>>,
+    ) -> Self {
+        Self {
+            mode,
+            cursor_keys: (0..read.len())
+                .map(|p| cursor_key(topic, p, name))
+                .collect(),
+            read,
+            mark_delete,
+            acked: BTreeSet::new(),
+            pending: BTreeMap::new(),
+            pending_total: 0,
+            partial: BTreeMap::new(),
+            consumers: Vec::new(),
+        }
+    }
+}
+
+/// Metadata key of `subscription`'s persisted cursor on partition `p`.
+fn cursor_key(topic: &str, p: usize, subscription: &str) -> String {
+    format!("/topics/{topic}/{p}/cursor/{subscription}")
 }
 
 struct Partition {
@@ -368,6 +402,9 @@ struct ClusterInner {
     tier: Mutex<Option<crate::tiering::TierBackend>>,
     /// Per-tenant retained-entry quotas (§4.3 "multi-tenancy").
     quotas: Mutex<HashMap<String, u64>>,
+    /// Set (and never cleared) by the first `set_tenant_quota`: until then
+    /// `quotas` is empty and a publish has no quota to look up.
+    quotas_in_use: AtomicBool,
 }
 
 /// Snapshot of dispatch-phase attribution: cumulative nanosecond totals
@@ -527,6 +564,7 @@ impl PulsarCluster {
                 dispatch_prof: AtomicBool::new(false),
                 tier: Mutex::new(None),
                 quotas: Mutex::new(HashMap::new()),
+                quotas_in_use: AtomicBool::new(false),
             }),
         }
     }
@@ -718,6 +756,9 @@ impl PulsarCluster {
             .quotas
             .lock()
             .insert(tenant.to_string(), max_retained_entries);
+        // Release pairs with the Acquire load in `check_quota`: a publish
+        // that sees the flag also sees the entry above.
+        self.inner.quotas_in_use.store(true, Ordering::Release);
     }
 
     /// Create a topic with `partitions` partitions.
@@ -801,19 +842,15 @@ impl PulsarCluster {
         self.check_fence(topic)?;
         let nparts = self.partitions(topic)? as usize;
         let cid = self.with_topic(topic, |inner, t| {
-            let sub = t
-                .subs
-                .entry(subscription.to_string())
-                .or_insert_with(|| SubState {
+            let sub = t.subs.entry(subscription.to_string()).or_insert_with(|| {
+                SubState::new(
+                    topic,
+                    subscription,
                     mode,
-                    read: vec![ReadPos::START; nparts],
-                    mark_delete: vec![None; nparts],
-                    acked: BTreeSet::new(),
-                    pending: BTreeMap::new(),
-                    pending_total: 0,
-                    partial: BTreeMap::new(),
-                    consumers: Vec::new(),
-                });
+                    vec![ReadPos::START; nparts],
+                    vec![None; nparts],
+                )
+            });
             if sub.mode == SubscriptionMode::Exclusive && !sub.consumers.is_empty() {
                 return Err(PulsarError::ExclusiveSubscriptionBusy(
                     subscription.to_string(),
@@ -851,11 +888,11 @@ impl PulsarCluster {
     ) -> Result<R> {
         let inner = &*self.inner;
         inner.topics.with(name, |shard| {
-            if !shard.contains_key(name) {
-                let t = Self::load_topic(inner, name)?;
-                shard.insert(name.to_string(), t);
+            if let Some(t) = shard.get_mut(name) {
+                return f(inner, t);
             }
-            f(inner, shard.get_mut(name).expect("just inserted"))
+            let t = Self::load_topic(inner, name)?;
+            f(inner, shard.entry(name.to_string()).or_insert(t))
         })
     }
 
@@ -900,7 +937,7 @@ impl PulsarCluster {
             for p in 0..nparts {
                 let md = inner
                     .meta
-                    .get(&format!("/topics/{name}/{p}/cursor/{sub_name}"))
+                    .get(&cursor_key(name, p as usize, &sub_name))
                     .and_then(|v| decode_cursor(&v.data));
                 let pos = match md {
                     Some(id) => {
@@ -924,19 +961,8 @@ impl PulsarCluster {
                 read.push(pos);
                 mark_delete.push(md);
             }
-            subs.insert(
-                sub_name,
-                SubState {
-                    mode,
-                    read,
-                    mark_delete,
-                    acked: BTreeSet::new(),
-                    pending: BTreeMap::new(),
-                    pending_total: 0,
-                    partial: BTreeMap::new(),
-                    consumers: Vec::new(),
-                },
-            );
+            let sub = SubState::new(name, &sub_name, mode, read, mark_delete);
+            subs.insert(sub_name, sub);
         }
         Ok(Topic {
             partitions,
@@ -967,7 +993,9 @@ impl PulsarCluster {
         );
     }
 
-    /// Publish steps 1–2, shared by single and batched publishing.
+    /// Publish steps 1–2, shared by single and batched publishing; both
+    /// are skipped while no tenant quota has ever been set (step 3's own
+    /// `with_topic` loads the topic and reports an unknown one).
     /// Step 1: make sure the topic is loaded (shard locked and released).
     /// Step 2: multi-tenancy backlog quota — total retained entries
     /// across the tenant's loaded topics must stay under the cap. The
@@ -981,6 +1009,9 @@ impl PulsarCluster {
     /// cost is exactly what batching is for.
     fn check_quota(&self, topic: &str) -> Result<()> {
         let inner = &*self.inner;
+        if !inner.quotas_in_use.load(Ordering::Acquire) {
+            return Ok(());
+        }
         self.with_topic(topic, |_, _| Ok(()))?;
         let tenant = Self::tenant_of(topic);
         // Copy the quota out before scanning: holding the quotas lock
@@ -1071,7 +1102,10 @@ impl PulsarCluster {
 
     fn publish(&self, topic: &str, key: Option<&[u8]>, payload: &[u8]) -> Result<MessageId> {
         self.check_fence(topic)?;
-        let tracer = self.inner.tracer.load();
+        // Borrowed for the call, not `load`ed (two atomic updates, not
+        // four, and no shared refcount): a `set_tracer` waits for this call
+        // to return, and nothing this call runs publishes a tracer itself.
+        let tracer = self.inner.tracer.read();
         let mut span = tracer.span(TRACE_SYSTEM, "pulsar.publish");
         span.attr("topic", topic);
         span.attr("bytes", payload.len());
@@ -1138,7 +1172,8 @@ impl PulsarCluster {
                 .map(|id| vec![id]);
         }
         self.check_fence(topic)?;
-        let tracer = self.inner.tracer.load();
+        // Borrowed for the call, as in `publish`.
+        let tracer = self.inner.tracer.read();
         let mut span = tracer.span(TRACE_SYSTEM, "pulsar.publish_batch");
         span.attr("topic", topic);
         span.attr("messages", payloads.len());
@@ -1527,7 +1562,8 @@ impl PulsarCluster {
             return Ok(0);
         }
         self.check_fence(topic)?;
-        let tracer = self.inner.tracer.load();
+        // Borrowed for the call, as in `publish`.
+        let tracer = self.inner.tracer.read();
         let mut span = tracer.span(TRACE_SYSTEM, "pulsar.dispatch");
         span.attr("topic", topic);
         span.attr("subscription", subscription);
@@ -1605,7 +1641,8 @@ impl PulsarCluster {
             return Ok(0);
         }
         self.check_fence(topic)?;
-        let tracer = self.inner.tracer.load();
+        // Borrowed for the call, as in `publish`.
+        let tracer = self.inner.tracer.read();
         let mut span = tracer.span(TRACE_SYSTEM, "pulsar.dispatch");
         span.attr("topic", topic);
         span.attr("subscription", subscription);
@@ -1772,7 +1809,10 @@ impl PulsarCluster {
         if covered {
             return None;
         }
-        sub.acked.insert(id);
+        // `id` is held aside rather than inserted: an in-order ack is the
+        // cursor's next position and never enters the set. It joins the
+        // set below only if the cursor stops short of it.
+        let mut held = Some(id);
         // Advance the mark-delete position while the next message is acked.
         let p = id.partition as usize;
         let part = &partitions[p];
@@ -1813,28 +1853,27 @@ impl PulsarCluster {
                     }
                 }
             };
-            if sub.acked.remove(&next) {
-                sub.mark_delete[p] = Some(next);
-                advanced = true;
-            } else {
+            if held == Some(next) {
+                held = None;
+            } else if !sub.acked.remove(&next) {
                 break;
             }
+            sub.mark_delete[p] = Some(next);
+            advanced = true;
+        }
+        if let Some(id) = held {
+            sub.acked.insert(id);
         }
         advanced.then_some(p)
     }
 
-    /// Persist a subscription's mark-delete cursor for one partition.
-    fn persist_cursor(
-        inner: &ClusterInner,
-        topic: &str,
-        p: usize,
-        subscription: &str,
-        md: MessageId,
-    ) {
-        inner.meta.put(
-            &format!("/topics/{topic}/{p}/cursor/{subscription}"),
-            encode_cursor(&md),
-        );
+    /// Persist a subscription's just-advanced mark-delete cursor for
+    /// partition `p`, overwriting the stored text in place.
+    fn persist_cursor(inner: &ClusterInner, sub: &SubState, p: usize) {
+        let md = sub.mark_delete[p].expect("cursor just advanced");
+        inner
+            .meta
+            .update(&sub.cursor_keys[p], |buf| write_cursor(buf, &md));
     }
 
     fn ack(&self, topic: &str, subscription: &str, id: MessageId) -> Result<()> {
@@ -1845,8 +1884,7 @@ impl PulsarCluster {
                 .get_mut(subscription)
                 .ok_or_else(|| PulsarError::TopicNotFound(format!("{topic}:{subscription}")))?;
             if let Some(p) = Self::apply_ack(inner, &t.partitions, sub, id) {
-                let md = sub.mark_delete[p].expect("cursor just advanced");
-                Self::persist_cursor(inner, topic, p, subscription, md);
+                Self::persist_cursor(inner, sub, p);
             }
             Ok(())
         })
@@ -1911,8 +1949,7 @@ impl PulsarCluster {
             }
             for (p, d) in dirty.into_iter().enumerate() {
                 if d {
-                    let md = sub.mark_delete[p].expect("cursor just advanced");
-                    Self::persist_cursor(inner, topic, p, subscription, md);
+                    Self::persist_cursor(inner, sub, p);
                 }
             }
             Ok(())
@@ -1987,8 +2024,7 @@ impl PulsarCluster {
             }
             for (p, d) in dirty.into_iter().enumerate() {
                 if d {
-                    let md = sub.mark_delete[p].expect("cursor just advanced");
-                    Self::persist_cursor(inner, topic, p, subscription, md);
+                    Self::persist_cursor(inner, sub, p);
                 }
             }
             Ok(())
@@ -2095,8 +2131,29 @@ fn decode_segments(bytes: &[u8]) -> Vec<LedgerId> {
         .collect()
 }
 
-fn encode_cursor(id: &MessageId) -> Vec<u8> {
-    format!("{};{};{}", id.partition, id.ledger.raw(), id.entry).into_bytes()
+/// Overwrite `buf` with the persisted form of a cursor: the decimal text
+/// `partition;ledger;entry`, written digit by digit (this runs once per
+/// unbatched ack).
+fn write_cursor(buf: &mut Vec<u8>, id: &MessageId) {
+    fn put_decimal(buf: &mut Vec<u8>, mut n: u64) {
+        let mut digits = [0u8; 20]; // u64::MAX has 20
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        buf.extend_from_slice(&digits[at..]);
+    }
+    buf.clear();
+    put_decimal(buf, u64::from(id.partition));
+    buf.push(b';');
+    put_decimal(buf, id.ledger.raw());
+    buf.push(b';');
+    put_decimal(buf, id.entry);
 }
 
 fn decode_cursor(bytes: &[u8]) -> Option<MessageId> {
@@ -2316,6 +2373,9 @@ impl Drop for Consumer {
             .detach(&self.topic, &self.subscription, self.id);
     }
 }
+
+#[cfg(test)]
+mod cursor_tests;
 
 #[cfg(test)]
 mod tests {
@@ -3048,6 +3108,26 @@ mod tests {
     }
 
     #[test]
+    fn the_first_quota_ever_set_binds_the_next_publish() {
+        let c = small_cluster();
+        c.create_topic("acme/orders", 1).unwrap();
+        let orders = c.producer("acme/orders").unwrap();
+        // No quota anywhere: publishes skip the lookup entirely.
+        for i in 0..3u64 {
+            orders.send(&i.to_le_bytes()).unwrap();
+        }
+        c.set_tenant_quota("acme", 3);
+        assert!(matches!(
+            orders.send(b"over"),
+            Err(PulsarError::TenantQuotaExceeded { quota: 3, .. })
+        ));
+        assert!(matches!(
+            orders.send_batch(&[b"a", b"b"]),
+            Err(PulsarError::TenantQuotaExceeded { quota: 3, .. })
+        ));
+    }
+
+    #[test]
     fn unknown_topic_errors() {
         let c = small_cluster();
         assert!(matches!(
@@ -3062,6 +3142,18 @@ mod tests {
         assert!(matches!(
             c.create_topic("t", 1),
             Err(PulsarError::TopicExists(_))
+        ));
+        // A producer outliving its topic: with no quota set nothing looks
+        // the topic up before the append does, and the append still says so.
+        let p = c.producer("t").unwrap();
+        c.metadata().delete("/topics/t");
+        c.restart_broker();
+        for res in [p.send(b"x"), p.send_keyed(b"k", b"x")] {
+            assert!(matches!(res, Err(PulsarError::TopicNotFound(_))));
+        }
+        assert!(matches!(
+            p.send_batch(&[b"x", b"y"]),
+            Err(PulsarError::TopicNotFound(_))
         ));
     }
 }

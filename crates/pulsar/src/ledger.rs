@@ -429,6 +429,9 @@ impl LedgerWriter {
 
 #[cfg(test)]
 mod tests {
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
     use super::*;
 
     fn cluster(n: usize) -> (BookKeeper, Arc<Vec<Arc<Bookie>>>) {
@@ -462,6 +465,70 @@ mod tests {
         ] {
             assert_eq!(LedgerMeta::decode(&meta.encode()), Some(meta));
         }
+    }
+
+    proptest! {
+        #[test]
+        fn meta_codec_roundtrips_any_meta(
+            ensemble in vec(any::<usize>(), 0..12),
+            write_quorum in any::<usize>(),
+            closed in any::<bool>(),
+            last in any::<u64>(),
+            has_last in any::<bool>(),
+        ) {
+            let meta = LedgerMeta {
+                ensemble,
+                write_quorum,
+                closed,
+                last_entry: has_last.then_some(last),
+            };
+            prop_assert_eq!(LedgerMeta::decode(&meta.encode()), Some(meta));
+        }
+
+        /// Arbitrary bytes, raw and drawn from the codec's own alphabet,
+        /// never panic the decoder, and the ensemble it returns is bounded
+        /// by the bytes given — never by a number read in them.
+        #[test]
+        fn meta_decode_survives_hostile_bytes(
+            raw in vec(any::<u8>(), 0..64),
+            picks in vec(0usize..8, 0..12),
+        ) {
+            const WORDS: [&str; 8] = ["open", "closed", ";", ",", "-", "7", "18446744073709551616", "\u{fffd}x"];
+            let shaped: String = picks.iter().map(|&i| WORDS[i]).collect();
+            for bytes in [&raw[..], shaped.as_bytes()] {
+                if let Some(meta) = LedgerMeta::decode(bytes) {
+                    prop_assert!(meta.ensemble.len() <= bytes.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_meta_decodes_to_nothing() {
+        for bad in [
+            &b""[..],
+            b"open",
+            b"open;-",
+            b"open;-;2",
+            b"open;x;2;0,1",
+            b"open;-;-2;0,1",
+            b"open;-;2;0,x",
+            b"closed;18446744073709551616;2;0,1",
+            b"open;-;2;0,1\xff",
+        ] {
+            assert_eq!(LedgerMeta::decode(bad), None, "{bad:?}");
+        }
+        // Anything but "closed" reads as open; empty ensemble slots and
+        // fields past the fourth are skipped, as they always were.
+        assert_eq!(
+            LedgerMeta::decode(b"?;5;2;,0,,1,;junk"),
+            Some(LedgerMeta {
+                ensemble: vec![0, 1],
+                write_quorum: 2,
+                closed: false,
+                last_entry: Some(5),
+            })
+        );
     }
 
     #[test]

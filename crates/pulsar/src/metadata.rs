@@ -78,13 +78,26 @@ impl MetadataStore {
     /// Unconditional write (used where a single owner is already
     /// guaranteed, e.g. cursor updates by the owning subscription).
     pub fn put(&self, key: &str, data: Vec<u8>) -> u64 {
+        self.update(key, |node| *node = data)
+    }
+
+    /// Unconditional write in place: `f` rewrites the node's bytes where
+    /// they lie (an absent node starts empty), so a writer that overwrites
+    /// a few bytes per call — a subscription cursor — reuses the node's
+    /// buffer instead of building a fresh one. Versions move exactly as
+    /// with [`MetadataStore::put`]: created at 0, bumped by one per write.
+    /// `f` runs under the key's shard lock and must not call back into the
+    /// store.
+    pub fn update(&self, key: &str, f: impl FnOnce(&mut Vec<u8>)) -> u64 {
         self.nodes.with(key, |shard| match shard.get_mut(key) {
             Some(node) => {
-                node.data = data;
+                f(&mut node.data);
                 node.version += 1;
                 node.version
             }
             None => {
+                let mut data = Vec::new();
+                f(&mut data);
                 shard.insert(key.to_string(), Versioned { data, version: 0 });
                 0
             }
@@ -151,6 +164,40 @@ mod tests {
         let m = MetadataStore::new();
         assert_eq!(m.put("/k", b"a".to_vec()), 0);
         assert_eq!(m.put("/k", b"b".to_vec()), 1);
+    }
+
+    #[test]
+    fn update_versions_exactly_like_put() {
+        let m = MetadataStore::new();
+        let by_put = (0..4)
+            .map(|i| m.put("/put", vec![b'0' + i]))
+            .collect::<Vec<_>>();
+        let by_update = (0..4)
+            .map(|i| {
+                m.update("/update", |buf| {
+                    buf.clear();
+                    buf.push(b'0' + i);
+                })
+            })
+            .collect::<Vec<_>>();
+        assert_eq!(by_put, vec![0, 1, 2, 3], "created at 0, then +1 a write");
+        assert_eq!(by_update, by_put);
+        assert_eq!(m.get("/update"), m.get("/put"));
+        // The two writers share one version line per node, and CAS sees it.
+        assert_eq!(m.put("/update", b"x".to_vec()), 4);
+        assert_eq!(m.update("/update", |buf| buf.push(b'y')), 5);
+        assert_eq!(m.get("/update").unwrap().data, b"xy");
+        assert!(m.cas("/update", b"z".to_vec(), Some(4)).is_err());
+        assert_eq!(m.cas("/update", b"z".to_vec(), Some(5)).unwrap(), 6);
+        // An absent node starts empty.
+        assert_eq!(m.update("/fresh", |buf| assert!(buf.is_empty())), 0);
+        assert_eq!(
+            m.get("/fresh"),
+            Some(Versioned {
+                data: Vec::new(),
+                version: 0
+            })
+        );
     }
 
     #[test]
