@@ -15,7 +15,7 @@
 //! configurable size, and a bookie failure mid-stream triggers rollover to
 //! a fresh ledger on a healthy ensemble.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -221,6 +221,36 @@ fn parse_batch_entry(bytes: &Bytes) -> Option<(u64, OffsetTable)> {
     Some((ts, table))
 }
 
+/// A ledger entry as the partition read caches hold it: trace header
+/// peeled and batch framing parsed **once, where the cache is filled**.
+/// Ledger entries are immutable, so nothing derived from their bytes can
+/// go stale; a dispatch scan clones this (one refcount bump and a few
+/// words) instead of re-proving the framing on every pass.
+#[derive(Debug, Clone)]
+struct CachedEntry {
+    /// The classic entry, any trace-context header already peeled.
+    raw: Bytes,
+    /// Publish-span context carried in the peeled header.
+    ctx: Option<SpanContext>,
+    /// Shared publish timestamp and validated offset table of a batched
+    /// entry. `None` for an unbatched entry — and for corrupt batch
+    /// framing, which dispatch then refuses through [`decode_entry`]
+    /// exactly as an unparsable unbatched entry: a table is only ever
+    /// cached validated.
+    batch: Option<(u64, OffsetTable)>,
+}
+
+impl CachedEntry {
+    /// The one place an entry's bytes are interpreted. For an unbatched
+    /// entry (every `pipeline_small` publish) this is a four-byte marker
+    /// compare, a refcount bump and one `is_batch_entry` test.
+    fn parse(bytes: &Bytes) -> Self {
+        let (ctx, raw) = split_ctx(bytes);
+        let batch = parse_batch_entry(&raw);
+        Self { raw, ctx, batch }
+    }
+}
+
 // --------------------------------------------------------------------------
 
 /// Next position a subscription will read, per partition.
@@ -264,15 +294,13 @@ struct SubState {
     /// entry-level ([`MessageId::canonical`]) ids: a batched entry enters
     /// this set only once *all* its messages are acked.
     acked: BTreeSet<MessageId>,
-    /// Delivered-but-unacked message counts, **entry-granular**: keyed by
-    /// the entry's canonical id, valued by how many of its messages are
-    /// outstanding. Dispatch bumps one counter per *entry* instead of
-    /// inserting one set element per message (the old per-message
-    /// `BTreeSet` was a dominant slice of the dispatch `decode` phase);
-    /// acks decrement, and the entry leaves the map at zero.
-    pending: BTreeMap<MessageId, u32>,
-    /// Sum of `pending` values — what redelivery reports, maintained
-    /// incrementally so it never needs a map walk.
+    /// Delivered-but-unacked message counts, **entry-granular**, one
+    /// ordered queue per partition: dispatch bumps one counter per *entry*
+    /// at the back, acks decrement (in-order ones at the front), and
+    /// redelivery forgets the lot. See [`PendingQueue`].
+    pending: Vec<PendingQueue>,
+    /// Sum of the `pending` counts — what redelivery reports, maintained
+    /// incrementally so it never needs a walk.
     pending_total: u64,
     /// Acked message indices of partially-acked batched entries, keyed by
     /// the entry's canonical id. In-memory only: a broker restart forgets
@@ -301,14 +329,86 @@ impl SubState {
             cursor_keys: (0..read.len())
                 .map(|p| cursor_key(topic, p, name))
                 .collect(),
+            pending: vec![PendingQueue::default(); read.len()],
             read,
             mark_delete,
             acked: BTreeSet::new(),
-            pending: BTreeMap::new(),
             pending_total: 0,
             partial: BTreeMap::new(),
             consumers: Vec::new(),
         }
+    }
+}
+
+/// One partition's delivered-but-unacked entries: `(ledger, entry,
+/// outstanding messages)` in dispatch order, which within a partition is
+/// `(ledger, entry)` order — ledger ids grow over rollovers. The common
+/// cases touch only the ends (dispatch pushes at the back or re-bumps it,
+/// an in-order ack decrements the front); anything else is a binary
+/// search. An entry acked out of order from the middle stays as a
+/// zero-count tombstone rather than shifting the queue; the ends are
+/// never tombstones, so the queue is empty exactly when nothing is
+/// outstanding, and its buffer is reused across redeliveries.
+#[derive(Debug, Clone, Default)]
+struct PendingQueue(VecDeque<(LedgerId, u64, u32)>);
+
+impl PendingQueue {
+    fn find(&self, ledger: LedgerId, entry: u64) -> std::result::Result<usize, usize> {
+        self.0
+            .binary_search_by_key(&(ledger, entry), |&(l, e, _)| (l, e))
+    }
+
+    /// Record `n` more outstanding deliveries of one entry.
+    fn add(&mut self, ledger: LedgerId, entry: u64, n: u32) {
+        if n == 0 {
+            return;
+        }
+        match self.0.back_mut() {
+            None => self.0.push_back((ledger, entry, n)),
+            Some(back) if (back.0, back.1) == (ledger, entry) => back.2 += n,
+            Some(back) if (back.0, back.1) < (ledger, entry) => {
+                self.0.push_back((ledger, entry, n));
+            }
+            Some(_) => match self.find(ledger, entry) {
+                Ok(at) => self.0[at].2 += n,
+                Err(at) => self.0.insert(at, (ledger, entry, n)),
+            },
+        }
+    }
+
+    /// Drop up to `n` outstanding deliveries of one entry; returns how
+    /// many there were to drop (a duplicate or never-delivered ack finds
+    /// fewer, or none).
+    fn take(&mut self, ledger: LedgerId, entry: u64, n: u32) -> u32 {
+        let at = match self.0.front() {
+            Some(front) if (front.0, front.1) == (ledger, entry) => 0,
+            _ => match self.find(ledger, entry) {
+                Ok(at) => at,
+                Err(_) => return 0,
+            },
+        };
+        let count = &mut self.0[at].2;
+        let taken = (*count).min(n);
+        *count -= taken;
+        if *count == 0 {
+            if at == 0 {
+                self.0.pop_front();
+                while self.0.front().is_some_and(|f| f.2 == 0) {
+                    self.0.pop_front();
+                }
+            } else if at + 1 == self.0.len() {
+                self.0.pop_back();
+                while self.0.back().is_some_and(|b| b.2 == 0) {
+                    self.0.pop_back();
+                }
+            }
+        }
+        taken
+    }
+
+    /// Forget everything (redelivery); the buffer stays.
+    fn clear(&mut self) {
+        self.0.clear();
     }
 }
 
@@ -326,12 +426,15 @@ struct Partition {
     /// `i` of the open ledger is `tail[i]` (writers are only ever created
     /// empty by this broker, and every successful append pushes here) —
     /// so tail dispatch reads touch no bookie and no ledger-map lock.
-    tail: Vec<Bytes>,
-    /// Immutable snapshots of sealed (closed) segments, built whole on
-    /// first read — or inherited from `tail` at rollover — and shared by
-    /// refcount thereafter. Sealed ledgers never change, so these never
-    /// invalidate; they are evicted on trim and on cold-tier offload.
-    sealed: HashMap<LedgerId, Arc<Vec<Bytes>>>,
+    /// Entries are held parsed ([`CachedEntry`]): the publish that
+    /// appended an entry is also the one time its framing is validated.
+    tail: Vec<CachedEntry>,
+    /// Immutable snapshots of sealed (closed) segments, built whole — and
+    /// parsed, once — on first read, or inherited from `tail` at rollover,
+    /// and shared by refcount thereafter. Sealed ledgers never change, so
+    /// neither the bytes nor what was derived from them ever invalidate;
+    /// snapshots are evicted on trim and on cold-tier offload.
+    sealed: HashMap<LedgerId, Arc<Vec<CachedEntry>>>,
 }
 
 impl Partition {
@@ -342,6 +445,29 @@ impl Partition {
             tail: Vec::new(),
             sealed: HashMap::new(),
         }
+    }
+
+    /// Position of ledger `lid` in the segment list, if it has not been
+    /// trimmed away.
+    fn seg_index(&self, lid: LedgerId) -> Option<usize> {
+        self.segments.iter().position(|&l| l == lid)
+    }
+
+    /// Whether `lid` is the segment the open writer is appending to.
+    fn is_open(&self, lid: LedgerId) -> bool {
+        self.writer.as_ref().is_some_and(|w| w.id() == lid)
+    }
+
+    /// The in-memory entries of segment `lid`: the tail when it is the
+    /// open segment (checked first — the steady-state consumer reads what
+    /// was just published — and authoritative: a still-growing ledger must
+    /// never be frozen into the sealed map), else its sealed snapshot if
+    /// one has been built.
+    fn cached(&self, lid: LedgerId) -> Option<&[CachedEntry]> {
+        if self.is_open(lid) {
+            return Some(&self.tail);
+        }
+        self.sealed.get(&lid).map(|seg| seg.as_slice())
     }
 
     /// Move the open-segment tail cache into the sealed map under the
@@ -427,15 +553,20 @@ pub struct DispatchProfile {
     /// [`LockSite`] wait histogram for the blocked component alone.
     pub lock_ns: u64,
     /// Cursor bookkeeping: read-position advance, acked-set and
-    /// mark-delete skip checks, partial-batch resume, segment-length
-    /// probes — the subscription-scan state machine.
+    /// mark-delete skip checks, partial-batch resume, segment resolution,
+    /// the pending queue — the subscription-scan state machine — and the
+    /// clone of each already-parsed entry out of the read caches, which
+    /// is a refcount bump too small to time on its own.
     pub cursor_ns: u64,
-    /// Ledger entry reads (bookie or cold tier).
+    /// Ledger entry reads: filling a sealed segment's snapshot from the
+    /// bookies or the cold tier, including the one-time peel and parse of
+    /// every entry in it. Zero while a scan stays inside the caches.
     pub read_ns: u64,
-    /// Decode: the once-per-entry framing parse, plus — on the
-    /// per-message [`receive_batch`](Consumer::receive_batch) path —
-    /// message materialization (zero-copy slicing, ids, per-message
-    /// trace spans) in the out-of-lock phase.
+    /// Decode: view stamping on the entry path and — on the per-message
+    /// [`receive_batch`](Consumer::receive_batch) path — message
+    /// materialization (zero-copy slicing, ids, per-message trace spans)
+    /// in the out-of-lock phase. Batch framing is not parsed by a scan:
+    /// that happens once, where the read caches are filled.
     pub decode_ns: u64,
     /// Delivery callback (`on_msg`) — consumer-side work.
     pub deliver_ns: u64,
@@ -663,9 +794,10 @@ impl PulsarCluster {
     /// splits its wall time into `pulsar.dispatch.*_ns` counters (wall,
     /// lock acquisition, cursor bookkeeping, entry read, decode,
     /// delivery) readable from [`PulsarCluster::metrics`] and summarized
-    /// by [`PulsarCluster::dispatch_profile`]. Costs a handful of clock
-    /// reads per delivered message while on; one relaxed atomic load per
-    /// scan while off.
+    /// by [`PulsarCluster::dispatch_profile`]. While on, costs one clock
+    /// read per segment a scan reads from (plus two per message on the
+    /// per-message delivery path); one relaxed atomic load per scan while
+    /// off.
     pub fn set_dispatch_profiling(&self, on: bool) {
         self.inner.dispatch_prof.store(on, Ordering::Relaxed);
     }
@@ -708,7 +840,7 @@ impl PulsarCluster {
                 for i in 0..part.segments.len() {
                     let lid = part.segments[i];
                     // Skip the open segment and anything already offloaded.
-                    if part.writer.as_ref().is_some_and(|w| w.id() == lid) {
+                    if part.is_open(lid) {
                         continue;
                     }
                     if tier.offloaded_len(&inner.meta, lid).is_some() {
@@ -724,9 +856,7 @@ impl PulsarCluster {
                         }
                         continue;
                     };
-                    let entries: Result<Vec<Bytes>> =
-                        (0..=last).map(|e| inner.bk.read_entry(lid, e)).collect();
-                    tier.store_segment(&inner.meta, lid, &entries?);
+                    tier.store_segment(&inner.meta, lid, &inner.bk.read_through(lid, last)?);
                     inner.bk.delete_ledger(lid)?;
                     // Evict the in-memory snapshot: reads of an offloaded
                     // segment must pay the cold tier (and its metrics)
@@ -941,11 +1071,7 @@ impl PulsarCluster {
                     .and_then(|v| decode_cursor(&v.data));
                 let pos = match md {
                     Some(id) => {
-                        match partitions[p as usize]
-                            .segments
-                            .iter()
-                            .position(|&l| l == id.ledger)
-                        {
+                        match partitions[p as usize].seg_index(id.ledger) {
                             Some(seg) => ReadPos::at(seg, id.entry + 1),
                             // The cursor's segment was trimmed after the
                             // mark-delete advanced past it: everything it
@@ -1079,7 +1205,7 @@ impl PulsarCluster {
                 Ok(entry) => {
                     // Keep the tail cache an exact mirror of the open
                     // ledger: dispatch serves this entry from memory.
-                    part.tail.push(entry_bytes.clone());
+                    part.tail.push(CachedEntry::parse(entry_bytes));
                     return Ok((wid, entry));
                 }
                 Err(PulsarError::QuorumUnavailable { .. }) => {
@@ -1223,19 +1349,20 @@ impl PulsarCluster {
         result
     }
 
-    /// Segment length: the open segment from the writer, cached sealed
-    /// segments from their in-memory snapshot, then closed segments from
-    /// ledger metadata and offloaded ones from the cold-tier record.
+    /// Segment length: cached segments (the open tail, built sealed
+    /// snapshots) from memory, the rest from where they are stored.
     fn segment_len(inner: &ClusterInner, part: &Partition, seg_idx: usize) -> u64 {
         let lid = part.segments[seg_idx];
-        if let Some(w) = &part.writer {
-            if w.id() == lid {
-                return w.len();
-            }
+        match part.cached(lid) {
+            Some(entries) => entries.len() as u64,
+            None => Self::stored_len(inner, lid),
         }
-        if let Some(seg) = part.sealed.get(&lid) {
-            return seg.len() as u64;
-        }
+    }
+
+    /// Length of a sealed segment no snapshot has been built for: closed
+    /// ledgers from ledger metadata, offloaded ones from the cold-tier
+    /// record.
+    fn stored_len(inner: &ClusterInner, lid: LedgerId) -> u64 {
         match inner.bk.last_entry(lid) {
             Ok(Some(last)) => last + 1,
             _ => {
@@ -1251,14 +1378,17 @@ impl PulsarCluster {
     }
 
     /// Fetch an entire sealed segment into an immutable snapshot: bookies
-    /// first, cold tier second. One-time cost per segment, after which
-    /// every read is a map probe plus a refcount bump.
-    fn build_sealed(inner: &ClusterInner, lid: LedgerId) -> Result<Arc<Vec<Bytes>>> {
+    /// first, cold tier second, every entry peeled and parsed on the way
+    /// in. One-time cost per segment, after which a scan resolves the
+    /// snapshot once per run of entries it reads from it and clones
+    /// [`CachedEntry`]s. This is what moved `entry_read` off the top of
+    /// the dispatch profile (E30): steady-state dispatch pays no
+    /// ledger-map lock, no per-entry metadata parse and no framing parse.
+    fn build_sealed(inner: &ClusterInner, lid: LedgerId) -> Result<Arc<Vec<CachedEntry>>> {
         match inner.bk.last_entry(lid) {
             Ok(Some(last)) => {
-                let entries: Result<Vec<Bytes>> =
-                    (0..=last).map(|e| inner.bk.read_entry(lid, e)).collect();
-                Ok(Arc::new(entries?))
+                let entries = inner.bk.read_through(lid, last)?;
+                Ok(Arc::new(entries.iter().map(CachedEntry::parse).collect()))
             }
             Ok(None) => Ok(Arc::new(Vec::new())),
             Err(e) => {
@@ -1267,7 +1397,8 @@ impl PulsarCluster {
                     let n = tier.offloaded_len(&inner.meta, lid)?;
                     let mut entries = Vec::with_capacity(n as usize);
                     for i in 0..n {
-                        entries.push(tier.read_entry(&inner.meta, lid, i)?);
+                        let bytes = tier.read_entry(&inner.meta, lid, i)?;
+                        entries.push(CachedEntry::parse(&bytes));
                     }
                     Some(entries)
                 });
@@ -1285,48 +1416,24 @@ impl PulsarCluster {
         }
     }
 
-    /// Read an entry through the partition's read caches: the open-segment
-    /// tail, then an immutable sealed-segment snapshot (built whole on
-    /// first touch), then the bookies / cold tier. This is what moved
-    /// `entry_read` off the top of the dispatch profile (E30): steady-state
-    /// dispatch pays no ledger-map lock and no per-entry metadata parse.
-    fn read_entry_any(
-        inner: &ClusterInner,
-        part: &mut Partition,
-        lid: LedgerId,
-        entry: u64,
-    ) -> Result<Bytes> {
-        if part.writer.as_ref().is_some_and(|w| w.id() == lid) {
-            // Open segment: the tail mirror is authoritative. Never fall
-            // through to `build_sealed` here — a still-growing ledger must
-            // not be frozen into the sealed map.
-            return part
-                .tail
-                .get(entry as usize)
-                .cloned()
-                .ok_or(PulsarError::EntryUnavailable { ledger: lid, entry });
-        }
-        if let Some(seg) = part.sealed.get(&lid) {
-            return seg
-                .get(entry as usize)
-                .cloned()
-                .ok_or(PulsarError::EntryUnavailable { ledger: lid, entry });
-        }
-        let seg = Self::build_sealed(inner, lid)?;
-        let b = seg.get(entry as usize).cloned();
-        part.sealed.insert(lid, seg);
-        b.ok_or(PulsarError::EntryUnavailable { ledger: lid, entry })
-    }
-
     /// Phase 1 of the dispatch pipeline — the only part that runs under
     /// the topic-shard lock. Advances the subscription cursor over up to
-    /// `max` messages and collects the touched entries as [`EntryView`]s:
-    /// per ENTRY, one cache probe, one refcount bump on the entry buffer,
-    /// one trace-header peel, one offset-table parse-and-validate, and one
-    /// entry-granular pending bump. No `Message` is materialized, no
-    /// payload is sliced, and no consumer code runs while the lock is
-    /// held — phase 2 (decode + deliver) works on the returned views after
-    /// the shard is released, on the already-refcounted bytes.
+    /// `max` messages and collects the touched entries as [`EntryView`]s.
+    /// What is the same for a whole run of entries is resolved once per
+    /// run: the mark-delete position once per partition, and the segment
+    /// (ledger id, length, in-memory entries — the open tail checked
+    /// first) once per segment the scan reads from. Per ENTRY that leaves
+    /// the skip checks, a clone of the already-parsed [`CachedEntry`] (one
+    /// refcount bump on the entry buffer; nothing is re-validated) and one
+    /// bump at the back of the pending queue. No `Message` is
+    /// materialized, no payload is sliced, and no consumer code runs while
+    /// the lock is held — phase 2 (decode + deliver) works on the returned
+    /// views after the shard is released, on the already-refcounted bytes.
+    ///
+    /// A read error stops the scan rather than failing it: what was
+    /// already collected has moved the cursor and is pending, so it is
+    /// returned (`Ok(delivered)`), and the error is reported by the next
+    /// scan, which meets it with nothing delivered.
     #[allow(clippy::too_many_arguments)]
     fn collect_entries(
         &self,
@@ -1358,162 +1465,178 @@ impl PulsarCluster {
                 return Ok(0);
             }
             let mut delivered = 0usize;
+            let mut failed = None;
             'parts: for scan in 0..nparts {
                 let p = (*start_part + scan) % nparts;
-                loop {
+                let part = &mut t.partitions[p];
+                // Everything at or before the mark-delete cursor is skipped
+                // (individual acks get folded into it and leave the acked
+                // set). When its segment was trimmed, nothing that survives
+                // is covered by it, so no skip applies.
+                let covered =
+                    sub.mark_delete[p].and_then(|md| Some((part.seg_index(md.ledger)?, md.entry)));
+                // One iteration per segment run.
+                'runs: loop {
                     if delivered >= max {
                         break 'parts;
                     }
-                    let pos = sub.read[p];
-                    let part = &mut t.partitions[p];
-                    if pos.seg >= part.segments.len() {
+                    let mut pos = sub.read[p];
+                    let Some(&lid) = part.segments.get(pos.seg) else {
                         break; // nothing ever written here
-                    }
-                    let seg_len = Self::segment_len(inner, part, pos.seg);
+                    };
+                    let cached = part.cached(lid);
+                    let seg_len = match cached {
+                        Some(entries) => entries.len() as u64,
+                        None => Self::stored_len(inner, lid),
+                    };
                     if pos.entry >= seg_len {
                         // Move to the next segment if this one is closed and
                         // fully read.
-                        let is_open = part
-                            .writer
-                            .as_ref()
-                            .is_some_and(|w| w.id() == part.segments[pos.seg]);
-                        if !is_open && pos.seg + 1 < part.segments.len() {
+                        if !part.is_open(lid) && pos.seg + 1 < part.segments.len() {
                             sub.read[p] = ReadPos::at(pos.seg + 1, 0);
                             continue;
                         }
                         break; // caught up on this partition
                     }
-                    let lid = part.segments[pos.seg];
-                    let canonical = MessageId::new(p as u32, lid, pos.entry);
-                    if !sub.acked.is_empty() && sub.acked.contains(&canonical) {
-                        // Individually acked earlier (redelivery path).
-                        sub.read[p] = ReadPos::at(pos.seg, pos.entry + 1);
-                        continue;
-                    }
-                    // Also skip anything the mark-delete cursor already
-                    // covers (individual acks get folded into mark-delete
-                    // and leave the acked set).
-                    // When md's segment was trimmed, nothing that
-                    // survives is covered by it, so no skip applies.
-                    if let Some(md) = sub.mark_delete[p] {
-                        if let Some(md_seg) = part.segments.iter().position(|&l| l == md.ledger) {
-                            if (pos.seg, pos.entry) <= (md_seg, md.entry) {
-                                sub.read[p] = ReadPos::at(pos.seg, pos.entry + 1);
-                                continue;
-                            }
-                        }
-                    }
-                    clk.tick(&mut acc.cursor_ns);
-                    let raw = Self::read_entry_any(inner, part, lid, pos.entry)?;
-                    clk.tick(&mut acc.read_ns);
-                    // Peel the producer's trace context off the entry
-                    // header (no-op slice for pre-context entries), then
-                    // parse the batch framing exactly once. That parse is
-                    // the whole decode phase; the range selection and
-                    // pending bookkeeping below are cursor work.
-                    let (pub_ctx, raw) = split_ctx(&raw);
-                    let parsed = parse_batch_entry(&raw);
-                    clk.tick(&mut acc.decode_ns);
-                    let view = if let Some((ts, table)) = parsed {
-                        let n = table.count();
-                        // Resume inside the entry, skipping indices already
-                        // acked through the partial-batch set.
-                        let done = if sub.partial.is_empty() {
-                            None
-                        } else {
-                            sub.partial.get(&canonical)
-                        };
-                        let mut first = pos.batch;
-                        if let Some(done) = done {
-                            while first < n && done.contains(&first) {
-                                first += 1;
-                            }
-                        }
-                        if first >= n {
-                            sub.read[p] = ReadPos::at(pos.seg, pos.entry + 1);
-                            clk.tick(&mut acc.cursor_ns);
+                    while pos.entry < seg_len && delivered < max {
+                        let canonical = MessageId::new(p as u32, lid, pos.entry);
+                        // Individually acked earlier (redelivery path), or
+                        // under the mark-delete cursor.
+                        if (!sub.acked.is_empty() && sub.acked.contains(&canonical))
+                            || covered.is_some_and(|md| (pos.seg, pos.entry) <= md)
+                        {
+                            pos = ReadPos::at(pos.seg, pos.entry + 1);
+                            sub.read[p] = pos;
                             continue;
                         }
-                        // Extend the delivered range up to the budget,
-                        // recording already-acked indices inside it.
-                        let budget = max - delivered;
-                        let mut taken = 0usize;
-                        let mut end = first;
-                        let mut skips = Vec::new();
-                        while end < n && taken < budget {
-                            if done.is_some_and(|d| d.contains(&end)) {
-                                skips.push(end);
-                            } else {
-                                taken += 1;
+                        let Some(entries) = cached else {
+                            // First entry wanted from a sealed segment with
+                            // no snapshot: build it, then take the run again
+                            // from the cache.
+                            clk.tick(&mut acc.cursor_ns);
+                            let built = Self::build_sealed(inner, lid);
+                            clk.tick(&mut acc.read_ns);
+                            match built {
+                                Ok(seg) => {
+                                    part.sealed.insert(lid, seg);
+                                    continue 'runs;
+                                }
+                                Err(e) => {
+                                    failed = Some(e);
+                                    break 'parts;
+                                }
                             }
-                            end += 1;
-                        }
-                        sub.read[p] = if end < n {
-                            ReadPos {
-                                seg: pos.seg,
-                                entry: pos.entry,
-                                batch: end,
+                        };
+                        let unavailable =
+                            |entry| PulsarError::EntryUnavailable { ledger: lid, entry };
+                        let Some(entry) = entries.get(pos.entry as usize) else {
+                            failed = Some(unavailable(pos.entry));
+                            break 'parts;
+                        };
+                        let view = if let Some((ts, table)) = entry.batch {
+                            let n = table.count();
+                            // Resume inside the entry, skipping indices already
+                            // acked through the partial-batch set.
+                            let done = if sub.partial.is_empty() {
+                                None
+                            } else {
+                                sub.partial.get(&canonical)
+                            };
+                            let mut first = pos.batch;
+                            if let Some(done) = done {
+                                while first < n && done.contains(&first) {
+                                    first += 1;
+                                }
+                            }
+                            if first >= n {
+                                pos = ReadPos::at(pos.seg, pos.entry + 1);
+                                sub.read[p] = pos;
+                                continue;
+                            }
+                            // Extend the delivered range up to the budget,
+                            // recording already-acked indices inside it.
+                            let budget = max - delivered;
+                            let mut taken = 0usize;
+                            let mut end = first;
+                            let mut skips = Vec::new();
+                            while end < n && taken < budget {
+                                if done.is_some_and(|d| d.contains(&end)) {
+                                    skips.push(end);
+                                } else {
+                                    taken += 1;
+                                }
+                                end += 1;
+                            }
+                            let at = pos.entry;
+                            pos = if end < n {
+                                ReadPos { batch: end, ..pos }
+                            } else {
+                                ReadPos::at(pos.seg, pos.entry + 1)
+                            };
+                            sub.pending[p].add(lid, at, taken as u32);
+                            sub.pending_total += taken as u64;
+                            delivered += taken;
+                            EntryView {
+                                raw: entry.raw.clone(),
+                                ctx: entry.ctx,
+                                partition: p as u32,
+                                ledger: lid,
+                                entry: at,
+                                publish_nanos: ts,
+                                key: None,
+                                body_at: 0,
+                                batch: Some(table),
+                                batch_size: n,
+                                first,
+                                end,
+                                skips,
                             }
                         } else {
-                            ReadPos::at(pos.seg, pos.entry + 1)
-                        };
-                        *sub.pending.entry(canonical).or_insert(0) += taken as u32;
-                        sub.pending_total += taken as u64;
-                        delivered += taken;
-                        inner.c_delivered.add(taken as u64);
-                        EntryView {
-                            raw,
-                            ctx: pub_ctx,
-                            partition: p as u32,
-                            ledger: lid,
-                            entry: pos.entry,
-                            publish_nanos: ts,
-                            key: None,
-                            body_at: 0,
-                            batch: Some(table),
-                            batch_size: n,
-                            first,
-                            end,
-                            skips,
-                        }
-                    } else {
-                        let (key, ts, payload) =
-                            decode_entry(&raw).ok_or(PulsarError::EntryUnavailable {
+                            let Some((key, ts, payload)) = decode_entry(&entry.raw) else {
+                                failed = Some(unavailable(pos.entry));
+                                break 'parts;
+                            };
+                            let at = pos.entry;
+                            pos = ReadPos::at(pos.seg, pos.entry + 1);
+                            sub.pending[p].add(lid, at, 1);
+                            sub.pending_total += 1;
+                            delivered += 1;
+                            EntryView {
+                                body_at: entry.raw.len() - payload.len(),
+                                raw: entry.raw.clone(),
+                                ctx: entry.ctx,
+                                partition: p as u32,
                                 ledger: lid,
-                                entry: pos.entry,
-                            })?;
-                        let body_at = raw.len() - payload.len();
-                        clk.tick(&mut acc.decode_ns);
-                        sub.read[p] = ReadPos::at(pos.seg, pos.entry + 1);
-                        *sub.pending.entry(canonical).or_insert(0) += 1;
-                        sub.pending_total += 1;
-                        delivered += 1;
-                        inner.c_delivered.inc();
-                        EntryView {
-                            raw,
-                            ctx: pub_ctx,
-                            partition: p as u32,
-                            ledger: lid,
-                            entry: pos.entry,
-                            publish_nanos: ts,
-                            key,
-                            body_at,
-                            batch: None,
-                            batch_size: 1,
-                            first: 0,
-                            end: 1,
-                            skips: Vec::new(),
-                        }
-                    };
-                    *start_part = (p + 1) % nparts;
-                    out.push(view);
+                                entry: at,
+                                publish_nanos: ts,
+                                key,
+                                batch: None,
+                                batch_size: 1,
+                                first: 0,
+                                end: 1,
+                                skips: Vec::new(),
+                            }
+                        };
+                        sub.read[p] = pos;
+                        *start_part = (p + 1) % nparts;
+                        out.push(view);
+                    }
+                    // One checkpoint per run, not per entry: walking cached
+                    // entries is cursor work, and a clock read costs as
+                    // much as the entry it would time.
                     clk.tick(&mut acc.cursor_ns);
                 }
             }
-            // Loop-termination probes since the last delivery are cursor
-            // scan work.
+            // Loop-termination probes since the last run are cursor scan
+            // work too.
             clk.tick(&mut acc.cursor_ns);
-            Ok(delivered)
+            if delivered > 0 {
+                inner.c_delivered.add(delivered as u64);
+            }
+            match failed {
+                Some(e) if delivered == 0 => Err(e),
+                _ => Ok(delivered),
+            }
         })
     }
 
@@ -1620,12 +1743,12 @@ impl PulsarCluster {
     }
 
     /// Whole-entry dispatch: collect up to `max` messages as
-    /// [`EntryView`]s. The per-entry framing is parsed once under the
-    /// lock; everything a consumer reads from the views afterwards is
-    /// lock-free and allocation-free. When the broker is traced, each
-    /// view is stamped with ONE `pulsar.dispatch_entry` span (child of the
-    /// publish span) — the per-entry analogue of `pulsar.dispatch_msg`,
-    /// shared by all its messages.
+    /// [`EntryView`]s. The per-entry framing was parsed when the entry
+    /// entered a read cache; everything a consumer reads from the views
+    /// afterwards is lock-free and allocation-free. When the broker is
+    /// traced, each view is stamped with ONE `pulsar.dispatch_entry` span
+    /// (child of the publish span) — the per-entry analogue of
+    /// `pulsar.dispatch_msg`, shared by all its messages.
     #[allow(clippy::too_many_arguments)]
     fn receive_entries_from(
         &self,
@@ -1778,17 +1901,11 @@ impl PulsarCluster {
     }
 
     /// Drop up to `n` outstanding deliveries of the canonical entry `id`
-    /// from the entry-granular pending map (clamped — a duplicate or
+    /// from its partition's pending queue (clamped — a duplicate or
     /// never-delivered ack cannot underflow the count).
     fn unpend(sub: &mut SubState, id: MessageId, n: u32) {
-        if let Some(c) = sub.pending.get_mut(&id) {
-            let take = (*c).min(n);
-            *c -= take;
-            sub.pending_total -= take as u64;
-            if *c == 0 {
-                sub.pending.remove(&id);
-            }
-        }
+        let taken = sub.pending[id.partition as usize].take(id.ledger, id.entry, n);
+        sub.pending_total -= u64::from(taken);
     }
 
     /// Fold a completed, entry-granular ack (`id` must be canonical) into
@@ -1829,7 +1946,7 @@ impl PulsarCluster {
                 Some(md) => {
                     // Position after md: next entry, or first entry of the
                     // next segment.
-                    match part.segments.iter().position(|&l| l == md.ledger) {
+                    match part.seg_index(md.ledger) {
                         Some(seg_idx) => {
                             let seg_len = Self::segment_len(inner, part, seg_idx);
                             if md.entry + 1 < seg_len {
@@ -1968,11 +2085,7 @@ impl PulsarCluster {
             for p in 0..t.partitions.len() {
                 let pos = match sub.mark_delete[p] {
                     None => ReadPos::START,
-                    Some(md) => match t.partitions[p]
-                        .segments
-                        .iter()
-                        .position(|&l| l == md.ledger)
-                    {
+                    Some(md) => match t.partitions[p].seg_index(md.ledger) {
                         Some(seg) => ReadPos::at(seg, md.entry + 1),
                         // md's segment was trimmed: rewind to the start of
                         // what survives rather than skipping into the
@@ -1982,7 +2095,7 @@ impl PulsarCluster {
                 };
                 sub.read[p] = pos;
             }
-            sub.pending.clear();
+            sub.pending.iter_mut().for_each(PendingQueue::clear);
             sub.pending_total = 0;
             Ok(n)
         })
@@ -2055,7 +2168,7 @@ impl PulsarCluster {
                         break;
                     };
                     // The open segment is never trimmed.
-                    if part.writer.as_ref().is_some_and(|w| w.id() == first) {
+                    if part.is_open(first) {
                         break;
                     }
                     let seg_len = Self::segment_len(inner, part, 0);
@@ -2373,6 +2486,9 @@ impl Drop for Consumer {
             .detach(&self.topic, &self.subscription, self.id);
     }
 }
+
+#[cfg(test)]
+mod cache_tests;
 
 #[cfg(test)]
 mod cursor_tests;

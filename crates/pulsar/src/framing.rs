@@ -111,6 +111,8 @@ impl OffsetTable {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn frame(items: &[&[u8]]) -> Bytes {
@@ -166,6 +168,31 @@ mod tests {
         assert_eq!(packed_len([max - 1, 1, 0].into_iter()), Some(u32::MAX));
         assert_eq!(put_ends(&mut buf, [max - 1, 1, 0].into_iter()), Some(()));
         assert_eq!(buf[8..], u32::MAX.to_le_bytes());
+    }
+
+    proptest! {
+        /// Any buffer, any claimed count, any table position — including
+        /// ones whose sum wraps — never panics, and a table that parses
+        /// hands out only monotone ranges inside the buffer.
+        #[test]
+        fn hostile_tables_are_refused_or_stay_inside_the_buffer(
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+            count in any::<u32>(),
+            ends_at in any::<usize>(),
+            shift in 0u32..64,
+        ) {
+            // Shifted down so small counts and in-buffer positions are as
+            // likely as absurd ones.
+            let (count, ends_at) = (count >> (shift % 32), ends_at >> shift);
+            if let Some(t) = OffsetTable::parse(&bytes, count, ends_at) {
+                let mut at = t.base;
+                for i in 0..t.count() {
+                    let (start, end) = t.item_range(&bytes, i);
+                    prop_assert!(at == start && start <= end && end <= bytes.len());
+                    at = end;
+                }
+            }
+        }
     }
 
     #[test]

@@ -181,15 +181,32 @@ impl BookKeeper {
         (0..meta.write_quorum).map(move |i| meta.ensemble[(start + i) % n])
     }
 
+    /// One entry from the first replica `meta` names that is alive and
+    /// has it.
+    fn read_replica(&self, meta: &LedgerMeta, id: LedgerId, entry: u64) -> Option<Bytes> {
+        Self::replicas_for(meta, entry).find_map(|i| self.bookies[i].read_entry(id, entry))
+    }
+
     /// Read one entry, trying each replica until a live bookie has it.
     pub fn read_entry(&self, id: LedgerId, entry: u64) -> Result<Bytes> {
         let meta = self.ledger_meta(id)?;
-        for bk_idx in Self::replicas_for(&meta, entry) {
-            if let Some(data) = self.bookies[bk_idx].read_entry(id, entry) {
-                return Ok(data);
-            }
-        }
-        Err(PulsarError::EntryUnavailable { ledger: id, entry })
+        self.read_replica(&meta, id, entry)
+            .ok_or(PulsarError::EntryUnavailable { ledger: id, entry })
+    }
+
+    /// Read entries `0..=last` in order: [`BookKeeper::read_entry`] for
+    /// each, with the ledger metadata fetched and decoded once for the
+    /// ledger instead of once per entry. An entry the ensemble of that one
+    /// fetch cannot serve is retried against fresh metadata (a repair may
+    /// have moved it meanwhile) before the read fails.
+    pub fn read_through(&self, id: LedgerId, last: u64) -> Result<Vec<Bytes>> {
+        let meta = self.ledger_meta(id)?;
+        (0..=last)
+            .map(|entry| match self.read_replica(&meta, id, entry) {
+                Some(data) => Ok(data),
+                None => self.read_entry(id, entry),
+            })
+            .collect()
     }
 
     /// Last confirmed entry of a ledger: from metadata if closed, otherwise

@@ -105,7 +105,9 @@ impl Message {
 ///
 /// The entry's framing — trace-context header, batch marker, count,
 /// publish timestamp, offset table — is parsed **exactly once**, when the
-/// broker constructs the view; every message inside is then an O(1)
+/// entry enters the broker's read cache (a view carries a copy of that
+/// result, however often the entry is replayed); every message inside is
+/// then an O(1)
 /// refcount-only [`Bytes::slice`] against the shared buffer plus a lazy
 /// id/publish-time materialization. This is the decode-amortized
 /// counterpart of per-message [`Message`] delivery: with producer-side
