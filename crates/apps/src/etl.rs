@@ -8,8 +8,6 @@
 //! (write to a Jiffy KV and maintain per-category aggregates) — composed
 //! with the orchestration crate, batched through the frame codec.
 
-use std::sync::Arc;
-
 use taureau_faas::{FaasPlatform, FunctionSpec};
 use taureau_jiffy::Jiffy;
 use taureau_orchestration::{frame, Composition, Orchestrator};
@@ -248,9 +246,6 @@ pub fn run_batched(
     }
     Ok(total)
 }
-
-/// Shared-ownership alias used by benches.
-pub type SharedPipeline = Arc<EtlPipeline>;
 
 #[cfg(test)]
 mod tests {

@@ -16,6 +16,7 @@
 //! | [`streaming`] | §5.1 real-time analytics | event-time windowed operators as Pulsar functions |
 //! | [`video`] | §5.1 Video (ExCamera/Sprocket) | chunked encoding pipeline with inter-chunk state |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -198,11 +198,6 @@ fn read_at(st: &DbState, key: &[u8], ts: Ts) -> Option<Vec<u8>> {
 }
 
 impl Txn {
-    /// The snapshot timestamp this transaction reads at.
-    pub fn snapshot_ts(&self) -> Ts {
-        self.snapshot
-    }
-
     /// Read a key: own writes first, then the snapshot.
     pub fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
         if let Some(buffered) = self.write_set.get(key) {

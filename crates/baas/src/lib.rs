@@ -19,6 +19,7 @@
 //!   and the fix (the same logic inside [`db::ServerlessDb::run_transaction`]
 //!   preserves the invariant).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

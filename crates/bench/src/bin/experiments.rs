@@ -32,7 +32,7 @@ use taureau_core::cost::VmPricing;
 use taureau_core::latency::LatencyModel;
 use taureau_core::metrics::MetricsRegistry;
 use taureau_core::rng::{det_rng, Zipf};
-use taureau_core::sync::{ContentionProfiler, Snapshot};
+use taureau_core::sync::ContentionProfiler;
 use taureau_core::trace::{TelemetrySink, Tracer};
 use taureau_dag::{
     Dag, DagBuilder, DagError, DagExecutor, DataPassing, ExecutorConfig, RetryPolicy,
@@ -3446,19 +3446,15 @@ const BENCH_E30_PATH: &str = "BENCH_e30.json";
 
 /// E30 — the read-mostly data plane (the ISSUE 9 refactor, ROADMAP item
 /// 3): consumers commit their cursor once per `receive_batch` instead of
-/// once per message, entry reads serve from immutable segment caches, and
-/// hot small state (fence checks, topic metadata, tracers) moved onto
-/// epoch-published `Snapshot` cells. Three measurements gate it: (a)
-/// dispatch throughput must now scale with consumer batch size, (b) the
-/// dispatch-phase profile must no longer top out in `entry_read` (E27's
-/// bottleneck), and (c) a `Snapshot` load must beat the mutex it replaced
-/// and allocate nothing — including Jiffy's warm KV get.
+/// once per message and entry reads serve from immutable segment caches.
+/// Three measurements gate it: (a) dispatch throughput must scale with
+/// consumer batch size, (b) the dispatch-phase profile must no longer top
+/// out in `entry_read` (E27's bottleneck), and (c) Jiffy's warm KV get —
+/// the bound object's lock, past the control plane — must allocate nothing.
 fn e30_read_path(bench: &mut Vec<(String, String)>) {
-    use std::collections::HashMap;
-
     banner(
         "E30",
-        "read-mostly data plane: batched cursor commits, snapshot entry reads, lock-free small state",
+        "read-mostly data plane: batched cursor commits, cached entry reads, alloc-free warm get",
     );
 
     const BATCH_SIZES: &[usize] = &[1, 8, 64, 256];
@@ -3590,69 +3586,13 @@ fn e30_read_path(bench: &mut Vec<(String, String)>) {
         fmt_dur(Duration::from_micros(6029)),
     );
 
-    // -- (c) snapshot-vs-mutex read microbench + allocation gates ---------
-    // The small-state read pattern the refactor moved: a topic-metadata
-    // map consulted per message, previously behind a mutex.
-    let meta_map: HashMap<String, u32> = (0..64).map(|i| (format!("t{i}"), 4u32)).collect();
-    let keys: Vec<String> = (0..64).map(|i| format!("t{i}")).collect();
-    let snap = Snapshot::new(meta_map.clone());
-    let mutex = std::sync::Mutex::new(meta_map);
-    const READS: u64 = 1_000_000;
-    let t0 = Instant::now();
-    for i in 0..READS {
-        let g = mutex.lock().unwrap();
-        std::hint::black_box(g.get(&keys[(i % 64) as usize]));
-    }
-    let mutex_rate = READS as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-    // Borrowed snapshot probe (`Snapshot::read`): registers in the epoch
-    // bank for the guard's lifetime but skips the Arc refcount round-trip
-    // an owned `load` pays — the single-thread fast path.
-    let t0 = Instant::now();
-    for i in 0..READS {
-        let m = snap.read();
-        std::hint::black_box(m.get(&keys[(i % 64) as usize]));
-    }
-    let snap_rate = READS as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-    // Contended: 4 threads hammering the same cell. The mutex serializes;
-    // snapshot readers only touch their own stripe. This is the regime
-    // the refactor targets (every dispatch checks the fence cell).
+    // -- (c) allocation gate ------------------------------------------------
+    // Jiffy's warm KV get: a bound handle locks its object directly and
+    // hands out a refcounted view of the stored value.
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    const MT_THREADS: usize = 4;
-    const MT_READS: u64 = 250_000;
-    let run_mt = |f: &(dyn Fn(u64) + Sync)| -> f64 {
-        let t0 = Instant::now();
-        std::thread::scope(|s| {
-            for t in 0..MT_THREADS {
-                s.spawn(move || {
-                    for i in 0..MT_READS {
-                        f(t as u64 * MT_READS + i);
-                    }
-                });
-            }
-        });
-        (MT_THREADS as u64 * MT_READS) as f64 / t0.elapsed().as_secs_f64().max(1e-9)
-    };
-    let mutex_rate_4t = run_mt(&|i| {
-        let g = mutex.lock().unwrap();
-        std::hint::black_box(g.get(&keys[(i % 64) as usize]));
-    });
-    let snap_rate_4t = run_mt(&|i| {
-        let m = snap.read();
-        std::hint::black_box(m.get(&keys[(i % 64) as usize]));
-    });
     const ALLOC_OPS: u64 = 50_000;
-    let (snap_allocs, _) = alloc_delta(|| {
-        for i in 0..ALLOC_OPS {
-            let m = snap.read();
-            std::hint::black_box(m.get(&keys[(i % 64) as usize]));
-        }
-    });
-
-    // Jiffy's warm KV get: after one read-only pass over its keys the
-    // object publishes its read snapshot and every subsequent hit is lock-
-    // and alloc-free.
     let jiffy = Jiffy::new(
         JiffyConfig {
             blocks_per_node: 4096,
@@ -3664,11 +3604,6 @@ fn e30_read_path(bench: &mut Vec<(String, String)>) {
     for k in 0u64..256 {
         kv.put(&k.to_le_bytes(), &payloads[0]).expect("put");
     }
-    for k in 0u64..256 {
-        // As many consecutive stale reads as the object has entries buy
-        // the snapshot (rent-or-buy).
-        kv.get(&k.to_le_bytes()).expect("get");
-    }
     let (kv_allocs, _) = alloc_delta(|| {
         for i in 0..ALLOC_OPS {
             let v = kv.get(&(i % 256).to_le_bytes()).expect("get").expect("hit");
@@ -3676,37 +3611,9 @@ fn e30_read_path(bench: &mut Vec<(String, String)>) {
         }
     });
 
-    let mut t = Table::new([
-        "read path",
-        "reads/s (1 thread)",
-        "reads/s (4 threads)",
-        "allocs/op",
-    ]);
-    t.row([
-        "mutex<HashMap>".into(),
-        fmt_rate(mutex_rate),
-        fmt_rate(mutex_rate_4t),
-        "-".into(),
-    ]);
-    t.row([
-        "Snapshot read".into(),
-        fmt_rate(snap_rate),
-        fmt_rate(snap_rate_4t),
-        format!("{:.4}", snap_allocs as f64 / ALLOC_OPS as f64),
-    ]);
-    t.row([
-        "jiffy warm get".into(),
-        "-".into(),
-        "-".into(),
-        format!("{:.4}", kv_allocs as f64 / ALLOC_OPS as f64),
-    ]);
-    t.print();
     println!(
-        "snapshot read is {:.2}x the mutex path alone and {:.2}x under 4-thread \
-         contention ({cores} cores; gate: >= 1x contended on 4+ cores); \
-         gate: 0 allocs/op on both snapshot paths",
-        snap_rate / mutex_rate.max(1e-9),
-        snap_rate_4t / mutex_rate_4t.max(1e-9),
+        "jiffy warm get: {:.4} allocs/op ({cores} cores; gate: 0)",
+        kv_allocs as f64 / ALLOC_OPS as f64,
     );
 
     let rates_json = dispatch_rates
@@ -3728,21 +3635,11 @@ fn e30_read_path(bench: &mut Vec<(String, String)>) {
          \"dispatch_wall_ns\": {},\n    \
          \"dispatch_phase_ns\": {{{phase_json}}},\n    \
          \"top_dispatch_phase\": \"{top_phase}\",\n    \
-         \"mutex_reads_per_sec\": {mutex_rate:.1},\n    \
-         \"snapshot_reads_per_sec\": {snap_rate:.1},\n    \
-         \"snapshot_over_mutex\": {:.3},\n    \
-         \"mutex_reads_per_sec_4t\": {mutex_rate_4t:.1},\n    \
-         \"snapshot_reads_per_sec_4t\": {snap_rate_4t:.1},\n    \
-         \"snapshot_over_mutex_4t\": {:.3},\n    \
          \"cores\": {cores},\n    \
-         \"snapshot_load_allocs_per_op\": {:.4},\n    \
          \"jiffy_warm_get_allocs_per_op\": {:.4}\n  }}",
         dp.messages,
         dp.scans,
         dp.wall_ns,
-        snap_rate / mutex_rate.max(1e-9),
-        snap_rate_4t / mutex_rate_4t.max(1e-9),
-        snap_allocs as f64 / ALLOC_OPS as f64,
         kv_allocs as f64 / ALLOC_OPS as f64,
     );
     std::fs::write(BENCH_E30_PATH, format!("{{\n  \"e30\": {fragment}\n}}\n")).unwrap_or_else(

@@ -13,6 +13,7 @@
 //!
 //! This library holds the table-formatting helpers both halves share.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// A minimal fixed-width table printer for experiment output.

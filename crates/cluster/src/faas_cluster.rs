@@ -47,11 +47,6 @@ impl ClusterFaas {
         Self { workers, order }
     }
 
-    /// Worker fabric nodes, in creation order.
-    pub fn worker_nodes(&self) -> &[NodeId] {
-        &self.order
-    }
-
     /// The platform running on a worker node.
     pub fn platform(&self, node: NodeId) -> Option<&FaasPlatform> {
         self.workers.get(&node)

@@ -34,6 +34,8 @@
 //!   phase attribution, grey-failure detection, and exact telemetry
 //!   loss accounting. Used by experiment e29.
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod faas_cluster;
 pub mod fabric;

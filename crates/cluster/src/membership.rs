@@ -19,9 +19,9 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
+use parking_lot::RwLock;
 use taureau_core::hash::fnv;
 use taureau_core::id::NodeId;
-use taureau_core::sync::Snapshot;
 
 use crate::transport::SimNet;
 
@@ -216,32 +216,23 @@ pub struct Lease {
     pub epoch: u64,
 }
 
-/// An immutable, epoch-published copy of the control plane's lease table
-/// and membership view. Broker fence checks consult this lock-free on
-/// every message instead of taking the control-plane mutex (ISSUE 9
-/// tentpole, layer 4).
+/// A copy of the control plane's lease table and membership view, taken
+/// whole at one cluster epoch. Broker fence checks consult the published
+/// one on every message instead of taking the control-plane mutex.
 #[derive(Debug, Default, Clone)]
 pub struct LeaseView {
     /// Cluster epoch at publication.
     pub epoch: u64,
     view: BTreeSet<NodeId>,
-    leases: HashMap<String, Lease>,
-    /// `leases` re-keyed by bare topic name (the `topic/` resource prefix
-    /// stripped at publication) so the per-message fence probe never
-    /// allocates a resource key.
+    /// The `topic/<name>` leases keyed by bare topic name (the resource
+    /// prefix stripped at publication) so the per-message fence probe
+    /// never allocates a resource key.
     by_topic: HashMap<String, Lease>,
 }
 
 impl LeaseView {
-    /// Same semantics as [`ControlPlane::holds`], against this view.
-    pub fn holds(&self, resource: &str, node: NodeId) -> bool {
-        self.leases
-            .get(resource)
-            .is_some_and(|l| l.owner == node && self.view.contains(&node))
-    }
-
-    /// [`Self::holds`] for a `topic/<name>` resource, with no key
-    /// allocation.
+    /// Same semantics as [`ControlPlane::holds`] for a `topic/<name>`
+    /// resource, against this view, with no key allocation.
     pub fn holds_topic(&self, topic: &str, node: NodeId) -> bool {
         self.by_topic
             .get(topic)
@@ -249,22 +240,22 @@ impl LeaseView {
     }
 }
 
-/// Cloneable lock-free handle onto the control plane's published
-/// [`LeaseView`]. Reads never touch the control-plane mutex.
+/// Cloneable handle onto the control plane's published [`LeaseView`].
+/// Reads take the view's own read lock, never the control-plane mutex.
 #[derive(Debug, Clone)]
 pub struct LeaseReader {
-    snap: Arc<Snapshot<LeaseView>>,
+    snap: Arc<RwLock<LeaseView>>,
 }
 
 impl LeaseReader {
-    /// The currently published view.
-    pub fn view(&self) -> Arc<LeaseView> {
-        self.snap.load()
+    /// A copy of the currently published view: every field from the same
+    /// publication.
+    pub fn view(&self) -> LeaseView {
+        self.snap.read().clone()
     }
 
-    /// Whether `node` holds the live lease on `topic`'s resource,
-    /// per the published view. Borrowed snapshot probe: the answer is a
-    /// bool, so the fence check pays no Arc refcount round-trip.
+    /// Whether `node` holds the live lease on `topic`'s resource, per the
+    /// published view.
     pub fn holds_topic(&self, topic: &str, node: NodeId) -> bool {
         self.snap.read().holds_topic(topic, node)
     }
@@ -276,13 +267,13 @@ impl LeaseReader {
 /// ZooKeeper/etcd; its internal consensus is out of scope for the paper's
 /// serverless-stack argument, so it is reliable here by construction).
 /// Every mutation republishes a [`LeaseView`] so hot-path readers
-/// ([`LeaseReader`]) never lock.
+/// ([`LeaseReader`]) never wait on the control-plane mutex.
 #[derive(Debug, Default)]
 pub struct ControlPlane {
     epoch: u64,
     view: BTreeSet<NodeId>,
     leases: HashMap<String, Lease>,
-    published: Arc<Snapshot<LeaseView>>,
+    published: Arc<RwLock<LeaseView>>,
 }
 
 impl ControlPlane {
@@ -313,27 +304,26 @@ impl ControlPlane {
         true
     }
 
-    /// A lock-free handle for hot-path fence checks; reads see every
-    /// mutation made through this control plane.
+    /// A handle for hot-path fence checks; reads see every mutation made
+    /// through this control plane.
     pub fn reader(&self) -> LeaseReader {
         LeaseReader {
             snap: Arc::clone(&self.published),
         }
     }
 
-    /// Publish the current epoch/view/lease table for lock-free readers.
+    /// Publish the current epoch/view/lease table to [`LeaseReader`]s.
     fn republish(&self) {
         let by_topic = self
             .leases
             .iter()
             .filter_map(|(r, l)| Some((r.strip_prefix("topic/")?.to_string(), *l)))
             .collect();
-        self.published.store(LeaseView {
+        *self.published.write() = LeaseView {
             epoch: self.epoch,
             view: self.view.clone(),
-            leases: self.leases.clone(),
             by_topic,
-        });
+        };
     }
 
     /// Whether the authoritative view considers a node alive.

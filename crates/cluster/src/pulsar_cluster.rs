@@ -129,8 +129,8 @@ impl ClusterPulsar {
             );
             broker.set_tracer(tracer.clone());
             // Fence probes run per message on the broker hot path: consult
-            // the control plane's epoch-published lease view lock-free
-            // instead of taking its mutex for every publish/receive.
+            // the control plane's published lease view instead of taking
+            // its mutex for every publish/receive.
             let leases = control.lock().reader();
             broker.set_fence_check(Arc::new(move |topic: &str| leases.holds_topic(topic, node)));
             broker_order.push(node);
@@ -168,11 +168,6 @@ impl ClusterPulsar {
     /// Take the observability events accumulated since the last drain.
     pub fn drain_obs_events(&mut self) -> std::vec::Drain<'_, ObsEvent> {
         self.obs_events.drain(..)
-    }
-
-    /// Broker fabric nodes, in creation order.
-    pub fn broker_nodes(&self) -> &[NodeId] {
-        &self.broker_order
     }
 
     /// Bookie fabric nodes, in bookie-index order (spares included).

@@ -173,11 +173,6 @@ impl ClusterStack {
         &self.fabric
     }
 
-    /// Mutable fabric access (partitions, link faults).
-    pub fn fabric_mut(&mut self) -> &mut ClusterFabric {
-        &mut self.fabric
-    }
-
     /// The Pulsar tier.
     pub fn pulsar(&self) -> &ClusterPulsar {
         &self.pulsar
@@ -191,11 +186,6 @@ impl ClusterStack {
     /// The Jiffy tier.
     pub fn jiffy(&self) -> &JiffyFabric {
         &self.jiffy
-    }
-
-    /// Mutable Jiffy tier (join/leave).
-    pub fn jiffy_mut(&mut self) -> &mut JiffyFabric {
-        &mut self.jiffy
     }
 
     /// The client's fabric node.
@@ -218,11 +208,6 @@ impl ClusterStack {
     /// The observability plane, when deployed.
     pub fn obs(&self) -> Option<&ClusterObs> {
         self.obs.as_ref()
-    }
-
-    /// Mutable observability plane access (timelines, blackbox dumps).
-    pub fn obs_mut(&mut self) -> Option<&mut ClusterObs> {
-        self.obs.as_mut()
     }
 
     /// The single cluster-wide health report, merged from the collector

@@ -13,8 +13,13 @@
 //!    send before its receive in the merged timeline, whatever the
 //!    SimNet delivery delays and per-node clock skews do — the
 //!    observability plane's merged event stream depends on it.
+//! 4. **Lease views are read whole**: a [`LeaseReader`] racing the
+//!    control plane sees only views the control plane published, in
+//!    epoch order — the broker fence check depends on it.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -22,7 +27,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use taureau_cluster::fabric::{ClusterFabric, NodeRole};
-use taureau_cluster::membership::MembershipConfig;
+use taureau_cluster::membership::{ControlPlane, LeaseView, MembershipConfig};
 use taureau_cluster::transport::{LinkFaults, SimNet};
 use taureau_core::id::NodeId;
 use taureau_core::trace::{HlcClock, HlcStamp};
@@ -245,5 +250,103 @@ proptest! {
             stamps.windows(2).all(|w| w[0] < w[1]),
             "merged timeline has colliding stamps"
         );
+    }
+}
+
+const LEASE_TOPICS: [&str; 3] = ["a", "b", "c"];
+const LEASE_NODES: [NodeId; 4] = [NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
+
+/// Everything a reader can ask of one [`LeaseView`]: the fence check's
+/// answer for every topic and node. It takes both `by_topic` (who owns
+/// it) and `view` (is the owner alive), so a view mixing two publications
+/// answers differently from either.
+fn lease_answers(v: &LeaseView) -> Vec<bool> {
+    let mut out = Vec::new();
+    for t in LEASE_TOPICS {
+        out.extend(LEASE_NODES.map(|n| v.holds_topic(t, n)));
+    }
+    out
+}
+
+/// Step `i` of the writer's script: install a (never empty) membership
+/// view derived from `seed`, then re-lease every topic against it,
+/// calling `published` after each mutation.
+fn lease_step(cp: &mut ControlPlane, i: u64, seed: u8, mut published: impl FnMut(&ControlPlane)) {
+    let mask = u64::from(seed) ^ i.wrapping_mul(0x9e37_79b9);
+    let view: BTreeSet<NodeId> = LEASE_NODES
+        .into_iter()
+        .filter(|n| n.raw() == i % 4 || mask >> n.raw() & 1 == 1)
+        .collect();
+    cp.update_view(view);
+    published(cp);
+    for t in LEASE_TOPICS {
+        cp.ensure_lease(&format!("topic/{t}"), &LEASE_NODES);
+        published(cp);
+    }
+}
+
+proptest! {
+    /// `LeaseReader` reads are linearizable against a single-threaded
+    /// model of the same script: every view a reader takes while the
+    /// control plane mutates is exactly one the control plane published
+    /// (`by_topic` and `view` from the same epoch, never torn),
+    /// and each reader's observed epoch is monotone.
+    #[test]
+    fn lease_reads_linearizable_against_single_threaded_model(
+        n_steps in 1u64..24,
+        seed in any::<u8>(),
+    ) {
+        // The model: replay the script alone, recording what each epoch's
+        // publication answers.
+        let mut model: HashMap<u64, Vec<bool>> = HashMap::new();
+        let mut reference = ControlPlane::new();
+        let reference_reader = reference.reader();
+        model.insert(0, lease_answers(&reference_reader.view()));
+        for i in 1..=n_steps {
+            lease_step(&mut reference, i, seed, |cp| {
+                let v = reference_reader.view();
+                assert_eq!(v.epoch, cp.epoch());
+                let answers = lease_answers(&v);
+                // A call that changed nothing republishes nothing new.
+                assert_eq!(model.entry(v.epoch).or_insert_with(|| answers.clone()), &answers);
+            });
+        }
+
+        let mut cp = ControlPlane::new();
+        let reader = cp.reader();
+        let (start, done) = (Barrier::new(3), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let (reader, model, start, done) = (reader.clone(), &model, &start, &done);
+                s.spawn(move || {
+                    start.wait();
+                    let mut last = 0u64;
+                    loop {
+                        // Read the flag first: the pass that sees it set
+                        // still checks the final publication.
+                        let finished = done.load(Ordering::Acquire);
+                        let v = reader.view();
+                        assert!(v.epoch >= last, "lease epoch went backwards");
+                        last = v.epoch;
+                        assert_eq!(
+                            Some(&lease_answers(&v)),
+                            model.get(&v.epoch),
+                            "torn lease view at epoch {}",
+                            v.epoch
+                        );
+                        if finished {
+                            assert_eq!(v.epoch, model.keys().copied().max().unwrap());
+                            break;
+                        }
+                    }
+                });
+            }
+            start.wait();
+            for i in 1..=n_steps {
+                lease_step(&mut cp, i, seed, |_| {});
+            }
+            done.store(true, Ordering::Release);
+        });
+        prop_assert_eq!(cp.epoch(), reference.epoch());
     }
 }

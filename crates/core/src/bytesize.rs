@@ -44,11 +44,6 @@ impl ByteSize {
         self.0
     }
 
-    /// Bytes as `usize` (panics on 32-bit overflow, which no experiment hits).
-    pub fn as_usize(self) -> usize {
-        usize::try_from(self.0).expect("byte size exceeds usize")
-    }
-
     /// Fractional gibibytes, for billing arithmetic.
     pub fn as_gb_f64(self) -> f64 {
         self.0 as f64 / (1024.0 * 1024.0 * 1024.0)

@@ -141,14 +141,6 @@ pub mod profiles {
         }
     }
 
-    /// Intra-datacenter network round trip.
-    pub fn network_rtt() -> LatencyModel {
-        LatencyModel::Uniform {
-            lo: Duration::from_micros(50),
-            hi: Duration::from_micros(500),
-        }
-    }
-
     /// In-memory store op (Jiffy-class): tens of microseconds.
     pub fn memory_op() -> LatencyModel {
         LatencyModel::Uniform {

@@ -30,6 +30,7 @@
 //!   follow one invocation across FaaS, Pulsar and Jiffy, with Chrome
 //!   trace-event and flamegraph exporters.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -7,7 +7,7 @@
 //! topic Z, and a KV put in one application's namespace waited on every
 //! other tenant.
 //!
-//! Three primitives fix that:
+//! Two primitives fix that:
 //!
 //! - [`ShardedMap`]: a striped-lock hash map. Keys pick one of N
 //!   power-of-two shards by [`fnv`](crate::hash::fnv) of their bytes;
@@ -20,11 +20,11 @@
 //!   id (no CAS contention, no false sharing); reads fold all cells. This
 //!   backs [`Counter`](crate::metrics::Counter), so hot-path
 //!   `metrics.counter("x").inc()` never bounces a shared cache line.
-//! - [`Snapshot`]: an epoch/RCU-style publication cell for read-mostly
-//!   state. Writers clone-update-publish a fresh `Arc<T>`; readers take
-//!   the current `Arc` with no lock and no allocation. This is the read
-//!   path for closed ledger segments, topic metadata, lease tables, and
-//!   warm Jiffy KV gets.
+//!
+//! Read-mostly cells (an attached tracer, a topic's partition count, a
+//! handle's object binding, the cluster's lease view) are plain
+//! `RwLock`s and `OnceLock`s at their owners, read by copying the value
+//! out; sealed ledger segments are immutable `Arc`s and need no cell.
 //!
 //! Shard count defaults to [`DEFAULT_SHARDS`] (16): enough stripes that 8
 //! threads on disjoint keys collide with probability < ½ per op, small
@@ -35,7 +35,7 @@ use std::borrow::Borrow;
 use std::cell::Cell;
 use std::fmt;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -529,24 +529,11 @@ impl LockSite {
     }
 
     /// Count one uncontended acquisition with no timing. Used by the
-    /// inline read fast paths ([`ShardedMap::read`], [`Snapshot::load`])
-    /// which skip hold sampling entirely.
+    /// inline read fast path ([`ShardedMap::read`]), which skips hold
+    /// sampling entirely.
     #[inline]
     pub fn count_acquisition(&self) {
         self.acquisitions.inc();
-    }
-
-    /// Count one contended acquisition (an optimistic read that had to
-    /// retry, or a snapshot writer that found readers in flight) plus the
-    /// nanoseconds it spent blocked/retrying, stripe 0.
-    pub fn count_contended(&self, waited: Duration) {
-        self.contended.inc();
-        let ns = waited.as_nanos().min(u64::MAX as u128) as u64;
-        self.wait_nanos.add(ns);
-        if let Some(cell) = self.shard_wait.first() {
-            cell.0.fetch_add(ns, Ordering::Relaxed);
-        }
-        self.wait_us.record_duration(waited);
     }
 
     /// Acquire `mutex` (stripe `shard` of this site), timing the wait when
@@ -682,9 +669,9 @@ struct ProfilerInner {
     /// [`ContentionProfiler::flush_to_sink`], so flushes emit deltas.
     /// Keyed by site *identity* (`LockSite::id`), not name: a site
     /// registered after flushing has begun — a restarted broker
-    /// re-registering `pulsar.topics`, a `Snapshot` cell created
-    /// mid-run — starts its counters at zero, and subtracting another
-    /// same-named site's totals would swallow its deltas entirely.
+    /// re-registering `pulsar.topics` — starts its counters at zero, and
+    /// subtracting another same-named site's totals would swallow its
+    /// deltas entirely.
     last_flush: Mutex<FnvHashMap<u64, [u64; 3]>>,
 }
 
@@ -767,292 +754,6 @@ impl ContentionProfiler {
             *prev = snap;
         }
         pushed
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot: epoch-published read-mostly cell (arc-swap semantics).
-// ---------------------------------------------------------------------------
-
-/// An epoch/RCU-style publication cell for read-mostly state.
-///
-/// Writers build a fresh `T`, wrap it in an `Arc`, and publish it with
-/// [`Snapshot::store`] (or clone-update-publish via [`Snapshot::update`]);
-/// readers take the current `Arc` with [`Snapshot::load`] — **no lock, no
-/// allocation** on the read path. This is the primitive behind every
-/// lock-free read path in the stack: closed ledger-segment entry lists,
-/// topic-partition metadata, the cluster lease table, and warm Jiffy KV
-/// gets.
-///
-/// ## Protocol
-///
-/// The cell holds a raw `Arc` pointer plus a monotonically increasing
-/// epoch whose parity selects one of two striped reader *banks*:
-///
-/// - **Reader**: read the epoch `e`, register in bank `e & 1`
-///   (`fetch_add` on a cache-padded per-thread stripe), then re-check the
-///   epoch. If it moved, deregister and retry — crucially *without ever
-///   touching the pointer*. If it held, load the pointer, bump the Arc's
-///   strong count, deregister. The re-check is what makes the pointer
-///   dereference safe (see below); the two banks are what keep a steady
-///   stream of readers from stalling a writer forever, because retrying
-///   readers land in the *new* epoch's bank.
-/// - **Writer** (serialized by a mutex): swap in the new pointer, bump
-///   the epoch from `e` to `e+1`, spin until bank `e & 1` drains to
-///   zero, then drop the displaced `Arc`.
-///
-/// Safety argument: a reader that passed its re-check at epoch `e` is
-/// registered in bank `e & 1`. Whatever pointer it then loads — the old
-/// one or one a concurrent writer just swapped in — cannot be retired
-/// before the reader deregisters: retiring *any* pointer requires the
-/// next writer in sequence to first drain bank `e & 1` (the writer that
-/// moved the epoch off `e` waits on exactly that bank, and writers are
-/// serialized). A reader that fails its re-check never dereferences at
-/// all. Epochs are compared as full 64-bit values, so an "ABA" wrap is
-/// not reachable in practice.
-///
-/// Attach a [`LockSite`] to surface reads as `lock.<site>.acquisitions`
-/// and epoch-flip retries as `lock.<site>.contended` in the contention
-/// profiler, with writer drain-waits as `wait_ns`.
-pub struct Snapshot<T> {
-    /// Raw `Arc<T>` pointer (`Arc::into_raw`); never null.
-    ptr: AtomicPtr<T>,
-    /// Monotonic publication epoch; parity picks the active reader bank.
-    epoch: AtomicU64,
-    /// Two banks of striped reader-presence counters.
-    banks: [Box<[PaddedCell]>; 2],
-    /// Serializes publishers (readers never touch it).
-    writer: Mutex<()>,
-    /// Optional contention telemetry, same shape as [`ShardedMap`]'s.
-    prof: OnceLock<Arc<LockSite>>,
-}
-
-// Readers clone an Arc out and writers move Arcs in: same bounds Arc
-// itself would demand from a `Mutex<Arc<T>>`.
-unsafe impl<T: Send + Sync> Send for Snapshot<T> {}
-unsafe impl<T: Send + Sync> Sync for Snapshot<T> {}
-
-impl<T: fmt::Debug> fmt::Debug for Snapshot<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Snapshot")
-            .field("epoch", &self.epoch.load(Ordering::Relaxed))
-            .field("value", &self.load())
-            .finish()
-    }
-}
-
-impl<T: Default> Default for Snapshot<T> {
-    fn default() -> Self {
-        Self::new(T::default())
-    }
-}
-
-impl<T> Snapshot<T> {
-    /// New cell publishing `value` at epoch 0.
-    pub fn new(value: T) -> Self {
-        let mk = || {
-            (0..COUNTER_STRIPES)
-                .map(|_| PaddedCell::default())
-                .collect::<Vec<_>>()
-                .into_boxed_slice()
-        };
-        Self {
-            ptr: AtomicPtr::new(Arc::into_raw(Arc::new(value)).cast_mut()),
-            epoch: AtomicU64::new(0),
-            banks: [mk(), mk()],
-            writer: Mutex::new(()),
-            prof: OnceLock::new(),
-        }
-    }
-
-    /// Attach a contention [`LockSite`] (attach-once, like
-    /// [`ShardedMap::attach_profiler`]): loads count as acquisitions,
-    /// epoch-flip retries as contended, writer drain-waits as wait time.
-    pub fn attach_profiler(&self, site: Arc<LockSite>) -> bool {
-        self.prof.set(site).is_ok()
-    }
-
-    /// Publication epoch (bumps once per store).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
-    }
-
-    /// Take the current snapshot. Lock-free and allocation-free: one
-    /// epoch-gated registration, one pointer load, one refcount bump.
-    /// Retries only while a writer flips the epoch (bounded by writer
-    /// frequency, not reader count — retrying readers land in the new
-    /// bank).
-    pub fn load(&self) -> Arc<T> {
-        let stripe = stripe_index() & (COUNTER_STRIPES - 1);
-        let mut retries = 0u64;
-        loop {
-            let e = self.epoch.load(Ordering::SeqCst);
-            let gate = &self.banks[(e & 1) as usize][stripe].0;
-            gate.fetch_add(1, Ordering::SeqCst);
-            if self.epoch.load(Ordering::SeqCst) == e {
-                // Registration is visible before this load (SeqCst), so
-                // no writer past epoch `e` can retire what we read here
-                // until we deregister.
-                let raw = self.ptr.load(Ordering::SeqCst);
-                let arc = unsafe {
-                    Arc::increment_strong_count(raw);
-                    Arc::from_raw(raw)
-                };
-                gate.fetch_sub(1, Ordering::Release);
-                if let Some(site) = self.prof.get() {
-                    site.count_acquisition();
-                    for _ in 0..retries {
-                        site.count_contended(Duration::ZERO);
-                    }
-                }
-                return arc;
-            }
-            // Epoch moved under us: deregister and retry against the new
-            // bank. The stale pointer was never dereferenced.
-            gate.fetch_sub(1, Ordering::Release);
-            retries += 1;
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Borrow the current snapshot without touching the `Arc` refcount:
-    /// one epoch-gated registration, one pointer load, and a plain
-    /// reference out — the returned [`SnapshotRef`] deregisters on drop.
-    ///
-    /// This is the single-reader fast path [`Snapshot::load`]'s
-    /// measured-slower-than-a-mutex case called for: `load` pays two
-    /// *contended* atomic RMWs on the shared refcount word (every reader
-    /// of the same value hits the same cache line), while `read` touches
-    /// only this thread's striped presence counter. Use it for
-    /// short-lived probes (a fence check, a map lookup); keep `load` when
-    /// the value must outlive the borrow or be handed across threads.
-    ///
-    /// **Hold it briefly.** A writer publishing a new value spin-waits
-    /// until every guard registered against the displaced epoch drops —
-    /// a long-held `SnapshotRef` stalls writers exactly like a long-held
-    /// read lock. In particular, do not call `store`/`update` on the same
-    /// cell while holding one (self-deadlock: the drain waits on your own
-    /// registration).
-    pub fn read(&self) -> SnapshotRef<'_, T> {
-        let stripe = stripe_index() & (COUNTER_STRIPES - 1);
-        let mut retries = 0u64;
-        loop {
-            let e = self.epoch.load(Ordering::SeqCst);
-            let gate = &self.banks[(e & 1) as usize][stripe].0;
-            gate.fetch_add(1, Ordering::SeqCst);
-            if self.epoch.load(Ordering::SeqCst) == e {
-                // Same safety argument as `load`: registration in bank
-                // `e & 1` is visible (SeqCst) before this pointer load,
-                // and no writer can retire any pointer we might read here
-                // until the guard deregisters — the writer that moves the
-                // epoch off `e` drains exactly that bank first.
-                let raw = self.ptr.load(Ordering::SeqCst);
-                if let Some(site) = self.prof.get() {
-                    site.count_acquisition();
-                    for _ in 0..retries {
-                        site.count_contended(Duration::ZERO);
-                    }
-                }
-                return SnapshotRef {
-                    value: unsafe { &*raw },
-                    gate,
-                };
-            }
-            // Epoch moved under us: deregister and retry against the new
-            // bank. The stale pointer was never dereferenced.
-            gate.fetch_sub(1, Ordering::Release);
-            retries += 1;
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Publish a new value (epoch bump; waits for the displaced epoch's
-    /// readers to drain before freeing the old snapshot).
-    pub fn store(&self, value: T) {
-        self.store_arc(Arc::new(value));
-    }
-
-    /// Publish an already-shared value.
-    pub fn store_arc(&self, value: Arc<T>) {
-        let guard = self.writer.lock();
-        self.swap_and_drain(value, &guard);
-    }
-
-    /// Clone-update-publish: run `f` on the current value to build the
-    /// next one, atomically with respect to other writers.
-    pub fn update(&self, f: impl FnOnce(&T) -> T) {
-        let guard = self.writer.lock();
-        // Safe to read the raw pointer directly: we hold the writer lock,
-        // so no store can retire it.
-        let cur = unsafe { &*self.ptr.load(Ordering::SeqCst) };
-        let next = Arc::new(f(cur));
-        self.swap_and_drain(next, &guard);
-    }
-
-    /// Swap in `next`, bump the epoch, drain the old bank, drop the old
-    /// value. Caller must hold the writer lock (the guard witnesses it).
-    fn swap_and_drain(&self, next: Arc<T>, _writer: &parking_lot::MutexGuard<'_, ()>) {
-        let old_raw = self
-            .ptr
-            .swap(Arc::into_raw(next).cast_mut(), Ordering::SeqCst);
-        let old_epoch = self.epoch.fetch_add(1, Ordering::SeqCst);
-        let bank = &self.banks[(old_epoch & 1) as usize];
-        let mut waited: Option<Instant> = None;
-        let mut spins = 0u32;
-        while bank.iter().any(|c| c.0.load(Ordering::Acquire) != 0) {
-            waited.get_or_insert_with(Instant::now);
-            spins += 1;
-            if spins > 64 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        if let (Some(t0), Some(site)) = (waited, self.prof.get()) {
-            site.count_contended(t0.elapsed());
-        }
-        // Every reader registered against the displaced epoch has either
-        // finished its refcount bump or retried without dereferencing.
-        drop(unsafe { Arc::from_raw(old_raw) });
-    }
-}
-
-impl<T> Drop for Snapshot<T> {
-    fn drop(&mut self) {
-        // &mut self: no readers or writers are in flight.
-        drop(unsafe { Arc::from_raw(self.ptr.load(Ordering::SeqCst)) });
-    }
-}
-
-/// A borrowed view of a [`Snapshot`]'s current value, produced by
-/// [`Snapshot::read`]. Holds the reader's epoch-bank registration (not an
-/// `Arc` refcount) for its lifetime; dropping it deregisters. Writers
-/// publishing a new value wait for guards registered against the
-/// displaced epoch, so hold these only across short probes.
-pub struct SnapshotRef<'a, T> {
-    value: &'a T,
-    /// This reader's presence counter in the epoch bank it registered
-    /// against; decremented exactly once, on drop.
-    gate: &'a AtomicU64,
-}
-
-impl<T> std::ops::Deref for SnapshotRef<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        self.value
-    }
-}
-
-impl<T> Drop for SnapshotRef<'_, T> {
-    fn drop(&mut self) {
-        self.gate.fetch_sub(1, Ordering::Release);
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for SnapshotRef<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self.value, f)
     }
 }
 
@@ -1269,115 +970,6 @@ mod tests {
             })
             .sum();
         assert_eq!(total, 2, "expected exactly the new site's 2 acquisitions");
-    }
-
-    #[test]
-    fn snapshot_load_store_roundtrip_and_epoch() {
-        let s: Snapshot<Vec<u32>> = Snapshot::new(vec![1, 2, 3]);
-        assert_eq!(*s.load(), vec![1, 2, 3]);
-        assert_eq!(s.epoch(), 0);
-        s.store(vec![4]);
-        assert_eq!(*s.load(), vec![4]);
-        assert_eq!(s.epoch(), 1);
-        s.update(|v| v.iter().map(|x| x * 10).collect());
-        assert_eq!(*s.load(), vec![40]);
-        // Old snapshots keep living through their Arc.
-        let held = s.load();
-        s.store(vec![7]);
-        assert_eq!(*held, vec![40]);
-        assert_eq!(*s.load(), vec![7]);
-    }
-
-    #[test]
-    fn snapshot_readers_never_tear_under_concurrent_writers() {
-        // Publish (a, a) pairs; readers must never observe a != b.
-        let s: Arc<Snapshot<(u64, u64)>> = Arc::new(Snapshot::new((0, 0)));
-        let stop = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                let s = Arc::clone(&s);
-                let stop = Arc::clone(&stop);
-                scope.spawn(move || {
-                    let mut i = 0u64;
-                    while stop.load(Ordering::Relaxed) == 0 {
-                        i += 1;
-                        s.store((i, i));
-                    }
-                });
-            }
-            for _ in 0..4 {
-                let s = Arc::clone(&s);
-                scope.spawn(move || {
-                    for _ in 0..20_000 {
-                        let v = s.load();
-                        assert_eq!(v.0, v.1, "torn snapshot observed");
-                    }
-                });
-            }
-            std::thread::sleep(Duration::from_millis(30));
-            stop.store(1, Ordering::Relaxed);
-        });
-    }
-
-    #[test]
-    fn snapshot_read_borrows_without_refcount() {
-        let s: Snapshot<Vec<u32>> = Snapshot::new(vec![1, 2, 3]);
-        {
-            let g = s.read();
-            assert_eq!(*g, vec![1, 2, 3]);
-            assert_eq!(g.len(), 3);
-        }
-        // A store after the guard drops retires the old value.
-        s.store(vec![9]);
-        assert_eq!(*s.read(), vec![9]);
-        // The guard pins the bank, not the Arc: loads taken while a
-        // guard is live still see the published value.
-        let g = s.read();
-        let owned = s.load();
-        assert_eq!(*g, *owned);
-    }
-
-    #[test]
-    fn snapshot_read_never_tears_under_concurrent_writers() {
-        let s: Arc<Snapshot<(u64, u64)>> = Arc::new(Snapshot::new((0, 0)));
-        let stop = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            {
-                let s = Arc::clone(&s);
-                let stop = Arc::clone(&stop);
-                scope.spawn(move || {
-                    let mut i = 0u64;
-                    while stop.load(Ordering::Relaxed) == 0 {
-                        i += 1;
-                        s.store((i, i));
-                    }
-                });
-            }
-            for _ in 0..4 {
-                let s = Arc::clone(&s);
-                scope.spawn(move || {
-                    for _ in 0..20_000 {
-                        let v = s.read();
-                        assert_eq!(v.0, v.1, "torn borrowed snapshot observed");
-                    }
-                });
-            }
-            std::thread::sleep(Duration::from_millis(30));
-            stop.store(1, Ordering::Relaxed);
-        });
-    }
-
-    #[test]
-    fn snapshot_profiler_counts_loads() {
-        let prof = ContentionProfiler::new();
-        let s: Snapshot<u64> = Snapshot::new(9);
-        assert!(s.attach_profiler(prof.site("snap.cell", 1)));
-        for _ in 0..5 {
-            s.load();
-        }
-        let snap = &prof.snapshots()[0];
-        assert_eq!(snap.name, "snap.cell");
-        assert_eq!(snap.acquisitions, 5);
     }
 
     #[test]

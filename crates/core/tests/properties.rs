@@ -178,52 +178,3 @@ proptest! {
         prop_assert_eq!(counter.get(), adds.iter().sum::<u64>());
     }
 }
-
-proptest! {
-    /// `Snapshot` reads are linearizable against the mutex model: every
-    /// load observes an internally consistent value (never torn — the
-    /// payload always matches its version) and each reader's observed
-    /// version is monotone, exactly as if every access serialized through
-    /// one mutex.
-    #[test]
-    fn snapshot_reads_linearizable_against_mutex_model(
-        n_writes in 1u64..32,
-        seed in any::<u8>(),
-    ) {
-        use taureau_core::sync::Snapshot;
-
-        fn meta(version: u64, seed: u8) -> (u64, Vec<u8>) {
-            (version, vec![seed ^ version as u8; (version % 5) as usize + 1])
-        }
-
-        let snap = Snapshot::new(meta(0, seed));
-        std::thread::scope(|s| {
-            for reader in 0..2 {
-                let snap = &snap;
-                s.spawn(move || {
-                    let mut last = 0u64;
-                    for _ in 0..n_writes * 4 {
-                        // One reader uses owned loads, the other the
-                        // borrow guard; both must be linearizable.
-                        let m = if reader == 0 {
-                            snap.load()
-                        } else {
-                            std::sync::Arc::new(snap.read().clone())
-                        };
-                        assert_eq!(m.1, meta(m.0, seed).1, "torn snapshot read");
-                        assert!(m.0 >= last, "snapshot version went backwards");
-                        last = m.0;
-                    }
-                });
-            }
-            let snap = &snap;
-            s.spawn(move || {
-                for v in 1..=n_writes {
-                    snap.store(meta(v, seed));
-                }
-            });
-        });
-        prop_assert_eq!(snap.load().0, n_writes);
-        prop_assert_eq!(snap.epoch(), n_writes);
-    }
-}

@@ -50,6 +50,7 @@
 //! assert_eq!(report.frontiers, 3);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

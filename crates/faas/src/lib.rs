@@ -31,6 +31,7 @@
 //!   handlers are equivalent to run-once execution — and finding concrete
 //!   counterexample schedules for handlers that leak instance state.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -15,7 +15,6 @@ use taureau_core::latency::{profiles, LatencyModel};
 use taureau_core::metrics::{Counter, Histogram, MetricsRegistry};
 use taureau_core::ratelimit::TokenBucket;
 use taureau_core::rng::det_rng;
-use taureau_core::sync::Snapshot;
 use taureau_core::trace::{SpanContext, Tracer};
 
 use crate::billing::{BillingMeter, TenantAccount};
@@ -237,9 +236,9 @@ struct Inner {
     billing: BillingMeter,
     metrics: MetricsRegistry,
     hot: HotMetrics,
-    /// Epoch-published: an invocation borrows it without a lock, and
-    /// cloning the disabled tracer touches no shared line.
-    tracer: Snapshot<Tracer>,
+    /// Read by copy ([`FaasPlatform::tracer`]): a disabled tracer is
+    /// `None`, and no guard outlives the read.
+    tracer: RwLock<Tracer>,
     invocation_ids: IdGen,
 }
 
@@ -264,7 +263,7 @@ impl FaasPlatform {
                 billing: BillingMeter::new(cfg.pricing),
                 hot: HotMetrics::new(&metrics),
                 metrics,
-                tracer: Snapshot::new(Tracer::disabled()),
+                tracer: RwLock::new(Tracer::disabled()),
                 invocation_ids: IdGen::new(),
                 cfg,
             }),
@@ -293,7 +292,7 @@ impl FaasPlatform {
 
     /// Attach a tracer; every subsequent invocation records spans into it.
     pub fn set_tracer(&self, tracer: Tracer) {
-        self.inner.tracer.store(tracer);
+        *self.inner.tracer.write() = tracer;
     }
 
     /// The currently attached tracer (disabled by default).

@@ -20,12 +20,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use taureau_core::bytesize::ByteSize;
 use taureau_core::clock::{SharedClock, WallClock};
 use taureau_core::id::NodeId;
 use taureau_core::metrics::{Counter, MetricsRegistry};
-use taureau_core::sync::{ShardedMap, Snapshot};
+use taureau_core::sync::ShardedMap;
 use taureau_core::trace::Tracer;
 
 use crate::data::{FileObject, KvObject, KvReadCache, ObjectState, QueueObject};
@@ -86,10 +86,10 @@ pub struct MigrationReport {
 struct AppState {
     tree: NamespaceTree,
     leases: LeaseManager,
-    /// Read caches of every KV object ever created under this app. Their
-    /// touch stamps are the app's data-path activity signal: the reaper
-    /// folds the latest one into lease renewal, which is what lets KV ops
-    /// skip the app shard lock without silently letting the lease lapse.
+    /// Touch stamps of every live KV object created under this app: the
+    /// app's data-path activity signal. The reaper folds the latest one
+    /// into lease renewal, which is what lets KV ops skip the app shard
+    /// lock without silently letting the lease lapse.
     kv_caches: Vec<Arc<KvReadCache>>,
 }
 
@@ -143,9 +143,8 @@ struct Inner {
     bus_subscribers: AtomicUsize,
     metrics: MetricsRegistry,
     hot: HotCounters,
-    /// Epoch-published so data-path span checks are a lock-free load
-    /// instead of a mutex round-trip per op.
-    tracer: Snapshot<Tracer>,
+    /// Read by copy ([`Jiffy::tracer`]); no guard outlives the read.
+    tracer: RwLock<Tracer>,
     /// Mirror of `tracer.is_enabled()`: one relaxed load decides whether a
     /// data-path op must take the span-recording (control-plane) route.
     tracer_on: AtomicBool,
@@ -178,7 +177,7 @@ impl Jiffy {
                 bus_subscribers: AtomicUsize::new(0),
                 metrics,
                 hot,
-                tracer: Snapshot::new(Tracer::disabled()),
+                tracer: RwLock::new(Tracer::disabled()),
                 tracer_on: AtomicBool::new(false),
             }),
         }
@@ -205,13 +204,13 @@ impl Jiffy {
         self.inner
             .tracer_on
             .store(tracer.is_enabled(), Ordering::Release);
-        self.inner.tracer.store(tracer);
+        *self.inner.tracer.write() = tracer;
     }
 
     /// The attached tracer (disabled unless [`Jiffy::set_tracer`] was
     /// called).
     pub fn tracer(&self) -> Tracer {
-        (*self.inner.tracer.load()).clone()
+        self.inner.tracer.read().clone()
     }
 
     /// Pool statistics snapshot.
@@ -521,13 +520,10 @@ impl Jiffy {
         Ok(self.kv_handle(path))
     }
 
-    /// Build a KV handle, sizing its lock-free freshness window to a
-    /// quarter of the lease TTL so read-only workloads still renew via
-    /// periodic locked reads.
+    /// Build a KV handle, not yet bound to its object.
     fn kv_handle(&self, path: JPath) -> KvHandle {
         KvHandle {
-            fresh_nanos: (self.inner.cfg.default_lease_ttl / 4).as_nanos() as u64,
-            bind: Arc::new(Snapshot::new(None)),
+            bind: Arc::new(RwLock::new(None)),
             jiffy: self.clone(),
             path,
         }
@@ -739,15 +735,11 @@ impl Jiffy {
     }
 }
 
-/// A KV handle's direct binding to its object: the shared object lock and
-/// read cache, resolved once through the control plane and reused per op.
-/// Invalidated by object reclamation (`is_alive` goes false), after which
-/// ops re-resolve through the namespace tree.
-#[derive(Debug)]
-struct KvBinding {
-    obj: Arc<Mutex<KvObject>>,
-    cache: Arc<KvReadCache>,
-}
+/// A KV handle's direct binding to its object: the shared object lock,
+/// resolved once through the control plane and reused per op. Invalidated
+/// by object reclamation (`is_alive` goes false), after which ops
+/// re-resolve through the namespace tree.
+type KvBinding = Arc<Mutex<KvObject>>;
 
 /// How [`KvHandle::mutate`] counts and traces a write.
 #[derive(Clone, Copy)]
@@ -765,11 +757,9 @@ enum Mutation {
 pub struct KvHandle {
     jiffy: Jiffy,
     path: JPath,
-    /// Direct object binding, published epoch-style so handle clones share
-    /// one rebind and ops read it lock-free.
-    bind: Arc<Snapshot<Option<KvBinding>>>,
-    /// How long after a touch the zero-lock read path may keep serving.
-    fresh_nanos: u64,
+    /// Direct object binding, shared so handle clones share one rebind.
+    /// Ops copy the `Arc` out; no guard outlives the read.
+    bind: Arc<RwLock<Option<KvBinding>>>,
 }
 
 impl KvHandle {
@@ -822,18 +812,18 @@ impl KvHandle {
             inner.hot.kv_gets.inc();
         }
         inner.hot.kv_puts.inc();
-        let bind = self.bind.load();
-        let live = Option::as_ref(&bind)
+        let bound = self.bound();
+        let live = bound
+            .as_ref()
             .filter(|_| !inner.tracer_on.load(Ordering::Relaxed))
-            .map(|b| (b, b.obj.lock()))
-            .filter(|(_, kv)| kv.is_alive());
-        let (out, moved) = if let Some((b, mut kv)) = live {
+            .map(|obj| obj.lock())
+            .filter(|kv| kv.is_alive());
+        let (out, moved) = if let Some(mut kv) = live {
             let done = op(&mut kv, &inner.pool)?;
-            drop(kv);
-            b.cache.touch(now_nanos);
+            kv.touch(now_nanos);
             done
         } else {
-            let tracer = inner.tracer.load();
+            let tracer = self.jiffy.tracer();
             let mut span = tracer.span(
                 TRACE_SYSTEM,
                 match what {
@@ -845,24 +835,16 @@ impl KvHandle {
             if let Mutation::Put { bytes } = what {
                 span.attr("bytes", bytes);
             }
-            let ((out, moved), bind) =
-                self.jiffy.with_kv_arc_at(now, &self.path, |arc, pool| {
-                    let mut kv = arc.lock();
-                    let done = op(&mut kv, pool)?;
-                    let cache = kv.read_cache();
-                    Ok((
-                        done,
-                        KvBinding {
-                            obj: Arc::clone(arc),
-                            cache,
-                        },
-                    ))
-                })?;
+            let ((out, moved), obj) = self.jiffy.with_kv_arc_at(now, &self.path, |arc, pool| {
+                let mut kv = arc.lock();
+                let done = op(&mut kv, pool)?;
+                kv.touch(now_nanos);
+                Ok((done, Arc::clone(arc)))
+            })?;
             if moved > 0 {
                 span.attr("repartitioned_bytes", moved);
             }
-            bind.cache.touch(now_nanos);
-            self.bind.store(Some(bind));
+            self.rebind(bound.as_ref(), obj);
             (out, moved)
         };
         if moved > 0 {
@@ -882,51 +864,59 @@ impl KvHandle {
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
         let now = self.jiffy.inner.clock.now();
         let now_nanos = now.as_nanos() as u64;
-        // Direct path: zero-lock snapshot hit, else the bound object's own
-        // lock. Tracing forces the control-plane route so spans keep their
-        // fidelity; a dead binding falls through and re-resolves.
+        // Direct path: the bound object's own lock. Tracing forces the
+        // control-plane route so spans keep their fidelity; a dead binding
+        // falls through and re-resolves.
+        let bound = self.bound();
         if !self.jiffy.inner.tracer_on.load(Ordering::Relaxed) {
-            let bind = self.bind.load();
-            if let Some(b) = bind.as_ref() {
-                if let Some(hit) = b.cache.try_get(key, now_nanos, self.fresh_nanos) {
-                    self.jiffy.inner.hot.kv_gets.inc();
-                    return Ok(hit);
-                }
-                let mut kv = b.obj.lock();
+            if let Some(obj) = &bound {
+                let kv = obj.lock();
                 if kv.is_alive() {
                     self.jiffy.inner.hot.kv_gets.inc();
-                    let value = kv.get_tracked(key);
-                    drop(kv);
-                    b.cache.touch(now_nanos);
-                    return Ok(value);
+                    kv.touch(now_nanos);
+                    return Ok(kv.get(key));
                 }
             }
         }
-        self.get_via_tree(key, now, now_nanos)
+        self.get_via_tree(key, now, now_nanos, bound.as_ref())
+    }
+
+    /// The current binding, copied out (one `Arc` bump; the read guard is
+    /// gone before this returns).
+    fn bound(&self) -> Option<KvBinding> {
+        self.bind.read().clone()
+    }
+
+    /// Point the shared binding at `obj` unless `bound` — what this op
+    /// read before resolving — already is that object: a traced run
+    /// resolves through the tree on every op and must not take the
+    /// binding's write lock each time.
+    fn rebind(&self, bound: Option<&KvBinding>, obj: KvBinding) {
+        if !bound.is_some_and(|old| Arc::ptr_eq(old, &obj)) {
+            *self.bind.write() = Some(obj);
+        }
     }
 
     /// Control-plane get: resolves the object through the namespace tree
     /// (renewing the lease), records spans, and captures the direct binding
     /// for subsequent ops.
-    fn get_via_tree(&self, key: &[u8], now: Duration, now_nanos: u64) -> Result<Option<Bytes>> {
-        let tracer = self.jiffy.inner.tracer.load();
+    fn get_via_tree(
+        &self,
+        key: &[u8],
+        now: Duration,
+        now_nanos: u64,
+        bound: Option<&KvBinding>,
+    ) -> Result<Option<Bytes>> {
+        let tracer = self.jiffy.tracer();
         let mut span = tracer.span(TRACE_SYSTEM, "jiffy.kv_get");
         span.attr("path", &self.path);
         self.jiffy.inner.hot.kv_gets.inc();
-        let (value, bind) = self.jiffy.with_kv_arc_at(now, &self.path, |arc, _| {
-            let mut kv = arc.lock();
-            let value = kv.get_tracked(key);
-            let cache = kv.read_cache();
-            Ok((
-                value,
-                KvBinding {
-                    obj: Arc::clone(arc),
-                    cache,
-                },
-            ))
+        let (value, obj) = self.jiffy.with_kv_arc_at(now, &self.path, |arc, _| {
+            let kv = arc.lock();
+            kv.touch(now_nanos);
+            Ok((kv.get(key), Arc::clone(arc)))
         })?;
-        bind.cache.touch(now_nanos);
-        self.bind.store(Some(bind));
+        self.rebind(bound, obj);
         span.attr("hit", value.is_some());
         Ok(value)
     }
@@ -1018,7 +1008,7 @@ impl QueueHandle {
     /// Append an already-refcounted payload — no byte copy anywhere on the
     /// path; `pop` hands the same buffer back out.
     pub fn push_bytes(&self, payload: Bytes) -> Result<()> {
-        let tracer = self.jiffy.inner.tracer.load();
+        let tracer = self.jiffy.tracer();
         let mut span = tracer.span(TRACE_SYSTEM, "jiffy.queue_push");
         span.attr("path", &self.path);
         span.attr("bytes", payload.len());
@@ -1031,7 +1021,7 @@ impl QueueHandle {
 
     /// Pop the oldest payload (the stored refcounted buffer — no copy).
     pub fn pop(&self) -> Result<Option<Bytes>> {
-        let tracer = self.jiffy.inner.tracer.load();
+        let tracer = self.jiffy.tracer();
         let mut span = tracer.span(TRACE_SYSTEM, "jiffy.queue_pop");
         span.attr("path", &self.path);
         self.jiffy.inner.hot.queue_pops.inc();
@@ -1076,7 +1066,7 @@ impl FileHandle {
     /// Append an already-refcounted chunk — no byte copy; returns the new
     /// length.
     pub fn append_bytes(&self, bytes: Bytes) -> Result<u64> {
-        let tracer = self.jiffy.inner.tracer.load();
+        let tracer = self.jiffy.tracer();
         let mut span = tracer.span(TRACE_SYSTEM, "jiffy.file_append");
         span.attr("path", &self.path);
         span.attr("bytes", bytes.len());
@@ -1092,7 +1082,7 @@ impl FileHandle {
     /// Read a byte range (clamped to the file length). Zero-copy when the
     /// range falls within one appended chunk.
     pub fn read(&self, offset: u64, len: u64) -> Result<Bytes> {
-        let tracer = self.jiffy.inner.tracer.load();
+        let tracer = self.jiffy.tracer();
         let mut span = tracer.span(TRACE_SYSTEM, "jiffy.file_read");
         span.attr("path", &self.path);
         span.attr("offset", offset);
@@ -1107,7 +1097,7 @@ impl FileHandle {
     /// Full contents (zero-copy for files written in a single append).
     /// A read like any other: same counter, same span as [`Self::read`].
     pub fn contents(&self) -> Result<Bytes> {
-        let tracer = self.jiffy.inner.tracer.load();
+        let tracer = self.jiffy.tracer();
         let mut span = tracer.span(TRACE_SYSTEM, "jiffy.file_read");
         span.attr("path", &self.path);
         span.attr("offset", 0u64);
@@ -1205,22 +1195,71 @@ mod tests {
     }
 
     #[test]
-    fn read_snapshot_serves_after_warmup_and_dies_with_lease() {
+    fn bound_reads_see_overwrites_and_die_with_lease() {
         let (j, clock) = deployment();
         let kv = j.create_kv("/app/state", 2).unwrap();
         kv.put(b"k", b"v").unwrap();
-        // Consecutive reads against a stale snapshot republish it; further
-        // reads serve lock-free from the published view.
         for _ in 0..16 {
             assert_eq!(kv.get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
         }
-        // Mutations invalidate the snapshot — no stale value is served.
+        // No stale value is served after a mutation.
         kv.put(b"k", b"v2").unwrap();
         assert_eq!(kv.get(b"k").unwrap().as_deref(), Some(&b"v2"[..]));
-        // A reclaimed object must not keep serving from its snapshot.
+        // A reclaimed object must not keep serving through its binding.
         clock.advance(Duration::from_secs(11));
         j.reap_expired();
         assert!(matches!(kv.get(b"k"), Err(JiffyError::NotFound(_))));
+    }
+
+    #[test]
+    fn traced_ops_rebind_only_when_the_object_changed() {
+        let (j, _) = deployment();
+        let kv = j.create_kv("/app/state", 1).unwrap();
+        kv.put(b"k", b"v").unwrap(); // binds
+        j.set_tracer(Tracer::new(j.inner.clock.clone()));
+        // Traced ops resolve through the tree every time. While this
+        // thread holds the binding's read lock a rebind would block, so
+        // the worker finishing at all shows none was attempted.
+        let held = kv.bind.read();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..1_000 {
+                    assert_eq!(kv.get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
+                }
+                kv.put(b"k", b"v").unwrap();
+                done_tx.send(()).unwrap();
+            });
+            let finished = done_rx.recv_timeout(Duration::from_secs(10));
+            drop(held);
+            finished.expect("a traced op on a live, bound object rewrote the binding");
+        });
+        // The path reclaimed and made again is a different object: the
+        // old handle's next traced op binds to it.
+        j.remove_namespace("/app").unwrap();
+        assert!(matches!(kv.get(b"k"), Err(JiffyError::NotFound(_))));
+        let fresh = j.create_kv("/app/state", 1).unwrap();
+        fresh.put(b"k", b"new").unwrap();
+        assert_eq!(kv.get(b"k").unwrap().as_deref(), Some(&b"new"[..]));
+        assert!(Arc::ptr_eq(
+            kv.bound().as_ref().unwrap(),
+            fresh.bound().as_ref().unwrap()
+        ));
+    }
+
+    #[test]
+    fn explicit_renewal_keeps_an_idle_namespace_alive() {
+        let (j, clock) = deployment();
+        j.create_kv("/app/state", 1).unwrap();
+        // No data-path access at all: only the §4.4 lease API.
+        for _ in 0..3 {
+            clock.advance(Duration::from_secs(8));
+            assert!(j.renew_lease("/app/state"));
+            assert!(j.reap_expired().is_empty());
+        }
+        clock.advance(Duration::from_secs(11));
+        assert_eq!(j.reap_expired(), vec![JPath::parse("/app")]);
+        assert!(!j.renew_lease("/app/state"), "renewed a reclaimed lease");
     }
 
     #[test]

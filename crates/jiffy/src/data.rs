@@ -24,7 +24,6 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use taureau_core::hash::{hash64, FnvHashMap};
 use taureau_core::id::NodeId;
-use taureau_core::sync::Snapshot;
 
 use crate::error::{JiffyError, Result};
 use crate::pool::{BlockRef, MemoryPool};
@@ -72,8 +71,8 @@ impl ObjectState {
         }
     }
 
-    /// Mark the object reclaimed so outstanding handles' lock-free read
-    /// paths stop serving from its published snapshot.
+    /// Mark the object reclaimed so outstanding handles' direct bindings
+    /// stop serving it.
     pub fn retire(&self) {
         if let ObjectState::Kv(o) = self {
             o.lock().retire();
@@ -153,59 +152,27 @@ struct Partition {
     used: u64,
 }
 
-/// Floor on the consecutive stale (snapshot-missing) locked gets before the
-/// object republishes its read snapshot; see [`KvObject::get_tracked`].
-const REPUBLISH_AFTER_STALE_READS: usize = 8;
-
-/// The immutable view a [`KvReadCache`] publishes: every partition's map
-/// cloned at one mutation version. `Bytes` values are refcounted, so the
-/// clone copies pointers, not payloads.
-#[derive(Debug, Default)]
-pub struct KvSnap {
-    version: u64,
-    parts: Vec<FnvHashMap<Vec<u8>, Bytes>>,
-}
-
-/// Lock-free read-side companion of a [`KvObject`] (ISSUE 9 tentpole,
-/// layer 3). The object publishes immutable snapshots of its partitions
-/// here; `KvHandle::get` serves warm hits with zero locks when the
-/// snapshot is current, the lease was renewed recently, and the object is
-/// still alive.
+/// What a [`KvObject`] shares with the reaper, readable without the
+/// object lock: whether the object is still live, and when its data path
+/// was last used.
 #[derive(Debug)]
 pub struct KvReadCache {
-    /// Mutation counter; every put/remove/scale bumps it, so a reader that
-    /// observes `snap.version == version` knows the snapshot is current.
-    version: AtomicU64,
     /// Cleared when the object is reclaimed (lease expiry or namespace
-    /// removal) so stale handles fall back to the locked path and get the
-    /// authoritative `NotFound`.
+    /// removal) so stale handles fall back to the control plane and get
+    /// the authoritative `NotFound`.
     alive: AtomicBool,
-    /// Clock nanos of the last *locked* access (which renews the lease).
-    /// The lock-free path only serves within a quarter-TTL of this stamp,
-    /// so a read-only workload still renews its lease via periodic locked
-    /// reads instead of silently letting it lapse.
+    /// Clock nanos of the last data-path access. Direct-path ops skip the
+    /// app shard lock and with it the lease table; the reaper folds this
+    /// stamp into lease renewal instead.
     renewed_nanos: AtomicU64,
-    /// Version of the currently published snapshot, mirrored outside the
-    /// `Snapshot` cell so a stale read fails on one atomic compare instead
-    /// of a full snapshot load.
-    snap_version: AtomicU64,
-    snap: Snapshot<KvSnap>,
 }
 
 impl KvReadCache {
     fn new() -> Self {
         Self {
-            version: AtomicU64::new(0),
             alive: AtomicBool::new(true),
             renewed_nanos: AtomicU64::new(0),
-            snap_version: AtomicU64::new(u64::MAX),
-            snap: Snapshot::new(KvSnap::default()),
         }
-    }
-
-    /// Record a locked access (which renewed the covering lease) at `now`.
-    pub(crate) fn touch(&self, now_nanos: u64) {
-        self.renewed_nanos.store(now_nanos, Ordering::Release);
     }
 
     /// Whether the object behind this cache is still live (not reclaimed).
@@ -218,37 +185,6 @@ impl KvReadCache {
     pub(crate) fn last_touch_nanos(&self) -> u64 {
         self.renewed_nanos.load(Ordering::Acquire)
     }
-
-    /// Attempt a zero-lock read. Returns `Some(lookup)` — where the inner
-    /// option is the authoritative hit/miss — only when the snapshot is
-    /// current, the object is alive, and the lease was renewed within
-    /// `fresh_nanos`. Any doubt returns `None` and the caller takes the
-    /// locked path.
-    pub(crate) fn try_get(
-        &self,
-        key: &[u8],
-        now_nanos: u64,
-        fresh_nanos: u64,
-    ) -> Option<Option<Bytes>> {
-        if !self.alive.load(Ordering::Acquire) {
-            return None;
-        }
-        if now_nanos.saturating_sub(self.renewed_nanos.load(Ordering::Acquire)) >= fresh_nanos {
-            return None;
-        }
-        if self.snap_version.load(Ordering::Acquire) != self.version.load(Ordering::Acquire) {
-            return None;
-        }
-        // Borrowed snapshot read: the warm get copies a refcounted Bytes
-        // out, so the guard (held only across the probe) avoids the
-        // shared snapshot-Arc refcount bump entirely.
-        let snap = self.snap.read();
-        if snap.parts.is_empty() || snap.version != self.version.load(Ordering::Acquire) {
-            return None;
-        }
-        let idx = partition_of(key, snap.parts.len());
-        Some(snap.parts[idx].get(key).cloned())
-    }
 }
 
 /// Hash-partitioned KV map; each partition is one block.
@@ -256,10 +192,8 @@ impl KvReadCache {
 pub struct KvObject {
     partitions: Vec<Partition>,
     app: String,
-    /// Shared with handles for the lock-free read path.
+    /// Liveness flag and touch stamp, shared with the reaper.
     cache: Arc<KvReadCache>,
-    /// Consecutive locked gets that found the published snapshot stale.
-    stale_streak: usize,
 }
 
 impl KvObject {
@@ -278,17 +212,16 @@ impl KvObject {
                 .collect(),
             app: app.to_string(),
             cache: Arc::new(KvReadCache::new()),
-            stale_streak: 0,
         })
     }
 
-    /// The lock-free read-side companion (shared with handles).
+    /// The liveness flag and touch stamp (shared with the reaper).
     pub(crate) fn read_cache(&self) -> Arc<KvReadCache> {
         Arc::clone(&self.cache)
     }
 
-    /// Mark the object dead (reclaimed); outstanding handles' fast paths
-    /// refuse and fall back to the locked path's `NotFound`.
+    /// Mark the object dead (reclaimed); outstanding handles' direct
+    /// paths refuse and fall back to the control plane's `NotFound`.
     pub(crate) fn retire(&self) {
         self.cache.alive.store(false, Ordering::Release);
     }
@@ -300,34 +233,9 @@ impl KvObject {
         self.cache.is_alive()
     }
 
-    /// Record a mutation: invalidate the published snapshot and reset the
-    /// stale-read streak.
-    fn bump_version(&mut self) {
-        self.cache.version.fetch_add(1, Ordering::Release);
-        self.stale_streak = 0;
-    }
-
-    /// A locked `get` that also drives snapshot publication. Publishing
-    /// clones every entry, so it must pay for itself (rent-or-buy): the
-    /// object republishes only after as many consecutive gets against a
-    /// stale snapshot as the clone has entries (at least
-    /// [`REPUBLISH_AFTER_STALE_READS`]). Mutations reset the streak, so a
-    /// mixed put/get workload never pays the O(n) clone; a read-only phase
-    /// pays it after one pass and then serves lock-free.
-    pub(crate) fn get_tracked(&mut self, key: &[u8]) -> Option<Bytes> {
-        let version = self.cache.version.load(Ordering::Acquire);
-        if self.cache.snap_version.load(Ordering::Acquire) != version {
-            self.stale_streak += 1;
-            if self.stale_streak >= self.len().max(REPUBLISH_AFTER_STALE_READS) {
-                self.cache.snap.store(KvSnap {
-                    version,
-                    parts: self.partitions.iter().map(|p| p.map.clone()).collect(),
-                });
-                self.cache.snap_version.store(version, Ordering::Release);
-                self.stale_streak = 0;
-            }
-        }
-        self.get(key)
+    /// Record a data-path access at `now`.
+    pub(crate) fn touch(&self, now_nanos: u64) {
+        self.cache.renewed_nanos.store(now_nanos, Ordering::Release);
     }
 
     /// Number of partitions (= blocks).
@@ -355,7 +263,7 @@ impl KvObject {
     }
 
     /// The stored value's own buffer, when it is `len` bytes long and no
-    /// view handed out by `get` and no published [`KvSnap`] shares it.
+    /// view handed out by `get` shares it.
     /// Writing there is invisible to everyone but the next reader, so
     /// snapshot semantics hold, and the entry's size — hence every
     /// capacity check — is unchanged.
@@ -372,7 +280,6 @@ impl KvObject {
     pub fn put(&mut self, pool: &MemoryPool, key: &[u8], value: &[u8]) -> Result<u64> {
         if let Some(buf) = self.exclusive_value(key, value.len()) {
             buf.copy_from_slice(value);
-            self.bump_version();
             return Ok(0);
         }
         self.put_bytes(pool, key, Bytes::copy_from_slice(value))
@@ -403,13 +310,11 @@ impl KvObject {
                 if part.used - old + size <= block_size {
                     *slot = value;
                     part.used = part.used - old + size;
-                    self.bump_version();
                     return Ok(moved_total);
                 }
             } else if part.used + size <= block_size {
                 part.map.insert(key.to_vec(), value);
                 part.used += size;
-                self.bump_version();
                 return Ok(moved_total);
             }
             // Partition full: scale out by one block and re-partition this
@@ -444,7 +349,6 @@ impl KvObject {
         }
         *slot = value;
         part.used = used;
-        self.bump_version();
         Ok(0)
     }
 
@@ -459,7 +363,6 @@ impl KvObject {
             let cell: &mut [u8; 8] = buf.try_into().expect("8 bytes");
             let next = i64::from_le_bytes(*cell).wrapping_add(delta);
             *cell = next.to_le_bytes();
-            self.bump_version();
             return Ok((next, 0));
         }
         let mut next = 0;
@@ -486,7 +389,6 @@ impl KvObject {
         let part = &mut self.partitions[idx];
         let v = part.map.remove(key)?;
         part.used -= entry_size(key, &v);
-        self.bump_version();
         Some(v)
     }
 
@@ -549,7 +451,6 @@ impl KvObject {
         }
         pool.free(&self.app, &old_blocks);
         self.partitions = new_parts;
-        self.bump_version();
         // If shrink over-committed any partition, grow back out until all
         // partitions fit.
         while self.partitions.iter().any(|p| p.used > block_size) {
@@ -802,9 +703,9 @@ mod tests {
     proptest::proptest! {
         /// `update` is the `get` + `put` it replaces in everything a
         /// caller or the accountant can see: stored value, `used` bytes,
-        /// partition count (auto-scale at a full partition), mutation
-        /// version, and the `ValueTooLarge` refusal — for values that
-        /// grow, shrink, fill a 256-byte block and overflow it.
+        /// partition count (auto-scale at a full partition) and the
+        /// `ValueTooLarge` refusal — for values that grow, shrink, fill a
+        /// 256-byte block and overflow it.
         #[test]
         fn kv_update_matches_get_then_put(
             ops in proptest::collection::vec((0u8..6, 0usize..300, proptest::arbitrary::any::<bool>()), 1..80),
@@ -827,104 +728,7 @@ mod tests {
                 proptest::prop_assert_eq!(a.get(&key), b.get(&key));
                 proptest::prop_assert_eq!(a.used_bytes(), b.used_bytes());
                 proptest::prop_assert_eq!(a.partitions(), b.partitions());
-                proptest::prop_assert_eq!(
-                    a.cache.version.load(Ordering::Acquire),
-                    b.cache.version.load(Ordering::Acquire)
-                );
                 proptest::prop_assert_eq!(pa.free_blocks(), pb.free_blocks());
-            }
-        }
-    }
-
-    /// `KvHandle::get` without the handle: the zero-lock path when it
-    /// answers, the tracked locked path when it does not.
-    fn read(kv: &mut KvObject, key: &[u8]) -> Option<Bytes> {
-        kv.cache.touch(1);
-        match kv.cache.try_get(key, 1, u64::MAX) {
-            Some(hit) => hit,
-            None => kv.get_tracked(key),
-        }
-    }
-
-    fn hot_keys(p: &MemoryPool, n: u32) -> KvObject {
-        let mut kv = KvObject::create(p, "app", 1).unwrap();
-        for k in 0..n {
-            kv.put(p, &k.to_le_bytes(), &[0u8; 8]).unwrap();
-        }
-        kv
-    }
-
-    #[test]
-    fn mixed_gets_and_puts_never_publish_a_snapshot() {
-        let p = pool();
-        let mut kv = hot_keys(&p, 64);
-        let epoch0 = kv.cache.snap.epoch();
-        for i in 0..10_000u32 {
-            let key = (i.wrapping_mul(2_654_435_761) % 64).to_le_bytes();
-            if i % 10 == 9 {
-                kv.put(&p, &key, &i.to_le_bytes()).unwrap();
-            } else {
-                assert!(read(&mut kv, &key).is_some());
-            }
-        }
-        // 9 reads between writes can never repay cloning 64 entries.
-        assert_eq!(kv.cache.snap.epoch(), epoch0);
-    }
-
-    #[test]
-    fn read_only_phase_publishes_once_after_one_pass() {
-        let p = pool();
-        let mut kv = hot_keys(&p, 64);
-        let (epoch0, fresh) = (kv.cache.snap.epoch(), u64::MAX);
-        kv.cache.touch(1);
-        for i in 0..64u32 {
-            let key = i.to_le_bytes();
-            assert_eq!(kv.cache.snap.epoch(), epoch0, "published after {i} reads");
-            assert_eq!(kv.cache.try_get(&key, 1, fresh), None);
-            assert!(read(&mut kv, &key).is_some());
-        }
-        // The `len()`-th stale read bought the snapshot; from here on
-        // every read is a zero-lock hit and nothing is published again.
-        assert_eq!(kv.cache.snap.epoch(), epoch0 + 1);
-        for i in 0..1_000u32 {
-            let key = (i % 80).to_le_bytes();
-            assert_eq!(kv.cache.try_get(&key, 1, fresh), Some(kv.get(&key)));
-            assert_eq!(read(&mut kv, &key), kv.get(&key));
-        }
-        assert_eq!(kv.cache.snap.epoch(), epoch0 + 1);
-    }
-
-    proptest::proptest! {
-        /// Whatever mutations and reads interleave, the zero-lock path is
-        /// either silent or right: when `try_get` answers, it answers what
-        /// the locked `get` does, for every key.
-        #[test]
-        fn kv_try_get_agrees_with_locked_get(
-            ops in proptest::collection::vec((0u8..12, 0u8..6, 0usize..40), 1..200),
-        ) {
-            let p = pool();
-            let mut kv = KvObject::create(&p, "app", 1).unwrap();
-            for (op, k, len) in ops {
-                let key = [b'k', k];
-                match op {
-                    0 => { kv.put(&p, &key, &vec![k; len]).unwrap(); }
-                    1 => { kv.remove(&key); }
-                    2 => { kv.scale_to(&p, 1 + len % 4).unwrap(); }
-                    3 => {
-                        kv.update(&p, &key, |old| {
-                            Bytes::from(vec![k; old.map_or(0, |o| o.len() % 7) + len])
-                        })
-                        .unwrap();
-                    }
-                    4 => { kv.add_i64(&p, &key, len as i64).unwrap(); }
-                    _ => proptest::prop_assert_eq!(read(&mut kv, &key), kv.get(&key)),
-                }
-                for k in 0..6u8 {
-                    let key = [b'k', k];
-                    if let Some(hit) = kv.cache.try_get(&key, 1, u64::MAX) {
-                        proptest::prop_assert_eq!(hit, kv.get(&key));
-                    }
-                }
             }
         }
     }

@@ -89,11 +89,11 @@ impl LeaseManager {
         false
     }
 
-    /// Fold externally observed activity (e.g. lock-free KV data-path
-    /// touches that never take the app shard lock) into lease renewal:
-    /// every lease's `renewed_at` advances to at least `at`. Called by the
-    /// reaper before expiry checks, so zero-lock reads and direct-path
-    /// writes count as renewals without a per-op lock acquisition.
+    /// Fold externally observed activity (direct-path KV ops, which never
+    /// take the app shard lock) into lease renewal: every lease's
+    /// `renewed_at` advances to at least `at`. Called by the reaper before
+    /// expiry checks, so direct-path reads and writes count as renewals
+    /// without a per-op shard-lock acquisition.
     pub fn observe_activity(&mut self, at: Duration) {
         for l in self.leases.values_mut() {
             if l.renewed_at < at {

@@ -32,6 +32,7 @@
 //! The primary entry point is [`Jiffy`]; see `examples/` at the workspace
 //! root for end-to-end usage.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -23,17 +23,6 @@ pub struct NsNode {
 }
 
 impl NsNode {
-    /// Iterate over all objects in this sub-tree (depth-first), with their
-    /// paths relative to `base`.
-    pub fn objects<'a>(&'a self, base: &JPath, out: &mut Vec<(JPath, &'a ObjectState)>) {
-        if let Some(obj) = &self.object {
-            out.push((base.clone(), obj));
-        }
-        for (name, child) in &self.children {
-            child.objects(&base.child(name), out);
-        }
-    }
-
     /// Visit every object in this sub-tree mutably (depth-first), stopping
     /// at the first error.
     pub fn for_each_object_mut(
@@ -143,14 +132,6 @@ impl NamespaceTree {
         let mut objs = Vec::new();
         node.drain_objects(&mut objs);
         Ok(objs)
-    }
-
-    /// All (path, object) pairs in the sub-tree under `path`.
-    pub fn objects_under(&self, path: &JPath) -> Result<Vec<(JPath, &ObjectState)>> {
-        let node = self.get(path)?;
-        let mut out = Vec::new();
-        node.objects(path, &mut out);
-        Ok(out)
     }
 
     /// Visit every object in the tree mutably, stopping at the first error.

@@ -27,6 +27,7 @@
 //! Every stage is bounded and lossy-by-design: full queues drop and count
 //! rather than block, so monitoring can never stall the hot path.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -665,11 +665,6 @@ impl Monitor {
         self.ops.get(op).map_or(0, |s| s.cumulative.total())
     }
 
-    /// Operations seen so far, sorted by name.
-    pub fn op_names(&self) -> Vec<String> {
-        self.ops.keys().cloned().collect()
-    }
-
     /// Error rate of `op` over the fast window ending now.
     pub fn error_rate(&mut self, op: &str) -> f64 {
         let now = self.clock.now();

@@ -21,6 +21,7 @@
 //!    own, and every [`ExecutionReport`] carries the audit: total billed
 //!    cost equals the sum over basic function executions.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -22,6 +22,7 @@
 //! the live system, so they can run in-process after an experiment or
 //! offline over spans shipped through the telemetry pump.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -17,16 +17,16 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use taureau_core::clock::{SharedClock, WallClock};
 use taureau_core::hash::hash64;
 use taureau_core::id::LedgerId;
 use taureau_core::metrics::{Counter, MetricsRegistry};
-use taureau_core::sync::{ContentionProfiler, LockSite, ShardedMap, Snapshot};
+use taureau_core::sync::{ContentionProfiler, LockSite, ShardedMap};
 use taureau_core::trace::{SpanContext, Tracer};
 
 use crate::bookie::Bookie;
@@ -500,24 +500,23 @@ struct ClusterInner {
     bookies: Arc<Vec<Arc<Bookie>>>,
     meta: Arc<MetadataStore>,
     /// Topic-ownership fence installed by the cluster layer (standalone
-    /// brokers leave it unset and serve everything). Epoch-snapshot cell:
-    /// consulted on every publish/dispatch/ack, so readers must not lock.
-    fence_check: Snapshot<Option<FenceCheck>>,
+    /// brokers leave it unset and serve everything). Set at most once per
+    /// broker; consulted on every publish/dispatch/ack with one load.
+    fence_check: OnceLock<FenceCheck>,
     /// Broker-side topic state, sharded by topic-name hash so operations on
     /// different topics never serialize on one broker-wide lock. Lock
     /// ordering: topic shard → metadata shard → tier/quotas mutex; nothing
     /// acquires a topic shard while holding another, so no cycles.
     topics: ShardedMap<String, Topic>,
-    /// Topic partition counts, published as a read-mostly snapshot:
-    /// counts are immutable after `create_topic`, so lookups (producer
-    /// attach, subscribe, cluster routing) never touch the metadata store
-    /// after the first resolution.
-    parts_cache: Snapshot<HashMap<String, u32>>,
+    /// Topic partition counts: immutable after `create_topic`, so lookups
+    /// (producer attach, subscribe, cluster routing) never touch the
+    /// metadata store after the first resolution.
+    parts_cache: RwLock<HashMap<String, u32>>,
     metrics: MetricsRegistry,
     /// Hot-path counters resolved once — no name lookup per message.
     c_published: Arc<Counter>,
     c_delivered: Arc<Counter>,
-    tracer: Snapshot<Tracer>,
+    tracer: RwLock<Tracer>,
     next_consumer: AtomicU64,
     /// When set, `receive_scan` attributes its wall time across dispatch
     /// phases (lock acquisition, cursor bookkeeping, entry reads, decode,
@@ -684,13 +683,13 @@ impl PulsarCluster {
                 bk,
                 bookies,
                 meta,
-                fence_check: Snapshot::new(None),
+                fence_check: OnceLock::new(),
                 topics: ShardedMap::new(),
-                parts_cache: Snapshot::new(HashMap::new()),
+                parts_cache: RwLock::new(HashMap::new()),
                 metrics,
                 c_published,
                 c_delivered,
-                tracer: Snapshot::new(Tracer::disabled()),
+                tracer: RwLock::new(Tracer::disabled()),
                 next_consumer: AtomicU64::new(0),
                 dispatch_prof: AtomicBool::new(false),
                 tier: Mutex::new(None),
@@ -703,8 +702,10 @@ impl PulsarCluster {
     /// Install a topic-ownership fence (see [`FenceCheck`]). The cluster
     /// layer points this at its epoch-fenced lease table; operations on
     /// topics the check rejects fail with [`PulsarError::Fenced`].
-    pub fn set_fence_check(&self, check: FenceCheck) {
-        self.inner.fence_check.store(Some(check));
+    /// Install-once: a broker's fence is part of its identity, so a second
+    /// call is refused — it returns `false` and the first check stays.
+    pub fn set_fence_check(&self, check: FenceCheck) -> bool {
+        self.inner.fence_check.set(check).is_ok()
     }
 
     /// Shared metadata store (cluster layer + tests).
@@ -713,12 +714,9 @@ impl PulsarCluster {
     }
 
     fn check_fence(&self, topic: &str) -> Result<()> {
-        // Borrowed snapshot read (no Arc refcount round-trip): the hook
-        // may consult the cluster control plane, which must not nest
-        // inside broker locks — and the per-message fence probe itself
-        // now takes no lock and bumps no shared refcount either.
-        let check = self.inner.fence_check.read();
-        if let Some(check) = &*check {
+        // The hook may consult the cluster control plane, which must not
+        // nest inside broker locks: reading the cell takes none.
+        if let Some(check) = self.inner.fence_check.get() {
             if !check(topic) {
                 self.inner.metrics.counter("fenced_rejections").inc();
                 return Err(PulsarError::Fenced(topic.to_string()));
@@ -744,14 +742,14 @@ impl PulsarCluster {
 
     /// Attach a tracer; publish and dispatch paths record spans on it.
     pub fn set_tracer(&self, tracer: Tracer) {
-        self.inner.tracer.store(tracer);
+        *self.inner.tracer.write() = tracer;
     }
 
     /// The attached tracer (disabled unless [`PulsarCluster::set_tracer`]
-    /// was called). Served from an epoch snapshot — hot paths pay a
-    /// lock-free load instead of a mutex per operation.
+    /// was called). A copy: a disabled tracer is `None`, an enabled one
+    /// shares its span buffer, and no lock outlives this call.
     pub fn tracer(&self) -> Tracer {
-        (*self.inner.tracer.load()).clone()
+        self.inner.tracer.read().clone()
     }
 
     /// Direct BookKeeper access (used by benches).
@@ -773,20 +771,6 @@ impl PulsarCluster {
             // Raced another caller; use whoever won.
             return Arc::clone(self.inner.topics.profiler().expect("just attached"));
         }
-        // The read-mostly snapshot cells report too: loads show up as
-        // acquisitions, epoch-retry spins as contended events.
-        let _ = self
-            .inner
-            .fence_check
-            .attach_profiler(prof.site("pulsar.fence_snapshot", 1));
-        let _ = self
-            .inner
-            .parts_cache
-            .attach_profiler(prof.site("pulsar.topic_meta_snapshot", 1));
-        let _ = self
-            .inner
-            .tracer
-            .attach_profiler(prof.site("pulsar.tracer_snapshot", 1));
         site
     }
 
@@ -920,23 +904,17 @@ impl PulsarCluster {
         Ok(())
     }
 
-    /// Publish a topic's (immutable) partition count into the lock-free
-    /// metadata snapshot.
+    /// Remember a topic's (immutable) partition count.
     fn publish_partition_count(&self, topic: &str, n: u32) {
-        self.inner.parts_cache.update(|m| {
-            let mut m = m.clone();
-            m.insert(topic.to_string(), n);
-            m
-        });
+        self.inner.parts_cache.write().insert(topic.to_string(), n);
     }
 
-    /// Number of partitions of a topic. Snapshot fast path: counts are
-    /// immutable after [`PulsarCluster::create_topic`], so after the first
-    /// resolution a lookup is one lock-free epoch-snapshot load.
+    /// Number of partitions of a topic. Counts are immutable after
+    /// [`PulsarCluster::create_topic`], so after the first resolution a
+    /// lookup is one map probe under a read lock.
     pub fn partitions(&self, topic: &str) -> Result<u32> {
-        // Borrowed snapshot probe: the count is copied out, so no owned
-        // Arc (and no refcount traffic) is needed.
-        if let Some(&n) = self.inner.parts_cache.read().get(topic) {
+        let cached = self.inner.parts_cache.read().get(topic).copied();
+        if let Some(n) = cached {
             return Ok(n);
         }
         let v = self
@@ -1228,10 +1206,7 @@ impl PulsarCluster {
 
     fn publish(&self, topic: &str, key: Option<&[u8]>, payload: &[u8]) -> Result<MessageId> {
         self.check_fence(topic)?;
-        // Borrowed for the call, not `load`ed (two atomic updates, not
-        // four, and no shared refcount): a `set_tracer` waits for this call
-        // to return, and nothing this call runs publishes a tracer itself.
-        let tracer = self.inner.tracer.read();
+        let tracer = self.tracer();
         let mut span = tracer.span(TRACE_SYSTEM, "pulsar.publish");
         span.attr("topic", topic);
         span.attr("bytes", payload.len());
@@ -1298,8 +1273,7 @@ impl PulsarCluster {
                 .map(|id| vec![id]);
         }
         self.check_fence(topic)?;
-        // Borrowed for the call, as in `publish`.
-        let tracer = self.inner.tracer.read();
+        let tracer = self.tracer();
         let mut span = tracer.span(TRACE_SYSTEM, "pulsar.publish_batch");
         span.attr("topic", topic);
         span.attr("messages", payloads.len());
@@ -1685,8 +1659,7 @@ impl PulsarCluster {
             return Ok(0);
         }
         self.check_fence(topic)?;
-        // Borrowed for the call, as in `publish`.
-        let tracer = self.inner.tracer.read();
+        let tracer = self.tracer();
         let mut span = tracer.span(TRACE_SYSTEM, "pulsar.dispatch");
         span.attr("topic", topic);
         span.attr("subscription", subscription);
@@ -1764,8 +1737,7 @@ impl PulsarCluster {
             return Ok(0);
         }
         self.check_fence(topic)?;
-        // Borrowed for the call, as in `publish`.
-        let tracer = self.inner.tracer.read();
+        let tracer = self.tracer();
         let mut span = tracer.span(TRACE_SYSTEM, "pulsar.dispatch");
         span.attr("topic", topic);
         span.attr("subscription", subscription);
@@ -2703,6 +2675,41 @@ mod tests {
         c.set_dispatch_profiling(false);
         let _ = consumer.receive_batch(100).unwrap();
         assert_eq!(c.dispatch_profile(), prof);
+    }
+
+    #[test]
+    fn fence_rejects_publish_dispatch_and_ack_and_is_installed_once() {
+        let c = small_cluster();
+        for t in ["mine", "theirs"] {
+            c.create_topic(t, 1).unwrap();
+        }
+        let producer = c.producer("theirs").unwrap();
+        let mut consumer = c
+            .subscribe("theirs", "s", SubscriptionMode::Exclusive)
+            .unwrap();
+        let id = producer.send(b"before the fence").unwrap();
+
+        assert!(c.set_fence_check(Arc::new(|topic: &str| topic == "mine")));
+        let fenced = |r: Result<()>| matches!(r, Err(PulsarError::Fenced(t)) if t == "theirs");
+        assert!(fenced(producer.send(b"x").map(drop)));
+        assert!(fenced(producer.send_batch(&[b"x", b"y"]).map(drop)));
+        assert!(fenced(consumer.receive().map(drop)));
+        assert!(fenced(consumer.receive_entries(8).map(drop)));
+        assert!(fenced(consumer.ack(id)));
+        assert!(fenced(consumer.ack_batch(&[id])));
+        assert!(fenced(
+            c.subscribe("theirs", "s2", SubscriptionMode::Shared)
+                .map(drop)
+        ));
+        assert_eq!(c.metrics().counter("fenced_rejections").get(), 7);
+        // A topic the check admits is served as before.
+        c.producer("mine").unwrap().send(b"ok").unwrap();
+
+        // Install-once: a more permissive second check is refused, and the
+        // first keeps deciding.
+        assert!(!c.set_fence_check(Arc::new(|_: &str| true)));
+        assert!(fenced(producer.send(b"x").map(drop)));
+        assert_eq!(c.metrics().counter("fenced_rejections").get(), 8);
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub struct FunctionConfig {
 /// Per-invocation context handed to the function body — the `Context`
 /// parameter of the paper's Figure 3.
 pub struct Context<'a> {
-    function: &'a str,
     state: &'a KvHandle,
     producer: Option<&'a Producer>,
     cluster: &'a PulsarCluster,
@@ -56,11 +55,6 @@ pub struct Context<'a> {
 }
 
 impl Context<'_> {
-    /// Name of the running function.
-    pub fn function_name(&self) -> &str {
-        self.function
-    }
-
     /// Read a state value (Jiffy-backed; survives across invocations and
     /// across function instances). The returned [`Bytes`] is a refcounted
     /// view with snapshot semantics — no copy.
@@ -95,15 +89,9 @@ impl Context<'_> {
         self.extra_published += 1;
         Ok(())
     }
-
-    /// Whether this function has a configured output topic.
-    pub fn has_output(&self) -> bool {
-        self.producer.is_some()
-    }
 }
 
 struct FunctionInstance {
-    cfg: FunctionConfig,
     consumers: Vec<Consumer>,
     producer: Option<Producer>,
     state: KvHandle,
@@ -163,9 +151,8 @@ impl FunctionRuntime {
             .or_else(|_| self.jiffy.open_kv(state_path.as_str()))
             .expect("function state object");
         fns.insert(
-            cfg.name.clone(),
+            cfg.name,
             FunctionInstance {
-                cfg,
                 consumers,
                 producer,
                 state,
@@ -210,7 +197,6 @@ impl FunctionRuntime {
     pub fn run_available(&self, name: &str) -> Result<usize> {
         let mut fns = self.functions.lock();
         let FunctionInstance {
-            cfg,
             consumers,
             producer,
             state,
@@ -221,7 +207,6 @@ impl FunctionRuntime {
             .get_mut(name)
             .ok_or_else(|| PulsarError::FunctionNotFound(name.to_string()))?;
         let mut ctx = Context {
-            function: &cfg.name,
             state,
             producer: producer.as_ref(),
             cluster: &self.cluster,

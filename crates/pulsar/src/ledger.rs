@@ -122,11 +122,6 @@ impl BookKeeper {
         Self { bookies, meta }
     }
 
-    /// Number of live bookies.
-    pub fn alive_bookies(&self) -> usize {
-        self.bookies.iter().filter(|b| b.is_alive()).count()
-    }
-
     /// Create a new ledger with the given replication config.
     pub fn create_ledger(&self, cfg: LedgerConfig) -> Result<LedgerWriter> {
         cfg.validate();

@@ -28,6 +28,7 @@
 //!   function-local state and a [`Context`](functions::Context) mirroring
 //!   the paper's `process(String input, Context context)` interface.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

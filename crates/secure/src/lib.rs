@@ -16,6 +16,7 @@
 //! `Z·(log N + 1)` physical blocks per logical access — measured by the
 //! access counters and the `oram` bench (experiment E17).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -24,6 +24,7 @@
 //! All simulation is seeded and deterministic: the same inputs produce the
 //! same tables, run to run.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -27,6 +27,7 @@
 //! | [`KllSketch`] | quantiles | rank error ≈ O(1/k) |
 //! | [`AmsF2`] | second moment (join size) | (ε,δ) multiplicative |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -24,6 +24,7 @@
 //! See `examples/quickstart.rs` at the repository root for a first walk
 //! through the API, and `EXPERIMENTS.md` for the experiment catalogue.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -198,3 +198,132 @@ fn detached_tracer_stops_recording() {
         .iter()
         .any(|s| s.system == "taureau-jiffy" && s.parent.is_none()));
 }
+
+/// The three tracer cells are re-settable under live traffic: two workers
+/// run the whole request path (publish, `receive_entries_into`,
+/// `ack_entries`, invoke, Jiffy get + put + `add_i64`) on shared objects
+/// while a third thread flips every subsystem's tracer on and off. An op
+/// that held a tracer read guard across a nested read of the same cell
+/// would deadlock against a flip (the lock prefers writers); the watchdog
+/// turns that into a failure instead of a hang.
+#[test]
+fn tracers_flip_under_live_traffic_without_stalling_or_losing_messages() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
+    use taureau::core::latency::LatencyModel;
+
+    const FLIPS: usize = 1_000;
+    const OPS: u64 = 4_000;
+
+    let clock: SharedClock = WallClock::shared();
+    let tracer = Tracer::new(clock.clone());
+    let instant = LatencyModel::Constant(Duration::ZERO);
+    let faas = FaasPlatform::new(
+        PlatformConfig {
+            cold_start: instant.clone(),
+            warm_start: instant,
+            ..PlatformConfig::default()
+        },
+        clock.clone(),
+    );
+    faas.register(FunctionSpec::new("echo", "tenant", |ctx| {
+        Ok(ctx.payload.to_vec())
+    }))
+    .unwrap();
+    let pulsar = PulsarCluster::new(PulsarConfig::default(), clock.clone());
+    pulsar.create_topic("events", 1).unwrap();
+    let jiffy = Jiffy::new(JiffyConfig::default(), clock);
+    let kv = jiffy.create_kv("/flip/state", 1).unwrap();
+
+    let start = Arc::new(Barrier::new(3));
+    let workers_left = Arc::new(AtomicUsize::new(2));
+    let (done_tx, done_rx) = mpsc::channel();
+    let mut threads = Vec::new();
+    for w in 0..2u64 {
+        let (faas, kv, start, workers_left, done_tx) = (
+            faas.clone(),
+            kv.clone(),
+            start.clone(),
+            workers_left.clone(),
+            done_tx.clone(),
+        );
+        let producer = pulsar.producer("events").unwrap();
+        let mut consumer = pulsar
+            .subscribe("events", "workers", SubscriptionMode::Shared)
+            .unwrap();
+        threads.push(std::thread::spawn(move || {
+            let (mut sent, mut seen, mut views) = (Vec::new(), Vec::new(), Vec::new());
+            let mut take = |consumer: &mut taureau::pulsar::Consumer| {
+                let n = consumer.receive_entries_into(64, &mut views).unwrap();
+                seen.extend(views.iter().flat_map(|v| v.messages()).map(|m| m.payload()));
+                consumer.ack_entries(&views).unwrap();
+                n
+            };
+            start.wait();
+            for i in 0..OPS {
+                let payload = (w << 32 | i).to_le_bytes();
+                producer.send(&payload).unwrap();
+                sent.push(payload);
+                take(&mut consumer);
+                let out = faas.invoke("echo", payload.to_vec()).unwrap();
+                assert_eq!(&out.output[..], &payload);
+                kv.put(&[b'w', w as u8], &payload).unwrap();
+                let got = kv.get(&[b'w', w as u8]).unwrap();
+                assert_eq!(got.as_deref(), Some(&payload[..]));
+                kv.add_i64(b"ops", 1).unwrap();
+            }
+            // Everything this worker sent is out or available by now.
+            while take(&mut consumer) > 0 {}
+            workers_left.fetch_sub(1, Ordering::Release);
+            done_tx.send(()).unwrap();
+            (sent, seen)
+        }));
+    }
+    let flipper = {
+        let (tracer, faas, pulsar, jiffy) =
+            (tracer.clone(), faas.clone(), pulsar.clone(), jiffy.clone());
+        let start = start.clone();
+        std::thread::spawn(move || {
+            start.wait();
+            // At least FLIPS, and for as long as there is traffic.
+            let mut flip = 0;
+            while flip < FLIPS || workers_left.load(Ordering::Acquire) > 0 {
+                let t = if flip % 2 == 0 {
+                    tracer.clone()
+                } else {
+                    Tracer::disabled()
+                };
+                pulsar.set_tracer(t.clone());
+                faas.set_tracer(t.clone());
+                jiffy.set_tracer(t);
+                flip += 1;
+                std::thread::yield_now();
+            }
+            done_tx.send(()).unwrap();
+        })
+    };
+    // Watchdog. A deadlocked thread cannot be joined, so on a timeout the
+    // test fails here and leaves the threads behind.
+    for _ in 0..3 {
+        done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a thread stalled while tracers were being flipped");
+    }
+    flipper.join().unwrap();
+    let (mut sent, mut seen) = (Vec::new(), Vec::new());
+    for t in threads {
+        let (s, r) = t.join().unwrap();
+        sent.extend(s);
+        seen.extend(r.iter().map(|p| <[u8; 8]>::try_from(&p[..]).unwrap()));
+    }
+    // Nothing is redelivered here, so at-least-once is exactly-once.
+    sent.sort_unstable();
+    seen.sort_unstable();
+    assert_eq!(seen, sent, "a message was lost or duplicated");
+    assert_eq!(
+        kv.get(b"ops").unwrap().as_deref(),
+        Some(&(sent.len() as i64).to_le_bytes()[..])
+    );
+    assert!(!tracer.spans().is_empty(), "no span recorded while on");
+}
