@@ -15,7 +15,10 @@
 //! Each experiment is keyed to a claim in the paper; see `DESIGN.md` §5
 //! for the claim → experiment mapping. Everything is seeded and
 //! deterministic except where wall-clock throughput is explicitly
-//! reported.
+//! reported. No experiment writes a file unless one of the two flags
+//! above asks it to.
+
+#![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -32,20 +35,16 @@ use taureau_core::cost::VmPricing;
 use taureau_core::latency::LatencyModel;
 use taureau_core::metrics::MetricsRegistry;
 use taureau_core::rng::{det_rng, Zipf};
-use taureau_core::sync::ContentionProfiler;
 use taureau_core::trace::{TelemetrySink, Tracer};
-use taureau_dag::{
-    Dag, DagBuilder, DagError, DagExecutor, DataPassing, ExecutorConfig, RetryPolicy,
-};
+use taureau_dag::{Dag, DagBuilder, DagError, DagExecutor, ExecutorConfig, RetryPolicy};
 use taureau_faas::{FaasPlatform, FunctionSpec, PlatformConfig};
 use taureau_jiffy::baseline::{GlobalStore, PersistentStore};
 use taureau_jiffy::{Jiffy, JiffyConfig};
 use taureau_monitor::{Monitor, MonitorConfig, SloPolicy, TelemetryPump};
 use taureau_orchestration::statemachine::{State, StateMachine, Transition};
 use taureau_orchestration::{frame, Composition, Orchestrator};
-use taureau_prof::{render, ContentionReport, CriticalPath, TraceGraph};
 use taureau_pulsar::{
-    EntryView, FunctionConfig, FunctionRuntime, PulsarCluster, PulsarConfig, SubscriptionMode,
+    FunctionConfig, FunctionRuntime, PulsarCluster, PulsarConfig, SubscriptionMode,
 };
 use taureau_sim::scheduler::{pack, Demand, PackingPolicy};
 use taureau_sim::serverless::{simulate_serverless, ServerlessConfig};
@@ -53,68 +52,14 @@ use taureau_sim::vmfleet::{simulate_vm_fleet, VmFleetConfig, VmScalingPolicy};
 use taureau_sim::workload::{typical_duration_model, WorkloadSpec};
 use taureau_sketches::CountMinSketch;
 
-// ---------------------------------------------------------------------------
-// Counting allocator: E26 reads call/byte deltas around hot loops to report
-// allocations per operation. Two relaxed atomic adds per allocation; every
-// other experiment is unaffected beyond that.
-// ---------------------------------------------------------------------------
-
-static ALLOC_CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static ALLOC_BYTES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-struct CountingAllocator;
-
-// SAFETY: delegates every operation to `System`; the counters are
-// side-effect-only.
-unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        std::alloc::System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-        std::alloc::System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(
-            new_size.saturating_sub(layout.size()) as u64,
-            Ordering::Relaxed,
-        );
-        std::alloc::System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL_ALLOC: CountingAllocator = CountingAllocator;
-
-/// Run `f` and return the (allocation calls, allocated bytes) it performed.
-fn alloc_delta(f: impl FnOnce()) -> (u64, u64) {
-    let c0 = ALLOC_CALLS.load(Ordering::Relaxed);
-    let b0 = ALLOC_BYTES.load(Ordering::Relaxed);
-    f();
-    (
-        ALLOC_CALLS.load(Ordering::Relaxed) - c0,
-        ALLOC_BYTES.load(Ordering::Relaxed) - b0,
-    )
-}
-
 const KNOWN: &[&str] = &[
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e15", "e16", "e17",
-    "e18", "e19", "e20", "e21", "e22", "e23", "e24", "e25", "e26", "e27", "e28", "e29", "e30",
-    "e31",
+    "e18", "e19", "e20", "e21", "e22", "e23", "e24", "e28", "e29",
 ];
-
-/// Default path for the machine-readable benchmark numbers E25 (and E24's
-/// overhead coda) emit; overridden by `--bench-json PATH`.
-const BENCH_JSON_DEFAULT: &str = "BENCH_e25.json";
 
 fn main() {
     let mut trace_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
-    let mut bench_json: Option<String> = None;
     let mut args: Vec<String> = Vec::new();
     let mut raw = std::env::args().skip(1);
     while let Some(a) = raw.next() {
@@ -130,13 +75,6 @@ fn main() {
         } else if a == "--metrics-out" {
             metrics_out = Some(raw.next().unwrap_or_else(|| {
                 eprintln!("--metrics-out needs a path");
-                std::process::exit(2);
-            }));
-        } else if let Some(v) = a.strip_prefix("--bench-json=") {
-            bench_json = Some(v.to_string());
-        } else if a == "--bench-json" {
-            bench_json = Some(raw.next().unwrap_or_else(|| {
-                eprintln!("--bench-json needs a path");
                 std::process::exit(2);
             }));
         } else {
@@ -161,8 +99,6 @@ fn main() {
     }
     let all = args.is_empty() || args.iter().any(|a| a == "all");
     let want = |id: &str| all || args.iter().any(|a| a == id);
-    // (key, JSON value) fragments assembled into the bench-JSON file.
-    let mut bench_parts: Vec<(String, String)> = Vec::new();
 
     if want("e1") {
         e1_cost_vs_load_shape();
@@ -229,46 +165,13 @@ fn main() {
         e23_dag_engine();
     }
     if want("e24") {
-        e24_self_monitoring(&mut bench_parts);
-    }
-    if want("e25") {
-        e25_contention_scaling(&mut bench_parts);
-    }
-    if want("e26") {
-        e26_zero_copy_batching(&mut bench_parts);
-    }
-    if want("e27") {
-        e27_observability_pipeline(&mut bench_parts);
+        e24_self_monitoring();
     }
     if want("e28") {
-        e28_cluster_failover(&mut bench_parts);
+        e28_cluster_failover();
     }
     if want("e29") {
-        e29_cluster_observability(&mut bench_parts);
-    }
-    if want("e30") {
-        e30_read_path(&mut bench_parts);
-    }
-    if want("e31") {
-        e31_entry_view_dispatch(&mut bench_parts);
-    }
-    // E25 always persists its numbers (the CI scaling gate reads them);
-    // other fragments (E24's overhead coda, E26's batching numbers) ride
-    // along, or are written on their own when `--bench-json` is given
-    // explicitly.
-    if want("e25") || (bench_json.is_some() && !bench_parts.is_empty()) {
-        let path = bench_json.as_deref().unwrap_or(BENCH_JSON_DEFAULT);
-        let body = bench_parts
-            .iter()
-            .map(|(k, v)| format!("  \"{k}\": {v}"))
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let json = format!("{{\n{body}\n}}\n");
-        std::fs::write(path, json).unwrap_or_else(|e| {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("\nbench JSON written to {path}");
+        e29_cluster_observability();
     }
 }
 
@@ -1894,7 +1797,7 @@ fn e12_binpacking() {
 /// (the alert must fire exactly once and resolve exactly once), and
 /// flight-records a failed invocation into the Jiffy blackbox. A wall
 /// clock coda measures the per-invoke cost of the telemetry sink.
-fn e24_self_monitoring(bench: &mut Vec<(String, String)>) {
+fn e24_self_monitoring() {
     banner(
         "E24",
         "self-monitoring: SLO alert fires+resolves around an injected fault; sketch quantiles match exact within rank-error bound; failures leave a blackbox dump",
@@ -2119,15 +2022,6 @@ fn e24_self_monitoring(bench: &mut Vec<(String, String)>) {
     let off1 = overhead_run(false);
     let off2 = overhead_run(false);
     let on = overhead_run(true);
-    bench.push((
-        "e24_overhead".to_string(),
-        format!(
-            "{{\"per_invoke_ns\": {{\"disabled_run1\": {}, \"disabled_run2\": {}, \"sink_and_pump\": {}}}}}",
-            off1.as_nanos(),
-            off2.as_nanos(),
-            on.as_nanos()
-        ),
-    ));
     let delta = |d: Duration| {
         format!(
             "{:+.1}%",
@@ -2146,791 +2040,17 @@ fn e24_self_monitoring(bench: &mut Vec<(String, String)>) {
     println!("(disabled run 2 vs run 1 is the noise floor; the disabled path adds one None check over the tracing-only baseline)");
 }
 
-/// E25 — the sharded concurrency core: 1/2/4/8 threads drive each
-/// subsystem's hot path, sharded implementation vs the retained
-/// coarse-lock path. With striped locks, disjoint keys (different apps,
-/// topics, functions, counter stripes) proceed in parallel; the coarse
-/// baseline serializes every operation on one mutex. On a multi-core
-/// machine the sharded column scales toward the core count while the
-/// coarse column stays flat; on a single core both are flat (thread
-/// parallelism cannot exceed the hardware), so the CI gate runs on
-/// multi-core runners.
-fn e25_contention_scaling(bench: &mut Vec<(String, String)>) {
-    banner(
-        "E25",
-        "contention scaling: sharded locks scale with threads on disjoint keys; the coarse-lock baseline serializes",
-    );
-    const THREADS: &[usize] = &[1, 2, 4, 8];
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("(hardware threads available: {cores})");
-
-    /// Run `threads` workers, each performing `ops_per_thread` calls of
-    /// `op(worker_index, iteration)`; aggregate wall-clock ops/sec, best
-    /// of three runs, so one slow stretch of a shared host does not
-    /// decide a cell the gates compare.
-    fn drive(threads: usize, ops_per_thread: u64, op: impl Fn(usize, u64) + Sync) -> f64 {
-        let run = || {
-            let t0 = Instant::now();
-            std::thread::scope(|s| {
-                for t in 0..threads {
-                    let op = &op;
-                    s.spawn(move || {
-                        for i in 0..ops_per_thread {
-                            op(t, i);
-                        }
-                    });
-                }
-            });
-            (threads as u64 * ops_per_thread) as f64 / t0.elapsed().as_secs_f64().max(1e-9)
-        };
-        (0..3).map(|_| run()).fold(0.0, f64::max)
-    }
-
-    fn fmt_ops(v: f64) -> String {
-        if v >= 1e6 {
-            format!("{:.2}M/s", v / 1e6)
-        } else {
-            format!("{:.1}k/s", v / 1e3)
-        }
-    }
-
-    let max_threads = *THREADS.last().expect("thread counts");
-    let value = vec![0u8; 64];
-
-    // -- Jiffy KV: per-app namespaces (sharded) vs baseline::GlobalStore --
-    let jiffy = Jiffy::new(
-        JiffyConfig {
-            blocks_per_node: 4096,
-            ..Default::default()
-        },
-        Arc::new(WallClock::new()),
-    );
-    let kvs: Vec<_> = (0..max_threads)
-        .map(|t| {
-            jiffy
-                .create_kv(format!("/e25-app{t}/kv").as_str(), 4)
-                .expect("create kv")
-        })
-        .collect();
-    let jiffy_run = |threads: usize| {
-        drive(threads, 20_000, |t, i| {
-            let key = (i % 256).to_le_bytes();
-            kvs[t].put(&key, &value).expect("put");
-            let _ = kvs[t].get(&key).expect("get");
-        })
-    };
-    let global = GlobalStore::new(4);
-    let tenants: Vec<String> = (0..max_threads).map(|t| format!("e25-app{t}")).collect();
-    let jiffy_coarse_run = |threads: usize| {
-        drive(threads, 20_000, |t, i| {
-            let key = (i % 256).to_le_bytes();
-            global.put(&tenants[t], &key, &value);
-            let _ = global.get(&tenants[t], &key);
-        })
-    };
-
-    // -- Pulsar publish: sharded topic/ledger maps vs one global mutex ----
-    let cluster = PulsarCluster::new(
-        PulsarConfig {
-            max_entries_per_ledger: 1 << 20,
-            ..PulsarConfig::default()
-        },
-        WallClock::shared(),
-    );
-    let producers: Vec<_> = (0..max_threads)
-        .map(|t| {
-            let topic = format!("e25/t{t}");
-            cluster.create_topic(&topic, 1).expect("topic");
-            cluster.producer(&topic).expect("producer")
-        })
-        .collect();
-    let pulsar_run = |threads: usize| {
-        drive(threads, 10_000, |t, i| {
-            producers[t].send(&i.to_le_bytes()).expect("publish");
-        })
-    };
-    let coarse_cluster = PulsarCluster::new(
-        PulsarConfig {
-            max_entries_per_ledger: 1 << 20,
-            ..PulsarConfig::default()
-        },
-        WallClock::shared(),
-    );
-    let coarse_producers: Vec<_> = (0..max_threads)
-        .map(|t| {
-            let topic = format!("e25c/t{t}");
-            coarse_cluster.create_topic(&topic, 1).expect("topic");
-            coarse_cluster.producer(&topic).expect("producer")
-        })
-        .collect();
-    let publish_gate = std::sync::Mutex::new(());
-    let pulsar_coarse_run = |threads: usize| {
-        drive(threads, 10_000, |t, i| {
-            let _g = publish_gate.lock().expect("gate");
-            coarse_producers[t].send(&i.to_le_bytes()).expect("publish");
-        })
-    };
-
-    // -- FaaS invoke: sharded warm pool vs one global mutex ---------------
-    let platform = FaasPlatform::new(
-        PlatformConfig {
-            cold_start: LatencyModel::Constant(Duration::ZERO),
-            warm_start: LatencyModel::Constant(Duration::ZERO),
-            ..PlatformConfig::default()
-        },
-        Arc::new(WallClock::new()),
-    );
-    for t in 0..max_threads {
-        platform
-            .register(FunctionSpec::new(
-                format!("f{t}"),
-                "e25",
-                |_| Ok(Vec::new()),
-            ))
-            .expect("register");
-    }
-    let fnames: Vec<String> = (0..max_threads).map(|t| format!("f{t}")).collect();
-    // Cold starts and first metric touches out of the timed runs: every
-    // row measures warm invokes only.
-    for f in &fnames {
-        platform.invoke(f, Vec::new()).expect("warm-up invoke");
-    }
-    let faas_run = |threads: usize| {
-        drive(threads, 50_000, |t, _| {
-            platform.invoke(&fnames[t], Vec::new()).expect("invoke");
-        })
-    };
-    let invoke_gate = std::sync::Mutex::new(());
-    let faas_coarse_run = |threads: usize| {
-        drive(threads, 50_000, |t, _| {
-            let _g = invoke_gate.lock().expect("gate");
-            platform.invoke(&fnames[t], Vec::new()).expect("invoke");
-        })
-    };
-
-    // -- Metrics counters: striped cells vs a mutex-guarded u64 -----------
-    let registry = MetricsRegistry::new();
-    let counter = registry.counter("e25_ops");
-    let metrics_run = |threads: usize| drive(threads, 500_000, |_, _| counter.inc());
-    let coarse_count = std::sync::Mutex::new(0u64);
-    let metrics_coarse_run = |threads: usize| {
-        drive(threads, 500_000, |_, _| {
-            *coarse_count.lock().expect("count") += 1;
-        })
-    };
-
-    // -- drive everything and report --------------------------------------
-    let subsystems: Vec<(&str, Vec<f64>, Vec<f64>)> = vec![
-        (
-            "jiffy kv",
-            THREADS.iter().map(|&n| jiffy_run(n)).collect(),
-            THREADS.iter().map(|&n| jiffy_coarse_run(n)).collect(),
-        ),
-        (
-            "pulsar publish",
-            THREADS.iter().map(|&n| pulsar_run(n)).collect(),
-            THREADS.iter().map(|&n| pulsar_coarse_run(n)).collect(),
-        ),
-        (
-            "faas invoke",
-            THREADS.iter().map(|&n| faas_run(n)).collect(),
-            THREADS.iter().map(|&n| faas_coarse_run(n)).collect(),
-        ),
-        (
-            "metrics counter",
-            THREADS.iter().map(|&n| metrics_run(n)).collect(),
-            THREADS.iter().map(|&n| metrics_coarse_run(n)).collect(),
-        ),
-    ];
-
-    let scaling = |rates: &[f64]| rates[2] / rates[0].max(1e-9); // 1 → 4 threads
-    let mut t = Table::new([
-        "subsystem",
-        "variant",
-        "1 thr",
-        "2 thr",
-        "4 thr",
-        "8 thr",
-        "1→4 scaling",
-    ]);
-    for (name, sharded, coarse) in &subsystems {
-        t.row([
-            name.to_string(),
-            "sharded".to_string(),
-            fmt_ops(sharded[0]),
-            fmt_ops(sharded[1]),
-            fmt_ops(sharded[2]),
-            fmt_ops(sharded[3]),
-            format!("{:.2}x", scaling(sharded)),
-        ]);
-        t.row([
-            name.to_string(),
-            "coarse lock".to_string(),
-            fmt_ops(coarse[0]),
-            fmt_ops(coarse[1]),
-            fmt_ops(coarse[2]),
-            fmt_ops(coarse[3]),
-            format!("{:.2}x", scaling(coarse)),
-        ]);
-    }
-    t.print();
-    println!(
-        "(jiffy coarse baseline is baseline::GlobalStore — the retained single-mutex path; \
-         other coarse rows drive the same code through one global mutex)"
-    );
-
-    let json_rates = |rates: &[f64]| {
-        rates
-            .iter()
-            .map(|r| format!("{r:.1}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let subsystem_json = subsystems
-        .iter()
-        .map(|(name, sharded, coarse)| {
-            let key = name.replace(' ', "_");
-            format!(
-                "    \"{key}\": {{\"sharded_ops_per_sec\": [{}], \"coarse_ops_per_sec\": [{}], \
-                 \"sharded_scaling_1_to_4\": {:.3}, \"coarse_scaling_1_to_4\": {:.3}}}",
-                json_rates(sharded),
-                json_rates(coarse),
-                scaling(sharded),
-                scaling(coarse)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    bench.push((
-        "e25".to_string(),
-        format!(
-            "{{\n    \"cores\": {cores},\n    \"threads\": [1, 2, 4, 8],\n    \
-             \"subsystems\": {{\n{subsystem_json}\n    }}\n  }}"
-        ),
-    ));
-}
-
-/// E26 — the data plane moves payloads by reference and the broker
-/// amortises ledger group commits across producer-side batches: publish
-/// throughput grows with batch size, a Jiffy read allocates nothing, and a
-/// DAG fan-out passes one buffer to every child instead of one copy each.
-fn e26_zero_copy_batching(bench: &mut Vec<(String, String)>) {
-    banner(
-        "E26",
-        "zero-copy data plane: batched publish amortises ledger appends; Jiffy reads and DAG fan-out edges allocate nothing per payload",
-    );
-
-    const BATCH_SIZES: &[usize] = &[1, 8, 64, 256];
-    // Large enough that each throughput point measures tens of
-    // milliseconds rather than single-digit noise.
-    const MSGS: usize = 65536;
-    const PAYLOAD: usize = 256;
-
-    let payloads: Vec<Vec<u8>> = (0..MSGS)
-        .map(|i| {
-            let mut v = vec![0u8; PAYLOAD];
-            v[..8].copy_from_slice(&(i as u64).to_le_bytes());
-            v
-        })
-        .collect();
-
-    // -- Pulsar: publish + dispatch throughput vs producer batch size -----
-    let mut publish_rates: Vec<f64> = Vec::new();
-    let mut dispatch_rates: Vec<f64> = Vec::new();
-    let mut appends_per_msg: Vec<f64> = Vec::new();
-    let mut publish_alloc_b_per_msg: Vec<f64> = Vec::new();
-    for &b in BATCH_SIZES {
-        let cluster = PulsarCluster::new(
-            PulsarConfig {
-                max_entries_per_ledger: 1 << 20,
-                ..PulsarConfig::default()
-            },
-            WallClock::shared(),
-        );
-        cluster.create_topic("e26", 1).expect("topic");
-        let p = cluster.producer("e26").expect("producer");
-        let t0 = Instant::now();
-        let (_, alloc_bytes) = alloc_delta(|| {
-            for chunk in payloads.chunks(b) {
-                if b == 1 {
-                    p.send(&chunk[0]).expect("send");
-                } else {
-                    p.send_batch(chunk).expect("send_batch");
-                }
-            }
-        });
-        publish_rates.push(MSGS as f64 / t0.elapsed().as_secs_f64().max(1e-9));
-        publish_alloc_b_per_msg.push(alloc_bytes as f64 / MSGS as f64);
-        let appended = if b == 1 {
-            MSGS as u64
-        } else {
-            cluster.metrics().counter("batch_entries_appended").get()
-        };
-        appends_per_msg.push(appended as f64 / MSGS as f64);
-
-        let mut consumer = cluster
-            .subscribe("e26", "s", SubscriptionMode::Exclusive)
-            .expect("subscribe");
-        let t1 = Instant::now();
-        let mut got = 0usize;
-        loop {
-            let ms = consumer.receive_batch(512).expect("receive_batch");
-            if ms.is_empty() {
-                break;
-            }
-            for m in &ms {
-                assert_eq!(m.payload.len(), PAYLOAD);
-                consumer.ack(m.id).expect("ack");
-            }
-            got += ms.len();
-        }
-        assert_eq!(got, MSGS);
-        dispatch_rates.push(MSGS as f64 / t1.elapsed().as_secs_f64().max(1e-9));
-    }
-
-    let fmt_rate = |v: f64| {
-        if v >= 1e6 {
-            format!("{:.2}M/s", v / 1e6)
-        } else {
-            format!("{:.1}k/s", v / 1e3)
-        }
-    };
-    let mut t = Table::new([
-        "batch",
-        "publish",
-        "dispatch",
-        "ledger appends/msg",
-        "alloc B/msg (publish)",
-    ]);
-    for (i, &b) in BATCH_SIZES.iter().enumerate() {
-        t.row([
-            format!("{b}"),
-            fmt_rate(publish_rates[i]),
-            fmt_rate(dispatch_rates[i]),
-            format!("{:.4}", appends_per_msg[i]),
-            format!("{:.0}", publish_alloc_b_per_msg[i]),
-        ]);
-    }
-    t.print();
-    println!(
-        "(one ledger entry per batch: a batch of {} costs {:.1}% of the appends \
-         unbatched publishing pays; payload {} B, {} messages per point)",
-        64,
-        100.0 * appends_per_msg[2] / appends_per_msg[0],
-        PAYLOAD,
-        MSGS
-    );
-
-    // -- Jiffy: allocations per read on the refcounted block store --------
-    let jiffy = Jiffy::new(
-        JiffyConfig {
-            blocks_per_node: 4096,
-            ..Default::default()
-        },
-        Arc::new(WallClock::new()),
-    );
-    let kv = jiffy.create_kv("/e26/kv", 2).expect("kv");
-    for k in 0u64..256 {
-        kv.put(&k.to_le_bytes(), &payloads[0]).expect("put");
-    }
-    const OPS: u64 = 50_000;
-    let (get_allocs, _) = alloc_delta(|| {
-        for i in 0..OPS {
-            let v = kv.get(&(i % 256).to_le_bytes()).expect("get").expect("hit");
-            std::hint::black_box(&v);
-        }
-    });
-    let file = jiffy.create_file("/e26/file").expect("file");
-    file.append(&vec![7u8; 64 * 1024]).expect("append");
-    let (read_allocs, _) = alloc_delta(|| {
-        for i in 0..OPS {
-            let v = file.read((i % 60) * 1024, 4096).expect("read");
-            std::hint::black_box(&v);
-        }
-    });
-    let get_per_op = get_allocs as f64 / OPS as f64;
-    let read_per_op = read_allocs as f64 / OPS as f64;
-    println!(
-        "\njiffy allocations/op over {OPS} warm ops: kv get {get_per_op:.3}, \
-         file read (4 KB within a chunk) {read_per_op:.3} \
-         (a get clones a refcount, not the value; a within-chunk read is a slice)"
-    );
-
-    // -- DAG fan-out: bytes allocated per root-payload byte ---------------
-    // One root produces an N-byte buffer; eight children each digest it;
-    // a sink gathers the digests. With refcounted edges the run's
-    // payload-proportional allocation is the root's own buffer — a copy
-    // factor near 1.0. Per-edge copies would push it toward 1 + width.
-    let platform = FaasPlatform::new(
-        PlatformConfig {
-            cold_start: LatencyModel::Constant(Duration::ZERO),
-            warm_start: LatencyModel::Constant(Duration::ZERO),
-            ..PlatformConfig::default()
-        },
-        Arc::new(WallClock::new()),
-    );
-    platform
-        .register(FunctionSpec::new("produce", "e26", |ctx| {
-            let n = u64::from_le_bytes(ctx.payload[..].try_into().map_err(|_| "bad input")?);
-            Ok(vec![5u8; n as usize])
-        }))
-        .expect("register");
-    platform
-        .register(FunctionSpec::new("digest", "e26", |ctx| {
-            let sum: u64 = ctx.payload.iter().map(|&b| b as u64).sum();
-            Ok(sum.to_le_bytes().to_vec())
-        }))
-        .expect("register");
-    platform
-        .register(FunctionSpec::new("gather", "e26", |ctx| {
-            let parts = frame::unpack(&ctx.payload).ok_or("malformed frame")?;
-            Ok(parts.concat())
-        }))
-        .expect("register");
-    const WIDTH: usize = 8;
-    let children: Vec<String> = (0..WIDTH).map(|i| format!("d{i}")).collect();
-    let mut builder = DagBuilder::new().node("root", "produce", &[]);
-    for c in &children {
-        builder = builder.node(c.as_str(), "digest", &["root"]);
-    }
-    let child_refs: Vec<&str> = children.iter().map(String::as_str).collect();
-    let dag = builder
-        .node("gather", "gather", &child_refs)
-        .build()
-        .expect("dag");
-    let executor = DagExecutor::new(&platform).with_config(ExecutorConfig {
-        max_parallelism: 1,
-        retry: RetryPolicy::none(),
-        checkpoint: false,
-        data_passing: DataPassing::Inline,
-    });
-    let run_bytes = |label: &str, n: u64| {
-        let (_, bytes) = alloc_delta(|| {
-            executor
-                .run(&dag, label, &n.to_le_bytes())
-                .expect("fan-out run");
-        });
-        bytes as f64
-    };
-    // Warm the container pool so the measured runs pay no one-time setup.
-    let _ = run_bytes("e26-warmup", 4096);
-    let small = 4096u64;
-    let large = 262_144u64;
-    let b_small = run_bytes("e26-small", small);
-    let b_large = run_bytes("e26-large", large);
-    let copy_factor = (b_large - b_small) / (large - small) as f64;
-    println!(
-        "dag fan-out (width {WIDTH}): {:.2} bytes allocated per root-payload byte \
-         (1.0 = the root buffer itself; per-edge copying would cost ~{}.0)",
-        copy_factor,
-        1 + WIDTH
-    );
-
-    bench.push((
-        "e26".to_string(),
-        format!(
-            "{{\n    \"payload_bytes\": {PAYLOAD},\n    \"messages\": {MSGS},\n    \
-             \"batch_sizes\": [1, 8, 64, 256],\n    \
-             \"publish_msgs_per_sec\": [{}],\n    \
-             \"dispatch_msgs_per_sec\": [{}],\n    \
-             \"ledger_appends_per_msg\": [{}],\n    \
-             \"publish_alloc_bytes_per_msg\": [{}],\n    \
-             \"jiffy_get_allocs_per_op\": {get_per_op:.3},\n    \
-             \"jiffy_read_allocs_per_op\": {read_per_op:.3},\n    \
-             \"dag_fanout_width\": {WIDTH},\n    \
-             \"dag_fanout_alloc_bytes_per_payload_byte\": {copy_factor:.3}\n  }}",
-            publish_rates
-                .iter()
-                .map(|r| format!("{r:.1}"))
-                .collect::<Vec<_>>()
-                .join(", "),
-            dispatch_rates
-                .iter()
-                .map(|r| format!("{r:.1}"))
-                .collect::<Vec<_>>()
-                .join(", "),
-            appends_per_msg
-                .iter()
-                .map(|r| format!("{r:.4}"))
-                .collect::<Vec<_>>()
-                .join(", "),
-            publish_alloc_b_per_msg
-                .iter()
-                .map(|r| format!("{r:.1}"))
-                .collect::<Vec<_>>()
-                .join(", "),
-        ),
-    ));
-}
-
-/// Fixed output path for E27's machine-readable numbers: CI gates read it
-/// even when the combined `--bench-json` file is not requested.
-const BENCH_E27_PATH: &str = "BENCH_e27.json";
-
-/// E27 — the observability pipeline over the E26 data plane: (a) the
-/// always-on lock profiler costs <5% on the publish hot path, (b) one
-/// causal trace follows publish → dispatch → invoke across crates and the
-/// critical-path analyzer attributes the consumer hop, (c) dispatch-side
-/// phase attribution names the bottleneck (cursor bookkeeping vs. the
-/// topic-shard lock vs. entry read/decode/deliver) with per-lock wait
-/// times from the contention profiler.
-fn e27_observability_pipeline(bench: &mut Vec<(String, String)>) {
-    banner(
-        "E27",
-        "observability pipeline: <5% profiler overhead, causal publish→dispatch→invoke traces, and a named dispatch-side bottleneck",
-    );
-
-    const MSGS: usize = 8192;
-    const PAYLOAD: usize = 256;
-    const REPS: usize = 7;
-    const BATCH: usize = 64;
-    const TRACED: usize = 256;
-
-    let payloads: Vec<Vec<u8>> = (0..MSGS)
-        .map(|i| {
-            let mut v = vec![0u8; PAYLOAD];
-            v[..8].copy_from_slice(&(i as u64).to_le_bytes());
-            v
-        })
-        .collect();
-
-    // -- (a) profiler overhead on the E26 unbatched publish workload ------
-    // A LockSite is attached per cluster (set-once), so each run gets a
-    // fresh cluster; runs are interleaved and the minimum over REPS taken
-    // so the comparison measures the instrumentation, not scheduler noise.
-    // An unattached site is the same code path the `lock-prof` feature
-    // compiles out entirely (one relaxed pointer load), so attached vs.
-    // unattached bounds the feature-on vs. feature-off cost from above.
-    let run_publish = |profiled: bool| -> Duration {
-        let cluster = PulsarCluster::new(
-            PulsarConfig {
-                max_entries_per_ledger: 1 << 20,
-                ..PulsarConfig::default()
-            },
-            WallClock::shared(),
-        );
-        let prof = ContentionProfiler::new();
-        if profiled {
-            cluster.enable_contention_profiling(&prof);
-        }
-        cluster.create_topic("e27", 1).expect("topic");
-        let p = cluster.producer("e27").expect("producer");
-        let t0 = Instant::now();
-        for pl in &payloads {
-            p.send(pl).expect("send");
-        }
-        t0.elapsed()
-    };
-    let mut base = Duration::MAX;
-    let mut instr = Duration::MAX;
-    for _ in 0..REPS {
-        base = base.min(run_publish(false));
-        instr = instr.min(run_publish(true));
-    }
-    let overhead_pct = (instr.as_secs_f64() / base.as_secs_f64() - 1.0) * 100.0;
-    let fmt_rate = |d: Duration| {
-        let v = MSGS as f64 / d.as_secs_f64().max(1e-9);
-        if v >= 1e6 {
-            format!("{:.2}M/s", v / 1e6)
-        } else {
-            format!("{:.1}k/s", v / 1e3)
-        }
-    };
-    let mut t = Table::new(["profiler", "publish (min of 7)", "rate"]);
-    t.row(["off".into(), fmt_dur(base), fmt_rate(base)]);
-    t.row(["on".into(), fmt_dur(instr), fmt_rate(instr)]);
-    t.print();
-    println!(
-        "lock-profiler overhead: {overhead_pct:+.2}% on {MSGS} unbatched publishes \
-         (gate: <5%; an unattached site ≈ the compiled-out `lock-prof` path)"
-    );
-
-    // -- (b) causal trace + critical path across the crates ---------------
-    let clock: SharedClock = WallClock::shared();
-    let tracer = Tracer::new(clock.clone());
-    let cluster = PulsarCluster::new(PulsarConfig::default(), clock.clone());
-    cluster.set_tracer(tracer.clone());
-    let faas = FaasPlatform::new(PlatformConfig::deterministic(), clock);
-    faas.set_tracer(tracer.clone());
-    faas.register(FunctionSpec::new("handle", "e27", |ctx| {
-        Ok(ctx.payload.to_vec())
-    }))
-    .expect("register");
-    cluster.create_topic("jobs", 1).expect("topic");
-    let p = cluster.producer("jobs").expect("producer");
-    let mut consumer = cluster
-        .subscribe("jobs", "workers", SubscriptionMode::Exclusive)
-        .expect("subscribe");
-    for pl in payloads.iter().take(TRACED) {
-        p.send(pl).expect("send");
-    }
-    let mut invoked = 0usize;
-    loop {
-        let ms = consumer.receive_batch(64).expect("receive_batch");
-        if ms.is_empty() {
-            break;
-        }
-        for m in &ms {
-            faas.invoke_traced("handle", m.payload.clone(), m.ctx)
-                .expect("invoke");
-            consumer.ack(m.id).expect("ack");
-            invoked += 1;
-        }
-    }
-    assert_eq!(invoked, TRACED);
-    let spans = tracer.spans();
-    let graph = TraceGraph::build(spans);
-    let traces = graph.traces().len();
-    println!(
-        "\ntraced {TRACED} messages end to end: {} spans across {traces} traces",
-        graph.len()
-    );
-    let flat = graph.self_time_by_name();
-    let mut t = Table::new(["span (flat profile)", "self time"]);
-    for (name, d) in flat.iter().take(6) {
-        t.row([name.clone(), fmt_dur(*d)]);
-    }
-    t.print();
-    // The publish root's window closes before the consumer hop starts, so
-    // the interesting path is the invoke subtree: analyze the slowest one.
-    let invoke_idx = (0..graph.len())
-        .filter(|&i| graph.span(i).name == "faas.invoke")
-        .max_by_key(|&i| graph.span(i).duration())
-        .expect("faas.invoke span");
-    let cp = CriticalPath::compute_from(&graph, invoke_idx);
-    let cp_total = cp.total;
-    let cp_top = cp
-        .top_name(&graph)
-        .map(|(n, _)| n)
-        .unwrap_or_else(|| "none".into());
-    println!("\n{}", render::render_critical_path(&graph, &cp));
-
-    // -- (c) dispatch-side attribution under concurrent publishers --------
-    // Batched producers on four threads race the draining consumer for the
-    // topic-shard lock, so both profilers see real contention. The phase
-    // clock's checkpoint intervals are disjoint within the measured wall,
-    // so `explained ≤ wall` by construction and the ≥80% gate is a real
-    // measurement of attribution coverage, not an identity.
-    let cluster = PulsarCluster::new(
-        PulsarConfig {
-            max_entries_per_ledger: 1 << 20,
-            ..PulsarConfig::default()
-        },
-        WallClock::shared(),
-    );
-    let lock_prof = ContentionProfiler::new();
-    let site = cluster.enable_contention_profiling(&lock_prof);
-    cluster.set_dispatch_profiling(true);
-    cluster.create_topic("e27", 1).expect("topic");
-    let producer = cluster.producer("e27").expect("producer");
-    let mut consumer = cluster
-        .subscribe("e27", "s", SubscriptionMode::Exclusive)
-        .expect("subscribe");
-    const WRITERS: usize = 4;
-    std::thread::scope(|s| {
-        for w in 0..WRITERS {
-            let producer = &producer;
-            let payloads = &payloads;
-            s.spawn(move || {
-                for chunk in
-                    payloads[w * (MSGS / WRITERS)..(w + 1) * (MSGS / WRITERS)].chunks(BATCH)
-                {
-                    producer.send_batch(chunk).expect("send_batch");
-                }
-            });
-        }
-        let mut got = 0usize;
-        while got < MSGS {
-            let ms = consumer.receive_batch(512).expect("receive_batch");
-            if ms.is_empty() {
-                std::thread::yield_now();
-                continue;
-            }
-            for m in &ms {
-                consumer.ack(m.id).expect("ack");
-            }
-            got += ms.len();
-        }
-    });
-    let dp = cluster.dispatch_profile();
-    let explained = dp.explained_fraction();
-    let (top_phase, top_ns) = dp.top_phase();
-    let mut t = Table::new(["dispatch phase", "time", "% of wall"]);
-    for (name, ns) in dp.phases() {
-        t.row([
-            name.to_string(),
-            fmt_dur(Duration::from_nanos(ns)),
-            format!("{:.1}%", 100.0 * ns as f64 / dp.wall_ns.max(1) as f64),
-        ]);
-    }
-    t.print();
-    println!(
-        "dispatch wall {} over {} scans / {} messages; {:.1}% attributed \
-         (gate: ≥80%); bottleneck: {top_phase} ({})",
-        fmt_dur(Duration::from_nanos(dp.wall_ns)),
-        dp.scans,
-        dp.messages,
-        100.0 * explained,
-        fmt_dur(Duration::from_nanos(top_ns)),
-    );
-    let snap = site.snapshot();
-    let report = ContentionReport::new(lock_prof.snapshots());
-    println!("\n{}", report.render());
-
-    let phase_json = dp
-        .phases()
-        .iter()
-        .map(|(name, ns)| format!("\"{name}\": {ns}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let fragment = format!(
-        "{{\n    \"overhead_msgs\": {MSGS},\n    \"overhead_reps\": {REPS},\n    \
-         \"profiling_overhead_pct\": {overhead_pct:.2},\n    \
-         \"traced_messages\": {TRACED},\n    \"spans_recorded\": {},\n    \
-         \"traces\": {traces},\n    \
-         \"invoke_critical_path_us\": {:.1},\n    \
-         \"invoke_critical_path_top\": \"{cp_top}\",\n    \
-         \"dispatch_messages\": {},\n    \"dispatch_scans\": {},\n    \
-         \"dispatch_wall_ns\": {},\n    \
-         \"dispatch_explained_fraction\": {explained:.4},\n    \
-         \"dispatch_phase_ns\": {{{phase_json}}},\n    \
-         \"top_dispatch_phase\": \"{top_phase}\",\n    \
-         \"lock_site\": \"{}\",\n    \"lock_acquisitions\": {},\n    \
-         \"lock_contended\": {},\n    \"lock_wait_ns\": {},\n    \
-         \"lock_hold_ns_estimate\": {}\n  }}",
-        graph.len(),
-        cp_total.as_secs_f64() * 1e6,
-        dp.messages,
-        dp.scans,
-        dp.wall_ns,
-        snap.name,
-        snap.acquisitions,
-        snap.contended,
-        snap.wait_total.as_nanos(),
-        snap.hold_total_estimate().as_nanos(),
-    );
-    std::fs::write(BENCH_E27_PATH, format!("{{\n  \"e27\": {fragment}\n}}\n")).unwrap_or_else(
-        |e| {
-            eprintln!("failed to write {BENCH_E27_PATH}: {e}");
-            std::process::exit(1);
-        },
-    );
-    println!("bench JSON written to {BENCH_E27_PATH}");
-    bench.push(("e27".to_string(), fragment));
-}
-
-const BENCH_E28_PATH: &str = "BENCH_e28.json";
-
 /// E28 — the multi-node cluster fabric under rolling failures: 5 brokers
 /// behind a lossy simulated network serve a publish → dispatch → invoke
 /// loop while one broker at a time is killed (rolling, at most 1-of-5
 /// down) and one bookie dies permanently mid-run. Reports virtual-time
 /// tail latency (the p99/max capture failover windows), end-to-end
-/// operation availability (gate: ≥99%), background re-replication
+/// operation availability (asserted ≥99%), background re-replication
 /// converging back to the replication factor before the run ends, one
 /// causal trace spanning the failover, and an elastic Jiffy leave with
-/// no data loss.
-fn e28_cluster_failover(bench: &mut Vec<(String, String)>) {
+/// no data loss. Deterministic in virtual time, so every gate is an
+/// `assert!`.
+fn e28_cluster_failover() {
     banner(
         "E28",
         "cluster fabric: ≥99% op availability and bounded tails under rolling 1-of-5 broker kills; re-replication restores the replication factor before the run ends",
@@ -3124,38 +2244,21 @@ fn e28_cluster_failover(bench: &mut Vec<(String, String)>) {
         migration.blocks_moved
     );
 
-    let fragment = format!(
-        "{{\n    \"requests\": {REQUESTS},\n    \"broker_kills\": {broker_kills},\n    \
-         \"bookie_kills\": {bookie_kills},\n    \"ops_attempted\": {attempts},\n    \
-         \"ops_succeeded\": {successes},\n    \"availability\": {availability:.5},\n    \
-         \"publish_p50_us\": {},\n    \"publish_p99_us\": {},\n    \"publish_max_us\": {},\n    \
-         \"e2e_p50_us\": {},\n    \"e2e_p99_us\": {},\n    \"e2e_max_us\": {},\n    \
-         \"underreplicated_peak\": {underreplicated_peak},\n    \
-         \"underreplicated_end\": {underreplicated_end},\n    \
-         \"repair_rounds\": {repair_rounds},\n    \
-         \"cross_failover_trace_ok\": {cross_failover_trace_ok},\n    \
-         \"trace_spans\": {},\n    \"dropped_spans\": {dropped},\n    \
-         \"jiffy_blocks_moved\": {},\n    \"jiffy_data_intact\": {jiffy_intact}\n  }}",
-        pct(&pub_sorted, 0.50).as_micros(),
-        pct(&pub_sorted, 0.99).as_micros(),
-        pub_sorted.last().copied().unwrap_or_default().as_micros(),
-        pct(&e2e_sorted, 0.50).as_micros(),
-        pct(&e2e_sorted, 0.99).as_micros(),
-        e2e_sorted.last().copied().unwrap_or_default().as_micros(),
-        in_trace.len(),
-        migration.blocks_moved,
+    assert!(
+        availability >= 0.99,
+        "availability {:.3}% < 99% under rolling 1-of-5 broker kills",
+        100.0 * availability
     );
-    std::fs::write(BENCH_E28_PATH, format!("{{\n  \"e28\": {fragment}\n}}\n")).unwrap_or_else(
-        |e| {
-            eprintln!("failed to write {BENCH_E28_PATH}: {e}");
-            std::process::exit(1);
-        },
+    assert_eq!(
+        underreplicated_end, 0,
+        "{underreplicated_end} ledgers still under-replicated at experiment end"
     );
-    println!("bench JSON written to {BENCH_E28_PATH}");
-    bench.push(("e28".to_string(), fragment));
+    assert!(
+        cross_failover_trace_ok,
+        "no single trace spans publish -> failover -> dispatch -> invoke"
+    );
+    assert_eq!(dropped, 0, "{dropped} spans dropped during the cluster run");
 }
-
-const BENCH_E29_PATH: &str = "BENCH_e29.json";
 
 /// E29 — the cluster observability plane under rolling failures: 5
 /// brokers serve 8 topics over a lossy network while one broker is made
@@ -3163,12 +2266,13 @@ const BENCH_E29_PATH: &str = "BENCH_e29.json";
 /// owner kills and one permanent bookie loss are injected, and the
 /// collector — fed exclusively by telemetry that rode the same faulty
 /// wire — reconstructs every incident. Reports per-incident MTTD/MTTR
-/// with phase attribution (gate: explained ≥90% of each unavailability
-/// window), grey-detector lead time and precision (gates: zero false
-/// positives on the healthy phase, grey broker flagged while heartbeats
-/// still vouch for it), and exact telemetry loss accounting (gate:
-/// sent = received + detected-dropped after sync).
-fn e29_cluster_observability(bench: &mut Vec<(String, String)>) {
+/// with phase attribution (asserted: phases partition each
+/// unavailability window, and explain ≥90% of it), grey-detector lead
+/// time and precision (asserted: zero false positives on the healthy
+/// phase, grey broker flagged while heartbeats still vouch for it), and
+/// exact telemetry loss accounting (asserted: sent = received +
+/// detected-dropped after sync).
+fn e29_cluster_observability() {
     banner(
         "E29",
         "observability plane: MTTD/MTTR attribution explains ≥90% of every outage window; grey broker flagged before any heartbeat suspicion; telemetry loss accounting exact under drops",
@@ -3391,483 +2495,35 @@ fn e29_cluster_observability(bench: &mut Vec<(String, String)>) {
         report.active_alerts.len(),
     );
 
-    let incidents_json = timeline
-        .incidents
-        .iter()
-        .map(|inc| {
-            format!(
-                "{{\n      \"id\": \"{}\",\n      \"kind\": \"{}\",\n      \
-                 \"mttd_us\": {},\n      \"mttr_us\": {},\n      \"wall_us\": {},\n      \
-                 \"detection_us\": {},\n      \"release_us\": {},\n      \
-                 \"rebuild_us\": {},\n      \"drain_us\": {},\n      \
-                 \"unattributed_us\": {},\n      \"explained_fraction\": {:.5}\n    }}",
-                inc.id,
-                match inc.kind {
-                    IncidentKind::Broker => "broker",
-                    IncidentKind::Bookie => "bookie",
-                },
-                inc.mttd().map(|d| d.as_micros()).unwrap_or(0),
-                inc.mttr().as_micros(),
-                inc.wall().as_micros(),
-                inc.phase(OutagePhase::Detection).as_micros(),
-                inc.phase(OutagePhase::Release).as_micros(),
-                inc.phase(OutagePhase::SubscriptionRebuild).as_micros(),
-                inc.phase(OutagePhase::RereplicationDrain).as_micros(),
-                inc.phase(OutagePhase::Unattributed).as_micros(),
-                inc.explained_fraction(),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let fragment = format!(
-        "{{\n    \"incidents\": [\n    {incidents_json}\n    ],\n    \
-         \"attribution_min_fraction\": {min_explained:.5},\n    \
-         \"mean_mttd_us\": {},\n    \"mean_mttr_us\": {},\n    \
-         \"grey_flagged\": {},\n    \"grey_lead_ms\": {:.3},\n    \
-         \"grey_control_alive_at_flag\": {control_alive_at_flag},\n    \
-         \"grey_precision\": {grey_precision:.3},\n    \
-         \"healthy_false_positives\": {healthy_false_positives},\n    \
-         \"telemetry_sent\": {},\n    \"telemetry_received\": {},\n    \
-         \"telemetry_dropped\": {},\n    \"telemetry_pending_lost\": {},\n    \
-         \"telemetry_synced\": {synced},\n    \"loss_exact\": {},\n    \
-         \"blackbox_dumps\": {blackbox_dumps},\n    \
-         \"repair_rounds\": {repair_rounds}\n  }}",
-        timeline.mean_mttd().map(|d| d.as_micros()).unwrap_or(0),
-        timeline.mean_mttr().map(|d| d.as_micros()).unwrap_or(0),
-        grey_flag_at.is_some(),
-        grey_lead.map(|d| d.as_secs_f64() * 1e3).unwrap_or(-1.0),
-        loss.sent,
-        loss.received,
-        loss.dropped,
-        loss.pending_lost,
-        loss.exact(),
-    );
-    std::fs::write(BENCH_E29_PATH, format!("{{\n  \"e29\": {fragment}\n}}\n")).unwrap_or_else(
-        |e| {
-            eprintln!("failed to write {BENCH_E29_PATH}: {e}");
-            std::process::exit(1);
-        },
-    );
-    println!("bench JSON written to {BENCH_E29_PATH}");
-    bench.push(("e29".to_string(), fragment));
-}
-
-const BENCH_E30_PATH: &str = "BENCH_e30.json";
-
-/// E30 — the read-mostly data plane (the ISSUE 9 refactor, ROADMAP item
-/// 3): consumers commit their cursor once per `receive_batch` instead of
-/// once per message and entry reads serve from immutable segment caches.
-/// Three measurements gate it: (a) dispatch throughput must scale with
-/// consumer batch size, (b) the dispatch-phase profile must no longer top
-/// out in `entry_read` (E27's bottleneck), and (c) Jiffy's warm KV get —
-/// the bound object's lock, past the control plane — must allocate nothing.
-fn e30_read_path(bench: &mut Vec<(String, String)>) {
-    banner(
-        "E30",
-        "read-mostly data plane: batched cursor commits, cached entry reads, alloc-free warm get",
-    );
-
-    const BATCH_SIZES: &[usize] = &[1, 8, 64, 256];
-    // Large enough that each throughput point measures tens of
-    // milliseconds — the batch-speedup gate rides on the batch-1 point,
-    // which is noise-prone on small windows.
-    const MSGS: usize = 65536;
-    const PAYLOAD: usize = 256;
-    let payloads: Vec<Vec<u8>> = (0..MSGS)
-        .map(|i| {
-            let mut v = vec![0u8; PAYLOAD];
-            v[..8].copy_from_slice(&(i as u64).to_le_bytes());
-            v
-        })
-        .collect();
-
-    // -- (a) dispatch throughput vs consumer batch size -------------------
-    // Publishing is batched at 64 throughout; only the consumer-side batch
-    // (and with it the cursor-commit granularity: one durable write per
-    // `ack_batch`) varies. E26 measured this flat at ~1.5M msgs/s because
-    // every message paid its own cursor persistence.
-    let mut dispatch_rates: Vec<f64> = Vec::new();
-    for &b in BATCH_SIZES {
-        let cluster = PulsarCluster::new(
-            PulsarConfig {
-                max_entries_per_ledger: 1 << 20,
-                ..PulsarConfig::default()
-            },
-            WallClock::shared(),
+    for inc in &timeline.incidents {
+        let phases: Duration = inc.phases.iter().map(|&(_, d)| d).sum();
+        assert_eq!(
+            phases,
+            inc.wall(),
+            "incident {} phases sum to {phases:?} != wall {:?}",
+            inc.id,
+            inc.wall()
         );
-        cluster.create_topic("e30", 1).expect("topic");
-        let p = cluster.producer("e30").expect("producer");
-        for chunk in payloads.chunks(64) {
-            p.send_batch(chunk).expect("send_batch");
-        }
-        let mut consumer = cluster
-            .subscribe("e30", "s", SubscriptionMode::Exclusive)
-            .expect("subscribe");
-        let t0 = Instant::now();
-        let mut got = 0usize;
-        loop {
-            let ms = consumer.receive_batch(b).expect("receive_batch");
-            if ms.is_empty() {
-                break;
-            }
-            let ids: Vec<_> = ms.iter().map(|m| m.id).collect();
-            consumer.ack_batch(&ids).expect("ack_batch");
-            got += ms.len();
-        }
-        assert_eq!(got, MSGS);
-        dispatch_rates.push(MSGS as f64 / t0.elapsed().as_secs_f64().max(1e-9));
     }
-    let batch_speedup = dispatch_rates[2] / dispatch_rates[0].max(1e-9);
-
-    let fmt_rate = |v: f64| {
-        if v >= 1e6 {
-            format!("{:.2}M/s", v / 1e6)
-        } else {
-            format!("{:.1}k/s", v / 1e3)
-        }
-    };
-    let mut t = Table::new(["consumer batch", "dispatch", "cursor commits/msg"]);
-    for (i, &b) in BATCH_SIZES.iter().enumerate() {
-        t.row([
-            format!("{b}"),
-            fmt_rate(dispatch_rates[i]),
-            format!("{:.4}", 1.0 / b as f64),
-        ]);
-    }
-    t.print();
-    println!(
-        "dispatch at batch 64 is {batch_speedup:.2}x batch 1 (gate: >= 3x); \
-         one ack-bookkeeping write per receive_batch"
+    assert!(
+        min_explained >= 0.9,
+        "worst incident explains {:.1}% < 90% of its outage window",
+        100.0 * min_explained
     );
-
-    // -- (b) dispatch-phase re-attribution (E27's shape, new read path) ---
-    let cluster = PulsarCluster::new(
-        PulsarConfig {
-            max_entries_per_ledger: 1 << 20,
-            ..PulsarConfig::default()
-        },
-        WallClock::shared(),
+    assert!(
+        grey_flag_at.is_some() && control_alive_at_flag,
+        "grey-slow broker not flagged while heartbeats still vouched for it"
     );
-    cluster.set_dispatch_profiling(true);
-    cluster.create_topic("e30", 1).expect("topic");
-    let producer = cluster.producer("e30").expect("producer");
-    let mut consumer = cluster
-        .subscribe("e30", "s", SubscriptionMode::Exclusive)
-        .expect("subscribe");
-    const WRITERS: usize = 4;
-    std::thread::scope(|s| {
-        for w in 0..WRITERS {
-            let producer = &producer;
-            let payloads = &payloads;
-            s.spawn(move || {
-                for chunk in payloads[w * (MSGS / WRITERS)..(w + 1) * (MSGS / WRITERS)].chunks(64) {
-                    producer.send_batch(chunk).expect("send_batch");
-                }
-            });
-        }
-        let mut got = 0usize;
-        while got < MSGS {
-            let ms = consumer.receive_batch(512).expect("receive_batch");
-            if ms.is_empty() {
-                std::thread::yield_now();
-                continue;
-            }
-            let ids: Vec<_> = ms.iter().map(|m| m.id).collect();
-            consumer.ack_batch(&ids).expect("ack_batch");
-            got += ms.len();
-        }
-    });
-    let dp = cluster.dispatch_profile();
-    let (top_phase, top_ns) = dp.top_phase();
-    let mut t = Table::new(["dispatch phase", "time", "% of wall"]);
-    for (name, ns) in dp.phases() {
-        t.row([
-            name.to_string(),
-            fmt_dur(Duration::from_nanos(ns)),
-            format!("{:.1}%", 100.0 * ns as f64 / dp.wall_ns.max(1) as f64),
-        ]);
-    }
-    t.print();
-    println!(
-        "bottleneck: {top_phase} ({}); gate: entry_read no longer the top phase \
-         (E27 attributed {} of {} to it)",
-        fmt_dur(Duration::from_nanos(top_ns)),
-        fmt_dur(Duration::from_micros(2692)),
-        fmt_dur(Duration::from_micros(6029)),
+    assert_eq!(
+        healthy_false_positives, 0,
+        "grey detector flagged {healthy_false_positives} node(s) on the healthy phase"
     );
-
-    // -- (c) allocation gate ------------------------------------------------
-    // Jiffy's warm KV get: a bound handle locks its object directly and
-    // hands out a refcounted view of the stored value.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    const ALLOC_OPS: u64 = 50_000;
-    let jiffy = Jiffy::new(
-        JiffyConfig {
-            blocks_per_node: 4096,
-            ..Default::default()
-        },
-        Arc::new(WallClock::new()),
+    assert!(
+        synced && loss.exact() && loss.sent == loss.received + loss.dropped,
+        "telemetry loss accounting did not reconcile exactly"
     );
-    let kv = jiffy.create_kv("/e30/kv", 4).expect("kv");
-    for k in 0u64..256 {
-        kv.put(&k.to_le_bytes(), &payloads[0]).expect("put");
-    }
-    let (kv_allocs, _) = alloc_delta(|| {
-        for i in 0..ALLOC_OPS {
-            let v = kv.get(&(i % 256).to_le_bytes()).expect("get").expect("hit");
-            std::hint::black_box(&v);
-        }
-    });
-
-    println!(
-        "jiffy warm get: {:.4} allocs/op ({cores} cores; gate: 0)",
-        kv_allocs as f64 / ALLOC_OPS as f64,
+    assert!(
+        blackbox_dumps >= 1,
+        "no blackbox incident dump was written on failover"
     );
-
-    let rates_json = dispatch_rates
-        .iter()
-        .map(|r| format!("{r:.1}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let phase_json = dp
-        .phases()
-        .iter()
-        .map(|(name, ns)| format!("\"{name}\": {ns}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let fragment = format!(
-        "{{\n    \"batch_sizes\": [1, 8, 64, 256],\n    \
-         \"dispatch_msgs_per_sec\": [{rates_json}],\n    \
-         \"dispatch_batch64_over_batch1\": {batch_speedup:.3},\n    \
-         \"dispatch_messages\": {},\n    \"dispatch_scans\": {},\n    \
-         \"dispatch_wall_ns\": {},\n    \
-         \"dispatch_phase_ns\": {{{phase_json}}},\n    \
-         \"top_dispatch_phase\": \"{top_phase}\",\n    \
-         \"cores\": {cores},\n    \
-         \"jiffy_warm_get_allocs_per_op\": {:.4}\n  }}",
-        dp.messages,
-        dp.scans,
-        dp.wall_ns,
-        kv_allocs as f64 / ALLOC_OPS as f64,
-    );
-    std::fs::write(BENCH_E30_PATH, format!("{{\n  \"e30\": {fragment}\n}}\n")).unwrap_or_else(
-        |e| {
-            eprintln!("failed to write {BENCH_E30_PATH}: {e}");
-            std::process::exit(1);
-        },
-    );
-    println!("bench JSON written to {BENCH_E30_PATH}");
-    bench.push(("e30".to_string(), fragment));
-}
-
-const BENCH_E31_PATH: &str = "BENCH_e31.json";
-
-/// E31 — decode-amortized delivery (ISSUE 10): the batched ledger entry
-/// is the unit of dispatch. `receive_entries` parses each entry's framing
-/// exactly once into an [`EntryView`]; every message inside is an O(1)
-/// refcount-only slice, and cursor bookkeeping is the only work left
-/// under the topic-shard lock. Three measurements gate it: (a) dispatch
-/// throughput at consumer batch 64 must reach 5x batch 1 (E30 stalled at
-/// ~3.4x because decode and per-message spans still ran under the lock),
-/// (b) the decode phase must account for < 15% of dispatch wall and must
-/// not be the top phase, and (c) iterating an already-received view's
-/// payloads and ids must allocate nothing.
-fn e31_entry_view_dispatch(bench: &mut Vec<(String, String)>) {
-    banner(
-        "E31",
-        "decode-amortized delivery: whole-entry views, out-of-lock dispatch",
-    );
-
-    const BATCH_SIZES: &[usize] = &[1, 8, 64, 256];
-    const MSGS: usize = 65536;
-    const PAYLOAD: usize = 256;
-    let payloads: Vec<Vec<u8>> = (0..MSGS)
-        .map(|i| {
-            let mut v = vec![0u8; PAYLOAD];
-            v[..8].copy_from_slice(&(i as u64).to_le_bytes());
-            v
-        })
-        .collect();
-    let make_loaded = || {
-        let cluster = PulsarCluster::new(
-            PulsarConfig {
-                max_entries_per_ledger: 1 << 20,
-                ..PulsarConfig::default()
-            },
-            WallClock::shared(),
-        );
-        cluster.create_topic("e31", 1).expect("topic");
-        let p = cluster.producer("e31").expect("producer");
-        for chunk in payloads.chunks(64) {
-            p.send_batch(chunk).expect("send_batch");
-        }
-        cluster
-    };
-
-    // -- (a) entry-view dispatch throughput vs consumer batch size --------
-    // Publishing is batched at 64 throughout; the consumer pulls whole
-    // entry views, touches every payload (the consumer-side read), and
-    // acks entry-at-a-time. One framing parse and one pending-map update
-    // per ENTRY, not per message.
-    let mut dispatch_rates: Vec<f64> = Vec::new();
-    let mut views: Vec<EntryView> = Vec::new();
-    for &b in BATCH_SIZES {
-        let cluster = make_loaded();
-        let mut consumer = cluster
-            .subscribe("e31", "s", SubscriptionMode::Exclusive)
-            .expect("subscribe");
-        let t0 = Instant::now();
-        let mut got = 0usize;
-        loop {
-            let n = consumer
-                .receive_entries_into(b, &mut views)
-                .expect("receive_entries");
-            if n == 0 {
-                break;
-            }
-            for view in &views {
-                for mv in view.messages() {
-                    std::hint::black_box(&mv.payload()[..]);
-                }
-            }
-            consumer.ack_entries(&views).expect("ack_entries");
-            got += n;
-        }
-        assert_eq!(got, MSGS);
-        dispatch_rates.push(MSGS as f64 / t0.elapsed().as_secs_f64().max(1e-9));
-    }
-    let batch_speedup = dispatch_rates[2] / dispatch_rates[0].max(1e-9);
-
-    let fmt_rate = |v: f64| {
-        if v >= 1e6 {
-            format!("{:.2}M/s", v / 1e6)
-        } else {
-            format!("{:.1}k/s", v / 1e3)
-        }
-    };
-    let mut t = Table::new(["consumer batch", "dispatch", "framing parses/msg"]);
-    for (i, &b) in BATCH_SIZES.iter().enumerate() {
-        t.row([
-            format!("{b}"),
-            fmt_rate(dispatch_rates[i]),
-            format!("{:.4}", 1.0 / (b.min(64)) as f64),
-        ]);
-    }
-    t.print();
-    println!(
-        "dispatch at batch 64 is {batch_speedup:.2}x batch 1 (gate: >= 5x; \
-         E30's per-message pipeline reached 3.37x)"
-    );
-
-    // -- (b) dispatch-phase attribution on the entry-view path ------------
-    // Same profile counters as E27/E30, but decode is now the
-    // once-per-entry framing parse, out from under the per-message loop:
-    // its share of the end-to-end dispatch wall (receive + payload
-    // iteration + entry-granular ack) must collapse.
-    let cluster = make_loaded();
-    cluster.set_dispatch_profiling(true);
-    let mut consumer = cluster
-        .subscribe("e31", "s", SubscriptionMode::Exclusive)
-        .expect("subscribe");
-    let loop_t0 = Instant::now();
-    let mut got = 0usize;
-    while got < MSGS {
-        let n = consumer
-            .receive_entries_into(512, &mut views)
-            .expect("receive_entries");
-        assert!(n > 0, "expected {MSGS} messages, got {got}");
-        for view in &views {
-            for mv in view.messages() {
-                std::hint::black_box(&mv.payload()[..]);
-            }
-        }
-        consumer.ack_entries(&views).expect("ack_entries");
-        got += n;
-    }
-    let loop_wall_ns = loop_t0.elapsed().as_nanos() as u64;
-    let dp = cluster.dispatch_profile();
-    let (top_phase, top_ns) = dp.top_phase();
-    let decode_share = dp.decode_ns as f64 / loop_wall_ns.max(1) as f64;
-    let mut t = Table::new(["dispatch phase", "time", "% of scan wall"]);
-    for (name, ns) in dp.phases() {
-        t.row([
-            name.to_string(),
-            fmt_dur(Duration::from_nanos(ns)),
-            format!("{:.1}%", 100.0 * ns as f64 / dp.wall_ns.max(1) as f64),
-        ]);
-    }
-    t.print();
-    println!(
-        "decode (once-per-entry framing parse) is {:.1}% of the {} dispatch \
-         loop (gate: < 15%); top scan phase: {top_phase} ({})",
-        100.0 * decode_share,
-        fmt_dur(Duration::from_nanos(loop_wall_ns)),
-        fmt_dur(Duration::from_nanos(top_ns)),
-    );
-
-    // -- (c) zero-allocation view iteration -------------------------------
-    // Consuming an already-received view — payload slices and batch-indexed
-    // ids — must be pure pointer work. Receive once, then measure only the
-    // iteration.
-    let cluster = make_loaded();
-    let mut consumer = cluster
-        .subscribe("e31", "s", SubscriptionMode::Exclusive)
-        .expect("subscribe");
-    let n = consumer
-        .receive_entries_into(MSGS, &mut views)
-        .expect("receive_entries");
-    assert_eq!(n, MSGS);
-    let held = std::mem::take(&mut views);
-    const ITERS: u64 = 64;
-    let (iter_allocs, _) = alloc_delta(|| {
-        for _ in 0..ITERS {
-            for view in &held {
-                for mv in view.messages() {
-                    std::hint::black_box(&mv.payload()[..]);
-                    std::hint::black_box(mv.id());
-                }
-            }
-        }
-    });
-    let iter_ops = ITERS * MSGS as u64;
-    let iter_allocs_per_op = iter_allocs as f64 / iter_ops as f64;
-    println!(
-        "view iteration: {iter_allocs} allocs over {iter_ops} message visits \
-         ({iter_allocs_per_op:.6}/op; gate: 0)"
-    );
-
-    let rates_json = dispatch_rates
-        .iter()
-        .map(|r| format!("{r:.1}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let phase_json = dp
-        .phases()
-        .iter()
-        .map(|(name, ns)| format!("\"{name}\": {ns}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let fragment = format!(
-        "{{\n    \"batch_sizes\": [1, 8, 64, 256],\n    \
-         \"dispatch_msgs_per_sec\": [{rates_json}],\n    \
-         \"dispatch_batch64_over_batch1\": {batch_speedup:.3},\n    \
-         \"dispatch_messages\": {},\n    \"dispatch_scans\": {},\n    \
-         \"dispatch_wall_ns\": {},\n    \
-         \"dispatch_loop_wall_ns\": {loop_wall_ns},\n    \
-         \"dispatch_phase_ns\": {{{phase_json}}},\n    \
-         \"top_dispatch_phase\": \"{top_phase}\",\n    \
-         \"decode_share\": {decode_share:.4},\n    \
-         \"view_iter_allocs_per_op\": {iter_allocs_per_op:.6}\n  }}",
-        dp.messages, dp.scans, dp.wall_ns,
-    );
-    std::fs::write(BENCH_E31_PATH, format!("{{\n  \"e31\": {fragment}\n}}\n")).unwrap_or_else(
-        |e| {
-            eprintln!("failed to write {BENCH_E31_PATH}: {e}");
-            std::process::exit(1);
-        },
-    );
-    println!("bench JSON written to {BENCH_E31_PATH}");
-    bench.push(("e31".to_string(), fragment));
 }

@@ -1315,11 +1315,6 @@ impl PulsarCluster {
             )?;
             let n = payloads.len() as u32;
             inner.c_published.add(n as u64);
-            inner.metrics.counter("batch_entries_appended").inc();
-            inner
-                .metrics
-                .counter("batch_bytes_encoded")
-                .add(entry_bytes.len() as u64);
             Ok((0..n)
                 .map(|i| MessageId::in_batch(p as u32, lid, entry, i, n))
                 .collect())

@@ -695,3 +695,125 @@ fn in_order_acks_persist_the_literal_cursor_text() {
     assert_eq!((node.data.as_slice(), node.version), (&b"0;7;44"[..], 43));
     assert!(broker_cursors(&c).1.is_empty());
 }
+
+const ENTRIES: usize = 64;
+const BATCH: usize = 64;
+const MESSAGES: usize = ENTRIES * BATCH;
+
+/// `ENTRIES` × `send_batch(BATCH)` on one partition, 16 entries a
+/// ledger, so the log has sealed segments behind its open tail.
+fn batched_log() -> (PulsarCluster, Vec<MessageId>) {
+    let c = PulsarCluster::new(
+        PulsarConfig {
+            max_entries_per_ledger: 16,
+            ..PulsarConfig::default()
+        },
+        WallClock::shared(),
+    );
+    c.create_topic(TOPIC, 1).unwrap();
+    let producer = c.producer(TOPIC).unwrap();
+    let mut ids = Vec::with_capacity(MESSAGES);
+    for entry in 0..ENTRIES {
+        let batch = [[entry as u8; 8]; BATCH];
+        ids.extend(producer.send_batch(&batch).unwrap());
+    }
+    (c, ids)
+}
+
+/// A batched publish is one ledger entry: 4 096 messages name 64 entries.
+#[test]
+fn each_send_batch_appends_exactly_one_entry() {
+    let (_c, ids) = batched_log();
+    assert_eq!(ids.len(), MESSAGES);
+    let entries: BTreeSet<(LedgerId, u64)> = ids.iter().map(|id| (id.ledger, id.entry)).collect();
+    assert_eq!(entries.len(), ENTRIES);
+}
+
+/// The cursor is written once per completed entry, whatever the consumer
+/// batch: draining 64 batched entries through each receive/ack path
+/// leaves the node at version 63 — 64 writes for 4 096 messages.
+#[test]
+fn draining_a_batched_log_writes_the_cursor_once_per_entry() {
+    type Drain = fn(&mut Consumer) -> usize;
+    let one_by_one: Drain = |consumer| {
+        let mut n = 0;
+        while let Some(m) = consumer.receive().unwrap() {
+            consumer.ack(m.id).unwrap();
+            n += 1;
+        }
+        n
+    };
+    let batched: Drain = |consumer| {
+        let mut n = 0;
+        loop {
+            let ms = consumer.receive_batch(BATCH).unwrap();
+            if ms.is_empty() {
+                return n;
+            }
+            let ids: Vec<MessageId> = ms.iter().map(|m| m.id).collect();
+            consumer.ack_batch(&ids).unwrap();
+            n += ms.len();
+        }
+    };
+    let entry_views: Drain = |consumer| {
+        let (mut n, mut views) = (0, Vec::new());
+        loop {
+            let got = consumer.receive_entries_into(BATCH, &mut views).unwrap();
+            if got == 0 {
+                return n;
+            }
+            consumer.ack_entries(&views).unwrap();
+            n += got;
+        }
+    };
+    for (path, drain) in [
+        ("receive + ack", one_by_one),
+        ("receive_batch + ack_batch", batched),
+        ("receive_entries_into + ack_entries", entry_views),
+    ] {
+        let (c, ids) = batched_log();
+        let mut consumer = c
+            .subscribe(TOPIC, SUB, SubscriptionMode::Exclusive)
+            .unwrap();
+        assert_eq!(drain(&mut consumer), MESSAGES, "{path}");
+        let node = c.metadata().get(&cursor_key(TOPIC, 0, SUB)).unwrap();
+        assert_eq!(node.version, ENTRIES as u64 - 1, "{path}");
+        let last = ids.last().unwrap().canonical();
+        let text = format!("0;{};{}", last.ledger.raw(), last.entry);
+        assert_eq!(node.data, text.as_bytes(), "{path}");
+    }
+}
+
+/// A replay pass served from the read caches reads no ledger entry: with
+/// dispatch profiling on, warm passes add exactly 0 to `read_ns`, and the
+/// first pass after a broker restart, which refills the caches from the
+/// bookies, adds more than 0.
+#[test]
+fn warm_replay_passes_read_no_entries() {
+    let (c, _) = batched_log();
+    let mut consumer = c
+        .subscribe(TOPIC, SUB, SubscriptionMode::Exclusive)
+        .unwrap();
+    c.set_dispatch_profiling(true);
+    let mut views = Vec::new();
+    let mut pass = || {
+        let before = c.dispatch_profile().read_ns;
+        let mut n = 0;
+        loop {
+            let got = consumer.receive_entries_into(MESSAGES, &mut views).unwrap();
+            if got == 0 {
+                break;
+            }
+            n += got;
+        }
+        assert_eq!(n, MESSAGES);
+        assert_eq!(consumer.redeliver_unacked().unwrap(), MESSAGES);
+        c.dispatch_profile().read_ns - before
+    };
+    for warm in 0..4 {
+        assert_eq!(pass(), 0, "warm pass {warm}");
+    }
+    c.restart_broker();
+    assert!(pass() > 0, "the pass after a restart refills the caches");
+    assert_eq!(pass(), 0, "and the one after it is warm again");
+}
