@@ -115,8 +115,14 @@ struct NetState {
     /// `links[from][to]`, dense in node id (the fabric hands ids out
     /// contiguously), grown on first use; indexed, never iterated.
     links: Vec<Vec<Link>>,
-    /// `(deliver_at, tie, slot)`, earliest first, `tie` the global send
-    /// order: the heap sifts small keys, envelopes sit still in `slab`.
+    /// `(deliver_at, tie, slot)` keys that arrived in ascending order,
+    /// `tie` the global send order: on links whose every send is due at
+    /// the same offset from `now` each new key exceeds the last, and
+    /// queueing it costs a push instead of a heap sift.
+    lane: VecDeque<(Duration, u64, usize)>,
+    /// Keys that arrived out of order (jitter, unequal latencies, a
+    /// duplicate's original), earliest first. Envelopes of both sit still
+    /// in `slab`.
     inflight: BinaryHeap<Reverse<(Duration, u64, usize)>>,
     slab: Vec<Option<Envelope>>,
     free_slots: Vec<usize>,
@@ -159,7 +165,13 @@ impl NetState {
                 self.slab.len() - 1
             }
         };
-        self.inflight.push(Reverse((deliver_at, tie, slot)));
+        let key = (deliver_at, tie, slot);
+        // `tie` is unique, so comparing whole keys never reaches `slot`.
+        if self.lane.back().is_some_and(|&last| key < last) {
+            self.inflight.push(Reverse(key));
+        } else {
+            self.lane.push_back(key);
+        }
     }
 
     /// [`SimNet::send`] with the lock held.
@@ -219,12 +231,26 @@ impl NetState {
         Some(seq)
     }
 
-    /// The next envelope due by `now`, in (delivery time, send order).
+    /// The next envelope due by `now`, in (delivery time, send order):
+    /// the smaller of the two queues' heads.
     fn pop_due(&mut self) -> Option<Envelope> {
-        if self.inflight.peek()?.0 .0 > self.now {
+        let from_lane = match (self.lane.front(), self.inflight.peek()) {
+            (Some(lane), Some(Reverse(heap))) => lane < heap,
+            (lane, _) => lane.is_some(),
+        };
+        let (at, _, slot) = if from_lane {
+            *self.lane.front()?
+        } else {
+            self.inflight.peek()?.0
+        };
+        if at > self.now {
             return None;
         }
-        let Reverse((_, _, slot)) = self.inflight.pop()?;
+        if from_lane {
+            self.lane.pop_front();
+        } else {
+            self.inflight.pop();
+        }
         self.stats.delivered += 1;
         self.free_slots.push(slot);
         self.slab[slot].take()
@@ -248,6 +274,7 @@ impl SimNet {
                 rng: det_rng(seed),
                 default_faults: LinkFaults::default(),
                 links: Vec::new(),
+                lane: VecDeque::new(),
                 inflight: BinaryHeap::new(),
                 slab: Vec::new(),
                 free_slots: Vec::new(),
@@ -387,6 +414,42 @@ mod tests {
         net.advance(ms(1));
         assert_eq!(net.recv(n(1)).unwrap().req, 10);
         assert_eq!(net.recv(n(1)).unwrap().req, 11);
+    }
+
+    #[test]
+    fn in_order_keys_skip_the_heap_and_delivery_merges_both_queues() {
+        let net = SimNet::new(7);
+        net.set_default_faults(LinkFaults {
+            latency: Duration::ZERO,
+            ..Default::default()
+        });
+        let queued = |net: &SimNet| {
+            let st = net.state.lock();
+            (st.lane.len(), st.inflight.len())
+        };
+        for i in 0..4 {
+            send_simple(&net, n(0), n(1 + i % 2), i);
+        }
+        assert_eq!(queued(&net), (4, 0), "zero-latency sends arrive in order");
+        // A slow link's key goes to the lane's tail; the fast sends after
+        // it sort before it, so they take the heap.
+        net.set_link_faults(n(2), n(0), LinkFaults::default());
+        send_simple(&net, n(2), n(0), 4);
+        send_simple(&net, n(0), n(1), 5);
+        send_simple(&net, n(0), n(2), 6);
+        assert_eq!(queued(&net), (5, 2));
+        net.advance(Duration::ZERO);
+        let reqs = |node| {
+            net.drain(node)
+                .into_iter()
+                .map(|e| e.req)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!((reqs(n(1)), reqs(n(2))), (vec![0, 2, 5], vec![1, 3, 6]));
+        assert_eq!(queued(&net), (1, 0), "the slow one waits");
+        net.advance(ms(1));
+        assert_eq!(reqs(n(0)), vec![4]);
+        assert_eq!(net.stats().delivered, 7);
     }
 
     #[test]

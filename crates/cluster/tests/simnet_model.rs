@@ -1,12 +1,14 @@
 //! `SimNet` against the model it was before its per-link state became a
-//! dense table and its in-flight heap a slab of envelopes behind small
-//! keys: hash maps keyed by `(from, to)` and a sorted list of whole
-//! flights. Driven by the same seed through the same schedule — sends on
-//! links first used long after others (3 → 40 nodes), per-link fault
-//! overrides, default re-rolls, partitions — the two must hand out the
-//! same per-link sequence numbers, draw the same random numbers in the same
-//! order, apply the same FIFO clamp, and so deliver the same envelopes to
-//! the same inboxes in the same order on the same tick.
+//! dense table and its in-flight queue a slab of envelopes behind small
+//! keys, split into an ordered lane and a heap: hash maps keyed by
+//! `(from, to)` and one sorted list of whole flights. Driven by the same
+//! seed through the same schedule — sends on links first used long after
+//! others (3 → 40 nodes), per-link fault overrides, default re-rolls,
+//! partitions, and in-order zero-latency phases broken up by jittered and
+//! duplicating links — the two must hand out the same per-link sequence
+//! numbers, draw the same random numbers in the same order, apply the same
+//! FIFO clamp, and so deliver the same envelopes to the same inboxes in
+//! the same order on the same tick.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
@@ -128,88 +130,136 @@ fn step() -> impl Strategy<Value = Step> {
     ]
 }
 
+/// Zero latency, zero jitter: every send due at `now`, so each key exceeds
+/// the last and takes the ordered lane — unless it is duplicated, when the
+/// copy (larger tie) is queued first and the original takes the heap.
+fn in_order_faults() -> impl Strategy<Value = LinkFaults> {
+    (any::<bool>(), 1u8..50).prop_map(|(dup, p)| LinkFaults {
+        latency: Duration::ZERO,
+        jitter: Duration::ZERO,
+        drop_p: 0.0,
+        dup_p: if dup { f64::from(p) / 100.0 } else { 0.0 },
+    })
+}
+
+/// Mostly in-order default phases, with jittered, duplicating links that
+/// push keys below the lane's last one mixed in.
+fn lane_step() -> impl Strategy<Value = Step> {
+    let send = || (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Step::Send(a, b));
+    prop_oneof![
+        send(),
+        send(),
+        send(),
+        send(),
+        send(),
+        send(),
+        (1u8..4).prop_map(Step::Advance),
+        (1u8..12).prop_map(Step::Grow),
+        in_order_faults().prop_map(Step::Default),
+        in_order_faults().prop_map(Step::Default),
+        (any::<u8>(), any::<u8>(), faults()).prop_map(|(a, b, f)| Step::Link(a, b, f)),
+        (1u8..40).prop_map(Step::Partition),
+        Just(Step::Heal),
+    ]
+}
+
+/// Drive `SimNet` and the model through `steps` from `seed`; every advance
+/// must deliver the same envelopes to the same inboxes in the same order,
+/// and the counters must agree at the end.
+fn equals_the_model(seed: u64, steps: Vec<Step>) -> Result<(), String> {
+    let net = SimNet::new(seed);
+    let mut model = Model {
+        now: Duration::ZERO,
+        rng: det_rng(seed),
+        default_faults: LinkFaults::default(),
+        link_faults: HashMap::new(),
+        last_sched: HashMap::new(),
+        next_seq: HashMap::new(),
+        inflight: Vec::new(),
+        partition: None,
+        tie: 0,
+        stats: NetStats::default(),
+    };
+    let mut nodes = 3u64;
+    let mut req = 0u64;
+    // Traffic keeps to the three oldest and the three newest nodes, so
+    // that links see enough sends in a row for the clamp to matter.
+    let hot = |i: u8, nodes: u64| match u64::from(i) % 6 {
+        i @ 0..=2 => i,
+        i => nodes - 1 - (i - 3),
+    };
+    let check_deliveries = |model: &mut Model, d: Duration| -> Result<(), String> {
+        let expect = model.advance(d);
+        net.advance(d);
+        prop_assert_eq!(net.now(), model.now);
+        for node in 0..40 {
+            let got: Vec<Delivery> = net
+                .drain(NodeId(node))
+                .iter()
+                .map(|e| (e.from.raw(), e.to.raw(), e.seq, e.req))
+                .collect();
+            let want: Vec<Delivery> = expect.iter().copied().filter(|d| d.1 == node).collect();
+            prop_assert_eq!(got, want, "inbox of n{} at {:?}", node, model.now);
+        }
+        Ok(())
+    };
+    for step in steps {
+        match step {
+            Step::Send(a, b) => {
+                let (a, b) = (hot(a, nodes), hot(b, nodes));
+                req += 1;
+                let got = net.send(NodeId(a), NodeId(b), req, "m", Bytes::new(), None);
+                prop_assert_eq!(got, model.send(a, b, req), "seq on n{}->n{}", a, b);
+            }
+            Step::Advance(ms) => {
+                check_deliveries(&mut model, Duration::from_millis(u64::from(ms)))?;
+            }
+            Step::Grow(by) => nodes = (nodes + u64::from(by)).min(40),
+            Step::Default(f) => {
+                net.set_default_faults(f);
+                model.default_faults = f;
+            }
+            Step::Link(a, b, f) => {
+                let (a, b) = (hot(a, nodes), hot(b, nodes));
+                net.set_link_faults(NodeId(a), NodeId(b), f);
+                model.link_faults.insert((a, b), f);
+            }
+            Step::Partition(cut) => {
+                let (left, right): (Vec<u64>, Vec<u64>) =
+                    (0..nodes).partition(|&n| n < u64::from(cut));
+                let ids = |g: &[u64]| g.iter().copied().map(NodeId).collect::<Vec<_>>();
+                net.partition(&[&ids(&left), &ids(&right)]);
+                model.partition = Some(vec![
+                    left.into_iter().collect(),
+                    right.into_iter().collect(),
+                ]);
+            }
+            Step::Heal => {
+                net.heal();
+                model.partition = None;
+            }
+        }
+    }
+    // Flush what is still in flight.
+    check_deliveries(&mut model, Duration::from_secs(60))?;
+    prop_assert_eq!(net.stats(), model.stats);
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn dense_link_table_and_slab_heap_equal_the_hash_map_model(
         seed in any::<u64>(),
         steps in vec(step(), 1..300),
     ) {
-        let net = SimNet::new(seed);
-        let mut model = Model {
-            now: Duration::ZERO,
-            rng: det_rng(seed),
-            default_faults: LinkFaults::default(),
-            link_faults: HashMap::new(),
-            last_sched: HashMap::new(),
-            next_seq: HashMap::new(),
-            inflight: Vec::new(),
-            partition: None,
-            tie: 0,
-            stats: NetStats::default(),
-        };
-        let mut nodes = 3u64;
-        let mut req = 0u64;
-        // Traffic keeps to the three oldest and the three newest nodes, so
-        // that links see enough sends in a row for the clamp to matter.
-        let hot = |i: u8, nodes: u64| match u64::from(i) % 6 {
-            i @ 0..=2 => i,
-            i => nodes - 1 - (i - 3),
-        };
-        let check_deliveries = |model: &mut Model, d: Duration| -> Result<(), String> {
-            let expect = model.advance(d);
-            net.advance(d);
-            prop_assert_eq!(net.now(), model.now);
-            for node in 0..40 {
-                let got: Vec<Delivery> = net
-                    .drain(NodeId(node))
-                    .iter()
-                    .map(|e| (e.from.raw(), e.to.raw(), e.seq, e.req))
-                    .collect();
-                let want: Vec<Delivery> =
-                    expect.iter().copied().filter(|d| d.1 == node).collect();
-                prop_assert_eq!(got, want, "inbox of n{} at {:?}", node, model.now);
-            }
-            Ok(())
-        };
-        for step in steps {
-            match step {
-                Step::Send(a, b) => {
-                    let (a, b) = (hot(a, nodes), hot(b, nodes));
-                    req += 1;
-                    let got = net.send(NodeId(a), NodeId(b), req, "m", Bytes::new(), None);
-                    prop_assert_eq!(got, model.send(a, b, req), "seq on n{}->n{}", a, b);
-                }
-                Step::Advance(ms) => {
-                    check_deliveries(&mut model, Duration::from_millis(u64::from(ms)))?;
-                }
-                Step::Grow(by) => nodes = (nodes + u64::from(by)).min(40),
-                Step::Default(f) => {
-                    net.set_default_faults(f);
-                    model.default_faults = f;
-                }
-                Step::Link(a, b, f) => {
-                    let (a, b) = (hot(a, nodes), hot(b, nodes));
-                    net.set_link_faults(NodeId(a), NodeId(b), f);
-                    model.link_faults.insert((a, b), f);
-                }
-                Step::Partition(cut) => {
-                    let (left, right): (Vec<u64>, Vec<u64>) =
-                        (0..nodes).partition(|&n| n < u64::from(cut));
-                    let ids = |g: &[u64]| g.iter().copied().map(NodeId).collect::<Vec<_>>();
-                    net.partition(&[&ids(&left), &ids(&right)]);
-                    model.partition = Some(vec![
-                        left.into_iter().collect(),
-                        right.into_iter().collect(),
-                    ]);
-                }
-                Step::Heal => {
-                    net.heal();
-                    model.partition = None;
-                }
-            }
-        }
-        // Flush what is still in flight.
-        check_deliveries(&mut model, Duration::from_secs(60))?;
-        prop_assert_eq!(net.stats(), model.stats);
+        equals_the_model(seed, steps)?;
+    }
+
+    #[test]
+    fn ordered_lane_and_heap_together_equal_the_sorted_list_model(
+        seed in any::<u64>(),
+        steps in vec(lane_step(), 1..300),
+    ) {
+        equals_the_model(seed, steps)?;
     }
 }

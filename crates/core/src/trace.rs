@@ -294,8 +294,9 @@ impl Default for TracerConfig {
 /// One event on the telemetry stream: a finished span or a metric delta.
 #[derive(Debug, Clone)]
 pub enum TelemetryEvent {
-    /// A finished span, exactly as recorded by the tracer.
-    Span(SpanRecord),
+    /// A finished span, exactly as recorded by the tracer: the very
+    /// allocation its flight-recorder ring retains.
+    Span(Arc<SpanRecord>),
     /// A named counter/sample increment from an instrumented subsystem.
     Metric {
         /// Metric name, e.g. `faas.cold_starts`.
@@ -355,7 +356,7 @@ impl TelemetrySink {
     }
 
     /// Enqueue a finished span.
-    pub fn span(&self, record: SpanRecord) -> bool {
+    pub fn span(&self, record: Arc<SpanRecord>) -> bool {
         self.push(TelemetryEvent::Span(record))
     }
 
@@ -424,7 +425,9 @@ struct TracerInner {
     clock: SharedClock,
     config: TracerConfig,
     next_id: AtomicU64,
-    spans: Mutex<VecDeque<SpanRecord>>,
+    /// The flight-recorder ring. Each record is shared with the telemetry
+    /// sink rather than copied for it.
+    spans: Mutex<VecDeque<Arc<SpanRecord>>>,
     dropped: AtomicU64,
     sink: Mutex<Option<TelemetrySink>>,
 }
@@ -614,7 +617,7 @@ impl Tracer {
     /// most recent [`TracerConfig::retention`] spans.
     pub fn spans(&self) -> Vec<SpanRecord> {
         match &self.inner {
-            Some(inner) => inner.spans.lock().iter().cloned().collect(),
+            Some(inner) => inner.spans.lock().iter().map(|s| (**s).clone()).collect(),
             None => Vec::new(),
         }
     }
@@ -817,15 +820,16 @@ impl Drop for SpanGuard {
         } else {
             inner.sink.lock().clone()
         };
+        let record = Arc::new(open.record);
         if let Some(sink) = sink {
-            sink.span(open.record.clone());
+            sink.span(Arc::clone(&record));
         }
         let mut spans = inner.spans.lock();
         if spans.len() >= inner.config.retention {
             spans.pop_front();
             inner.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        spans.push_back(open.record);
+        spans.push_back(record);
     }
 }
 
@@ -1131,6 +1135,42 @@ mod tests {
         tracer.clear_telemetry();
         drop(tracer.span("sys", "untracked"));
         assert!(sink.is_empty());
+    }
+
+    #[test]
+    fn sink_and_ring_share_one_record_and_spans_hands_out_copies() {
+        let clock = std::sync::Arc::new(VirtualClock::new());
+        let tracer = Tracer::with_config(
+            clock,
+            TracerConfig {
+                retention: 1,
+                sample_one_in: 1,
+            },
+        );
+        let sink = TelemetrySink::new(16);
+        tracer.set_telemetry(sink.clone());
+        tracer.span("sys", "first").attr("k", "v");
+        let events = sink.drain(16);
+        let [TelemetryEvent::Span(sent)] = &events[..] else {
+            panic!("expected one span event, got {events:?}");
+        };
+        let ring = &tracer.inner.as_ref().expect("enabled").spans;
+        assert!(
+            Arc::ptr_eq(sent, &ring.lock()[0]),
+            "one allocation, not a copy"
+        );
+        // `spans()` hands out owned copies that share no buffer with it.
+        let owned = tracer.spans();
+        assert_eq!(
+            (owned[0].name.as_str(), &owned[0].attrs),
+            (sent.name.as_str(), &sent.attrs)
+        );
+        assert_ne!(owned[0].name.as_ptr(), sent.name.as_ptr());
+        // The ring evicting it leaves the sink's reference the only one.
+        drop(tracer.span("sys", "second"));
+        assert_eq!(tracer.dropped_spans(), 1);
+        assert_eq!(Arc::strong_count(sent), 1);
+        assert_eq!(sent.name, "first");
     }
 
     #[test]

@@ -21,6 +21,12 @@ pub struct KllSketch {
     stored: usize,
     /// Cheap deterministic coin state for compaction parity.
     coin_state: u64,
+    /// `caps[l]`: capacity of level `l` at the current height. A function
+    /// of `k` and the level count alone, so rebuilt only when a level is
+    /// added ([`Self::grow`]).
+    caps: Vec<usize>,
+    /// `caps` summed: the `stored` bound that triggers a compaction.
+    max_stored: usize,
 }
 
 impl KllSketch {
@@ -28,13 +34,17 @@ impl KllSketch {
     /// common default giving ~1% rank error).
     pub fn new(k: usize) -> Self {
         assert!(k >= 8, "k must be at least 8");
-        Self {
+        let mut s = Self {
             k,
-            compactors: vec![Vec::new()],
+            compactors: Vec::new(),
             total: 0,
             stored: 0,
             coin_state: 0x243f_6a88_85a3_08d3,
-        }
+            caps: Vec::new(),
+            max_stored: 0,
+        };
+        s.grow(1);
+        s
     }
 
     /// Accuracy parameter.
@@ -57,14 +67,21 @@ impl KllSketch {
         self.stored
     }
 
-    fn capacity(&self, level: usize) -> usize {
-        let h = self.compactors.len();
-        let depth = (h - 1 - level) as i32;
-        ((self.k as f64) * (2.0f64 / 3.0).powi(depth)).ceil() as usize
-    }
-
-    fn max_stored(&self) -> usize {
-        (0..self.compactors.len()).map(|l| self.capacity(l)).sum()
+    /// Add empty levels up to `levels` and recompute every capacity: `k`
+    /// at the top, two thirds per level below it, rounded up.
+    fn grow(&mut self, levels: usize) {
+        if self.compactors.len() >= levels {
+            return;
+        }
+        self.compactors.resize_with(levels, Vec::new);
+        let k = self.k as f64;
+        self.caps.clear();
+        self.caps.extend(
+            (0..levels).map(|level| {
+                (k * (2.0f64 / 3.0).powi((levels - 1 - level) as i32)).ceil() as usize
+            }),
+        );
+        self.max_stored = self.caps.iter().sum();
     }
 
     fn coin(&mut self) -> bool {
@@ -83,28 +100,28 @@ impl KllSketch {
         self.compactors[0].push(value);
         self.stored += 1;
         self.total += 1;
-        if self.stored > self.max_stored() {
+        if self.stored > self.max_stored {
             self.compress();
         }
     }
 
     fn compress(&mut self) {
-        for level in 0..self.compactors.len() {
-            if self.compactors[level].len() > self.capacity(level) {
-                if level + 1 == self.compactors.len() {
-                    self.compactors.push(Vec::new());
-                }
-                let parity = usize::from(self.coin());
-                let mut items = std::mem::take(&mut self.compactors[level]);
-                items.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-                let promoted: Vec<f64> = items.iter().skip(parity).step_by(2).copied().collect();
-                self.stored -= items.len();
-                self.stored += promoted.len();
-                self.compactors[level + 1].extend(promoted);
-                // One compaction per call keeps amortised cost low (lazy KLL).
-                return;
-            }
-        }
+        let Some(level) =
+            (0..self.compactors.len()).find(|&l| self.compactors[l].len() > self.caps[l])
+        else {
+            return;
+        };
+        self.grow(level + 2);
+        let parity = usize::from(self.coin());
+        // Promote in place: the level keeps its buffer for the next fill.
+        let (below, above) = self.compactors.split_at_mut(level + 1);
+        let (items, next) = (&mut below[level], &mut above[0]);
+        items.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+        let before = next.len();
+        next.extend(items.iter().skip(parity).step_by(2));
+        self.stored -= items.len() - (next.len() - before);
+        items.clear();
+        // One compaction per call keeps amortised cost low (lazy KLL).
     }
 
     /// Estimated rank of `value`: number of stream elements ≤ `value`.
@@ -151,15 +168,13 @@ impl Mergeable for KllSketch {
         if self.k != other.k {
             return Err(MergeError::new("k mismatch"));
         }
-        while self.compactors.len() < other.compactors.len() {
-            self.compactors.push(Vec::new());
-        }
+        self.grow(other.compactors.len());
         for (level, items) in other.compactors.iter().enumerate() {
             self.compactors[level].extend_from_slice(items);
             self.stored += items.len();
         }
         self.total += other.total;
-        while self.stored > self.max_stored() {
+        while self.stored > self.max_stored {
             let before = self.stored;
             self.compress();
             if self.stored == before {
@@ -285,5 +300,191 @@ mod tests {
         assert!(qs.windows(2).all(|w| w[0] <= w[1]), "{qs:?}");
         // Median of Exp(1) is ln 2 ≈ 0.693.
         assert!((qs[2] - 0.693).abs() < 0.05, "median {}", qs[2]);
+    }
+
+    /// The sketch as it was before its capacities were cached and its
+    /// compactions promoted in place: every capacity recomputed on every
+    /// update, every compaction through a fresh `Vec`. The sketch must
+    /// stay bit-identical to it.
+    #[derive(Clone)]
+    struct Reference {
+        k: usize,
+        compactors: Vec<Vec<f64>>,
+        total: u64,
+        stored: usize,
+        coin_state: u64,
+    }
+
+    impl Reference {
+        fn new(k: usize) -> Self {
+            Self {
+                k,
+                compactors: vec![Vec::new()],
+                total: 0,
+                stored: 0,
+                coin_state: 0x243f_6a88_85a3_08d3,
+            }
+        }
+
+        fn capacity(&self, level: usize) -> usize {
+            let h = self.compactors.len();
+            let depth = (h - 1 - level) as i32;
+            ((self.k as f64) * (2.0f64 / 3.0).powi(depth)).ceil() as usize
+        }
+
+        fn max_stored(&self) -> usize {
+            (0..self.compactors.len()).map(|l| self.capacity(l)).sum()
+        }
+
+        fn coin(&mut self) -> bool {
+            let mut x = self.coin_state;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.coin_state = x;
+            (x.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 63) == 1
+        }
+
+        fn update(&mut self, value: f64) {
+            self.compactors[0].push(value);
+            self.stored += 1;
+            self.total += 1;
+            if self.stored > self.max_stored() {
+                self.compress();
+            }
+        }
+
+        fn compress(&mut self) {
+            for level in 0..self.compactors.len() {
+                if self.compactors[level].len() > self.capacity(level) {
+                    if level + 1 == self.compactors.len() {
+                        self.compactors.push(Vec::new());
+                    }
+                    let parity = usize::from(self.coin());
+                    let mut items = std::mem::take(&mut self.compactors[level]);
+                    items.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+                    let promoted: Vec<f64> =
+                        items.iter().skip(parity).step_by(2).copied().collect();
+                    self.stored -= items.len();
+                    self.stored += promoted.len();
+                    self.compactors[level + 1].extend(promoted);
+                    return;
+                }
+            }
+        }
+
+        fn merge(&mut self, other: &Self) {
+            while self.compactors.len() < other.compactors.len() {
+                self.compactors.push(Vec::new());
+            }
+            for (level, items) in other.compactors.iter().enumerate() {
+                self.compactors[level].extend_from_slice(items);
+                self.stored += items.len();
+            }
+            self.total += other.total;
+            while self.stored > self.max_stored() {
+                let before = self.stored;
+                self.compress();
+                if self.stored == before {
+                    break;
+                }
+            }
+        }
+
+        fn quantile(&self, q: f64) -> Option<f64> {
+            if self.total == 0 {
+                return None;
+            }
+            let q = q.clamp(0.0, 1.0);
+            let mut weighted: Vec<(f64, u64)> = Vec::with_capacity(self.stored);
+            for (level, items) in self.compactors.iter().enumerate() {
+                let w = 1u64 << level;
+                weighted.extend(items.iter().map(|&x| (x, w)));
+            }
+            weighted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN"));
+            let target = (q * self.total as f64).ceil().max(1.0) as u64;
+            let mut acc = 0u64;
+            for (x, w) in &weighted {
+                acc += w;
+                if acc >= target {
+                    return Some(*x);
+                }
+            }
+            weighted.last().map(|(x, _)| *x)
+        }
+    }
+
+    /// Same compactor bits, counters, coin state and quantiles.
+    fn same(s: &KllSketch, r: &Reference) -> Result<(), String> {
+        let bits = |c: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            c.iter()
+                .map(|l| l.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        if bits(&s.compactors) != bits(&r.compactors) {
+            return Err(format!(
+                "compactor contents differ (levels {} vs {}, total {})",
+                s.levels(),
+                r.compactors.len(),
+                r.total
+            ));
+        }
+        let counters = (s.stored(), s.total(), s.levels(), s.coin_state);
+        let want = (r.stored, r.total, r.compactors.len(), r.coin_state);
+        if counters != want {
+            return Err(format!(
+                "(stored, total, levels, coin) {counters:?} vs {want:?}"
+            ));
+        }
+        for i in 0..=40 {
+            let q = f64::from(i) / 40.0;
+            let (got, want) = (s.quantile(q), r.quantile(q));
+            if got.map(f64::to_bits) != want.map(f64::to_bits) {
+                return Err(format!("quantile({q}) {got:?} vs {want:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn cached_capacities_and_in_place_promotion_match_the_reference(
+            k in 8usize..400,
+            n in 0usize..50_000,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::Rng;
+            let mut rng = det_rng(seed);
+            // Few distinct values (runs of duplicates) up to almost none alike.
+            let spread = [4u64, 1_000, 1 << 40][rng.gen_range(0..3usize)];
+            let mut pairs: Vec<(KllSketch, Reference)> =
+                (0..3).map(|_| (KllSketch::new(k), Reference::new(k))).collect();
+            for _ in 0..n {
+                let i = rng.gen_range(0..3usize);
+                if rng.gen_bool(0.001) {
+                    // Merge another sketch in; half the time that one
+                    // starts over, so later merges meet unequal heights.
+                    let j = (i + rng.gen_range(1..3usize)) % 3;
+                    let (src, src_ref) = pairs[j].clone();
+                    pairs[i].0.merge(&src).map_err(|e| e.to_string())?;
+                    pairs[i].1.merge(&src_ref);
+                    same(&pairs[i].0, &pairs[i].1)?;
+                    if rng.gen_bool(0.5) {
+                        pairs[j] = (KllSketch::new(k), Reference::new(k));
+                    }
+                } else {
+                    let v = match rng.gen_range(0..50u32) {
+                        0 => -0.0,
+                        1 => 0.0,
+                        _ => rng.gen_range(0..spread) as f64 - (spread / 2) as f64,
+                    };
+                    pairs[i].0.update(v);
+                    pairs[i].1.update(v);
+                }
+            }
+            for (s, r) in &pairs {
+                same(s, r)?;
+            }
+        }
     }
 }
