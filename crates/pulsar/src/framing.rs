@@ -10,9 +10,9 @@
 //! [`OffsetTable`] is that knowledge, parsed and validated **once per
 //! buffer**: it remembers where the table and the item base live and how
 //! many items there are, so every subsequent item access is two table
-//! reads and one refcount-only [`Bytes::slice`] — no re-walk, no copy,
-//! no re-validation. This is the cached index behind
-//! [`EntryView`](crate::message::EntryView).
+//! reads — no re-walk, no copy, no re-validation. This is the cached
+//! index behind [`EntryView`](crate::message::EntryView), whose payloads
+//! borrow the item range it returns.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -43,8 +43,8 @@ pub(crate) fn put_ends(buf: &mut BytesMut, lens: impl Iterator<Item = usize>) ->
 ///
 /// Construction ([`OffsetTable::parse`]) checks — once — that the table
 /// fits in the buffer, that the offsets are monotone, and that the last
-/// item ends inside the buffer. After that, [`OffsetTable::slice`] and
-/// [`OffsetTable::item_len`] are infallible for in-range indices.
+/// item ends inside the buffer. After that, [`OffsetTable::item_range`]
+/// and [`OffsetTable::slice`] are infallible for in-range indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct OffsetTable {
     /// Number of items framed.

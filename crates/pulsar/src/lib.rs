@@ -47,4 +47,4 @@ pub use broker::{Consumer, FenceCheck, Producer, PulsarCluster, PulsarConfig, Su
 pub use error::PulsarError;
 pub use functions::{Context, FunctionConfig, FunctionRuntime};
 pub use geo::GeoReplicator;
-pub use message::{EntryView, Message, MessageId, MessageView};
+pub use message::{EntryView, Message, MessageId, MessageView, Payload};

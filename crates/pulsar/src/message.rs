@@ -1,5 +1,8 @@
 //! Messages, message identities, and whole-entry consumer views.
 
+use std::fmt;
+use std::ops::Deref;
+
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use taureau_core::id::LedgerId;
@@ -107,11 +110,10 @@ impl Message {
 /// publish timestamp, offset table — is parsed **exactly once**, when the
 /// entry enters the broker's read cache (a view carries a copy of that
 /// result, however often the entry is replayed); every message inside is
-/// then an O(1)
-/// refcount-only [`Bytes::slice`] against the shared buffer plus a lazy
-/// id/publish-time materialization. This is the decode-amortized
-/// counterpart of per-message [`Message`] delivery: with producer-side
-/// batching at 64, one parse serves 64 messages.
+/// then a [`Payload`] borrowed from the shared buffer (two offsets, no
+/// refcount) plus a lazy id/publish-time materialization. This is the
+/// decode-amortized counterpart of per-message [`Message`] delivery: with
+/// producer-side batching at 64, one parse serves 64 messages.
 ///
 /// A view covers a contiguous *delivered range* of the entry
 /// (`[first, end)` in batch-index terms, minus any already-acked
@@ -243,16 +245,17 @@ impl<'a> Iterator for Messages<'a> {
 }
 
 /// One message inside an [`EntryView`]: an index plus the shared parsed
-/// framing. Everything here is lazy — [`MessageView::payload`] is a
-/// refcount-only slice, [`MessageView::id`] is arithmetic — so iterating
-/// a view and reading payloads allocates nothing.
+/// framing. Everything here is lazy — [`MessageView::payload`] borrows
+/// the entry buffer, [`MessageView::id`] is arithmetic — so iterating a
+/// view and reading payloads allocates nothing and writes no shared
+/// refcount.
 #[derive(Clone, Copy)]
 pub struct MessageView<'a> {
     view: &'a EntryView,
     index: u32,
 }
 
-impl MessageView<'_> {
+impl<'a> MessageView<'a> {
     /// Durable identity (used for acknowledgment).
     pub fn id(&self) -> MessageId {
         MessageId::in_batch(
@@ -269,17 +272,24 @@ impl MessageView<'_> {
         self.index
     }
 
-    /// Payload bytes: an O(1) zero-copy slice of the entry buffer.
-    pub fn payload(&self) -> Bytes {
-        match &self.view.batch {
-            Some(table) => table.slice(&self.view.raw, self.index),
-            None => self.view.raw.slice(self.view.body_at..),
+    /// Payload bytes, borrowed from the entry buffer for as long as the
+    /// [`EntryView`] lives. `Bytes::from` it to keep them past the view.
+    pub fn payload(&self) -> Payload<'a> {
+        let view = self.view;
+        let (start, end) = match &view.batch {
+            Some(table) => table.item_range(&view.raw, self.index),
+            None => (view.body_at, view.raw.len()),
+        };
+        Payload {
+            buf: &view.raw,
+            start,
+            end,
         }
     }
 
     /// Producer key, if any (always `None` for batched messages).
-    pub fn key(&self) -> Option<Bytes> {
-        self.view.key.clone()
+    pub fn key(&self) -> Option<&'a Bytes> {
+        self.view.key.as_ref()
     }
 
     /// Publish timestamp (the entry's group-commit instant).
@@ -297,17 +307,62 @@ impl MessageView<'_> {
     pub fn to_message(&self) -> Message {
         Message {
             id: self.id(),
-            key: self.key(),
-            payload: self.payload(),
+            key: self.key().cloned(),
+            payload: self.payload().into(),
             publish_time: self.publish_time(),
             ctx: self.view.ctx,
         }
     }
 }
 
+/// A [`MessageView`]'s payload: a range of its entry's buffer, borrowed.
+/// It derefs to the bytes, so reading it touches no refcount; converting
+/// it into [`Bytes`] takes one shared slice of the buffer (no copy), for
+/// callers that keep the payload past the view.
+#[derive(Clone, Copy)]
+pub struct Payload<'a> {
+    buf: &'a Bytes,
+    start: usize,
+    end: usize,
+}
+
+impl Deref for Payload<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+}
+
+impl AsRef<[u8]> for Payload<'_> {
+    fn as_ref(&self) -> &[u8] {
+        self
+    }
+}
+
+impl fmt::Debug for Payload<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl From<Payload<'_>> for Bytes {
+    fn from(p: Payload<'_>) -> Bytes {
+        p.buf.slice(p.start..p.end)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use taureau_core::clock::WallClock;
+    use taureau_core::trace::Tracer;
+
     use super::*;
+    use crate::broker::{Consumer, PulsarCluster, PulsarConfig, SubscriptionMode};
 
     #[test]
     fn message_ids_order_within_partition() {
@@ -345,5 +400,152 @@ mod tests {
             ..m
         };
         assert_eq!(bin.payload_str(), None);
+    }
+
+    /// What each published message was: its key, its payload, and
+    /// whether its entry carries a trace-context header.
+    type Sent = BTreeMap<MessageId, (Option<Vec<u8>>, Vec<u8>, bool)>;
+
+    /// Scan at `budget` until nothing is left, checking every delivered
+    /// message's borrows against what was published and against
+    /// `to_message`. Returns how many messages were delivered.
+    fn scan_and_check(
+        consumer: &mut Consumer,
+        budget: usize,
+        sent: &Sent,
+    ) -> Result<usize, String> {
+        let (mut delivered, mut views) = (0, Vec::new());
+        while consumer.receive_entries_into(budget, &mut views).unwrap() > 0 {
+            for view in &views {
+                let buf = view.raw.as_ptr_range();
+                for m in view.messages() {
+                    let (key, published, traced) = &sent[&m.id()];
+                    prop_assert_eq!(view.ctx().is_some(), *traced, "{:?}: ctx", m.id());
+                    let msg = m.to_message();
+                    let payload = m.payload();
+                    prop_assert_eq!(&*payload, &published[..]);
+                    prop_assert_eq!(&*payload, &msg.payload[..]);
+                    // Kept, the payload shares the entry buffer: no copy.
+                    let kept = Bytes::from(payload);
+                    prop_assert_eq!(&kept, &msg.payload);
+                    let at = kept.as_ptr_range();
+                    prop_assert!(
+                        buf.start <= at.start && at.end <= buf.end,
+                        "{:?} was copied",
+                        m.id()
+                    );
+                    prop_assert_eq!(m.key(), msg.key.as_ref());
+                    prop_assert_eq!(m.key().map(|k| k.to_vec()), key.clone());
+                    delivered += 1;
+                }
+            }
+        }
+        Ok(delivered)
+    }
+
+    proptest! {
+        /// A borrowed payload reads exactly the bytes `to_message` owns,
+        /// and keeping it slices the entry buffer instead of copying it;
+        /// a borrowed key is the message's key. Over arbitrary batch cuts
+        /// (scan budgets that split entries), resumes of partially-acked
+        /// entries (views with `skips`), keyed unbatched entries, entries
+        /// published traced (a context header peeled at cache fill), and
+        /// caches rebuilt from the bookies after a restart.
+        #[test]
+        fn borrowed_payloads_and_keys_match_the_owned_message(
+            entries in vec((0usize..5, vec(any::<u8>(), 0..24), any::<bool>()), 1..30),
+            acks in vec((0usize..64, 0u32..4), 0..8),
+            budget in 1usize..12,
+        ) {
+            let c = PulsarCluster::new(
+                PulsarConfig {
+                    max_entries_per_ledger: 4,
+                    ..PulsarConfig::default()
+                },
+                WallClock::shared(),
+            );
+            let tracer = Tracer::new(WallClock::shared());
+            c.create_topic("t", 1).unwrap();
+            let producer = c.producer("t").unwrap();
+            let mut consumer = c.subscribe("t", "s", SubscriptionMode::Exclusive).unwrap();
+
+            let mut sent = Sent::new();
+            let mut batched: Vec<Vec<MessageId>> = Vec::new();
+            for (n, payload, traced) in &entries {
+                if *traced {
+                    c.set_tracer(tracer.clone());
+                }
+                match n {
+                    0 => {
+                        let id = producer.send_keyed(b"key", payload).unwrap();
+                        sent.insert(id, (Some(b"key".to_vec()), payload.clone(), *traced));
+                    }
+                    1 => {
+                        let id = producer.send(payload).unwrap();
+                        sent.insert(id, (None, payload.clone(), *traced));
+                    }
+                    _ => {
+                        let batch: Vec<Vec<u8>> = (0..*n)
+                            .map(|i| payload.iter().copied().chain([i as u8]).collect())
+                            .collect();
+                        let ids = producer.send_batch(&batch).unwrap();
+                        for (&id, p) in ids.iter().zip(batch) {
+                            sent.insert(id, (None, p, *traced));
+                        }
+                        batched.push(ids);
+                    }
+                }
+                c.set_tracer(Tracer::disabled());
+            }
+            prop_assert_eq!(scan_and_check(&mut consumer, budget, &sent)?, sent.len());
+
+            // Ack a few batch indices on their own, never a whole entry:
+            // the rescan resumes those entries around `skips`.
+            let mut partly: Vec<MessageId> = Vec::new();
+            for &(pick, index) in &acks {
+                let Some(ids) = batched.get(pick % batched.len().max(1)) else { break };
+                let id = ids[index as usize % ids.len()];
+                let acked_of_entry = partly.iter().filter(|a| a.canonical() == id.canonical()).count();
+                if !partly.contains(&id) && acked_of_entry + 1 < ids.len() {
+                    partly.push(id);
+                }
+            }
+            partly.iter().for_each(|&id| consumer.ack(id).unwrap());
+            consumer.redeliver_unacked().unwrap();
+            let unacked = sent.len() - partly.len();
+            prop_assert_eq!(scan_and_check(&mut consumer, budget, &sent)?, unacked);
+
+            // The same reads off caches rebuilt from the ledgers.
+            c.restart_broker();
+            partly.iter().for_each(|&id| consumer.ack(id).unwrap());
+            prop_assert_eq!(scan_and_check(&mut consumer, budget, &sent)?, unacked);
+        }
+    }
+
+    /// A `Payload` borrows the `EntryView`, not the `MessageView` it came
+    /// from: payloads collected off a view's iterator stay readable after
+    /// the iterator and every `MessageView` are gone.
+    #[test]
+    fn payloads_outlive_their_message_views() {
+        let c = PulsarCluster::new(PulsarConfig::default(), WallClock::shared());
+        c.create_topic("t", 1).unwrap();
+        let producer = c.producer("t").unwrap();
+        producer
+            .send_batch(&[b"ab".as_slice(), b"", b"cde"])
+            .unwrap();
+        producer.send(b"alone").unwrap();
+        let mut consumer = c.subscribe("t", "s", SubscriptionMode::Exclusive).unwrap();
+        let views = consumer.receive_entries(8).unwrap();
+        let payloads: Vec<Payload<'_>> = views
+            .iter()
+            .flat_map(|v| v.messages())
+            .map(|m| m.payload())
+            .collect();
+        let read: Vec<&[u8]> = payloads.iter().map(|p| &**p).collect();
+        assert_eq!(read, [b"ab".as_slice(), b"", b"cde", b"alone"]);
+        assert_eq!(
+            format!("{:?}", payloads[0]),
+            format!("{:?}", b"ab".as_slice())
+        );
     }
 }

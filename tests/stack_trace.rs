@@ -256,7 +256,12 @@ fn tracers_flip_under_live_traffic_without_stalling_or_losing_messages() {
             let (mut sent, mut seen, mut views) = (Vec::new(), Vec::new(), Vec::new());
             let mut take = |consumer: &mut taureau::pulsar::Consumer| {
                 let n = consumer.receive_entries_into(64, &mut views).unwrap();
-                seen.extend(views.iter().flat_map(|v| v.messages()).map(|m| m.payload()));
+                seen.extend(
+                    views
+                        .iter()
+                        .flat_map(|v| v.messages())
+                        .map(|m| m.payload().to_vec()),
+                );
                 consumer.ack_entries(&views).unwrap();
                 n
             };
