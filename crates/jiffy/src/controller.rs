@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use taureau_core::bytesize::ByteSize;
 use taureau_core::clock::{SharedClock, WallClock};
 use taureau_core::id::NodeId;
@@ -746,7 +746,7 @@ impl Jiffy {
 /// re-resolve through the namespace tree.
 type KvBinding = Arc<Mutex<KvObject>>;
 
-/// How [`KvHandle::mutate`] counts and traces a write.
+/// How [`KvScope::mutate`] counts and traces a write.
 #[derive(Clone, Copy)]
 enum Mutation {
     /// A plain write of `bytes` key + value bytes: `kv_puts`, span
@@ -763,7 +763,8 @@ pub struct KvHandle {
     jiffy: Jiffy,
     path: JPath,
     /// Direct object binding, shared so handle clones share one rebind.
-    /// Ops copy the `Arc` out; no guard outlives the read.
+    /// Every op runs in a [`KvScope`], which copies the `Arc` out when it
+    /// opens; no guard outlives the read.
     bind: Arc<RwLock<Option<KvBinding>>>,
 }
 
@@ -773,6 +774,20 @@ impl KvHandle {
         &self.path
     }
 
+    /// Open a [`KvScope`]: one clock read and one copy of the binding,
+    /// shared by every op made through it. The handle's own ops are each
+    /// a scope of one op.
+    pub fn scope(&self) -> KvScope<'_> {
+        let tracing = self.jiffy.inner.tracer_on.load(Ordering::Relaxed);
+        KvScope {
+            handle: self,
+            now: self.jiffy.inner.clock.now(),
+            // None while tracing, so that every op takes the
+            // span-recording control-plane route.
+            bound: if tracing { None } else { self.bound() },
+        }
+    }
+
     /// Insert or update a key from a borrowed slice: one copy, made over
     /// the old value when that has the same length and no reader still
     /// holds it, else into a fresh refcounted buffer (see
@@ -780,110 +795,24 @@ impl KvHandle {
     /// object if its partition is full; re-partitioned bytes are recorded
     /// in the `kv_repartitioned_bytes` metric.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        let bytes = key.len() + value.len();
-        self.mutate(key, Mutation::Put { bytes }, |kv, pool| {
-            Ok(((), kv.put(pool, key, value)?))
-        })
+        self.scope().put(key, value)
     }
 
     /// Insert or update a key, taking ownership of an already-refcounted
     /// value — no byte copy anywhere on the path.
     pub fn put_bytes(&self, key: &[u8], value: Bytes) -> Result<()> {
         let bytes = key.len() + value.len();
-        self.mutate(key, Mutation::Put { bytes }, |kv, pool| {
-            Ok(((), kv.put_bytes(pool, key, value)?))
-        })
-    }
-
-    /// The one write path: run `op` under ONE hold of the object lock and
-    /// account for it. `op` returns its result and the bytes any
-    /// re-partitioning moved.
-    ///
-    /// Direct path first: the bound object's own lock, no control-plane
-    /// traversal. Tracing forces the control-plane route so spans keep
-    /// their fidelity, and a dead binding falls through to it: resolve
-    /// the object through the namespace tree (renewing the lease), record
-    /// the span, capture the binding for subsequent ops.
-    fn mutate<T>(
-        &self,
-        key: &[u8],
-        what: Mutation,
-        op: impl FnOnce(&mut KvObject, &MemoryPool) -> Result<(T, u64)>,
-    ) -> Result<T> {
-        let inner = &self.jiffy.inner;
-        let now = inner.clock.now();
-        let now_nanos = now.as_nanos() as u64;
-        if matches!(what, Mutation::Update) {
-            inner.hot.kv_gets.inc();
-        }
-        inner.hot.kv_puts.inc();
-        let bound = self.bound();
-        let live = bound
-            .as_ref()
-            .filter(|_| !inner.tracer_on.load(Ordering::Relaxed))
-            .map(|obj| obj.lock())
-            .filter(|kv| kv.is_alive());
-        let (out, moved) = if let Some(mut kv) = live {
-            let done = op(&mut kv, &inner.pool)?;
-            kv.touch(now_nanos);
-            done
-        } else {
-            let tracer = self.jiffy.tracer();
-            let mut span = tracer.span(
-                TRACE_SYSTEM,
-                match what {
-                    Mutation::Put { .. } => "jiffy.kv_put",
-                    Mutation::Update => "jiffy.kv_update",
-                },
-            );
-            span.attr("path", &self.path);
-            if let Mutation::Put { bytes } = what {
-                span.attr("bytes", bytes);
-            }
-            let ((out, moved), obj) = self.jiffy.with_kv_arc_at(now, &self.path, |arc, pool| {
-                let mut kv = arc.lock();
-                let done = op(&mut kv, pool)?;
-                kv.touch(now_nanos);
-                Ok((done, Arc::clone(arc)))
-            })?;
-            if moved > 0 {
-                span.attr("repartitioned_bytes", moved);
-            }
-            self.rebind(bound.as_ref(), obj);
-            (out, moved)
-        };
-        if moved > 0 {
-            self.jiffy
-                .metrics()
-                .counter("kv_repartitioned_bytes")
-                .add(moved);
-        }
-        self.jiffy
-            .publish(&self.path, || EventKind::KvPut { key: key.to_vec() });
-        Ok(out)
+        self.scope()
+            .mutate(key, Mutation::Put { bytes }, |kv, pool| {
+                Ok(((), kv.put_bytes(pool, key, value)?))
+            })
     }
 
     /// Read a key. The returned [`Bytes`] is a refcounted view of the
     /// stored value (no copy) with snapshot semantics: it stays valid and
     /// unchanged even if the key is overwritten or removed afterwards.
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        let now = self.jiffy.inner.clock.now();
-        let now_nanos = now.as_nanos() as u64;
-        // Direct path: the bound object's own lock. Tracing forces the
-        // control-plane route so spans keep their fidelity; a dead binding
-        // falls through and re-resolves.
-        let bound = self.bound();
-        if !self.jiffy.inner.tracer_on.load(Ordering::Relaxed) {
-            if let Some(obj) = &bound {
-                let kv = obj.lock();
-                if kv.is_alive() {
-                    self.jiffy.inner.hot.kv_gets.inc();
-                    kv.touch(now_nanos);
-                    return Ok(kv.get(key));
-                }
-            }
-        }
-        self.get_via_tree(key, now, now_nanos, bound.as_ref())
+        self.scope().get(key)
     }
 
     /// The current binding, copied out (one `Arc` bump; the read guard is
@@ -892,12 +821,12 @@ impl KvHandle {
         self.bind.read().clone()
     }
 
-    /// Point the shared binding at `obj` unless `bound` — what this op
-    /// read before resolving — already is that object: a traced run
-    /// resolves through the tree on every op and must not take the
-    /// binding's write lock each time.
-    fn rebind(&self, bound: Option<&KvBinding>, obj: KvBinding) {
-        if !bound.is_some_and(|old| Arc::ptr_eq(old, &obj)) {
+    /// Point the shared binding at `obj` unless it already is that object:
+    /// a traced run resolves through the tree on every op and must not
+    /// take the binding's write lock each time.
+    fn rebind(&self, obj: KvBinding) {
+        let current = self.bind.read().as_ref().map(Arc::as_ptr);
+        if current != Some(Arc::as_ptr(&obj)) {
             *self.bind.write() = Some(obj);
         }
     }
@@ -905,23 +834,17 @@ impl KvHandle {
     /// Control-plane get: resolves the object through the namespace tree
     /// (renewing the lease), records spans, and captures the direct binding
     /// for subsequent ops.
-    fn get_via_tree(
-        &self,
-        key: &[u8],
-        now: Duration,
-        now_nanos: u64,
-        bound: Option<&KvBinding>,
-    ) -> Result<Option<Bytes>> {
+    fn get_via_tree(&self, now: Duration, key: &[u8]) -> Result<Option<Bytes>> {
         let tracer = self.jiffy.tracer();
         let mut span = tracer.span(TRACE_SYSTEM, "jiffy.kv_get");
         span.attr("path", &self.path);
         self.jiffy.inner.hot.kv_gets.inc();
         let (value, obj) = self.jiffy.with_kv_arc_at(now, &self.path, |arc, _| {
             let kv = arc.lock();
-            kv.touch(now_nanos);
+            kv.touch(now.as_nanos() as u64);
             Ok((kv.get(key), Arc::clone(arc)))
         })?;
-        self.rebind(bound, obj);
+        self.rebind(obj);
         span.attr("hit", value.is_some());
         Ok(value)
     }
@@ -935,9 +858,7 @@ impl KvHandle {
     /// notified and auto-scaled as the `get` + `put` it replaces
     /// (`kv_gets` and `kv_puts` both move, one `KvPut` event).
     pub fn update(&self, key: &[u8], f: impl FnOnce(Option<&Bytes>) -> Bytes) -> Result<()> {
-        self.mutate(key, Mutation::Update, |kv, pool| {
-            Ok(((), kv.update(pool, key, f)?))
-        })
+        self.scope().update(key, f)
     }
 
     /// Atomically add `delta` (wrapping) to the little-endian `i64`
@@ -947,9 +868,7 @@ impl KvHandle {
     /// reader currently holds a view of is bumped where it lies, with no
     /// allocation.
     pub fn add_i64(&self, key: &[u8], delta: i64) -> Result<i64> {
-        self.mutate(key, Mutation::Update, |kv, pool| {
-            kv.add_i64(pool, key, delta)
-        })
+        self.scope().add_i64(key, delta)
     }
 
     /// Remove a key, returning its value.
@@ -977,6 +896,11 @@ impl KvHandle {
         self.jiffy.with_kv(&self.path, |kv, _| Ok(kv.partitions()))
     }
 
+    /// Bytes stored across partitions, per-entry overhead included.
+    pub fn used_bytes(&self) -> Result<u64> {
+        self.jiffy.with_kv(&self.path, |kv, _| Ok(kv.used_bytes()))
+    }
+
     /// Scale to `target` partitions; returns bytes moved (only this
     /// object's data).
     pub fn scale_to(&self, target: usize) -> Result<u64> {
@@ -988,6 +912,133 @@ impl KvHandle {
             .counter("kv_repartitioned_bytes")
             .add(moved);
         Ok(moved)
+    }
+}
+
+/// A run of KV ops that share one resolve of their object
+/// ([`KvHandle::scope`]): the clock read that stamps the lease touch and
+/// the copy of the handle's binding are made once, when the scope opens,
+/// instead of once per op. Each op keeps the contract of the
+/// [`KvHandle`] method of the same name — same result, same counters,
+/// same `KvPut` events, the object lock held for the op and re-checked
+/// for reclamation under it — except that:
+///
+/// - every op stamps the lease touch with the time the scope was opened,
+///   so a scope held for one batch of work renews the lease as of that
+///   batch's start (keep scopes short next to the lease TTL);
+/// - a scope opened with the tracer on takes the control-plane route for
+///   every op, one span each; one opened with it off keeps the direct
+///   path even if the tracer is switched on meanwhile, so at most that
+///   scope's ops go unspanned;
+/// - if the object is reclaimed while the scope is open, the next op
+///   finds it dead under its lock and takes the control-plane route,
+///   which returns [`JiffyError::NotFound`] exactly as the handle does.
+pub struct KvScope<'a> {
+    handle: &'a KvHandle,
+    now: Duration,
+    /// The handle's binding as of opening; `None` while tracing.
+    bound: Option<KvBinding>,
+}
+
+impl KvScope<'_> {
+    /// [`KvHandle::get`], stamped with the scope's time.
+    pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
+        if let Some(kv) = self.lock_live() {
+            self.handle.jiffy.inner.hot.kv_gets.inc();
+            kv.touch(self.now.as_nanos() as u64);
+            return Ok(kv.get(key));
+        }
+        self.handle.get_via_tree(self.now, key)
+    }
+
+    /// [`KvHandle::put`], stamped with the scope's time.
+    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
+        let bytes = key.len() + value.len();
+        self.mutate(key, Mutation::Put { bytes }, |kv, pool| {
+            Ok(((), kv.put(pool, key, value)?))
+        })
+    }
+
+    /// [`KvHandle::update`], stamped with the scope's time.
+    pub fn update(&self, key: &[u8], f: impl FnOnce(Option<&Bytes>) -> Bytes) -> Result<()> {
+        self.mutate(key, Mutation::Update, |kv, pool| {
+            Ok(((), kv.update(pool, key, f)?))
+        })
+    }
+
+    /// [`KvHandle::add_i64`], stamped with the scope's time.
+    pub fn add_i64(&self, key: &[u8], delta: i64) -> Result<i64> {
+        self.mutate(key, Mutation::Update, |kv, pool| {
+            kv.add_i64(pool, key, delta)
+        })
+    }
+
+    /// The direct path every op tries first: lock the bound object and
+    /// re-check, under that lock, that it was not reclaimed. `None` sends
+    /// the op to the control plane.
+    fn lock_live(&self) -> Option<MutexGuard<'_, KvObject>> {
+        self.bound
+            .as_ref()
+            .map(|obj| obj.lock())
+            .filter(|kv| kv.is_alive())
+    }
+
+    /// The one write path: run `op` under ONE hold of the object lock and
+    /// account for it. `op` returns its result and the bytes any
+    /// re-partitioning moved.
+    ///
+    /// Direct path first: the bound object's own lock, no control-plane
+    /// traversal. No binding (tracing, or never bound) and a dead one
+    /// both take the control-plane route: resolve the object through the
+    /// namespace tree (renewing the lease), record the span, capture the
+    /// binding for the handle's later ops.
+    fn mutate<T>(
+        &self,
+        key: &[u8],
+        what: Mutation,
+        op: impl FnOnce(&mut KvObject, &MemoryPool) -> Result<(T, u64)>,
+    ) -> Result<T> {
+        let KvHandle { jiffy, path, .. } = self.handle;
+        let inner = &jiffy.inner;
+        let now_nanos = self.now.as_nanos() as u64;
+        if matches!(what, Mutation::Update) {
+            inner.hot.kv_gets.inc();
+        }
+        inner.hot.kv_puts.inc();
+        let (out, moved) = if let Some(mut kv) = self.lock_live() {
+            let done = op(&mut kv, &inner.pool)?;
+            kv.touch(now_nanos);
+            done
+        } else {
+            let tracer = jiffy.tracer();
+            let mut span = tracer.span(
+                TRACE_SYSTEM,
+                match what {
+                    Mutation::Put { .. } => "jiffy.kv_put",
+                    Mutation::Update => "jiffy.kv_update",
+                },
+            );
+            span.attr("path", path);
+            if let Mutation::Put { bytes } = what {
+                span.attr("bytes", bytes);
+            }
+            let ((out, moved), obj) = jiffy.with_kv_arc_at(self.now, path, |arc, pool| {
+                let mut kv = arc.lock();
+                let done = op(&mut kv, pool)?;
+                kv.touch(now_nanos);
+                Ok((done, Arc::clone(arc)))
+            })?;
+            if moved > 0 {
+                span.attr("repartitioned_bytes", moved);
+            }
+            self.handle.rebind(obj);
+            (out, moved)
+        };
+        if moved > 0 {
+            jiffy.metrics().counter("kv_repartitioned_bytes").add(moved);
+        }
+        jiffy.publish(path, || EventKind::KvPut { key: key.to_vec() });
+        Ok(out)
     }
 }
 
@@ -1415,6 +1466,72 @@ mod tests {
         assert_eq!(tracer.spans()[0].name, "jiffy.kv_update");
         j.remove_namespace("/app").unwrap();
         assert!(matches!(kv.add_i64(b"n", 1), Err(JiffyError::NotFound(_))));
+    }
+
+    #[test]
+    fn a_scope_reads_the_clock_once_and_stamps_every_op_with_it() {
+        let (j, clock) = deployment();
+        let kv = j.create_kv("/app/state", 1).unwrap();
+        kv.put(b"n", &0i64.to_le_bytes()).unwrap(); // binds at t = 0
+        clock.advance(Duration::from_secs(8));
+        let scope = kv.scope();
+        assert_eq!(scope.add_i64(b"n", 1).unwrap(), 1);
+        // Time passing inside the scope does not move its stamp.
+        clock.advance(Duration::from_secs(5));
+        assert_eq!(scope.add_i64(b"n", 1).unwrap(), 2);
+        drop(scope);
+        // Reaped at 8 + TTL, not 13 + TTL: one second short of it the
+        // namespace lives, one second past it does not.
+        clock.advance(Duration::from_secs(4));
+        assert!(j.reap_expired().is_empty());
+        clock.advance(Duration::from_secs(2));
+        assert_eq!(j.reap_expired(), vec![JPath::parse("/app")]);
+    }
+
+    #[test]
+    fn an_object_reclaimed_mid_scope_is_not_found_like_through_the_handle() {
+        let (j, clock) = deployment();
+        let kv = j.create_kv("/app/state", 1).unwrap();
+        kv.put(b"n", &0i64.to_le_bytes()).unwrap(); // binds
+        let scope = kv.scope();
+        assert_eq!(scope.add_i64(b"n", 1).unwrap(), 1);
+        clock.advance(Duration::from_secs(11));
+        assert_eq!(j.reap_expired(), vec![JPath::parse("/app")]);
+        let not_found = |r: Result<()>| matches!(r, Err(JiffyError::NotFound(_)));
+        assert!(not_found(scope.add_i64(b"n", 1).map(drop)));
+        assert!(not_found(kv.add_i64(b"n", 1).map(drop)));
+        assert!(not_found(scope.get(b"n").map(drop)));
+        assert!(not_found(scope.put(b"n", b"v")));
+        assert!(not_found(scope.update(b"n", |_| Bytes::new())));
+        // The path made again is a new object; the old scope reaches it
+        // through the tree, as the handle does.
+        j.create_kv("/app/state", 1).unwrap();
+        assert_eq!(scope.add_i64(b"n", 5).unwrap(), 5);
+        assert_eq!(kv.add_i64(b"n", 1).unwrap(), 6);
+    }
+
+    #[test]
+    fn a_scope_opened_while_tracing_spans_every_op() {
+        let (j, _) = deployment();
+        let kv = j.create_kv("/app/state", 1).unwrap();
+        kv.put(b"n", &0i64.to_le_bytes()).unwrap(); // binds
+        let tracer = Tracer::new(j.inner.clock.clone());
+        j.set_tracer(tracer.clone());
+        let scope = kv.scope();
+        for want in 1..=3 {
+            assert_eq!(scope.add_i64(b"n", 1).unwrap(), want);
+        }
+        let names: Vec<_> = tracer.spans().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["jiffy.kv_update"; 3]);
+        // A scope opened before the tracer went on stays direct: the
+        // one scope goes unspanned, the next one is traced again.
+        j.set_tracer(Tracer::disabled());
+        let untraced = kv.scope();
+        j.set_tracer(tracer.clone());
+        assert_eq!(untraced.add_i64(b"n", 1).unwrap(), 4);
+        assert_eq!(tracer.spans().len(), 3);
+        assert_eq!(kv.scope().add_i64(b"n", 1).unwrap(), 5);
+        assert_eq!(tracer.spans().len(), 4);
     }
 
     #[test]

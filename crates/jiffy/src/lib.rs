@@ -46,7 +46,7 @@ pub mod notify;
 pub mod path;
 pub mod pool;
 
-pub use controller::{Jiffy, JiffyConfig, MigrationReport};
+pub use controller::{Jiffy, JiffyConfig, KvScope, MigrationReport};
 pub use data::{FileHandle, KvHandle, QueueHandle};
 pub use error::JiffyError;
 pub use notify::{Event, EventKind, Subscription};

@@ -6,8 +6,9 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use taureau_core::bytesize::ByteSize;
+use taureau_core::clock::VirtualClock;
 use taureau_jiffy::pool::MemoryPool;
-use taureau_jiffy::Jiffy;
+use taureau_jiffy::{EventKind, Jiffy, JiffyConfig};
 
 /// An arbitrary KV workload step. Keys come from a small domain so that
 /// overwrites, counters under odd-width values and held views collide.
@@ -42,6 +43,109 @@ fn kv_op() -> impl Strategy<Value = KvOp> {
         Just(KvOp::Release),
         (1usize..5).prop_map(KvOp::Scale),
     ]
+}
+
+/// A step of the scope-versus-handle comparison.
+#[derive(Debug, Clone)]
+enum ScopedOp {
+    Get(u8),
+    /// `get`, and keep the view.
+    Hold(u8),
+    Release,
+    Put(u8, Vec<u8>),
+    Add(u8, i64),
+    /// `update` appending a suffix to the old value.
+    Append(u8, Vec<u8>),
+}
+
+fn scoped_op() -> impl Strategy<Value = ScopedOp> {
+    let key = || 0u8..4;
+    // Counters meet 7-, 8- and 9-byte values; a few hundred bytes over
+    // four keys overflow a 1 KiB partition, so some puts auto-scale.
+    let value = || {
+        prop_oneof![
+            vec(any::<u8>(), 7..=9),
+            vec(any::<u8>(), 0..4),
+            vec(any::<u8>(), 200..400),
+        ]
+    };
+    prop_oneof![
+        key().prop_map(ScopedOp::Get),
+        key().prop_map(ScopedOp::Hold),
+        Just(ScopedOp::Release),
+        (key(), value()).prop_map(|(k, v)| ScopedOp::Put(k, v)),
+        (key(), any::<i64>()).prop_map(|(k, d)| ScopedOp::Add(k, d)),
+        (key(), vec(any::<u8>(), 0..3)).prop_map(|(k, v)| ScopedOp::Append(k, v)),
+    ]
+}
+
+/// Apply `op` through `$kv` (a handle or a scope: the same four methods)
+/// and describe its outcome; views `Hold` takes go to `$held` with the
+/// bytes they read.
+macro_rules! apply {
+    ($kv:expr, $op:expr, $held:expr) => {
+        match $op {
+            ScopedOp::Get(k) => format!("{:?}", $kv.get(&[*k]).map(|v| v.map(|b| b.to_vec()))),
+            ScopedOp::Hold(k) => {
+                let got = $kv.get(&[*k]);
+                if let Ok(Some(view)) = &got {
+                    $held.push((view.clone(), view.to_vec()));
+                }
+                format!("{:?}", got.map(|v| v.map(|b| b.to_vec())))
+            }
+            ScopedOp::Release => {
+                $held.clear();
+                String::new()
+            }
+            ScopedOp::Put(k, v) => format!("{:?}", $kv.put(&[*k], v)),
+            ScopedOp::Add(k, d) => format!("{:?}", $kv.add_i64(&[*k], *d)),
+            ScopedOp::Append(k, suffix) => format!(
+                "{:?}",
+                $kv.update(&[*k], |old| {
+                    let mut next = old.map_or(Vec::new(), |o| o.to_vec());
+                    next.extend_from_slice(suffix);
+                    next.into()
+                })
+            ),
+        }
+    };
+}
+
+/// One side of the comparison: a deployment with 1 KiB blocks, a KV
+/// object on it, and a subscriber counting its `KvPut` events.
+fn twin() -> (Jiffy, taureau_jiffy::KvHandle, taureau_jiffy::Subscription) {
+    let cfg = JiffyConfig {
+        memory_nodes: 2,
+        blocks_per_node: 256,
+        block_size: ByteSize::kb(1),
+        ..JiffyConfig::default()
+    };
+    let j = Jiffy::new(cfg, VirtualClock::shared());
+    let sub = j.subscribe("/twin");
+    let kv = j.create_kv("/twin/state", 1).unwrap();
+    (j, kv, sub)
+}
+
+/// What an observer outside the ops can see of one side.
+fn observed(
+    j: &Jiffy,
+    kv: &taureau_jiffy::KvHandle,
+    sub: &taureau_jiffy::Subscription,
+) -> (u64, u64, usize, u64, u64, usize) {
+    let counter = |name| j.metrics().counter(name).get();
+    let puts = sub
+        .drain()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::KvPut { .. }))
+        .count();
+    (
+        counter("kv_gets"),
+        counter("kv_puts"),
+        puts,
+        counter("kv_repartitioned_bytes"),
+        kv.used_bytes().unwrap(),
+        kv.partitions().unwrap(),
+    )
 }
 
 /// The counter a stored value denotes: little-endian `i64` when it is
@@ -138,6 +242,43 @@ proptest! {
             prop_assert_eq!(got.map(|b| b.to_vec()), model.get(&vec![k]).cloned());
         }
         prop_assert_eq!(kv.len().unwrap(), model.len());
+    }
+
+    /// Ops made through scopes of any length are the ops made through
+    /// the handle: same results, stored state, `kv_gets` / `kv_puts`,
+    /// `KvPut` events, re-partitioned bytes and footprint, on a twin
+    /// deployment driven op for op. A view taken inside a scope keeps its
+    /// bytes after the scope's later writes and after the scope is gone.
+    #[test]
+    fn scoped_ops_equal_handle_ops(
+        ops in vec(scoped_op(), 1..120),
+        lens in vec(1usize..10, 1..40),
+    ) {
+        let (sj, skv, ssub) = twin();
+        let (hj, hkv, hsub) = twin();
+        let (mut sheld, mut hheld) = (Vec::new(), Vec::new());
+        let mut lens = lens.into_iter().cycle();
+        let mut ops = ops.iter().peekable();
+        while ops.peek().is_some() {
+            let scope = skv.scope();
+            for op in ops.by_ref().take(lens.next().unwrap()) {
+                let scoped = apply!(scope, op, sheld);
+                let direct = apply!(hkv, op, hheld);
+                prop_assert_eq!(scoped, direct, "{:?}", op);
+                for (view, at_read) in sheld.iter().chain(&hheld) {
+                    prop_assert_eq!(&view[..], &at_read[..]);
+                }
+            }
+            drop(scope);
+            prop_assert_eq!(observed(&sj, &skv, &ssub), observed(&hj, &hkv, &hsub));
+        }
+        for (view, at_read) in &sheld {
+            prop_assert_eq!(&view[..], &at_read[..]);
+        }
+        for k in 0u8..4 {
+            prop_assert_eq!(skv.get(&[k]).unwrap(), hkv.get(&[k]).unwrap());
+        }
+        prop_assert_eq!(skv.len().unwrap(), hkv.len().unwrap());
     }
 
     /// Queues deliver exactly the pushed payloads in FIFO order.

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use taureau_jiffy::{Jiffy, KvHandle};
+use taureau_jiffy::{Jiffy, KvHandle, KvScope};
 
 use crate::broker::{Consumer, Producer, PulsarCluster, SubscriptionMode};
 use crate::error::{PulsarError, Result};
@@ -46,12 +46,21 @@ pub struct FunctionConfig {
 
 /// Per-invocation context handed to the function body — the `Context`
 /// parameter of the paper's Figure 3.
+///
+/// A context lives for one dispatch scan, and its state ops share one
+/// [`KvScope`] on the function's state object: the object is resolved
+/// and the clock read once per scan, not once per op. Each op still takes
+/// the object's lock and returns the linearizable result, so instances
+/// sharing the state never lose an update. What the scope changes (see
+/// [`KvScope`]): state ops renew the namespace lease as of the scan's
+/// start, at most one scan old against the lease TTL (30 s by default);
+/// a tracer switched on mid-scan leaves at most that scan's state ops
+/// unspanned; and state reclaimed mid-scan fails the next op as the
+/// handle would.
 pub struct Context<'a> {
-    state: &'a KvHandle,
+    state: KvScope<'a>,
     producer: Option<&'a Producer>,
     cluster: &'a PulsarCluster,
-    /// Messages the body chose to publish to explicit topics.
-    extra_published: usize,
 }
 
 impl Context<'_> {
@@ -84,9 +93,7 @@ impl Context<'_> {
 
     /// Publish to an arbitrary topic (beyond the configured output).
     pub fn publish_to(&mut self, topic: &str, payload: &[u8]) -> Result<()> {
-        let p = self.cluster.producer(topic)?;
-        p.send(payload)?;
-        self.extra_published += 1;
+        self.cluster.producer(topic)?.send(payload)?;
         Ok(())
     }
 }
@@ -189,11 +196,11 @@ impl FunctionRuntime {
     /// Inputs are visited round-robin, one scan of up to [`SCAN_BUDGET`]
     /// messages at a time: the scan arrives as whole-entry views (one
     /// broker lock, framing parsed once per entry), the body runs over
-    /// every message in it, and one `ack_entries` commits the scan. If an
-    /// output `send` fails mid-scan, exactly the messages already
-    /// processed are acked and the error is returned; the rest of the
-    /// scan stays pending and comes back after
-    /// [`Consumer::redeliver_unacked`] (at-least-once).
+    /// every message in it with one [`Context`] (so one state scope), and
+    /// one `ack_entries` commits the scan. If an output `send` fails
+    /// mid-scan, exactly the messages already processed are acked and the
+    /// error is returned; the rest of the scan stays pending and comes
+    /// back after [`Consumer::redeliver_unacked`] (at-least-once).
     pub fn run_available(&self, name: &str) -> Result<usize> {
         let mut fns = self.functions.lock();
         let FunctionInstance {
@@ -206,12 +213,6 @@ impl FunctionRuntime {
         } = fns
             .get_mut(name)
             .ok_or_else(|| PulsarError::FunctionNotFound(name.to_string()))?;
-        let mut ctx = Context {
-            state,
-            producer: producer.as_ref(),
-            cluster: &self.cluster,
-            extra_published: 0,
-        };
         let mut n = 0;
         loop {
             let mut progressed = false;
@@ -220,6 +221,11 @@ impl FunctionRuntime {
                     continue;
                 }
                 progressed = true;
+                let mut ctx = Context {
+                    state: state.scope(),
+                    producer: producer.as_ref(),
+                    cluster: &self.cluster,
+                };
                 let mut done = 0usize;
                 let mut failed = None;
                 'scan: for view in scan.iter() {
@@ -696,6 +702,69 @@ mod tests {
             .unwrap()
             .map(|v| i64::from_le_bytes(v[..].try_into().unwrap()));
         assert_eq!(n, Some(2 * N as i64));
+    }
+
+    /// A runtime whose function state lives on a virtual clock, with one
+    /// `tally` function incrementing `n` per message on topic `in`.
+    fn virtual_tally() -> (
+        PulsarCluster,
+        FunctionRuntime,
+        std::sync::Arc<taureau_core::clock::VirtualClock>,
+    ) {
+        let clock = taureau_core::clock::VirtualClock::shared();
+        let cluster = PulsarCluster::new(PulsarConfig::default(), WallClock::shared());
+        let jiffy = Jiffy::new(JiffyConfig::default(), clock.clone());
+        let rt = FunctionRuntime::new(cluster.clone(), jiffy);
+        cluster.create_topic("in", 1).unwrap();
+        rt.register(
+            FunctionConfig {
+                name: "tally".into(),
+                inputs: vec!["in".into()],
+                output: None,
+            },
+            Box::new(|_, ctx| {
+                ctx.increment(b"n", 1);
+                None
+            }),
+        )
+        .unwrap();
+        (cluster, rt, clock)
+    }
+
+    #[test]
+    fn scoped_increments_renew_the_state_lease_as_of_the_scan() {
+        use std::time::Duration;
+        let (cluster, rt, clock) = virtual_tally();
+        let ttl = JiffyConfig::default().default_lease_ttl;
+        let p = cluster.producer("in").unwrap();
+        send_range(&p, 0..8);
+        assert_eq!(rt.run_available("tally").unwrap(), 8); // binds the state
+        clock.advance(Duration::from_secs(20));
+        send_range(&p, 8..16);
+        assert_eq!(rt.run_available("tally").unwrap(), 8);
+        // The second scan's direct increments renewed the lease at 20 s.
+        clock.advance(ttl - Duration::from_secs(1));
+        assert!(rt.jiffy().reap_expired().is_empty());
+        clock.advance(Duration::from_secs(2));
+        let reaped = rt.jiffy().reap_expired();
+        assert_eq!(reaped.len(), 1);
+        assert_eq!(reaped[0].to_string(), "/pulsar-functions");
+    }
+
+    #[test]
+    fn a_traced_state_records_one_span_per_increment() {
+        use taureau_core::trace::Tracer;
+        let (cluster, rt, clock) = virtual_tally();
+        let p = cluster.producer("in").unwrap();
+        send_range(&p, 0..4);
+        rt.run_available("tally").unwrap(); // binds the state
+        let tracer = Tracer::new(clock);
+        rt.jiffy().set_tracer(tracer.clone());
+        send_range(&p, 4..10);
+        assert_eq!(rt.run_available("tally").unwrap(), 6);
+        let spans = tracer.spans();
+        assert_eq!(spans.len(), 6);
+        assert!(spans.iter().all(|s| s.name == "jiffy.kv_update"));
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! The paper's Fig. 3 loop — a batch in, a state counter bumped per
-//! message — allocates per *batch*, not per message: a counter nobody is
-//! reading is bumped where it lies. (Its own file: the counting allocator
-//! is global.)
+//! message — pays per *batch*, not per message: a counter nobody is
+//! reading is bumped where it lies (allocations), and the function's state
+//! object is resolved once per dispatch scan (Jiffy clock reads). (Its own
+//! file: the counting allocator is global.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
-use taureau_core::clock::WallClock;
+use taureau_core::clock::{Clock, SharedClock, WallClock};
 use taureau_jiffy::{Jiffy, JiffyConfig};
 use taureau_pulsar::{FunctionConfig, FunctionRuntime, PulsarCluster, PulsarConfig};
 
@@ -38,14 +42,37 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// A wall clock that counts how often it is read.
+#[derive(Default)]
+struct CountingClock {
+    wall: WallClock,
+    reads: AtomicU64,
+}
+
+impl Clock for CountingClock {
+    fn now(&self) -> Duration {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.wall.now()
+    }
+
+    fn sleep(&self, d: Duration) {
+        self.wall.sleep(d)
+    }
+}
+
 const BATCH: usize = 64;
 
-#[test]
-fn a_warm_batch_of_increments_allocates_per_batch_not_per_message() {
+/// The Fig. 3 tally on a fresh runtime whose Jiffy reads `jiffy_clock`
+/// (the Pulsar cluster keeps a clock of its own), warmed by four rounds:
+/// ledger open, state binding, first touch of every metric. Returns one
+/// more round: `send_batch(64)` + `run_available`.
+fn warm_tally(jiffy_clock: SharedClock) -> impl Fn() {
     let cluster = PulsarCluster::new(PulsarConfig::default(), WallClock::shared());
     cluster.create_topic("events", 1).unwrap();
-    let jiffy = Jiffy::new(JiffyConfig::default(), WallClock::shared());
-    let rt = FunctionRuntime::new(cluster.clone(), jiffy);
+    let rt = FunctionRuntime::new(
+        cluster.clone(),
+        Jiffy::new(JiffyConfig::default(), jiffy_clock),
+    );
     rt.register(
         FunctionConfig {
             name: "tally".into(),
@@ -60,17 +87,35 @@ fn a_warm_batch_of_increments_allocates_per_batch_not_per_message() {
     .unwrap();
     let producer = cluster.producer("events").unwrap();
     let batch = [[7u8; 128]; BATCH];
-    let round = || {
+    let round = move || {
         producer.send_batch(&batch).unwrap();
         assert_eq!(rt.run_available("tally").unwrap(), BATCH);
     };
-    // Ledger open, state binding, first touch of every metric.
     for _ in 0..4 {
         round();
     }
+    round
+}
 
+#[test]
+fn a_warm_batch_of_increments_allocates_per_batch_not_per_message() {
+    let round = warm_tally(WallClock::shared());
     let before = ALLOCS.with(Cell::get);
     round();
     let allocs = ALLOCS.with(Cell::get) - before;
     assert!(allocs <= 16, "{allocs} allocations for one warm batch");
+}
+
+#[test]
+fn a_warm_batch_of_increments_reads_the_state_clock_once_per_scan() {
+    let clock = Arc::new(CountingClock::default());
+    let round = warm_tally(clock.clone());
+    let before = clock.reads.load(Ordering::Relaxed);
+    for _ in 0..4 {
+        round();
+    }
+    let reads = clock.reads.load(Ordering::Relaxed) - before;
+    // One scan per round, one scope per scan: 4, where one read per
+    // increment would be 4 × 64.
+    assert_eq!(reads, 4, "Jiffy clock reads over four warm batches");
 }
