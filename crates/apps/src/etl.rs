@@ -16,9 +16,9 @@ use taureau_orchestration::{frame, Composition, Orchestrator};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// Unique id.
-    pub id: u64,
+    pub(crate) id: u64,
     /// Category label.
-    pub category: String,
+    pub(crate) category: String,
     /// Numeric measure.
     pub value: f64,
 }

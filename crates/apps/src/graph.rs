@@ -25,7 +25,7 @@ pub struct Graph {
 
 impl Graph {
     /// Graph with `n` vertices and no edges.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             adj: vec![Vec::new(); n],
         }
@@ -41,7 +41,7 @@ impl Graph {
     }
 
     /// Add a directed edge.
-    pub fn add_edge(&mut self, u: u32, v: u32, w: f64) {
+    pub(crate) fn add_edge(&mut self, u: u32, v: u32, w: f64) {
         assert!((u as usize) < self.adj.len() && (v as usize) < self.adj.len());
         self.adj[u as usize].push((v, w));
     }
@@ -73,12 +73,12 @@ impl Graph {
     }
 
     /// Out-neighbors of `u`.
-    pub fn neighbors(&self, u: u32) -> &[(u32, f64)] {
+    pub(crate) fn neighbors(&self, u: u32) -> &[(u32, f64)] {
         &self.adj[u as usize]
     }
 
     /// Out-degree of `u`.
-    pub fn out_degree(&self, u: u32) -> usize {
+    pub(crate) fn out_degree(&self, u: u32) -> usize {
         self.adj[u as usize].len()
     }
 }
@@ -305,7 +305,8 @@ fn ordered_float(f: f64) -> u64 {
 
 /// Sequential union-find components over the directed edges (the WCC
 /// oracle when the input graph is symmetrised).
-pub fn wcc_seq(graph: &Graph) -> Vec<u32> {
+#[cfg(test)]
+pub(crate) fn wcc_seq(graph: &Graph) -> Vec<u32> {
     let n = graph.n();
     let mut parent: Vec<u32> = (0..n as u32).collect();
     fn find(parent: &mut [u32], x: u32) -> u32 {

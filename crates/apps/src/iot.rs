@@ -27,7 +27,7 @@ pub struct Registration {
 
 impl Registration {
     /// Encode for the trigger payload.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         format!("{}|{}|{}", self.device_id, self.kind, self.location).into_bytes()
     }
 

@@ -34,9 +34,9 @@ use taureau_jiffy::Jiffy;
 #[derive(Debug, Clone)]
 pub struct Dataset {
     /// Feature rows.
-    pub x: Vec<Vec<f64>>,
+    pub(crate) x: Vec<Vec<f64>>,
     /// Labels in {0, 1}.
-    pub y: Vec<f64>,
+    pub(crate) y: Vec<f64>,
 }
 
 impl Dataset {
@@ -56,7 +56,7 @@ impl Dataset {
     }
 
     /// Row range view (for sharding).
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Dataset {
+    pub(crate) fn slice(&self, range: std::ops::Range<usize>) -> Dataset {
         Dataset {
             x: self.x[range.clone()].to_vec(),
             y: self.y[range].to_vec(),
@@ -89,12 +89,12 @@ pub fn synthetic_logreg(n: usize, d: usize, seed: u64) -> (Dataset, Vec<f64>) {
 }
 
 /// Logistic sigmoid.
-pub fn sigmoid(z: f64) -> f64 {
+pub(crate) fn sigmoid(z: f64) -> f64 {
     1.0 / (1.0 + (-z).exp())
 }
 
 /// Mean log-loss of weights on a dataset.
-pub fn log_loss(w: &[f64], ds: &Dataset) -> f64 {
+pub(crate) fn log_loss(w: &[f64], ds: &Dataset) -> f64 {
     let mut total = 0.0;
     for (row, &label) in ds.x.iter().zip(&ds.y) {
         let z: f64 = row.iter().zip(w).map(|(a, b)| a * b).sum();
@@ -194,7 +194,7 @@ pub struct TrainingOutcome {
     /// Per-epoch simulated wall time: how long the driver waited for the
     /// subset of workers it needed (all of them when uncoded; the fastest
     /// covering subset when coded).
-    pub epoch_times: Vec<Duration>,
+    pub(crate) epoch_times: Vec<Duration>,
     /// Total worker invocations.
     pub invocations: u64,
 }

@@ -21,11 +21,11 @@ use taureau_faas::{FaasPlatform, FunctionSpec};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonteCarloOutcome {
     /// The aggregated estimate.
-    pub estimate: f64,
+    pub(crate) estimate: f64,
     /// Total trials across all workers.
-    pub trials: u64,
+    pub(crate) trials: u64,
     /// FaaS invocations used.
-    pub invocations: u64,
+    pub(crate) invocations: u64,
 }
 
 use taureau_core::rng::standard_normal;
@@ -80,20 +80,21 @@ pub fn estimate_pi(
 #[derive(Debug, Clone, Copy)]
 pub struct CallOption {
     /// Spot price.
-    pub spot: f64,
+    pub(crate) spot: f64,
     /// Strike price.
-    pub strike: f64,
+    pub(crate) strike: f64,
     /// Risk-free rate (annualised).
-    pub rate: f64,
+    pub(crate) rate: f64,
     /// Volatility (annualised).
-    pub volatility: f64,
+    pub(crate) volatility: f64,
     /// Time to expiry in years.
-    pub expiry: f64,
+    pub(crate) expiry: f64,
 }
 
 /// Black–Scholes closed form (the oracle the Monte Carlo estimate is
 /// validated against).
-pub fn black_scholes_call(o: &CallOption) -> f64 {
+#[cfg(test)]
+pub(crate) fn black_scholes_call(o: &CallOption) -> f64 {
     let d1 = ((o.spot / o.strike).ln() + (o.rate + o.volatility * o.volatility / 2.0) * o.expiry)
         / (o.volatility * o.expiry.sqrt());
     let d2 = d1 - o.volatility * o.expiry.sqrt();
@@ -102,10 +103,12 @@ pub fn black_scholes_call(o: &CallOption) -> f64 {
 
 /// Standard normal CDF via the Abramowitz–Stegun erf approximation
 /// (|error| < 1.5e-7, ample for validating a Monte Carlo estimate).
+#[cfg(test)]
 fn phi(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
 }
 
+#[cfg(test)]
 fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();

@@ -72,7 +72,7 @@ pub fn synthetic_proteins(n: usize, len: usize, seed: u64) -> Vec<Vec<u8>> {
 pub struct AllPairsOutcome {
     /// Upper-triangle scores: `scores[i][j - i - 1]` is the score of
     /// `(i, j)` for `j > i`.
-    pub scores: Vec<Vec<i32>>,
+    pub(crate) scores: Vec<Vec<i32>>,
     /// FaaS invocations used.
     pub invocations: u64,
 }

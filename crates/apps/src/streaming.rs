@@ -28,9 +28,9 @@ pub struct WindowStats {
     /// Sum of values.
     pub sum: f64,
     /// Minimum value.
-    pub min: f64,
+    pub(crate) min: f64,
     /// Maximum value.
-    pub max: f64,
+    pub(crate) max: f64,
 }
 
 impl WindowStats {
@@ -48,11 +48,6 @@ impl WindowStats {
         self.sum += v;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-    }
-
-    /// Mean value.
-    pub fn mean(&self) -> f64 {
-        self.sum / self.count as f64
     }
 }
 
@@ -93,16 +88,6 @@ impl TumblingWindow {
     fn window_start(&self, t: Duration) -> u64 {
         let w = self.width.as_nanos() as u64;
         (t.as_nanos() as u64 / w) * w
-    }
-
-    /// Current watermark.
-    pub fn watermark(&self) -> Duration {
-        self.watermark
-    }
-
-    /// Open (unfired) windows.
-    pub fn open_windows(&self) -> usize {
-        self.open.len()
     }
 
     /// Ingest one event; returns any windows that fired as a result.
@@ -232,11 +217,6 @@ impl SlidingWindow {
         }
         acc
     }
-
-    /// Events dropped as late.
-    pub fn late_dropped(&self) -> u64 {
-        self.inner.late_dropped
-    }
 }
 
 /// Wire format for windowed events: `"<event_time_ms>|<value>"`.
@@ -334,7 +314,7 @@ mod tests {
         assert_eq!(fired[0].start, ms(0));
         assert_eq!(fired[0].stats.count, 2);
         assert_eq!(fired[0].stats.sum, 3.0);
-        assert_eq!(w.open_windows(), 1);
+        assert_eq!(w.open.len(), 1);
     }
 
     #[test]
@@ -376,7 +356,7 @@ mod tests {
         assert_eq!(s.count, 3);
         assert_eq!(s.min, -2.0);
         assert_eq!(s.max, 7.0);
-        assert!((s.mean() - 3.0).abs() < 1e-12);
+        assert!((s.sum / s.count as f64 - 3.0).abs() < 1e-12);
     }
 
     #[test]

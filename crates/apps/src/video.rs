@@ -25,7 +25,7 @@ use taureau_faas::{FaasPlatform, FunctionSpec};
 use taureau_jiffy::Jiffy;
 
 /// A frame of `width × height` single-channel pixels.
-pub type Frame = Vec<u8>;
+pub(crate) type Frame = Vec<u8>;
 
 /// Generate `frames` frames with strong temporal redundancy: a noisy
 /// background that mostly persists, with a moving block.
@@ -95,7 +95,7 @@ fn rle_decode(data: &[u8]) -> Option<Vec<u8>> {
 /// chunk's last frame; all-zero for the first chunk). Each frame is
 /// delta-encoded against its predecessor and RLE-compressed. Output
 /// format: `[frame_count u32] ([len u32][rle bytes])*`.
-pub fn encode_chunk(frames: &[Frame], reference: &Frame) -> Vec<u8> {
+pub(crate) fn encode_chunk(frames: &[Frame], reference: &Frame) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&(frames.len() as u32).to_le_bytes());
     let mut prev = reference.clone();
@@ -114,7 +114,7 @@ pub fn encode_chunk(frames: &[Frame], reference: &Frame) -> Vec<u8> {
 }
 
 /// Decode a chunk back to raw frames given the same reference frame.
-pub fn decode_chunk(bytes: &[u8], reference: &Frame) -> Option<Vec<Frame>> {
+pub(crate) fn decode_chunk(bytes: &[u8], reference: &Frame) -> Option<Vec<Frame>> {
     if bytes.len() < 4 {
         return None;
     }
@@ -148,13 +148,13 @@ pub fn decode_chunk(bytes: &[u8], reference: &Frame) -> Option<Vec<Frame>> {
 pub struct EncodeOutcome {
     /// Encoded bytes per chunk, in order (shared with the Jiffy file
     /// blocks they were read from).
-    pub chunks: Vec<bytes::Bytes>,
+    pub(crate) chunks: Vec<bytes::Bytes>,
     /// Raw input bytes.
-    pub raw_bytes: u64,
+    pub(crate) raw_bytes: u64,
     /// Total encoded bytes.
     pub encoded_bytes: u64,
     /// Per-chunk simulated encode times.
-    pub chunk_times: Vec<Duration>,
+    pub(crate) chunk_times: Vec<Duration>,
     /// FaaS invocations used.
     pub invocations: u64,
 }

@@ -16,10 +16,10 @@ use taureau_jiffy::Jiffy;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// Status code.
-    pub status: u16,
+    pub(crate) status: u16,
     /// Body bytes (refcounted: static-file and function-output responses
     /// share storage with the underlying KV block / handler buffer).
-    pub body: bytes::Bytes,
+    pub(crate) body: bytes::Bytes,
 }
 
 impl Response {
@@ -190,11 +190,6 @@ impl WebApp {
             },
         }
     }
-
-    /// The platform (for billing inspection).
-    pub fn platform(&self) -> &FaasPlatform {
-        &self.platform
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +220,7 @@ mod tests {
         let a = app();
         a.get("/static/index.html");
         a.get("/static/style.css");
-        assert_eq!(a.platform().billing().invocations("webapp"), 0);
+        assert_eq!(a.platform.billing().invocations("webapp"), 0);
     }
 
     #[test]
@@ -271,6 +266,6 @@ mod tests {
         for _ in 0..4 {
             a.get("/api/views/home");
         }
-        assert_eq!(a.platform().billing().invocations("webapp"), 4);
+        assert_eq!(a.platform.billing().invocations("webapp"), 4);
     }
 }

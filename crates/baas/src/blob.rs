@@ -1,7 +1,6 @@
-//! A BaaS blob store (S3 class): buckets, keys, version ETags,
-//! list-by-prefix, and the per-GB-month + per-request billing of §2.2's
-//! "users are billed only for the amount of storage they utilize, and the
-//! volume of reads and writes".
+//! A BaaS blob store (S3 class): buckets, keys, version ETags, and the
+//! per-request read/write counts of §2.2's "users are billed only for the
+//! amount of storage they utilize, and the volume of reads and writes".
 //!
 //! Latency is injected from the calibrated persistent-store profiles, so
 //! experiments comparing blob-based state exchange to Jiffy see realistic
@@ -15,20 +14,19 @@ use parking_lot::Mutex;
 use rand_chacha::ChaCha8Rng;
 use taureau_core::bytesize::ByteSize;
 use taureau_core::clock::SharedClock;
-use taureau_core::cost::{Dollars, StoragePricing};
 use taureau_core::latency::{profiles, LatencyModel};
 use taureau_core::metrics::MetricsRegistry;
 use taureau_core::rng::det_rng;
 
 /// Metadata of a stored object.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlobMeta {
+pub(crate) struct BlobMeta {
     /// Object size.
-    pub size: ByteSize,
+    pub(crate) size: ByteSize,
     /// Monotone per-object version (ETag analogue).
-    pub version: u64,
+    pub(crate) version: u64,
     /// Store time (clock timestamp).
-    pub stored_at: Duration,
+    pub(crate) stored_at: Duration,
 }
 
 #[derive(Debug)]
@@ -51,14 +49,13 @@ pub struct BlobStore {
     clock: SharedClock,
     read_latency: LatencyModel,
     write_latency: LatencyModel,
-    pricing: StoragePricing,
     state: Mutex<BlobState>,
     rng: Mutex<ChaCha8Rng>,
     metrics: MetricsRegistry,
 }
 
 impl BlobStore {
-    /// Store with S3-calibrated latencies and default pricing.
+    /// Store with S3-calibrated latencies.
     pub fn new(clock: SharedClock) -> Self {
         Self::with_latency(
             clock,
@@ -78,7 +75,6 @@ impl BlobStore {
             clock,
             read_latency,
             write_latency,
-            pricing: StoragePricing::default(),
             state: Mutex::new(BlobState::default()),
             rng: Mutex::new(det_rng(0xB10B)),
             metrics: MetricsRegistry::new(),
@@ -155,7 +151,8 @@ impl BlobStore {
     }
 
     /// HEAD an object's metadata (no read fee in this model).
-    pub fn head(&self, bucket: &str, key: &[u8]) -> Option<BlobMeta> {
+    #[cfg(test)]
+    pub(crate) fn head(&self, bucket: &str, key: &[u8]) -> Option<BlobMeta> {
         self.state
             .lock()
             .buckets
@@ -186,7 +183,8 @@ impl BlobStore {
     }
 
     /// List keys in a bucket with a prefix, in order.
-    pub fn list(&self, bucket: &str, prefix: &[u8]) -> Vec<Vec<u8>> {
+    #[cfg(test)]
+    pub(crate) fn list(&self, bucket: &str, prefix: &[u8]) -> Vec<Vec<u8>> {
         let st = self.state.lock();
         st.buckets
             .get(bucket)
@@ -208,14 +206,6 @@ impl BlobStore {
     pub fn op_counts(&self) -> (u64, u64) {
         let st = self.state.lock();
         (st.reads, st.writes)
-    }
-
-    /// The bill for the current footprint held for `duration` plus all
-    /// operations so far.
-    pub fn bill(&self, duration: Duration) -> Dollars {
-        let st = self.state.lock();
-        self.pricing
-            .cost(ByteSize::b(st.bytes_stored), duration, st.reads, st.writes)
     }
 }
 
@@ -265,18 +255,6 @@ mod tests {
         assert_eq!(keys, vec![b"logs/1".to_vec(), b"logs/2".to_vec()]);
         assert_eq!(s.list("b", b"").len(), 3);
         assert!(s.list("empty", b"").is_empty());
-    }
-
-    #[test]
-    fn billing_combines_storage_and_ops() {
-        let s = store();
-        s.put("b", b"k", &vec![0u8; 1_000_000]);
-        let _ = s.get("b", b"k");
-        let month = Duration::from_secs(30 * 24 * 3600);
-        let bill = s.bill(month);
-        // ~1 MB for a month ≈ $0.0000219 plus two ops.
-        assert!(bill > 0.0 && bill < 0.001, "bill {bill}");
-        assert_eq!(s.op_counts(), (1, 1));
     }
 
     #[test]

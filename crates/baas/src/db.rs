@@ -22,11 +22,12 @@ type Ts = u64;
 
 /// Transaction isolation levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IsolationLevel {
+pub(crate) enum IsolationLevel {
     /// Snapshot isolation: write-write conflict detection only (permits
     /// write skew, as real SI databases do).
     Snapshot,
     /// Serializable via read-set validation at commit.
+    #[cfg(test)]
     Serializable,
 }
 
@@ -109,7 +110,7 @@ impl ServerlessDb {
     }
 
     /// Begin at an explicit isolation level.
-    pub fn begin_with(&self, level: IsolationLevel) -> Txn {
+    pub(crate) fn begin_with(&self, level: IsolationLevel) -> Txn {
         let snapshot = self.state.lock().last_commit;
         Txn {
             db: self.clone(),
@@ -160,7 +161,8 @@ impl ServerlessDb {
 
     /// Drop versions (and commit-log entries) no transaction can still
     /// see, keeping the newest version ≤ `before` per key.
-    pub fn vacuum(&self, before: Ts) {
+    #[cfg(test)]
+    pub(crate) fn vacuum(&self, before: Ts) {
         let mut st = self.state.lock();
         for versions in st.versions.values_mut() {
             // Keep the latest version at or before the horizon plus
@@ -173,7 +175,8 @@ impl ServerlessDb {
     }
 
     /// Latest commit timestamp.
-    pub fn last_commit_ts(&self) -> Ts {
+    #[cfg(test)]
+    pub(crate) fn last_commit_ts(&self) -> Ts {
         self.state.lock().last_commit
     }
 
@@ -184,7 +187,8 @@ impl ServerlessDb {
     }
 
     /// Total live versions stored (space metric for vacuum tests).
-    pub fn version_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn version_count(&self) -> usize {
         self.state.lock().versions.values().map(BTreeMap::len).sum()
     }
 }
@@ -238,6 +242,7 @@ impl Txn {
         // Validation against everything committed after our snapshot.
         let validate: Box<dyn Iterator<Item = &Vec<u8>>> = match self.level {
             IsolationLevel::Snapshot => Box::new(self.write_set.keys()),
+            #[cfg(test)]
             IsolationLevel::Serializable => {
                 Box::new(self.write_set.keys().chain(self.read_set.iter()))
             }

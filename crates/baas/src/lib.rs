@@ -5,8 +5,8 @@
 //! beyond stateless compute". Two of the paper's BaaS categories are
 //! implemented as real substrates:
 //!
-//! - [`blob`]: an object store in the S3 mould — buckets, keys, versioned
-//!   ETags, list-by-prefix, per-GB-month + per-request billing. "Since
+//! - `blob`: an object store in the S3 mould — buckets, keys, versioned
+//!   ETags, per-request read/write counts. "Since
 //!   FaaS platforms are stateless, the storage services provide a means to
 //!   store state in the serverless ecosystem."
 //! - [`db`]: a serverless *database* in the Aurora-Serverless mould — an
@@ -23,8 +23,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod blob;
+pub(crate) mod blob;
 pub mod db;
 
-pub use blob::{BlobMeta, BlobStore};
-pub use db::{DbError, IsolationLevel, ServerlessDb, Txn};
+pub use blob::BlobStore;
+pub use db::{DbError, ServerlessDb};

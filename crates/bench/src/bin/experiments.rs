@@ -12,6 +12,11 @@
 //! text-format snapshot of every subsystem's metrics registry. Either
 //! flag implies running E22.
 //!
+//! `--golden` prints every wall-clock cell (the [`Wall`] figures of E3,
+//! E6, E9, E17, E23 and E24) as `~`, and with no ids runs E1–E24: that
+//! output is `crates/bench/golden.txt`, which `tests/golden.rs` diffs
+//! against.
+//!
 //! Each experiment is keyed to a claim in the paper; see `DESIGN.md` §5
 //! for the claim → experiment mapping. Everything is seeded and
 //! deterministic except where wall-clock throughput is explicitly
@@ -25,7 +30,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use taureau_baas::BlobStore;
-use taureau_bench::{fmt_dur, fmt_usd, Table};
+use taureau_bench::{fmt_dur, fmt_usd, mask_wall_clock, Table, Wall};
 use taureau_cluster::{
     ClusterStack, ClusterStackConfig, IncidentKind, IncidentSpec, LinkFaults, OutagePhase,
 };
@@ -60,6 +65,7 @@ const KNOWN: &[&str] = &[
 fn main() {
     let mut trace_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
+    let mut golden = false;
     let mut args: Vec<String> = Vec::new();
     let mut raw = std::env::args().skip(1);
     while let Some(a) = raw.next() {
@@ -77,6 +83,8 @@ fn main() {
                 eprintln!("--metrics-out needs a path");
                 std::process::exit(2);
             }));
+        } else if a == "--golden" {
+            golden = true;
         } else {
             args.push(a);
         }
@@ -96,6 +104,17 @@ fn main() {
             KNOWN.join(", ")
         );
         std::process::exit(2);
+    }
+    if golden {
+        mask_wall_clock();
+        if args.is_empty() {
+            // E1–E24; E28/E29 assert their own gates instead.
+            args = KNOWN
+                .iter()
+                .filter(|id| !matches!(**id, "e28" | "e29"))
+                .map(|id| id.to_string())
+                .collect();
+        }
     }
     let all = args.is_empty() || args.iter().any(|a| a == "all");
     let want = |id: &str| all || args.iter().any(|a| a == id);
@@ -257,22 +276,23 @@ fn e23_dag_engine() {
     ] {
         t.row([
             mode.to_string(),
-            fmt_dur(r.makespan),
-            fmt_dur(r.total_exec()),
-            fmt_usd(r.total_cost()),
+            Wall(fmt_dur(r.makespan)).to_string(),
+            Wall(fmt_dur(r.total_exec())).to_string(),
+            Wall(fmt_usd(r.total_cost())).to_string(),
             format!(
                 "{:.2}x",
-                sequential.makespan.as_secs_f64() / r.makespan.as_secs_f64()
+                Wall(sequential.makespan.as_secs_f64() / r.makespan.as_secs_f64())
             ),
             format!(
                 "{:.0}%",
-                100.0 * critical.as_secs_f64() / r.makespan.as_secs_f64()
+                Wall(100.0 * critical.as_secs_f64() / r.makespan.as_secs_f64())
             ),
         ]);
     }
     t.print();
     println!(
-        "fan-out-8: parallel DAG {speedup:.2}x faster than sequential chain (claim: ≥2x): {}",
+        "fan-out-8: parallel DAG {:.2}x faster than sequential chain (claim: ≥2x): {}",
+        Wall(speedup),
         if speedup >= 2.0 { "yes" } else { "NO" }
     );
     assert!(speedup >= 2.0, "fan-out-8 speedup regressed below 2x");
@@ -998,9 +1018,9 @@ fn e17_oram_overhead() {
         t.row([
             n.to_string(),
             per_access.to_string(),
-            oram_ns.to_string(),
-            map_ns.to_string(),
-            format!("{:.0}x", oram_ns as f64 / map_ns as f64),
+            Wall(oram_ns).to_string(),
+            Wall(map_ns).to_string(),
+            format!("{:.0}x", Wall(oram_ns as f64 / map_ns as f64)),
         ]);
     }
     t.print();
@@ -1248,11 +1268,11 @@ fn e3_state_exchange() {
         let speedup = s_get.as_secs_f64() / j_get.as_secs_f64().max(1e-12);
         t.row([
             ByteSize::b(size as u64).to_string(),
-            fmt_dur(j_put),
-            fmt_dur(j_get),
+            Wall(fmt_dur(j_put)).to_string(),
+            Wall(fmt_dur(j_get)).to_string(),
             fmt_dur(s_put),
             fmt_dur(s_get),
-            format!("{speedup:.0}x (get)"),
+            format!("{:.0}x (get)", Wall(speedup)),
         ]);
     }
     t.print();
@@ -1437,8 +1457,8 @@ fn e6_countmin_function() {
     let process_elapsed = t0.elapsed();
     println!(
         "pipeline throughput: publish {:.0} msg/s, function {:.0} msg/s (wall-clock, {} messages)",
-        publish_n as f64 / publish_elapsed.as_secs_f64(),
-        publish_n as f64 / process_elapsed.as_secs_f64(),
+        Wall(publish_n as f64 / publish_elapsed.as_secs_f64()),
+        Wall(publish_n as f64 / process_elapsed.as_secs_f64()),
         publish_n
     );
 }
@@ -1561,9 +1581,9 @@ fn e9_matmul() {
             .max(c_naive.max_abs_diff(&c_str).unwrap());
         t.row([
             n.to_string(),
-            fmt_dur(naive),
-            fmt_dur(blocked),
-            fmt_dur(strassen),
+            Wall(fmt_dur(naive)).to_string(),
+            Wall(fmt_dur(blocked)).to_string(),
+            Wall(fmt_dur(strassen)).to_string(),
             format!("{diff:.1e}"),
         ]);
     }
@@ -2025,17 +2045,22 @@ fn e24_self_monitoring() {
     let delta = |d: Duration| {
         format!(
             "{:+.1}%",
-            100.0 * (d.as_secs_f64() - off1.as_secs_f64()) / off1.as_secs_f64().max(1e-12)
+            Wall(100.0 * (d.as_secs_f64() - off1.as_secs_f64()) / off1.as_secs_f64().max(1e-12))
         )
     };
+    let per_invoke = |d: Duration| Wall(fmt_dur(d)).to_string();
     let mut t = Table::new(["telemetry", "per-invoke", "delta"]);
     t.row([
         "disabled (run 1)".to_string(),
-        fmt_dur(off1),
+        per_invoke(off1),
         "baseline".to_string(),
     ]);
-    t.row(["disabled (run 2)".to_string(), fmt_dur(off2), delta(off2)]);
-    t.row(["sink + pump".to_string(), fmt_dur(on), delta(on)]);
+    t.row([
+        "disabled (run 2)".to_string(),
+        per_invoke(off2),
+        delta(off2),
+    ]);
+    t.row(["sink + pump".to_string(), per_invoke(on), delta(on)]);
     t.print();
     println!("(disabled run 2 vs run 1 is the noise floor; the disabled path adds one None check over the tracing-only baseline)");
 }

@@ -11,10 +11,39 @@
 //!   (sketches, Jiffy, Pulsar, orchestration, the analytics kernels) and
 //!   the two ablations E13 (ledger replication) and E14 (block size).
 //!
-//! This library holds the table-formatting helpers both halves share.
+//! This library holds the table-formatting helpers both halves share,
+//! and [`Wall`], the one way a wall-clock figure reaches the output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+static MASK_WALL: AtomicBool = AtomicBool::new(false);
+
+/// Print every [`Wall`] cell as `~` from now on. `experiments --golden`
+/// calls it, so what is left of the output is deterministic and can be
+/// diffed against `crates/bench/golden.txt`.
+pub fn mask_wall_clock() {
+    MASK_WALL.store(true, Ordering::Relaxed);
+}
+
+/// A figure read off the wall clock (or derived from one): it differs from
+/// run to run, so it prints as `~` once [`mask_wall_clock`] has been called.
+/// Formatting flags (`{:.0}`, widths) pass through to the inner value;
+/// the mask ignores them.
+pub struct Wall<T>(pub T);
+
+impl<T: fmt::Display> fmt::Display for Wall<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if MASK_WALL.load(Ordering::Relaxed) {
+            f.write_str("~")
+        } else {
+            self.0.fmt(f)
+        }
+    }
+}
 
 /// A minimal fixed-width table printer for experiment output.
 pub struct Table {
@@ -48,7 +77,7 @@ impl Table {
     }
 
     /// Render to a string.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {

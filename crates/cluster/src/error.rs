@@ -38,4 +38,4 @@ impl std::fmt::Display for ClusterError {
 impl std::error::Error for ClusterError {}
 
 /// Convenience result alias.
-pub type Result<T> = std::result::Result<T, ClusterError>;
+pub(crate) type Result<T> = std::result::Result<T, ClusterError>;

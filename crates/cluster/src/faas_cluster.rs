@@ -24,7 +24,7 @@ use crate::transport::Envelope;
 use crate::wire;
 
 /// The clustered FaaS tier.
-pub struct ClusterFaas {
+pub(crate) struct ClusterFaas {
     workers: HashMap<NodeId, FaasPlatform>,
     order: Vec<NodeId>,
 }
@@ -32,7 +32,7 @@ pub struct ClusterFaas {
 impl ClusterFaas {
     /// Deploy `n` worker nodes, each with its own platform on the fabric
     /// clock and tracer.
-    pub fn new(fabric: &mut ClusterFabric, n: usize, cfg: PlatformConfig) -> Self {
+    pub(crate) fn new(fabric: &mut ClusterFabric, n: usize, cfg: PlatformConfig) -> Self {
         let clock = fabric.clock();
         let tracer = fabric.tracer().clone();
         let mut workers = HashMap::new();
@@ -47,13 +47,8 @@ impl ClusterFaas {
         Self { workers, order }
     }
 
-    /// The platform running on a worker node.
-    pub fn platform(&self, node: NodeId) -> Option<&FaasPlatform> {
-        self.workers.get(&node)
-    }
-
     /// Register a function on every worker (fleet-wide deployment).
-    pub fn register(&self, spec: FunctionSpec) -> Result<()> {
+    pub(crate) fn register(&self, spec: FunctionSpec) -> Result<()> {
         for p in self.workers.values() {
             p.register(spec.clone())
                 .map_err(|e| ClusterError::Remote(e.to_string()))?;
@@ -63,7 +58,7 @@ impl ClusterFaas {
 
     /// Live workers after `preferred`, wrapping — the failover order the
     /// stack walks when invoking.
-    pub fn route(&self, fabric: &ClusterFabric, preferred: usize) -> Vec<NodeId> {
+    pub(crate) fn route(&self, fabric: &ClusterFabric, preferred: usize) -> Vec<NodeId> {
         let n = self.order.len();
         (0..n)
             .map(|i| self.order[(preferred + i) % n])
@@ -73,7 +68,7 @@ impl ClusterFaas {
 
     /// Handle one `invoke` envelope on a worker node, responding with the
     /// handler output (or the platform error).
-    pub fn handle(&mut self, fabric: &ClusterFabric, env: &Envelope) {
+    pub(crate) fn handle(&mut self, fabric: &ClusterFabric, env: &Envelope) {
         let node = env.to;
         let Some(platform) = self.workers.get(&node) else {
             return;

@@ -6,7 +6,7 @@
 //! and network delivery (net schedule) agree on what "now" means. Each
 //! `tick`:
 //!
-//! 1. every live node's [`MemberAgent`] heartbeats if due,
+//! 1. every live node's `MemberAgent` heartbeats if due,
 //! 2. the net advances, delivering what is due,
 //! 3. deliveries are routed — a heartbeat (which never becomes an
 //!    [`Envelope`]) into the receiving agent, everything else into the
@@ -16,10 +16,6 @@
 //! 5. only if some live agent's belief moved (or a node was added, killed
 //!    or revived since the last tick) is the authoritative view rebuilt
 //!    and fed to the [`ControlPlane`], bumping the cluster epoch on change.
-//!
-//! A belief is lent out through [`ClusterFabric::belief`];
-//! [`ClusterFabric::beliefs_version`] tells a reader whether any may have
-//! moved since it last looked.
 //!
 //! Killing a node stops its heartbeats and discards its mail (crashed
 //! processes do not drain sockets); the rest of the cluster finds out the
@@ -83,11 +79,6 @@ pub struct ClusterFabric {
     /// A node was added, killed or revived since the authoritative view
     /// was last rebuilt.
     roster_changed: bool,
-    /// Bumped whenever a live agent's belief or the roster may have
-    /// moved: see [`Self::beliefs_version`].
-    beliefs: u64,
-    /// The instant at which [`Self::tick`] last expired every live agent.
-    expired_at: Option<Duration>,
     /// Nodes whose service mailbox went from empty to non-empty since
     /// [`Self::take_mailed`] was last called.
     mailed: Vec<NodeId>,
@@ -95,7 +86,8 @@ pub struct ClusterFabric {
 
 impl ClusterFabric {
     /// Empty fabric with the default failure detector.
-    pub fn new(seed: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(seed: u64) -> Self {
         Self::with_membership(seed, MembershipConfig::default())
     }
 
@@ -112,15 +104,13 @@ impl ClusterFabric {
             control: Arc::new(Mutex::new(ControlPlane::new())),
             tracer,
             roster_changed: false,
-            beliefs: 0,
-            expired_at: None,
             mailed: Vec::new(),
         }
     }
 
     /// The shared virtual clock (hand this to services so their latency
     /// measurements live in fabric time).
-    pub fn clock(&self) -> Arc<VirtualClock> {
+    pub(crate) fn clock(&self) -> Arc<VirtualClock> {
         self.clock.clone()
     }
 
@@ -141,7 +131,7 @@ impl ClusterFabric {
     }
 
     /// Current virtual time.
-    pub fn now(&self) -> Duration {
+    pub(crate) fn now(&self) -> Duration {
         self.clock.now()
     }
 
@@ -157,7 +147,7 @@ impl ClusterFabric {
             seen_generation: 0,
             mail: VecDeque::new(),
         });
-        self.roster_moved();
+        self.roster_changed = true;
         let all: Vec<NodeId> = (0..self.nodes.len() as u64).map(NodeId).collect();
         for (i, n) in self.nodes.iter_mut().enumerate() {
             let peers: Vec<NodeId> = all
@@ -171,7 +161,7 @@ impl ClusterFabric {
     }
 
     /// All nodes with a role, in id order.
-    pub fn nodes_with_role(&self, role: NodeRole) -> Vec<NodeId> {
+    pub(crate) fn nodes_with_role(&self, role: NodeRole) -> Vec<NodeId> {
         self.nodes
             .iter()
             .enumerate()
@@ -181,7 +171,7 @@ impl ClusterFabric {
     }
 
     /// A node's role.
-    pub fn role(&self, node: NodeId) -> Option<NodeRole> {
+    pub(crate) fn role(&self, node: NodeId) -> Option<NodeRole> {
         self.nodes.get(node.raw() as usize).map(|n| n.role)
     }
 
@@ -194,32 +184,27 @@ impl ClusterFabric {
     /// Crash a node: heartbeats stop, queued and in-flight mail to it is
     /// lost, services must stop answering for it. Detection is *not*
     /// instantaneous — peers notice after the failure timeout.
-    pub fn kill(&mut self, node: NodeId) {
+    pub(crate) fn kill(&mut self, node: NodeId) {
         if let Some(n) = self.nodes.get_mut(node.raw() as usize) {
             n.alive = false;
             n.mail.clear();
-            self.roster_moved();
+            self.roster_changed = true;
         }
     }
 
     /// Bring a crashed node back (a replacement process on the same
     /// address). Peers re-admit it as soon as heartbeats resume.
-    pub fn revive(&mut self, node: NodeId) {
+    pub(crate) fn revive(&mut self, node: NodeId) {
         if let Some(n) = self.nodes.get_mut(node.raw() as usize) {
             n.alive = true;
-            self.roster_moved();
+            self.roster_changed = true;
         }
-    }
-
-    fn roster_moved(&mut self) {
-        self.roster_changed = true;
-        self.beliefs += 1;
     }
 
     /// Send a service message from one node to another. Dead senders
     /// cannot send. Returns whether the network accepted it (a partition
     /// refuses at the edge; drops downstream are invisible here).
-    pub fn send(
+    pub(crate) fn send(
         &self,
         from: NodeId,
         to: NodeId,
@@ -244,27 +229,16 @@ impl ClusterFabric {
     /// the observability agents diff it, when the generation moved, to
     /// report membership transitions as each node sees them. `None` for a
     /// dead or unknown node.
-    pub fn belief(&mut self, node: NodeId) -> Option<(u64, &BTreeSet<NodeId>)> {
+    pub(crate) fn belief(&mut self, node: NodeId) -> Option<(u64, &BTreeSet<NodeId>)> {
         let now = self.now();
         let n = live(&mut self.nodes, node)?;
         n.agent.expire(now);
         Some((n.agent.generation(), n.agent.alive()))
     }
 
-    /// A version of every node's belief and liveness: while it reads the
-    /// same `Some`, every [`Self::belief`] lends out the generation it lent
-    /// when that version was first read. `None` once the clock has moved
-    /// past the instant [`Self::tick`] last expired every live agent (a
-    /// service slept on it): a belief read then may expire. That is also
-    /// the only time a read can move a generation besides a revival, which
-    /// bumps the version itself, and the next tick sees the move.
-    pub fn beliefs_version(&self) -> Option<u64> {
-        (self.expired_at == Some(self.now())).then_some(self.beliefs)
-    }
-
     /// Take the next envelope from a node's service mailbox (dead nodes
     /// yield nothing).
-    pub fn pop_mail(&mut self, node: NodeId) -> Option<Envelope> {
+    pub(crate) fn pop_mail(&mut self, node: NodeId) -> Option<Envelope> {
         let n = self.nodes.get_mut(node.raw() as usize)?;
         n.alive.then(|| n.mail.pop_front())?
     }
@@ -272,7 +246,7 @@ impl ClusterFabric {
     /// Fill `out` with the nodes handed service mail since the last call,
     /// ascending, each once: what a walk over every node would have found
     /// non-empty, in the same order (plus, harmlessly, nodes killed since).
-    pub fn take_mailed(&mut self, out: &mut Vec<NodeId>) {
+    pub(crate) fn take_mailed(&mut self, out: &mut Vec<NodeId>) {
         out.clear();
         std::mem::swap(&mut self.mailed, out);
         out.sort_unstable();
@@ -282,7 +256,7 @@ impl ClusterFabric {
     /// Advance the cluster by `dt`: heartbeats, network delivery, mail
     /// routing, membership + epoch maintenance. Returns `true` when the
     /// authoritative view changed this tick.
-    pub fn tick(&mut self, dt: Duration) -> bool {
+    pub(crate) fn tick(&mut self, dt: Duration) -> bool {
         let now = self.now();
         for n in self.nodes.iter_mut() {
             if n.alive {
@@ -317,8 +291,6 @@ impl ClusterFabric {
             stale |= n.seen_generation != n.agent.generation();
             n.seen_generation = n.agent.generation();
         }
-        self.expired_at = Some(now);
-        self.beliefs += u64::from(stale);
         // The authoritative view is a function of the roster and the live
         // agents' beliefs: neither moved, so neither did it.
         if !stale {
@@ -432,9 +404,6 @@ mod tests {
     struct Checked {
         fabric: ClusterFabric,
         oracle: ControlPlane,
-        /// The last `Some` beliefs version read, and every node's lent
-        /// generation at that read.
-        versioned: Option<(u64, Vec<Option<u64>>)>,
     }
 
     impl Checked {
@@ -450,25 +419,7 @@ mod tests {
             Self {
                 fabric,
                 oracle: ControlPlane::new(),
-                versioned: None,
             }
-        }
-
-        /// An unchanged beliefs version lends out unchanged generations.
-        fn check_version(&mut self) -> Result<(), String> {
-            let version = self.fabric.beliefs_version();
-            let generations: Vec<Option<u64>> = (0..self.fabric.nodes.len() as u64)
-                .map(|i| self.fabric.belief(NodeId(i)).map(|(g, _)| g))
-                .collect();
-            if let (Some(v), Some((seen, before))) = (version, &self.versioned) {
-                if v == *seen {
-                    prop_assert_eq!(&generations, before, "beliefs version {}", v);
-                }
-            }
-            if let Some(v) = version {
-                self.versioned = Some((v, generations));
-            }
-            Ok(())
         }
 
         /// Every live node's belief, as lent out, equals the from-scratch
@@ -512,8 +463,7 @@ mod tests {
             prop_assert_eq!(control.view(), self.oracle.view(), "view at {:?}", now);
             prop_assert_eq!(control.epoch(), self.oracle.epoch(), "epoch at {:?}", now);
             prop_assert_eq!(changed, oracle_changed, "tick's return at {:?}", now);
-            drop(control);
-            self.check_version()
+            Ok(())
         }
 
         fn run(&mut self, total: Duration, step: Duration) -> Result<(), String> {
@@ -634,8 +584,7 @@ mod tests {
         /// revivals, joins, partitions and heals, after every tick each
         /// live agent's incremental belief, the authoritative view and the
         /// control-plane epoch equal what recomputing everything from
-        /// scratch on every tick yields, and a beliefs version read twice
-        /// unchanged lends out the same generations both times.
+        /// scratch on every tick yields.
         #[test]
         fn incremental_membership_equals_from_scratch_recompute(
             seed in any::<u64>(),
@@ -677,7 +626,6 @@ mod tests {
                 // Beliefs read between ticks are current too: the telemetry
                 // plane reads them right after a kill, revive, join or sleep.
                 c.check_beliefs()?;
-                c.check_version()?;
             }
             // Quiet finish: everything still alive converges again.
             c.fabric.net().heal();

@@ -35,7 +35,7 @@ pub struct JiffyFabric {
 impl JiffyFabric {
     /// Deploy a Jiffy controller whose initial pool nodes are fabric
     /// nodes. `cfg.memory_nodes` fabric nodes are created.
-    pub fn new(fabric: &mut ClusterFabric, cfg: JiffyConfig) -> Self {
+    pub(crate) fn new(fabric: &mut ClusterFabric, cfg: JiffyConfig) -> Self {
         let n = cfg.memory_nodes;
         let jiffy = Jiffy::new(cfg, fabric.clock());
         jiffy.set_tracer(fabric.tracer().clone());
@@ -65,7 +65,7 @@ impl JiffyFabric {
     }
 
     /// A fabric node joins the pool: new capacity serves immediately.
-    pub fn join(&mut self, fabric: &mut ClusterFabric) -> NodeId {
+    pub(crate) fn join(&mut self, fabric: &mut ClusterFabric) -> NodeId {
         let node = fabric.add_node(NodeRole::Memory);
         let pool = self.jiffy.add_memory_node();
         self.nodes.insert(node, pool);
@@ -76,7 +76,11 @@ impl JiffyFabric {
     /// A fabric node leaves gracefully: drain + migrate via the
     /// controller, emit one transfer envelope per moved block to a
     /// surviving peer, then kill the node. Returns what moved.
-    pub fn leave(&mut self, fabric: &mut ClusterFabric, node: NodeId) -> Result<MigrationReport> {
+    pub(crate) fn leave(
+        &mut self,
+        fabric: &mut ClusterFabric,
+        node: NodeId,
+    ) -> Result<MigrationReport> {
         let &pool = self
             .nodes
             .get(&node)
@@ -116,7 +120,7 @@ impl JiffyFabric {
     }
 
     /// Handle a transfer envelope on a surviving node (count it).
-    pub fn handle(&mut self, _fabric: &ClusterFabric, env: &Envelope) {
+    pub(crate) fn handle(&mut self, _fabric: &ClusterFabric, env: &Envelope) {
         if env.kind == "xfer" {
             *self.received_blocks.entry(env.to).or_insert(0) += 1;
         }

@@ -18,14 +18,14 @@
 //!   message passing with per-link latency/jitter/drop/dup faults and
 //!   partitions. Per-link FIFO is guaranteed and property-tested.
 //! - [`membership`]: heartbeat failure detection
-//!   ([`membership::MemberAgent`]) and the lease table
+//!   (`membership::MemberAgent`) and the lease table
 //!   ([`membership::ControlPlane`]) whose epochs fence deposed owners.
 //! - [`fabric`]: [`fabric::ClusterFabric`] — nodes with roles, the tick
 //!   loop, kill/revive.
-//! - [`pulsar_cluster`], [`jiffy_cluster`], [`faas_cluster`]: the
+//! - `pulsar_cluster`, `jiffy_cluster`, `faas_cluster`: the
 //!   subsystems mapped onto fabric nodes, with failover, block
 //!   migration, and worker routing respectively.
-//! - [`stack`]: [`stack::ClusterStack`] — the composed deployment a
+//! - `stack`: [`stack::ClusterStack`] — the composed deployment a
 //!   client talks to through the network, used by experiment e28 and the
 //!   `stack_cluster` integration tests.
 //! - [`obs`]: the cluster observability plane — per-node telemetry
@@ -36,26 +36,17 @@
 
 #![forbid(unsafe_code)]
 
-pub mod error;
-pub mod faas_cluster;
+pub(crate) mod error;
+pub(crate) mod faas_cluster;
 pub mod fabric;
-pub mod jiffy_cluster;
+pub(crate) mod jiffy_cluster;
 pub mod membership;
 pub mod obs;
-pub mod pulsar_cluster;
-pub mod stack;
+pub(crate) mod pulsar_cluster;
+pub(crate) mod stack;
 pub mod transport;
-pub mod wire;
+pub(crate) mod wire;
 
-pub use error::ClusterError;
-pub use faas_cluster::ClusterFaas;
-pub use fabric::{ClusterFabric, NodeRole};
-pub use jiffy_cluster::JiffyFabric;
-pub use membership::{ControlPlane, Lease, MemberAgent, MembershipConfig};
-pub use obs::{
-    ClusterObs, Collector, FailureTimeline, GreyVerdict, Incident, IncidentKind, IncidentSpec,
-    LossAccounting, ObsConfig, ObsEvent, OutagePhase, StampedEvent, TelemetryAgent,
-};
-pub use pulsar_cluster::{ClusterPulsar, MaintenanceReport};
-pub use stack::{ClusterMessage, ClusterStack, ClusterStackConfig};
-pub use transport::{Envelope, LinkFaults, NetStats, SimNet};
+pub use obs::{Incident, IncidentKind, IncidentSpec, LossAccounting, ObsEvent, OutagePhase};
+pub use stack::{ClusterStack, ClusterStackConfig};
+pub use transport::LinkFaults;

@@ -1,7 +1,7 @@
 //! Membership and placement: heartbeat failure detection plus
 //! epoch-fenced ownership leases.
 //!
-//! Each node runs a [`MemberAgent`] that gossips heartbeats over the
+//! Each node runs a `MemberAgent` that gossips heartbeats over the
 //! [`crate::transport::SimNet`] and judges peers by silence: a peer
 //! unheard for longer than [`MembershipConfig::failure_timeout`] is
 //! suspected dead. The fabric feeds a designated observer's view into the
@@ -26,7 +26,7 @@ use taureau_core::id::NodeId;
 use crate::transport::SimNet;
 
 /// Envelope kind used by heartbeats.
-pub const HEARTBEAT_KIND: &str = "hb";
+pub(crate) const HEARTBEAT_KIND: &str = "hb";
 
 /// Failure-detector tuning.
 #[derive(Debug, Clone, Copy)]
@@ -55,7 +55,7 @@ impl Default for MembershipConfig {
 /// moved, so a steady-state tick costs one comparison per agent and builds
 /// no set.
 #[derive(Debug)]
-pub struct MemberAgent {
+pub(crate) struct MemberAgent {
     node: NodeId,
     cfg: MembershipConfig,
     peers: Vec<NodeId>,
@@ -75,7 +75,7 @@ pub struct MemberAgent {
 
 impl MemberAgent {
     /// Agent for `node` with no peers yet.
-    pub fn new(node: NodeId, cfg: MembershipConfig) -> Self {
+    pub(crate) fn new(node: NodeId, cfg: MembershipConfig) -> Self {
         Self {
             node,
             cfg,
@@ -88,15 +88,10 @@ impl MemberAgent {
         }
     }
 
-    /// This agent's node.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// Replace the peer set (the fabric calls this as nodes join). New
     /// peers start with a full grace period: they are "heard" now, so a
     /// join does not instantly read as a death.
-    pub fn set_peers(&mut self, peers: Vec<NodeId>, now: Duration) {
+    pub(crate) fn set_peers(&mut self, peers: Vec<NodeId>, now: Duration) {
         for &p in &peers {
             self.heard_slot(p).get_or_insert(now);
         }
@@ -108,7 +103,7 @@ impl MemberAgent {
     }
 
     /// Send a round of heartbeats if one is due.
-    pub fn maybe_heartbeat(&mut self, now: Duration, net: &SimNet) {
+    pub(crate) fn maybe_heartbeat(&mut self, now: Duration, net: &SimNet) {
         let due = match self.last_beat {
             None => true,
             Some(t) => now >= t + self.cfg.heartbeat_every,
@@ -122,7 +117,7 @@ impl MemberAgent {
 
     /// Record a heartbeat (or any traffic — all traffic proves liveness)
     /// from a peer, re-admitting it if it was believed dead.
-    pub fn observe(&mut self, from: NodeId, now: Duration) {
+    pub(crate) fn observe(&mut self, from: NodeId, now: Duration) {
         *self.heard_slot(from) = Some(now);
         if !self.alive.contains(&from) && self.peers.contains(&from) {
             self.alive.insert(from);
@@ -133,7 +128,7 @@ impl MemberAgent {
 
     /// Drop every peer silent for longer than the failure timeout as of
     /// `now`. A single comparison until the earliest deadline has passed.
-    pub fn expire(&mut self, now: Duration) {
+    pub(crate) fn expire(&mut self, now: Duration) {
         if now > self.next_expiry {
             self.rescan(now);
         }
@@ -141,13 +136,13 @@ impl MemberAgent {
 
     /// Peers this node currently believes are alive, plus itself — as of
     /// the last [`Self::expire`].
-    pub fn alive(&self) -> &BTreeSet<NodeId> {
+    pub(crate) fn alive(&self) -> &BTreeSet<NodeId> {
         &self.alive
     }
 
     /// Changes whenever [`Self::alive`] may have: equal generations mean
     /// an equal set.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
 
@@ -210,10 +205,10 @@ impl MemberAgent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lease {
     /// Current owner.
-    pub owner: NodeId,
+    pub(crate) owner: NodeId,
     /// Fencing epoch — bumped on every reassignment. Anything stamped
     /// with an older epoch is a zombie and must be rejected.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
 }
 
 /// A copy of the control plane's lease table and membership view, taken
@@ -231,8 +226,8 @@ pub struct LeaseView {
 }
 
 impl LeaseView {
-    /// Same semantics as [`ControlPlane::holds`] for a `topic/<name>`
-    /// resource, against this view, with no key allocation.
+    /// Whether `node` owns the lease on the `topic/<name>` resource and
+    /// is live in this view, with no key allocation.
     pub fn holds_topic(&self, topic: &str, node: NodeId) -> bool {
         self.by_topic
             .get(topic)
@@ -256,7 +251,7 @@ impl LeaseReader {
 
     /// Whether `node` holds the live lease on `topic`'s resource, per the
     /// published view.
-    pub fn holds_topic(&self, topic: &str, node: NodeId) -> bool {
+    pub(crate) fn holds_topic(&self, topic: &str, node: NodeId) -> bool {
         self.snap.read().holds_topic(topic, node)
     }
 }
@@ -327,7 +322,8 @@ impl ControlPlane {
     }
 
     /// Whether the authoritative view considers a node alive.
-    pub fn is_alive(&self, node: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_alive(&self, node: NodeId) -> bool {
         self.view.contains(&node)
     }
 
@@ -373,7 +369,7 @@ impl ControlPlane {
 
     /// `topic`'s lease when [`Self::ensure_lease`] would hand it back
     /// untouched, found without building the resource key.
-    pub fn settled_topic_lease(&self, topic: &str, candidates: &[NodeId]) -> Option<Lease> {
+    pub(crate) fn settled_topic_lease(&self, topic: &str, candidates: &[NodeId]) -> Option<Lease> {
         let lease = *self.published.read().by_topic.get(topic)?;
         self.is_settled(&lease, candidates).then_some(lease)
     }
@@ -381,7 +377,11 @@ impl ControlPlane {
     /// [`Self::ensure_lease`] every leased resource under `prefix`, in
     /// name order; the new leases of the ones that moved. A lease that
     /// sits with a live candidate is not touched.
-    pub fn ensure_leases(&mut self, prefix: &str, candidates: &[NodeId]) -> Vec<(Lease, String)> {
+    pub(crate) fn ensure_leases(
+        &mut self,
+        prefix: &str,
+        candidates: &[NodeId],
+    ) -> Vec<(Lease, String)> {
         let stale = |(r, l): (&String, &Lease)| {
             (r.starts_with(prefix) && !self.is_settled(l, candidates)).then(|| r.clone())
         };
@@ -392,14 +392,16 @@ impl ControlPlane {
     }
 
     /// The current lease for a resource, if any.
-    pub fn lease(&self, resource: &str) -> Option<Lease> {
+    #[cfg(test)]
+    pub(crate) fn lease(&self, resource: &str) -> Option<Lease> {
         self.leases.get(resource).copied()
     }
 
     /// Whether `node` holds the live lease on `resource`. This is what
     /// broker fence checks consult: a deposed owner fails it even if its
     /// local state still says otherwise.
-    pub fn holds(&self, resource: &str, node: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn holds(&self, resource: &str, node: NodeId) -> bool {
         self.leases
             .get(resource)
             .is_some_and(|l| l.owner == node && self.view.contains(&node))

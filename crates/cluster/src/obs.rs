@@ -7,7 +7,7 @@
 //! skewed, and the telemetry itself rides the same faulty network as the
 //! data plane. This module models that honestly:
 //!
-//! - A [`TelemetryAgent`] on every service node (brokers, workers, memory
+//! - A `TelemetryAgent` on every service node (brokers, workers, memory
 //!   nodes, the client — not bookies, whose I/O is modeled in-process)
 //!   stamps each event with a hybrid logical clock
 //!   ([`HlcStamp`](taureau_core::trace::HlcStamp)) read off a
@@ -20,10 +20,10 @@
 //!   latency sketches for the cluster [`HealthReport`], detects dropped
 //!   batches by sequence/cumulative-count gaps, keeps what one HLC-ordered
 //!   timeline needs, and runs the grey-failure detector: a node whose
-//!   client-observed RPC p50 exceeds [`ObsConfig::grey_ratio`] × the fleet
+//!   client-observed RPC p50 exceeds `ObsConfig::grey_ratio` × the fleet
 //!   median of its role group is flagged *slow-but-alive* — before (or
 //!   without) the heartbeat failure detector ever firing.
-//! - [`FailureTimeline::reconstruct`] folds membership transitions, lease
+//! - `FailureTimeline::reconstruct` folds membership transitions, lease
 //!   moves, fence rejections, consumer rebuilds, bookie replacement, and
 //!   re-replication progress into per-incident records. Every unavailable
 //!   microsecond is assigned to exactly one phase — detection, re-lease,
@@ -55,7 +55,7 @@ use crate::pulsar_cluster::ClusterPulsar;
 use crate::transport::Envelope;
 
 /// Envelope kind used by telemetry batches on the fabric.
-pub const TELEMETRY_KIND: &str = "telem";
+pub(crate) const TELEMETRY_KIND: &str = "telem";
 
 /// Batch frame magic byte.
 const MAGIC: u8 = b'O';
@@ -72,22 +72,22 @@ const RING_BYTES: usize = 4 << 20;
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
     /// Events per batch before an early flush.
-    pub batch_max: usize,
+    pub(crate) batch_max: usize,
     /// Flush cadence for partially-filled batches.
-    pub flush_every: Duration,
+    pub(crate) flush_every: Duration,
     /// Cadence of empty "sync" batches (they carry only the cumulative
     /// sent count, letting the collector finalize loss accounting).
-    pub sync_every: Duration,
+    pub(crate) sync_every: Duration,
     /// Maximum per-node clock skew, microseconds. Each node gets a
     /// deterministic skew in `[0, skew_max_us]` added to its physical
     /// clock reads — HLC ordering must survive it.
-    pub skew_max_us: u64,
+    pub(crate) skew_max_us: u64,
     /// Minimum successful RPC samples per target before the grey detector
     /// will judge it.
-    pub grey_min_samples: u64,
+    pub(crate) grey_min_samples: u64,
     /// A node is grey when its RPC p50 exceeds this multiple of the fleet
     /// median p50 within its role group.
-    pub grey_ratio: f64,
+    pub(crate) grey_ratio: f64,
 }
 
 impl Default for ObsConfig {
@@ -198,7 +198,7 @@ pub enum ObsEvent {
     Rpc {
         /// Target node.
         target: u64,
-        /// Target's role ([`role_code`]).
+        /// Target's role (`role_code`).
         role: u8,
         /// Observed round-trip latency, microseconds.
         latency_us: u64,
@@ -239,16 +239,16 @@ const TAG_RPC: u8 = b'Q';
 
 /// Decoded batch header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchHeader {
+pub(crate) struct BatchHeader {
     /// Sending agent's node.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Per-agent batch sequence number (gap ⇒ dropped batch).
-    pub batch_seq: u64,
+    pub(crate) batch_seq: u64,
     /// Agent's cumulative events handed to the network, *including* this
     /// batch — the collector reconciles loss against it.
-    pub cum_events: u64,
+    pub(crate) cum_events: u64,
     /// Events in this batch (0 for a pure sync batch).
-    pub count: u32,
+    pub(crate) count: u32,
 }
 
 impl BatchHeader {
@@ -454,7 +454,7 @@ impl<'a> BatchRef<'a> {
 /// The per-node telemetry shipper: stamps events with the node's skewed
 /// HLC, encodes them straight into the bytes the next batch will carry,
 /// and flushes batches to the collector over the fabric network.
-pub struct TelemetryAgent {
+pub(crate) struct TelemetryAgent {
     node: NodeId,
     hlc: HlcClock,
     skew_us: u64,
@@ -499,25 +499,8 @@ impl TelemetryAgent {
     }
 
     /// The node this agent runs on.
-    pub fn node(&self) -> NodeId {
+    pub(crate) fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// This node's modeled clock skew, microseconds.
-    pub fn skew_us(&self) -> u64 {
-        self.skew_us
-    }
-
-    /// Events handed to the network so far (counted at send time — the
-    /// sender cannot know what the network then drops).
-    pub fn events_sent(&self) -> u64 {
-        self.events_sent
-    }
-
-    /// Events discarded with the process on a crash, before ever being
-    /// handed to the network.
-    pub fn pending_lost(&self) -> u64 {
-        self.pending_lost
     }
 
     /// The node's next HLC stamp: fabric time plus modeled skew.
@@ -526,7 +509,7 @@ impl TelemetryAgent {
     }
 
     /// Stamp and buffer one event.
-    pub fn record(&mut self, now: Duration, event: ObsEvent) {
+    pub(crate) fn record(&mut self, now: Duration, event: ObsEvent) {
         let hlc = self.stamp(now);
         put_event(&mut self.pending, hlc, &event);
         self.ends.push(self.pending.len());
@@ -534,7 +517,7 @@ impl TelemetryAgent {
 
     /// [`Self::record`] of `ObsEvent::Span(SpanEvent::from_record(span))`,
     /// without building the owned event.
-    pub fn record_span(&mut self, now: Duration, span: &SpanRecord) {
+    pub(crate) fn record_span(&mut self, now: Duration, span: &SpanRecord) {
         let hlc = self.stamp(now);
         self.pending.extend_from_slice(&hlc.to_bytes());
         put_span_frame(&mut self.pending, |out| telwire::encode_record(span, out));
@@ -657,10 +640,9 @@ impl RpcTarget {
 /// the aggregates, loss ledgers and grey detector. Control-plane events
 /// are kept decoded for the life of the stack — failure reconstruction
 /// needs every one, and they are rare; everything else stays as the bytes
-/// it arrived in, in a flight-recorder ring bounded by [`RING_BYTES`],
+/// it arrived in, in a flight-recorder ring bounded by `RING_BYTES`,
 /// decoded when [`Self::events`] or [`Self::span_records`] asks.
 pub struct Collector {
-    node: NodeId,
     control: Vec<StampedEvent>,
     /// Data-plane batches, oldest first, each with its data-event count.
     ring: VecDeque<(Bytes, u64)>,
@@ -685,27 +667,26 @@ pub struct Collector {
 
 /// The grey detector's current judgement of one RPC target.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GreyVerdict {
+pub(crate) struct GreyVerdict {
     /// The judged node.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Its role group name (e.g. `broker`).
-    pub role: &'static str,
+    pub(crate) role: &'static str,
     /// Successful RPC samples folded for it.
-    pub samples: u64,
+    pub(crate) samples: u64,
     /// Its p50 RPC latency, microseconds.
-    pub p50_us: f64,
+    pub(crate) p50_us: f64,
     /// The fleet median p50 within its role group, microseconds.
-    pub fleet_median_us: f64,
+    pub(crate) fleet_median_us: f64,
     /// Whether it currently exceeds the grey threshold.
-    pub slow: bool,
+    pub(crate) slow: bool,
     /// When the detector first flagged it, if ever.
-    pub first_flagged: Option<Duration>,
+    pub(crate) first_flagged: Option<Duration>,
 }
 
 impl Collector {
-    fn new(node: NodeId, cfg: &ObsConfig) -> Self {
+    fn new(cfg: &ObsConfig) -> Self {
         Self {
-            node,
             control: Vec::new(),
             ring: VecDeque::new(),
             ring_bytes: 0,
@@ -724,11 +705,6 @@ impl Collector {
         }
     }
 
-    /// The collector's fabric node.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// Total events received (after batch dedup).
     pub fn events_received(&self) -> u64 {
         self.events_received
@@ -739,15 +715,10 @@ impl Collector {
         self.batches_received
     }
 
-    /// Batches that failed to decode.
-    pub fn decode_errors(&self) -> u64 {
-        self.decode_errors
-    }
-
     /// Events known lost: for each agent, the highest cumulative sent
     /// count it reported minus what actually arrived. Exact once the
     /// agents have synced (see [`ClusterObs::telemetry_synced`]).
-    pub fn detected_dropped(&self) -> u64 {
+    pub(crate) fn detected_dropped(&self) -> u64 {
         self.agents
             .values()
             .map(|l| l.last_cum.saturating_sub(l.received))
@@ -755,7 +726,7 @@ impl Collector {
     }
 
     /// Ingest one telemetry envelope (non-telemetry kinds are ignored).
-    pub fn ingest(&mut self, env: &Envelope, now: Duration) {
+    pub(crate) fn ingest(&mut self, env: &Envelope, now: Duration) {
         if env.kind != TELEMETRY_KIND {
             return;
         }
@@ -896,7 +867,7 @@ impl Collector {
     }
 
     /// Current verdict for every RPC target, grouped by role.
-    pub fn grey_verdicts(&self) -> Vec<GreyVerdict> {
+    pub(crate) fn grey_verdicts(&self) -> Vec<GreyVerdict> {
         let mut out = Vec::new();
         let mut groups = BTreeMap::new();
         for (&(role, node), target) in &self.rpc {
@@ -964,7 +935,7 @@ impl Collector {
 
     /// Cluster-wide health snapshot: per-`(op, node)` latency/error rows,
     /// telemetry-plane counters, and grey flags as active alerts.
-    pub fn health_report(&self, now: Duration) -> HealthReport {
+    pub(crate) fn health_report(&self, now: Duration) -> HealthReport {
         let mut ops = Vec::new();
         for (node, name, agg) in self
             .op_stats
@@ -1125,21 +1096,17 @@ pub struct Incident {
     /// Harness label.
     pub id: String,
     /// The dead node.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Node kind.
-    pub kind: IncidentKind,
+    pub(crate) kind: IncidentKind,
     /// Fault injection time (ground truth).
-    pub fault_at: Duration,
+    pub(crate) fault_at: Duration,
     /// Client-observed recovery (ground truth).
-    pub recovered_at: Duration,
+    pub(crate) recovered_at: Duration,
     /// First failure-detection signal, if captured.
-    pub detected_at: Option<Duration>,
+    pub(crate) detected_at: Option<Duration>,
     /// Lease move / bookie replacement, if captured.
     pub released_at: Option<Duration>,
-    /// Subscription rebuild on the new owner, if captured.
-    pub rebuilt_at: Option<Duration>,
-    /// Re-replication backlog drained, if captured.
-    pub drained_at: Option<Duration>,
     /// Phase attribution. Sums to exactly the wall window; the
     /// [`OutagePhase::Unattributed`] entry absorbs what no event explains.
     pub phases: Vec<(OutagePhase, Duration)>,
@@ -1206,7 +1173,7 @@ impl FailureTimeline {
     /// are non-negative and sum exactly to the wall window — a missing
     /// boundary collapses its phase to zero and leaves the remainder
     /// unattributed rather than inventing an explanation.
-    pub fn reconstruct(events: &[StampedEvent], specs: &[IncidentSpec]) -> Self {
+    pub(crate) fn reconstruct(events: &[StampedEvent], specs: &[IncidentSpec]) -> Self {
         let mut sorted: Vec<&StampedEvent> = events.iter().collect();
         sorted.sort_by_key(|e| e.hlc);
         let incidents = specs
@@ -1292,8 +1259,6 @@ impl FailureTimeline {
             recovered_at: t_end,
             detected_at,
             released_at,
-            rebuilt_at,
-            drained_at,
             phases,
         }
     }
@@ -1414,7 +1379,6 @@ struct RecordedFault {
 /// collector node, and the glue that routes tracer output, control-plane
 /// events, and membership transitions into agents each tick.
 pub struct ClusterObs {
-    cfg: ObsConfig,
     collector_node: NodeId,
     client: NodeId,
     /// Indexed by node id; `None` for a node that runs no agent.
@@ -1426,8 +1390,6 @@ pub struct ClusterObs {
     faults: Vec<RecordedFault>,
     dumped_incidents: usize,
     dump_errors: u64,
-    /// [`ClusterFabric::beliefs_version`] as of the last membership diff.
-    diffed_beliefs: Option<u64>,
 }
 
 impl ClusterObs {
@@ -1435,7 +1397,7 @@ impl ClusterObs {
     /// agent for every broker/worker/memory node and the client, and
     /// hooks the fabric tracer's telemetry sink. Call before the stack
     /// starts serving (the collector node must join membership warm-up).
-    pub fn new(fabric: &mut ClusterFabric, cfg: ObsConfig, client: NodeId) -> Self {
+    pub(crate) fn new(fabric: &mut ClusterFabric, cfg: ObsConfig, client: NodeId) -> Self {
         let collector_node = fabric.add_node(NodeRole::Collector);
         let mut agents = Vec::new();
         agents.resize_with(collector_node.raw() as usize, || None);
@@ -1451,9 +1413,8 @@ impl ClusterObs {
         }
         let sink = TelemetrySink::new(1 << 16);
         fabric.tracer().set_telemetry(sink.clone());
-        let collector = Collector::new(collector_node, &cfg);
+        let collector = Collector::new(&cfg);
         Self {
-            cfg,
             collector_node,
             client,
             agents,
@@ -1463,13 +1424,7 @@ impl ClusterObs {
             faults: Vec::new(),
             dumped_incidents: 0,
             dump_errors: 0,
-            diffed_beliefs: None,
         }
-    }
-
-    /// The plane's configuration.
-    pub fn config(&self) -> &ObsConfig {
-        &self.cfg
     }
 
     /// The collector's fabric node.
@@ -1483,7 +1438,7 @@ impl ClusterObs {
     }
 
     /// One node's agent, if it runs one.
-    pub fn agent(&self, node: NodeId) -> Option<&TelemetryAgent> {
+    pub(crate) fn agent(&self, node: NodeId) -> Option<&TelemetryAgent> {
         self.agents.get(node.raw() as usize)?.as_ref()
     }
 
@@ -1506,7 +1461,7 @@ impl ClusterObs {
     /// One plane tick, run after the stack routes service mail: drains
     /// the tracer sink to the owning nodes' agents, drains control-plane
     /// events, diffs membership views, and flushes due batches.
-    pub fn step(&mut self, fabric: &mut ClusterFabric, pulsar: &mut ClusterPulsar) {
+    pub(crate) fn step(&mut self, fabric: &mut ClusterFabric, pulsar: &mut ClusterPulsar) {
         let now = fabric.now();
         // 1. Locally-traced spans/metrics → the node that recorded them
         // (cluster spans carry a `node` attr; unattributed spans are the
@@ -1546,16 +1501,10 @@ impl ClusterObs {
         }
         // 3. Membership transitions, as each node's own detector sees
         // them (the collector keeps the *first* report — min detection).
-        // When no belief moved since the last diff, every agent would see
-        // the generation it last saw.
-        let beliefs = fabric.beliefs_version();
-        if beliefs.is_none() || beliefs != self.diffed_beliefs {
-            for agent in self.agents.iter_mut().flatten() {
-                if let Some((generation, view)) = fabric.belief(agent.node) {
-                    agent.observe_view(now, generation, view);
-                }
+        for agent in self.agents.iter_mut().flatten() {
+            if let Some((generation, view)) = fabric.belief(agent.node) {
+                agent.observe_view(now, generation, view);
             }
-            self.diffed_beliefs = fabric.beliefs_version();
         }
         // 4. Ship what's due.
         for agent in self.agents.iter_mut().flatten() {
@@ -1566,14 +1515,14 @@ impl ClusterObs {
     }
 
     /// Ingest an envelope delivered to the collector node.
-    pub fn ingest(&mut self, env: &Envelope, now: Duration) {
+    pub(crate) fn ingest(&mut self, env: &Envelope, now: Duration) {
         self.collector.ingest(env, now);
     }
 
     /// Record one client-observed RPC (feeds the grey detector via the
     /// client's agent, like any other event — telemetry about the network
     /// rides the network).
-    pub fn record_rpc(
+    pub(crate) fn record_rpc(
         &mut self,
         now: Duration,
         target: NodeId,
@@ -1594,7 +1543,7 @@ impl ClusterObs {
     }
 
     /// Crash side effect: the node's buffered telemetry dies with it.
-    pub fn on_kill(&mut self, node: NodeId, role: Option<NodeRole>, now: Duration) {
+    pub(crate) fn on_kill(&mut self, node: NodeId, role: Option<NodeRole>, now: Duration) {
         if let Some(Some(agent)) = self.agents.get_mut(node.raw() as usize) {
             agent.on_kill();
         }
@@ -1634,7 +1583,7 @@ impl ClusterObs {
     /// Whether every agent's final cumulative count has reached the
     /// collector — the point at which [`LossAccounting::exact`] is
     /// guaranteed. Dead agents can never sync; revive them first.
-    pub fn telemetry_synced(&self) -> bool {
+    pub(crate) fn telemetry_synced(&self) -> bool {
         self.agents
             .iter()
             .flatten()
@@ -1648,7 +1597,7 @@ impl ClusterObs {
     }
 
     /// Cluster health snapshot (collector state + plane counters).
-    pub fn health_report(&self, now: Duration) -> HealthReport {
+    pub(crate) fn health_report(&self, now: Duration) -> HealthReport {
         self.collector.health_report(now)
     }
 
@@ -1662,7 +1611,7 @@ impl ClusterObs {
     /// fires. Recovery times are provisional (`now`): the flight recorder
     /// writes what it knows at dump time. Returns the incident id, or
     /// `None` when there is nothing new to dump.
-    pub fn dump_failover(&mut self, jiffy: &Jiffy, now: Duration) -> Option<String> {
+    pub(crate) fn dump_failover(&mut self, jiffy: &Jiffy, now: Duration) -> Option<String> {
         if self.faults.len() <= self.dumped_incidents {
             return None;
         }
@@ -1868,7 +1817,7 @@ mod tests {
     #[test]
     fn gap_detection_makes_loss_accounting_exact() {
         let cfg = ObsConfig::default();
-        let mut collector = Collector::new(NodeId(9), &cfg);
+        let mut collector = Collector::new(&cfg);
         let agent = NodeId(1);
         let deliver = |c: &mut Collector, seq: u64, cum: u64, n: usize| {
             let events: Vec<(HlcStamp, ObsEvent)> = (0..n)
@@ -1914,7 +1863,7 @@ mod tests {
     #[test]
     fn grey_detector_flags_slow_node_only() {
         let cfg = ObsConfig::default();
-        let mut collector = Collector::new(NodeId(9), &cfg);
+        let mut collector = Collector::new(&cfg);
         // Role 0 fleet: nodes 0..4 at ~1ms p50, node 3 at ~9ms.
         for round in 0..30u64 {
             let seq = round;
@@ -2543,7 +2492,7 @@ mod tests {
         ) {
             let mut rng = det_rng(seed);
             let cfg = ObsConfig { grey_min_samples: 3, ..ObsConfig::default() };
-            let mut collector = Collector::new(NodeId(99), &cfg);
+            let mut collector = Collector::new(&cfg);
             let mut eager = EagerCollector::new(&cfg);
             let mut agents: Vec<TelemetryAgent> =
                 (0..4).map(|n| TelemetryAgent::new(NodeId(n), &cfg)).collect();
@@ -2599,7 +2548,7 @@ mod tests {
             }
             prop_assert_eq!(collector.events_received(), eager.events_received);
             prop_assert_eq!(collector.batches_received(), eager.batches_received);
-            prop_assert_eq!(collector.decode_errors(), eager.decode_errors);
+            prop_assert_eq!(collector.decode_errors, eager.decode_errors);
             let dropped: u64 = eager.agents.values().map(|l| l.last_cum - l.received).sum();
             prop_assert_eq!(collector.detected_dropped(), dropped);
             prop_assert_eq!(collector.grey_verdicts(), eager.grey_verdicts());
@@ -2641,9 +2590,9 @@ mod tests {
         ) {
             let mut rng = det_rng(seed);
             let cfg = ObsConfig::default();
-            let mut collector = Collector::new(NodeId(99), &cfg);
+            let mut collector = Collector::new(&cfg);
             collector.ingest(&telem(NodeId(1), Bytes::from(noise.clone())), ms(1));
-            prop_assert_eq!(collector.decode_errors() + collector.batches_received(), 1);
+            prop_assert_eq!(collector.decode_errors + collector.batches_received(), 1);
             let events: Vec<(HlcStamp, ObsEvent)> = (0..n_events)
                 .map(|i| {
                     let event = if i % 2 == 0 {
@@ -2661,7 +2610,7 @@ mod tests {
                 count: n_events as u32,
             };
             let valid = encode_batch(header, &events);
-            let mut collector = Collector::new(NodeId(99), &cfg);
+            let mut collector = Collector::new(&cfg);
             // Every truncation is a decode error and nothing else. (Cuts
             // are sampled when a 64 KiB name makes the batch long.)
             let step = (valid.len() / 300).max(1);
@@ -2669,7 +2618,7 @@ mod tests {
             for &cut in &cuts {
                 collector.ingest(&telem(NodeId(2), valid.slice(..cut)), ms(2));
             }
-            prop_assert_eq!(collector.decode_errors(), cuts.len() as u64);
+            prop_assert_eq!(collector.decode_errors, cuts.len() as u64);
             prop_assert_eq!(collector.events_received(), 0);
             prop_assert!(collector.events().is_empty() && collector.op_stats.is_empty());
             prop_assert!(collector.rpc.is_empty() && collector.agents.is_empty());
@@ -2679,9 +2628,9 @@ mod tests {
                 let mut raw = valid.to_vec();
                 let at = rng.gen_range(0..raw.len());
                 raw[at] ^= 1u8 << rng.gen_range(0..8u32);
-                let mut c = Collector::new(NodeId(99), &cfg);
+                let mut c = Collector::new(&cfg);
                 c.ingest(&telem(NodeId(2), Bytes::from(raw)), ms(3));
-                prop_assert_eq!(c.decode_errors() + c.batches_received(), 1);
+                prop_assert_eq!(c.decode_errors + c.batches_received(), 1);
                 prop_assert_eq!(c.events().len() as u64, c.events_received());
             }
         }
@@ -2707,7 +2656,7 @@ mod tests {
     #[test]
     fn a_full_flight_recorder_evicts_oldest_first_and_counts_it() {
         let cfg = ObsConfig::default();
-        let mut collector = Collector::new(NodeId(99), &cfg);
+        let mut collector = Collector::new(&cfg);
         let batch = |seq: u64| {
             let events: Vec<(HlcStamp, ObsEvent)> = (0..3u64)
                 .map(|i| {

@@ -38,10 +38,10 @@ use crate::transport::Envelope;
 use crate::wire;
 
 /// Trace system label for cluster-layer spans.
-pub const TRACE_SYSTEM: &str = "taureau-cluster";
+pub(crate) const TRACE_SYSTEM: &str = "taureau-cluster";
 
 /// Lease-table key for a topic.
-pub fn topic_resource(topic: &str) -> String {
+pub(crate) fn topic_resource(topic: &str) -> String {
     format!("topic/{topic}")
 }
 
@@ -49,15 +49,15 @@ pub fn topic_resource(topic: &str) -> String {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintenanceReport {
     /// Topics whose lease moved to a new broker this round.
-    pub topics_failed_over: u64,
+    pub(crate) topics_failed_over: u64,
     /// Dead bookies for which a spare was activated this round.
     pub bookies_replaced: u64,
     /// Ledgers re-replicated this round.
-    pub ledgers_repaired: u64,
+    pub(crate) ledgers_repaired: u64,
     /// Entries copied onto replacement bookies this round.
-    pub entries_recopied: u64,
+    pub(crate) entries_recopied: u64,
     /// Ledgers still queued for repair after this round.
-    pub repair_backlog: u64,
+    pub(crate) repair_backlog: u64,
 }
 
 /// An in-progress bookie replacement.
@@ -86,7 +86,7 @@ pub struct ClusterPulsar {
     repair: Option<RepairJob>,
     /// Ledgers repaired per maintenance round (the "background" knob:
     /// repair bandwidth, not repair-all-at-once).
-    pub repair_chunk: usize,
+    pub(crate) repair_chunk: usize,
     /// Broker-side consumer handles, broker → topic → subscription,
     /// rebuilt lazily after failover. Nested so the per-request probe
     /// borrows the names it decoded instead of building an owned key.
@@ -101,7 +101,7 @@ impl ClusterPulsar {
     /// Deploy `n_brokers` broker nodes and `cfg.bookies + spares` bookie
     /// nodes onto the fabric. Spares start crashed (cold standby): ledger
     /// ensembles never include them until a replacement activates them.
-    pub fn new(
+    pub(crate) fn new(
         fabric: &mut ClusterFabric,
         n_brokers: usize,
         spares: usize,
@@ -111,7 +111,7 @@ impl ClusterPulsar {
         let total = in_service + spares;
         cfg.bookies = total;
         let bookies: Arc<Vec<Arc<Bookie>>> =
-            Arc::new((0..total).map(|i| Arc::new(Bookie::new(i))).collect());
+            Arc::new((0..total).map(|_| Arc::new(Bookie::new())).collect());
         let meta = Arc::new(MetadataStore::new());
         let control = fabric.control();
         let clock = fabric.clock();
@@ -166,7 +166,7 @@ impl ClusterPulsar {
     }
 
     /// Take the observability events accumulated since the last drain.
-    pub fn drain_obs_events(&mut self) -> std::vec::Drain<'_, ObsEvent> {
+    pub(crate) fn drain_obs_events(&mut self) -> std::vec::Drain<'_, ObsEvent> {
         self.obs_events.drain(..)
     }
 
@@ -181,21 +181,21 @@ impl ClusterPulsar {
     }
 
     /// The bookie index served by a fabric node, if it is a bookie node.
-    pub fn bookie_index(&self, node: NodeId) -> Option<usize> {
+    pub(crate) fn bookie_index(&self, node: NodeId) -> Option<usize> {
         self.bookie_nodes.iter().position(|&n| n == node)
     }
 
     /// Crash side effects for a fabric-level kill: a dead bookie node
     /// takes its bookie process down with it. (Brokers are stateless —
     /// their death needs no side effect; that is the point.)
-    pub fn on_kill(&self, node: NodeId) {
+    pub(crate) fn on_kill(&self, node: NodeId) {
         if let Some(idx) = self.bookie_index(node) {
             self.bookies[idx].crash();
         }
     }
 
     /// Restart side effects for a fabric-level revive.
-    pub fn on_revive(&self, node: NodeId) {
+    pub(crate) fn on_revive(&self, node: NodeId) {
         if let Some(idx) = self.bookie_index(node) {
             self.bookies[idx].restart();
         }
@@ -203,7 +203,12 @@ impl ClusterPulsar {
 
     /// Create a topic through any live broker (topic creation is a
     /// metadata write; no lease needed).
-    pub fn create_topic(&self, fabric: &ClusterFabric, topic: &str, partitions: u32) -> Result<()> {
+    pub(crate) fn create_topic(
+        &self,
+        fabric: &ClusterFabric,
+        topic: &str,
+        partitions: u32,
+    ) -> Result<()> {
         let node = self
             .broker_order
             .iter()
@@ -229,14 +234,9 @@ impl ClusterPulsar {
         self.bk.underreplicated_ledgers().len()
     }
 
-    /// Admin-plane BookKeeper view (tests and experiments).
-    pub fn bookkeeper(&self) -> &BookKeeper {
-        &self.bk
-    }
-
     /// Handle one service envelope addressed to a broker node, sending
     /// the response back over the fabric. Unknown kinds are dropped.
-    pub fn handle(&mut self, fabric: &ClusterFabric, env: &Envelope) {
+    pub(crate) fn handle(&mut self, fabric: &ClusterFabric, env: &Envelope) {
         let node = env.to;
         let Some(broker) = self.brokers.get(&node) else {
             return;
@@ -353,7 +353,7 @@ impl ClusterPulsar {
     /// One maintenance round: fail over topics off dead brokers, replace
     /// dead bookies with spares, and advance background re-replication by
     /// at most [`ClusterPulsar::repair_chunk`] ledgers.
-    pub fn maintain(&mut self, fabric: &mut ClusterFabric) -> MaintenanceReport {
+    pub(crate) fn maintain(&mut self, fabric: &mut ClusterFabric) -> MaintenanceReport {
         let mut report = MaintenanceReport::default();
 
         // 1. Topic failover: any leased topic whose owner the view lost

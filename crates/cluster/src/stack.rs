@@ -179,11 +179,6 @@ impl ClusterStack {
         &self.pulsar
     }
 
-    /// The FaaS tier.
-    pub fn faas(&self) -> &ClusterFaas {
-        &self.faas
-    }
-
     /// The Jiffy tier.
     pub fn jiffy(&self) -> &JiffyFabric {
         &self.jiffy
@@ -197,13 +192,6 @@ impl ClusterStack {
     /// Current virtual time.
     pub fn now(&self) -> Duration {
         self.fabric.now()
-    }
-
-    /// Responses the client discarded because nothing was waiting for
-    /// them any more: network duplicates of one already taken, and
-    /// responses that arrived after their request's deadline.
-    pub fn stale_responses(&self) -> u64 {
-        self.stale_responses
     }
 
     /// The observability plane, when deployed.
@@ -355,7 +343,7 @@ impl ClusterStack {
     /// Every exchange is also a latency sample for the grey-failure
     /// detector: the client-observed round trip (success or not) is
     /// recorded on the client's telemetry agent.
-    pub fn rpc(
+    pub(crate) fn rpc(
         &mut self,
         to: NodeId,
         kind: &'static str,
@@ -629,9 +617,9 @@ mod tests {
         // Every fifth request is handled twice and every fifth response
         // delivered twice: 1.2 x 1.2 - 1 = 0.44 surplus responses per RPC.
         assert!(
-            (300..=600).contains(&s.stale_responses()),
+            (300..=600).contains(&s.stale_responses),
             "{} stale responses",
-            s.stale_responses()
+            s.stale_responses
         );
     }
 

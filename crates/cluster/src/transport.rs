@@ -60,7 +60,7 @@ pub struct Envelope {
     /// Message kind tag, dispatched on by services (`"hb"`, `"pub"`, …).
     /// Every sender passes a literal, so the tag costs no allocation.
     pub kind: &'static str,
-    /// Opaque body; services frame it with [`crate::wire`].
+    /// Opaque body; services frame it with `crate::wire`.
     pub body: Bytes,
     /// Causal trace context. Carrying it in the envelope (not the body)
     /// is what lets one trace follow a request across nodes: the receiver
@@ -132,7 +132,7 @@ pub struct Beat {
     /// Per-link sequence number, from the same counter as [`Envelope::seq`].
     pub seq: u64,
     /// Message kind tag.
-    pub kind: &'static str,
+    pub(crate) kind: &'static str,
 }
 
 impl Beat {
@@ -459,11 +459,6 @@ impl SimNet {
         self.state.lock().partition = None;
     }
 
-    /// Whether two nodes can currently exchange messages.
-    pub fn connected(&self, a: NodeId, b: NodeId) -> bool {
-        self.state.lock().connected(a, b)
-    }
-
     /// Send an envelope. The `seq` field is assigned here (per link);
     /// whatever the caller put in it is overwritten. Returns the assigned
     /// sequence number, or `None` when a partition or drop fault consumed
@@ -522,7 +517,8 @@ impl SimNet {
     }
 
     /// Pop the next delivered envelope for a node.
-    pub fn recv(&self, node: NodeId) -> Option<Envelope> {
+    #[cfg(test)]
+    pub(crate) fn recv(&self, node: NodeId) -> Option<Envelope> {
         self.state.lock().inboxes.get_mut(&node)?.pop_front()
     }
 

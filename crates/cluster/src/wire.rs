@@ -12,13 +12,13 @@ use bytes::Bytes;
 use crate::error::{ClusterError, Result};
 
 /// Append one frame to a body under construction.
-pub fn put_frame(out: &mut Vec<u8>, frame: &[u8]) {
+pub(crate) fn put_frame(out: &mut Vec<u8>, frame: &[u8]) {
     out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
     out.extend_from_slice(frame);
 }
 
 /// Encode frames into one body.
-pub fn enc<T: AsRef<[u8]>>(frames: &[T]) -> Bytes {
+pub(crate) fn enc<T: AsRef<[u8]>>(frames: &[T]) -> Bytes {
     let total: usize = frames.iter().map(|f| 4 + f.as_ref().len()).sum();
     let mut out = Vec::with_capacity(total);
     for f in frames {
@@ -29,7 +29,7 @@ pub fn enc<T: AsRef<[u8]>>(frames: &[T]) -> Bytes {
 
 /// A service response built in place: `ok` then the frames `fill` appends,
 /// or, when it fails, `err` and the message (also handed back).
-pub fn reply(fill: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> (Bytes, Option<String>) {
+pub(crate) fn reply(fill: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> (Bytes, Option<String>) {
     let mut body = Vec::with_capacity(128);
     put_frame(&mut body, b"ok");
     let err = fill(&mut body).err().map(|e| e.to_string());
@@ -42,7 +42,7 @@ pub fn reply(fill: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> (Bytes, Option<St
 }
 
 /// Decode a body into its frames (zero-copy slices).
-pub fn dec(body: &Bytes) -> Result<Vec<Bytes>> {
+pub(crate) fn dec(body: &Bytes) -> Result<Vec<Bytes>> {
     let mut frames = Vec::new();
     let mut off = 0usize;
     let buf = body.as_ref();
@@ -62,7 +62,7 @@ pub fn dec(body: &Bytes) -> Result<Vec<Bytes>> {
 }
 
 /// Expect exactly `n` frames.
-pub fn dec_n(body: &Bytes, n: usize) -> Result<Vec<Bytes>> {
+pub(crate) fn dec_n(body: &Bytes, n: usize) -> Result<Vec<Bytes>> {
     let frames = dec(body)?;
     if frames.len() != n {
         return Err(ClusterError::Wire(format!(
@@ -74,12 +74,12 @@ pub fn dec_n(body: &Bytes, n: usize) -> Result<Vec<Bytes>> {
 }
 
 /// Decode a frame as UTF-8 (borrowed from the frame).
-pub fn as_str(frame: &Bytes) -> Result<&str> {
+pub(crate) fn as_str(frame: &Bytes) -> Result<&str> {
     std::str::from_utf8(frame).map_err(|_| ClusterError::Wire("frame is not utf-8".into()))
 }
 
 /// Decode a frame as a little-endian `u64`.
-pub fn as_u64(frame: &Bytes) -> Result<u64> {
+pub(crate) fn as_u64(frame: &Bytes) -> Result<u64> {
     let arr: [u8; 8] = frame
         .as_ref()
         .try_into()
@@ -88,7 +88,7 @@ pub fn as_u64(frame: &Bytes) -> Result<u64> {
 }
 
 /// Encode a `u64` frame.
-pub fn u64_frame(v: u64) -> [u8; 8] {
+pub(crate) fn u64_frame(v: u64) -> [u8; 8] {
     v.to_le_bytes()
 }
 

@@ -45,7 +45,7 @@ impl ByteSize {
     }
 
     /// Fractional gibibytes, for billing arithmetic.
-    pub fn as_gb_f64(self) -> f64 {
+    pub(crate) fn as_gb_f64(self) -> f64 {
         self.0 as f64 / (1024.0 * 1024.0 * 1024.0)
     }
 
@@ -54,11 +54,6 @@ impl ByteSize {
     pub fn blocks_of(self, block: ByteSize) -> u64 {
         assert!(block.0 > 0, "block size must be non-zero");
         self.0.div_ceil(block.0)
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: ByteSize) -> ByteSize {
-        ByteSize(self.0.saturating_sub(rhs.0))
     }
 }
 
@@ -149,7 +144,6 @@ mod tests {
         assert_eq!(a - b, ByteSize::kb(3));
         assert_eq!(a * 2, ByteSize::kb(8));
         assert_eq!(a / 2, ByteSize::kb(2));
-        assert_eq!(b.saturating_sub(a), ByteSize::ZERO);
     }
 
     #[test]

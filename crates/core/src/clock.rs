@@ -98,7 +98,8 @@ impl VirtualClock {
 
     /// Jump to an absolute time. Panics if `t` is in the past — a virtual
     /// clock is still monotonic.
-    pub fn set(&self, t: Duration) {
+    #[cfg(test)]
+    pub(crate) fn set(&self, t: Duration) {
         let target = t.as_nanos() as u64;
         let prev = self.nanos.swap(target, Ordering::SeqCst);
         assert!(

@@ -11,13 +11,11 @@
 //! - [`VmPricing`]: pay per instance-hour regardless of utilisation — the
 //!   "server-centric model, where the users have to reserve server resources
 //!   regardless of whether or not they use it".
-//! - [`StoragePricing`]: BaaS-style per GB-month plus per-request fees.
 //!
 //! Default constants are calibrated to public AWS prices circa 2020
 //! (us-east-1): Lambda \$0.20 per 1M requests + \$0.0000166667 per GB-s;
-//! m5.large at \$0.096/h; S3 standard at \$0.023/GB-month, \$0.40/M GETs,
-//! \$5.00/M PUTs. Absolute dollars are not the point — the *shape* of the
-//! serverless-vs-VM crossover is.
+//! m5.large at \$0.096/h. Absolute dollars are not the point — the *shape*
+//! of the serverless-vs-VM crossover is.
 
 use std::time::Duration;
 
@@ -34,9 +32,9 @@ pub type Dollars = f64;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaasPricing {
     /// Dollars charged per single request.
-    pub per_request: Dollars,
+    pub(crate) per_request: Dollars,
     /// Dollars charged per GB-second of configured memory.
-    pub per_gb_second: Dollars,
+    pub(crate) per_gb_second: Dollars,
     /// Billing granularity; durations round up to a multiple of this.
     pub billing_granularity: Duration,
 }
@@ -99,7 +97,8 @@ impl Default for VmPricing {
 
 impl VmPricing {
     /// Cost of running `instances` VMs for `duration`.
-    pub fn fleet_cost(&self, instances: u32, duration: Duration) -> Dollars {
+    #[cfg(test)]
+    pub(crate) fn fleet_cost(&self, instances: u32, duration: Duration) -> Dollars {
         self.per_hour * instances as f64 * duration.as_secs_f64() / 3600.0
     }
 
@@ -107,37 +106,6 @@ impl VmPricing {
     pub fn instances_for(&self, concurrent: u64) -> u32 {
         assert!(self.capacity > 0);
         u32::try_from(concurrent.div_ceil(self.capacity as u64)).unwrap_or(u32::MAX)
-    }
-}
-
-/// BaaS storage pricing (S3-style): capacity rent plus per-operation fees.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StoragePricing {
-    /// Dollars per GB-month of stored data.
-    pub per_gb_month: Dollars,
-    /// Dollars per read (GET) request.
-    pub per_read: Dollars,
-    /// Dollars per write (PUT) request.
-    pub per_write: Dollars,
-}
-
-impl Default for StoragePricing {
-    fn default() -> Self {
-        Self {
-            per_gb_month: 0.023,
-            per_read: 0.40 / 1_000_000.0,
-            per_write: 5.00 / 1_000_000.0,
-        }
-    }
-}
-
-impl StoragePricing {
-    /// Cost of storing `size` for `duration` plus the given op counts.
-    pub fn cost(&self, size: ByteSize, duration: Duration, reads: u64, writes: u64) -> Dollars {
-        const SECONDS_PER_MONTH: f64 = 30.0 * 24.0 * 3600.0;
-        self.per_gb_month * size.as_gb_f64() * (duration.as_secs_f64() / SECONDS_PER_MONTH)
-            + self.per_read * reads as f64
-            + self.per_write * writes as f64
     }
 }
 
@@ -152,9 +120,9 @@ pub struct Bill {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LineItem {
     /// Memory configured for the billed function.
-    pub memory: ByteSize,
+    pub(crate) memory: ByteSize,
     /// Raw (un-rounded) execution duration.
-    pub duration: Duration,
+    pub(crate) duration: Duration,
     /// Dollars charged.
     pub cost: Dollars,
 }
@@ -249,18 +217,6 @@ mod tests {
         assert_eq!(p.instances_for(1), 1);
         assert_eq!(p.instances_for(16), 1);
         assert_eq!(p.instances_for(17), 2);
-    }
-
-    #[test]
-    fn storage_cost_components() {
-        let p = StoragePricing::default();
-        // 1 GB for 1 month, no ops.
-        let month = Duration::from_secs(30 * 24 * 3600);
-        let c = p.cost(ByteSize::gb(1), month, 0, 0);
-        assert!((c - 0.023).abs() < 1e-9);
-        // Ops only.
-        let c = p.cost(ByteSize::ZERO, Duration::ZERO, 1_000_000, 1_000_000);
-        assert!((c - 5.40).abs() < 1e-9);
     }
 
     #[test]

@@ -144,9 +144,9 @@ pub type FnvHashMap<K, V> = std::collections::HashMap<K, V, FnvBuildHasher>;
 #[derive(Debug, Clone, Copy)]
 pub struct HashPair {
     /// First base hash.
-    pub h1: u64,
+    pub(crate) h1: u64,
     /// Second base hash (forced odd so `g_i` cycles through all residues).
-    pub h2: u64,
+    pub(crate) h2: u64,
 }
 
 impl HashPair {

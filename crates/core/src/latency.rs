@@ -81,7 +81,8 @@ impl LatencyModel {
 
     /// The distribution mean (exact for constant/uniform, analytic for
     /// log-normal). Used by the DES when it wants expected service times.
-    pub fn mean(&self) -> Duration {
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> Duration {
         match *self {
             LatencyModel::Constant(d) => d,
             LatencyModel::Uniform { lo, hi } => (lo + hi) / 2,
@@ -142,7 +143,8 @@ pub mod profiles {
     }
 
     /// In-memory store op (Jiffy-class): tens of microseconds.
-    pub fn memory_op() -> LatencyModel {
+    #[cfg(test)]
+    pub(crate) fn memory_op() -> LatencyModel {
         LatencyModel::Uniform {
             lo: Duration::from_micros(10),
             hi: Duration::from_micros(80),

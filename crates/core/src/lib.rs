@@ -45,12 +45,3 @@ pub mod ratelimit;
 pub mod rng;
 pub mod sync;
 pub mod trace;
-
-pub use bytesize::ByteSize;
-pub use clock::{Clock, SharedClock, VirtualClock, WallClock};
-pub use id::{BlockId, LedgerId, NodeId};
-pub use metrics::{Counter, Histogram, MetricsRegistry};
-pub use sync::{ShardedMap, StripedCounter};
-pub use trace::{
-    SpanGuard, SpanId, SpanRecord, TelemetryEvent, TelemetrySink, TraceId, Tracer, TracerConfig,
-};

@@ -34,7 +34,7 @@ pub struct Counter {
 
 impl Counter {
     /// New counter at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -62,18 +62,8 @@ pub struct Gauge {
 
 impl Gauge {
     /// New gauge at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    /// Increase by `n`.
-    pub fn add(&self, n: i64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Decrease by `n`.
-    pub fn sub(&self, n: i64) {
-        self.value.fetch_sub(n, Ordering::Relaxed);
     }
 
     /// Set to an absolute value.
@@ -193,12 +183,13 @@ impl Histogram {
     }
 
     /// Sum of recorded values.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.get()
     }
 
     /// Mean of recorded values, or 0 if empty.
-    pub fn mean(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> f64 {
         let c = self.count();
         if c == 0 {
             0.0
@@ -259,15 +250,9 @@ impl Histogram {
         Duration::from_micros(self.value_at_quantile(q))
     }
 
-    /// Quantile estimate from the bucket bounds — the monitoring-facing
-    /// alias for [`Histogram::value_at_quantile`].
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.value_at_quantile(q)
-    }
-
     /// One-line health summary (`count/p50/p90/p99/max`), the form used
     /// by health-report renderers.
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         format!(
             "count={} p50={} p90={} p99={} max={}",
             self.count(),
@@ -276,40 +261,6 @@ impl Histogram {
             self.value_at_quantile(0.99),
             self.max(),
         )
-    }
-}
-
-/// Point-in-time snapshot of a histogram for reporting.
-#[derive(Debug, Clone)]
-pub struct HistogramSnapshot {
-    /// Sample count.
-    pub count: u64,
-    /// Mean value.
-    pub mean: f64,
-    /// Minimum value.
-    pub min: u64,
-    /// Median.
-    pub p50: u64,
-    /// 90th percentile.
-    pub p90: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// Maximum value.
-    pub max: u64,
-}
-
-impl Histogram {
-    /// Take a snapshot of the common reporting quantiles.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count(),
-            mean: self.mean(),
-            min: self.min(),
-            p50: self.value_at_quantile(0.50),
-            p90: self.value_at_quantile(0.90),
-            p99: self.value_at_quantile(0.99),
-            max: self.max(),
-        }
     }
 }
 
@@ -392,12 +343,7 @@ impl MetricsRegistry {
         sorted_view(&self.inner.counters, |c| c.get())
     }
 
-    /// Names and snapshots of all histograms, sorted by name.
-    pub fn histogram_snapshots(&self) -> Vec<(String, HistogramSnapshot)> {
-        sorted_view(&self.inner.histograms, |h| h.snapshot())
-    }
-
-    /// Names and one-line [`Histogram::summary`] strings of all
+    /// Names and one-line `Histogram::summary` strings of all
     /// histograms, sorted by name — the form health reports embed.
     pub fn histogram_summaries(&self) -> Vec<(String, String)> {
         sorted_view(&self.inner.histograms, |h| h.summary())
@@ -430,7 +376,11 @@ impl MetricsRegistry {
     /// Prometheus identifiers; label *values* are arbitrary and escaped
     /// per the text-format spec (backslash, double-quote, line feed).
     /// Every metric family gets `# HELP` and `# TYPE` comment lines.
-    pub fn render_prometheus_labeled(&self, prefix: &str, labels: &[(&str, &str)]) -> String {
+    pub(crate) fn render_prometheus_labeled(
+        &self,
+        prefix: &str,
+        labels: &[(&str, &str)],
+    ) -> String {
         fn sanitize(prefix: &str, name: &str) -> String {
             let mut out = String::with_capacity(prefix.len() + name.len());
             for (i, c) in prefix.chars().chain(name.chars()).enumerate() {
@@ -536,9 +486,6 @@ mod tests {
         assert_eq!(c.get(), 5);
 
         let g = Gauge::new();
-        g.add(10);
-        g.sub(3);
-        assert_eq!(g.get(), 7);
         g.set(-2);
         assert_eq!(g.get(), -2);
     }
@@ -596,7 +543,6 @@ mod tests {
         for v in 1..=100u64 {
             h.record(v);
         }
-        assert_eq!(h.quantile(0.5), h.value_at_quantile(0.5));
         let s = h.summary();
         assert!(s.starts_with("count=100 "));
         assert!(s.contains("p50="));
@@ -704,7 +650,7 @@ mod tests {
     fn gauge_values_reports_all_gauges() {
         let r = MetricsRegistry::new();
         r.gauge("live_containers").set(4);
-        r.gauge("allocated_blocks").add(7);
+        r.gauge("allocated_blocks").set(7);
         assert_eq!(
             r.gauge_values(),
             vec![

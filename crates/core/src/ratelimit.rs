@@ -2,7 +2,7 @@
 //!
 //! Used for per-tenant admission control in the FaaS runtime (a stand-in for
 //! provider-side concurrency limits) and for producer throttling in the
-//! messaging layer. Driven by a [`Clock`] so tests use virtual time.
+//! messaging layer. Driven by a [`Clock`](crate::clock::Clock) so tests use virtual time.
 
 use std::time::Duration;
 
@@ -63,7 +63,8 @@ impl TokenBucket {
     }
 
     /// Tokens currently available (after refill).
-    pub fn available(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn available(&self) -> f64 {
         let mut state = self.state.lock();
         self.refill(&mut state);
         state.tokens

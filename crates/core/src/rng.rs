@@ -60,11 +60,6 @@ impl Zipf {
         Self { cdf }
     }
 
-    /// Number of items.
-    pub fn n(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// Draw one item index.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
@@ -84,41 +79,6 @@ impl Zipf {
         } else {
             self.cdf[i] - self.cdf[i - 1]
         }
-    }
-}
-
-/// Homogeneous Poisson arrival process: exponential inter-arrival times with
-/// the given rate (events per second).
-#[derive(Debug, Clone, Copy)]
-pub struct PoissonArrivals {
-    rate_per_sec: f64,
-}
-
-impl PoissonArrivals {
-    /// New process with `rate_per_sec` expected events per second.
-    pub fn new(rate_per_sec: f64) -> Self {
-        assert!(rate_per_sec > 0.0, "rate must be positive");
-        Self { rate_per_sec }
-    }
-
-    /// Sample the gap to the next arrival, in seconds.
-    pub fn next_gap_secs<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        -u.ln() / self.rate_per_sec
-    }
-
-    /// Generate all arrival offsets (seconds) within a horizon.
-    pub fn arrivals_within<R: Rng + ?Sized>(&self, rng: &mut R, horizon_secs: f64) -> Vec<f64> {
-        let mut out = Vec::new();
-        let mut t = 0.0;
-        loop {
-            t += self.next_gap_secs(rng);
-            if t >= horizon_secs {
-                break;
-            }
-            out.push(t);
-        }
-        out
     }
 }
 
@@ -182,17 +142,5 @@ mod tests {
             (emp - exact).abs() / exact < 0.05,
             "emp {emp} exact {exact}"
         );
-    }
-
-    #[test]
-    fn poisson_mean_rate_is_respected() {
-        let p = PoissonArrivals::new(50.0);
-        let mut r = det_rng(11);
-        let arrivals = p.arrivals_within(&mut r, 100.0);
-        let rate = arrivals.len() as f64 / 100.0;
-        assert!((rate - 50.0).abs() / 50.0 < 0.1, "rate {rate}");
-        // Arrivals are sorted and within the horizon.
-        assert!(arrivals.windows(2).all(|w| w[0] <= w[1]));
-        assert!(arrivals.iter().all(|&t| t < 100.0));
     }
 }

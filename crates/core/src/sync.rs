@@ -26,7 +26,7 @@
 //! `RwLock`s and `OnceLock`s at their owners, read by copying the value
 //! out; sealed ledger segments are immutable `Arc`s and need no cell.
 //!
-//! Shard count defaults to [`DEFAULT_SHARDS`] (16): enough stripes that 8
+//! Shard count defaults to `DEFAULT_SHARDS` (16): enough stripes that 8
 //! threads on disjoint keys collide with probability < ½ per op, small
 //! enough that whole-map sweeps stay cheap. Callers with a known hot width
 //! can override via [`ShardedMap::with_shards`].
@@ -43,7 +43,6 @@ use parking_lot::Mutex;
 
 use crate::hash::{fnv, FnvBuildHasher, FnvHashMap};
 use crate::id::LedgerId;
-use crate::metrics::{Histogram, HistogramSnapshot};
 use crate::trace::TelemetrySink;
 
 /// The table type inside each shard. FNV-hashed: shard keys are short,
@@ -52,13 +51,13 @@ use crate::trace::TelemetrySink;
 /// (the e25 `jiffy_kv` regression). One FNV pass picks the stripe and the
 /// same FNV core drives the in-table probe — no SipHash anywhere on the
 /// lookup path.
-pub type Shard<K, V> = FnvHashMap<K, V>;
+pub(crate) type Shard<K, V> = FnvHashMap<K, V>;
 
 /// Default shard count for [`ShardedMap`] (must be a power of two).
-pub const DEFAULT_SHARDS: usize = 16;
+pub(crate) const DEFAULT_SHARDS: usize = 16;
 
 /// Number of cells in a [`StripedCounter`] (must be a power of two).
-pub const COUNTER_STRIPES: usize = 16;
+pub(crate) const COUNTER_STRIPES: usize = 16;
 
 /// Types usable as sharding keys: anything that can hash itself to a
 /// stable 64-bit stripe selector via [`fnv`].
@@ -138,7 +137,7 @@ impl<K, V> fmt::Debug for ShardedMap<K, V> {
 }
 
 impl<K, V> ShardedMap<K, V> {
-    /// New map with [`DEFAULT_SHARDS`] shards.
+    /// New map with `DEFAULT_SHARDS` shards.
     pub fn new() -> Self {
         Self::with_shards(DEFAULT_SHARDS)
     }
@@ -163,13 +162,11 @@ impl<K, V> ShardedMap<K, V> {
     }
 
     /// Attach a contention [`LockSite`]: every subsequent keyed
-    /// acquisition (`with`, `insert`, `remove`, `get_cloned`,
-    /// `contains_key`) reports wait/hold timings to it. Attach-once:
+    /// acquisition (`with`, `insert`, `remove`, `get_cloned`) reports
+    /// wait/hold timings to it. Attach-once:
     /// returns `false` (and leaves the existing site) if a profiler is
     /// already attached. Whole-map sweeps (`for_each`, `len`, …) are
-    /// report-time paths and stay untimed. With the `lock-prof` feature
-    /// disabled this still stores the site but no timing code is compiled
-    /// into the lock paths at all.
+    /// report-time paths and stay untimed.
     pub fn attach_profiler(&self, site: Arc<LockSite>) -> bool {
         self.prof.set(site).is_ok()
     }
@@ -186,7 +183,6 @@ impl<K, V> ShardedMap<K, V> {
     fn run_locked<R>(&self, hash: u64, f: impl FnOnce(&mut Shard<K, V>) -> R) -> R {
         let idx = (hash & self.mask) as usize;
         let mutex = &self.shards[idx];
-        #[cfg(feature = "lock-prof")]
         if let Some(site) = self.prof.get() {
             return site.timed(idx, mutex, f);
         }
@@ -204,7 +200,6 @@ impl<K, V> ShardedMap<K, V> {
     fn read_locked<R>(&self, hash: u64, f: impl FnOnce(&Shard<K, V>) -> R) -> R {
         let idx = (hash & self.mask) as usize;
         let mutex = &self.shards[idx];
-        #[cfg(feature = "lock-prof")]
         if let Some(site) = self.prof.get() {
             if let Some(shard) = mutex.try_lock() {
                 site.count_acquisition();
@@ -262,16 +257,6 @@ impl<K: Eq + Hash, V> ShardedMap<K, V> {
         V: Clone,
     {
         self.read_locked(key.shard_hash(), |shard| shard.get(key).cloned())
-    }
-
-    /// Whether `key` is present.
-    #[inline]
-    pub fn contains_key<Q>(&self, key: &Q) -> bool
-    where
-        K: Borrow<Q>,
-        Q: ShardKey + Hash + Eq + ?Sized,
-    {
-        self.read_locked(key.shard_hash(), |shard| shard.contains_key(key))
     }
 
     /// Run `f` with shared access to the shard owning `key`, through the
@@ -369,7 +354,7 @@ fn stripe_index() -> usize {
     })
 }
 
-/// A lock-free counter striped across [`COUNTER_STRIPES`] cache-padded
+/// A lock-free counter striped across `COUNTER_STRIPES` cache-padded
 /// cells. Each thread adds to its own cell; [`StripedCounter::get`] folds
 /// all cells into one total. Increments scale with cores; reads pay a
 /// 16-load sweep, which is fine for report-time consumers.
@@ -402,7 +387,7 @@ impl StripedCounter {
 
     /// Add one.
     #[inline]
-    pub fn inc(&self) {
+    pub(crate) fn inc(&self) {
         self.add(1);
     }
 
@@ -420,9 +405,8 @@ impl StripedCounter {
 /// critical section. Waits are never sampled — a wait only starts its
 /// clock after `try_lock` has already failed, so the uncontended path
 /// never reads a clock at all.
-pub const HOLD_SAMPLE_EVERY: u64 = 64;
+pub(crate) const HOLD_SAMPLE_EVERY: u64 = 64;
 
-#[cfg(feature = "lock-prof")]
 thread_local! {
     /// Per-thread acquisition tick driving hold-time sampling. Thread-local
     /// so sampling needs no shared atomic (lock-order-free: recording never
@@ -431,7 +415,6 @@ thread_local! {
     static HOLD_TICK: Cell<u64> = const { Cell::new(0) };
 }
 
-#[cfg(feature = "lock-prof")]
 #[inline]
 fn hold_sampled(mask: u64) -> bool {
     HOLD_TICK.with(|t| {
@@ -442,7 +425,6 @@ fn hold_sampled(mask: u64) -> bool {
 }
 
 /// Saturating nanosecond count of a [`Duration`].
-#[cfg(feature = "lock-prof")]
 #[inline]
 fn saturating_nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
@@ -451,7 +433,7 @@ fn saturating_nanos(d: Duration) -> u64 {
 /// Contention instrumentation for one named lock site (one [`ShardedMap`],
 /// e.g. the broker's topic registry). Counts every acquisition, times
 /// every *contended* wait (`try_lock` miss → clock → blocking `lock`), and
-/// samples hold times one-in-[`HOLD_SAMPLE_EVERY`]. All recording is
+/// samples hold times one-in-`HOLD_SAMPLE_EVERY`. All recording is
 /// lock-order-free: striped counters, per-shard padded atomics, and an
 /// atomic histogram — the profiler can never introduce an ordering edge
 /// between the locks it watches.
@@ -459,9 +441,7 @@ fn saturating_nanos(d: Duration) -> u64 {
 /// Cost model (why this stays always-on): an uncontended acquisition pays
 /// one striped `fetch_add` plus (1/N of the time) two `Instant::now`
 /// reads; a contended one was already paying a blocking wait, so its two
-/// clock reads and histogram update are noise. The `lock-prof` cargo
-/// feature (default on) compiles even that out for builds that want the
-/// seed-identical hot path.
+/// clock reads and histogram update are noise.
 pub struct LockSite {
     name: String,
     /// Process-unique id (monotonic). Delta-flush baselines key on this,
@@ -473,10 +453,7 @@ pub struct LockSite {
     contended: StripedCounter,
     wait_nanos: StripedCounter,
     hold_nanos: StripedCounter,
-    wait_us: Histogram,
-    hold_us: Histogram,
     shard_wait: Box<[PaddedCell]>,
-    shard_hold: Box<[PaddedCell]>,
 }
 
 impl fmt::Debug for LockSite {
@@ -492,13 +469,17 @@ impl fmt::Debug for LockSite {
 impl LockSite {
     /// New site covering `shards` stripes, sampling hold times at the
     /// default [`HOLD_SAMPLE_EVERY`] rate.
-    pub fn new(name: impl Into<String>, shards: usize) -> Arc<Self> {
+    pub(crate) fn new(name: impl Into<String>, shards: usize) -> Arc<Self> {
         Self::with_hold_sampling(name, shards, HOLD_SAMPLE_EVERY)
     }
 
     /// New site sampling hold times one-in-`every` (must be a power of
     /// two; `1` measures every acquisition — useful in tests).
-    pub fn with_hold_sampling(name: impl Into<String>, shards: usize, every: u64) -> Arc<Self> {
+    pub(crate) fn with_hold_sampling(
+        name: impl Into<String>,
+        shards: usize,
+        every: u64,
+    ) -> Arc<Self> {
         assert!(every.is_power_of_two(), "hold sampling rate must be 2^k");
         static NEXT_SITE_ID: AtomicU64 = AtomicU64::new(0);
         let shards = shards.max(1);
@@ -516,10 +497,7 @@ impl LockSite {
             contended: StripedCounter::new(),
             wait_nanos: StripedCounter::new(),
             hold_nanos: StripedCounter::new(),
-            wait_us: Histogram::new(),
-            hold_us: Histogram::new(),
             shard_wait: mk(shards),
-            shard_hold: mk(shards),
         })
     }
 
@@ -532,13 +510,12 @@ impl LockSite {
     /// inline read fast path ([`ShardedMap::read`]), which skips hold
     /// sampling entirely.
     #[inline]
-    pub fn count_acquisition(&self) {
+    pub(crate) fn count_acquisition(&self) {
         self.acquisitions.inc();
     }
 
     /// Acquire `mutex` (stripe `shard` of this site), timing the wait when
     /// contended and the hold when sampled, then run `f` under the guard.
-    #[cfg(feature = "lock-prof")]
     #[inline]
     pub(crate) fn timed<T, R>(
         &self,
@@ -561,7 +538,6 @@ impl LockSite {
                 if let Some(cell) = self.shard_wait.get(shard) {
                     cell.0.fetch_add(ns, Ordering::Relaxed);
                 }
-                self.wait_us.record_duration(waited);
                 g
             }
         };
@@ -569,13 +545,7 @@ impl LockSite {
             let t0 = Instant::now();
             let out = f(&mut guard);
             drop(guard);
-            let held = t0.elapsed();
-            let ns = saturating_nanos(held);
-            self.hold_nanos.add(ns);
-            if let Some(cell) = self.shard_hold.get(shard) {
-                cell.0.fetch_add(ns, Ordering::Relaxed);
-            }
-            self.hold_us.record_duration(held);
+            self.hold_nanos.add(saturating_nanos(t0.elapsed()));
             out
         } else {
             f(&mut guard)
@@ -591,15 +561,8 @@ impl LockSite {
             wait_total: Duration::from_nanos(self.wait_nanos.get()),
             hold_sampled_total: Duration::from_nanos(self.hold_nanos.get()),
             hold_sample_every: self.hold_sample_mask + 1,
-            wait_us: self.wait_us.snapshot(),
-            hold_us: self.hold_us.snapshot(),
             shard_wait_nanos: self
                 .shard_wait
-                .iter()
-                .map(|c| c.0.load(Ordering::Relaxed))
-                .collect(),
-            shard_hold_nanos: self
-                .shard_hold
                 .iter()
                 .map(|c| c.0.load(Ordering::Relaxed))
                 .collect(),
@@ -621,17 +584,11 @@ pub struct LockSiteSnapshot {
     /// Total hold time of the *sampled* acquisitions (multiply by
     /// `hold_sample_every` for an estimate of the true total; see
     /// [`LockSiteSnapshot::hold_total_estimate`]).
-    pub hold_sampled_total: Duration,
+    pub(crate) hold_sampled_total: Duration,
     /// One acquisition in this many had its hold time measured.
-    pub hold_sample_every: u64,
-    /// Wait-time distribution of contended acquisitions, microseconds.
-    pub wait_us: HistogramSnapshot,
-    /// Hold-time distribution of sampled acquisitions, microseconds.
-    pub hold_us: HistogramSnapshot,
+    pub(crate) hold_sample_every: u64,
     /// Per-shard blocked-wait nanoseconds (index = shard index).
-    pub shard_wait_nanos: Vec<u64>,
-    /// Per-shard sampled-hold nanoseconds (index = shard index).
-    pub shard_hold_nanos: Vec<u64>,
+    pub(crate) shard_wait_nanos: Vec<u64>,
 }
 
 impl LockSiteSnapshot {
@@ -707,12 +664,12 @@ impl ContentionProfiler {
     }
 
     /// Register an externally created site.
-    pub fn register(&self, site: &Arc<LockSite>) {
+    pub(crate) fn register(&self, site: &Arc<LockSite>) {
         self.inner.sites.lock().push(Arc::clone(site));
     }
 
     /// All registered sites.
-    pub fn sites(&self) -> Vec<Arc<LockSite>> {
+    pub(crate) fn sites(&self) -> Vec<Arc<LockSite>> {
         self.inner.sites.lock().clone()
     }
 
@@ -770,7 +727,6 @@ mod tests {
         assert_eq!(m.insert("a".to_string(), 1), None);
         assert_eq!(m.insert("a".to_string(), 2), Some(1));
         assert_eq!(m.get_cloned("a"), Some(2));
-        assert!(m.contains_key("a"));
         assert_eq!(m.len(), 1);
         assert_eq!(m.remove("a"), Some(2));
         assert_eq!(m.get_cloned("a"), None);
@@ -844,7 +800,6 @@ mod tests {
         assert_eq!(model.len(), 8 * 500);
     }
 
-    #[cfg(feature = "lock-prof")]
     #[test]
     fn lock_site_counts_every_acquisition_path() {
         let m: ShardedMap<String, u64> = ShardedMap::new();
@@ -857,10 +812,9 @@ mod tests {
         m.insert("a".to_string(), 1); // 1
         m.with("a", |s| s.get("a").copied()); // 2
         m.get_cloned("a"); // 3
-        m.contains_key("a"); // 4
-        m.remove("a"); // 5
+        m.remove("a"); // 4
         let snap = site.snapshot();
-        assert_eq!(snap.acquisitions, 5);
+        assert_eq!(snap.acquisitions, 4);
         assert_eq!(snap.contended, 0);
         assert_eq!(snap.wait_total, Duration::ZERO);
         assert_eq!(snap.shard_wait_nanos.len(), m.shard_count());
@@ -868,7 +822,6 @@ mod tests {
         assert_eq!(snap.contention_ratio(), 0.0);
     }
 
-    #[cfg(feature = "lock-prof")]
     #[test]
     fn contended_acquisitions_record_wait_time() {
         let m: Arc<ShardedMap<String, u64>> = Arc::new(ShardedMap::with_shards(1));
@@ -894,12 +847,10 @@ mod tests {
         assert_eq!(snap.acquisitions, 201);
         assert!(snap.contended > 0, "4 threads on 1 shard must contend");
         assert!(snap.wait_total > Duration::ZERO);
-        assert!(snap.wait_us.count == snap.contended);
         // Hold sampling at 1: every *timed-path* acquisition measured, and
         // the holds include the deliberate 50µs sleeps. The final
         // uncontended `get_cloned` rode the inline read fast path, which
         // counts the acquisition but skips hold sampling by design.
-        assert_eq!(snap.hold_us.count, snap.acquisitions - 1);
         assert!(snap.hold_sampled_total >= Duration::from_micros(50) * 200);
         assert_eq!(snap.hottest_shard().unwrap().0, 0);
         assert!(snap.contention_ratio() > 0.0 && snap.contention_ratio() <= 1.0);
@@ -922,16 +873,14 @@ mod tests {
         m.get_cloned("k");
         let sink = TelemetrySink::new(64);
         let pushed = prof.flush_to_sink(&sink);
-        if cfg!(feature = "lock-prof") {
-            assert_eq!(pushed, 1, "only z.site.acquisitions moved");
-            let events = sink.drain(16);
-            match &events[0] {
-                TelemetryEvent::Metric { name, delta } => {
-                    assert_eq!(name, "lock.z.site.acquisitions");
-                    assert_eq!(*delta, 2);
-                }
-                other => panic!("unexpected {other:?}"),
+        assert_eq!(pushed, 1, "only z.site.acquisitions moved");
+        let events = sink.drain(16);
+        match &events[0] {
+            TelemetryEvent::Metric { name, delta } => {
+                assert_eq!(name, "lock.z.site.acquisitions");
+                assert_eq!(*delta, 2);
             }
+            other => panic!("unexpected {other:?}"),
         }
         // Idle profiler ships nothing on the next flush.
         assert_eq!(prof.flush_to_sink(&sink), 0);
@@ -940,9 +889,6 @@ mod tests {
     #[test]
     fn late_registered_site_still_flushes_deltas() {
         use crate::trace::{TelemetryEvent, TelemetrySink};
-        if !cfg!(feature = "lock-prof") {
-            return;
-        }
         let prof = ContentionProfiler::new();
         let sink = TelemetrySink::new(64);
         let m1: ShardedMap<String, u64> = ShardedMap::new();

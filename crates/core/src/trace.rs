@@ -22,7 +22,7 @@
 //! format flamegraph tools consume) aggregated by call path.
 //!
 //! Retention is bounded: the tracer is an always-on **flight recorder**
-//! holding the most recent [`TracerConfig::retention`] spans in a ring
+//! holding the most recent `TracerConfig::retention` spans in a ring
 //! buffer (oldest evicted first, counted in [`Tracer::dropped_spans`]),
 //! with optional head-based sampling for high-volume deployments. A
 //! [`TelemetrySink`] can be attached to stream every finished span (and
@@ -135,13 +135,6 @@ impl HlcStamp {
     /// Encoded size of [`HlcStamp::to_bytes`].
     pub const WIRE_LEN: usize = 20;
 
-    /// The zero stamp (sorts before every real stamp).
-    pub const ZERO: Self = Self {
-        physical_us: 0,
-        logical: 0,
-        node: 0,
-    };
-
     /// The stamp's physical component as a [`Duration`] since the clock
     /// epoch. Node clock skew is baked in — treat it as approximate
     /// wall-time, exact order.
@@ -191,11 +184,6 @@ impl HlcClock {
             node,
             state: Mutex::new((0, 0)),
         }
-    }
-
-    /// The node this clock stamps for.
-    pub fn node(&self) -> u64 {
-        self.node
     }
 
     /// Stamp a local or send event, given the node's current physical
@@ -270,16 +258,16 @@ impl SpanRecord {
 
 /// Retention and sampling policy for a [`Tracer`].
 #[derive(Debug, Clone)]
-pub struct TracerConfig {
+pub(crate) struct TracerConfig {
     /// Maximum spans retained in the flight-recorder ring buffer. When
     /// full, the oldest span is evicted (and counted in
     /// [`Tracer::dropped_spans`]). Must be at least 1.
-    pub retention: usize,
+    pub(crate) retention: usize,
     /// Head-based sampling: keep roughly one in this many traces
     /// (decided by hashing the trace id, so sequential ids still sample
     /// uniformly). `1` (the default) keeps everything. Sampling is per
     /// *trace*, so a kept trace is always causally complete.
-    pub sample_one_in: u64,
+    pub(crate) sample_one_in: u64,
 }
 
 impl Default for TracerConfig {
@@ -337,14 +325,9 @@ impl TelemetrySink {
         }
     }
 
-    /// Maximum undrained events held before new ones are dropped.
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity
-    }
-
     /// Enqueue an event. Returns `false` (and counts the drop) when the
     /// queue is full; never blocks beyond the queue lock.
-    pub fn push(&self, event: TelemetryEvent) -> bool {
+    pub(crate) fn push(&self, event: TelemetryEvent) -> bool {
         let mut queue = self.inner.queue.lock();
         if queue.len() >= self.inner.capacity {
             drop(queue);
@@ -356,7 +339,7 @@ impl TelemetrySink {
     }
 
     /// Enqueue a finished span.
-    pub fn span(&self, record: Arc<SpanRecord>) -> bool {
+    pub(crate) fn span(&self, record: Arc<SpanRecord>) -> bool {
         self.push(TelemetryEvent::Span(record))
     }
 
@@ -384,7 +367,7 @@ impl TelemetrySink {
     }
 
     /// Undrained events currently queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.queue.lock().len()
     }
 
@@ -473,13 +456,13 @@ pub struct Tracer {
 
 impl Tracer {
     /// An enabled tracer stamping spans from `clock`, with default
-    /// retention and no sampling (see [`TracerConfig`]).
+    /// retention and no sampling (see `TracerConfig`).
     pub fn new(clock: SharedClock) -> Self {
         Self::with_config(clock, TracerConfig::default())
     }
 
     /// An enabled tracer with an explicit retention/sampling policy.
-    pub fn with_config(clock: SharedClock, config: TracerConfig) -> Self {
+    pub(crate) fn with_config(clock: SharedClock, config: TracerConfig) -> Self {
         assert!(config.retention >= 1, "tracer retention must be >= 1");
         Self {
             inner: Some(Arc::new(TracerInner {
@@ -503,11 +486,6 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// The retention/sampling policy, `None` for a disabled tracer.
-    pub fn config(&self) -> Option<TracerConfig> {
-        self.inner.as_ref().map(|i| i.config.clone())
-    }
-
     /// Spans evicted from the flight-recorder ring buffer because it was
     /// full. Unsampled spans are not counted (they were never recorded).
     pub fn dropped_spans(&self) -> u64 {
@@ -523,13 +501,6 @@ impl Tracer {
     pub fn set_telemetry(&self, sink: TelemetrySink) {
         if let Some(inner) = &self.inner {
             *inner.sink.lock() = Some(sink);
-        }
-    }
-
-    /// Detach the telemetry sink, if any.
-    pub fn clear_telemetry(&self) {
-        if let Some(inner) = &self.inner {
-            *inner.sink.lock() = None;
         }
     }
 
@@ -614,7 +585,7 @@ impl Tracer {
 
     /// Snapshot of every retained span, in completion order (oldest
     /// retained first). When the ring buffer has overflowed this is the
-    /// most recent [`TracerConfig::retention`] spans.
+    /// most recent `TracerConfig::retention` spans.
     pub fn spans(&self) -> Vec<SpanRecord> {
         match &self.inner {
             Some(inner) => inner.spans.lock().iter().map(|s| (**s).clone()).collect(),
@@ -627,13 +598,6 @@ impl Tracer {
         match &self.inner {
             Some(inner) => inner.spans.lock().len(),
             None => 0,
-        }
-    }
-
-    /// Drop all recorded spans.
-    pub fn clear(&self) {
-        if let Some(inner) = &self.inner {
-            inner.spans.lock().clear();
         }
     }
 
@@ -757,16 +721,6 @@ impl SpanGuard {
         if let Some(open) = &mut self.state {
             open.record.attrs.push((key, value.to_string()));
         }
-    }
-
-    /// This span's trace id (`None` on a disabled tracer).
-    pub fn trace_id(&self) -> Option<TraceId> {
-        self.state.as_ref().map(|o| o.record.trace_id)
-    }
-
-    /// This span's id (`None` on a disabled tracer).
-    pub fn span_id(&self) -> Option<SpanId> {
-        self.state.as_ref().map(|o| o.record.span_id)
     }
 
     /// Identity for parenting spans under this one from other threads
@@ -894,7 +848,12 @@ mod tests {
         assert_eq!(bytes.len(), HlcStamp::WIRE_LEN);
         assert_eq!(HlcStamp::from_bytes(&bytes), Some(stamp));
         assert_eq!(HlcStamp::from_bytes(&bytes[..19]), None);
-        assert!(HlcStamp::ZERO < stamp);
+        let zero = HlcStamp {
+            physical_us: 0,
+            logical: 0,
+            node: 0,
+        };
+        assert!(zero < stamp);
     }
 
     fn virtual_tracer() -> (Tracer, std::sync::Arc<VirtualClock>) {
@@ -958,7 +917,7 @@ mod tests {
         assert!(!tracer.is_enabled());
         let mut g = tracer.span("a", "op");
         g.attr("k", "v");
-        assert_eq!(g.span_id(), None);
+        assert!(g.state.is_none());
         drop(g);
         assert_eq!(tracer.span_count(), 0);
         assert_eq!(
@@ -1132,9 +1091,6 @@ mod tests {
             }
             other => panic!("expected metric event, got {other:?}"),
         }
-        tracer.clear_telemetry();
-        drop(tracer.span("sys", "untracked"));
-        assert!(sink.is_empty());
     }
 
     #[test]
@@ -1315,12 +1271,12 @@ mod tests {
         // Deterministic overflow coda: fill to capacity, then one more
         // must be dropped and counted — exactly one.
         let base_dropped = sink.dropped();
-        for _ in 0..sink.capacity() {
+        for _ in 0..sink.inner.capacity {
             assert!(sink.metric("fill", 1));
         }
         assert!(!sink.metric("overflow", 1));
         assert_eq!(sink.dropped(), base_dropped + 1);
-        assert_eq!(sink.drain(usize::MAX).len(), sink.capacity());
+        assert_eq!(sink.drain(usize::MAX).len(), sink.inner.capacity);
     }
 
     #[test]

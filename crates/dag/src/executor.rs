@@ -118,7 +118,7 @@ pub struct NodeOutcome {
     /// Execution time of the successful attempt.
     pub exec: Duration,
     /// Dollars billed for the successful attempt.
-    pub cost: Dollars,
+    pub(crate) cost: Dollars,
     /// Output size in bytes.
     pub output_bytes: usize,
     /// Whether the output was spilled to Jiffy.
@@ -250,11 +250,6 @@ impl DagExecutor {
     /// `spills`, `event_errors`.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.core.metrics
-    }
-
-    /// The executor's policy.
-    pub fn config(&self) -> &ExecutorConfig {
-        &self.core.cfg
     }
 
     /// Run `dag` as job `job` with `input` fed to every root node.

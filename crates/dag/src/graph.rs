@@ -19,14 +19,14 @@ use crate::error::DagError;
 /// One workflow node: invoke `function` once every dependency's output is
 /// available.
 #[derive(Debug, Clone)]
-pub struct DagNode {
+pub(crate) struct DagNode {
     /// Unique node name within the DAG.
-    pub name: String,
+    pub(crate) name: String,
     /// Registered FaaS function this node invokes.
-    pub function: String,
+    pub(crate) function: String,
     /// Names of nodes whose outputs this node consumes, in the order the
     /// node wants them framed (see the executor's input-assembly rules).
-    pub deps: Vec<String>,
+    pub(crate) deps: Vec<String>,
 }
 
 /// Incrementally declares nodes, then validates the whole graph at once.
@@ -127,11 +127,11 @@ impl DagBuilder {
             .map(|node| (node.name.as_str().into(), node.function.as_str().into()))
             .collect();
         Ok(Dag(Arc::new(Graph {
+            #[cfg(test)]
             roots: (0..n).filter(|&i| deps[i].is_empty()).collect(),
             sinks: (0..n).filter(|&i| dependents[i].is_empty()).collect(),
             nodes: self.nodes,
             labels,
-            index,
             deps,
             dependents,
             level,
@@ -152,12 +152,12 @@ struct Graph {
     /// Each node's (name, function) as shared strings: a run's outcomes
     /// carry them without copying.
     labels: Vec<(Arc<str>, Arc<str>)>,
-    index: HashMap<String, usize>,
     deps: Vec<Vec<usize>>,
     dependents: Vec<Vec<usize>>,
     /// Earliest-start level of each node: 0 for roots, otherwise one more
     /// than the deepest dependency.
     level: Vec<usize>,
+    #[cfg(test)]
     roots: Vec<usize>,
     sinks: Vec<usize>,
     frontiers: Vec<Vec<usize>>,
@@ -174,24 +174,15 @@ impl Dag {
         self.0.nodes.is_empty()
     }
 
-    /// All nodes, in declaration order (node indices index this slice).
-    pub fn nodes(&self) -> &[DagNode] {
-        &self.0.nodes
-    }
-
     /// The node at `i`.
-    pub fn node(&self, i: usize) -> &DagNode {
+    #[cfg(test)]
+    pub(crate) fn node(&self, i: usize) -> &DagNode {
         &self.0.nodes[i]
     }
 
     /// Node `i`'s (name, function), shared.
     pub(crate) fn labels(&self, i: usize) -> &(Arc<str>, Arc<str>) {
         &self.0.labels[i]
-    }
-
-    /// Index of the named node.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.0.index.get(name).copied()
     }
 
     /// Dependency indices of node `i`, in declared order.
@@ -205,12 +196,13 @@ impl Dag {
     }
 
     /// Nodes with no dependencies (they receive the workflow input).
-    pub fn roots(&self) -> &[usize] {
+    #[cfg(test)]
+    pub(crate) fn roots(&self) -> &[usize] {
         &self.0.roots
     }
 
     /// Nodes nothing depends on (their outputs form the workflow output).
-    pub fn sinks(&self) -> &[usize] {
+    pub(crate) fn sinks(&self) -> &[usize] {
         &self.0.sinks
     }
 

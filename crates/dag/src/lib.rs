@@ -12,15 +12,15 @@
 //! *Fault-tolerant and Transactional Stateful Serverless Workflows*).
 //! This crate supplies both:
 //!
-//! - [`graph`]: DAG builder and validator — cycle detection, topological
+//! - `graph`: DAG builder and validator — cycle detection, topological
 //!   [frontiers](graph::Dag::frontiers), [critical
 //!   path](graph::Dag::critical_path), and a
 //!   [chain-DAG view](graph::Dag::from_state_machine) of linear state
 //!   machines so both workflow models share one executor.
-//! - [`policy`]: retry backoff, size-based intermediate-data passing
+//! - `policy`: retry backoff, size-based intermediate-data passing
 //!   (Wukong's locality argument: small values inline, large values
 //!   through Jiffy), and the executor configuration.
-//! - [`executor`]: dependency-counted scheduling on the caller plus
+//! - `executor`: dependency-counted scheduling on the caller plus
 //!   parked helper threads against the `taureau-faas` container pool,
 //!   per-node retry with exponential backoff, output spill to Jiffy,
 //!   node-completion events on Pulsar, and workflow-level checkpointing
@@ -54,12 +54,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod error;
-pub mod executor;
-pub mod graph;
-pub mod policy;
+pub(crate) mod error;
+pub(crate) mod executor;
+pub(crate) mod graph;
+pub(crate) mod policy;
 
 pub use error::DagError;
 pub use executor::{DagExecutor, NodeOutcome, WorkflowReport};
-pub use graph::{Dag, DagBuilder, DagNode};
-pub use policy::{DataPassing, ExecutorConfig, RetryPolicy};
+pub use graph::{Dag, DagBuilder};
+pub use policy::{ExecutorConfig, RetryPolicy};

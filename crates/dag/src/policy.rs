@@ -11,13 +11,13 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per node (≥ 1; 1 disables retry).
-    pub max_attempts: u32,
+    pub(crate) max_attempts: u32,
     /// Backoff before the second attempt.
-    pub base: Duration,
+    pub(crate) base: Duration,
     /// Backoff growth factor per subsequent attempt.
-    pub multiplier: f64,
+    pub(crate) multiplier: f64,
     /// Upper bound on any single backoff.
-    pub max_backoff: Duration,
+    pub(crate) max_backoff: Duration,
 }
 
 impl RetryPolicy {
@@ -30,7 +30,7 @@ impl RetryPolicy {
     }
 
     /// Backoff to sleep after the `attempt`-th failure (1-based).
-    pub fn backoff(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32) -> Duration {
         let exp = self.multiplier.powi(attempt.saturating_sub(1) as i32);
         self.base.mul_f64(exp).min(self.max_backoff)
     }

@@ -62,7 +62,7 @@ impl std::fmt::Debug for BillingMeter {
 
 impl BillingMeter {
     /// Meter under the given pricing.
-    pub fn new(pricing: FaasPricing) -> Self {
+    pub(crate) fn new(pricing: FaasPricing) -> Self {
         Self {
             pricing,
             accounts: RwLock::new(HashMap::new()),
@@ -83,7 +83,8 @@ impl BillingMeter {
     }
 
     /// Record one billed execution; returns its cost.
-    pub fn charge(&self, tenant: &str, memory: ByteSize, duration: Duration) -> Dollars {
+    #[cfg(test)]
+    pub(crate) fn charge(&self, tenant: &str, memory: ByteSize, duration: Duration) -> Dollars {
         self.account(tenant).charge(&self.pricing, memory, duration)
     }
 
@@ -105,7 +106,8 @@ impl BillingMeter {
     }
 
     /// Grand total across tenants.
-    pub fn grand_total(&self) -> Dollars {
+    #[cfg(test)]
+    pub(crate) fn grand_total(&self) -> Dollars {
         self.accounts
             .read()
             .values()

@@ -61,4 +61,4 @@ impl std::fmt::Display for FaasError {
 impl std::error::Error for FaasError {}
 
 /// Convenience result alias.
-pub type Result<T> = std::result::Result<T, FaasError>;
+pub(crate) type Result<T> = std::result::Result<T, FaasError>;

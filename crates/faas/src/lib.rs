@@ -17,15 +17,15 @@
 //! Around those, the control plane that makes the paper's cold-start and
 //! elasticity discussions concrete:
 //!
-//! - [`pool`]: warm-container pool with keep-alive reaping, provisioned
+//! - `pool`: warm-container pool with keep-alive reaping, provisioned
 //!   concurrency, and injected cold-start latency (calibrated in
 //!   `taureau_core::latency::profiles`) — experiment E2's subject.
-//! - [`platform`]: the invoker — admission control (per-tenant rate limits,
+//! - `platform`: the invoker — admission control (per-tenant rate limits,
 //!   per-function concurrency caps), scheduling onto containers, timeout
 //!   enforcement, at-least-once retries.
 //! - [`trigger`]: event sources — schedules and queues — for the
 //!   event-driven application patterns of §3.
-//! - [`billing`]: per-tenant meters and bills.
+//! - `billing`: per-tenant meters and bills.
 //! - [`semantics`]: a bounded model checker for Jangda et al.'s formal
 //!   serverless semantics (§1), mechanically verifying that stateless
 //!   handlers are equivalent to run-once execution — and finding concrete
@@ -35,15 +35,15 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod billing;
-pub mod error;
-pub mod platform;
-pub mod pool;
+pub(crate) mod billing;
+pub(crate) mod error;
+pub(crate) mod platform;
+pub(crate) mod pool;
 pub mod semantics;
 pub mod trigger;
-pub mod types;
+pub(crate) mod types;
 
 pub use error::FaasError;
-pub use platform::{BatchRequest, FaasPlatform, InvocationResult, PlatformConfig};
+pub use platform::{FaasPlatform, InvocationResult, PlatformConfig};
 pub use pool::StartKind;
-pub use types::{FunctionSpec, Handler, InvocationCtx};
+pub use types::FunctionSpec;

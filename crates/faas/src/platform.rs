@@ -2,7 +2,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
@@ -35,11 +35,6 @@ pub struct PlatformConfig {
     pub warm_start: LatencyModel,
     /// Optional per-tenant admission limit: (requests/sec, burst).
     pub tenant_rate_limit: Option<(f64, u64)>,
-    /// Hard cap on worker threads a single [`FaasPlatform::invoke_batch`]
-    /// call may spawn, whatever parallelism the caller requests. Bounds
-    /// thread fan-out the way real platforms bound per-account burst
-    /// concurrency.
-    pub max_parallelism: usize,
 }
 
 impl Default for PlatformConfig {
@@ -50,7 +45,6 @@ impl Default for PlatformConfig {
             cold_start: profiles::cold_start(),
             warm_start: profiles::warm_start(),
             tenant_rate_limit: None,
-            max_parallelism: 64,
         }
     }
 }
@@ -80,41 +74,10 @@ pub struct InvocationResult {
     pub startup_latency: Duration,
     /// Measured handler execution time.
     pub exec_duration: Duration,
-    /// Startup + execution.
-    pub total_duration: Duration,
     /// Dollars billed for this invocation.
     pub cost: Dollars,
     /// Number of execution attempts (>1 when retried).
     pub attempts: u32,
-}
-
-/// One request in an [`FaasPlatform::invoke_batch`] fan-out.
-#[derive(Debug, Clone)]
-pub struct BatchRequest {
-    /// Function to invoke.
-    pub function: String,
-    /// Input payload.
-    pub payload: Bytes,
-    /// Total execution attempts (≥ 1); failures re-execute transparently.
-    pub max_attempts: u32,
-}
-
-impl BatchRequest {
-    /// A single-attempt request.
-    pub fn new(function: impl Into<String>, payload: impl Into<Bytes>) -> Self {
-        Self {
-            function: function.into(),
-            payload: payload.into(),
-            max_attempts: 1,
-        }
-    }
-
-    /// Allow up to `n` total attempts.
-    pub fn with_max_attempts(mut self, n: u32) -> Self {
-        assert!(n >= 1);
-        self.max_attempts = n;
-        self
-    }
 }
 
 /// A metric resolved by name on first use and by pointer afterwards. The
@@ -374,13 +337,6 @@ impl FaasPlatform {
         Ok(())
     }
 
-    /// Registered function names (sorted).
-    pub fn functions(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.inner.registry.read().keys().cloned().collect();
-        v.sort();
-        v
-    }
-
     /// Resolve `function` through this thread's [`RESOLVED`] slot. A hit
     /// (same platform, same registry generation, same name) is one
     /// `Weak::upgrade`; a miss takes the registry read lock and refills
@@ -426,7 +382,8 @@ impl FaasPlatform {
     }
 
     /// Reap idle containers past keep-alive.
-    pub fn reap_idle(&self) {
+    #[cfg(test)]
+    pub(crate) fn reap_idle(&self) {
         let now = self.inner.clock.now();
         for entry in self.inner.registry.read().values() {
             entry.sandbox.reap(now);
@@ -444,7 +401,8 @@ impl FaasPlatform {
 
     /// Idle warm containers for a function's sandbox (shared across the
     /// app for app-grouped functions); 0 for an unregistered function.
-    pub fn warm_count(&self, function: &str) -> usize {
+    #[cfg(test)]
+    pub(crate) fn warm_count(&self, function: &str) -> usize {
         self.entry(function)
             .map_or(0, |entry| entry.sandbox.warm_count())
     }
@@ -496,56 +454,6 @@ impl FaasPlatform {
             }
         }
         Err(last_err.expect("at least one attempt"))
-    }
-
-    /// Invoke a batch of functions across up to `parallelism` worker
-    /// threads against the shared container pool, preserving request order
-    /// in the result vector. Each request gets the at-least-once retry
-    /// semantics of [`FaasPlatform::invoke_with_retries`]. This is the
-    /// fan-out entry point DAG engines and embarrassingly-parallel
-    /// workloads (tiled matmul, map stages) use to run independent
-    /// invocations concurrently.
-    pub fn invoke_batch(
-        &self,
-        requests: Vec<BatchRequest>,
-        parallelism: usize,
-    ) -> Vec<Result<InvocationResult>> {
-        assert!(parallelism >= 1);
-        let n = requests.len();
-        // The worker set is bounded by the platform's own fan-out cap, not
-        // just the caller's request — an arbitrarily large `parallelism`
-        // no longer maps to unbounded thread creation.
-        let workers = parallelism
-            .min(self.inner.cfg.max_parallelism.max(1))
-            .min(n.max(1));
-        // One slot per request, written once by whichever worker drew its
-        // index: no lock shared across the batch.
-        let slots: Vec<OnceLock<Result<InvocationResult>>> =
-            (0..n).map(|_| OnceLock::new()).collect();
-        let cursor = AtomicUsize::new(0);
-        let worker = || loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            let req = &requests[i];
-            let r = self.invoke_with_retries(&req.function, req.payload.clone(), req.max_attempts);
-            if slots[i].set(r).is_err() {
-                unreachable!("the cursor hands out each index once");
-            }
-        };
-        // The calling thread is worker 0: one request (or parallelism 1)
-        // runs inline and a wide batch spawns only the helpers it needs.
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(worker);
-            }
-            worker();
-        });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("every batch slot is filled"))
-            .collect()
     }
 
     fn invoke_inner(
@@ -720,7 +628,6 @@ impl FaasPlatform {
                     start,
                     startup_latency,
                     exec_duration,
-                    total_duration,
                     cost,
                     attempts: attempt,
                 })
@@ -1215,7 +1122,7 @@ mod tests {
         );
         let histograms: Vec<String> = p
             .metrics()
-            .histogram_snapshots()
+            .histogram_summaries()
             .into_iter()
             .map(|(n, _)| n)
             .collect();
@@ -1370,58 +1277,7 @@ mod tests {
             Err(FaasError::FunctionExists(_))
         ));
         p.deregister("f").unwrap();
-        assert!(p.functions().is_empty());
-    }
-
-    #[test]
-    fn invoke_batch_preserves_order_and_retries() {
-        let p = FaasPlatform::new(PlatformConfig::deterministic(), WallClock::shared());
-        p.register(FunctionSpec::new("echo", "t", |ctx| {
-            Ok(ctx.payload.to_vec())
-        }))
-        .unwrap();
-        let flaky_left = Arc::new(AtomicU32::new(1));
-        let fl = flaky_left.clone();
-        p.register(FunctionSpec::new("flaky", "t", move |ctx| {
-            if fl
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok()
-            {
-                Err("transient".into())
-            } else {
-                Ok(ctx.payload.to_vec())
-            }
-        }))
-        .unwrap();
-        let mut requests: Vec<BatchRequest> = (0..16u8)
-            .map(|i| BatchRequest::new("echo", vec![i]))
-            .collect();
-        requests.push(BatchRequest::new("flaky", vec![99]).with_max_attempts(3));
-        let results = p.invoke_batch(requests, 4);
-        assert_eq!(results.len(), 17);
-        for (i, r) in results[..16].iter().enumerate() {
-            assert_eq!(r.as_ref().unwrap().output, vec![i as u8]);
-        }
-        let flaky = results[16].as_ref().unwrap();
-        assert_eq!(flaky.output, vec![99]);
-        assert_eq!(flaky.attempts, 2);
-        assert_eq!(p.billing().invocations("t"), 18); // 16 + 2 flaky attempts
-    }
-
-    #[test]
-    fn invoke_batch_surfaces_per_request_errors() {
-        let p = FaasPlatform::new(PlatformConfig::deterministic(), WallClock::shared());
-        p.register(FunctionSpec::new("ok", "t", |_| Ok(vec![1])))
-            .unwrap();
-        let results = p.invoke_batch(
-            vec![
-                BatchRequest::new("ok", Vec::new()),
-                BatchRequest::new("ghost", Vec::new()),
-            ],
-            2,
-        );
-        assert!(results[0].is_ok());
-        assert!(matches!(results[1], Err(FaasError::FunctionNotFound(_))));
+        assert!(p.inner.registry.read().is_empty());
     }
 
     #[test]

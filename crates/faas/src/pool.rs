@@ -63,14 +63,14 @@ impl PoolState {
 
 /// The warm containers of one sandbox, shared by its invocation threads.
 #[derive(Debug)]
-pub struct SandboxPool {
+pub(crate) struct SandboxPool {
     keep_alive: Duration,
     state: Mutex<PoolState>,
 }
 
 impl SandboxPool {
     /// Empty pool with the given keep-alive window.
-    pub fn new(keep_alive: Duration) -> Self {
+    pub(crate) fn new(keep_alive: Duration) -> Self {
         Self {
             keep_alive,
             state: Mutex::new(PoolState::default()),
@@ -80,7 +80,7 @@ impl SandboxPool {
     /// Pin `n` containers warm (provisioned concurrency). Takes effect from
     /// the next release/reap cycle; pre-warms immediately by inserting idle
     /// containers.
-    pub fn provision(&self, n: u32, now: Duration) {
+    pub(crate) fn provision(&self, n: u32, now: Duration) {
         let mut pool = self.state.lock();
         pool.provisioned = n;
         while (pool.warm.len() as u32) < n {
@@ -90,7 +90,7 @@ impl SandboxPool {
 
     /// Acquire a container for an invocation at time `now`: warm if an
     /// idle one survived keep-alive, cold otherwise.
-    pub fn acquire(&self, now: Duration) -> StartKind {
+    pub(crate) fn acquire(&self, now: Duration) -> StartKind {
         let mut pool = self.state.lock();
         pool.reap(self.keep_alive, now);
         match pool.warm.pop() {
@@ -101,7 +101,7 @@ impl SandboxPool {
 
     /// Return a container to the warm pool after an execution finished at
     /// `now`.
-    pub fn release(&self, now: Duration) {
+    pub(crate) fn release(&self, now: Duration) {
         self.state
             .lock()
             .warm
@@ -109,12 +109,14 @@ impl SandboxPool {
     }
 
     /// Reap idle containers past keep-alive.
-    pub fn reap(&self, now: Duration) {
+    #[cfg(test)]
+    pub(crate) fn reap(&self, now: Duration) {
         self.state.lock().reap(self.keep_alive, now);
     }
 
     /// Idle warm containers.
-    pub fn warm_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn warm_count(&self) -> usize {
         self.state.lock().warm.len()
     }
 }

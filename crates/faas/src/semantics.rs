@@ -26,13 +26,13 @@ use std::collections::BTreeMap;
 /// Instance state models everything that survives in a warm container
 /// (globals, `/tmp`, caches). A handler is *safe* in Jangda et al.'s sense
 /// iff its response ignores the instance state it is given.
-pub type ModelHandler = fn(request: u8, instance_state: u64) -> (u8, u64);
+pub(crate) type ModelHandler = fn(request: u8, instance_state: u64) -> (u8, u64);
 
 /// The observable behaviour of one execution: request id → response.
-pub type Observation = BTreeMap<u8, u8>;
+pub(crate) type Observation = BTreeMap<u8, u8>;
 
 /// Naive semantics: each request runs exactly once, on a fresh instance.
-pub fn naive_semantics(handler: ModelHandler, requests: &[u8]) -> Observation {
+pub(crate) fn naive_semantics(handler: ModelHandler, requests: &[u8]) -> Observation {
     requests
         .iter()
         .map(|&r| {
@@ -55,16 +55,11 @@ enum Step {
     CrashThenRetry(usize),
 }
 
-/// A schedule that distinguishes serverless from naive execution, plus the
-/// differing observations.
+/// A schedule that distinguishes serverless from naive execution.
 #[derive(Debug, Clone)]
 pub struct Counterexample {
     /// Human-readable schedule description.
     pub schedule: Vec<String>,
-    /// What the serverless trace observed.
-    pub serverless: Observation,
-    /// What the naive semantics observes.
-    pub naive: Observation,
 }
 
 /// Result of checking a handler.
@@ -109,11 +104,7 @@ impl Explorer {
         if next == self.requests.len() {
             self.explored += 1;
             if observation != self.naive {
-                self.counterexample = Some(Counterexample {
-                    schedule,
-                    serverless: observation,
-                    naive: self.naive.clone(),
-                });
+                self.counterexample = Some(Counterexample { schedule });
             }
             return;
         }
@@ -249,7 +240,6 @@ mod tests {
             "{:?}",
             cex.schedule
         );
-        assert_ne!(cex.serverless, cex.naive);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! web requests, storage events, schedules. This module provides the two
 //! trigger shapes the examples need:
 //!
-//! - [`ScheduleTrigger`]: invoke a function every interval (the paper's
+//! - `ScheduleTrigger`: invoke a function every interval (the paper's
 //!   "periodic invocation" pattern, Hong et al.'s pattern 1).
-//! - [`QueueTrigger`]: invoke a function for each payload in a queue (the
+//! - `QueueTrigger`: invoke a function for each payload in a queue (the
 //!   "event-driven" and "data transformation" patterns).
 //!
 //! The [`TriggerManager`] pumps due triggers against a platform; tests and
@@ -22,7 +22,7 @@ use crate::platform::{FaasPlatform, InvocationResult};
 
 /// Fire a function every `every` interval.
 #[derive(Debug)]
-pub struct ScheduleTrigger {
+pub(crate) struct ScheduleTrigger {
     function: String,
     every: Duration,
     next_due: Duration,
@@ -31,7 +31,7 @@ pub struct ScheduleTrigger {
 
 /// Fire a function per queued payload.
 #[derive(Debug)]
-pub struct QueueTrigger {
+pub(crate) struct QueueTrigger {
     function: String,
     queue: VecDeque<Vec<u8>>,
 }
@@ -54,7 +54,8 @@ impl TriggerManager {
     }
 
     /// Register a periodic schedule starting one interval from now.
-    pub fn add_schedule(&self, function: &str, every: Duration, payload: &[u8]) {
+    #[cfg(test)]
+    pub(crate) fn add_schedule(&self, function: &str, every: Duration, payload: &[u8]) {
         let now = self.platform.clock().now();
         self.schedules.lock().push(ScheduleTrigger {
             function: function.to_string(),
@@ -82,7 +83,8 @@ impl TriggerManager {
     }
 
     /// Pending events in a queue trigger.
-    pub fn queue_depth(&self, queue_idx: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn queue_depth(&self, queue_idx: usize) -> usize {
         self.queues.lock()[queue_idx].queue.len()
     }
 

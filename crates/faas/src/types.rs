@@ -13,31 +13,31 @@ use taureau_core::clock::Clock;
 /// Handlers run real Rust; workloads that want to *simulate* compute time
 /// call [`InvocationCtx::burn`] so that virtual-clock tests and the billing
 /// meter see the intended duration.
-pub type Handler = Arc<dyn Fn(&InvocationCtx<'_>) -> Result<Vec<u8>, String> + Send + Sync>;
+pub(crate) type Handler = Arc<dyn Fn(&InvocationCtx<'_>) -> Result<Vec<u8>, String> + Send + Sync>;
 
 /// A registered function.
 #[derive(Clone)]
 pub struct FunctionSpec {
     /// Unique name.
-    pub name: String,
+    pub(crate) name: String,
     /// Owning tenant (billing and admission-control domain).
-    pub tenant: String,
+    pub(crate) tenant: String,
     /// Configured memory (drives GB-second billing, like Lambda's memory
     /// setting).
-    pub memory: ByteSize,
+    pub(crate) memory: ByteSize,
     /// Execution time limit ("cloud providers typically limit the execution
     /// time of each function to a short duration", §4.1).
-    pub timeout: Duration,
+    pub(crate) timeout: Duration,
     /// Maximum concurrent executions.
-    pub max_concurrency: u32,
+    pub(crate) max_concurrency: u32,
     /// Optional application group for SAND-style sandbox sharing: functions
     /// with the same `app` share warm sandboxes, so a chain of *different*
     /// functions within one application pays the cold start only once
     /// (Akkus et al., ATC'18 — cited in §1 of the paper). `None` gives the
     /// classic per-function isolation of AWS Lambda.
-    pub app: Option<String>,
+    pub(crate) app: Option<String>,
     /// The code.
-    pub handler: Handler,
+    pub(crate) handler: Handler,
 }
 
 impl FunctionSpec {
@@ -71,7 +71,8 @@ impl FunctionSpec {
     }
 
     /// Set the concurrency cap.
-    pub fn with_max_concurrency(mut self, n: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_max_concurrency(mut self, n: u32) -> Self {
         assert!(n > 0);
         self.max_concurrency = n;
         self
@@ -105,7 +106,7 @@ pub struct InvocationCtx<'a> {
     /// The platform clock, borrowed for the call: an invoke moves no
     /// refcount on the one clock every invoking thread shares. Handlers
     /// simulating compute call [`InvocationCtx::burn`].
-    pub clock: &'a dyn Clock,
+    pub(crate) clock: &'a dyn Clock,
 }
 
 impl InvocationCtx<'_> {

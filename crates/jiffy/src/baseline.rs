@@ -54,7 +54,7 @@ impl PersistentStore {
     }
 
     /// Create with explicit latency models (tests use `LatencyModel::zero`).
-    pub fn with_latency(
+    pub(crate) fn with_latency(
         clock: SharedClock,
         read_latency: LatencyModel,
         write_latency: LatencyModel,
@@ -96,7 +96,8 @@ impl PersistentStore {
     }
 
     /// DELETE a blob (pays write latency).
-    pub fn delete(&self, key: &[u8]) -> bool {
+    #[cfg(test)]
+    pub(crate) fn delete(&self, key: &[u8]) -> bool {
         let (delay, existed) = {
             let mut st = self.state.lock();
             st.writes += 1;
@@ -108,19 +109,10 @@ impl PersistentStore {
     }
 
     /// (reads, writes) op counts, for billing comparisons.
-    pub fn op_counts(&self) -> (u64, u64) {
+    #[cfg(test)]
+    pub(crate) fn op_counts(&self) -> (u64, u64) {
         let st = self.state.lock();
         (st.reads, st.writes)
-    }
-
-    /// Number of stored blobs.
-    pub fn len(&self) -> usize {
-        self.state.lock().blobs.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -150,7 +142,7 @@ pub struct RepartitionReport {
     /// Bytes moved that belonged to tenants other than the instigator.
     pub other_tenants_moved: u64,
     /// Keys moved in total.
-    pub keys_moved: u64,
+    pub(crate) keys_moved: u64,
 }
 
 impl GlobalStore {
@@ -178,7 +170,8 @@ impl GlobalStore {
     }
 
     /// Read a tenant's value.
-    pub fn get(&self, tenant: &str, key: &[u8]) -> Option<Vec<u8>> {
+    #[cfg(test)]
+    pub(crate) fn get(&self, tenant: &str, key: &[u8]) -> Option<Vec<u8>> {
         let st = self.state.lock();
         let full_key = Self::full_key(tenant, key);
         let n = st.partitions.len();
@@ -195,19 +188,10 @@ impl GlobalStore {
         k
     }
 
-    /// Current partition count.
-    pub fn partitions(&self) -> usize {
-        self.state.lock().partitions.len()
-    }
-
     /// Total keys stored.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.state.lock().partitions.iter().map(HashMap::len).sum()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Re-partition the whole keyspace to `target` partitions because

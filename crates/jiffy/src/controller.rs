@@ -75,9 +75,9 @@ pub struct MigrationReport {
     /// Allocated blocks copied onto surviving nodes.
     pub blocks_moved: u64,
     /// Resident application bytes carried by those copies.
-    pub bytes_moved: u64,
+    pub(crate) bytes_moved: u64,
     /// Data objects that had at least one block on the node.
-    pub objects_touched: u64,
+    pub(crate) objects_touched: u64,
 }
 
 /// One application's slice of controller state: its namespace sub-tree
@@ -211,7 +211,7 @@ impl Jiffy {
 
     /// The attached tracer (disabled unless [`Jiffy::set_tracer`] was
     /// called).
-    pub fn tracer(&self) -> Tracer {
+    pub(crate) fn tracer(&self) -> Tracer {
         if !self.inner.tracer_on.load(Ordering::Acquire) {
             return Tracer::disabled();
         }
@@ -390,7 +390,8 @@ impl Jiffy {
     }
 
     /// Renew the lease covering `path` explicitly.
-    pub fn renew_lease(&self, path: impl Into<JPath>) -> bool {
+    #[cfg(test)]
+    pub(crate) fn renew_lease(&self, path: impl Into<JPath>) -> bool {
         let path = path.into();
         let Some(app) = path.app() else {
             return false;
@@ -769,11 +770,6 @@ pub struct KvHandle {
 }
 
 impl KvHandle {
-    /// The object's namespace path.
-    pub fn path(&self) -> &JPath {
-        &self.path
-    }
-
     /// Open a [`KvScope`]: one clock read and one copy of the binding,
     /// shared by every op made through it. The handle's own ops are each
     /// a scope of one op.
@@ -884,11 +880,6 @@ impl KvHandle {
     /// Whether the map is empty.
     pub fn is_empty(&self) -> Result<bool> {
         Ok(self.len()? == 0)
-    }
-
-    /// All keys (unordered).
-    pub fn keys(&self) -> Result<Vec<Vec<u8>>> {
-        self.jiffy.with_kv(&self.path, |kv, _| Ok(kv.keys()))
     }
 
     /// Current partition count.
@@ -1050,20 +1041,15 @@ pub struct QueueHandle {
 }
 
 impl QueueHandle {
-    /// The object's namespace path.
-    pub fn path(&self) -> &JPath {
-        &self.path
-    }
-
     /// Append a payload from a borrowed slice (one copy; see
-    /// [`push_bytes`](Self::push_bytes) to avoid it).
+    /// `push_bytes` to avoid it).
     pub fn push(&self, payload: &[u8]) -> Result<()> {
         self.push_bytes(Bytes::copy_from_slice(payload))
     }
 
     /// Append an already-refcounted payload — no byte copy anywhere on the
     /// path; `pop` hands the same buffer back out.
-    pub fn push_bytes(&self, payload: Bytes) -> Result<()> {
+    pub(crate) fn push_bytes(&self, payload: Bytes) -> Result<()> {
         let tracer = self.jiffy.tracer();
         let mut span = tracer.span(TRACE_SYSTEM, "jiffy.queue_push");
         span.attr("path", &self.path);
@@ -1161,16 +1147,6 @@ impl FileHandle {
         let data = self.jiffy.with_file(&self.path, |f, _| Ok(f.contents()))?;
         span.attr("bytes", data.len());
         Ok(data)
-    }
-
-    /// File length.
-    pub fn len(&self) -> Result<u64> {
-        self.jiffy.with_file(&self.path, |f, _| Ok(f.len()))
-    }
-
-    /// Whether the file is empty.
-    pub fn is_empty(&self) -> Result<bool> {
-        Ok(self.len()? == 0)
     }
 }
 

@@ -49,7 +49,7 @@ fn partition_of(key: &[u8], n: usize) -> usize {
 
 /// A data object living at a namespace.
 #[derive(Debug)]
-pub enum ObjectState {
+pub(crate) enum ObjectState {
     /// Hash-partitioned key-value map. Behind its own lock (shared with
     /// data-path handles) so KV ops need not hold the app shard lock; the
     /// namespace tree remains the lifecycle authority. Lock order is app
@@ -63,7 +63,7 @@ pub enum ObjectState {
 
 impl ObjectState {
     /// Blocks backing this object (for reclamation).
-    pub fn blocks(&self) -> Vec<BlockRef> {
+    pub(crate) fn blocks(&self) -> Vec<BlockRef> {
         match self {
             ObjectState::Kv(o) => o.lock().partitions.iter().map(|p| p.block).collect(),
             ObjectState::Queue(o) => o.blocks.clone(),
@@ -73,14 +73,14 @@ impl ObjectState {
 
     /// Mark the object reclaimed so outstanding handles' direct bindings
     /// stop serving it.
-    pub fn retire(&self) {
+    pub(crate) fn retire(&self) {
         if let ObjectState::Kv(o) = self {
             o.lock().retire();
         }
     }
 
     /// Human-readable kind name for error messages.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             ObjectState::Kv(_) => "kv",
             ObjectState::Queue(_) => "queue",
@@ -92,7 +92,11 @@ impl ObjectState {
     /// (the node is draining — see [`MemoryPool::begin_decommission`]).
     /// Returns `(blocks_moved, bytes_moved)`. Object contents don't change;
     /// only the backing block references do.
-    pub fn migrate_off_node(&mut self, pool: &MemoryPool, node: NodeId) -> Result<(u64, u64)> {
+    pub(crate) fn migrate_off_node(
+        &mut self,
+        pool: &MemoryPool,
+        node: NodeId,
+    ) -> Result<(u64, u64)> {
         match self {
             ObjectState::Kv(o) => {
                 let mut blocks = 0u64;
@@ -156,7 +160,7 @@ struct Partition {
 /// object lock: whether the object is still live, and when its data path
 /// was last used.
 #[derive(Debug)]
-pub struct KvReadCache {
+pub(crate) struct KvReadCache {
     /// Cleared when the object is reclaimed (lease expiry or namespace
     /// removal) so stale handles fall back to the control plane and get
     /// the authoritative `NotFound`.
@@ -189,7 +193,7 @@ impl KvReadCache {
 
 /// Hash-partitioned KV map; each partition is one block.
 #[derive(Debug)]
-pub struct KvObject {
+pub(crate) struct KvObject {
     partitions: Vec<Partition>,
     app: String,
     /// Liveness flag and touch stamp, shared with the reaper.
@@ -198,7 +202,7 @@ pub struct KvObject {
 
 impl KvObject {
     /// Create with `initial_partitions` blocks allocated for `app`.
-    pub fn create(pool: &MemoryPool, app: &str, initial_partitions: usize) -> Result<Self> {
+    pub(crate) fn create(pool: &MemoryPool, app: &str, initial_partitions: usize) -> Result<Self> {
         assert!(initial_partitions > 0, "need at least one partition");
         let blocks = pool.allocate(app, initial_partitions as u64)?;
         Ok(Self {
@@ -239,22 +243,17 @@ impl KvObject {
     }
 
     /// Number of partitions (= blocks).
-    pub fn partitions(&self) -> usize {
+    pub(crate) fn partitions(&self) -> usize {
         self.partitions.len()
     }
 
     /// Number of keys stored.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.partitions.iter().map(|p| p.map.len()).sum()
     }
 
-    /// Whether no keys are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Bytes used across partitions (including per-entry overhead).
-    pub fn used_bytes(&self) -> u64 {
+    pub(crate) fn used_bytes(&self) -> u64 {
         self.partitions.iter().map(|p| p.used).sum()
     }
 
@@ -277,7 +276,7 @@ impl KvObject {
     /// the old value when that has the same length and no other owner,
     /// else into a fresh refcounted buffer). See
     /// [`put_bytes`](Self::put_bytes) for the zero-copy variant.
-    pub fn put(&mut self, pool: &MemoryPool, key: &[u8], value: &[u8]) -> Result<u64> {
+    pub(crate) fn put(&mut self, pool: &MemoryPool, key: &[u8], value: &[u8]) -> Result<u64> {
         if let Some(buf) = self.exclusive_value(key, value.len()) {
             buf.copy_from_slice(value);
             return Ok(0);
@@ -290,7 +289,7 @@ impl KvObject {
     /// auto-scales by adding one partition (re-partitioning only itself)
     /// and retries; returns the number of bytes moved by any
     /// re-partitioning this call triggered.
-    pub fn put_bytes(&mut self, pool: &MemoryPool, key: &[u8], value: Bytes) -> Result<u64> {
+    pub(crate) fn put_bytes(&mut self, pool: &MemoryPool, key: &[u8], value: Bytes) -> Result<u64> {
         let block_size = pool.block_size().as_u64();
         let size = entry_size(key, &value);
         if size > block_size {
@@ -330,7 +329,7 @@ impl KvObject {
     /// [`put_bytes`](Self::put_bytes) of the computed value, so capacity
     /// accounting, auto-scaling and errors match a `get` then `put`.
     /// Returns the bytes moved by any re-partitioning.
-    pub fn update(
+    pub(crate) fn update(
         &mut self,
         pool: &MemoryPool,
         key: &[u8],
@@ -358,7 +357,12 @@ impl KvObject {
     /// else holds is overwritten where it lies; every other case is
     /// [`update`](Self::update) with a fresh 8-byte buffer, so a caller
     /// sees exactly what that `update` would have done.
-    pub fn add_i64(&mut self, pool: &MemoryPool, key: &[u8], delta: i64) -> Result<(i64, u64)> {
+    pub(crate) fn add_i64(
+        &mut self,
+        pool: &MemoryPool,
+        key: &[u8],
+        delta: i64,
+    ) -> Result<(i64, u64)> {
         if let Some(buf) = self.exclusive_value(key, 8) {
             let cell: &mut [u8; 8] = buf.try_into().expect("8 bytes");
             let next = i64::from_le_bytes(*cell).wrapping_add(delta);
@@ -379,12 +383,12 @@ impl KvObject {
     /// Look up a key. The returned [`Bytes`] is a refcounted view of the
     /// stored value — no copy — and stays valid (snapshot semantics) even
     /// if the key is overwritten or removed afterwards.
-    pub fn get(&self, key: &[u8]) -> Option<Bytes> {
+    pub(crate) fn get(&self, key: &[u8]) -> Option<Bytes> {
         self.partitions[self.index_of(key)].map.get(key).cloned()
     }
 
     /// Remove a key, returning its value.
-    pub fn remove(&mut self, key: &[u8]) -> Option<Bytes> {
+    pub(crate) fn remove(&mut self, key: &[u8]) -> Option<Bytes> {
         let idx = self.index_of(key);
         let part = &mut self.partitions[idx];
         let v = part.map.remove(key)?;
@@ -392,19 +396,11 @@ impl KvObject {
         Some(v)
     }
 
-    /// All keys (unordered).
-    pub fn keys(&self) -> Vec<Vec<u8>> {
-        self.partitions
-            .iter()
-            .flat_map(|p| p.map.keys().cloned())
-            .collect()
-    }
-
     /// Re-partition to exactly `target` partitions (grow or shrink).
     /// Returns the number of bytes that moved between partitions — the
     /// quantity experiment E4 compares against the global-address-space
     /// baseline. Only *this object's* data moves.
-    pub fn scale_to(&mut self, pool: &MemoryPool, target: usize) -> Result<u64> {
+    pub(crate) fn scale_to(&mut self, pool: &MemoryPool, target: usize) -> Result<u64> {
         assert!(target > 0, "cannot scale to zero partitions");
         let n = self.partitions.len();
         if target == n {
@@ -464,7 +460,7 @@ impl KvObject {
 /// FIFO queue of byte payloads, backed by blocks proportional to its
 /// resident bytes.
 #[derive(Debug)]
-pub struct QueueObject {
+pub(crate) struct QueueObject {
     deque: VecDeque<Bytes>,
     used: u64,
     blocks: Vec<BlockRef>,
@@ -475,7 +471,7 @@ pub struct QueueObject {
 
 impl QueueObject {
     /// Create an empty queue (no blocks until data arrives).
-    pub fn create(app: &str) -> Self {
+    pub(crate) fn create(app: &str) -> Self {
         Self {
             deque: VecDeque::new(),
             used: 0,
@@ -486,40 +482,21 @@ impl QueueObject {
     }
 
     /// Elements currently queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.deque.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.deque.is_empty()
-    }
-
-    /// Resident bytes.
-    pub fn used_bytes(&self) -> u64 {
-        self.used
-    }
-
-    /// Blocks currently held.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Total elements ever pushed.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
     }
 
     /// Append a payload from a borrowed slice (one copy into a refcounted
     /// buffer). See [`push_bytes`](Self::push_bytes) for the zero-copy
     /// variant.
-    pub fn push(&mut self, pool: &MemoryPool, payload: &[u8]) -> Result<()> {
+    #[cfg(test)]
+    pub(crate) fn push(&mut self, pool: &MemoryPool, payload: &[u8]) -> Result<()> {
         self.push_bytes(pool, Bytes::copy_from_slice(payload))
     }
 
     /// Append an already-refcounted payload (no byte copy), growing the
     /// block set if needed.
-    pub fn push_bytes(&mut self, pool: &MemoryPool, payload: Bytes) -> Result<()> {
+    pub(crate) fn push_bytes(&mut self, pool: &MemoryPool, payload: Bytes) -> Result<()> {
         let block_size = pool.block_size().as_u64();
         let size = payload.len() as u64 + ENTRY_OVERHEAD;
         if size > block_size {
@@ -541,7 +518,7 @@ impl QueueObject {
     /// Pop the oldest payload (handing back the stored refcounted buffer —
     /// no copy), shrinking the block set when usage allows (with one block
     /// of hysteresis to avoid thrashing).
-    pub fn pop(&mut self, pool: &MemoryPool) -> Option<Bytes> {
+    pub(crate) fn pop(&mut self, pool: &MemoryPool) -> Option<Bytes> {
         let payload = self.deque.pop_front()?;
         let block_size = pool.block_size().as_u64();
         self.used -= payload.len() as u64 + ENTRY_OVERHEAD;
@@ -565,7 +542,7 @@ impl QueueObject {
 /// chunk boundaries coalesce into a fresh buffer (the one place this object
 /// still copies).
 #[derive(Debug)]
-pub struct FileObject {
+pub(crate) struct FileObject {
     chunks: Vec<Bytes>,
     len: u64,
     blocks: Vec<BlockRef>,
@@ -574,7 +551,7 @@ pub struct FileObject {
 
 impl FileObject {
     /// Create an empty file.
-    pub fn create(app: &str) -> Self {
+    pub(crate) fn create(app: &str) -> Self {
         Self {
             chunks: Vec::new(),
             len: 0,
@@ -583,31 +560,17 @@ impl FileObject {
         }
     }
 
-    /// File length in bytes.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Whether the file is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Blocks currently held.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Append bytes from a borrowed slice (one copy into a refcounted
     /// chunk). See [`append_bytes`](Self::append_bytes) for the zero-copy
     /// variant.
-    pub fn append(&mut self, pool: &MemoryPool, bytes: &[u8]) -> Result<u64> {
+    #[cfg(test)]
+    pub(crate) fn append(&mut self, pool: &MemoryPool, bytes: &[u8]) -> Result<u64> {
         self.append_bytes(pool, Bytes::copy_from_slice(bytes))
     }
 
     /// Append an already-refcounted chunk (no byte copy), growing the
     /// block set as needed. Returns the new length.
-    pub fn append_bytes(&mut self, pool: &MemoryPool, bytes: Bytes) -> Result<u64> {
+    pub(crate) fn append_bytes(&mut self, pool: &MemoryPool, bytes: Bytes) -> Result<u64> {
         let block_size = pool.block_size().as_u64();
         let needed = (self.len + bytes.len() as u64).div_ceil(block_size);
         if needed > self.blocks.len() as u64 {
@@ -625,7 +588,7 @@ impl FileObject {
     /// Read `len` bytes starting at `offset` (clamped to the file length).
     /// Zero-copy when the range falls within one appended chunk; otherwise
     /// the spanning range is coalesced into a fresh buffer.
-    pub fn read(&self, offset: u64, len: u64) -> Bytes {
+    pub(crate) fn read(&self, offset: u64, len: u64) -> Bytes {
         let start = (offset.min(self.len)) as usize;
         let end = ((start as u64 + len).min(self.len)) as usize;
         if start == end {
@@ -655,7 +618,7 @@ impl FileObject {
     }
 
     /// Full contents. Zero-copy for files written in a single append.
-    pub fn contents(&self) -> Bytes {
+    pub(crate) fn contents(&self) -> Bytes {
         self.read(0, self.len)
     }
 }
@@ -793,16 +756,16 @@ mod tests {
     fn queue_fifo_order_and_block_growth() {
         let p = pool();
         let mut q = QueueObject::create("app");
-        assert_eq!(q.block_count(), 0);
+        assert_eq!(q.blocks.len(), 0);
         for i in 0..20u64 {
             q.push(&p, &i.to_le_bytes()).unwrap();
         }
-        assert!(q.block_count() >= 2, "queue should have grown blocks");
+        assert!(q.blocks.len() >= 2, "queue should have grown blocks");
         for i in 0..20u64 {
             assert_eq!(q.pop(&p).as_deref(), Some(&i.to_le_bytes()[..]));
         }
         assert_eq!(q.pop(&p), None);
-        assert_eq!(q.block_count(), 0, "drained queue returns all blocks");
+        assert_eq!(q.blocks.len(), 0, "drained queue returns all blocks");
     }
 
     #[test]
@@ -812,12 +775,12 @@ mod tests {
         for i in 0..30u64 {
             q.push(&p, &i.to_le_bytes()).unwrap();
         }
-        let peak = q.block_count();
+        let peak = q.blocks.len();
         for _ in 0..20 {
             q.pop(&p).unwrap();
         }
-        assert!(q.block_count() < peak, "queue should shrink after pops");
-        assert!(q.block_count() >= 1);
+        assert!(q.blocks.len() < peak, "queue should shrink after pops");
+        assert!(!q.blocks.is_empty());
     }
 
     #[test]
@@ -847,8 +810,8 @@ mod tests {
         let p = pool();
         let mut f = FileObject::create("app");
         f.append(&p, &vec![1u8; 1000]).unwrap();
-        assert_eq!(f.block_count(), 4); // 1000 / 256 -> 4 blocks
-        assert_eq!(f.len(), 1000);
+        assert_eq!(f.blocks.len(), 4); // 1000 / 256 -> 4 blocks
+        assert_eq!(f.len, 1000);
     }
 
     #[test]

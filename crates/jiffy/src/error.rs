@@ -96,4 +96,4 @@ impl std::fmt::Display for JiffyError {
 impl std::error::Error for JiffyError {}
 
 /// Convenience result alias.
-pub type Result<T> = std::result::Result<T, JiffyError>;
+pub(crate) type Result<T> = std::result::Result<T, JiffyError>;

@@ -14,16 +14,16 @@ use crate::path::JPath;
 
 /// A lease record for one namespace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Lease {
+pub(crate) struct Lease {
     /// Time-to-live granted at each renewal.
-    pub ttl: Duration,
+    pub(crate) ttl: Duration,
     /// Clock timestamp of the last renewal.
-    pub renewed_at: Duration,
+    pub(crate) renewed_at: Duration,
 }
 
 impl Lease {
     /// When this lease lapses.
-    pub fn expires_at(&self) -> Duration {
+    pub(crate) fn expires_at(&self) -> Duration {
         self.renewed_at + self.ttl
     }
 }
@@ -34,18 +34,18 @@ impl Lease {
 /// reclaims its whole sub-tree, which matches the paper's model of state
 /// belonging to an application's task hierarchy.
 #[derive(Debug, Default)]
-pub struct LeaseManager {
+pub(crate) struct LeaseManager {
     leases: HashMap<JPath, Lease>,
 }
 
 impl LeaseManager {
     /// Empty manager.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Grant (or re-grant) a lease at `now` with the given TTL.
-    pub fn grant(&mut self, path: JPath, ttl: Duration, now: Duration) {
+    pub(crate) fn grant(&mut self, path: JPath, ttl: Duration, now: Duration) {
         self.leases.insert(
             path,
             Lease {
@@ -57,7 +57,7 @@ impl LeaseManager {
 
     /// Renew the lease covering `path` (i.e. the lease on `path` itself or
     /// its closest leased ancestor). Returns whether a lease was found.
-    pub fn renew(&mut self, path: &JPath, now: Duration) -> bool {
+    pub(crate) fn renew(&mut self, path: &JPath, now: Duration) -> bool {
         // Dominant layout: ONE lease in the table (the application lease on
         // the app root) covering every deeper object path. Serve it with a
         // prefix compare — no path hashing at all. This sits on every
@@ -94,7 +94,7 @@ impl LeaseManager {
     /// `renewed_at` advances to at least `at`. Called by the reaper before
     /// expiry checks, so direct-path reads and writes count as renewals
     /// without a per-op shard-lock acquisition.
-    pub fn observe_activity(&mut self, at: Duration) {
+    pub(crate) fn observe_activity(&mut self, at: Duration) {
         for l in self.leases.values_mut() {
             if l.renewed_at < at {
                 l.renewed_at = at;
@@ -103,18 +103,18 @@ impl LeaseManager {
     }
 
     /// The lease on exactly `path`, if any.
-    pub fn get(&self, path: &JPath) -> Option<Lease> {
+    pub(crate) fn get(&self, path: &JPath) -> Option<Lease> {
         self.leases.get(path).copied()
     }
 
     /// Drop the lease on `path` (used when a namespace is removed
     /// explicitly).
-    pub fn release(&mut self, path: &JPath) {
+    pub(crate) fn release(&mut self, path: &JPath) {
         self.leases.remove(path);
     }
 
     /// Remove and return all paths whose leases lapsed at or before `now`.
-    pub fn reap(&mut self, now: Duration) -> Vec<JPath> {
+    pub(crate) fn reap(&mut self, now: Duration) -> Vec<JPath> {
         let expired: Vec<JPath> = self
             .leases
             .iter()
@@ -127,13 +127,8 @@ impl LeaseManager {
         expired
     }
 
-    /// Number of live leases.
-    pub fn len(&self) -> usize {
-        self.leases.len()
-    }
-
     /// Whether no leases are held.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.leases.is_empty()
     }
 }
@@ -195,7 +190,7 @@ mod tests {
         lm.grant(JPath::parse("/b"), secs(50), secs(0));
         let dead = lm.reap(secs(10));
         assert_eq!(dead, vec![JPath::parse("/a")]);
-        assert_eq!(lm.len(), 1);
+        assert_eq!(lm.leases.len(), 1);
         assert!(lm.get(&JPath::parse("/b")).is_some());
     }
 }

@@ -17,13 +17,13 @@
 //!    from different applications interleave in time and the pool can run
 //!    far below the sum of per-application peaks (experiment E5).
 //! 2. **Hierarchical namespaces instead of a global address space**
-//!    ([`namespace`], [`data`]): every application (and sub-task) gets its
+//!    (`namespace`, `data`): every application (and sub-task) gets its
 //!    own namespace sub-tree; data structures are partitioned *within their
 //!    own namespace only*, so scaling one tenant re-partitions only that
 //!    tenant's data (experiment E4). The [`baseline::GlobalStore`] shows the
 //!    alternative: one consistent-hash keyspace where any scaling event
 //!    moves other tenants' keys too.
-//! 3. **OS-style lifetime management** ([`lease`], [`notify`]): namespaces
+//! 3. **OS-style lifetime management** (`lease`, `notify`): namespaces
 //!    carry leases (Gray & Cheriton-style) that decouple state lifetime from
 //!    producer lifetime — state lives until consumed or until its lease
 //!    lapses — and per-namespace notifications signal consumers when state
@@ -37,18 +37,17 @@
 #![warn(rust_2018_idioms)]
 
 pub mod baseline;
-pub mod controller;
-pub mod data;
-pub mod error;
-pub mod lease;
-pub mod namespace;
-pub mod notify;
-pub mod path;
+pub(crate) mod controller;
+pub(crate) mod data;
+pub(crate) mod error;
+pub(crate) mod lease;
+pub(crate) mod namespace;
+pub(crate) mod notify;
+pub(crate) mod path;
 pub mod pool;
 
 pub use controller::{Jiffy, JiffyConfig, KvScope, MigrationReport};
 pub use data::{FileHandle, KvHandle, QueueHandle};
 pub use error::JiffyError;
-pub use notify::{Event, EventKind, Subscription};
+pub use notify::{EventKind, Subscription};
 pub use path::JPath;
-pub use pool::{MemoryPool, PoolStats};

@@ -15,17 +15,17 @@ use crate::path::JPath;
 
 /// One node in the namespace tree.
 #[derive(Debug, Default)]
-pub struct NsNode {
+pub(crate) struct NsNode {
     /// Child namespaces by name.
-    pub children: BTreeMap<String, NsNode>,
+    pub(crate) children: BTreeMap<String, NsNode>,
     /// The data object stored at this namespace, if any.
-    pub object: Option<ObjectState>,
+    pub(crate) object: Option<ObjectState>,
 }
 
 impl NsNode {
     /// Visit every object in this sub-tree mutably (depth-first), stopping
     /// at the first error.
-    pub fn for_each_object_mut(
+    pub(crate) fn for_each_object_mut(
         &mut self,
         f: &mut dyn FnMut(&mut ObjectState) -> Result<()>,
     ) -> Result<()> {
@@ -39,7 +39,7 @@ impl NsNode {
     }
 
     /// Drain all objects out of this sub-tree (for block reclamation).
-    pub fn drain_objects(&mut self, out: &mut Vec<ObjectState>) {
+    pub(crate) fn drain_objects(&mut self, out: &mut Vec<ObjectState>) {
         if let Some(obj) = self.object.take() {
             out.push(obj);
         }
@@ -52,23 +52,23 @@ impl NsNode {
 
 /// The namespace tree rooted at `/`.
 #[derive(Debug, Default)]
-pub struct NamespaceTree {
+pub(crate) struct NamespaceTree {
     root: NsNode,
 }
 
 impl NamespaceTree {
     /// Empty tree.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Whether a namespace exists.
-    pub fn exists(&self, path: &JPath) -> bool {
+    pub(crate) fn exists(&self, path: &JPath) -> bool {
         self.get(path).is_ok()
     }
 
     /// Get a node.
-    pub fn get(&self, path: &JPath) -> Result<&NsNode> {
+    pub(crate) fn get(&self, path: &JPath) -> Result<&NsNode> {
         let mut cur = &self.root;
         for seg in path.segments() {
             cur = cur
@@ -80,7 +80,7 @@ impl NamespaceTree {
     }
 
     /// Get a node mutably.
-    pub fn get_mut(&mut self, path: &JPath) -> Result<&mut NsNode> {
+    pub(crate) fn get_mut(&mut self, path: &JPath) -> Result<&mut NsNode> {
         let mut cur = &mut self.root;
         for seg in path.segments() {
             cur = cur
@@ -96,7 +96,7 @@ impl NamespaceTree {
     ///
     /// # Errors
     /// [`JiffyError::AlreadyExists`] if the exact path already exists.
-    pub fn create(&mut self, path: &JPath) -> Result<()> {
+    pub(crate) fn create(&mut self, path: &JPath) -> Result<()> {
         match self.get_or_create(path) {
             (_, true) => Ok(()),
             (_, false) => Err(JiffyError::AlreadyExists(path.clone())),
@@ -105,7 +105,7 @@ impl NamespaceTree {
 
     /// The node at `path`, made (with its missing ancestors) if absent,
     /// and whether this call made it — one walk. The root always exists.
-    pub fn get_or_create(&mut self, path: &JPath) -> (&mut NsNode, bool) {
+    pub(crate) fn get_or_create(&mut self, path: &JPath) -> (&mut NsNode, bool) {
         let mut cur = &mut self.root;
         let mut created = false;
         for seg in path.segments() {
@@ -121,7 +121,7 @@ impl NamespaceTree {
 
     /// Remove a namespace sub-tree, returning all objects it contained so
     /// the caller can free their blocks.
-    pub fn remove(&mut self, path: &JPath) -> Result<Vec<ObjectState>> {
+    pub(crate) fn remove(&mut self, path: &JPath) -> Result<Vec<ObjectState>> {
         let not_found = || JiffyError::NotFound(path.clone());
         let name = path.name().ok_or_else(not_found)?;
         let mut parent = &mut self.root;
@@ -135,7 +135,7 @@ impl NamespaceTree {
     }
 
     /// Visit every object in the tree mutably, stopping at the first error.
-    pub fn for_each_object_mut(
+    pub(crate) fn for_each_object_mut(
         &mut self,
         mut f: impl FnMut(&mut ObjectState) -> Result<()>,
     ) -> Result<()> {
@@ -143,7 +143,7 @@ impl NamespaceTree {
     }
 
     /// List immediate children of a namespace.
-    pub fn list(&self, path: &JPath) -> Result<Vec<String>> {
+    pub(crate) fn list(&self, path: &JPath) -> Result<Vec<String>> {
         Ok(self.get(path)?.children.keys().cloned().collect())
     }
 }

@@ -38,7 +38,7 @@ pub enum EventKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     /// The namespace the mutation happened at.
-    pub path: JPath,
+    pub(crate) path: JPath,
     /// What happened.
     pub kind: EventKind,
 }
@@ -46,28 +46,18 @@ pub struct Event {
 /// A live subscription to a namespace prefix.
 #[derive(Debug)]
 pub struct Subscription {
-    prefix: JPath,
     rx: Receiver<Event>,
 }
 
 impl Subscription {
-    /// The prefix this subscription covers.
-    pub fn prefix(&self) -> &JPath {
-        &self.prefix
-    }
-
-    /// Block until the next event (or the bus is dropped).
-    pub fn recv(&self) -> Option<Event> {
-        self.rx.recv().ok()
-    }
-
     /// Block until the next event or `timeout` elapses.
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<Event> {
+    #[cfg(test)]
+    pub(crate) fn recv_timeout(&self, timeout: std::time::Duration) -> Option<Event> {
         self.rx.recv_timeout(timeout).ok()
     }
 
     /// Non-blocking poll.
-    pub fn try_recv(&self) -> Option<Event> {
+    pub(crate) fn try_recv(&self) -> Option<Event> {
         self.rx.try_recv().ok()
     }
 
@@ -83,26 +73,26 @@ impl Subscription {
 
 /// Fan-out bus routing events to prefix subscribers.
 #[derive(Debug, Default)]
-pub struct NotificationBus {
+pub(crate) struct NotificationBus {
     subscribers: Vec<(JPath, Sender<Event>)>,
 }
 
 impl NotificationBus {
     /// Empty bus.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Subscribe to all events at or under `prefix`.
-    pub fn subscribe(&mut self, prefix: JPath) -> Subscription {
+    pub(crate) fn subscribe(&mut self, prefix: JPath) -> Subscription {
         let (tx, rx) = unbounded();
-        self.subscribers.push((prefix.clone(), tx));
-        Subscription { prefix, rx }
+        self.subscribers.push((prefix, tx));
+        Subscription { rx }
     }
 
     /// Publish an event; it is delivered to every subscription whose prefix
     /// covers the event path. Dead subscriptions are pruned lazily.
-    pub fn publish(&mut self, event: Event) {
+    pub(crate) fn publish(&mut self, event: Event) {
         self.subscribers.retain(|(prefix, tx)| {
             if prefix.is_prefix_of(&event.path) {
                 // Drop subscriptions whose receiver has been dropped.
@@ -114,12 +104,12 @@ impl NotificationBus {
     }
 
     /// Number of live subscriptions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.subscribers.len()
     }
 
     /// Whether there are no subscriptions.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.subscribers.is_empty()
     }
 }

@@ -35,7 +35,8 @@ fn push_segments(text: &mut String, raw: &str) {
 
 impl JPath {
     /// The root path `/`.
-    pub fn root() -> Self {
+    #[cfg(test)]
+    pub(crate) fn root() -> Self {
         Self {
             text: Arc::from(""),
         }
@@ -57,7 +58,7 @@ impl JPath {
     /// an empty one is dropped and one holding a `/` counts as several.
     ///
     /// [`parse`]: Self::parse
-    pub fn from_segments<I, S>(iter: I) -> Self
+    pub(crate) fn from_segments<I, S>(iter: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
@@ -79,29 +80,30 @@ impl JPath {
     }
 
     /// Path segments, first to last.
-    pub fn segments(&self) -> impl Iterator<Item = &str> + Clone {
+    pub(crate) fn segments(&self) -> impl Iterator<Item = &str> + Clone {
         // The text before the first `/` is empty, for the root too.
         self.text.split('/').skip(1)
     }
 
     /// Number of segments (0 for root).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.text.bytes().filter(|&b| b == b'/').count()
     }
 
     /// Whether this is the root path.
-    pub fn is_root(&self) -> bool {
+    pub(crate) fn is_root(&self) -> bool {
         self.text.is_empty()
     }
 
     /// The application (first segment), if any. This is the isolation
     /// domain for quotas and scaling.
-    pub fn app(&self) -> Option<&str> {
+    pub(crate) fn app(&self) -> Option<&str> {
         self.segments().next()
     }
 
     /// Child path with `segment` appended.
-    pub fn child(&self, segment: &str) -> Self {
+    #[cfg(test)]
+    pub(crate) fn child(&self, segment: &str) -> Self {
         let mut text = String::with_capacity(self.text.len() + 1 + segment.len());
         text.push_str(&self.text);
         push_segments(&mut text, segment);
@@ -109,7 +111,8 @@ impl JPath {
     }
 
     /// Parent path; `None` for root.
-    pub fn parent(&self) -> Option<Self> {
+    #[cfg(test)]
+    pub(crate) fn parent(&self) -> Option<Self> {
         let cut = self.text.rfind('/')?;
         Some(Self {
             text: Arc::from(&self.text[..cut]),
@@ -117,7 +120,7 @@ impl JPath {
     }
 
     /// Whether `self` is `other` or an ancestor of `other`.
-    pub fn is_prefix_of(&self, other: &JPath) -> bool {
+    pub(crate) fn is_prefix_of(&self, other: &JPath) -> bool {
         // A shared text prefix is a path prefix only where it ends on a
         // segment boundary: `/app` is no ancestor of `/application`.
         other.text.starts_with(&*self.text)
@@ -128,7 +131,7 @@ impl JPath {
     }
 
     /// Last segment, if any.
-    pub fn name(&self) -> Option<&str> {
+    pub(crate) fn name(&self) -> Option<&str> {
         self.text.rsplit('/').next().filter(|seg| !seg.is_empty())
     }
 }

@@ -31,9 +31,9 @@ use crate::error::{JiffyError, Result};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockRef {
     /// Owning memory node.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Block identity (unique pool-wide).
-    pub id: BlockId,
+    pub(crate) id: BlockId,
 }
 
 /// Lifecycle of a memory node within the pool.
@@ -71,7 +71,7 @@ pub struct PoolStats {
     /// High-water mark of allocated blocks over the pool's lifetime.
     pub peak_allocated_blocks: u64,
     /// Block size.
-    pub block_size: ByteSize,
+    pub(crate) block_size: ByteSize,
 }
 
 /// A pool of memory blocks spread over `nodes` memory nodes.
@@ -145,13 +145,13 @@ impl MemoryPool {
     }
 
     /// Impose a per-application block quota.
-    pub fn with_quota(mut self, blocks: u64) -> Self {
+    pub(crate) fn with_quota(mut self, blocks: u64) -> Self {
         self.quota = Some(blocks);
         self
     }
 
     /// Block size for this pool.
-    pub fn block_size(&self) -> ByteSize {
+    pub(crate) fn block_size(&self) -> ByteSize {
         self.block_size
     }
 
@@ -170,14 +170,9 @@ impl MemoryPool {
         }
     }
 
-    /// Node slots in the pool, including drained/retired ones (slot
-    /// indices are stable for the pool's lifetime).
-    pub fn node_count(&self) -> usize {
-        self.nodes.read().len()
-    }
-
     /// Nodes currently serving allocations.
-    pub fn active_nodes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn active_nodes(&self) -> usize {
         self.nodes
             .read()
             .iter()
@@ -186,7 +181,8 @@ impl MemoryPool {
     }
 
     /// Whether `node` is draining (or already retired).
-    pub fn is_draining(&self, node: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_draining(&self, node: NodeId) -> bool {
         let nodes = self.nodes.read();
         nodes
             .get(node.raw() as usize)
@@ -202,7 +198,8 @@ impl MemoryPool {
     }
 
     /// Peak blocks ever held by `app`.
-    pub fn peak_held_by(&self, app: &str) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn peak_held_by(&self, app: &str) -> u64 {
         self.apps
             .with(app, |shard| shard.get(app).map(|h| h.peak))
             .unwrap_or(0)
@@ -210,7 +207,7 @@ impl MemoryPool {
 
     /// Sum over applications of their individual peaks — what static
     /// per-application provisioning would have had to reserve.
-    pub fn sum_of_app_peaks(&self) -> u64 {
+    pub(crate) fn sum_of_app_peaks(&self) -> u64 {
         let mut sum = self.retired_peaks.load(Ordering::Relaxed);
         self.apps.for_each(|_, h| sum += h.peak);
         sum
@@ -220,7 +217,7 @@ impl MemoryPool {
     /// is gone — folding its peak into the retired sum. An app that still
     /// holds blocks is left alone. Every job is an app, so without this
     /// the map grows by one dead entry per job for the pool's lifetime.
-    pub fn forget_app(&self, app: &str) {
+    pub(crate) fn forget_app(&self, app: &str) {
         self.apps.with(app, |shard| {
             if let Some(peak) = shard.get(app).filter(|h| h.held == 0).map(|h| h.peak) {
                 shard.remove(app);
@@ -419,7 +416,7 @@ impl MemoryPool {
     ///
     /// The new node starts serving allocations immediately; this models a
     /// Jiffy memory node joining the cluster.
-    pub fn add_node(&self, blocks: u64) -> NodeId {
+    pub(crate) fn add_node(&self, blocks: u64) -> NodeId {
         assert!(blocks > 0, "nodes must hold at least one block");
         let id = {
             let mut nodes = self.nodes.write();
@@ -446,7 +443,7 @@ impl MemoryPool {
     /// # Errors
     /// [`JiffyError::NodeUnavailable`] if the node is unknown or already
     /// draining, or if it is the last active node.
-    pub fn begin_decommission(&self, node: NodeId) -> Result<u64> {
+    pub(crate) fn begin_decommission(&self, node: NodeId) -> Result<u64> {
         let drained = {
             let nodes = self.nodes.read();
             let idx = node.raw() as usize;
@@ -499,7 +496,7 @@ impl MemoryPool {
     /// # Errors
     /// [`JiffyError::NodeUnavailable`] unless `from.node` is draining;
     /// [`JiffyError::PoolExhausted`] if no active node has a free block.
-    pub fn migrate_block(&self, app: &str, from: BlockRef) -> Result<BlockRef> {
+    pub(crate) fn migrate_block(&self, app: &str, from: BlockRef) -> Result<BlockRef> {
         {
             let nodes = self.nodes.read();
             let state = nodes
@@ -546,7 +543,7 @@ impl MemoryPool {
 
     /// Finish decommissioning: mark the node retired. All its blocks must
     /// already have been migrated or freed.
-    pub fn finish_decommission(&self, node: NodeId) {
+    pub(crate) fn finish_decommission(&self, node: NodeId) {
         let nodes = self.nodes.read();
         if let Some(state) = nodes.get(node.raw() as usize) {
             let mut state = state.lock();
@@ -678,10 +675,10 @@ mod tests {
     #[test]
     fn add_node_grows_capacity() {
         let p = MemoryPool::new(2, 4, ByteSize::kb(4));
-        assert_eq!(p.node_count(), 2);
+        assert_eq!(p.nodes.read().len(), 2);
         let id = p.add_node(4);
         assert_eq!(id, NodeId(2));
-        assert_eq!(p.node_count(), 3);
+        assert_eq!(p.nodes.read().len(), 3);
         assert_eq!(p.stats().capacity_blocks, 12);
         // All 12 blocks are allocatable, with unique ids.
         let blocks = p.allocate("a", 12).unwrap();

@@ -17,7 +17,7 @@
 //! 3. A [`Monitor`] consumes those topics and folds events into
 //!    per-operation latency quantile sketches, error/cold-start rate
 //!    windows and top-K hot functions, evaluates declarative
-//!    [`SloPolicy`]s into firing/resolved [`AlertEvent`]s, and on alert
+//!    [`SloPolicy`]s into firing/resolved `slo::AlertEvent`s, and on alert
 //!    firing (or invocation failure) dumps the causally-complete recent
 //!    trace plus a metrics snapshot into a Jiffy `/blackbox/<alert-id>`
 //!    namespace for post-mortem reads.
@@ -31,16 +31,15 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod monitor;
-pub mod pump;
-pub mod report;
-pub mod slo;
-pub mod window;
+pub(crate) mod monitor;
+pub(crate) mod pump;
+pub(crate) mod report;
+pub(crate) mod slo;
+pub(crate) mod window;
 pub mod wire;
 
-pub use monitor::{render_trace_json, Monitor, MonitorConfig, MonitorError, PollSummary};
+pub use monitor::{render_trace_json, Monitor, MonitorConfig};
 pub use pump::{TelemetryPump, METRICS_TOPIC, SPANS_TOPIC};
 pub use report::{HealthReport, OpHealth};
-pub use slo::{AlertEvent, AlertState, SloParseError, SloPolicy};
-pub use window::{RateWindow, RollingQuantile};
+pub use slo::{AlertState, SloPolicy};
 pub use wire::SpanEvent;

@@ -98,15 +98,15 @@ struct PolicyRuntime {
 #[derive(Debug, Clone, Default)]
 pub struct PollSummary {
     /// Span events consumed this round.
-    pub spans: usize,
+    pub(crate) spans: usize,
     /// Metric events consumed this round.
-    pub metrics: usize,
+    pub(crate) metrics: usize,
     /// Frames that failed to decode this round.
-    pub decode_errors: usize,
+    pub(crate) decode_errors: usize,
     /// Policies that transitioned to firing this round.
-    pub fired: usize,
+    pub(crate) fired: usize,
     /// Policies that transitioned to resolved this round.
-    pub resolved: usize,
+    pub(crate) resolved: usize,
     /// Blackbox dump ids written this round.
     pub dumps: Vec<String>,
 }
@@ -158,6 +158,7 @@ pub struct Monitor {
     /// apart from `ops` so the in-process `&str` lookup fast path stays
     /// allocation-free and local/remote measurements never mix.
     remote_ops: BTreeMap<(u64, String), OpStats>,
+    #[cfg(test)]
     remote_events: u64,
     hot_functions: SpaceSaving,
     counters: BTreeMap<String, u64>,
@@ -174,17 +175,17 @@ pub struct Monitor {
     dumped: HashSet<String>,
     pending_failure_dumps: Vec<u64>,
     decode_errors: u64,
-    dump_errors: u64,
 }
 
 impl Monitor {
     /// Subscribe to the telemetry topics of `cluster` (creating them if
     /// no pump has yet), evaluating policies against `clock`.
-    pub fn new(cluster: &PulsarCluster, clock: SharedClock) -> Result<Self, MonitorError> {
+    #[cfg(test)]
+    pub(crate) fn new(cluster: &PulsarCluster, clock: SharedClock) -> Result<Self, MonitorError> {
         Self::with_config(cluster, clock, MonitorConfig::default())
     }
 
-    /// [`Monitor::new`] with explicit tuning.
+    /// A monitor on `cluster`'s telemetry topics, with explicit tuning.
     pub fn with_config(
         cluster: &PulsarCluster,
         clock: SharedClock,
@@ -210,6 +211,7 @@ impl Monitor {
             scratch: Vec::new(),
             ops: BTreeMap::new(),
             remote_ops: BTreeMap::new(),
+            #[cfg(test)]
             remote_events: 0,
             counters: BTreeMap::new(),
             metric_sketches: BTreeMap::new(),
@@ -223,7 +225,6 @@ impl Monitor {
             dumped: HashSet::new(),
             pending_failure_dumps: Vec::new(),
             decode_errors: 0,
-            dump_errors: 0,
         })
     }
 
@@ -252,7 +253,8 @@ impl Monitor {
     /// Attach a subsystem metrics registry; its snapshot (including
     /// histogram summaries) is embedded in dumps and health reports under
     /// `prefix`.
-    pub fn with_registry(mut self, prefix: &str, registry: &MetricsRegistry) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_registry(mut self, prefix: &str, registry: &MetricsRegistry) -> Self {
         self.registries.push((prefix.to_string(), registry.clone()));
         self
     }
@@ -401,7 +403,8 @@ impl Monitor {
     /// observability plane. Keyed by `(node, op)` so the health report
     /// can show per-node latency side by side — the whole point of
     /// grey-failure hunting.
-    pub fn ingest_remote_span(&mut self, node: u64, ev: &wire::SpanEvent) {
+    #[cfg(test)]
+    pub(crate) fn ingest_remote_span(&mut self, node: u64, ev: &wire::SpanEvent) {
         self.remote_events += 1;
         let key = (node, ev.name.clone());
         if !self.remote_ops.contains_key(&key) {
@@ -422,13 +425,15 @@ impl Monitor {
 
     /// Fold a counter metric relayed from another node, namespaced
     /// `node<N>.` so per-node counters never collide with local ones.
-    pub fn ingest_remote_metric(&mut self, node: u64, name: &str, delta: u64) {
+    #[cfg(test)]
+    pub(crate) fn ingest_remote_metric(&mut self, node: u64, name: &str, delta: u64) {
         self.remote_events += 1;
         self.fold_metric(&format!("node{node}.{name}"), delta);
     }
 
     /// Remote (cluster-collected) events folded so far.
-    pub fn remote_events(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn remote_events(&self) -> u64 {
         self.remote_events
     }
 
@@ -504,7 +509,7 @@ impl Monitor {
 
     /// Write one blackbox dump. Returns the dump id, or `None` when the
     /// dump was deduplicated, capped, impossible (no blackbox store) or
-    /// failed (counted in `dump_errors`).
+    /// failed.
     fn dump(
         &mut self,
         id: &str,
@@ -552,10 +557,7 @@ impl Monitor {
                 self.dump_ids.push(id.to_string());
                 Some(id.to_string())
             }
-            Err(_) => {
-                self.dump_errors += 1;
-                None
-            }
+            Err(_) => None,
         }
     }
 
@@ -665,24 +667,8 @@ impl Monitor {
         self.ops.get(op).map_or(0, |s| s.cumulative.total())
     }
 
-    /// Error rate of `op` over the fast window ending now.
-    pub fn error_rate(&mut self, op: &str) -> f64 {
-        let now = self.clock.now();
-        match self.ops.get_mut(op) {
-            Some(stats) => {
-                let total = stats.total_fast.count(now);
-                if total == 0 {
-                    0.0
-                } else {
-                    stats.errors_fast.count(now) as f64 / total as f64
-                }
-            }
-            None => 0.0,
-        }
-    }
-
     /// Fraction of container starts that were cold over the fast window.
-    pub fn cold_start_rate(&mut self) -> f64 {
+    pub(crate) fn cold_start_rate(&mut self) -> f64 {
         let now = self.clock.now();
         let starts = self.startups_fast.count(now);
         if starts == 0 {
@@ -693,7 +679,7 @@ impl Monitor {
     }
 
     /// Hot functions by estimated invocation count, heaviest first.
-    pub fn top_functions(&self) -> Vec<(String, u64)> {
+    pub(crate) fn top_functions(&self) -> Vec<(String, u64)> {
         let mut hitters: Vec<(String, u64)> = self
             .hot_functions
             .heavy_hitters()
@@ -705,12 +691,14 @@ impl Monitor {
     }
 
     /// Folded value of a counter metric from the telemetry stream.
-    pub fn counter(&self, name: &str) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Quantile (µs) of a `*_us` metric sample stream, if seen.
-    pub fn metric_quantile(&self, name: &str, q: f64) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn metric_quantile(&self, name: &str, q: f64) -> Option<f64> {
         self.metric_sketches.get(name)?.quantile(q)
     }
 
@@ -722,11 +710,6 @@ impl Monitor {
     /// Telemetry frames that failed to decode.
     pub fn decode_errors(&self) -> u64 {
         self.decode_errors
-    }
-
-    /// Dumps that failed to write.
-    pub fn dump_errors(&self) -> u64 {
-        self.dump_errors
     }
 }
 

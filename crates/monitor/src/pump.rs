@@ -54,17 +54,13 @@ impl TelemetryPump {
         })
     }
 
-    /// The sink this pump drains.
-    pub fn sink(&self) -> &TelemetrySink {
-        &self.sink
-    }
-
     /// Attach a lock-contention profiler: each [`TelemetryPump::pump`]
     /// first flushes the profiler's per-site deltas
     /// (`lock.<site>.{acquisitions,contended,wait_ns}`) into the sink as
     /// metric events, so contention rides the same `_telemetry/metrics`
     /// stream as every other counter.
-    pub fn attach_contention(&mut self, profiler: ContentionProfiler) -> &mut Self {
+    #[cfg(test)]
+    pub(crate) fn attach_contention(&mut self, profiler: ContentionProfiler) -> &mut Self {
         self.contention = Some(profiler);
         self
     }
@@ -113,16 +109,6 @@ impl TelemetryPump {
         })
     }
 
-    /// Span events successfully published so far.
-    pub fn published_spans(&self) -> u64 {
-        self.published_spans
-    }
-
-    /// Metric events successfully published so far.
-    pub fn published_metrics(&self) -> u64 {
-        self.published_metrics
-    }
-
     /// Events dropped because publishing failed.
     pub fn publish_errors(&self) -> u64 {
         self.publish_errors
@@ -169,8 +155,8 @@ mod tests {
         drop(tracer.span("sys", "op.a"));
         sink.metric("sys.counter", 3);
         assert_eq!(pump.pump(), 2);
-        assert_eq!(pump.published_spans(), 1);
-        assert_eq!(pump.published_metrics(), 1);
+        assert_eq!(pump.published_spans, 1);
+        assert_eq!(pump.published_metrics, 1);
         assert_eq!(pump.publish_errors(), 0);
         assert!(sink.is_empty());
 

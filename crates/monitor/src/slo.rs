@@ -53,7 +53,7 @@ pub enum SloPolicy {
 
 impl SloPolicy {
     /// The operation this policy watches.
-    pub fn op(&self) -> &str {
+    pub(crate) fn op(&self) -> &str {
         match self {
             Self::LatencyQuantile { op, .. }
             | Self::ErrorRate { op, .. }
@@ -62,7 +62,7 @@ impl SloPolicy {
     }
 
     /// Stable human-readable identity, used as the alert id.
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         match self {
             Self::LatencyQuantile { op, q, max } => {
                 format!("p{}-{}-lt-{}us", fmt_q(*q), op, max.as_micros())
@@ -169,7 +169,7 @@ fn parse_percent(s: &str) -> Option<f64> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SloParseError {
     /// The offending input.
-    pub input: String,
+    pub(crate) input: String,
 }
 
 impl fmt::Display for SloParseError {
@@ -206,14 +206,14 @@ pub struct AlertEvent {
     /// Clock time of the transition.
     pub at: Duration,
     /// [`SloPolicy::name`] of the policy that transitioned.
-    pub policy: String,
+    pub(crate) policy: String,
     /// Direction of the transition.
     pub state: AlertState,
     /// Observed value at the transition (µs for latency policies, ratio
     /// for error-rate, burn multiple for burn-rate).
-    pub value: f64,
+    pub(crate) value: f64,
     /// The policy threshold in the same unit as `value`.
-    pub threshold: f64,
+    pub(crate) threshold: f64,
 }
 
 impl fmt::Display for AlertEvent {

@@ -15,7 +15,7 @@ use taureau_sketches::{KllSketch, Mergeable};
 
 /// Count of events over a sliding time window, bucketed into slices.
 #[derive(Debug, Clone)]
-pub struct RateWindow {
+pub(crate) struct RateWindow {
     slice_us: u64,
     slices: usize,
     /// (slice index, count) pairs, oldest first.
@@ -25,7 +25,7 @@ pub struct RateWindow {
 impl RateWindow {
     /// A window covering `window` of clock time, split into `slices`
     /// buckets (both must be non-zero).
-    pub fn new(window: Duration, slices: usize) -> Self {
+    pub(crate) fn new(window: Duration, slices: usize) -> Self {
         assert!(slices >= 1, "rate window needs at least one slice");
         let slice_us = (window.as_micros() as u64 / slices as u64).max(1);
         Self {
@@ -33,11 +33,6 @@ impl RateWindow {
             slices,
             buckets: VecDeque::new(),
         }
-    }
-
-    /// Total clock time the window covers.
-    pub fn window(&self) -> Duration {
-        Duration::from_micros(self.slice_us * self.slices as u64)
     }
 
     fn slice_of(&self, at: Duration) -> u64 {
@@ -55,7 +50,7 @@ impl RateWindow {
     }
 
     /// Record `n` events at clock time `at`.
-    pub fn record(&mut self, at: Duration, n: u64) {
+    pub(crate) fn record(&mut self, at: Duration, n: u64) {
         let idx = self.slice_of(at);
         self.evict(idx);
         match self.buckets.back_mut() {
@@ -65,7 +60,7 @@ impl RateWindow {
     }
 
     /// Events inside the window ending at clock time `now`.
-    pub fn count(&mut self, now: Duration) -> u64 {
+    pub(crate) fn count(&mut self, now: Duration) -> u64 {
         let current = self.slice_of(now);
         self.evict(current);
         self.buckets.iter().map(|&(_, c)| c).sum()
@@ -76,7 +71,7 @@ impl RateWindow {
 /// slice, merged on query. Recording is O(1) amortized; querying merges
 /// at most `slices` sketches.
 #[derive(Debug, Clone)]
-pub struct RollingQuantile {
+pub(crate) struct RollingQuantile {
     k: usize,
     slice_us: u64,
     slices: usize,
@@ -87,7 +82,7 @@ pub struct RollingQuantile {
 impl RollingQuantile {
     /// A rolling window covering `window`, split into `slices` sub-sketches
     /// of accuracy `k` (see [`KllSketch::new`]).
-    pub fn new(window: Duration, slices: usize, k: usize) -> Self {
+    pub(crate) fn new(window: Duration, slices: usize, k: usize) -> Self {
         assert!(slices >= 1, "rolling quantile needs at least one slice");
         let slice_us = (window.as_micros() as u64 / slices as u64).max(1);
         Self {
@@ -113,7 +108,7 @@ impl RollingQuantile {
     }
 
     /// Record one sample observed at clock time `at`.
-    pub fn record(&mut self, at: Duration, value: f64) {
+    pub(crate) fn record(&mut self, at: Duration, value: f64) {
         let idx = self.slice_of(at);
         self.evict(idx);
         match self.ring.back_mut() {
@@ -127,7 +122,7 @@ impl RollingQuantile {
     }
 
     /// Samples inside the window ending at `now`.
-    pub fn count(&mut self, now: Duration) -> u64 {
+    pub(crate) fn count(&mut self, now: Duration) -> u64 {
         let current = self.slice_of(now);
         self.evict(current);
         self.ring.iter().map(|(_, s)| s.total()).sum()
@@ -135,7 +130,7 @@ impl RollingQuantile {
 
     /// Quantile estimate over the window ending at `now`; `None` when the
     /// window holds no samples.
-    pub fn quantile(&mut self, now: Duration, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&mut self, now: Duration, q: f64) -> Option<f64> {
         let current = self.slice_of(now);
         self.evict(current);
         let mut iter = self.ring.iter();

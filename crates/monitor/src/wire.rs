@@ -109,7 +109,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A little-endian `u16`.
-    pub fn u16(&mut self) -> Option<u16> {
+    pub(crate) fn u16(&mut self) -> Option<u16> {
         Some(u16::from_le_bytes(self.bytes(2)?.try_into().ok()?))
     }
 
@@ -269,12 +269,12 @@ impl<'a> SpanRef<'a> {
 }
 
 /// Decode a span frame; `None` on any malformed input.
-pub fn decode_span(bytes: &[u8]) -> Option<SpanEvent> {
+pub(crate) fn decode_span(bytes: &[u8]) -> Option<SpanEvent> {
     SpanRef::parse(bytes).map(|s| s.to_owned())
 }
 
 /// Encode a metric delta as one telemetry frame.
-pub fn encode_metric(name: &str, delta: u64) -> Vec<u8> {
+pub(crate) fn encode_metric(name: &str, delta: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + name.len());
     out.push(MAGIC);
     out.push(TAG_METRIC);
@@ -284,7 +284,7 @@ pub fn encode_metric(name: &str, delta: u64) -> Vec<u8> {
 }
 
 /// Decode a metric frame; `None` on any malformed input.
-pub fn decode_metric(bytes: &[u8]) -> Option<(String, u64)> {
+pub(crate) fn decode_metric(bytes: &[u8]) -> Option<(String, u64)> {
     let mut r = Reader(bytes);
     if r.u8()? != MAGIC || r.u8()? != TAG_METRIC {
         return None;

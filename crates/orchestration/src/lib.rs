@@ -40,7 +40,7 @@ use taureau_core::metrics::MetricsRegistry;
 use taureau_faas::{FaasError, FaasPlatform};
 
 /// A predicate over input bytes, used by [`Composition::Choice`].
-pub type Predicate = Arc<dyn Fn(&[u8]) -> bool + Send + Sync>;
+pub(crate) type Predicate = Arc<dyn Fn(&[u8]) -> bool + Send + Sync>;
 
 /// A composition of serverless functions.
 ///
@@ -109,15 +109,11 @@ impl Composition {
 
 /// One billed basic-function execution within a composition run.
 #[derive(Debug, Clone)]
-pub struct InvocationRecord {
-    /// Function name.
-    pub function: String,
+pub(crate) struct InvocationRecord {
     /// Dollars billed for this execution.
-    pub cost: Dollars,
+    pub(crate) cost: Dollars,
     /// Measured execution duration.
-    pub duration: Duration,
-    /// Attempts used (retries).
-    pub attempts: u32,
+    pub(crate) duration: Duration,
 }
 
 /// The result of running a composition.
@@ -127,7 +123,7 @@ pub struct ExecutionReport {
     /// not copied, into the report).
     pub output: Bytes,
     /// Every basic function execution, in completion order.
-    pub invocations: Vec<InvocationRecord>,
+    pub(crate) invocations: Vec<InvocationRecord>,
 }
 
 impl ExecutionReport {
@@ -208,10 +204,8 @@ impl Orchestrator {
                     .histogram("task_exec_us")
                     .record_duration(r.exec_duration);
                 report.invocations.push(InvocationRecord {
-                    function: name.clone(),
                     cost: r.cost,
                     duration: r.exec_duration,
-                    attempts: r.attempts,
                 });
                 Ok(r.output)
             }
@@ -281,11 +275,6 @@ impl Orchestrator {
                 Err(last.expect("attempts >= 1"))
             }
         }
-    }
-
-    /// The underlying platform (for billing audits in tests/benches).
-    pub fn platform(&self) -> &FaasPlatform {
-        &self.platform
     }
 }
 

@@ -15,10 +15,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use taureau_faas::{FaasError, FaasPlatform};
 
-use crate::InvocationRecord;
-
 /// A branch predicate over a state's output bytes.
-pub type OutputPredicate = Arc<dyn Fn(&[u8]) -> bool + Send + Sync>;
+pub(crate) type OutputPredicate = Arc<dyn Fn(&[u8]) -> bool + Send + Sync>;
 
 /// Routes a state's output to the next state.
 pub enum Transition {
@@ -124,10 +122,12 @@ pub struct StateMachineReport {
     /// Final output (refcounted; shared with the last step's result).
     pub output: Bytes,
     /// States visited, in order.
-    pub path: Vec<String>,
+    #[cfg(test)]
+    pub(crate) path: Vec<String>,
     /// Billed basic-function executions (no double billing: the machine
     /// itself adds nothing).
-    pub invocations: Vec<InvocationRecord>,
+    #[cfg(test)]
+    pub(crate) invocations: Vec<crate::InvocationRecord>,
 }
 
 /// A named-state workflow over black-box functions.
@@ -154,7 +154,8 @@ impl StateMachine {
     }
 
     /// Override the runaway-loop budget.
-    pub fn with_max_transitions(mut self, n: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_max_transitions(mut self, n: u32) -> Self {
         assert!(n >= 1);
         self.max_transitions = n;
         self
@@ -169,7 +170,9 @@ impl StateMachine {
         let mut current = self.start.clone();
         let mut previous: Option<String> = None;
         let mut payload = Bytes::copy_from_slice(input);
+        #[cfg(test)]
         let mut path = Vec::new();
+        #[cfg(test)]
         let mut invocations = Vec::new();
         for _ in 0..self.max_transitions {
             let state =
@@ -179,6 +182,7 @@ impl StateMachine {
                         state: current.clone(),
                         from: previous.clone(),
                     })?;
+            #[cfg(test)]
             path.push(current.clone());
             let r = platform
                 .invoke(&state.function, payload.clone())
@@ -187,11 +191,10 @@ impl StateMachine {
                     function: state.function.clone(),
                     source,
                 })?;
-            invocations.push(InvocationRecord {
-                function: state.function.clone(),
+            #[cfg(test)]
+            invocations.push(crate::InvocationRecord {
                 cost: r.cost,
                 duration: r.exec_duration,
-                attempts: r.attempts,
             });
             payload = r.output;
             previous = Some(current.clone());
@@ -199,7 +202,9 @@ impl StateMachine {
                 Transition::End => {
                     return Ok(StateMachineReport {
                         output: payload,
+                        #[cfg(test)]
                         path,
+                        #[cfg(test)]
                         invocations,
                     });
                 }

@@ -11,11 +11,11 @@ use crate::graph::TraceGraph;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathSegment {
     /// Index of the span (into [`TraceGraph::spans`]) doing the work.
-    pub span: usize,
+    pub(crate) span: usize,
     /// Segment start (trace clock).
-    pub start: Duration,
+    pub(crate) start: Duration,
     /// Segment end (trace clock).
-    pub end: Duration,
+    pub(crate) end: Duration,
 }
 
 impl PathSegment {
@@ -38,9 +38,7 @@ impl PathSegment {
 #[derive(Debug, Clone)]
 pub struct CriticalPath {
     /// The trace analyzed.
-    pub trace_id: TraceId,
-    /// Root span index.
-    pub root: usize,
+    pub(crate) trace_id: TraceId,
     /// Root duration — what the rollups sum to.
     pub total: Duration,
     /// Path segments in chronological order.
@@ -57,25 +55,24 @@ impl CriticalPath {
     /// Extract the critical path of the subtree under `root` (any span
     /// index, not necessarily a trace root) — e.g. just the consumer-side
     /// `faas.invoke` hop of a publish-rooted trace.
-    pub fn compute_from(graph: &TraceGraph, root: usize) -> Self {
+    pub(crate) fn compute_from(graph: &TraceGraph, root: usize) -> Self {
         let mut segments = Vec::new();
         walk(graph, root, graph.span(root).end, &mut segments);
         segments.reverse();
         Self {
             trace_id: graph.span(root).trace_id,
-            root,
             total: graph.span(root).duration(),
             segments,
         }
     }
 
     /// On-path self time per span name, descending.
-    pub fn by_name(&self, graph: &TraceGraph) -> Vec<(String, Duration)> {
+    pub(crate) fn by_name(&self, graph: &TraceGraph) -> Vec<(String, Duration)> {
         self.rollup(|i| graph.span(i).name.clone())
     }
 
     /// On-path self time per subsystem, descending.
-    pub fn by_system(&self, graph: &TraceGraph) -> Vec<(String, Duration)> {
+    pub(crate) fn by_system(&self, graph: &TraceGraph) -> Vec<(String, Duration)> {
         self.rollup(|i| graph.span(i).system.to_string())
     }
 

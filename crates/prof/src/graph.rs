@@ -51,13 +51,8 @@ impl TraceGraph {
     }
 
     /// Number of spans in the graph.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.spans.len()
-    }
-
-    /// Whether the graph holds no spans.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
     }
 
     /// All spans, in build order. Indices into this slice are the node
@@ -67,17 +62,17 @@ impl TraceGraph {
     }
 
     /// The span at `idx`.
-    pub fn span(&self, idx: usize) -> &SpanRecord {
+    pub(crate) fn span(&self, idx: usize) -> &SpanRecord {
         &self.spans[idx]
     }
 
     /// Children of `idx`, ordered by start time.
-    pub fn children(&self, idx: usize) -> &[usize] {
+    pub(crate) fn children(&self, idx: usize) -> &[usize] {
         &self.children[idx]
     }
 
     /// Root spans (no captured parent), ordered by (trace, start).
-    pub fn roots(&self) -> &[usize] {
+    pub(crate) fn roots(&self) -> &[usize] {
         &self.roots
     }
 
@@ -95,7 +90,8 @@ impl TraceGraph {
 
     /// Distinct subsystem names across all spans, sorted — a quick check
     /// that a stitched trace really crosses the tiers it should.
-    pub fn systems(&self) -> Vec<&'static str> {
+    #[cfg(test)]
+    pub(crate) fn systems(&self) -> Vec<&'static str> {
         let mut out: Vec<&'static str> = Vec::new();
         for s in &self.spans {
             if !out.contains(&s.system) {
@@ -107,7 +103,8 @@ impl TraceGraph {
     }
 
     /// Distinct trace ids, in root order.
-    pub fn traces(&self) -> Vec<TraceId> {
+    #[cfg(test)]
+    pub(crate) fn traces(&self) -> Vec<TraceId> {
         let mut out: Vec<TraceId> = Vec::new();
         for &r in &self.roots {
             let t = self.spans[r].trace_id;
@@ -120,7 +117,7 @@ impl TraceGraph {
 
     /// The root of `trace` — when a trace has several captured roots
     /// (partial capture), the earliest-starting one.
-    pub fn root_of(&self, trace: TraceId) -> Option<usize> {
+    pub(crate) fn root_of(&self, trace: TraceId) -> Option<usize> {
         self.roots
             .iter()
             .copied()
@@ -128,7 +125,8 @@ impl TraceGraph {
     }
 
     /// Every span of `trace`, as indices.
-    pub fn trace_spans(&self, trace: TraceId) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn trace_spans(&self, trace: TraceId) -> Vec<usize> {
         (0..self.spans.len())
             .filter(|&i| self.spans[i].trace_id == trace)
             .collect()
@@ -137,7 +135,7 @@ impl TraceGraph {
     /// Time `idx` spent in its own code: its duration minus the time its
     /// children cover within its window (overlapping children — parallel
     /// fan-out — are merged, not double-subtracted).
-    pub fn self_time(&self, idx: usize) -> Duration {
+    pub(crate) fn self_time(&self, idx: usize) -> Duration {
         let s = &self.spans[idx];
         // Merge child intervals clamped to the parent window.
         let mut ivs: Vec<(Duration, Duration)> = self.children[idx]

@@ -26,14 +26,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod critical;
-pub mod graph;
+pub(crate) mod critical;
+pub(crate) mod graph;
 pub mod render;
 
-pub use critical::{CriticalPath, PathSegment};
+pub use critical::CriticalPath;
 pub use graph::TraceGraph;
 
-use std::time::Duration;
 use taureau_core::sync::LockSiteSnapshot;
 
 /// Merged view over lock-contention snapshots, ranked by total wait time:
@@ -57,12 +56,16 @@ impl ContentionReport {
     }
 
     /// The site threads spend the most time blocked on, if any waited.
-    pub fn top(&self) -> Option<&LockSiteSnapshot> {
-        self.sites.first().filter(|s| s.wait_total > Duration::ZERO)
+    #[cfg(test)]
+    pub(crate) fn top(&self) -> Option<&LockSiteSnapshot> {
+        self.sites
+            .first()
+            .filter(|s| s.wait_total > std::time::Duration::ZERO)
     }
 
     /// Total wait time across every site.
-    pub fn total_wait(&self) -> Duration {
+    #[cfg(test)]
+    pub(crate) fn total_wait(&self) -> std::time::Duration {
         self.sites.iter().map(|s| s.wait_total).sum()
     }
 

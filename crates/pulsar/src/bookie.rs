@@ -31,17 +31,20 @@ struct LedgerStore {
 /// bookie-wide lock — only entries of the same ledger serialize.
 #[derive(Debug)]
 pub struct Bookie {
-    /// Index within the cluster.
-    pub index: usize,
     alive: AtomicBool,
     ledgers: ShardedMap<LedgerId, LedgerStore>,
 }
 
+impl Default for Bookie {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Bookie {
     /// New live bookie.
-    pub fn new(index: usize) -> Self {
+    pub fn new() -> Self {
         Self {
-            index,
             alive: AtomicBool::new(true),
             ledgers: ShardedMap::new(),
         }
@@ -65,7 +68,7 @@ impl Bookie {
 
     /// Store an entry. Returns `false` if the bookie is down or the ledger
     /// has been fenced here by a recovering writer.
-    pub fn add_entry(&self, ledger: LedgerId, entry: u64, data: Bytes) -> bool {
+    pub(crate) fn add_entry(&self, ledger: LedgerId, entry: u64, data: Bytes) -> bool {
         if !self.is_alive() {
             return false;
         }
@@ -82,7 +85,7 @@ impl Bookie {
     /// Store an entry copied by the re-replication worker. Unlike
     /// [`Bookie::add_entry`] this ignores the fence mark: fencing stops
     /// *writers*, while repair copies entries of an already-closed ledger.
-    pub fn store_recovered(&self, ledger: LedgerId, entry: u64, data: Bytes) -> bool {
+    pub(crate) fn store_recovered(&self, ledger: LedgerId, entry: u64, data: Bytes) -> bool {
         if !self.is_alive() {
             return false;
         }
@@ -98,21 +101,22 @@ impl Bookie {
     /// writer that still believes it owns the ledger can no longer reach the
     /// ack quorum. The mark survives crashes (it lives in the journal, like
     /// BookKeeper's fence bit) and is only cleared by ledger deletion.
-    pub fn fence(&self, ledger: LedgerId) {
+    pub(crate) fn fence(&self, ledger: LedgerId) {
         self.ledgers.with(&ledger, |shard| {
             shard.entry(ledger).or_default().fenced = true
         });
     }
 
     /// Whether appends to this ledger are fenced off on this bookie.
-    pub fn is_fenced(&self, ledger: LedgerId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_fenced(&self, ledger: LedgerId) -> bool {
         self.ledgers.read(&ledger, |shard| {
             shard.get(&ledger).is_some_and(|l| l.fenced)
         })
     }
 
     /// Read an entry. `None` if down or absent.
-    pub fn read_entry(&self, ledger: LedgerId, entry: u64) -> Option<Bytes> {
+    pub(crate) fn read_entry(&self, ledger: LedgerId, entry: u64) -> Option<Bytes> {
         if !self.is_alive() {
             return None;
         }
@@ -122,7 +126,7 @@ impl Bookie {
     }
 
     /// Highest entry id stored for a ledger (for recovery).
-    pub fn last_entry(&self, ledger: LedgerId) -> Option<u64> {
+    pub(crate) fn last_entry(&self, ledger: LedgerId) -> Option<u64> {
         if !self.is_alive() {
             return None;
         }
@@ -132,14 +136,15 @@ impl Bookie {
     }
 
     /// Drop all entries of a ledger (ledger deletion).
-    pub fn delete_ledger(&self, ledger: LedgerId) {
+    pub(crate) fn delete_ledger(&self, ledger: LedgerId) {
         self.ledgers.remove(&ledger);
     }
 
     /// Ids of all ledgers with entries stored on this bookie (journal scan;
     /// works even when crashed — re-replication reads the survivors, not
     /// the corpse, but the repair planner may still enumerate it).
-    pub fn ledger_ids(&self) -> Vec<LedgerId> {
+    #[cfg(test)]
+    pub(crate) fn ledger_ids(&self) -> Vec<LedgerId> {
         // A ledger fenced here before it stored anything has a record but
         // no entries; it is not listed.
         let mut ids = Vec::new();
@@ -153,7 +158,8 @@ impl Bookie {
 
     /// Number of entries stored for a ledger (test/metrics hook; works even
     /// when crashed, as it inspects the journal, not the serving path).
-    pub fn entry_count(&self, ledger: LedgerId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn entry_count(&self, ledger: LedgerId) -> usize {
         self.ledgers.read(&ledger, |shard| {
             shard.get(&ledger).map_or(0, |l| l.entries.len())
         })
@@ -175,7 +181,7 @@ mod tests {
 
     #[test]
     fn add_and_read() {
-        let b = Bookie::new(0);
+        let b = Bookie::new();
         assert!(b.add_entry(LedgerId(1), 0, Bytes::from_static(b"e0")));
         assert!(b.add_entry(LedgerId(1), 1, Bytes::from_static(b"e1")));
         assert_eq!(
@@ -189,7 +195,7 @@ mod tests {
 
     #[test]
     fn crash_rejects_requests_but_preserves_data() {
-        let b = Bookie::new(0);
+        let b = Bookie::new();
         b.add_entry(LedgerId(1), 0, Bytes::from_static(b"x"));
         b.crash();
         assert!(!b.add_entry(LedgerId(1), 1, Bytes::from_static(b"y")));
@@ -201,7 +207,7 @@ mod tests {
 
     #[test]
     fn fence_rejects_appends_but_serves_reads() {
-        let b = Bookie::new(0);
+        let b = Bookie::new();
         assert!(b.add_entry(LedgerId(1), 0, Bytes::from_static(b"x")));
         b.fence(LedgerId(1));
         assert!(!b.add_entry(LedgerId(1), 1, Bytes::from_static(b"y")));
@@ -215,7 +221,7 @@ mod tests {
 
     #[test]
     fn a_fence_mark_is_not_an_entry() {
-        let b = Bookie::new(0);
+        let b = Bookie::new();
         // Fenced before anything was stored: a record, but no entries.
         b.fence(LedgerId(7));
         assert!(b.is_fenced(LedgerId(7)));
@@ -246,7 +252,7 @@ mod tests {
         use std::sync::atomic::AtomicU64;
         use std::sync::Barrier;
         for round in 0..400u64 {
-            let b = Bookie::new(0);
+            let b = Bookie::new();
             let ledger = LedgerId(round);
             let appended = AtomicU64::new(0);
             let start = Barrier::new(2);
@@ -280,7 +286,7 @@ mod tests {
 
     #[test]
     fn delete_ledger_reclaims() {
-        let b = Bookie::new(0);
+        let b = Bookie::new();
         b.add_entry(LedgerId(1), 0, Bytes::from(vec![0u8; 100]));
         assert_eq!(b.stored_bytes(), 100);
         b.delete_ledger(LedgerId(1));

@@ -491,7 +491,7 @@ struct Topic {
 /// dispatch, ack, and subscribe, so a broker deposed by a newer ownership
 /// epoch fails fast with [`PulsarError::Fenced`] instead of serving (or
 /// corrupting) state it no longer owns.
-pub type FenceCheck = Arc<dyn Fn(&str) -> bool + Send + Sync>;
+pub(crate) type FenceCheck = Arc<dyn Fn(&str) -> bool + Send + Sync>;
 
 struct ClusterInner {
     clock: SharedClock,
@@ -545,9 +545,9 @@ struct ClusterInner {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DispatchProfile {
     /// `receive_scan` calls profiled.
-    pub scans: u64,
+    pub(crate) scans: u64,
     /// Messages delivered by profiled scans.
-    pub messages: u64,
+    pub(crate) messages: u64,
     /// Total wall time of profiled scans.
     pub wall_ns: u64,
     /// Topic-shard lock acquisition: entering the shard (hash, lock wait,
@@ -576,7 +576,8 @@ pub struct DispatchProfile {
 
 impl DispatchProfile {
     /// Named phases, in pipeline order.
-    pub fn phases(&self) -> [(&'static str, u64); 5] {
+    #[cfg(test)]
+    pub(crate) fn phases(&self) -> [(&'static str, u64); 5] {
         [
             ("topic_shard_lock", self.lock_ns),
             ("cursor_bookkeeping", self.cursor_ns),
@@ -587,21 +588,14 @@ impl DispatchProfile {
     }
 
     /// Sum of the directly measured phases.
-    pub fn explained_ns(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn explained_ns(&self) -> u64 {
         self.phases().iter().map(|(_, ns)| ns).sum()
     }
 
-    /// Fraction of dispatch wall time the named phases account for.
-    pub fn explained_fraction(&self) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            (self.explained_ns() as f64 / self.wall_ns as f64).min(1.0)
-        }
-    }
-
     /// The most expensive phase — the dispatch-side bottleneck.
-    pub fn top_phase(&self) -> (&'static str, u64) {
+    #[cfg(test)]
+    pub(crate) fn top_phase(&self) -> (&'static str, u64) {
         self.phases()
             .into_iter()
             .max_by_key(|(_, ns)| *ns)
@@ -656,7 +650,7 @@ impl PulsarCluster {
     /// Create a cluster with the given config on the given clock.
     pub fn new(cfg: PulsarConfig, clock: SharedClock) -> Self {
         let bookies: Arc<Vec<Arc<Bookie>>> =
-            Arc::new((0..cfg.bookies).map(|i| Arc::new(Bookie::new(i))).collect());
+            Arc::new((0..cfg.bookies).map(|_| Arc::new(Bookie::new())).collect());
         let meta = Arc::new(MetadataStore::new());
         Self::with_shared(cfg, clock, bookies, meta)
     }
@@ -703,7 +697,7 @@ impl PulsarCluster {
         }
     }
 
-    /// Install a topic-ownership fence (see [`FenceCheck`]). The cluster
+    /// Install a topic-ownership fence (see `FenceCheck`). The cluster
     /// layer points this at its epoch-fenced lease table; operations on
     /// topics the check rejects fail with [`PulsarError::Fenced`].
     /// Install-once: a broker's fence is part of its identity, so a second
@@ -713,7 +707,8 @@ impl PulsarCluster {
     }
 
     /// Shared metadata store (cluster layer + tests).
-    pub fn metadata(&self) -> &Arc<MetadataStore> {
+    #[cfg(test)]
+    pub(crate) fn metadata(&self) -> &Arc<MetadataStore> {
         &self.inner.meta
     }
 
@@ -764,7 +759,8 @@ impl PulsarCluster {
     }
 
     /// Direct BookKeeper access (used by benches).
-    pub fn bookkeeper(&self) -> &BookKeeper {
+    #[cfg(test)]
+    pub(crate) fn bookkeeper(&self) -> &BookKeeper {
         &self.inner.bk
     }
 
@@ -868,7 +864,7 @@ impl PulsarCluster {
     /// The tenant of a topic: the segment before the first `/` in the
     /// topic name (Pulsar's `tenant/namespace/topic` convention,
     /// flattened), or the whole name for un-namespaced topics.
-    pub fn tenant_of(topic: &str) -> &str {
+    pub(crate) fn tenant_of(topic: &str) -> &str {
         topic.split('/').next().unwrap_or(topic)
     }
 
@@ -876,7 +872,8 @@ impl PulsarCluster {
     /// (multi-tenancy backlog quota). Publishing beyond the cap fails with
     /// [`PulsarError::TenantQuotaExceeded`] until consumers ack and the
     /// topic is trimmed.
-    pub fn set_tenant_quota(&self, tenant: &str, max_retained_entries: u64) {
+    #[cfg(test)]
+    pub(crate) fn set_tenant_quota(&self, tenant: &str, max_retained_entries: u64) {
         self.inner
             .quotas
             .lock()
@@ -2265,11 +2262,6 @@ pub struct Producer {
 }
 
 impl Producer {
-    /// Topic name.
-    pub fn topic(&self) -> &str {
-        &self.topic
-    }
-
     /// Publish a key-less message (round-robin partition routing).
     pub fn send(&self, payload: &[u8]) -> Result<MessageId> {
         self.cluster.publish(&self.topic, None, payload)
@@ -2284,51 +2276,9 @@ impl Producer {
     /// Publish several messages as one group-committed ledger entry: one
     /// quota check, one encode, one replicated append. The whole batch
     /// lands on one partition (round-robin, like key-less `send`); ids come
-    /// back in payload order. See [`BatchBuilder`] for incremental packing.
+    /// back in payload order.
     pub fn send_batch<T: AsRef<[u8]>>(&self, payloads: &[T]) -> Result<Vec<MessageId>> {
         self.cluster.publish_batch(&self.topic, payloads)
-    }
-
-    /// Start building a batch to flush through this producer.
-    pub fn batch(&self) -> BatchBuilder<'_> {
-        BatchBuilder {
-            producer: self,
-            payloads: Vec::new(),
-        }
-    }
-}
-
-/// Incrementally packs messages for one group-committed publish.
-///
-/// Accumulates refcounted payloads and submits them in a single
-/// [`Producer::send_batch`] call on [`flush`](BatchBuilder::flush).
-/// Dropping an unflushed builder publishes nothing.
-pub struct BatchBuilder<'a> {
-    producer: &'a Producer,
-    payloads: Vec<Bytes>,
-}
-
-impl BatchBuilder<'_> {
-    /// Append one message to the pending batch.
-    pub fn add(&mut self, payload: impl Into<Bytes>) -> &mut Self {
-        self.payloads.push(payload.into());
-        self
-    }
-
-    /// Number of messages currently pending.
-    pub fn len(&self) -> usize {
-        self.payloads.len()
-    }
-
-    /// True when no messages are pending.
-    pub fn is_empty(&self) -> bool {
-        self.payloads.is_empty()
-    }
-
-    /// Publish everything added so far as one batch and reset the builder.
-    pub fn flush(&mut self) -> Result<Vec<MessageId>> {
-        let payloads = std::mem::take(&mut self.payloads);
-        self.producer.send_batch(&payloads)
     }
 }
 
@@ -2346,16 +2296,6 @@ pub struct Consumer {
 }
 
 impl Consumer {
-    /// Topic name.
-    pub fn topic(&self) -> &str {
-        &self.topic
-    }
-
-    /// Subscription name.
-    pub fn subscription(&self) -> &str {
-        &self.subscription
-    }
-
     /// Pull the next available message (non-blocking; `None` when caught
     /// up, or when this consumer is a passive failover replica).
     pub fn receive(&mut self) -> Result<Option<Message>> {
@@ -2732,8 +2672,6 @@ mod tests {
             p.send(b"x").unwrap();
         }
         let snap = site.snapshot();
-        // taureau-core's default `lock-prof` feature is on in this build,
-        // so every shard acquisition is counted.
         assert!(
             snap.acquisitions >= 5,
             "publishes acquire the topic shard: {}",
@@ -2813,24 +2751,6 @@ mod tests {
             }
         }
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn batch_builder_flushes_one_entry() {
-        let c = small_cluster();
-        c.create_topic("t", 1).unwrap();
-        let p = c.producer("t").unwrap();
-        let mut b = p.batch();
-        assert!(b.is_empty());
-        b.add(&b"x"[..]).add(&b"y"[..]);
-        assert_eq!(b.len(), 2);
-        let ids = b.flush().unwrap();
-        assert_eq!(ids.len(), 2);
-        assert!(b.is_empty());
-        assert_eq!(c.retained_entries("t").unwrap(), 1);
-        // Empty flush publishes nothing.
-        assert!(b.flush().unwrap().is_empty());
-        assert_eq!(c.retained_entries("t").unwrap(), 1);
     }
 
     #[test]

@@ -101,4 +101,4 @@ impl std::fmt::Display for PulsarError {
 impl std::error::Error for PulsarError {}
 
 /// Convenience result alias.
-pub type Result<T> = std::result::Result<T, PulsarError>;
+pub(crate) type Result<T> = std::result::Result<T, PulsarError>;

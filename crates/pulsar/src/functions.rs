@@ -15,7 +15,6 @@
 
 use std::collections::HashMap;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 
 use taureau_jiffy::{Jiffy, KvHandle, KvScope};
@@ -30,7 +29,7 @@ const SCAN_BUDGET: usize = 256;
 
 /// User function body: called once per input message; returning
 /// `Some(bytes)` publishes them to the configured output topic.
-pub type FnBody = Box<dyn FnMut(&Message, &mut Context<'_>) -> Option<Vec<u8>> + Send>;
+pub(crate) type FnBody = Box<dyn FnMut(&Message, &mut Context<'_>) -> Option<Vec<u8>> + Send>;
 
 /// Registration config for a function.
 #[derive(Debug, Clone)]
@@ -64,13 +63,6 @@ pub struct Context<'a> {
 }
 
 impl Context<'_> {
-    /// Read a state value (Jiffy-backed; survives across invocations and
-    /// across function instances). The returned [`Bytes`] is a refcounted
-    /// view with snapshot semantics — no copy.
-    pub fn state_get(&self, key: &[u8]) -> Option<Bytes> {
-        self.state.get(key).ok().flatten()
-    }
-
     /// Write a state value.
     pub fn state_put(&self, key: &[u8], value: &[u8]) {
         // Jiffy auto-scales the backing object; errors here mean the pool
@@ -113,7 +105,7 @@ struct FunctionInstance {
 /// them.
 ///
 /// Pumping is explicit ([`FunctionRuntime::run_available`] /
-/// [`FunctionRuntime::run_round`]) so tests and benches control scheduling
+/// `FunctionRuntime::run_round`) so tests and benches control scheduling
 /// deterministically — the serverless platform crate layers demand-driven
 /// execution on top.
 pub struct FunctionRuntime {
@@ -173,7 +165,8 @@ impl FunctionRuntime {
 
     /// Deregister a function, dropping its subscriptions (its Jiffy state
     /// remains until its lease lapses, per the ephemeral-state model).
-    pub fn deregister(&self, name: &str) -> Result<()> {
+    #[cfg(test)]
+    pub(crate) fn deregister(&self, name: &str) -> Result<()> {
         self.functions
             .lock()
             .remove(name)
@@ -193,10 +186,10 @@ impl FunctionRuntime {
     /// Run one function until its inputs are drained; returns messages
     /// processed.
     ///
-    /// Inputs are visited round-robin, one scan of up to [`SCAN_BUDGET`]
+    /// Inputs are visited round-robin, one scan of up to `SCAN_BUDGET`
     /// messages at a time: the scan arrives as whole-entry views (one
     /// broker lock, framing parsed once per entry), the body runs over
-    /// every message in it with one [`Context`] (so one state scope), and
+    /// every message in it with one `Context` (so one state scope), and
     /// one `ack_entries` commits the scan. If an output `send` fails
     /// mid-scan, exactly the messages already processed are acked and the
     /// error is returned; the rest of the scan stays pending and comes
@@ -267,7 +260,7 @@ impl FunctionRuntime {
     /// Run every registered function once over its available input;
     /// returns the total processed. Call in a loop (`run_to_quiescence`)
     /// to flush multi-stage pipelines.
-    pub fn run_round(&self) -> Result<usize> {
+    pub(crate) fn run_round(&self) -> Result<usize> {
         let names: Vec<String> = self.functions.lock().keys().cloned().collect();
         let mut total = 0;
         for name in names {
@@ -299,6 +292,7 @@ impl FunctionRuntime {
 mod tests {
     use super::*;
     use crate::broker::PulsarConfig;
+    use bytes::Bytes;
     use taureau_core::clock::WallClock;
     use taureau_jiffy::JiffyConfig;
 
@@ -664,7 +658,7 @@ mod tests {
             })
             .collect();
         // Both start together, so the 2 N read-modify-writes overlap — and
-        // a reader keeps taking the views `state_get` hands out, so some
+        // a reader keeps taking the views the state's `get` hands out, so some
         // increments find the counter's buffer shared and some find it
         // theirs alone. A view must read the same count for as long as it
         // is held, and successive views never go backwards.

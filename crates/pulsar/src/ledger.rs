@@ -54,15 +54,15 @@ impl LedgerConfig {
 
 /// Ledger metadata persisted in the metadata store.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LedgerMeta {
+pub(crate) struct LedgerMeta {
     /// Bookie indices in the ensemble.
-    pub ensemble: Vec<usize>,
+    pub(crate) ensemble: Vec<usize>,
     /// Replicas per entry.
-    pub write_quorum: usize,
+    pub(crate) write_quorum: usize,
     /// Whether the ledger is sealed.
-    pub closed: bool,
+    pub(crate) closed: bool,
     /// Last entry id if closed and non-empty.
-    pub last_entry: Option<u64>,
+    pub(crate) last_entry: Option<u64>,
 }
 
 impl LedgerMeta {
@@ -162,7 +162,7 @@ impl BookKeeper {
     }
 
     /// Fetch ledger metadata.
-    pub fn ledger_meta(&self, id: LedgerId) -> Result<LedgerMeta> {
+    pub(crate) fn ledger_meta(&self, id: LedgerId) -> Result<LedgerMeta> {
         let v = self
             .meta
             .get(&meta_key(id))
@@ -194,7 +194,7 @@ impl BookKeeper {
     /// ledger instead of once per entry. An entry the ensemble of that one
     /// fetch cannot serve is retried against fresh metadata (a repair may
     /// have moved it meanwhile) before the read fails.
-    pub fn read_through(&self, id: LedgerId, last: u64) -> Result<Vec<Bytes>> {
+    pub(crate) fn read_through(&self, id: LedgerId, last: u64) -> Result<Vec<Bytes>> {
         let meta = self.ledger_meta(id)?;
         (0..=last)
             .map(|entry| match self.read_replica(&meta, id, entry) {
@@ -224,7 +224,7 @@ impl BookKeeper {
     /// The ensemble is fenced *before* the recovery read, so a deposed
     /// writer that is still running cannot reach its ack quorum after the
     /// new owner has decided the ledger's final length.
-    pub fn recover_and_close(&self, id: LedgerId) -> Result<Option<u64>> {
+    pub(crate) fn recover_and_close(&self, id: LedgerId) -> Result<Option<u64>> {
         let mut meta = self.ledger_meta(id)?;
         if meta.closed {
             return Ok(meta.last_entry);
@@ -245,7 +245,7 @@ impl BookKeeper {
 
     /// Delete a ledger's entries and metadata ("when the entries … are no
     /// longer needed, the whole ledger can be deleted").
-    pub fn delete_ledger(&self, id: LedgerId) -> Result<()> {
+    pub(crate) fn delete_ledger(&self, id: LedgerId) -> Result<()> {
         let meta = self.ledger_meta(id)?;
         for &i in &meta.ensemble {
             self.bookies[i].delete_ledger(id);
@@ -255,7 +255,7 @@ impl BookKeeper {
     }
 
     /// Ids of every ledger known to the metadata store.
-    pub fn all_ledgers(&self) -> Vec<LedgerId> {
+    pub(crate) fn all_ledgers(&self) -> Vec<LedgerId> {
         let prefix = "/ledgers/";
         let mut ids: Vec<LedgerId> = self
             .meta
@@ -337,18 +337,6 @@ impl BookKeeper {
         self.meta.put(&meta_key(id), meta.encode());
         Ok(copied)
     }
-
-    /// Re-replicate every ledger that had `dead` in its ensemble onto
-    /// `target`. Returns `(ledgers_repaired, entries_copied)`.
-    pub fn rereplicate_from(&self, dead: usize, target: usize) -> Result<(usize, u64)> {
-        let mut ledgers = 0usize;
-        let mut entries = 0u64;
-        for id in self.ledgers_on(dead) {
-            entries += self.rereplicate_ledger(id, dead, target)?;
-            ledgers += 1;
-        }
-        Ok((ledgers, entries))
-    }
 }
 
 /// The single writer of an open ledger.
@@ -368,13 +356,8 @@ impl LedgerWriter {
     }
 
     /// Entries appended so far.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.next_entry
-    }
-
-    /// Whether no entries were appended.
-    pub fn is_empty(&self) -> bool {
-        self.next_entry == 0
     }
 
     /// Append an entry, replicating to the write quorum.
@@ -448,7 +431,7 @@ mod tests {
 
     fn cluster(n: usize) -> (BookKeeper, Arc<Vec<Arc<Bookie>>>) {
         let bookies: Arc<Vec<Arc<Bookie>>> =
-            Arc::new((0..n).map(|i| Arc::new(Bookie::new(i))).collect());
+            Arc::new((0..n).map(|_| Arc::new(Bookie::new())).collect());
         let meta = Arc::new(MetadataStore::new());
         (BookKeeper::new(bookies.clone(), meta), bookies)
     }
@@ -745,7 +728,7 @@ mod tests {
     #[test]
     fn rereplication_restores_replication_factor() {
         let bookies: Arc<Vec<Arc<Bookie>>> =
-            Arc::new((0..4).map(|i| Arc::new(Bookie::new(i))).collect());
+            Arc::new((0..4).map(|_| Arc::new(Bookie::new())).collect());
         bookies[3].crash(); // spare, not yet provisioned
         let meta = Arc::new(MetadataStore::new());
         let bk = BookKeeper::new(bookies.clone(), meta);
@@ -765,8 +748,7 @@ mod tests {
         assert_eq!(bk.underreplicated_ledgers(), vec![id]);
         // Provision the spare and repair onto it.
         bookies[3].restart();
-        let (ledgers, entries) = bk.rereplicate_from(dead, 3).unwrap();
-        assert_eq!(ledgers, 1);
+        let entries = bk.rereplicate_ledger(id, dead, 3).unwrap();
         // write_quorum=2 over a 3-ensemble: the dead slot held 2/3 of entries.
         assert_eq!(entries, 20);
         assert!(bk.underreplicated_ledgers().is_empty());

@@ -6,7 +6,7 @@
 //! durably in replicated append-only **ledgers**, and a **metadata store**
 //! (the ZooKeeper ensemble in the figure) for coordination and
 //! configuration. On top sits the paper's serverless hook: **Pulsar
-//! Functions** ([`functions`]), which consume from topics, run user code,
+//! Functions** (`functions`), which consume from topics, run user code,
 //! and publish results — the runtime that hosts Figure 3's Count-Min
 //! sketch.
 //!
@@ -24,8 +24,8 @@
 //!   Pulsar subscription modes (exclusive, shared, failover). Brokers are
 //!   stateless: all durable state lives in ledgers + metadata, so a broker
 //!   restart loses nothing (tested).
-//! - [`functions`]: the serverless function runtime over topics, with
-//!   function-local state and a [`Context`](functions::Context) mirroring
+//! - `functions`: the serverless function runtime over topics, with
+//!   function-local state and a `Context` mirroring
 //!   the paper's `process(String input, Context context)` interface.
 
 #![forbid(unsafe_code)]
@@ -34,17 +34,15 @@
 
 pub mod bookie;
 pub mod broker;
-pub mod error;
+pub(crate) mod error;
 mod framing;
-pub mod functions;
-pub mod geo;
+pub(crate) mod functions;
 pub mod ledger;
 pub mod message;
 pub mod metadata;
-pub mod tiering;
+pub(crate) mod tiering;
 
-pub use broker::{Consumer, FenceCheck, Producer, PulsarCluster, PulsarConfig, SubscriptionMode};
+pub use broker::{Consumer, Producer, PulsarCluster, PulsarConfig, SubscriptionMode};
 pub use error::PulsarError;
-pub use functions::{Context, FunctionConfig, FunctionRuntime};
-pub use geo::GeoReplicator;
-pub use message::{EntryView, Message, MessageId, MessageView, Payload};
+pub use functions::{FunctionConfig, FunctionRuntime};
+pub use message::{EntryView, Message, MessageId, Payload};

@@ -37,7 +37,7 @@ pub struct MessageId {
 
 impl MessageId {
     /// Id of an unbatched message: the degenerate batch `0 of 1`.
-    pub fn new(partition: u32, ledger: LedgerId, entry: u64) -> Self {
+    pub(crate) fn new(partition: u32, ledger: LedgerId, entry: u64) -> Self {
         Self {
             partition,
             ledger,
@@ -48,7 +48,7 @@ impl MessageId {
     }
 
     /// Id of message `batch_index` inside a `batch_size`-message entry.
-    pub fn in_batch(
+    pub(crate) fn in_batch(
         partition: u32,
         ledger: LedgerId,
         entry: u64,
@@ -67,7 +67,7 @@ impl MessageId {
 
     /// The entry-level (batch-erased) form of this id: what cursors,
     /// entry-level ack sets, and the `"p;l;e"` persistence format track.
-    pub fn canonical(&self) -> Self {
+    pub(crate) fn canonical(&self) -> Self {
         Self::new(self.partition, self.ledger, self.entry)
     }
 }
@@ -158,7 +158,7 @@ pub struct EntryView {
 impl EntryView {
     /// The entry-level (batch-erased) identity of this view: partition,
     /// ledger, entry — what cursors track.
-    pub fn entry_id(&self) -> MessageId {
+    pub(crate) fn entry_id(&self) -> MessageId {
         MessageId::new(self.partition, self.ledger, self.entry)
     }
 
@@ -192,7 +192,7 @@ impl EntryView {
 
     /// Publish timestamp shared by the entry's messages (group commit
     /// persists them at the same instant).
-    pub fn publish_time(&self) -> std::time::Duration {
+    pub(crate) fn publish_time(&self) -> std::time::Duration {
         std::time::Duration::from_nanos(self.publish_nanos)
     }
 
@@ -207,7 +207,7 @@ impl EntryView {
     }
 
     /// Iterate the delivered [`MessageId`]s, in batch order.
-    pub fn ids(&self) -> impl Iterator<Item = MessageId> + '_ {
+    pub(crate) fn ids(&self) -> impl Iterator<Item = MessageId> + '_ {
         self.messages().map(|m| m.id())
     }
 }
@@ -267,11 +267,6 @@ impl<'a> MessageView<'a> {
         )
     }
 
-    /// Batch index of this message within its entry.
-    pub fn index(&self) -> u32 {
-        self.index
-    }
-
     /// Payload bytes, borrowed from the entry buffer for as long as the
     /// [`EntryView`] lives. `Bytes::from` it to keep them past the view.
     pub fn payload(&self) -> Payload<'a> {
@@ -288,18 +283,13 @@ impl<'a> MessageView<'a> {
     }
 
     /// Producer key, if any (always `None` for batched messages).
-    pub fn key(&self) -> Option<&'a Bytes> {
+    pub(crate) fn key(&self) -> Option<&'a Bytes> {
         self.view.key.as_ref()
     }
 
     /// Publish timestamp (the entry's group-commit instant).
-    pub fn publish_time(&self) -> std::time::Duration {
+    pub(crate) fn publish_time(&self) -> std::time::Duration {
         self.view.publish_time()
-    }
-
-    /// Trace context (the entry's — see [`EntryView::ctx`]).
-    pub fn ctx(&self) -> Option<SpanContext> {
-        self.view.ctx
     }
 
     /// Materialize an owned [`Message`] equal to what per-message delivery

@@ -21,11 +21,11 @@ use crate::error::{PulsarError, Result};
 
 /// A value with its version (ZooKeeper zxid analogue).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Versioned {
+pub(crate) struct Versioned {
     /// Stored bytes.
-    pub data: Vec<u8>,
+    pub(crate) data: Vec<u8>,
     /// Monotone version, starting at 0 on create.
-    pub version: u64,
+    pub(crate) version: u64,
 }
 
 /// In-process versioned KV store with CAS semantics.
@@ -42,12 +42,12 @@ impl MetadataStore {
     }
 
     /// Read a node.
-    pub fn get(&self, key: &str) -> Option<Versioned> {
+    pub(crate) fn get(&self, key: &str) -> Option<Versioned> {
         self.nodes.get_cloned(key)
     }
 
     /// Create a node; fails if it exists.
-    pub fn create(&self, key: &str, data: Vec<u8>) -> Result<()> {
+    pub(crate) fn create(&self, key: &str, data: Vec<u8>) -> Result<()> {
         self.nodes.with(key, |shard| {
             if shard.contains_key(key) {
                 return Err(PulsarError::MetadataConflict(key.to_string()));
@@ -59,7 +59,13 @@ impl MetadataStore {
 
     /// Compare-and-swap: write succeeds only if the stored version matches
     /// `expected_version` (pass `None` to create-if-absent).
-    pub fn cas(&self, key: &str, data: Vec<u8>, expected_version: Option<u64>) -> Result<u64> {
+    #[cfg(test)]
+    pub(crate) fn cas(
+        &self,
+        key: &str,
+        data: Vec<u8>,
+        expected_version: Option<u64>,
+    ) -> Result<u64> {
         self.nodes
             .with(key, |shard| match (shard.get_mut(key), expected_version) {
                 (None, None) => {
@@ -77,7 +83,7 @@ impl MetadataStore {
 
     /// Unconditional write (used where a single owner is already
     /// guaranteed, e.g. cursor updates by the owning subscription).
-    pub fn put(&self, key: &str, data: Vec<u8>) -> u64 {
+    pub(crate) fn put(&self, key: &str, data: Vec<u8>) -> u64 {
         self.update(key, |node| *node = data)
     }
 
@@ -88,7 +94,7 @@ impl MetadataStore {
     /// with [`MetadataStore::put`]: created at 0, bumped by one per write.
     /// `f` runs under the key's shard lock and must not call back into the
     /// store.
-    pub fn update(&self, key: &str, f: impl FnOnce(&mut Vec<u8>)) -> u64 {
+    pub(crate) fn update(&self, key: &str, f: impl FnOnce(&mut Vec<u8>)) -> u64 {
         self.nodes.with(key, |shard| match shard.get_mut(key) {
             Some(node) => {
                 f(&mut node.data);
@@ -105,12 +111,12 @@ impl MetadataStore {
     }
 
     /// Delete a node (idempotent).
-    pub fn delete(&self, key: &str) {
+    pub(crate) fn delete(&self, key: &str) {
         self.nodes.remove(key);
     }
 
     /// Keys under a prefix (ZooKeeper getChildren analogue), sorted.
-    pub fn list_prefix(&self, prefix: &str) -> Vec<String> {
+    pub(crate) fn list_prefix(&self, prefix: &str) -> Vec<String> {
         let mut out = Vec::new();
         self.nodes.for_each(|k, _| {
             if k.starts_with(prefix) {
@@ -122,7 +128,7 @@ impl MetadataStore {
     }
 
     /// Allocate the next value of a global sequence (for ledger ids).
-    pub fn next_sequence(&self) -> u64 {
+    pub(crate) fn next_sequence(&self) -> u64 {
         self.next_seq.fetch_add(1, Ordering::Relaxed)
     }
 }

@@ -18,11 +18,11 @@ use crate::metadata::MetadataStore;
 
 /// The cold-tier backend configured on a cluster.
 #[derive(Clone)]
-pub struct TierBackend {
+pub(crate) struct TierBackend {
     /// The blob store holding offloaded segments.
-    pub blob: Arc<BlobStore>,
+    pub(crate) blob: Arc<BlobStore>,
     /// Bucket for segment objects.
-    pub bucket: String,
+    pub(crate) bucket: String,
 }
 
 fn offload_meta_key(id: LedgerId) -> String {
@@ -62,7 +62,7 @@ fn decode_entry(bytes: &Bytes, index: u64) -> Option<Bytes> {
 
 impl TierBackend {
     /// New backend writing to `bucket`.
-    pub fn new(blob: Arc<BlobStore>, bucket: impl Into<String>) -> Self {
+    pub(crate) fn new(blob: Arc<BlobStore>, bucket: impl Into<String>) -> Self {
         let bucket = bucket.into();
         blob.create_bucket(&bucket);
         Self { blob, bucket }

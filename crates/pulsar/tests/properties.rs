@@ -16,7 +16,7 @@ use taureau_pulsar::metadata::MetadataStore;
 
 fn bookkeeper(n: usize) -> BookKeeper {
     let bookies: Arc<Vec<Arc<Bookie>>> =
-        Arc::new((0..n).map(|i| Arc::new(Bookie::new(i))).collect());
+        Arc::new((0..n).map(|_| Arc::new(Bookie::new())).collect());
     BookKeeper::new(bookies, Arc::new(MetadataStore::new()))
 }
 

@@ -20,6 +20,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod oram;
+pub(crate) mod oram;
 
-pub use oram::{BucketStore, MemoryBucketStore, PathOram};
+pub use oram::{MemoryBucketStore, PathOram};

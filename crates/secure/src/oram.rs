@@ -20,7 +20,7 @@ use taureau_core::rng::det_rng;
 
 /// Slots per bucket (Z = 4, the standard choice with negligible stash
 /// overflow probability).
-pub const BUCKET_SIZE: usize = 4;
+pub(crate) const BUCKET_SIZE: usize = 4;
 
 /// The untrusted storage interface: an array of buckets, each holding up
 /// to [`BUCKET_SIZE`] `(block_id, data)` pairs.
@@ -45,14 +45,14 @@ pub struct MemoryBucketStore {
     /// Total bucket reads + writes.
     pub accesses: u64,
     /// Leaf-level bucket indices touched, in order (the observable trace).
-    pub leaf_trace: Vec<usize>,
+    pub(crate) leaf_trace: Vec<usize>,
     first_leaf: usize,
 }
 
 impl MemoryBucketStore {
     /// Store with `buckets` empty buckets, of which the last
     /// `(buckets + 1) / 2` are leaves.
-    pub fn new(buckets: usize) -> Self {
+    pub(crate) fn new(buckets: usize) -> Self {
         Self {
             buckets: vec![Vec::new(); buckets],
             accesses: 0,
@@ -93,7 +93,7 @@ pub struct PathOram<S: BucketStore> {
     stash: HashMap<u32, Vec<u8>>,
     rng: ChaCha8Rng,
     /// Logical accesses served.
-    pub logical_accesses: u64,
+    pub(crate) logical_accesses: u64,
 }
 
 impl PathOram<MemoryBucketStore> {
@@ -108,7 +108,7 @@ impl PathOram<MemoryBucketStore> {
 impl<S: BucketStore> PathOram<S> {
     /// ORAM over an existing store (must hold `2 * capacity.next_power_of_two() - 1`
     /// buckets).
-    pub fn with_store(capacity: usize, store: S, seed: u64) -> Self {
+    pub(crate) fn with_store(capacity: usize, store: S, seed: u64) -> Self {
         assert!(capacity >= 1);
         let leaves = capacity.next_power_of_two().max(2);
         assert_eq!(store.len(), 2 * leaves - 1, "store sized wrongly");
@@ -124,21 +124,6 @@ impl<S: BucketStore> PathOram<S> {
             rng,
             logical_accesses: 0,
         }
-    }
-
-    /// Logical capacity.
-    pub fn capacity(&self) -> usize {
-        self.position.len()
-    }
-
-    /// Current stash occupancy (should stay O(log N)).
-    pub fn stash_len(&self) -> usize {
-        self.stash.len()
-    }
-
-    /// Tree height (path length is `height + 1` buckets).
-    pub fn height(&self) -> u32 {
-        self.height
     }
 
     /// The untrusted store (for inspecting the adversary's view).
@@ -159,7 +144,7 @@ impl<S: BucketStore> PathOram<S> {
     /// Read block `id`, optionally replacing its contents. Returns the
     /// previous contents (None if never written). Read and write perform
     /// identical physical work.
-    pub fn access(&mut self, id: u32, new_data: Option<Vec<u8>>) -> Option<Vec<u8>> {
+    pub(crate) fn access(&mut self, id: u32, new_data: Option<Vec<u8>>) -> Option<Vec<u8>> {
         assert!((id as usize) < self.position.len(), "block id out of range");
         self.logical_accesses += 1;
         let x = self.position[id as usize];
@@ -254,7 +239,7 @@ mod tests {
         for _ in 0..20_000 {
             let id = rng.gen_range(0..1024u32);
             oram.read(id);
-            max_stash = max_stash.max(oram.stash_len());
+            max_stash = max_stash.max(oram.stash.len());
         }
         // Theory: stash is O(log N) w.h.p. for Z=4; allow generous slack.
         assert!(max_stash < 120, "stash grew to {max_stash}");
@@ -267,7 +252,7 @@ mod tests {
         oram.read(0);
         let per_access = oram.store().accesses - before;
         // height = log2(256) = 8 → 9 buckets read + 9 written.
-        assert_eq!(per_access, 2 * (oram.height() as u64 + 1));
+        assert_eq!(per_access, 2 * (oram.height as u64 + 1));
     }
 
     #[test]

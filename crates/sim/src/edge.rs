@@ -20,11 +20,11 @@ use taureau_core::rng::det_rng;
 #[derive(Debug, Clone, Copy)]
 pub struct EdgeRequest {
     /// Arrival time.
-    pub at: Duration,
+    pub(crate) at: Duration,
     /// Which region's user issued it.
-    pub region: u32,
+    pub(crate) region: u32,
     /// Service time.
-    pub duration: Duration,
+    pub(crate) duration: Duration,
 }
 
 /// The geography: per-region RTTs to the central cloud; edge PoPs sit in
@@ -32,9 +32,9 @@ pub struct EdgeRequest {
 #[derive(Debug, Clone)]
 pub struct Geography {
     /// RTT from each region to the central cloud.
-    pub cloud_rtt: Vec<Duration>,
+    pub(crate) cloud_rtt: Vec<Duration>,
     /// RTT from a user to their regional edge PoP.
-    pub edge_rtt: Duration,
+    pub(crate) edge_rtt: Duration,
 }
 
 impl Geography {
@@ -50,7 +50,7 @@ impl Geography {
     }
 
     /// Number of regions.
-    pub fn regions(&self) -> usize {
+    pub(crate) fn regions(&self) -> usize {
         self.cloud_rtt.len()
     }
 }

@@ -19,11 +19,11 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HeteroDemand {
     /// CPU share in `(0, 1]`.
-    pub cpu: f64,
+    pub(crate) cpu: f64,
     /// Memory share in `(0, 1]`.
-    pub mem: f64,
+    pub(crate) mem: f64,
     /// GPU share in `[0, 1]` (0 = CPU-only function).
-    pub gpu: f64,
+    pub(crate) gpu: f64,
 }
 
 impl HeteroDemand {
@@ -36,14 +36,14 @@ impl HeteroDemand {
     }
 
     /// Whether this function needs an accelerator.
-    pub fn needs_gpu(&self) -> bool {
+    pub(crate) fn needs_gpu(&self) -> bool {
         self.gpu > 0.0
     }
 }
 
 /// Node flavours in the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum NodeKind {
+pub(crate) enum NodeKind {
     /// General-purpose node: no GPU.
     Cpu,
     /// Accelerator node: one GPU's worth of capacity, plus CPU/memory.
@@ -52,15 +52,15 @@ pub enum NodeKind {
 
 /// A node's load across the three dimensions.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HeteroNode {
+pub(crate) struct HeteroNode {
     /// Flavour.
-    pub kind: NodeKind,
+    pub(crate) kind: NodeKind,
     /// CPU used.
-    pub cpu: f64,
+    pub(crate) cpu: f64,
     /// Memory used.
-    pub mem: f64,
+    pub(crate) mem: f64,
     /// GPU used (always 0 on CPU nodes).
-    pub gpu: f64,
+    pub(crate) gpu: f64,
 }
 
 impl HeteroNode {
@@ -105,9 +105,9 @@ pub enum HeteroPolicy {
 #[derive(Debug, Clone, Copy)]
 pub struct HeteroPricing {
     /// Dollars per CPU-node hour.
-    pub cpu_node: f64,
+    pub(crate) cpu_node: f64,
     /// Dollars per GPU-node hour.
-    pub gpu_node: f64,
+    pub(crate) gpu_node: f64,
 }
 
 impl Default for HeteroPricing {
@@ -123,10 +123,10 @@ impl Default for HeteroPricing {
 #[derive(Debug)]
 pub struct HeteroOutcome {
     /// Nodes opened.
-    pub nodes: Vec<HeteroNode>,
+    pub(crate) nodes: Vec<HeteroNode>,
     /// Item → node index; `None` if the item could not be placed (GPU
     /// work with all accelerators stranded).
-    pub assignment: Vec<Option<usize>>,
+    pub(crate) assignment: Vec<Option<usize>>,
 }
 
 impl HeteroOutcome {

@@ -34,7 +34,3 @@ pub mod scheduler;
 pub mod serverless;
 pub mod vmfleet;
 pub mod workload;
-
-pub use serverless::{ServerlessConfig, ServerlessOutcome};
-pub use vmfleet::{VmFleetConfig, VmFleetOutcome, VmScalingPolicy};
-pub use workload::{Request, Workload, WorkloadSpec};

@@ -20,9 +20,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Demand {
     /// CPU share.
-    pub cpu: f64,
+    pub(crate) cpu: f64,
     /// Memory share.
-    pub mem: f64,
+    pub(crate) mem: f64,
 }
 
 impl Demand {
@@ -50,11 +50,11 @@ pub enum PackingPolicy {
 
 /// One node's running totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct NodeLoad {
+pub(crate) struct NodeLoad {
     /// Sum of placed CPU shares.
-    pub cpu: f64,
+    pub(crate) cpu: f64,
     /// Sum of placed memory shares.
-    pub mem: f64,
+    pub(crate) mem: f64,
 }
 
 impl NodeLoad {
@@ -83,9 +83,7 @@ impl NodeLoad {
 #[derive(Debug, Clone)]
 pub struct PackingOutcome {
     /// Per-node loads (length = nodes used).
-    pub nodes: Vec<NodeLoad>,
-    /// Item → node assignment.
-    pub assignment: Vec<usize>,
+    pub(crate) nodes: Vec<NodeLoad>,
 }
 
 impl PackingOutcome {
@@ -122,7 +120,6 @@ impl PackingOutcome {
 /// in the given order (online packing).
 pub fn pack(items: &[Demand], policy: PackingPolicy) -> PackingOutcome {
     let mut nodes: Vec<NodeLoad> = Vec::new();
-    let mut assignment = Vec::with_capacity(items.len());
     for &item in items {
         let candidate = match policy {
             PackingPolicy::FirstFit => nodes.iter().position(|n| n.fits(item)),
@@ -165,9 +162,8 @@ pub fn pack(items: &[Demand], policy: PackingPolicy) -> PackingOutcome {
             }
         };
         nodes[idx].add(item);
-        assignment.push(idx);
     }
-    PackingOutcome { nodes, assignment }
+    PackingOutcome { nodes }
 }
 
 #[cfg(test)]
@@ -201,7 +197,6 @@ mod tests {
                 assert!(n.cpu <= 1.0 + 1e-9, "{policy:?} node {i} cpu {}", n.cpu);
                 assert!(n.mem <= 1.0 + 1e-9, "{policy:?} node {i} mem {}", n.mem);
             }
-            assert_eq!(out.assignment.len(), items.len());
         }
     }
 
@@ -274,7 +269,6 @@ mod tests {
         let items = vec![Demand::new(1.0, 1.0), Demand::new(0.5, 0.5)];
         let out = pack(&items, PackingPolicy::FirstFit);
         assert_eq!(out.node_count(), 2);
-        assert_eq!(out.assignment, vec![0, 1]);
     }
 
     #[test]

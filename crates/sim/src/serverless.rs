@@ -63,7 +63,7 @@ pub struct ServerlessOutcome {
     /// provider-side footprint that multiplexing reduces.
     pub container_seconds: f64,
     /// Peak simultaneous containers.
-    pub peak_containers: u64,
+    pub(crate) peak_containers: u64,
 }
 
 impl ServerlessOutcome {

@@ -66,16 +66,10 @@ impl Default for VmFleetConfig {
 /// Results of replaying a workload on the VM fleet.
 #[derive(Debug)]
 pub struct VmFleetOutcome {
-    /// Requests served.
-    pub requests: u64,
     /// Total dollars for instance-hours.
     pub cost: Dollars,
     /// End-to-end latency including queueing, µs histogram.
     pub latency_us: Histogram,
-    /// Instance-hours billed.
-    pub instance_hours: f64,
-    /// Largest fleet size reached.
-    pub peak_instances: u32,
     /// Mean busy-slot utilisation over the horizon.
     pub mean_utilization: f64,
 }
@@ -115,6 +109,7 @@ impl CapacityTimeline {
         total
     }
 
+    #[cfg(test)]
     fn peak_instances(&self, per_instance: u32) -> u32 {
         self.steps
             .iter()
@@ -223,11 +218,8 @@ pub fn simulate_vm_fleet(workload: &Workload, cfg: &VmFleetConfig) -> VmFleetOut
     let instance_hours = timeline.instance_hours(workload.horizon, cfg.pricing.capacity);
     let slot_hours = instance_hours * cfg.pricing.capacity as f64;
     VmFleetOutcome {
-        requests: workload.requests.len() as u64,
         cost: cfg.pricing.per_hour * instance_hours,
         latency_us,
-        instance_hours,
-        peak_instances: timeline.peak_instances(cfg.pricing.capacity),
         mean_utilization: if slot_hours > 0.0 {
             (busy_seconds / 3600.0) / slot_hours
         } else {
@@ -269,7 +261,6 @@ mod tests {
             policy: VmScalingPolicy::Fixed(2),
         };
         let o = simulate_vm_fleet(&w, &cfg);
-        assert!((o.instance_hours - 2.0).abs() < 1e-9);
         assert!((o.cost - 2.0 * 0.096).abs() < 1e-9);
         // One 100 ms request on an idle fleet: no queueing.
         assert!(o.latency_us.max() <= 101_000);
@@ -310,7 +301,7 @@ mod tests {
         };
         let o = simulate_vm_fleet(&w, &cfg);
         // All requests overlap => peak concurrency 10 => 10 instances.
-        assert_eq!(o.peak_instances, 10);
+        assert_eq!(build_timeline(&w, &cfg).peak_instances(1), 10);
         // No request waited.
         assert!(o.latency_us.max() <= 501_000);
     }

@@ -20,22 +20,22 @@ use taureau_core::rng::det_rng;
 
 /// One request in a trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Request {
+pub(crate) struct Request {
     /// Arrival offset from trace start.
-    pub at: Duration,
+    pub(crate) at: Duration,
     /// Execution duration (service time).
-    pub duration: Duration,
+    pub(crate) duration: Duration,
     /// Memory the request's function is configured with.
-    pub memory: ByteSize,
+    pub(crate) memory: ByteSize,
 }
 
 /// A generated trace: requests sorted by arrival time.
 #[derive(Debug, Clone)]
 pub struct Workload {
     /// Requests in arrival order.
-    pub requests: Vec<Request>,
+    pub(crate) requests: Vec<Request>,
     /// Trace horizon.
-    pub horizon: Duration,
+    pub(crate) horizon: Duration,
 }
 
 impl Workload {
@@ -50,12 +50,14 @@ impl Workload {
     }
 
     /// Mean arrival rate over the horizon (req/s).
-    pub fn mean_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_rate(&self) -> f64 {
         self.requests.len() as f64 / self.horizon.as_secs_f64()
     }
 
     /// Peak arrival rate over 1-second windows (req/s).
-    pub fn peak_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn peak_rate(&self) -> f64 {
         let secs = self.horizon.as_secs() as usize + 1;
         let mut buckets = vec![0u32; secs];
         for r in &self.requests {

@@ -38,16 +38,6 @@ impl BloomFilter {
         }
     }
 
-    /// Number of bits in the filter.
-    pub fn bit_len(&self) -> u64 {
-        self.m
-    }
-
-    /// Number of hash functions.
-    pub fn hash_count(&self) -> u32 {
-        self.k
-    }
-
     /// Items inserted so far.
     pub fn inserted(&self) -> u64 {
         self.inserted
@@ -83,11 +73,6 @@ impl BloomFilter {
     pub fn estimated_fpp(&self) -> f64 {
         let exponent = -(self.k as f64) * self.inserted as f64 / self.m as f64;
         (1.0 - exponent.exp()).powi(self.k as i32)
-    }
-
-    /// Memory footprint in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.bits.len() * 8
     }
 }
 
@@ -170,8 +155,8 @@ mod tests {
     fn sizing_math() {
         // Classic result: 1% fpp needs ~9.6 bits/item and 7 hashes.
         let bf = BloomFilter::new(1000, 0.01, 0);
-        let bits_per_item = bf.bit_len() as f64 / 1000.0;
+        let bits_per_item = bf.m as f64 / 1000.0;
         assert!((9.0..11.0).contains(&bits_per_item), "{bits_per_item}");
-        assert_eq!(bf.hash_count(), 7);
+        assert_eq!(bf.k, 7);
     }
 }

@@ -87,16 +87,6 @@ impl CountMinSketch {
         self.total
     }
 
-    /// The ε for which this sketch's width guarantees error ≤ εN.
-    pub fn epsilon(&self) -> f64 {
-        std::f64::consts::E / self.width as f64
-    }
-
-    /// The δ for which this sketch's depth guarantees the ε bound.
-    pub fn delta(&self) -> f64 {
-        (-(self.depth as f64)).exp()
-    }
-
     #[inline]
     fn cell(&self, row: usize, col: usize) -> usize {
         row * self.width + col
@@ -313,8 +303,8 @@ mod tests {
         let cm = CountMinSketch::with_error_bounds(0.01, 0.001, 0);
         assert!(cm.width() >= 272); // e / 0.01 ≈ 271.8
         assert!(cm.depth() >= 7); // ln(1000) ≈ 6.9
-        assert!(cm.epsilon() <= 0.01 + 1e-9);
-        assert!(cm.delta() <= 0.001 + 1e-9);
+        assert!(std::f64::consts::E / cm.width() as f64 <= 0.01 + 1e-9);
+        assert!((-(cm.depth() as f64)).exp() <= 0.001 + 1e-9);
     }
 
     #[test]

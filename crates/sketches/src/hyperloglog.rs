@@ -30,16 +30,6 @@ impl HyperLogLog {
         }
     }
 
-    /// Precision (index bits).
-    pub fn precision(&self) -> u8 {
-        self.p
-    }
-
-    /// Relative standard error of estimates from this sketch.
-    pub fn standard_error(&self) -> f64 {
-        1.04 / ((1u64 << self.p) as f64).sqrt()
-    }
-
     /// Observe one item (duplicates are free).
     pub fn add(&mut self, item: &[u8]) {
         let h = hash64(self.seed, item);
@@ -77,11 +67,6 @@ impl HyperLogLog {
             }
         }
         raw
-    }
-
-    /// Memory footprint in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.registers.len()
     }
 }
 
@@ -137,7 +122,7 @@ mod tests {
         let est = estimate_n_distinct(p, n);
         let err = (est - n as f64).abs() / n as f64;
         // 4 standard errors at p=14 is ~3.3%.
-        let bound = 4.0 * HyperLogLog::new(p, 0).standard_error();
+        let bound = 4.0 * 1.04 / f64::from(1u32 << p).sqrt();
         assert!(err < bound, "est={est} err={err} bound={bound}");
     }
 

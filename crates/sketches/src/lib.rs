@@ -31,14 +31,14 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod bloom;
-pub mod countmin;
-pub mod hash;
-pub mod hyperloglog;
-pub mod moments;
-pub mod quantiles;
-pub mod reservoir;
-pub mod spacesaving;
+pub(crate) mod bloom;
+pub(crate) mod countmin;
+pub(crate) mod hash;
+pub(crate) mod hyperloglog;
+pub(crate) mod moments;
+pub(crate) mod quantiles;
+pub(crate) mod reservoir;
+pub(crate) mod spacesaving;
 
 pub use bloom::BloomFilter;
 pub use countmin::CountMinSketch;
@@ -65,7 +65,7 @@ pub trait Mergeable {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergeError {
     /// Human-readable description of the mismatch.
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 impl std::fmt::Display for MergeError {

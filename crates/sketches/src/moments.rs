@@ -51,16 +51,6 @@ impl AmsF2 {
         Self::new(depth.max(1), width.max(1), seed)
     }
 
-    /// Grid width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Grid depth.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
     /// Update item frequency by `delta` (negative allowed: turnstile model).
     pub fn update(&mut self, item: &[u8], delta: i64) {
         for row in 0..self.depth {

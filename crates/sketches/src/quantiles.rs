@@ -47,11 +47,6 @@ impl KllSketch {
         s
     }
 
-    /// Accuracy parameter.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Stream length observed.
     pub fn total(&self) -> u64 {
         self.total
@@ -60,11 +55,6 @@ impl KllSketch {
     /// Number of compactor levels.
     pub fn levels(&self) -> usize {
         self.compactors.len()
-    }
-
-    /// Items currently stored (space usage).
-    pub fn stored(&self) -> usize {
-        self.stored
     }
 
     /// Add empty levels up to `levels` and recompute every capacity: `k`
@@ -156,11 +146,6 @@ impl KllSketch {
         }
         weighted.last().map(|(x, _)| *x)
     }
-
-    /// Median convenience.
-    pub fn median(&self) -> Option<f64> {
-        self.quantile(0.5)
-    }
 }
 
 impl Mergeable for KllSketch {
@@ -245,9 +230,9 @@ mod tests {
             s.update((i % 10_000) as f64);
         }
         assert!(
-            s.stored() < 5_000,
+            s.stored < 5_000,
             "stored {} items for a 1M stream",
-            s.stored()
+            s.stored
         );
         assert!(s.levels() > 5);
     }
@@ -429,7 +414,7 @@ mod tests {
                 r.total
             ));
         }
-        let counters = (s.stored(), s.total(), s.levels(), s.coin_state);
+        let counters = (s.stored, s.total(), s.levels(), s.coin_state);
         let want = (r.stored, r.total, r.compactors.len(), r.coin_state);
         if counters != want {
             return Err(format!(

@@ -26,16 +26,6 @@ impl<T: Clone> ReservoirSample<T> {
         }
     }
 
-    /// Sample capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Stream length observed so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
     /// Current sample (length `min(k, seen)`).
     pub fn items(&self) -> &[T] {
         &self.items
@@ -117,7 +107,7 @@ mod tests {
             rs.add(&mut r, i);
         }
         assert_eq!(rs.items(), &[0, 1, 2]);
-        assert_eq!(rs.seen(), 3);
+        assert_eq!(rs.seen, 3);
     }
 
     #[test]
@@ -128,7 +118,7 @@ mod tests {
             rs.add(&mut r, i);
         }
         assert_eq!(rs.items().len(), 10);
-        assert_eq!(rs.seen(), 1000);
+        assert_eq!(rs.seen, 1000);
     }
 
     #[test]
@@ -165,7 +155,7 @@ mod tests {
             b.add(&mut r, i);
         }
         a.merge(&mut r, &b);
-        assert_eq!(a.seen(), 400);
+        assert_eq!(a.seen, 400);
         assert_eq!(a.items().len(), 8);
     }
 
@@ -180,7 +170,7 @@ mod tests {
         let b = ReservoirSample::new(4);
         a.merge(&mut r, &b);
         assert_eq!(a.items(), &before[..]);
-        assert_eq!(a.seen(), 10);
+        assert_eq!(a.seen, 10);
     }
 
     #[test]

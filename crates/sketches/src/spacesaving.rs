@@ -21,7 +21,7 @@ pub struct HeavyHitter {
     /// Estimated count (upper bound on true count).
     pub count: u64,
     /// Maximum overestimation (count - error is a lower bound on truth).
-    pub error: u64,
+    pub(crate) error: u64,
 }
 
 /// Space-Saving summary of the most frequent items.
@@ -42,11 +42,6 @@ impl SpaceSaving {
             entries: HashMap::with_capacity(capacity),
             total: 0,
         }
-    }
-
-    /// Capacity (maximum monitored items).
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Total stream weight observed.
@@ -110,11 +105,6 @@ impl SpaceSaving {
             .into_iter()
             .filter(|h| h.count - h.error > threshold)
             .collect()
-    }
-
-    /// The theoretical maximum error of any estimate: N / capacity.
-    pub fn error_bound(&self) -> u64 {
-        self.total / self.capacity as u64
     }
 }
 
@@ -198,7 +188,10 @@ mod tests {
             let t = truth[idx];
             assert!(h.count >= t, "underestimate for {idx}");
             assert!(h.count - h.error <= t, "lower bound violated for {idx}");
-            assert!(h.error <= ss.error_bound(), "error beyond N/capacity");
+            assert!(
+                h.error <= ss.total / ss.capacity as u64,
+                "error beyond N/capacity"
+            );
         }
     }
 

@@ -45,19 +45,17 @@ pub use taureau_sketches as sketches;
 
 /// The most common entry points, for `use taureau::prelude::*`.
 pub mod prelude {
-    pub use taureau_cluster::{ClusterStack, ClusterStackConfig};
     pub use taureau_core::bytesize::ByteSize;
-    pub use taureau_core::clock::{Clock, SharedClock, VirtualClock, WallClock};
-    pub use taureau_core::metrics::MetricsRegistry;
-    pub use taureau_core::trace::{TelemetrySink, Tracer, TracerConfig};
-    pub use taureau_dag::{DagBuilder, DagExecutor, ExecutorConfig, RetryPolicy};
+    pub use taureau_core::clock::{SharedClock, VirtualClock, WallClock};
+    pub use taureau_core::trace::{TelemetrySink, Tracer};
+    pub use taureau_dag::{DagExecutor, ExecutorConfig, RetryPolicy};
     pub use taureau_faas::{FaasPlatform, FunctionSpec, PlatformConfig};
     pub use taureau_jiffy::{Jiffy, JiffyConfig};
-    pub use taureau_monitor::{HealthReport, Monitor, MonitorConfig, SloPolicy, TelemetryPump};
+    pub use taureau_monitor::{Monitor, MonitorConfig, SloPolicy, TelemetryPump};
     pub use taureau_orchestration::{Composition, Orchestrator};
     pub use taureau_prof::{ContentionReport, CriticalPath, TraceGraph};
     pub use taureau_pulsar::{
         FunctionConfig, FunctionRuntime, PulsarCluster, PulsarConfig, SubscriptionMode,
     };
-    pub use taureau_sketches::{CountMinSketch, HyperLogLog, Mergeable};
+    pub use taureau_sketches::{CountMinSketch, Mergeable};
 }

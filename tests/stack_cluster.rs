@@ -208,7 +208,7 @@ fn shared_pair() -> (PulsarCluster, PulsarCluster, Arc<AtomicU64>, Tracer) {
         ..Default::default()
     };
     let bookies: Arc<Vec<Arc<Bookie>>> =
-        Arc::new((0..3).map(|i| Arc::new(Bookie::new(i))).collect());
+        Arc::new((0..3).map(|_| Arc::new(Bookie::new())).collect());
     let meta = Arc::new(MetadataStore::new());
     let a = PulsarCluster::with_shared(cfg.clone(), clock.clone(), bookies.clone(), meta.clone());
     let b = PulsarCluster::with_shared(cfg, clock, bookies, meta);
