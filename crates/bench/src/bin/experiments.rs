@@ -13,7 +13,7 @@
 //! flag implies running E22.
 //!
 //! `--golden` prints every wall-clock cell (the [`Wall`] figures of E3,
-//! E6, E9, E17, E23 and E24) as `~`, and with no ids runs E1–E24: that
+//! E6, E9, E23 and E24) as `~`, and with no ids runs E1–E24: that
 //! output is `crates/bench/golden.txt`, which `tests/golden.rs` diffs
 //! against.
 //!
@@ -981,15 +981,8 @@ fn e17_oram_overhead() {
         "E17",
         "Path ORAM: pattern-hiding at Z*(log N + 1) bandwidth overhead",
     );
-    use std::collections::HashMap;
     use taureau_secure::PathOram;
-    let mut t = Table::new([
-        "N blocks",
-        "buckets/access",
-        "oram ns/op",
-        "hashmap ns/op",
-        "slowdown",
-    ]);
+    let mut t = Table::new(["N blocks", "buckets/access"]);
     for n in [256usize, 4096] {
         let mut oram = PathOram::new(n, 0xE17);
         for id in 0..n as u32 {
@@ -997,31 +990,11 @@ fn e17_oram_overhead() {
         }
         let before = oram.store().accesses;
         let ops = 20_000u64;
-        let t0 = Instant::now();
         for i in 0..ops {
             oram.read((i % n as u64) as u32);
         }
-        let oram_ns = t0.elapsed().as_nanos() as u64 / ops;
         let per_access = (oram.store().accesses - before) / ops;
-
-        let mut map: HashMap<u32, Vec<u8>> = HashMap::new();
-        for id in 0..n as u32 {
-            map.insert(id, vec![0u8; 64]);
-        }
-        let t0 = Instant::now();
-        let mut sink = 0usize;
-        for i in 0..ops {
-            sink += map.get(&((i % n as u64) as u32)).map_or(0, Vec::len);
-        }
-        let map_ns = (t0.elapsed().as_nanos() as u64 / ops).max(1);
-        std::hint::black_box(sink);
-        t.row([
-            n.to_string(),
-            per_access.to_string(),
-            Wall(oram_ns).to_string(),
-            Wall(map_ns).to_string(),
-            format!("{:.0}x", Wall(oram_ns as f64 / map_ns as f64)),
-        ]);
+        t.row([n.to_string(), per_access.to_string()]);
     }
     t.print();
     println!("(pattern-hiding property is asserted by taureau-secure's uniformity tests)");

@@ -87,7 +87,7 @@ pub fn fnv(bytes: &[u8]) -> u64 {
 ///
 /// The default `HashMap` hasher (SipHash-1-3) is keyed against HashDoS and
 /// costs tens of nanoseconds per short key — measurable on the data-plane
-/// hot paths (`ShardedMap` lookups, metrics-registry name lookups) where
+/// hot paths (topic, ledger, metadata and application map lookups) where
 /// keys are short, trusted strings. FNV-1a is a handful of multiply-xors
 /// and, with the same xor-fold as [`fnv`], spreads short keys well under
 /// power-of-two table masks. Use only for maps whose keys are not

@@ -22,10 +22,9 @@
 //!   workload generators (Zipf, Poisson processes, log-normal).
 //! - [`bytesize`]: human-friendly byte quantities.
 //! - [`ratelimit`]: a token bucket used for throttling and admission control.
-//! - [`sync`]: sharded concurrency primitives — a striped-lock map and a
-//!   lock-free striped counter — that every multi-reader hot path (Jiffy
-//!   pool, Pulsar topic map, FaaS container pool, metrics registry) builds
-//!   on instead of one coarse `Mutex`.
+//! - [`sync`]: a lock-free striped counter (metric counters and histogram
+//!   totals) and the lock-contention profiler (`LockSite`,
+//!   `ContentionProfiler`).
 //! - [`trace`]: structured request tracing — causally-linked spans that
 //!   follow one invocation across FaaS, Pulsar and Jiffy, with Chrome
 //!   trace-event and flamegraph exporters.

@@ -10,7 +10,10 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::sync::{ShardedMap, StripedCounter};
+use parking_lot::Mutex;
+
+use crate::hash::FnvHashMap;
+use crate::sync::StripedCounter;
 
 /// Number of linear sub-buckets per power-of-two magnitude. 16 sub-buckets
 /// gives a worst-case relative error of 1/16 ≈ 6% on quantiles, ample for
@@ -267,51 +270,46 @@ impl Histogram {
 /// A named registry of metrics, shared across a subsystem.
 ///
 /// Lookups create on first use, so call sites never have to pre-register.
-/// The name→metric maps are sharded ([`ShardedMap`]): concurrent lookups
-/// of different metric names lock different stripes, so the registry no
-/// longer serializes every hot path that touches any metric. Report-time
-/// accessors still return name-sorted vectors.
+/// Each kind's name→metric map is one mutex; the hottest paths resolve
+/// their metrics once and keep the `Arc` rather than look them up per
+/// message. Report-time accessors return name-sorted vectors.
 #[derive(Debug, Default, Clone)]
 pub struct MetricsRegistry {
-    inner: Arc<RegistryShards>,
+    inner: Arc<RegistryMaps>,
 }
+
+type MetricMap<M> = Mutex<FnvHashMap<String, Arc<M>>>;
 
 #[derive(Debug, Default)]
-struct RegistryShards {
-    counters: ShardedMap<String, Arc<Counter>>,
-    gauges: ShardedMap<String, Arc<Gauge>>,
-    histograms: ShardedMap<String, Arc<Histogram>>,
+struct RegistryMaps {
+    counters: MetricMap<Counter>,
+    gauges: MetricMap<Gauge>,
+    histograms: MetricMap<Histogram>,
 }
 
-/// Collect a sharded name→metric map into a name-sorted projection.
-fn sorted_view<M, T>(
-    map: &ShardedMap<String, Arc<M>>,
-    project: impl Fn(&Arc<M>) -> T,
-) -> Vec<(String, T)> {
-    let mut out = Vec::new();
-    map.for_each(|k, v| out.push((k.clone(), project(v))));
+/// Collect a name→metric map into a name-sorted projection.
+fn sorted_view<M, T>(map: &MetricMap<M>, project: impl Fn(&Arc<M>) -> T) -> Vec<(String, T)> {
+    let mut out: Vec<_> = map
+        .lock()
+        .iter()
+        .map(|(k, v)| (k.clone(), project(v)))
+        .collect();
     out.sort_by(|a, b| a.0.cmp(&b.0));
     out
 }
 
-/// Get-or-create on a sharded metric map without allocating on the hot
-/// path: the steady state is "metric already exists", which `entry()`
-/// would pay an unconditional `name.to_string()` for on *every* call —
-/// the dominant cost e25 measured on `metrics_counter`-adjacent paths.
-/// Only the first touch of a name (the miss) allocates.
-fn get_or_create<M>(
-    map: &ShardedMap<String, Arc<M>>,
-    name: &str,
-    create: impl FnOnce() -> M,
-) -> Arc<M> {
-    map.with(name, |shard| {
-        if let Some(existing) = shard.get(name) {
-            return Arc::clone(existing);
-        }
-        let created = Arc::new(create());
-        shard.insert(name.to_string(), Arc::clone(&created));
-        created
-    })
+/// Get-or-create on a metric map without allocating on the hot path: the
+/// steady state is "metric already exists", which `entry()` would pay an
+/// unconditional `name.to_string()` for on *every* call. Only the first
+/// touch of a name (the miss) allocates.
+fn get_or_create<M>(map: &MetricMap<M>, name: &str, create: impl FnOnce() -> M) -> Arc<M> {
+    let mut map = map.lock();
+    if let Some(existing) = map.get(name) {
+        return Arc::clone(existing);
+    }
+    let created = Arc::new(create());
+    map.insert(name.to_string(), Arc::clone(&created));
+    created
 }
 
 impl MetricsRegistry {

@@ -90,76 +90,9 @@ proptest! {
     }
 }
 
-use std::collections::BTreeMap;
-use taureau_core::sync::{ShardedMap, StripedCounter};
+use taureau_core::sync::StripedCounter;
 
 proptest! {
-    /// The sharded map agrees with a single-threaded `BTreeMap` model: ops
-    /// are partitioned across 8 threads by key (so per-key order is the
-    /// program order the model sees; distinct keys commute), applied
-    /// concurrently, and the final contents must match the model exactly.
-    #[test]
-    fn sharded_map_matches_btreemap_model(
-        ops in vec((0u64..64, 0u64..1000, 0u8..3), 1..400)
-    ) {
-        let map: ShardedMap<u64, u64> = ShardedMap::new();
-        std::thread::scope(|s| {
-            for t in 0..8u64 {
-                let ops = &ops;
-                let map = &map;
-                s.spawn(move || {
-                    for &(key, value, kind) in ops.iter().filter(|(k, ..)| k % 8 == t) {
-                        match kind {
-                            0 => {
-                                map.insert(key, value);
-                            }
-                            1 => {
-                                map.remove(&key);
-                            }
-                            _ => {
-                                // Read-modify-write under the shard lock.
-                                map.with(&key, |shard| {
-                                    if let Some(v) = shard.get_mut(&key) {
-                                        *v = v.wrapping_add(value);
-                                    }
-                                });
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        // Sequential model: same ops in program order. Per-key order is
-        // identical to what each thread executed.
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        for &(key, value, kind) in &ops {
-            match kind {
-                0 => {
-                    model.insert(key, value);
-                }
-                1 => {
-                    model.remove(&key);
-                }
-                _ => {
-                    if let Some(v) = model.get_mut(&key) {
-                        *v = v.wrapping_add(value);
-                    }
-                }
-            }
-        }
-        prop_assert_eq!(map.len(), model.len());
-        for key in 0u64..64 {
-            prop_assert_eq!(
-                map.get_cloned(&key),
-                model.get(&key).copied(),
-                "key {}", key
-            );
-        }
-        let mut keys = map.keys();
-        keys.sort_unstable();
-        prop_assert_eq!(keys, model.keys().copied().collect::<Vec<_>>());
-    }
-
     /// A striped counter folds to the exact sum of all increments, no
     /// matter how the adds are spread across threads.
     #[test]

@@ -7,13 +7,13 @@
 //! covering lease (state stays alive while in use); [`Jiffy::reap_expired`]
 //! reclaims lapsed namespaces and returns their blocks to the pool.
 //!
-//! Concurrency: controller state is sharded by application (the first path
-//! segment). Each application's namespace sub-tree and lease live together
-//! in one [`ShardedMap`] stripe, so two applications' data paths never
-//! contend; the block pool is internally sharded
-//! (see [`MemoryPool`]) and the notification bus sits behind its own small
-//! lock. Lock order is always app shard → pool stripe → bus, so the
-//! controller cannot deadlock against itself.
+//! Concurrency: controller state is one map from application (the first
+//! path segment) to that application's namespace sub-tree and lease,
+//! behind one lock. Warm KV operations skip it (see [`KvHandle`]); the
+//! block pool locks per memory node (see [`MemoryPool`]) and the
+//! notification bus sits behind its own small lock. Lock order is always
+//! apps → pool → bus, and nothing that runs under the apps lock takes it
+//! again, so the controller cannot deadlock against itself.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -23,9 +23,9 @@ use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use taureau_core::bytesize::ByteSize;
 use taureau_core::clock::{SharedClock, WallClock};
+use taureau_core::hash::FnvHashMap;
 use taureau_core::id::NodeId;
 use taureau_core::metrics::{Counter, MetricsRegistry};
-use taureau_core::sync::ShardedMap;
 use taureau_core::trace::Tracer;
 
 use crate::data::{FileObject, KvObject, KvReadCache, ObjectState, QueueObject};
@@ -82,13 +82,13 @@ pub struct MigrationReport {
 
 /// One application's slice of controller state: its namespace sub-tree
 /// (rooted at `/`, containing only this app's paths) and its lease. Lives
-/// under the app's shard in [`Inner::apps`].
+/// in [`Inner::apps`].
 struct AppState {
     tree: NamespaceTree,
     leases: LeaseManager,
     /// Touch stamps of every live KV object created under this app: the
     /// app's data-path activity signal. The reaper folds the latest one
-    /// into lease renewal, which is what lets KV ops skip the app shard
+    /// into lease renewal, which is what lets KV ops skip the apps
     /// lock without silently letting the lease lapse.
     kv_caches: Vec<Arc<KvReadCache>>,
 }
@@ -131,11 +131,12 @@ impl HotCounters {
 struct Inner {
     clock: SharedClock,
     cfg: JiffyConfig,
-    /// Per-application state, sharded by app name: the data-path lock.
-    apps: ShardedMap<String, AppState>,
-    /// The block pool is internally sharded; no controller lock guards it.
+    /// Per-application state by app name. Every operation but a warm KV
+    /// one takes this lock.
+    apps: Mutex<FnvHashMap<String, AppState>>,
+    /// The block pool locks per memory node; no controller lock guards it.
     pool: MemoryPool,
-    /// Notification fan-out, decoupled from the data-path shards.
+    /// Notification fan-out, decoupled from the apps lock.
     bus: Mutex<NotificationBus>,
     /// Subscriber count mirrored out of `bus` so the no-subscriber publish
     /// fast path (the common case for raw data traffic) skips the bus lock
@@ -172,7 +173,7 @@ impl Jiffy {
             inner: Arc::new(Inner {
                 clock,
                 cfg,
-                apps: ShardedMap::new(),
+                apps: Mutex::default(),
                 pool,
                 bus: Mutex::new(NotificationBus::new()),
                 bus_subscribers: AtomicUsize::new(0),
@@ -266,12 +267,8 @@ impl Jiffy {
             bytes_moved: 0,
             objects_touched: 0,
         };
-        let mut failure: Option<JiffyError> = None;
-        self.inner.apps.for_each_mut(|_, st| {
-            if failure.is_some() {
-                return;
-            }
-            let res = st.tree.for_each_object_mut(|obj| {
+        let res = self.inner.apps.lock().values_mut().try_for_each(|st| {
+            st.tree.for_each_object_mut(|obj| {
                 let (blocks, bytes) = obj.migrate_off_node(&self.inner.pool, node)?;
                 if blocks > 0 {
                     report.blocks_moved += blocks;
@@ -279,12 +276,9 @@ impl Jiffy {
                     report.objects_touched += 1;
                 }
                 Ok(())
-            });
-            if let Err(e) = res {
-                failure = Some(e);
-            }
+            })
         });
-        if let Some(e) = failure {
+        if let Err(e) = res {
             span.attr("outcome", "exhausted");
             return Err(e);
         }
@@ -315,9 +309,8 @@ impl Jiffy {
             return Err(JiffyError::AlreadyExists(path));
         }
         let now = self.inner.clock.now();
-        let app = path.app().expect("non-root path has an app").to_string();
-        self.inner.apps.with(&app, |shard| -> Result<()> {
-            let st = shard.entry(app.clone()).or_default();
+        let app = path.app().expect("non-root path has an app");
+        self.with_app(app, |st| -> Result<()> {
             st.tree.create(&path)?;
             if let Some(app_path) = Self::app_lease_path(&path) {
                 if st.leases.get(&app_path).is_none() {
@@ -340,25 +333,26 @@ impl Jiffy {
             return true;
         }
         let app = path.app().expect("non-root path has an app");
-        self.inner.apps.with(app, |shard| match shard.get(app) {
-            Some(st) => st.tree.exists(&path),
-            None => false,
-        })
+        self.inner
+            .apps
+            .lock()
+            .get(app)
+            .is_some_and(|st| st.tree.exists(&path))
     }
 
     /// List immediate children of a namespace.
     pub fn list(&self, path: impl Into<JPath>) -> Result<Vec<String>> {
         let path = path.into();
         if path.is_root() {
-            let mut apps = self.inner.apps.keys();
+            let mut apps: Vec<String> = self.inner.apps.lock().keys().cloned().collect();
             apps.sort();
             return Ok(apps);
         }
         let app = path.app().expect("non-root path has an app");
-        self.inner.apps.with(app, |shard| match shard.get(app) {
+        match self.inner.apps.lock().get(app) {
             Some(st) => st.tree.list(&path),
             None => Err(JiffyError::NotFound(path.clone())),
-        })
+        }
     }
 
     /// Remove a namespace sub-tree, returning its blocks to the pool.
@@ -368,8 +362,9 @@ impl Jiffy {
             return Err(JiffyError::NotFound(path));
         }
         let app = path.app().expect("non-root path has an app");
-        self.inner.apps.with(app, |shard| -> Result<()> {
-            let st = shard
+        {
+            let mut apps = self.inner.apps.lock();
+            let st = apps
                 .get_mut(app)
                 .ok_or_else(|| JiffyError::NotFound(path.clone()))?;
             let objs = st.tree.remove(&path)?;
@@ -380,11 +375,10 @@ impl Jiffy {
             }
             if path.depth() == 1 {
                 st.leases.release(&path);
-                shard.remove(app);
+                apps.remove(app);
                 self.inner.pool.forget_app(app);
             }
-            Ok(())
-        })?;
+        }
         self.publish(&path, || EventKind::Removed);
         Ok(())
     }
@@ -397,10 +391,11 @@ impl Jiffy {
             return false;
         };
         let now = self.inner.clock.now();
-        self.inner.apps.with(app, |shard| match shard.get_mut(app) {
-            Some(st) => st.leases.renew(&path, now),
-            None => false,
-        })
+        self.inner
+            .apps
+            .lock()
+            .get_mut(app)
+            .is_some_and(|st| st.leases.renew(&path, now))
     }
 
     /// Reclaim all application namespaces whose leases lapsed. Returns the
@@ -410,10 +405,10 @@ impl Jiffy {
         let now = self.inner.clock.now();
         let reclaimed = self.inner.metrics.counter("namespaces_reclaimed");
         let mut expired_all = Vec::new();
-        // Sweep shards one at a time; an expired app lease removes the
-        // whole app entry (leases are granted at app granularity).
-        self.inner.apps.retain(|app, st| {
-            // Direct-path KV ops never took this shard lock; their touch
+        // An expired app lease removes the whole app entry (leases are
+        // granted at app granularity).
+        self.inner.apps.lock().retain(|app, st| {
+            // Direct-path KV ops never took the apps lock; their touch
             // stamps are the renewal signal. Fold the latest into the
             // lease table before judging expiry.
             st.kv_caches.retain(|c| c.is_alive());
@@ -482,15 +477,14 @@ impl Jiffy {
     }
 
     /// Run `f` against the app's state, creating the [`AppState`] on first
-    /// use. Only the app's shard is locked.
+    /// use, under the apps lock.
     fn with_app<T>(&self, app: &str, f: impl FnOnce(&mut AppState) -> T) -> T {
-        self.inner.apps.with(app, |shard| {
-            // The name is copied only for an app that is really new.
-            if !shard.contains_key(app) {
-                shard.insert(app.to_string(), AppState::default());
-            }
-            f(shard.get_mut(app).expect("present or just inserted"))
-        })
+        let mut apps = self.inner.apps.lock();
+        // The name is copied only for an app that is really new.
+        if !apps.contains_key(app) {
+            apps.insert(app.to_string(), AppState::default());
+        }
+        f(apps.get_mut(app).expect("present or just inserted"))
     }
 
     /// Create a KV object at `path` with `partitions` initial partitions.
@@ -605,24 +599,23 @@ impl Jiffy {
         let Some(app) = path.app() else {
             return Err(JiffyError::NotFound(path.clone()));
         };
-        self.inner.apps.with(app, |shard| {
-            let st = shard
-                .get(app)
-                .ok_or_else(|| JiffyError::NotFound(path.clone()))?;
-            match &st.tree.get(path)?.object {
-                Some(obj) if matches_kind(obj) => Ok(()),
-                Some(other) => Err(JiffyError::WrongKind {
-                    path: path.clone(),
-                    actual: other.kind(),
-                    requested,
-                }),
-                None => Err(JiffyError::NotFound(path.clone())),
-            }
-        })
+        let apps = self.inner.apps.lock();
+        let st = apps
+            .get(app)
+            .ok_or_else(|| JiffyError::NotFound(path.clone()))?;
+        match &st.tree.get(path)?.object {
+            Some(obj) if matches_kind(obj) => Ok(()),
+            Some(other) => Err(JiffyError::WrongKind {
+                path: path.clone(),
+                actual: other.kind(),
+                requested,
+            }),
+            None => Err(JiffyError::NotFound(path.clone())),
+        }
     }
 
-    /// Lock `path`'s app shard, renew its lease, and hand `f` the object
-    /// plus the (shared, internally sharded) pool.
+    /// Take the apps lock, renew `path`'s lease, and hand `f` the object
+    /// plus the (shared, per-node locked) pool.
     fn with_object<T>(
         &self,
         path: &JPath,
@@ -642,16 +635,15 @@ impl Jiffy {
         let Some(app) = path.app() else {
             return Err(JiffyError::NotFound(path.clone()));
         };
-        self.inner.apps.with(app, |shard| {
-            let st = shard
-                .get_mut(app)
-                .ok_or_else(|| JiffyError::NotFound(path.clone()))?;
-            st.leases.renew(path, now);
-            match &mut st.tree.get_mut(path)?.object {
-                Some(obj) => f(obj, &self.inner.pool),
-                None => Err(JiffyError::NotFound(path.clone())),
-            }
-        })
+        let mut apps = self.inner.apps.lock();
+        let st = apps
+            .get_mut(app)
+            .ok_or_else(|| JiffyError::NotFound(path.clone()))?;
+        st.leases.renew(path, now);
+        match &mut st.tree.get_mut(path)?.object {
+            Some(obj) => f(obj, &self.inner.pool),
+            None => Err(JiffyError::NotFound(path.clone())),
+        }
     }
 
     fn with_kv<T>(

@@ -51,9 +51,9 @@ fn partition_of(key: &[u8], n: usize) -> usize {
 #[derive(Debug)]
 pub(crate) enum ObjectState {
     /// Hash-partitioned key-value map. Behind its own lock (shared with
-    /// data-path handles) so KV ops need not hold the app shard lock; the
-    /// namespace tree remains the lifecycle authority. Lock order is app
-    /// shard -> object, and the object lock never acquires the shard lock.
+    /// data-path handles) so KV ops need not hold the controller's apps
+    /// lock; the namespace tree remains the lifecycle authority. Lock order
+    /// is apps -> object, and the object lock never acquires the apps lock.
     Kv(Arc<Mutex<KvObject>>),
     /// FIFO queue.
     Queue(QueueObject),
@@ -166,7 +166,7 @@ pub(crate) struct KvReadCache {
     /// the authoritative `NotFound`.
     alive: AtomicBool,
     /// Clock nanos of the last data-path access. Direct-path ops skip the
-    /// app shard lock and with it the lease table; the reaper folds this
+    /// controller's apps lock and with it the lease table; the reaper folds this
     /// stamp into lease renewal instead.
     renewed_nanos: AtomicU64,
 }

@@ -90,10 +90,10 @@ impl LeaseManager {
     }
 
     /// Fold externally observed activity (direct-path KV ops, which never
-    /// take the app shard lock) into lease renewal: every lease's
+    /// take the controller's apps lock) into lease renewal: every lease's
     /// `renewed_at` advances to at least `at`. Called by the reaper before
     /// expiry checks, so direct-path reads and writes count as renewals
-    /// without a per-op shard-lock acquisition.
+    /// without a per-op apps-lock acquisition.
     pub(crate) fn observe_activity(&mut self, at: Duration) {
         for l in self.leases.values_mut() {
             if l.renewed_at < at {

@@ -7,23 +7,23 @@
 //! its peak occupancy sits far below the sum of per-application peaks
 //! (experiment E5 measures exactly this ratio).
 //!
-//! Concurrency: the pool is internally sharded, so allocation takes no
-//! pool-wide lock. Each memory node keeps its own free-block stack behind
+//! Concurrency: the pool is internally striped by memory node, so
+//! allocation takes no pool-wide lock. Each memory node keeps its own free-block stack behind
 //! its own mutex; a rotating cursor spreads consecutive allocations across
 //! nodes (so no node becomes a hotspot) while threads allocating
 //! concurrently pop from different nodes without contending. Global
 //! occupancy is a set of atomics — exhaustion is decided by a CAS
 //! reservation against the free count, keeping allocation all-or-nothing
 //! without a global critical section. Per-application holdings (the
-//! quota/E5 accounting) live in a [`ShardedMap`] keyed by app name, so
-//! different applications never serialize on each other.
+//! quota/E5 accounting) live in one map keyed by app name behind one
+//! lock, a leaf: nothing that runs under it takes another lock.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::{Mutex, RwLock};
 use taureau_core::bytesize::ByteSize;
+use taureau_core::hash::FnvHashMap;
 use taureau_core::id::{BlockId, NodeId};
-use taureau_core::sync::ShardedMap;
 
 use crate::error::{JiffyError, Result};
 
@@ -54,7 +54,7 @@ struct NodeState {
     phase: NodePhase,
 }
 
-/// Per-application holdings, one entry per app under its name's shard.
+/// Per-application holdings, one entry per app.
 #[derive(Debug, Default, Clone, Copy)]
 struct AppHold {
     held: u64,
@@ -97,7 +97,7 @@ pub struct MemoryPool {
     free_count: AtomicU64,
     allocated: AtomicU64,
     peak_allocated: AtomicU64,
-    apps: ShardedMap<String, AppHold>,
+    apps: Mutex<FnvHashMap<String, AppHold>>,
     /// Sum of the peaks of applications since forgotten
     /// ([`MemoryPool::forget_app`]): keeps [`MemoryPool::sum_of_app_peaks`]
     /// whole without one `apps` entry per app name that ever existed.
@@ -138,7 +138,7 @@ impl MemoryPool {
             free_count: AtomicU64::new(capacity),
             allocated: AtomicU64::new(0),
             peak_allocated: AtomicU64::new(0),
-            apps: ShardedMap::new(),
+            apps: Mutex::default(),
             retired_peaks: AtomicU64::new(0),
             quota: None,
         }
@@ -192,25 +192,20 @@ impl MemoryPool {
 
     /// Blocks currently held by `app`.
     pub fn held_by(&self, app: &str) -> u64 {
-        self.apps
-            .with(app, |shard| shard.get(app).map(|h| h.held))
-            .unwrap_or(0)
+        self.apps.lock().get(app).map_or(0, |h| h.held)
     }
 
     /// Peak blocks ever held by `app`.
     #[cfg(test)]
     pub(crate) fn peak_held_by(&self, app: &str) -> u64 {
-        self.apps
-            .with(app, |shard| shard.get(app).map(|h| h.peak))
-            .unwrap_or(0)
+        self.apps.lock().get(app).map_or(0, |h| h.peak)
     }
 
     /// Sum over applications of their individual peaks — what static
     /// per-application provisioning would have had to reserve.
     pub(crate) fn sum_of_app_peaks(&self) -> u64 {
-        let mut sum = self.retired_peaks.load(Ordering::Relaxed);
-        self.apps.for_each(|_, h| sum += h.peak);
-        sum
+        let live: u64 = self.apps.lock().values().map(|h| h.peak).sum();
+        self.retired_peaks.load(Ordering::Relaxed) + live
     }
 
     /// Drop `app`'s holdings entry once it holds nothing — its namespace
@@ -218,18 +213,17 @@ impl MemoryPool {
     /// holds blocks is left alone. Every job is an app, so without this
     /// the map grows by one dead entry per job for the pool's lifetime.
     pub(crate) fn forget_app(&self, app: &str) {
-        self.apps.with(app, |shard| {
-            if let Some(peak) = shard.get(app).filter(|h| h.held == 0).map(|h| h.peak) {
-                shard.remove(app);
-                self.retired_peaks.fetch_add(peak, Ordering::Relaxed);
-            }
-        });
+        let mut apps = self.apps.lock();
+        if let Some(peak) = apps.get(app).filter(|h| h.held == 0).map(|h| h.peak) {
+            apps.remove(app);
+            self.retired_peaks.fetch_add(peak, Ordering::Relaxed);
+        }
     }
 
     /// Applications with a holdings entry.
     #[cfg(test)]
     pub(crate) fn tracked_apps(&self) -> usize {
-        self.apps.len()
+        self.apps.lock().len()
     }
 
     /// Allocate `n` blocks for `app`, spread across memory nodes.
@@ -242,14 +236,14 @@ impl MemoryPool {
         if n == 0 {
             return Ok(Vec::new());
         }
-        // Quota reservation under the app's own stripe — apps only
-        // serialize against themselves.
-        self.apps.with(app, |shard| {
+        // Quota reservation under the holdings lock.
+        {
+            let mut apps = self.apps.lock();
             // The name is copied only for an app's first allocation.
-            if !shard.contains_key(app) {
-                shard.insert(app.to_string(), AppHold::default());
+            if !apps.contains_key(app) {
+                apps.insert(app.to_string(), AppHold::default());
             }
-            let hold = shard.get_mut(app).expect("present or just inserted");
+            let hold = apps.get_mut(app).expect("present or just inserted");
             if let Some(q) = self.quota {
                 if hold.held + n > q {
                     return Err(JiffyError::QuotaExceeded {
@@ -260,8 +254,7 @@ impl MemoryPool {
                 }
             }
             hold.held += n;
-            Ok(())
-        })?;
+        }
         // Claim n blocks from the global free count, then pop them from
         // the node stacks. A decommission racing in between can remove
         // free blocks the reservation was counting on, so the pop phase
@@ -272,9 +265,7 @@ impl MemoryPool {
             let mut cur = self.free_count.load(Ordering::Relaxed);
             loop {
                 if cur < n {
-                    self.apps.with(app, |shard| {
-                        shard.get_mut(app).expect("reserved above").held -= n;
-                    });
+                    self.apps.lock().get_mut(app).expect("reserved above").held -= n;
                     return Err(JiffyError::PoolExhausted {
                         requested: n,
                         available: cur,
@@ -317,9 +308,7 @@ impl MemoryPool {
             self.capacity_blocks.fetch_sub(vanished, Ordering::Relaxed);
             self.free_count.fetch_add(n - vanished, Ordering::Release);
             if attempt == 1 {
-                self.apps.with(app, |shard| {
-                    shard.get_mut(app).expect("reserved above").held -= n;
-                });
+                self.apps.lock().get_mut(app).expect("reserved above").held -= n;
                 return Err(JiffyError::PoolExhausted {
                     requested: n,
                     available: self.free_count.load(Ordering::Relaxed),
@@ -329,10 +318,9 @@ impl MemoryPool {
         let now_allocated = self.allocated.fetch_add(n, Ordering::Relaxed) + n;
         self.peak_allocated
             .fetch_max(now_allocated, Ordering::Relaxed);
-        self.apps.with(app, |shard| {
-            let hold = shard.get_mut(app).expect("reserved above");
-            hold.peak = hold.peak.max(hold.held);
-        });
+        let mut apps = self.apps.lock();
+        let hold = apps.get_mut(app).expect("reserved above");
+        hold.peak = hold.peak.max(hold.held);
         Ok(out)
     }
 
@@ -375,8 +363,9 @@ impl MemoryPool {
             return;
         }
         let n = blocks.len() as u64;
-        self.apps.with(app, |shard| {
-            let hold = shard
+        {
+            let mut apps = self.apps.lock();
+            let hold = apps
                 .get_mut(app)
                 .unwrap_or_else(|| panic!("app {app} frees blocks it never allocated"));
             assert!(
@@ -386,7 +375,7 @@ impl MemoryPool {
                 hold.held
             );
             hold.held -= n;
-        });
+        }
         // Blocks freed onto a draining/retired node retire with it: they
         // don't rejoin any free stack, and capacity shrinks instead of the
         // free count growing.

@@ -1,8 +1,8 @@
-//! Contention stress tests for the sharded Jiffy stack.
+//! Contention stress tests for the Jiffy stack.
 //!
-//! These pin down the two properties the striped-lock refactor must not
-//! lose: progress (no deadlock between the app-holdings shards, the
-//! per-node free-block stripes, and the namespace map) and conservation
+//! These pin down two properties concurrent callers must not lose:
+//! progress (no deadlock between the app-holdings lock, the per-node
+//! free-block stripes, and the namespace map) and conservation
 //! (every block is either in exactly one node's free stack or held by
 //! exactly one owner — never both, never neither, never two owners).
 
@@ -112,7 +112,7 @@ fn contended_exhaustion_is_all_or_nothing() {
 
 /// The full controller stack under mixed load: 8 writer threads each churn
 /// a namespace with a KV (create, fill, read back, destroy) while readers
-/// hammer the cross-shard iteration paths (stats, listing). The scope
+/// hammer the whole-map iteration paths (stats, listing). The scope
 /// joining at all is the no-deadlock assertion; the accounting afterwards
 /// is the conservation assertion.
 #[test]
@@ -144,7 +144,7 @@ fn controller_stack_no_deadlock_and_blocks_conserved() {
                 }
             });
         }
-        // Readers exercise every for_each-style cross-shard path while the
+        // Readers exercise every whole-map iteration path while the
         // writers churn.
         for _ in 0..2 {
             let jiffy = Arc::clone(&jiffy);

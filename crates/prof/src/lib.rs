@@ -70,7 +70,7 @@ impl ContentionReport {
     }
 
     /// One line per site: name, acquisitions, contention ratio, wait
-    /// total, estimated hold total, hottest shard.
+    /// total, estimated hold total.
     pub fn render(&self) -> String {
         let mut out = String::from("lock contention (by total wait)\n");
         if self.sites.is_empty() {
@@ -79,7 +79,7 @@ impl ContentionReport {
         }
         for s in &self.sites {
             out.push_str(&format!(
-                "  {:<24} acq {:>8}  contended {:>6} ({:>5.1}%)  wait {:>10.3?}  hold~ {:>10.3?}",
+                "  {:<24} acq {:>8}  contended {:>6} ({:>5.1}%)  wait {:>10.3?}  hold~ {:>10.3?}\n",
                 s.name,
                 s.acquisitions,
                 s.contended,
@@ -87,10 +87,6 @@ impl ContentionReport {
                 s.wait_total,
                 s.hold_total_estimate(),
             ));
-            if let Some((shard, wait)) = s.hottest_shard() {
-                out.push_str(&format!("  hottest shard #{shard} ({wait:.3?})"));
-            }
-            out.push('\n');
         }
         out
     }
@@ -99,23 +95,23 @@ impl ContentionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use taureau_core::sync::{ContentionProfiler, ShardedMap};
+    use parking_lot::Mutex;
+    use std::collections::HashMap;
+    use taureau_core::sync::ContentionProfiler;
 
     #[test]
     fn contention_report_ranks_by_wait() {
         let prof = ContentionProfiler::new();
-        let quiet = prof.site("quiet", 4);
-        let busy = prof.site("busy", 1);
-        let map: ShardedMap<u64, u64> = ShardedMap::with_shards(1);
-        assert!(map.attach_profiler(Arc::clone(&busy)));
-        // Manufacture contention on the single shard.
+        let quiet = prof.site("quiet");
+        let busy = prof.site("busy");
+        let map: Mutex<HashMap<u64, u64>> = Mutex::default();
+        // Manufacture contention on the one lock.
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for i in 0..200u64 {
-                        map.with(&i, |shard| {
-                            shard.insert(i, i);
+                        busy.timed(&map, |map| {
+                            map.insert(i, i);
                             std::thread::sleep(std::time::Duration::from_micros(5));
                         });
                     }

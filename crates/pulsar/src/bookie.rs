@@ -11,12 +11,13 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use bytes::Bytes;
+use parking_lot::Mutex;
+use taureau_core::hash::FnvHashMap;
 use taureau_core::id::LedgerId;
-use taureau_core::sync::ShardedMap;
 
 /// What one bookie holds for one ledger. The fence bit lives beside the
 /// entries so that an append's fence check and its insert are one critical
-/// section under the ledger's shard lock: once [`Bookie::fence`] returns,
+/// section under the bookie's ledger lock: once [`Bookie::fence`] returns,
 /// no append can land, so the tail a recovering owner reads next is final.
 #[derive(Debug, Default)]
 struct LedgerStore {
@@ -24,15 +25,12 @@ struct LedgerStore {
     entries: BTreeMap<u64, Bytes>,
 }
 
-/// One storage node.
-///
-/// The ledger map is sharded by ledger id, so appends to different ledgers
-/// (i.e. different topics' active segments) never contend on one
-/// bookie-wide lock — only entries of the same ledger serialize.
+/// One storage node. Its ledgers live in one map behind one lock, a leaf:
+/// nothing that runs under it takes another lock.
 #[derive(Debug)]
 pub struct Bookie {
     alive: AtomicBool,
-    ledgers: ShardedMap<LedgerId, LedgerStore>,
+    ledgers: Mutex<FnvHashMap<LedgerId, LedgerStore>>,
 }
 
 impl Default for Bookie {
@@ -46,7 +44,7 @@ impl Bookie {
     pub fn new() -> Self {
         Self {
             alive: AtomicBool::new(true),
-            ledgers: ShardedMap::new(),
+            ledgers: Mutex::default(),
         }
     }
 
@@ -72,14 +70,13 @@ impl Bookie {
         if !self.is_alive() {
             return false;
         }
-        self.ledgers.with(&ledger, |shard| {
-            let store = shard.entry(ledger).or_default();
-            if store.fenced {
-                return false;
-            }
-            store.entries.insert(entry, data);
-            true
-        })
+        let mut ledgers = self.ledgers.lock();
+        let store = ledgers.entry(ledger).or_default();
+        if store.fenced {
+            return false;
+        }
+        store.entries.insert(entry, data);
+        true
     }
 
     /// Store an entry copied by the re-replication worker. Unlike
@@ -89,9 +86,12 @@ impl Bookie {
         if !self.is_alive() {
             return false;
         }
-        self.ledgers.with(&ledger, |shard| {
-            shard.entry(ledger).or_default().entries.insert(entry, data);
-        });
+        self.ledgers
+            .lock()
+            .entry(ledger)
+            .or_default()
+            .entries
+            .insert(entry, data);
         true
     }
 
@@ -102,17 +102,13 @@ impl Bookie {
     /// ack quorum. The mark survives crashes (it lives in the journal, like
     /// BookKeeper's fence bit) and is only cleared by ledger deletion.
     pub(crate) fn fence(&self, ledger: LedgerId) {
-        self.ledgers.with(&ledger, |shard| {
-            shard.entry(ledger).or_default().fenced = true
-        });
+        self.ledgers.lock().entry(ledger).or_default().fenced = true;
     }
 
     /// Whether appends to this ledger are fenced off on this bookie.
     #[cfg(test)]
     pub(crate) fn is_fenced(&self, ledger: LedgerId) -> bool {
-        self.ledgers.read(&ledger, |shard| {
-            shard.get(&ledger).is_some_and(|l| l.fenced)
-        })
+        self.ledgers.lock().get(&ledger).is_some_and(|l| l.fenced)
     }
 
     /// Read an entry. `None` if down or absent.
@@ -120,9 +116,12 @@ impl Bookie {
         if !self.is_alive() {
             return None;
         }
-        self.ledgers.read(&ledger, |shard| {
-            shard.get(&ledger)?.entries.get(&entry).cloned()
-        })
+        self.ledgers
+            .lock()
+            .get(&ledger)?
+            .entries
+            .get(&entry)
+            .cloned()
     }
 
     /// Highest entry id stored for a ledger (for recovery).
@@ -130,14 +129,18 @@ impl Bookie {
         if !self.is_alive() {
             return None;
         }
-        self.ledgers.read(&ledger, |shard| {
-            shard.get(&ledger)?.entries.keys().next_back().copied()
-        })
+        self.ledgers
+            .lock()
+            .get(&ledger)?
+            .entries
+            .keys()
+            .next_back()
+            .copied()
     }
 
     /// Drop all entries of a ledger (ledger deletion).
     pub(crate) fn delete_ledger(&self, ledger: LedgerId) {
-        self.ledgers.remove(&ledger);
+        self.ledgers.lock().remove(&ledger);
     }
 
     /// Ids of all ledgers with entries stored on this bookie (journal scan;
@@ -147,31 +150,32 @@ impl Bookie {
     pub(crate) fn ledger_ids(&self) -> Vec<LedgerId> {
         // A ledger fenced here before it stored anything has a record but
         // no entries; it is not listed.
-        let mut ids = Vec::new();
-        self.ledgers.for_each(|id, l| {
-            if !l.entries.is_empty() {
-                ids.push(*id);
-            }
-        });
-        ids
+        self.ledgers
+            .lock()
+            .iter()
+            .filter(|(_, l)| !l.entries.is_empty())
+            .map(|(id, _)| *id)
+            .collect()
     }
 
     /// Number of entries stored for a ledger (test/metrics hook; works even
     /// when crashed, as it inspects the journal, not the serving path).
     #[cfg(test)]
     pub(crate) fn entry_count(&self, ledger: LedgerId) -> usize {
-        self.ledgers.read(&ledger, |shard| {
-            shard.get(&ledger).map_or(0, |l| l.entries.len())
-        })
+        self.ledgers
+            .lock()
+            .get(&ledger)
+            .map_or(0, |l| l.entries.len())
     }
 
     /// Total bytes stored on this bookie.
     pub fn stored_bytes(&self) -> u64 {
-        let mut total = 0u64;
-        self.ledgers.for_each(|_, l| {
-            total += l.entries.values().map(|b| b.len() as u64).sum::<u64>();
-        });
-        total
+        self.ledgers
+            .lock()
+            .values()
+            .flat_map(|l| l.entries.values())
+            .map(|b| b.len() as u64)
+            .sum()
     }
 }
 

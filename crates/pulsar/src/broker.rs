@@ -23,10 +23,10 @@ use std::time::Instant;
 use bytes::{BufMut, Bytes, BytesMut};
 use parking_lot::{Mutex, RwLock};
 use taureau_core::clock::{SharedClock, WallClock};
-use taureau_core::hash::hash64;
+use taureau_core::hash::{hash64, FnvHashMap};
 use taureau_core::id::LedgerId;
 use taureau_core::metrics::{Counter, MetricsRegistry};
-use taureau_core::sync::{ContentionProfiler, LockSite, ShardedMap};
+use taureau_core::sync::{ContentionProfiler, LockSite};
 use taureau_core::trace::{SpanContext, Tracer};
 
 use crate::bookie::Bookie;
@@ -503,11 +503,14 @@ struct ClusterInner {
     /// brokers leave it unset and serve everything). Set at most once per
     /// broker; consulted on every publish/dispatch/ack with one load.
     fence_check: OnceLock<FenceCheck>,
-    /// Broker-side topic state, sharded by topic-name hash so operations on
-    /// different topics never serialize on one broker-wide lock. Lock
-    /// ordering: topic shard → metadata shard → tier/quotas mutex; nothing
-    /// acquires a topic shard while holding another, so no cycles.
-    topics: ShardedMap<String, Topic>,
+    /// Broker-side topic state, one map behind one lock. Lock ordering:
+    /// topics → metadata → tier/quotas mutex. Nothing under the topics
+    /// lock takes it again, and consumer code never runs under it.
+    topics: Mutex<FnvHashMap<String, Topic>>,
+    /// Contention site of `topics`, attached at most once by
+    /// [`PulsarCluster::enable_contention_profiling`]; unattached, a topic
+    /// operation pays this one load and a plain `lock()`.
+    topics_site: OnceLock<Arc<LockSite>>,
     /// Topic partition counts: immutable after `create_topic`, so lookups
     /// (producer attach, subscribe, cluster routing) never touch the
     /// metadata store after the first resolution.
@@ -550,9 +553,9 @@ pub struct DispatchProfile {
     pub(crate) messages: u64,
     /// Total wall time of profiled scans.
     pub wall_ns: u64,
-    /// Topic-shard lock acquisition: entering the shard (hash, lock wait,
+    /// Topic lock acquisition: entering the topic map (lock wait, hash,
     /// lazy topic rebuild). Cross-check against the `pulsar.topics`
-    /// [`LockSite`] wait histogram for the blocked component alone.
+    /// [`LockSite`] wait total for the blocked component alone.
     pub lock_ns: u64,
     /// Cursor bookkeeping: read-position advance, acked-set and
     /// mark-delete skip checks, partial-batch resume, segment resolution,
@@ -579,7 +582,7 @@ impl DispatchProfile {
     #[cfg(test)]
     pub(crate) fn phases(&self) -> [(&'static str, u64); 5] {
         [
-            ("topic_shard_lock", self.lock_ns),
+            ("topic_lock", self.lock_ns),
             ("cursor_bookkeeping", self.cursor_ns),
             ("entry_read", self.read_ns),
             ("decode", self.decode_ns),
@@ -681,7 +684,8 @@ impl PulsarCluster {
                 bookies,
                 meta,
                 fence_check: OnceLock::new(),
-                topics: ShardedMap::new(),
+                topics: Mutex::default(),
+                topics_site: OnceLock::new(),
                 parts_cache: RwLock::new(HashMap::new()),
                 metrics,
                 c_published,
@@ -765,20 +769,16 @@ impl PulsarCluster {
     }
 
     /// Attach a contention [`LockSite`] named `pulsar.topics` to the
-    /// broker's topic-shard map and register it with `prof`: every
-    /// `with_topic` acquisition (publish, dispatch, ack, cursor and
-    /// subscription maintenance) then reports per-shard wait/hold timings.
-    /// Idempotent: a second call returns the already-attached site.
+    /// broker's topic lock and register it with `prof`: every topic
+    /// operation (publish, dispatch, ack, cursor and subscription
+    /// maintenance) then reports its wait/hold timings. Idempotent: a
+    /// second call returns the already-attached site.
     pub fn enable_contention_profiling(&self, prof: &ContentionProfiler) -> Arc<LockSite> {
-        if let Some(site) = self.inner.topics.profiler() {
-            return Arc::clone(site);
-        }
-        let site = prof.site("pulsar.topics", self.inner.topics.shard_count());
-        if !self.inner.topics.attach_profiler(Arc::clone(&site)) {
-            // Raced another caller; use whoever won.
-            return Arc::clone(self.inner.topics.profiler().expect("just attached"));
-        }
-        site
+        Arc::clone(
+            self.inner
+                .topics_site
+                .get_or_init(|| prof.site("pulsar.topics")),
+        )
     }
 
     /// Toggle dispatch-phase attribution: when on, every `receive_scan`
@@ -898,7 +898,7 @@ impl PulsarCluster {
                 .meta
                 .put(&format!("/topics/{name}/{p}/segments"), Vec::new());
         }
-        self.inner.topics.insert(
+        self.inner.topics.lock().insert(
             name.to_string(),
             Topic {
                 partitions: (0..partitions)
@@ -993,28 +993,41 @@ impl PulsarCluster {
 
     // -- internals ----------------------------------------------------------
 
-    /// Run `f` with the topic's broker-side state, holding only that
-    /// topic's shard lock. Rebuilds the state from metadata if it is not
-    /// loaded (stateless broker); the rebuild happens inside the shard
-    /// lock so concurrent callers see it exactly once.
+    /// Run `f` on the topic map under its lock, timed through the
+    /// attached [`LockSite`] if there is one.
+    #[inline]
+    fn lock_topics<R>(
+        inner: &ClusterInner,
+        f: impl FnOnce(&mut FnvHashMap<String, Topic>) -> R,
+    ) -> R {
+        match inner.topics_site.get() {
+            Some(site) => site.timed(&inner.topics, f),
+            None => f(&mut inner.topics.lock()),
+        }
+    }
+
+    /// Run `f` with the topic's broker-side state, holding the topic lock.
+    /// Rebuilds the state from metadata if it is not loaded (stateless
+    /// broker); the rebuild happens inside the lock so concurrent callers
+    /// see it exactly once.
     fn with_topic<R>(
         &self,
         name: &str,
         f: impl FnOnce(&ClusterInner, &mut Topic) -> Result<R>,
     ) -> Result<R> {
         let inner = &*self.inner;
-        inner.topics.with(name, |shard| {
-            if let Some(t) = shard.get_mut(name) {
+        Self::lock_topics(inner, |topics| {
+            if let Some(t) = topics.get_mut(name) {
                 return f(inner, t);
             }
             let t = Self::load_topic(inner, name)?;
-            f(inner, shard.entry(name.to_string()).or_insert(t))
+            f(inner, topics.entry(name.to_string()).or_insert(t))
         })
     }
 
     /// Rebuild broker-side state for a topic from metadata (stateless
-    /// broker). Touches only the metadata store and bookies — never
-    /// another topic's shard.
+    /// broker). Touches only the metadata store and bookies — never the
+    /// topic map it is called under.
     fn load_topic(inner: &ClusterInner, name: &str) -> Result<Topic> {
         let nparts: u32 = {
             let v = inner
@@ -1087,7 +1100,7 @@ impl PulsarCluster {
     /// metadata + ledgers. Models a broker restart — the statelessness
     /// claim of §4.3.
     pub fn restart_broker(&self) {
-        self.inner.topics.clear();
+        self.inner.topics.lock().clear();
     }
 
     /// Drop one topic's in-memory state (its ownership moved to another
@@ -1095,7 +1108,7 @@ impl PulsarCluster {
     /// rebuilds from shared metadata, same as after
     /// [`PulsarCluster::restart_broker`].
     pub fn unload_topic(&self, name: &str) {
-        self.inner.topics.remove(name);
+        self.inner.topics.lock().remove(name);
     }
 
     fn persist_segments(inner: &ClusterInner, topic: &str, p: usize, segs: &[LedgerId]) {
@@ -1108,13 +1121,12 @@ impl PulsarCluster {
     /// Publish steps 1–2, shared by single and batched publishing; both
     /// are skipped while no tenant quota has ever been set (step 3's own
     /// `with_topic` loads the topic and reports an unknown one).
-    /// Step 1: make sure the topic is loaded (shard locked and released).
-    /// Step 2: multi-tenancy backlog quota — total retained entries
-    /// across the tenant's loaded topics must stay under the cap. The
-    /// scan visits shards one at a time without holding the target
-    /// topic's shard, so two publishers scanning each other's tenants
-    /// cannot deadlock. (Concurrent publishers may both pass a nearly
-    /// full quota check; the cap is a backlog bound, not a ledger.)
+    /// Step 1: make sure the topic is loaded (topic lock taken and
+    /// released). Step 2: multi-tenancy backlog quota — total retained
+    /// entries across the tenant's loaded topics must stay under the cap.
+    /// The walk takes the topic lock once more, with nothing else held.
+    /// (Concurrent publishers may both pass a nearly full quota check;
+    /// the cap is a backlog bound, not a ledger.)
     ///
     /// The quota is denominated in *ledger entries*: a batched entry counts
     /// once no matter how many messages it packs — amortizing the backlog
@@ -1127,11 +1139,11 @@ impl PulsarCluster {
         self.with_topic(topic, |_, _| Ok(()))?;
         let tenant = Self::tenant_of(topic);
         // Copy the quota out before scanning: holding the quotas lock
-        // across the topic-shard walk below would nest lock acquisitions.
+        // across the topic walk below would invert the lock order.
         let quota = inner.quotas.lock().get(tenant).copied();
         if let Some(quota) = quota {
             let mut retained = 0u64;
-            inner.topics.for_each(|name, t| {
+            for (name, t) in inner.topics.lock().iter() {
                 if Self::tenant_of(name) == tenant {
                     for part in &t.partitions {
                         for seg in 0..part.segments.len() {
@@ -1139,7 +1151,7 @@ impl PulsarCluster {
                         }
                     }
                 }
-            });
+            }
             if retained >= quota {
                 inner.metrics.counter("quota_rejections").inc();
                 return Err(PulsarError::TenantQuotaExceeded {
@@ -1225,7 +1237,7 @@ impl PulsarCluster {
             }
             return Err(e);
         }
-        // Step 3: append under the target topic's shard lock only.
+        // Step 3: append under the topic lock.
         let result = self.with_topic(topic, |inner, t| {
             let nparts = t.partitions.len();
             let p = match key {
@@ -1394,7 +1406,7 @@ impl PulsarCluster {
     }
 
     /// Phase 1 of the dispatch pipeline — the only part that runs under
-    /// the topic-shard lock. Advances the subscription cursor over up to
+    /// the topic lock. Advances the subscription cursor over up to
     /// `max` messages and collects the touched entries as [`EntryView`]s.
     /// What is the same for a whole run of entries is resolved once per
     /// run: the mark-delete position once per partition, and the segment
@@ -1405,7 +1417,7 @@ impl PulsarCluster {
     /// bump at the back of the pending queue. No `Message` is
     /// materialized, no payload is sliced, and no consumer code runs while
     /// the lock is held — phase 2 (decode + deliver) works on the returned
-    /// views after the shard is released, on the already-refcounted bytes.
+    /// views after the lock is released, on the already-refcounted bytes.
     ///
     /// A read error stops the scan rather than failing it: what was
     /// already collected has moved the cursor and is pending, so it is
@@ -1427,8 +1439,8 @@ impl PulsarCluster {
         self.with_topic(topic, |inner, t| {
             let mut clk = PhaseClock::start(prof);
             if let (Some(t0), Some(t1)) = (wall_start, clk.last) {
-                // Outside-the-lock to inside-the-lock: topic hash, shard
-                // lock wait, and any lazy topic rebuild.
+                // Outside-the-lock to inside-the-lock: lock wait, topic
+                // hash, and any lazy topic rebuild.
                 acc.lock_ns += t1.duration_since(t0).as_nanos() as u64;
             }
             let nparts = t.partitions.len();
@@ -1641,7 +1653,7 @@ impl PulsarCluster {
     /// `on_msg` per message. Returns the count.
     ///
     /// Built on the two-phase pipeline: [`PulsarCluster::collect_entries`]
-    /// does cursor bookkeeping and entry collection under the topic-shard
+    /// does cursor bookkeeping and entry collection under the topic
     /// lock, then message materialization (O(1) zero-copy slices against
     /// each entry's cached offset table), per-message trace spans, and the
     /// `on_msg` callback all run *outside* the lock on the scan-scoped
@@ -1682,7 +1694,7 @@ impl PulsarCluster {
             wall_start,
         );
         if result.is_ok() {
-            // Phase 2: decode + deliver, shard lock released. The views
+            // Phase 2: decode + deliver, topic lock released. The views
             // hold refcounts on the entry buffers, so appends, acks and
             // trims proceeding concurrently cannot invalidate them.
             let mut clk = PhaseClock::start(prof);
@@ -1982,7 +1994,7 @@ impl PulsarCluster {
         })
     }
 
-    /// Acknowledge many messages with ONE topic-shard lock acquisition and
+    /// Acknowledge many messages with ONE topic lock acquisition and
     /// at most one durable cursor write per touched partition — the
     /// dispatch-side mirror of `send_batch`'s group commit. The ack
     /// *bookkeeping* is bit-identical to per-id [`Consumer::ack`] (same
@@ -2077,7 +2089,7 @@ impl PulsarCluster {
     }
 
     /// Acknowledge the messages delivered by a slice of [`EntryView`]s
-    /// with one topic-shard lock acquisition and at most one durable
+    /// with one topic lock acquisition and at most one durable
     /// cursor write per touched partition. A whole view folds straight
     /// into the entry-granular cursor machinery — one pending decrement,
     /// one acked-set fold, zero per-index `partial` bookkeeping; partial
@@ -2121,11 +2133,12 @@ impl PulsarCluster {
 
     fn detach(&self, topic: &str, subscription: &str, consumer_id: u64) {
         // No lazy rebuild: detaching from an unloaded topic is a no-op.
-        self.inner.topics.with(topic, |shard| {
-            if let Some(t) = shard.get_mut(topic) {
-                if let Some(sub) = t.subs.get_mut(subscription) {
-                    sub.consumers.retain(|&c| c != consumer_id);
-                }
+        Self::lock_topics(&self.inner, |topics| {
+            if let Some(sub) = topics
+                .get_mut(topic)
+                .and_then(|t| t.subs.get_mut(subscription))
+            {
+                sub.consumers.retain(|&c| c != consumer_id);
             }
         });
     }
@@ -2147,19 +2160,16 @@ impl PulsarCluster {
                         break;
                     }
                     let seg_len = Self::segment_len(inner, part, 0);
-                    // Every subscription must have mark-deleted past this
-                    // segment's final entry.
+                    // An empty segment goes once anyone subscribes. Any
+                    // other goes once every subscription's mark-delete has
+                    // moved on to a later segment: a mark-delete on this
+                    // segment's final entry keeps it until an ack moves
+                    // the cursor into the next one.
                     let all_consumed = !t.subs.is_empty()
-                        && t.subs.values().all(|sub| match sub.mark_delete[p] {
-                            Some(md) => md.ledger != first || md.entry + 1 >= seg_len,
-                            None => seg_len == 0,
-                        })
-                        && t.subs.values().all(|sub| {
-                            sub.mark_delete[p]
-                                .map(|md| md.ledger != first)
-                                .unwrap_or(seg_len == 0)
-                                || seg_len == 0
-                        });
+                        && (seg_len == 0
+                            || t.subs.values().all(|sub| {
+                                sub.mark_delete[p].is_some_and(|md| md.ledger != first)
+                            }));
                     if !all_consumed {
                         break;
                     }
@@ -2674,7 +2684,7 @@ mod tests {
         let snap = site.snapshot();
         assert!(
             snap.acquisitions >= 5,
-            "publishes acquire the topic shard: {}",
+            "publishes acquire the topic lock: {}",
             snap.acquisitions
         );
     }
@@ -3067,6 +3077,32 @@ mod tests {
     }
 
     #[test]
+    fn a_segment_is_trimmed_only_once_the_cursor_leaves_it() {
+        let c = small_cluster(); // 8 entries/segment
+        c.create_topic("t", 1).unwrap();
+        let p = c.producer("t").unwrap();
+        let mut consumer = c.subscribe("t", "s", SubscriptionMode::Exclusive).unwrap();
+        // Nine entries: a sealed segment of eight, one in the open tail.
+        for i in 0..9u64 {
+            p.send(&i.to_le_bytes()).unwrap();
+        }
+        let sealed = consumer.receive_batch(8).unwrap();
+        let ids: Vec<MessageId> = sealed.iter().map(|m| m.id).collect();
+        consumer.ack_batch(&ids).unwrap();
+        // The mark-delete is the sealed segment's final entry: every entry
+        // of it is consumed, yet it is kept.
+        assert!(ids.iter().all(|id| id.ledger == ids[0].ledger));
+        assert_eq!(c.trim_consumed("t").unwrap(), 0);
+        assert_eq!(c.retained_entries("t").unwrap(), 9);
+        // Acking into the next segment moves the cursor off it.
+        let tail = consumer.receive().unwrap().unwrap();
+        assert_ne!(tail.id.ledger, ids[0].ledger);
+        consumer.ack(tail.id).unwrap();
+        assert_eq!(c.trim_consumed("t").unwrap(), 1);
+        assert_eq!(c.retained_entries("t").unwrap(), 1);
+    }
+
+    #[test]
     fn tiered_storage_reads_through_after_offload() {
         use taureau_core::latency::LatencyModel;
         let c = small_cluster(); // 8 entries per segment
@@ -3154,6 +3190,121 @@ mod tests {
             .unwrap();
         assert_eq!(log_reader.drain().unwrap().len(), 4);
         assert_eq!(c.metrics().counter("quota_rejections").get(), 2);
+    }
+
+    /// Every publish under a tenant quota walks all topics under the topic
+    /// lock (`check_quota`). Run that walk against publishes, batched acks
+    /// and trims on four topics of the tenant at once: a nested topic-lock
+    /// acquisition would stall a thread (the watchdog turns that into a
+    /// failure instead of a hang), and every publish that succeeded must
+    /// be delivered, in order.
+    #[test]
+    fn quota_walks_under_traffic_on_every_topic_stall_nothing_and_lose_nothing() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        const TOPICS: usize = 4;
+        const MSGS: u64 = 400;
+        let c = small_cluster(); // 8 entries/segment
+        let names: Vec<String> = (0..TOPICS).map(|t| format!("acme/t{t}")).collect();
+        for name in &names {
+            c.create_topic(name, 1).unwrap();
+        }
+        // Tight enough to reject publishes, loose enough that four fully
+        // consumed and trimmed topics (an open segment each) fit under it.
+        c.set_tenant_quota("acme", 40);
+        let published = Arc::new(
+            (0..TOPICS)
+                .map(|_| AtomicBool::new(false))
+                .collect::<Vec<_>>(),
+        );
+        let consumers_left = Arc::new(AtomicUsize::new(TOPICS));
+        // Every end is opened before any thread starts, so a stalled thread
+        // cannot stall the test thread short of its watchdog.
+        let ends: Vec<_> = names
+            .iter()
+            .map(|name| {
+                let consumer = c.subscribe(name, "s", SubscriptionMode::Exclusive).unwrap();
+                (c.producer(name).unwrap(), consumer)
+            })
+            .collect();
+        let (done_tx, done_rx) = mpsc::channel();
+        let (mut writers, mut readers) = (Vec::new(), Vec::new());
+        for (t, (producer, mut consumer)) in ends.into_iter().enumerate() {
+            let (flags, tx) = (Arc::clone(&published), done_tx.clone());
+            writers.push(std::thread::spawn(move || {
+                for i in 0..MSGS {
+                    let payload = ((t as u64) << 32 | i).to_le_bytes();
+                    // A rejected publish is retried until trims make room.
+                    loop {
+                        match producer.send(&payload) {
+                            Ok(_) => break,
+                            Err(PulsarError::TenantQuotaExceeded { .. }) => {
+                                std::thread::yield_now()
+                            }
+                            Err(e) => panic!("publish to topic {t}: {e:?}"),
+                        }
+                    }
+                }
+                flags[t].store(true, Ordering::Release);
+                tx.send(()).unwrap();
+            }));
+            let (published, consumers_left, done_tx) = (
+                Arc::clone(&published),
+                Arc::clone(&consumers_left),
+                done_tx.clone(),
+            );
+            readers.push(std::thread::spawn(move || {
+                let mut seen = Vec::new();
+                loop {
+                    let finished = published[t].load(Ordering::Acquire);
+                    let batch = consumer.receive_batch(16).unwrap();
+                    if batch.is_empty() {
+                        if finished {
+                            break;
+                        }
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    let ids: Vec<MessageId> = batch.iter().map(|m| m.id).collect();
+                    consumer.ack_batch(&ids).unwrap();
+                    seen.extend(
+                        batch
+                            .iter()
+                            .map(|m| u64::from_le_bytes(m.payload[..].try_into().unwrap())),
+                    );
+                }
+                consumers_left.fetch_sub(1, Ordering::Release);
+                done_tx.send(()).unwrap();
+                seen
+            }));
+        }
+        let trimmer = c.clone();
+        writers.push(std::thread::spawn(move || {
+            while consumers_left.load(Ordering::Acquire) > 0 {
+                for name in &names {
+                    trimmer.trim_consumed(name).unwrap();
+                    trimmer.retained_entries(name).unwrap();
+                }
+                std::thread::yield_now();
+            }
+            done_tx.send(()).unwrap();
+        }));
+        // Watchdog. A deadlocked thread cannot be joined, so on a timeout
+        // the test fails here and leaves the threads behind.
+        for _ in 0..2 * TOPICS + 1 {
+            done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("a thread stalled under concurrent quota walks");
+        }
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        for (t, reader) in readers.into_iter().enumerate() {
+            let want: Vec<u64> = (0..MSGS).map(|i| (t as u64) << 32 | i).collect();
+            assert_eq!(reader.join().unwrap(), want, "topic {t}");
+        }
     }
 
     #[test]

@@ -7,15 +7,15 @@
 //! clobber each other's updates), plus watch-free sequential node creation
 //! for id allocation.
 //!
-//! Nodes are sharded by key hash ([`ShardedMap`]), so cursor updates for
-//! different subscriptions and ledger-metadata writes for different topics
-//! never serialize on one store-wide lock; the id sequence is a plain
-//! atomic. CAS semantics are unchanged — each key's shard lock makes the
-//! compare and the swap one critical section.
+//! Nodes live in one map behind one lock, so a CAS's compare and swap
+//! are one critical section; the id sequence is a plain atomic. The lock
+//! is a leaf: nothing that runs under it calls back into the store or
+//! takes another lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use taureau_core::sync::ShardedMap;
+use parking_lot::Mutex;
+use taureau_core::hash::FnvHashMap;
 
 use crate::error::{PulsarError, Result};
 
@@ -31,7 +31,7 @@ pub(crate) struct Versioned {
 /// In-process versioned KV store with CAS semantics.
 #[derive(Debug, Default)]
 pub struct MetadataStore {
-    nodes: ShardedMap<String, Versioned>,
+    nodes: Mutex<FnvHashMap<String, Versioned>>,
     next_seq: AtomicU64,
 }
 
@@ -43,18 +43,17 @@ impl MetadataStore {
 
     /// Read a node.
     pub(crate) fn get(&self, key: &str) -> Option<Versioned> {
-        self.nodes.get_cloned(key)
+        self.nodes.lock().get(key).cloned()
     }
 
     /// Create a node; fails if it exists.
     pub(crate) fn create(&self, key: &str, data: Vec<u8>) -> Result<()> {
-        self.nodes.with(key, |shard| {
-            if shard.contains_key(key) {
-                return Err(PulsarError::MetadataConflict(key.to_string()));
-            }
-            shard.insert(key.to_string(), Versioned { data, version: 0 });
-            Ok(())
-        })
+        let mut nodes = self.nodes.lock();
+        if nodes.contains_key(key) {
+            return Err(PulsarError::MetadataConflict(key.to_string()));
+        }
+        nodes.insert(key.to_string(), Versioned { data, version: 0 });
+        Ok(())
     }
 
     /// Compare-and-swap: write succeeds only if the stored version matches
@@ -66,19 +65,19 @@ impl MetadataStore {
         data: Vec<u8>,
         expected_version: Option<u64>,
     ) -> Result<u64> {
-        self.nodes
-            .with(key, |shard| match (shard.get_mut(key), expected_version) {
-                (None, None) => {
-                    shard.insert(key.to_string(), Versioned { data, version: 0 });
-                    Ok(0)
-                }
-                (Some(node), Some(v)) if node.version == v => {
-                    node.data = data;
-                    node.version += 1;
-                    Ok(node.version)
-                }
-                _ => Err(PulsarError::MetadataConflict(key.to_string())),
-            })
+        let mut nodes = self.nodes.lock();
+        match (nodes.get_mut(key), expected_version) {
+            (None, None) => {
+                nodes.insert(key.to_string(), Versioned { data, version: 0 });
+                Ok(0)
+            }
+            (Some(node), Some(v)) if node.version == v => {
+                node.data = data;
+                node.version += 1;
+                Ok(node.version)
+            }
+            _ => Err(PulsarError::MetadataConflict(key.to_string())),
+        }
     }
 
     /// Unconditional write (used where a single owner is already
@@ -92,10 +91,11 @@ impl MetadataStore {
     /// a few bytes per call — a subscription cursor — reuses the node's
     /// buffer instead of building a fresh one. Versions move exactly as
     /// with [`MetadataStore::put`]: created at 0, bumped by one per write.
-    /// `f` runs under the key's shard lock and must not call back into the
+    /// `f` runs under the store's lock and must not call back into the
     /// store.
     pub(crate) fn update(&self, key: &str, f: impl FnOnce(&mut Vec<u8>)) -> u64 {
-        self.nodes.with(key, |shard| match shard.get_mut(key) {
+        let mut nodes = self.nodes.lock();
+        match nodes.get_mut(key) {
             Some(node) => {
                 f(&mut node.data);
                 node.version += 1;
@@ -104,25 +104,26 @@ impl MetadataStore {
             None => {
                 let mut data = Vec::new();
                 f(&mut data);
-                shard.insert(key.to_string(), Versioned { data, version: 0 });
+                nodes.insert(key.to_string(), Versioned { data, version: 0 });
                 0
             }
-        })
+        }
     }
 
     /// Delete a node (idempotent).
     pub(crate) fn delete(&self, key: &str) {
-        self.nodes.remove(key);
+        self.nodes.lock().remove(key);
     }
 
     /// Keys under a prefix (ZooKeeper getChildren analogue), sorted.
     pub(crate) fn list_prefix(&self, prefix: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        self.nodes.for_each(|k, _| {
-            if k.starts_with(prefix) {
-                out.push(k.clone());
-            }
-        });
+        let mut out: Vec<String> = self
+            .nodes
+            .lock()
+            .keys()
+            .filter(|k| k.starts_with(prefix))
+            .cloned()
+            .collect();
         out.sort();
         out
     }

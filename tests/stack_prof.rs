@@ -130,7 +130,7 @@ fn contention_profiler_reports_through_the_stack() {
     let prof = taureau::core::sync::ContentionProfiler::new();
     let site = stack.pulsar.enable_contention_profiling(&prof);
     let producer = stack.pulsar.producer("jobs").unwrap();
-    // Hammer one topic (one shard) from several threads so acquisitions
+    // Hammer one topic from several threads so acquisitions
     // actually contend.
     std::thread::scope(|s| {
         for _ in 0..4 {
@@ -143,7 +143,7 @@ fn contention_profiler_reports_through_the_stack() {
     });
     let snap = site.snapshot();
     assert!(snap.acquisitions >= 400);
-    // Ranking is by observed wait time, so the topic shard's position
+    // Ranking is by observed wait time, so the topic lock's position
     // depends on how much the threads actually overlapped; assert presence,
     // not rank.
     let report = ContentionReport::new(prof.snapshots());
