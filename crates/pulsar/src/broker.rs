@@ -504,7 +504,7 @@ struct ClusterInner {
     /// broker; consulted on every publish/dispatch/ack with one load.
     fence_check: OnceLock<FenceCheck>,
     /// Broker-side topic state, one map behind one lock. Lock ordering:
-    /// topics → metadata → tier/quotas mutex. Nothing under the topics
+    /// topics → metadata → tier mutex. Nothing under the topics
     /// lock takes it again, and consumer code never runs under it.
     topics: Mutex<FnvHashMap<String, Topic>>,
     /// Contention site of `topics`, attached at most once by
@@ -531,11 +531,6 @@ struct ClusterInner {
     dispatch_prof: AtomicBool,
     /// Optional cold tier for sealed segments (§4.3 "tiered storage").
     tier: Mutex<Option<crate::tiering::TierBackend>>,
-    /// Per-tenant retained-entry quotas (§4.3 "multi-tenancy").
-    quotas: Mutex<HashMap<String, u64>>,
-    /// Set (and never cleared) by the first `set_tenant_quota`: until then
-    /// `quotas` is empty and a publish has no quota to look up.
-    quotas_in_use: AtomicBool,
 }
 
 /// Snapshot of dispatch-phase attribution: cumulative nanosecond totals
@@ -695,8 +690,6 @@ impl PulsarCluster {
                 next_consumer: AtomicU64::new(0),
                 dispatch_prof: AtomicBool::new(false),
                 tier: Mutex::new(None),
-                quotas: Mutex::new(HashMap::new()),
-                quotas_in_use: AtomicBool::new(false),
             }),
         }
     }
@@ -859,28 +852,6 @@ impl PulsarCluster {
             }
             Ok(offloaded)
         })
-    }
-
-    /// The tenant of a topic: the segment before the first `/` in the
-    /// topic name (Pulsar's `tenant/namespace/topic` convention,
-    /// flattened), or the whole name for un-namespaced topics.
-    pub(crate) fn tenant_of(topic: &str) -> &str {
-        topic.split('/').next().unwrap_or(topic)
-    }
-
-    /// Cap the total retained entries across a tenant's topics
-    /// (multi-tenancy backlog quota). Publishing beyond the cap fails with
-    /// [`PulsarError::TenantQuotaExceeded`] until consumers ack and the
-    /// topic is trimmed.
-    #[cfg(test)]
-    pub(crate) fn set_tenant_quota(&self, tenant: &str, max_retained_entries: u64) {
-        self.inner
-            .quotas
-            .lock()
-            .insert(tenant.to_string(), max_retained_entries);
-        // Release pairs with the Acquire load in `check_quota`: a publish
-        // that sees the flag also sees the entry above.
-        self.inner.quotas_in_use.store(true, Ordering::Release);
     }
 
     /// Create a topic with `partitions` partitions.
@@ -1118,56 +1089,11 @@ impl PulsarCluster {
         );
     }
 
-    /// Publish steps 1–2, shared by single and batched publishing; both
-    /// are skipped while no tenant quota has ever been set (step 3's own
-    /// `with_topic` loads the topic and reports an unknown one).
-    /// Step 1: make sure the topic is loaded (topic lock taken and
-    /// released). Step 2: multi-tenancy backlog quota — total retained
-    /// entries across the tenant's loaded topics must stay under the cap.
-    /// The walk takes the topic lock once more, with nothing else held.
-    /// (Concurrent publishers may both pass a nearly full quota check;
-    /// the cap is a backlog bound, not a ledger.)
-    ///
-    /// The quota is denominated in *ledger entries*: a batched entry counts
-    /// once no matter how many messages it packs — amortizing the backlog
-    /// cost is exactly what batching is for.
-    fn check_quota(&self, topic: &str) -> Result<()> {
-        let inner = &*self.inner;
-        if !inner.quotas_in_use.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        self.with_topic(topic, |_, _| Ok(()))?;
-        let tenant = Self::tenant_of(topic);
-        // Copy the quota out before scanning: holding the quotas lock
-        // across the topic walk below would invert the lock order.
-        let quota = inner.quotas.lock().get(tenant).copied();
-        if let Some(quota) = quota {
-            let mut retained = 0u64;
-            for (name, t) in inner.topics.lock().iter() {
-                if Self::tenant_of(name) == tenant {
-                    for part in &t.partitions {
-                        for seg in 0..part.segments.len() {
-                            retained += Self::segment_len(inner, part, seg);
-                        }
-                    }
-                }
-            }
-            if retained >= quota {
-                inner.metrics.counter("quota_rejections").inc();
-                return Err(PulsarError::TenantQuotaExceeded {
-                    tenant: tenant.to_string(),
-                    quota,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Publish step 3: append one encoded entry to the partition's open
-    /// ledger, with up to one rollover retry on quorum failure. The entry
-    /// buffer is refcounted ([`Bytes`]) — the writer hands the *same*
-    /// allocation to every replica in the write quorum (and to the retry),
-    /// so a publish copies payload bytes exactly once, at encode time.
+    /// Append one encoded entry to the partition's open ledger, with up to
+    /// one rollover retry on quorum failure. The entry buffer is
+    /// refcounted ([`Bytes`]) — the writer hands the *same* allocation to
+    /// every replica in the write quorum (and to the retry), so a publish
+    /// copies payload bytes exactly once, at encode time.
     fn append_with_rollover(
         inner: &ClusterInner,
         tracer: &Tracer,
@@ -1231,13 +1157,7 @@ impl PulsarCluster {
         span.attr("topic", topic);
         span.attr("bytes", payload.len());
         let now = self.inner.clock.now();
-        if let Err(e) = self.check_quota(topic) {
-            if matches!(e, PulsarError::TenantQuotaExceeded { .. }) {
-                span.attr("outcome", "quota_rejected");
-            }
-            return Err(e);
-        }
-        // Step 3: append under the topic lock.
+        // Append under the topic lock.
         let result = self.with_topic(topic, |inner, t| {
             let nparts = t.partitions.len();
             let p = match key {
@@ -1274,9 +1194,9 @@ impl PulsarCluster {
     }
 
     /// Publish `payloads` as one group-committed ledger entry (producer
-    /// batching, §4.3): one quota check, one entry encode, one replicated
-    /// append for the whole batch — the per-entry costs that dominate
-    /// small-message publishing are paid once and amortized over N.
+    /// batching, §4.3): one entry encode, one replicated append for the
+    /// whole batch — the per-entry costs that dominate small-message
+    /// publishing are paid once and amortized over N.
     ///
     /// Returns one [`MessageId`] per message, carrying its batch offset.
     /// Batches route like key-less messages (round-robin over partitions,
@@ -1298,12 +1218,6 @@ impl PulsarCluster {
         span.attr("topic", topic);
         span.attr("messages", payloads.len());
         let now = self.inner.clock.now();
-        if let Err(e) = self.check_quota(topic) {
-            if matches!(e, PulsarError::TenantQuotaExceeded { .. }) {
-                span.attr("outcome", "quota_rejected");
-            }
-            return Err(e);
-        }
         let result = self.with_topic(topic, |inner, t| {
             let nparts = t.partitions.len();
             t.rr = t.rr.wrapping_add(1);
@@ -2284,9 +2198,9 @@ impl Producer {
     }
 
     /// Publish several messages as one group-committed ledger entry: one
-    /// quota check, one encode, one replicated append. The whole batch
-    /// lands on one partition (round-robin, like key-less `send`); ids come
-    /// back in payload order.
+    /// encode, one replicated append. The whole batch lands on one
+    /// partition (round-robin, like key-less `send`); ids come back in
+    /// payload order.
     pub fn send_batch<T: AsRef<[u8]>>(&self, payloads: &[T]) -> Result<Vec<MessageId>> {
         self.cluster.publish_batch(&self.topic, payloads)
     }
@@ -3151,55 +3065,13 @@ mod tests {
         assert_eq!(c.offload_sealed("t").unwrap(), 0);
     }
 
+    /// Publishes, batched acks, and a thread looping `trim_consumed` +
+    /// `retained_entries` (each a walk under the one topic lock) on four
+    /// topics at once: a nested topic-lock acquisition would stall a
+    /// thread (the watchdog turns that into a failure instead of a hang),
+    /// and every publish must be delivered, in order.
     #[test]
-    fn tenant_backlog_quota_enforced_and_released_by_trim() {
-        let c = small_cluster();
-        c.create_topic("acme/orders", 1).unwrap();
-        c.create_topic("acme/logs", 1).unwrap();
-        c.create_topic("other/t", 1).unwrap();
-        c.set_tenant_quota("acme", 10);
-        let orders = c.producer("acme/orders").unwrap();
-        let logs = c.producer("acme/logs").unwrap();
-        let mut consumer = c
-            .subscribe("acme/orders", "s", SubscriptionMode::Exclusive)
-            .unwrap();
-        for i in 0..6u64 {
-            orders.send(&i.to_le_bytes()).unwrap();
-        }
-        for i in 0..4u64 {
-            logs.send(&i.to_le_bytes()).unwrap();
-        }
-        // Quota full across the tenant's topics.
-        assert!(matches!(
-            orders.send(b"over"),
-            Err(PulsarError::TenantQuotaExceeded { quota: 10, .. })
-        ));
-        // Another tenant is unaffected.
-        let other = c.producer("other/t").unwrap();
-        assert!(other.send(b"fine").is_ok());
-        // Consuming + trimming releases quota.
-        assert_eq!(consumer.drain().unwrap().len(), 6);
-        // Roll the open segment by filling it, then trim: simplest is to
-        // trim after the cursor passed the sealed segments. With 8
-        // entries/segment and only 6 sent, the open segment cannot be
-        // trimmed — so quota stays tight; verify the error persists…
-        assert!(orders.send(b"still-over").is_err());
-        // …until the other topic's backlog is consumed and trimmed.
-        let mut log_reader = c
-            .subscribe("acme/logs", "s", SubscriptionMode::Exclusive)
-            .unwrap();
-        assert_eq!(log_reader.drain().unwrap().len(), 4);
-        assert_eq!(c.metrics().counter("quota_rejections").get(), 2);
-    }
-
-    /// Every publish under a tenant quota walks all topics under the topic
-    /// lock (`check_quota`). Run that walk against publishes, batched acks
-    /// and trims on four topics of the tenant at once: a nested topic-lock
-    /// acquisition would stall a thread (the watchdog turns that into a
-    /// failure instead of a hang), and every publish that succeeded must
-    /// be delivered, in order.
-    #[test]
-    fn quota_walks_under_traffic_on_every_topic_stall_nothing_and_lose_nothing() {
+    fn trims_under_traffic_on_every_topic_stall_nothing_and_lose_nothing() {
         use std::sync::atomic::AtomicUsize;
         use std::sync::mpsc;
         use std::time::Duration;
@@ -3207,13 +3079,10 @@ mod tests {
         const TOPICS: usize = 4;
         const MSGS: u64 = 400;
         let c = small_cluster(); // 8 entries/segment
-        let names: Vec<String> = (0..TOPICS).map(|t| format!("acme/t{t}")).collect();
+        let names: Vec<String> = (0..TOPICS).map(|t| format!("t{t}")).collect();
         for name in &names {
             c.create_topic(name, 1).unwrap();
         }
-        // Tight enough to reject publishes, loose enough that four fully
-        // consumed and trimmed topics (an open segment each) fit under it.
-        c.set_tenant_quota("acme", 40);
         let published = Arc::new(
             (0..TOPICS)
                 .map(|_| AtomicBool::new(false))
@@ -3236,16 +3105,9 @@ mod tests {
             writers.push(std::thread::spawn(move || {
                 for i in 0..MSGS {
                     let payload = ((t as u64) << 32 | i).to_le_bytes();
-                    // A rejected publish is retried until trims make room.
-                    loop {
-                        match producer.send(&payload) {
-                            Ok(_) => break,
-                            Err(PulsarError::TenantQuotaExceeded { .. }) => {
-                                std::thread::yield_now()
-                            }
-                            Err(e) => panic!("publish to topic {t}: {e:?}"),
-                        }
-                    }
+                    producer
+                        .send(&payload)
+                        .unwrap_or_else(|e| panic!("publish to topic {t}: {e:?}"));
                 }
                 flags[t].store(true, Ordering::Release);
                 tx.send(()).unwrap();
@@ -3296,7 +3158,7 @@ mod tests {
         for _ in 0..2 * TOPICS + 1 {
             done_rx
                 .recv_timeout(Duration::from_secs(60))
-                .expect("a thread stalled under concurrent quota walks");
+                .expect("a thread stalled under concurrent trims");
         }
         for writer in writers {
             writer.join().unwrap();
@@ -3305,26 +3167,6 @@ mod tests {
             let want: Vec<u64> = (0..MSGS).map(|i| (t as u64) << 32 | i).collect();
             assert_eq!(reader.join().unwrap(), want, "topic {t}");
         }
-    }
-
-    #[test]
-    fn the_first_quota_ever_set_binds_the_next_publish() {
-        let c = small_cluster();
-        c.create_topic("acme/orders", 1).unwrap();
-        let orders = c.producer("acme/orders").unwrap();
-        // No quota anywhere: publishes skip the lookup entirely.
-        for i in 0..3u64 {
-            orders.send(&i.to_le_bytes()).unwrap();
-        }
-        c.set_tenant_quota("acme", 3);
-        assert!(matches!(
-            orders.send(b"over"),
-            Err(PulsarError::TenantQuotaExceeded { quota: 3, .. })
-        ));
-        assert!(matches!(
-            orders.send_batch(&[b"a", b"b"]),
-            Err(PulsarError::TenantQuotaExceeded { quota: 3, .. })
-        ));
     }
 
     #[test]
@@ -3343,8 +3185,8 @@ mod tests {
             c.create_topic("t", 1),
             Err(PulsarError::TopicExists(_))
         ));
-        // A producer outliving its topic: with no quota set nothing looks
-        // the topic up before the append does, and the append still says so.
+        // A producer outliving its topic: nothing looks the topic up
+        // before the append does, and the append still says so.
         let p = c.producer("t").unwrap();
         c.metadata().delete("/topics/t");
         c.restart_broker();

@@ -38,13 +38,6 @@ pub enum PulsarError {
     ExclusiveSubscriptionBusy(String),
     /// Metadata compare-and-swap failed (stale version).
     MetadataConflict(String),
-    /// A tenant's retained-entry backlog quota is full.
-    TenantQuotaExceeded {
-        /// The tenant.
-        tenant: String,
-        /// The configured cap.
-        quota: u64,
-    },
     /// A batch whose payloads together pass the 4 GiB one entry's offset
     /// table can address.
     BatchTooLarge {
@@ -82,12 +75,6 @@ impl std::fmt::Display for PulsarError {
                 write!(f, "exclusive subscription {s} already has a consumer")
             }
             PulsarError::MetadataConflict(k) => write!(f, "metadata CAS conflict on {k}"),
-            PulsarError::TenantQuotaExceeded { tenant, quota } => {
-                write!(
-                    f,
-                    "tenant {tenant} backlog quota of {quota} entries is full"
-                )
-            }
             PulsarError::BatchTooLarge { messages } => {
                 write!(f, "batch of {messages} messages exceeds 4 GiB of payload")
             }

@@ -498,19 +498,29 @@ mod tests {
 
     #[test]
     fn output_failure_mid_scan_acks_exactly_the_processed_prefix() {
+        use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+        use std::sync::Arc;
+
         let (cluster, rt) = setup();
         cluster.create_topic("in", 1).unwrap();
-        cluster.create_topic("capped/out", 1).unwrap();
-        // The output tenant may retain five entries: the sixth output
-        // `send` of the scan is refused.
-        cluster.set_tenant_quota("capped", 5);
+        cluster.create_topic("out", 1).unwrap();
+        // The fence admits five publishes to the output topic: the sixth
+        // output `send` of the scan is refused until the refusal is lifted.
+        let admitted = Arc::new(AtomicU32::new(0));
+        let lifted = Arc::new(AtomicBool::new(false));
+        let lift = Arc::clone(&lifted);
+        assert!(cluster.set_fence_check(Arc::new(move |topic: &str| {
+            topic != "out"
+                || lifted.load(Ordering::Relaxed)
+                || admitted.fetch_add(1, Ordering::Relaxed) < 5
+        })));
         let seen = Seen::default();
         let body_seen = seen.clone();
         rt.register(
             FunctionConfig {
                 name: "copy".into(),
                 inputs: vec!["in".into()],
-                output: Some("capped/out".into()),
+                output: Some("out".into()),
             },
             Box::new(move |msg, _| {
                 body_seen.lock().push(seq(msg));
@@ -523,13 +533,13 @@ mod tests {
         send_range(&p, 8..16);
         assert!(matches!(
             rt.run_available("copy"),
-            Err(PulsarError::TenantQuotaExceeded { .. })
+            Err(PulsarError::Fenced(_))
         ));
         assert_eq!(rt.processed("copy").unwrap(), 5);
         assert_eq!(*seen.lock(), (0..6).collect::<Vec<_>>());
         // The other eleven are pending, not lost and not acked: with the
-        // quota lifted they come back exactly once, the refused one first.
-        cluster.set_tenant_quota("capped", u64::MAX);
+        // refusal lifted they come back exactly once, the refused one first.
+        lift.store(true, Ordering::Relaxed);
         {
             let probe = cluster
                 .subscribe("in", "fn-copy", SubscriptionMode::Shared)
@@ -540,7 +550,7 @@ mod tests {
         assert_eq!(rt.processed("copy").unwrap(), 16);
         assert_eq!(seen.lock()[6..], (5..16).collect::<Vec<_>>());
         let mut out = cluster
-            .subscribe("capped/out", "check", SubscriptionMode::Exclusive)
+            .subscribe("out", "check", SubscriptionMode::Exclusive)
             .unwrap();
         let copied: Vec<u64> = out.drain().unwrap().iter().map(seq).collect();
         assert_eq!(copied, (0..16).collect::<Vec<_>>());
