@@ -75,7 +75,6 @@ struct DbState {
     /// Last committed timestamp.
     last_commit: Ts,
     /// Committed transactions kept for validation: commit_ts -> write set.
-    /// Pruned by `vacuum`.
     commit_log: BTreeMap<Ts, HashSet<Vec<u8>>>,
     reads: u64,
     writes: u64,
@@ -159,37 +158,10 @@ impl ServerlessDb {
         })
     }
 
-    /// Drop versions (and commit-log entries) no transaction can still
-    /// see, keeping the newest version ≤ `before` per key.
-    #[cfg(test)]
-    pub(crate) fn vacuum(&self, before: Ts) {
-        let mut st = self.state.lock();
-        for versions in st.versions.values_mut() {
-            // Keep the latest version at or before the horizon plus
-            // everything after it.
-            if let Some((&keep, _)) = versions.range(..=before).next_back() {
-                versions.retain(|&ts, _| ts >= keep);
-            }
-        }
-        st.commit_log.retain(|&ts, _| ts > before);
-    }
-
-    /// Latest commit timestamp.
-    #[cfg(test)]
-    pub(crate) fn last_commit_ts(&self) -> Ts {
-        self.state.lock().last_commit
-    }
-
     /// (reads, writes, commits, aborts) counters for billing/metrics.
     pub fn op_counts(&self) -> (u64, u64, u64, u64) {
         let st = self.state.lock();
         (st.reads, st.writes, st.commits, st.aborts)
-    }
-
-    /// Total live versions stored (space metric for vacuum tests).
-    #[cfg(test)]
-    pub(crate) fn version_count(&self) -> usize {
-        self.state.lock().versions.values().map(BTreeMap::len).sum()
     }
 }
 
@@ -443,31 +415,6 @@ mod tests {
         // Old snapshot still sees it (MVCC).
         let st = db.state.lock();
         assert_eq!(read_at(&st, b"k", 1), Some(b"v".to_vec()));
-    }
-
-    #[test]
-    fn vacuum_reclaims_old_versions() {
-        let db = ServerlessDb::new();
-        for i in 0..20u64 {
-            db.put(b"k", &i.to_le_bytes());
-        }
-        assert_eq!(db.version_count(), 20);
-        let horizon = db.last_commit_ts();
-        db.vacuum(horizon);
-        assert_eq!(db.version_count(), 1, "vacuum should keep only the newest");
-        assert_eq!(db.get(b"k"), Some(19u64.to_le_bytes().to_vec()));
-    }
-
-    #[test]
-    fn conflict_validation_survives_vacuum_of_old_log() {
-        let db = ServerlessDb::new();
-        db.put(b"a", b"1");
-        db.vacuum(db.last_commit_ts());
-        // New transactions proceed normally after the log is pruned.
-        let mut t = db.begin();
-        t.put(b"a", b"2");
-        t.commit().unwrap();
-        assert_eq!(db.get(b"a"), Some(b"2".to_vec()));
     }
 
     #[test]

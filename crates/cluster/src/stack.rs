@@ -585,6 +585,24 @@ mod tests {
             s.ack("orders", "workers", m.id, None).unwrap();
         }
         assert!(s.consume("orders", "workers", 16, None).unwrap().is_empty());
+        // Ids no message of the topic can have — a partition past its
+        // one, an index past the batch — come back as the broker's error.
+        for bad in [
+            MessageId {
+                partition: 7,
+                ..msgs[0].id
+            },
+            MessageId {
+                batch_index: 5,
+                ..msgs[0].id
+            },
+        ] {
+            let refused = s.ack("orders", "workers", bad, None);
+            assert!(
+                matches!(&refused, Err(ClusterError::Remote(e)) if e.contains("invalid message id")),
+                "{refused:?}"
+            );
+        }
     }
 
     #[test]

@@ -312,6 +312,10 @@ struct SubState {
     /// Metadata key of each partition's persisted cursor, built once so an
     /// ack that moves the cursor formats nothing.
     cursor_keys: Vec<String>,
+    /// Partitions whose mark-delete the running ack call has moved and
+    /// not yet persisted; all `false` between calls, so an ack allocates
+    /// no record of its own.
+    dirty: Vec<bool>,
 }
 
 impl SubState {
@@ -330,6 +334,7 @@ impl SubState {
                 .map(|p| cursor_key(topic, p, name))
                 .collect(),
             pending: vec![PendingQueue::default(); read.len()],
+            dirty: vec![false; read.len()],
             read,
             mark_delete,
             acked: BTreeSet::new(),
@@ -486,6 +491,35 @@ struct Topic {
     rr: u64,
 }
 
+impl Topic {
+    /// The subscription `subscription` of this topic (named `topic`)
+    /// beside the partitions its cursor walks: the one lookup dispatch,
+    /// ack and redelivery start from.
+    fn cursor(
+        &mut self,
+        topic: &str,
+        subscription: &str,
+    ) -> Result<(&mut SubState, &mut [Partition])> {
+        let sub = self
+            .subs
+            .get_mut(subscription)
+            .ok_or_else(|| PulsarError::TopicNotFound(format!("{topic}:{subscription}")))?;
+        Ok((sub, &mut self.partitions))
+    }
+}
+
+/// One unit of an ack call: what [`Consumer::ack`], [`Consumer::ack_batch`]
+/// and [`Consumer::ack_entries`] hand the ack fold.
+#[derive(Clone, Copy)]
+enum AckUnit<'a> {
+    /// Every message a delivered view covers: a whole view is one
+    /// entry-granular ack (its canonical id and message count), a cut one
+    /// acks its ids one by one.
+    View(&'a EntryView),
+    /// One message, by the id the consumer holds.
+    Id(MessageId),
+}
+
 /// Ownership check installed by a cluster layer: returns `true` while this
 /// broker instance may serve the named topic. Consulted on every publish,
 /// dispatch, ack, and subscribe, so a broker deposed by a newer ownership
@@ -524,10 +558,10 @@ struct ClusterInner {
     /// off, [`PulsarCluster::tracer`] is one load and takes no lock.
     tracer_on: AtomicBool,
     next_consumer: AtomicU64,
-    /// When set, `receive_scan` attributes its wall time across dispatch
-    /// phases (lock acquisition, cursor bookkeeping, entry reads, decode,
-    /// delivery) into the metrics registry. One relaxed load per scan when
-    /// off; see [`PulsarCluster::set_dispatch_profiling`].
+    /// When set, the dispatch scan attributes its wall time across
+    /// dispatch phases (lock acquisition, cursor bookkeeping, entry reads,
+    /// view stamping) into the metrics registry. One relaxed load per scan
+    /// when off; see [`PulsarCluster::set_dispatch_profiling`].
     dispatch_prof: AtomicBool,
     /// Optional cold tier for sealed segments (§4.3 "tiered storage").
     tier: Mutex<Option<crate::tiering::TierBackend>>,
@@ -536,13 +570,15 @@ struct ClusterInner {
 /// Snapshot of dispatch-phase attribution: cumulative nanosecond totals
 /// per phase since the cluster was created (counters only advance while
 /// [`PulsarCluster::set_dispatch_profiling`] is on). `wall_ns` covers the
-/// whole `receive_scan` call; the five phases are measured directly
-/// against the same clock, so `wall_ns - explained_ns()` is the honest
-/// unattributed remainder (loop control, span bookkeeping, closure
+/// whole dispatch scan — the one every receive method runs, up to the
+/// views it returns; materializing [`Message`]s from them is the
+/// consumer's work and not counted. The four phases are measured
+/// directly against the same clock, so `wall_ns - explained_ns()` is the
+/// honest unattributed remainder (loop control, span bookkeeping, closure
 /// entry/exit) — it is *not* forced to zero by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DispatchProfile {
-    /// `receive_scan` calls profiled.
+    /// Dispatch scans profiled.
     pub(crate) scans: u64,
     /// Messages delivered by profiled scans.
     pub(crate) messages: u64,
@@ -562,26 +598,24 @@ pub struct DispatchProfile {
     /// bookies or the cold tier, including the one-time peel and parse of
     /// every entry in it. Zero while a scan stays inside the caches.
     pub read_ns: u64,
-    /// Decode: view stamping on the entry path and — on the per-message
-    /// [`receive_batch`](Consumer::receive_batch) path — message
-    /// materialization (zero-copy slicing, ids, per-message trace spans)
-    /// in the out-of-lock phase. Batch framing is not parsed by a scan:
-    /// that happens once, where the read caches are filled.
+    /// Decode: stamping each collected view with its trace context, in
+    /// the out-of-lock phase. Batch framing is not parsed by a scan: that
+    /// happens once, where the read caches are filled.
     pub decode_ns: u64,
-    /// Delivery callback (`on_msg`) — consumer-side work.
+    /// Always 0: a scan runs no consumer code. Kept so that readers of
+    /// the five-phase profile still build.
     pub deliver_ns: u64,
 }
 
 impl DispatchProfile {
     /// Named phases, in pipeline order.
     #[cfg(test)]
-    pub(crate) fn phases(&self) -> [(&'static str, u64); 5] {
+    pub(crate) fn phases(&self) -> [(&'static str, u64); 4] {
         [
             ("topic_lock", self.lock_ns),
             ("cursor_bookkeeping", self.cursor_ns),
             ("entry_read", self.read_ns),
             ("decode", self.decode_ns),
-            ("deliver", self.deliver_ns),
         ]
     }
 
@@ -626,14 +660,13 @@ impl PhaseClock {
 }
 
 /// Per-scan phase accumulators, flushed to the metrics registry once per
-/// `receive_scan` (striped-counter adds; no per-message registry lookups).
+/// dispatch scan (striped-counter adds; no per-message registry lookups).
 #[derive(Default)]
 struct DispatchAcc {
     lock_ns: u64,
     cursor_ns: u64,
     read_ns: u64,
     decode_ns: u64,
-    deliver_ns: u64,
 }
 
 /// A Pulsar cluster: brokers + bookies + metadata, in process.
@@ -774,14 +807,13 @@ impl PulsarCluster {
         )
     }
 
-    /// Toggle dispatch-phase attribution: when on, every `receive_scan`
+    /// Toggle dispatch-phase attribution: when on, every dispatch scan
     /// splits its wall time into `pulsar.dispatch.*_ns` counters (wall,
-    /// lock acquisition, cursor bookkeeping, entry read, decode,
-    /// delivery) readable from [`PulsarCluster::metrics`] and summarized
-    /// by [`PulsarCluster::dispatch_profile`]. While on, costs one clock
-    /// read per segment a scan reads from (plus two per message on the
-    /// per-message delivery path); one relaxed atomic load per scan while
-    /// off.
+    /// lock acquisition, cursor bookkeeping, entry read, decode)
+    /// readable from [`PulsarCluster::metrics`] and summarized by
+    /// [`PulsarCluster::dispatch_profile`]. While on, costs one clock read
+    /// per segment a scan reads from; one relaxed atomic load per scan
+    /// while off.
     pub fn set_dispatch_profiling(&self, on: bool) {
         self.inner.dispatch_prof.store(on, Ordering::Relaxed);
     }
@@ -797,7 +829,7 @@ impl PulsarCluster {
             cursor_ns: c("pulsar.dispatch.cursor_ns"),
             read_ns: c("pulsar.dispatch.read_ns"),
             decode_ns: c("pulsar.dispatch.decode_ns"),
-            deliver_ns: c("pulsar.dispatch.deliver_ns"),
+            deliver_ns: 0,
         }
     }
 
@@ -1319,26 +1351,30 @@ impl PulsarCluster {
         }
     }
 
-    /// Phase 1 of the dispatch pipeline — the only part that runs under
-    /// the topic lock. Advances the subscription cursor over up to
-    /// `max` messages and collects the touched entries as [`EntryView`]s.
-    /// What is the same for a whole run of entries is resolved once per
-    /// run: the mark-delete position once per partition, and the segment
-    /// (ledger id, length, in-memory entries — the open tail checked
-    /// first) once per segment the scan reads from. Per ENTRY that leaves
-    /// the skip checks, a clone of the already-parsed [`CachedEntry`] (one
-    /// refcount bump on the entry buffer; nothing is re-validated) and one
-    /// bump at the back of the pending queue. No `Message` is
-    /// materialized, no payload is sliced, and no consumer code runs while
-    /// the lock is held — phase 2 (decode + deliver) works on the returned
-    /// views after the lock is released, on the already-refcounted bytes.
+    /// The dispatch scan, and the one place a subscription's cursor moves
+    /// forward: every receive method is this plus what it makes of the
+    /// views. Under the topic lock it advances the cursor over up to
+    /// `max` messages and collects the touched entries as [`EntryView`]s
+    /// into `out` (cleared first). What is the same for a whole run of
+    /// entries is resolved once per run: the mark-delete position once
+    /// per partition, and the segment (ledger id, length, in-memory
+    /// entries — the open tail checked first) once per segment the scan
+    /// reads from. Per ENTRY that leaves the skip checks, a clone of the
+    /// already-parsed [`CachedEntry`] (one refcount bump on the entry
+    /// buffer; nothing is re-validated) and one bump at the back of the
+    /// pending queue. No `Message` is materialized, no payload is sliced,
+    /// and no consumer code runs while the lock is held.
+    ///
+    /// With the lock released, each view is stamped with its trace
+    /// context: when the broker is traced, ONE `pulsar.dispatch_entry`
+    /// span (child of the publish span) shared by all its messages, else
+    /// the publish context verbatim.
     ///
     /// A read error stops the scan rather than failing it: what was
     /// already collected has moved the cursor and is pending, so it is
     /// returned (`Ok(delivered)`), and the error is reported by the next
     /// scan, which meets it with nothing delivered.
-    #[allow(clippy::too_many_arguments)]
-    fn collect_entries(
+    fn receive_entries_from(
         &self,
         topic: &str,
         subscription: &str,
@@ -1346,22 +1382,28 @@ impl PulsarCluster {
         start_part: &mut usize,
         max: usize,
         out: &mut Vec<EntryView>,
-        acc: &mut DispatchAcc,
-        prof: bool,
-        wall_start: Option<Instant>,
     ) -> Result<usize> {
-        self.with_topic(topic, |inner, t| {
+        out.clear();
+        if max == 0 {
+            return Ok(0);
+        }
+        self.check_fence(topic)?;
+        let tracer = self.tracer();
+        let mut span = tracer.span(TRACE_SYSTEM, "pulsar.dispatch");
+        span.attr("topic", topic);
+        span.attr("subscription", subscription);
+        let prof = self.inner.dispatch_prof.load(Ordering::Relaxed);
+        let wall_start = prof.then(Instant::now);
+        let mut acc = DispatchAcc::default();
+        let result = self.with_topic(topic, |inner, t| {
             let mut clk = PhaseClock::start(prof);
             if let (Some(t0), Some(t1)) = (wall_start, clk.last) {
                 // Outside-the-lock to inside-the-lock: lock wait, topic
                 // hash, and any lazy topic rebuild.
                 acc.lock_ns += t1.duration_since(t0).as_nanos() as u64;
             }
-            let nparts = t.partitions.len();
-            let sub = t
-                .subs
-                .get_mut(subscription)
-                .ok_or_else(|| PulsarError::TopicNotFound(format!("{topic}:{subscription}")))?;
+            let (sub, partitions) = t.cursor(topic, subscription)?;
+            let nparts = partitions.len();
             // Failover: only the active (first attached) consumer receives.
             if sub.mode == SubscriptionMode::Failover && sub.consumers.first() != Some(&consumer_id)
             {
@@ -1371,7 +1413,7 @@ impl PulsarCluster {
             let mut failed = None;
             'parts: for scan in 0..nparts {
                 let p = (*start_part + scan) % nparts;
-                let part = &mut t.partitions[p];
+                let part = &mut partitions[p];
                 // Everything at or before the mark-delete cursor is skipped
                 // (individual acks get folded into it and leave the acked
                 // set). When its segment was trimmed, nothing that survives
@@ -1540,150 +1582,7 @@ impl PulsarCluster {
                 Some(e) if delivered == 0 => Err(e),
                 _ => Ok(delivered),
             }
-        })
-    }
-
-    /// Flush per-scan phase accumulators to the metrics registry
-    /// (striped-counter adds; no per-message registry lookups).
-    fn flush_dispatch_acc(&self, wall_start: Option<Instant>, acc: &DispatchAcc, n: Option<usize>) {
-        let Some(t0) = wall_start else {
-            return;
-        };
-        let m = &self.inner.metrics;
-        m.counter("pulsar.dispatch.scans").inc();
-        if let Some(n) = n {
-            m.counter("pulsar.dispatch.messages").add(n as u64);
-        }
-        m.counter("pulsar.dispatch.wall_ns")
-            .add(t0.elapsed().as_nanos() as u64);
-        m.counter("pulsar.dispatch.lock_ns").add(acc.lock_ns);
-        m.counter("pulsar.dispatch.cursor_ns").add(acc.cursor_ns);
-        m.counter("pulsar.dispatch.read_ns").add(acc.read_ns);
-        m.counter("pulsar.dispatch.decode_ns").add(acc.decode_ns);
-        m.counter("pulsar.dispatch.deliver_ns").add(acc.deliver_ns);
-    }
-
-    /// Unified dispatch scan: deliver up to `max` messages, invoking
-    /// `on_msg` per message. Returns the count.
-    ///
-    /// Built on the two-phase pipeline: [`PulsarCluster::collect_entries`]
-    /// does cursor bookkeeping and entry collection under the topic
-    /// lock, then message materialization (O(1) zero-copy slices against
-    /// each entry's cached offset table), per-message trace spans, and the
-    /// `on_msg` callback all run *outside* the lock on the scan-scoped
-    /// view buffer. Output is bit-identical to the historical per-message
-    /// scan (proptested).
-    #[allow(clippy::too_many_arguments)]
-    fn receive_scan(
-        &self,
-        topic: &str,
-        subscription: &str,
-        consumer_id: u64,
-        start_part: &mut usize,
-        max: usize,
-        scratch: &mut Vec<EntryView>,
-        on_msg: &mut dyn FnMut(Message),
-    ) -> Result<usize> {
-        if max == 0 {
-            return Ok(0);
-        }
-        self.check_fence(topic)?;
-        let tracer = self.tracer();
-        let mut span = tracer.span(TRACE_SYSTEM, "pulsar.dispatch");
-        span.attr("topic", topic);
-        span.attr("subscription", subscription);
-        let prof = self.inner.dispatch_prof.load(Ordering::Relaxed);
-        let wall_start = prof.then(Instant::now);
-        let mut acc = DispatchAcc::default();
-        scratch.clear();
-        let result = self.collect_entries(
-            topic,
-            subscription,
-            consumer_id,
-            start_part,
-            max,
-            scratch,
-            &mut acc,
-            prof,
-            wall_start,
-        );
-        if result.is_ok() {
-            // Phase 2: decode + deliver, topic lock released. The views
-            // hold refcounts on the entry buffers, so appends, acks and
-            // trims proceeding concurrently cannot invalidate them.
-            let mut clk = PhaseClock::start(prof);
-            for view in scratch.iter() {
-                span.attr("partition", view.partition);
-                span.attr("ledger", view.ledger.raw());
-                span.attr("entry", view.entry);
-                for mv in view.messages() {
-                    let mut msg = mv.to_message();
-                    // Join the publisher's trace: a per-message dispatch span
-                    // child-of the publish span when the broker is traced,
-                    // else pass the publish context through verbatim so a
-                    // traced consumer can still link up.
-                    let msg_span = view.ctx.map(|pc| {
-                        let mut g =
-                            tracer.span_child_of(TRACE_SYSTEM, "pulsar.dispatch_msg", Some(pc));
-                        g.attr("partition", view.partition);
-                        g.attr("entry", view.entry);
-                        g
-                    });
-                    msg.ctx = msg_span.as_ref().and_then(|g| g.context()).or(view.ctx);
-                    clk.tick(&mut acc.decode_ns);
-                    on_msg(msg);
-                    drop(msg_span);
-                    clk.tick(&mut acc.deliver_ns);
-                }
-            }
-            // Drop the entry-buffer refcounts promptly; the scratch vec's
-            // capacity stays with the consumer for reuse.
-            scratch.clear();
-        }
-        self.flush_dispatch_acc(wall_start, &acc, result.as_ref().ok().copied());
-        result
-    }
-
-    /// Whole-entry dispatch: collect up to `max` messages as
-    /// [`EntryView`]s. The per-entry framing was parsed when the entry
-    /// entered a read cache; everything a consumer reads from the views
-    /// afterwards is lock-free and allocation-free. When the broker is
-    /// traced, each view is stamped with ONE `pulsar.dispatch_entry` span
-    /// (child of the publish span) — the per-entry analogue of
-    /// `pulsar.dispatch_msg`, shared by all its messages.
-    #[allow(clippy::too_many_arguments)]
-    fn receive_entries_from(
-        &self,
-        topic: &str,
-        subscription: &str,
-        consumer_id: u64,
-        start_part: &mut usize,
-        max: usize,
-        out: &mut Vec<EntryView>,
-    ) -> Result<usize> {
-        out.clear();
-        if max == 0 {
-            return Ok(0);
-        }
-        self.check_fence(topic)?;
-        let tracer = self.tracer();
-        let mut span = tracer.span(TRACE_SYSTEM, "pulsar.dispatch");
-        span.attr("topic", topic);
-        span.attr("subscription", subscription);
-        let prof = self.inner.dispatch_prof.load(Ordering::Relaxed);
-        let wall_start = prof.then(Instant::now);
-        let mut acc = DispatchAcc::default();
-        let result = self.collect_entries(
-            topic,
-            subscription,
-            consumer_id,
-            start_part,
-            max,
-            out,
-            &mut acc,
-            prof,
-            wall_start,
-        );
+        });
         if result.is_ok() {
             let mut clk = PhaseClock::start(prof);
             for view in out.iter_mut() {
@@ -1705,65 +1604,35 @@ impl PulsarCluster {
         result
     }
 
-    fn receive_from(
-        &self,
-        topic: &str,
-        subscription: &str,
-        consumer_id: u64,
-        start_part: &mut usize,
-        scratch: &mut Vec<EntryView>,
-    ) -> Result<Option<Message>> {
-        let mut slot = None;
-        self.receive_scan(
-            topic,
-            subscription,
-            consumer_id,
-            start_part,
-            1,
-            scratch,
-            &mut |m| {
-                slot = Some(m);
-            },
-        )?;
-        Ok(slot)
+    /// Flush per-scan phase accumulators to the metrics registry
+    /// (striped-counter adds; no per-message registry lookups).
+    fn flush_dispatch_acc(&self, wall_start: Option<Instant>, acc: &DispatchAcc, n: Option<usize>) {
+        let Some(t0) = wall_start else {
+            return;
+        };
+        let m = &self.inner.metrics;
+        m.counter("pulsar.dispatch.scans").inc();
+        if let Some(n) = n {
+            m.counter("pulsar.dispatch.messages").add(n as u64);
+        }
+        m.counter("pulsar.dispatch.wall_ns")
+            .add(t0.elapsed().as_nanos() as u64);
+        m.counter("pulsar.dispatch.lock_ns").add(acc.lock_ns);
+        m.counter("pulsar.dispatch.cursor_ns").add(acc.cursor_ns);
+        m.counter("pulsar.dispatch.read_ns").add(acc.read_ns);
+        m.counter("pulsar.dispatch.decode_ns").add(acc.decode_ns);
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn receive_many_from(
-        &self,
-        topic: &str,
-        subscription: &str,
-        consumer_id: u64,
-        start_part: &mut usize,
-        max: usize,
-        scratch: &mut Vec<EntryView>,
-    ) -> Result<Vec<Message>> {
-        let mut out = Vec::new();
-        self.receive_scan(
-            topic,
-            subscription,
-            consumer_id,
-            start_part,
-            max,
-            scratch,
-            &mut |m| {
-                out.push(m);
-            },
-        )?;
-        Ok(out)
-    }
-
-    /// Ack bookkeeping for one message id, shared by [`Consumer::ack`] and
-    /// [`Consumer::ack_batch`]: pending removal, partial-batch fold,
-    /// idempotence guards, mark-delete advance. Pure in-memory — returns
-    /// the partition index when its mark-delete advanced, so the caller
-    /// persists the cursor once per call (or once per batch).
+    /// Ack bookkeeping for one message id, already checked against the
+    /// topic: pending removal, partial-batch fold, idempotence guards,
+    /// mark-delete advance. Pure in-memory — a partition whose mark-delete
+    /// advanced is marked dirty, for the ack fold to persist once per call.
     fn apply_ack(
         inner: &ClusterInner,
         partitions: &[Partition],
         sub: &mut SubState,
         id: MessageId,
-    ) -> Option<usize> {
+    ) {
         // Batched messages ack at message granularity, but the cursor
         // machinery below is entry-granular: record per-index acks in
         // `partial` and only fold the canonical entry id into the acked
@@ -1776,16 +1645,16 @@ impl PulsarCluster {
                 || sub.mark_delete[id.partition as usize]
                     .is_some_and(|md| (md.ledger, md.entry) >= (canonical.ledger, canonical.entry));
             if covered {
-                return None; // duplicate ack of a completed batch
+                return; // duplicate ack of a completed batch
             }
             let done = sub.partial.entry(canonical).or_default();
             if !done.insert(id.batch_index) {
-                return None; // duplicate ack within a still-partial batch
+                return; // duplicate ack within a still-partial batch
             }
             let complete = (done.len() as u32) >= id.batch_size;
             Self::unpend(sub, canonical, 1);
             if !complete {
-                return None; // batch still partially unacked
+                return; // batch still partially unacked
             }
             sub.partial.remove(&canonical);
             canonical
@@ -1810,7 +1679,8 @@ impl PulsarCluster {
     }
 
     /// Fold a completed, entry-granular ack (`id` must be canonical) into
-    /// the acked set and advance the mark-delete cursor. The idempotence
+    /// the acked set and advance the mark-delete cursor, marking the
+    /// partition dirty when it moved. The idempotence
     /// guard also covers unbatched re-acks: re-acking a message the
     /// mark-delete already covers (e.g. a failover redelivery acked twice)
     /// must not park the id in `acked` forever — the fold loop below only
@@ -1820,12 +1690,12 @@ impl PulsarCluster {
         partitions: &[Partition],
         sub: &mut SubState,
         id: MessageId,
-    ) -> Option<usize> {
+    ) {
         let covered = sub.acked.contains(&id)
             || sub.mark_delete[id.partition as usize]
                 .is_some_and(|md| (md.ledger, md.entry) >= (id.ledger, id.entry));
         if covered {
-            return None;
+            return;
         }
         // `id` is held aside rather than inserted: an in-order ack is the
         // cursor's next position and never enters the set. It joins the
@@ -1834,7 +1704,6 @@ impl PulsarCluster {
         // Advance the mark-delete position while the next message is acked.
         let p = id.partition as usize;
         let part = &partitions[p];
-        let mut advanced = false;
         loop {
             let next = match sub.mark_delete[p] {
                 None => {
@@ -1877,12 +1746,11 @@ impl PulsarCluster {
                 break;
             }
             sub.mark_delete[p] = Some(next);
-            advanced = true;
+            sub.dirty[p] = true;
         }
         if let Some(id) = held {
             sub.acked.insert(id);
         }
-        advanced.then_some(p)
     }
 
     /// Persist a subscription's just-advanced mark-delete cursor for
@@ -1894,79 +1762,58 @@ impl PulsarCluster {
             .update(&sub.cursor_keys[p], |buf| write_cursor(buf, &md));
     }
 
-    fn ack(&self, topic: &str, subscription: &str, id: MessageId) -> Result<()> {
-        self.check_fence(topic)?;
-        self.with_topic(topic, |inner, t| {
-            let sub = t
-                .subs
-                .get_mut(subscription)
-                .ok_or_else(|| PulsarError::TopicNotFound(format!("{topic}:{subscription}")))?;
-            if let Some(p) = Self::apply_ack(inner, &t.partitions, sub, id) {
-                Self::persist_cursor(inner, sub, p);
-            }
-            Ok(())
-        })
-    }
-
-    /// Acknowledge many messages with ONE topic lock acquisition and
-    /// at most one durable cursor write per touched partition — the
-    /// dispatch-side mirror of `send_batch`'s group commit. The ack
-    /// *bookkeeping* is bit-identical to per-id [`Consumer::ack`] (same
-    /// [`PulsarCluster::apply_ack`] fold); only the metadata persist is
-    /// amortized, so at-least-once is preserved: a broker that dies
-    /// mid-batch redelivers from the last persisted cursor, never skips.
-    fn ack_many(&self, topic: &str, subscription: &str, ids: &[MessageId]) -> Result<()> {
-        if ids.is_empty() {
+    /// The ack fold, and the one place a subscription's acks are applied:
+    /// every ack method only builds the [`AckUnit`]s. Under one topic lock
+    /// it first checks every unit against the topic and refuses the whole
+    /// call with [`PulsarError::InvalidMessageId`] before anything changes
+    /// when one names a partition past the topic's or a batch index past
+    /// its batch (ids come from outside the broker: off the wire, or built
+    /// by hand). It then folds the units in order — a whole view as one
+    /// pending decrement and one entry-granular cursor fold, each id (of
+    /// a cut view, or given) through [`PulsarCluster::apply_ack`] — and
+    /// writes each partition's cursor at most once, after the last unit.
+    /// The persist is amortized, the bookkeeping is not, so at-least-once
+    /// holds: a broker that dies mid-call redelivers from the last
+    /// persisted cursor, never skips.
+    fn ack_units<'a>(
+        &self,
+        topic: &str,
+        subscription: &str,
+        units: impl Iterator<Item = AckUnit<'a>> + Clone,
+    ) -> Result<()> {
+        if units.clone().next().is_none() {
             return Ok(());
         }
         self.check_fence(topic)?;
         self.with_topic(topic, |inner, t| {
-            let sub = t
-                .subs
-                .get_mut(subscription)
-                .ok_or_else(|| PulsarError::TopicNotFound(format!("{topic}:{subscription}")))?;
-            let mut dirty = vec![false; t.partitions.len()];
-            let mut i = 0usize;
-            while i < ids.len() {
-                let id = ids[i];
-                // Whole-batch fast path: `receive_batch` + `ack_batch`
-                // naturally produce runs of ids covering every index of one
-                // batched entry in order. Such a run is a completed entry
-                // ack by construction, so it folds straight into the
-                // entry-granular cursor machinery — no per-index `partial`
-                // bookkeeping. Bit-identical outcome to acking the indices
-                // one by one (the partial set would fill and immediately
-                // drain); only the intermediate states are skipped.
-                if id.batch_size > 1 && id.batch_index == 0 {
-                    let n = id.batch_size as usize;
-                    let whole = i + n <= ids.len()
-                        && (1..n).all(|k| {
-                            let x = ids[i + k];
-                            x.batch_index == k as u32
-                                && x.batch_size == id.batch_size
-                                && x.partition == id.partition
-                                && x.ledger == id.ledger
-                                && x.entry == id.entry
-                        });
-                    if whole {
-                        Self::unpend(sub, id.canonical(), id.batch_size);
-                        sub.partial.remove(&id.canonical());
-                        if let Some(p) =
-                            Self::fold_entry_ack(inner, &t.partitions, sub, id.canonical())
-                        {
-                            dirty[p] = true;
-                        }
-                        i += n;
-                        continue;
-                    }
+            let (sub, partitions) = t.cursor(topic, subscription)?;
+            let nparts = partitions.len();
+            for unit in units.clone() {
+                // A view's ids share its partition and stay inside its batch.
+                let id = match unit {
+                    AckUnit::View(view) => view.entry_id(),
+                    AckUnit::Id(id) => id,
+                };
+                if id.partition as usize >= nparts || id.batch_index >= id.batch_size {
+                    return Err(PulsarError::InvalidMessageId(id));
                 }
-                if let Some(p) = Self::apply_ack(inner, &t.partitions, sub, id) {
-                    dirty[p] = true;
-                }
-                i += 1;
             }
-            for (p, d) in dirty.into_iter().enumerate() {
-                if d {
+            for unit in units {
+                match unit {
+                    AckUnit::View(view) if view.is_whole() => {
+                        let id = view.entry_id();
+                        Self::unpend(sub, id, view.batch_size);
+                        sub.partial.remove(&id);
+                        Self::fold_entry_ack(inner, partitions, sub, id);
+                    }
+                    AckUnit::View(view) => view
+                        .ids()
+                        .for_each(|id| Self::apply_ack(inner, partitions, sub, id)),
+                    AckUnit::Id(id) => Self::apply_ack(inner, partitions, sub, id),
+                }
+            }
+            for p in 0..nparts {
+                if std::mem::take(&mut sub.dirty[p]) {
                     Self::persist_cursor(inner, sub, p);
                 }
             }
@@ -1976,17 +1823,14 @@ impl PulsarCluster {
 
     fn redeliver(&self, topic: &str, subscription: &str) -> Result<usize> {
         self.with_topic(topic, |_inner, t| {
-            let sub = t
-                .subs
-                .get_mut(subscription)
-                .ok_or_else(|| PulsarError::TopicNotFound(format!("{topic}:{subscription}")))?;
+            let (sub, partitions) = t.cursor(topic, subscription)?;
             let n = sub.pending_total as usize;
             // Rewind each partition's read position to just after mark-delete;
             // already-acked messages are skipped during delivery.
-            for p in 0..t.partitions.len() {
+            for (p, part) in partitions.iter().enumerate() {
                 let pos = match sub.mark_delete[p] {
                     None => ReadPos::START,
-                    Some(md) => match t.partitions[p].seg_index(md.ledger) {
+                    Some(md) => match part.seg_index(md.ledger) {
                         Some(seg) => ReadPos::at(seg, md.entry + 1),
                         // md's segment was trimmed: rewind to the start of
                         // what survives rather than skipping into the
@@ -2002,55 +1846,12 @@ impl PulsarCluster {
         })
     }
 
-    /// Acknowledge the messages delivered by a slice of [`EntryView`]s
-    /// with one topic lock acquisition and at most one durable
-    /// cursor write per touched partition. A whole view folds straight
-    /// into the entry-granular cursor machinery — one pending decrement,
-    /// one acked-set fold, zero per-index `partial` bookkeeping; partial
-    /// views fall back to per-id acks (same outcome as
-    /// [`Consumer::ack_batch`] over their ids).
-    fn ack_entry_views(&self, topic: &str, subscription: &str, views: &[EntryView]) -> Result<()> {
-        if views.is_empty() {
-            return Ok(());
-        }
-        self.check_fence(topic)?;
-        self.with_topic(topic, |inner, t| {
-            let sub = t
-                .subs
-                .get_mut(subscription)
-                .ok_or_else(|| PulsarError::TopicNotFound(format!("{topic}:{subscription}")))?;
-            let mut dirty = vec![false; t.partitions.len()];
-            for view in views {
-                if view.is_whole() {
-                    let canonical = view.entry_id();
-                    Self::unpend(sub, canonical, view.batch_size.max(1));
-                    sub.partial.remove(&canonical);
-                    if let Some(p) = Self::fold_entry_ack(inner, &t.partitions, sub, canonical) {
-                        dirty[p] = true;
-                    }
-                } else {
-                    for id in view.ids() {
-                        if let Some(p) = Self::apply_ack(inner, &t.partitions, sub, id) {
-                            dirty[p] = true;
-                        }
-                    }
-                }
-            }
-            for (p, d) in dirty.into_iter().enumerate() {
-                if d {
-                    Self::persist_cursor(inner, sub, p);
-                }
-            }
-            Ok(())
-        })
-    }
-
     fn detach(&self, topic: &str, subscription: &str, consumer_id: u64) {
         // No lazy rebuild: detaching from an unloaded topic is a no-op.
         Self::lock_topics(&self.inner, |topics| {
-            if let Some(sub) = topics
+            if let Some((sub, _)) = topics
                 .get_mut(topic)
-                .and_then(|t| t.subs.get_mut(subscription))
+                .and_then(|t| t.cursor(topic, subscription).ok())
             {
                 sub.consumers.retain(|&c| c != consumer_id);
             }
@@ -2207,43 +2008,37 @@ impl Producer {
 }
 
 /// A consumer attached to a subscription.
+///
+/// One cursor, one scan, one ack fold:
+/// [`receive_entries_into`](Consumer::receive_entries_into) and
+/// [`ack_entries`](Consumer::ack_entries) are the core, and every other
+/// receive and ack method is a few lines over the same two broker paths.
 pub struct Consumer {
     cluster: PulsarCluster,
     topic: String,
     subscription: String,
     id: u64,
     rr_part: usize,
-    /// Scan-scoped [`EntryView`] buffer reused across `receive`/
-    /// `receive_batch` calls, so steady-state per-message dispatch
-    /// allocates nothing for entry collection.
+    /// View buffer reused by `receive`, `receive_batch` and `drain`, so
+    /// steady-state per-message dispatch allocates nothing for entry
+    /// collection.
     scratch: Vec<EntryView>,
 }
 
 impl Consumer {
     /// Pull the next available message (non-blocking; `None` when caught
-    /// up, or when this consumer is a passive failover replica).
+    /// up, or when this consumer is a passive failover replica): a scan
+    /// with a budget of one, materialized.
     pub fn receive(&mut self) -> Result<Option<Message>> {
-        self.cluster.receive_from(
-            &self.topic,
-            &self.subscription,
-            self.id,
-            &mut self.rr_part,
-            &mut self.scratch,
-        )
+        self.with_views(1, |_, views| Ok(messages(views).next()))
     }
 
     /// Pull up to `max` available messages under a single broker lock
-    /// acquisition (batched dispatch). Returns fewer (possibly zero) when
-    /// caught up; messages still need individual [`ack`](Consumer::ack)s.
+    /// acquisition (batched dispatch), materialized from the scan's
+    /// views. Returns fewer (possibly zero) when caught up; messages
+    /// still need acking.
     pub fn receive_batch(&mut self, max: usize) -> Result<Vec<Message>> {
-        self.cluster.receive_many_from(
-            &self.topic,
-            &self.subscription,
-            self.id,
-            &mut self.rr_part,
-            max,
-            &mut self.scratch,
-        )
+        self.with_views(max, |_, views| Ok(messages(views).collect()))
     }
 
     /// Pull up to `max` available messages as whole-entry views
@@ -2275,27 +2070,38 @@ impl Consumer {
     }
 
     /// Acknowledge every message delivered by `views`: one broker lock
-    /// acquisition, one entry-granular cursor fold per whole view, and
-    /// at most one durable cursor write per touched partition.
+    /// acquisition, one entry-granular cursor fold per whole view (a cut
+    /// view acks id by id), and at most one durable cursor write per
+    /// touched partition.
     pub fn ack_entries(&self, views: &[EntryView]) -> Result<()> {
+        let units = views.iter().map(AckUnit::View);
         self.cluster
-            .ack_entry_views(&self.topic, &self.subscription, views)
+            .ack_units(&self.topic, &self.subscription, units)
     }
 
     /// Acknowledge a message; advances the subscription's mark-delete
     /// cursor when contiguous.
+    ///
+    /// # Errors
+    /// [`PulsarError::InvalidMessageId`] for an id no message of this
+    /// topic can have (partition past the topic's, batch index past its
+    /// batch); nothing is acked.
     pub fn ack(&self, id: MessageId) -> Result<()> {
-        self.cluster.ack(&self.topic, &self.subscription, id)
+        self.ack_batch(std::slice::from_ref(&id))
     }
 
-    /// Acknowledge several messages at once: one broker lock acquisition
-    /// and one durable cursor write per touched partition, instead of one
-    /// of each per message (batched cursor commit). Semantically identical
-    /// to acking each id with [`ack`](Consumer::ack) — duplicates and
-    /// out-of-order ids welcome — with the same at-least-once guarantee:
-    /// a crash before the batch commits redelivers, never skips.
+    /// Acknowledge several messages at once, id by id: one broker lock
+    /// acquisition and one durable cursor write per touched partition,
+    /// instead of one of each per message (batched cursor commit).
+    /// Semantically identical to acking each id with
+    /// [`ack`](Consumer::ack) — duplicates and out-of-order ids welcome —
+    /// with the same at-least-once guarantee: a crash before the batch
+    /// commits redelivers, never skips. One malformed id refuses the
+    /// whole batch, as [`ack`](Consumer::ack) refuses it alone.
     pub fn ack_batch(&self, ids: &[MessageId]) -> Result<()> {
-        self.cluster.ack_many(&self.topic, &self.subscription, ids)
+        let units = ids.iter().map(|&id| AckUnit::Id(id));
+        self.cluster
+            .ack_units(&self.topic, &self.subscription, units)
     }
 
     /// Request redelivery of everything delivered but not acked (what a
@@ -2305,21 +2111,43 @@ impl Consumer {
         self.cluster.redeliver(&self.topic, &self.subscription)
     }
 
-    /// Drain all currently-available messages, acking each (batched
-    /// receive + batched cursor commit under the hood).
+    /// Drain all currently-available messages, acking each: scans of up
+    /// to 64 messages, each acked with [`ack_entries`](Consumer::ack_entries)
+    /// and then materialized.
     pub fn drain(&mut self) -> Result<Vec<Message>> {
         let mut out = Vec::new();
-        loop {
-            let batch = self.receive_batch(64)?;
-            if batch.is_empty() {
-                break;
-            }
-            let ids: Vec<MessageId> = batch.iter().map(|m| m.id).collect();
-            self.ack_batch(&ids)?;
-            out.extend(batch);
-        }
+        while self.with_views(64, |consumer, views| {
+            consumer.ack_entries(views)?;
+            out.extend(messages(views));
+            Ok(!views.is_empty())
+        })? {}
         Ok(out)
     }
+
+    /// Scan up to `max` messages into the reused view buffer and hand the
+    /// views to `f`; the views (and their refcounts on entry buffers) are
+    /// dropped when it returns, the buffer's capacity kept.
+    fn with_views<R>(
+        &mut self,
+        max: usize,
+        f: impl FnOnce(&Self, &[EntryView]) -> Result<R>,
+    ) -> Result<R> {
+        let mut views = std::mem::take(&mut self.scratch);
+        let got = self
+            .receive_entries_into(max, &mut views)
+            .and_then(|_| f(self, &views));
+        views.clear();
+        self.scratch = views;
+        got
+    }
+}
+
+/// The messages of `views`, materialized in delivery order.
+fn messages(views: &[EntryView]) -> impl Iterator<Item = Message> + '_ {
+    views
+        .iter()
+        .flat_map(EntryView::messages)
+        .map(|m| m.to_message())
 }
 
 impl Drop for Consumer {
@@ -2449,25 +2277,24 @@ mod tests {
             .filter(|s| s.name == "pulsar.publish" || s.name == "pulsar.publish_batch")
             .collect();
         assert_eq!(publishes.len(), 2);
-        // Every delivered message carries the per-message dispatch span,
-        // which lives in the *publisher's* trace as a child of its publish
-        // span — not in the dispatch scan's own trace.
+        // Every delivered message carries its entry's dispatch span, which
+        // lives in the *publisher's* trace as a child of its publish span —
+        // not in the dispatch scan's own trace.
         for m in &got {
             let ctx = m.ctx.expect("traced broker must stamp msg ctx");
             let rec = spans
                 .iter()
                 .find(|s| s.span_id == ctx.span_id)
                 .expect("msg ctx names a recorded span");
-            assert_eq!(rec.name, "pulsar.dispatch_msg");
+            assert_eq!(rec.name, "pulsar.dispatch_entry");
             let publisher = publishes
                 .iter()
                 .find(|s| s.trace_id == ctx.trace_id)
-                .expect("dispatch_msg joins a publish trace");
+                .expect("dispatch_entry joins a publish trace");
             assert_eq!(rec.parent, Some(publisher.span_id));
         }
-        let batch_traces: std::collections::HashSet<_> =
-            got[1..].iter().map(|m| m.ctx.unwrap().trace_id).collect();
-        assert_eq!(batch_traces.len(), 1, "one batch, one publish trace");
+        // The batch's two messages share its entry's one span.
+        assert_eq!(got[1].ctx, got[2].ctx, "one entry, one dispatch span");
         assert_ne!(got[0].ctx.unwrap().trace_id, got[1].ctx.unwrap().trace_id);
     }
 
@@ -2538,7 +2365,7 @@ mod tests {
         // Checkpoints partition the scan window, so the named phases can
         // never sum past the wall clock that contains them.
         assert!(prof.explained_ns() <= prof.wall_ns);
-        assert_eq!(prof.phases().len(), 5);
+        assert_eq!(prof.phases().len(), 4);
         let (top, ns) = prof.top_phase();
         assert!(ns > 0, "top phase {top} must have time attributed");
         // Off again: counters freeze.

@@ -100,7 +100,7 @@ impl Model {
     }
 
     /// Every message of `entry` acked in one go (`ack_entries` on a whole
-    /// view, or `ack_batch` on a run covering every index in order).
+    /// view).
     fn ack_whole(&mut self, entry: MessageId) {
         self.unpend(entry, self.sizes[&entry]);
         self.partial.remove(&entry);
@@ -120,30 +120,6 @@ impl Model {
             match self.order[p].get(next) {
                 Some(e) if self.acked.remove(e) => self.mark_delete[p] = Some(next),
                 _ => break,
-            }
-        }
-    }
-
-    /// `ack_batch`: a run covering every index of one entry in order is
-    /// one whole-entry ack, anything else goes id by id — the split
-    /// `ack_many` makes.
-    fn ack_batch(&mut self, ids: &[MessageId]) {
-        let mut i = 0;
-        while i < ids.len() {
-            let id = ids[i];
-            let n = id.batch_size as usize;
-            let whole = id.batch_size > 1
-                && ids.get(i..i + n).is_some_and(|run| {
-                    run.iter()
-                        .enumerate()
-                        .all(|(k, x)| x.canonical() == id.canonical() && x.batch_index == k as u32)
-                });
-            if whole {
-                self.ack_whole(id.canonical());
-                i += n;
-            } else {
-                self.ack(id);
-                i += 1;
             }
         }
     }
@@ -204,10 +180,20 @@ impl Model {
 }
 
 /// The broker's cursor state for the one subscription under test.
-fn broker_cursors(c: &PulsarCluster) -> (Vec<Option<MessageId>>, BTreeSet<MessageId>) {
+type Cursors = (
+    Vec<Option<MessageId>>,
+    BTreeSet<MessageId>,
+    BTreeMap<MessageId, BTreeSet<u32>>,
+);
+
+fn broker_cursors(c: &PulsarCluster) -> Cursors {
     c.with_topic(TOPIC, |_, t| {
         let sub = &t.subs[SUB];
-        Ok((sub.mark_delete.clone(), sub.acked.clone()))
+        Ok((
+            sub.mark_delete.clone(),
+            sub.acked.clone(),
+            sub.partial.clone(),
+        ))
     })
     .unwrap()
 }
@@ -225,13 +211,14 @@ fn assert_agrees(c: &PulsarCluster, model: &Model, step: &str) -> std::result::R
         );
         Ok(())
     }
-    let (mark_delete, acked) = broker_cursors(c);
+    let (mark_delete, acked, partial) = broker_cursors(c);
     for (p, &cursor) in mark_delete.iter().enumerate() {
         same("mark-delete", step, cursor, model.cursor(p))?;
         let stored = c.metadata().get(&cursor_key(TOPIC, p, SUB)).map(|v| v.data);
         same("cursor bytes", step, stored, model.cursor_text(p))?;
     }
-    same("acked-set residue", step, &acked, &model.acked)
+    same("acked-set residue", step, &acked, &model.acked)?;
+    same("partial acks", step, &partial, &model.partial)
 }
 
 /// The broker's outstanding deliveries for the subscription under test:
@@ -401,13 +388,14 @@ proptest! {
     /// not, two partitions, 4 entries a ledger), scans at arbitrary
     /// budgets (so last views are cut), acks of delivered, duplicate and
     /// never-delivered ids through `ack`, `ack_batch` and `ack_entries`,
-    /// trims, restarts and `redeliver_unacked`, the live queue entries, the
-    /// running total and the cursor state equal the reference after every
-    /// step; `redeliver_unacked` returns the reference's count and the
-    /// rewound subscription then delivers exactly the unacked messages.
+    /// malformed ids (refused whole, nothing moves), trims, restarts and
+    /// `redeliver_unacked`, the live queue entries, the running total and
+    /// the cursor state equal the reference after every step;
+    /// `redeliver_unacked` returns the reference's count and the rewound
+    /// subscription then delivers exactly the unacked messages.
     #[test]
     fn pending_queues_match_the_reference_map(
-        ops in vec((0usize..10, 0usize..64), 40..160),
+        ops in vec((0usize..11, 0usize..64), 40..160),
         seed in any::<u64>(),
     ) {
         let cfg = PulsarConfig {
@@ -479,7 +467,7 @@ proptest! {
                         batch.shuffle(&mut rng);
                     }
                     consumer.ack_batch(&batch).unwrap();
-                    model.ack_batch(&batch);
+                    batch.iter().for_each(|&id| model.ack(id));
                 }
                 // Ack some of the views held, whole and cut alike.
                 8 if !held.is_empty() => {
@@ -495,6 +483,25 @@ proptest! {
                 }
                 9 if arg % 2 == 0 => {
                     c.trim_consumed(TOPIC).unwrap();
+                }
+                // A malformed id — a partition past the topic's two, an
+                // index past its batch, an empty batch — alone through
+                // `ack`, or after a valid id in `ack_batch`: the call is
+                // refused whole and the model does not move (the checks
+                // after the match hold the broker to that).
+                10 if !ids.is_empty() => {
+                    let valid = ids[arg % ids.len()];
+                    let bad = match arg % 3 {
+                        0 => MessageId { partition: 2 + arg as u32, ..valid },
+                        1 => MessageId { batch_index: valid.batch_size + arg as u32 % 2, ..valid },
+                        _ => MessageId { batch_index: 0, batch_size: 0, ..valid },
+                    };
+                    let got = if arg % 2 == 0 {
+                        consumer.ack(bad)
+                    } else {
+                        consumer.ack_batch(&[valid, bad])
+                    };
+                    prop_assert_eq!(got, Err(PulsarError::InvalidMessageId(bad)));
                 }
                 9 => {
                     prop_assert_eq!(consumer.redeliver_unacked().unwrap(), model.redeliver());

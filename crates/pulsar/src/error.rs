@@ -2,6 +2,8 @@
 
 use taureau_core::id::LedgerId;
 
+use crate::message::MessageId;
+
 /// Errors from the messaging layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PulsarError {
@@ -50,6 +52,9 @@ pub enum PulsarError {
     FunctionNotFound(String),
     /// The broker no longer owns this topic (a newer epoch fenced it out).
     Fenced(String),
+    /// An ack named a message no entry of the topic can hold: a partition
+    /// past the topic's, or a batch index past its batch.
+    InvalidMessageId(MessageId),
 }
 
 impl std::fmt::Display for PulsarError {
@@ -81,6 +86,7 @@ impl std::fmt::Display for PulsarError {
             PulsarError::FunctionExists(n) => write!(f, "function already registered: {n}"),
             PulsarError::FunctionNotFound(n) => write!(f, "function not found: {n}"),
             PulsarError::Fenced(t) => write!(f, "broker fenced off topic {t}"),
+            PulsarError::InvalidMessageId(id) => write!(f, "invalid message id {id:?}"),
         }
     }
 }

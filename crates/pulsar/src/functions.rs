@@ -621,7 +621,6 @@ mod tests {
             .filter(|s| s.name == "pulsar.dispatch_entry")
             .collect();
         assert_eq!(dispatches.len(), 2, "one dispatch span per entry");
-        assert!(spans.iter().all(|s| s.name != "pulsar.dispatch_msg"));
         // Each message carries its entry's dispatch span, itself a child
         // of that entry's publish span.
         let ctxs = ctxs.lock();

@@ -56,30 +56,6 @@ impl MetadataStore {
         Ok(())
     }
 
-    /// Compare-and-swap: write succeeds only if the stored version matches
-    /// `expected_version` (pass `None` to create-if-absent).
-    #[cfg(test)]
-    pub(crate) fn cas(
-        &self,
-        key: &str,
-        data: Vec<u8>,
-        expected_version: Option<u64>,
-    ) -> Result<u64> {
-        let mut nodes = self.nodes.lock();
-        match (nodes.get_mut(key), expected_version) {
-            (None, None) => {
-                nodes.insert(key.to_string(), Versioned { data, version: 0 });
-                Ok(0)
-            }
-            (Some(node), Some(v)) if node.version == v => {
-                node.data = data;
-                node.version += 1;
-                Ok(node.version)
-            }
-            _ => Err(PulsarError::MetadataConflict(key.to_string())),
-        }
-    }
-
     /// Unconditional write (used where a single owner is already
     /// guaranteed, e.g. cursor updates by the owning subscription).
     pub(crate) fn put(&self, key: &str, data: Vec<u8>) -> u64 {
@@ -149,24 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn cas_enforces_versions() {
-        let m = MetadataStore::new();
-        m.cas("/k", b"v0".to_vec(), None).unwrap();
-        // Stale writer (expects version 1) fails.
-        assert!(m.cas("/k", b"bad".to_vec(), Some(1)).is_err());
-        let v1 = m.cas("/k", b"v1".to_vec(), Some(0)).unwrap();
-        assert_eq!(v1, 1);
-        assert_eq!(m.get("/k").unwrap().data, b"v1");
-    }
-
-    #[test]
-    fn cas_create_if_absent_conflicts_when_present() {
-        let m = MetadataStore::new();
-        m.put("/k", b"x".to_vec());
-        assert!(m.cas("/k", b"y".to_vec(), None).is_err());
-    }
-
-    #[test]
     fn put_bumps_version() {
         let m = MetadataStore::new();
         assert_eq!(m.put("/k", b"a".to_vec()), 0);
@@ -190,12 +148,10 @@ mod tests {
         assert_eq!(by_put, vec![0, 1, 2, 3], "created at 0, then +1 a write");
         assert_eq!(by_update, by_put);
         assert_eq!(m.get("/update"), m.get("/put"));
-        // The two writers share one version line per node, and CAS sees it.
+        // The two writers share one version line per node.
         assert_eq!(m.put("/update", b"x".to_vec()), 4);
         assert_eq!(m.update("/update", |buf| buf.push(b'y')), 5);
         assert_eq!(m.get("/update").unwrap().data, b"xy");
-        assert!(m.cas("/update", b"z".to_vec(), Some(4)).is_err());
-        assert_eq!(m.cas("/update", b"z".to_vec(), Some(5)).unwrap(), 6);
         // An absent node starts empty.
         assert_eq!(m.update("/fresh", |buf| assert!(buf.is_empty())), 0);
         assert_eq!(
@@ -234,27 +190,5 @@ mod tests {
         assert_eq!(m.next_sequence(), 0);
         assert_eq!(m.next_sequence(), 1);
         assert_eq!(m.next_sequence(), 2);
-    }
-
-    #[test]
-    fn concurrent_cas_admits_exactly_one_writer_per_version() {
-        let m = std::sync::Arc::new(MetadataStore::new());
-        m.put("/contended", b"v0".to_vec());
-        let mut wins = 0;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    let m = std::sync::Arc::clone(&m);
-                    s.spawn(move || m.cas("/contended", b"mine".to_vec(), Some(0)).is_ok())
-                })
-                .collect();
-            for h in handles {
-                if h.join().unwrap() {
-                    wins += 1;
-                }
-            }
-        });
-        assert_eq!(wins, 1, "exactly one CAS at version 0 may succeed");
-        assert_eq!(m.get("/contended").unwrap().version, 1);
     }
 }

@@ -1,6 +1,6 @@
 //! What one unbatched message allocates on a warm topic: nothing to ack it
-//! in order (the cursor is rewritten where it lies, under a key built at
-//! subscribe), and to publish, receive and ack it only what the entry
+//! in order, by id or by view (the cursor is rewritten where it lies, under
+//! a key built at subscribe), and to publish, receive and ack it only what the entry
 //! itself needs. (Its own file: the counting allocator is global.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -66,17 +66,27 @@ fn round_trip(producer: &Producer, consumer: &mut Consumer, i: u32) {
     consumer.ack(msg.id).unwrap();
 }
 
+/// Both ways into the one ack fold: an id through `ack`, and the view
+/// `receive_entries_into` returned through `ack_entries`.
 #[test]
 fn an_in_order_ack_allocates_nothing() {
     let (producer, mut consumer) = warm_topic();
     const N: u32 = 256;
-    let mut in_acks = 0;
+    let mut views = Vec::new();
+    let (mut in_acks, mut in_view_acks) = (0, 0);
     for i in 0..N {
         producer.send_keyed(&i.to_le_bytes(), &[7u8; 256]).unwrap();
         let msg = consumer.receive().unwrap().expect("just published");
         in_acks += allocs_during(|| consumer.ack(msg.id).unwrap());
+        producer.send_keyed(&i.to_le_bytes(), &[7u8; 256]).unwrap();
+        assert_eq!(consumer.receive_entries_into(1, &mut views).unwrap(), 1);
+        in_view_acks += allocs_during(|| consumer.ack_entries(&views).unwrap());
     }
     assert_eq!(in_acks, 0, "{in_acks} allocations in {N} in-order acks");
+    assert_eq!(
+        in_view_acks, 0,
+        "{in_view_acks} allocations in {N} in-order view acks"
+    );
 }
 
 #[test]

@@ -63,7 +63,7 @@ fn one_trace_follows_publish_dispatch_invoke_across_crates() {
 
     let spans = stack.tracer.spans();
     let publish = by_name(&spans, "pulsar.publish")[0];
-    let dispatch = by_name(&spans, "pulsar.dispatch_msg")[0];
+    let dispatch = by_name(&spans, "pulsar.dispatch_entry")[0];
     let invoke = by_name(&spans, "faas.invoke")[0];
 
     // One trace end to end, rooted at the publish.
@@ -83,7 +83,7 @@ fn one_trace_follows_publish_dispatch_invoke_across_crates() {
     let trace_id = publish.trace_id;
     let graph = TraceGraph::build(spans.clone());
     let flat = graph.self_time_by_name();
-    for hop in ["pulsar.publish", "pulsar.dispatch_msg", "faas.invoke"] {
+    for hop in ["pulsar.publish", "pulsar.dispatch_entry", "faas.invoke"] {
         assert!(flat.iter().any(|(n, _)| n == hop), "{hop} missing");
     }
     // ...the critical path attributes the root's full latency...
@@ -97,11 +97,11 @@ fn one_trace_follows_publish_dispatch_invoke_across_crates() {
     let tree = render::render_tree(&graph, trace_id, Some(&cp));
     assert!(tree.contains("pulsar.publish"));
     let json = render::chrome_trace(&graph);
-    assert!(json.starts_with('[') && json.contains("pulsar.dispatch_msg"));
+    assert!(json.starts_with('[') && json.contains("pulsar.dispatch_entry"));
 }
 
 #[test]
-fn batched_publish_fans_into_per_message_dispatch_spans() {
+fn batched_publish_shares_one_dispatch_entry_span() {
     let stack = traced_stack();
     let producer = stack.pulsar.producer("jobs").unwrap();
     let mut consumer = stack
@@ -113,14 +113,14 @@ fn batched_publish_fans_into_per_message_dispatch_spans() {
     assert_eq!(got.len(), 3);
     let spans = stack.tracer.spans();
     let publish = by_name(&spans, "pulsar.publish_batch")[0];
-    // All three messages decode out of ONE ledger entry, yet each gets
-    // its own dispatch span in the batch's publish trace.
+    // All three messages decode out of ONE ledger entry, and share its
+    // one dispatch span in the batch's publish trace.
+    let entry = by_name(&spans, "pulsar.dispatch_entry");
+    assert_eq!(entry.len(), 1, "one entry, one dispatch span");
+    assert_eq!(entry[0].trace_id, publish.trace_id);
+    assert_eq!(entry[0].parent, Some(publish.span_id));
     for m in &got {
-        let ctx = m.ctx.unwrap();
-        assert_eq!(ctx.trace_id, publish.trace_id);
-        let hop = spans.iter().find(|s| s.span_id == ctx.span_id).unwrap();
-        assert_eq!(hop.name, "pulsar.dispatch_msg");
-        assert_eq!(hop.parent, Some(publish.span_id));
+        assert_eq!(m.ctx.unwrap().span_id, entry[0].span_id);
     }
 }
 
