@@ -3,9 +3,8 @@
 //! Multi-version concurrency control with **snapshot isolation**:
 //! transactions read a consistent snapshot (the state as of their begin
 //! timestamp) and buffer writes; commit performs optimistic validation
-//! (first-committer-wins on write-write conflicts). An optional
-//! **serializable** level additionally validates the read set, turning
-//! write-skew anomalies into conflicts (an SSI-style read-set check).
+//! (first-committer-wins on write-write conflicts). Write skew is
+//! permitted, as real SI databases permit it.
 //!
 //! The serverless tie-in (§4.1): FaaS platforms re-execute functions on
 //! failure, so any multi-step state mutation must be wrapped in a
@@ -19,17 +18,6 @@ use parking_lot::Mutex;
 
 /// Commit timestamp (monotone).
 type Ts = u64;
-
-/// Transaction isolation levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum IsolationLevel {
-    /// Snapshot isolation: write-write conflict detection only (permits
-    /// write skew, as real SI databases do).
-    Snapshot,
-    /// Serializable via read-set validation at commit.
-    #[cfg(test)]
-    Serializable,
-}
 
 /// Transaction errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,12 +76,10 @@ pub struct ServerlessDb {
     state: Arc<Mutex<DbState>>,
 }
 
-/// An open transaction: a snapshot timestamp plus buffered reads/writes.
+/// An open transaction: a snapshot timestamp plus buffered writes.
 pub struct Txn {
     db: ServerlessDb,
     snapshot: Ts,
-    level: IsolationLevel,
-    read_set: HashSet<Vec<u8>>,
     write_set: HashMap<Vec<u8>, Option<Vec<u8>>>,
 }
 
@@ -105,17 +91,10 @@ impl ServerlessDb {
 
     /// Begin a snapshot-isolation transaction.
     pub fn begin(&self) -> Txn {
-        self.begin_with(IsolationLevel::Snapshot)
-    }
-
-    /// Begin at an explicit isolation level.
-    pub(crate) fn begin_with(&self, level: IsolationLevel) -> Txn {
         let snapshot = self.state.lock().last_commit;
         Txn {
             db: self.clone(),
             snapshot,
-            level,
-            read_set: HashSet::new(),
             write_set: HashMap::new(),
         }
     }
@@ -179,7 +158,6 @@ impl Txn {
         if let Some(buffered) = self.write_set.get(key) {
             return buffered.clone();
         }
-        self.read_set.insert(key.to_vec());
         let mut st = self.db.state.lock();
         st.reads += 1;
         read_at(&st, key, self.snapshot)
@@ -199,27 +177,18 @@ impl Txn {
     ///
     /// # Errors
     /// [`DbError::Conflict`] if another transaction committed a write to a
-    /// key in this transaction's write set (snapshot isolation) or read
-    /// set (serializable) after this transaction's snapshot.
+    /// key in this transaction's write set after this transaction's
+    /// snapshot.
     pub fn commit(self) -> Result<(), DbError> {
         let mut st = self.db.state.lock();
         if self.write_set.is_empty() {
             // Read-only transactions saw a consistent snapshot; they can
-            // always commit (true under both SI and serializable, since a
-            // reader that writes nothing cannot participate in a cycle
-            // with only one rw-antidependency).
+            // always commit.
             st.commits += 1;
             return Ok(());
         }
         // Validation against everything committed after our snapshot.
-        let validate: Box<dyn Iterator<Item = &Vec<u8>>> = match self.level {
-            IsolationLevel::Snapshot => Box::new(self.write_set.keys()),
-            #[cfg(test)]
-            IsolationLevel::Serializable => {
-                Box::new(self.write_set.keys().chain(self.read_set.iter()))
-            }
-        };
-        for key in validate {
+        for key in self.write_set.keys() {
             let newer = st
                 .commit_log
                 .range(self.snapshot + 1..)
@@ -363,34 +332,27 @@ mod tests {
     }
 
     #[test]
-    fn write_skew_allowed_under_si_but_not_serializable() {
+    fn write_skew_is_allowed_under_snapshot_isolation() {
         // Two doctors on call; each checks "at least one other on call"
-        // then signs off. SI lets both commit (write skew); serializable
-        // conflicts one of them.
-        let setup = |level: IsolationLevel| -> (bool, bool) {
-            let db = ServerlessDb::new();
-            db.put(b"alice", b"on");
-            db.put(b"bob", b"on");
-            let mut t1 = db.begin_with(level);
-            let mut t2 = db.begin_with(level);
-            // Alice signs off if Bob is on.
-            let bob_on = t1.get(b"bob") == Some(b"on".to_vec());
-            if bob_on {
-                t1.put(b"alice", b"off");
-            }
-            // Bob signs off if Alice is on.
-            let alice_on = t2.get(b"alice") == Some(b"on".to_vec());
-            if alice_on {
-                t2.put(b"bob", b"off");
-            }
-            (t1.commit().is_ok(), t2.commit().is_ok())
-        };
-        let (a, b) = setup(IsolationLevel::Snapshot);
-        assert!(a && b, "SI permits write skew (both commit)");
-        let (a, b) = setup(IsolationLevel::Serializable);
+        // then signs off. SI lets both commit (write skew).
+        let db = ServerlessDb::new();
+        db.put(b"alice", b"on");
+        db.put(b"bob", b"on");
+        let mut t1 = db.begin();
+        let mut t2 = db.begin();
+        // Alice signs off if Bob is on.
+        let bob_on = t1.get(b"bob") == Some(b"on".to_vec());
+        if bob_on {
+            t1.put(b"alice", b"off");
+        }
+        // Bob signs off if Alice is on.
+        let alice_on = t2.get(b"alice") == Some(b"on".to_vec());
+        if alice_on {
+            t2.put(b"bob", b"off");
+        }
         assert!(
-            a ^ b,
-            "serializable must conflict exactly one (got {a}, {b})"
+            t1.commit().is_ok() && t2.commit().is_ok(),
+            "SI permits write skew (both commit)"
         );
     }
 
@@ -398,7 +360,7 @@ mod tests {
     fn read_only_transactions_never_conflict() {
         let db = ServerlessDb::new();
         db.put(b"k", b"v");
-        let mut t = db.begin_with(IsolationLevel::Serializable);
+        let mut t = db.begin();
         let _ = t.get(b"k");
         db.put(b"k", b"v2"); // concurrent write to the read key
         t.commit().unwrap(); // read-only: still fine

@@ -154,12 +154,6 @@ pub struct Monitor {
     /// drain loop allocates nothing per round.
     scratch: Vec<EntryView>,
     ops: BTreeMap<String, OpStats>,
-    /// Cluster-collected operations keyed by `(origin node, op)` — kept
-    /// apart from `ops` so the in-process `&str` lookup fast path stays
-    /// allocation-free and local/remote measurements never mix.
-    remote_ops: BTreeMap<(u64, String), OpStats>,
-    #[cfg(test)]
-    remote_events: u64,
     hot_functions: SpaceSaving,
     counters: BTreeMap<String, u64>,
     metric_sketches: BTreeMap<String, KllSketch>,
@@ -210,9 +204,6 @@ impl Monitor {
             metric_consumer,
             scratch: Vec::new(),
             ops: BTreeMap::new(),
-            remote_ops: BTreeMap::new(),
-            #[cfg(test)]
-            remote_events: 0,
             counters: BTreeMap::new(),
             metric_sketches: BTreeMap::new(),
             policies: Vec::new(),
@@ -399,44 +390,6 @@ impl Monitor {
         }
     }
 
-    /// Fold a span event relayed from another node by the cluster
-    /// observability plane. Keyed by `(node, op)` so the health report
-    /// can show per-node latency side by side — the whole point of
-    /// grey-failure hunting.
-    #[cfg(test)]
-    pub(crate) fn ingest_remote_span(&mut self, node: u64, ev: &wire::SpanEvent) {
-        self.remote_events += 1;
-        let key = (node, ev.name.clone());
-        if !self.remote_ops.contains_key(&key) {
-            self.remote_ops.insert(key.clone(), OpStats::new(&self.cfg));
-        }
-        let stats = self.remote_ops.get_mut(&key).expect("just inserted");
-        let at = Duration::from_micros(ev.end_us);
-        let latency_us = ev.duration_us() as f64;
-        stats.cumulative.update(latency_us);
-        stats.rolling.record(at, latency_us);
-        stats.total_fast.record(at, 1);
-        stats.total_slow.record(at, 1);
-        if ev.attr("outcome") == Some("error") {
-            stats.errors_fast.record(at, 1);
-            stats.errors_slow.record(at, 1);
-        }
-    }
-
-    /// Fold a counter metric relayed from another node, namespaced
-    /// `node<N>.` so per-node counters never collide with local ones.
-    #[cfg(test)]
-    pub(crate) fn ingest_remote_metric(&mut self, node: u64, name: &str, delta: u64) {
-        self.remote_events += 1;
-        self.fold_metric(&format!("node{node}.{name}"), delta);
-    }
-
-    /// Remote (cluster-collected) events folded so far.
-    #[cfg(test)]
-    pub(crate) fn remote_events(&self) -> u64 {
-        self.remote_events
-    }
-
     /// Evaluate every policy at `now`, returning only *transitions*.
     fn evaluate(&mut self, now: Duration) -> Vec<AlertEvent> {
         let min_samples = self.cfg.min_samples;
@@ -593,17 +546,12 @@ impl Monitor {
     /// Snapshot the folded state as a [`HealthReport`].
     pub fn health_report(&mut self) -> HealthReport {
         let now = self.clock.now();
-        fn op_health(
-            op: String,
-            node: Option<u64>,
-            stats: &mut OpStats,
-            now: Duration,
-        ) -> OpHealth {
+        fn op_health(op: String, stats: &mut OpStats, now: Duration) -> OpHealth {
             let total = stats.total_fast.count(now);
             let errors = stats.errors_fast.count(now);
             OpHealth {
                 op,
-                node,
+                node: None,
                 count: stats.cumulative.total(),
                 p50_us: stats.cumulative.quantile(0.50).unwrap_or(0.0),
                 p90_us: stats.cumulative.quantile(0.90).unwrap_or(0.0),
@@ -616,14 +564,11 @@ impl Monitor {
                 },
             }
         }
-        let mut ops = Vec::new();
-        for (name, stats) in self.ops.iter_mut() {
-            ops.push(op_health(name.clone(), None, stats, now));
-        }
-        for ((node, name), stats) in self.remote_ops.iter_mut() {
-            ops.push(op_health(name.clone(), Some(*node), stats, now));
-        }
-        ops.sort_by(|a, b| (&a.op, a.node).cmp(&(&b.op, b.node)));
+        let ops = self
+            .ops
+            .iter_mut()
+            .map(|(name, stats)| op_health(name.clone(), stats, now))
+            .collect();
         let mut histogram_summaries = Vec::new();
         for (prefix, registry) in &self.registries {
             for (name, summary) in registry.histogram_summaries() {
@@ -1050,45 +995,6 @@ mod tests {
             monitor.metric_quantile("faas.invoke_latency_us", 0.5),
             Some(2_000.0)
         );
-    }
-
-    #[test]
-    fn remote_spans_fold_per_node_and_render_node_labels() {
-        let (p, cluster) = pipeline();
-        let mut monitor = Monitor::new(&cluster, p.clock.clone()).unwrap();
-        // The same op from two nodes, with very different latency: the
-        // report must keep them apart.
-        for (node, duration_us, n) in [(1u64, 800u64, 5), (2, 9_000, 5)] {
-            for i in 0..n {
-                let ev = wire::SpanEvent {
-                    trace_id: 10 * node + i,
-                    span_id: 100 * node + i,
-                    parent: None,
-                    name: "cluster.publish".to_string(),
-                    system: "taureau-cluster".to_string(),
-                    start_us: 1_000,
-                    end_us: 1_000 + duration_us,
-                    attrs: vec![("outcome".to_string(), "ok".to_string())],
-                };
-                monitor.ingest_remote_span(node, &ev);
-            }
-        }
-        monitor.ingest_remote_metric(2, "pulsar.publishes", 7);
-        assert_eq!(monitor.remote_events(), 11);
-        assert_eq!(monitor.counter("node2.pulsar.publishes"), 7);
-        let report = monitor.health_report();
-        let per_node: Vec<_> = report
-            .ops
-            .iter()
-            .filter(|o| o.op == "cluster.publish")
-            .collect();
-        assert_eq!(per_node.len(), 2);
-        assert_eq!(per_node[0].node, Some(1));
-        assert_eq!(per_node[1].node, Some(2));
-        assert!(per_node[0].p50_us < per_node[1].p50_us);
-        let prom = report.render_prometheus();
-        assert!(prom.contains("op=\"cluster.publish\",node=\"1\""));
-        assert!(prom.contains("op=\"cluster.publish\",node=\"2\""));
     }
 
     #[test]

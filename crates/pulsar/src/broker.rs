@@ -15,7 +15,7 @@
 //! configurable size, and a bookie failure mid-stream triggers rollover to
 //! a fresh ledger on a healthy ensemble.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -35,6 +35,10 @@ use crate::framing::OffsetTable;
 use crate::ledger::{BookKeeper, LedgerConfig, LedgerWriter};
 use crate::message::{EntryView, Message, MessageId};
 use crate::metadata::MetadataStore;
+
+mod cursor;
+
+use cursor::{AckUnit, Log, SubState};
 
 const ROUTE_SEED: u64 = 0x52_4f55_5445; // "ROUTE"
 
@@ -249,178 +253,14 @@ impl CachedEntry {
         let batch = parse_batch_entry(&raw);
         Self { raw, ctx, batch }
     }
+
+    /// How many messages the entry holds.
+    fn messages(&self) -> u32 {
+        self.batch.as_ref().map_or(1, |(_, table)| table.count())
+    }
 }
 
 // --------------------------------------------------------------------------
-
-/// Next position a subscription will read, per partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ReadPos {
-    /// Index into the partition's segment list.
-    seg: usize,
-    /// Entry within that segment.
-    entry: u64,
-    /// Message index within a batched entry (0 for unbatched entries or at
-    /// an entry boundary).
-    batch: u32,
-}
-
-impl ReadPos {
-    /// The beginning of a partition.
-    const START: ReadPos = ReadPos {
-        seg: 0,
-        entry: 0,
-        batch: 0,
-    };
-
-    /// First message of entry `entry` in segment `seg`.
-    fn at(seg: usize, entry: u64) -> Self {
-        Self {
-            seg,
-            entry,
-            batch: 0,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct SubState {
-    mode: SubscriptionMode,
-    /// Per-partition read position.
-    read: Vec<ReadPos>,
-    /// Per-partition mark-delete: everything at or before this is acked.
-    mark_delete: Vec<Option<MessageId>>,
-    /// Individually acked messages above the mark-delete position. Always
-    /// entry-level ([`MessageId::canonical`]) ids: a batched entry enters
-    /// this set only once *all* its messages are acked.
-    acked: BTreeSet<MessageId>,
-    /// Delivered-but-unacked message counts, **entry-granular**, one
-    /// ordered queue per partition: dispatch bumps one counter per *entry*
-    /// at the back, acks decrement (in-order ones at the front), and
-    /// redelivery forgets the lot. See [`PendingQueue`].
-    pending: Vec<PendingQueue>,
-    /// Sum of the `pending` counts — what redelivery reports, maintained
-    /// incrementally so it never needs a walk.
-    pending_total: u64,
-    /// Acked message indices of partially-acked batched entries, keyed by
-    /// the entry's canonical id. In-memory only: a broker restart forgets
-    /// partial acks and redelivers the whole entry — the same at-least-once
-    /// contract unacked messages already have.
-    partial: BTreeMap<MessageId, BTreeSet<u32>>,
-    /// Attached consumers (by id); order matters for failover.
-    consumers: Vec<u64>,
-    /// Metadata key of each partition's persisted cursor, built once so an
-    /// ack that moves the cursor formats nothing.
-    cursor_keys: Vec<String>,
-    /// Partitions whose mark-delete the running ack call has moved and
-    /// not yet persisted; all `false` between calls, so an ack allocates
-    /// no record of its own.
-    dirty: Vec<bool>,
-}
-
-impl SubState {
-    /// A subscription of `topic` with nothing delivered or individually
-    /// acked yet, positioned at `read` / `mark_delete` (one per partition).
-    fn new(
-        topic: &str,
-        name: &str,
-        mode: SubscriptionMode,
-        read: Vec<ReadPos>,
-        mark_delete: Vec<Option<MessageId>>,
-    ) -> Self {
-        Self {
-            mode,
-            cursor_keys: (0..read.len())
-                .map(|p| cursor_key(topic, p, name))
-                .collect(),
-            pending: vec![PendingQueue::default(); read.len()],
-            dirty: vec![false; read.len()],
-            read,
-            mark_delete,
-            acked: BTreeSet::new(),
-            pending_total: 0,
-            partial: BTreeMap::new(),
-            consumers: Vec::new(),
-        }
-    }
-}
-
-/// One partition's delivered-but-unacked entries: `(ledger, entry,
-/// outstanding messages)` in dispatch order, which within a partition is
-/// `(ledger, entry)` order — ledger ids grow over rollovers. The common
-/// cases touch only the ends (dispatch pushes at the back or re-bumps it,
-/// an in-order ack decrements the front); anything else is a binary
-/// search. An entry acked out of order from the middle stays as a
-/// zero-count tombstone rather than shifting the queue; the ends are
-/// never tombstones, so the queue is empty exactly when nothing is
-/// outstanding, and its buffer is reused across redeliveries.
-#[derive(Debug, Clone, Default)]
-struct PendingQueue(VecDeque<(LedgerId, u64, u32)>);
-
-impl PendingQueue {
-    fn find(&self, ledger: LedgerId, entry: u64) -> std::result::Result<usize, usize> {
-        self.0
-            .binary_search_by_key(&(ledger, entry), |&(l, e, _)| (l, e))
-    }
-
-    /// Record `n` more outstanding deliveries of one entry.
-    fn add(&mut self, ledger: LedgerId, entry: u64, n: u32) {
-        if n == 0 {
-            return;
-        }
-        match self.0.back_mut() {
-            None => self.0.push_back((ledger, entry, n)),
-            Some(back) if (back.0, back.1) == (ledger, entry) => back.2 += n,
-            Some(back) if (back.0, back.1) < (ledger, entry) => {
-                self.0.push_back((ledger, entry, n));
-            }
-            Some(_) => match self.find(ledger, entry) {
-                Ok(at) => self.0[at].2 += n,
-                Err(at) => self.0.insert(at, (ledger, entry, n)),
-            },
-        }
-    }
-
-    /// Drop up to `n` outstanding deliveries of one entry; returns how
-    /// many there were to drop (a duplicate or never-delivered ack finds
-    /// fewer, or none).
-    fn take(&mut self, ledger: LedgerId, entry: u64, n: u32) -> u32 {
-        let at = match self.0.front() {
-            Some(front) if (front.0, front.1) == (ledger, entry) => 0,
-            _ => match self.find(ledger, entry) {
-                Ok(at) => at,
-                Err(_) => return 0,
-            },
-        };
-        let count = &mut self.0[at].2;
-        let taken = (*count).min(n);
-        *count -= taken;
-        if *count == 0 {
-            if at == 0 {
-                self.0.pop_front();
-                while self.0.front().is_some_and(|f| f.2 == 0) {
-                    self.0.pop_front();
-                }
-            } else if at + 1 == self.0.len() {
-                self.0.pop_back();
-                while self.0.back().is_some_and(|b| b.2 == 0) {
-                    self.0.pop_back();
-                }
-            }
-        }
-        taken
-    }
-
-    /// Forget everything (redelivery); the buffer stays.
-    fn clear(&mut self) {
-        self.0.clear();
-    }
-}
-
-/// Metadata key of `subscription`'s persisted cursor on partition `p`.
-fn cursor_key(topic: &str, p: usize, subscription: &str) -> String {
-    format!("/topics/{topic}/{p}/cursor/{subscription}")
-}
 
 struct Partition {
     /// Ledger segments, oldest first. The last may be open.
@@ -450,12 +290,6 @@ impl Partition {
             tail: Vec::new(),
             sealed: HashMap::new(),
         }
-    }
-
-    /// Position of ledger `lid` in the segment list, if it has not been
-    /// trimmed away.
-    fn seg_index(&self, lid: LedgerId) -> Option<usize> {
-        self.segments.iter().position(|&l| l == lid)
     }
 
     /// Whether `lid` is the segment the open writer is appending to.
@@ -493,31 +327,27 @@ struct Topic {
 
 impl Topic {
     /// The subscription `subscription` of this topic (named `topic`)
-    /// beside the partitions its cursor walks: the one lookup dispatch,
-    /// ack and redelivery start from.
-    fn cursor(
-        &mut self,
+    /// beside the log its cursor reads, profiled when `prof` is set: the
+    /// one lookup dispatch, ack and redelivery start from.
+    fn cursor<'a>(
+        &'a mut self,
+        inner: &'a ClusterInner,
         topic: &str,
         subscription: &str,
-    ) -> Result<(&mut SubState, &mut [Partition])> {
+        prof: bool,
+    ) -> Result<(&'a mut SubState, Stored<'a>)> {
         let sub = self
             .subs
             .get_mut(subscription)
             .ok_or_else(|| PulsarError::TopicNotFound(format!("{topic}:{subscription}")))?;
-        Ok((sub, &mut self.partitions))
+        let log = Stored {
+            inner,
+            parts: &mut self.partitions,
+            prof,
+            read_ns: 0,
+        };
+        Ok((sub, log))
     }
-}
-
-/// One unit of an ack call: what [`Consumer::ack`], [`Consumer::ack_batch`]
-/// and [`Consumer::ack_entries`] hand the ack fold.
-#[derive(Clone, Copy)]
-enum AckUnit<'a> {
-    /// Every message a delivered view covers: a whole view is one
-    /// entry-granular ack (its canonical id and message count), a cut one
-    /// acks its ids one by one.
-    View(&'a EntryView),
-    /// One message, by the id the consumer holds.
-    Id(MessageId),
 }
 
 /// Ownership check installed by a cluster layer: returns `true` while this
@@ -635,28 +465,10 @@ impl DispatchProfile {
     }
 }
 
-/// Checkpoint clock for phase attribution: `tick` charges the time since
-/// the previous checkpoint to one accumulator. Inert (no clock reads)
-/// when constructed off.
-struct PhaseClock {
-    last: Option<Instant>,
-}
-
-impl PhaseClock {
-    fn start(on: bool) -> Self {
-        Self {
-            last: on.then(Instant::now),
-        }
-    }
-
-    #[inline]
-    fn tick(&mut self, acc: &mut u64) {
-        if let Some(last) = self.last {
-            let now = Instant::now();
-            *acc += now.duration_since(last).as_nanos() as u64;
-            self.last = Some(now);
-        }
-    }
+/// Nanoseconds since `start`; 0 when profiling is off (no `start`, and no
+/// clock read).
+fn nanos_since(start: Option<Instant>) -> u64 {
+    start.map_or(0, |t| t.elapsed().as_nanos() as u64)
 }
 
 /// Per-scan phase accumulators, flushed to the metrics registry once per
@@ -667,6 +479,39 @@ struct DispatchAcc {
     cursor_ns: u64,
     read_ns: u64,
     decode_ns: u64,
+}
+
+/// A topic's storage as its cursors read it: the partitions' segment
+/// lists and read caches, and behind them the bookies and the cold tier.
+/// Loading a sealed segment is the one storage read, and it is timed into
+/// `read_ns` when profiling is on.
+struct Stored<'a> {
+    inner: &'a ClusterInner,
+    parts: &'a mut [Partition],
+    prof: bool,
+    read_ns: u64,
+}
+
+impl Log for Stored<'_> {
+    fn segments(&self, p: usize) -> &[LedgerId] {
+        &self.parts[p].segments
+    }
+
+    fn cached(&self, p: usize, lid: LedgerId) -> Option<&[CachedEntry]> {
+        self.parts[p].cached(lid)
+    }
+
+    fn stored_len(&self, _p: usize, lid: LedgerId) -> u64 {
+        PulsarCluster::stored_len(self.inner, lid)
+    }
+
+    fn load(&mut self, p: usize, lid: LedgerId) -> Result<()> {
+        let start = self.prof.then(Instant::now);
+        let built = PulsarCluster::build_sealed(self.inner, lid);
+        self.read_ns += nanos_since(start);
+        self.parts[p].sealed.insert(lid, built?);
+        Ok(())
+    }
 }
 
 /// A Pulsar cluster: brokers + bookies + metadata, in process.
@@ -811,9 +656,9 @@ impl PulsarCluster {
     /// splits its wall time into `pulsar.dispatch.*_ns` counters (wall,
     /// lock acquisition, cursor bookkeeping, entry read, decode)
     /// readable from [`PulsarCluster::metrics`] and summarized by
-    /// [`PulsarCluster::dispatch_profile`]. While on, costs one clock read
-    /// per segment a scan reads from; one relaxed atomic load per scan
-    /// while off.
+    /// [`PulsarCluster::dispatch_profile`]. While on, costs six clock
+    /// reads per scan and two per sealed segment it loads; one relaxed
+    /// atomic load per scan while off.
     pub fn set_dispatch_profiling(&self, on: bool) {
         self.inner.dispatch_prof.store(on, Ordering::Relaxed);
     }
@@ -961,15 +806,10 @@ impl PulsarCluster {
         self.check_fence(topic)?;
         let nparts = self.partitions(topic)? as usize;
         let cid = self.with_topic(topic, |inner, t| {
-            let sub = t.subs.entry(subscription.to_string()).or_insert_with(|| {
-                SubState::new(
-                    topic,
-                    subscription,
-                    mode,
-                    vec![ReadPos::START; nparts],
-                    vec![None; nparts],
-                )
-            });
+            let sub = t
+                .subs
+                .entry(subscription.to_string())
+                .or_insert_with(|| SubState::new(topic, subscription, mode, nparts, |_| None));
             if sub.mode == SubscriptionMode::Exclusive && !sub.consumers.is_empty() {
                 return Err(PulsarError::ExclusiveSubscriptionBusy(
                     subscription.to_string(),
@@ -1063,33 +903,10 @@ impl PulsarCluster {
                 .get(&key)
                 .and_then(|v| SubscriptionMode::decode(std::str::from_utf8(&v.data).ok()?))
                 .unwrap_or(SubscriptionMode::Shared);
-            // Restore cursors from persisted mark-delete positions.
-            let mut read = Vec::with_capacity(nparts as usize);
-            let mut mark_delete = Vec::with_capacity(nparts as usize);
-            for p in 0..nparts {
-                let md = inner
-                    .meta
-                    .get(&cursor_key(name, p as usize, &sub_name))
-                    .and_then(|v| decode_cursor(&v.data));
-                let pos = match md {
-                    Some(id) => {
-                        match partitions[p as usize].seg_index(id.ledger) {
-                            Some(seg) => ReadPos::at(seg, id.entry + 1),
-                            // The cursor's segment was trimmed after the
-                            // mark-delete advanced past it: everything it
-                            // covered is gone, so resume at the start of
-                            // what survives. (Treating the first surviving
-                            // segment as the cursor's would silently skip
-                            // its unconsumed prefix — entry loss.)
-                            None => ReadPos::START,
-                        }
-                    }
-                    None => ReadPos::START,
-                };
-                read.push(pos);
-                mark_delete.push(md);
-            }
-            let sub = SubState::new(name, &sub_name, mode, read, mark_delete);
+            // Restore the cursors from their persisted mark-deletes.
+            let sub = SubState::new(name, &sub_name, mode, nparts as usize, |key| {
+                decode_cursor(&inner.meta.get(key)?.data)
+            });
             subs.insert(sub_name, sub);
         }
         Ok(Topic {
@@ -1286,8 +1103,7 @@ impl PulsarCluster {
 
     /// Segment length: cached segments (the open tail, built sealed
     /// snapshots) from memory, the rest from where they are stored.
-    fn segment_len(inner: &ClusterInner, part: &Partition, seg_idx: usize) -> u64 {
-        let lid = part.segments[seg_idx];
+    fn segment_len(inner: &ClusterInner, part: &Partition, lid: LedgerId) -> u64 {
         match part.cached(lid) {
             Some(entries) => entries.len() as u64,
             None => Self::stored_len(inner, lid),
@@ -1351,29 +1167,16 @@ impl PulsarCluster {
         }
     }
 
-    /// The dispatch scan, and the one place a subscription's cursor moves
-    /// forward: every receive method is this plus what it makes of the
-    /// views. Under the topic lock it advances the cursor over up to
-    /// `max` messages and collects the touched entries as [`EntryView`]s
-    /// into `out` (cleared first). What is the same for a whole run of
-    /// entries is resolved once per run: the mark-delete position once
-    /// per partition, and the segment (ledger id, length, in-memory
-    /// entries — the open tail checked first) once per segment the scan
-    /// reads from. Per ENTRY that leaves the skip checks, a clone of the
-    /// already-parsed [`CachedEntry`] (one refcount bump on the entry
-    /// buffer; nothing is re-validated) and one bump at the back of the
-    /// pending queue. No `Message` is materialized, no payload is sliced,
-    /// and no consumer code runs while the lock is held.
-    ///
-    /// With the lock released, each view is stamped with its trace
-    /// context: when the broker is traced, ONE `pulsar.dispatch_entry`
-    /// span (child of the publish span) shared by all its messages, else
-    /// the publish context verbatim.
-    ///
-    /// A read error stops the scan rather than failing it: what was
-    /// already collected has moved the cursor and is pending, so it is
-    /// returned (`Ok(delivered)`), and the error is reported by the next
-    /// scan, which meets it with nothing delivered.
+    /// The dispatch scan: every receive method is this plus what it makes
+    /// of the views. Under the topic lock, [`SubState::scan`] advances the
+    /// cursor over up to `max` messages and collects the touched entries
+    /// as [`EntryView`]s into `out` (cleared first): per entry, the skip
+    /// checks, a clone of the already-parsed [`CachedEntry`] and one bump
+    /// of the pending queue; no consumer code runs under the lock. With
+    /// the lock released, each view is stamped with its trace context:
+    /// when the broker is traced, ONE `pulsar.dispatch_entry` span (child
+    /// of the publish span) shared by all its messages, else the publish
+    /// context verbatim.
     fn receive_entries_from(
         &self,
         topic: &str,
@@ -1396,195 +1199,24 @@ impl PulsarCluster {
         let wall_start = prof.then(Instant::now);
         let mut acc = DispatchAcc::default();
         let result = self.with_topic(topic, |inner, t| {
-            let mut clk = PhaseClock::start(prof);
-            if let (Some(t0), Some(t1)) = (wall_start, clk.last) {
+            let locked = prof.then(Instant::now);
+            if let (Some(t0), Some(t1)) = (wall_start, locked) {
                 // Outside-the-lock to inside-the-lock: lock wait, topic
                 // hash, and any lazy topic rebuild.
-                acc.lock_ns += t1.duration_since(t0).as_nanos() as u64;
+                acc.lock_ns = t1.duration_since(t0).as_nanos() as u64;
             }
-            let (sub, partitions) = t.cursor(topic, subscription)?;
-            let nparts = partitions.len();
-            // Failover: only the active (first attached) consumer receives.
-            if sub.mode == SubscriptionMode::Failover && sub.consumers.first() != Some(&consumer_id)
-            {
-                return Ok(0);
-            }
-            let mut delivered = 0usize;
-            let mut failed = None;
-            'parts: for scan in 0..nparts {
-                let p = (*start_part + scan) % nparts;
-                let part = &mut partitions[p];
-                // Everything at or before the mark-delete cursor is skipped
-                // (individual acks get folded into it and leave the acked
-                // set). When its segment was trimmed, nothing that survives
-                // is covered by it, so no skip applies.
-                let covered =
-                    sub.mark_delete[p].and_then(|md| Some((part.seg_index(md.ledger)?, md.entry)));
-                // One iteration per segment run.
-                'runs: loop {
-                    if delivered >= max {
-                        break 'parts;
-                    }
-                    let mut pos = sub.read[p];
-                    let Some(&lid) = part.segments.get(pos.seg) else {
-                        break; // nothing ever written here
-                    };
-                    let cached = part.cached(lid);
-                    let seg_len = match cached {
-                        Some(entries) => entries.len() as u64,
-                        None => Self::stored_len(inner, lid),
-                    };
-                    if pos.entry >= seg_len {
-                        // Move to the next segment if this one is closed and
-                        // fully read.
-                        if !part.is_open(lid) && pos.seg + 1 < part.segments.len() {
-                            sub.read[p] = ReadPos::at(pos.seg + 1, 0);
-                            continue;
-                        }
-                        break; // caught up on this partition
-                    }
-                    while pos.entry < seg_len && delivered < max {
-                        let canonical = MessageId::new(p as u32, lid, pos.entry);
-                        // Individually acked earlier (redelivery path), or
-                        // under the mark-delete cursor.
-                        if (!sub.acked.is_empty() && sub.acked.contains(&canonical))
-                            || covered.is_some_and(|md| (pos.seg, pos.entry) <= md)
-                        {
-                            pos = ReadPos::at(pos.seg, pos.entry + 1);
-                            sub.read[p] = pos;
-                            continue;
-                        }
-                        let Some(entries) = cached else {
-                            // First entry wanted from a sealed segment with
-                            // no snapshot: build it, then take the run again
-                            // from the cache.
-                            clk.tick(&mut acc.cursor_ns);
-                            let built = Self::build_sealed(inner, lid);
-                            clk.tick(&mut acc.read_ns);
-                            match built {
-                                Ok(seg) => {
-                                    part.sealed.insert(lid, seg);
-                                    continue 'runs;
-                                }
-                                Err(e) => {
-                                    failed = Some(e);
-                                    break 'parts;
-                                }
-                            }
-                        };
-                        let unavailable =
-                            |entry| PulsarError::EntryUnavailable { ledger: lid, entry };
-                        let Some(entry) = entries.get(pos.entry as usize) else {
-                            failed = Some(unavailable(pos.entry));
-                            break 'parts;
-                        };
-                        let view = if let Some((ts, table)) = entry.batch {
-                            let n = table.count();
-                            // Resume inside the entry, skipping indices already
-                            // acked through the partial-batch set.
-                            let done = if sub.partial.is_empty() {
-                                None
-                            } else {
-                                sub.partial.get(&canonical)
-                            };
-                            let mut first = pos.batch;
-                            if let Some(done) = done {
-                                while first < n && done.contains(&first) {
-                                    first += 1;
-                                }
-                            }
-                            if first >= n {
-                                pos = ReadPos::at(pos.seg, pos.entry + 1);
-                                sub.read[p] = pos;
-                                continue;
-                            }
-                            // Extend the delivered range up to the budget,
-                            // recording already-acked indices inside it.
-                            let budget = max - delivered;
-                            let mut taken = 0usize;
-                            let mut end = first;
-                            let mut skips = Vec::new();
-                            while end < n && taken < budget {
-                                if done.is_some_and(|d| d.contains(&end)) {
-                                    skips.push(end);
-                                } else {
-                                    taken += 1;
-                                }
-                                end += 1;
-                            }
-                            let at = pos.entry;
-                            pos = if end < n {
-                                ReadPos { batch: end, ..pos }
-                            } else {
-                                ReadPos::at(pos.seg, pos.entry + 1)
-                            };
-                            sub.pending[p].add(lid, at, taken as u32);
-                            sub.pending_total += taken as u64;
-                            delivered += taken;
-                            EntryView {
-                                raw: entry.raw.clone(),
-                                ctx: entry.ctx,
-                                partition: p as u32,
-                                ledger: lid,
-                                entry: at,
-                                publish_nanos: ts,
-                                key: None,
-                                body_at: 0,
-                                batch: Some(table),
-                                batch_size: n,
-                                first,
-                                end,
-                                skips,
-                            }
-                        } else {
-                            let Some((key, ts, payload)) = decode_entry(&entry.raw) else {
-                                failed = Some(unavailable(pos.entry));
-                                break 'parts;
-                            };
-                            let at = pos.entry;
-                            pos = ReadPos::at(pos.seg, pos.entry + 1);
-                            sub.pending[p].add(lid, at, 1);
-                            sub.pending_total += 1;
-                            delivered += 1;
-                            EntryView {
-                                body_at: entry.raw.len() - payload.len(),
-                                raw: entry.raw.clone(),
-                                ctx: entry.ctx,
-                                partition: p as u32,
-                                ledger: lid,
-                                entry: at,
-                                publish_nanos: ts,
-                                key,
-                                batch: None,
-                                batch_size: 1,
-                                first: 0,
-                                end: 1,
-                                skips: Vec::new(),
-                            }
-                        };
-                        sub.read[p] = pos;
-                        *start_part = (p + 1) % nparts;
-                        out.push(view);
-                    }
-                    // One checkpoint per run, not per entry: walking cached
-                    // entries is cursor work, and a clock read costs as
-                    // much as the entry it would time.
-                    clk.tick(&mut acc.cursor_ns);
-                }
-            }
-            // Loop-termination probes since the last run are cursor scan
-            // work too.
-            clk.tick(&mut acc.cursor_ns);
-            if delivered > 0 {
+            let (sub, mut log) = t.cursor(inner, topic, subscription, prof)?;
+            let got = sub.scan(&mut log, consumer_id, start_part, max, out);
+            // Everything in the lock but the storage reads is cursor work.
+            acc.read_ns = log.read_ns;
+            acc.cursor_ns = nanos_since(locked).saturating_sub(log.read_ns);
+            if let Ok(delivered @ 1..) = got {
                 inner.c_delivered.add(delivered as u64);
             }
-            match failed {
-                Some(e) if delivered == 0 => Err(e),
-                _ => Ok(delivered),
-            }
+            got
         });
         if result.is_ok() {
-            let mut clk = PhaseClock::start(prof);
+            let stamping = prof.then(Instant::now);
             for view in out.iter_mut() {
                 span.attr("partition", view.partition);
                 span.attr("ledger", view.ledger.raw());
@@ -1598,7 +1230,7 @@ impl PulsarCluster {
                     view.ctx = g.context().or(Some(pc));
                 }
             }
-            clk.tick(&mut acc.decode_ns);
+            acc.decode_ns = nanos_since(stamping);
         }
         self.flush_dispatch_acc(wall_start, &acc, result.as_ref().ok().copied());
         result
@@ -1623,158 +1255,13 @@ impl PulsarCluster {
         m.counter("pulsar.dispatch.decode_ns").add(acc.decode_ns);
     }
 
-    /// Ack bookkeeping for one message id, already checked against the
-    /// topic: pending removal, partial-batch fold, idempotence guards,
-    /// mark-delete advance. Pure in-memory — a partition whose mark-delete
-    /// advanced is marked dirty, for the ack fold to persist once per call.
-    fn apply_ack(
-        inner: &ClusterInner,
-        partitions: &[Partition],
-        sub: &mut SubState,
-        id: MessageId,
-    ) {
-        // Batched messages ack at message granularity, but the cursor
-        // machinery below is entry-granular: record per-index acks in
-        // `partial` and only fold the canonical entry id into the acked
-        // set once every index of the batch has been acked. The pending
-        // map is entry-granular too — decrement only for *new* acks, so
-        // duplicates can't drive the outstanding count below reality.
-        let id = if id.batch_size > 1 {
-            let canonical = id.canonical();
-            let covered = sub.acked.contains(&canonical)
-                || sub.mark_delete[id.partition as usize]
-                    .is_some_and(|md| (md.ledger, md.entry) >= (canonical.ledger, canonical.entry));
-            if covered {
-                return; // duplicate ack of a completed batch
-            }
-            let done = sub.partial.entry(canonical).or_default();
-            if !done.insert(id.batch_index) {
-                return; // duplicate ack within a still-partial batch
-            }
-            let complete = (done.len() as u32) >= id.batch_size;
-            Self::unpend(sub, canonical, 1);
-            if !complete {
-                return; // batch still partially unacked
-            }
-            sub.partial.remove(&canonical);
-            canonical
-        } else {
-            let covered = sub.acked.contains(&id)
-                || sub.mark_delete[id.partition as usize]
-                    .is_some_and(|md| (md.ledger, md.entry) >= (id.ledger, id.entry));
-            if !covered {
-                Self::unpend(sub, id, 1);
-            }
-            id
-        };
-        Self::fold_entry_ack(inner, partitions, sub, id)
-    }
-
-    /// Drop up to `n` outstanding deliveries of the canonical entry `id`
-    /// from its partition's pending queue (clamped — a duplicate or
-    /// never-delivered ack cannot underflow the count).
-    fn unpend(sub: &mut SubState, id: MessageId, n: u32) {
-        let taken = sub.pending[id.partition as usize].take(id.ledger, id.entry, n);
-        sub.pending_total -= u64::from(taken);
-    }
-
-    /// Fold a completed, entry-granular ack (`id` must be canonical) into
-    /// the acked set and advance the mark-delete cursor, marking the
-    /// partition dirty when it moved. The idempotence
-    /// guard also covers unbatched re-acks: re-acking a message the
-    /// mark-delete already covers (e.g. a failover redelivery acked twice)
-    /// must not park the id in `acked` forever — the fold loop below only
-    /// matches ids *above* the cursor, so a stale insert would never drain.
-    fn fold_entry_ack(
-        inner: &ClusterInner,
-        partitions: &[Partition],
-        sub: &mut SubState,
-        id: MessageId,
-    ) {
-        let covered = sub.acked.contains(&id)
-            || sub.mark_delete[id.partition as usize]
-                .is_some_and(|md| (md.ledger, md.entry) >= (id.ledger, id.entry));
-        if covered {
-            return;
-        }
-        // `id` is held aside rather than inserted: an in-order ack is the
-        // cursor's next position and never enters the set. It joins the
-        // set below only if the cursor stops short of it.
-        let mut held = Some(id);
-        // Advance the mark-delete position while the next message is acked.
-        let p = id.partition as usize;
-        let part = &partitions[p];
-        loop {
-            let next = match sub.mark_delete[p] {
-                None => {
-                    // First position of the partition.
-                    match part.segments.first() {
-                        Some(&l) => MessageId::new(id.partition, l, 0),
-                        None => break,
-                    }
-                }
-                Some(md) => {
-                    // Position after md: next entry, or first entry of the
-                    // next segment.
-                    match part.seg_index(md.ledger) {
-                        Some(seg_idx) => {
-                            let seg_len = Self::segment_len(inner, part, seg_idx);
-                            if md.entry + 1 < seg_len {
-                                MessageId::new(id.partition, md.ledger, md.entry + 1)
-                            } else if seg_idx + 1 < part.segments.len() {
-                                MessageId::new(id.partition, part.segments[seg_idx + 1], 0)
-                            } else {
-                                break;
-                            }
-                        }
-                        // md's segment was trimmed away: the next
-                        // ackable position is the first entry of the
-                        // oldest surviving segment. (The old
-                        // `unwrap_or(0)` built the next id from the
-                        // trimmed ledger, which never matches a real
-                        // ack — the cursor would stall forever.)
-                        None => match part.segments.first() {
-                            Some(&l) => MessageId::new(id.partition, l, 0),
-                            None => break,
-                        },
-                    }
-                }
-            };
-            if held == Some(next) {
-                held = None;
-            } else if !sub.acked.remove(&next) {
-                break;
-            }
-            sub.mark_delete[p] = Some(next);
-            sub.dirty[p] = true;
-        }
-        if let Some(id) = held {
-            sub.acked.insert(id);
-        }
-    }
-
-    /// Persist a subscription's just-advanced mark-delete cursor for
-    /// partition `p`, overwriting the stored text in place.
-    fn persist_cursor(inner: &ClusterInner, sub: &SubState, p: usize) {
-        let md = sub.mark_delete[p].expect("cursor just advanced");
-        inner
-            .meta
-            .update(&sub.cursor_keys[p], |buf| write_cursor(buf, &md));
-    }
-
     /// The ack fold, and the one place a subscription's acks are applied:
-    /// every ack method only builds the [`AckUnit`]s. Under one topic lock
-    /// it first checks every unit against the topic and refuses the whole
-    /// call with [`PulsarError::InvalidMessageId`] before anything changes
-    /// when one names a partition past the topic's or a batch index past
-    /// its batch (ids come from outside the broker: off the wire, or built
-    /// by hand). It then folds the units in order — a whole view as one
-    /// pending decrement and one entry-granular cursor fold, each id (of
-    /// a cut view, or given) through [`PulsarCluster::apply_ack`] — and
-    /// writes each partition's cursor at most once, after the last unit.
-    /// The persist is amortized, the bookkeeping is not, so at-least-once
-    /// holds: a broker that dies mid-call redelivers from the last
-    /// persisted cursor, never skips.
+    /// every ack method only builds the [`AckUnit`]s, and
+    /// [`SubState::ack`] checks and folds them under one topic lock. Each
+    /// partition's cursor it moved is written at most once, after the
+    /// last unit. The persist is amortized, the bookkeeping is not, so
+    /// at-least-once holds: a broker that dies mid-call redelivers from
+    /// the last persisted cursor, never skips.
     fn ack_units<'a>(
         &self,
         topic: &str,
@@ -1786,63 +1273,16 @@ impl PulsarCluster {
         }
         self.check_fence(topic)?;
         self.with_topic(topic, |inner, t| {
-            let (sub, partitions) = t.cursor(topic, subscription)?;
-            let nparts = partitions.len();
-            for unit in units.clone() {
-                // A view's ids share its partition and stay inside its batch.
-                let id = match unit {
-                    AckUnit::View(view) => view.entry_id(),
-                    AckUnit::Id(id) => id,
-                };
-                if id.partition as usize >= nparts || id.batch_index >= id.batch_size {
-                    return Err(PulsarError::InvalidMessageId(id));
-                }
-            }
-            for unit in units {
-                match unit {
-                    AckUnit::View(view) if view.is_whole() => {
-                        let id = view.entry_id();
-                        Self::unpend(sub, id, view.batch_size);
-                        sub.partial.remove(&id);
-                        Self::fold_entry_ack(inner, partitions, sub, id);
-                    }
-                    AckUnit::View(view) => view
-                        .ids()
-                        .for_each(|id| Self::apply_ack(inner, partitions, sub, id)),
-                    AckUnit::Id(id) => Self::apply_ack(inner, partitions, sub, id),
-                }
-            }
-            for p in 0..nparts {
-                if std::mem::take(&mut sub.dirty[p]) {
-                    Self::persist_cursor(inner, sub, p);
-                }
-            }
-            Ok(())
+            let (sub, log) = t.cursor(inner, topic, subscription, false)?;
+            sub.ack(&log, units, |key, md| {
+                inner.meta.update(key, |buf| write_cursor(buf, md));
+            })
         })
     }
 
     fn redeliver(&self, topic: &str, subscription: &str) -> Result<usize> {
-        self.with_topic(topic, |_inner, t| {
-            let (sub, partitions) = t.cursor(topic, subscription)?;
-            let n = sub.pending_total as usize;
-            // Rewind each partition's read position to just after mark-delete;
-            // already-acked messages are skipped during delivery.
-            for (p, part) in partitions.iter().enumerate() {
-                let pos = match sub.mark_delete[p] {
-                    None => ReadPos::START,
-                    Some(md) => match part.seg_index(md.ledger) {
-                        Some(seg) => ReadPos::at(seg, md.entry + 1),
-                        // md's segment was trimmed: rewind to the start of
-                        // what survives rather than skipping into the
-                        // first segment's unconsumed prefix.
-                        None => ReadPos::START,
-                    },
-                };
-                sub.read[p] = pos;
-            }
-            sub.pending.iter_mut().for_each(PendingQueue::clear);
-            sub.pending_total = 0;
-            Ok(n)
+        self.with_topic(topic, |inner, t| {
+            Ok(t.cursor(inner, topic, subscription, false)?.0.rewind())
         })
     }
 
@@ -1851,7 +1291,7 @@ impl PulsarCluster {
         Self::lock_topics(&self.inner, |topics| {
             if let Some((sub, _)) = topics
                 .get_mut(topic)
-                .and_then(|t| t.cursor(topic, subscription).ok())
+                .and_then(|t| t.cursor(&self.inner, topic, subscription, false).ok())
             {
                 sub.consumers.retain(|&c| c != consumer_id);
             }
@@ -1874,7 +1314,7 @@ impl PulsarCluster {
                     if part.is_open(first) {
                         break;
                     }
-                    let seg_len = Self::segment_len(inner, part, 0);
+                    let seg_len = Self::segment_len(inner, part, first);
                     // An empty segment goes once anyone subscribes. Any
                     // other goes once every subscription's mark-delete has
                     // moved on to a later segment: a mark-delete on this
@@ -1896,14 +1336,6 @@ impl PulsarCluster {
                     }
                     t.partitions[p].segments.remove(0);
                     t.partitions[p].sealed.remove(&first);
-                    // Re-base read positions that referenced segment indices.
-                    for sub in t.subs.values_mut() {
-                        if sub.read[p].seg > 0 {
-                            sub.read[p].seg -= 1;
-                        } else {
-                            sub.read[p] = ReadPos::START;
-                        }
-                    }
                     let segs = t.partitions[p].segments.clone();
                     Self::persist_segments(inner, topic, p, &segs);
                     reclaimed += 1;
@@ -1918,8 +1350,8 @@ impl PulsarCluster {
         self.with_topic(topic, |inner, t| {
             let mut total = 0;
             for part in &t.partitions {
-                for seg_idx in 0..part.segments.len() {
-                    total += Self::segment_len(inner, part, seg_idx);
+                for &lid in &part.segments {
+                    total += Self::segment_len(inner, part, lid);
                 }
             }
             Ok(total)
@@ -2570,6 +2002,86 @@ mod tests {
         assert!(consumer.receive().unwrap().is_none());
     }
 
+    /// An id whose batch size is not its entry's message count is refused
+    /// while the entry is in memory: two acks claiming a batch of 2, or
+    /// one claiming 1, no longer complete a 3-message entry, and an
+    /// unbatched message is not a batch of 3. Nothing moves, and the
+    /// right ids still complete both entries.
+    #[test]
+    fn an_ack_claiming_the_wrong_batch_size_is_refused() {
+        let c = small_cluster();
+        c.create_topic("t", 1).unwrap();
+        let p = c.producer("t").unwrap();
+        let batch = p.send_batch(&[b"x".as_slice(), b"y", b"z"]).unwrap();
+        let single = p.send(b"w").unwrap();
+        let mut consumer = c.subscribe("t", "s", SubscriptionMode::Exclusive).unwrap();
+        assert_eq!(consumer.receive_batch(4).unwrap().len(), 4);
+        let cursor = || {
+            let state = |t: &mut Topic| {
+                let sub = &t.subs["s"];
+                (
+                    sub.mark_delete.clone(),
+                    sub.partial.clone(),
+                    sub.pending_total,
+                )
+            };
+            c.with_topic("t", |_, t| Ok(state(t))).unwrap()
+        };
+        let before = cursor();
+        let claiming =
+            |id: MessageId, n| MessageId::in_batch(0, id.ledger, id.entry, id.batch_index, n);
+        for bad in [
+            claiming(batch[0], 2),
+            claiming(batch[1], 2),
+            claiming(batch[0], 1),
+            claiming(single, 3),
+        ] {
+            let refused = Err(PulsarError::InvalidMessageId(bad));
+            assert_eq!(consumer.ack(bad), refused);
+            assert_eq!(consumer.ack_batch(&[single, bad]), refused);
+            assert_eq!(cursor(), before, "{bad:?}");
+        }
+        consumer.ack_batch(&batch).unwrap();
+        consumer.ack(single).unwrap();
+        assert_eq!(cursor(), (vec![Some(single)], Default::default(), 0));
+        assert_eq!(consumer.redeliver_unacked().unwrap(), 0);
+        assert!(consumer.receive().unwrap().is_none());
+    }
+
+    /// A sealed segment with no entry — the ledger a broker rolled over to
+    /// and died before anything landed in — does not stall the
+    /// mark-delete: acking every message moves it past the gap, trim
+    /// reclaims both segments behind the open one, and a restart
+    /// redelivers nothing.
+    #[test]
+    fn an_empty_sealed_segment_does_not_stall_the_cursor() {
+        let c = small_cluster(); // 8 entries per segment
+        c.create_topic("t", 1).unwrap();
+        let p = c.producer("t").unwrap();
+        for i in 0..8u8 {
+            p.send(&[i]).unwrap();
+        }
+        c.with_topic("t", |inner, t| {
+            let part = &mut t.partitions[0];
+            let mut full = part.writer.take().unwrap();
+            full.close()?;
+            part.seal_tail(full.id());
+            let fresh = inner.bk.create_ledger(inner.cfg.ledger)?;
+            part.segments.push(fresh.id());
+            PulsarCluster::persist_segments(inner, "t", 0, &part.segments);
+            Ok(())
+        })
+        .unwrap();
+        c.restart_broker();
+        p.send(&[8]).unwrap();
+        let mut consumer = c.subscribe("t", "s", SubscriptionMode::Exclusive).unwrap();
+        assert_eq!(consumer.drain().unwrap().len(), 9);
+        assert_eq!(c.trim_consumed("t").unwrap(), 2);
+        c.restart_broker();
+        let mut consumer = c.subscribe("t", "s", SubscriptionMode::Exclusive).unwrap();
+        assert!(consumer.drain().unwrap().is_empty());
+    }
+
     #[test]
     fn publish_consume_ack() {
         let c = small_cluster();
@@ -2892,6 +2404,30 @@ mod tests {
         assert_eq!(c.offload_sealed("t").unwrap(), 0);
     }
 
+    /// Receive and ack in batches of 16 until `finished` was set before a
+    /// scan that found nothing; the payloads read as `u64`s, in order.
+    fn receive_until_finished(consumer: &mut Consumer, finished: &AtomicBool) -> Vec<u64> {
+        let mut seen = Vec::new();
+        loop {
+            let finished = finished.load(Ordering::Acquire);
+            let batch = consumer.receive_batch(16).unwrap();
+            if batch.is_empty() {
+                if finished {
+                    return seen;
+                }
+                std::thread::yield_now();
+                continue;
+            }
+            let ids: Vec<MessageId> = batch.iter().map(|m| m.id).collect();
+            consumer.ack_batch(&ids).unwrap();
+            seen.extend(
+                batch
+                    .iter()
+                    .map(|m| u64::from_le_bytes(m.payload[..].try_into().unwrap())),
+            );
+        }
+    }
+
     /// Publishes, batched acks, and a thread looping `trim_consumed` +
     /// `retained_entries` (each a walk under the one topic lock) on four
     /// topics at once: a nested topic-lock acquisition would stall a
@@ -2945,25 +2481,7 @@ mod tests {
                 done_tx.clone(),
             );
             readers.push(std::thread::spawn(move || {
-                let mut seen = Vec::new();
-                loop {
-                    let finished = published[t].load(Ordering::Acquire);
-                    let batch = consumer.receive_batch(16).unwrap();
-                    if batch.is_empty() {
-                        if finished {
-                            break;
-                        }
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    let ids: Vec<MessageId> = batch.iter().map(|m| m.id).collect();
-                    consumer.ack_batch(&ids).unwrap();
-                    seen.extend(
-                        batch
-                            .iter()
-                            .map(|m| u64::from_le_bytes(m.payload[..].try_into().unwrap())),
-                    );
-                }
+                let seen = receive_until_finished(&mut consumer, &published[t]);
                 consumers_left.fetch_sub(1, Ordering::Release);
                 done_tx.send(()).unwrap();
                 seen

@@ -7,6 +7,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use taureau_core::latency::LatencyModel;
 
+use super::cursor::cursor_key;
 use super::*;
 
 const TOPIC: &str = "t";

@@ -2,7 +2,10 @@
 //! reference (insert the id, then drain the acked set while the next
 //! position is in it), the pending queues against the ordered map they
 //! replaced, the persisted cursor text, and the metadata decoders on bytes
-//! nobody vouches for.
+//! nobody vouches for. The fold is driven on the cursor alone, over a log
+//! held in memory; the pending queues through a whole cluster.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -10,6 +13,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use taureau_core::rng::det_rng;
 
+use super::cursor::{cursor_key, AckUnit, PendingQueue};
 use super::*;
 
 const TOPIC: &str = "t";
@@ -179,46 +183,141 @@ impl Model {
     }
 }
 
-/// The broker's cursor state for the one subscription under test.
-type Cursors = (
-    Vec<Option<MessageId>>,
-    BTreeSet<MessageId>,
-    BTreeMap<MessageId, BTreeSet<u32>>,
-);
+/// A topic's log held in memory, for driving a cursor with no cluster:
+/// per partition, segments of `per_ledger` parsed entries, with ledger
+/// ids from one counter, as from the metadata sequence. What a restart
+/// unloads, the cursor must `load` to read.
+struct MemLog {
+    segments: Vec<Vec<LedgerId>>,
+    /// Every segment ever written, trimmed ones included.
+    entries: BTreeMap<LedgerId, Vec<CachedEntry>>,
+    loaded: BTreeSet<LedgerId>,
+    per_ledger: usize,
+}
 
-fn broker_cursors(c: &PulsarCluster) -> Cursors {
+impl Log for MemLog {
+    fn segments(&self, p: usize) -> &[LedgerId] {
+        &self.segments[p]
+    }
+
+    fn cached(&self, p: usize, lid: LedgerId) -> Option<&[CachedEntry]> {
+        let held = self.loaded.contains(&lid) && self.segments[p].contains(&lid);
+        held.then(|| self.entries[&lid].as_slice())
+    }
+
+    fn stored_len(&self, _: usize, lid: LedgerId) -> u64 {
+        self.entries[&lid].len() as u64
+    }
+
+    fn load(&mut self, _: usize, lid: LedgerId) -> Result<()> {
+        self.loaded.insert(lid);
+        Ok(())
+    }
+}
+
+impl MemLog {
+    fn new(partitions: usize, per_ledger: usize) -> Self {
+        Self {
+            segments: vec![Vec::new(); partitions],
+            entries: BTreeMap::new(),
+            loaded: BTreeSet::new(),
+            per_ledger,
+        }
+    }
+
+    /// Append one entry of `n` messages to partition `p`: an unbatched
+    /// entry for one, a batch for more, as `send_batch` frames them.
+    fn publish(&mut self, p: usize, n: usize, tag: u8) -> Vec<MessageId> {
+        let open = self.segments[p].last().copied();
+        let lid = match open.filter(|l| self.entries[l].len() < self.per_ledger) {
+            Some(lid) => lid,
+            None => {
+                let lid = LedgerId(self.entries.len() as u64);
+                self.segments[p].push(lid);
+                self.loaded.insert(lid);
+                lid
+            }
+        };
+        let payloads: Vec<[u8; 2]> = (0..n).map(|i| [tag, i as u8]).collect();
+        let raw = match n {
+            1 => encode_entry(None, 0, &payloads[0]),
+            _ => encode_batch_entry(0, &payloads).unwrap(),
+        };
+        let entries = self.entries.entry(lid).or_default();
+        entries.push(CachedEntry::parse(&raw));
+        let (entry, n) = (entries.len() as u64 - 1, n as u32);
+        (0..n)
+            .map(|i| MessageId::in_batch(p as u32, lid, entry, i, n))
+            .collect()
+    }
+
+    /// `trim_consumed` for one subscription: drop each oldest segment the
+    /// mark-delete has left, but never the last.
+    fn trim(&mut self, mark_delete: &[Option<MessageId>]) {
+        for (segments, md) in self.segments.iter_mut().zip(mark_delete) {
+            while segments.len() > 1 && md.is_some_and(|md| md.ledger != segments[0]) {
+                segments.remove(0);
+            }
+        }
+    }
+}
+
+/// The subscription under test, its mark-deletes read through `persisted`.
+fn subscription(persisted: impl Fn(&str) -> Option<MessageId>) -> SubState {
+    SubState::new(TOPIC, SUB, SubscriptionMode::Exclusive, 2, persisted)
+}
+
+/// Every view the subscription has to deliver now, in scans of 64 from
+/// partition 0 (one scan may stop short of a partition it did not start
+/// on).
+fn scan_all(sub: &mut SubState, log: &mut MemLog) -> Vec<EntryView> {
+    let (mut start, mut views, mut out) = (0, Vec::new(), Vec::new());
+    while sub.scan(log, 0, &mut start, 64, &mut views).unwrap() > 0 {
+        out.append(&mut views);
+    }
+    out
+}
+
+/// `sub`'s cursor state, and the cursor text persisted for each
+/// partition, against the reference.
+fn cursor_agrees(
+    sub: &SubState,
+    persisted: impl Fn(usize) -> Option<Vec<u8>>,
+    model: &Model,
+    step: &str,
+) -> std::result::Result<(), String> {
+    fn same<T: PartialEq + std::fmt::Debug>(
+        what: &str,
+        step: &str,
+        cursor: T,
+        reference: T,
+    ) -> std::result::Result<(), String> {
+        prop_assert!(
+            cursor == reference,
+            "{what} {step}: cursor {cursor:?}, reference {reference:?}"
+        );
+        Ok(())
+    }
+    for (p, &md) in sub.mark_delete.iter().enumerate() {
+        same("mark-delete", step, md, model.cursor(p))?;
+        same("cursor bytes", step, persisted(p), model.cursor_text(p))?;
+    }
+    same("acked-set residue", step, &sub.acked, &model.acked)?;
+    same("partial acks", step, &sub.partial, &model.partial)
+}
+
+fn assert_agrees(c: &PulsarCluster, model: &Model, step: &str) -> std::result::Result<(), String> {
     c.with_topic(TOPIC, |_, t| {
-        let sub = &t.subs[SUB];
-        Ok((
-            sub.mark_delete.clone(),
-            sub.acked.clone(),
-            sub.partial.clone(),
-        ))
+        let stored = |p| c.metadata().get(&cursor_key(TOPIC, p, SUB)).map(|v| v.data);
+        Ok(cursor_agrees(&t.subs[SUB], stored, model, step))
     })
     .unwrap()
 }
 
-fn assert_agrees(c: &PulsarCluster, model: &Model, step: &str) -> std::result::Result<(), String> {
-    fn same<T: PartialEq + std::fmt::Debug>(
-        what: &str,
-        step: &str,
-        broker: T,
-        reference: T,
-    ) -> std::result::Result<(), String> {
-        prop_assert!(
-            broker == reference,
-            "{what} {step}: broker {broker:?}, reference {reference:?}"
-        );
-        Ok(())
-    }
-    let (mark_delete, acked, partial) = broker_cursors(c);
-    for (p, &cursor) in mark_delete.iter().enumerate() {
-        same("mark-delete", step, cursor, model.cursor(p))?;
-        let stored = c.metadata().get(&cursor_key(TOPIC, p, SUB)).map(|v| v.data);
-        same("cursor bytes", step, stored, model.cursor_text(p))?;
-    }
-    same("acked-set residue", step, &acked, &model.acked)?;
-    same("partial acks", step, &partial, &model.partial)
+/// The broker's acked set for the subscription under test.
+fn broker_acked(c: &PulsarCluster) -> BTreeSet<MessageId> {
+    c.with_topic(TOPIC, |_, t| Ok(t.subs[SUB].acked.clone()))
+        .unwrap()
 }
 
 /// The broker's outstanding deliveries for the subscription under test:
@@ -281,27 +380,14 @@ fn assert_pending_agrees(
     Ok(())
 }
 
-/// Everything the subscription has to deliver right now (one scan may
-/// stop short of a partition it did not start on).
-fn receive_all(consumer: &mut Consumer) -> Vec<Message> {
-    let mut out = Vec::new();
-    loop {
-        let batch = consumer.receive_batch(64).unwrap();
-        if batch.is_empty() {
-            return out;
-        }
-        out.extend(batch);
-    }
-}
-
 proptest! {
     /// Any ack order — in order, reversed, shuffled, with duplicates,
-    /// batched entries index by index — leaves the broker where the
+    /// batched entries index by index — leaves the cursor where the
     /// reference fold leaves the model after every single ack: same
-    /// mark-delete, same residue in the acked set, same bytes in the
-    /// metadata store; across segment rollovers (4 entries a ledger),
-    /// trims and broker restarts. A restarted broker then resumes each
-    /// partition at the entry after its cursor.
+    /// mark-delete, same residue in the acked set, same cursor text
+    /// persisted; across segment rollovers (4 entries a ledger), trims
+    /// and restarts from the persisted text. A restarted cursor then
+    /// resumes each partition at the entry after its mark-delete.
     #[test]
     fn ack_fold_matches_the_reference_fold(
         batch_sizes in vec(1usize..4, 6..40),
@@ -310,33 +396,21 @@ proptest! {
         duplicate_every in 2usize..9,
         disturb_every in 3usize..17,
     ) {
-        let cfg = PulsarConfig {
-            bookies: 3,
-            ledger: LedgerConfig::default(),
-            max_entries_per_ledger: 4,
-        };
-        let c = PulsarCluster::new(cfg, WallClock::shared());
-        c.create_topic(TOPIC, 2).unwrap();
-        let producer = c.producer(TOPIC).unwrap();
-        let mut consumer = c.subscribe(TOPIC, SUB, SubscriptionMode::Exclusive).unwrap();
-
+        let mut log = MemLog::new(2, 4);
         let mut model = Model::new(2);
         let mut ids = Vec::new();
         for (i, &n) in batch_sizes.iter().enumerate() {
-            let payloads: Vec<Vec<u8>> = (0..n).map(|k| vec![i as u8, k as u8]).collect();
-            // One payload takes the unbatched path (`send`), as `n == 1`
-            // does inside `send_batch`; a key pins some to one partition.
-            let sent = if n == 1 && i % 3 == 0 {
-                vec![producer.send_keyed(b"k", &payloads[0]).unwrap()]
-            } else {
-                producer.send_batch(&payloads).unwrap()
-            };
-            for id in sent {
+            // Some single messages go to one partition, as a key pins
+            // them; the rest alternate.
+            let p = if n == 1 && i % 3 == 0 { 0 } else { i % 2 };
+            for id in log.publish(p, n, i as u8) {
                 model.published(id);
                 ids.push(id);
             }
         }
-        prop_assert_eq!(receive_all(&mut consumer).len(), ids.len());
+        let mut sub = subscription(|_| None);
+        let delivered: usize = scan_all(&mut sub, &mut log).iter().map(EntryView::len).sum();
+        prop_assert_eq!(delivered, ids.len());
 
         let mut rng = det_rng(seed);
         match order_kind {
@@ -352,30 +426,42 @@ proptest! {
             }
         }
 
+        // The metadata store: cursor text by key.
+        let mut stored: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+        let restored = |stored: &BTreeMap<String, Vec<u8>>| {
+            subscription(|key| decode_cursor(stored.get(key)?))
+        };
         for (i, &id) in acks.iter().enumerate() {
-            consumer.ack(id).unwrap();
+            sub.ack(&log, std::iter::once(AckUnit::Id(id)), |key, md| {
+                write_cursor(stored.entry(key.to_string()).or_default(), md);
+            })
+            .unwrap();
             model.ack(id);
-            assert_agrees(&c, &model, &format!("after ack {i} ({id:?})"))?;
+            let persisted = |p| stored.get(&cursor_key(TOPIC, p, SUB)).cloned();
+            cursor_agrees(&sub, persisted, &model, &format!("after ack {i} ({id:?})"))?;
             if i % disturb_every == disturb_every - 1 {
-                if rng.gen_bool(0.5) {
-                    c.trim_consumed(TOPIC).unwrap();
-                    assert_agrees(&c, &model, &format!("after the trim at ack {i}"))?;
+                let step = if rng.gen_bool(0.5) {
+                    log.trim(&sub.mark_delete);
+                    format!("after the trim at ack {i}")
                 } else {
-                    c.restart_broker();
+                    log.loaded.clear();
+                    sub = restored(&stored);
                     model.restart();
-                    assert_agrees(&c, &model, &format!("after the restart at ack {i}"))?;
-                }
+                    format!("after the restart at ack {i}")
+                };
+                cursor_agrees(&sub, persisted, &model, &step)?;
             }
         }
         // Everything was acked at least once, but a restart forgot the
         // individual acks above the cursor of its day: what a restarted
-        // broker delivers first, per partition, is the entry after the
-        // cursor — in the model as in the store.
-        c.restart_broker();
+        // cursor delivers first, per partition, is the entry after its
+        // mark-delete — in the model as in the store.
+        log.loaded.clear();
+        let mut sub = restored(&stored);
         model.restart();
         let mut first_delivered: Vec<Option<MessageId>> = vec![None; model.order.len()];
-        for m in receive_all(&mut consumer) {
-            first_delivered[m.id.partition as usize].get_or_insert(m.id.canonical());
+        for view in scan_all(&mut sub, &mut log) {
+            first_delivered[view.partition as usize].get_or_insert(view.entry_id());
         }
         for (p, first) in first_delivered.into_iter().enumerate() {
             let resume = model.mark_delete[p].map_or(0, |md| md + 1);
@@ -616,6 +702,30 @@ proptest! {
     }
 }
 
+/// A read position in a ledger trimmed behind it lands on entry 0 of the
+/// oldest surviving segment, not at its old offset there. The scan stops
+/// at the end of ledger 0; acks of entries never delivered move the
+/// mark-delete to entry 0 of ledger 1; a trim drops ledger 0; the next
+/// scan delivers entry 1 of ledger 1.
+#[test]
+fn a_read_position_in_a_trimmed_ledger_lands_on_the_oldest_survivor() {
+    let mut log = MemLog::new(1, 4);
+    let mut sub = SubState::new(TOPIC, SUB, SubscriptionMode::Exclusive, 1, |_| None);
+    let mut ids: Vec<MessageId> = (0..4).flat_map(|i| log.publish(0, 1, i)).collect();
+    assert_eq!(scan_all(&mut sub, &mut log).len(), 4);
+    ids.extend((4..6).flat_map(|i| log.publish(0, 1, i)));
+    let acks = ids[..5].iter().map(|&id| AckUnit::Id(id));
+    sub.ack(&log, acks, |_, _| {}).unwrap();
+    assert_eq!(sub.mark_delete[0], Some(ids[4]));
+    log.trim(&sub.mark_delete);
+    assert_eq!(log.segments(0), &[ids[4].ledger]);
+    let delivered: Vec<MessageId> = scan_all(&mut sub, &mut log)
+        .iter()
+        .map(EntryView::entry_id)
+        .collect();
+    assert_eq!(delivered, vec![ids[5]]);
+}
+
 #[test]
 fn cursor_text_at_the_digit_boundaries() {
     let mut buf = Vec::new();
@@ -694,13 +804,13 @@ fn in_order_acks_persist_the_literal_cursor_text() {
     let ids: Vec<MessageId> = (0..3u8).map(|i| producer.send(&[i]).unwrap()).collect();
     consumer.ack(ids[2]).unwrap();
     assert_eq!(c.metadata().get(&key).unwrap().version, 41);
-    assert_eq!(broker_cursors(&c).1, BTreeSet::from([ids[2]]));
+    assert_eq!(broker_acked(&c), BTreeSet::from([ids[2]]));
     // Filling the gap drains it: one write for the whole advance.
     consumer.ack(ids[0]).unwrap();
     consumer.ack(ids[1]).unwrap();
     let node = c.metadata().get(&key).unwrap();
     assert_eq!((node.data.as_slice(), node.version), (&b"0;7;44"[..], 43));
-    assert!(broker_cursors(&c).1.is_empty());
+    assert!(broker_acked(&c).is_empty());
 }
 
 const ENTRIES: usize = 64;
