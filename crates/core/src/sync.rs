@@ -15,6 +15,9 @@
 //!   backs [`Counter`](crate::metrics::Counter) and a `Histogram`'s
 //!   `count` and `sum`, so hot-path `metrics.counter("x").inc()` never
 //!   bounces a shared cache line.
+//! - [`stripe_id`]: the thread-local stripe id `StripedCounter` picks its
+//!   cell with, exported so the FaaS warm pool and tenant bill stripe by
+//!   the same id.
 //! - [`LockSite`] and [`ContentionProfiler`]: contention instrumentation
 //!   for one named lock. An owner that wants its lock profiled acquires
 //!   it through [`LockSite::timed`]; the broker's topic map is the one
@@ -52,9 +55,13 @@ thread_local! {
     static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
-/// This thread's stripe index (assigned round-robin on first use).
+/// This thread's stripe id: a process-wide sequence number assigned on
+/// the thread's first call and fixed for its life. Striped structures
+/// reduce it modulo their stripe count, so threads whose ids differ by a
+/// multiple of that count share a stripe. [`StripedCounter`] picks its
+/// cell with it, and so does every other per-thread stripe in the stack.
 #[inline]
-fn stripe_index() -> usize {
+pub fn stripe_id() -> usize {
     STRIPE.with(|s| {
         let mut v = s.get();
         if v == usize::MAX {
@@ -91,7 +98,7 @@ impl StripedCounter {
     /// Add `n` to this thread's cell.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.cells[stripe_index() & (COUNTER_STRIPES - 1)]
+        self.cells[stripe_id() & (COUNTER_STRIPES - 1)]
             .0
             .fetch_add(n, Ordering::Relaxed);
     }

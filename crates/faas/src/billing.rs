@@ -15,15 +15,18 @@ use taureau_core::bytesize::ByteSize;
 use taureau_core::cost::{Dollars, FaasPricing};
 use taureau_core::ratelimit::TokenBucket;
 
+use crate::stripe::{own_stripe, CachePadded, STRIPES};
+
 /// One tenant's standing with the platform: what it has been billed and,
 /// where the platform rate-limits tenants, its admission budget. Every
 /// function of the tenant holds the same account, so an invocation charges
 /// and throttles through a pointer it already has.
 #[derive(Default)]
 pub(crate) struct TenantAccount {
-    /// (total billed, invocations billed). The total is the left-to-right
-    /// f64 sum of the charges, in charge order.
-    billed: Mutex<(Dollars, usize)>,
+    /// (total billed, invocations billed) per thread stripe. Each total is
+    /// the left-to-right f64 sum of its stripe's charges, in charge order;
+    /// [`TenantAccount::billed`] folds the stripes in index order.
+    billed: [CachePadded<Mutex<(Dollars, usize)>>; STRIPES],
     /// Set when the tenant's first function registers, if the platform
     /// rate-limits tenants.
     pub(crate) limiter: OnceLock<TokenBucket>,
@@ -38,10 +41,21 @@ impl TenantAccount {
         duration: Duration,
     ) -> Dollars {
         let cost = pricing.invocation_cost(memory, duration);
-        let mut billed = self.billed.lock();
+        let mut billed = self.billed[own_stripe()].lock();
         billed.0 += cost;
         billed.1 += 1;
         cost
+    }
+
+    /// (total billed, invocations billed), the stripes folded in index
+    /// order. Charges all made on one thread land in one stripe, and
+    /// adding +0.0 is exact, so their total is their left-to-right sum
+    /// bit for bit.
+    fn billed(&self) -> (Dollars, usize) {
+        self.billed.iter().fold((0.0, 0), |(total, n), stripe| {
+            let billed = stripe.lock();
+            (total + billed.0, n + billed.1)
+        })
     }
 }
 
@@ -92,7 +106,7 @@ impl BillingMeter {
         self.accounts
             .read()
             .get(tenant)
-            .map_or((0.0, 0), |a| *a.billed.lock())
+            .map_or((0.0, 0), |a| a.billed())
     }
 
     /// A tenant's total to date.
@@ -108,11 +122,7 @@ impl BillingMeter {
     /// Grand total across tenants.
     #[cfg(test)]
     pub(crate) fn grand_total(&self) -> Dollars {
-        self.accounts
-            .read()
-            .values()
-            .map(|a| a.billed.lock().0)
-            .sum()
+        self.accounts.read().values().map(|a| a.billed().0).sum()
     }
 }
 
@@ -143,6 +153,47 @@ mod tests {
         // 101 ms bills twice the duration component.
         let c = m.charge("t", ByteSize::gb(1), Duration::from_millis(101));
         assert!(c > a);
+    }
+
+    #[test]
+    fn one_threads_total_is_the_left_to_right_fold_of_its_charges() {
+        use rand::Rng;
+        let m = BillingMeter::new(FaasPricing::default());
+        let costs: Vec<Dollars> = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut rng = taureau_core::rng::det_rng(0xF01D);
+                (0..1_000)
+                    .map(|_| {
+                        let memory = ByteSize::mb(rng.gen_range(64..=4096));
+                        let duration = Duration::from_micros(rng.gen_range(0..5_000_000));
+                        m.charge("t", memory, duration)
+                    })
+                    .collect()
+            })
+            .join()
+            .unwrap()
+        });
+        let fold = costs.iter().fold(0.0, |total, cost| total + cost);
+        assert_eq!(m.total("t").to_bits(), fold.to_bits());
+        assert_eq!(m.invocations("t"), 1_000);
+    }
+
+    #[test]
+    fn charges_on_four_threads_are_all_counted() {
+        let m = BillingMeter::new(FaasPricing::default());
+        let duration = Duration::from_millis(100);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..1_000 {
+                        m.charge("t", ByteSize::gb(1), duration);
+                    }
+                });
+            }
+        });
+        assert_eq!(m.invocations("t"), 4_000);
+        let each = m.pricing().invocation_cost(ByteSize::gb(1), duration);
+        assert!((m.total("t") - 4_000.0 * each).abs() < 1e-9 * m.total("t"));
     }
 
     /// The running totals are what a line-item `Bill` would add up to,

@@ -40,6 +40,7 @@ pub(crate) mod error;
 pub(crate) mod platform;
 pub(crate) mod pool;
 pub mod semantics;
+pub(crate) mod stripe;
 pub mod trigger;
 pub(crate) mod types;
 

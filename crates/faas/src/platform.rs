@@ -20,6 +20,7 @@ use taureau_core::trace::{SpanContext, Tracer};
 use crate::billing::{BillingMeter, TenantAccount};
 use crate::error::{FaasError, Result};
 use crate::pool::{SandboxPool, StartKind};
+use crate::stripe::CachePadded;
 use crate::types::{FunctionSpec, InvocationCtx};
 
 /// Platform configuration.
@@ -152,7 +153,9 @@ impl HotMetrics {
 struct FnEntry {
     spec: FunctionSpec,
     /// Executions admitted and not yet finished (≤ `spec.max_concurrency`).
-    inflight: AtomicU32,
+    /// Alone on its cache line: every admit and release writes it, and
+    /// the fields every invoke reads (`spec`, the two `Arc`s) stay clean.
+    inflight: CachePadded<AtomicU32>,
     /// The function's warm containers; functions of one application share
     /// one pool (SAND).
     sandbox: Arc<SandboxPool>,
@@ -168,7 +171,7 @@ impl FnEntry {
                 (n < self.spec.max_concurrency).then_some(n + 1)
             })
             .ok()
-            .map(|_| Slot(&self.inflight))
+            .map(|_| Slot(&self.inflight.0))
     }
 }
 
@@ -317,7 +320,7 @@ impl FaasPlatform {
                 .get_or_init(|| TokenBucket::new(inner.clock.clone(), rate, burst));
         }
         let entry = FnEntry {
-            inflight: AtomicU32::new(0),
+            inflight: CachePadded::default(),
             sandbox: shared.unwrap_or_else(|| Arc::new(SandboxPool::new(inner.cfg.keep_alive))),
             account,
             spec,

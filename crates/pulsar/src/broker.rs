@@ -1305,16 +1305,15 @@ impl PulsarCluster {
         self.with_topic(topic, |inner, t| {
             let mut reclaimed = 0;
             for p in 0..t.partitions.len() {
-                loop {
-                    let part = &t.partitions[p];
-                    let Some(&first) = part.segments.first() else {
-                        break;
-                    };
+                let part = &mut t.partitions[p];
+                // The reclaimable prefix: segments `..k`.
+                let mut k = 0;
+                while let Some(&lid) = part.segments.get(k) {
                     // The open segment is never trimmed.
-                    if part.is_open(first) {
+                    if part.is_open(lid) {
                         break;
                     }
-                    let seg_len = Self::segment_len(inner, part, first);
+                    let seg_len = Self::segment_len(inner, part, lid);
                     // An empty segment goes once anyone subscribes. Any
                     // other goes once every subscription's mark-delete has
                     // moved on to a later segment: a mark-delete on this
@@ -1322,23 +1321,25 @@ impl PulsarCluster {
                     // the cursor into the next one.
                     let all_consumed = !t.subs.is_empty()
                         && (seg_len == 0
-                            || t.subs.values().all(|sub| {
-                                sub.mark_delete[p].is_some_and(|md| md.ledger != first)
-                            }));
+                            || t.subs
+                                .values()
+                                .all(|sub| sub.mark_delete[p].is_some_and(|md| md.ledger != lid)));
                     if !all_consumed {
                         break;
                     }
                     // Delete from whichever tier holds the segment.
-                    if inner.bk.delete_ledger(first).is_err() {
+                    if inner.bk.delete_ledger(lid).is_err() {
                         if let Some(tier) = &*inner.tier.lock() {
-                            tier.delete_segment(&inner.meta, first);
+                            tier.delete_segment(&inner.meta, lid);
                         }
                     }
-                    t.partitions[p].segments.remove(0);
-                    t.partitions[p].sealed.remove(&first);
-                    let segs = t.partitions[p].segments.clone();
-                    Self::persist_segments(inner, topic, p, &segs);
-                    reclaimed += 1;
+                    part.sealed.remove(&lid);
+                    k += 1;
+                }
+                if k > 0 {
+                    part.segments.drain(..k);
+                    Self::persist_segments(inner, topic, p, &part.segments);
+                    reclaimed += k;
                 }
             }
             Ok(reclaimed)
@@ -2327,6 +2328,26 @@ mod tests {
         assert!(reclaimed >= 3, "reclaimed {reclaimed} segments");
         // Remaining retained entries are only the open segment's.
         assert!(c.retained_entries("t").unwrap() <= 8);
+    }
+
+    #[test]
+    fn trim_writes_each_segment_list_once_per_call() {
+        let c = small_cluster(); // 8 entries/segment
+        c.create_topic("t", 1).unwrap();
+        let p = c.producer("t").unwrap();
+        let mut consumer = c.subscribe("t", "s", SubscriptionMode::Exclusive).unwrap();
+        // Two sealed segments, and the cursor acked into the open third.
+        for i in 0..17u64 {
+            p.send(&i.to_le_bytes()).unwrap();
+        }
+        assert_eq!(consumer.drain().unwrap().len(), 17);
+        let key = "/topics/t/0/segments";
+        let before = c.metadata().get(key).unwrap();
+        assert_eq!(decode_segments(&before.data).len(), 3);
+        assert_eq!(c.trim_consumed("t").unwrap(), 2);
+        let after = c.metadata().get(key).unwrap();
+        assert_eq!(decode_segments(&after.data).len(), 1);
+        assert_eq!(after.version, before.version + 1);
     }
 
     #[test]
