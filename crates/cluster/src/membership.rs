@@ -25,9 +25,6 @@ use taureau_core::id::NodeId;
 
 use crate::transport::SimNet;
 
-/// Envelope kind used by heartbeats.
-pub(crate) const HEARTBEAT_KIND: &str = "hb";
-
 /// Failure-detector tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct MembershipConfig {
@@ -112,7 +109,7 @@ impl MemberAgent {
             return;
         }
         self.last_beat = Some(now);
-        net.broadcast(self.node, &self.peers, HEARTBEAT_KIND);
+        net.broadcast(self.node, &self.peers);
     }
 
     /// Record a heartbeat (or any traffic — all traffic proves liveness)

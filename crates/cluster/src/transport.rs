@@ -4,15 +4,13 @@
 //! Every inter-node interaction in the cluster rides on [`SimNet`]. The
 //! network is a discrete-event simulation over virtual time: `send`
 //! schedules an [`Envelope`] for future delivery, `broadcast` a round of
-//! heartbeats, `advance` moves the clock and moves due messages into
-//! per-node inboxes (or, for a driver that routes deliveries itself,
-//! hands them to it — [`SimNet::advance_with`]).
+//! heartbeats, and [`SimNet::advance_with`] moves the clock and hands each
+//! due message to the driver, which routes it.
 //!
 //! In flight, a message is a key ordered by `(deliver_at, tie)`, `tie` the
 //! global send order. A service envelope waits in a slab behind its key; a
-//! heartbeat ([`Beat`]: sender, receiver, sequence number, kind) is carried
-//! whole in the key and becomes an [`Envelope`] only if an inbox asks for
-//! one. Keys that arrive in ascending order queue in an ordered lane, the
+//! heartbeat ([`Beat`]: sender, receiver, sequence number) is carried
+//! whole in the key and is handed out as that. Keys that arrive in ascending order queue in an ordered lane, the
 //! rest in a heap; delivery takes the smaller head. Both kinds of message
 //! pay the same admission — count, partition check, sequence number, fault
 //! draws, FIFO clamp, tie — so which one is sent never shifts a draw.
@@ -34,7 +32,7 @@
 //! FIFO under arbitrary fault schedules.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -57,7 +55,7 @@ pub struct Envelope {
     pub seq: u64,
     /// Request correlation id (echoed in responses by services).
     pub req: u64,
-    /// Message kind tag, dispatched on by services (`"hb"`, `"pub"`, …).
+    /// Message kind tag, dispatched on by services (`"pub"`, `"resp"`, …).
     /// Every sender passes a literal, so the tag costs no allocation.
     pub kind: &'static str,
     /// Opaque body; services frame it with `crate::wire`.
@@ -98,7 +96,7 @@ impl Default for LinkFaults {
 pub struct NetStats {
     /// Messages accepted by `send` or `broadcast`.
     pub sent: u64,
-    /// Messages that reached their destination (inbox or driver).
+    /// Messages handed to the driver at their destination.
     pub delivered: u64,
     /// Messages dropped by link fault injection.
     pub dropped: u64,
@@ -121,8 +119,7 @@ struct Link {
 }
 
 /// A heartbeat: an empty, uncorrelated message whose receiver learns only
-/// who sent it. It is queued as its key alone and becomes an [`Envelope`]
-/// only for an inbox ([`SimNet::advance`]).
+/// who sent it. It is queued as its key alone and handed out as that.
 #[derive(Debug, Clone, Copy)]
 pub struct Beat {
     /// Sender.
@@ -131,23 +128,6 @@ pub struct Beat {
     pub to: NodeId,
     /// Per-link sequence number, from the same counter as [`Envelope::seq`].
     pub seq: u64,
-    /// Message kind tag.
-    pub(crate) kind: &'static str,
-}
-
-impl Beat {
-    /// The envelope [`SimNet::send`] would have queued for this message.
-    fn envelope(self) -> Envelope {
-        Envelope {
-            from: self.from,
-            to: self.to,
-            seq: self.seq,
-            req: 0,
-            kind: self.kind,
-            body: Bytes::new(),
-            ctx: None,
-        }
-    }
 }
 
 /// One message handed out by [`SimNet::advance_with`].
@@ -229,7 +209,6 @@ struct NetState {
     /// Service envelopes in flight; a heartbeat needs no slot.
     slab: Vec<Option<Envelope>>,
     free_slots: Vec<usize>,
-    inboxes: HashMap<NodeId, VecDeque<Envelope>>,
     /// Partition groups; `None` means fully connected. A node absent from
     /// every group can talk to no one.
     partition: Option<Vec<HashSet<NodeId>>>,
@@ -355,16 +334,11 @@ impl NetState {
 
     /// One heartbeat of [`SimNet::broadcast`] with the lock held: the same
     /// admission as [`Self::send`], and the key is all that is queued.
-    fn beat(&mut self, from: NodeId, to: NodeId, kind: &'static str) {
+    fn beat(&mut self, from: NodeId, to: NodeId) {
         let Some((seq, Some(Sched { at, tie, duplicate }))) = self.admit(from, to) else {
             return;
         };
-        let beat = Cargo::Beat(Beat {
-            from,
-            to,
-            seq,
-            kind,
-        });
+        let beat = Cargo::Beat(Beat { from, to, seq });
         if duplicate {
             self.queue(at, tie + 1, beat);
         }
@@ -423,7 +397,6 @@ impl SimNet {
                 inflight: BinaryHeap::new(),
                 slab: Vec::new(),
                 free_slots: Vec::new(),
-                inboxes: HashMap::new(),
                 partition: None,
                 tie: 0,
                 stats: NetStats::default(),
@@ -475,58 +448,28 @@ impl SimNet {
         self.state.lock().send(from, to, req, kind, body, ctx)
     }
 
-    /// An empty, uncorrelated `kind` message to each of `to`, in order —
-    /// a heartbeat round under one lock acquisition. Each is admitted
+    /// A heartbeat, an empty and uncorrelated message, to each of `to`, in
+    /// order: a heartbeat round under one lock acquisition. Each is admitted
     /// exactly as [`Self::send`] would admit it (own sequence number, own
-    /// fault draws), but is queued as its key alone: a heartbeat becomes an
-    /// [`Envelope`] only if an inbox asks for one ([`Self::advance`]).
-    pub fn broadcast(&self, from: NodeId, to: &[NodeId], kind: &'static str) {
+    /// fault draws), but is queued as its key alone and handed out as a
+    /// [`Beat`], never an [`Envelope`].
+    pub fn broadcast(&self, from: NodeId, to: &[NodeId]) {
         let mut st = self.state.lock();
         for &to in to {
-            st.beat(from, to, kind);
+            st.beat(from, to);
         }
     }
 
-    /// Advance virtual time by `d`, delivering everything due into
-    /// inboxes in (delivery time, send order). A heartbeat arrives as the
-    /// envelope [`Self::send`] would have built for it.
-    pub fn advance(&self, d: Duration) {
-        let mut st = self.state.lock();
-        st.now += d;
-        while let Some(delivery) = st.pop_due() {
-            let env = match delivery {
-                Delivery::Env(env) => env,
-                Delivery::Beat(beat) => beat.envelope(),
-            };
-            st.inboxes.entry(env.to).or_default().push_back(env);
-        }
-    }
-
-    /// [`Self::advance`], but everything due is handed to `deliver`, in
-    /// the same order, instead of the per-node inboxes: one lock
-    /// acquisition, no intermediate queue, and no envelope for a heartbeat,
-    /// for a driver that routes every delivery itself (the fabric tick).
-    /// `deliver` runs under the network's lock and must not call back into
-    /// this network.
+    /// Advance virtual time by `d`, handing everything due to `deliver`
+    /// in (delivery time, send order), under one lock acquisition. The
+    /// driver routes every delivery itself (the fabric tick). `deliver`
+    /// runs under the network's lock and must not call back into this
+    /// network.
     pub fn advance_with(&self, d: Duration, mut deliver: impl FnMut(Delivery)) {
         let mut st = self.state.lock();
         st.now += d;
         while let Some(delivery) = st.pop_due() {
             deliver(delivery);
-        }
-    }
-
-    /// Pop the next delivered envelope for a node.
-    #[cfg(test)]
-    pub(crate) fn recv(&self, node: NodeId) -> Option<Envelope> {
-        self.state.lock().inboxes.get_mut(&node)?.pop_front()
-    }
-
-    /// Drain every delivered envelope for a node.
-    pub fn drain(&self, node: NodeId) -> Vec<Envelope> {
-        match self.state.lock().inboxes.get_mut(&node) {
-            Some(q) => q.drain(..).collect(),
-            None => Vec::new(),
         }
     }
 
@@ -538,6 +481,8 @@ impl SimNet {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn n(i: u64) -> NodeId {
@@ -552,6 +497,18 @@ mod tests {
         net.send(from, to, tag, "t", Bytes::new(), None);
     }
 
+    /// Advance by `d`: the `req` of each service envelope delivered, per
+    /// destination node, in delivery order.
+    fn reqs_after(net: &SimNet, d: Duration) -> BTreeMap<u64, Vec<u64>> {
+        let mut got = BTreeMap::<u64, Vec<u64>>::new();
+        net.advance_with(d, |delivery| {
+            if let Delivery::Env(e) = delivery {
+                got.entry(e.to.raw()).or_default().push(e.req);
+            }
+        });
+        got
+    }
+
     #[test]
     fn delivers_after_latency_in_order() {
         let net = SimNet::new(7);
@@ -561,11 +518,11 @@ mod tests {
         });
         send_simple(&net, n(0), n(1), 10);
         send_simple(&net, n(0), n(1), 11);
-        net.advance(ms(4));
-        assert!(net.recv(n(1)).is_none(), "nothing before latency elapses");
-        net.advance(ms(1));
-        assert_eq!(net.recv(n(1)).unwrap().req, 10);
-        assert_eq!(net.recv(n(1)).unwrap().req, 11);
+        assert!(
+            reqs_after(&net, ms(4)).is_empty(),
+            "nothing before latency elapses"
+        );
+        assert_eq!(reqs_after(&net, ms(1))[&1], [10, 11]);
     }
 
     #[test]
@@ -590,66 +547,11 @@ mod tests {
         send_simple(&net, n(0), n(1), 5);
         send_simple(&net, n(0), n(2), 6);
         assert_eq!(queued(&net), (5, 2));
-        net.advance(Duration::ZERO);
-        let reqs = |node| {
-            net.drain(node)
-                .into_iter()
-                .map(|e| e.req)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!((reqs(n(1)), reqs(n(2))), (vec![0, 2, 5], vec![1, 3, 6]));
+        let got = reqs_after(&net, Duration::ZERO);
+        assert_eq!((&got[&1], &got[&2]), (&vec![0, 2, 5], &vec![1, 3, 6]));
         assert_eq!(queued(&net), (1, 0), "the slow one waits");
-        net.advance(ms(1));
-        assert_eq!(reqs(n(0)), vec![4]);
+        assert_eq!(reqs_after(&net, ms(1))[&0], [4]);
         assert_eq!(net.stats().delivered, 7);
-    }
-
-    /// Jittered, lossy, duplicating links with sends and heartbeat rounds
-    /// interleaved.
-    fn mixed_traffic(net: &SimNet) {
-        net.set_default_faults(LinkFaults {
-            latency: ms(1),
-            jitter: ms(2),
-            drop_p: 0.1,
-            dup_p: 0.3,
-        });
-        let peers = [n(0), n(1), n(2), n(3)];
-        for round in 0..40 {
-            send_simple(net, n(round % 4), n((round + 1) % 4), round);
-            net.broadcast(n(round % 3), &peers, "hb");
-            if round % 7 == 0 {
-                net.advance(Duration::ZERO);
-            }
-        }
-    }
-
-    #[test]
-    fn advance_with_hands_out_what_the_inboxes_receive() {
-        let (inboxes, routed) = (SimNet::new(21), SimNet::new(21));
-        mixed_traffic(&inboxes);
-        mixed_traffic(&routed);
-        let mut got: Vec<Vec<(NodeId, u64, u64)>> = vec![Vec::new(); 4];
-        for step in [ms(1), ms(2), ms(60)] {
-            inboxes.advance(step);
-            routed.advance_with(step, |d| {
-                let (to, key) = match d {
-                    Delivery::Env(e) => (e.to, (e.from, e.seq, e.req)),
-                    Delivery::Beat(b) => (b.to, (b.from, b.seq, 0)),
-                };
-                got[to.raw() as usize].push(key);
-            });
-        }
-        let beats = got.iter().flatten().filter(|k| k.2 == 0).count();
-        assert!(beats > 100, "{beats} heartbeats delivered");
-        for (node, got) in got.iter().enumerate() {
-            let want: Vec<(NodeId, u64, u64)> = inboxes
-                .drain(n(node as u64))
-                .into_iter()
-                .map(|e| (e.from, e.seq, e.req))
-                .collect();
-            assert_eq!(got, &want, "n{node}");
-        }
-        assert_eq!(routed.stats(), inboxes.stats());
     }
 
     #[test]
@@ -663,7 +565,7 @@ mod tests {
         });
         let peers = [n(1), n(2), n(3)];
         for _ in 0..20 {
-            net.broadcast(n(0), &peers, "hb");
+            net.broadcast(n(0), &peers);
         }
         let slab = |net: &SimNet| net.state.lock().slab.len();
         assert_eq!(slab(&net), 0, "queued as keys alone");
@@ -673,13 +575,6 @@ mod tests {
         });
         assert_eq!(beats, net.stats().delivered);
         assert!(beats > 60, "{beats}: duplicates delivered too");
-        assert_eq!(slab(&net), 0);
-        // An inbox gets the envelope `send` would have queued.
-        net.broadcast(n(0), &peers, "hb");
-        net.advance(ms(10));
-        let e = net.recv(n(2)).expect("delivered");
-        assert_eq!((e.from, e.seq, e.req, e.kind), (n(0), 20, 0, "hb"));
-        assert!(e.body.is_empty() && e.ctx.is_none());
         assert_eq!(slab(&net), 0);
     }
 
@@ -694,8 +589,7 @@ mod tests {
         for i in 0..100 {
             send_simple(&net, n(0), n(1), i);
         }
-        net.advance(Duration::from_secs(1));
-        let got: Vec<u64> = net.drain(n(1)).into_iter().map(|e| e.req).collect();
+        let got = reqs_after(&net, Duration::from_secs(1)).remove(&1).unwrap();
         assert_eq!(got.len(), 100);
         assert!(got.windows(2).all(|w| w[0] < w[1]), "reordered: {got:?}");
     }
@@ -712,7 +606,7 @@ mod tests {
         for i in 0..200 {
             send_simple(&net, n(0), n(1), i);
         }
-        net.advance(ms(10));
+        reqs_after(&net, ms(10));
         let stats = net.stats();
         assert!(stats.dropped > 0 && stats.duplicated > 0);
         // Dups of dropped messages never exist: duplication applies only
@@ -728,8 +622,7 @@ mod tests {
         assert!(net.send(n(0), n(1), 1, "t", Bytes::new(), None).is_some());
         net.heal();
         assert!(net.send(n(0), n(2), 2, "t", Bytes::new(), None).is_some());
-        net.advance(ms(1));
-        assert_eq!(net.drain(n(2)).len(), 1);
+        assert_eq!(reqs_after(&net, ms(1))[&2], [2]);
         assert_eq!(net.stats().partitioned, 1);
     }
 
@@ -746,11 +639,10 @@ mod tests {
         );
         send_simple(&net, n(0), n(1), 0); // slow link
         send_simple(&net, n(0), n(2), 1); // default link
-        net.advance(ms(1));
-        assert!(net.recv(n(1)).is_none());
-        assert_eq!(net.recv(n(2)).unwrap().req, 1);
-        net.advance(ms(100));
-        assert_eq!(net.recv(n(1)).unwrap().req, 0);
+        let got = reqs_after(&net, ms(1));
+        assert!(!got.contains_key(&1));
+        assert_eq!(got[&2], [1]);
+        assert_eq!(reqs_after(&net, ms(100))[&1], [0]);
     }
 
     #[test]
@@ -766,11 +658,7 @@ mod tests {
             for i in 0..100 {
                 send_simple(&net, n(0), n(1), i);
             }
-            net.advance(ms(100));
-            net.drain(n(1))
-                .into_iter()
-                .map(|e| e.req)
-                .collect::<Vec<_>>()
+            reqs_after(&net, ms(100)).remove(&1)
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6), "different seeds should diverge");

@@ -28,7 +28,7 @@ use proptest::prelude::*;
 
 use taureau_cluster::fabric::{ClusterFabric, NodeRole};
 use taureau_cluster::membership::{ControlPlane, LeaseView, MembershipConfig};
-use taureau_cluster::transport::{LinkFaults, SimNet};
+use taureau_cluster::transport::{Delivery, LinkFaults, SimNet};
 use taureau_core::id::NodeId;
 use taureau_core::trace::{HlcClock, HlcStamp};
 
@@ -77,12 +77,12 @@ proptest! {
     ) {
         let net = SimNet::new(seed);
         let mut delivered: HashMap<(NodeId, NodeId), Vec<u64>> = HashMap::new();
-        let mut drain_all = |net: &SimNet| {
-            for node in 0..4u64 {
-                for env in net.drain(NodeId(node)) {
+        let mut advance = |net: &SimNet, d: Duration| {
+            net.advance_with(d, |delivery| {
+                if let Delivery::Env(env) = delivery {
                     delivered.entry((env.from, env.to)).or_default().push(env.seq);
                 }
-            }
+            });
         };
         for step in steps {
             match step {
@@ -90,10 +90,7 @@ proptest! {
                     net.send(NodeId(a as u64), NodeId(b as u64), 0, "m", Bytes::new(), None);
                 }
                 FaultStep::Send(..) => {}
-                FaultStep::Advance(ms) => {
-                    net.advance(Duration::from_millis(ms as u64));
-                    drain_all(&net);
-                }
+                FaultStep::Advance(ms) => advance(&net, Duration::from_millis(ms as u64)),
                 FaultStep::Faults { drop_pct, dup_pct, jitter_ms } => {
                     net.set_default_faults(LinkFaults {
                         latency: Duration::from_micros(500),
@@ -109,8 +106,7 @@ proptest! {
             }
         }
         // Flush everything still in flight.
-        net.advance(Duration::from_secs(10));
-        drain_all(&net);
+        advance(&net, Duration::from_secs(10));
         for ((from, to), seqs) in &delivered {
             // Non-decreasing: FIFO with duplicates adjacent-or-later.
             prop_assert!(
@@ -202,25 +198,31 @@ proptest! {
         // msg seq (per link) -> send stamp; merged timeline of all stamps.
         let mut in_flight: HashMap<(NodeId, NodeId, u64), HlcStamp> = HashMap::new();
         let mut timeline: Vec<(HlcStamp, &'static str)> = Vec::new();
-        let drain = |net: &SimNet,
-                         clocks: &mut Vec<HlcClock>,
-                         in_flight: &mut HashMap<(NodeId, NodeId, u64), HlcStamp>,
-                         timeline: &mut Vec<(HlcStamp, &'static str)>|
+        let advance = |net: &SimNet,
+                       d: Duration,
+                       clocks: &mut Vec<HlcClock>,
+                       in_flight: &mut HashMap<(NodeId, NodeId, u64), HlcStamp>,
+                       timeline: &mut Vec<(HlcStamp, &'static str)>|
          -> Result<(), String> {
-            let now = net.now();
-            for node in 0..4u64 {
-                for env in net.drain(NodeId(node)) {
-                    let sent = HlcStamp::from_bytes(&env.body).expect("stamp frame");
-                    let recv = clocks[node as usize].observe(local(now, node as usize), sent);
-                    prop_assert!(
-                        sent < recv,
-                        "receive {recv:?} does not follow send {sent:?} (skews {skews:?})"
-                    );
-                    if let Some(orig) = in_flight.remove(&(env.from, env.to, env.seq)) {
-                        prop_assert_eq!(orig, sent, "stamp mutated in flight");
-                    }
-                    timeline.push((recv, "recv"));
+            let mut delivered = Vec::new();
+            net.advance_with(d, |delivery| {
+                if let Delivery::Env(env) = delivery {
+                    delivered.push(env);
                 }
+            });
+            let now = net.now();
+            for env in delivered {
+                let node = env.to.raw() as usize;
+                let sent = HlcStamp::from_bytes(&env.body).expect("stamp frame");
+                let recv = clocks[node].observe(local(now, node), sent);
+                prop_assert!(
+                    sent < recv,
+                    "receive {recv:?} does not follow send {sent:?} (skews {skews:?})"
+                );
+                if let Some(orig) = in_flight.remove(&(env.from, env.to, env.seq)) {
+                    prop_assert_eq!(orig, sent, "stamp mutated in flight");
+                }
+                timeline.push((recv, "recv"));
             }
             Ok(())
         };
@@ -236,11 +238,11 @@ proptest! {
                     in_flight.insert((NodeId(a as u64), NodeId(b as u64), seq), stamp);
                 }
             }
-            net.advance(Duration::from_millis(advance_ms as u64));
-            drain(&net, &mut clocks, &mut in_flight, &mut timeline)?;
+            let d = Duration::from_millis(advance_ms as u64);
+            advance(&net, d, &mut clocks, &mut in_flight, &mut timeline)?;
         }
-        net.advance(Duration::from_secs(60));
-        drain(&net, &mut clocks, &mut in_flight, &mut timeline)?;
+        let d = Duration::from_secs(60);
+        advance(&net, d, &mut clocks, &mut in_flight, &mut timeline)?;
         prop_assert!(in_flight.is_empty(), "lossless net must deliver everything");
         // Total order: stamps are pairwise distinct, so the HLC-sorted
         // merged timeline is unambiguous.

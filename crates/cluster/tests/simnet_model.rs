@@ -9,10 +9,9 @@
 //! re-rolls, partitions, and in-order zero-latency phases broken up by
 //! jittered and duplicating links — the two must hand out the same
 //! per-link sequence numbers, draw the same random numbers in the same
-//! order, apply the same FIFO clamp, and so deliver the same messages to
-//! the same inboxes in the same order on the same tick. A second `SimNet`
-//! driven through the same schedule hands its deliveries out through
-//! `advance_with`, in exactly the model's global order.
+//! order, apply the same FIFO clamp, and so hand out the same messages
+//! through `advance_with` on the same tick, in exactly the model's global
+//! order.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
@@ -30,9 +29,6 @@ use taureau_core::rng::det_rng;
 /// What identifies a delivered message: `(from, to, seq, req)`, with
 /// `req` 0 for a heartbeat.
 type Delivery = (u64, u64, u64, u64);
-
-/// The kind every heartbeat round in the schedule sends.
-const BEAT: &str = "hb";
 
 struct Model {
     now: Duration,
@@ -184,13 +180,10 @@ fn lane_step() -> impl Strategy<Value = Step> {
 }
 
 /// Drive `SimNet` and the model through `steps` from `seed`; every advance
-/// must deliver the same messages to the same inboxes in the same order
-/// (and, through `advance_with`, in the same global order), and the
+/// must deliver the same messages in the same global order, and the
 /// counters must agree at the end.
 fn equals_the_model(seed: u64, steps: Vec<Step>) -> Result<(), String> {
     let net = SimNet::new(seed);
-    let routed = SimNet::new(seed);
-    let both = [&net, &routed];
     let mut model = Model {
         now: Duration::ZERO,
         rng: det_rng(seed),
@@ -213,28 +206,14 @@ fn equals_the_model(seed: u64, steps: Vec<Step>) -> Result<(), String> {
     };
     let check_deliveries = |model: &mut Model, d: Duration| -> Result<(), String> {
         let expect = model.advance(d);
-        net.advance(d);
-        prop_assert_eq!(net.now(), model.now);
-        for node in 0..40 {
-            let inbox = net.drain(NodeId(node));
-            // A heartbeat reaches an inbox as the envelope `send` builds.
-            for e in inbox.iter().filter(|e| e.req == 0) {
-                prop_assert!(e.kind == BEAT && e.body.is_empty() && e.ctx.is_none());
-            }
-            let got: Vec<Delivery> = inbox
-                .iter()
-                .map(|e| (e.from.raw(), e.to.raw(), e.seq, e.req))
-                .collect();
-            let want: Vec<Delivery> = expect.iter().copied().filter(|d| d.1 == node).collect();
-            prop_assert_eq!(got, want, "inbox of n{} at {:?}", node, model.now);
-        }
         let mut got = Vec::new();
-        routed.advance_with(d, |delivery| {
+        net.advance_with(d, |delivery| {
             got.push(match delivery {
                 Delivered::Env(e) => (e.from.raw(), e.to.raw(), e.seq, e.req),
                 Delivered::Beat(b) => (b.from.raw(), b.to.raw(), b.seq, 0),
             })
         });
+        prop_assert_eq!(net.now(), model.now);
         prop_assert_eq!(got, expect, "advance_with at {:?}", model.now);
         Ok(())
     };
@@ -244,16 +223,13 @@ fn equals_the_model(seed: u64, steps: Vec<Step>) -> Result<(), String> {
                 let (a, b) = (hot(a, nodes), hot(b, nodes));
                 req += 1;
                 let got = net.send(NodeId(a), NodeId(b), req, "m", Bytes::new(), None);
-                routed.send(NodeId(a), NodeId(b), req, "m", Bytes::new(), None);
                 prop_assert_eq!(got, model.send(a, b, req), "seq on n{}->n{}", a, b);
             }
             Step::Broadcast(a, fan) => {
                 let from = hot(a, nodes);
                 let peers: Vec<u64> = (1..=fan).map(|k| hot(a.wrapping_add(k), nodes)).collect();
                 let ids: Vec<NodeId> = peers.iter().copied().map(NodeId).collect();
-                for net in both {
-                    net.broadcast(NodeId(from), &ids, BEAT);
-                }
+                net.broadcast(NodeId(from), &ids);
                 for to in peers {
                     model.send(from, to, 0);
                 }
@@ -263,34 +239,26 @@ fn equals_the_model(seed: u64, steps: Vec<Step>) -> Result<(), String> {
             }
             Step::Grow(by) => nodes = (nodes + u64::from(by)).min(40),
             Step::Default(f) => {
-                for net in both {
-                    net.set_default_faults(f);
-                }
+                net.set_default_faults(f);
                 model.default_faults = f;
             }
             Step::Link(a, b, f) => {
                 let (a, b) = (hot(a, nodes), hot(b, nodes));
-                for net in both {
-                    net.set_link_faults(NodeId(a), NodeId(b), f);
-                }
+                net.set_link_faults(NodeId(a), NodeId(b), f);
                 model.link_faults.insert((a, b), f);
             }
             Step::Partition(cut) => {
                 let (left, right): (Vec<u64>, Vec<u64>) =
                     (0..nodes).partition(|&n| n < u64::from(cut));
                 let ids = |g: &[u64]| g.iter().copied().map(NodeId).collect::<Vec<_>>();
-                for net in both {
-                    net.partition(&[&ids(&left), &ids(&right)]);
-                }
+                net.partition(&[&ids(&left), &ids(&right)]);
                 model.partition = Some(vec![
                     left.into_iter().collect(),
                     right.into_iter().collect(),
                 ]);
             }
             Step::Heal => {
-                for net in both {
-                    net.heal();
-                }
+                net.heal();
                 model.partition = None;
             }
         }
@@ -298,7 +266,6 @@ fn equals_the_model(seed: u64, steps: Vec<Step>) -> Result<(), String> {
     // Flush what is still in flight.
     check_deliveries(&mut model, Duration::from_secs(60))?;
     prop_assert_eq!(net.stats(), model.stats);
-    prop_assert_eq!(routed.stats(), model.stats);
     Ok(())
 }
 

@@ -7,6 +7,8 @@
 //! [count: u32 le] ([len: u32 le] [bytes])*
 //! ```
 
+use std::ops::Range;
+
 use bytes::Bytes;
 
 /// Pack a list of payloads into one framed buffer. This is the fan-in
@@ -28,59 +30,45 @@ pub fn pack<T: AsRef<[u8]>>(items: &[T]) -> Vec<u8> {
 
 /// Unpack a framed buffer; `None` if malformed.
 pub fn unpack(bytes: &[u8]) -> Option<Vec<Vec<u8>>> {
-    if bytes.len() < 4 {
-        return None;
-    }
-    let count = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
-    let mut items = Vec::with_capacity(count.min(1024));
-    let mut pos = 4;
-    for _ in 0..count {
-        if bytes.len() < pos + 4 {
-            return None;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().ok()?) as usize;
-        pos += 4;
-        if bytes.len() < pos + len {
-            return None;
-        }
-        items.push(bytes[pos..pos + len].to_vec());
-        pos += len;
-    }
-    if pos != bytes.len() {
-        return None; // trailing garbage
-    }
-    Some(items)
+    walk(bytes, |range| bytes[range].to_vec())
 }
 
 /// Unpack a framed buffer into refcounted views of it — zero-copy: each
 /// item shares the input's storage. `None` if malformed.
 pub fn unpack_bytes(bytes: &Bytes) -> Option<Vec<Bytes>> {
-    if bytes.len() < 4 {
-        return None;
-    }
-    let count = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
+    walk(bytes, |range| bytes.slice(range))
+}
+
+/// The one decoder behind both unpackers: walk the frame, turning each
+/// item's byte range into an output item. `None` for a frame that is cut
+/// short, claims an item past its end, or has trailing bytes. The claimed
+/// count sizes the output only up to 1 024 items, so a hostile count
+/// cannot reserve memory the buffer does not back.
+fn walk<T>(bytes: &[u8], mut item: impl FnMut(Range<usize>) -> T) -> Option<Vec<T>> {
+    let u32_at = |at: usize| {
+        let field = bytes.get(at..at.checked_add(4)?)?;
+        Some(u32::from_le_bytes(field.try_into().ok()?) as usize)
+    };
+    let count = u32_at(0)?;
     let mut items = Vec::with_capacity(count.min(1024));
-    let mut pos = 4;
+    let mut pos = 4usize;
     for _ in 0..count {
-        if bytes.len() < pos + 4 {
+        let start = pos + 4;
+        let end = start.checked_add(u32_at(pos)?)?;
+        if end > bytes.len() {
             return None;
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().ok()?) as usize;
-        pos += 4;
-        if bytes.len() < pos + len {
-            return None;
-        }
-        items.push(bytes.slice(pos..pos + len));
-        pos += len;
+        items.push(item(start..end));
+        pos = end;
     }
-    if pos != bytes.len() {
-        return None; // trailing garbage
-    }
-    Some(items)
+    (pos == bytes.len()).then_some(items)
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -119,5 +107,44 @@ mod tests {
         let mut trailing = pack(&[b"x".to_vec()]);
         trailing.push(0);
         assert_eq!(unpack(&trailing), None);
+    }
+
+    proptest! {
+        /// Arbitrary bytes — raw, and packed frames cut short and with a
+        /// byte flipped — never panic either unpacker, and the two agree
+        /// item for item. An untouched frame unpacks to what was packed;
+        /// what is accepted lies inside the buffer and accounts for every
+        /// byte of it.
+        #[test]
+        fn hostile_frames_unpack_alike_and_stay_inside_the_buffer(
+            raw in vec(any::<u8>(), 0..64),
+            items in vec(vec(any::<u8>(), 0..9), 0..6),
+            packed in any::<bool>(),
+            cut in 0usize..96,
+            flip in (0usize..96, any::<u8>()),
+        ) {
+            let formed = pack(&items);
+            if packed {
+                prop_assert_eq!(unpack(&formed), Some(items.clone()));
+            }
+            let mut bytes = if packed { formed } else { raw };
+            bytes.truncate(cut);
+            if let Some(b) = bytes.get_mut(flip.0) {
+                *b ^= flip.1;
+            }
+            let shared = Bytes::from(bytes.clone());
+            let (owned, views) = (unpack(&bytes), unpack_bytes(&shared));
+            let views_read = views.as_ref().map(|v| v.iter().map(|b| b.to_vec()).collect());
+            prop_assert_eq!(&owned, &views_read);
+            if let Some(views) = views {
+                let buf = shared.as_ptr_range();
+                for v in views.iter().filter(|v| !v.is_empty()) {
+                    let at = v.as_ptr_range();
+                    prop_assert!(buf.start <= at.start && at.end <= buf.end);
+                }
+                let framed = 4 + views.iter().map(|v| 4 + v.len()).sum::<usize>();
+                prop_assert_eq!(framed, bytes.len());
+            }
+        }
     }
 }

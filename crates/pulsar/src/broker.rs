@@ -20,18 +20,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use taureau_core::clock::{SharedClock, WallClock};
 use taureau_core::hash::{hash64, FnvHashMap};
 use taureau_core::id::LedgerId;
 use taureau_core::metrics::{Counter, MetricsRegistry};
 use taureau_core::sync::{ContentionProfiler, LockSite};
-use taureau_core::trace::{SpanContext, Tracer};
+use taureau_core::trace::Tracer;
 
 use crate::bookie::Bookie;
+use crate::entry::{self, Cached, ParsedEntry};
 use crate::error::{PulsarError, Result};
-use crate::framing::OffsetTable;
 use crate::ledger::{BookKeeper, LedgerConfig, LedgerWriter};
 use crate::message::{EntryView, Message, MessageId};
 use crate::metadata::MetadataStore;
@@ -97,171 +97,6 @@ impl SubscriptionMode {
     }
 }
 
-// --------------------------------------------------------------------------
-// Entry codec.
-//
-// Unbatched: `[key_len u32 | key | publish_nanos u64 | payload]`.
-//
-// Batched (producer-side batching, one group-committed ledger entry for N
-// messages): the `key_len` slot holds [`BATCH_MARKER`] — impossible for a
-// real key, whose length is bounded far below `u32::MAX` — followed by
-//
-// `[BATCH_MARKER u32 | count u32 | publish_nanos u64 |
-//   end_offset u32 × count | payload bytes…]`
-//
-// `end_offset[i]` is the exclusive end of payload `i` relative to the start
-// of the payload section, so decoding message `i` is O(1): slice between
-// `end_offset[i-1]` (0 for the first) and `end_offset[i]`. Batched messages
-// are key-less (a partition key exists to *route*, and the whole batch
-// routes together); they share one publish timestamp — the group commit
-// persists them at the same instant.
-//
-// Decoded keys and payloads are zero-copy [`Bytes::slice`] views into the
-// replicated entry buffer.
-
-/// `key_len` sentinel marking the batched entry format.
-const BATCH_MARKER: u32 = u32::MAX;
-
-/// `key_len` sentinel marking a trace-context header: the next
-/// [`SpanContext::WIRE_LEN`] bytes carry the publish span's identity, and
-/// the rest of the buffer is a complete classic entry (unbatched *or*
-/// batched — the inner format keeps its own marker). Like
-/// [`BATCH_MARKER`], this value is impossible for a real key length, so
-/// pre-context entries decode unchanged. The context rides in the entry
-/// *header*, never the payload: decoded keys/payloads remain zero-copy
-/// slices of the one replicated buffer.
-const CTX_MARKER: u32 = u32::MAX - 1;
-
-/// Prefix `entry` with a trace-context header when `ctx` is present.
-/// Untraced publishes (`ctx: None`) produce bit-identical classic entries,
-/// so enabling tracing later never invalidates stored ledgers.
-fn with_ctx_header(ctx: Option<SpanContext>, entry: Bytes) -> Bytes {
-    let Some(ctx) = ctx else {
-        return entry;
-    };
-    let mut buf = BytesMut::with_capacity(4 + SpanContext::WIRE_LEN + entry.len());
-    buf.put_u32_le(CTX_MARKER);
-    buf.put_slice(&ctx.to_bytes());
-    buf.put_slice(&entry);
-    buf.freeze()
-}
-
-/// Strip a trace-context header, returning the carried context (if any)
-/// and the inner classic entry as a zero-copy slice.
-fn split_ctx(bytes: &Bytes) -> (Option<SpanContext>, Bytes) {
-    const HDR: usize = 4 + SpanContext::WIRE_LEN;
-    if bytes.len() >= HDR && bytes[0..4] == CTX_MARKER.to_le_bytes() {
-        if let Some(ctx) = SpanContext::from_bytes(&bytes[4..HDR]) {
-            return (Some(ctx), bytes.slice(HDR..));
-        }
-    }
-    (None, bytes.clone())
-}
-
-fn encode_entry(key: Option<&[u8]>, publish_nanos: u64, payload: &[u8]) -> Bytes {
-    let key = key.unwrap_or(&[]);
-    let mut buf = BytesMut::with_capacity(4 + key.len() + 8 + payload.len());
-    buf.put_u32_le(key.len() as u32);
-    buf.put_slice(key);
-    buf.put_u64_le(publish_nanos);
-    buf.put_slice(payload);
-    buf.freeze()
-}
-
-fn decode_entry(bytes: &Bytes) -> Option<(Option<Bytes>, u64, Bytes)> {
-    if bytes.len() < 12 {
-        return None;
-    }
-    let key_len = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
-    if bytes.len() < 4 + key_len + 8 {
-        return None;
-    }
-    let key = if key_len == 0 {
-        None
-    } else {
-        Some(bytes.slice(4..4 + key_len))
-    };
-    let ts = u64::from_le_bytes(bytes[4 + key_len..4 + key_len + 8].try_into().ok()?);
-    let payload = bytes.slice(4 + key_len + 8..);
-    Some((key, ts, payload))
-}
-
-/// Frame `payloads` as one batched entry; refused — before any buffer is
-/// sized for it — when the payloads pass the 4 GiB a `u32` end offset can
-/// address.
-fn encode_batch_entry<T: AsRef<[u8]>>(publish_nanos: u64, payloads: &[T]) -> Result<Bytes> {
-    let lens = || payloads.iter().map(|p| p.as_ref().len());
-    let too_large = || PulsarError::BatchTooLarge {
-        messages: payloads.len(),
-    };
-    let total = crate::framing::packed_len(lens()).ok_or_else(too_large)?;
-    let mut buf = BytesMut::with_capacity(16 + 4 * payloads.len() + total as usize);
-    buf.put_u32_le(BATCH_MARKER);
-    buf.put_u32_le(payloads.len() as u32);
-    buf.put_u64_le(publish_nanos);
-    crate::framing::put_ends(&mut buf, lens()).ok_or_else(too_large)?;
-    for p in payloads {
-        buf.put_slice(p.as_ref());
-    }
-    Ok(buf.freeze())
-}
-
-fn is_batch_entry(bytes: &Bytes) -> bool {
-    bytes.len() >= 16 && bytes[0..4] == BATCH_MARKER.to_le_bytes()
-}
-
-/// Parse a batched entry's framing **once**: the shared publish timestamp
-/// and the validated offset-table index. `None` if the buffer is not
-/// batch-framed (it is then a classic unbatched entry) or is corrupt.
-/// Every per-message access afterwards is O(1) against the returned
-/// [`OffsetTable`] — there is no per-message re-parse path.
-fn parse_batch_entry(bytes: &Bytes) -> Option<(u64, OffsetTable)> {
-    if !is_batch_entry(bytes) {
-        return None;
-    }
-    let count = u32::from_le_bytes(bytes[4..8].try_into().ok()?);
-    let ts = u64::from_le_bytes(bytes[8..16].try_into().ok()?);
-    let table = OffsetTable::parse(bytes, count, 16)?;
-    Some((ts, table))
-}
-
-/// A ledger entry as the partition read caches hold it: trace header
-/// peeled and batch framing parsed **once, where the cache is filled**.
-/// Ledger entries are immutable, so nothing derived from their bytes can
-/// go stale; a dispatch scan clones this (one refcount bump and a few
-/// words) instead of re-proving the framing on every pass.
-#[derive(Debug, Clone)]
-struct CachedEntry {
-    /// The classic entry, any trace-context header already peeled.
-    raw: Bytes,
-    /// Publish-span context carried in the peeled header.
-    ctx: Option<SpanContext>,
-    /// Shared publish timestamp and validated offset table of a batched
-    /// entry. `None` for an unbatched entry — and for corrupt batch
-    /// framing, which dispatch then refuses through [`decode_entry`]
-    /// exactly as an unparsable unbatched entry: a table is only ever
-    /// cached validated.
-    batch: Option<(u64, OffsetTable)>,
-}
-
-impl CachedEntry {
-    /// The one place an entry's bytes are interpreted. For an unbatched
-    /// entry (every `pipeline_small` publish) this is a four-byte marker
-    /// compare, a refcount bump and one `is_batch_entry` test.
-    fn parse(bytes: &Bytes) -> Self {
-        let (ctx, raw) = split_ctx(bytes);
-        let batch = parse_batch_entry(&raw);
-        Self { raw, ctx, batch }
-    }
-
-    /// How many messages the entry holds.
-    fn messages(&self) -> u32 {
-        self.batch.as_ref().map_or(1, |(_, table)| table.count())
-    }
-}
-
-// --------------------------------------------------------------------------
-
 struct Partition {
     /// Ledger segments, oldest first. The last may be open.
     segments: Vec<LedgerId>,
@@ -271,15 +106,15 @@ struct Partition {
     /// `i` of the open ledger is `tail[i]` (writers are only ever created
     /// empty by this broker, and every successful append pushes here) —
     /// so tail dispatch reads touch no bookie and no ledger-map lock.
-    /// Entries are held parsed ([`CachedEntry`]): the publish that
+    /// Entries are held parsed ([`ParsedEntry`]): the publish that
     /// appended an entry is also the one time its framing is validated.
-    tail: Vec<CachedEntry>,
+    tail: Vec<Cached>,
     /// Immutable snapshots of sealed (closed) segments, built whole — and
     /// parsed, once — on first read, or inherited from `tail` at rollover,
     /// and shared by refcount thereafter. Sealed ledgers never change, so
     /// neither the bytes nor what was derived from them ever invalidate;
     /// snapshots are evicted on trim and on cold-tier offload.
-    sealed: HashMap<LedgerId, Arc<Vec<CachedEntry>>>,
+    sealed: HashMap<LedgerId, Arc<Vec<Cached>>>,
 }
 
 impl Partition {
@@ -302,7 +137,7 @@ impl Partition {
     /// was just published — and authoritative: a still-growing ledger must
     /// never be frozen into the sealed map), else its sealed snapshot if
     /// one has been built.
-    fn cached(&self, lid: LedgerId) -> Option<&[CachedEntry]> {
+    fn cached(&self, lid: LedgerId) -> Option<&[Cached]> {
         if self.is_open(lid) {
             return Some(&self.tail);
         }
@@ -497,7 +332,7 @@ impl Log for Stored<'_> {
         &self.parts[p].segments
     }
 
-    fn cached(&self, p: usize, lid: LedgerId) -> Option<&[CachedEntry]> {
+    fn cached(&self, p: usize, lid: LedgerId) -> Option<&[Cached]> {
         self.parts[p].cached(lid)
     }
 
@@ -978,7 +813,7 @@ impl PulsarCluster {
                 Ok(entry) => {
                     // Keep the tail cache an exact mirror of the open
                     // ledger: dispatch serves this entry from memory.
-                    part.tail.push(CachedEntry::parse(entry_bytes));
+                    part.tail.push(ParsedEntry::parse(entry_bytes));
                     return Ok((wid, entry));
                 }
                 Err(PulsarError::QuorumUnavailable { .. }) => {
@@ -999,12 +834,39 @@ impl PulsarCluster {
         })
     }
 
-    fn publish(&self, topic: &str, key: Option<&[u8]>, payload: &[u8]) -> Result<MessageId> {
+    /// Publish `payloads` as one group-committed ledger entry (producer
+    /// batching, §4.3): one encode, one replicated append for the whole
+    /// call — the per-entry costs that dominate small-message publishing
+    /// are paid once and amortized over N. A keyed call routes by the
+    /// hash of its key, the rest round-robin over partitions; the whole
+    /// entry lands on one partition. Returns the first message's id; the
+    /// others follow it at batch indices `1..n` (a single message is
+    /// `0 of 1`). `payloads` is not empty.
+    fn publish<T: AsRef<[u8]>>(
+        &self,
+        topic: &str,
+        key: Option<&[u8]>,
+        payloads: &[T],
+    ) -> Result<MessageId> {
+        debug_assert!(!payloads.is_empty(), "an entry holds a message");
         self.check_fence(topic)?;
         let tracer = self.tracer();
-        let mut span = tracer.span(TRACE_SYSTEM, "pulsar.publish");
+        // One message is `pulsar.publish` with its payload's size; more are
+        // `pulsar.publish_batch` with their count, and the entry's size
+        // once it is encoded.
+        let batch = payloads.len() > 1;
+        let name = if batch {
+            "pulsar.publish_batch"
+        } else {
+            "pulsar.publish"
+        };
+        let mut span = tracer.span(TRACE_SYSTEM, name);
         span.attr("topic", topic);
-        span.attr("bytes", payload.len());
+        if batch {
+            span.attr("messages", payloads.len());
+        } else {
+            span.attr("bytes", payloads[0].as_ref().len());
+        }
         let now = self.inner.clock.now();
         // Append under the topic lock.
         let result = self.with_topic(topic, |inner, t| {
@@ -1017,66 +879,10 @@ impl PulsarCluster {
                 }
             };
             span.attr("partition", p);
-            let entry_bytes = with_ctx_header(
-                span.context(),
-                encode_entry(key, now.as_nanos() as u64, payload),
-            );
-            let (lid, entry) = Self::append_with_rollover(
-                inner,
-                &tracer,
-                topic,
-                p,
-                &mut t.partitions[p],
-                &entry_bytes,
-            )?;
-            inner.c_published.inc();
-            Ok(MessageId::new(p as u32, lid, entry))
-        });
-        match &result {
-            Ok(_) => span.attr("outcome", "ok"),
-            Err(PulsarError::QuorumUnavailable { .. }) => {
-                span.attr("outcome", "quorum_unavailable");
+            let entry_bytes = entry::encode(key, span.context(), now.as_nanos() as u64, payloads)?;
+            if batch {
+                span.attr("bytes", entry_bytes.len());
             }
-            Err(_) => {}
-        }
-        result
-    }
-
-    /// Publish `payloads` as one group-committed ledger entry (producer
-    /// batching, §4.3): one entry encode, one replicated append for the
-    /// whole batch — the per-entry costs that dominate small-message
-    /// publishing are paid once and amortized over N.
-    ///
-    /// Returns one [`MessageId`] per message, carrying its batch offset.
-    /// Batches route like key-less messages (round-robin over partitions,
-    /// the whole batch to one partition). Empty input publishes nothing;
-    /// a single payload degenerates to the unbatched path, so ids from
-    /// this method are always consistent with [`Producer::send`].
-    fn publish_batch<T: AsRef<[u8]>>(&self, topic: &str, payloads: &[T]) -> Result<Vec<MessageId>> {
-        if payloads.is_empty() {
-            return Ok(Vec::new());
-        }
-        if payloads.len() == 1 {
-            return self
-                .publish(topic, None, payloads[0].as_ref())
-                .map(|id| vec![id]);
-        }
-        self.check_fence(topic)?;
-        let tracer = self.tracer();
-        let mut span = tracer.span(TRACE_SYSTEM, "pulsar.publish_batch");
-        span.attr("topic", topic);
-        span.attr("messages", payloads.len());
-        let now = self.inner.clock.now();
-        let result = self.with_topic(topic, |inner, t| {
-            let nparts = t.partitions.len();
-            t.rr = t.rr.wrapping_add(1);
-            let p = (t.rr as usize) % nparts;
-            span.attr("partition", p);
-            let entry_bytes = with_ctx_header(
-                span.context(),
-                encode_batch_entry(now.as_nanos() as u64, payloads)?,
-            );
-            span.attr("bytes", entry_bytes.len());
             let (lid, entry) = Self::append_with_rollover(
                 inner,
                 &tracer,
@@ -1087,9 +893,7 @@ impl PulsarCluster {
             )?;
             let n = payloads.len() as u32;
             inner.c_published.add(n as u64);
-            Ok((0..n)
-                .map(|i| MessageId::in_batch(p as u32, lid, entry, i, n))
-                .collect())
+            Ok(MessageId::in_batch(p as u32, lid, entry, 0, n))
         });
         match &result {
             Ok(_) => span.attr("outcome", "ok"),
@@ -1129,17 +933,17 @@ impl PulsarCluster {
     }
 
     /// Fetch an entire sealed segment into an immutable snapshot: bookies
-    /// first, cold tier second, every entry peeled and parsed on the way
+    /// first, cold tier second, every entry parsed on the way
     /// in. One-time cost per segment, after which a scan resolves the
     /// snapshot once per run of entries it reads from it and clones
-    /// [`CachedEntry`]s. This is what moved `entry_read` off the top of
+    /// [`ParsedEntry`]s. This is what moved `entry_read` off the top of
     /// the dispatch profile (E30): steady-state dispatch pays no
     /// ledger-map lock, no per-entry metadata parse and no framing parse.
-    fn build_sealed(inner: &ClusterInner, lid: LedgerId) -> Result<Arc<Vec<CachedEntry>>> {
+    fn build_sealed(inner: &ClusterInner, lid: LedgerId) -> Result<Arc<Vec<Cached>>> {
         match inner.bk.last_entry(lid) {
             Ok(Some(last)) => {
                 let entries = inner.bk.read_through(lid, last)?;
-                Ok(Arc::new(entries.iter().map(CachedEntry::parse).collect()))
+                Ok(Arc::new(entries.iter().map(ParsedEntry::parse).collect()))
             }
             Ok(None) => Ok(Arc::new(Vec::new())),
             Err(e) => {
@@ -1149,7 +953,7 @@ impl PulsarCluster {
                     let mut entries = Vec::with_capacity(n as usize);
                     for i in 0..n {
                         let bytes = tier.read_entry(&inner.meta, lid, i)?;
-                        entries.push(CachedEntry::parse(&bytes));
+                        entries.push(ParsedEntry::parse(&bytes));
                     }
                     Some(entries)
                 });
@@ -1171,7 +975,7 @@ impl PulsarCluster {
     /// of the views. Under the topic lock, [`SubState::scan`] advances the
     /// cursor over up to `max` messages and collects the touched entries
     /// as [`EntryView`]s into `out` (cleared first): per entry, the skip
-    /// checks, a clone of the already-parsed [`CachedEntry`] and one bump
+    /// checks, a clone of the already-parsed [`ParsedEntry`] and one bump
     /// of the pending queue; no consumer code runs under the lock. With
     /// the lock released, each view is stamped with its trace context:
     /// when the broker is traced, ONE `pulsar.dispatch_entry` span (child
@@ -1221,13 +1025,13 @@ impl PulsarCluster {
                 span.attr("partition", view.partition);
                 span.attr("ledger", view.ledger.raw());
                 span.attr("entry", view.entry);
-                if let Some(pc) = view.ctx {
+                if let Some(pc) = view.parsed.ctx {
                     let mut g =
                         tracer.span_child_of(TRACE_SYSTEM, "pulsar.dispatch_entry", Some(pc));
                     g.attr("partition", view.partition);
                     g.attr("entry", view.entry);
                     g.attr("messages", view.len());
-                    view.ctx = g.context().or(Some(pc));
+                    view.parsed.ctx = g.context().or(Some(pc));
                 }
             }
             acc.decode_ns = nanos_since(stamping);
@@ -1422,13 +1226,13 @@ pub struct Producer {
 impl Producer {
     /// Publish a key-less message (round-robin partition routing).
     pub fn send(&self, payload: &[u8]) -> Result<MessageId> {
-        self.cluster.publish(&self.topic, None, payload)
+        self.cluster.publish(&self.topic, None, &[payload])
     }
 
     /// Publish with a partition key (all messages with one key land on one
     /// partition, preserving per-key order).
     pub fn send_keyed(&self, key: &[u8], payload: &[u8]) -> Result<MessageId> {
-        self.cluster.publish(&self.topic, Some(key), payload)
+        self.cluster.publish(&self.topic, Some(key), &[payload])
     }
 
     /// Publish several messages as one group-committed ledger entry: one
@@ -1436,7 +1240,16 @@ impl Producer {
     /// partition (round-robin, like key-less `send`); ids come back in
     /// payload order.
     pub fn send_batch<T: AsRef<[u8]>>(&self, payloads: &[T]) -> Result<Vec<MessageId>> {
-        self.cluster.publish_batch(&self.topic, payloads)
+        if payloads.is_empty() {
+            return Ok(Vec::new());
+        }
+        let first = self.cluster.publish(&self.topic, None, payloads)?;
+        Ok((0..first.batch_size)
+            .map(|batch_index| MessageId {
+                batch_index,
+                ..first
+            })
+            .collect())
     }
 }
 
@@ -1598,6 +1411,8 @@ mod cursor_tests;
 
 #[cfg(test)]
 mod tests {
+    use taureau_core::trace::SpanContext;
+
     use super::*;
 
     fn small_cluster() -> PulsarCluster {
@@ -1613,83 +1428,47 @@ mod tests {
         PulsarCluster::new(cfg, WallClock::shared())
     }
 
+    /// One format for every entry: (key or none) × (trace context or
+    /// none) × 1..=4 messages round-trip through the one encoder and the
+    /// one parser, and every key and payload is a range of the one entry
+    /// buffer.
     #[test]
     fn entry_codec_roundtrip() {
-        for (key, payload) in [
-            (None, &b"hello"[..]),
-            (Some(&b"k"[..]), &b""[..]),
-            (Some(&b"key-long"[..]), &b"payload"[..]),
-        ] {
-            let enc = encode_entry(key, 42, payload);
-            let (k, ts, p) = decode_entry(&enc).unwrap();
-            assert_eq!(k.as_deref(), key);
-            assert_eq!(ts, 42);
-            assert_eq!(&p[..], payload);
-        }
-    }
-
-    #[test]
-    fn batch_codec_roundtrip() {
-        let payloads: Vec<&[u8]> = vec![b"alpha", b"", b"gamma-longer-payload", b"d"];
-        let enc = encode_batch_entry(99, &payloads).unwrap();
-        assert!(is_batch_entry(&enc));
-        // The framing parses ONCE into a cached offset-table index; every
-        // per-message access afterwards is O(1) against it.
-        let (ts, table) = parse_batch_entry(&enc).unwrap();
-        assert_eq!(ts, 99);
-        assert_eq!(table.count(), payloads.len() as u32);
-        for (i, p) in payloads.iter().enumerate() {
-            assert_eq!(&table.slice(&enc, i as u32)[..], *p);
-        }
-        // Decoded payloads are zero-copy slices of the one entry buffer.
-        let first = table.slice(&enc, 0);
-        let base = enc.as_ref().as_ptr() as usize;
-        let fp = first.as_ref().as_ptr() as usize;
-        assert!(
-            fp >= base && fp < base + enc.len(),
-            "payload not a slice of the entry"
-        );
-        // An unbatched entry is never misread as a batch: its first field is
-        // a key length, which a real key can't push to u32::MAX.
-        let plain = encode_entry(Some(b"key"), 7, b"payload");
-        assert!(!is_batch_entry(&plain));
-        assert!(parse_batch_entry(&plain).is_none());
-        // Corrupt framing (truncated offset table) is rejected at parse
-        // time, not discovered per message.
-        let truncated = enc.slice(..20);
-        assert!(parse_batch_entry(&truncated).is_none());
-    }
-
-    #[test]
-    fn ctx_header_codec_roundtrip() {
         use taureau_core::trace::{SpanId, TraceId};
-        let ctx = SpanContext {
+        let traced = SpanContext {
             trace_id: TraceId(0xfeed),
             span_id: SpanId(0xbeef),
         };
-        // Untraced publishes stay bit-identical to the classic format.
-        let plain = encode_entry(Some(b"k"), 42, b"payload");
-        assert_eq!(with_ctx_header(None, plain.clone()), plain);
-        let (got, inner) = split_ctx(&plain);
-        assert_eq!(got, None);
-        assert_eq!(inner, plain);
-        // Traced entry: header peels off, classic entry decodes unchanged.
-        let wrapped = with_ctx_header(Some(ctx), plain.clone());
-        assert_eq!(wrapped.len(), plain.len() + 4 + SpanContext::WIRE_LEN);
-        let (got, inner) = split_ctx(&wrapped);
-        assert_eq!(got, Some(ctx));
-        let (k, ts, p) = decode_entry(&inner).unwrap();
-        assert_eq!(
-            (k.as_deref(), ts, &p[..]),
-            (Some(&b"k"[..]), 42, &b"payload"[..])
-        );
-        // A batched entry keeps its own marker inside the ctx header, and
-        // the peeled slice is still zero-copy into the wrapped buffer.
-        let batch = encode_batch_entry(7, &[b"a".as_slice(), b"bb"]).unwrap();
-        let (got, inner) = split_ctx(&with_ctx_header(Some(ctx), batch.clone()));
-        assert_eq!(got, Some(ctx));
-        assert_eq!(parse_batch_entry(&inner).map(|(_, t)| t.count()), Some(2));
-        assert_eq!(inner, batch);
+        let all: [&[u8]; 4] = [b"alpha", b"", b"gamma-longer-payload", b"d"];
+        for key in [None, Some(&b"key-long"[..])] {
+            for ctx in [None, Some(traced)] {
+                for n in 1..=all.len() {
+                    let payloads = &all[..n];
+                    let enc = entry::encode(key, ctx, 99, payloads).unwrap();
+                    let parsed = ParsedEntry::parse(&enc).unwrap();
+                    assert_eq!(parsed.raw(), &enc);
+                    assert_eq!(parsed.ctx, ctx);
+                    assert_eq!((parsed.publish_nanos(), parsed.count()), (99, n as u32));
+                    assert_eq!(parsed.key_range().map(|(s, e)| &enc[s..e]), key);
+                    for (i, p) in payloads.iter().enumerate() {
+                        let (start, end) = parsed.item_range(i as u32);
+                        assert_eq!(&enc[start..end], *p);
+                    }
+                    // The context is a header field: it adds its wire
+                    // length and leaves the rest of the entry as it was.
+                    let untraced = entry::encode(key, None, 99, payloads).unwrap();
+                    let extra = ctx.map_or(0, |_| SpanContext::WIRE_LEN);
+                    assert_eq!(enc.len(), untraced.len() + extra);
+                    assert_eq!(enc[13 + extra..], untraced[13..]);
+                    // A cut entry is refused at the parse, not discovered
+                    // per message.
+                    assert!(ParsedEntry::parse(&enc.slice(..enc.len() - 1)).is_err());
+                }
+            }
+        }
+        // An empty key is written as none, so it reads back as none.
+        let enc = entry::encode(Some(b""), None, 1, &[b"x"]).unwrap();
+        assert_eq!(ParsedEntry::parse(&enc).unwrap().key_range(), None);
     }
 
     #[test]
@@ -1885,6 +1664,46 @@ mod tests {
             assert_eq!(&m.payload[..], want);
         }
         assert!(consumer.receive().unwrap().is_none());
+    }
+
+    /// A batch of one is a send: both write the same entry bytes, return
+    /// a `0 of 1` id and open a `pulsar.publish` span with the payload's
+    /// size. An empty batch publishes nothing.
+    #[test]
+    fn a_batch_of_one_is_a_send() {
+        let clock = taureau_core::clock::VirtualClock::shared();
+        let c = PulsarCluster::new(PulsarConfig::default(), clock);
+        c.create_topic("t", 1).unwrap();
+        let p = c.producer("t").unwrap();
+        assert_eq!(p.send_batch::<&[u8]>(&[]).unwrap(), []);
+        assert_eq!(c.retained_entries("t").unwrap(), 0);
+        let sent = p.send(b"one").unwrap();
+        let batched = p.send_batch(&[b"one"]).unwrap();
+        assert_eq!((sent.batch_index, sent.batch_size), (0, 1));
+        let next = MessageId {
+            entry: sent.entry + 1,
+            ..sent
+        };
+        assert_eq!(batched, [next]);
+        let mut consumer = c.subscribe("t", "s", SubscriptionMode::Exclusive).unwrap();
+        let views = consumer.receive_entries(8).unwrap();
+        assert_eq!(views.len(), 2);
+        assert_eq!(views[0].parsed.raw(), views[1].parsed.raw());
+
+        let tracer = Tracer::new(WallClock::shared());
+        c.set_tracer(tracer.clone());
+        p.send(b"two").unwrap();
+        p.send_batch(&[b"two"]).unwrap();
+        let spans = tracer.spans();
+        let publishes: Vec<_> = spans
+            .iter()
+            .filter(|s| s.name.starts_with("pulsar.publish"))
+            .collect();
+        assert_eq!(publishes.len(), 2);
+        for span in publishes {
+            assert_eq!(span.name, "pulsar.publish");
+            assert!(span.attrs.contains(&("bytes", "3".to_string())));
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use taureau_core::latency::LatencyModel;
+use taureau_core::trace::SpanContext;
 
 use super::cursor::cursor_key;
 use super::*;
@@ -158,11 +159,11 @@ proptest! {
         prop_assert_eq!(&from_tier, &inherited);
     }
 
-    /// Arbitrary bytes — raw, and well-formed entries (unbatched, batched,
-    /// with and without a trace header) cut short and with a byte flipped,
-    /// so the structured paths are reached — never panic the one parse
-    /// that everything downstream now trusts, and whatever it accepts lies
-    /// inside the buffer it was given.
+    /// Arbitrary bytes — raw, and well-formed entries (keyed, batched,
+    /// traced) cut short and with a byte flipped, so the structured paths
+    /// are reached — never panic the one parse that everything downstream
+    /// trusts. Whatever it accepts has its key and every payload inside
+    /// the buffer it was given; whatever it refuses comes back whole.
     #[test]
     fn hostile_bytes_stop_at_the_cache_fill(
         raw in vec(any::<u8>(), 0..80),
@@ -173,11 +174,12 @@ proptest! {
     ) {
         let payloads: Vec<Vec<u8>> = lens.iter().map(|&n| vec![0xab; n]).collect();
         let ctx = SpanContext::from_bytes(&[7u8; SpanContext::WIRE_LEN]);
+        let key = &raw[..raw.len().min(9)];
         let formed = match shape {
             0 => Bytes::from(raw.clone()),
-            1 => encode_entry(Some(&raw[..raw.len().min(9)]), 42, &raw),
-            2 => encode_batch_entry(42, &payloads).unwrap(),
-            _ => with_ctx_header(ctx, encode_batch_entry(42, &payloads).unwrap()),
+            1 => entry::encode(Some(key), None, 42, &[raw.as_slice()]).unwrap(),
+            2 => entry::encode(None, None, 42, &payloads).unwrap(),
+            _ => entry::encode(Some(key), ctx, 42, &payloads).unwrap(),
         };
         let mut bytes = formed.to_vec();
         bytes.truncate(cut.max(1));
@@ -186,39 +188,27 @@ proptest! {
         }
         let bytes = Bytes::from(bytes);
 
-        let (peeled_ctx, inner) = split_ctx(&bytes);
-        prop_assert!(bytes.ends_with(&inner));
-        prop_assert!(peeled_ctx.is_none() || inner.len() + 4 + SpanContext::WIRE_LEN == bytes.len());
-
-        let cached = CachedEntry::parse(&bytes);
-        prop_assert_eq!(&cached.raw, &inner);
-        prop_assert_eq!(cached.ctx, peeled_ctx);
-        match cached.batch {
-            Some((_, table)) => {
+        match ParsedEntry::parse(&bytes) {
+            Ok(parsed) => {
+                prop_assert_eq!(parsed.raw(), &bytes);
+                if let Some((start, end)) = parsed.key_range() {
+                    prop_assert!(start <= end && end <= bytes.len());
+                }
                 let mut at = 0;
-                for i in 0..table.count() {
-                    let (start, end) = table.item_range(&inner, i);
-                    prop_assert!(at <= start && start <= end && end <= inner.len());
-                    prop_assert_eq!(table.slice(&inner, i).len(), end - start);
+                for i in 0..parsed.count() {
+                    let (start, end) = parsed.item_range(i);
+                    prop_assert!(at <= start && start <= end && end <= bytes.len());
                     at = end;
                 }
             }
-            // Not a batch — or a corrupt one: the unbatched decoder, which
-            // dispatch falls through to, refuses it or stays inside it.
-            None => {
-                if let Some((key, _, payload)) = decode_entry(&inner) {
-                    prop_assert!(!is_batch_entry(&inner));
-                    prop_assert!(key.map_or(0, |k| k.len()) + payload.len() + 12 <= inner.len());
-                }
-            }
+            Err(refused) => prop_assert_eq!(refused, bytes),
         }
     }
 }
 
 /// A batched entry whose offset table is corrupt, read back from a
-/// bookie: no table is cached for it, and dispatch refuses it the way it
-/// always did — `EntryUnavailable` out of the unbatched decoder, at that
-/// entry, every time — after delivering what precedes it.
+/// bookie: it is cached refused, and dispatch answers `EntryUnavailable`
+/// at that entry, every time, after delivering what precedes it.
 #[test]
 fn a_corrupt_batch_off_a_bookie_is_refused_not_cached() {
     let c = tiered_cluster();
@@ -230,14 +220,16 @@ fn a_corrupt_batch_off_a_bookie_is_refused_not_cached() {
         .bookkeeper()
         .create_ledger(LedgerConfig::default())
         .unwrap();
-    let mut corrupt = encode_batch_entry(9, &[b"aa".as_slice(), b"bbb"])
+    let mut corrupt = entry::encode(None, None, 9, &[b"aa".as_slice(), b"bbb"])
         .unwrap()
         .to_vec();
-    corrupt[20..24].copy_from_slice(&100u32.to_le_bytes()); // ends past the buffer
+    corrupt[17..21].copy_from_slice(&100u32.to_le_bytes()); // ends past the buffer
     let corrupt = Bytes::from(corrupt);
-    w.append(encode_entry(None, 7, b"fine")).unwrap();
+    w.append(entry::encode(None, None, 7, &[b"fine"]).unwrap())
+        .unwrap();
     w.append(corrupt.clone()).unwrap();
-    w.append(encode_entry(None, 8, b"beyond")).unwrap();
+    w.append(entry::encode(None, None, 8, &[b"beyond"]).unwrap())
+        .unwrap();
     w.close().unwrap();
     let key = format!("/topics/{TOPIC}/0/segments");
     let mut segments = decode_segments(&c.metadata().get(&key).unwrap().data);
@@ -265,8 +257,8 @@ fn a_corrupt_batch_off_a_bookie_is_refused_not_cached() {
     let cached = c
         .with_topic(TOPIC, |_, t| Ok(t.partitions[0].sealed[&w.id()][1].clone()))
         .unwrap();
-    assert_eq!(cached.raw, corrupt);
-    assert!(cached.batch.is_none());
+    let kept = cached.expect_err("no table is cached for it");
+    assert_eq!(kept, corrupt);
     // What was delivered acks normally; the refusal stays where it is.
     consumer.ack_entries(&views).unwrap();
     assert_eq!(consumer.redeliver_unacked().unwrap(), 0);

@@ -8,7 +8,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use taureau_core::id::LedgerId;
 
-use super::{decode_entry, CachedEntry, SubscriptionMode};
+use super::SubscriptionMode;
+use crate::entry::{Cached, ParsedEntry};
 use crate::error::{PulsarError, Result};
 use crate::message::{EntryView, MessageId};
 
@@ -20,7 +21,7 @@ pub(super) trait Log {
 
     /// The entries of segment `lid` when they are in memory: the open
     /// tail, or a sealed segment's built snapshot.
-    fn cached(&self, p: usize, lid: LedgerId) -> Option<&[CachedEntry]>;
+    fn cached(&self, p: usize, lid: LedgerId) -> Option<&[Cached]>;
 
     /// How many entries segment `lid` stores, when `cached` does not hold
     /// them.
@@ -67,7 +68,7 @@ impl ReadPos {
 /// Where a position fell: the position, its segment's entries when they
 /// are in memory, and its segment's length (the partition is read to its
 /// end when the position's entry is not below it).
-type Landing<'a> = (ReadPos, Option<&'a [CachedEntry]>, u64);
+type Landing<'a> = (ReadPos, Option<&'a [Cached]>, u64);
 
 /// The one position rule: where `at` falls in partition `p`'s log now.
 /// That is the first segment whose ledger is `at.ledger` or later (so a
@@ -292,8 +293,9 @@ impl SubState {
                 };
                 let entry = entries
                     .get(pos.entry as usize)
+                    .and_then(|entry| entry.as_ref().ok())
                     .ok_or_else(|| unavailable(pos))?;
-                let (next, taken) = self.deliver(p, pos, entry, max - *delivered, out)?;
+                let (next, taken) = self.deliver(p, pos, entry, max - *delivered, out);
                 pos = next;
                 self.read[p] = pos;
                 *delivered += taken;
@@ -304,45 +306,19 @@ impl SubState {
 
     /// Deliver what is left of `entry`, at `pos` of partition `p`, up to
     /// `budget` messages: push its view onto `out`, count it as pending,
-    /// and return the position after it with the messages delivered. A
-    /// batched entry resumes past its acked indices and lists the acked
-    /// ones inside the delivered range as skips; one with no unacked index
-    /// left yields no view.
+    /// and return the position after it with the messages delivered. The
+    /// delivery resumes past the entry's acked indices and lists the acked
+    /// ones inside the delivered range as skips; an entry with no unacked
+    /// index left yields no view.
     fn deliver(
         &mut self,
         p: usize,
         pos: ReadPos,
-        entry: &CachedEntry,
+        entry: &ParsedEntry,
         budget: usize,
         out: &mut Vec<EntryView>,
-    ) -> Result<(ReadPos, usize)> {
-        let view = |publish_nanos| EntryView {
-            raw: entry.raw.clone(),
-            ctx: entry.ctx,
-            partition: p as u32,
-            ledger: pos.ledger,
-            entry: pos.entry,
-            publish_nanos,
-            key: None,
-            body_at: 0,
-            batch: None,
-            batch_size: 1,
-            first: 0,
-            end: 1,
-            skips: Vec::new(),
-        };
-        let Some((ts, table)) = entry.batch else {
-            let (key, ts, payload) = decode_entry(&entry.raw).ok_or_else(|| unavailable(pos))?;
-            self.pend(p, pos, 1);
-            let body_at = entry.raw.len() - payload.len();
-            out.push(EntryView {
-                key,
-                body_at,
-                ..view(ts)
-            });
-            return Ok((pos.next_entry(), 1));
-        };
-        let n = table.count();
+    ) -> (ReadPos, usize) {
+        let n = entry.count();
         let done = if self.partial.is_empty() {
             None
         } else {
@@ -355,7 +331,7 @@ impl SubState {
             first += 1;
         }
         if first >= n {
-            return Ok((pos.next_entry(), 0));
+            return (pos.next_entry(), 0);
         }
         // Extend the delivered range up to the budget, recording
         // already-acked indices inside it.
@@ -375,14 +351,15 @@ impl SubState {
             pos.next_entry()
         };
         out.push(EntryView {
-            batch: Some(table),
-            batch_size: n,
+            parsed: entry.clone(),
+            partition: p as u32,
+            ledger: pos.ledger,
+            entry: pos.entry,
             first,
             end,
             skips,
-            ..view(ts)
         });
-        Ok((next, taken))
+        (next, taken)
     }
 
     /// Count `n` more outstanding deliveries of the entry at `pos`.
@@ -409,7 +386,7 @@ impl SubState {
             match unit {
                 AckUnit::View(view) if view.is_whole() => {
                     let id = view.entry_id();
-                    self.unpend(id, view.batch_size);
+                    self.unpend(id, view.batch_size());
                     self.partial.remove(&id);
                     if !self.covers(id) {
                         self.fold_entry_ack(log, id);
@@ -444,8 +421,8 @@ impl SubState {
             || matches!(unit, AckUnit::Id(_))
                 && log
                     .cached(p, id.ledger)
-                    .and_then(|entries| entries.get(id.entry as usize))
-                    .is_some_and(|entry| entry.messages() != id.batch_size);
+                    .and_then(|entries| entries.get(id.entry as usize)?.as_ref().ok())
+                    .is_some_and(|entry| entry.count() != id.batch_size);
         if refused {
             return Err(PulsarError::InvalidMessageId(id));
         }

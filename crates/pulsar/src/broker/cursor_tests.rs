@@ -190,7 +190,7 @@ impl Model {
 struct MemLog {
     segments: Vec<Vec<LedgerId>>,
     /// Every segment ever written, trimmed ones included.
-    entries: BTreeMap<LedgerId, Vec<CachedEntry>>,
+    entries: BTreeMap<LedgerId, Vec<Cached>>,
     loaded: BTreeSet<LedgerId>,
     per_ledger: usize,
 }
@@ -200,7 +200,7 @@ impl Log for MemLog {
         &self.segments[p]
     }
 
-    fn cached(&self, p: usize, lid: LedgerId) -> Option<&[CachedEntry]> {
+    fn cached(&self, p: usize, lid: LedgerId) -> Option<&[Cached]> {
         let held = self.loaded.contains(&lid) && self.segments[p].contains(&lid);
         held.then(|| self.entries[&lid].as_slice())
     }
@@ -225,8 +225,8 @@ impl MemLog {
         }
     }
 
-    /// Append one entry of `n` messages to partition `p`: an unbatched
-    /// entry for one, a batch for more, as `send_batch` frames them.
+    /// Append one entry of `n` messages to partition `p`, as `send_batch`
+    /// frames them.
     fn publish(&mut self, p: usize, n: usize, tag: u8) -> Vec<MessageId> {
         let open = self.segments[p].last().copied();
         let lid = match open.filter(|l| self.entries[l].len() < self.per_ledger) {
@@ -239,12 +239,9 @@ impl MemLog {
             }
         };
         let payloads: Vec<[u8; 2]> = (0..n).map(|i| [tag, i as u8]).collect();
-        let raw = match n {
-            1 => encode_entry(None, 0, &payloads[0]),
-            _ => encode_batch_entry(0, &payloads).unwrap(),
-        };
+        let raw = entry::encode(None, None, 0, &payloads).unwrap();
         let entries = self.entries.entry(lid).or_default();
-        entries.push(CachedEntry::parse(&raw));
+        entries.push(ParsedEntry::parse(&raw));
         let (entry, n) = (entries.len() as u64 - 1, n as u32);
         (0..n)
             .map(|i| MessageId::in_batch(p as u32, lid, entry, i, n))

@@ -1,6 +1,6 @@
 //! Shared offset-table framing.
 //!
-//! Both the batched entry codec ([`crate::broker`]) and the cold-tier
+//! Both the ledger entry codec ([`crate::entry`]) and the cold-tier
 //! segment codec ([`crate::tiering`]) frame N variable-length items the
 //! same way: a table of `u32` *exclusive end offsets* (relative to the
 //! start of the packed item bytes) followed by the items back to back.
@@ -8,7 +8,7 @@
 //! is O(1) once the table's position is known.
 //!
 //! [`OffsetTable`] is that knowledge, parsed and validated **once per
-//! buffer**: it remembers where the table and the item base live and how
+//! buffer**: it remembers where the table lives and how
 //! many items there are, so every subsequent item access is two table
 //! reads — no re-walk, no copy, no re-validation. This is the cached
 //! index behind [`EntryView`](crate::message::EntryView), whose payloads
@@ -25,7 +25,7 @@ pub(crate) fn packed_len(mut lens: impl Iterator<Item = usize>) -> Option<u32> {
 
 /// Append the end-offset table for the given item lengths.
 ///
-/// The caller writes its own header (count, timestamps, markers) first,
+/// The caller writes its own header (count, timestamp, flags) first,
 /// calls this, then appends the item bytes back to back. `None` (with a
 /// partial table left in `buf`) when an end offset would pass `u32::MAX`:
 /// a wrapped table is one [`OffsetTable::parse`] refuses, after the
@@ -51,8 +51,6 @@ pub(crate) struct OffsetTable {
     count: u32,
     /// Byte offset of the end-offset table within the buffer.
     ends_at: usize,
-    /// Byte offset of the packed item bytes (== `ends_at + 4 * count`).
-    base: usize,
 }
 
 impl OffsetTable {
@@ -64,11 +62,7 @@ impl OffsetTable {
         if base > bytes.len() {
             return None;
         }
-        let table = Self {
-            count,
-            ends_at,
-            base,
-        };
+        let table = Self { count, ends_at };
         let mut prev = 0usize;
         for i in 0..count {
             let end = table.end(bytes, i);
@@ -85,6 +79,17 @@ impl OffsetTable {
         self.count
     }
 
+    /// Byte offset of the end-offset table within the buffer.
+    pub(crate) fn ends_at(&self) -> usize {
+        self.ends_at
+    }
+
+    /// Byte offset of the packed item bytes, just past the table.
+    #[inline]
+    fn base(&self) -> usize {
+        self.ends_at + 4 * self.count as usize
+    }
+
     /// Exclusive end offset of item `i`, relative to the item base.
     #[inline]
     fn end(&self, bytes: &[u8], i: u32) -> usize {
@@ -97,7 +102,8 @@ impl OffsetTable {
     pub(crate) fn item_range(&self, bytes: &[u8], i: u32) -> (usize, usize) {
         debug_assert!(i < self.count, "item index out of range");
         let start = if i == 0 { 0 } else { self.end(bytes, i - 1) };
-        (self.base + start, self.base + self.end(bytes, i))
+        let base = self.base();
+        (base + start, base + self.end(bytes, i))
     }
 
     /// Item `i` as a refcount-only slice of the buffer: O(1), no copy,
@@ -185,7 +191,7 @@ mod tests {
             // likely as absurd ones.
             let (count, ends_at) = (count >> (shift % 32), ends_at >> shift);
             if let Some(t) = OffsetTable::parse(&bytes, count, ends_at) {
-                let mut at = t.base;
+                let mut at = t.base();
                 for i in 0..t.count() {
                     let (start, end) = t.item_range(&bytes, i);
                     prop_assert!(at == start && start <= end && end <= bytes.len());

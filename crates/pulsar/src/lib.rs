@@ -34,6 +34,7 @@
 
 pub mod bookie;
 pub mod broker;
+mod entry;
 pub(crate) mod error;
 mod framing;
 pub(crate) mod functions;

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 use taureau_core::id::LedgerId;
 use taureau_core::trace::SpanContext;
 
-use crate::framing::OffsetTable;
+use crate::entry::ParsedEntry;
 
 /// A message's durable address: which ledger segment and entry it was
 /// persisted as, plus the partition it belongs to. Totally ordered within a
@@ -104,10 +104,10 @@ impl Message {
 // --------------------------------------------------------------------------
 // Whole-entry views: the batched ledger entry as the unit of dispatch.
 
-/// A whole batched ledger entry handed to a consumer as one unit.
+/// A whole ledger entry handed to a consumer as one unit.
 ///
-/// The entry's framing — trace-context header, batch marker, count,
-/// publish timestamp, offset table — is parsed **exactly once**, when the
+/// The entry's framing — count, flags, publish timestamp, trace context,
+/// key, offset table ([`crate::entry`]) — is parsed **exactly once**, when the
 /// entry enters the broker's read cache (a view carries a copy of that
 /// result, however often the entry is replayed); every message inside is
 /// then a [`Payload`] borrowed from the shared buffer (two offsets, no
@@ -129,23 +129,13 @@ impl Message {
 /// per-message delivery with batched cursors).
 #[derive(Debug, Clone)]
 pub struct EntryView {
-    /// The entry buffer with any trace-context header already peeled.
-    pub(crate) raw: Bytes,
-    /// Publish-span context carried in the entry header (or, once the
-    /// broker stamps the view, the dispatch span's context).
-    pub(crate) ctx: Option<SpanContext>,
+    /// The entry as the read cache parsed it. Its `ctx` is the publish
+    /// span's, or, once a traced broker stamps the view, the dispatch
+    /// span's.
+    pub(crate) parsed: ParsedEntry,
     pub(crate) partition: u32,
     pub(crate) ledger: LedgerId,
     pub(crate) entry: u64,
-    pub(crate) publish_nanos: u64,
-    /// Producer key (unbatched entries only; batches are key-less).
-    pub(crate) key: Option<Bytes>,
-    /// Payload offset within `raw` for unbatched entries.
-    pub(crate) body_at: usize,
-    /// Cached offset-table index for batched entries; `None` = unbatched.
-    pub(crate) batch: Option<OffsetTable>,
-    /// Total messages in the entry (1 for unbatched).
-    pub(crate) batch_size: u32,
     /// First delivered batch index.
     pub(crate) first: u32,
     /// One past the last delivered batch index.
@@ -164,7 +154,7 @@ impl EntryView {
 
     /// Total number of messages packed in the underlying entry.
     pub fn batch_size(&self) -> u32 {
-        self.batch_size
+        self.parsed.count()
     }
 
     /// Number of messages this view delivers.
@@ -180,20 +170,20 @@ impl EntryView {
     /// Whether the view covers the *entire* entry: every message, none
     /// previously acked. Whole views ack (and redeliver) as one unit.
     pub fn is_whole(&self) -> bool {
-        self.first == 0 && self.end == self.batch_size && self.skips.is_empty()
+        self.first == 0 && self.end == self.batch_size() && self.skips.is_empty()
     }
 
     /// Trace context for this entry: the broker's per-entry dispatch span
     /// when tracing is on, else the publish span recovered from the entry
     /// header, else `None`. Shared by every message in the view.
     pub fn ctx(&self) -> Option<SpanContext> {
-        self.ctx
+        self.parsed.ctx
     }
 
     /// Publish timestamp shared by the entry's messages (group commit
     /// persists them at the same instant).
     pub(crate) fn publish_time(&self) -> std::time::Duration {
-        std::time::Duration::from_nanos(self.publish_nanos)
+        std::time::Duration::from_nanos(self.parsed.publish_nanos())
     }
 
     /// Iterate the delivered messages as lazy [`MessageView`]s, in batch
@@ -263,28 +253,28 @@ impl<'a> MessageView<'a> {
             self.view.ledger,
             self.view.entry,
             self.index,
-            self.view.batch_size,
+            self.view.batch_size(),
         )
     }
 
     /// Payload bytes, borrowed from the entry buffer for as long as the
     /// [`EntryView`] lives. `Bytes::from` it to keep them past the view.
     pub fn payload(&self) -> Payload<'a> {
-        let view = self.view;
-        let (start, end) = match &view.batch {
-            Some(table) => table.item_range(&view.raw, self.index),
-            None => (view.body_at, view.raw.len()),
-        };
+        self.range(self.view.parsed.item_range(self.index))
+    }
+
+    /// Producer key, if any (`send_batch` writes none),
+    /// borrowed from the entry buffer like the payload.
+    pub(crate) fn key(&self) -> Option<Payload<'a>> {
+        self.view.parsed.key_range().map(|range| self.range(range))
+    }
+
+    fn range(&self, (start, end): (usize, usize)) -> Payload<'a> {
         Payload {
-            buf: &view.raw,
+            buf: self.view.parsed.raw(),
             start,
             end,
         }
-    }
-
-    /// Producer key, if any (always `None` for batched messages).
-    pub(crate) fn key(&self) -> Option<&'a Bytes> {
-        self.view.key.as_ref()
     }
 
     /// Publish timestamp (the entry's group-commit instant).
@@ -297,10 +287,10 @@ impl<'a> MessageView<'a> {
     pub fn to_message(&self) -> Message {
         Message {
             id: self.id(),
-            key: self.key().cloned(),
+            key: self.key().map(Bytes::from),
             payload: self.payload().into(),
             publish_time: self.publish_time(),
-            ctx: self.view.ctx,
+            ctx: self.view.ctx(),
         }
     }
 }
@@ -393,7 +383,7 @@ mod tests {
     }
 
     /// What each published message was: its key, its payload, and
-    /// whether its entry carries a trace-context header.
+    /// whether its entry carries a trace context.
     type Sent = BTreeMap<MessageId, (Option<Vec<u8>>, Vec<u8>, bool)>;
 
     /// Scan at `budget` until nothing is left, checking every delivered
@@ -407,7 +397,7 @@ mod tests {
         let (mut delivered, mut views) = (0, Vec::new());
         while consumer.receive_entries_into(budget, &mut views).unwrap() > 0 {
             for view in &views {
-                let buf = view.raw.as_ptr_range();
+                let buf = view.parsed.raw().as_ptr_range();
                 for m in view.messages() {
                     let (key, published, traced) = &sent[&m.id()];
                     prop_assert_eq!(view.ctx().is_some(), *traced, "{:?}: ctx", m.id());
@@ -424,7 +414,10 @@ mod tests {
                         "{:?} was copied",
                         m.id()
                     );
-                    prop_assert_eq!(m.key(), msg.key.as_ref());
+                    prop_assert_eq!(
+                        m.key().map(|k| k.to_vec()),
+                        msg.key.as_ref().map(|k| k.to_vec())
+                    );
                     prop_assert_eq!(m.key().map(|k| k.to_vec()), key.clone());
                     delivered += 1;
                 }
@@ -438,8 +431,8 @@ mod tests {
         /// and keeping it slices the entry buffer instead of copying it;
         /// a borrowed key is the message's key. Over arbitrary batch cuts
         /// (scan budgets that split entries), resumes of partially-acked
-        /// entries (views with `skips`), keyed unbatched entries, entries
-        /// published traced (a context header peeled at cache fill), and
+        /// entries (views with `skips`), keyed single-message entries,
+        /// entries published traced (a context read at cache fill), and
         /// caches rebuilt from the bookies after a restart.
         #[test]
         fn borrowed_payloads_and_keys_match_the_owned_message(

@@ -36,7 +36,7 @@ fn object_key(id: LedgerId) -> Vec<u8> {
 /// Encode a sealed segment's entries with the shared offset-table
 /// framing ([`crate::framing`]):
 /// `[count u32 | end_offset u32 × count | entry bytes…]` — the same
-/// end-offset layout batched broker entries use, so a segment read is
+/// end-offset layout ledger entries use, so a segment read is
 /// one table parse plus an O(1) slice per entry instead of a linear walk
 /// over length prefixes.
 pub(crate) fn encode_segment(entries: &[Bytes]) -> Vec<u8> {

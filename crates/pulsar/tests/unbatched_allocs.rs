@@ -1,12 +1,13 @@
 //! What one unbatched message allocates on a warm topic: nothing to ack it
 //! in order, by id or by view (the cursor is rewritten where it lies, under
 //! a key built at subscribe), and to publish, receive and ack it only what the entry
-//! itself needs. (Its own file: the counting allocator is global.)
+//! itself needs, traced or not. (Its own file: the counting allocator is global.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use taureau_core::clock::WallClock;
+use taureau_core::trace::Tracer;
 use taureau_pulsar::{Consumer, Producer, PulsarCluster, PulsarConfig, SubscriptionMode};
 
 thread_local! {
@@ -47,7 +48,7 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 /// segment rollovers a partition: ledgers open, every metric touched, and
 /// the cursor texts as long as they get for thousands of messages (ledger
 /// ids in two digits, entries in four).
-fn warm_topic() -> (Producer, Consumer) {
+fn warm_topic() -> (PulsarCluster, Producer, Consumer) {
     let cluster = PulsarCluster::new(PulsarConfig::default(), WallClock::shared());
     cluster.create_topic("events", 4).unwrap();
     let producer = cluster.producer("events").unwrap();
@@ -57,7 +58,7 @@ fn warm_topic() -> (Producer, Consumer) {
     for i in 0..13_000u32 {
         round_trip(&producer, &mut consumer, i);
     }
-    (producer, consumer)
+    (cluster, producer, consumer)
 }
 
 fn round_trip(producer: &Producer, consumer: &mut Consumer, i: u32) {
@@ -70,7 +71,7 @@ fn round_trip(producer: &Producer, consumer: &mut Consumer, i: u32) {
 /// `receive_entries_into` returned through `ack_entries`.
 #[test]
 fn an_in_order_ack_allocates_nothing() {
-    let (producer, mut consumer) = warm_topic();
+    let (_cluster, producer, mut consumer) = warm_topic();
     const N: u32 = 256;
     let mut views = Vec::new();
     let (mut in_acks, mut in_view_acks) = (0, 0);
@@ -91,7 +92,7 @@ fn an_in_order_ack_allocates_nothing() {
 
 #[test]
 fn an_unbatched_round_trip_allocates_the_entry_and_little_else() {
-    let (producer, mut consumer) = warm_topic();
+    let (_cluster, producer, mut consumer) = warm_topic();
     const N: u32 = 1024;
     let allocs = allocs_during(|| {
         for i in 0..N {
@@ -106,5 +107,26 @@ fn an_unbatched_round_trip_allocates_the_entry_and_little_else() {
     assert!(
         per_msg <= 3.0,
         "{per_msg:.2} allocations per unbatched send → receive → ack"
+    );
+}
+
+/// A traced publish writes its entry once: the trace context is a field of
+/// the one entry header, not a second buffer wrapped around the entry.
+/// Exact, because a traced run is as deterministic as an untraced one; the
+/// spans the publish and the dispatch record, and the growth of the
+/// tracer's ring, are in the count.
+#[test]
+fn a_traced_keyed_round_trip_writes_the_entry_once() {
+    let (cluster, producer, mut consumer) = warm_topic();
+    cluster.set_tracer(Tracer::new(WallClock::shared()));
+    const N: u32 = 256;
+    let allocs = allocs_during(|| {
+        for i in 0..N {
+            round_trip(&producer, &mut consumer, i);
+        }
+    });
+    assert_eq!(
+        allocs, 7_519,
+        "allocations in {N} traced send → receive → ack"
     );
 }
