@@ -12,6 +12,8 @@ use taureau_faas::{FaasPlatform, FunctionSpec};
 use taureau_jiffy::Jiffy;
 use taureau_orchestration::{frame, Composition, Orchestrator};
 
+use crate::{put_count_sum, read_count_sum};
+
 /// A parsed record: `id,category,value`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
@@ -154,18 +156,12 @@ impl EtlPipeline {
                     let (mut count, mut sum) = agg
                         .get(key.as_bytes())
                         .map_err(|e| e.to_string())?
-                        .map(|b| {
-                            let c = u64::from_le_bytes(b[0..8].try_into().expect("8"));
-                            let s = f64::from_le_bytes(b[8..16].try_into().expect("8"));
-                            (c, s)
-                        })
+                        .and_then(|b| read_count_sum(&b))
                         .unwrap_or((0, 0.0));
                     count += 1;
                     sum += r.value;
-                    let mut buf = Vec::with_capacity(16);
-                    buf.extend_from_slice(&count.to_le_bytes());
-                    buf.extend_from_slice(&sum.to_le_bytes());
-                    agg.put(key.as_bytes(), &buf).map_err(|e| e.to_string())?;
+                    agg.put(key.as_bytes(), &put_count_sum(count, sum))
+                        .map_err(|e| e.to_string())?;
                     loaded += 1;
                 }
                 Ok(loaded.to_le_bytes().to_vec())
@@ -215,11 +211,7 @@ impl EtlPipeline {
     /// (count, sum) aggregate for a category.
     pub fn aggregate(&self, category: &str) -> Option<(u64, f64)> {
         let agg = self.jiffy.open_kv("/etl/aggregates").ok()?;
-        let b = agg.get(format!("cat:{category}").as_bytes()).ok()??;
-        Some((
-            u64::from_le_bytes(b[0..8].try_into().ok()?),
-            f64::from_le_bytes(b[8..16].try_into().ok()?),
-        ))
+        read_count_sum(&agg.get(format!("cat:{category}").as_bytes()).ok()??)
     }
 }
 

@@ -14,6 +14,8 @@
 
 use std::sync::Arc;
 
+use bytes::BufMut;
+use taureau_core::wire::Reader;
 use taureau_faas::{FaasPlatform, FunctionSpec};
 use taureau_jiffy::{Jiffy, QueueHandle};
 
@@ -353,22 +355,16 @@ pub struct PregelOutcome {
 fn encode_msgs(msgs: &[(u32, f64)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(msgs.len() * 12);
     for &(dst, val) in msgs {
-        out.extend_from_slice(&dst.to_le_bytes());
-        out.extend_from_slice(&val.to_le_bytes());
+        out.put_u32_le(dst);
+        out.put_u64_le(val.to_bits());
     }
     out
 }
 
+/// The whole `(dst u32, value f64)` pairs of `bytes`, in order.
 fn decode_msgs(bytes: &[u8]) -> Vec<(u32, f64)> {
-    bytes
-        .chunks_exact(12)
-        .map(|c| {
-            (
-                u32::from_le_bytes(c[0..4].try_into().expect("4")),
-                f64::from_le_bytes(c[4..12].try_into().expect("8")),
-            )
-        })
-        .collect()
+    let mut r = Reader::new(bytes);
+    std::iter::from_fn(|| Some((r.u32()?, f64::from_bits(r.u64()?)))).collect()
 }
 
 fn inbox(jiffy: &Jiffy, job: &str, part: usize, step: u32) -> QueueHandle {

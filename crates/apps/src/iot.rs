@@ -10,9 +10,12 @@
 //! functions read it. Telemetry readings stream through a second function
 //! that keeps per-device last-seen state.
 
+use taureau_core::wire::Reader;
 use taureau_faas::trigger::TriggerManager;
 use taureau_faas::{FaasPlatform, FunctionSpec};
 use taureau_jiffy::Jiffy;
+
+use crate::{put_count_sum, read_count_sum};
 
 /// A device registration event, wire format `id|kind|location`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,19 +112,11 @@ impl IotBackend {
                 let (mut count, mut sum) = kv
                     .get(stats_key.as_bytes())
                     .map_err(|e| e.to_string())?
-                    .map(|b| {
-                        (
-                            u64::from_le_bytes(b[0..8].try_into().expect("8")),
-                            f64::from_le_bytes(b[8..16].try_into().expect("8")),
-                        )
-                    })
+                    .and_then(|b| read_count_sum(&b))
                     .unwrap_or((0, 0.0));
                 count += 1;
                 sum += reading;
-                let mut buf = Vec::with_capacity(16);
-                buf.extend_from_slice(&count.to_le_bytes());
-                buf.extend_from_slice(&sum.to_le_bytes());
-                kv.put(stats_key.as_bytes(), &buf)
+                kv.put(stats_key.as_bytes(), &put_count_sum(count, sum))
                     .map_err(|e| e.to_string())?;
                 kv.put(format!("last:{id}").as_bytes(), &reading.to_le_bytes())
                     .map_err(|e| e.to_string())?;
@@ -190,10 +185,9 @@ impl IotBackend {
     pub fn device_stats(&self, device_id: &str) -> Option<(f64, f64)> {
         let kv = self.jiffy.open_kv("/iot/telemetry").ok()?;
         let last = kv.get(format!("last:{device_id}").as_bytes()).ok()??;
-        let last = f64::from_le_bytes(last[..].try_into().ok()?);
+        let last = f64::from_bits(Reader::read_all(&last, Reader::u64)?);
         let stats = kv.get(format!("stats:{device_id}").as_bytes()).ok()??;
-        let count = u64::from_le_bytes(stats[0..8].try_into().ok()?);
-        let sum = f64::from_le_bytes(stats[8..16].try_into().ok()?);
+        let (count, sum) = read_count_sum(&stats)?;
         Some((last, sum / count as f64))
     }
 

@@ -30,3 +30,20 @@ pub mod seqcompare;
 pub mod streaming;
 pub mod video;
 pub mod web;
+
+use bytes::BufMut;
+use taureau_core::wire::Reader;
+
+/// A running `(count, sum)` aggregate as a KV value, `count u64 | sum
+/// f64` little-endian: ETL's per-category totals and IoT's device stats.
+fn put_count_sum(count: u64, sum: f64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16);
+    out.put_u64_le(count);
+    out.put_u64_le(sum.to_bits());
+    out
+}
+
+/// Parse of [`put_count_sum`].
+fn read_count_sum(bytes: &[u8]) -> Option<(u64, f64)> {
+    Reader::read_all(bytes, |r| Some((r.u64()?, f64::from_bits(r.u64()?))))
+}

@@ -12,6 +12,8 @@
 //!   panels from **Jiffy** and writes its tile back — the exact
 //!   ephemeral-intermediate pattern the paper describes.
 
+use bytes::BufMut;
+use taureau_core::wire::Reader;
 use taureau_faas::{FaasPlatform, FunctionSpec};
 use taureau_jiffy::Jiffy;
 
@@ -90,30 +92,24 @@ impl Matrix {
     /// stored in Jiffy between serverless tasks.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + self.data.len() * 8);
-        out.extend_from_slice(&(self.rows as u32).to_le_bytes());
-        out.extend_from_slice(&(self.cols as u32).to_le_bytes());
-        for v in &self.data {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        out.put_u32_le(self.rows as u32);
+        out.put_u32_le(self.cols as u32);
+        self.data.iter().for_each(|v| out.put_u64_le(v.to_bits()));
         out
     }
 
     /// Deserialize; `None` if malformed.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 8 {
-            return None;
-        }
-        let rows = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
-        let cols = u32::from_le_bytes(bytes[4..8].try_into().ok()?) as usize;
-        let need = 8 + rows * cols * 8;
-        if bytes.len() != need {
-            return None;
-        }
-        let data = bytes[8..]
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect();
-        Some(Self { rows, cols, data })
+        Reader::read_all(bytes, |r| {
+            let (rows, cols) = (r.u32()? as usize, r.u32()? as usize);
+            let cells = rows.checked_mul(cols)?;
+            let data = (0..cells).map(|_| r.u64().map(f64::from_bits));
+            Some(Self {
+                rows,
+                cols,
+                data: data.collect::<Option<_>>()?,
+            })
+        })
     }
 
     /// Sub-matrix copy.

@@ -26,7 +26,9 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
+use bytes::BufMut;
 use taureau_core::hash::hash64;
+use taureau_core::wire::Reader;
 use taureau_faas::{FaasPlatform, FunctionSpec};
 use taureau_jiffy::Jiffy;
 
@@ -207,17 +209,13 @@ impl TrainingOutcome {
 }
 
 fn decode_f64s(bytes: &[u8]) -> Vec<f64> {
-    bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect()
+    let mut r = Reader::new(bytes);
+    std::iter::from_fn(|| r.u64().map(f64::from_bits)).collect()
 }
 
 fn encode_f64s(vals: &[f64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(vals.len() * 8);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    vals.iter().for_each(|v| out.put_u64_le(v.to_bits()));
     out
 }
 

@@ -23,6 +23,7 @@ use std::time::Duration;
 
 use taureau_faas::{FaasPlatform, FunctionSpec};
 use taureau_jiffy::Jiffy;
+use taureau_orchestration::frame::{pack, unpack};
 
 /// A frame of `width × height` single-channel pixels.
 pub(crate) type Frame = Vec<u8>;
@@ -93,40 +94,32 @@ fn rle_decode(data: &[u8]) -> Option<Vec<u8>> {
 
 /// Encode a chunk of frames against a reference frame (the previous
 /// chunk's last frame; all-zero for the first chunk). Each frame is
-/// delta-encoded against its predecessor and RLE-compressed. Output
-/// format: `[frame_count u32] ([len u32][rle bytes])*`.
+/// delta-encoded against its predecessor and RLE-compressed, and the
+/// chunk is the fan-in frame of those runs: `[frame_count u32] ([len
+/// u32][rle bytes])*`.
 pub(crate) fn encode_chunk(frames: &[Frame], reference: &Frame) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(frames.len() as u32).to_le_bytes());
-    let mut prev = reference.clone();
-    for frame in frames {
-        let delta: Vec<u8> = frame
-            .iter()
-            .zip(&prev)
-            .map(|(a, b)| a.wrapping_sub(*b))
-            .collect();
-        let rle = rle_encode(&delta);
-        out.extend_from_slice(&(rle.len() as u32).to_le_bytes());
-        out.extend_from_slice(&rle);
-        prev = frame.clone();
-    }
-    out
+    let mut prev = reference;
+    let runs: Vec<Vec<u8>> = frames
+        .iter()
+        .map(|frame| {
+            let delta: Vec<u8> = frame
+                .iter()
+                .zip(prev)
+                .map(|(a, b)| a.wrapping_sub(*b))
+                .collect();
+            prev = frame;
+            rle_encode(&delta)
+        })
+        .collect();
+    pack(&runs)
 }
 
 /// Decode a chunk back to raw frames given the same reference frame.
 pub(crate) fn decode_chunk(bytes: &[u8], reference: &Frame) -> Option<Vec<Frame>> {
-    if bytes.len() < 4 {
-        return None;
-    }
-    let count = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
-    let mut pos = 4;
     let mut prev = reference.clone();
-    let mut frames = Vec::with_capacity(count);
-    for _ in 0..count {
-        let len = u32::from_le_bytes(bytes.get(pos..pos + 4)?.try_into().ok()?) as usize;
-        pos += 4;
-        let delta = rle_decode(bytes.get(pos..pos + len)?)?;
-        pos += len;
+    let mut frames = Vec::new();
+    for run in unpack(bytes)? {
+        let delta = rle_decode(&run)?;
         if delta.len() != prev.len() {
             return None;
         }

@@ -39,14 +39,15 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::time::Duration;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 use taureau_core::id::NodeId;
 use taureau_core::trace::{
     suppress_telemetry, HlcClock, HlcStamp, SpanId, SpanRecord, TelemetryEvent, TelemetrySink,
     TraceId,
 };
+use taureau_core::wire::{put_str, Reader};
 use taureau_jiffy::{Jiffy, JiffyError};
-use taureau_monitor::wire::{self as telwire, put_str, put_u64, Reader, SpanRef};
+use taureau_monitor::wire::{self as telwire, SpanRef};
 use taureau_monitor::{render_trace_json, HealthReport, OpHealth, SpanEvent};
 use taureau_sketches::KllSketch;
 
@@ -256,12 +257,13 @@ impl BatchHeader {
 
     fn to_bytes(self) -> [u8; Self::WIRE_LEN] {
         let mut out = [0u8; Self::WIRE_LEN];
-        out[0] = MAGIC;
-        out[1] = VERSION;
-        out[2..10].copy_from_slice(&self.node.raw().to_le_bytes());
-        out[10..18].copy_from_slice(&self.batch_seq.to_le_bytes());
-        out[18..26].copy_from_slice(&self.cum_events.to_le_bytes());
-        out[26..].copy_from_slice(&self.count.to_le_bytes());
+        let mut w = &mut out[..];
+        w.put_u8(MAGIC);
+        w.put_u8(VERSION);
+        w.put_u64_le(self.node.raw());
+        w.put_u64_le(self.batch_seq);
+        w.put_u64_le(self.cum_events);
+        w.put_u32_le(self.count);
         out
     }
 }
@@ -269,65 +271,65 @@ impl BatchHeader {
 /// Append a span event's tag and the frame `write` produces behind its
 /// `u32` length.
 fn put_span_frame(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
-    out.push(TAG_SPAN);
+    out.put_u8(TAG_SPAN);
     let at = out.len();
-    out.extend_from_slice(&[0; 4]);
+    out.put_u32_le(0);
     write(out);
     let len = (out.len() - at - 4) as u32;
-    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    (&mut out[at..at + 4]).put_u32_le(len);
 }
 
 /// Append one stamped event in its wire form.
 fn put_event(out: &mut Vec<u8>, hlc: HlcStamp, ev: &ObsEvent) {
-    out.extend_from_slice(&hlc.to_bytes());
+    out.put_slice(&hlc.to_bytes());
     match ev {
-        ObsEvent::Span(span) => put_span_frame(out, |out| {
-            out.extend_from_slice(&telwire::encode_span(span))
-        }),
+        ObsEvent::Span(span) => {
+            put_span_frame(out, |out| out.put_slice(&telwire::encode_span(span)))
+        }
         ObsEvent::Metric { name, delta } => {
-            out.push(TAG_METRIC);
+            out.put_u8(TAG_METRIC);
             put_str(out, name);
-            put_u64(out, *delta);
+            out.put_u64_le(*delta);
         }
         ObsEvent::Membership { peer, up } => {
-            out.push(TAG_MEMBERSHIP);
-            put_u64(out, *peer);
-            out.push(u8::from(*up));
+            out.put_u8(TAG_MEMBERSHIP);
+            out.put_u64_le(*peer);
+            out.put_u8(u8::from(*up));
         }
         ObsEvent::Lease {
             resource,
             owner,
             epoch,
         } => {
-            out.push(TAG_LEASE);
+            out.put_u8(TAG_LEASE);
             put_str(out, resource);
-            put_u64(out, *owner);
-            put_u64(out, *epoch);
+            out.put_u64_le(*owner);
+            out.put_u64_le(*epoch);
         }
         ObsEvent::Fence { topic, node } => {
-            out.push(TAG_FENCE);
+            out.put_u8(TAG_FENCE);
             put_str(out, topic);
-            put_u64(out, *node);
+            out.put_u64_le(*node);
         }
         ObsEvent::Rebuild { topic, node } => {
-            out.push(TAG_REBUILD);
+            out.put_u8(TAG_REBUILD);
             put_str(out, topic);
-            put_u64(out, *node);
+            out.put_u64_le(*node);
         }
         ObsEvent::BookieReplaced { dead, target } => {
-            out.push(TAG_BOOKIE);
-            put_u64(out, *dead);
-            put_u64(out, *target);
+            out.put_u8(TAG_BOOKIE);
+            out.put_u64_le(*dead);
+            out.put_u64_le(*target);
         }
         ObsEvent::Repair {
             ledgers,
             entries,
             backlog,
         } => {
-            out.push(TAG_REPAIR);
-            put_u64(out, *ledgers);
-            put_u64(out, *entries);
-            put_u64(out, *backlog);
+            out.put_u8(TAG_REPAIR);
+            out.put_u64_le(*ledgers);
+            out.put_u64_le(*entries);
+            out.put_u64_le(*backlog);
         }
         ObsEvent::Rpc {
             target,
@@ -335,11 +337,11 @@ fn put_event(out: &mut Vec<u8>, hlc: HlcStamp, ev: &ObsEvent) {
             latency_us,
             ok,
         } => {
-            out.push(TAG_RPC);
-            put_u64(out, *target);
-            out.push(*role);
-            put_u64(out, *latency_us);
-            out.push(u8::from(*ok));
+            out.put_u8(TAG_RPC);
+            out.put_u64_le(*target);
+            out.put_u8(*role);
+            out.put_u64_le(*latency_us);
+            out.put_u8(u8::from(*ok));
         }
     }
 }
@@ -428,7 +430,7 @@ struct BatchRef<'a> {
 
 impl<'a> BatchRef<'a> {
     fn parse(buf: &'a [u8]) -> Option<Self> {
-        let mut r = Reader(buf);
+        let mut r = Reader::new(buf);
         if r.u8()? != MAGIC || r.u8()? != VERSION {
             return None;
         }
@@ -519,7 +521,7 @@ impl TelemetryAgent {
     /// without building the owned event.
     pub(crate) fn record_span(&mut self, now: Duration, span: &SpanRecord) {
         let hlc = self.stamp(now);
-        self.pending.extend_from_slice(&hlc.to_bytes());
+        self.pending.put_slice(&hlc.to_bytes());
         put_span_frame(&mut self.pending, |out| telwire::encode_record(span, out));
         self.ends.push(self.pending.len());
     }
@@ -1814,6 +1816,44 @@ mod tests {
         assert!(decode_batch(b"not a batch").is_none());
     }
 
+    /// A span whose name passes the `u16` length, in two-byte characters,
+    /// ships in a batch the collector reads whole: the name is cut at the
+    /// last character boundary that fits, and the control-plane event
+    /// beside it survives (cut mid-character, the batch was dropped whole).
+    #[test]
+    fn a_long_non_ascii_span_name_leaves_its_batch_readable() {
+        let mut agent = TelemetryAgent::new(NodeId(3), &ObsConfig::default());
+        let record = SpanRecord {
+            trace_id: TraceId(1),
+            span_id: SpanId(2),
+            parent: None,
+            name: "é".repeat(35_000),
+            system: "taureau-cluster",
+            start: ms(1),
+            end: ms(2),
+            attrs: Vec::new(),
+        };
+        agent.record_span(ms(2), &record);
+        let fence = ObsEvent::Fence {
+            topic: "t".into(),
+            node: 1,
+        };
+        agent.record(ms(3), fence.clone());
+        let header = BatchHeader {
+            node: NodeId(3),
+            batch_seq: 0,
+            cum_events: 2,
+            count: 2,
+        };
+        agent.pending[..BatchHeader::WIRE_LEN].copy_from_slice(&header.to_bytes());
+        let (_, events) = decode_batch(&agent.pending).expect("the batch reads whole");
+        let ObsEvent::Span(span) = &events[0].1 else {
+            panic!("not a span: {:?}", events[0].1);
+        };
+        assert_eq!(span.name, "é".repeat(32_767));
+        assert_eq!(events[1].1, fence);
+    }
+
     #[test]
     fn gap_detection_makes_loss_accounting_exact() {
         let cfg = ObsConfig::default();
@@ -2365,11 +2405,12 @@ mod tests {
                             errors: 0,
                             max_us: 0.0,
                         });
-                        let latency = span.duration_us() as f64;
+                        let latency = span.end_us.saturating_sub(span.start_us) as f64;
                         agg.sketch.update(latency);
                         agg.count += 1;
                         agg.max_us = agg.max_us.max(latency);
-                        agg.errors += u64::from(span.attr("outcome") == Some("error"));
+                        let outcome = span.attrs.iter().find(|(k, _)| k == "outcome");
+                        agg.errors += u64::from(outcome.is_some_and(|(_, v)| v == "error"));
                     }
                     ObsEvent::Rpc {
                         target,

@@ -7,14 +7,23 @@
 //! its original allocation — the same discipline the PR-5 zero-copy work
 //! established for ledger entries.
 
-use bytes::Bytes;
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use bytes::{BufMut, Bytes};
+use taureau_core::id::LedgerId;
+use taureau_core::wire::Reader;
+use taureau_pulsar::message::MessageId;
 
 use crate::error::{ClusterError, Result};
 
+fn malformed(what: &str) -> ClusterError {
+    ClusterError::Wire(what.into())
+}
+
 /// Append one frame to a body under construction.
 pub(crate) fn put_frame(out: &mut Vec<u8>, frame: &[u8]) {
-    out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-    out.extend_from_slice(frame);
+    out.put_u32_le(frame.len() as u32);
+    out.put_slice(frame);
 }
 
 /// Encode frames into one body.
@@ -44,19 +53,13 @@ pub(crate) fn reply(fill: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> (Bytes, Op
 /// Decode a body into its frames (zero-copy slices).
 pub(crate) fn dec(body: &Bytes) -> Result<Vec<Bytes>> {
     let mut frames = Vec::new();
-    let mut off = 0usize;
-    let buf = body.as_ref();
-    while off < buf.len() {
-        if off + 4 > buf.len() {
-            return Err(ClusterError::Wire("truncated frame length".into()));
-        }
-        let len = u32::from_le_bytes(buf[off..off + 4].try_into().expect("4 bytes")) as usize;
-        off += 4;
-        if off + len > buf.len() {
-            return Err(ClusterError::Wire("truncated frame body".into()));
-        }
-        frames.push(body.slice(off..off + len));
-        off += len;
+    let mut r = Reader::new(body);
+    while r.remaining() > 0 {
+        let len = r.u32().ok_or_else(|| malformed("truncated frame length"))? as usize;
+        let at = body.len() - r.remaining();
+        r.bytes(len)
+            .ok_or_else(|| malformed("truncated frame body"))?;
+        frames.push(body.slice(at..at + len));
     }
     Ok(frames)
 }
@@ -75,16 +78,12 @@ pub(crate) fn dec_n(body: &Bytes, n: usize) -> Result<Vec<Bytes>> {
 
 /// Decode a frame as UTF-8 (borrowed from the frame).
 pub(crate) fn as_str(frame: &Bytes) -> Result<&str> {
-    std::str::from_utf8(frame).map_err(|_| ClusterError::Wire("frame is not utf-8".into()))
+    std::str::from_utf8(frame).map_err(|_| malformed("frame is not utf-8"))
 }
 
 /// Decode a frame as a little-endian `u64`.
 pub(crate) fn as_u64(frame: &Bytes) -> Result<u64> {
-    let arr: [u8; 8] = frame
-        .as_ref()
-        .try_into()
-        .map_err(|_| ClusterError::Wire("frame is not a u64".into()))?;
-    Ok(u64::from_le_bytes(arr))
+    Reader::read_all(frame, Reader::u64).ok_or_else(|| malformed("frame is not a u64"))
 }
 
 /// Encode a `u64` frame.
@@ -92,38 +91,38 @@ pub(crate) fn u64_frame(v: u64) -> [u8; 8] {
     v.to_le_bytes()
 }
 
-/// Wire form of a [`taureau_pulsar::message::MessageId`]:
-/// `partition, ledger, entry, batch_index, batch_size` packed
-/// little-endian.
-pub fn enc_msg_id(id: &taureau_pulsar::message::MessageId) -> [u8; 28] {
+/// Wire form of a [`MessageId`]: `partition, ledger, entry, batch_index,
+/// batch_size` packed little-endian.
+pub(crate) fn enc_msg_id(id: &MessageId) -> [u8; 28] {
     let mut out = [0u8; 28];
-    out[..4].copy_from_slice(&id.partition.to_le_bytes());
-    out[4..12].copy_from_slice(&id.ledger.raw().to_le_bytes());
-    out[12..20].copy_from_slice(&id.entry.to_le_bytes());
-    out[20..24].copy_from_slice(&id.batch_index.to_le_bytes());
-    out[24..28].copy_from_slice(&id.batch_size.to_le_bytes());
+    let mut w = &mut out[..];
+    w.put_u32_le(id.partition);
+    w.put_u64_le(id.ledger.raw());
+    w.put_u64_le(id.entry);
+    w.put_u32_le(id.batch_index);
+    w.put_u32_le(id.batch_size);
     out
 }
 
-/// Decode a [`taureau_pulsar::message::MessageId`] frame.
-pub fn dec_msg_id(frame: &Bytes) -> Result<taureau_pulsar::message::MessageId> {
-    let b: &[u8] = frame.as_ref();
-    if b.len() != 28 {
-        return Err(ClusterError::Wire(
-            "message id frame must be 28 bytes".into(),
-        ));
-    }
-    Ok(taureau_pulsar::message::MessageId {
-        partition: u32::from_le_bytes(b[..4].try_into().expect("4")),
-        ledger: taureau_core::id::LedgerId(u64::from_le_bytes(b[4..12].try_into().expect("8"))),
-        entry: u64::from_le_bytes(b[12..20].try_into().expect("8")),
-        batch_index: u32::from_le_bytes(b[20..24].try_into().expect("4")),
-        batch_size: u32::from_le_bytes(b[24..28].try_into().expect("4")),
+/// Decode a [`MessageId`] frame.
+pub(crate) fn dec_msg_id(frame: &Bytes) -> Result<MessageId> {
+    Reader::read_all(frame, |r| {
+        Some(MessageId {
+            partition: r.u32()?,
+            ledger: LedgerId(r.u64()?),
+            entry: r.u64()?,
+            batch_index: r.u32()?,
+            batch_size: r.u32()?,
+        })
     })
+    .ok_or_else(|| malformed("message id frame must be 28 bytes"))
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -147,14 +146,57 @@ mod tests {
 
     #[test]
     fn msg_id_roundtrip() {
-        let id = taureau_pulsar::message::MessageId {
+        let id = MessageId {
             partition: 3,
-            ledger: taureau_core::id::LedgerId(77),
+            ledger: LedgerId(77),
             entry: 12,
             batch_index: 2,
             batch_size: 5,
         };
         let enc = enc_msg_id(&id);
         assert_eq!(dec_msg_id(&Bytes::copy_from_slice(&enc)).unwrap(), id);
+    }
+
+    proptest! {
+        /// Arbitrary bytes — raw, and framed bodies cut short and with a
+        /// byte flipped — never panic the body or id decoders. An accepted
+        /// body's frames lie inside it, in order, and account for every
+        /// byte of it; an accepted id is the 28 bytes it re-encodes to.
+        #[test]
+        fn hostile_bodies_and_ids_stay_inside_the_buffer(
+            raw in vec(any::<u8>(), 0..64),
+            frames in vec(vec(any::<u8>(), 0..9), 0..6),
+            framed in any::<bool>(),
+            cut in 0usize..96,
+            flip in (0usize..96, any::<u8>()),
+        ) {
+            let mut bytes = if framed { enc(&frames).to_vec() } else { raw };
+            if framed {
+                prop_assert_eq!(dec(&Bytes::from(bytes.clone())).ok(), Some(
+                    frames.iter().map(|f| Bytes::from(f.clone())).collect::<Vec<_>>()
+                ));
+            }
+            bytes.truncate(cut);
+            if let Some(b) = bytes.get_mut(flip.0) {
+                *b ^= flip.1;
+            }
+            let body = Bytes::from(bytes);
+            if let Ok(frames) = dec(&body) {
+                let buf = body.as_ptr_range();
+                let mut at = buf.start;
+                for f in &frames {
+                    let range = f.as_ptr_range();
+                    // Each frame starts just past its own 4-byte length.
+                    prop_assert!(f.is_empty() || range.start == at.wrapping_add(4));
+                    prop_assert!(f.is_empty() || range.end <= buf.end);
+                    at = at.wrapping_add(4 + f.len());
+                }
+                prop_assert_eq!(frames.iter().map(|f| 4 + f.len()).sum::<usize>(), body.len());
+            }
+            match dec_msg_id(&body) {
+                Ok(id) => prop_assert_eq!(&enc_msg_id(&id)[..], &body[..]),
+                Err(e) => prop_assert!(body.len() != 28 && matches!(e, ClusterError::Wire(_))),
+            }
+        }
     }
 }

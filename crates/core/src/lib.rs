@@ -28,6 +28,8 @@
 //! - [`trace`]: structured request tracing — causally-linked spans that
 //!   follow one invocation across FaaS, Pulsar and Jiffy, with Chrome
 //!   trace-event and flamegraph exporters.
+//! - [`wire`]: the one bounds-checked byte reader every binary format
+//!   in the workspace decodes with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,3 +46,4 @@ pub mod ratelimit;
 pub mod rng;
 pub mod sync;
 pub mod trace;
+pub mod wire;

@@ -37,9 +37,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use bytes::BufMut;
 use parking_lot::Mutex;
 
 use crate::clock::SharedClock;
+use crate::wire::Reader;
 
 /// Identity of one causally-linked request tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -87,8 +89,9 @@ impl SpanContext {
     /// zero-copy `Bytes::slice` decode paths intact.
     pub fn to_bytes(&self) -> [u8; Self::WIRE_LEN] {
         let mut out = [0u8; Self::WIRE_LEN];
-        out[..8].copy_from_slice(&self.trace_id.0.to_le_bytes());
-        out[8..].copy_from_slice(&self.span_id.0.to_le_bytes());
+        let mut w = &mut out[..];
+        w.put_u64_le(self.trace_id.0);
+        w.put_u64_le(self.span_id.0);
         out
     }
 
@@ -96,14 +99,11 @@ impl SpanContext {
     /// Returns `None` when `bytes` is not exactly [`SpanContext::WIRE_LEN`]
     /// long (a framing error, not a valid empty context).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() != Self::WIRE_LEN {
-            return None;
-        }
-        let trace = u64::from_le_bytes(bytes[..8].try_into().ok()?);
-        let span = u64::from_le_bytes(bytes[8..].try_into().ok()?);
-        Some(Self {
-            trace_id: TraceId(trace),
-            span_id: SpanId(span),
+        Reader::read_all(bytes, |r| {
+            Some(Self {
+                trace_id: TraceId(r.u64()?),
+                span_id: SpanId(r.u64()?),
+            })
         })
     }
 }
@@ -146,22 +146,22 @@ impl HlcStamp {
     /// little-endian.
     pub fn to_bytes(&self) -> [u8; Self::WIRE_LEN] {
         let mut out = [0u8; Self::WIRE_LEN];
-        out[..8].copy_from_slice(&self.physical_us.to_le_bytes());
-        out[8..12].copy_from_slice(&self.logical.to_le_bytes());
-        out[12..].copy_from_slice(&self.node.to_le_bytes());
+        let mut w = &mut out[..];
+        w.put_u64_le(self.physical_us);
+        w.put_u32_le(self.logical);
+        w.put_u64_le(self.node);
         out
     }
 
     /// Decode a stamp encoded with [`HlcStamp::to_bytes`]; `None` when
     /// `bytes` is not exactly [`HlcStamp::WIRE_LEN`] long.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() != Self::WIRE_LEN {
-            return None;
-        }
-        Some(Self {
-            physical_us: u64::from_le_bytes(bytes[..8].try_into().ok()?),
-            logical: u32::from_le_bytes(bytes[8..12].try_into().ok()?),
-            node: u64::from_le_bytes(bytes[12..].try_into().ok()?),
+        Reader::read_all(bytes, |r| {
+            Some(Self {
+                physical_us: r.u64()?,
+                logical: r.u32()?,
+                node: r.u64()?,
+            })
         })
     }
 }

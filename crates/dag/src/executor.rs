@@ -40,10 +40,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 use taureau_core::cost::Dollars;
 use taureau_core::metrics::{Counter, MetricsRegistry};
 use taureau_core::trace::{SpanContext, SpanGuard};
+use taureau_core::wire::Reader;
 use taureau_faas::{FaasError, FaasPlatform};
 use taureau_jiffy::{FileHandle, JPath, Jiffy, JiffyError, KvHandle};
 use taureau_orchestration::frame;
@@ -293,7 +294,9 @@ impl DagExecutor {
                 let Ok(Some(value)) = ckpt.get(name.as_bytes()) else {
                     continue;
                 };
-                let Some((stored, origin)) = decode_checkpoint(&value, store) else {
+                let Some((stored, origin)) =
+                    decode_checkpoint(&value, |path| store.open_file(path).ok())
+                else {
                     continue;
                 };
                 core.hot.checkpoint_hits.inc();
@@ -845,16 +848,16 @@ fn encode_checkpoint(stored: &Stored, ctx: Option<SpanContext>) -> Vec<u8> {
     let mut v = Vec::with_capacity(header + body);
     match ctx {
         Some(ctx) => {
-            v.push(ctx_tag);
-            v.extend_from_slice(&ctx.to_bytes());
+            v.put_u8(ctx_tag);
+            v.put_slice(&ctx.to_bytes());
         }
-        None => v.push(plain_tag),
+        None => v.put_u8(plain_tag),
     }
     match stored {
-        Stored::Inline(b) => v.extend_from_slice(b),
+        Stored::Inline(b) => v.put_slice(b),
         Stored::Spilled { file, len } => {
-            v.extend_from_slice(&len.to_le_bytes());
-            v.extend_from_slice(file.path().as_str().as_bytes());
+            v.put_u64_le(*len);
+            v.put_slice(file.path().as_str().as_bytes());
         }
     }
     v
@@ -862,26 +865,28 @@ fn encode_checkpoint(stored: &Stored, ctx: Option<SpanContext>) -> Vec<u8> {
 
 /// Decode a checkpoint KV value into the stored output and the context of
 /// the span that produced it (absent for classic frames). A spilled
-/// record's file is opened in `store`, once, here. `None` if the frame is
+/// record's file is opened with `open`, once, here. `None` if the frame is
 /// malformed or the file is gone — the node then runs again.
-fn decode_checkpoint(value: &[u8], store: &Jiffy) -> Option<(Stored, Option<SpanContext>)> {
-    let (tag, mut rest) = value.split_first()?;
-    let ctx = match *tag {
+fn decode_checkpoint(
+    value: &[u8],
+    open: impl FnOnce(&str) -> Option<FileHandle>,
+) -> Option<(Stored, Option<SpanContext>)> {
+    let mut r = Reader::new(value);
+    let tag = r.u8()?;
+    let ctx = match tag {
         CKPT_INLINE_CTX | CKPT_FILE_CTX => {
-            let ctx = SpanContext::from_bytes(rest.get(..SpanContext::WIRE_LEN)?)?;
-            rest = rest.get(SpanContext::WIRE_LEN..)?;
-            Some(ctx)
+            Some(SpanContext::from_bytes(r.bytes(SpanContext::WIRE_LEN)?)?)
         }
         _ => None,
     };
-    let stored = match *tag {
-        CKPT_INLINE | CKPT_INLINE_CTX => Stored::Inline(Bytes::copy_from_slice(rest)),
-        CKPT_FILE | CKPT_FILE_CTX => {
-            let len = u64::from_le_bytes(rest.get(..8)?.try_into().ok()?);
-            let path = std::str::from_utf8(rest.get(8..)?).ok()?;
-            let file = store.open_file(path).ok()?;
-            Stored::Spilled { file, len }
+    let stored = match tag {
+        CKPT_INLINE | CKPT_INLINE_CTX => {
+            Stored::Inline(Bytes::copy_from_slice(r.bytes(r.remaining())?))
         }
+        CKPT_FILE | CKPT_FILE_CTX => Stored::Spilled {
+            len: r.u64()?,
+            file: open(std::str::from_utf8(r.bytes(r.remaining())?).ok()?)?,
+        },
         _ => return None,
     };
     Some((stored, ctx))
@@ -892,6 +897,8 @@ mod tests {
     use std::sync::atomic::AtomicU32;
     use std::sync::Arc;
 
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use taureau_core::clock::VirtualClock;
     use taureau_core::trace::Tracer;
     use taureau_faas::{FunctionSpec, PlatformConfig};
@@ -1077,6 +1084,7 @@ mod tests {
             span_id: SpanId(22),
         };
         let jiffy = Jiffy::new(JiffyConfig::default(), VirtualClock::shared());
+        let open = |path: &str| jiffy.open_file(path).ok();
         let inline = Stored::Inline(Bytes::from_static(b"out"));
         let spilled = Stored::Spilled {
             file: jiffy.create_file("/dag-j/intermediate/n").unwrap(),
@@ -1091,24 +1099,24 @@ mod tests {
             // Untraced: classic tag, and the frame decodes with no origin.
             let classic = encode_checkpoint(stored, None);
             assert!(classic[0] == CKPT_INLINE || classic[0] == CKPT_FILE);
-            let (got, origin) = decode_checkpoint(&classic, &jiffy).unwrap();
+            let (got, origin) = decode_checkpoint(&classic, open).unwrap();
             assert_eq!(origin, None);
             assert_eq!(got.len(), stored.len());
             // Traced: ctx rides in the header, body unchanged after it.
             let traced = encode_checkpoint(stored, Some(ctx));
             assert!(traced[0] == CKPT_INLINE_CTX || traced[0] == CKPT_FILE_CTX);
             assert_eq!(&traced[1 + SpanContext::WIRE_LEN..], &classic[1..]);
-            let (got, origin) = decode_checkpoint(&traced, &jiffy).unwrap();
+            let (got, origin) = decode_checkpoint(&traced, open).unwrap();
             assert_eq!(origin, Some(ctx));
             assert_eq!(got.len(), stored.len());
         }
         // Malformed frames are rejected, not misread; so is a record whose
         // file is gone.
-        assert!(decode_checkpoint(b"", &jiffy).is_none());
-        assert!(decode_checkpoint(&[CKPT_INLINE_CTX, 1, 2], &jiffy).is_none());
-        assert!(decode_checkpoint(&[b'?', 0], &jiffy).is_none());
+        assert!(decode_checkpoint(b"", open).is_none());
+        assert!(decode_checkpoint(&[CKPT_INLINE_CTX, 1, 2], open).is_none());
+        assert!(decode_checkpoint(&[b'?', 0], open).is_none());
         jiffy.remove_namespace("/dag-j").unwrap();
-        assert!(decode_checkpoint(&wire, &jiffy).is_none());
+        assert!(decode_checkpoint(&wire, open).is_none());
     }
 
     #[test]
@@ -1339,5 +1347,64 @@ mod tests {
             .run(&diamond(), "seq", b"in")
             .unwrap();
         assert_eq!(report.output, b"in!in!");
+    }
+
+    proptest! {
+        /// Arbitrary bytes — raw, and frames of every tag cut short and
+        /// with a byte flipped — never panic the frame read up to its
+        /// file open. An untouched frame reads back as written; an
+        /// accepted one accounts for every byte of the value: tag, context
+        /// if its tag carries one, then the body to the end.
+        #[test]
+        fn hostile_checkpoint_frames_read_inside_the_value(
+            raw in vec(any::<u8>(), 0..48),
+            tag in 0usize..4,
+            body in vec(any::<u8>(), 0..12),
+            len in any::<u64>(),
+            formed in any::<bool>(),
+            cut in 0usize..64,
+            flip in (0usize..64, any::<u8>()),
+        ) {
+            let tag = [CKPT_INLINE, CKPT_FILE, CKPT_INLINE_CTX, CKPT_FILE_CTX][tag];
+            let ctx = SpanContext::from_bytes(&[7; SpanContext::WIRE_LEN]);
+            let ctx = ctx.filter(|_| tag == CKPT_INLINE_CTX || tag == CKPT_FILE_CTX);
+            let path: String = body.iter().map(|&b| char::from(b'a' + b % 26)).collect();
+            let mut frame = vec![tag];
+            frame.extend(ctx.map(|c| c.to_bytes()).into_iter().flatten());
+            let inline = tag == CKPT_INLINE || tag == CKPT_INLINE_CTX;
+            if inline {
+                frame.extend_from_slice(&body);
+            } else {
+                frame.extend_from_slice(&len.to_le_bytes());
+                frame.extend_from_slice(path.as_bytes());
+            }
+            // Read up to the file open: `open` sees the path, and answers
+            // that no such file exists.
+            let read = |bytes: &[u8]| {
+                let mut opened = None;
+                let decoded = decode_checkpoint(bytes, |p| {
+                    opened = Some(p.to_string());
+                    None
+                });
+                (decoded.map(|(stored, ctx)| (stored.len(), ctx)), opened)
+            };
+            let want = if inline { (Some((body.len(), ctx)), None) } else { (None, Some(path)) };
+            prop_assert_eq!(read(&frame), want);
+            let mut bytes = if formed { frame } else { raw };
+            bytes.truncate(cut);
+            if let Some(b) = bytes.get_mut(flip.0) {
+                *b ^= flip.1;
+            }
+            let header = match bytes.first() {
+                Some(&CKPT_INLINE_CTX | &CKPT_FILE_CTX) => 1 + SpanContext::WIRE_LEN,
+                _ => 1,
+            };
+            match read(&bytes) {
+                (Some((inline_len, _)), None) => prop_assert_eq!(header + inline_len, bytes.len()),
+                (None, Some(path)) => prop_assert_eq!(header + 8 + path.len(), bytes.len()),
+                (None, None) => {}
+                other => prop_assert!(false, "decoded and opened: {other:?}"),
+            }
+        }
     }
 }

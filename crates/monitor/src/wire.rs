@@ -3,11 +3,14 @@
 //! The workspace's serde shim derives are inert (see `shims/README.md`),
 //! so the wire format is hand-rolled: a two-byte header (`b'T'` magic +
 //! record tag) followed by little-endian fixed-width integers and
-//! `u16`-length-prefixed UTF-8 strings. Decoders are total — malformed
+//! `u16`-length-prefixed UTF-8 strings, written through `BufMut` and
+//! read through [`taureau_core::wire::Reader`]. Decoders are total — malformed
 //! frames decode to `None` and are counted by the consumer, never panicked
 //! on; the telemetry plane must survive garbage on its own topics.
 
+use bytes::BufMut;
 use taureau_core::trace::SpanRecord;
+use taureau_core::wire::{put_str, Reader};
 
 /// Frame magic: first byte of every telemetry record.
 const MAGIC: u8 = b'T';
@@ -59,74 +62,16 @@ impl SpanEvent {
     }
 
     /// Span duration in microseconds (saturating).
-    pub fn duration_us(&self) -> u64 {
+    pub(crate) fn duration_us(&self) -> u64 {
         self.end_us.saturating_sub(self.start_us)
     }
 
     /// Value of an attribute, if present.
-    pub fn attr(&self, key: &str) -> Option<&str> {
+    pub(crate) fn attr(&self, key: &str) -> Option<&str> {
         self.attrs
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
-    }
-}
-
-/// Append a `u16`-length-prefixed UTF-8 string (truncated at 64 KiB − 1).
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(u16::MAX as usize);
-    out.extend_from_slice(&(len as u16).to_le_bytes());
-    out.extend_from_slice(&bytes[..len]);
-}
-
-/// Append a little-endian `u64`.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Borrowing cursor over a telemetry frame: every read is bounds-checked
-/// and `None` past the end, strings come back as views into the frame.
-/// The one reader this module and the cluster's telemetry batches
-/// (`taureau-cluster::obs`) both decode with.
-#[derive(Clone)]
-pub struct Reader<'a>(pub &'a [u8]);
-
-impl<'a> Reader<'a> {
-    /// The next `len` bytes.
-    pub fn bytes(&mut self, len: usize) -> Option<&'a [u8]> {
-        if len > self.0.len() {
-            return None;
-        }
-        let (head, rest) = self.0.split_at(len);
-        self.0 = rest;
-        Some(head)
-    }
-
-    /// One byte.
-    pub fn u8(&mut self) -> Option<u8> {
-        Some(self.bytes(1)?[0])
-    }
-
-    /// A little-endian `u16`.
-    pub(crate) fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.bytes(2)?.try_into().ok()?))
-    }
-
-    /// A little-endian `u32`.
-    pub fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.bytes(4)?.try_into().ok()?))
-    }
-
-    /// A little-endian `u64`.
-    pub fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.bytes(8)?.try_into().ok()?))
-    }
-
-    /// A `u16`-length-prefixed UTF-8 string, borrowed from the frame.
-    pub fn str(&mut self) -> Option<&'a str> {
-        let len = self.u16()? as usize;
-        std::str::from_utf8(self.bytes(len)?).ok()
     }
 }
 
@@ -139,23 +84,23 @@ fn put_span<'s>(
     name: &str,
     attrs: impl ExactSizeIterator<Item = (&'s str, &'s str)>,
 ) {
-    out.push(MAGIC);
-    out.push(TAG_SPAN);
-    put_u64(out, trace_id);
-    put_u64(out, span_id);
+    out.put_u8(MAGIC);
+    out.put_u8(TAG_SPAN);
+    out.put_u64_le(trace_id);
+    out.put_u64_le(span_id);
     match parent {
         Some(p) => {
-            out.push(1);
-            put_u64(out, p);
+            out.put_u8(1);
+            out.put_u64_le(p);
         }
-        None => out.push(0),
+        None => out.put_u8(0),
     }
-    put_u64(out, start_us);
-    put_u64(out, end_us);
+    out.put_u64_le(start_us);
+    out.put_u64_le(end_us);
     put_str(out, system);
     put_str(out, name);
     let n_attrs = attrs.len().min(u16::MAX as usize);
-    out.extend_from_slice(&(n_attrs as u16).to_le_bytes());
+    out.put_u16_le(n_attrs as u16);
     for (k, v) in attrs.take(n_attrs) {
         put_str(out, k);
         put_str(out, v);
@@ -217,7 +162,7 @@ impl<'a> SpanRef<'a> {
     /// Decode a span frame; `None` on any malformed input. Bytes after
     /// the last attribute are ignored.
     pub fn parse(bytes: &'a [u8]) -> Option<Self> {
-        let mut r = Reader(bytes);
+        let mut r = Reader::new(bytes);
         if r.u8()? != MAGIC || r.u8()? != TAG_SPAN {
             return None;
         }
@@ -276,16 +221,16 @@ pub(crate) fn decode_span(bytes: &[u8]) -> Option<SpanEvent> {
 /// Encode a metric delta as one telemetry frame.
 pub(crate) fn encode_metric(name: &str, delta: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + name.len());
-    out.push(MAGIC);
-    out.push(TAG_METRIC);
-    put_u64(&mut out, delta);
+    out.put_u8(MAGIC);
+    out.put_u8(TAG_METRIC);
+    out.put_u64_le(delta);
     put_str(&mut out, name);
     out
 }
 
 /// Decode a metric frame; `None` on any malformed input.
 pub(crate) fn decode_metric(bytes: &[u8]) -> Option<(String, u64)> {
-    let mut r = Reader(bytes);
+    let mut r = Reader::new(bytes);
     if r.u8()? != MAGIC || r.u8()? != TAG_METRIC {
         return None;
     }
@@ -435,6 +380,21 @@ mod tests {
                 ("système-π", 17, 170)
             );
         }
+    }
+
+    /// A string past the `u16` length is cut at the last character
+    /// boundary that fits, so a long non-ASCII name or value still makes a
+    /// frame the decoder accepts (cut mid-character, it was refused whole).
+    #[test]
+    fn a_long_non_ascii_string_is_cut_at_a_char_boundary() {
+        let long = "é".repeat(35_000);
+        let record = sample_record(&long, vec![("k", long.clone())]);
+        let mut frame = Vec::new();
+        encode_record(&record, &mut frame);
+        let span = SpanRef::parse(&frame).expect("valid frame");
+        let kept = "é".repeat(32_767);
+        assert_eq!(span.name, kept);
+        assert_eq!(span.attrs().collect::<Vec<_>>(), vec![("k", kept.as_str())]);
     }
 
     /// Arbitrary and corrupted bytes: the borrowed decoder never panics,

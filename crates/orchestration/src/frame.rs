@@ -7,9 +7,12 @@
 //! [count: u32 le] ([len: u32 le] [bytes])*
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::ops::Range;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
+use taureau_core::wire::Reader;
 
 /// Pack a list of payloads into one framed buffer. This is the fan-in
 /// point of the data plane and it *copies*: the branches' refcounted
@@ -19,11 +22,11 @@ use bytes::Bytes;
 pub fn pack<T: AsRef<[u8]>>(items: &[T]) -> Vec<u8> {
     let total: usize = 4 + items.iter().map(|i| 4 + i.as_ref().len()).sum::<usize>();
     let mut out = Vec::with_capacity(total);
-    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+    out.put_u32_le(items.len() as u32);
     for item in items {
         let item = item.as_ref();
-        out.extend_from_slice(&(item.len() as u32).to_le_bytes());
-        out.extend_from_slice(item);
+        out.put_u32_le(item.len() as u32);
+        out.put_slice(item);
     }
     out
 }
@@ -45,23 +48,15 @@ pub fn unpack_bytes(bytes: &Bytes) -> Option<Vec<Bytes>> {
 /// count sizes the output only up to 1 024 items, so a hostile count
 /// cannot reserve memory the buffer does not back.
 fn walk<T>(bytes: &[u8], mut item: impl FnMut(Range<usize>) -> T) -> Option<Vec<T>> {
-    let u32_at = |at: usize| {
-        let field = bytes.get(at..at.checked_add(4)?)?;
-        Some(u32::from_le_bytes(field.try_into().ok()?) as usize)
-    };
-    let count = u32_at(0)?;
+    let mut r = Reader::new(bytes);
+    let count = r.u32()? as usize;
     let mut items = Vec::with_capacity(count.min(1024));
-    let mut pos = 4usize;
     for _ in 0..count {
-        let start = pos + 4;
-        let end = start.checked_add(u32_at(pos)?)?;
-        if end > bytes.len() {
-            return None;
-        }
-        items.push(item(start..end));
-        pos = end;
+        let (len, at) = (r.u32()? as usize, bytes.len() - r.remaining());
+        r.bytes(len)?;
+        items.push(item(at..at + len));
     }
-    (pos == bytes.len()).then_some(items)
+    (r.remaining() == 0).then_some(items)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 use parking_lot::{Mutex, RwLock};
 use taureau_core::clock::{SharedClock, WallClock};
 use taureau_core::hash::{hash64, FnvHashMap};
@@ -34,7 +34,8 @@ use crate::entry::{self, Cached, ParsedEntry};
 use crate::error::{PulsarError, Result};
 use crate::ledger::{BookKeeper, LedgerConfig, LedgerWriter};
 use crate::message::{EntryView, Message, MessageId};
-use crate::metadata::MetadataStore;
+use crate::metadata::{put_cursor, put_mode, put_segments, MetadataStore};
+use crate::metadata::{read_cursor, read_mode, read_segments};
 
 mod cursor;
 
@@ -76,25 +77,6 @@ pub enum SubscriptionMode {
     /// Many consumers attach, only the first (the active one) receives;
     /// on its detach the next takes over.
     Failover,
-}
-
-impl SubscriptionMode {
-    fn encode(self) -> &'static str {
-        match self {
-            SubscriptionMode::Exclusive => "exclusive",
-            SubscriptionMode::Shared => "shared",
-            SubscriptionMode::Failover => "failover",
-        }
-    }
-
-    fn decode(s: &str) -> Option<Self> {
-        match s {
-            "exclusive" => Some(SubscriptionMode::Exclusive),
-            "shared" => Some(SubscriptionMode::Shared),
-            "failover" => Some(SubscriptionMode::Failover),
-            _ => None,
-        }
-    }
 }
 
 struct Partition {
@@ -545,14 +527,14 @@ impl PulsarCluster {
                     let Ok(Some(last)) = inner.bk.last_entry(lid) else {
                         // Empty sealed segment: record as zero entries.
                         if inner.bk.ledger_meta(lid).is_ok() {
-                            tier.store_segment(&inner.meta, lid, &[]);
+                            tier.store_segment(&inner.meta, lid, &[])?;
                             let _ = inner.bk.delete_ledger(lid);
                             part.sealed.remove(&lid);
                             offloaded += 1;
                         }
                         continue;
                     };
-                    tier.store_segment(&inner.meta, lid, &inner.bk.read_through(lid, last)?);
+                    tier.store_segment(&inner.meta, lid, &inner.bk.read_through(lid, last)?)?;
                     inner.bk.delete_ledger(lid)?;
                     // Evict the in-memory snapshot: reads of an offloaded
                     // segment must pay the cold tier (and its metrics)
@@ -570,16 +552,14 @@ impl PulsarCluster {
     pub fn create_topic(&self, name: &str, partitions: u32) -> Result<()> {
         assert!(partitions >= 1);
         let key = format!("/topics/{name}");
-        if self.inner.meta.get(&key).is_some() {
-            return Err(PulsarError::TopicExists(name.to_string()));
-        }
         self.inner
             .meta
-            .create(&key, partitions.to_string().into_bytes())?;
+            .create(&key, |out| out.put_u32_le(partitions))
+            .map_err(|_| PulsarError::TopicExists(name.to_string()))?;
         for p in 0..partitions {
             self.inner
                 .meta
-                .put(&format!("/topics/{name}/{p}/segments"), Vec::new());
+                .write(&format!("/topics/{name}/{p}/segments"), |_| {});
         }
         self.inner.topics.lock().insert(
             name.to_string(),
@@ -608,17 +588,17 @@ impl PulsarCluster {
         if let Some(n) = cached {
             return Ok(n);
         }
-        let v = self
-            .inner
-            .meta
-            .get(&format!("/topics/{topic}"))
-            .ok_or_else(|| PulsarError::TopicNotFound(topic.to_string()))?;
-        let n: u32 = std::str::from_utf8(&v.data)
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| PulsarError::TopicNotFound(topic.to_string()))?;
+        let n = Self::stored_partitions(&self.inner, topic)?;
         self.publish_partition_count(topic, n);
         Ok(n)
+    }
+
+    /// A topic's partition count as the metadata store holds it.
+    fn stored_partitions(inner: &ClusterInner, topic: &str) -> Result<u32> {
+        inner
+            .meta
+            .read(&format!("/topics/{topic}"), |r| r.u32())
+            .ok_or_else(|| PulsarError::TopicNotFound(topic.to_string()))
     }
 
     /// Attach a producer to a topic.
@@ -653,10 +633,8 @@ impl PulsarCluster {
             let cid = inner.next_consumer.fetch_add(1, Ordering::Relaxed);
             sub.consumers.push(cid);
             // Persist subscription existence for broker restarts.
-            inner.meta.put(
-                &format!("/topics/{topic}/subs/{subscription}"),
-                mode.encode().as_bytes().to_vec(),
-            );
+            let key = format!("/topics/{topic}/subs/{subscription}");
+            inner.meta.write(&key, |out| put_mode(out, mode));
             Ok(cid)
         })?;
         Ok(Consumer {
@@ -707,23 +685,11 @@ impl PulsarCluster {
     /// broker). Touches only the metadata store and bookies — never the
     /// topic map it is called under.
     fn load_topic(inner: &ClusterInner, name: &str) -> Result<Topic> {
-        let nparts: u32 = {
-            let v = inner
-                .meta
-                .get(&format!("/topics/{name}"))
-                .ok_or_else(|| PulsarError::TopicNotFound(name.to_string()))?;
-            std::str::from_utf8(&v.data)
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| PulsarError::TopicNotFound(name.to_string()))?
-        };
+        let nparts = Self::stored_partitions(inner, name)?;
         let mut partitions = Vec::with_capacity(nparts as usize);
         for p in 0..nparts {
-            let segs = inner
-                .meta
-                .get(&format!("/topics/{name}/{p}/segments"))
-                .map(|v| decode_segments(&v.data))
-                .unwrap_or_default();
+            let key = format!("/topics/{name}/{p}/segments");
+            let segs = inner.meta.read(&key, read_segments).unwrap_or_default();
             // Any open tail segment belongs to a dead broker: fence it.
             if let Some(&last) = segs.last() {
                 let _ = inner.bk.recover_and_close(last);
@@ -733,14 +699,11 @@ impl PulsarCluster {
         let mut subs = HashMap::new();
         for key in inner.meta.list_prefix(&format!("/topics/{name}/subs/")) {
             let sub_name = key.rsplit('/').next().unwrap_or_default().to_string();
-            let mode = inner
-                .meta
-                .get(&key)
-                .and_then(|v| SubscriptionMode::decode(std::str::from_utf8(&v.data).ok()?))
-                .unwrap_or(SubscriptionMode::Shared);
+            let mode = inner.meta.read(&key, read_mode);
+            let mode = mode.unwrap_or(SubscriptionMode::Shared);
             // Restore the cursors from their persisted mark-deletes.
             let sub = SubState::new(name, &sub_name, mode, nparts as usize, |key| {
-                decode_cursor(&inner.meta.get(key)?.data)
+                inner.meta.read(key, read_cursor)
             });
             subs.insert(sub_name, sub);
         }
@@ -766,11 +729,11 @@ impl PulsarCluster {
         self.inner.topics.lock().remove(name);
     }
 
-    fn persist_segments(inner: &ClusterInner, topic: &str, p: usize, segs: &[LedgerId]) {
-        inner.meta.put(
-            &format!("/topics/{topic}/{p}/segments"),
-            encode_segments(segs),
-        );
+    fn persist_segments(inner: &ClusterInner, topic: &str, p: usize, part: &Partition) {
+        let key = format!("/topics/{topic}/{p}/segments");
+        inner
+            .meta
+            .write(&key, |out| put_segments(out, &part.segments));
     }
 
     /// Append one encoded entry to the partition's open ledger, with up to
@@ -799,7 +762,7 @@ impl PulsarCluster {
                 }
                 let w = inner.bk.create_ledger(inner.cfg.ledger)?;
                 part.segments.push(w.id());
-                Self::persist_segments(inner, topic, p, &part.segments);
+                Self::persist_segments(inner, topic, p, part);
                 part.writer = Some(w);
             }
             let w = part.writer.as_mut().expect("writer just ensured");
@@ -1079,7 +1042,7 @@ impl PulsarCluster {
         self.with_topic(topic, |inner, t| {
             let (sub, log) = t.cursor(inner, topic, subscription, false)?;
             sub.ack(&log, units, |key, md| {
-                inner.meta.update(key, |buf| write_cursor(buf, md));
+                inner.meta.write(key, |out| put_cursor(out, md));
             })
         })
     }
@@ -1142,7 +1105,7 @@ impl PulsarCluster {
                 }
                 if k > 0 {
                     part.segments.drain(..k);
-                    Self::persist_segments(inner, topic, p, &part.segments);
+                    Self::persist_segments(inner, topic, p, part);
                     reclaimed += k;
                 }
             }
@@ -1162,58 +1125,6 @@ impl PulsarCluster {
             Ok(total)
         })
     }
-}
-
-fn encode_segments(segs: &[LedgerId]) -> Vec<u8> {
-    segs.iter()
-        .map(|l| l.raw().to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-        .into_bytes()
-}
-
-fn decode_segments(bytes: &[u8]) -> Vec<LedgerId> {
-    std::str::from_utf8(bytes)
-        .unwrap_or("")
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .filter_map(|s| s.parse().ok().map(LedgerId))
-        .collect()
-}
-
-/// Overwrite `buf` with the persisted form of a cursor: the decimal text
-/// `partition;ledger;entry`, written digit by digit (this runs once per
-/// unbatched ack).
-fn write_cursor(buf: &mut Vec<u8>, id: &MessageId) {
-    fn put_decimal(buf: &mut Vec<u8>, mut n: u64) {
-        let mut digits = [0u8; 20]; // u64::MAX has 20
-        let mut at = digits.len();
-        loop {
-            at -= 1;
-            digits[at] = b'0' + (n % 10) as u8;
-            n /= 10;
-            if n == 0 {
-                break;
-            }
-        }
-        buf.extend_from_slice(&digits[at..]);
-    }
-    buf.clear();
-    put_decimal(buf, u64::from(id.partition));
-    buf.push(b';');
-    put_decimal(buf, id.ledger.raw());
-    buf.push(b';');
-    put_decimal(buf, id.entry);
-}
-
-fn decode_cursor(bytes: &[u8]) -> Option<MessageId> {
-    let s = std::str::from_utf8(bytes).ok()?;
-    let mut it = s.split(';');
-    Some(MessageId::new(
-        it.next()?.parse().ok()?,
-        LedgerId(it.next()?.parse().ok()?),
-        it.next()?.parse().ok()?,
-    ))
 }
 
 /// A producer attached to a topic.
@@ -1888,7 +1799,7 @@ mod tests {
             part.seal_tail(full.id());
             let fresh = inner.bk.create_ledger(inner.cfg.ledger)?;
             part.segments.push(fresh.id());
-            PulsarCluster::persist_segments(inner, "t", 0, &part.segments);
+            PulsarCluster::persist_segments(inner, "t", 0, part);
             Ok(())
         })
         .unwrap();
@@ -2161,11 +2072,12 @@ mod tests {
         }
         assert_eq!(consumer.drain().unwrap().len(), 17);
         let key = "/topics/t/0/segments";
+        let segments = || c.metadata().read(key, read_segments).unwrap();
         let before = c.metadata().get(key).unwrap();
-        assert_eq!(decode_segments(&before.data).len(), 3);
+        assert_eq!(segments().len(), 3);
         assert_eq!(c.trim_consumed("t").unwrap(), 2);
         let after = c.metadata().get(key).unwrap();
-        assert_eq!(decode_segments(&after.data).len(), 1);
+        assert_eq!(segments().len(), 1);
         assert_eq!(after.version, before.version + 1);
     }
 

@@ -232,9 +232,9 @@ fn a_corrupt_batch_off_a_bookie_is_refused_not_cached() {
         .unwrap();
     w.close().unwrap();
     let key = format!("/topics/{TOPIC}/0/segments");
-    let mut segments = decode_segments(&c.metadata().get(&key).unwrap().data);
+    let mut segments = c.metadata().read(&key, read_segments).unwrap();
     segments.push(w.id());
-    c.metadata().put(&key, encode_segments(&segments));
+    c.metadata().write(&key, |out| put_segments(out, &segments));
     c.restart_broker();
 
     let mut consumer = c
@@ -302,8 +302,8 @@ fn a_mid_scan_read_error_keeps_what_the_scan_delivered() {
     // The delivered views ack normally: the cursor reaches the end of
     // the first segment and nothing is left outstanding.
     consumer.ack_entries(&views).unwrap();
-    let cursor = c.metadata().get(&cursor_key(TOPIC, 0, SUB)).unwrap().data;
-    assert_eq!(decode_cursor(&cursor), Some(views[3].entry_id()));
+    let cursor = c.metadata().read(&cursor_key(TOPIC, 0, SUB), read_cursor);
+    assert_eq!(cursor, Some(views[3].entry_id()));
     assert_eq!(consumer.redeliver_unacked().unwrap(), 0);
     // The bookies return, and so does the rest of the log.
     c.bookies().iter().for_each(|b| b.restart());

@@ -1,7 +1,7 @@
 //! What the ack path must keep exactly: the cursor fold against its
 //! reference (insert the id, then drain the acked set while the next
 //! position is in it), the pending queues against the ordered map they
-//! replaced, the persisted cursor text, and the metadata decoders on bytes
+//! replaced, the persisted cursor bytes, and the metadata parses on bytes
 //! nobody vouches for. The fold is driven on the cursor alone, over a log
 //! held in memory; the pending queues through a whole cluster.
 
@@ -12,9 +12,11 @@ use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use taureau_core::rng::det_rng;
+use taureau_core::wire::Reader;
 
 use super::cursor::{cursor_key, AckUnit, PendingQueue};
 use super::*;
+use crate::metadata::tests::bytes_of;
 
 const TOPIC: &str = "t";
 const SUB: &str = "s";
@@ -175,12 +177,23 @@ impl Model {
         self.mark_delete[p].map(|md| self.order[p][md])
     }
 
-    /// The persisted form, as `format!` prints it: the text
-    /// `write_cursor` must produce byte for byte.
-    fn cursor_text(&self, p: usize) -> Option<Vec<u8>> {
-        self.cursor(p)
-            .map(|id| format!("{};{};{}", id.partition, id.ledger.raw(), id.entry).into_bytes())
+    /// The persisted form, spelled out field by field: the bytes the
+    /// cursor's encoder must produce.
+    fn cursor_bytes(&self, p: usize) -> Option<Vec<u8>> {
+        self.cursor(p).map(|id| cursor_bytes(&id))
     }
+}
+
+/// A persisted cursor: `partition u32 | ledger u64 | entry u64`,
+/// little-endian.
+fn cursor_bytes(id: &MessageId) -> Vec<u8> {
+    let (p, ledger, entry) = (id.partition, id.ledger.raw(), id.entry);
+    [
+        &p.to_le_bytes()[..],
+        &ledger.to_le_bytes(),
+        &entry.to_le_bytes(),
+    ]
+    .concat()
 }
 
 /// A topic's log held in memory, for driving a cursor with no cluster:
@@ -297,7 +310,7 @@ fn cursor_agrees(
     }
     for (p, &md) in sub.mark_delete.iter().enumerate() {
         same("mark-delete", step, md, model.cursor(p))?;
-        same("cursor bytes", step, persisted(p), model.cursor_text(p))?;
+        same("cursor bytes", step, persisted(p), model.cursor_bytes(p))?;
     }
     same("acked-set residue", step, &sub.acked, &model.acked)?;
     same("partial acks", step, &sub.partial, &model.partial)
@@ -423,14 +436,14 @@ proptest! {
             }
         }
 
-        // The metadata store: cursor text by key.
+        // The metadata store: cursor bytes by key.
         let mut stored: BTreeMap<String, Vec<u8>> = BTreeMap::new();
         let restored = |stored: &BTreeMap<String, Vec<u8>>| {
-            subscription(|key| decode_cursor(stored.get(key)?))
+            subscription(|key| Reader::read_all(stored.get(key)?, read_cursor))
         };
         for (i, &id) in acks.iter().enumerate() {
             sub.ack(&log, std::iter::once(AckUnit::Id(id)), |key, md| {
-                write_cursor(stored.entry(key.to_string()).or_default(), md);
+                stored.insert(key.to_string(), bytes_of(|out| put_cursor(out, md)));
             })
             .unwrap();
             model.ack(id);
@@ -653,48 +666,59 @@ proptest! {
         prop_assert!(queue.0.is_empty());
     }
 
-    /// `write_cursor` is the `p;ledger;entry` text `decode_cursor` reads,
-    /// digit for digit what `format!` printed, into a buffer that held
-    /// anything before.
+    /// A cursor rewritten in place over whatever its node held is the
+    /// 20 bytes of its three fields, and reads back as itself.
     #[test]
-    fn cursor_text_round_trips(
+    fn cursor_round_trips(
         partition in any::<u32>(),
         ledger in any::<u64>(),
         entry in any::<u64>(),
-        shift in 0u32..64,
         stale in vec(any::<u8>(), 0..40),
     ) {
-        // Shifted down so short numbers (and the digit-count boundaries
-        // below) are as likely as 20-digit ones.
-        let id = MessageId::new(partition >> (shift % 32), LedgerId(ledger >> shift), entry >> shift);
-        let mut buf = stale;
-        write_cursor(&mut buf, &id);
-        prop_assert_eq!(
-            &buf,
-            &format!("{};{};{}", id.partition, id.ledger.raw(), id.entry).into_bytes()
-        );
-        prop_assert_eq!(decode_cursor(&buf), Some(id));
+        let id = MessageId::new(partition, LedgerId(ledger), entry);
+        let meta = MetadataStore::new();
+        meta.write("/c", |out| *out = stale);
+        meta.write("/c", |out| put_cursor(out, &id));
+        prop_assert_eq!(meta.get("/c").map(|v| v.data), Some(cursor_bytes(&id)));
+        prop_assert_eq!(meta.read("/c", read_cursor), Some(id));
     }
 
     #[test]
     fn segment_list_round_trips(raw in vec(any::<u64>(), 0..24)) {
         let segs: Vec<LedgerId> = raw.into_iter().map(LedgerId).collect();
-        prop_assert_eq!(decode_segments(&encode_segments(&segs)), segs);
+        let bytes = bytes_of(|out| put_segments(out, &segs));
+        prop_assert_eq!(bytes.len(), 8 * segs.len());
+        prop_assert_eq!(Reader::read_all(&bytes, read_segments), Some(segs));
     }
 
-    /// Arbitrary bytes — raw, and drawn from the decoders' own alphabet so
-    /// that the structured paths are reached — never panic, and what comes
-    /// back is bounded by the bytes given, never by a number read in them.
+    /// Arbitrary bytes — raw, and a valid cursor or segment list cut short
+    /// and with a byte flipped — never panic either parse, and what one
+    /// accepts is the one encoding of what it returns: a segment list is
+    /// bounded by the bytes given, never by a number read in them.
     #[test]
     fn hostile_bytes_do_not_move_the_cursor_decoders(
         raw in vec(any::<u8>(), 0..64),
-        picks in vec(0usize..16, 0..64),
+        segs in vec(any::<u64>(), 0..6),
+        cut in 0usize..56,
+        flip in (0usize..56, any::<u8>()),
     ) {
-        const ALPHABET: &[u8; 16] = b"0123456789;;,,-\xff";
-        let shaped: Vec<u8> = picks.iter().map(|&i| ALPHABET[i]).collect();
-        for bytes in [&raw, &shaped] {
-            let _ = decode_cursor(bytes);
-            prop_assert!(decode_segments(bytes).len() <= bytes.len());
+        let damaged = |mut bytes: Vec<u8>| {
+            bytes.truncate(cut);
+            if let Some(b) = bytes.get_mut(flip.0) {
+                *b ^= flip.1;
+            }
+            bytes
+        };
+        let cursor = damaged(cursor_bytes(&MessageId::new(1, LedgerId(7), 41)));
+        let segs: Vec<LedgerId> = segs.into_iter().map(LedgerId).collect();
+        let list = damaged(bytes_of(|out| put_segments(out, &segs)));
+        for bytes in [&raw, &cursor, &list] {
+            if let Some(id) = Reader::read_all(bytes, read_cursor) {
+                prop_assert_eq!(&cursor_bytes(&id), bytes);
+            }
+            if let Some(segs) = Reader::read_all(bytes, read_segments) {
+                prop_assert_eq!(&bytes_of(|out| put_segments(out, &segs)), bytes);
+            }
         }
     }
 }
@@ -724,48 +748,29 @@ fn a_read_position_in_a_trimmed_ledger_lands_on_the_oldest_survivor() {
 }
 
 #[test]
-fn cursor_text_at_the_digit_boundaries() {
-    let mut buf = Vec::new();
-    for (id, text) in [
-        (MessageId::new(0, LedgerId(0), 0), &b"0;0;0"[..]),
-        (MessageId::new(3, LedgerId(9), 10), b"3;9;10"),
-        (MessageId::new(10, LedgerId(99), 100), b"10;99;100"),
-        (
-            MessageId::new(u32::MAX, LedgerId(u64::MAX), u64::MAX),
-            b"4294967295;18446744073709551615;18446744073709551615",
-        ),
-        // A shorter text over a longer one leaves no tail behind.
-        (MessageId::new(1, LedgerId(2), 3), b"1;2;3"),
-    ] {
-        write_cursor(&mut buf, &id);
-        assert_eq!(buf, text);
-    }
-}
-
-#[test]
 fn malformed_cursors_and_segment_lists_decode_to_nothing() {
-    for bad in [
-        &b""[..],
-        b";",
-        b"0;7",
-        b"0;7;",
-        b"-1;7;41",
-        b"0;7;4x",
-        b"4294967296;7;41",
-        b"0;18446744073709551616;41",
-        b"0;7;41\xff",
-    ] {
-        assert_eq!(decode_cursor(bad), None, "{bad:?}");
+    let cursor = cursor_bytes(&MessageId::new(0, LedgerId(7), 41));
+    for len in 0..cursor.len() {
+        assert_eq!(
+            Reader::read_all(&cursor[..len], read_cursor),
+            None,
+            "{len} bytes"
+        );
     }
-    // Fields past the third are ignored, as they always were.
+    let long = [&cursor[..], &[0]].concat();
+    assert_eq!(Reader::read_all(&long, read_cursor), None);
+    // A segment list is whole ids: 0, 8, 16… bytes.
+    for len in [1, 7, 9, 15, 20] {
+        assert_eq!(
+            Reader::read_all(&long[..len], read_segments),
+            None,
+            "{len} bytes"
+        );
+    }
+    assert_eq!(Reader::read_all(&[], read_segments), Some(Vec::new()));
     assert_eq!(
-        decode_cursor(b"0;7;41;junk"),
-        Some(MessageId::new(0, LedgerId(7), 41))
-    );
-    assert_eq!(decode_segments(b"\xff\xfe"), Vec::new());
-    assert_eq!(
-        decode_segments(b",,3,x,18446744073709551616,5,"),
-        vec![LedgerId(3), LedgerId(5)]
+        Reader::read_all(&long[..16], read_segments),
+        Some(vec![LedgerId(7 << 32), LedgerId(41 << 32)])
     );
 }
 
@@ -773,7 +778,7 @@ fn malformed_cursors_and_segment_lists_decode_to_nothing() {
 /// partition, acked in order, leave partition 0, ledger 7, entry 41 — and
 /// each in-order ack bumped the node's version by exactly one.
 #[test]
-fn in_order_acks_persist_the_literal_cursor_text() {
+fn in_order_acks_persist_the_literal_cursor_bytes() {
     let c = PulsarCluster::new(PulsarConfig::default(), WallClock::shared());
     // Seven ledgers' worth of ids go to other topics first.
     for i in 0..7 {
@@ -796,7 +801,8 @@ fn in_order_acks_persist_the_literal_cursor_text() {
         consumer.ack(m.id).unwrap();
         assert_eq!(c.metadata().get(&key).unwrap().version, i);
     }
-    assert_eq!(c.metadata().get(&key).unwrap().data, b"0;7;41");
+    let cursor = |entry| cursor_bytes(&MessageId::new(0, LedgerId(7), entry));
+    assert_eq!(c.metadata().get(&key).unwrap().data, cursor(41));
     // An out-of-order ack parks in the acked set and writes nothing.
     let ids: Vec<MessageId> = (0..3u8).map(|i| producer.send(&[i]).unwrap()).collect();
     consumer.ack(ids[2]).unwrap();
@@ -806,7 +812,7 @@ fn in_order_acks_persist_the_literal_cursor_text() {
     consumer.ack(ids[0]).unwrap();
     consumer.ack(ids[1]).unwrap();
     let node = c.metadata().get(&key).unwrap();
-    assert_eq!((node.data.as_slice(), node.version), (&b"0;7;44"[..], 43));
+    assert_eq!((node.data, node.version), (cursor(44), 43));
     assert!(broker_acked(&c).is_empty());
 }
 
@@ -893,8 +899,7 @@ fn draining_a_batched_log_writes_the_cursor_once_per_entry() {
         let node = c.metadata().get(&cursor_key(TOPIC, 0, SUB)).unwrap();
         assert_eq!(node.version, ENTRIES as u64 - 1, "{path}");
         let last = ids.last().unwrap().canonical();
-        let text = format!("0;{};{}", last.ledger.raw(), last.entry);
-        assert_eq!(node.data, text.as_bytes(), "{path}");
+        assert_eq!(node.data, cursor_bytes(&last), "{path}");
     }
 }
 

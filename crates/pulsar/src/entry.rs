@@ -20,8 +20,11 @@
 //! [`ParsedEntry::parse`] is the one place an entry's bytes are read, and
 //! [`encode`] the one place they are written.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use bytes::{BufMut, Bytes, BytesMut};
 use taureau_core::trace::SpanContext;
+use taureau_core::wire::Reader;
 
 use crate::error::{PulsarError, Result};
 use crate::framing::{packed_len, put_ends, OffsetTable};
@@ -111,27 +114,24 @@ impl ParsedEntry {
     }
 
     fn read(bytes: &Bytes) -> Option<Self> {
-        let field = |at: usize, len: usize| bytes.get(at..at.checked_add(len)?);
-        let u32_at = |at| Some(u32::from_le_bytes(field(at, 4)?.try_into().ok()?));
-        let count = u32_at(0)?;
-        let flags = *bytes.get(4)?;
-        let publish_nanos = u64::from_le_bytes(field(5, 8)?.try_into().ok()?);
+        let mut r = Reader::new(bytes);
+        let count = r.u32()?;
+        let flags = r.u8()?;
+        let publish_nanos = r.u64()?;
         if flags & !(TRACED | KEYED) != 0 {
             return None;
         }
-        let mut at = HEADER;
         let mut ctx = None;
         if flags & TRACED != 0 {
-            ctx = Some(SpanContext::from_bytes(field(at, SpanContext::WIRE_LEN)?)?);
-            at += SpanContext::WIRE_LEN;
+            ctx = Some(SpanContext::from_bytes(r.bytes(SpanContext::WIRE_LEN)?)?);
         }
         let mut key_len = None;
         if flags & KEYED != 0 {
-            let len = u32_at(at)?;
-            at = (at + 4).checked_add(len as usize)?;
+            let len = r.u32()?;
+            r.bytes(len as usize)?;
             key_len = Some(len);
         }
-        let table = OffsetTable::parse(bytes, count, at)?;
+        let table = OffsetTable::parse(bytes, count, bytes.len() - r.remaining())?;
         Some(Self {
             raw: bytes.clone(),
             ctx,

@@ -40,10 +40,10 @@ pub enum PulsarError {
     ExclusiveSubscriptionBusy(String),
     /// Metadata compare-and-swap failed (stale version).
     MetadataConflict(String),
-    /// A batch whose payloads together pass the 4 GiB one entry's offset
-    /// table can address.
+    /// A batch whose payloads — or a sealed segment whose entries, at
+    /// offload — together pass the 4 GiB one offset table can address.
     BatchTooLarge {
-        /// Messages in the refused batch.
+        /// Messages (or entries) in the refused batch.
         messages: usize,
     },
     /// A function with this name is already registered.

@@ -15,6 +15,7 @@
 //! borrow the item range it returns.
 
 use bytes::{BufMut, Bytes, BytesMut};
+use taureau_core::wire::Reader;
 
 /// Bytes the items occupy packed back to back — the last end offset —
 /// or `None` when that passes what a `u32` offset can address. Callers
@@ -58,20 +59,13 @@ impl OffsetTable {
     /// of `bytes`, validating bounds and monotonicity. Returns `None` for
     /// truncated or corrupt framing.
     pub(crate) fn parse(bytes: &[u8], count: u32, ends_at: usize) -> Option<Self> {
-        let base = ends_at.checked_add(4usize.checked_mul(count as usize)?)?;
-        if base > bytes.len() {
-            return None;
-        }
-        let table = Self { count, ends_at };
-        let mut prev = 0usize;
-        for i in 0..count {
-            let end = table.end(bytes, i);
-            if end < prev || base + end > bytes.len() {
-                return None;
-            }
-            prev = end;
-        }
-        Some(table)
+        let mut r = Reader::new(bytes);
+        r.bytes(ends_at)?;
+        let last = (0..count).try_fold(0, |last, _| r.u32().filter(|&end| end >= last))?;
+        // The ends are monotone, so the last item inside the buffer is
+        // every item inside it.
+        r.bytes(last as usize)?;
+        Some(Self { count, ends_at })
     }
 
     /// Number of items framed.

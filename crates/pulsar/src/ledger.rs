@@ -21,7 +21,7 @@ use taureau_core::id::LedgerId;
 
 use crate::bookie::Bookie;
 use crate::error::{PulsarError, Result};
-use crate::metadata::MetadataStore;
+use crate::metadata::{put_ledger, read_ledger, MetadataStore};
 
 /// Replication parameters for new ledgers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,45 +63,6 @@ pub(crate) struct LedgerMeta {
     pub(crate) closed: bool,
     /// Last entry id if closed and non-empty.
     pub(crate) last_entry: Option<u64>,
-}
-
-impl LedgerMeta {
-    fn encode(&self) -> Vec<u8> {
-        let ens: Vec<String> = self.ensemble.iter().map(usize::to_string).collect();
-        format!(
-            "{};{};{};{}",
-            if self.closed { "closed" } else { "open" },
-            self.last_entry.map_or("-".to_string(), |e| e.to_string()),
-            self.write_quorum,
-            ens.join(",")
-        )
-        .into_bytes()
-    }
-
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        let s = std::str::from_utf8(bytes).ok()?;
-        let mut parts = s.split(';');
-        let closed = parts.next()? == "closed";
-        let last = parts.next()?;
-        let last_entry = if last == "-" {
-            None
-        } else {
-            Some(last.parse().ok()?)
-        };
-        let write_quorum = parts.next()?.parse().ok()?;
-        let ensemble = parts
-            .next()?
-            .split(',')
-            .filter(|x| !x.is_empty())
-            .map(|x| x.parse().ok())
-            .collect::<Option<Vec<usize>>>()?;
-        Some(Self {
-            ensemble,
-            write_quorum,
-            closed,
-            last_entry,
-        })
-    }
 }
 
 /// The BookKeeper client: creates, reads, and recovers ledgers over a set
@@ -150,7 +111,8 @@ impl BookKeeper {
             closed: false,
             last_entry: None,
         };
-        self.meta.create(&meta_key(id), meta.encode())?;
+        self.meta
+            .create(&meta_key(id), |out| put_ledger(out, &meta))?;
         Ok(LedgerWriter {
             bk: self.clone(),
             id,
@@ -163,11 +125,9 @@ impl BookKeeper {
 
     /// Fetch ledger metadata.
     pub(crate) fn ledger_meta(&self, id: LedgerId) -> Result<LedgerMeta> {
-        let v = self
-            .meta
-            .get(&meta_key(id))
-            .ok_or(PulsarError::LedgerNotFound(id))?;
-        LedgerMeta::decode(&v.data).ok_or(PulsarError::LedgerNotFound(id))
+        self.meta
+            .read(&meta_key(id), read_ledger)
+            .ok_or(PulsarError::LedgerNotFound(id))
     }
 
     fn replicas_for(meta: &LedgerMeta, entry: u64) -> impl Iterator<Item = usize> + '_ {
@@ -239,7 +199,7 @@ impl BookKeeper {
             .max();
         meta.closed = true;
         meta.last_entry = last;
-        self.meta.put(&meta_key(id), meta.encode());
+        self.meta.write(&meta_key(id), |out| put_ledger(out, &meta));
         Ok(last)
     }
 
@@ -334,7 +294,7 @@ impl BookKeeper {
                 *slot = target;
             }
         }
-        self.meta.put(&meta_key(id), meta.encode());
+        self.meta.write(&meta_key(id), |out| put_ledger(out, &meta));
         Ok(copied)
     }
 }
@@ -417,7 +377,9 @@ impl LedgerWriter {
             closed: true,
             last_entry: self.next_entry.checked_sub(1),
         };
-        self.bk.meta.put(&meta_key(self.id), meta.encode());
+        self.bk
+            .meta
+            .write(&meta_key(self.id), |out| put_ledger(out, &meta));
         Ok(())
     }
 }
@@ -427,7 +389,18 @@ mod tests {
     use proptest::collection::vec;
     use proptest::prelude::*;
 
+    use taureau_core::wire::Reader;
+
     use super::*;
+    use crate::metadata::tests::bytes_of;
+
+    fn encode(meta: &LedgerMeta) -> Vec<u8> {
+        bytes_of(|out| put_ledger(out, meta))
+    }
+
+    fn decode(bytes: &[u8]) -> Option<LedgerMeta> {
+        Reader::read_all(bytes, read_ledger)
+    }
 
     fn cluster(n: usize) -> (BookKeeper, Arc<Vec<Arc<Bookie>>>) {
         let bookies: Arc<Vec<Arc<Bookie>>> =
@@ -458,8 +431,20 @@ mod tests {
                 last_entry: None,
             },
         ] {
-            assert_eq!(LedgerMeta::decode(&meta.encode()), Some(meta));
+            assert_eq!(decode(&encode(&meta)), Some(meta));
         }
+        // flags (closed | has last), last entry, write quorum, ensemble.
+        let sealed = LedgerMeta {
+            ensemble: vec![1, 2],
+            write_quorum: 2,
+            closed: true,
+            last_entry: Some(41),
+        };
+        let mut want = vec![3];
+        for field in [41u64, 2, 1, 2] {
+            want.extend_from_slice(&field.to_le_bytes());
+        }
+        assert_eq!(encode(&sealed), want);
     }
 
     proptest! {
@@ -477,22 +462,35 @@ mod tests {
                 closed,
                 last_entry: has_last.then_some(last),
             };
-            prop_assert_eq!(LedgerMeta::decode(&meta.encode()), Some(meta));
+            prop_assert_eq!(decode(&encode(&meta)), Some(meta));
         }
 
-        /// Arbitrary bytes, raw and drawn from the codec's own alphabet,
-        /// never panic the decoder, and the ensemble it returns is bounded
-        /// by the bytes given — never by a number read in them.
+        /// Arbitrary bytes, raw and valid metadata cut short and with a
+        /// byte flipped, never panic the parse, and what it accepts is the
+        /// one encoding of what it returns: the ensemble is bounded by the
+        /// bytes given, never by a number read in them.
         #[test]
         fn meta_decode_survives_hostile_bytes(
             raw in vec(any::<u8>(), 0..64),
-            picks in vec(0usize..8, 0..12),
+            ensemble in vec(0usize..8, 0..5),
+            flags in 0u8..4,
+            cut in 0usize..64,
+            flip in (0usize..64, any::<u8>()),
         ) {
-            const WORDS: [&str; 8] = ["open", "closed", ";", ",", "-", "7", "18446744073709551616", "\u{fffd}x"];
-            let shaped: String = picks.iter().map(|&i| WORDS[i]).collect();
-            for bytes in [&raw[..], shaped.as_bytes()] {
-                if let Some(meta) = LedgerMeta::decode(bytes) {
-                    prop_assert!(meta.ensemble.len() <= bytes.len());
+            let meta = LedgerMeta {
+                ensemble,
+                write_quorum: 2,
+                closed: flags & 1 != 0,
+                last_entry: (flags & 2 != 0).then_some(9),
+            };
+            let mut shaped = encode(&meta);
+            shaped.truncate(cut);
+            if let Some(b) = shaped.get_mut(flip.0) {
+                *b ^= flip.1;
+            }
+            for bytes in [&raw[..], &shaped[..]] {
+                if let Some(meta) = decode(bytes) {
+                    prop_assert_eq!(encode(&meta), bytes.to_vec());
                 }
             }
         }
@@ -500,30 +498,27 @@ mod tests {
 
     #[test]
     fn malformed_meta_decodes_to_nothing() {
+        let good = encode(&LedgerMeta {
+            ensemble: vec![0, 1],
+            write_quorum: 2,
+            closed: false,
+            last_entry: None,
+        });
+        let with = |at: usize, byte: u8| {
+            let mut bad = good.clone();
+            bad[at] = byte;
+            bad
+        };
         for bad in [
-            &b""[..],
-            b"open",
-            b"open;-",
-            b"open;-;2",
-            b"open;x;2;0,1",
-            b"open;-;-2;0,1",
-            b"open;-;2;0,x",
-            b"closed;18446744073709551616;2;0,1",
-            b"open;-;2;0,1\xff",
+            Vec::new(),
+            good[..16].to_vec(),
+            good[..good.len() - 1].to_vec(),
+            [&good[..], &[0]].concat(),
+            with(0, 4), // an unknown flag
+            with(1, 5), // a last entry with no flag to hold it
         ] {
-            assert_eq!(LedgerMeta::decode(bad), None, "{bad:?}");
+            assert_eq!(decode(&bad), None, "{bad:?}");
         }
-        // Anything but "closed" reads as open; empty ensemble slots and
-        // fields past the fourth are skipped, as they always were.
-        assert_eq!(
-            LedgerMeta::decode(b"?;5;2;,0,,1,;junk"),
-            Some(LedgerMeta {
-                ensemble: vec![0, 1],
-                write_quorum: 2,
-                closed: false,
-                last_entry: Some(5),
-            })
-        );
     }
 
     #[test]

@@ -7,12 +7,16 @@
 //! driven explicitly by [`crate::broker::PulsarCluster::offload_sealed`],
 //! mirroring Pulsar's offload policies.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use taureau_baas::BlobStore;
 use taureau_core::id::LedgerId;
+use taureau_core::wire::Reader;
 
+use crate::error::{PulsarError, Result};
 use crate::framing::{packed_len, put_ends, OffsetTable};
 use crate::metadata::MetadataStore;
 
@@ -38,22 +42,22 @@ fn object_key(id: LedgerId) -> Vec<u8> {
 /// `[count u32 | end_offset u32 × count | entry bytes…]` — the same
 /// end-offset layout ledger entries use, so a segment read is
 /// one table parse plus an O(1) slice per entry instead of a linear walk
-/// over length prefixes.
-pub(crate) fn encode_segment(entries: &[Bytes]) -> Vec<u8> {
-    // A ledger rolls over long before it holds 4 GiB of entries.
-    let total = packed_len(entries.iter().map(Bytes::len)).expect("sealed segment under 4 GiB");
+/// over length prefixes. `None` for entries past the 4 GiB a `u32` offset
+/// can address, which a ledger rolls over long before it holds.
+pub(crate) fn encode_segment(entries: &[Bytes]) -> Option<Vec<u8>> {
+    let total = packed_len(entries.iter().map(Bytes::len))?;
     let mut buf = BytesMut::with_capacity(4 + 4 * entries.len() + total as usize);
-    buf.put_u32_le(entries.len() as u32);
-    put_ends(&mut buf, entries.iter().map(Bytes::len)).expect("sealed segment under 4 GiB");
+    buf.put_u32_le(u32::try_from(entries.len()).ok()?);
+    put_ends(&mut buf, entries.iter().map(Bytes::len))?;
     for e in entries {
         buf.put_slice(e);
     }
-    buf.to_vec()
+    Some(buf.to_vec())
 }
 
 fn decode_entry(bytes: &Bytes, index: u64) -> Option<Bytes> {
-    let count = u32::from_le_bytes(bytes.get(0..4)?.try_into().ok()?);
-    if index >= count as u64 {
+    let count = Reader::new(bytes).u32()?;
+    if index >= u64::from(count) {
         return None;
     }
     let table = OffsetTable::parse(bytes, count, 4)?;
@@ -69,20 +73,27 @@ impl TierBackend {
     }
 
     /// Record an offloaded segment: blob object plus metadata (entry
-    /// count), so readers can find it after the bookies forget it.
-    pub(crate) fn store_segment(&self, meta: &MetadataStore, id: LedgerId, entries: &[Bytes]) {
-        self.blob
-            .put(&self.bucket, &object_key(id), &encode_segment(entries));
-        meta.put(
-            &offload_meta_key(id),
-            entries.len().to_string().into_bytes(),
-        );
+    /// count, a `u32` as in the segment), so readers can find it after the
+    /// bookies forget it. Refused, storing nothing, past 4 GiB.
+    pub(crate) fn store_segment(
+        &self,
+        meta: &MetadataStore,
+        id: LedgerId,
+        entries: &[Bytes],
+    ) -> Result<()> {
+        let segment = encode_segment(entries).ok_or(PulsarError::BatchTooLarge {
+            messages: entries.len(),
+        })?;
+        self.blob.put(&self.bucket, &object_key(id), &segment);
+        meta.write(&offload_meta_key(id), |out| {
+            out.put_u32_le(entries.len() as u32)
+        });
+        Ok(())
     }
 
     /// Whether a ledger was offloaded, and its entry count if so.
     pub(crate) fn offloaded_len(&self, meta: &MetadataStore, id: LedgerId) -> Option<u64> {
-        let v = meta.get(&offload_meta_key(id))?;
-        std::str::from_utf8(&v.data).ok()?.parse().ok()
+        meta.read(&offload_meta_key(id), |r| r.u32()).map(u64::from)
     }
 
     /// Read one entry of an offloaded segment (pays cold-tier latency).
@@ -106,6 +117,9 @@ impl TierBackend {
 
 #[cfg(test)]
 mod tests {
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
     use super::*;
     use taureau_core::clock::VirtualClock;
     use taureau_core::latency::LatencyModel;
@@ -129,7 +143,7 @@ mod tests {
             Bytes::new(),
             Bytes::from(vec![9u8; 1000]),
         ];
-        let enc = Bytes::from(encode_segment(&entries));
+        let enc = Bytes::from(encode_segment(&entries).unwrap());
         for (i, e) in entries.iter().enumerate() {
             assert_eq!(decode_entry(&enc, i as u64).as_ref(), Some(e));
         }
@@ -146,7 +160,7 @@ mod tests {
         let (tier, meta) = backend();
         let id = LedgerId(7);
         let entries: Vec<Bytes> = (0..5u8).map(|i| Bytes::from(vec![i; 10])).collect();
-        tier.store_segment(&meta, id, &entries);
+        tier.store_segment(&meta, id, &entries).unwrap();
         assert_eq!(tier.offloaded_len(&meta, id), Some(5));
         assert_eq!(
             tier.read_entry(&meta, id, 3),
@@ -156,5 +170,42 @@ mod tests {
         assert_eq!(tier.read_entry(&meta, LedgerId(99), 0), None);
         tier.delete_segment(&meta, id);
         assert_eq!(tier.offloaded_len(&meta, id), None);
+    }
+
+    proptest! {
+        /// Arbitrary bytes — raw, and encoded segments cut short and with
+        /// a byte flipped — never panic the entry decode at any index. An
+        /// untouched segment hands back every entry and nothing past its
+        /// count; whatever is accepted is a slice of the segment buffer.
+        #[test]
+        fn hostile_segments_decode_inside_the_buffer(
+            raw in vec(any::<u8>(), 0..64),
+            entries in vec(vec(any::<u8>(), 0..9), 0..6),
+            encoded in any::<bool>(),
+            cut in 0usize..96,
+            flip in (0usize..96, any::<u8>()),
+            index in 0u64..8,
+        ) {
+            let entries: Vec<Bytes> = entries.into_iter().map(Bytes::from).collect();
+            let formed = encode_segment(&entries).unwrap();
+            if encoded {
+                let whole = Bytes::from(formed.clone());
+                for (i, e) in entries.iter().enumerate() {
+                    prop_assert_eq!(decode_entry(&whole, i as u64), Some(e.clone()));
+                }
+                prop_assert_eq!(decode_entry(&whole, entries.len() as u64), None);
+            }
+            let mut bytes = if encoded { formed } else { raw };
+            bytes.truncate(cut);
+            if let Some(b) = bytes.get_mut(flip.0) {
+                *b ^= flip.1;
+            }
+            let segment = Bytes::from(bytes);
+            if let Some(entry) = decode_entry(&segment, index) {
+                let (buf, at) = (segment.as_ptr_range(), entry.as_ptr_range());
+                prop_assert!(entry.is_empty() || (buf.start <= at.start && at.end <= buf.end));
+                prop_assert!(index < u64::from(Reader::new(&segment).u32().unwrap()));
+            }
+        }
     }
 }

@@ -32,7 +32,11 @@ impl Bytes {
     /// The empty buffer.
     #[inline]
     pub fn new() -> Self {
-        Self { data: None, start: 0, end: 0 }
+        Self {
+            data: None,
+            start: 0,
+            end: 0,
+        }
     }
 
     /// Buffer over a static slice (copied; the shim has no zero-copy
@@ -75,7 +79,11 @@ impl Bytes {
             Bound::Excluded(&n) => n,
             Bound::Unbounded => self.len(),
         };
-        assert!(lo <= hi && hi <= self.len(), "slice {lo}..{hi} out of bounds of {}", self.len());
+        assert!(
+            lo <= hi && hi <= self.len(),
+            "slice {lo}..{hi} out of bounds of {}",
+            self.len()
+        );
         Self {
             data: self.data.clone(),
             start: self.start + lo,
@@ -138,7 +146,11 @@ impl From<Vec<u8>> for Bytes {
             return Self::new();
         }
         let end = v.len();
-        Self { data: Some(Arc::new(v)), start: 0, end }
+        Self {
+            data: Some(Arc::new(v)),
+            start: 0,
+            end,
+        }
     }
 }
 
@@ -265,7 +277,9 @@ impl BytesMut {
     /// New empty buffer with reserved capacity.
     #[inline]
     pub fn with_capacity(cap: usize) -> Self {
-        Self { vec: Vec::with_capacity(cap) }
+        Self {
+            vec: Vec::with_capacity(cap),
+        }
     }
 
     /// Length in bytes.
@@ -346,6 +360,17 @@ impl BufMut for Vec<u8> {
     }
 }
 
+/// Writes fill the slice from the front and advance it past what they
+/// wrote; writing past its end panics, as in `bytes`.
+impl BufMut for &mut [u8] {
+    #[inline]
+    fn put_slice(&mut self, src: &[u8]) {
+        let (head, rest) = std::mem::take(self).split_at_mut(src.len());
+        head.copy_from_slice(src);
+        *self = rest;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,5 +412,15 @@ mod tests {
         assert_eq!(b.len(), 4 + 2 + 8);
         assert_eq!(&b[0..4], &7u32.to_le_bytes());
         assert_eq!(&b[4..6], b"ab");
+    }
+
+    #[test]
+    fn a_slice_fills_from_the_front() {
+        let mut out = [0u8; 6];
+        let mut w = &mut out[..];
+        w.put_u16_le(0x0201);
+        w.put_u8(3);
+        assert_eq!(w.len(), 3);
+        assert_eq!(out, [1, 2, 3, 0, 0, 0]);
     }
 }

@@ -44,7 +44,11 @@ impl Criterion {
     /// Open a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
         let sample_size = self.sample_size;
-        BenchmarkGroup { _parent: self, name: name.to_string(), sample_size }
+        BenchmarkGroup {
+            _parent: self,
+            name: name.to_string(),
+            sample_size,
+        }
     }
 
     /// Finalize (upstream prints summaries; the shim prints per-bench).
@@ -91,7 +95,11 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher, &I),
     {
         let id = id.into();
-        run_bench(&format!("{}/{}", self.name, id), self.sample_size, &mut |b| f(b, input));
+        run_bench(
+            &format!("{}/{}", self.name, id),
+            self.sample_size,
+            &mut |b| f(b, input),
+        );
         self
     }
 
@@ -107,18 +115,24 @@ pub struct BenchmarkId {
 impl BenchmarkId {
     /// A function name plus parameter value.
     pub fn new(name: impl fmt::Display, param: impl fmt::Display) -> Self {
-        Self { text: format!("{name}/{param}") }
+        Self {
+            text: format!("{name}/{param}"),
+        }
     }
 
     /// Just a parameter value.
     pub fn from_parameter(param: impl fmt::Display) -> Self {
-        Self { text: param.to_string() }
+        Self {
+            text: param.to_string(),
+        }
     }
 }
 
 impl From<&str> for BenchmarkId {
     fn from(s: &str) -> Self {
-        Self { text: s.to_string() }
+        Self {
+            text: s.to_string(),
+        }
     }
 }
 
@@ -156,9 +170,15 @@ impl Bencher {
 
 fn run_bench<F: FnMut(&mut Bencher)>(name: &str, samples: usize, f: &mut F) {
     // One warmup call, then timed samples.
-    let mut warm = Bencher { samples: Vec::new(), iters_per_sample: 1 };
+    let mut warm = Bencher {
+        samples: Vec::new(),
+        iters_per_sample: 1,
+    };
     f(&mut warm);
-    let mut b = Bencher { samples: Vec::with_capacity(samples), iters_per_sample: 1 };
+    let mut b = Bencher {
+        samples: Vec::with_capacity(samples),
+        iters_per_sample: 1,
+    };
     for _ in 0..samples {
         f(&mut b);
     }

@@ -75,10 +75,19 @@ impl<T> fmt::Debug for Receiver<T> {
 /// Create an unbounded channel.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
-        inner: Mutex::new(State { queue: VecDeque::new(), senders: 1, receivers: 1 }),
+        inner: Mutex::new(State {
+            queue: VecDeque::new(),
+            senders: 1,
+            receivers: 1,
+        }),
         ready: Condvar::new(),
     });
-    (Sender { shared: Arc::clone(&shared) }, Receiver { shared })
+    (
+        Sender {
+            shared: Arc::clone(&shared),
+        },
+        Receiver { shared },
+    )
 }
 
 impl<T> Sender<T> {
@@ -98,7 +107,9 @@ impl<T> Sender<T> {
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
         self.shared.inner.lock().unwrap().senders += 1;
-        Self { shared: Arc::clone(&self.shared) }
+        Self {
+            shared: Arc::clone(&self.shared),
+        }
     }
 }
 
@@ -180,7 +191,9 @@ impl<T> Receiver<T> {
 impl<T> Clone for Receiver<T> {
     fn clone(&self) -> Self {
         self.shared.inner.lock().unwrap().receivers += 1;
-        Self { shared: Arc::clone(&self.shared) }
+        Self {
+            shared: Arc::clone(&self.shared),
+        }
     }
 }
 

@@ -35,7 +35,10 @@ impl RngCore for TestRng {
 
 /// Number of cases per property (`PROPTEST_CASES` env override).
 pub fn case_count() -> usize {
-    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(64)
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64)
 }
 
 /// A value generator.
@@ -241,7 +244,10 @@ pub mod collection {
 
     /// `vec(strategy, len_range)`.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 }
 
@@ -253,7 +259,10 @@ pub struct Union<V> {
 impl<V: Debug> Union<V> {
     /// Build from non-empty alternatives.
     pub fn new(options: Vec<BoxedStrategy<V>>) -> Self {
-        assert!(!options.is_empty(), "prop_oneof! needs at least one alternative");
+        assert!(
+            !options.is_empty(),
+            "prop_oneof! needs at least one alternative"
+        );
         Self { options }
     }
 }

@@ -102,7 +102,12 @@ impl SeedableRng for ChaCha8Rng {
         for (k, chunk) in key.iter_mut().zip(seed.chunks_exact(4)) {
             *k = u32::from_le_bytes(chunk.try_into().unwrap());
         }
-        Self { key, counter: 0, block: [0; 16], index: 16 }
+        Self {
+            key,
+            counter: 0,
+            block: [0; 16],
+            index: 16,
+        }
     }
 }
 
