@@ -585,7 +585,7 @@ fn e22_traced_pipeline(trace_out: Option<&str>, metrics_out: Option<&str>) {
     for system in ["taureau-faas", "taureau-pulsar", "taureau-jiffy"] {
         let sys_spans: Vec<_> = spans.iter().filter(|s| s.system == system).collect();
         let total: Duration = sys_spans.iter().map(|s| s.duration()).sum();
-        let mut names: Vec<&str> = sys_spans.iter().map(|s| s.name.as_str()).collect();
+        let mut names: Vec<&str> = sys_spans.iter().map(|s| s.name).collect();
         names.sort_unstable();
         names.dedup();
         t.row([

@@ -36,14 +36,15 @@
 //! have synced (empty batches carrying the final cumulative count), even
 //! under injected drops.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Duration;
 
 use bytes::{BufMut, Bytes};
+use taureau_core::hash::FnvHashMap;
 use taureau_core::id::NodeId;
 use taureau_core::trace::{
-    suppress_telemetry, HlcClock, HlcStamp, SpanId, SpanRecord, TelemetryEvent, TelemetrySink,
-    TraceId,
+    intern, suppress_telemetry, AttrValue, Attrs, HlcClock, HlcStamp, SpanId, SpanRecord,
+    TelemetryEvent, TelemetrySink, TraceId,
 };
 use taureau_core::wire::{put_str, Reader};
 use taureau_jiffy::{Jiffy, JiffyError};
@@ -52,7 +53,7 @@ use taureau_monitor::{render_trace_json, HealthReport, OpHealth, SpanEvent};
 use taureau_sketches::KllSketch;
 
 use crate::fabric::{ClusterFabric, NodeRole};
-use crate::pulsar_cluster::ClusterPulsar;
+use crate::pulsar_cluster::{ClusterPulsar, TRACE_SYSTEM};
 use crate::transport::Envelope;
 
 /// Envelope kind used by telemetry batches on the fabric.
@@ -279,6 +280,13 @@ fn put_span_frame(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
     (&mut out[at..at + 4]).put_u32_le(len);
 }
 
+/// Append a metric event's tag and body.
+fn put_metric(out: &mut Vec<u8>, name: &str, delta: u64) {
+    out.put_u8(TAG_METRIC);
+    put_str(out, name);
+    out.put_u64_le(delta);
+}
+
 /// Append one stamped event in its wire form.
 fn put_event(out: &mut Vec<u8>, hlc: HlcStamp, ev: &ObsEvent) {
     out.put_slice(&hlc.to_bytes());
@@ -286,11 +294,7 @@ fn put_event(out: &mut Vec<u8>, hlc: HlcStamp, ev: &ObsEvent) {
         ObsEvent::Span(span) => {
             put_span_frame(out, |out| out.put_slice(&telwire::encode_span(span)))
         }
-        ObsEvent::Metric { name, delta } => {
-            out.put_u8(TAG_METRIC);
-            put_str(out, name);
-            out.put_u64_le(*delta);
-        }
+        ObsEvent::Metric { name, delta } => put_metric(out, name, *delta),
         ObsEvent::Membership { peer, up } => {
             out.put_u8(TAG_MEMBERSHIP);
             out.put_u64_le(*peer);
@@ -384,6 +388,14 @@ fn read_event<'a>(r: &mut Reader<'a>) -> Option<(HlcStamp, EventRef<'a>)> {
             let (name, delta) = (r.str()?, r.u64()?);
             return Some((hlc, EventRef::Metric { name, delta }));
         }
+        tag => read_owned(tag, r)?,
+    };
+    Some((hlc, EventRef::Owned(event)))
+}
+
+/// The body of an event that is neither a span nor a metric.
+fn read_owned(tag: u8, r: &mut Reader<'_>) -> Option<ObsEvent> {
+    Some(match tag {
         TAG_MEMBERSHIP => ObsEvent::Membership {
             peer: r.u64()?,
             up: r.u8()? != 0,
@@ -417,8 +429,7 @@ fn read_event<'a>(r: &mut Reader<'a>) -> Option<(HlcStamp, EventRef<'a>)> {
             ok: r.u8()? != 0,
         },
         _ => return None,
-    };
-    Some((hlc, EventRef::Owned(event)))
+    })
 }
 
 /// A batch validated end to end (a batch is folded whole or not at all)
@@ -429,7 +440,8 @@ struct BatchRef<'a> {
 }
 
 impl<'a> BatchRef<'a> {
-    fn parse(buf: &'a [u8]) -> Option<Self> {
+    /// The header, and a reader at the first event.
+    fn header(buf: &'a [u8]) -> Option<(BatchHeader, Reader<'a>)> {
         let mut r = Reader::new(buf);
         if r.u8()? != MAGIC || r.u8()? != VERSION {
             return None;
@@ -440,7 +452,12 @@ impl<'a> BatchRef<'a> {
             cum_events: r.u64()?,
             count: r.u32()?,
         };
-        let batch = Self { header, events: r };
+        Some((header, r))
+    }
+
+    fn parse(buf: &'a [u8]) -> Option<Self> {
+        let (header, events) = Self::header(buf)?;
+        let batch = Self { header, events };
         (batch.events().count() == header.count as usize).then_some(batch)
     }
 
@@ -523,6 +540,14 @@ impl TelemetryAgent {
         let hlc = self.stamp(now);
         self.pending.put_slice(&hlc.to_bytes());
         put_span_frame(&mut self.pending, |out| telwire::encode_record(span, out));
+        self.ends.push(self.pending.len());
+    }
+
+    /// [`Self::record`] of an `ObsEvent::Metric`, without building it.
+    pub(crate) fn record_metric(&mut self, now: Duration, name: &str, delta: u64) {
+        let hlc = self.stamp(now);
+        self.pending.put_slice(&hlc.to_bytes());
+        put_metric(&mut self.pending, name, delta);
         self.ends.push(self.pending.len());
     }
 
@@ -624,6 +649,69 @@ struct OpAgg {
     max_us: f64,
 }
 
+impl OpAgg {
+    fn new() -> Self {
+        Self {
+            sketch: KllSketch::new(200),
+            count: 0,
+            errors: 0,
+            max_us: 0.0,
+        }
+    }
+
+    fn add(&mut self, latency_us: u64, error: bool) {
+        let latency = latency_us as f64;
+        self.sketch.update(latency);
+        self.count += 1;
+        self.max_us = self.max_us.max(latency);
+        self.errors += u64::from(error);
+    }
+}
+
+/// Where a staged span folds: an op the collector knows, or the n-th op
+/// its batch is the first to carry.
+#[derive(Clone, Copy)]
+enum OpSlot {
+    Known(usize),
+    New(usize),
+}
+
+/// What one batch will fold, staged while the batch is read and
+/// committed only once all of it has parsed. The buffers are reused
+/// across batches, so a warm collector stages without allocating.
+#[derive(Default)]
+struct Staged {
+    /// `(op, latency µs, outcome == "error")` for each span.
+    spans: Vec<(OpSlot, u64, bool)>,
+    /// Op names new to the batch's node, in first-seen order.
+    new_ops: Vec<String>,
+    /// `(role, target, latency µs)` for each successful RPC.
+    rpcs: Vec<(u8, u64, u64)>,
+    /// Control-plane events, decoded.
+    control: Vec<StampedEvent>,
+    /// Spans, metrics and RPC samples: what the flight recorder keeps.
+    data_events: u64,
+}
+
+impl Staged {
+    fn clear(&mut self) {
+        self.spans.clear();
+        self.new_ops.clear();
+        self.rpcs.clear();
+        self.control.clear();
+        self.data_events = 0;
+    }
+
+    /// The slot of an op name the collector does not know for this node.
+    fn new_op(&mut self, name: &str) -> OpSlot {
+        let at = self.new_ops.iter().position(|n| n == name);
+        OpSlot::New(at.unwrap_or_else(|| {
+            self.new_ops.push(name.to_string());
+            self.new_ops.len() - 1
+        }))
+    }
+}
+
 /// Successful-RPC latencies of one target, with the median the grey
 /// detector judges it by.
 struct RpcTarget {
@@ -638,8 +726,10 @@ impl RpcTarget {
     }
 }
 
-/// The collector node's state. A batch is read in place and folded into
-/// the aggregates, loss ledgers and grey detector. Control-plane events
+/// The collector node's state. A batch is read once, in place: each event
+/// is validated and staged as it is read, and the staged fold goes into
+/// the aggregates, loss ledgers and grey detector only when the whole
+/// batch has parsed. Control-plane events
 /// are kept decoded for the life of the stack — failure reconstruction
 /// needs every one, and they are rare; everything else stays as the bytes
 /// it arrived in, in a flight-recorder ring bounded by `RING_BYTES`,
@@ -654,9 +744,12 @@ pub struct Collector {
     events_received: u64,
     batches_received: u64,
     decode_errors: u64,
-    agents: HashMap<NodeId, AgentLedger>,
-    /// node → op name → aggregate.
-    op_stats: BTreeMap<u64, BTreeMap<String, OpAgg>>,
+    agents: FnvHashMap<NodeId, AgentLedger>,
+    /// node → op name → index into `op_aggs`.
+    op_stats: BTreeMap<u64, FnvHashMap<String, usize>>,
+    op_aggs: Vec<OpAgg>,
+    /// The batch being ingested (empty between batches).
+    staged: Staged,
     /// `(role, target)` → latencies: a role group is one key range.
     rpc: BTreeMap<(u8, u64), RpcTarget>,
     /// Role groups the batch being ingested folded an RPC into.
@@ -697,8 +790,10 @@ impl Collector {
             events_received: 0,
             batches_received: 0,
             decode_errors: 0,
-            agents: HashMap::new(),
+            agents: FnvHashMap::default(),
             op_stats: BTreeMap::new(),
+            op_aggs: Vec::new(),
+            staged: Staged::default(),
             rpc: BTreeMap::new(),
             touched_roles: Vec::new(),
             grey_min_samples: cfg.grey_min_samples,
@@ -732,11 +827,74 @@ impl Collector {
         if env.kind != TELEMETRY_KIND {
             return;
         }
-        let Some(batch) = BatchRef::parse(&env.body) else {
+        let mut staged = std::mem::take(&mut self.staged);
+        if let Some(header) = self.stage(&env.body, &mut staged) {
+            self.commit(header, &env.body, &mut staged);
+            self.update_grey(now);
+        } else {
             self.decode_errors += 1;
-            return;
-        };
-        let header = batch.header;
+        }
+        staged.clear();
+        self.staged = staged;
+    }
+
+    /// The one walk over a batch: validate every event and stage what it
+    /// folds. `None`, with nothing folded, unless all `count` events parse.
+    fn stage(&self, body: &[u8], staged: &mut Staged) -> Option<BatchHeader> {
+        let (header, mut r) = BatchRef::header(body)?;
+        let ops = self.op_stats.get(&header.node.raw());
+        for _ in 0..header.count {
+            let hlc = HlcStamp::from_bytes(r.bytes(HlcStamp::WIRE_LEN)?)?;
+            match r.u8()? {
+                TAG_SPAN => {
+                    let len = r.u32()? as usize;
+                    let mut error = None;
+                    let span = SpanRef::parse_visiting(r.bytes(len)?, |k, v| {
+                        if k == "outcome" && error.is_none() {
+                            error = Some(v == "error");
+                        }
+                    })?;
+                    let op = match ops.and_then(|ops| ops.get(span.name)) {
+                        Some(&i) => OpSlot::Known(i),
+                        None => staged.new_op(span.name),
+                    };
+                    let latency = span.end_us.saturating_sub(span.start_us);
+                    staged.spans.push((op, latency, error == Some(true)));
+                    staged.data_events += 1;
+                }
+                TAG_METRIC => {
+                    r.str()?;
+                    r.u64()?;
+                    staged.data_events += 1;
+                }
+                tag => match read_owned(tag, &mut r)? {
+                    // Only successful RPCs feed the sketches: timeouts to
+                    // a *dead* node are the heartbeat detector's business;
+                    // grey means slow-but-answering.
+                    ObsEvent::Rpc {
+                        target,
+                        role,
+                        latency_us,
+                        ok,
+                    } => {
+                        if ok {
+                            staged.rpcs.push((role, target, latency_us));
+                        }
+                        staged.data_events += 1;
+                    }
+                    event => staged.control.push(StampedEvent {
+                        node: header.node,
+                        hlc,
+                        event,
+                    }),
+                },
+            }
+        }
+        Some(header)
+    }
+
+    /// Fold a whole staged batch, unless its agent already sent it.
+    fn commit(&mut self, header: BatchHeader, body: &Bytes, staged: &mut Staged) {
         let ledger = self.agents.entry(header.node).or_default();
         // Per-link delivery is FIFO, so a duplicate (same seq) or stale
         // batch always arrives at-or-after the original: drop it.
@@ -749,75 +907,42 @@ impl Collector {
         ledger.received += u64::from(header.count);
         self.batches_received += 1;
         self.events_received += u64::from(header.count);
-        let mut data_events = 0;
-        for (hlc, event) in batch.events() {
-            if event.is_control() {
-                self.control.push(StampedEvent {
-                    node: header.node,
-                    hlc,
-                    event: event.into_owned(),
-                });
-            } else {
-                data_events += 1;
-                self.fold(header.node, event);
+        self.control.append(&mut staged.control);
+        if !staged.spans.is_empty() {
+            let ops = self.op_stats.entry(header.node.raw()).or_default();
+            let first_new = self.op_aggs.len();
+            for name in staged.new_ops.drain(..) {
+                ops.insert(name, self.op_aggs.len());
+                self.op_aggs.push(OpAgg::new());
+            }
+            for &(op, latency_us, error) in &staged.spans {
+                let i = match op {
+                    OpSlot::Known(i) => i,
+                    OpSlot::New(n) => first_new + n,
+                };
+                self.op_aggs[i].add(latency_us, error);
+            }
+        }
+        for &(role, target, latency_us) in &staged.rpcs {
+            let t = self.rpc.entry((role, target)).or_insert_with(|| RpcTarget {
+                sketch: KllSketch::new(200),
+                p50: None,
+            });
+            t.sketch.update(latency_us as f64);
+            t.p50 = None;
+            if !self.touched_roles.contains(&role) {
+                self.touched_roles.push(role);
             }
         }
         // Flight recorder: evict from the old end, never the newest.
-        if data_events > 0 {
-            self.ring_bytes += env.body.len();
-            self.ring.push_back((env.body.clone(), data_events));
+        if staged.data_events > 0 {
+            self.ring_bytes += body.len();
+            self.ring.push_back((body.clone(), staged.data_events));
             while self.ring_bytes > self.ring_cap && self.ring.len() > 1 {
                 let (old, lost) = self.ring.pop_front().expect("len > 1");
                 self.ring_bytes -= old.len();
                 self.events_evicted += lost;
             }
-        }
-        self.update_grey(now);
-    }
-
-    /// Fold one data-plane event into the aggregates.
-    fn fold(&mut self, node: NodeId, event: EventRef<'_>) {
-        match event {
-            EventRef::Span(span) => {
-                let add = |agg: &mut OpAgg| {
-                    let latency = span.end_us.saturating_sub(span.start_us) as f64;
-                    agg.sketch.update(latency);
-                    agg.count += 1;
-                    agg.max_us = agg.max_us.max(latency);
-                    let outcome = span.attrs().find(|kv| kv.0 == "outcome");
-                    agg.errors += u64::from(outcome.is_some_and(|kv| kv.1 == "error"));
-                };
-                let ops = self.op_stats.entry(node.raw()).or_default();
-                match ops.get_mut(span.name) {
-                    Some(agg) => add(agg),
-                    None => add(ops.entry(span.name.to_string()).or_insert(OpAgg {
-                        sketch: KllSketch::new(200),
-                        count: 0,
-                        errors: 0,
-                        max_us: 0.0,
-                    })),
-                }
-            }
-            // Only successful RPCs feed the sketches: timeouts to a
-            // *dead* node are the heartbeat detector's business; grey
-            // means slow-but-answering.
-            EventRef::Owned(ObsEvent::Rpc {
-                target,
-                role,
-                latency_us,
-                ok: true,
-            }) => {
-                let t = self.rpc.entry((role, target)).or_insert_with(|| RpcTarget {
-                    sketch: KllSketch::new(200),
-                    p50: None,
-                });
-                t.sketch.update(latency_us as f64);
-                t.p50 = None;
-                if !self.touched_roles.contains(&role) {
-                    self.touched_roles.push(role);
-                }
-            }
-            _ => {}
         }
     }
 
@@ -939,11 +1064,12 @@ impl Collector {
     /// telemetry-plane counters, and grey flags as active alerts.
     pub(crate) fn health_report(&self, now: Duration) -> HealthReport {
         let mut ops = Vec::new();
-        for (node, name, agg) in self
+        for (node, name, &i) in self
             .op_stats
             .iter()
-            .flat_map(|(node, ops)| ops.iter().map(move |(name, agg)| (node, name, agg)))
+            .flat_map(|(node, ops)| ops.iter().map(move |(name, i)| (node, name, i)))
         {
+            let agg = &self.op_aggs[i];
             ops.push(OpHealth {
                 op: name.clone(),
                 node: Some(*node),
@@ -997,7 +1123,8 @@ impl Collector {
     }
 }
 
-/// Re-intern a wire span into a [`SpanRecord`] (static-str fields).
+/// Re-intern a wire span into a [`SpanRecord`] (static-str fields;
+/// values stay the text they arrived as).
 fn span_record(span: &SpanRef<'_>) -> SpanRecord {
     fn intern_system(s: &str) -> &'static str {
         match s {
@@ -1026,14 +1153,14 @@ fn span_record(span: &SpanRef<'_>) -> SpanRecord {
         trace_id: TraceId(span.trace_id),
         span_id: SpanId(span.span_id),
         parent: span.parent.map(SpanId),
-        name: span.name.to_string(),
+        name: intern(span.name).unwrap_or("remote"),
         system: intern_system(span.system),
         start: Duration::from_micros(span.start_us),
         end: Duration::from_micros(span.end_us),
         attrs: span
             .attrs()
-            .filter_map(|(k, v)| intern_key(k).map(|k| (k, v.to_string())))
-            .collect(),
+            .filter_map(|(k, v)| Some((intern_key(k)?, v)))
+            .collect::<Attrs>(),
     }
 }
 
@@ -1387,8 +1514,6 @@ pub struct ClusterObs {
     agents: Vec<Option<TelemetryAgent>>,
     collector: Collector,
     sink: TelemetrySink,
-    /// What the tracer sink held this tick (buffer reused across ticks).
-    drained: Vec<TelemetryEvent>,
     faults: Vec<RecordedFault>,
     dumped_incidents: usize,
     dump_errors: u64,
@@ -1422,7 +1547,6 @@ impl ClusterObs {
             agents,
             collector,
             sink,
-            drained: Vec::new(),
             faults: Vec::new(),
             dumped_incidents: 0,
             dump_errors: 0,
@@ -1465,31 +1589,27 @@ impl ClusterObs {
     /// events, diffs membership views, and flushes due batches.
     pub(crate) fn step(&mut self, fabric: &mut ClusterFabric, pulsar: &mut ClusterPulsar) {
         let now = fabric.now();
-        // 1. Locally-traced spans/metrics → the node that recorded them
-        // (cluster spans carry a `node` attr; unattributed spans are the
-        // client/admin's).
-        let mut drained = std::mem::take(&mut self.drained);
-        self.sink.drain_into(usize::MAX, &mut drained);
-        for ev in drained.drain(..) {
-            match ev {
-                TelemetryEvent::Span(record) => {
-                    let node = record
-                        .attrs
-                        .iter()
-                        .find(|(k, _)| *k == "node")
-                        .and_then(|(_, v)| v.parse::<u64>().ok())
-                        .map(NodeId)
-                        .unwrap_or(self.client);
-                    if let Some(agent) = self.agent_for(node) {
-                        agent.record_span(now, &record);
-                    }
-                }
-                TelemetryEvent::Metric { name, delta } => {
-                    self.record_on(self.client, now, ObsEvent::Metric { name, delta });
+        // 1. Locally-traced spans/metrics → the node that recorded them:
+        // a cluster handler's span carries the fabric node it ran on;
+        // every other span (a `node` of some other kind included) is the
+        // client/admin's.
+        let sink = self.sink.clone();
+        sink.drain_with(usize::MAX, |event| match event {
+            TelemetryEvent::Span(record) => {
+                let node = match (record.system, record.attr("node")) {
+                    (TRACE_SYSTEM, Some(&AttrValue::U64(node))) => NodeId(node),
+                    _ => self.client,
+                };
+                if let Some(agent) = self.agent_for(node) {
+                    agent.record_span(now, record);
                 }
             }
-        }
-        self.drained = drained;
+            &TelemetryEvent::Metric { name, delta } => {
+                if let Some(agent) = self.agent_for(self.client) {
+                    agent.record_metric(now, name, delta);
+                }
+            }
+        });
         // 2. Pulsar control/data-plane events → the node they happened on
         // (bookie-tier events route to the admin/client agent).
         for event in pulsar.drain_obs_events() {
@@ -1672,6 +1792,8 @@ impl ClusterObs {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     /// Reference encoder: a whole batch from owned events.
@@ -1827,11 +1949,11 @@ mod tests {
             trace_id: TraceId(1),
             span_id: SpanId(2),
             parent: None,
-            name: "é".repeat(35_000),
+            name: "é".repeat(35_000).leak(),
             system: "taureau-cluster",
             start: ms(1),
             end: ms(2),
-            attrs: Vec::new(),
+            attrs: Attrs::new(),
         };
         agent.record_span(ms(2), &record);
         let fence = ObsEvent::Fence {
@@ -2085,7 +2207,7 @@ mod tests {
         let record = reassemble(&span);
         assert_eq!(record.system, "taureau-faas");
         assert_eq!(record.trace_id, TraceId(1));
-        assert_eq!(record.attrs, vec![("function", "thumb".to_string())]);
+        assert_eq!(record.attrs, [("function", "thumb")].into_iter().collect());
         let unknown = SpanEvent {
             system: "someday-system".into(),
             ..span
@@ -2126,23 +2248,30 @@ mod tests {
     }
 
     /// A producer-side span with everything the wire can carry: empty and
-    /// 64 KiB-overflowing names, 0–20 attributes, non-ASCII throughout.
+    /// 64 KiB-overflowing names, 0–20 attributes (past the inline six),
+    /// typed values, non-ASCII throughout.
     fn random_record(rng: &mut impl Rng) -> SpanRecord {
+        use std::sync::LazyLock;
         const SYSTEMS: [&str; 4] = ["taureau-faas", "taureau-cluster", "", "système-π"];
         const KEYS: [&str; 5] = ["node", "outcome", "function", "ключ", ""];
         const NAMES: [&str; 5] = ["faas.invoke", "cluster.pub", "pulsar.dispatch", "", "öp"];
+        static LONG: LazyLock<[String; 2]> = LazyLock::new(|| {
+            // 80 000 bytes of `é`: truncated on the wire.
+            ["x".repeat(u16::MAX as usize), "é".repeat(40_000)]
+        });
         let name = match rng.gen_range(0..12) {
-            0 => "x".repeat(u16::MAX as usize),
-            1 => "é".repeat(40_000), // 80 000 bytes: truncated on the wire
-            n => NAMES[n % NAMES.len()].to_string(),
+            n @ 0..2 => LONG[n].as_str(),
+            n => NAMES[n % NAMES.len()],
         };
         let attrs = (0..rng.gen_range(0..=20))
             .map(|_| {
-                let value = match rng.gen_range(0..4) {
-                    0 => "error".to_string(),
-                    1 => "ok".to_string(),
-                    2 => rng.gen_range(0..20u64).to_string(),
-                    _ => "väl".repeat(rng.gen_range(0..4)),
+                let value: AttrValue = match rng.gen_range(0..6) {
+                    0 => "error".into(),
+                    1 => "ok".into(),
+                    2 => rng.gen_range(0..20u64).into(),
+                    3 => (rng.gen_range(0..20u64) as f64 * 1e-9).into(),
+                    4 => "väl".repeat(rng.gen_range(0..12)).as_str().into(),
+                    _ => rng.gen::<bool>().into(),
                 };
                 (KEYS[rng.gen_range(0..KEYS.len())], value)
             })
@@ -2673,6 +2802,82 @@ mod tests {
                 c.ingest(&telem(NodeId(2), Bytes::from(raw)), ms(3));
                 prop_assert_eq!(c.decode_errors + c.batches_received(), 1);
                 prop_assert_eq!(c.events().len() as u64, c.events_received());
+            }
+        }
+    }
+
+    /// Everything a refused batch must leave as it was.
+    fn folded_state(c: &Collector) -> String {
+        let mut ledgers: Vec<_> = c.agents.iter().collect();
+        ledgers.sort_by_key(|(node, _)| **node);
+        format!(
+            "{:?} {:?} {ledgers:?} {} {} {} {} {:?}",
+            op_rows(&c.health_report(ms(1_000))),
+            c.control,
+            c.ring.len(),
+            c.ring_bytes,
+            c.events_received,
+            c.batches_received,
+            c.grey_verdicts(),
+        )
+    }
+
+    proptest! {
+        /// A valid batch with one byte damaged, after some history: the
+        /// collector either refuses it, counting one `decode_error` and
+        /// changing nothing else, or folds all of it exactly as the
+        /// reference collector does. The one walk stages; it never folds.
+        #[test]
+        fn a_damaged_batch_folds_whole_or_changes_nothing(
+            seed in any::<u64>(),
+            n_events in 1usize..16,
+        ) {
+            let mut rng = det_rng(seed);
+            let cfg = ObsConfig { grey_min_samples: 1, ..ObsConfig::default() };
+            let mut collector = Collector::new(&cfg);
+            let mut eager = EagerCollector::new(&cfg);
+            let mut batch = |seq: u64| {
+                let events: Vec<(HlcStamp, ObsEvent)> = (0..n_events)
+                    .map(|i| {
+                        let event = if rng.gen_bool(0.5) {
+                            ObsEvent::Span(SpanEvent::from_record(&random_record(&mut rng)))
+                        } else {
+                            random_event(&mut rng)
+                        };
+                        (stamp(2, seq * 100 + i as u64), event)
+                    })
+                    .collect();
+                let header = BatchHeader {
+                    node: NodeId(2),
+                    batch_seq: seq,
+                    cum_events: (seq + 1) * n_events as u64,
+                    count: n_events as u32,
+                };
+                encode_batch(header, &events)
+            };
+            for seq in 0..2 {
+                let body = batch(seq);
+                collector.ingest(&telem(NodeId(2), body.clone()), ms(seq + 1));
+                eager.ingest(&body, ms(seq + 1));
+            }
+            let mut raw = batch(2).to_vec();
+            let at = rng.gen_range(0..raw.len());
+            raw[at] = raw[at].wrapping_add(rng.gen_range(1..=255u8));
+            let before = folded_state(&collector);
+            let errors = collector.decode_errors;
+            collector.ingest(&telem(NodeId(2), Bytes::from(raw.clone())), ms(3));
+            eager.ingest(&raw, ms(3));
+            prop_assert_eq!(collector.decode_errors, eager.decode_errors);
+            if collector.decode_errors > errors {
+                prop_assert_eq!(collector.decode_errors, errors + 1);
+                prop_assert_eq!(folded_state(&collector), before);
+            } else {
+                prop_assert_eq!(op_rows(&collector.health_report(ms(1_000))), eager.op_rows());
+                prop_assert_eq!(collector.grey_verdicts(), eager.grey_verdicts());
+                prop_assert_eq!(collector.events_received(), eager.events_received);
+                let mut timeline = eager.events.clone();
+                timeline.sort_by_key(|e| e.hlc);
+                prop_assert!(collector.events() == timeline, "merged timelines differ");
             }
         }
     }

@@ -71,8 +71,10 @@ pub struct ClusterStackConfig {
     /// collector node plus per-node telemetry agents. Off by default —
     /// it adds a node to membership and telemetry traffic to the wire,
     /// and about as much again as the rest of a four-RPC request to its
-    /// wall time (21.6 against 10.9 µs on the `cluster_stack` deployment,
-    /// 2 vCPU; DESIGN.md §15).
+    /// wall time (23.5 against 11.7 µs on the `cluster_stack` deployment,
+    /// 2 vCPU, medians of twelve rounds of 60 000 requests; the same
+    /// rounds of the code before spans were plain data read 29.3 against
+    /// 16.7; DESIGN.md §15).
     pub observability: bool,
     /// Observability plane tuning (used when `observability` is set).
     pub obs: ObsConfig,
@@ -710,6 +712,30 @@ mod tests {
         // The stream still reads back completely.
         let msgs = s.consume("t", "s", 64, None).unwrap();
         assert_eq!(msgs.len(), 50);
+    }
+
+    /// A Jiffy span's `node` is a pool node id, not a fabric node: with
+    /// the plane on, a memory node leaving files `jiffy.decommission` under
+    /// the admin/client agent, not under the fabric node (a broker) that
+    /// happens to share the number.
+    #[test]
+    fn jiffy_decommission_is_filed_under_the_admin_agent() {
+        let mut s = ClusterStack::new(ClusterStackConfig {
+            observability: true,
+            ..ClusterStackConfig::default()
+        });
+        s.join_memory_node();
+        let leaving = s.jiffy().memory_nodes()[0];
+        s.leave_memory_node(leaving).unwrap();
+        s.run_for(Duration::from_millis(50));
+        let report = s.health_report().expect("plane on");
+        let filed: Vec<Option<u64>> = report
+            .ops
+            .iter()
+            .filter(|op| op.op == "jiffy.decommission")
+            .map(|op| op.node)
+            .collect();
+        assert_eq!(filed, [Some(s.client_node().raw())]);
     }
 
     #[test]

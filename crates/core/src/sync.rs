@@ -367,7 +367,11 @@ impl ContentionProfiler {
                 .enumerate()
             {
                 let delta = snap[i].saturating_sub(prev[i]);
-                if delta > 0 && sink.metric(&format!("lock.{}.{suffix}", site.name), delta) {
+                if delta == 0 {
+                    continue;
+                }
+                let name = crate::trace::intern(&format!("lock.{}.{suffix}", site.name));
+                if name.is_some_and(|name| sink.metric(name, delta)) {
                     pushed += 1;
                 }
             }
@@ -451,7 +455,7 @@ mod tests {
         let events = sink.drain(16);
         match &events[0] {
             TelemetryEvent::Metric { name, delta } => {
-                assert_eq!(name, "lock.z.site.acquisitions");
+                assert_eq!(*name, "lock.z.site.acquisitions");
                 assert_eq!(*delta, 2);
             }
             other => panic!("unexpected {other:?}"),
@@ -483,7 +487,7 @@ mod tests {
         let total: u64 = events
             .iter()
             .map(|e| match e {
-                TelemetryEvent::Metric { name, delta } if name == "lock.dup.site.acquisitions" => {
+                TelemetryEvent::Metric { name, delta } if *name == "lock.dup.site.acquisitions" => {
                     *delta
                 }
                 _ => 0,

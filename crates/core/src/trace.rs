@@ -31,8 +31,9 @@
 //! so monitoring can never stall the hot path.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::collections::BTreeSet;
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -228,8 +229,246 @@ impl HlcClock {
     }
 }
 
-/// One completed span.
-#[derive(Debug, Clone)]
+/// Bytes of an [`AttrStr`] kept inline; a longer string spills to the heap.
+const STR_INLINE: usize = 22;
+
+/// A string attribute value: up to 22 bytes inline (topic, subscription,
+/// function, tenant, path and DAG node names), a heap copy past that.
+#[derive(Clone, PartialEq, Eq)]
+pub struct AttrStr(StrRepr);
+
+#[derive(Clone, PartialEq, Eq)]
+enum StrRepr {
+    Inline { len: u8, bytes: [u8; STR_INLINE] },
+    Heap(Box<str>),
+}
+
+impl AttrStr {
+    /// A copy of `s`.
+    fn new(s: &str) -> Self {
+        if s.len() > STR_INLINE {
+            return Self(StrRepr::Heap(s.into()));
+        }
+        let mut bytes = [0u8; STR_INLINE];
+        bytes[..s.len()].copy_from_slice(s.as_bytes());
+        Self(StrRepr::Inline {
+            len: s.len() as u8,
+            bytes,
+        })
+    }
+
+    /// The string.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            StrRepr::Inline { len, bytes } => {
+                std::str::from_utf8(&bytes[..usize::from(*len)]).expect("copied from a str")
+            }
+            StrRepr::Heap(s) => s,
+        }
+    }
+}
+
+impl fmt::Debug for AttrStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+/// A typed span attribute value. It stays typed while the span is open
+/// and in flight, and becomes text only where it leaves the process: the
+/// telemetry wire frame and the JSON / text exporters, through
+/// [`fmt::Display`] (integers and booleans as `to_string` writes them,
+/// an `F64` with nine decimals, the precision of a billed cost).
+#[derive(Debug, Clone, PartialEq)]
+pub enum AttrValue {
+    /// An unsigned integer (sizes, counts, ids).
+    U64(u64),
+    /// A signed integer.
+    I64(i64),
+    /// A float, rendered with nine decimals.
+    F64(f64),
+    /// A flag.
+    Bool(bool),
+    /// A string: a literal or a short runtime name.
+    Str(AttrStr),
+}
+
+impl fmt::Display for AttrValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AttrValue::U64(v) => write!(f, "{v}"),
+            AttrValue::I64(v) => write!(f, "{v}"),
+            AttrValue::F64(v) => write!(f, "{v:.9}"),
+            AttrValue::Bool(v) => write!(f, "{v}"),
+            AttrValue::Str(s) => f.write_str(s.as_str()),
+        }
+    }
+}
+
+macro_rules! attr_from {
+    ($variant:ident: $($t:ty),*) => {$(
+        impl From<$t> for AttrValue {
+            fn from(v: $t) -> Self {
+                AttrValue::$variant(v.into())
+            }
+        }
+    )*};
+}
+attr_from!(U64: u32, u64);
+attr_from!(I64: i32, i64);
+attr_from!(F64: f64);
+
+impl From<usize> for AttrValue {
+    fn from(v: usize) -> Self {
+        AttrValue::U64(v as u64)
+    }
+}
+
+impl From<bool> for AttrValue {
+    fn from(v: bool) -> Self {
+        AttrValue::Bool(v)
+    }
+}
+
+impl From<&str> for AttrValue {
+    fn from(v: &str) -> Self {
+        AttrValue::Str(AttrStr::new(v))
+    }
+}
+
+impl From<fmt::Arguments<'_>> for AttrValue {
+    /// Formatted text, e.g. an error's message: formatted only when the
+    /// span is being recorded.
+    fn from(v: fmt::Arguments<'_>) -> Self {
+        match v.as_str() {
+            Some(s) => s.into(),
+            None => v.to_string().as_str().into(),
+        }
+    }
+}
+
+impl From<String> for AttrValue {
+    fn from(v: String) -> Self {
+        v.as_str().into()
+    }
+}
+
+impl From<&String> for AttrValue {
+    fn from(v: &String) -> Self {
+        v.as_str().into()
+    }
+}
+
+/// Attributes a span holds inline; more spill to the heap.
+const ATTRS_INLINE: usize = 6;
+
+/// A span's key/value attributes in the order they were attached: the
+/// first six inline, any more in a heap overflow (only a dispatch that
+/// delivers several entries at once gets there).
+pub struct Attrs {
+    len: u8,
+    inline: [(&'static str, AttrValue); ATTRS_INLINE],
+    more: Vec<(&'static str, AttrValue)>,
+}
+
+impl Attrs {
+    const EMPTY: (&'static str, AttrValue) = ("", AttrValue::Bool(false));
+
+    /// No attributes.
+    pub const fn new() -> Self {
+        Self {
+            len: 0,
+            inline: [Self::EMPTY; ATTRS_INLINE],
+            more: Vec::new(),
+        }
+    }
+
+    /// Append one.
+    pub fn push(&mut self, key: &'static str, value: AttrValue) {
+        match self.inline.get_mut(usize::from(self.len)) {
+            Some(slot) => {
+                *slot = (key, value);
+                self.len += 1;
+            }
+            None => self.more.push((key, value)),
+        }
+    }
+
+    /// Every attribute, in attach order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &AttrValue)> {
+        let inline = &self.inline[..usize::from(self.len)];
+        inline.iter().chain(&self.more).map(|(k, v)| (*k, v))
+    }
+
+    /// The first value attached under `key`.
+    pub fn get(&self, key: &str) -> Option<&AttrValue> {
+        self.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    /// Number of attributes.
+    pub fn len(&self) -> usize {
+        usize::from(self.len) + self.more.len()
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Forget every attribute, keeping the storage.
+    fn clear(&mut self) {
+        self.len = 0;
+        self.more.clear();
+    }
+}
+
+impl Default for Attrs {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Clone for Attrs {
+    fn clone(&self) -> Self {
+        let mut attrs = Self::new();
+        attrs.clone_from(self);
+        attrs
+    }
+
+    /// Copies the attributes in place (slots past `len` are not read).
+    fn clone_from(&mut self, source: &Self) {
+        let n = usize::from(source.len);
+        self.inline[..n].clone_from_slice(&source.inline[..n]);
+        self.len = source.len;
+        self.more.clone_from(&source.more);
+    }
+}
+
+impl PartialEq for Attrs {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for Attrs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<V: Into<AttrValue>> FromIterator<(&'static str, V)> for Attrs {
+    fn from_iter<I: IntoIterator<Item = (&'static str, V)>>(iter: I) -> Self {
+        let mut attrs = Self::new();
+        for (k, v) in iter {
+            attrs.push(k, v.into());
+        }
+        attrs
+    }
+}
+
+/// One completed span: plain data, copied field by field from the thread
+/// that recorded it into the flight recorder and the telemetry sink.
+#[derive(Debug, PartialEq)]
 pub struct SpanRecord {
     /// The trace this span belongs to.
     pub trace_id: TraceId,
@@ -238,7 +477,7 @@ pub struct SpanRecord {
     /// Causal parent within the trace, `None` for the root.
     pub parent: Option<SpanId>,
     /// Operation name, e.g. `faas.invoke`.
-    pub name: String,
+    pub name: &'static str,
     /// Owning subsystem, e.g. `taureau-pulsar`.
     pub system: &'static str,
     /// Clock timestamp at span open.
@@ -246,7 +485,34 @@ pub struct SpanRecord {
     /// Clock timestamp at span close.
     pub end: Duration,
     /// Key/value attributes attached while the span was open.
-    pub attrs: Vec<(&'static str, String)>,
+    pub attrs: Attrs,
+}
+
+impl Clone for SpanRecord {
+    fn clone(&self) -> Self {
+        Self {
+            attrs: self.attrs.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies the record in place: the ring and the sink rewrite the
+    /// slots they keep instead of building and moving a new record.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            trace_id,
+            span_id,
+            parent,
+            name,
+            system,
+            start,
+            end,
+            attrs,
+        } = source;
+        (self.trace_id, self.span_id, self.parent) = (*trace_id, *span_id, *parent);
+        (self.name, self.system, self.start, self.end) = (*name, *system, *start, *end);
+        self.attrs.clone_from(attrs);
+    }
 }
 
 impl SpanRecord {
@@ -254,6 +520,34 @@ impl SpanRecord {
     pub fn duration(&self) -> Duration {
         self.end.saturating_sub(self.start)
     }
+
+    /// The first value attached under `key`.
+    pub fn attr(&self, key: &str) -> Option<&AttrValue> {
+        self.attrs.get(key)
+    }
+}
+
+/// Distinct names [`intern`] keeps before it refuses new ones.
+const INTERN_CAP: usize = 4096;
+
+static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+
+/// The `&'static` copy of a name computed at run time: a span name read
+/// back off the wire, or a metric named after a lock site. Each distinct
+/// name is copied once for the life of the process; past 4 096 distinct
+/// names it returns `None`, so hostile input cannot grow the table
+/// without bound.
+pub fn intern(name: &str) -> Option<&'static str> {
+    let mut table = INTERNED.lock();
+    if let Some(&kept) = table.get(name) {
+        return Some(kept);
+    }
+    if table.len() >= INTERN_CAP {
+        return None;
+    }
+    let kept: &'static str = Box::leak(name.into());
+    table.insert(kept);
+    Some(kept)
 }
 
 /// Retention and sampling policy for a [`Tracer`].
@@ -280,24 +574,82 @@ impl Default for TracerConfig {
 }
 
 /// One event on the telemetry stream: a finished span or a metric delta.
+/// A span travels by value: copying a few hundred bytes costs less than
+/// the allocation a boxed or shared record would take on every span.
 #[derive(Debug, Clone)]
+#[allow(clippy::large_enum_variant)]
 pub enum TelemetryEvent {
-    /// A finished span, exactly as recorded by the tracer: the very
-    /// allocation its flight-recorder ring retains.
-    Span(Arc<SpanRecord>),
+    /// A finished span: a copy of the record the tracer's ring keeps.
+    Span(SpanRecord),
     /// A named counter/sample increment from an instrumented subsystem.
     Metric {
         /// Metric name, e.g. `faas.cold_starts`.
-        name: String,
+        name: &'static str,
         /// Increment (for counters) or sample value (for latency metrics).
         delta: u64,
     },
 }
 
+/// A FIFO of telemetry events that keeps its slots: it grows to the
+/// deepest backlog it has held, and a span is then copied field by field
+/// into a slot a drained event left, neither built nor moved whole.
+#[derive(Debug, Default)]
+struct EventQueue {
+    slots: Vec<TelemetryEvent>,
+    /// Slot of the oldest queued event.
+    head: usize,
+    len: usize,
+}
+
+impl EventQueue {
+    /// The slot the next event is written to. `None` when every slot is
+    /// queued: the queue is then laid out from slot 0, so the caller's
+    /// `slots.push` appends at its tail.
+    fn free_slot(&mut self) -> Option<&mut TelemetryEvent> {
+        if self.len == self.slots.len() {
+            self.slots.rotate_left(self.head);
+            self.head = 0;
+            return None;
+        }
+        let at = self.head + self.len;
+        let at = at.checked_sub(self.slots.len()).unwrap_or(at);
+        self.slots.get_mut(at)
+    }
+
+    fn push(&mut self, event: TelemetryEvent) {
+        match self.free_slot() {
+            Some(slot) => *slot = event,
+            None => self.slots.push(event),
+        }
+        self.len += 1;
+    }
+
+    fn push_span(&mut self, record: &SpanRecord) {
+        match self.free_slot() {
+            Some(TelemetryEvent::Span(slot)) => slot.clone_from(record),
+            Some(slot) => *slot = TelemetryEvent::Span(record.clone()),
+            None => self.slots.push(TelemetryEvent::Span(record.clone())),
+        }
+        self.len += 1;
+    }
+
+    /// Hand the oldest `max` events to `f`, oldest first, and dequeue them.
+    fn drain_with(&mut self, max: usize, mut f: impl FnMut(&TelemetryEvent)) {
+        let n = max.min(self.len);
+        for i in 0..n {
+            f(&self.slots[(self.head + i) % self.slots.len()]);
+        }
+        if n > 0 {
+            self.head = (self.head + n) % self.slots.len();
+            self.len -= n;
+        }
+    }
+}
+
 #[derive(Debug)]
 struct SinkInner {
     capacity: usize,
-    queue: Mutex<VecDeque<TelemetryEvent>>,
+    queue: Mutex<EventQueue>,
     dropped: AtomicU64,
 }
 
@@ -305,8 +657,9 @@ struct SinkInner {
 /// monitoring plane. Producers ([`SpanGuard`] drops, subsystem metric
 /// hooks) push without ever blocking: when the queue is full the event is
 /// dropped and counted instead. A pump on the monitoring side calls
-/// [`TelemetrySink::drain`] and ships events onward (e.g. onto Pulsar
-/// telemetry topics). Cheap to clone; clones share the queue.
+/// [`TelemetrySink::drain`] or [`TelemetrySink::drain_with`] and ships
+/// events onward (e.g. onto Pulsar telemetry topics). Cheap to clone;
+/// clones share the queue.
 #[derive(Debug, Clone)]
 pub struct TelemetrySink {
     inner: Arc<SinkInner>,
@@ -319,56 +672,52 @@ impl TelemetrySink {
         Self {
             inner: Arc::new(SinkInner {
                 capacity,
-                queue: Mutex::new(VecDeque::new()),
+                queue: Mutex::new(EventQueue::default()),
                 dropped: AtomicU64::new(0),
             }),
         }
     }
 
-    /// Enqueue an event. Returns `false` (and counts the drop) when the
-    /// queue is full; never blocks beyond the queue lock.
-    pub(crate) fn push(&self, event: TelemetryEvent) -> bool {
+    /// Enqueue with `push` unless the queue is full: then count the drop
+    /// and return `false`. Never blocks beyond the queue lock.
+    fn enqueue(&self, push: impl FnOnce(&mut EventQueue)) -> bool {
         let mut queue = self.inner.queue.lock();
-        if queue.len() >= self.inner.capacity {
+        if queue.len >= self.inner.capacity {
             drop(queue);
             self.inner.dropped.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        queue.push_back(event);
+        push(&mut queue);
         true
     }
 
-    /// Enqueue a finished span.
-    pub(crate) fn span(&self, record: Arc<SpanRecord>) -> bool {
-        self.push(TelemetryEvent::Span(record))
+    /// Enqueue a copy of a finished span.
+    fn span(&self, record: &SpanRecord) -> bool {
+        self.enqueue(|q| q.push_span(record))
     }
 
     /// Enqueue a metric delta.
-    pub fn metric(&self, name: &str, delta: u64) -> bool {
-        self.push(TelemetryEvent::Metric {
-            name: name.to_string(),
-            delta,
-        })
+    pub fn metric(&self, name: &'static str, delta: u64) -> bool {
+        self.enqueue(|q| q.push(TelemetryEvent::Metric { name, delta }))
     }
 
     /// Dequeue up to `max` events in arrival order.
     pub fn drain(&self, max: usize) -> Vec<TelemetryEvent> {
         let mut out = Vec::new();
-        self.drain_into(max, &mut out);
+        self.drain_with(max, |event| out.push(event.clone()));
         out
     }
 
-    /// [`Self::drain`], appending to a buffer the caller reuses: a plane
-    /// that drains every tick pays no allocation for an empty queue.
-    pub fn drain_into(&self, max: usize, out: &mut Vec<TelemetryEvent>) {
-        let mut queue = self.inner.queue.lock();
-        let n = max.min(queue.len());
-        out.extend(queue.drain(..n));
+    /// Hand up to `max` events to `f` in arrival order, by reference, and
+    /// dequeue them: a plane that reads each event once copies none. `f`
+    /// runs under the queue lock, so producers wait for it.
+    pub fn drain_with(&self, max: usize, f: impl FnMut(&TelemetryEvent)) {
+        self.inner.queue.lock().drain_with(max, f);
     }
 
     /// Undrained events currently queued.
     pub(crate) fn len(&self) -> usize {
-        self.inner.queue.lock().len()
+        self.inner.queue.lock().len
     }
 
     /// Whether the queue is empty.
@@ -408,11 +757,39 @@ struct TracerInner {
     clock: SharedClock,
     config: TracerConfig,
     next_id: AtomicU64,
-    /// The flight-recorder ring. Each record is shared with the telemetry
-    /// sink rather than copied for it.
-    spans: Mutex<VecDeque<Arc<SpanRecord>>>,
+    spans: Mutex<Ring>,
     dropped: AtomicU64,
     sink: Mutex<Option<TelemetrySink>>,
+}
+
+/// The flight recorder: the most recent `cap` records, by value. Its
+/// storage grows to `cap` as spans finish; from then on the oldest
+/// record's slot is rewritten in place.
+#[derive(Debug)]
+struct Ring {
+    records: Vec<SpanRecord>,
+    cap: usize,
+    /// Slot of the oldest record once the ring is full.
+    oldest: usize,
+}
+
+impl Ring {
+    /// Copy `record` in; `true` when that evicted the oldest.
+    fn push(&mut self, record: &SpanRecord) -> bool {
+        if self.records.len() < self.cap {
+            self.records.push(record.clone());
+            return false;
+        }
+        self.records[self.oldest].clone_from(record);
+        self.oldest = (self.oldest + 1) % self.cap;
+        true
+    }
+
+    /// Oldest first.
+    fn iter(&self) -> impl Iterator<Item = &SpanRecord> {
+        let (newer, older) = self.records.split_at(self.oldest);
+        older.iter().chain(newer)
+    }
 }
 
 impl TracerInner {
@@ -435,14 +812,73 @@ fn mix64(mut x: u64) -> u64 {
 impl fmt::Debug for TracerInner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TracerInner")
-            .field("spans", &self.spans.lock().len())
+            .field("spans", &self.spans.lock().records.len())
             .finish_non_exhaustive()
     }
 }
 
+/// Open spans on one thread, innermost last: the records their guards
+/// fill in. Records past `depth` are closed, and the next spans opened
+/// reuse their storage, so the stack grows to the deepest nesting seen.
+struct SpanStack {
+    records: Vec<SpanRecord>,
+    depth: usize,
+}
+
+impl SpanStack {
+    const CLOSED: SpanRecord = SpanRecord {
+        trace_id: TraceId(0),
+        span_id: SpanId(0),
+        parent: None,
+        name: "",
+        system: "",
+        start: Duration::ZERO,
+        end: Duration::ZERO,
+        attrs: Attrs::new(),
+    };
+
+    fn open_records(&self) -> &[SpanRecord] {
+        &self.records[..self.depth]
+    }
+
+    /// A cleared record on top of the stack, for the caller to fill in.
+    fn open(&mut self) -> &mut SpanRecord {
+        if self.depth == self.records.len() {
+            self.records.push(Self::CLOSED);
+        }
+        self.depth += 1;
+        let record = &mut self.records[self.depth - 1];
+        record.attrs.clear();
+        record
+    }
+
+    /// Close the open record at `pos`; any opened after it move down.
+    fn close(&mut self, pos: usize) {
+        self.records[pos..self.depth].rotate_left(1);
+        self.depth -= 1;
+    }
+}
+
 thread_local! {
-    /// Open spans on this thread: (trace id, span id) pairs.
-    static SPAN_STACK: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
+    static SPAN_STACK: RefCell<SpanStack> = const {
+        RefCell::new(SpanStack {
+            records: Vec::new(),
+            depth: 0,
+        })
+    };
+}
+
+/// `f` on the open record `span_id` of this thread's stack, if it is there
+/// (it is the innermost one unless guards drop out of order).
+fn with_open<R>(span_id: SpanId, f: impl FnOnce(&mut SpanStack, usize) -> R) -> Option<R> {
+    SPAN_STACK.with(|stack| {
+        let mut stack = stack.borrow_mut();
+        let pos = stack
+            .open_records()
+            .iter()
+            .rposition(|r| r.span_id == span_id)?;
+        Some(f(&mut stack, pos))
+    })
 }
 
 /// Span recorder shared by every instrumented subsystem. Cheap to clone
@@ -464,12 +900,17 @@ impl Tracer {
     /// An enabled tracer with an explicit retention/sampling policy.
     pub(crate) fn with_config(clock: SharedClock, config: TracerConfig) -> Self {
         assert!(config.retention >= 1, "tracer retention must be >= 1");
+        let cap = config.retention;
         Self {
             inner: Some(Arc::new(TracerInner {
                 clock,
                 config,
                 next_id: AtomicU64::new(1),
-                spans: Mutex::new(VecDeque::new()),
+                spans: Mutex::new(Ring {
+                    records: Vec::new(),
+                    cap,
+                    oldest: 0,
+                }),
                 dropped: AtomicU64::new(0),
                 sink: Mutex::new(None),
             })),
@@ -513,34 +954,10 @@ impl Tracer {
     /// Open a span. It closes (and is recorded) when the guard drops.
     /// If another span is open on this thread, the new one becomes its
     /// child; otherwise it roots a new trace.
-    pub fn span(&self, system: &'static str, name: &str) -> SpanGuard {
-        let Some(inner) = &self.inner else {
-            return SpanGuard { state: None };
-        };
-        let span_id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let (trace_id, parent) = SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let (trace_id, parent) = match stack.last() {
-                Some(&(trace, parent)) => (trace, Some(SpanId(parent))),
-                None => (inner.next_id.fetch_add(1, Ordering::Relaxed), None),
-            };
-            stack.push((trace_id, span_id));
-            (trace_id, parent)
-        });
-        SpanGuard {
-            state: Some(OpenSpan {
-                tracer: Arc::clone(inner),
-                record: SpanRecord {
-                    trace_id: TraceId(trace_id),
-                    span_id: SpanId(span_id),
-                    parent,
-                    name: name.to_string(),
-                    system,
-                    start: inner.clock.now(),
-                    end: Duration::ZERO,
-                    attrs: Vec::new(),
-                },
-            }),
+    pub fn span(&self, system: &'static str, name: &'static str) -> SpanGuard {
+        match &self.inner {
+            Some(inner) => open_span(inner, system, name, None),
+            None => SpanGuard { open: None },
         }
     }
 
@@ -553,33 +970,12 @@ impl Tracer {
     pub fn span_child_of(
         &self,
         system: &'static str,
-        name: &str,
+        name: &'static str,
         parent: Option<SpanContext>,
     ) -> SpanGuard {
-        let Some(ctx) = parent else {
-            return self.span(system, name);
-        };
-        let Some(inner) = &self.inner else {
-            return SpanGuard { state: None };
-        };
-        let span_id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        SPAN_STACK.with(|stack| {
-            stack.borrow_mut().push((ctx.trace_id.0, span_id));
-        });
-        SpanGuard {
-            state: Some(OpenSpan {
-                tracer: Arc::clone(inner),
-                record: SpanRecord {
-                    trace_id: ctx.trace_id,
-                    span_id: SpanId(span_id),
-                    parent: Some(ctx.span_id),
-                    name: name.to_string(),
-                    system,
-                    start: inner.clock.now(),
-                    end: Duration::ZERO,
-                    attrs: Vec::new(),
-                },
-            }),
+        match &self.inner {
+            Some(inner) => open_span(inner, system, name, parent),
+            None => SpanGuard { open: None },
         }
     }
 
@@ -588,7 +984,7 @@ impl Tracer {
     /// most recent `TracerConfig::retention` spans.
     pub fn spans(&self) -> Vec<SpanRecord> {
         match &self.inner {
-            Some(inner) => inner.spans.lock().iter().map(|s| (**s).clone()).collect(),
+            Some(inner) => inner.spans.lock().iter().cloned().collect(),
             None => Vec::new(),
         }
     }
@@ -596,7 +992,7 @@ impl Tracer {
     /// Number of retained spans.
     pub fn span_count(&self) -> usize {
         match &self.inner {
-            Some(inner) => inner.spans.lock().len(),
+            Some(inner) => inner.spans.lock().records.len(),
             None => 0,
         }
     }
@@ -617,7 +1013,7 @@ impl Tracer {
             let _ = write!(
                 out,
                 "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}",
-                json_string(&s.name),
+                json_string(s.name),
                 json_string(s.system),
                 s.start.as_micros(),
                 s.duration().as_micros(),
@@ -631,8 +1027,8 @@ impl Tracer {
             if let Some(p) = s.parent {
                 let _ = write!(out, ",\"parent_span_id\":\"{p}\"");
             }
-            for (k, v) in &s.attrs {
-                let _ = write!(out, ",{}:{}", json_string(k), json_string(v));
+            for (k, v) in s.attrs.iter() {
+                let _ = write!(out, ",{}:{}", json_string(k), json_string(&v.to_string()));
             }
             out.push_str("}}");
         }
@@ -652,12 +1048,12 @@ impl Tracer {
         let by_id: BTreeMap<u64, &SpanRecord> = spans.iter().map(|s| (s.span_id.0, s)).collect();
         let mut folded: BTreeMap<String, (u64, u128)> = BTreeMap::new();
         for s in &spans {
-            let mut path = vec![s.name.as_str()];
+            let mut path = vec![s.name];
             let mut cur = s.parent;
             while let Some(pid) = cur {
                 match by_id.get(&pid.0) {
                     Some(p) => {
-                        path.push(p.name.as_str());
+                        path.push(p.name);
                         cur = p.parent;
                     }
                     None => break,
@@ -700,90 +1096,116 @@ fn json_string(s: &str) -> String {
     out
 }
 
+/// Push a new open record onto this thread's stack: a child of `parent`
+/// when given, else of the innermost open span, else a new trace's root.
+fn open_span(
+    inner: &Arc<TracerInner>,
+    system: &'static str,
+    name: &'static str,
+    parent: Option<SpanContext>,
+) -> SpanGuard {
+    let span_id = SpanId(inner.next_id.fetch_add(1, Ordering::Relaxed));
+    let trace_id = SPAN_STACK.with(|stack| {
+        let mut stack = stack.borrow_mut();
+        let innermost = stack.open_records().last().map(|r| SpanContext {
+            trace_id: r.trace_id,
+            span_id: r.span_id,
+        });
+        let (trace_id, parent) = match parent.or(innermost) {
+            Some(ctx) => (ctx.trace_id, Some(ctx.span_id)),
+            None => (TraceId(inner.next_id.fetch_add(1, Ordering::Relaxed)), None),
+        };
+        let record = stack.open();
+        (record.trace_id, record.span_id, record.parent) = (trace_id, span_id, parent);
+        (record.name, record.system) = (name, system);
+        record.start = inner.clock.now();
+        trace_id
+    });
+    SpanGuard {
+        open: Some(OpenSpan {
+            tracer: Arc::clone(inner),
+            ctx: SpanContext { trace_id, span_id },
+            on_this_thread: PhantomData,
+        }),
+    }
+}
+
 #[derive(Debug)]
 struct OpenSpan {
     tracer: Arc<TracerInner>,
-    record: SpanRecord,
+    ctx: SpanContext,
+    /// The record lives in the opening thread's span stack, so the guard
+    /// must close there: it is neither `Send` nor `Sync`.
+    on_this_thread: PhantomData<*const ()>,
 }
 
 /// RAII handle for an open span; records the span when dropped. Obtained
-/// from [`Tracer::span`]. Guards must drop in reverse open order on a
-/// thread (the natural result of scoping them).
+/// from [`Tracer::span`]. The record itself waits in the opening thread's
+/// span stack, so the guard is three words and cannot leave that thread.
+/// Guards should drop in reverse open order on a thread (the natural
+/// result of scoping them); out of order is tolerated.
 #[derive(Debug)]
 #[must_use = "a span guard records its span when dropped"]
 pub struct SpanGuard {
-    state: Option<OpenSpan>,
+    open: Option<OpenSpan>,
 }
 
 impl SpanGuard {
-    /// Attach a key/value attribute.
-    pub fn attr(&mut self, key: &'static str, value: impl ToString) {
-        if let Some(open) = &mut self.state {
-            open.record.attrs.push((key, value.to_string()));
+    /// Attach a key/value attribute. The value is converted only when the
+    /// span is being recorded.
+    pub fn attr(&mut self, key: &'static str, value: impl Into<AttrValue>) {
+        if let Some(open) = &self.open {
+            let value = value.into();
+            with_open(open.ctx.span_id, |stack, pos| {
+                stack.records[pos].attrs.push(key, value);
+            });
         }
     }
 
     /// Identity for parenting spans under this one from other threads
     /// (`None` on a disabled tracer). See [`Tracer::span_child_of`].
     pub fn context(&self) -> Option<SpanContext> {
-        self.state.as_ref().map(|o| SpanContext {
-            trace_id: o.record.trace_id,
-            span_id: o.record.span_id,
-        })
+        self.open.as_ref().map(|o| o.ctx)
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(mut open) = self.state.take() else {
+        let Some(open) = self.open.take() else {
             return;
         };
-        SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            // Pop this span; tolerate out-of-order drops by removing the
-            // matching entry rather than blindly popping the top.
-            if let Some(pos) = stack
-                .iter()
-                .rposition(|&(_, id)| id == open.record.span_id.0)
-            {
-                stack.remove(pos);
-            }
-        });
         let inner = &open.tracer;
-        // Head-based sampling: unsampled traces still participate in the
-        // span stack above (so ids stay consistent) but record nothing.
-        if !inner.sampled(open.record.trace_id.0) {
-            return;
-        }
-        open.record.end = inner.clock.now();
-        // A guard dropped during unwind did not complete its operation;
-        // without this the span would be indistinguishable from a normal
-        // completion and flame/critical-path views would attribute the
-        // aborted work as successful time.
-        if std::thread::panicking() {
-            open.record.attrs.push(("error", "panic".to_string()));
-        }
-        // Snapshot the sink handle in its own statement so the sink-slot
-        // lock drops immediately; the enqueue below then runs with no
-        // tracer lock held. (The old `if let Some(sink) =
-        // inner.sink.lock().clone()` kept the guard alive across the
-        // enqueue, so a stalled telemetry consumer could block every
-        // traced subsystem the moment monitoring attached.)
-        let sink = if telemetry_suppressed() {
-            None
-        } else {
-            inner.sink.lock().clone()
-        };
-        let record = Arc::new(open.record);
-        if let Some(sink) = sink {
-            sink.span(Arc::clone(&record));
-        }
-        let mut spans = inner.spans.lock();
-        if spans.len() >= inner.config.retention {
-            spans.pop_front();
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        spans.push_back(record);
+        // The record is finished where it lies in the span stack and
+        // copied from there; out-of-order drops are tolerated by closing
+        // the matching entry rather than blindly the top.
+        with_open(open.ctx.span_id, |stack, pos| {
+            let record = &mut stack.records[pos];
+            // Head-based sampling: unsampled traces still participate in
+            // the span stack (so ids stay consistent) but record nothing.
+            if inner.sampled(record.trace_id.0) {
+                record.end = inner.clock.now();
+                // A guard dropped during unwind did not complete its
+                // operation; without this the span would be
+                // indistinguishable from a normal completion and
+                // flame/critical-path views would attribute the aborted
+                // work as successful time.
+                if std::thread::panicking() {
+                    record.attrs.push("error", "panic".into());
+                }
+                // The enqueue holds the sink slot's lock: it never waits
+                // on anything but the queue's own lock, which a drain
+                // holds only while it reads.
+                if !telemetry_suppressed() {
+                    if let Some(sink) = &*inner.sink.lock() {
+                        sink.span(record);
+                    }
+                }
+                if inner.spans.lock().push(record) {
+                    inner.dropped.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            stack.close(pos);
+        });
     }
 }
 
@@ -883,7 +1305,7 @@ mod tests {
         assert_eq!(root.parent, None);
         assert_eq!(child.parent, Some(root.span_id));
         assert_eq!(child.trace_id, root.trace_id);
-        assert_eq!(child.attrs, vec![("bytes", "128".to_string())]);
+        assert_eq!(child.attrs, [("bytes", 128)].into_iter().collect());
         assert_eq!(child.duration(), Duration::from_millis(2));
         assert_eq!(root.duration(), Duration::from_millis(3));
         assert!(root.start <= child.start && child.end <= root.end);
@@ -917,7 +1339,7 @@ mod tests {
         assert!(!tracer.is_enabled());
         let mut g = tracer.span("a", "op");
         g.attr("k", "v");
-        assert!(g.state.is_none());
+        assert!(g.open.is_none());
         drop(g);
         assert_eq!(tracer.span_count(), 0);
         assert_eq!(
@@ -969,7 +1391,8 @@ mod tests {
         for i in 0..3 {
             let t2 = tracer.clone();
             handles.push(std::thread::spawn(move || {
-                let _node = t2.span_child_of("dag", &format!("dag.node.{i}"), ctx);
+                let name = ["dag.node.0", "dag.node.1", "dag.node.2"][i];
+                let _node = t2.span_child_of("dag", name, ctx);
                 // A span opened while the adopted span is open on this
                 // thread nests under it implicitly.
                 let _inner = t2.span("faas", "faas.invoke");
@@ -1022,8 +1445,10 @@ mod tests {
                 sample_one_in: 1,
             },
         );
-        for i in 0..10 {
-            drop(tracer.span("a", &format!("op{i}")));
+        for name in [
+            "op0", "op1", "op2", "op3", "op4", "op5", "op6", "op7", "op8", "op9",
+        ] {
+            drop(tracer.span("a", name));
         }
         assert_eq!(tracer.span_count(), 4);
         assert_eq!(tracer.dropped_spans(), 6);
@@ -1055,7 +1480,7 @@ mod tests {
         use std::collections::BTreeMap;
         let mut by_trace: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
         for s in &spans {
-            by_trace.entry(s.trace_id.0).or_default().push(&s.name);
+            by_trace.entry(s.trace_id.0).or_default().push(s.name);
         }
         for (_, names) in by_trace {
             assert_eq!(names.len(), 2);
@@ -1086,7 +1511,7 @@ mod tests {
         }
         match &events[1] {
             TelemetryEvent::Metric { name, delta } => {
-                assert_eq!(name, "faas.cold_starts");
+                assert_eq!(*name, "faas.cold_starts");
                 assert_eq!(*delta, 1);
             }
             other => panic!("expected metric event, got {other:?}"),
@@ -1094,7 +1519,7 @@ mod tests {
     }
 
     #[test]
-    fn sink_and_ring_share_one_record_and_spans_hands_out_copies() {
+    fn sink_and_ring_each_hold_the_record_by_value() {
         let clock = std::sync::Arc::new(VirtualClock::new());
         let tracer = Tracer::with_config(
             clock,
@@ -1105,28 +1530,67 @@ mod tests {
         );
         let sink = TelemetrySink::new(16);
         tracer.set_telemetry(sink.clone());
-        tracer.span("sys", "first").attr("k", "v");
+        {
+            let mut g = tracer.span("sys", "first");
+            g.attr("k", "v");
+            g.attr("n", 7u32);
+            g.attr("ok", true);
+            g.attr("cost_usd", 0.000_000_208);
+        }
         let events = sink.drain(16);
         let [TelemetryEvent::Span(sent)] = &events[..] else {
             panic!("expected one span event, got {events:?}");
         };
-        let ring = &tracer.inner.as_ref().expect("enabled").spans;
-        assert!(
-            Arc::ptr_eq(sent, &ring.lock()[0]),
-            "one allocation, not a copy"
-        );
-        // `spans()` hands out owned copies that share no buffer with it.
-        let owned = tracer.spans();
-        assert_eq!(
-            (owned[0].name.as_str(), &owned[0].attrs),
-            (sent.name.as_str(), &sent.attrs)
-        );
-        assert_ne!(owned[0].name.as_ptr(), sent.name.as_ptr());
-        // The ring evicting it leaves the sink's reference the only one.
+        assert_eq!(tracer.spans(), std::slice::from_ref(sent));
+        let text: Vec<String> = sent.attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        assert_eq!(text, ["k=v", "n=7", "ok=true", "cost_usd=0.000000208"]);
+        // The ring evicting its copy leaves the sink's intact.
         drop(tracer.span("sys", "second"));
         assert_eq!(tracer.dropped_spans(), 1);
-        assert_eq!(Arc::strong_count(sent), 1);
-        assert_eq!(sent.name, "first");
+        assert_eq!((sent.name, sent.attr("k")), ("first", Some(&"v".into())));
+    }
+
+    #[test]
+    fn attributes_past_the_inline_six_spill_in_order() {
+        let (tracer, _clock) = virtual_tracer();
+        {
+            let mut g = tracer.span("sys", "dispatch");
+            for i in 0..20u64 {
+                g.attr("entry", i);
+            }
+            g.attr("topic", "a topic name longer than twenty-two bytes");
+        }
+        let span = &tracer.spans()[0];
+        assert_eq!(span.attrs.len(), 21);
+        let entries: Vec<u64> = span
+            .attrs
+            .iter()
+            .filter_map(|(_, v)| match v {
+                AttrValue::U64(i) => Some(*i),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(entries, (0..20).collect::<Vec<_>>());
+        assert_eq!(
+            span.attr("topic").map(ToString::to_string).as_deref(),
+            Some("a topic name longer than twenty-two bytes")
+        );
+    }
+
+    #[test]
+    fn a_guard_is_three_words_and_a_disabled_one_converts_nothing() {
+        assert_eq!(std::mem::size_of::<SpanGuard>(), 24);
+        let mut g = Tracer::disabled().span("sys", "op");
+        g.attr("path", "x".repeat(100));
+        assert!(g.context().is_none());
+    }
+
+    #[test]
+    fn interned_names_are_one_copy_each() {
+        let a = intern(&format!("op.{}", 7)).expect("room");
+        let b = intern("op.7").expect("room");
+        assert!(std::ptr::eq(a, b));
+        assert_eq!(a, "op.7");
     }
 
     #[test]
@@ -1201,12 +1665,12 @@ mod tests {
             doomed
                 .attrs
                 .iter()
-                .any(|(k, v)| *k == "error" && v == "panic"),
+                .any(|(k, v)| k == "error" && *v == AttrValue::from("panic")),
             "unwound span missing error=panic: {:?}",
             doomed.attrs
         );
         let fine = spans.iter().find(|s| s.name == "fine").unwrap();
-        assert!(fine.attrs.iter().all(|(k, _)| *k != "error"));
+        assert!(fine.attrs.iter().all(|(k, _)| k != "error"));
     }
 
     #[test]
@@ -1230,7 +1694,7 @@ mod tests {
                 let accepted = &accepted;
                 producers.push(s.spawn(move || {
                     for i in 0..PER_THREAD {
-                        if sink.metric(&format!("t{t}.m{i}"), 1) {
+                        if sink.metric(["t.even", "t.odd"][(t + i) as usize % 2], 1) {
                             accepted.fetch_add(1, Ordering::Relaxed);
                         }
                     }

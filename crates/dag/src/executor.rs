@@ -306,7 +306,7 @@ impl DagExecutor {
                 // span recovered from the frame header.
                 if origin.is_some() {
                     let mut restore = tracer.span_child_of(TRACE_SYSTEM, "dag.restore", origin);
-                    restore.attr("node", name);
+                    restore.attr("node", &**name);
                     restore.attr("job", job);
                     restore.attr("bytes", stored.len());
                 }
@@ -583,8 +583,8 @@ impl Run {
         let tracer = core.platform.tracer();
         let (name, function) = self.dag.labels(i);
         let mut span = tracer.span_child_of(TRACE_SYSTEM, "dag.node", self.root_ctx);
-        span.attr("node", name);
-        span.attr("function", function);
+        span.attr("node", &**name);
+        span.attr("function", &**function);
 
         // Assemble the input: workflow input for roots, the sole parent's
         // output verbatim (a refcount bump, not a copy), or a framed list
@@ -623,7 +623,7 @@ impl Run {
         });
         let stored = if let Some(store) = spill_to {
             let mut spill_span = tracer.span_child_of(TRACE_SYSTEM, "dag.spill", span.context());
-            spill_span.attr("node", name);
+            spill_span.attr("node", &**name);
             spill_span.attr("bytes", r.output.len());
             let mut path = String::with_capacity(self.namespace.len() + 14 + name.len());
             path.push_str(&self.namespace);
@@ -654,7 +654,7 @@ impl Run {
         if let Some(ckpt) = &self.ckpt {
             let mut ckpt_span =
                 tracer.span_child_of(TRACE_SYSTEM, "dag.checkpoint", span.context());
-            ckpt_span.attr("node", name);
+            ckpt_span.attr("node", &**name);
             ckpt_span.attr("bytes", stored.len());
             let frame = encode_checkpoint(&stored, span.context());
             ckpt.put_bytes(name.as_bytes(), Bytes::from(frame))?;
@@ -720,8 +720,8 @@ impl Run {
                         tracer.span_child_of(TRACE_SYSTEM, "dag.retry", node_span.context());
                     retry_span.attr("function", function);
                     retry_span.attr("attempt", attempt);
-                    retry_span.attr("backoff_us", backoff.as_micros());
-                    retry_span.attr("error", &e);
+                    retry_span.attr("backoff_us", backoff.as_micros() as u64);
+                    retry_span.attr("error", format_args!("{e}"));
                     core.platform.clock().sleep(backoff);
                 }
                 Err(e) => return Err((attempt, e)),
@@ -1173,7 +1173,7 @@ mod tests {
         let producer = tracer
             .spans()
             .into_iter()
-            .find(|s| s.name == "dag.node" && s.attrs.iter().any(|(k, v)| *k == "node" && v == "a"))
+            .find(|s| s.name == "dag.node" && s.attr("node") == Some(&"a".into()))
             .unwrap();
         broken.store(0, Ordering::SeqCst);
         let report = exec.run(&dag, "tr", b"x").unwrap();

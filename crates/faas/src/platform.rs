@@ -550,7 +550,7 @@ impl FaasPlatform {
                 sink.metric(metric, 1);
             }
             startup.attr("kind", kind);
-            startup.attr("latency_us", startup_latency.as_micros());
+            startup.attr("latency_us", startup_latency.as_micros() as u64);
             if !startup_latency.is_zero() {
                 clock.sleep(startup_latency);
             }
@@ -598,7 +598,7 @@ impl FaasPlatform {
         let cost = {
             let mut billing = tracer.span(TRACE_SYSTEM, "faas.billing");
             let cost = entry.account.charge(pricing, spec.memory, exec_duration);
-            billing.attr("cost_usd", format_args!("{cost:.9}"));
+            billing.attr("cost_usd", cost);
             cost
         };
         hot.exec_duration_us

@@ -493,7 +493,7 @@ impl Jiffy {
         let path = path.into();
         let tracer = self.tracer();
         let mut span = tracer.span(TRACE_SYSTEM, "jiffy.create_kv");
-        span.attr("path", &path);
+        span.attr("path", path.as_str());
         span.attr("partitions", partitions);
         let now = self.inner.clock.now();
         let app = path
@@ -533,7 +533,7 @@ impl Jiffy {
     pub fn create_queue(&self, path: impl Into<JPath>) -> Result<QueueHandle> {
         let path = path.into();
         let mut span = self.tracer().span(TRACE_SYSTEM, "jiffy.create_queue");
-        span.attr("path", &path);
+        span.attr("path", path.as_str());
         let now = self.inner.clock.now();
         let app = path
             .app()
@@ -562,7 +562,7 @@ impl Jiffy {
     pub fn create_file(&self, path: impl Into<JPath>) -> Result<FileHandle> {
         let path = path.into();
         let mut span = self.tracer().span(TRACE_SYSTEM, "jiffy.create_file");
-        span.attr("path", &path);
+        span.attr("path", path.as_str());
         let now = self.inner.clock.now();
         let app = path
             .app()
@@ -823,7 +823,7 @@ impl KvHandle {
     fn get_via_tree(&self, now: Duration, key: &[u8]) -> Result<Option<Bytes>> {
         let tracer = self.jiffy.tracer();
         let mut span = tracer.span(TRACE_SYSTEM, "jiffy.kv_get");
-        span.attr("path", &self.path);
+        span.attr("path", self.path.as_str());
         self.jiffy.inner.hot.kv_gets.inc();
         let (value, obj) = self.jiffy.with_kv_arc_at(now, &self.path, |arc, _| {
             let kv = arc.lock();
@@ -999,7 +999,7 @@ impl KvScope<'_> {
                     Mutation::Update => "jiffy.kv_update",
                 },
             );
-            span.attr("path", path);
+            span.attr("path", path.as_str());
             if let Mutation::Put { bytes } = what {
                 span.attr("bytes", bytes);
             }
@@ -1042,7 +1042,7 @@ impl QueueHandle {
     pub(crate) fn push_bytes(&self, payload: Bytes) -> Result<()> {
         let tracer = self.jiffy.tracer();
         let mut span = tracer.span(TRACE_SYSTEM, "jiffy.queue_push");
-        span.attr("path", &self.path);
+        span.attr("path", self.path.as_str());
         span.attr("bytes", payload.len());
         self.jiffy.inner.hot.queue_pushes.inc();
         self.jiffy
@@ -1055,7 +1055,7 @@ impl QueueHandle {
     pub fn pop(&self) -> Result<Option<Bytes>> {
         let tracer = self.jiffy.tracer();
         let mut span = tracer.span(TRACE_SYSTEM, "jiffy.queue_pop");
-        span.attr("path", &self.path);
+        span.attr("path", self.path.as_str());
         self.jiffy.inner.hot.queue_pops.inc();
         let popped = self
             .jiffy
@@ -1100,7 +1100,7 @@ impl FileHandle {
     pub fn append_bytes(&self, bytes: Bytes) -> Result<u64> {
         let tracer = self.jiffy.tracer();
         let mut span = tracer.span(TRACE_SYSTEM, "jiffy.file_append");
-        span.attr("path", &self.path);
+        span.attr("path", self.path.as_str());
         span.attr("bytes", bytes.len());
         self.jiffy.inner.hot.file_appends.inc();
         let len = self
@@ -1116,7 +1116,7 @@ impl FileHandle {
     pub fn read(&self, offset: u64, len: u64) -> Result<Bytes> {
         let tracer = self.jiffy.tracer();
         let mut span = tracer.span(TRACE_SYSTEM, "jiffy.file_read");
-        span.attr("path", &self.path);
+        span.attr("path", self.path.as_str());
         span.attr("offset", offset);
         self.jiffy.inner.hot.file_reads.inc();
         let data = self
@@ -1131,7 +1131,7 @@ impl FileHandle {
     pub fn contents(&self) -> Result<Bytes> {
         let tracer = self.jiffy.tracer();
         let mut span = tracer.span(TRACE_SYSTEM, "jiffy.file_read");
-        span.attr("path", &self.path);
+        span.attr("path", self.path.as_str());
         span.attr("offset", 0u64);
         self.jiffy.inner.hot.file_reads.inc();
         let data = self.jiffy.with_file(&self.path, |f, _| Ok(f.contents()))?;

@@ -706,7 +706,7 @@ fn render_span_tree(spans: &[taureau_core::trace::SpanRecord]) -> String {
             s.duration().as_micros(),
             indent = depth * 2
         );
-        for (k, v) in &s.attrs {
+        for (k, v) in s.attrs.iter() {
             let _ = write!(out, " {k}={v}");
         }
         out.push('\n');
@@ -738,7 +738,7 @@ pub fn render_trace_json(spans: &[taureau_core::trace::SpanRecord]) -> String {
             "{{\"trace_id\":\"{}\",\"span_id\":\"{}\",\"name\":{},\"system\":{},\"start_us\":{},\"end_us\":{}",
             s.trace_id,
             s.span_id,
-            json_string(&s.name),
+            json_string(s.name),
             json_string(s.system),
             s.start.as_micros(),
             s.end.as_micros(),
@@ -752,7 +752,7 @@ pub fn render_trace_json(spans: &[taureau_core::trace::SpanRecord]) -> String {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "{}:{}", json_string(k), json_string(v));
+                let _ = write!(out, "{}:{}", json_string(k), json_string(&v.to_string()));
             }
             out.push('}');
         }

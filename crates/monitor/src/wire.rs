@@ -8,8 +8,10 @@
 //! frames decode to `None` and are counted by the consumer, never panicked
 //! on; the telemetry plane must survive garbage on its own topics.
 
+use std::fmt::{self, Write as _};
+
 use bytes::BufMut;
-use taureau_core::trace::SpanRecord;
+use taureau_core::trace::{AttrValue, SpanRecord};
 use taureau_core::wire::{put_str, Reader};
 
 /// Frame magic: first byte of every telemetry record.
@@ -50,13 +52,13 @@ impl SpanEvent {
             span_id: r.span_id.0,
             parent: r.parent.map(|p| p.0),
             system: r.system.to_string(),
-            name: r.name.clone(),
+            name: r.name.to_string(),
             start_us: r.start.as_micros() as u64,
             end_us: r.end.as_micros() as u64,
             attrs: r
                 .attrs
                 .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
+                .map(|(k, v)| (k.to_string(), v.to_string()))
                 .collect(),
         }
     }
@@ -75,15 +77,15 @@ impl SpanEvent {
     }
 }
 
-/// Write one span frame.
-fn put_span<'s>(
+/// Write one span frame up to its attribute pairs; returns how many of
+/// `n_attrs` the frame has room to count (the caller writes that many).
+fn put_span_head(
     out: &mut Vec<u8>,
     (trace_id, span_id, parent): (u64, u64, Option<u64>),
     (start_us, end_us): (u64, u64),
-    system: &str,
-    name: &str,
-    attrs: impl ExactSizeIterator<Item = (&'s str, &'s str)>,
-) {
+    (system, name): (&str, &str),
+    n_attrs: usize,
+) -> usize {
     out.put_u8(MAGIC);
     out.put_u8(TAG_SPAN);
     out.put_u64_le(trace_id);
@@ -99,39 +101,94 @@ fn put_span<'s>(
     out.put_u64_le(end_us);
     put_str(out, system);
     put_str(out, name);
-    let n_attrs = attrs.len().min(u16::MAX as usize);
+    let n_attrs = n_attrs.min(u16::MAX as usize);
     out.put_u16_le(n_attrs as u16);
-    for (k, v) in attrs.take(n_attrs) {
-        put_str(out, k);
-        put_str(out, v);
+    n_attrs
+}
+
+/// Appends text to a frame in place.
+struct Text<'a>(&'a mut Vec<u8>);
+
+impl fmt::Write for Text<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.put_slice(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Append the decimal digits of `n` behind its `u16` length, as
+/// [`put_str`] would write `n.to_string()`.
+fn put_decimal(out: &mut Vec<u8>, negative: bool, mut n: u64) {
+    let mut digits = [0u8; 21];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if negative {
+        at -= 1;
+        digits[at] = b'-';
+    }
+    out.put_u16_le((digits.len() - at) as u16);
+    out.put_slice(&digits[at..]);
+}
+
+/// Append an attribute value as [`put_str`] would write its text (its
+/// `Display`), without building the text first.
+fn put_value(out: &mut Vec<u8>, value: &AttrValue) {
+    match value {
+        AttrValue::Str(s) => put_str(out, s.as_str()),
+        AttrValue::U64(n) => put_decimal(out, false, *n),
+        AttrValue::I64(n) => put_decimal(out, *n < 0, n.unsigned_abs()),
+        AttrValue::Bool(b) => put_str(out, if *b { "true" } else { "false" }),
+        AttrValue::F64(_) => {
+            // Nine decimals of any float: far shorter than the `u16`
+            // length can count.
+            let at = out.len();
+            out.put_u16_le(0);
+            let _ = write!(Text(out), "{value}");
+            let len = (out.len() - at - 2) as u16;
+            (&mut out[at..at + 2]).put_u16_le(len);
+        }
     }
 }
 
 /// Encode a span event as one telemetry frame.
 pub fn encode_span(ev: &SpanEvent) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + ev.name.len() + ev.system.len());
-    put_span(
+    let n = put_span_head(
         &mut out,
         (ev.trace_id, ev.span_id, ev.parent),
         (ev.start_us, ev.end_us),
-        &ev.system,
-        &ev.name,
-        ev.attrs.iter().map(|(k, v)| (k.as_str(), v.as_str())),
+        (&ev.system, &ev.name),
+        ev.attrs.len(),
     );
+    for (k, v) in ev.attrs.iter().take(n) {
+        put_str(&mut out, k);
+        put_str(&mut out, v);
+    }
     out
 }
 
 /// Append the bytes of `encode_span(&SpanEvent::from_record(r))` to
-/// `out`, without building the owned event in between.
+/// `out`, without building the owned event or any value's text in
+/// between.
 pub fn encode_record(r: &SpanRecord, out: &mut Vec<u8>) {
-    put_span(
+    let n = put_span_head(
         out,
         (r.trace_id.0, r.span_id.0, r.parent.map(|p| p.0)),
         (r.start.as_micros() as u64, r.end.as_micros() as u64),
-        r.system,
-        &r.name,
-        r.attrs.iter().map(|(k, v)| (*k, v.as_str())),
+        (r.system, r.name),
+        r.attrs.len(),
     );
+    for (k, v) in r.attrs.iter().take(n) {
+        put_str(out, k);
+        put_value(out, v);
+    }
 }
 
 /// A span frame decoded in place: the fields of [`SpanEvent`], strings
@@ -162,6 +219,17 @@ impl<'a> SpanRef<'a> {
     /// Decode a span frame; `None` on any malformed input. Bytes after
     /// the last attribute are ignored.
     pub fn parse(bytes: &'a [u8]) -> Option<Self> {
+        Self::parse_visiting(bytes, |_, _| {})
+    }
+
+    /// [`Self::parse`], handing `visit` each attribute pair as it is
+    /// validated: a reader that wants one value needs no second walk.
+    /// `visit` may have seen a prefix of the pairs when the frame is
+    /// refused.
+    pub fn parse_visiting(
+        bytes: &'a [u8],
+        mut visit: impl FnMut(&'a str, &'a str),
+    ) -> Option<Self> {
         let mut r = Reader::new(bytes);
         if r.u8()? != MAGIC || r.u8()? != TAG_SPAN {
             return None;
@@ -183,8 +251,7 @@ impl<'a> SpanRef<'a> {
             attrs: r.clone(),
         };
         for _ in 0..span.n_attrs {
-            r.str()?;
-            r.str()?;
+            visit(r.str()?, r.str()?);
         }
         Some(span)
     }
@@ -242,6 +309,7 @@ pub(crate) fn decode_metric(bytes: &[u8]) -> Option<(String, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taureau_core::trace::Attrs;
 
     fn sample_event() -> SpanEvent {
         SpanEvent {
@@ -340,14 +408,14 @@ mod tests {
         );
     }
 
-    fn sample_record(name: &str, attrs: Vec<(&'static str, String)>) -> SpanRecord {
+    fn sample_record(name: &'static str, attrs: Attrs) -> SpanRecord {
         use std::time::Duration;
         use taureau_core::trace::{SpanId, TraceId};
         SpanRecord {
             trace_id: TraceId(name.len() as u64),
             span_id: SpanId(attrs.len() as u64 + 1),
             parent: (!attrs.is_empty()).then_some(SpanId(9)),
-            name: name.to_string(),
+            name,
             system: "système-π",
             start: Duration::from_micros(17),
             end: Duration::from_micros(170),
@@ -357,13 +425,13 @@ mod tests {
 
     #[test]
     fn encode_record_matches_the_owned_encoder_and_reads_back_borrowed() {
-        let long = "n".repeat(70_000); // past the u16 length: truncated alike
+        let long = "n".repeat(70_000).leak(); // past the u16 length: truncated alike
         let attrs = |n: usize| (0..n).map(|i| ("k", format!("väl-{i}"))).collect();
         for record in [
-            sample_record("", Vec::new()),
+            sample_record("", Attrs::new()),
             sample_record("faas.invoke", attrs(1)),
             sample_record("ünï.cödé", attrs(20)),
-            sample_record(&long, attrs(3)),
+            sample_record(long, attrs(3)),
         ] {
             let owned = SpanEvent::from_record(&record);
             let mut frame = vec![0xAA]; // appends, never overwrites
@@ -387,14 +455,71 @@ mod tests {
     /// frame the decoder accepts (cut mid-character, it was refused whole).
     #[test]
     fn a_long_non_ascii_string_is_cut_at_a_char_boundary() {
-        let long = "é".repeat(35_000);
-        let record = sample_record(&long, vec![("k", long.clone())]);
+        let long = "é".repeat(35_000).leak();
+        let record = sample_record(long, [("k", &*long)].into_iter().collect());
         let mut frame = Vec::new();
         encode_record(&record, &mut frame);
         let span = SpanRef::parse(&frame).expect("valid frame");
         let kept = "é".repeat(32_767);
         assert_eq!(span.name, kept);
         assert_eq!(span.attrs().collect::<Vec<_>>(), vec![("k", kept.as_str())]);
+    }
+
+    use proptest::prelude::*;
+    use rand::Rng;
+    use taureau_core::rng::det_rng;
+
+    /// A value of any kind: any integer, any float bit pattern (NaN and
+    /// the infinities included), a billed cost, and strings that are
+    /// empty, non-ASCII, past the inline size and past the `u16` length.
+    fn random_value(rng: &mut impl Rng) -> AttrValue {
+        use std::sync::LazyLock;
+        static LONG: LazyLock<String> = LazyLock::new(|| "ж".repeat(40_000));
+        const STRS: [&str; 6] = [
+            "",
+            "ok",
+            "error",
+            "тема-π",
+            "/app/fn-state/x",
+            "a name past inline",
+        ];
+        match rng.gen_range(0..9) {
+            0 => rng.gen::<u64>().into(),
+            1 => rng.gen::<i64>().into(),
+            2 => f64::from_bits(rng.gen()).into(),
+            3 => (rng.gen_range(0..10_000_000u64) as f64 * 1e-12).into(),
+            4 => rng.gen::<bool>().into(),
+            5 => STRS[rng.gen_range(0..STRS.len())].into(),
+            6 => STRS[rng.gen_range(0..STRS.len())]
+                .repeat(rng.gen_range(0..9))
+                .into(),
+            7 if rng.gen_range(0..50) == 0 => LONG.as_str().into(),
+            _ => rng.gen_range(0..4096u64).into(),
+        }
+    }
+
+    proptest! {
+        /// The in-place encoder writes, for any record, the frame the owned
+        /// encoder writes for its `to_string()`-rendered event.
+        #[test]
+        fn encode_record_writes_the_frame_of_its_rendered_values(seed in any::<u64>()) {
+            const NAMES: [&str; 4] = ["faas.billing", "", "öp.ünï", "cluster.pub"];
+            const KEYS: [&str; 4] = ["cost_usd", "node", "ключ", ""];
+            let mut rng = det_rng(seed);
+            let mut record = sample_record(
+                NAMES[rng.gen_range(0..NAMES.len())],
+                (0..rng.gen_range(0..12))
+                    .map(|_| (KEYS[rng.gen_range(0..KEYS.len())], random_value(&mut rng)))
+                    .collect(),
+            );
+            record.trace_id.0 = rng.gen();
+            record.end = std::time::Duration::from_micros(rng.gen_range(17..1 << 40));
+            // `from_record` renders each value with `to_string()`.
+            let rendered = SpanEvent::from_record(&record);
+            let mut frame = Vec::new();
+            encode_record(&record, &mut frame);
+            prop_assert!(frame == encode_span(&rendered), "frames differ for {:?}", record.attrs);
+        }
     }
 
     /// Arbitrary and corrupted bytes: the borrowed decoder never panics,

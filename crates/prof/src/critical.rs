@@ -68,7 +68,7 @@ impl CriticalPath {
 
     /// On-path self time per span name, descending.
     pub(crate) fn by_name(&self, graph: &TraceGraph) -> Vec<(String, Duration)> {
-        self.rollup(|i| graph.span(i).name.clone())
+        self.rollup(|i| graph.span(i).name.to_string())
     }
 
     /// On-path self time per subsystem, descending.
@@ -136,13 +136,13 @@ fn walk(graph: &TraceGraph, span: usize, until: Duration, segments: &mut Vec<Pat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taureau_core::trace::{SpanId, SpanRecord};
+    use taureau_core::trace::{Attrs, SpanId, SpanRecord};
 
     fn span(
         trace: u64,
         id: u64,
         parent: Option<u64>,
-        name: &str,
+        name: &'static str,
         start_us: u64,
         end_us: u64,
     ) -> SpanRecord {
@@ -150,11 +150,11 @@ mod tests {
             trace_id: TraceId(trace),
             span_id: SpanId(id),
             parent: parent.map(SpanId),
-            name: name.to_string(),
+            name,
             system: "test",
             start: Duration::from_micros(start_us),
             end: Duration::from_micros(end_us),
-            attrs: Vec::new(),
+            attrs: Attrs::new(),
         }
     }
 
@@ -191,11 +191,7 @@ mod tests {
             span(1, 3, Some(1), "slow", 10, 80),
         ]);
         let cp = CriticalPath::compute(&g, TraceId(1)).unwrap();
-        let names: Vec<&str> = cp
-            .segments
-            .iter()
-            .map(|s| g.span(s.span).name.as_str())
-            .collect();
+        let names: Vec<&str> = cp.segments.iter().map(|s| g.span(s.span).name).collect();
         assert!(names.contains(&"slow"));
         assert!(!names.contains(&"fast"));
         let attributed: Duration = cp.segments.iter().map(|s| s.duration()).sum();

@@ -172,7 +172,7 @@ impl TraceGraph {
     pub fn self_time_by_name(&self) -> Vec<(String, Duration)> {
         let mut agg: HashMap<&str, Duration> = HashMap::new();
         for i in 0..self.spans.len() {
-            *agg.entry(self.spans[i].name.as_str()).or_default() += self.self_time(i);
+            *agg.entry(self.spans[i].name).or_default() += self.self_time(i);
         }
         let mut out: Vec<(String, Duration)> =
             agg.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
@@ -189,7 +189,7 @@ mod tests {
         trace: u64,
         id: u64,
         parent: Option<u64>,
-        name: &str,
+        name: &'static str,
         start_us: u64,
         end_us: u64,
     ) -> SpanRecord {
@@ -197,11 +197,11 @@ mod tests {
             trace_id: TraceId(trace),
             span_id: SpanId(id),
             parent: parent.map(SpanId),
-            name: name.to_string(),
+            name,
             system: "test",
             start: Duration::from_micros(start_us),
             end: Duration::from_micros(end_us),
-            attrs: Vec::new(),
+            attrs: taureau_core::trace::Attrs::new(),
         }
     }
 

@@ -118,7 +118,7 @@ pub fn chrome_trace(graph: &TraceGraph) -> String {
         let _ = write!(
             out,
             "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{",
-            json_str(&s.name),
+            json_str(s.name),
             json_str(s.system),
             s.start.as_nanos() as f64 / 1000.0,
             s.duration().as_nanos() as f64 / 1000.0,
@@ -129,8 +129,8 @@ pub fn chrome_trace(graph: &TraceGraph) -> String {
         if let Some(p) = s.parent {
             let _ = write!(out, ",\"parent\":{}", p.0);
         }
-        for (k, v) in &s.attrs {
-            let _ = write!(out, ",{}:{}", json_str(k), json_str(v));
+        for (k, v) in s.attrs.iter() {
+            let _ = write!(out, ",{}:{}", json_str(k), json_str(&v.to_string()));
         }
         out.push_str("}}");
     }
@@ -172,7 +172,7 @@ fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taureau_core::trace::{SpanId, SpanRecord};
+    use taureau_core::trace::{Attrs, SpanId, SpanRecord};
 
     fn graph() -> TraceGraph {
         TraceGraph::build(vec![
@@ -180,21 +180,21 @@ mod tests {
                 trace_id: TraceId(1),
                 span_id: SpanId(1),
                 parent: None,
-                name: "root".into(),
+                name: "root",
                 system: "sys-a",
                 start: Duration::ZERO,
                 end: Duration::from_micros(100),
-                attrs: vec![("note", "he said \"hi\"\n".to_string())],
+                attrs: [("note", "he said \"hi\"\n")].into_iter().collect(),
             },
             SpanRecord {
                 trace_id: TraceId(1),
                 span_id: SpanId(2),
                 parent: Some(SpanId(1)),
-                name: "child".into(),
+                name: "child",
                 system: "sys-b",
                 start: Duration::from_micros(10),
                 end: Duration::from_micros(60),
-                attrs: Vec::new(),
+                attrs: Attrs::new(),
             },
         ])
     }

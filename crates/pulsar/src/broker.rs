@@ -1322,7 +1322,7 @@ mod cursor_tests;
 
 #[cfg(test)]
 mod tests {
-    use taureau_core::trace::SpanContext;
+    use taureau_core::trace::{AttrValue, SpanContext};
 
     use super::*;
 
@@ -1613,7 +1613,7 @@ mod tests {
         assert_eq!(publishes.len(), 2);
         for span in publishes {
             assert_eq!(span.name, "pulsar.publish");
-            assert!(span.attrs.contains(&("bytes", "3".to_string())));
+            assert_eq!(span.attr("bytes"), Some(&AttrValue::U64(3)));
         }
     }
 

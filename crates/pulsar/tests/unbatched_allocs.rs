@@ -113,8 +113,10 @@ fn an_unbatched_round_trip_allocates_the_entry_and_little_else() {
 /// A traced publish writes its entry once: the trace context is a field of
 /// the one entry header, not a second buffer wrapped around the entry.
 /// Exact, because a traced run is as deterministic as an untraced one; the
-/// spans the publish and the dispatch record, and the growth of the
-/// tracer's ring, are in the count.
+/// growth of the tracer's ring and of the thread's span stack are in the
+/// count, and the spans the publish and the dispatch record allocate
+/// nothing (7 519 while each span was a name, an attribute list and an
+/// `Arc`).
 #[test]
 fn a_traced_keyed_round_trip_writes_the_entry_once() {
     let (cluster, producer, mut consumer) = warm_topic();
@@ -126,7 +128,7 @@ fn a_traced_keyed_round_trip_writes_the_entry_once() {
         }
     });
     assert_eq!(
-        allocs, 7_519,
+        allocs, 607,
         "allocations in {N} traced send → receive → ack"
     );
 }
