@@ -20,8 +20,8 @@
 //! - [`membership`]: heartbeat failure detection
 //!   (`membership::MemberAgent`) and the lease table
 //!   ([`membership::ControlPlane`]) whose epochs fence deposed owners.
-//! - [`fabric`]: [`fabric::ClusterFabric`] — nodes with roles, the tick
-//!   loop, kill/revive.
+//! - [`fabric`]: [`fabric::ClusterFabric`] — nodes with roles, the
+//!   next-event loop, kill/revive.
 //! - `pulsar_cluster`, `jiffy_cluster`, `faas_cluster`: the
 //!   subsystems mapped onto fabric nodes, with failover, block
 //!   migration, and worker routing respectively.

@@ -49,7 +49,7 @@ impl Default for MembershipConfig {
 /// only when a silent peer is heard again ([`Self::observe`]) or when the
 /// earliest possible timeout has passed ([`Self::expire`]). Readers borrow
 /// it ([`Self::alive`]) and watch [`Self::generation`] to learn whether it
-/// moved, so a steady-state tick costs one comparison per agent and builds
+/// moved, so a steady-state check costs one comparison per agent and builds
 /// no set.
 #[derive(Debug)]
 pub(crate) struct MemberAgent {
@@ -113,14 +113,27 @@ impl MemberAgent {
     }
 
     /// Record a heartbeat (or any traffic — all traffic proves liveness)
-    /// from a peer, re-admitting it if it was believed dead.
-    pub(crate) fn observe(&mut self, from: NodeId, now: Duration) {
+    /// from a peer, re-admitting it if it was believed dead. Returns
+    /// whether it was re-admitted.
+    pub(crate) fn observe(&mut self, from: NodeId, now: Duration) -> bool {
         *self.heard_slot(from) = Some(now);
-        if !self.alive.contains(&from) && self.peers.contains(&from) {
+        let readmit = !self.alive.contains(&from) && self.peers.contains(&from);
+        if readmit {
             self.alive.insert(from);
             self.next_expiry = self.next_expiry.min(self.deadline(now));
             self.generation += 1;
         }
+        readmit
+    }
+
+    /// The next instant this agent has something to do: its next
+    /// heartbeat round, or the first instant past `next_expiry`, when a
+    /// peer may have timed out.
+    pub(crate) fn next_timer(&self) -> Duration {
+        let beat = self
+            .last_beat
+            .map_or(Duration::ZERO, |t| t + self.cfg.heartbeat_every);
+        beat.min(self.next_expiry.saturating_add(Duration::from_nanos(1)))
     }
 
     /// Drop every peer silent for longer than the failure timeout as of
@@ -195,6 +208,22 @@ impl MemberAgent {
             .collect();
         v.insert(self.node);
         v
+    }
+
+    /// What [`Self::next_timer`] must never be later than, from scratch:
+    /// the next heartbeat round, or the first instant past the deadline of
+    /// a peer alive at `now`.
+    #[cfg(test)]
+    pub(crate) fn first_timer_from_scratch(&self, now: Duration) -> Duration {
+        let beat = self
+            .last_beat
+            .map_or(Duration::ZERO, |t| t + self.cfg.heartbeat_every);
+        self.view(now)
+            .iter()
+            .filter(|&&p| p != self.node)
+            .filter_map(|&p| self.last_heard(p))
+            .map(|t| self.deadline(t) + Duration::from_nanos(1))
+            .fold(beat, Duration::min)
     }
 }
 

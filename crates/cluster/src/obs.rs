@@ -606,6 +606,21 @@ impl TelemetryAgent {
         }
     }
 
+    /// The instant [`Self::flush`] next has something to send: at once
+    /// for a full batch, then a partial batch's flush, then an agent with
+    /// history's sync; never for an agent that has nothing and never sent.
+    fn next_due(&self) -> Duration {
+        if self.ends.len() >= self.batch_max {
+            Duration::ZERO
+        } else if !self.ends.is_empty() {
+            self.last_flush + self.flush_every
+        } else if self.events_sent > 0 {
+            self.last_sync + self.sync_every
+        } else {
+            Duration::MAX
+        }
+    }
+
     /// Flush due batches (size- or time-triggered), plus periodic empty
     /// sync batches so the collector can finalize loss accounting.
     fn flush(&mut self, fabric: &ClusterFabric, collector: NodeId, now: Duration) {
@@ -1506,7 +1521,7 @@ struct RecordedFault {
 
 /// The whole observability plane: one agent per service node, one
 /// collector node, and the glue that routes tracer output, control-plane
-/// events, and membership transitions into agents each tick.
+/// events, and membership transitions into agents each step.
 pub struct ClusterObs {
     collector_node: NodeId,
     client: NodeId,
@@ -1517,6 +1532,11 @@ pub struct ClusterObs {
     faults: Vec<RecordedFault>,
     dumped_incidents: usize,
     dump_errors: u64,
+    /// [`ClusterFabric::belief_version`] at the last membership diff.
+    seen_beliefs: Option<u64>,
+    /// No live agent has anything to ship before this instant (a lower
+    /// bound: recording only pulls it earlier).
+    next_flush: Duration,
 }
 
 impl ClusterObs {
@@ -1550,6 +1570,8 @@ impl ClusterObs {
             faults: Vec::new(),
             dumped_incidents: 0,
             dump_errors: 0,
+            seen_beliefs: None,
+            next_flush: Duration::MAX,
         }
     }
 
@@ -1578,15 +1600,25 @@ impl ClusterObs {
         self.agents.get_mut(node.raw() as usize)?.as_mut()
     }
 
-    fn record_on(&mut self, node: NodeId, now: Duration, event: ObsEvent) {
-        if let Some(agent) = self.agent_for(node) {
-            agent.record(now, event);
-        }
+    /// Record on the agent filing for `node`, and note when that agent
+    /// next has something to ship.
+    fn record_with(&mut self, node: NodeId, record: impl FnOnce(&mut TelemetryAgent)) {
+        let Some(agent) = self.agent_for(node) else {
+            return;
+        };
+        record(agent);
+        let due = agent.next_due();
+        self.next_flush = self.next_flush.min(due);
     }
 
-    /// One plane tick, run after the stack routes service mail: drains
+    fn record_on(&mut self, node: NodeId, now: Duration, event: ObsEvent) {
+        self.record_with(node, |agent| agent.record(now, event));
+    }
+
+    /// One plane step, run after the stack routes service mail: drains
     /// the tracer sink to the owning nodes' agents, drains control-plane
-    /// events, diffs membership views, and flushes due batches.
+    /// events, diffs membership views when some belief or the roster
+    /// moved, and flushes batches when some agent has one due.
     pub(crate) fn step(&mut self, fabric: &mut ClusterFabric, pulsar: &mut ClusterPulsar) {
         let now = fabric.now();
         // 1. Locally-traced spans/metrics → the node that recorded them:
@@ -1600,14 +1632,10 @@ impl ClusterObs {
                     (TRACE_SYSTEM, Some(&AttrValue::U64(node))) => NodeId(node),
                     _ => self.client,
                 };
-                if let Some(agent) = self.agent_for(node) {
-                    agent.record_span(now, record);
-                }
+                self.record_with(node, |agent| agent.record_span(now, record));
             }
             &TelemetryEvent::Metric { name, delta } => {
-                if let Some(agent) = self.agent_for(self.client) {
-                    agent.record_metric(now, name, delta);
-                }
+                self.record_with(self.client, |agent| agent.record_metric(now, name, delta));
             }
         });
         // 2. Pulsar control/data-plane events → the node they happened on
@@ -1622,18 +1650,37 @@ impl ClusterObs {
             self.record_on(node, now, event);
         }
         // 3. Membership transitions, as each node's own detector sees
-        // them (the collector keeps the *first* report — min detection).
-        for agent in self.agents.iter_mut().flatten() {
-            if let Some((generation, view)) = fabric.belief(agent.node) {
-                agent.observe_view(now, generation, view);
+        // them (the collector keeps the *first* report — min detection),
+        // diffed only when some belief or the roster moved.
+        let beliefs = fabric.belief_version();
+        if self.seen_beliefs != Some(beliefs) {
+            self.seen_beliefs = Some(beliefs);
+            for agent in self.agents.iter_mut().flatten() {
+                if let Some((generation, view)) = fabric.belief(agent.node) {
+                    agent.observe_view(now, generation, view);
+                }
             }
+            // Transitions are events to ship, and a revived node's agent
+            // is live again: look at every agent.
+            self.next_flush = Duration::ZERO;
         }
-        // 4. Ship what's due.
-        for agent in self.agents.iter_mut().flatten() {
-            if fabric.is_alive(agent.node()) {
-                agent.flush(fabric, self.collector_node, now);
+        // 4. Ship what's due, when anything is.
+        if now >= self.next_flush {
+            let mut next = Duration::MAX;
+            for agent in self.agents.iter_mut().flatten() {
+                if fabric.is_alive(agent.node()) {
+                    agent.flush(fabric, self.collector_node, now);
+                    next = next.min(agent.next_due());
+                }
             }
+            self.next_flush = next;
         }
+    }
+
+    /// The earliest instant at which some agent may have a batch or a sync
+    /// to ship ([`Self::step`] ships nothing before it).
+    pub(crate) fn next_flush(&self) -> Duration {
+        self.next_flush
     }
 
     /// Ingest an envelope delivered to the collector node.
@@ -2388,7 +2435,7 @@ mod tests {
     proptest! {
         /// Whatever is recorded, in whatever rhythm, the agent hands the
         /// network the bytes `encode_batch` over owned `from_record` events
-        /// gave it before — same batches, same cuts, same ticks.
+        /// gave it before — same batches, same cuts, same instants.
         #[test]
         fn agent_ships_the_bytes_of_the_eager_encoder(
             seed in any::<u64>(),
@@ -2421,9 +2468,12 @@ mod tests {
                         eager.record(now, event);
                     },
                     _ => for _ in 0..amount {
-                        fabric.tick(ms(3));
+                        fabric.advance(fabric.now() + ms(3));
                         let now = fabric.now();
+                        // `next_due` says exactly when a flush ships.
+                        let (due, sent) = (agent.next_due() <= now, agent.batches_sent);
                         agent.flush(&fabric, collector, now);
+                        prop_assert_eq!(due, agent.batches_sent > sent);
                         eager.flush(now);
                         prop_assert_eq!(agent.ends.len(), eager.pending.len());
                     },
@@ -2432,7 +2482,7 @@ mod tests {
                     shipped.push(env.body);
                 }
             }
-            fabric.tick(ms(3));
+            fabric.advance(fabric.now() + ms(3));
             while let Some(env) = fabric.pop_mail(collector) {
                 shipped.push(env.body);
             }
@@ -2464,7 +2514,7 @@ mod tests {
         assert_eq!((agent.batches_sent, agent.ends.len()), (2, 2));
         agent.flush(&fabric, collector, ms(1) + cfg.flush_every);
         assert_eq!((agent.batches_sent, agent.ends.len()), (3, 0));
-        fabric.tick(ms(1));
+        fabric.advance(ms(1));
         let peers: Vec<Vec<u64>> = std::iter::from_fn(|| fabric.pop_mail(collector))
             .map(|env| {
                 let (header, events) = decode_batch(&env.body).expect("valid batch");

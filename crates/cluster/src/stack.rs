@@ -6,10 +6,15 @@
 //! Jiffy memory nodes ([`JiffyFabric`]), plus one client node. All
 //! client operations are real RPCs: a request envelope crosses the
 //! simulated network, a service node handles it, a response envelope
-//! comes back — or doesn't, and the deadline fires. The pump loop
-//! ([`ClusterStack::rpc`]) is the discrete-event scheduler: it ticks the
-//! fabric, lets services drain their mailboxes, and watches the client
-//! mailbox for the correlated response.
+//! comes back — or doesn't, and the deadline fires. The pump
+//! ([`ClusterStack::step`]) is the discrete-event scheduler: it settles
+//! what is due at the present, or else jumps the fabric to its next event
+//! (a delivery, a heartbeat round, a failure timeout, a telemetry flush),
+//! lets services drain their mailboxes, and watches the client mailbox
+//! for the correlated response. Nothing else moves virtual time, so an
+//! RPC costs exactly the latencies of its two messages (none on
+//! zero-latency links), and waits are bounded by their callers: the RPC
+//! deadline, the end of [`ClusterStack::run_for`], the warm-up.
 //!
 //! Failure handling is end-to-end at-least-once: a timed-out or fenced
 //! request triggers a maintenance round (failure detection has had time
@@ -59,8 +64,6 @@ pub struct ClusterStackConfig {
     pub jiffy: JiffyConfig,
     /// Failure-detector tuning.
     pub membership: MembershipConfig,
-    /// Pump tick granularity.
-    pub tick: Duration,
     /// Per-attempt RPC deadline. Must exceed
     /// `membership.failure_timeout`, so that by the time an attempt
     /// gives up, detection has had a chance to notice a dead peer.
@@ -70,11 +73,10 @@ pub struct ClusterStackConfig {
     /// Deploy the observability plane ([`crate::obs::ClusterObs`]): a
     /// collector node plus per-node telemetry agents. Off by default —
     /// it adds a node to membership and telemetry traffic to the wire,
-    /// and about as much again as the rest of a four-RPC request to its
-    /// wall time (23.5 against 11.7 µs on the `cluster_stack` deployment,
-    /// 2 vCPU, medians of twelve rounds of 60 000 requests; the same
-    /// rounds of the code before spans were plain data read 29.3 against
-    /// 16.7; DESIGN.md §15).
+    /// and about three quarters again of the rest of a four-RPC request
+    /// to its wall time (15.4 against 8.8 µs on the `cluster_stack`
+    /// deployment, 2 vCPU, medians of fifteen rounds of 30 000 requests;
+    /// DESIGN.md §15).
     pub observability: bool,
     /// Observability plane tuning (used when `observability` is set).
     pub obs: ObsConfig,
@@ -91,7 +93,6 @@ impl Default for ClusterStackConfig {
             faas: PlatformConfig::deterministic(),
             jiffy: JiffyConfig::default(),
             membership: MembershipConfig::default(),
-            tick: Duration::from_millis(1),
             rpc_timeout: Duration::from_millis(250),
             rpc_attempts: 4,
             observability: false,
@@ -128,7 +129,7 @@ pub struct ClusterStack {
     response: Option<Envelope>,
     stale_responses: u64,
     worker_rr: usize,
-    /// The nodes the pump visits this tick (buffer reused across ticks).
+    /// The nodes the pump visits this step (buffer reused across steps).
     mailed: Vec<NodeId>,
 }
 
@@ -151,7 +152,7 @@ impl ClusterStack {
             .observability
             .then(|| ClusterObs::new(&mut fabric, cfg.obs.clone(), client));
         let warmup = cfg.membership.failure_timeout * 2;
-        fabric.run_for(warmup, cfg.tick);
+        fabric.run_for(warmup);
         Self {
             cfg,
             fabric,
@@ -225,7 +226,7 @@ impl ClusterStack {
             if self.now() >= deadline {
                 return false;
             }
-            self.step();
+            self.step_until(deadline);
         }
     }
 
@@ -283,11 +284,30 @@ impl ClusterStack {
         max_rounds
     }
 
-    /// Advance one tick: fabric time + network, then let every service
-    /// node that has mail drain its mailbox, in node order. The response
-    /// the client is waiting for is kept; any other is counted and dropped.
+    /// One step of the pump: when something is due at the present, the
+    /// fabric delivers it without moving the clock; otherwise the clock
+    /// jumps straight to the earliest pending event (a delivery, a
+    /// heartbeat round, a failure-timeout expiry, a telemetry flush or
+    /// sync). Every service node handed mail then drains its mailbox, in
+    /// node order, and the plane records and ships. The response the
+    /// client is waiting for is kept; any other is counted and dropped.
+    /// With nothing ever due again (every node dead, nothing in flight),
+    /// nothing moves.
     pub fn step(&mut self) {
-        self.fabric.tick(self.cfg.tick);
+        self.step_until(Duration::MAX);
+    }
+
+    /// [`Self::step`], jumping no later than `bound`.
+    fn step_until(&mut self, bound: Duration) {
+        let plane = self
+            .obs
+            .as_ref()
+            .map_or(Duration::MAX, ClusterObs::next_flush);
+        let next = self.fabric.next_event().min(plane).min(bound);
+        if next == Duration::MAX {
+            return;
+        }
+        self.fabric.advance(next);
         let now = self.fabric.now();
         let mut mailed = std::mem::take(&mut self.mailed);
         self.fabric.take_mailed(&mut mailed);
@@ -305,7 +325,7 @@ impl ClusterStack {
                             continue;
                         }
                         // Several copies of the awaited response can land
-                        // in one tick (a duplicated request is answered
+                        // in one step (a duplicated request is answered
                         // twice): the last one stands.
                         if self.awaiting != Some(env.req) || self.response.replace(env).is_some() {
                             self.stale_responses += 1;
@@ -321,18 +341,19 @@ impl ClusterStack {
             }
         }
         self.mailed = mailed;
-        // The plane ticks after service mail: route freshly-recorded
+        // The plane steps after service mail: route freshly-recorded
         // spans/control events to agents and flush due batches.
         if let Some(obs) = &mut self.obs {
             obs.step(&mut self.fabric, &mut self.pulsar);
         }
     }
 
-    /// Run the pump for a duration without issuing requests.
+    /// Run the pump for a duration without issuing requests: every event
+    /// in it runs at its instant, and the clock ends exactly `d` later.
     pub fn run_for(&mut self, d: Duration) {
         let end = self.now() + d;
         while self.now() < end {
-            self.step();
+            self.step_until(end);
         }
     }
 
@@ -380,7 +401,7 @@ impl ClusterStack {
         self.awaiting = Some(req);
         let deadline = self.now() + self.cfg.rpc_timeout;
         let env = loop {
-            self.step();
+            self.step_until(deadline);
             if let Some(env) = self.response.take() {
                 break Some(env);
             }
@@ -647,13 +668,46 @@ mod tests {
     fn rpc_latency_is_virtual_network_time() {
         let mut s = stack();
         s.create_topic("t", 1).unwrap();
+        // Exactly the two one-way latencies of the default 500 µs links,
+        // whatever heartbeats and flushes fall due in between.
+        for _ in 0..30 {
+            let before = s.now();
+            s.publish("t", b"x", None).unwrap();
+            assert_eq!(s.now() - before, Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_zero_latency_rpc_completes_at_the_instant_it_was_sent() {
+        let mut s = stack();
+        s.fabric().net().set_default_faults(crate::LinkFaults {
+            latency: Duration::ZERO,
+            ..Default::default()
+        });
+        s.create_topic("t", 1).unwrap();
         let before = s.now();
-        s.publish("t", b"x", None).unwrap();
-        let elapsed = s.now() - before;
-        // At least one round trip of the default 500us link latency, and
-        // nowhere near the rpc timeout.
-        assert!(elapsed >= Duration::from_micros(1000), "{elapsed:?}");
-        assert!(elapsed < Duration::from_millis(50), "{elapsed:?}");
+        for i in 0..100u64 {
+            s.publish("t", &i.to_le_bytes(), None).unwrap();
+        }
+        assert_eq!(s.consume("t", "s", 128, None).unwrap().len(), 100);
+        assert_eq!(s.now(), before);
+    }
+
+    #[test]
+    fn run_for_ends_exactly_and_a_step_with_nothing_due_moves_the_clock() {
+        let mut s = stack();
+        let before = s.now();
+        let d = Duration::from_micros(12_345);
+        s.run_for(d);
+        assert_eq!(s.now(), before + d);
+        // A step settles an instant with something due, and the next finds
+        // nothing due there and leaves it.
+        for _ in 0..100 {
+            let at = s.now();
+            s.step();
+            s.step();
+            assert!(s.now() > at, "two steps stuck at {at:?}");
+        }
     }
 
     #[test]

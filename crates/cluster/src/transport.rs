@@ -345,21 +345,19 @@ impl NetState {
         self.queue(at, tie, beat);
     }
 
-    /// The next delivery due by `now`, in (delivery time, send order):
-    /// the smaller of the two queues' heads.
-    fn pop_due(&mut self) -> Option<Delivery> {
-        let from_lane = match (self.lane.front(), self.inflight.peek()) {
-            (Some(lane), Some(Reverse(heap))) => lane < heap,
-            (lane, _) => lane.is_some(),
-        };
-        let head = if from_lane {
-            *self.lane.front()?
-        } else {
-            self.inflight.peek()?.0
-        };
-        if head.at > self.now {
-            return None;
+    /// The next delivery in (delivery time, send order), and whether it
+    /// heads the lane: the smaller of the two queues' heads.
+    fn head(&self) -> Option<(Queued, bool)> {
+        match (self.lane.front(), self.inflight.peek()) {
+            (Some(lane), Some(Reverse(heap))) if heap < lane => Some((*heap, false)),
+            (Some(lane), _) => Some((*lane, true)),
+            (None, heap) => heap.map(|Reverse(heap)| (*heap, false)),
         }
+    }
+
+    /// The next delivery due by `now`, in (delivery time, send order).
+    fn pop_due(&mut self) -> Option<Delivery> {
+        let (head, from_lane) = self.head().filter(|(head, _)| head.at <= self.now)?;
         if from_lane {
             self.lane.pop_front();
         } else {
@@ -462,7 +460,7 @@ impl SimNet {
 
     /// Advance virtual time by `d`, handing everything due to `deliver`
     /// in (delivery time, send order), under one lock acquisition. The
-    /// driver routes every delivery itself (the fabric tick). `deliver`
+    /// driver routes every delivery itself (the fabric's advance). `deliver`
     /// runs under the network's lock and must not call back into this
     /// network.
     pub fn advance_with(&self, d: Duration, mut deliver: impl FnMut(Delivery)) {
@@ -471,6 +469,12 @@ impl SimNet {
         while let Some(delivery) = st.pop_due() {
             deliver(delivery);
         }
+    }
+
+    /// When the next queued delivery is due; `None` with nothing in
+    /// flight.
+    pub fn next_due(&self) -> Option<Duration> {
+        self.state.lock().head().map(|(head, _)| head.at)
     }
 
     /// Traffic counters so far.

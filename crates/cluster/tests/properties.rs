@@ -139,7 +139,7 @@ proptest! {
         };
         let mut fabric = ClusterFabric::with_membership(seed, mcfg);
         let nodes: Vec<NodeId> = (0..5).map(|_| fabric.add_node(NodeRole::Broker)).collect();
-        fabric.run_for(Duration::from_millis(150), Duration::from_millis(5));
+        fabric.run_for(Duration::from_millis(150));
 
         for (shape, run_ms) in splits {
             match shape {
@@ -153,15 +153,12 @@ proptest! {
                 ]),
                 _ => fabric.net().heal(),
             }
-            fabric.run_for(
-                Duration::from_millis(run_ms as u64 * 20),
-                Duration::from_millis(5),
-            );
+            fabric.run_for(Duration::from_millis(run_ms as u64 * 20));
         }
 
         fabric.net().heal();
         // Quiet period: several heartbeat rounds past the failure timeout.
-        fabric.run_for(Duration::from_millis(300), Duration::from_millis(5));
+        fabric.run_for(Duration::from_millis(300));
 
         let view = fabric.control().lock().view().clone();
         prop_assert_eq!(view.len(), 5, "control view not full: {:?}", view);

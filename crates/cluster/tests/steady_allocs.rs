@@ -1,12 +1,17 @@
-//! What the cluster allocates once it is warm: nothing for a tick that
+//! What the cluster allocates once it is warm: nothing for a step that
 //! only carries heartbeats — observability plane deployed — and exactly
-//! 15 537 times for 400 whole publish → consume → invoke → ack requests
-//! (38.8 a request): 455 a request before telemetry was encoded once and
+//! 13 210 times for 400 whole publish → consume → invoke → ack requests
+//! (33.0 a request): 455 a request before telemetry was encoded once and
 //! read in place (144 of them with the plane off), 145 after, ≈ 106 once
 //! the tracer shared each finished span with its sink and the collector's
-//! KLL sketches compacted in place, 103.8 with one entry format, and 38.8
+//! KLL sketches compacted in place, 103.8 with one entry format, 38.8
 //! since a span is plain data (no allocation to record, hand off or
-//! encode it) and the collector stages each batch in reused buffers.
+//! encode it) and the collector stages each batch in reused buffers, and
+//! 33.0 since the pump jumps from event to event. On these zero-latency
+//! links the 400 requests take no virtual time, so they send their 3 200
+//! requests and responses and 118 telemetry batches and no heartbeat
+//! (8.3 envelopes a request; 113.6 when every request lasted eight 1 ms
+//! ticks).
 //! (Its own file: the counting allocator is global.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -89,33 +94,37 @@ fn request(s: &mut ClusterStack, seq: u64) {
 }
 
 #[test]
-fn an_idle_tick_allocates_nothing_and_a_request_under_40_times() {
+fn an_idle_step_allocates_nothing_and_a_request_33_times_in_no_virtual_time() {
     let mut s = deploy();
     // Heap, slab, link table, mailboxes and scratch buffers reach their
     // steady size; every agent takes its baseline membership view.
     for _ in 0..300 {
         s.step();
     }
-    let before = allocs();
+    let (before, start) = (allocs(), s.now());
     for _ in 0..1_000 {
         s.step();
     }
-    assert_eq!(allocs() - before, 0, "idle ticks, nothing to report");
+    assert_eq!(allocs() - before, 0, "idle steps, nothing to report");
+    assert!(s.now() > start, "an idle step moves the clock");
 
     for seq in 0..600 {
         request(&mut s, seq);
     }
-    let before = allocs();
+    let (before, sent, start) = (allocs(), s.fabric().net().stats().sent, s.now());
     for seq in 600..1_000 {
         request(&mut s, seq);
     }
     let total = allocs() - before;
-    println!("{total} allocations in 400 requests");
-    assert_eq!(total, 15_537, "allocations in 400 requests");
+    let envelopes = s.fabric().net().stats().sent - sent;
+    println!("{total} allocations and {envelopes} envelopes in 400 requests");
+    assert_eq!(total, 13_210, "allocations in 400 requests");
+    assert_eq!(envelopes, 3_318, "envelopes sent in 400 requests");
+    assert_eq!(s.now(), start, "virtual time 400 requests take");
 
     // Idle again, but the agents have history now: every 25 ms each sends
     // an empty sync batch carrying its cumulative count. Those bodies (a
-    // buffer and its reference count) are all an idle tick allocates.
+    // buffer and its reference count) are all an idle step allocates.
     let loss = |s: &ClusterStack| s.obs().expect("plane").loss_accounting();
     s.run_for(Duration::from_millis(50));
     let (before, batches) = (allocs(), loss(&s).batches_sent);
