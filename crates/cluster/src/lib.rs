@@ -47,6 +47,7 @@ pub(crate) mod stack;
 pub mod transport;
 pub(crate) mod wire;
 
-pub use obs::{Incident, IncidentKind, IncidentSpec, LossAccounting, ObsEvent, OutagePhase};
+pub use obs::{Incident, IncidentKind, IncidentSpec, LossAccounting, OutagePhase};
 pub use stack::{ClusterStack, ClusterStackConfig};
+pub use taureau_monitor::ObsEvent;
 pub use transport::LinkFaults;

@@ -33,9 +33,9 @@ use taureau_pulsar::metadata::MetadataStore;
 use crate::error::{ClusterError, Result};
 use crate::fabric::{ClusterFabric, NodeRole};
 use crate::membership::ControlPlane;
-use crate::obs::ObsEvent;
 use crate::transport::Envelope;
 use crate::wire;
+use taureau_monitor::ObsEvent;
 
 /// Trace system label for cluster-layer spans.
 pub(crate) const TRACE_SYSTEM: &str = "taureau-cluster";

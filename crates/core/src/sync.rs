@@ -36,9 +36,6 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::hash::FnvHashMap;
-use crate::trace::TelemetrySink;
-
 /// Number of cells in a [`StripedCounter`] (must be a power of two).
 pub(crate) const COUNTER_STRIPES: usize = 16;
 
@@ -161,9 +158,6 @@ fn saturating_nanos(d: Duration) -> u64 {
 /// clock reads are noise.
 pub struct LockSite {
     name: String,
-    /// Process-unique id (monotonic). Delta-flush baselines key on this,
-    /// never on the (reusable) name or the (reusable) allocation address.
-    id: u64,
     /// `hold_sample_every - 1`; sampling tests `tick & mask == 0`.
     hold_sample_mask: u64,
     acquisitions: StripedCounter,
@@ -193,10 +187,8 @@ impl LockSite {
     /// two; `1` measures every acquisition — useful in tests).
     pub(crate) fn with_hold_sampling(name: impl Into<String>, every: u64) -> Arc<Self> {
         assert!(every.is_power_of_two(), "hold sampling rate must be 2^k");
-        static NEXT_SITE_ID: AtomicU64 = AtomicU64::new(0);
         Arc::new(Self {
             name: name.into(),
-            id: NEXT_SITE_ID.fetch_add(1, Ordering::Relaxed),
             hold_sample_mask: every - 1,
             acquisitions: StripedCounter::new(),
             contended: StripedCounter::new(),
@@ -291,20 +283,12 @@ impl LockSiteSnapshot {
 #[derive(Default)]
 struct ProfilerInner {
     sites: Mutex<Vec<Arc<LockSite>>>,
-    /// Per-site `[acquisitions, contended, wait_nanos]` at the last
-    /// [`ContentionProfiler::flush_to_sink`], so flushes emit deltas.
-    /// Keyed by site *identity* (`LockSite::id`), not name: a site
-    /// registered after flushing has begun — a restarted broker
-    /// re-registering `pulsar.topics` — starts its counters at zero, and
-    /// subtracting another same-named site's totals would swallow its
-    /// deltas entirely.
-    last_flush: Mutex<FnvHashMap<u64, [u64; 3]>>,
 }
 
 /// Registry of [`LockSite`]s across a process: subsystems create sites
 /// here and acquire their profiled lock through them; reporting planes read
-/// [`ContentionProfiler::snapshots`] or ship deltas through a
-/// [`TelemetrySink`]. Cheap to clone (clones share the registry).
+/// [`ContentionProfiler::snapshots`]. Cheap to clone (clones share the
+/// registry).
 #[derive(Clone, Default)]
 pub struct ContentionProfiler {
     inner: Arc<ProfilerInner>,
@@ -342,48 +326,12 @@ impl ContentionProfiler {
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
     }
-
-    /// Push per-site counter *deltas* since the previous flush onto a
-    /// telemetry sink as metric events (`lock.<site>.acquisitions`,
-    /// `.contended`, `.wait_ns`). Returns the number of events pushed;
-    /// zero-delta metrics are skipped, so an idle profiler ships nothing.
-    pub fn flush_to_sink(&self, sink: &TelemetrySink) -> usize {
-        let sites = self.sites();
-        let mut last = self.inner.last_flush.lock();
-        // Drop baselines for sites that have been dropped since the last
-        // flush, so the identity map cannot grow without bound.
-        let live: std::collections::HashSet<u64> = sites.iter().map(|s| s.id).collect();
-        last.retain(|k, _| live.contains(k));
-        let mut pushed = 0;
-        for site in sites {
-            let snap = [
-                site.acquisitions.get(),
-                site.contended.get(),
-                site.wait_nanos.get(),
-            ];
-            let prev = last.entry(site.id).or_insert([0; 3]);
-            for (i, suffix) in ["acquisitions", "contended", "wait_ns"]
-                .into_iter()
-                .enumerate()
-            {
-                let delta = snap[i].saturating_sub(prev[i]);
-                if delta == 0 {
-                    continue;
-                }
-                let name = crate::trace::intern(&format!("lock.{}.{suffix}", site.name));
-                if name.is_some_and(|name| sink.metric(name, delta)) {
-                    pushed += 1;
-                }
-            }
-            *prev = snap;
-        }
-        pushed
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::FnvHashMap;
     use std::sync::Arc;
 
     #[test]
@@ -437,63 +385,23 @@ mod tests {
     }
 
     #[test]
-    fn profiler_registry_snapshots_and_flushes_deltas() {
-        use crate::trace::{TelemetryEvent, TelemetrySink};
+    fn profiler_registry_snapshots_sites_by_name() {
         let prof = ContentionProfiler::new();
         let m: Mutex<FnvHashMap<String, u64>> = Mutex::default();
         let z = prof.site("z.site");
         prof.site("a.site"); // registered, never acquired
         assert_eq!(prof.sites().len(), 2);
-        let names: Vec<_> = prof.snapshots().into_iter().map(|s| s.name).collect();
-        assert_eq!(names, vec!["a.site".to_string(), "z.site".to_string()]);
-
         z.timed(&m, |m| m.insert("k".to_string(), 7));
         z.timed(&m, |m| m.get("k").copied());
-        let sink = TelemetrySink::new(64);
-        let pushed = prof.flush_to_sink(&sink);
-        assert_eq!(pushed, 1, "only z.site.acquisitions moved");
-        let events = sink.drain(16);
-        match &events[0] {
-            TelemetryEvent::Metric { name, delta } => {
-                assert_eq!(*name, "lock.z.site.acquisitions");
-                assert_eq!(*delta, 2);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Idle profiler ships nothing on the next flush.
-        assert_eq!(prof.flush_to_sink(&sink), 0);
-    }
-
-    #[test]
-    fn late_registered_site_still_flushes_deltas() {
-        use crate::trace::{TelemetryEvent, TelemetrySink};
-        let prof = ContentionProfiler::new();
-        let sink = TelemetrySink::new(64);
-        let m1: Mutex<FnvHashMap<String, u64>> = Mutex::default();
-        let first = prof.site("dup.site");
-        first.timed(&m1, |m| m.insert("k".to_string(), 1));
-        assert!(prof.flush_to_sink(&sink) > 0);
-        sink.drain(64);
-        // A second site registers under the SAME name after flushing has
-        // begun (a restarted broker re-attaching). Its counters start at
-        // zero; the old name-keyed baseline would swallow them.
-        let m2: Mutex<FnvHashMap<String, u64>> = Mutex::default();
-        let second = prof.site("dup.site");
-        second.timed(&m2, |m| m.insert("k".to_string(), 2));
-        second.timed(&m2, |m| m.get("k").copied());
-        let pushed = prof.flush_to_sink(&sink);
-        assert!(pushed > 0, "late-registered site's deltas were swallowed");
-        let events = sink.drain(64);
-        let total: u64 = events
-            .iter()
-            .map(|e| match e {
-                TelemetryEvent::Metric { name, delta } if *name == "lock.dup.site.acquisitions" => {
-                    *delta
-                }
-                _ => 0,
-            })
-            .sum();
-        assert_eq!(total, 2, "expected exactly the new site's 2 acquisitions");
+        let snaps: Vec<_> = prof
+            .snapshots()
+            .into_iter()
+            .map(|s| (s.name, s.acquisitions))
+            .collect();
+        assert_eq!(
+            snaps,
+            [("a.site".to_string(), 0), ("z.site".to_string(), 2)]
+        );
     }
 
     #[test]

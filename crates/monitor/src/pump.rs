@@ -1,6 +1,7 @@
-//! Ships telemetry events from the in-process sink onto Pulsar topics.
+//! Ships telemetry events from the in-process sink onto Pulsar, one batch
+//! per message.
 //!
-//! The pump is the *only* component that creates the telemetry topics:
+//! The pump is the *only* component that creates the telemetry topic:
 //! with no pump attached, instrumented subsystems run with zero Pulsar
 //! footprint (the zero-overhead-when-disabled property the integration
 //! tests pin down). Publishing happens inside
@@ -8,102 +9,82 @@
 //! Pulsar cluster does not generate telemetry about the shipping — the
 //! feedback loop that would otherwise grow without bound.
 
-use taureau_core::sync::ContentionProfiler;
-use taureau_core::trace::{suppress_telemetry, TelemetryEvent, TelemetrySink};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use taureau_core::id::NodeId;
+use taureau_core::trace::{suppress_telemetry, HlcClock, TelemetryEvent, TelemetrySink};
 use taureau_pulsar::{Producer, PulsarCluster, PulsarError};
 
-use crate::wire;
+use crate::wire::BatchWriter;
 
-/// Topic carrying framed span events. The `_telemetry` tenant prefix
-/// keeps monitoring traffic out of user tenants' quotas.
-pub const SPANS_TOPIC: &str = "_telemetry/spans";
-/// Topic carrying framed metric-delta events.
-pub const METRICS_TOPIC: &str = "_telemetry/metrics";
+/// The topic carrying telemetry batches. The `_telemetry` prefix keeps
+/// monitoring traffic out of user tenants' quotas.
+pub const TELEMETRY_TOPIC: &str = "_telemetry";
+
+/// Events drained from the sink into one batch.
+const BATCH_EVENTS: usize = 256;
+
+/// Tells the pumps of one process apart in the batches they write: a
+/// consumer deduplicates batches by sender and sequence number.
+static NEXT_PUMP: AtomicU64 = AtomicU64::new(0);
 
 /// Drains a [`TelemetrySink`] and publishes its events onto the telemetry
-/// topics. Create one per sink; call [`TelemetryPump::pump`] periodically
+/// topic. Create one per sink; call [`TelemetryPump::pump`] periodically
 /// (or after each workload phase in deterministic tests).
 pub struct TelemetryPump {
     sink: TelemetrySink,
-    spans: Producer,
-    metrics: Producer,
-    contention: Option<ContentionProfiler>,
-    published_spans: u64,
-    published_metrics: u64,
+    producer: Producer,
+    batches: BatchWriter,
+    /// The pump has no clock of its own: a span is stamped at its end, a
+    /// metric just after the stamp before it.
+    hlc: HlcClock,
     publish_errors: u64,
 }
 
 impl TelemetryPump {
-    /// Connect a sink to `cluster`, creating the telemetry topics if they
-    /// do not exist yet (single partition each — ordering matters more
-    /// than parallelism for a monitoring stream).
+    /// Connect a sink to `cluster`, creating the telemetry topic if it
+    /// does not exist yet (one partition — ordering matters more than
+    /// parallelism for a monitoring stream).
     pub fn new(sink: TelemetrySink, cluster: &PulsarCluster) -> Result<Self, PulsarError> {
-        for topic in [SPANS_TOPIC, METRICS_TOPIC] {
-            if cluster.partitions(topic).is_err() {
-                cluster.create_topic(topic, 1)?;
-            }
+        if cluster.partitions(TELEMETRY_TOPIC).is_err() {
+            cluster.create_topic(TELEMETRY_TOPIC, 1)?;
         }
+        let id = NEXT_PUMP.fetch_add(1, Ordering::Relaxed);
         Ok(Self {
             sink,
-            spans: cluster.producer(SPANS_TOPIC)?,
-            metrics: cluster.producer(METRICS_TOPIC)?,
-            contention: None,
-            published_spans: 0,
-            published_metrics: 0,
+            producer: cluster.producer(TELEMETRY_TOPIC)?,
+            batches: BatchWriter::new(NodeId(id)),
+            hlc: HlcClock::new(id),
             publish_errors: 0,
         })
     }
 
-    /// Attach a lock-contention profiler: each [`TelemetryPump::pump`]
-    /// first flushes the profiler's per-site deltas
-    /// (`lock.<site>.{acquisitions,contended,wait_ns}`) into the sink as
-    /// metric events, so contention rides the same `_telemetry/metrics`
-    /// stream as every other counter.
-    #[cfg(test)]
-    pub(crate) fn attach_contention(&mut self, profiler: ContentionProfiler) -> &mut Self {
-        self.contention = Some(profiler);
-        self
-    }
-
     /// Drain every queued event and publish it. Returns the number of
-    /// events shipped. Publish failures drop the event and count it in
-    /// [`TelemetryPump::publish_errors`] — a broken monitoring transport
-    /// must not wedge the sink (it would fill and start dropping on the
-    /// producer side instead).
+    /// events shipped. A failed publish drops its batch and counts the
+    /// batch's events in [`TelemetryPump::publish_errors`] — a broken
+    /// monitoring transport must not wedge the sink (it would fill and
+    /// start dropping on the producer side instead).
     pub fn pump(&mut self) -> usize {
-        if let Some(prof) = &self.contention {
-            prof.flush_to_sink(&self.sink);
-        }
         suppress_telemetry(|| {
             let mut shipped = 0;
-            let mut frame = Vec::new();
             loop {
-                let batch = self.sink.drain(256);
-                if batch.is_empty() {
+                let (batches, hlc) = (&mut self.batches, &self.hlc);
+                self.sink.drain_with(BATCH_EVENTS, |event| match event {
+                    TelemetryEvent::Span(record) => {
+                        let stamp = hlc.tick(record.end.as_micros() as u64);
+                        batches.push_span(stamp, record);
+                    }
+                    &TelemetryEvent::Metric { name, delta } => {
+                        batches.push_metric(hlc.tick(0), name, delta);
+                    }
+                });
+                let events = self.batches.pending();
+                if events == 0 {
                     return shipped;
                 }
-                for event in batch {
-                    let result = match &event {
-                        TelemetryEvent::Span(record) => {
-                            frame.clear();
-                            wire::encode_record(record, &mut frame);
-                            self.spans.send(&frame)
-                        }
-                        TelemetryEvent::Metric { name, delta } => {
-                            self.metrics.send(&wire::encode_metric(name, *delta))
-                        }
-                    };
-                    match (result, &event) {
-                        (Ok(_), TelemetryEvent::Span(_)) => {
-                            self.published_spans += 1;
-                            shipped += 1;
-                        }
-                        (Ok(_), TelemetryEvent::Metric { .. }) => {
-                            self.published_metrics += 1;
-                            shipped += 1;
-                        }
-                        (Err(_), _) => self.publish_errors += 1,
-                    }
+                match self.producer.send(&self.batches.take(events)) {
+                    Ok(_) => shipped += events,
+                    Err(_) => self.publish_errors += events as u64,
                 }
             }
         })
@@ -118,8 +99,7 @@ impl TelemetryPump {
 impl std::fmt::Debug for TelemetryPump {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TelemetryPump")
-            .field("published_spans", &self.published_spans)
-            .field("published_metrics", &self.published_metrics)
+            .field("sent", &self.batches.sent())
             .field("publish_errors", &self.publish_errors)
             .finish_non_exhaustive()
     }
@@ -128,6 +108,7 @@ impl std::fmt::Debug for TelemetryPump {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{BatchRef, EventRef};
     use std::sync::Arc;
     use taureau_core::clock::VirtualClock;
     use taureau_core::trace::Tracer;
@@ -144,64 +125,32 @@ mod tests {
     #[test]
     fn pump_creates_topics_and_ships_events() {
         let (cluster, clock) = cluster();
-        assert!(cluster.partitions(SPANS_TOPIC).is_err());
+        assert!(cluster.partitions(TELEMETRY_TOPIC).is_err());
         let sink = TelemetrySink::new(1024);
         let mut pump = TelemetryPump::new(sink.clone(), &cluster).unwrap();
-        assert_eq!(cluster.partitions(SPANS_TOPIC).unwrap(), 1);
-        assert_eq!(cluster.partitions(METRICS_TOPIC).unwrap(), 1);
+        assert_eq!(cluster.partitions(TELEMETRY_TOPIC).unwrap(), 1);
 
         let tracer = Tracer::new(clock.clone());
         tracer.set_telemetry(sink.clone());
         drop(tracer.span("sys", "op.a"));
         sink.metric("sys.counter", 3);
         assert_eq!(pump.pump(), 2);
-        assert_eq!(pump.published_spans, 1);
-        assert_eq!(pump.published_metrics, 1);
+        assert_eq!(pump.batches.sent(), (2, 1));
         assert_eq!(pump.publish_errors(), 0);
         assert!(sink.is_empty());
 
         let mut consumer = cluster
-            .subscribe(SPANS_TOPIC, "test", SubscriptionMode::Exclusive)
+            .subscribe(TELEMETRY_TOPIC, "test", SubscriptionMode::Exclusive)
             .unwrap();
         let messages = consumer.drain().unwrap();
-        assert_eq!(messages.len(), 1);
-        let ev = wire::decode_span(&messages[0].payload).unwrap();
-        assert_eq!(ev.name, "op.a");
-    }
-
-    #[test]
-    fn pump_ships_contention_deltas_as_metric_events() {
-        let (cluster, _clock) = cluster();
-        let sink = TelemetrySink::new(1024);
-        let mut pump = TelemetryPump::new(sink.clone(), &cluster).unwrap();
-        let prof = ContentionProfiler::new();
-        let site = cluster.enable_contention_profiling(&prof);
-        pump.attach_contention(prof);
-        cluster.create_topic("t", 1).unwrap();
-        let p = cluster.producer("t").unwrap();
-        for _ in 0..3 {
-            p.send(b"x").unwrap();
-        }
-        assert!(site.snapshot().acquisitions >= 3);
-        let shipped = pump.pump();
-        assert!(shipped > 0, "contention deltas must ride the pump");
-        let mut consumer = cluster
-            .subscribe(METRICS_TOPIC, "test", SubscriptionMode::Exclusive)
-            .unwrap();
-        let names: Vec<String> = consumer
-            .drain()
-            .unwrap()
-            .iter()
-            .map(|m| wire::decode_metric(&m.payload).unwrap().0)
-            .collect();
-        assert!(
-            names.iter().any(|n| n == "lock.pulsar.topics.acquisitions"),
-            "got {names:?}"
-        );
-        // Idle lock: the next pump ships no stale zero-deltas for it (the
-        // pump's own publishes touch the topic shard, so only assert the
-        // sink got drained, not that nothing new arrived).
-        assert!(sink.is_empty());
+        assert_eq!(messages.len(), 1, "one message per batch");
+        let batch = BatchRef::parse(&messages[0].payload).unwrap();
+        let events: Vec<_> = batch.events().map(|(_, ev)| ev).collect();
+        assert!(matches!(
+            &events[..],
+            [EventRef::Span(span), EventRef::Metric { name: "sys.counter", delta: 3 }]
+                if span.name == "op.a"
+        ));
     }
 
     #[test]
@@ -227,9 +176,10 @@ mod tests {
     #[test]
     fn second_pump_reuses_existing_topics() {
         let (cluster, _clock) = cluster();
-        let _first = TelemetryPump::new(TelemetrySink::new(8), &cluster).unwrap();
+        let first = TelemetryPump::new(TelemetrySink::new(8), &cluster).unwrap();
         // Re-attaching (e.g. after a monitor restart) must not fail on
-        // TopicExists.
-        let _second = TelemetryPump::new(TelemetrySink::new(8), &cluster).unwrap();
+        // TopicExists, and the two pumps' batches stay apart.
+        let second = TelemetryPump::new(TelemetrySink::new(8), &cluster).unwrap();
+        assert_ne!(first.hlc.tick(0).node, second.hlc.tick(0).node);
     }
 }

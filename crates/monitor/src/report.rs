@@ -1,9 +1,9 @@
-//! Renderers for the monitor's folded state.
+//! Renderers for the fold's state.
 //!
-//! [`HealthReport`] is a plain-data snapshot (taken by
-//! [`Monitor::health_report`](crate::Monitor::health_report)) with two
-//! renderings: a human-readable text block for terminals and dumps, and
-//! Prometheus text exposition format for scrape endpoints.
+//! [`HealthReport`] is a plain-data snapshot (built by
+//! [`TelemetryFold::health_report`](crate::TelemetryFold::health_report)
+//! alone) with two renderings: a human-readable text block for terminals
+//! and dumps, and Prometheus text exposition format for scrape endpoints.
 
 use std::time::Duration;
 
@@ -30,11 +30,11 @@ pub struct OpHealth {
     pub p99_us: f64,
     /// All-time maximum latency, microseconds.
     pub max_us: f64,
-    /// Error fraction over the fast window ending at the snapshot.
+    /// All-time error fraction.
     pub error_rate: f64,
 }
 
-/// Point-in-time snapshot of everything the monitor knows.
+/// Point-in-time snapshot of everything a telemetry fold knows.
 #[derive(Debug, Clone)]
 pub struct HealthReport {
     /// Clock time of the snapshot.
@@ -49,12 +49,9 @@ pub struct HealthReport {
     pub active_alerts: Vec<String>,
     /// Full alert transition history.
     pub alerts: Vec<AlertEvent>,
-    /// `(name, summary)` lines from attached metrics registries (see
-    /// [`Histogram::summary`](taureau_core::metrics::Histogram::summary)).
-    pub histogram_summaries: Vec<(String, String)>,
-    /// Fraction of container starts that were cold over the fast window.
+    /// All-time fraction of container starts that were cold.
     pub cold_start_rate: f64,
-    /// Telemetry frames that failed to decode, all-time.
+    /// Telemetry batches that failed to decode, all-time.
     pub decode_errors: u64,
 }
 
@@ -107,21 +104,11 @@ impl HealthReport {
             }
         }
         let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "cold start rate (fast window): {:.1}%",
-            self.cold_start_rate * 100.0
-        );
+        let _ = writeln!(out, "cold start rate: {:.1}%", self.cold_start_rate * 100.0);
         if !self.counters.is_empty() {
             let _ = writeln!(out, "telemetry counters:");
             for (name, value) in &self.counters {
                 let _ = writeln!(out, "  {name:<28} {value}");
-            }
-        }
-        if !self.histogram_summaries.is_empty() {
-            let _ = writeln!(out, "subsystem histograms:");
-            for (name, summary) in &self.histogram_summaries {
-                let _ = writeln!(out, "  {name:<28} {summary}");
             }
         }
         if !self.alerts.is_empty() {
@@ -265,10 +252,6 @@ mod tests {
                 value: 150_000.0,
                 threshold: 60_000.0,
             }],
-            histogram_summaries: vec![(
-                "faas_exec_duration_us".to_string(),
-                "count=1000 p50=2000 p90=4000 p99=9000 max=50000".to_string(),
-            )],
             cold_start_rate: 0.05,
             decode_errors: 0,
         }
@@ -282,8 +265,6 @@ mod tests {
         assert!(text.contains("cluster.publish@n3"));
         assert!(text.contains("thumbnail"));
         assert!(text.contains("faas.invocations_ok"));
-        assert!(text.contains("faas_exec_duration_us"));
-        assert!(text.contains("count=1000 p50=2000"));
         assert!(text.contains("alert timeline:"));
         assert!(text.contains("FIRING"));
         assert!(text.contains("cold start rate"));

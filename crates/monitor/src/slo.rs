@@ -17,6 +17,11 @@
 use std::fmt;
 use std::time::Duration;
 
+use taureau_sketches::KllSketch;
+
+use crate::fold::{SpanSample, KLL_K};
+use crate::window::{quantile, Window};
+
 /// One declarative service-level objective over a traced operation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SloPolicy {
@@ -227,6 +232,109 @@ impl fmt::Display for AlertEvent {
             self.value,
             self.threshold
         )
+    }
+}
+
+/// `(events, errors)` in one window slice.
+type Tally = (u64, u64);
+
+fn tally(w: &mut Window<Tally>, at: Duration, error: bool) {
+    let slice = w.slice(at, || (0, 0));
+    slice.0 += 1;
+    slice.1 += u64::from(error);
+}
+
+/// Events and the error ratio over the window ending at `now`.
+fn error_ratio(w: &mut Window<Tally>, now: Duration) -> (u64, f64) {
+    let (total, errors) = w.live(now).fold((0, 0), |a, s| (a.0 + s.0, a.1 + s.1));
+    (total, errors as f64 / total.max(1) as f64)
+}
+
+/// One policy under evaluation: the windows it reads, fed every span of
+/// its op, and whether it is firing.
+pub(crate) struct Watch {
+    pub(crate) policy: SloPolicy,
+    pub(crate) firing: bool,
+    fast: Window<Tally>,
+    /// Burn-rate policies only.
+    slow: Option<Window<Tally>>,
+    /// Latency policies only.
+    latencies: Option<Window<KllSketch>>,
+}
+
+impl Watch {
+    /// Watch `policy` with windows of `fast` and `slow` clock time, each
+    /// split into `slices`.
+    pub(crate) fn new(policy: SloPolicy, fast: Duration, slow: Duration, slices: usize) -> Self {
+        let is_latency = matches!(policy, SloPolicy::LatencyQuantile { .. });
+        let is_burn = matches!(policy, SloPolicy::BurnRate { .. });
+        Self {
+            policy,
+            firing: false,
+            fast: Window::new(fast, slices),
+            slow: is_burn.then(|| Window::new(slow, slices)),
+            latencies: is_latency.then(|| Window::new(fast, slices)),
+        }
+    }
+
+    /// Take in one span of the watched op.
+    pub(crate) fn record(&mut self, s: &SpanSample) {
+        let at = Duration::from_micros(s.end_us);
+        tally(&mut self.fast, at, s.error);
+        if let Some(slow) = &mut self.slow {
+            tally(slow, at, s.error);
+        }
+        if let Some(w) = &mut self.latencies {
+            w.slice(at, || KllSketch::new(KLL_K))
+                .update(s.latency_us as f64);
+        }
+    }
+
+    /// Evaluate at `now`; the transition, if the policy crossed its
+    /// threshold either way. A window with fewer than `min_samples`
+    /// events never breaches.
+    pub(crate) fn evaluate(&mut self, now: Duration, min_samples: u64) -> Option<AlertEvent> {
+        let (mut n, ratio) = error_ratio(&mut self.fast, now);
+        let (breaching, value, threshold) = match &self.policy {
+            SloPolicy::LatencyQuantile { q, max, .. } => {
+                let latencies = self.latencies.as_mut().expect("a latency policy's window");
+                let value = quantile(latencies, now, *q).1.unwrap_or(0.0);
+                let threshold = max.as_micros() as f64;
+                (value > threshold, value, threshold)
+            }
+            SloPolicy::ErrorRate { max_ratio, .. } => (ratio > *max_ratio, ratio, *max_ratio),
+            SloPolicy::BurnRate { budget, factor, .. } => {
+                let slow = self.slow.as_mut().expect("a burn-rate policy's window");
+                let (slow_n, slow_ratio) = error_ratio(slow, now);
+                n = n.min(slow_n);
+                let (fast_burn, slow_burn) = (ratio / budget, slow_ratio / budget);
+                // Fire only when both windows burn hot (slow suppresses
+                // blips); resolve once the fast window recovers (it ages
+                // out first).
+                let breaching = fast_burn > *factor && (self.firing || slow_burn > *factor);
+                (breaching, fast_burn, *factor)
+            }
+        };
+        let (breaching, value) = if n < min_samples {
+            (false, 0.0)
+        } else {
+            (breaching, value)
+        };
+        if breaching == self.firing {
+            return None;
+        }
+        self.firing = breaching;
+        Some(AlertEvent {
+            at: now,
+            policy: self.policy.name(),
+            state: if breaching {
+                AlertState::Firing
+            } else {
+                AlertState::Resolved
+            },
+            value,
+            threshold,
+        })
     }
 }
 

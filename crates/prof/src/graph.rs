@@ -7,7 +7,7 @@ use taureau_core::trace::{SpanId, SpanRecord, TraceId};
 
 /// The causal DAG rebuilt from a flat list of [`SpanRecord`]s (e.g.
 /// [`Tracer::spans`][taureau_core::trace::Tracer::spans], or spans decoded
-/// off the `_telemetry/spans` stream).
+/// off the `_telemetry` batch stream).
 ///
 /// Holds any number of traces at once. Parent links are resolved to
 /// indices; a span whose parent was not captured (sampled out, evicted

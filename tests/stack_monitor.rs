@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use taureau::monitor::{AlertState, METRICS_TOPIC, SPANS_TOPIC};
+use taureau::monitor::{AlertState, TELEMETRY_TOPIC};
 use taureau::prelude::*;
 
 /// The full stack with telemetry enabled: one shared tracer feeding a
@@ -181,10 +181,9 @@ fn disabled_telemetry_leaves_no_pulsar_footprint() {
     }
 
     // No sink attached: the tracer hands out no telemetry handle and the
-    // telemetry topics were never created on the cluster.
+    // telemetry topic was never created on the cluster.
     assert!(tracer.telemetry().is_none());
-    assert!(cluster.partitions(SPANS_TOPIC).is_err());
-    assert!(cluster.partitions(METRICS_TOPIC).is_err());
+    assert!(cluster.partitions(TELEMETRY_TOPIC).is_err());
     // Tracing itself still works — only the monitoring plane is off.
     assert!(tracer.span_count() > 0);
     assert_eq!(tracer.dropped_spans(), 0);
