@@ -77,10 +77,10 @@ impl ClusterFaas {
             return;
         }
         let (body, _) = wire::reply(|out| {
-            let frames = wire::dec_n(&env.body, 2)?;
-            let function = wire::as_str(&frames[0])?;
+            let [function, payload] = wire::dec_n(&env.body)?;
+            let function = wire::as_str(function)?;
             let res = platform
-                .invoke_traced(function, frames[1].clone(), env.ctx)
+                .invoke_traced(function, env.body.slice_ref(payload), env.ctx)
                 .map_err(|e| ClusterError::Remote(e.to_string()))?;
             wire::put_frame(out, &res.output);
             Ok(())

@@ -837,7 +837,7 @@ pub struct ClusterObs {
 impl ClusterObs {
     /// Attach the plane to a fabric: adds the collector node, creates an
     /// agent for every broker/worker/memory node and the client, and
-    /// hooks the fabric tracer's telemetry sink. Call before the stack
+    /// attaches the plane's sink as the fabric tracer's only recorder. Call before the stack
     /// starts serving (the collector node must join membership warm-up).
     pub(crate) fn new(fabric: &mut ClusterFabric, cfg: ObsConfig, client: NodeId) -> Self {
         let collector_node = fabric.add_node(NodeRole::Collector);
@@ -853,8 +853,11 @@ impl ClusterObs {
                 agents[node.raw() as usize] = Some(TelemetryAgent::new(node, &cfg));
             }
         }
+        // The collector's batch ring is the cluster's flight recorder: a
+        // finished span is copied once, into this sink, and the fabric
+        // tracer's own ring is not written.
         let sink = TelemetrySink::new(1 << 16);
-        fabric.tracer().set_telemetry(sink.clone());
+        fabric.tracer().set_sole_telemetry(sink.clone());
         let collector = Collector::new(&cfg);
         Self {
             collector_node,

@@ -22,7 +22,6 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 use taureau_core::id::{LedgerId, NodeId};
 use taureau_pulsar::bookie::Bookie;
@@ -241,7 +240,7 @@ impl ClusterPulsar {
         let Some(broker) = self.brokers.get(&node) else {
             return;
         };
-        type Handler = fn(&mut ClusterPulsar, NodeId, &Bytes, &mut Vec<u8>) -> Result<()>;
+        type Handler = fn(&mut ClusterPulsar, NodeId, &[u8], &mut Vec<u8>) -> Result<()>;
         let (name, handler): (_, Handler) = match env.kind {
             "pub" => ("cluster.pub", Self::handle_publish),
             "recv" => ("cluster.recv", Self::handle_receive),
@@ -257,10 +256,9 @@ impl ClusterPulsar {
             // topic (first request frame) was served by a deposed
             // broker. Stale-lease windows show up on the timeline.
             if msg.to_ascii_lowercase().contains("fenced") {
-                if let Some(topic) = wire::dec(&env.body)
-                    .ok()
-                    .and_then(|f| f.into_iter().next())
-                    .and_then(|f| wire::as_str(&f).ok().map(str::to_string))
+                if let Some(topic) = wire::frames(&env.body)
+                    .next()
+                    .and_then(|f| wire::as_str(f.ok()?).ok().map(str::to_string))
                 {
                     let node = node.raw();
                     self.obs_events.push(ObsEvent::Fence { topic, node });
@@ -270,12 +268,12 @@ impl ClusterPulsar {
         fabric.send(node, env.from, env.req, "resp", body, span.context());
     }
 
-    fn handle_publish(&mut self, node: NodeId, body: &Bytes, out: &mut Vec<u8>) -> Result<()> {
-        let frames = wire::dec_n(body, 2)?;
-        let topic = wire::as_str(&frames[0])?;
+    fn handle_publish(&mut self, node: NodeId, body: &[u8], out: &mut Vec<u8>) -> Result<()> {
+        let [topic, payload] = wire::dec_n(body)?;
+        let topic = wire::as_str(topic)?;
         let id = self.brokers[&node]
             .producer(topic)
-            .and_then(|p| p.send(&frames[1]))
+            .and_then(|p| p.send(payload))
             .map_err(|e| ClusterError::Remote(e.to_string()))?;
         wire::put_frame(out, &wire::enc_msg_id(&id));
         Ok(())
@@ -302,11 +300,10 @@ impl ClusterPulsar {
             .expect("just inserted"))
     }
 
-    fn handle_receive(&mut self, node: NodeId, body: &Bytes, out: &mut Vec<u8>) -> Result<()> {
-        let frames = wire::dec_n(body, 3)?;
-        let topic = wire::as_str(&frames[0])?;
-        let sub = wire::as_str(&frames[1])?;
-        let max = wire::as_u64(&frames[2])? as usize;
+    fn handle_receive(&mut self, node: NodeId, body: &[u8], out: &mut Vec<u8>) -> Result<()> {
+        let [topic, sub, max] = wire::dec_n(body)?;
+        let (topic, sub) = (wire::as_str(topic)?, wire::as_str(sub)?);
+        let max = wire::as_u64(max)? as usize;
         let consumer = self.consumer(node, topic, sub)?;
         // Whole-entry views: framing parsed once per ledger entry, each
         // payload frame below is a refcount-only slice of the entry
@@ -339,11 +336,10 @@ impl ClusterPulsar {
         Ok(())
     }
 
-    fn handle_ack(&mut self, node: NodeId, body: &Bytes, _out: &mut Vec<u8>) -> Result<()> {
-        let frames = wire::dec_n(body, 3)?;
-        let topic = wire::as_str(&frames[0])?;
-        let sub = wire::as_str(&frames[1])?;
-        let id = wire::dec_msg_id(&frames[2])?;
+    fn handle_ack(&mut self, node: NodeId, body: &[u8], _out: &mut Vec<u8>) -> Result<()> {
+        let [topic, sub, id] = wire::dec_n(body)?;
+        let (topic, sub) = (wire::as_str(topic)?, wire::as_str(sub)?);
+        let id = wire::dec_msg_id(id)?;
         let consumer = self.consumer(node, topic, sub)?;
         consumer
             .ack(id)

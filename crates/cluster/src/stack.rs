@@ -75,9 +75,12 @@ pub struct ClusterStackConfig {
     /// it adds a node to membership and telemetry traffic to the wire.
     /// On the `cluster_stack` deployment of `tests/steady_allocs.rs`
     /// (5 brokers, 2 workers, zero-latency links), 400 warm four-RPC
-    /// requests take 13 210 allocations and 3 318 envelopes with the
-    /// plane on, and 12 936 and 3 200 with it off: 33.0 against 32.3
+    /// requests take 10 009 allocations and 3 318 envelopes with the
+    /// plane on, and 9 736 and 3 200 with it off: 25.0 against 24.3
     /// allocations and 8.3 against 8.0 envelopes a request (DESIGN.md §15).
+    /// With the plane on, its sink is the fabric tracer's only recorder:
+    /// the collector holds the spans, and [`ClusterFabric::tracer`]'s ring
+    /// stays empty.
     pub observability: bool,
     /// Observability plane tuning (used when `observability` is set).
     pub obs: ObsConfig,
@@ -360,8 +363,9 @@ impl ClusterStack {
 
     // -- RPC core ------------------------------------------------------------
 
-    /// One request/response exchange with a service node. Returns the
-    /// decoded `ok` frames, [`ClusterError::Remote`] for a service `err`,
+    /// One request/response exchange with a service node. Returns the body
+    /// of an `ok` response past its status frame, for the caller to decode
+    /// the frames it expects; [`ClusterError::Remote`] for a service `err`,
     /// or [`ClusterError::Unreachable`] on deadline.
     ///
     /// Every exchange is also a latency sample for the grey-failure
@@ -373,7 +377,7 @@ impl ClusterStack {
         kind: &'static str,
         frames: &[&[u8]],
         ctx: Option<SpanContext>,
-    ) -> Result<Vec<Bytes>> {
+    ) -> Result<Bytes> {
         let role = self.fabric.role(to);
         let t0 = self.now();
         let result = self.rpc_inner(to, kind, frames, ctx);
@@ -390,7 +394,7 @@ impl ClusterStack {
         kind: &'static str,
         frames: &[&[u8]],
         ctx: Option<SpanContext>,
-    ) -> Result<Vec<Bytes>> {
+    ) -> Result<Bytes> {
         let req = self.next_req;
         self.next_req += 1;
         if !self
@@ -411,20 +415,19 @@ impl ClusterStack {
             }
         };
         self.awaiting = None;
-        let mut frames = wire::dec(&env.ok_or(ClusterError::Unreachable(to))?.body)?;
-        if frames.is_empty() {
-            return Err(ClusterError::Wire("empty response".into()));
-        }
-        let status = frames.remove(0);
-        match &status[..] {
-            b"ok" => Ok(frames),
-            b"err" => Err(ClusterError::Remote(
-                frames
-                    .first()
-                    .map(|f| String::from_utf8_lossy(f).to_string())
-                    .unwrap_or_default(),
-            )),
-            _ => Err(ClusterError::Wire("bad status frame".into())),
+        let body = env.ok_or(ClusterError::Unreachable(to))?.body;
+        let mut frames = wire::frames(&body);
+        match frames.next().transpose()? {
+            // What follows the status frame's length and its `ok`.
+            Some(b"ok") => Ok(body.slice(4 + b"ok".len()..)),
+            Some(b"err") => {
+                let msg = frames.next().transpose()?.unwrap_or_default();
+                Err(ClusterError::Remote(
+                    String::from_utf8_lossy(msg).into_owned(),
+                ))
+            }
+            Some(_) => Err(ClusterError::Wire("bad status frame".into())),
+            None => Err(ClusterError::Wire("empty response".into())),
         }
     }
 
@@ -488,10 +491,11 @@ impl ClusterStack {
         ctx: Option<SpanContext>,
     ) -> Result<MessageId> {
         self.with_owner_retry(topic, |this, owner| {
-            let frames = this.rpc(owner, "pub", &[topic.as_bytes(), payload], ctx)?;
+            let body = this.rpc(owner, "pub", &[topic.as_bytes(), payload], ctx)?;
             wire::dec_msg_id(
-                frames
-                    .first()
+                wire::frames(&body)
+                    .next()
+                    .transpose()?
                     .ok_or_else(|| ClusterError::Wire("publish response missing id".into()))?,
             )
         })
@@ -507,7 +511,7 @@ impl ClusterStack {
         ctx: Option<SpanContext>,
     ) -> Result<Vec<ClusterMessage>> {
         let max = wire::u64_frame(max as u64);
-        let frames = self.with_owner_retry(topic, |this, owner| {
+        let body = self.with_owner_retry(topic, |this, owner| {
             this.rpc(
                 owner,
                 "recv",
@@ -515,19 +519,21 @@ impl ClusterStack {
                 ctx,
             )
         })?;
-        if frames.len() % 3 != 0 {
-            return Err(ClusterError::Wire("recv frames not a multiple of 3".into()));
+        // Per message: id, payload, ctx. Only the payload is kept, as a
+        // slice of the response body.
+        let mut frames = wire::frames(&body);
+        let mut msgs = Vec::new();
+        while let Some(id) = frames.next() {
+            let (Some(payload), Some(ctx)) = (frames.next(), frames.next()) else {
+                return Err(ClusterError::Wire("recv frames not a multiple of 3".into()));
+            };
+            msgs.push(ClusterMessage {
+                id: wire::dec_msg_id(id?)?,
+                payload: body.slice_ref(payload?),
+                ctx: SpanContext::from_bytes(ctx?),
+            });
         }
-        frames
-            .chunks(3)
-            .map(|c| {
-                Ok(ClusterMessage {
-                    id: wire::dec_msg_id(&c[0])?,
-                    payload: c[1].clone(),
-                    ctx: SpanContext::from_bytes(&c[2]),
-                })
-            })
-            .collect()
+        Ok(msgs)
     }
 
     /// Acknowledge one message on a subscription.
@@ -557,8 +563,9 @@ impl ClusterStack {
         let mut last = None;
         for worker in self.faas.route(&self.fabric, self.worker_rr) {
             match self.rpc(worker, "invoke", &[function.as_bytes(), payload], ctx) {
-                Ok(frames) => {
-                    return Ok(frames.into_iter().next().unwrap_or_default());
+                Ok(body) => {
+                    let output = wire::frames(&body).next().transpose()?;
+                    return Ok(body.slice_ref(output.unwrap_or_default()));
                 }
                 Err(e) if Self::is_failover_error(&e) => last = Some(e),
                 Err(e) => return Err(e),

@@ -252,19 +252,6 @@ impl Histogram {
     pub fn quantile_duration(&self, q: f64) -> Duration {
         Duration::from_micros(self.value_at_quantile(q))
     }
-
-    /// One-line health summary (`count/p50/p90/p99/max`), the form used
-    /// by health-report renderers.
-    pub(crate) fn summary(&self) -> String {
-        format!(
-            "count={} p50={} p90={} p99={} max={}",
-            self.count(),
-            self.value_at_quantile(0.50),
-            self.value_at_quantile(0.90),
-            self.value_at_quantile(0.99),
-            self.max(),
-        )
-    }
 }
 
 /// A named registry of metrics, shared across a subsystem.
@@ -339,12 +326,6 @@ impl MetricsRegistry {
     /// Names and values of all counters, sorted by name.
     pub fn counter_values(&self) -> Vec<(String, u64)> {
         sorted_view(&self.inner.counters, |c| c.get())
-    }
-
-    /// Names and one-line `Histogram::summary` strings of all
-    /// histograms, sorted by name — the form health reports embed.
-    pub fn histogram_summaries(&self) -> Vec<(String, String)> {
-        sorted_view(&self.inner.histograms, |h| h.summary())
     }
 
     /// Names and values of all gauges, sorted by name.
@@ -533,22 +514,6 @@ mod tests {
             let ub = Histogram::bucket_upper_bound(idx);
             assert!(ub >= v, "value {v} above bucket upper bound {ub}");
         }
-    }
-
-    #[test]
-    fn histogram_summary_line_and_quantile_alias() {
-        let h = Histogram::new();
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        let s = h.summary();
-        assert!(s.starts_with("count=100 "));
-        assert!(s.contains("p50="));
-        assert!(s.contains("p90="));
-        assert!(s.contains("p99="));
-        assert!(s.contains("max="));
-        let empty = Histogram::new();
-        assert_eq!(empty.summary(), "count=0 p50=0 p90=0 p99=0 max=0");
     }
 
     /// `record` as it was before it learned to skip the bound updates:

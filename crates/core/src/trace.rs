@@ -28,7 +28,10 @@
 //! [`TelemetrySink`] can be attached to stream every finished span (and
 //! metric deltas from instrumented subsystems) into a bounded queue that a
 //! monitoring plane drains — queue overflow drops events and counts them,
-//! so monitoring can never stall the hot path.
+//! so monitoring can never stall the hot path. A plane that keeps its own
+//! recorder attaches its sink as the *sole* one
+//! ([`Tracer::set_sole_telemetry`]): a finished span is then copied once,
+//! into the sink, and the ring is not written.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
@@ -167,15 +170,19 @@ impl HlcStamp {
     }
 }
 
-/// One node's hybrid logical clock. Thread-safe; every stamp it issues is
-/// strictly greater than the previous one, and a stamp issued after
+/// One node's hybrid logical clock. Every stamp it issues is strictly
+/// greater than the previous one, and a stamp issued after
 /// [`HlcClock::observe`]-ing a remote stamp is strictly greater than that
 /// remote stamp — the two invariants that make merged timelines causal.
+/// Its owner holds it exclusively (a telemetry agent or pump stamps its
+/// own events), so stamping takes `&mut self` and no lock.
 #[derive(Debug)]
 pub struct HlcClock {
     node: u64,
-    /// (max physical seen, logical counter at that physical).
-    state: Mutex<(u64, u32)>,
+    /// Max physical seen.
+    physical_us: u64,
+    /// Logical counter at that physical.
+    logical: u32,
 }
 
 impl HlcClock {
@@ -183,49 +190,48 @@ impl HlcClock {
     pub fn new(node: u64) -> Self {
         Self {
             node,
-            state: Mutex::new((0, 0)),
+            physical_us: 0,
+            logical: 0,
+        }
+    }
+
+    fn stamp(&self) -> HlcStamp {
+        HlcStamp {
+            physical_us: self.physical_us,
+            logical: self.logical,
+            node: self.node,
         }
     }
 
     /// Stamp a local or send event, given the node's current physical
     /// clock reading in microseconds (skew included).
-    pub fn tick(&self, physical_us: u64) -> HlcStamp {
-        let mut st = self.state.lock();
-        if physical_us > st.0 {
-            st.0 = physical_us;
-            st.1 = 0;
+    pub fn tick(&mut self, physical_us: u64) -> HlcStamp {
+        if physical_us > self.physical_us {
+            self.physical_us = physical_us;
+            self.logical = 0;
         } else {
-            st.1 += 1;
+            self.logical += 1;
         }
-        HlcStamp {
-            physical_us: st.0,
-            logical: st.1,
-            node: self.node,
-        }
+        self.stamp()
     }
 
     /// Stamp a receive event: fold `remote` into this clock so the result
     /// exceeds both the remote stamp and everything stamped locally so
     /// far, even when the local physical clock lags the sender's.
-    pub fn observe(&self, physical_us: u64, remote: HlcStamp) -> HlcStamp {
-        let mut st = self.state.lock();
-        let merged = st.0.max(remote.physical_us).max(physical_us);
-        let logical = if merged == st.0 && merged == remote.physical_us {
-            st.1.max(remote.logical) + 1
-        } else if merged == st.0 {
-            st.1 + 1
+    pub fn observe(&mut self, physical_us: u64, remote: HlcStamp) -> HlcStamp {
+        let local = self.physical_us;
+        let merged = local.max(remote.physical_us).max(physical_us);
+        self.logical = if merged == local && merged == remote.physical_us {
+            self.logical.max(remote.logical) + 1
+        } else if merged == local {
+            self.logical + 1
         } else if merged == remote.physical_us {
             remote.logical + 1
         } else {
             0
         };
-        st.0 = merged;
-        st.1 = logical;
-        HlcStamp {
-            physical_us: merged,
-            logical,
-            node: self.node,
-        }
+        self.physical_us = merged;
+        self.stamp()
     }
 }
 
@@ -759,7 +765,14 @@ struct TracerInner {
     next_id: AtomicU64,
     spans: Mutex<Ring>,
     dropped: AtomicU64,
-    sink: Mutex<Option<TelemetrySink>>,
+    sink: Mutex<Option<Attached>>,
+}
+
+/// The sink attached to a tracer, and whether it is the tracer's only
+/// recorder (finished spans then skip the ring).
+struct Attached {
+    sink: TelemetrySink,
+    sole: bool,
 }
 
 /// The flight recorder: the most recent `cap` records, by value. Its
@@ -929,6 +942,9 @@ impl Tracer {
 
     /// Spans evicted from the flight-recorder ring buffer because it was
     /// full. Unsampled spans are not counted (they were never recorded).
+    /// Under a sole sink ([`Tracer::set_sole_telemetry`]) the ring takes
+    /// no more spans, so this stops growing: the sink counts what it
+    /// drops ([`TelemetrySink::dropped`]).
     pub fn dropped_spans(&self) -> u64 {
         match &self.inner {
             Some(inner) => inner.dropped.load(Ordering::Relaxed),
@@ -940,15 +956,31 @@ impl Tracer {
     /// pushed onto it (non-blocking, drop-counted). Replaces any
     /// previously attached sink. No-op on a disabled tracer.
     pub fn set_telemetry(&self, sink: TelemetrySink) {
+        self.attach(sink, false);
+    }
+
+    /// Attach a telemetry sink as this tracer's only recorder: every
+    /// sampled finished span is copied into it once, and the
+    /// flight-recorder ring is no longer written (a span finished under
+    /// [`suppress_telemetry`] is then recorded nowhere). For a plane that
+    /// keeps its own recorder downstream of the sink. Replaces any
+    /// previously attached sink. No-op on a disabled tracer.
+    pub fn set_sole_telemetry(&self, sink: TelemetrySink) {
+        self.attach(sink, true);
+    }
+
+    fn attach(&self, sink: TelemetrySink, sole: bool) {
         if let Some(inner) = &self.inner {
-            *inner.sink.lock() = Some(sink);
+            *inner.sink.lock() = Some(Attached { sink, sole });
         }
     }
 
     /// The attached telemetry sink, if any. Instrumented subsystems use
     /// this to push metric deltas alongside their spans.
     pub fn telemetry(&self) -> Option<TelemetrySink> {
-        self.inner.as_ref().and_then(|i| i.sink.lock().clone())
+        let inner = self.inner.as_ref()?;
+        let attached = inner.sink.lock();
+        attached.as_ref().map(|a| a.sink.clone())
     }
 
     /// Open a span. It closes (and is recorded) when the guard drops.
@@ -981,7 +1013,9 @@ impl Tracer {
 
     /// Snapshot of every retained span, in completion order (oldest
     /// retained first). When the ring buffer has overflowed this is the
-    /// most recent `TracerConfig::retention` spans.
+    /// most recent `TracerConfig::retention` spans. Under a sole sink
+    /// ([`Tracer::set_sole_telemetry`]) it holds only the spans finished
+    /// before the sink was attached: the sink's reader is the recorder.
     pub fn spans(&self) -> Vec<SpanRecord> {
         match &self.inner {
             Some(inner) => inner.spans.lock().iter().cloned().collect(),
@@ -989,7 +1023,7 @@ impl Tracer {
         }
     }
 
-    /// Number of retained spans.
+    /// Number of retained spans (see [`Tracer::spans`]).
     pub fn span_count(&self) -> usize {
         match &self.inner {
             Some(inner) => inner.spans.lock().records.len(),
@@ -1195,12 +1229,16 @@ impl Drop for SpanGuard {
                 // The enqueue holds the sink slot's lock: it never waits
                 // on anything but the queue's own lock, which a drain
                 // holds only while it reads.
-                if !telemetry_suppressed() {
-                    if let Some(sink) = &*inner.sink.lock() {
-                        sink.span(record);
+                let sole = match &*inner.sink.lock() {
+                    Some(attached) => {
+                        if !telemetry_suppressed() {
+                            attached.sink.span(record);
+                        }
+                        attached.sole
                     }
-                }
-                if inner.spans.lock().push(record) {
+                    None => false,
+                };
+                if !sole && inner.spans.lock().push(record) {
                     inner.dropped.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -1216,7 +1254,7 @@ mod tests {
 
     #[test]
     fn hlc_tick_is_strictly_monotonic() {
-        let clock = HlcClock::new(7);
+        let mut clock = HlcClock::new(7);
         let mut prev = clock.tick(100);
         // Physical clock stuck, then jumping backwards: stamps still grow.
         for physical in [100, 100, 50, 200, 200, 150] {
@@ -1228,7 +1266,7 @@ mod tests {
 
     #[test]
     fn hlc_observe_exceeds_remote_and_local() {
-        let receiver = HlcClock::new(2);
+        let mut receiver = HlcClock::new(2);
         let local = receiver.tick(1_000);
         // Sender's clock runs 500µs ahead of the receiver's.
         let remote = HlcStamp {
@@ -1247,8 +1285,8 @@ mod tests {
     fn hlc_orders_send_before_receive_despite_skew() {
         // Sender's physical clock lags the receiver's by 400µs; the
         // receive stamp must still sort after the send stamp.
-        let sender = HlcClock::new(1);
-        let receiver = HlcClock::new(2);
+        let mut sender = HlcClock::new(1);
+        let mut receiver = HlcClock::new(2);
         let sent = sender.tick(600); // true time 1000µs, skew -400
         let received = receiver.observe(1_050, sent);
         assert!(received > sent);
@@ -1623,6 +1661,35 @@ mod tests {
             TelemetryEvent::Span(s) => assert_eq!(s.name, "visible"),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_sole_sink_is_the_only_recorder() {
+        let (tracer, _clock) = virtual_tracer();
+        drop(tracer.span("sys", "before"));
+        let sink = TelemetrySink::new(16);
+        tracer.set_sole_telemetry(sink.clone());
+        assert!(tracer.telemetry().is_some());
+        for _ in 0..3 {
+            let mut g = tracer.span("sys", "op");
+            g.attr("k", "v");
+        }
+        let names: Vec<_> = tracer.spans().iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            ["before"],
+            "the ring takes nothing once the sink is sole"
+        );
+        let events = sink.drain(16);
+        assert_eq!(events.len(), 3);
+        assert!(events.iter().all(
+            |e| matches!(e, TelemetryEvent::Span(s) if s.name == "op" && s.attr("k").is_some())
+        ));
+        // Re-attaching as a plain sink writes the ring again.
+        tracer.set_telemetry(sink.clone());
+        drop(tracer.span("sys", "after"));
+        assert_eq!(tracer.span_count(), 2);
+        assert_eq!(sink.drain(16).len(), 1);
     }
 
     #[test]

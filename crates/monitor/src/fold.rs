@@ -542,14 +542,17 @@ mod tests {
     }
 
     /// A span of a watched op or not, with the attributes the fold reads
-    /// (at most eight distinct functions, so the top-K never evicts) among
-    /// others, non-ASCII and past the `u16` length included.
+    /// among others, non-ASCII and past the `u16` length included. There
+    /// are fourteen distinct function values, so the top-K evicts.
     fn random_span(rng: &mut impl Rng) -> SpanRecord {
         use std::sync::LazyLock;
         static LONG: LazyLock<String> = LazyLock::new(|| "é".repeat(40_000));
         const NAMES: [&str; 5] = ["faas.invoke", "faas.startup", "cluster.pub", "", "öp"];
         const KEYS: [&str; 5] = ["outcome", "function", "kind", "node", "ключ"];
-        const VALUES: [&str; 6] = ["error", "ok", "cold", "warm", "api", "тема"];
+        const VALUES: [&str; 12] = [
+            "error", "ok", "cold", "warm", "api", "тема", "batch", "thumb", "resize", "etl", "ml",
+            "video",
+        ];
         let name = match rng.gen_range(0..12usize) {
             0 => LONG.as_str(),
             n => NAMES[n % NAMES.len()],

@@ -623,7 +623,7 @@ mod tests {
             // The next batch is written by hand, damaged, and published.
             record(&p);
             let mut writer = BatchWriter::new(NodeId(u64::MAX));
-            let hlc = HlcClock::new(u64::MAX);
+            let mut hlc = HlcClock::new(u64::MAX);
             p.sink.drain_with(usize::MAX, |event| match event {
                 TelemetryEvent::Span(r) => writer.push_span(hlc.tick(0), r),
                 &TelemetryEvent::Metric { name, delta } => writer.push_metric(hlc.tick(0), name, delta),

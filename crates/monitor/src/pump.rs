@@ -68,7 +68,7 @@ impl TelemetryPump {
         suppress_telemetry(|| {
             let mut shipped = 0;
             loop {
-                let (batches, hlc) = (&mut self.batches, &self.hlc);
+                let (batches, hlc) = (&mut self.batches, &mut self.hlc);
                 self.sink.drain_with(BATCH_EVENTS, |event| match event {
                     TelemetryEvent::Span(record) => {
                         let stamp = hlc.tick(record.end.as_micros() as u64);
@@ -176,10 +176,10 @@ mod tests {
     #[test]
     fn second_pump_reuses_existing_topics() {
         let (cluster, _clock) = cluster();
-        let first = TelemetryPump::new(TelemetrySink::new(8), &cluster).unwrap();
+        let mut first = TelemetryPump::new(TelemetrySink::new(8), &cluster).unwrap();
         // Re-attaching (e.g. after a monitor restart) must not fail on
         // TopicExists, and the two pumps' batches stay apart.
-        let second = TelemetryPump::new(TelemetrySink::new(8), &cluster).unwrap();
+        let mut second = TelemetryPump::new(TelemetrySink::new(8), &cluster).unwrap();
         assert_ne!(first.hlc.tick(0).node, second.hlc.tick(0).node);
     }
 }

@@ -5,8 +5,12 @@
 //! and the newcomer inherits its count (recorded as `error`). Guarantees:
 //! every item with true frequency > N/capacity is present, and each
 //! reported count overestimates truth by at most its recorded `error`
-//! (itself ≤ N/capacity).
+//! (itself ≤ N/capacity). Ties are broken by the item: an entry ranks
+//! above another with a higher count, or the same count and a smaller
+//! item, so which entry is evicted, which survive a merge and the order
+//! they are reported in do not depend on the map's hash seed.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
@@ -22,6 +26,12 @@ pub struct HeavyHitter {
     pub count: u64,
     /// Maximum overestimation (count - error is a lower bound on truth).
     pub(crate) error: u64,
+}
+
+/// Sort key of an entry, highest-ranked first: count descending, then
+/// item ascending.
+fn rank(item: &[u8], count: u64) -> (Reverse<u64>, &[u8]) {
+    (Reverse(count), item)
 }
 
 /// Space-Saving summary of the most frequent items.
@@ -60,11 +70,12 @@ impl SpaceSaving {
             self.entries.insert(item.to_vec(), (count, 0));
             return;
         }
-        // Evict the minimum entry; newcomer inherits its count as error.
+        // Evict the lowest-ranked entry; newcomer inherits its count as
+        // error.
         let (min_item, min_count) = self
             .entries
             .iter()
-            .min_by_key(|(_, (c, _))| *c)
+            .max_by_key(|&(item, &(count, _))| rank(item, count))
             .map(|(k, (c, _))| (k.clone(), *c))
             .expect("table is full, so non-empty");
         self.entries.remove(&min_item);
@@ -93,7 +104,7 @@ impl SpaceSaving {
                 error,
             })
             .collect();
-        v.sort_by(|a, b| b.count.cmp(&a.count).then(a.item.cmp(&b.item)));
+        v.sort_by(|a, b| rank(&a.item, a.count).cmp(&rank(&b.item, b.count)));
         v
     }
 
@@ -125,7 +136,7 @@ impl Mergeable for SpaceSaving {
         self.total += other.total;
         if self.entries.len() > self.capacity {
             let mut all: Vec<(Vec<u8>, (u64, u64))> = self.entries.drain().collect();
-            all.sort_by_key(|(_, (count, _))| std::cmp::Reverse(*count));
+            all.sort_by(|(a, (ca, _)), (b, (cb, _))| rank(a, *ca).cmp(&rank(b, *cb)));
             all.truncate(self.capacity);
             self.entries = all.into_iter().collect();
         }
@@ -137,6 +148,39 @@ impl Mergeable for SpaceSaving {
 mod tests {
     use super::*;
     use taureau_core::rng::{det_rng, Zipf};
+
+    /// Each fresh table has its own hash seed; ties at the minimum are
+    /// broken by the item, so every table keeps the same top 8, and so
+    /// does every merge of two of them.
+    #[test]
+    fn ties_do_not_depend_on_the_hash_seed() {
+        let fed = || {
+            let mut ss = SpaceSaving::new(8);
+            for i in 0..12u8 {
+                ss.add(&[b'a' + i], 1);
+            }
+            ss
+        };
+        let top = |ss: &SpaceSaving| {
+            ss.heavy_hitters()
+                .into_iter()
+                .map(|h| h.item)
+                .collect::<Vec<_>>()
+        };
+        let sets: std::collections::BTreeSet<_> = (0..20).map(|_| top(&fed())).collect();
+        assert_eq!(sets.len(), 1, "{sets:?}");
+        let merged: std::collections::BTreeSet<_> = (0..20)
+            .map(|_| {
+                let mut a = SpaceSaving::new(8);
+                for i in 0..12u8 {
+                    a.add(&[b'z' - i], 1);
+                }
+                a.merge(&fed()).unwrap();
+                top(&a)
+            })
+            .collect();
+        assert_eq!(merged.len(), 1, "{merged:?}");
+    }
 
     #[test]
     fn exact_when_under_capacity() {

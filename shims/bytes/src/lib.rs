@@ -91,6 +91,26 @@ impl Bytes {
         }
     }
 
+    /// The sub-slice of `self` that `subset` borrows from it, sharing the
+    /// same backing storage: a frame a decoder found in `self` becomes a
+    /// handle the caller can keep. An empty `subset` gives an empty buffer.
+    ///
+    /// # Panics
+    /// Panics if a non-empty `subset` does not lie inside `self`.
+    #[inline]
+    pub fn slice_ref(&self, subset: &[u8]) -> Self {
+        if subset.is_empty() {
+            return Self::new();
+        }
+        let base = self.as_ref().as_ptr() as usize;
+        let lo = (subset.as_ptr() as usize).wrapping_sub(base);
+        assert!(
+            lo <= self.len() && subset.len() <= self.len() - lo,
+            "subset is not inside this buffer"
+        );
+        self.slice(lo..lo + subset.len())
+    }
+
     /// The contents as a plain slice.
     #[inline]
     pub fn as_ref(&self) -> &[u8] {
@@ -383,6 +403,18 @@ mod tests {
         let tail = b.slice(3..);
         assert_eq!(&tail[..], &[4, 5]);
         assert_eq!(b.slice(..).len(), 5);
+    }
+
+    #[test]
+    fn slice_ref_shares_what_it_borrows() {
+        let b = Bytes::from(vec![1, 2, 3, 4, 5]).slice(1..);
+        let kept = b.slice_ref(&b[1..3]);
+        assert_eq!(&kept[..], &[3, 4]);
+        assert_eq!(kept.as_ref().as_ptr(), b[1..].as_ptr());
+        assert_eq!(b.slice_ref(&b[4..]).len(), 0);
+        assert!(b.slice_ref(&[]).is_empty());
+        let other = [3u8, 4];
+        assert!(std::panic::catch_unwind(|| b.slice_ref(&other)).is_err());
     }
 
     #[test]

@@ -83,6 +83,54 @@ fn cross_node_trace_reassembles_from_collector_with_zero_orphans() {
     );
 }
 
+/// With the plane deployed, its sink is the fabric tracer's only
+/// recorder: across warm requests the tracer's ring takes no span, and the
+/// collector alone holds a trace that crossed the client, a broker and a
+/// worker.
+#[test]
+fn the_plane_is_the_only_span_recorder() {
+    let mut s = obs_stack();
+    s.create_topic("orders", 1).unwrap();
+    s.register_function(FunctionSpec::new("handle", "tenant", |ctx| {
+        Ok(ctx.payload.to_vec())
+    }))
+    .unwrap();
+    let tracer = s.fabric().tracer().clone();
+    let root = tracer.span("stack-obs-test", "e2e.request").context();
+    let root = root.expect("tracer enabled");
+    for i in 0..20u64 {
+        s.publish("orders", &i.to_le_bytes(), Some(root)).unwrap();
+        let m = s.consume("orders", "s", 1, Some(root)).unwrap().remove(0);
+        s.invoke("handle", &m.payload, m.ctx).unwrap();
+        s.ack("orders", "s", m.id, Some(root)).unwrap();
+    }
+    assert_eq!((tracer.span_count(), tracer.dropped_spans()), (0, 0));
+
+    assert!(s.drain_telemetry(Duration::from_secs(2)));
+    let graph = TraceGraph::build(s.obs().unwrap().collector().span_records());
+    let in_trace: Vec<_> = graph
+        .spans()
+        .iter()
+        .filter(|sp| sp.trace_id == root.trace_id)
+        .collect();
+    let names: std::collections::BTreeSet<&str> = in_trace.iter().map(|sp| sp.name).collect();
+    for name in [
+        "e2e.request",
+        "cluster.pub",
+        "cluster.recv",
+        "cluster.ack",
+        "faas.invoke",
+    ] {
+        assert!(names.contains(name), "{name} missing from {names:?}");
+    }
+    // The broker's spans name their node (as text, off the wire).
+    let owner = s.pulsar().owner("orders").unwrap().raw().to_string();
+    assert!(in_trace
+        .iter()
+        .any(|sp| sp.attr("node").map(ToString::to_string) == Some(owner.clone())));
+    assert_eq!(graph.orphans(), Vec::<usize>::new());
+}
+
 #[test]
 fn loss_accounting_is_exact_under_injected_drops() {
     let mut s = obs_stack();
