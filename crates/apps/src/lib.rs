@@ -47,3 +47,61 @@ fn put_count_sum(count: u64, sum: f64) -> Vec<u8> {
 fn read_count_sum(bytes: &[u8]) -> Option<(u64, f64)> {
     Reader::read_all(bytes, |r| Some((r.u64()?, f64::from_bits(r.u64()?))))
 }
+
+#[cfg(test)]
+mod tests {
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::matmul::Matrix;
+    use crate::video::{decode_chunk, encode_chunk};
+
+    proptest! {
+        /// Arbitrary and damaged bytes never panic the apps' decoders, and
+        /// what one accepts round-trips: the fixed-width codecs re-encode
+        /// it to the same bytes, and a video chunk (whose run-length code
+        /// has many spellings) re-encodes to bytes that decode to the same
+        /// frames.
+        #[test]
+        fn hostile_app_bytes_decode_to_nothing_or_round_trip(
+            raw in vec(any::<u8>(), 0..96),
+            shape in (0u32..4, 0u32..4),
+            frames in vec(vec(any::<u8>(), 4), 0..4),
+            cut in any::<usize>(),
+            flip_at in any::<usize>(),
+            flip_mask in 1u8..=255,
+        ) {
+            let mut matrix = shape.0.to_le_bytes().to_vec();
+            matrix.extend(shape.1.to_le_bytes());
+            matrix.extend(&raw);
+            // Cut where the header says the cells end, and where `cut` says.
+            let cells = 8 + 8 * (shape.0 * shape.1) as usize;
+            let whole = &matrix[..cells.min(matrix.len())];
+            let cut_matrix = &matrix[..cut % (matrix.len() + 1)];
+            let pair = &raw[..16.min(raw.len())];
+            for bytes in [&raw[..], &matrix[..], whole, cut_matrix, pair] {
+                if let Some(m) = Matrix::from_bytes(bytes) {
+                    prop_assert_eq!(m.to_bytes(), bytes);
+                }
+                if let Some((count, sum)) = read_count_sum(bytes) {
+                    prop_assert_eq!(put_count_sum(count, sum), bytes);
+                }
+            }
+
+            let reference = vec![1, 2, 3, 4];
+            let chunk = encode_chunk(&frames, &reference);
+            prop_assert_eq!(decode_chunk(&chunk, &reference), Some(frames));
+            let mut flipped = chunk.clone();
+            if !flipped.is_empty() {
+                flipped[flip_at % chunk.len()] ^= flip_mask;
+            }
+            for bytes in [&raw[..], &chunk[..cut % (chunk.len() + 1)], &flipped[..]] {
+                if let Some(decoded) = decode_chunk(bytes, &reference) {
+                    let again = encode_chunk(&decoded, &reference);
+                    prop_assert_eq!(decode_chunk(&again, &reference), Some(decoded));
+                }
+            }
+        }
+    }
+}

@@ -8,7 +8,6 @@
 //! here.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use rand_chacha::ChaCha8Rng;
@@ -18,26 +17,16 @@ use taureau_core::latency::{profiles, LatencyModel};
 use taureau_core::metrics::MetricsRegistry;
 use taureau_core::rng::det_rng;
 
-/// Metadata of a stored object.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct BlobMeta {
-    /// Object size.
-    pub(crate) size: ByteSize,
-    /// Monotone per-object version (ETag analogue).
-    pub(crate) version: u64,
-    /// Store time (clock timestamp).
-    pub(crate) stored_at: Duration,
-}
-
 #[derive(Debug)]
 struct Object {
     data: Vec<u8>,
-    meta: BlobMeta,
+    /// Monotone per-object version (ETag analogue).
+    version: u64,
 }
 
 #[derive(Debug, Default)]
 struct BlobState {
-    /// bucket -> key -> object. BTreeMaps so listing is ordered.
+    /// bucket -> key -> object.
     buckets: BTreeMap<String, BTreeMap<Vec<u8>, Object>>,
     reads: u64,
     writes: u64,
@@ -104,7 +93,6 @@ impl BlobStore {
 
     /// PUT an object; returns its new version.
     pub fn put(&self, bucket: &str, key: &[u8], data: &[u8]) -> u64 {
-        let now = self.clock.now();
         let version = {
             let mut st = self.state.lock();
             st.writes += 1;
@@ -116,16 +104,12 @@ impl BlobStore {
             st.bytes_stored -= old_len.unwrap_or(0);
             st.bytes_stored += data.len() as u64;
             let b = st.buckets.entry(bucket.to_string()).or_default();
-            let version = b.get(key).map_or(0, |o| o.meta.version + 1);
+            let version = b.get(key).map_or(0, |o| o.version + 1);
             b.insert(
                 key.to_vec(),
                 Object {
                     data: data.to_vec(),
-                    meta: BlobMeta {
-                        size: ByteSize::b(data.len() as u64),
-                        version,
-                        stored_at: now,
-                    },
+                    version,
                 },
             );
             version
@@ -150,17 +134,6 @@ impl BlobStore {
         out
     }
 
-    /// HEAD an object's metadata (no read fee in this model).
-    #[cfg(test)]
-    pub(crate) fn head(&self, bucket: &str, key: &[u8]) -> Option<BlobMeta> {
-        self.state
-            .lock()
-            .buckets
-            .get(bucket)?
-            .get(key)
-            .map(|o| o.meta.clone())
-    }
-
     /// DELETE an object; returns whether it existed.
     pub fn delete(&self, bucket: &str, key: &[u8]) -> bool {
         let existed = {
@@ -182,21 +155,6 @@ impl BlobStore {
         existed
     }
 
-    /// List keys in a bucket with a prefix, in order.
-    #[cfg(test)]
-    pub(crate) fn list(&self, bucket: &str, prefix: &[u8]) -> Vec<Vec<u8>> {
-        let st = self.state.lock();
-        st.buckets
-            .get(bucket)
-            .map(|b| {
-                b.keys()
-                    .filter(|k| k.starts_with(prefix))
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// Bytes currently stored.
     pub fn bytes_stored(&self) -> ByteSize {
         ByteSize::b(self.state.lock().bytes_stored)
@@ -212,6 +170,7 @@ impl BlobStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use taureau_core::clock::{Clock, VirtualClock};
 
     fn store() -> BlobStore {
@@ -228,7 +187,7 @@ mod tests {
         assert_eq!(s.put("b", b"k", b"v1"), 0);
         assert_eq!(s.put("b", b"k", b"v2"), 1);
         assert_eq!(s.get("b", b"k"), Some(b"v2".to_vec()));
-        assert_eq!(s.head("b", b"k").unwrap().version, 1);
+        assert_eq!(s.put("other", b"k", b"v1"), 0, "versions are per object");
         assert_eq!(s.get("b", b"missing"), None);
         assert_eq!(s.get("nobucket", b"k"), None);
     }
@@ -243,18 +202,6 @@ mod tests {
         assert!(s.delete("b", b"k"));
         assert!(!s.delete("b", b"k"));
         assert_eq!(s.bytes_stored(), ByteSize::ZERO);
-    }
-
-    #[test]
-    fn list_by_prefix_is_ordered() {
-        let s = store();
-        s.put("b", b"logs/2", b"x");
-        s.put("b", b"logs/1", b"x");
-        s.put("b", b"data/1", b"x");
-        let keys = s.list("b", b"logs/");
-        assert_eq!(keys, vec![b"logs/1".to_vec(), b"logs/2".to_vec()]);
-        assert_eq!(s.list("b", b"").len(), 3);
-        assert!(s.list("empty", b"").is_empty());
     }
 
     #[test]

@@ -105,12 +105,6 @@ pub struct ClusterFabric {
 }
 
 impl ClusterFabric {
-    /// Empty fabric with the default failure detector.
-    #[cfg(test)]
-    pub(crate) fn new(seed: u64) -> Self {
-        Self::with_membership(seed, MembershipConfig::default())
-    }
-
     /// Empty fabric with explicit failure-detector tuning.
     pub fn with_membership(seed: u64, mcfg: MembershipConfig) -> Self {
         let clock = VirtualClock::shared();
@@ -413,7 +407,7 @@ mod tests {
 
     #[test]
     fn heartbeats_converge_to_full_view() {
-        let mut f = ClusterFabric::new(1);
+        let mut f = ClusterFabric::with_membership(1, MembershipConfig::default());
         for _ in 0..4 {
             f.add_node(NodeRole::Broker);
         }
@@ -425,26 +419,29 @@ mod tests {
 
     #[test]
     fn kill_is_detected_after_timeout_and_revive_readmits() {
-        let mut f = ClusterFabric::new(2);
+        let mut f = ClusterFabric::with_membership(2, MembershipConfig::default());
         let nodes: Vec<NodeId> = (0..3).map(|_| f.add_node(NodeRole::Broker)).collect();
         f.run_for(ms(200));
         f.kill(nodes[1]);
+        let believed = |f: &ClusterFabric, n: NodeId| f.control().lock().view().contains(&n);
         // Not yet detected: view still includes the corpse briefly.
         f.advance(f.now() + ms(5));
-        assert!(f.control().lock().is_alive(nodes[1]));
+        assert!(!f.is_alive(nodes[1]));
+        assert!(believed(&f, nodes[1]));
         f.run_for(ms(300));
-        assert!(!f.control().lock().is_alive(nodes[1]));
-        assert!(f.control().lock().is_alive(nodes[0]));
+        assert!(!believed(&f, nodes[1]));
+        assert!(believed(&f, nodes[0]));
         let epoch_after_death = f.control().lock().epoch();
         f.revive(nodes[1]);
         f.run_for(ms(200));
-        assert!(f.control().lock().is_alive(nodes[1]));
+        assert!(f.is_alive(nodes[1]));
+        assert!(believed(&f, nodes[1]));
         assert!(f.control().lock().epoch() > epoch_after_death);
     }
 
     #[test]
     fn service_mail_routes_and_dies_with_the_node() {
-        let mut f = ClusterFabric::new(3);
+        let mut f = ClusterFabric::with_membership(3, MembershipConfig::default());
         let a = f.add_node(NodeRole::Client);
         let b = f.add_node(NodeRole::Broker);
         assert!(f.send(a, b, 7, "pub", Bytes::from_static(b"x"), None));
@@ -464,7 +461,7 @@ mod tests {
 
     #[test]
     fn virtual_clock_and_net_move_together() {
-        let mut f = ClusterFabric::new(4);
+        let mut f = ClusterFabric::with_membership(4, MembershipConfig::default());
         f.add_node(NodeRole::Client);
         let before = f.now();
         f.advance(before + ms(25));

@@ -347,12 +347,6 @@ impl ControlPlane {
         };
     }
 
-    /// Whether the authoritative view considers a node alive.
-    #[cfg(test)]
-    pub(crate) fn is_alive(&self, node: NodeId) -> bool {
-        self.view.contains(&node)
-    }
-
     /// Ensure `resource` has a live owner among `candidates`, reassigning
     /// (with an epoch bump) if the current owner is dead or missing.
     /// Placement is deterministic: the resource name hashes to a slot in
@@ -415,22 +409,6 @@ impl ControlPlane {
         stale.sort();
         let ensure = |r: String| Some((self.ensure_lease(&r, candidates)?, r));
         stale.into_iter().filter_map(ensure).collect()
-    }
-
-    /// The current lease for a resource, if any.
-    #[cfg(test)]
-    pub(crate) fn lease(&self, resource: &str) -> Option<Lease> {
-        self.leases.get(resource).copied()
-    }
-
-    /// Whether `node` holds the live lease on `resource`. This is what
-    /// broker fence checks consult: a deposed owner fails it even if its
-    /// local state still says otherwise.
-    #[cfg(test)]
-    pub(crate) fn holds(&self, resource: &str, node: NodeId) -> bool {
-        self.leases
-            .get(resource)
-            .is_some_and(|l| l.owner == node && self.view.contains(&node))
     }
 }
 
@@ -502,17 +480,22 @@ mod tests {
     #[test]
     fn lease_reassignment_bumps_epoch_and_deposes_old_owner() {
         let mut cp = ControlPlane::new();
+        // The fence check brokers run: the published view, not the table.
+        let fence = cp.reader();
         cp.update_view([n(0), n(1), n(2)].into_iter().collect());
         let brokers = [n(0), n(1), n(2)];
         let l1 = cp.ensure_lease("topic/a", &brokers).unwrap();
-        assert!(cp.holds("topic/a", l1.owner));
+        assert!(fence.holds_topic("a", l1.owner));
         // Owner dies: view shrinks, lease moves, epoch strictly grows.
         cp.update_view(brokers.into_iter().filter(|&b| b != l1.owner).collect());
-        assert!(!cp.holds("topic/a", l1.owner), "dead owner must not hold");
+        assert!(
+            !fence.holds_topic("a", l1.owner),
+            "dead owner must not hold"
+        );
         let l2 = cp.ensure_lease("topic/a", &brokers).unwrap();
         assert_ne!(l2.owner, l1.owner);
         assert!(l2.epoch > l1.epoch);
-        assert!(cp.holds("topic/a", l2.owner));
+        assert!(fence.holds_topic("a", l2.owner));
         // The old owner reappearing does not get the lease back.
         cp.update_view(brokers.into_iter().collect());
         let l3 = cp.ensure_lease("topic/a", &brokers).unwrap();
@@ -524,7 +507,7 @@ mod tests {
         let mut cp = ControlPlane::new();
         cp.update_view([n(5)].into_iter().collect());
         assert!(cp.ensure_lease("topic/x", &[n(0), n(1)]).is_none());
-        assert!(cp.lease("topic/x").is_none());
+        assert!(!cp.reader().view().by_topic.contains_key("x"));
     }
 
     #[test]

@@ -1657,7 +1657,7 @@ mod tests {
         ) {
             let mut rng = det_rng(seed);
             let cfg = ObsConfig { batch_max, ..ObsConfig::default() };
-            let mut fabric = ClusterFabric::new(seed);
+            let mut fabric = ClusterFabric::with_membership(seed, Default::default());
             let node = fabric.add_node(NodeRole::Client);
             let collector = fabric.add_node(NodeRole::Collector);
             let mut agent = TelemetryAgent::new(node, &cfg);
@@ -1709,7 +1709,7 @@ mod tests {
             batch_max: 4,
             ..ObsConfig::default()
         };
-        let mut fabric = ClusterFabric::new(1);
+        let mut fabric = ClusterFabric::with_membership(1, Default::default());
         let node = fabric.add_node(NodeRole::Client);
         let collector = fabric.add_node(NodeRole::Collector);
         let mut agent = TelemetryAgent::new(node, &cfg);
@@ -1854,7 +1854,7 @@ mod tests {
             let mut pump = TelemetryPump::new(sink.clone(), &pulsar).unwrap();
             let mut monitor = Monitor::with_config(&pulsar, clock.clone(), MonitorConfig::default()).unwrap();
 
-            let mut fabric = ClusterFabric::new(seed);
+            let mut fabric = ClusterFabric::with_membership(seed, Default::default());
             let node = fabric.add_node(NodeRole::Client);
             let collector_node = fabric.add_node(NodeRole::Collector);
             let mut agent = TelemetryAgent::new(node, &ObsConfig::default());

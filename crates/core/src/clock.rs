@@ -95,18 +95,6 @@ impl VirtualClock {
     pub fn advance(&self, d: Duration) {
         self.nanos.fetch_add(d.as_nanos() as u64, Ordering::SeqCst);
     }
-
-    /// Jump to an absolute time. Panics if `t` is in the past — a virtual
-    /// clock is still monotonic.
-    #[cfg(test)]
-    pub(crate) fn set(&self, t: Duration) {
-        let target = t.as_nanos() as u64;
-        let prev = self.nanos.swap(target, Ordering::SeqCst);
-        assert!(
-            target >= prev,
-            "virtual clock moved backwards: {prev} -> {target}"
-        );
-    }
 }
 
 impl Clock for VirtualClock {
@@ -151,21 +139,6 @@ mod tests {
         c.sleep(Duration::from_secs(1));
         assert_eq!(c.now(), Duration::from_secs(1));
         assert!(c.is_virtual());
-    }
-
-    #[test]
-    fn virtual_clock_set_jumps_forward() {
-        let c = VirtualClock::new();
-        c.set(Duration::from_secs(10));
-        assert_eq!(c.now(), Duration::from_secs(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "moved backwards")]
-    fn virtual_clock_set_rejects_past() {
-        let c = VirtualClock::new();
-        c.set(Duration::from_secs(10));
-        c.set(Duration::from_secs(5));
     }
 
     #[test]

@@ -96,12 +96,6 @@ impl Default for VmPricing {
 }
 
 impl VmPricing {
-    /// Cost of running `instances` VMs for `duration`.
-    #[cfg(test)]
-    pub(crate) fn fleet_cost(&self, instances: u32, duration: Duration) -> Dollars {
-        self.per_hour * instances as f64 * duration.as_secs_f64() / 3600.0
-    }
-
     /// Instances needed to serve `concurrent` simultaneous requests.
     pub fn instances_for(&self, concurrent: u64) -> u32 {
         assert!(self.capacity > 0);
@@ -199,15 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn vm_fleet_cost_scales_linearly() {
-        let p = VmPricing::default();
-        let one = p.fleet_cost(1, Duration::from_secs(3600));
-        assert!((one - 0.096).abs() < 1e-9);
-        let ten = p.fleet_cost(10, Duration::from_secs(3600));
-        assert!((ten - 0.96).abs() < 1e-9);
-    }
-
-    #[test]
     fn instances_for_rounds_up() {
         let p = VmPricing {
             capacity: 16,
@@ -238,12 +223,11 @@ mod tests {
         // fine-grained bill is far below a peak-provisioned fleet.
         let faas = FaasPricing::default();
         let vm = VmPricing::default();
-        let day = Duration::from_secs(24 * 3600);
         // 10k requests/day, 200 ms each, 1 GB.
         let faas_cost: Dollars =
             10_000.0 * faas.invocation_cost(ByteSize::gb(1), Duration::from_millis(200));
         // Peak of 100 concurrent => 7 VMs up all day.
-        let vm_cost = vm.fleet_cost(vm.instances_for(100), day);
+        let vm_cost = vm.per_hour * f64::from(vm.instances_for(100)) * 24.0;
         assert!(faas_cost < vm_cost / 10.0, "faas={faas_cost} vm={vm_cost}");
     }
 }

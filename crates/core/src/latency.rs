@@ -141,15 +141,6 @@ pub mod profiles {
             sigma: 0.5,
         }
     }
-
-    /// In-memory store op (Jiffy-class): tens of microseconds.
-    #[cfg(test)]
-    pub(crate) fn memory_op() -> LatencyModel {
-        LatencyModel::Uniform {
-            lo: Duration::from_micros(10),
-            hi: Duration::from_micros(80),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -220,13 +211,6 @@ mod tests {
         // Cold start median should land in the 100ms..1s band the
         // literature reports.
         assert!(c > 100_000 && c < 1_000_000, "cold mean {c}us out of band");
-    }
-
-    #[test]
-    fn persistent_store_slower_than_memory() {
-        let mem = profiles::memory_op().mean();
-        let disk = profiles::persistent_read().mean();
-        assert!(disk > 50 * mem, "persistent {disk:?} vs memory {mem:?}");
     }
 
     #[test]

@@ -61,14 +61,6 @@ impl TokenBucket {
             false
         }
     }
-
-    /// Tokens currently available (after refill).
-    #[cfg(test)]
-    pub(crate) fn available(&self) -> f64 {
-        let mut state = self.state.lock();
-        self.refill(&mut state);
-        state.tokens
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +95,8 @@ mod tests {
         let clock = VirtualClock::shared();
         let tb = TokenBucket::new(clock.clone(), 1000.0, 3);
         clock.advance(Duration::from_secs(60));
-        assert!((tb.available() - 3.0).abs() < 1e-9);
+        assert!(tb.try_acquire(3));
+        assert!(!tb.try_acquire(1));
     }
 
     #[test]

@@ -118,7 +118,7 @@ pub struct NodeOutcome {
     pub attempts: u32,
     /// Execution time of the successful attempt.
     pub exec: Duration,
-    /// Dollars billed for the successful attempt.
+    /// Dollars billed for every attempt this run, failed ones included.
     pub(crate) cost: Dollars,
     /// Output size in bytes.
     pub output_bytes: usize,
@@ -602,7 +602,7 @@ impl Run {
             }
         };
 
-        let (r, attempts) = match self.invoke_with_backoff(function, &payload, &span) {
+        let (r, attempts, failed_cost) = match self.invoke_with_backoff(function, &payload, &span) {
             Ok(ok) => ok,
             Err((attempts, source)) => {
                 span.attr("failed_after", attempts);
@@ -683,7 +683,7 @@ impl Run {
             function: function.clone(),
             attempts,
             exec: r.exec_duration,
-            cost: r.cost,
+            cost: failed_cost + r.cost,
             output_bytes: r.output.len(),
             spilled: spill_to.is_some(),
             from_checkpoint: false,
@@ -692,24 +692,27 @@ impl Run {
     }
 
     /// Invoke with per-attempt backoff, recording a `dag.retry` span per
-    /// failed transient attempt. Returns the successful result and the
-    /// attempts used, or the final error and the attempts wasted.
+    /// failed transient attempt. Returns the successful result, the
+    /// attempts used and what the failed ones were billed, or the final
+    /// error and the attempts wasted.
     fn invoke_with_backoff(
         &self,
         function: &str,
         payload: &Bytes,
         node_span: &SpanGuard,
-    ) -> Result<(taureau_faas::InvocationResult, u32), (u32, FaasError)> {
+    ) -> Result<(taureau_faas::InvocationResult, u32, Dollars), (u32, FaasError)> {
         let core = &*self.core;
         let retry: RetryPolicy = core.cfg.retry;
         let tracer = core.platform.tracer();
+        let mut failed_cost = 0.0;
         for attempt in 1..=retry.max_attempts {
             self.invocations.fetch_add(1, Ordering::Relaxed);
             match core.platform.invoke(function, payload.clone()) {
-                Ok(r) => return Ok((r, attempt)),
+                Ok(r) => return Ok((r, attempt, failed_cost)),
                 Err(e @ (FaasError::ExecutionFailed { .. } | FaasError::Timeout { .. }))
                     if attempt < retry.max_attempts =>
                 {
+                    failed_cost += e.billed().unwrap_or_default();
                     self.retries.fetch_add(1, Ordering::Relaxed);
                     core.hot.retries.inc();
                     if let Some(sink) = tracer.telemetry() {
@@ -983,12 +986,17 @@ mod tests {
         .unwrap();
         let dag = Dag::chain(&[("a", "echo"), ("b", "flaky")]).unwrap();
         let exec = DagExecutor::new(&p);
+        let before = p.billing().total("t");
         let report = exec.run(&dag, "r1", b"ok").unwrap();
         assert_eq!(report.output, b"ok");
         assert_eq!(report.retries, 2);
         assert_eq!(report.invocations, 4); // 1 for a, 3 for b
         assert_eq!(report.nodes[1].attempts, 3);
         assert_eq!(exec.metrics().counter("retries").get(), 2);
+        // The failed attempts were billed, and the report counts them.
+        let billed = p.billing().total("t") - before;
+        assert!((billed - report.total_cost()).abs() < 1e-15);
+        assert_eq!(p.billing().invocations("t"), 4);
     }
 
     #[test]

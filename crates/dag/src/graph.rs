@@ -4,8 +4,8 @@
 //! A workflow is a set of named nodes, each invoking one FaaS function and
 //! depending on zero or more other nodes. Validation happens once at
 //! [`DagBuilder::build`], which also derives everything a run reads —
-//! levels, [roots](Dag::roots), [sinks](Dag::sinks),
-//! [frontiers](Dag::frontiers); a constructed [`Dag`] is immutable and
+//! levels, [sinks](Dag::sinks), [frontiers](Dag::frontiers) (the first
+//! holds the roots); a constructed [`Dag`] is immutable and
 //! guaranteed acyclic, so the executor can count dependencies down
 //! without re-checking or re-deriving anything.
 
@@ -127,8 +127,6 @@ impl DagBuilder {
             .map(|node| (node.name.as_str().into(), node.function.as_str().into()))
             .collect();
         Ok(Dag(Arc::new(Graph {
-            #[cfg(test)]
-            roots: (0..n).filter(|&i| deps[i].is_empty()).collect(),
             sinks: (0..n).filter(|&i| dependents[i].is_empty()).collect(),
             nodes: self.nodes,
             labels,
@@ -157,8 +155,6 @@ struct Graph {
     /// Earliest-start level of each node: 0 for roots, otherwise one more
     /// than the deepest dependency.
     level: Vec<usize>,
-    #[cfg(test)]
-    roots: Vec<usize>,
     sinks: Vec<usize>,
     frontiers: Vec<Vec<usize>>,
 }
@@ -193,12 +189,6 @@ impl Dag {
     /// Indices of nodes that depend on node `i`.
     pub fn dependents_of(&self, i: usize) -> &[usize] {
         &self.0.dependents[i]
-    }
-
-    /// Nodes with no dependencies (they receive the workflow input).
-    #[cfg(test)]
-    pub(crate) fn roots(&self) -> &[usize] {
-        &self.0.roots
     }
 
     /// Nodes nothing depends on (their outputs form the workflow output).
@@ -287,7 +277,7 @@ mod tests {
     fn diamond_frontiers_and_paths() {
         let dag = diamond();
         assert_eq!(dag.len(), 4);
-        assert_eq!(dag.roots(), vec![0]);
+        assert_eq!(dag.frontiers()[0], vec![0], "the roots");
         assert_eq!(dag.sinks(), vec![3]);
         assert_eq!(dag.frontiers(), vec![vec![0], vec![1, 2], vec![3]]);
         let cp = dag.critical_path();

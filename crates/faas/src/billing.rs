@@ -96,12 +96,6 @@ impl BillingMeter {
         Arc::clone(self.accounts.write().entry(tenant.to_string()).or_default())
     }
 
-    /// Record one billed execution; returns its cost.
-    #[cfg(test)]
-    pub(crate) fn charge(&self, tenant: &str, memory: ByteSize, duration: Duration) -> Dollars {
-        self.account(tenant).charge(&self.pricing, memory, duration)
-    }
-
     fn billed(&self, tenant: &str) -> (Dollars, usize) {
         self.accounts
             .read()
@@ -133,9 +127,14 @@ mod tests {
     #[test]
     fn charges_accumulate_per_tenant() {
         let m = BillingMeter::new(FaasPricing::default());
-        let c1 = m.charge("alice", ByteSize::gb(1), Duration::from_millis(100));
-        let c2 = m.charge("alice", ByteSize::gb(1), Duration::from_millis(100));
-        m.charge("bob", ByteSize::mb(128), Duration::from_millis(50));
+        let c1 =
+            m.account("alice")
+                .charge(m.pricing(), ByteSize::gb(1), Duration::from_millis(100));
+        let c2 =
+            m.account("alice")
+                .charge(m.pricing(), ByteSize::gb(1), Duration::from_millis(100));
+        m.account("bob")
+            .charge(m.pricing(), ByteSize::mb(128), Duration::from_millis(50));
         assert!((m.total("alice") - (c1 + c2)).abs() < 1e-15);
         assert_eq!(m.invocations("alice"), 2);
         assert_eq!(m.invocations("bob"), 1);
@@ -147,11 +146,17 @@ mod tests {
     fn rounding_matches_pricing_granularity() {
         let m = BillingMeter::new(FaasPricing::default());
         // 1 ms and 99 ms bill identically (both round to 100 ms).
-        let a = m.charge("t", ByteSize::gb(1), Duration::from_millis(1));
-        let b = m.charge("t", ByteSize::gb(1), Duration::from_millis(99));
+        let a = m
+            .account("t")
+            .charge(m.pricing(), ByteSize::gb(1), Duration::from_millis(1));
+        let b = m
+            .account("t")
+            .charge(m.pricing(), ByteSize::gb(1), Duration::from_millis(99));
         assert!((a - b).abs() < 1e-15);
         // 101 ms bills twice the duration component.
-        let c = m.charge("t", ByteSize::gb(1), Duration::from_millis(101));
+        let c = m
+            .account("t")
+            .charge(m.pricing(), ByteSize::gb(1), Duration::from_millis(101));
         assert!(c > a);
     }
 
@@ -166,7 +171,7 @@ mod tests {
                     .map(|_| {
                         let memory = ByteSize::mb(rng.gen_range(64..=4096));
                         let duration = Duration::from_micros(rng.gen_range(0..5_000_000));
-                        m.charge("t", memory, duration)
+                        m.account("t").charge(m.pricing(), memory, duration)
                     })
                     .collect()
             })
@@ -186,7 +191,8 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..1_000 {
-                        m.charge("t", ByteSize::gb(1), duration);
+                        m.account("t")
+                            .charge(m.pricing(), ByteSize::gb(1), duration);
                     }
                 });
             }
@@ -209,7 +215,7 @@ mod tests {
         for _ in 0..10_000 {
             let memory = ByteSize::mb(rng.gen_range(64..=4096));
             let duration = Duration::from_micros(rng.gen_range(0..5_000_000));
-            let cost = m.charge("t", memory, duration);
+            let cost = m.account("t").charge(m.pricing(), memory, duration);
             bill.charge(&pricing, memory, duration);
             let item = bill.items().last().expect("just charged");
             assert_eq!(cost.to_bits(), item.cost.to_bits());

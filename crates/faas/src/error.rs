@@ -2,8 +2,10 @@
 
 use std::time::Duration;
 
+use taureau_core::cost::Dollars;
+
 /// Errors surfaced by the FaaS platform.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaasError {
     /// No function registered under this name.
     FunctionNotFound(String),
@@ -17,6 +19,8 @@ pub enum FaasError {
         limit: Duration,
         /// How long the function actually ran.
         ran: Duration,
+        /// Dollars billed for the execution.
+        billed: Dollars,
     },
     /// Rejected by the tenant's admission rate limit.
     Throttled {
@@ -36,7 +40,24 @@ pub enum FaasError {
         function: String,
         /// The error the handler reported.
         reason: String,
+        /// Dollars billed for the execution (0 for a refusal that ran
+        /// nothing).
+        billed: Dollars,
     },
+}
+
+impl FaasError {
+    /// Dollars billed for the execution this error ended: `Some` for a
+    /// failed or timed-out one, `None` for an invocation the platform
+    /// refused before anything ran.
+    pub fn billed(&self) -> Option<Dollars> {
+        match self {
+            FaasError::Timeout { billed, .. } | FaasError::ExecutionFailed { billed, .. } => {
+                Some(*billed)
+            }
+            _ => None,
+        }
+    }
 }
 
 impl std::fmt::Display for FaasError {
@@ -44,14 +65,16 @@ impl std::fmt::Display for FaasError {
         match self {
             FaasError::FunctionNotFound(n) => write!(f, "function not found: {n}"),
             FaasError::FunctionExists(n) => write!(f, "function already exists: {n}"),
-            FaasError::Timeout { limit, ran } => {
+            FaasError::Timeout { limit, ran, .. } => {
                 write!(f, "execution timed out: ran {ran:?}, limit {limit:?}")
             }
             FaasError::Throttled { tenant } => write!(f, "tenant {tenant} throttled"),
             FaasError::ConcurrencyLimit { function, limit } => {
                 write!(f, "function {function} at concurrency limit {limit}")
             }
-            FaasError::ExecutionFailed { function, reason } => {
+            FaasError::ExecutionFailed {
+                function, reason, ..
+            } => {
                 write!(f, "function {function} failed: {reason}")
             }
         }

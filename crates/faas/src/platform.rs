@@ -384,15 +384,6 @@ impl FaasPlatform {
         Ok(())
     }
 
-    /// Reap idle containers past keep-alive.
-    #[cfg(test)]
-    pub(crate) fn reap_idle(&self) {
-        let now = self.inner.clock.now();
-        for entry in self.inner.registry.read().values() {
-            entry.sandbox.reap(now);
-        }
-    }
-
     /// (cold, warm) start counts so far.
     pub fn start_counts(&self) -> (u64, u64) {
         let count = |c: &Lazy<Counter>| c.cell.get().map_or(0, |c| c.get());
@@ -586,12 +577,13 @@ impl FaasPlatform {
             }
             let mut billing = tracer.span(TRACE_SYSTEM, "faas.billing");
             billing.attr("billed", "timeout_cap");
-            entry.account.charge(pricing, spec.memory, spec.timeout);
+            let billed = entry.account.charge(pricing, spec.memory, spec.timeout);
             drop(billing);
             // The container is destroyed, not returned warm.
             return Err(FaasError::Timeout {
                 limit: spec.timeout,
                 ran: exec_duration,
+                billed,
             });
         }
 
@@ -640,6 +632,7 @@ impl FaasPlatform {
                 Err(FaasError::ExecutionFailed {
                     function: spec.name.clone(),
                     reason,
+                    billed: cost,
                 })
             }
         }
@@ -839,8 +832,9 @@ mod tests {
         // test the cap by registering concurrency 0-in-flight semantics via
         // the inflight map directly — simplest is a reentrant handler.
         let p2 = p.clone();
-        p.register(
-            FunctionSpec::new("outer", "t", move |_| {
+        p.register(FunctionSpec {
+            max_concurrency: 1,
+            ..FunctionSpec::new("outer", "t", move |_| {
                 // While outer runs, its own slot is taken; invoking itself
                 // must hit the cap of 1.
                 match p2.invoke("outer", &[][..]) {
@@ -848,8 +842,7 @@ mod tests {
                     other => Err(format!("expected cap, got {other:?}")),
                 }
             })
-            .with_max_concurrency(1),
-        )
+        })
         .unwrap();
         let r = p.invoke("outer", &[][..]).unwrap();
         assert_eq!(r.output, b"capped");
@@ -859,8 +852,9 @@ mod tests {
     fn panicking_handler_gives_its_slot_back() {
         let (p, _) = platform();
         let left = AtomicU32::new(1);
-        p.register(
-            FunctionSpec::new("crashy", "t", move |_| {
+        p.register(FunctionSpec {
+            max_concurrency: 1,
+            ..FunctionSpec::new("crashy", "t", move |_| {
                 if left
                     .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
                     .is_ok()
@@ -869,8 +863,7 @@ mod tests {
                 }
                 Ok(vec![])
             })
-            .with_max_concurrency(1),
-        )
+        })
         .unwrap();
         let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = p.invoke("crashy", &[][..]);
@@ -892,16 +885,16 @@ mod tests {
         let i = AtomicU32::new(0);
         let peak = Arc::new(AtomicU32::new(0));
         let pk = peak.clone();
-        p.register(
-            FunctionSpec::new("shared", "t", move |_| {
+        p.register(FunctionSpec {
+            max_concurrency: CAP,
+            ..FunctionSpec::new("shared", "t", move |_| {
                 let now = i.fetch_add(1, Ordering::SeqCst) + 1;
                 pk.fetch_max(now, Ordering::SeqCst);
                 std::thread::yield_now();
                 i.fetch_sub(1, Ordering::SeqCst);
                 Ok(vec![])
             })
-            .with_max_concurrency(CAP),
-        )
+        })
         .unwrap();
         let barrier = std::sync::Barrier::new(THREADS);
         let (ok, rejected): (usize, usize) = std::thread::scope(|s| {
@@ -952,14 +945,14 @@ mod tests {
         let p = unpaced_wall_platform();
         let (entered_tx, entered_rx) = crossbeam_channel::unbounded::<()>();
         let (resume_tx, resume_rx) = crossbeam_channel::unbounded::<()>();
-        p.register(
-            FunctionSpec::new("f", "t", move |_| {
+        p.register(FunctionSpec {
+            max_concurrency: 1,
+            ..FunctionSpec::new("f", "t", move |_| {
                 entered_tx.send(()).unwrap();
                 resume_rx.recv().unwrap();
                 Ok(b"old".to_vec())
             })
-            .with_max_concurrency(1),
-        )
+        })
         .unwrap();
         std::thread::scope(|s| {
             let old = s.spawn(|| p.invoke("f", &[][..]));
@@ -968,9 +961,10 @@ mod tests {
             let old_entry = p.entry("f").unwrap();
             assert_eq!(old_entry.inflight.load(Ordering::SeqCst), 1);
             p.deregister("f").unwrap();
-            p.register(
-                FunctionSpec::new("f", "t", |_| Ok(b"new".to_vec())).with_max_concurrency(1),
-            )
+            p.register(FunctionSpec {
+                max_concurrency: 1,
+                ..FunctionSpec::new("f", "t", |_| Ok(b"new".to_vec()))
+            })
             .unwrap();
             // The new entry starts from zero: not capped by the old one,
             // and cold, because the old version's containers went with it.
@@ -1168,7 +1162,7 @@ mod tests {
     }
 
     #[test]
-    fn reap_idle_reaps_every_function() {
+    fn keep_alive_expires_every_functions_containers() {
         let clock = VirtualClock::shared();
         let cfg = PlatformConfig {
             keep_alive: Duration::from_secs(1),
@@ -1182,9 +1176,11 @@ mod tests {
             assert_eq!(p.warm_count(f), 1);
         }
         clock.advance(Duration::from_secs(100));
-        p.reap_idle();
+        // Each function starts cold, and the expired container is gone:
+        // only the fresh one is back in its pool.
         for f in ["a", "b", "c"] {
-            assert_eq!(p.warm_count(f), 0);
+            assert_eq!(p.invoke(f, &[][..]).unwrap().start, StartKind::Cold);
+            assert_eq!(p.warm_count(f), 1);
         }
     }
 

@@ -177,14 +177,6 @@ impl SandboxPool {
             .push(WarmContainer { idle_since: now });
     }
 
-    /// Reap idle containers past keep-alive.
-    #[cfg(test)]
-    pub(crate) fn reap(&self, now: Duration) {
-        let mut all = self.lock_all();
-        let floor = self.provisioned.load(Ordering::Relaxed) as usize;
-        reap_stripes(&mut all, self.keep_alive, now, floor);
-    }
-
     /// Idle warm containers.
     #[cfg(test)]
     pub(crate) fn warm_count(&self) -> usize {
@@ -248,9 +240,9 @@ mod tests {
         p.provision(2, secs(0));
         assert_eq!(p.warm_count(), 2);
         // Far past keep-alive, the floor remains.
-        p.reap(secs(1000));
-        assert_eq!(p.warm_count(), 2);
-        assert_eq!(p.acquire(secs(1001)), StartKind::Warm);
+        assert_eq!(p.acquire(secs(1000)), StartKind::Warm);
+        assert_eq!(p.acquire(secs(1000)), StartKind::Warm);
+        assert_eq!(p.acquire(secs(1000)), StartKind::Cold);
     }
 
     #[test]
@@ -262,9 +254,11 @@ mod tests {
         for t in 0..3 {
             p.release(secs(t));
         }
-        p.reap(secs(2));
-        assert_eq!(p.warm_count(), 2, "only the container idle > 1 s goes");
-        p.reap(secs(100));
+        // At 2 s only the container idle since 0 s is past keep-alive: it
+        // goes, the newest is handed out, the one idle since 1 s stays.
+        assert_eq!(p.acquire(secs(2)), StartKind::Warm);
+        assert_eq!(p.warm_count(), 1, "only the container idle > 1 s goes");
+        assert_eq!(p.acquire(secs(100)), StartKind::Cold);
         assert_eq!(p.warm_count(), 0);
     }
 
@@ -277,13 +271,12 @@ mod tests {
         for t in [5, 1, 3] {
             p.release(secs(t));
         }
-        // Idle since 1 s is past keep-alive at 3 s; 3 s and 5 s are not.
-        p.reap(secs(3));
-        assert_eq!(p.warm_count(), 2);
-        // The most recently idle container (5 s) is the one handed out…
+        // Idle since 1 s is past keep-alive at 3 s and goes; of 3 s and
+        // 5 s, the most recently idle container is the one handed out…
         assert_eq!(p.acquire(secs(3)), StartKind::Warm);
+        assert_eq!(p.warm_count(), 1);
         // …so the one left is idle since 3 s and gone by 5 s.
-        p.reap(secs(5));
+        assert_eq!(p.acquire(secs(5)), StartKind::Cold);
         assert_eq!(p.warm_count(), 0);
     }
 
@@ -311,10 +304,8 @@ mod tests {
                 s.spawn(|| p.release(secs(2)));
             }
         });
-        p.reap(secs(1000));
-        assert_eq!(p.warm_count(), 2, "the floor holds across stripes");
-        // Three containers on three threads' stripes: the floor is the
-        // pool's, not a stripe's, so exactly one of them goes.
+        // Two containers on two threads' stripes: the floor holds across
+        // stripes.
         assert_eq!(p.acquire(secs(1000)), StartKind::Warm);
         assert_eq!(p.acquire(secs(1000)), StartKind::Warm);
         assert_eq!(p.acquire(secs(1000)), StartKind::Cold);
@@ -323,8 +314,11 @@ mod tests {
                 s.spawn(|| p.release(secs(1001)));
             }
         });
-        p.reap(secs(2000));
-        assert_eq!(p.warm_count(), 2);
+        // Three containers on three threads' stripes: the floor is the
+        // pool's, not a stripe's, so exactly one of them goes.
+        assert_eq!(p.warm_count(), 3);
+        assert_eq!(p.acquire(secs(2000)), StartKind::Warm);
+        assert_eq!(p.warm_count(), 1);
     }
 
     #[test]

@@ -70,14 +70,6 @@ impl FunctionSpec {
         self
     }
 
-    /// Set the concurrency cap.
-    #[cfg(test)]
-    pub(crate) fn with_max_concurrency(mut self, n: u32) -> Self {
-        assert!(n > 0);
-        self.max_concurrency = n;
-        self
-    }
-
     /// Group this function into an application whose functions share warm
     /// sandboxes (SAND-style application-level isolation).
     pub fn with_app(mut self, app: impl Into<String>) -> Self {
@@ -130,11 +122,10 @@ mod tests {
     fn spec_builder_defaults_and_overrides() {
         let s = FunctionSpec::new("f", "t", |_| Ok(vec![]))
             .with_memory(ByteSize::gb(1))
-            .with_timeout(Duration::from_secs(5))
-            .with_max_concurrency(2);
+            .with_timeout(Duration::from_secs(5));
         assert_eq!(s.memory, ByteSize::gb(1));
         assert_eq!(s.timeout, Duration::from_secs(5));
-        assert_eq!(s.max_concurrency, 2);
+        assert_eq!(s.max_concurrency, 100);
         assert_eq!(s.name, "f");
         // Debug does not try to print the handler.
         assert!(format!("{s:?}").contains("FunctionSpec"));

@@ -39,35 +39,18 @@ pub struct PersistentStore {
 struct PersistentState {
     blobs: HashMap<Vec<u8>, Vec<u8>>,
     rng: ChaCha8Rng,
-    reads: u64,
-    writes: u64,
 }
 
 impl PersistentStore {
     /// Create with the standard S3-calibrated latency profiles.
     pub fn new(clock: SharedClock) -> Self {
-        Self::with_latency(
-            clock,
-            profiles::persistent_read(),
-            profiles::persistent_write(),
-        )
-    }
-
-    /// Create with explicit latency models (tests use `LatencyModel::zero`).
-    pub(crate) fn with_latency(
-        clock: SharedClock,
-        read_latency: LatencyModel,
-        write_latency: LatencyModel,
-    ) -> Self {
         Self {
             clock,
-            read_latency,
-            write_latency,
+            read_latency: profiles::persistent_read(),
+            write_latency: profiles::persistent_write(),
             state: Mutex::new(PersistentState {
                 blobs: HashMap::new(),
                 rng: det_rng(0x5353), // "SS"
-                reads: 0,
-                writes: 0,
             }),
         }
     }
@@ -76,7 +59,6 @@ impl PersistentStore {
     pub fn put(&self, key: &[u8], value: &[u8]) {
         let delay = {
             let mut st = self.state.lock();
-            st.writes += 1;
             st.blobs.insert(key.to_vec(), value.to_vec());
             self.write_latency.sample(&mut st.rng)
         };
@@ -87,32 +69,11 @@ impl PersistentStore {
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
         let (delay, value) = {
             let mut st = self.state.lock();
-            st.reads += 1;
             let v = st.blobs.get(key).cloned();
             (self.read_latency.sample(&mut st.rng), v)
         };
         self.clock.sleep(delay);
         value
-    }
-
-    /// DELETE a blob (pays write latency).
-    #[cfg(test)]
-    pub(crate) fn delete(&self, key: &[u8]) -> bool {
-        let (delay, existed) = {
-            let mut st = self.state.lock();
-            st.writes += 1;
-            let e = st.blobs.remove(key).is_some();
-            (self.write_latency.sample(&mut st.rng), e)
-        };
-        self.clock.sleep(delay);
-        existed
-    }
-
-    /// (reads, writes) op counts, for billing comparisons.
-    #[cfg(test)]
-    pub(crate) fn op_counts(&self) -> (u64, u64) {
-        let st = self.state.lock();
-        (st.reads, st.writes)
     }
 }
 
@@ -169,29 +130,12 @@ impl GlobalStore {
             .insert(full_key, (tenant.to_string(), value.to_vec()));
     }
 
-    /// Read a tenant's value.
-    #[cfg(test)]
-    pub(crate) fn get(&self, tenant: &str, key: &[u8]) -> Option<Vec<u8>> {
-        let st = self.state.lock();
-        let full_key = Self::full_key(tenant, key);
-        let n = st.partitions.len();
-        st.partitions[Self::index(&full_key, n)]
-            .get(&full_key)
-            .map(|(_, v)| v.clone())
-    }
-
     fn full_key(tenant: &str, key: &[u8]) -> Vec<u8> {
         let mut k = Vec::with_capacity(tenant.len() + 1 + key.len());
         k.extend_from_slice(tenant.as_bytes());
         k.push(0);
         k.extend_from_slice(key);
         k
-    }
-
-    /// Total keys stored.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.state.lock().partitions.iter().map(HashMap::len).sum()
     }
 
     /// Re-partition the whole keyspace to `target` partitions because
@@ -240,6 +184,19 @@ mod tests {
     use std::time::Duration;
     use taureau_core::clock::{Clock, VirtualClock};
 
+    /// `tenant`'s value for `key`, found by scanning every partition. A
+    /// key outside the partition its hash names fails the test.
+    fn stored(g: &GlobalStore, tenant: &str, key: &[u8]) -> Option<Vec<u8>> {
+        let st = g.state.lock();
+        let full_key = GlobalStore::full_key(tenant, key);
+        let n = st.partitions.len();
+        st.partitions.iter().enumerate().find_map(|(i, p)| {
+            let (_, v) = p.get(&full_key)?;
+            assert_eq!(i, GlobalStore::index(&full_key, n), "misplaced key");
+            Some(v.clone())
+        })
+    }
+
     #[test]
     fn persistent_store_roundtrip_with_injected_latency() {
         let clock = VirtualClock::shared();
@@ -249,9 +206,6 @@ mod tests {
         assert!(clock.now() > t0, "write latency was injected");
         assert_eq!(store.get(b"k"), Some(b"v".to_vec()));
         assert_eq!(store.get(b"missing"), None);
-        assert!(store.delete(b"k"));
-        assert!(!store.delete(b"k"));
-        assert_eq!(store.op_counts(), (2, 3));
     }
 
     #[test]
@@ -270,14 +224,37 @@ mod tests {
         );
     }
 
+    /// The gap experiment E3 measures, on one virtual clock: a Jiffy
+    /// round trip costs no injected time, a persistent one S3's.
+    #[test]
+    fn persistent_store_is_slower_than_jiffy() {
+        let clock = VirtualClock::shared();
+        let jiffy = crate::Jiffy::new(crate::JiffyConfig::default(), clock.clone());
+        let kv = jiffy.create_kv("/app/state", 1).unwrap();
+        let t0 = clock.now();
+        kv.put(b"k", b"v").unwrap();
+        assert_eq!(kv.get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
+        let memory = clock.now() - t0;
+        let store = PersistentStore::new(clock.clone());
+        let t1 = clock.now();
+        store.put(b"k", b"v");
+        assert_eq!(store.get(b"k"), Some(b"v".to_vec()));
+        let persistent = clock.now() - t1;
+        assert!(
+            memory < Duration::from_millis(1) && persistent > Duration::from_millis(10),
+            "persistent {persistent:?} vs memory {memory:?}"
+        );
+    }
+
     #[test]
     fn global_store_roundtrip() {
         let g = GlobalStore::new(4);
         g.put("a", b"k", b"v1");
         g.put("b", b"k", b"v2"); // same key, different tenant
-        assert_eq!(g.get("a", b"k"), Some(b"v1".to_vec()));
-        assert_eq!(g.get("b", b"k"), Some(b"v2".to_vec()));
-        assert_eq!(g.len(), 2);
+        assert_eq!(stored(&g, "a", b"k"), Some(b"v1".to_vec()));
+        assert_eq!(stored(&g, "b", b"k"), Some(b"v2".to_vec()));
+        let keys: usize = g.state.lock().partitions.iter().map(HashMap::len).sum();
+        assert_eq!(keys, 2);
     }
 
     #[test]
@@ -298,7 +275,7 @@ mod tests {
         assert!((share - 0.5).abs() < 0.15, "victim share {share}");
         // Data survives re-partitioning.
         for i in 0..500u64 {
-            assert_eq!(g.get("victim", &i.to_le_bytes()), Some(vec![1u8; 32]));
+            assert_eq!(stored(&g, "victim", &i.to_le_bytes()), Some(vec![1u8; 32]));
         }
     }
 

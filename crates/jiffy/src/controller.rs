@@ -383,21 +383,6 @@ impl Jiffy {
         Ok(())
     }
 
-    /// Renew the lease covering `path` explicitly.
-    #[cfg(test)]
-    pub(crate) fn renew_lease(&self, path: impl Into<JPath>) -> bool {
-        let path = path.into();
-        let Some(app) = path.app() else {
-            return false;
-        };
-        let now = self.inner.clock.now();
-        self.inner
-            .apps
-            .lock()
-            .get_mut(app)
-            .is_some_and(|st| st.leases.renew(&path, now))
-    }
-
     /// Reclaim all application namespaces whose leases lapsed. Returns the
     /// reclaimed paths. Call periodically (or after advancing a virtual
     /// clock in tests).
@@ -1251,21 +1236,6 @@ mod tests {
             kv.bound().as_ref().unwrap(),
             fresh.bound().as_ref().unwrap()
         ));
-    }
-
-    #[test]
-    fn explicit_renewal_keeps_an_idle_namespace_alive() {
-        let (j, clock) = deployment();
-        j.create_kv("/app/state", 1).unwrap();
-        // No data-path access at all: only the §4.4 lease API.
-        for _ in 0..3 {
-            clock.advance(Duration::from_secs(8));
-            assert!(j.renew_lease("/app/state"));
-            assert!(j.reap_expired().is_empty());
-        }
-        clock.advance(Duration::from_secs(11));
-        assert_eq!(j.reap_expired(), vec![JPath::parse("/app")]);
-        assert!(!j.renew_lease("/app/state"), "renewed a reclaimed lease");
     }
 
     #[test]

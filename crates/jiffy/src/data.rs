@@ -486,16 +486,8 @@ impl QueueObject {
         self.deque.len()
     }
 
-    /// Append a payload from a borrowed slice (one copy into a refcounted
-    /// buffer). See [`push_bytes`](Self::push_bytes) for the zero-copy
-    /// variant.
-    #[cfg(test)]
-    pub(crate) fn push(&mut self, pool: &MemoryPool, payload: &[u8]) -> Result<()> {
-        self.push_bytes(pool, Bytes::copy_from_slice(payload))
-    }
-
-    /// Append an already-refcounted payload (no byte copy), growing the
-    /// block set if needed.
+    /// Append a refcounted payload (no byte copy), growing the block set
+    /// if needed.
     pub(crate) fn push_bytes(&mut self, pool: &MemoryPool, payload: Bytes) -> Result<()> {
         let block_size = pool.block_size().as_u64();
         let size = payload.len() as u64 + ENTRY_OVERHEAD;
@@ -560,16 +552,8 @@ impl FileObject {
         }
     }
 
-    /// Append bytes from a borrowed slice (one copy into a refcounted
-    /// chunk). See [`append_bytes`](Self::append_bytes) for the zero-copy
-    /// variant.
-    #[cfg(test)]
-    pub(crate) fn append(&mut self, pool: &MemoryPool, bytes: &[u8]) -> Result<u64> {
-        self.append_bytes(pool, Bytes::copy_from_slice(bytes))
-    }
-
-    /// Append an already-refcounted chunk (no byte copy), growing the
-    /// block set as needed. Returns the new length.
+    /// Append a refcounted chunk (no byte copy), growing the block set as
+    /// needed. Returns the new length.
     pub(crate) fn append_bytes(&mut self, pool: &MemoryPool, bytes: Bytes) -> Result<u64> {
         let block_size = pool.block_size().as_u64();
         let needed = (self.len + bytes.len() as u64).div_ceil(block_size);
@@ -758,7 +742,8 @@ mod tests {
         let mut q = QueueObject::create("app");
         assert_eq!(q.blocks.len(), 0);
         for i in 0..20u64 {
-            q.push(&p, &i.to_le_bytes()).unwrap();
+            q.push_bytes(&p, Bytes::copy_from_slice(&i.to_le_bytes()))
+                .unwrap();
         }
         assert!(q.blocks.len() >= 2, "queue should have grown blocks");
         for i in 0..20u64 {
@@ -773,7 +758,8 @@ mod tests {
         let p = pool();
         let mut q = QueueObject::create("app");
         for i in 0..30u64 {
-            q.push(&p, &i.to_le_bytes()).unwrap();
+            q.push_bytes(&p, Bytes::copy_from_slice(&i.to_le_bytes()))
+                .unwrap();
         }
         let peak = q.blocks.len();
         for _ in 0..20 {
@@ -788,7 +774,7 @@ mod tests {
         let p = pool();
         let mut q = QueueObject::create("app");
         assert!(matches!(
-            q.push(&p, &vec![0u8; 300]),
+            q.push_bytes(&p, Bytes::from(vec![0u8; 300])),
             Err(JiffyError::ValueTooLarge { .. })
         ));
     }
@@ -797,8 +783,16 @@ mod tests {
     fn file_append_and_read() {
         let p = pool();
         let mut f = FileObject::create("app");
-        assert_eq!(f.append(&p, b"hello ").unwrap(), 6);
-        assert_eq!(f.append(&p, b"world").unwrap(), 11);
+        assert_eq!(
+            f.append_bytes(&p, Bytes::copy_from_slice(b"hello "))
+                .unwrap(),
+            6
+        );
+        assert_eq!(
+            f.append_bytes(&p, Bytes::copy_from_slice(b"world"))
+                .unwrap(),
+            11
+        );
         assert_eq!(f.read(0, 11), b"hello world");
         assert_eq!(f.read(6, 5), b"world");
         assert_eq!(f.read(6, 100), b"world"); // clamped
@@ -809,7 +803,7 @@ mod tests {
     fn file_grows_blocks_with_length() {
         let p = pool();
         let mut f = FileObject::create("app");
-        f.append(&p, &vec![1u8; 1000]).unwrap();
+        f.append_bytes(&p, Bytes::from(vec![1u8; 1000])).unwrap();
         assert_eq!(f.blocks.len(), 4); // 1000 / 256 -> 4 blocks
         assert_eq!(f.len, 1000);
     }
@@ -819,7 +813,7 @@ mod tests {
         let p = MemoryPool::new(1, 2, ByteSize::b(256));
         let mut f = FileObject::create("app");
         assert!(matches!(
-            f.append(&p, &vec![0u8; 1024]),
+            f.append_bytes(&p, Bytes::from(vec![0u8; 1024])),
             Err(JiffyError::PoolExhausted { .. })
         ));
     }
@@ -850,8 +844,10 @@ mod tests {
     fn file_reads_within_a_chunk_share_storage() {
         let p = pool();
         let mut f = FileObject::create("app");
-        f.append(&p, b"chunk-one").unwrap();
-        f.append(&p, b"chunk-two").unwrap();
+        f.append_bytes(&p, Bytes::copy_from_slice(b"chunk-one"))
+            .unwrap();
+        f.append_bytes(&p, Bytes::copy_from_slice(b"chunk-two"))
+            .unwrap();
         // A read inside one appended chunk is a zero-copy slice.
         let full = f.read(0, 9);
         let part = f.read(6, 3);

@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn root_cannot_be_created_or_removed() {
         let mut t = NamespaceTree::new();
-        assert!(t.create(&JPath::root()).is_err());
-        assert!(t.remove(&JPath::root()).is_err());
+        assert!(t.create(&JPath::parse("/")).is_err());
+        assert!(t.remove(&JPath::parse("/")).is_err());
     }
 }

@@ -50,12 +50,6 @@ pub struct Subscription {
 }
 
 impl Subscription {
-    /// Block until the next event or `timeout` elapses.
-    #[cfg(test)]
-    pub(crate) fn recv_timeout(&self, timeout: std::time::Duration) -> Option<Event> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
     /// Non-blocking poll.
     pub(crate) fn try_recv(&self) -> Option<Event> {
         self.rx.try_recv().ok()
@@ -139,7 +133,7 @@ mod tests {
     #[test]
     fn root_subscription_sees_everything() {
         let mut bus = NotificationBus::new();
-        let sub = bus.subscribe(JPath::root());
+        let sub = bus.subscribe(JPath::parse("/"));
         bus.publish(event("/a", EventKind::Created));
         bus.publish(event("/b/c", EventKind::Removed));
         assert_eq!(sub.drain().len(), 2);
@@ -184,9 +178,9 @@ mod tests {
     fn cross_thread_delivery() {
         let mut bus = NotificationBus::new();
         let sub = bus.subscribe(JPath::parse("/app"));
-        let h = std::thread::spawn(move || sub.recv_timeout(std::time::Duration::from_secs(5)));
-        bus.publish(event("/app/t", EventKind::Created));
-        let got = h.join().unwrap();
-        assert!(got.is_some());
+        std::thread::spawn(move || bus.publish(event("/app/t", EventKind::Created)))
+            .join()
+            .unwrap();
+        assert_eq!(sub.drain(), vec![event("/app/t", EventKind::Created)]);
     }
 }

@@ -34,14 +34,6 @@ fn push_segments(text: &mut String, raw: &str) {
 }
 
 impl JPath {
-    /// The root path `/`.
-    #[cfg(test)]
-    pub(crate) fn root() -> Self {
-        Self {
-            text: Arc::from(""),
-        }
-    }
-
     /// Parse a path like `"/app/stage/task"`. Empty segments are dropped,
     /// so `"/a//b/"` equals `"/a/b"`.
     pub fn parse(s: &str) -> Self {
@@ -99,24 +91,6 @@ impl JPath {
     /// domain for quotas and scaling.
     pub(crate) fn app(&self) -> Option<&str> {
         self.segments().next()
-    }
-
-    /// Child path with `segment` appended.
-    #[cfg(test)]
-    pub(crate) fn child(&self, segment: &str) -> Self {
-        let mut text = String::with_capacity(self.text.len() + 1 + segment.len());
-        text.push_str(&self.text);
-        push_segments(&mut text, segment);
-        Self { text: text.into() }
-    }
-
-    /// Parent path; `None` for root.
-    #[cfg(test)]
-    pub(crate) fn parent(&self) -> Option<Self> {
-        let cut = self.text.rfind('/')?;
-        Some(Self {
-            text: Arc::from(&self.text[..cut]),
-        })
     }
 
     /// Whether `self` is `other` or an ancestor of `other`.
@@ -187,16 +161,8 @@ mod tests {
     #[test]
     fn normalization_drops_empty_segments() {
         assert_eq!(JPath::parse("//a///b/"), JPath::parse("/a/b"));
-        assert_eq!(JPath::parse(""), JPath::root());
+        assert_eq!(JPath::parse(""), JPath::parse("/"));
         assert_eq!(JPath::parse("/").to_string(), "/");
-    }
-
-    #[test]
-    fn parent_and_child() {
-        let p = JPath::parse("/a/b");
-        assert_eq!(p.child("c"), JPath::parse("/a/b/c"));
-        assert_eq!(p.parent(), Some(JPath::parse("/a")));
-        assert_eq!(JPath::root().parent(), None);
     }
 
     #[test]
@@ -206,7 +172,7 @@ mod tests {
         assert!(a.is_prefix_of(&b));
         assert!(a.is_prefix_of(&a));
         assert!(!b.is_prefix_of(&a));
-        assert!(JPath::root().is_prefix_of(&b));
+        assert!(JPath::parse("/").is_prefix_of(&b));
         // Sibling with shared name prefix is not a path prefix.
         let c = JPath::parse("/application");
         assert!(!a.is_prefix_of(&c));
@@ -217,11 +183,13 @@ mod tests {
         let p = JPath::from_segments(["app", "", "stage/task"]);
         assert_eq!(p, JPath::parse("/app/stage/task"));
         assert_eq!(p.segments().collect::<Vec<_>>(), ["app", "stage", "task"]);
-        assert_eq!(JPath::root().segments().count(), 0);
-        assert_eq!(JPath::root().as_str(), "/");
-        assert_eq!((JPath::root().app(), JPath::root().name()), (None, None));
+        assert_eq!(JPath::parse("/").segments().count(), 0);
+        assert_eq!(JPath::parse("/").as_str(), "/");
+        assert_eq!(
+            (JPath::parse("/").app(), JPath::parse("/").name()),
+            (None, None)
+        );
         assert_eq!(JPath::parse("a/b"), JPath::parse("/a/b"));
-        assert_eq!(JPath::parse("/a").parent(), Some(JPath::root()));
     }
 
     /// The one-buffer representation orders and hashes exactly as the

@@ -19,7 +19,11 @@
 //!    functions, not the composition as well" — the orchestrator runs
 //!    client-side against the platform, adds no billed invocations of its
 //!    own, and every [`ExecutionReport`] carries the audit: total billed
-//!    cost equals the sum over basic function executions.
+//!    cost equals the sum over basic function executions. The audit is
+//!    exact under [`Composition::Retry`] too: an attempt that failed or
+//!    timed out was billed by the platform, so the report records it with
+//!    what the platform charged, and the platform's billed delta equals
+//!    [`ExecutionReport::total_cost`] whatever the retries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +34,6 @@ pub mod statemachine;
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -73,7 +76,7 @@ pub enum Composition {
     Retry {
         /// The composition to guard.
         inner: Box<Composition>,
-        /// Total attempts (≥ 1).
+        /// Total attempts; a run refuses 0 with an error.
         attempts: u32,
     },
 }
@@ -107,33 +110,26 @@ impl Composition {
     }
 }
 
-/// One billed basic-function execution within a composition run.
-#[derive(Debug, Clone)]
-pub(crate) struct InvocationRecord {
-    /// Dollars billed for this execution.
-    pub(crate) cost: Dollars,
-    /// Measured execution duration.
-    pub(crate) duration: Duration,
-}
-
 /// The result of running a composition.
 #[derive(Debug, Clone)]
 pub struct ExecutionReport {
     /// Final output bytes (refcounted: the last stage's output is shared,
     /// not copied, into the report).
     pub output: Bytes,
-    /// Every basic function execution, in completion order.
-    pub(crate) invocations: Vec<InvocationRecord>,
+    /// Dollars billed for each basic function execution, failed attempts
+    /// included, in completion order.
+    pub(crate) invocations: Vec<Dollars>,
 }
 
 impl ExecutionReport {
     /// Total dollars billed — by construction, the sum over basic
     /// functions only (the no-double-billing audit).
     pub fn total_cost(&self) -> Dollars {
-        self.invocations.iter().map(|r| r.cost).sum()
+        self.invocations.iter().sum()
     }
 
-    /// Number of basic function executions.
+    /// Number of billed basic function executions, failed attempts
+    /// included.
     pub fn invocation_count(&self) -> usize {
         self.invocations.len()
     }
@@ -176,11 +172,7 @@ impl Orchestrator {
             output: Bytes::new(),
             invocations: Vec::new(),
         };
-        let output = self.eval(comp, Bytes::copy_from_slice(input), &mut report)?;
-        report.output = output;
-        self.metrics
-            .histogram("composition_billed_us")
-            .record_duration(report.invocations.iter().map(|r| r.duration).sum());
+        report.output = self.eval(comp, Bytes::copy_from_slice(input), &mut report)?;
         Ok(report)
     }
 
@@ -197,16 +189,14 @@ impl Orchestrator {
                     Ok(r) => r,
                     Err(e) => {
                         self.metrics.counter("task_failures").inc();
+                        report.invocations.extend(e.billed());
                         return Err(e);
                     }
                 };
                 self.metrics
                     .histogram("task_exec_us")
                     .record_duration(r.exec_duration);
-                report.invocations.push(InvocationRecord {
-                    cost: r.cost,
-                    duration: r.exec_duration,
-                });
+                report.invocations.push(r.cost);
                 Ok(r.output)
             }
             Composition::Named(name) => {
@@ -248,6 +238,7 @@ impl Orchestrator {
                     frame::unpack_bytes(&input).ok_or_else(|| FaasError::ExecutionFailed {
                         function: "<map>".to_string(),
                         reason: "map input is not a framed list".to_string(),
+                        billed: 0.0,
                     })?;
                 let mut outputs = Vec::with_capacity(items.len());
                 for item in items {
@@ -256,7 +247,13 @@ impl Orchestrator {
                 Ok(Bytes::from(frame::pack(&outputs)))
             }
             Composition::Retry { inner, attempts } => {
-                assert!(*attempts >= 1);
+                if *attempts == 0 {
+                    return Err(FaasError::ExecutionFailed {
+                        function: "<retry>".to_string(),
+                        reason: "retry needs at least one attempt".to_string(),
+                        billed: 0.0,
+                    });
+                }
                 let mut last = None;
                 for attempt in 1..=*attempts {
                     match self.eval(inner, input.clone(), report) {
@@ -384,37 +381,74 @@ mod tests {
         let billed_delta = after - before;
         assert!((billed_delta - r.total_cost()).abs() < 1e-15);
         assert_eq!(r.invocation_count(), 3);
+
+        // Under `Retry` the platform bills the failed attempts too, and so
+        // does the report.
+        p.register(flaky("flaky", "tenant", 2)).unwrap();
+        let comp = Composition::Sequence(vec![
+            Composition::Task("inc".into()),
+            Composition::Retry {
+                inner: Box::new(Composition::Task("flaky".into())),
+                attempts: 5,
+            },
+        ]);
+        let (before, runs_before) = (
+            p.billing().total("tenant"),
+            p.billing().invocations("tenant"),
+        );
+        let r = o.run(&comp, &[1]).unwrap();
+        let billed_delta = p.billing().total("tenant") - before;
+        assert!((billed_delta - r.total_cost()).abs() < 1e-15);
+        assert_eq!(p.billing().invocations("tenant") - runs_before, 4);
+        assert_eq!(r.invocation_count(), 4);
+    }
+
+    /// A function that fails its first `failures` calls, then echoes.
+    fn flaky(name: &str, tenant: &str, failures: u32) -> FunctionSpec {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let remaining = AtomicU32::new(failures);
+        FunctionSpec::new(name, tenant, move |ctx| {
+            if remaining
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                .is_ok()
+            {
+                Err("transient".into())
+            } else {
+                Ok(ctx.payload.to_vec())
+            }
+        })
     }
 
     #[test]
     fn retry_recovers_transient_failures() {
         let clock = VirtualClock::shared();
         let p = FaasPlatform::new(PlatformConfig::deterministic(), clock);
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let remaining = Arc::new(AtomicU32::new(2));
-        let rem = remaining.clone();
-        p.register(FunctionSpec::new("flaky", "t", move |_| {
-            if rem
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok()
-            {
-                Err("transient".into())
-            } else {
-                Ok(b"ok".to_vec())
-            }
-        }))
-        .unwrap();
+        p.register(flaky("flaky", "t", 2)).unwrap();
         let o = Orchestrator::new(p);
         let comp = Composition::Retry {
             inner: Box::new(Composition::Task("flaky".into())),
             attempts: 5,
         };
-        let r = o.run(&comp, &[]).unwrap();
+        let r = o.run(&comp, b"ok").unwrap();
         assert_eq!(r.output, b"ok");
         assert_eq!(o.metrics().counter("retries").get(), 2);
-        // All three executions (two failed, one ok) are recorded… failed
-        // attempts do not produce records (they raised), so only successes:
-        assert_eq!(r.invocation_count(), 1);
+        // All three executions (two failed, one ok) were billed, and are
+        // recorded.
+        assert_eq!(r.invocation_count(), 3);
+    }
+
+    #[test]
+    fn retry_with_no_attempts_is_refused() {
+        let (o, p) = setup();
+        let comp = Composition::Retry {
+            inner: Box::new(Composition::Task("inc".into())),
+            attempts: 0,
+        };
+        assert!(matches!(
+            o.run(&comp, &[1]),
+            Err(FaasError::ExecutionFailed { ref function, .. }) if function == "<retry>"
+        ));
+        assert_eq!(p.billing().invocations("tenant"), 0);
     }
 
     #[test]

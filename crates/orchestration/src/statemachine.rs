@@ -121,20 +121,15 @@ impl std::error::Error for StateMachineError {
 pub struct StateMachineReport {
     /// Final output (refcounted; shared with the last step's result).
     pub output: Bytes,
-    /// States visited, in order.
-    #[cfg(test)]
-    pub(crate) path: Vec<String>,
-    /// Billed basic-function executions (no double billing: the machine
-    /// itself adds nothing).
-    #[cfg(test)]
-    pub(crate) invocations: Vec<crate::InvocationRecord>,
 }
+
+/// The runaway-loop budget: transitions one run may take.
+const MAX_TRANSITIONS: u32 = 1000;
 
 /// A named-state workflow over black-box functions.
 pub struct StateMachine {
     states: HashMap<String, State>,
     start: String,
-    max_transitions: u32,
 }
 
 impl StateMachine {
@@ -143,21 +138,12 @@ impl StateMachine {
         Self {
             states: HashMap::new(),
             start: start.into(),
-            max_transitions: 1000,
         }
     }
 
     /// Add a state.
     pub fn state(mut self, name: impl Into<String>, s: State) -> Self {
         self.states.insert(name.into(), s);
-        self
-    }
-
-    /// Override the runaway-loop budget.
-    #[cfg(test)]
-    pub(crate) fn with_max_transitions(mut self, n: u32) -> Self {
-        assert!(n >= 1);
-        self.max_transitions = n;
         self
     }
 
@@ -170,11 +156,7 @@ impl StateMachine {
         let mut current = self.start.clone();
         let mut previous: Option<String> = None;
         let mut payload = Bytes::copy_from_slice(input);
-        #[cfg(test)]
-        let mut path = Vec::new();
-        #[cfg(test)]
-        let mut invocations = Vec::new();
-        for _ in 0..self.max_transitions {
+        for _ in 0..MAX_TRANSITIONS {
             let state =
                 self.states
                     .get(&current)
@@ -182,8 +164,6 @@ impl StateMachine {
                         state: current.clone(),
                         from: previous.clone(),
                     })?;
-            #[cfg(test)]
-            path.push(current.clone());
             let r = platform
                 .invoke(&state.function, payload.clone())
                 .map_err(|source| StateMachineError::Invocation {
@@ -191,22 +171,11 @@ impl StateMachine {
                     function: state.function.clone(),
                     source,
                 })?;
-            #[cfg(test)]
-            invocations.push(crate::InvocationRecord {
-                cost: r.cost,
-                duration: r.exec_duration,
-            });
             payload = r.output;
             previous = Some(current.clone());
             current = match &state.next {
                 Transition::End => {
-                    return Ok(StateMachineReport {
-                        output: payload,
-                        #[cfg(test)]
-                        path,
-                        #[cfg(test)]
-                        invocations,
-                    });
+                    return Ok(StateMachineReport { output: payload });
                 }
                 Transition::Always(next) => next.clone(),
                 Transition::Branch { arms, otherwise } => arms
@@ -217,7 +186,7 @@ impl StateMachine {
             };
         }
         Err(StateMachineError::TransitionLimit {
-            limit: self.max_transitions,
+            limit: MAX_TRANSITIONS,
             at_state: current,
         })
     }
@@ -290,8 +259,7 @@ mod tests {
             );
         let r = m.run(&p, &[3]).unwrap();
         assert_eq!(r.output, vec![8]); // (3+1)*2
-        assert_eq!(r.path, vec!["a", "b"]);
-        assert_eq!(r.invocations.len(), 2);
+        assert_eq!(p.billing().invocations("t"), 2);
     }
 
     #[test]
@@ -316,28 +284,27 @@ mod tests {
             );
         let r = m.run(&p, &[0]).unwrap();
         assert_eq!(r.output, vec![10]);
-        assert_eq!(r.path.len(), 11); // 10 bumps + done
+        assert_eq!(p.billing().invocations("t"), 11); // 10 bumps + done
     }
 
     #[test]
     fn transition_budget_stops_runaway_loops() {
         let p = platform();
-        let m = StateMachine::new("spin")
-            .state(
-                "spin",
-                State {
-                    function: "noop".into(),
-                    next: Transition::Always("spin".into()),
-                },
-            )
-            .with_max_transitions(25);
+        let m = StateMachine::new("spin").state(
+            "spin",
+            State {
+                function: "noop".into(),
+                next: Transition::Always("spin".into()),
+            },
+        );
         assert!(matches!(
             m.run(&p, &[0]),
-            Err(StateMachineError::TransitionLimit { limit: 25, ref at_state }) if at_state == "spin"
+            Err(StateMachineError::TransitionLimit { limit: MAX_TRANSITIONS, ref at_state })
+                if at_state == "spin"
         ));
-        // Exactly 25 executions were billed (failed machines still pay for
-        // what ran — as Step Functions does).
-        assert_eq!(p.billing().invocations("t"), 25);
+        // Exactly the budget's executions were billed (failed machines
+        // still pay for what ran — as Step Functions does).
+        assert_eq!(p.billing().invocations("t"), MAX_TRANSITIONS as usize);
     }
 
     #[test]
@@ -461,6 +428,10 @@ mod tests {
     #[test]
     fn branch_arms_tried_in_order() {
         let p = platform();
+        for tag in ["big", "medium", "small"] {
+            p.register(FunctionSpec::new(tag, "t", move |_| Ok(tag.into())))
+                .unwrap();
+        }
         let m = StateMachine::new("route")
             .state(
                 "route",
@@ -478,27 +449,27 @@ mod tests {
             .state(
                 "big",
                 State {
-                    function: "noop".into(),
+                    function: "big".into(),
                     next: Transition::End,
                 },
             )
             .state(
                 "medium",
                 State {
-                    function: "noop".into(),
+                    function: "medium".into(),
                     next: Transition::End,
                 },
             )
             .state(
                 "small",
                 State {
-                    function: "noop".into(),
+                    function: "small".into(),
                     next: Transition::End,
                 },
             );
-        assert_eq!(m.run(&p, &[200]).unwrap().path[1], "big");
-        assert_eq!(m.run(&p, &[50]).unwrap().path[1], "medium");
-        assert_eq!(m.run(&p, &[5]).unwrap().path[1], "small");
+        assert_eq!(m.run(&p, &[200]).unwrap().output, &b"big"[..]);
+        assert_eq!(m.run(&p, &[50]).unwrap().output, &b"medium"[..]);
+        assert_eq!(m.run(&p, &[5]).unwrap().output, &b"small"[..]);
     }
 
     #[test]
@@ -519,10 +490,11 @@ mod tests {
                     next: Transition::End,
                 },
             );
-        let before = p.billing().total("t");
-        let r = m.run(&p, &[0]).unwrap();
-        let delta = p.billing().total("t") - before;
-        let sum: f64 = r.invocations.iter().map(|i| i.cost).sum();
-        assert!((delta - sum).abs() < 1e-15);
+        let bill = p.billing();
+        m.run(&p, &[0]).unwrap();
+        // One billed execution per state visited; the machine adds none.
+        assert_eq!(bill.invocations("t"), 2);
+        let one = p.invoke("inc", &[0][..]).unwrap().cost;
+        assert!((bill.total("t") - 3.0 * one).abs() < 1e-15);
     }
 }

@@ -163,17 +163,6 @@ impl FunctionRuntime {
         Ok(())
     }
 
-    /// Deregister a function, dropping its subscriptions (its Jiffy state
-    /// remains until its lease lapses, per the ephemeral-state model).
-    #[cfg(test)]
-    pub(crate) fn deregister(&self, name: &str) -> Result<()> {
-        self.functions
-            .lock()
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| PulsarError::FunctionNotFound(name.to_string()))
-    }
-
     /// Total messages processed by a function.
     pub fn processed(&self, name: &str) -> Result<u64> {
         self.functions
@@ -813,11 +802,6 @@ mod tests {
         assert!(matches!(
             rt.register(cfg, Box::new(|_, _| None)),
             Err(PulsarError::FunctionExists(_))
-        ));
-        rt.deregister("f").unwrap();
-        assert!(matches!(
-            rt.deregister("f"),
-            Err(PulsarError::FunctionNotFound(_))
         ));
     }
 
