@@ -49,7 +49,9 @@ pub enum FaasError {
 impl FaasError {
     /// Dollars billed for the execution this error ended: `Some` for a
     /// failed or timed-out one, `None` for an invocation the platform
-    /// refused before anything ran.
+    /// refused before anything ran. From
+    /// [`FaasPlatform::invoke_with_retries`](crate::FaasPlatform::invoke_with_retries),
+    /// the sum over every attempt.
     pub fn billed(&self) -> Option<Dollars> {
         match self {
             FaasError::Timeout { billed, .. } | FaasError::ExecutionFailed { billed, .. } => {

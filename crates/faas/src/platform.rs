@@ -75,7 +75,9 @@ pub struct InvocationResult {
     pub startup_latency: Duration,
     /// Measured handler execution time.
     pub exec_duration: Duration,
-    /// Dollars billed for this invocation.
+    /// Dollars billed for this invocation: under
+    /// [`FaasPlatform::invoke_with_retries`], every billed attempt, the
+    /// failed and timed-out ones included.
     pub cost: Dollars,
     /// Number of execution attempts (>1 when retried).
     pub attempts: u32,
@@ -425,7 +427,9 @@ impl FaasPlatform {
     /// Invoke with automatic re-execution on failure or timeout —
     /// "most FaaS platforms re-execute functions transparently on failure"
     /// (§4.1). At-least-once semantics: side effects of failed attempts
-    /// are not rolled back.
+    /// are not rolled back, and neither are their charges: the result's
+    /// `cost`, or the returned error's `billed` when every attempt
+    /// failed, is the sum of every attempt's bill, in attempt order.
     pub fn invoke_with_retries(
         &self,
         function: &str,
@@ -435,19 +439,30 @@ impl FaasPlatform {
         assert!(max_attempts >= 1);
         let payload = payload.into();
         let mut last_err = None;
+        let mut billed = 0.0;
         for attempt in 1..=max_attempts {
             match self.invoke_inner(function, payload.clone(), attempt, None) {
-                Ok(r) => return Ok(r),
+                Ok(mut r) => {
+                    r.cost += billed;
+                    return Ok(r);
+                }
                 Err(e @ (FaasError::ExecutionFailed { .. } | FaasError::Timeout { .. })) => {
                     if attempt < max_attempts {
                         self.inner.hot.retries.get().inc();
                     }
+                    billed += e.billed().unwrap_or(0.0);
                     last_err = Some(e);
                 }
                 Err(e) => return Err(e), // admission errors are not retried
             }
         }
-        Err(last_err.expect("at least one attempt"))
+        let mut err = last_err.expect("at least one attempt");
+        if let FaasError::ExecutionFailed { billed: b, .. } | FaasError::Timeout { billed: b, .. } =
+            &mut err
+        {
+            *b = billed;
+        }
+        Err(err)
     }
 
     fn invoke_inner(
@@ -810,6 +825,11 @@ mod tests {
         assert_eq!(r.output, b"finally");
         assert_eq!(r.attempts, 3);
         assert_eq!(p.metrics().counter("retries").get(), 2);
+        // The result costs what the tenant was billed: all three
+        // executions, the two failed ones included.
+        assert_eq!(p.billing().invocations("t"), 3);
+        assert!(r.cost > 0.0);
+        assert_eq!(r.cost, p.billing().total("t"));
     }
 
     #[test]
@@ -823,6 +843,10 @@ mod tests {
         // Three attempts are two re-executions: the last failure is not
         // followed by another attempt.
         assert_eq!(p.metrics().counter("retries").get(), 2);
+        // The error carries what the tenant was billed for all three.
+        assert_eq!(p.billing().invocations("t"), 3);
+        assert!(err.billed().unwrap() > 0.0);
+        assert_eq!(err.billed(), Some(p.billing().total("t")));
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! accordingly, each function's [`Context`] state is backed by a **Jiffy
 //! KV object** under `/pulsar-functions/<name>/state` — Pulsar and Jiffy
 //! "in tandem", exactly as §4 promises.
+//!
+//! The runtime pays per dispatch scan, not per message: a body borrows
+//! each message from its entry ([`MessageRef`]), and its counter
+//! increments fold into one Jiffy op per key, applied at the end of the
+//! scan and before the scan's ack (see [`Context`]).
 
 use std::collections::HashMap;
 
@@ -21,15 +26,17 @@ use taureau_jiffy::{Jiffy, KvHandle, KvScope};
 
 use crate::broker::{Consumer, Producer, PulsarCluster, SubscriptionMode};
 use crate::error::{PulsarError, Result};
-use crate::message::{EntryView, Message, MessageId};
+use crate::message::{EntryView, MessageId, MessageRef};
 
 /// Messages one dispatch scan may pull from an input — and so the most a
 /// function holds delivered-but-unacked per input while its body runs.
 const SCAN_BUDGET: usize = 256;
 
-/// User function body: called once per input message; returning
-/// `Some(bytes)` publishes them to the configured output topic.
-pub(crate) type FnBody = Box<dyn FnMut(&Message, &mut Context<'_>) -> Option<Vec<u8>> + Send>;
+/// User function body: called once per input message, which it borrows
+/// from the entry buffer for the call; returning `Some(bytes)` publishes
+/// them to the configured output topic.
+pub(crate) type FnBody =
+    Box<dyn FnMut(&MessageRef<'_>, &mut Context<'_>) -> Option<Vec<u8>> + Send>;
 
 /// Registration config for a function.
 #[derive(Debug, Clone)]
@@ -48,23 +55,35 @@ pub struct FunctionConfig {
 ///
 /// A context lives for one dispatch scan, and its state ops share one
 /// [`KvScope`] on the function's state object: the object is resolved
-/// and the clock read once per scan, not once per op. Each op still takes
-/// the object's lock and returns the linearizable result, so instances
-/// sharing the state never lose an update. What the scope changes (see
-/// [`KvScope`]): state ops renew the namespace lease as of the scan's
-/// start, at most one scan old against the lease TTL (30 s by default);
-/// a tracer switched on mid-scan leaves at most that scan's state ops
-/// unspanned; and state reclaimed mid-scan fails the next op as the
-/// handle would.
+/// and the clock read once per scan, not once per op. What the scope
+/// changes (see [`KvScope`]): state ops renew the namespace lease as of
+/// the scan's start, at most one scan old against the lease TTL (30 s by
+/// default); a tracer switched on mid-scan leaves at most that scan's
+/// state ops unspanned; and state reclaimed mid-scan fails the next op as
+/// the handle would.
+///
+/// [`increment`](Self::increment)s are folded: each key's deltas sum in
+/// the context, and the scan applies each touched key once, as one
+/// atomic add under the state object's lock, after the body has run over
+/// the whole scan and before the scan is acked. Instances sharing the
+/// state never lose an update, and a crash before the ack redelivers the
+/// scan (at-least-once) as it would with per-op adds. [`state_put`]
+/// and [`counter`] apply the pending sums first, so every value read and
+/// the final state equal applying each op in program order.
+///
+/// [`state_put`]: Self::state_put
+/// [`counter`]: Self::counter
 pub struct Context<'a> {
     state: KvScope<'a>,
+    pending: &'a mut Deltas,
     producer: Option<&'a Producer>,
     cluster: &'a PulsarCluster,
 }
 
 impl Context<'_> {
     /// Write a state value.
-    pub fn state_put(&self, key: &[u8], value: &[u8]) {
+    pub fn state_put(&mut self, key: &[u8], value: &[u8]) {
+        self.pending.flush(&self.state);
         // Jiffy auto-scales the backing object; errors here mean the pool
         // is exhausted, which the runtime surfaces as a panic in tests.
         self.state
@@ -72,21 +91,73 @@ impl Context<'_> {
             .expect("function state write failed");
     }
 
-    /// Atomically add `delta` to a counter stored in state; returns the new
-    /// value. (Mirrors Pulsar's `context.incrCounter`.) One Jiffy
-    /// read-modify-write under the state object's lock, so instances of a
-    /// function sharing one state object never lose an update. A missing
-    /// or non-8-byte value counts as 0; the sum wraps.
-    pub fn increment(&self, key: &[u8], delta: i64) -> i64 {
+    /// Add `delta` to a counter stored in state. (Mirrors Pulsar's
+    /// `context.incrCounter`, which returns nothing; read the counter
+    /// with [`counter`](Self::counter).) A missing or non-8-byte value
+    /// counts as 0; the sum wraps. The add lands in state by the end of
+    /// the scan, before its ack.
+    pub fn increment(&mut self, key: &[u8], delta: i64) {
+        self.pending.add(key, delta);
+    }
+
+    /// The counter at `key`, every increment so far included. (Mirrors
+    /// Pulsar's `context.getCounter`.) A missing or non-8-byte value
+    /// reads 0.
+    pub fn counter(&mut self, key: &[u8]) -> i64 {
+        self.pending.flush(&self.state);
         self.state
-            .add_i64(key, delta)
-            .expect("function state write failed")
+            .get(key)
+            .expect("function state read failed")
+            .and_then(|v| v[..].try_into().ok())
+            .map_or(0, i64::from_le_bytes)
     }
 
     /// Publish to an arbitrary topic (beyond the configured output).
     pub fn publish_to(&mut self, topic: &str, payload: &[u8]) -> Result<()> {
         self.cluster.producer(topic)?.send(payload)?;
         Ok(())
+    }
+}
+
+/// A scan's pending increments: each touched key with the wrapping sum
+/// of its deltas, in first-touch order. Slots past `live` keep their key
+/// buffers for the next scan, so a warm scan allocates nothing here.
+#[derive(Default)]
+struct Deltas {
+    slots: Vec<(Vec<u8>, i64)>,
+    live: usize,
+}
+
+impl Deltas {
+    /// Fold `delta` into `key`'s sum.
+    fn add(&mut self, key: &[u8], delta: i64) {
+        let live = &mut self.slots[..self.live];
+        if let Some((_, sum)) = live.iter_mut().find(|(k, _)| k == key) {
+            *sum = sum.wrapping_add(delta);
+            return;
+        }
+        if self.live == self.slots.len() {
+            self.slots.push((Vec::new(), 0));
+        }
+        let (k, sum) = &mut self.slots[self.live];
+        k.clear();
+        k.extend_from_slice(key);
+        *sum = delta;
+        self.live += 1;
+    }
+
+    /// Apply the pending sums, one `add_i64` per key, and empty the fold.
+    fn flush(&mut self, state: &KvScope<'_>) {
+        for (key, sum) in &self.slots[..self.live] {
+            state
+                .add_i64(key, *sum)
+                .expect("function state write failed");
+        }
+        self.clear();
+    }
+
+    fn clear(&mut self) {
+        self.live = 0;
     }
 }
 
@@ -99,6 +170,8 @@ struct FunctionInstance {
     /// The current scan's entry views; reused so a steady-state loop
     /// allocates nothing for dispatch.
     scan: Vec<EntryView>,
+    /// The current scan's folded increments; reused likewise.
+    pending: Deltas,
 }
 
 /// The function runtime: registers functions and pumps messages through
@@ -158,6 +231,7 @@ impl FunctionRuntime {
                 body,
                 processed: 0,
                 scan: Vec::new(),
+                pending: Deltas::default(),
             },
         );
         Ok(())
@@ -178,11 +252,13 @@ impl FunctionRuntime {
     /// Inputs are visited round-robin, one scan of up to `SCAN_BUDGET`
     /// messages at a time: the scan arrives as whole-entry views (one
     /// broker lock, framing parsed once per entry), the body runs over
-    /// every message in it with one `Context` (so one state scope), and
-    /// one `ack_entries` commits the scan. If an output `send` fails
-    /// mid-scan, exactly the messages already processed are acked and the
+    /// every message in it with one `Context` (so one state scope and one
+    /// fold of increments), the fold is applied, and one `ack_entries`
+    /// commits the scan. If an output `send` fails mid-scan, the fold is
+    /// applied, exactly the messages already processed are acked and the
     /// error is returned; the rest of the scan stays pending and comes
-    /// back after [`Consumer::redeliver_unacked`] (at-least-once).
+    /// back after [`Consumer::redeliver_unacked`] (at-least-once). A body
+    /// that panics leaves its scan unacked and its fold unapplied.
     pub fn run_available(&self, name: &str) -> Result<usize> {
         let mut fns = self.functions.lock();
         let FunctionInstance {
@@ -192,6 +268,7 @@ impl FunctionRuntime {
             body,
             processed,
             scan,
+            pending,
         } = fns
             .get_mut(name)
             .ok_or_else(|| PulsarError::FunctionNotFound(name.to_string()))?;
@@ -203,8 +280,11 @@ impl FunctionRuntime {
                     continue;
                 }
                 progressed = true;
+                // A scan whose body panicked left its fold behind.
+                pending.clear();
                 let mut ctx = Context {
                     state: state.scope(),
+                    pending,
                     producer: producer.as_ref(),
                     cluster: &self.cluster,
                 };
@@ -212,7 +292,7 @@ impl FunctionRuntime {
                 let mut failed = None;
                 'scan: for view in scan.iter() {
                     for mv in view.messages() {
-                        let out = body(&mv.to_message(), &mut ctx);
+                        let out = body(&mv.to_ref(), &mut ctx);
                         if let (Some(bytes), Some(prod)) = (out, ctx.producer) {
                             if let Err(e) = prod.send(&bytes) {
                                 failed = Some(e);
@@ -222,6 +302,7 @@ impl FunctionRuntime {
                         done += 1;
                     }
                 }
+                ctx.pending.flush(&ctx.state);
                 let acked = match failed {
                     None => consumer.ack_entries(scan),
                     Some(_) => {
@@ -368,19 +449,10 @@ mod tests {
         }
         rt.run_available("wordcount").unwrap();
         // State survives in Jiffy, visible from outside the function.
-        let kv = rt
-            .jiffy()
-            .open_kv("/pulsar-functions/wordcount/state")
-            .unwrap();
-        let count = |k: &[u8]| {
-            kv.get(k)
-                .unwrap()
-                .map(|v| i64::from_le_bytes(v[..].try_into().unwrap()))
-                .unwrap_or(0)
-        };
-        assert_eq!(count(b"a"), 3);
-        assert_eq!(count(b"b"), 2);
-        assert_eq!(count(b"c"), 1);
+        let count = |k: &[u8]| stored_counter(&rt, "wordcount", k);
+        assert_eq!(count(b"a"), Some(3));
+        assert_eq!(count(b"b"), Some(2));
+        assert_eq!(count(b"c"), Some(1));
     }
 
     #[test]
@@ -466,8 +538,23 @@ mod tests {
     /// Payload sequence numbers the body has seen, shared with the test.
     type Seen = std::sync::Arc<Mutex<Vec<u64>>>;
 
-    fn seq(msg: &Message) -> u64 {
-        u64::from_le_bytes(msg.payload[..].try_into().unwrap())
+    fn seq(payload: &[u8]) -> u64 {
+        u64::from_le_bytes(payload.try_into().unwrap())
+    }
+
+    /// `key`'s bytes in `function`'s state, read from outside the runtime.
+    fn stored(rt: &FunctionRuntime, function: &str, key: &[u8]) -> Option<Vec<u8>> {
+        rt.jiffy()
+            .open_kv(format!("/pulsar-functions/{function}/state").as_str())
+            .unwrap()
+            .get(key)
+            .unwrap()
+            .map(|v| v.to_vec())
+    }
+
+    /// `key`'s counter in `function`'s state, read from outside the runtime.
+    fn stored_counter(rt: &FunctionRuntime, function: &str, key: &[u8]) -> Option<i64> {
+        stored(rt, function, key).map(|v| i64::from_le_bytes(v[..].try_into().unwrap()))
     }
 
     fn send_range(p: &Producer, range: std::ops::Range<u64>) {
@@ -511,8 +598,9 @@ mod tests {
                 inputs: vec!["in".into()],
                 output: Some("out".into()),
             },
-            Box::new(move |msg, _| {
-                body_seen.lock().push(seq(msg));
+            Box::new(move |msg, ctx| {
+                body_seen.lock().push(seq(&msg.payload));
+                ctx.increment(b"n", 1);
                 Some(msg.payload.to_vec())
             }),
         )
@@ -526,6 +614,10 @@ mod tests {
         ));
         assert_eq!(rt.processed("copy").unwrap(), 5);
         assert_eq!(*seen.lock(), (0..6).collect::<Vec<_>>());
+        // The fold holds all six bodies' increments, the refused one's too,
+        // and was applied although the scan stopped short: per-op adds
+        // would have left the same count.
+        assert_eq!(stored_counter(&rt, "copy", b"n"), Some(6));
         // The other eleven are pending, not lost and not acked: with the
         // refusal lifted they come back exactly once, the refused one first.
         lift.store(true, Ordering::Relaxed);
@@ -538,10 +630,17 @@ mod tests {
         assert_eq!(rt.run_available("copy").unwrap(), 11);
         assert_eq!(rt.processed("copy").unwrap(), 16);
         assert_eq!(seen.lock()[6..], (5..16).collect::<Vec<_>>());
+        // At-least-once: the refused message's body ran twice.
+        assert_eq!(stored_counter(&rt, "copy", b"n"), Some(17));
         let mut out = cluster
             .subscribe("out", "check", SubscriptionMode::Exclusive)
             .unwrap();
-        let copied: Vec<u64> = out.drain().unwrap().iter().map(seq).collect();
+        let copied: Vec<u64> = out
+            .drain()
+            .unwrap()
+            .iter()
+            .map(|m| seq(&m.payload))
+            .collect();
         assert_eq!(copied, (0..16).collect::<Vec<_>>());
         assert_fully_committed(&cluster, "in", "copy");
     }
@@ -559,7 +658,7 @@ mod tests {
                 output: None,
             },
             Box::new(move |msg, ctx| {
-                body_seen.lock().push(seq(msg));
+                body_seen.lock().push(seq(&msg.payload));
                 ctx.increment(b"n", 1);
                 None
             }),
@@ -574,6 +673,7 @@ mod tests {
         assert_eq!(rt.run_available("count").unwrap() as u64, cut + 20);
         assert_eq!(*seen.lock(), (0..cut + 20).collect::<Vec<_>>());
         assert_eq!(rt.processed("count").unwrap(), cut + 20);
+        assert_eq!(stored_counter(&rt, "count", b"n"), Some(cut as i64 + 20));
         assert_fully_committed(&cluster, "in", "count");
     }
 
@@ -744,7 +844,7 @@ mod tests {
     }
 
     #[test]
-    fn a_traced_state_records_one_span_per_increment() {
+    fn a_traced_state_records_one_span_per_key_per_scan() {
         use taureau_core::trace::Tracer;
         let (cluster, rt, clock) = virtual_tally();
         let p = cluster.producer("in").unwrap();
@@ -752,11 +852,17 @@ mod tests {
         rt.run_available("tally").unwrap(); // binds the state
         let tracer = Tracer::new(clock);
         rt.jiffy().set_tracer(tracer.clone());
+        // Two entries, one scan: six increments of one key, one update.
         send_range(&p, 4..10);
-        assert_eq!(rt.run_available("tally").unwrap(), 6);
+        send_range(&p, 10..12);
+        assert_eq!(rt.run_available("tally").unwrap(), 8);
+        assert_eq!(tracer.spans().len(), 1);
+        send_range(&p, 12..15);
+        assert_eq!(rt.run_available("tally").unwrap(), 3);
         let spans = tracer.spans();
-        assert_eq!(spans.len(), 6);
+        assert_eq!(spans.len(), 2);
         assert!(spans.iter().all(|s| s.name == "jiffy.kv_update"));
+        assert_eq!(stored_counter(&rt, "tally", b"n"), Some(15));
     }
 
     #[test]
@@ -774,11 +880,14 @@ mod tests {
             Box::new(move |_, ctx| {
                 let mut got = body_got.lock();
                 ctx.state_put(b"n", &i64::MAX.to_le_bytes());
-                got.push(ctx.increment(b"n", 1));
-                got.push(ctx.increment(b"n", -1));
+                ctx.increment(b"n", 1);
+                got.push(ctx.counter(b"n"));
+                ctx.increment(b"n", -1);
+                got.push(ctx.counter(b"n"));
                 for odd in [&[1u8; 7][..], &[1u8; 9]] {
                     ctx.state_put(b"n", odd);
-                    got.push(ctx.increment(b"n", 5));
+                    ctx.increment(b"n", 5);
+                    got.push(ctx.counter(b"n"));
                 }
                 None
             }),
@@ -787,6 +896,77 @@ mod tests {
         cluster.producer("in").unwrap().send(b"go").unwrap();
         assert_eq!(rt.run_available("edge").unwrap(), 1);
         assert_eq!(*got.lock(), [i64::MIN, i64::MAX, 5, 5]);
+    }
+
+    #[test]
+    fn increments_summing_to_zero_still_write_an_eight_byte_counter() {
+        let (cluster, rt) = setup();
+        cluster.create_topic("in", 1).unwrap();
+        rt.register(
+            FunctionConfig {
+                name: "zero".into(),
+                inputs: vec!["in".into()],
+                output: None,
+            },
+            Box::new(|msg, ctx| {
+                ctx.increment(b"fresh", 1);
+                ctx.increment(b"fresh", -1);
+                // Odd-width values count as 0; the add rewrites them.
+                ctx.state_put(b"odd", &msg.payload[..7]);
+                ctx.increment(b"odd", 0);
+                None
+            }),
+        )
+        .unwrap();
+        send_range(&cluster.producer("in").unwrap(), 0..2);
+        assert_eq!(rt.run_available("zero").unwrap(), 2);
+        assert_eq!(stored(&rt, "zero", b"fresh"), Some(vec![0; 8]));
+        assert_eq!(stored(&rt, "zero", b"odd"), Some(vec![0; 8]));
+        assert_eq!(stored(&rt, "zero", b"untouched"), None);
+    }
+
+    #[test]
+    fn a_scan_whose_body_panics_is_not_acked_and_its_fold_is_dropped() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+
+        let (cluster, rt) = setup();
+        cluster.create_topic("in", 1).unwrap();
+        let armed = Arc::new(AtomicBool::new(true));
+        let body_armed = Arc::clone(&armed);
+        rt.register(
+            FunctionConfig {
+                name: "fragile".into(),
+                inputs: vec!["in".into()],
+                output: None,
+            },
+            Box::new(move |msg, ctx| {
+                ctx.increment(b"n", 1);
+                if seq(&msg.payload) == 5 && body_armed.load(Ordering::Relaxed) {
+                    panic!("body failed mid-scan");
+                }
+                None
+            }),
+        )
+        .unwrap();
+        let p = cluster.producer("in").unwrap();
+        send_range(&p, 0..8);
+        assert!(catch_unwind(AssertUnwindSafe(|| rt.run_available("fragile"))).is_err());
+        assert_eq!(rt.processed("fragile").unwrap(), 0);
+        assert_eq!(stored_counter(&rt, "fragile", b"n"), None);
+        // Nothing was acked: all eight come back. The six increments the
+        // panicked scan folded are not applied by the next one.
+        armed.store(false, Ordering::Relaxed);
+        {
+            let probe = cluster
+                .subscribe("in", "fn-fragile", SubscriptionMode::Shared)
+                .unwrap();
+            assert_eq!(probe.redeliver_unacked().unwrap(), 8);
+        }
+        assert_eq!(rt.run_available("fragile").unwrap(), 8);
+        assert_eq!(stored_counter(&rt, "fragile", b"n"), Some(8));
+        assert_fully_committed(&cluster, "in", "fragile");
     }
 
     #[test]

@@ -46,4 +46,4 @@ pub(crate) mod tiering;
 pub use broker::{Consumer, Producer, PulsarCluster, PulsarConfig, SubscriptionMode};
 pub use error::PulsarError;
 pub use functions::{FunctionConfig, FunctionRuntime};
-pub use message::{EntryView, Message, MessageId, Payload};
+pub use message::{EntryView, Message, MessageId, MessageRef, Payload};

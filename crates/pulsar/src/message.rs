@@ -101,6 +101,24 @@ impl Message {
     }
 }
 
+/// A message borrowed from its entry: the fields of a [`Message`], with
+/// the key and payload as [`Payload`]s of the entry buffer rather than
+/// owned [`Bytes`]. The Functions runtime hands a body one of these, so
+/// running a body over a message touches no refcount.
+#[derive(Debug, Clone, Copy)]
+pub struct MessageRef<'a> {
+    /// Durable identity (used for acknowledgment).
+    pub id: MessageId,
+    /// Optional partition key the producer supplied.
+    pub key: Option<Payload<'a>>,
+    /// Payload bytes.
+    pub payload: Payload<'a>,
+    /// Publish timestamp (clock time at the broker).
+    pub publish_time: std::time::Duration,
+    /// Causal trace context, as [`Message::ctx`].
+    pub ctx: Option<SpanContext>,
+}
+
 // --------------------------------------------------------------------------
 // Whole-entry views: the batched ledger entry as the unit of dispatch.
 
@@ -280,6 +298,18 @@ impl<'a> MessageView<'a> {
     /// Publish timestamp (the entry's group-commit instant).
     pub(crate) fn publish_time(&self) -> std::time::Duration {
         self.view.publish_time()
+    }
+
+    /// This position as a [`MessageRef`]: the fields of
+    /// [`to_message`](Self::to_message), borrowed from the entry buffer.
+    pub fn to_ref(&self) -> MessageRef<'a> {
+        MessageRef {
+            id: self.id(),
+            key: self.key(),
+            payload: self.payload(),
+            publish_time: self.publish_time(),
+            ctx: self.view.ctx(),
+        }
     }
 
     /// Materialize an owned [`Message`] equal to what per-message delivery

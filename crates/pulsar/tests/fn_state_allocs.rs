@@ -1,5 +1,6 @@
 //! The paper's Fig. 3 loop — a batch in, a state counter bumped per
-//! message — pays per *batch*, not per message: a counter nobody is
+//! message — pays per *scan*, not per message: the scan's increments fold
+//! into one Jiffy op per key (`kv_gets`/`kv_puts`), a counter nobody is
 //! reading is bumped where it lies (allocations), and the function's state
 //! object is resolved once per dispatch scan (Jiffy clock reads). (Its own
 //! file: the counting allocator is global.)
@@ -65,14 +66,12 @@ const BATCH: usize = 64;
 /// The Fig. 3 tally on a fresh runtime whose Jiffy reads `jiffy_clock`
 /// (the Pulsar cluster keeps a clock of its own), warmed by four rounds:
 /// ledger open, state binding, first touch of every metric. Returns one
-/// more round: `send_batch(64)` + `run_available`.
-fn warm_tally(jiffy_clock: SharedClock) -> impl Fn() {
+/// more round, `send_batch(64)` + `run_available`, and the runtime's Jiffy.
+fn warm_tally(jiffy_clock: SharedClock) -> (impl Fn(), Jiffy) {
     let cluster = PulsarCluster::new(PulsarConfig::default(), WallClock::shared());
     cluster.create_topic("events", 1).unwrap();
-    let rt = FunctionRuntime::new(
-        cluster.clone(),
-        Jiffy::new(JiffyConfig::default(), jiffy_clock),
-    );
+    let jiffy = Jiffy::new(JiffyConfig::default(), jiffy_clock);
+    let rt = FunctionRuntime::new(cluster.clone(), jiffy.clone());
     rt.register(
         FunctionConfig {
             name: "tally".into(),
@@ -94,22 +93,36 @@ fn warm_tally(jiffy_clock: SharedClock) -> impl Fn() {
     for _ in 0..4 {
         round();
     }
-    round
+    (round, jiffy)
 }
 
 #[test]
 fn a_warm_batch_of_increments_allocates_per_batch_not_per_message() {
-    let round = warm_tally(WallClock::shared());
+    let (round, _jiffy) = warm_tally(WallClock::shared());
     let before = ALLOCS.with(Cell::get);
     round();
     let allocs = ALLOCS.with(Cell::get) - before;
-    assert!(allocs <= 16, "{allocs} allocations for one warm batch");
+    assert_eq!(allocs, 4, "allocations for one warm batch");
+}
+
+#[test]
+fn a_warm_batch_of_increments_makes_one_state_op_per_scan() {
+    let (round, jiffy) = warm_tally(WallClock::shared());
+    let count = |name: &str| jiffy.metrics().counter(name).get();
+    let (puts, gets) = (count("kv_puts"), count("kv_gets"));
+    for _ in 0..4 {
+        round();
+    }
+    // One folded add per scan: 4 each, where one add per increment would
+    // be 4 × 64.
+    assert_eq!(count("kv_puts") - puts, 4, "kv_puts over four warm batches");
+    assert_eq!(count("kv_gets") - gets, 4, "kv_gets over four warm batches");
 }
 
 #[test]
 fn a_warm_batch_of_increments_reads_the_state_clock_once_per_scan() {
     let clock = Arc::new(CountingClock::default());
-    let round = warm_tally(clock.clone());
+    let (round, _jiffy) = warm_tally(clock.clone());
     let before = clock.reads.load(Ordering::Relaxed);
     for _ in 0..4 {
         round();

@@ -267,18 +267,24 @@ proptest! {
         prop_assert!(by_entry.receive().unwrap().is_none());
     }
 
-    /// The Functions runtime (entry-view scans, one ack per scan) is
-    /// observationally a sequential per-message loop: for arbitrary
+    /// The Functions runtime (entry-view scans, one ack per scan,
+    /// increments folded per scan) is observationally a sequential
+    /// per-message loop of per-op state calls: for arbitrary
     /// interleavings of `send`, `send_batch(1..=64)` and `run_available`
     /// over 1-3 input topics of 1-4 partitions, the body sees every
     /// message exactly once and in per-partition publish order, the output
     /// topic holds `f(input)` for exactly the inputs that produce one (in
     /// processing order), `processed` and the state counter equal the
-    /// number sent, and nothing is left unacked.
+    /// number sent, and nothing is left unacked. Each message also runs a
+    /// script of `increment` (small and near-`i64::MAX` deltas),
+    /// `state_put` (7-, 8- and 9-byte values) and `counter` over 3 keys:
+    /// every `counter` read and every key's final bytes (absent is not an
+    /// 8-byte zero) equal a per-op model's.
     #[test]
     fn function_runtime_equals_per_message_model(
         parts in vec(1u32..5, 1..4),
         ops in vec((0usize..3, 0usize..66), 1..40),
+        scripts in vec(vec((0u8..3, 0u8..3, 0usize..7), 0..5), 1..6),
     ) {
         use std::collections::BTreeMap;
         use parking_lot::Mutex;
@@ -298,13 +304,33 @@ proptest! {
         let rt = FunctionRuntime::new(c.clone(), Jiffy::with_defaults());
         // Payload = [topic, seq as u32 LE]; every third message is filtered.
         let emits = |payload: &[u8]| !payload[1].is_multiple_of(3);
+        // Message `seq` runs `scripts[seq % len]`: (op, key, arg) with op
+        // 0 = increment by DELTAS[arg], 1 = put a (7 + arg % 3)-byte
+        // value, 2 = counter read.
+        const DELTAS: [i64; 7] = [0, 1, -1, 5, i64::MAX, i64::MAX - 1, -i64::MAX];
+        let key = |k: u8| [b'k', k];
+        let value = |arg: usize| vec![arg as u8 * 41 + 1; 7 + arg % 3];
+        let scripts = Arc::new(scripts);
+        let script_of = move |payload: &[u8]| {
+            let seq = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
+            scripts[seq % scripts.len()].clone()
+        };
         let seen = Arc::new(Mutex::new(Vec::<(u32, Vec<u8>)>::new()));
-        let body_seen = Arc::clone(&seen);
+        let reads = Arc::new(Mutex::new(Vec::<i64>::new()));
+        let (body_seen, body_reads, body_script) =
+            (Arc::clone(&seen), Arc::clone(&reads), script_of.clone());
         rt.register(
             FunctionConfig { name: "f".into(), inputs: inputs.clone(), output: Some("out".into()) },
             Box::new(move |msg, ctx| {
                 body_seen.lock().push((msg.id.partition, msg.payload.to_vec()));
                 ctx.increment(b"n", 1);
+                for (op, k, arg) in body_script(&msg.payload) {
+                    match op {
+                        0 => ctx.increment(&key(k), DELTAS[arg]),
+                        1 => ctx.state_put(&key(k), &value(arg)),
+                        _ => body_reads.lock().push(ctx.counter(&key(k))),
+                    }
+                }
                 emits(&msg.payload).then(|| [&msg.payload[..], &[0xAA]].concat())
             }),
         )
@@ -362,6 +388,32 @@ proptest! {
             .unwrap()
             .map(|v| i64::from_le_bytes(v[..].try_into().unwrap()));
         prop_assert_eq!(counter.unwrap_or(0), sent as i64);
+        // The per-op model, replayed in processing order.
+        let as_counter = |v: Option<&Vec<u8>>| {
+            v.and_then(|v| v[..].try_into().ok()).map_or(0, i64::from_le_bytes)
+        };
+        let mut model: BTreeMap<u8, Vec<u8>> = BTreeMap::new();
+        let mut want_reads = Vec::new();
+        for (_, payload) in seen.iter() {
+            for (op, k, arg) in script_of(payload) {
+                match op {
+                    0 => {
+                        let next = as_counter(model.get(&k)).wrapping_add(DELTAS[arg]);
+                        model.insert(k, next.to_le_bytes().to_vec());
+                    }
+                    1 => {
+                        model.insert(k, value(arg));
+                    }
+                    _ => want_reads.push(as_counter(model.get(&k))),
+                }
+            }
+        }
+        prop_assert_eq!(&*reads.lock(), &want_reads);
+        let state = rt.jiffy().open_kv("/pulsar-functions/f/state").unwrap();
+        for k in 0..3u8 {
+            let got = state.get(&key(k)).unwrap().map(|v| v.to_vec());
+            prop_assert_eq!(got.as_ref(), model.get(&k), "key {}", k);
+        }
         // Every scan was committed: the function's shared subscription has
         // nothing pending and nothing left to deliver on any input.
         for t in &inputs {
